@@ -7,14 +7,14 @@
 //
 //	walsim [-mode sync|async|ba|pm] [-device dc|ull|2b]
 //	       [-records n] [-size bytes] [-clients n]
-//	       [-segmented] [-segbytes n] [-ring n] [-checkpoint-every n]
+//	       [-ring n] [-segbytes n] [-checkpoint-every n]
 //
-// -segmented runs the stream through the segmented WAL lifecycle
-// (wal.Segmented: rotation, group commit, checkpoint truncation)
-// instead of the single-file log; it supports sync and ba modes.
-// -segbytes sizes each segment file, -ring the slot ring, and
-// -checkpoint-every issues a checkpoint every n commits (0 = never) —
-// the report then includes rotation/checkpoint/truncation/group-flush
+// -ring selects the log's geometry. The default, 1, is a single 64 MB
+// log file (all modes). -ring n >= 2 (sync and ba modes) runs the
+// stream through a ring of n segment files of -segbytes each: the log
+// rotates as files fill, and -checkpoint-every issues a checkpoint
+// every n commits (0 = never) that truncates the segments it covers —
+// the report then adds rotation/checkpoint/truncation/group-flush
 // counts and latencies.
 package main
 
@@ -26,6 +26,7 @@ import (
 	"twobssd/internal/core"
 	"twobssd/internal/device"
 	"twobssd/internal/histo"
+	"twobssd/internal/obs"
 	"twobssd/internal/sim"
 	"twobssd/internal/vfs"
 	"twobssd/internal/wal"
@@ -37,10 +38,9 @@ func main() {
 	records := flag.Int("records", 1000, "records to append+commit")
 	size := flag.Int("size", 128, "record payload bytes")
 	clients := flag.Int("clients", 4, "concurrent committers")
-	segmented := flag.Bool("segmented", false, "use the segmented WAL lifecycle (sync/ba modes)")
-	segbytes := flag.Int64("segbytes", 1<<20, "segment file bytes (with -segmented)")
-	ring := flag.Int("ring", 4, "segment ring slots (with -segmented)")
-	ckptEvery := flag.Int("checkpoint-every", 0, "checkpoint every n commits, truncating covered segments (0 = never; with -segmented)")
+	ring := flag.Int("ring", 1, "segment files in the log's ring (1 = one 64 MB log file)")
+	segbytes := flag.Int64("segbytes", 1<<20, "segment file bytes (with -ring >= 2)")
+	ckptEvery := flag.Int("checkpoint-every", 0, "checkpoint every n commits, truncating covered segments (0 = never; with -ring >= 2)")
 	flag.Parse()
 
 	var cm wal.CommitMode
@@ -61,10 +61,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "walsim: BA mode requires -device 2b")
 		os.Exit(2)
 	}
-	if *segmented && cm != wal.Sync && cm != wal.BA {
-		fmt.Fprintln(os.Stderr, "walsim: -segmented supports sync and ba modes only")
-		os.Exit(2)
-	}
 
 	env := sim.NewEnv()
 	var fs *vfs.FS
@@ -83,47 +79,33 @@ func main() {
 	}
 
 	var l *wal.Log
-	var sl *wal.Segmented
 	h := &histo.H{}
 	commits := 0
 	env.Go("setup", func(p *sim.Proc) {
-		var err error
-		if *segmented {
-			cfg := wal.SegConfig{
-				Mode: cm, FS: fs, Name: "walsim.seg",
-				SegmentFileBytes: *segbytes, Ring: *ring,
-			}
-			if cm == wal.BA {
-				cfg.SSD = ssd
-				cfg.EIDs = []core.EID{0, 1}
-				// Pin window: half the BA buffer, clamped to the segment
-				// file (small -segbytes values pin whole files).
-				inner := ssd.Config().BABufferBytes / 2
-				if int64(inner) > *segbytes {
-					inner = int(*segbytes)
-				}
-				cfg.InnerSegmentBytes = inner
-				cfg.DoubleBuffer = true
-			}
-			if sl, err = wal.OpenSegmented(env, cfg); err != nil {
-				fmt.Fprintf(os.Stderr, "walsim: %v\n", err)
-				os.Exit(2)
-			}
+		cfg := wal.Config{Mode: cm}
+		pin := int64(64 << 20)
+		if *ring > 1 {
+			cfg.FS, cfg.Name, cfg.Ring, cfg.SegmentFileBytes = fs, "walsim.seg", *ring, *segbytes
+			pin = *segbytes
 		} else {
-			f, ferr := fs.Create("walsim.log", 64<<20)
-			if ferr != nil {
-				panic(ferr)
-			}
-			cfg := wal.Config{Mode: cm, File: f}
-			if cm == wal.BA {
-				cfg.SSD = ssd
-				cfg.EIDs = []core.EID{0, 1}
-				cfg.SegmentBytes = ssd.Config().BABufferBytes / 2
-				cfg.DoubleBuffer = true
-			}
-			if l, err = wal.Open(env, cfg); err != nil {
+			f, err := fs.Create("walsim.log", pin)
+			if err != nil {
 				panic(err)
 			}
+			cfg.File = f
+		}
+		if cm == wal.BA {
+			cfg.SSD = ssd
+			cfg.EIDs = []core.EID{0, 1}
+			// Pin window: half the BA buffer, clamped to the segment
+			// file (small -segbytes values pin whole files).
+			cfg.SegmentBytes = int(min(int64(ssd.Config().BABufferBytes/2), pin))
+			cfg.DoubleBuffer = true
+		}
+		var err error
+		if l, err = wal.Open(env, cfg); err != nil {
+			fmt.Fprintf(os.Stderr, "walsim: %v\n", err)
+			os.Exit(2)
 		}
 		per := *records / *clients
 		for c := 0; c < *clients; c++ {
@@ -131,28 +113,17 @@ func main() {
 				payload := make([]byte, *size)
 				for i := 0; i < per; i++ {
 					start := env.Now()
-					var lsn wal.LSN
-					var err error
-					if sl != nil {
-						lsn, err = sl.Append(w, payload)
-					} else {
-						lsn, err = l.Append(w, payload)
-					}
+					lsn, err := l.Append(w, payload)
 					if err != nil {
 						panic(err)
 					}
-					if sl != nil {
-						err = sl.Commit(w, lsn)
-					} else {
-						err = l.Commit(w, lsn)
-					}
-					if err != nil {
+					if err := l.Commit(w, lsn); err != nil {
 						panic(err)
 					}
 					h.Observe(sim.Duration(env.Now() - start))
 					commits++
-					if sl != nil && *ckptEvery > 0 && commits%*ckptEvery == 0 {
-						if err := sl.Checkpoint(w, lsn); err != nil {
+					if *ring > 1 && *ckptEvery > 0 && commits%*ckptEvery == 0 {
+						if err := l.Checkpoint(w, lsn); err != nil {
 							panic(err)
 						}
 					}
@@ -162,50 +133,36 @@ func main() {
 	})
 	env.Run()
 
+	// The log publishes its activity as the env's "wal.*" series (and a
+	// ring its lifecycle as "wal.seg_*").
+	reg := obs.Of(env).Registry()
+	n := func(name string) uint64 { return reg.Counter("wal." + name).Value() }
 	elapsed := sim.Duration(env.Now())
 	fstats := fs.Device().FTL().Stats()
-	if sl != nil {
-		st := sl.Stats()
-		first, cur := sl.Segments()
-		fmt.Printf("mode=%s device=%s clients=%d records=%d size=%dB segmented ring=%d segbytes=%d\n",
-			cm, *dev, *clients, *records, *size, *ring, *segbytes)
-		fmt.Printf("  virtual elapsed:   %v\n", elapsed)
-		fmt.Printf("  throughput:        %.0f commits/s\n", float64(st.Commits)/elapsed.Seconds())
-		fmt.Printf("  avg commit:        %v\n", st.CommitTime/sim.Duration(max(st.Commits, 1)))
-		fmt.Printf("  group flushes:     %d (%.2f commits/flush)\n", st.GroupFlushes,
-			float64(st.Commits)/float64(max(st.GroupFlushes, 1)))
-		fmt.Printf("  rotations:         %d (avg %v)\n", st.Rotations,
-			st.RotateTime/sim.Duration(max(st.Rotations, 1)))
-		fmt.Printf("  checkpoints:       %d (avg %v), truncated %d segments\n",
-			st.Checkpoints, st.CheckpointTime/sim.Duration(max(st.Checkpoints, 1)), st.Truncations)
-		fmt.Printf("  segments live:     [%d, %d], retained floor LSN %d\n", first, cur, sl.RetainedLSN())
-		fmt.Printf("  frontiers:         tail=%d durable=%d checkpoint=%d\n",
-			sl.TailLSN(), sl.DurableLSN(), sl.CheckpointLSN())
-		fmt.Printf("  log-device NAND:   %d page programs (WAF %.2f)\n",
-			fstats.NandPagewrites, fstats.WAF())
-		fmt.Printf("  persist latency:   %s\n", h)
-		fmt.Print(h.Bars(40))
-		return
+	fmt.Printf("mode=%s device=%s clients=%d records=%d size=%dB", cm, *dev, *clients, *records, *size)
+	if *ring > 1 {
+		fmt.Printf(" ring=%d segbytes=%d", *ring, *segbytes)
 	}
-	st := l.Stats()
-	fmt.Printf("mode=%s device=%s clients=%d records=%d size=%dB\n",
-		cm, *dev, *clients, st.Appends, *size)
+	fmt.Println()
 	fmt.Printf("  virtual elapsed:   %v\n", elapsed)
-	fmt.Printf("  throughput:        %.0f commits/s\n", float64(st.Commits)/elapsed.Seconds())
-	fmt.Printf("  avg commit:        %v\n", st.AvgCommit())
-	fmt.Printf("  flushes:           %d (%.2f commits/flush)\n", st.Flushes,
-		float64(st.Commits)/float64(max(st.Flushes, 1)))
-	fmt.Printf("  bytes appended:    %d (pad %d)\n", st.BytesAppended, st.PadBytes)
+	fmt.Printf("  throughput:        %.0f commits/s\n", float64(n("commits"))/elapsed.Seconds())
+	fmt.Printf("  avg commit:        %v\n", reg.Histo("wal.commit_ns").Mean())
+	fmt.Printf("  flushes:           %d (%.2f commits/flush)\n", n("flushes"),
+		float64(n("commits"))/float64(max(n("flushes"), 1)))
+	fmt.Printf("  bytes appended:    %d (pad %d)\n", n("bytes_appended"), n("pad_bytes"))
+	if *ring > 1 {
+		first, cur := l.Segments()
+		fmt.Printf("  group flushes:     %d (%.2f commits/flush)\n", n("seg_group_flushes"),
+			float64(n("commits"))/float64(max(n("seg_group_flushes"), 1)))
+		fmt.Printf("  rotations:         %d (avg %v)\n", n("seg_rotations"), reg.Histo("wal.seg_rotate_ns").Mean())
+		fmt.Printf("  checkpoints:       %d (avg %v), truncated %d segments\n",
+			n("seg_checkpoints"), reg.Histo("wal.seg_checkpoint_ns").Mean(), n("seg_truncations"))
+		fmt.Printf("  segments live:     [%d, %d], retained floor LSN %d, checkpoint LSN %d\n",
+			first, cur, l.RetainedLSN(), l.CheckpointLSN())
+	}
 	fmt.Printf("  durable offset:    %d of %d appended\n", l.DurableOff(), l.AppendOff())
 	fmt.Printf("  log-device NAND:   %d page programs (WAF %.2f)\n",
 		fstats.NandPagewrites, fstats.WAF())
 	fmt.Printf("  persist latency:   %s\n", h)
 	fmt.Print(h.Bars(40))
-}
-
-func max(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

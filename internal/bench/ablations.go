@@ -4,6 +4,7 @@ import (
 	"strconv"
 
 	"twobssd/internal/core"
+	"twobssd/internal/obs"
 	"twobssd/internal/pcie"
 	"twobssd/internal/sim"
 	"twobssd/internal/wal"
@@ -132,13 +133,12 @@ func AblationGroupCommit(s Scale) *Table {
 	run := func(clients int) (float64, float64) {
 		st := newStack(LogULL)
 		defer st.env.Shutdown()
-		var l *wal.Log
 		st.env.Go("setup", func(p *sim.Proc) {
 			f, err := st.logFS.Create("log", 8<<20)
 			if err != nil {
 				panic(err)
 			}
-			l, err = wal.Open(st.env, wal.Config{Mode: wal.Sync, File: f})
+			l, err := wal.Open(st.env, wal.Config{Mode: wal.Sync, File: f})
 			if err != nil {
 				panic(err)
 			}
@@ -157,10 +157,11 @@ func AblationGroupCommit(s Scale) *Table {
 			}
 		})
 		st.env.Run()
-		stats := l.Stats()
+		reg := obs.Of(st.env).Registry()
+		commits := float64(reg.Counter("wal.commits").Value())
 		elapsed := sim.Duration(st.env.Now())
-		return float64(stats.Commits) / elapsed.Seconds(),
-			float64(stats.Flushes) / float64(stats.Commits)
+		return commits / elapsed.Seconds(),
+			float64(reg.Counter("wal.flushes").Value()) / commits
 	}
 	counts := []int{1, 4, 16}
 	t.Rows = points(len(counts), func(i int) Row {

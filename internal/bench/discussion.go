@@ -8,6 +8,7 @@ import (
 	"twobssd/internal/ftl"
 	"twobssd/internal/histo"
 	"twobssd/internal/jfs"
+	"twobssd/internal/obs"
 	"twobssd/internal/sim"
 	"twobssd/internal/wal"
 )
@@ -209,13 +210,14 @@ func PMRComparison(s Scale) *Table {
 			}
 		})
 		st.env.Run()
-		appended = l.Stats().BytesAppended
+		reg := obs.Of(st.env).Registry()
+		appended = reg.Counter("wal.bytes_appended").Value()
 		elapsed := sim.Duration(st.env.Now())
 		// Host interface traffic caused by log flushing: DMA reads of
 		// the window plus block writes of the same bytes (PMR only).
 		hostBytes := st.ssd.Stats().DMABytes +
 			st.ssd.Device().Stats().PagesWrit*uint64(st.ssd.PageSize())
-		return float64(l.Stats().Commits) / elapsed.Seconds(),
+		return float64(reg.Counter("wal.commits").Value()) / elapsed.Seconds(),
 			float64(hostBytes) / float64(appended)
 	}
 	modes := []wal.CommitMode{wal.BA, wal.PMR}

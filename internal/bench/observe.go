@@ -2,6 +2,7 @@ package bench
 
 import (
 	"twobssd/internal/core"
+	"twobssd/internal/obs"
 	"twobssd/internal/sim"
 	"twobssd/internal/vfs"
 	"twobssd/internal/wal"
@@ -83,7 +84,7 @@ func Probe(s Scale) *Table {
 		if err := l.FlushToNAND(p); err != nil {
 			panic(err)
 		}
-		avgCommit = l.Stats().AvgCommit()
+		avgCommit = obs.Of(env).Registry().Histo("wal.commit_ns").Mean()
 
 		// Direct BA datapath on a scratch entry: pin a file range, store
 		// over MMIO, make it durable, DMA it back, flush it out.

@@ -15,22 +15,23 @@ import (
 	"io"
 
 	"twobssd/internal/core"
+	"twobssd/internal/obs"
 	"twobssd/internal/sim"
 	"twobssd/internal/wal"
 )
 
-// walLifeStack builds one lifecycle measurement env: the scaled-down
-// crash stack plus a segmented log in the given mode (same geometry as
-// the walseg crash driver: 16 KB segment files, 4-slot ring).
-func walLifeConfig(s *crashStack, mode wal.CommitMode) wal.SegConfig {
+// walLifeConfig is the lifecycle geometry on the scaled-down crash
+// stack, shared with the walseg crash driver: 16 KB segment files on a
+// 4-slot ring, two inner segments per file.
+func walLifeConfig(s *crashStack, mode wal.CommitMode) wal.Config {
 	ps := int64(s.ssd.PageSize())
-	cfg := wal.SegConfig{
-		Mode:              mode,
-		FS:                s.fs,
-		Name:              "seglog",
-		SegmentFileBytes:  4 * ps,
-		Ring:              4,
-		InnerSegmentBytes: 2 * int(ps),
+	cfg := wal.Config{
+		Mode:             mode,
+		FS:               s.fs,
+		Name:             "seglog",
+		SegmentFileBytes: 4 * ps,
+		Ring:             4,
+		SegmentBytes:     2 * int(ps),
 	}
 	if mode == wal.BA {
 		cfg.SSD = s.ssd
@@ -69,15 +70,19 @@ func walLifeFeatures(mode wal.CommitMode) (walLifeRow, error) {
 	env.Go("wal-life", func(p *sim.Proc) {
 		fail := func(err error) { runErr = err }
 		s := newCrashStack(env)
-		sl, err := wal.OpenSegmented(env, walLifeConfig(s, mode))
+		sl, err := wal.Open(env, walLifeConfig(s, mode))
 		if err != nil {
 			fail(err)
 			return
 		}
 		small := func(i int) string { return crashValue(crashKey("wl", i)) }
+		// The log publishes its lifecycle as this (fresh) env's
+		// "wal.seg_*" series.
+		reg := obs.Of(env).Registry()
+		count := func(name string) uint64 { return reg.Counter("wal.seg_" + name).Value() }
+		total := func(name string) sim.Duration { return reg.Histo("wal.seg_" + name + "_ns").Sum() }
 
 		// Single committer: small records, append+commit each.
-		base := sl.Stats()
 		for i := 0; i < 24; i++ {
 			lsn, err := sl.Append(p, []byte(small(i)))
 			if err == nil {
@@ -88,8 +93,8 @@ func walLifeFeatures(mode wal.CommitMode) (walLifeRow, error) {
 				return
 			}
 		}
-		d1 := sl.Stats()
-		row.commit1 = usOf(d1.CommitTime-base.CommitTime, d1.Commits-base.Commits)
+		commits1, time1, flushes1 := count("commits"), total("commit"), count("group_flushes")
+		row.commit1 = usOf(time1, commits1)
 
 		// Group commit: 8 concurrent committers, 8 records each.
 		wg := env.NewWaitGroup("wal-life.committers")
@@ -113,9 +118,9 @@ func walLifeFeatures(mode wal.CommitMode) (walLifeRow, error) {
 		if runErr != nil {
 			return
 		}
-		d8 := sl.Stats()
-		row.commit8 = usOf(d8.CommitTime-d1.CommitTime, d8.Commits-d1.Commits)
-		row.perFlush = float64(d8.Commits-d1.Commits) / float64(d8.GroupFlushes-d1.GroupFlushes)
+		commits8 := count("commits") - commits1
+		row.commit8 = usOf(total("commit")-time1, commits8)
+		row.perFlush = float64(commits8) / float64(count("group_flushes")-flushes1)
 
 		// Lifecycle churn with a tail reader attached: big records force
 		// rotations, periodic checkpoints truncate behind them.
@@ -123,7 +128,7 @@ func walLifeFeatures(mode wal.CommitMode) (walLifeRow, error) {
 		var lagN int
 		var produced bool
 		tailDone := env.NewSignal("wal-life.taildone")
-		r := sl.Tail(sl.DurableLSN())
+		r := sl.Tail(wal.LSN(sl.DurableOff()))
 		env.Go("wal-life.tail", func(p *sim.Proc) {
 			defer tailDone.Fire()
 			for {
@@ -167,10 +172,9 @@ func walLifeFeatures(mode wal.CommitMode) (walLifeRow, error) {
 		sl.WakeTail()
 		tailDone.Wait(p)
 		r.Close()
-		dl := sl.Stats()
-		row.rotate = usOf(dl.RotateTime-d8.RotateTime, dl.Rotations-d8.Rotations)
-		row.checkpoint = usOf(dl.CheckpointTime-d8.CheckpointTime, dl.Checkpoints-d8.Checkpoints)
-		row.truncations = float64(dl.Truncations - d8.Truncations)
+		row.rotate = usOf(total("rotate"), count("rotations"))
+		row.checkpoint = usOf(total("checkpoint"), count("checkpoints"))
+		row.truncations = float64(count("truncations"))
 		if lagN > 0 {
 			row.tailLag = float64(lagSum) / float64(lagN) / 1e3
 		}
@@ -182,18 +186,17 @@ func walLifeFeatures(mode wal.CommitMode) (walLifeRow, error) {
 			fail(err)
 			return
 		}
-		rl, err := wal.OpenSegmented(env, walLifeConfig(s, mode))
+		rl, err := wal.Open(env, walLifeConfig(s, mode))
 		if err != nil {
 			fail(err)
 			return
 		}
-		if _, err := rl.Recover(p, nil); err != nil {
+		if err := rl.Recover(p, nil); err != nil {
 			fail(err)
 			return
 		}
-		dr := rl.Stats()
-		row.recover = usOf(dr.RecoverTime-dl.RecoverTime, 1)
-		row.tornRepaired = float64(dr.TornRepairs - dl.TornRepairs)
+		row.recover = usOf(total("recover"), 1)
+		row.tornRepaired = float64(count("torn_repairs"))
 	})
 	env.Run()
 	env.Shutdown()

@@ -1,7 +1,7 @@
 // The segmented-WAL lifecycle crash driver behind `bench2b wal-life`
 // (and the `walseg` row of the crash campaign): a checkpointing engine
-// on wal.Segmented that rotates through the segment ring, truncates at
-// every checkpoint, and recovers from snapshot + chain replay — so the
+// on a ring-geometry wal.Log that rotates through the segment ring,
+// truncates at every checkpoint, and recovers from snapshot + chain replay — so the
 // fault campaign lands power cuts mid-rotation, mid-checkpoint and
 // mid-truncation, and recovery must repair the torn/stale tails that
 // ring recycling leaves behind. Every recovery outcome is additionally
@@ -10,11 +10,11 @@ package bench
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
 
-	"twobssd/internal/core"
 	"twobssd/internal/fault"
 	"twobssd/internal/integrity"
 	"twobssd/internal/oracle"
@@ -42,13 +42,15 @@ func walSegPayload(key string) string {
 
 type walSegCrash struct {
 	*crashStack
-	cfg   wal.SegConfig
-	sl    *wal.Segmented
-	rec   *wal.Segmented // post-crash instance, for RepairStatus
+	cfg   wal.Config
+	sl    *wal.Log
+	rec   *wal.Log // post-crash instance, for its repair report
 	model *oracle.WalLifecycle
 	snap  *vfs.File
 	snapN int
 	ops   int
+
+	dumpLost bool // the crash's capacitor dump did not fully persist
 
 	want    map[string]string // every appended key (incl. staged)
 	applied map[string]string // committed state, snapshotted at checkpoints
@@ -59,21 +61,8 @@ type walSegCrash struct {
 func buildWalSegCrash(mode wal.CommitMode, ops int) func(env *sim.Env, p *sim.Proc) (fault.Cycle, error) {
 	return func(env *sim.Env, p *sim.Proc) (fault.Cycle, error) {
 		s := newCrashStack(env)
-		ps := int64(s.ssd.PageSize())
-		cfg := wal.SegConfig{
-			Mode:              mode,
-			FS:                s.fs,
-			Name:              "seglog",
-			SegmentFileBytes:  4 * ps,
-			Ring:              4,
-			InnerSegmentBytes: 2 * int(ps),
-		}
-		if mode == wal.BA {
-			cfg.SSD = s.ssd
-			cfg.EIDs = []core.EID{0, 1}
-			cfg.DoubleBuffer = true
-		}
-		sl, err := wal.OpenSegmented(env, cfg)
+		cfg := walLifeConfig(s, mode)
+		sl, err := wal.Open(env, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -134,18 +123,26 @@ func (c *walSegCrash) Stage(p *sim.Proc) (string, error) {
 	return key, nil
 }
 
+// Crash records whether the dump persisted: Recover may excuse an
+// unreadable log page only when it did not.
+func (c *walSegCrash) Crash(p *sim.Proc) (bool, float64, error) {
+	persisted, energy, err := c.crashStack.Crash(p)
+	c.dumpLost = !persisted
+	return persisted, energy, err
+}
+
 func (c *walSegCrash) Recover(p *sim.Proc) (recovered, phantoms []string, err error) {
 	if err := c.ssd.PowerOn(p); err != nil {
 		return nil, nil, err
 	}
-	sl, err := wal.OpenSegmented(c.env, c.cfg)
+	sl, err := wal.Open(c.env, c.cfg)
 	if err != nil {
 		return nil, nil, err
 	}
 	c.rec = sl
 	var replayed []oracle.WalRecord
 	seen := map[string]bool{}
-	_, err = sl.Recover(p, func(lsn wal.LSN, payload []byte) error {
+	err = sl.Recover(p, func(lsn wal.LSN, payload []byte) error {
 		s := string(payload)
 		key := keyOf(s)
 		end := int64(lsn)
@@ -163,6 +160,13 @@ func (c *walSegCrash) Recover(p *sim.Proc) (recovered, phantoms []string, err er
 		}
 		return nil
 	})
+	if c.dumpLost && errors.Is(err, integrity.ErrPageCorrupt) {
+		// A cut capacitor dump tore a page under the log and the log
+		// refuses to come up on it — the loud failure a torn page
+		// deserves. The device lost the data, so the campaign scores
+		// the point like any unpersisted dump: nothing recovered.
+		return nil, nil, nil
+	}
 	if err != nil {
 		return nil, nil, err
 	}
@@ -198,7 +202,11 @@ func (c *walSegCrash) RecoveryRepair() (int, string) {
 	if c.rec == nil {
 		return 0, ""
 	}
-	return c.rec.RepairStatus()
+	rep := c.rec.Repair()
+	if rep.TornTail && rep.Failure == "" {
+		return 1, ""
+	}
+	return 0, rep.Failure
 }
 
 func (c *walSegCrash) writeSnapshot(p *sim.Proc, ckpt int64) error {

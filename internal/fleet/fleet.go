@@ -5,9 +5,9 @@
 // Topology: every device is one partition of a sim.Group, so a fleet
 // runs serially (one worker) or partitioned (N workers) with
 // byte-identical results — the conservative-lookahead guarantee of
-// sim.Group. A tenant's segmented WAL and volume live on its primary
-// device (placed by the Router); a per-tenant shipper streams every
-// durable record off the WAL's tailing reader (wal.Segmented.Tail)
+// sim.Group. A tenant's WAL (a ring of segment files) and volume live
+// on its primary device (placed by the Router); a per-tenant shipper
+// streams every durable record off the WAL's tailing reader (wal.Log.Tail)
 // and ships it over a latency-modeled sim.Link to a follower device, which redoes the
 // record into its own BA-mode log and acks. A tenant op counts as
 // committed only when the follower's ack arrives (synchronous
@@ -197,6 +197,7 @@ type tenantRT struct {
 
 	sched []traffic.Op
 	h     *logHandle // tenant WAL on the primary
+	tail  *wal.TailReader
 	vol   *vfs.File  // data volume on the primary
 	redo  *logHandle // replicated log on the follower
 	data  *sim.Link[repMsg]
@@ -327,11 +328,14 @@ func newTenant(g *sim.Group, fr *fleetRT, idx int, spec traffic.Spec) (*tenantRT
 		data: sim.NewLink[repMsg](g, pn.env, fn.env, "data-"+name, cfg.netLatency()),
 		ack:  sim.NewLink[ackMsg](g, fn.env, pn.env, "ack-"+name, cfg.netLatency()),
 	}
-	// The segmented logs create their own ring files ("wal-t0.0".."3"
-	// plus the checkpoint meta page) on each device's filesystem.
+	// The logs create their own ring files ("wal-t0.0".."3" plus the
+	// checkpoint meta page) on each device's filesystem. Only the
+	// primary's is tailed, and its reader is opened before the first
+	// append: a log retains records for tailing from that point on.
 	if t.h, err = newLogHandle(pn.slots, pn.ssd, pn.fs, "wal-"+name, name, cfg.logBytes()); err != nil {
 		return nil, err
 	}
+	t.tail = t.h.log.Tail(0)
 	if t.redo, err = newLogHandle(fn.slots, fn.ssd, fn.fs, "redo-"+name, name+".redo", cfg.logBytes()); err != nil {
 		return nil, err
 	}
@@ -363,7 +367,7 @@ func (t *tenantRT) spawn() {
 }
 
 // runShipper streams the primary WAL to the follower through the
-// segmented log's tailing reader: every record the log reports durable
+// log's tailing reader: every record the log reports durable
 // is shipped in LSN order, decoupled from the op procs that committed
 // it. The reader hands records straight from the log's retention
 // cache, so replication needs no second media read and no op-side
@@ -373,7 +377,7 @@ func (t *tenantRT) runShipper(p *sim.Proc) {
 		t.shipperDone = true
 		t.shipDone.Fire()
 	}()
-	r := t.h.log.Tail(0)
+	r := t.tail
 	defer r.Close()
 	for {
 		if t.pnode.down || t.ackClosed || t.dataClosed {
@@ -384,7 +388,7 @@ func (t *tenantRT) runShipper(p *sim.Proc) {
 			return // closed or truncated under us: nothing left to ship
 		}
 		if !ok {
-			if t.produceDone && r.Pos() >= t.h.log.DurableLSN() {
+			if t.produceDone && int64(r.Pos()) >= t.h.log.DurableOff() {
 				return // drained the final durable frontier
 			}
 			t.h.log.WaitTail(p)

@@ -179,12 +179,11 @@ func (m *slotManager) release(si int, h *logHandle, evicted bool) {
 	m.gFairness.Set(m.fairness())
 }
 
-// logHandle is one log stream under slot management: a BA-mode
-// segmented WAL (wal.Segmented — the stream rotates through a ring of
-// segment files) whose pinned window (EID + buffer offset) is whatever
-// slot the stream currently leases. Between leases the log is flushed
-// to NAND (so it owns no mapping-table entry) and wal.Rebind moves it
-// onto the next leased slot; append offsets carry across leases.
+// logHandle is one log stream under slot management: a BA-mode WAL on
+// a ring of segment files whose pinned window (EID + buffer offset) is
+// whatever slot the stream currently leases. Between leases the log is
+// flushed to NAND (so it owns no mapping-table entry) and Rebind moves
+// it onto the next leased slot; append offsets carry across leases.
 type logHandle struct {
 	mgr    *slotManager
 	stream string
@@ -192,7 +191,7 @@ type logHandle struct {
 	mu     *sim.Resource
 	sig    *sim.Signal
 
-	log     *wal.Segmented
+	log     *wal.Log
 	slotIdx int // leased slot, -1 between leases
 
 	// Arbitration state owned by the manager.
@@ -208,7 +207,7 @@ type logHandle struct {
 	cEvict *obs.Counter
 }
 
-// newLogHandle opens the stream's segmented log: Ring files of
+// newLogHandle opens the stream's log: Ring files of
 // logBytes/4 each (so total ring capacity matches the configured log
 // size), with the slot window size as the inner BA pin unit.
 func newLogHandle(mgr *slotManager, ssd *core.TwoBSSD, fs *vfs.FS, name, stream string, logBytes int64) (*logHandle, error) {
@@ -216,15 +215,15 @@ func newLogHandle(mgr *slotManager, ssd *core.TwoBSSD, fs *vfs.FS, name, stream 
 	if segFile < int64(mgr.segBytes) {
 		segFile = int64(mgr.segBytes)
 	}
-	l, err := wal.OpenSegmented(mgr.env, wal.SegConfig{
-		Mode:              wal.BA,
-		FS:                fs,
-		Name:              name,
-		SegmentFileBytes:  segFile,
-		Ring:              4,
-		InnerSegmentBytes: mgr.segBytes,
-		SSD:               ssd,
-		EIDs:              []core.EID{0}, // placeholder; Rebind sets the leased entry
+	l, err := wal.Open(mgr.env, wal.Config{
+		Mode:             wal.BA,
+		FS:               fs,
+		Name:             name,
+		SegmentFileBytes: segFile,
+		Ring:             4,
+		SegmentBytes:     mgr.segBytes,
+		SSD:              ssd,
+		EIDs:             []core.EID{0}, // placeholder; Rebind sets the leased entry
 	})
 	if err != nil {
 		return nil, err
@@ -313,6 +312,5 @@ func (h *logHandle) recover(p *sim.Proc, fn func(lsn wal.LSN, payload []byte) er
 	if err := h.ensure(p); err != nil {
 		return err
 	}
-	_, err := h.log.Recover(p, fn)
-	return err
+	return h.log.Recover(p, fn)
 }

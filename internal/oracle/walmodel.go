@@ -1,5 +1,5 @@
 // WalLifecycle is the pure reference model for the segmented WAL's
-// lifecycle semantics (internal/wal.Segmented): which records exist,
+// lifecycle semantics (a ring-geometry internal/wal.Log): which records exist,
 // which are committed, which checkpoints were issued with which
 // snapshot, and — after a crash — whether a claimed recovery outcome
 // is even possible. It is driven alongside the real log by the crash

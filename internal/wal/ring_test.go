@@ -1,0 +1,682 @@
+package wal
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"twobssd/internal/core"
+	"twobssd/internal/integrity"
+	"twobssd/internal/sim"
+)
+
+// segCfg is the standard ring test geometry: 16 KB segment files (4
+// pages) on a 4-slot ring, two inner segments per file.
+func segCfg(r *rig, mode CommitMode) Config {
+	ps := int64(r.fs.PageSize())
+	cfg := Config{
+		Mode:             mode,
+		FS:               r.fs,
+		Name:             "seg",
+		SegmentFileBytes: 4 * ps,
+		Ring:             4,
+		SegmentBytes:     2 * int(ps),
+	}
+	if mode == BA {
+		cfg.SSD = r.ssd
+		cfg.EIDs = []core.EID{0, 1}
+		cfg.DoubleBuffer = true
+	}
+	return cfg
+}
+
+// openSeg opens (or, after a crash, reopens) the standard ring.
+func openSeg(t *testing.T, r *rig, mode CommitMode) *Log {
+	t.Helper()
+	s, err := Open(r.env, segCfg(r, mode))
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	return s
+}
+
+// segPayload pads records to ~1.4 KB so a handful fills a 16 KB
+// segment file and the tests exercise rotation.
+func segPayload(i int) string {
+	return fmt.Sprintf("rec-%03d-", i) + strings.Repeat("p", 1400)
+}
+
+func TestRingValidation(t *testing.T) {
+	r := newRig()
+	ps := int64(r.fs.PageSize())
+	f, _ := r.fs.Create("f", 4*ps)
+	bad := []Config{
+		{Mode: Sync}, // no File, no FS/Name
+		{Mode: Async, FS: r.fs, Name: "a", SegmentFileBytes: 4 * ps, Ring: 2}, // unsupported mode
+		{Mode: Sync, FS: r.fs, Name: "b", SegmentFileBytes: 4 * ps, Ring: 1},  // ring too small
+		{Mode: Sync, FS: r.fs, Name: "c", SegmentFileBytes: 4*ps + 1, Ring: 2},
+		{Mode: Sync, FS: r.fs, Name: "d", SegmentFileBytes: 4 * ps, Ring: 2, SegmentBytes: 3000},
+		{Mode: Sync, File: f, FS: r.fs, Name: "e", SegmentFileBytes: 4 * ps, Ring: 2}, // both geometries
+		{Mode: Sync, File: f, Ring: 2},                                                // a single file is a ring of one
+	}
+	for i, cfg := range bad {
+		if _, err := Open(r.env, cfg); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("config %d: err = %v, want ErrBadConfig", i, err)
+		}
+	}
+}
+
+// TestRingRoundtrip drives the full lifecycle in both modes:
+// appends across several rotations, a mid-stream checkpoint, then a
+// clean recovery through a fresh handle that must replay exactly the
+// records past the checkpoint, in LSN order, with nothing to repair.
+func TestRingRoundtrip(t *testing.T) {
+	for _, mode := range []CommitMode{Sync, BA} {
+		t.Run(mode.String(), func(t *testing.T) {
+			r := newRig()
+			sl := openSeg(t, r, mode)
+			const n = 28
+			ends := make([]LSN, n)
+			var ckpt LSN
+			r.env.Go("write", func(p *sim.Proc) {
+				for i := 0; i < n; i++ {
+					lsn, err := sl.Append(p, []byte(segPayload(i)))
+					if err != nil {
+						t.Fatalf("append %d: %v", i, err)
+					}
+					if err := sl.Commit(p, lsn); err != nil {
+						t.Fatalf("commit %d: %v", i, err)
+					}
+					ends[i] = lsn
+					// Checkpoint from inside segment 1, so segment 0 truncates.
+					if i == 14 {
+						ckpt = lsn
+						if err := sl.Checkpoint(p, lsn); err != nil {
+							t.Fatalf("checkpoint: %v", err)
+						}
+					}
+				}
+				if err := sl.FlushToNAND(p); err != nil {
+					t.Fatalf("flush: %v", err)
+				}
+			})
+			r.env.Run()
+			if first, cur := sl.Segments(); cur < 2 || first == 0 {
+				t.Fatalf("segments = [%d, %d], want rotation and truncation", first, cur)
+			}
+			if sl.CheckpointLSN() != ckpt {
+				t.Fatalf("ckpt = %d, want %d", sl.CheckpointLSN(), ckpt)
+			}
+
+			rl := openSeg(t, r, mode)
+			got, gotLSNs := r.recoverAll(t, rl)
+			r.env.Go("resume", func(p *sim.Proc) {
+				// The recovered log must accept appends right where the
+				// old one stopped.
+				if _, err := appendCommit(p, rl, "post-recovery"); err != nil {
+					t.Fatalf("append after recover: %v", err)
+				}
+			})
+			r.env.Run()
+			if rep := rl.Repair(); rep.TornTail || rep.Failure != "" {
+				t.Fatalf("clean shutdown reported a torn tail: %+v", rep)
+			}
+			if n := r.count("wal.seg_torn_repairs"); n != 0 {
+				t.Fatalf("repairs = %d, want none", n)
+			}
+			var want []string
+			var wantLSNs []LSN
+			for i := 0; i < n; i++ {
+				if ends[i] > ckpt {
+					want = append(want, segPayload(i))
+					wantLSNs = append(wantLSNs, ends[i])
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("replayed %d records, want %d", len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] || gotLSNs[i] != wantLSNs[i] {
+					t.Fatalf("record %d: got %q@%d, want %q@%d",
+						i, got[i][:12], gotLSNs[i], want[i][:12], wantLSNs[i])
+				}
+			}
+			r.env.Shutdown()
+		})
+	}
+}
+
+// buildBoundaryTail writes records until the first user record lands
+// just past a segment boundary — the final record of the stream is the
+// first user record of segment 1 — and returns everything a corruption
+// test needs to mangle it on media.
+func buildBoundaryTail(t testing.TB) (r *rig, payloads []string, last LSN) {
+	t.Helper()
+	r = newRig()
+	sl, err := Open(r.env, segCfg(r, Sync))
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	r.env.Go("write", func(p *sim.Proc) {
+		for i := 0; ; i++ {
+			payload := segPayload(i)
+			lsn, err := appendCommit(p, sl, payload)
+			if err != nil {
+				t.Fatalf("append %d: %v", i, err)
+			}
+			payloads = append(payloads, payload)
+			last = lsn
+			if _, cur := sl.Segments(); cur == 1 {
+				return // this record straddled the rotation into segment 1
+			}
+		}
+	})
+	r.env.Run()
+	return r, payloads, last
+}
+
+// boundaryMangles are the two ways the torn-boundary tests (and the
+// FuzzScan seeds) tear the straddling record: write(off, b) patches
+// segment 1's ring file, start is the record's local start offset.
+var boundaryMangles = []struct {
+	name   string
+	mangle func(write func(off int64, b []byte), start int64)
+}{
+	{"crc", func(write func(off int64, b []byte), start int64) {
+		write(start+RecordOverhead, []byte{'X'}) // flip a payload byte
+	}},
+	{"overrun", func(write func(off int64, b []byte), start int64) {
+		n := make([]byte, 4)
+		binary.LittleEndian.PutUint32(n, 1<<30) // length overruns the segment
+		write(start, n)
+	}},
+}
+
+// mangleBoundaryTail applies mangle to the straddling record on media
+// via the raw ring file seg.1.
+func mangleBoundaryTail(t testing.TB, r *rig, last LSN, lastLen int, mangle func(write func(off int64, b []byte), start int64)) {
+	t.Helper()
+	f, err := r.fs.Open("seg.1")
+	if err != nil {
+		t.Fatalf("open seg.1: %v", err)
+	}
+	localStart := int64(last) - segCfg(r, Sync).SegmentFileBytes - int64(lastLen) - RecordOverhead
+	r.env.Go("corrupt", func(p *sim.Proc) {
+		mangle(func(off int64, b []byte) {
+			if err := f.WriteAt(p, off, b); err != nil {
+				t.Fatalf("corrupt write: %v", err)
+			}
+		}, localStart)
+		if err := f.Sync(p); err != nil {
+			t.Fatalf("sync: %v", err)
+		}
+	})
+	r.env.Run()
+}
+
+// TestRingTornBoundaryRecord tears the final record right after a
+// segment boundary — the first user record of a freshly rotated
+// segment — in two ways: a payload bit flip (CRC mismatch) and an
+// overrun length field. Recovery must replay everything before the
+// boundary, cut the tail back durably, and a second recovery must find
+// nothing left to repair (the repair is idempotent).
+func TestRingTornBoundaryRecord(t *testing.T) {
+	for _, tc := range boundaryMangles {
+		t.Run(tc.name, func(t *testing.T) {
+			r, payloads, last := buildBoundaryTail(t)
+			mangleBoundaryTail(t, r, last, len(payloads[len(payloads)-1]), tc.mangle)
+			rl := openSeg(t, r, Sync)
+			got, _ := r.recoverAll(t, rl)
+			rep := rl.Repair()
+			if !rep.TornTail || rep.Failure != "" {
+				t.Fatalf("recovery missed the torn tail: %+v", rep)
+			}
+			// The cut lands right after segment 1's header record.
+			segBytes := segCfg(r, Sync).SegmentFileBytes
+			wantCut := LSN(segBytes + RecordOverhead + segHdrBytes)
+			if rep.RepairedAt != wantCut {
+				t.Fatalf("repaired at %d, want %d", rep.RepairedAt, wantCut)
+			}
+			want := payloads[:len(payloads)-1] // the torn record is dropped
+			if len(got) != len(want) {
+				t.Fatalf("replayed %d records, want %d", len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("record %d differs after repair", i)
+				}
+			}
+
+			// Idempotence: a fresh recovery over the repaired media finds a
+			// clean tail and repairs nothing.
+			rl2 := openSeg(t, r, Sync)
+			again, _ := r.recoverAll(t, rl2)
+			if rep2 := rl2.Repair(); rep2.TornTail || rep2.Failure != "" {
+				t.Fatalf("second recovery re-reported the repaired tail: %+v", rep2)
+			}
+			if len(again) != len(want) {
+				t.Fatalf("second recovery replayed %d, want %d", len(again), len(want))
+			}
+			r.env.Shutdown()
+		})
+	}
+}
+
+// TestProbeErrorFailsRecover corrupts the header page of a mid-chain
+// ring slot on NAND, so reading it fails its integrity tag. Recovery
+// used to take any unreadable header page for a free slot, end the
+// chain walk there and report a shorter log — whose next appends then
+// overwrote live records. It must fail loudly instead.
+func TestProbeErrorFailsRecover(t *testing.T) {
+	r := newRig()
+	sl := openSeg(t, r, Sync)
+	r.env.Go("write", func(p *sim.Proc) {
+		for i := 0; i < 25; i++ { // three segments' worth: seg.1 is mid-chain
+			if _, err := appendCommit(p, sl, segPayload(i)); err != nil {
+				t.Fatalf("append %d: %v", i, err)
+			}
+		}
+		if err := sl.FlushToNAND(p); err != nil {
+			t.Fatalf("flush: %v", err)
+		}
+		if err := r.ssd.Device().Drain(p); err != nil {
+			t.Fatalf("drain: %v", err)
+		}
+	})
+	r.env.Run()
+	if _, cur := sl.Segments(); cur < 2 {
+		t.Fatalf("active segment %d: seg.1 is not mid-chain", cur)
+	}
+	f, err := r.fs.Open("seg.1")
+	if err != nil {
+		t.Fatalf("open seg.1: %v", err)
+	}
+	ppa, ok := r.ssd.Device().FTL().PPAOf(f.LBA(0))
+	if !ok || !r.ssd.Device().Flash().CorruptPage(ppa, 1) {
+		t.Fatal("seg.1's header page is not on NAND")
+	}
+
+	rl := openSeg(t, r, Sync)
+	replayed := 0
+	r.env.Go("recover", func(p *sim.Proc) {
+		err = rl.Recover(p, func(LSN, []byte) error { replayed++; return nil })
+	})
+	r.env.Run()
+	if !errors.Is(err, integrity.ErrPageCorrupt) {
+		t.Fatalf("recover over an unreadable mid-chain header: err = %v after %d records, want ErrPageCorrupt",
+			err, replayed)
+	}
+	r.env.Shutdown()
+}
+
+// TestRingTruncationRacesReader checkpoints past a lagging tail
+// reader: the reader streams a valid prefix, then gets a clean
+// ErrTruncated — never garbage — once its position falls below the
+// retention floor.
+func TestRingTruncationRacesReader(t *testing.T) {
+	r := newRig()
+	sl := openSeg(t, r, Sync)
+	reader := sl.Tail(0)
+	var prefix []string
+	var truncErr error
+	r.env.Go("race", func(p *sim.Proc) {
+		// Commit a couple of records and let the reader consume them.
+		for i := 0; i < 2; i++ {
+			if _, err := appendCommit(p, sl, segPayload(i)); err != nil {
+				t.Fatalf("append %d: %v", i, err)
+			}
+		}
+		for {
+			rec, ok, err := reader.TryNext()
+			if err != nil || !ok {
+				break
+			}
+			prefix = append(prefix, rec.Payload)
+		}
+		// Now outrun the reader: enough records to rotate twice, then a
+		// checkpoint that truncates the reader's segment away.
+		var last LSN
+		for i := 2; i < 25; i++ {
+			lsn, err := appendCommit(p, sl, segPayload(i))
+			if err != nil {
+				t.Fatalf("append %d: %v", i, err)
+			}
+			last = lsn
+		}
+		if err := sl.Checkpoint(p, last); err != nil {
+			t.Fatalf("checkpoint: %v", err)
+		}
+		if LSN(0) >= sl.RetainedLSN() {
+			t.Fatalf("checkpoint did not move the retention floor")
+		}
+		_, _, truncErr = reader.TryNext()
+	})
+	r.env.Run()
+	if len(prefix) != 2 || prefix[0] != segPayload(0) || prefix[1] != segPayload(1) {
+		t.Fatalf("reader prefix = %d records, want the 2 committed ones", len(prefix))
+	}
+	if !errors.Is(truncErr, ErrTruncated) {
+		t.Fatalf("lapped reader err = %v, want ErrTruncated", truncErr)
+	}
+	// A closed reader reports ErrReaderClosed, not the stale position.
+	reader.Close()
+	if _, _, err := reader.TryNext(); !errors.Is(err, ErrReaderClosed) {
+		t.Fatalf("closed reader err = %v, want ErrReaderClosed", err)
+	}
+	r.env.Shutdown()
+}
+
+// TestTailRetainsFromFirstReader: a log nobody tails caches nothing,
+// and a reader opened late is told — not silently spared — the records
+// appended before retention began.
+func TestTailRetainsFromFirstReader(t *testing.T) {
+	r := newRig()
+	sl := openSeg(t, r, Sync)
+	r.env.Go("t", func(p *sim.Proc) {
+		first, err := appendCommit(p, sl, segPayload(0))
+		if err != nil {
+			t.Fatalf("append: %v", err)
+		}
+		if sl.retained != nil {
+			t.Fatal("an untailed log retained a record")
+		}
+		if _, _, err := sl.Tail(0).TryNext(); !errors.Is(err, ErrTruncated) {
+			t.Fatalf("reader below the retention start: err = %v, want ErrTruncated", err)
+		}
+		late := sl.Tail(first)
+		if _, err := appendCommit(p, sl, segPayload(1)); err != nil {
+			t.Fatalf("append: %v", err)
+		}
+		rec, ok, err := late.TryNext()
+		if err != nil || !ok || rec.Payload != segPayload(1) {
+			t.Fatalf("late reader got %q ok=%v err=%v, want record 1", rec.Payload, ok, err)
+		}
+	})
+	r.env.Run()
+	r.env.Shutdown()
+}
+
+// TestTailOrderUnderConcurrentAppenders: BA appenders store their
+// records outside the log's lock, so stores complete out of LSN order
+// and one committer's BA_SYNC can push the durable frontier past a
+// neighbour's record that is still in flight. A tail reader must still
+// deliver every record exactly once, in LSN order, never an unstored
+// one.
+func TestTailOrderUnderConcurrentAppenders(t *testing.T) {
+	r := newRig()
+	sl := openSeg(t, r, BA)
+	reader := sl.Tail(0)
+	ends := map[LSN]string{}
+	wg := r.env.NewWaitGroup("appenders")
+	wg.Add(4)
+	for c := 0; c < 4; c++ {
+		r.env.GoIdx("append", c, func(p *sim.Proc, c int) {
+			defer wg.Done()
+			for i := 0; i < 8; i++ {
+				// Sizes differ per appender so stores finish out of order.
+				payload := fmt.Sprintf("c%d-%02d-%s", c, i, strings.Repeat("t", 40+300*c))
+				lsn, err := appendCommit(p, sl, payload)
+				if err != nil {
+					t.Errorf("appender %d op %d: %v", c, i, err)
+					return
+				}
+				ends[lsn] = payload
+			}
+		})
+	}
+	var got []TailRecord
+	r.env.Go("tail", func(p *sim.Proc) {
+		for len(got) < 32 {
+			rec, ok, err := reader.TryNext()
+			if err != nil {
+				t.Errorf("tail: %v", err)
+				return
+			}
+			if !ok {
+				sl.WaitTail(p)
+				continue
+			}
+			if rec.At == notStored {
+				t.Errorf("delivered record %d before it was stored", rec.LSN)
+			}
+			got = append(got, rec)
+		}
+	})
+	r.env.Go("main", func(p *sim.Proc) {
+		wg.Wait(p)
+		sl.WakeTail()
+	})
+	r.env.Run()
+	if len(got) != 32 {
+		t.Fatalf("tail delivered %d records, want 32", len(got))
+	}
+	for i, rec := range got {
+		if i > 0 && rec.LSN <= got[i-1].LSN {
+			t.Fatalf("record %d out of LSN order: %d after %d", i, rec.LSN, got[i-1].LSN)
+		}
+		if ends[rec.LSN] != rec.Payload {
+			t.Fatalf("record at %d is not the one appended there", rec.LSN)
+		}
+	}
+	r.env.Shutdown()
+}
+
+// groupCommitFingerprint runs 8 concurrent committers on a fresh env
+// and digests everything observable: lifecycle metrics, frontiers, and
+// a CRC over every ring file's media bytes.
+func groupCommitFingerprint(t *testing.T, mode CommitMode) (fp string, commits, groupFlushes uint64) {
+	t.Helper()
+	r := newRig()
+	sl := openSeg(t, r, mode)
+	wg := r.env.NewWaitGroup("committers")
+	wg.Add(8)
+	for c := 0; c < 8; c++ {
+		r.env.GoIdx("commit", c, func(p *sim.Proc, c int) {
+			defer wg.Done()
+			for i := 0; i < 6; i++ {
+				payload := fmt.Sprintf("c%d-%02d-%s", c, i, strings.Repeat("g", 900))
+				if _, err := appendCommit(p, sl, payload); err != nil {
+					t.Errorf("committer %d op %d: %v", c, i, err)
+					return
+				}
+			}
+		})
+	}
+	var media uint32
+	r.env.Go("main", func(p *sim.Proc) {
+		wg.Wait(p)
+		if err := sl.Drain(p); err != nil {
+			t.Fatalf("drain: %v", err)
+		}
+		if err := sl.FlushToNAND(p); err != nil {
+			t.Fatalf("flush: %v", err)
+		}
+		crc := crc32.NewIEEE()
+		for _, f := range sl.files {
+			buf := make([]byte, f.Capacity())
+			if err := f.ReadAt(p, 0, buf); err != nil {
+				t.Fatalf("read media: %v", err)
+			}
+			crc.Write(buf)
+		}
+		media = crc.Sum32()
+	})
+	r.env.Run()
+	commits, groupFlushes = r.count("wal.seg_commits"), r.count("wal.seg_group_flushes")
+	fp = fmt.Sprintf("media=%08x tail=%d durable=%d commits=%d flushes=%d rotations=%d commit_ns=%d",
+		media, sl.AppendOff(), sl.DurableOff(), commits, groupFlushes,
+		r.count("wal.seg_rotations"), r.histo("wal.seg_commit_ns").Sum())
+	r.env.Shutdown()
+	return fp, commits, groupFlushes
+}
+
+// TestRingGroupCommitDeterminism: N concurrent committers produce
+// byte-identical media and metrics across independent runs, and on the
+// block+flush path the group-commit leader demonstrably coalesces
+// multiple committers per flush.
+func TestRingGroupCommitDeterminism(t *testing.T) {
+	for _, mode := range []CommitMode{Sync, BA} {
+		t.Run(mode.String(), func(t *testing.T) {
+			a, commits, flushes := groupCommitFingerprint(t, mode)
+			b, _, _ := groupCommitFingerprint(t, mode)
+			if a != b {
+				t.Fatalf("group commit nondeterministic:\n  %s\n  %s", a, b)
+			}
+			if commits != 48 { // 8 committers x 6 records; the final Drain is not a Commit
+				t.Fatalf("commits = %d, want 48", commits)
+			}
+			if flushes == 0 || flushes > commits {
+				t.Fatalf("group flushes = %d (commits %d)", flushes, commits)
+			}
+			if mode == Sync && flushes >= commits {
+				t.Fatalf("sync mode never coalesced: %d flushes for %d commits", flushes, commits)
+			}
+		})
+	}
+}
+
+// TestRingBAPowerLoss cuts power under the BA byte path with a
+// committed history plus one staged (uncommitted) record: after the
+// capacitor dump and a fresh recovery, every committed record replays
+// in order; the staged record may legitimately survive the dump but
+// nothing else may appear.
+func TestRingBAPowerLoss(t *testing.T) {
+	r := newRig()
+	sl := openSeg(t, r, BA)
+	const n = 10
+	r.env.Go("crash", func(p *sim.Proc) {
+		for i := 0; i < n; i++ {
+			if _, err := appendCommit(p, sl, segPayload(i)); err != nil {
+				t.Fatalf("append %d: %v", i, err)
+			}
+		}
+		if _, err := sl.Append(p, []byte("staged-only")); err != nil {
+			t.Fatalf("stage: %v", err)
+		}
+		r.powerCycle(t, p)
+	})
+	r.env.Run()
+
+	rl := openSeg(t, r, BA)
+	got, _ := r.recoverAll(t, rl)
+	if fail := rl.Repair().Failure; fail != "" {
+		t.Fatalf("repair failed: %s", fail)
+	}
+	if len(got) < n {
+		t.Fatalf("recovered %d records, want the %d committed ones", len(got), n)
+	}
+	for i := 0; i < n; i++ {
+		if got[i] != segPayload(i) {
+			t.Fatalf("committed record %d lost or reordered", i)
+		}
+	}
+	for _, extra := range got[n:] {
+		if extra != "staged-only" {
+			t.Fatalf("phantom record %q recovered", extra[:min(len(extra), 16)])
+		}
+	}
+	r.env.Shutdown()
+}
+
+// geometryRun pushes one seeded record stream — sizes, commit pattern
+// and a power cut after record 23 is committed and record 24 staged —
+// through a log of the given ring size over the same total capacity,
+// recovers it through a fresh handle, and returns the replayed records
+// plus (for a ring of one) a CRC of the file's media bytes.
+func geometryRun(t *testing.T, mode CommitMode, ring int) (recovered []string, media uint32) {
+	t.Helper()
+	r := newRig()
+	ps := int64(r.fs.PageSize())
+	cfg := Config{Mode: mode, SegmentBytes: 2 * int(ps)}
+	if mode == BA {
+		cfg.SSD, cfg.EIDs, cfg.DoubleBuffer = r.ssd, []core.EID{0, 1}, true
+	}
+	if ring == 1 {
+		f, err := r.fs.Create("geo", 16*ps)
+		if err != nil {
+			t.Fatalf("create: %v", err)
+		}
+		cfg.File = f
+	} else {
+		cfg.FS, cfg.Name, cfg.Ring, cfg.SegmentFileBytes = r.fs, "geo", ring, 16*ps/int64(ring)
+	}
+	l, err := Open(r.env, cfg)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	r.env.Go("stream", func(p *sim.Proc) {
+		rng := rand.New(rand.NewSource(0x2b55d))
+		for i := 0; i <= 24; i++ {
+			payload := fmt.Sprintf("geo-%03d-", i) + strings.Repeat(string(rune('a'+i%26)), 100+rng.Intn(1200))
+			lsn, err := l.Append(p, []byte(payload))
+			if err != nil {
+				t.Fatalf("append %d: %v", i, err)
+			}
+			if commit := rng.Intn(3) != 0; i < 24 && (commit || i == 23) {
+				if err := l.Commit(p, lsn); err != nil {
+					t.Fatalf("commit %d: %v", i, err)
+				}
+			}
+		}
+		r.powerCycle(t, p)
+	})
+	r.env.Run()
+
+	rl, err := Open(r.env, cfg)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	recovered, _ = r.recoverAll(t, rl)
+	if ring == 1 {
+		r.env.Go("media", func(p *sim.Proc) {
+			buf := make([]byte, cfg.File.Capacity())
+			if err := cfg.File.ReadAt(p, 0, buf); err != nil {
+				t.Fatalf("read media: %v", err)
+			}
+			media = crc32.ChecksumIEEE(buf)
+		})
+		r.env.Run()
+	}
+	r.env.Shutdown()
+	return recovered, media
+}
+
+// TestGeometryEquivalence: the ring is geometry, not semantics. The
+// same stream through a ring of one and a ring of four recovers the
+// same record sequence, and the ring-of-one file is byte for byte the
+// image the pre-unification single-file wal.Log left on media (golden
+// CRCs captured from that implementation on this stream).
+func TestGeometryEquivalence(t *testing.T) {
+	golden := map[CommitMode]uint32{Sync: goldenSyncCRC, BA: goldenBACRC}
+	for _, mode := range []CommitMode{Sync, BA} {
+		t.Run(mode.String(), func(t *testing.T) {
+			one, media := geometryRun(t, mode, 1)
+			four, _ := geometryRun(t, mode, 4)
+			if len(one) < 24 {
+				t.Fatalf("ring of one recovered %d records, want the 24 committed", len(one))
+			}
+			if len(one) != len(four) {
+				t.Fatalf("ring of one recovered %d records, ring of four %d", len(one), len(four))
+			}
+			for i := range one {
+				if one[i] != four[i] {
+					t.Fatalf("record %d differs between geometries", i)
+				}
+			}
+			if media != golden[mode] {
+				t.Fatalf("ring-of-one media CRC = %#08x, want %#08x (the single-file log's image)", media, golden[mode])
+			}
+		})
+	}
+}
+
+// Media CRCs of geometryRun's ring-of-one file under the parent
+// commit's single-file wal.Log.
+const (
+	goldenSyncCRC = 0xe467a2ea
+	goldenBACRC   = 0xc6678bea
+)

@@ -1,5 +1,6 @@
 // Package wal implements write-ahead logging over the simulated
-// storage stack, with the three commit modes the paper compares
+// storage stack: one log type that owns its segment files, rotation,
+// truncation and sync policy, with the commit modes the paper compares
 // (Fig 5):
 //
 //   - Sync:  the conventional scheme — records staged in host memory,
@@ -17,13 +18,30 @@
 //
 //	[4] payload length
 //	[4] CRC-32 (IEEE) of the payload
-//	[8] stream position of the record start (guards against stale data
-//	    in recycled segments)
+//	[8] LSN of the record start (guards against stale data in recycled
+//	    segments and ring slots)
 //	[n] payload
 //
-// Records never straddle a segment boundary; a length field of
-// 0xFFFFFFFF is a padding marker meaning "skip to the next segment
-// boundary", and a zero length field means end of log.
+// Records never straddle an inner-segment boundary (Config.SegmentBytes,
+// the BA pin-window unit); a length field of 0xFFFFFFFF is a padding
+// marker meaning "skip to the next boundary", and a zero length field
+// means end of log.
+//
+// Geometry. The stream is one LSN space cut into file-sized segments:
+// segment seq covers LSNs [seq*S, (seq+1)*S) and lives in ring slot
+// seq%Ring. Config{File} is a ring of one — the stream is the file,
+// Append fails with ErrLogFull at its end and Reset truncates; nothing
+// but records is ever written to it. Config{FS, Name, Ring,
+// SegmentFileBytes} is a ring of segment files Name.0 … Name.<Ring-1>
+// plus a checkpoint page Name.meta: Append rotates into the next slot
+// when the active file fills, Checkpoint frees the segments it covers,
+// and because a recycled slot still holds the records of a dead
+// generation (self-invalidated by their stamps) every segment starts
+// with a header record naming its sequence number, so Recover can walk
+// the chain from the checkpoint forward and durably cut a torn tail.
+//
+// Tail readers (tail.go) stream committed records in LSN order from a
+// host-side cache that exists only once a reader has been opened.
 package wal
 
 import (
@@ -34,8 +52,8 @@ import (
 
 	"twobssd/internal/core"
 	"twobssd/internal/fault"
-	"twobssd/internal/ftl"
 	"twobssd/internal/histo"
+	"twobssd/internal/integrity"
 	"twobssd/internal/obs"
 	"twobssd/internal/sim"
 	"twobssd/internal/vfs"
@@ -83,29 +101,62 @@ type LSN uint64
 
 const headerBytes = 16
 
+// RecordOverhead is the per-record header size: a record returned at
+// LSN end carries its payload at [end-len(payload), end) and its
+// header at [end-len(payload)-RecordOverhead, end-len(payload)).
+const RecordOverhead = headerBytes
+
 // padMarker in the length field tells recovery to skip to the next
-// segment boundary.
+// inner-segment boundary.
 const padMarker = 0xFFFFFFFF
+
+// Ring-geometry format constants.
+const (
+	// segHdrMagic + the segment sequence number form the payload of the
+	// first record of every ring segment (an ordinary record, so it
+	// carries the usual length/CRC/stamp header).
+	segHdrMagic = "2BSSDSEG"
+	segHdrBytes = 16
+
+	// metaMagic tags the checkpoint meta page:
+	// [4] magic | [8] checkpoint LSN | [4] CRC-32C of the first 12.
+	metaMagic = 0x32425347
+)
 
 // Errors reported by the log.
 var (
-	ErrLogFull   = errors.New("wal: log file full (checkpoint required)")
+	ErrLogFull   = errors.New("wal: log full (checkpoint required)")
 	ErrTooLarge  = errors.New("wal: record larger than a segment")
 	ErrBadConfig = errors.New("wal: invalid configuration")
+
+	// ErrWALFull is ErrLogFull on a ring: every slot still holds a
+	// retained segment, and a Checkpoint must free some before more can
+	// be appended.
+	ErrWALFull = fmt.Errorf("%w: every ring slot retained", ErrLogFull)
 )
 
 // Config assembles a log.
 type Config struct {
 	Mode CommitMode
 
-	// File is the backing log file (all modes). In BA mode it provides
-	// the NAND LBA ranges the BA-buffer segments pin onto.
-	File *vfs.File
+	// Geometry — set File, or FS+Name+Ring+SegmentFileBytes.
+	//
+	// File is a ring of one: the whole stream lives in this file (all
+	// modes). FS and Name place a ring instead (Sync and BA modes):
+	// Ring (>= 2) segment files of SegmentFileBytes (page aligned) each,
+	// plus the checkpoint page. Ring files that already exist are
+	// reopened (the post-crash path); call Recover to resume from them.
+	File             *vfs.File
+	FS               *vfs.FS
+	Name             string
+	Ring             int
+	SegmentFileBytes int64
 
 	// SegmentBytes is the unit records must not straddle. In BA mode
 	// it is the pinned-window size (half the BA-buffer with double
-	// buffering, per the paper); block modes may leave it zero to use
-	// the whole file as one segment.
+	// buffering, per the paper) and the NAND LBA range each BA-buffer
+	// half pins onto; zero means one whole file. On a ring it must
+	// divide SegmentFileBytes.
 	SegmentBytes int
 
 	// BA-mode plumbing.
@@ -124,39 +175,12 @@ type Config struct {
 
 	// AppendCPU charges per-append host CPU work (encode + memcpy).
 	AppendCPU sim.Duration
-
-	// BaseLSN offsets the stream-position stamp written into record
-	// headers: a record starting at local position p is stamped
-	// BaseLSN+p, and Recover requires the stamps to match. The
-	// segmented lifecycle (segmented.go) gives each segment file a
-	// distinct base so records left over in a recycled ring slot
-	// self-invalidate on the next scan. Zero (the default) keeps the
-	// original stamp == position scheme.
-	BaseLSN int64
-}
-
-// Stats aggregates log activity.
-type Stats struct {
-	Appends       uint64
-	Commits       uint64
-	Flushes       uint64 // block fsyncs or BA_FLUSH calls
-	BytesAppended uint64
-	PadBytes      uint64
-	CommitTime    sim.Duration // total virtual time spent inside Commit
-}
-
-// AvgCommit returns the mean commit latency.
-func (s Stats) AvgCommit() sim.Duration {
-	if s.Commits == 0 {
-		return 0
-	}
-	return s.CommitTime / sim.Duration(s.Commits)
 }
 
 type half struct {
 	eid    core.EID
 	bufOff int   // byte offset of this half in the BA-buffer
-	seg    int64 // segment index currently pinned, -1 if none
+	seg    int64 // inner segment (LSN / SegmentBytes) currently pinned, -1 if none
 	ready  bool  // not mid-flush
 	sig    *sim.Signal
 }
@@ -167,16 +191,32 @@ type Log struct {
 	cfg Config
 	ps  int
 
+	files     []*vfs.File  // ring slots; one entry for a ring of one
+	one       [1]*vfs.File // backs files for a ring of one (engines open a log per memtable; spare them the slice)
+	meta      *vfs.File    // checkpoint page; nil for a ring of one
+	fileBytes int64        // S: LSNs per segment file
+	segBytes  int64        // inner segment: records never straddle it
+
+	firstSeg   int64 // oldest retained segment
+	curSeg     int64 // active segment
+	ckpt       int64 // checkpoint LSN recorded in the meta page
+	hdrPending bool  // the active ring segment has no header record yet
+
 	appendOff  int64
 	durableOff int64
 	flushedOff int64 // device-flush cursor (differs from durable in PM mode)
 
-	mu *sim.Resource // serializes offset reservation and rollover
+	mu *sim.Resource // serializes offset reservation, rotation and checkpoints
 
-	// Block-mode state.
+	// moved fires when a flush leader finishes and, once the log is
+	// tailed, whenever the durable frontier or the retention floor
+	// moves; every waiter re-checks its own condition.
+	moved *sim.Signal
+
+	// Block-mode state: the active file's image and the group-commit
+	// leader flag.
 	stage          []byte
 	flushing       bool
-	flushed        *sim.Signal
 	asyncScheduled bool
 
 	// BA-mode state.
@@ -187,44 +227,83 @@ type Log struct {
 	// staged copy/MMIO write, so concurrent appenders each hold one.
 	recPool [][]byte
 
-	// Metrics ("wal.*" in the obs registry; Stats() reads them back —
-	// CommitTime is the commit-latency histogram's exact sum).
+	// Tail-reader cache (tail.go): nil until the first Tail call.
+	retained   map[int64][]tailRec // segment seq → records in LSN order
+	retainFrom int64               // records ending at or below were never cached
+
+	repair RepairReport
+
+	// Metrics: "wal.*" for every log; a ring additionally publishes its
+	// lifecycle under "wal.seg_*" (left nil — a no-op — otherwise).
 	o                  *obs.Set
 	inj                *fault.Injector
 	cAppends, cCommits *obs.Counter
 	cFlushes           *obs.Counter
 	cBytes, cPadBytes  *obs.Counter
 	hCommit            *histo.H
+
+	cRotations, cCheckpoints, cTruncations *obs.Counter
+	cSegCommits, cGroupFlushes             *obs.Counter
+	cTailRecs, cRepairs                    *obs.Counter
+	hSegCommit, hRotate                    *histo.H
+	hCheckpoint, hRecover                  *histo.H
+	gLive                                  *obs.Gauge
 }
 
-// Open builds a log over cfg. The file is assumed fresh or previously
+// Open builds a log over cfg. The files are assumed fresh or previously
 // Reset; call Recover to resume an existing log.
 func Open(env *sim.Env, cfg Config) (*Log, error) {
-	if cfg.File == nil {
-		return nil, fmt.Errorf("%w: nil File", ErrBadConfig)
+	l := &Log{env: env, ps: 4096, o: obs.Of(env), inj: fault.Of(env)}
+	if cfg.SSD != nil {
+		l.ps = cfg.SSD.PageSize()
+	} else if cfg.FS != nil {
+		l.ps = cfg.FS.PageSize()
+	}
+	ps := int64(l.ps)
+	muName, sigName := "wal.mu", "wal.flushed"
+	switch {
+	case cfg.File != nil && cfg.FS == nil && cfg.Ring <= 1:
+		l.one[0] = cfg.File
+		l.files = l.one[:]
+		l.fileBytes = cfg.File.Capacity()
+	case cfg.File == nil && cfg.FS != nil && cfg.Name != "":
+		if cfg.Mode != Sync && cfg.Mode != BA {
+			return nil, fmt.Errorf("%w: a segment ring supports Sync and BA", ErrBadConfig)
+		}
+		if cfg.Ring < 2 {
+			return nil, fmt.Errorf("%w: segment ring needs >= 2 slots", ErrBadConfig)
+		}
+		if cfg.SegmentFileBytes <= 0 || cfg.SegmentFileBytes%ps != 0 {
+			return nil, fmt.Errorf("%w: SegmentFileBytes must be page aligned", ErrBadConfig)
+		}
+		l.fileBytes = cfg.SegmentFileBytes
+		muName, sigName = "wal."+cfg.Name+".mu", "wal."+cfg.Name+".flushed"
+	default:
+		return nil, fmt.Errorf("%w: need File, or FS+Name+Ring", ErrBadConfig)
 	}
 	if cfg.SegmentBytes == 0 {
-		cfg.SegmentBytes = int(cfg.File.Capacity())
+		cfg.SegmentBytes = int(l.fileBytes)
 	}
-	ps := int64(4096)
-	if cfg.SSD != nil {
-		ps = int64(cfg.SSD.PageSize())
+	l.segBytes = int64(cfg.SegmentBytes)
+	if cfg.FS != nil && (l.segBytes <= 0 || l.fileBytes%l.segBytes != 0) {
+		return nil, fmt.Errorf("%w: SegmentBytes must divide SegmentFileBytes", ErrBadConfig)
 	}
+	nHalves := 0
 	if cfg.Mode == BA || cfg.Mode == PMR {
 		if cfg.SSD == nil {
 			return nil, fmt.Errorf("%w: BA/PMR mode needs an SSD", ErrBadConfig)
 		}
-		n := 1
+		nHalves = 1
 		if cfg.DoubleBuffer {
-			n = 2
+			nHalves = 2
 		}
-		if len(cfg.EIDs) < n {
-			return nil, fmt.Errorf("%w: BA mode needs %d EIDs", ErrBadConfig, n)
+		if len(cfg.EIDs) < nHalves {
+			return nil, fmt.Errorf("%w: BA mode needs %d EIDs", ErrBadConfig, nHalves)
 		}
-		if cfg.SegmentBytes%int(ps) != 0 || cfg.SegmentBytes <= 0 {
+		if l.segBytes%ps != 0 || l.segBytes <= 0 {
 			return nil, fmt.Errorf("%w: SegmentBytes must be page aligned", ErrBadConfig)
 		}
-		if int64(cfg.SegmentBytes) > cfg.File.Capacity() {
+		if l.segBytes > l.fileBytes {
 			return nil, fmt.Errorf("%w: segment larger than file", ErrBadConfig)
 		}
 	}
@@ -234,15 +313,10 @@ func Open(env *sim.Env, cfg Config) (*Log, error) {
 	if cfg.Mode == PM && cfg.PMPersistCost <= 0 {
 		cfg.PMPersistCost = 200 * sim.Nanosecond
 	}
-	l := &Log{
-		env:     env,
-		cfg:     cfg,
-		ps:      int(ps),
-		mu:      env.NewResource("wal.mu", 1),
-		flushed: env.NewSignal("wal.flushed"),
-		o:       obs.Of(env),
-		inj:     fault.Of(env),
-	}
+	l.cfg = cfg
+	l.mu = env.NewResource(muName, 1)
+	l.moved = env.NewSignal(sigName)
+
 	reg := l.o.Registry()
 	l.cAppends = reg.Counter("wal.appends")
 	l.cCommits = reg.Counter("wal.commits")
@@ -250,12 +324,35 @@ func Open(env *sim.Env, cfg Config) (*Log, error) {
 	l.cBytes = reg.Counter("wal.bytes_appended")
 	l.cPadBytes = reg.Counter("wal.pad_bytes")
 	l.hCommit = reg.Histo("wal.commit_ns")
-	if cfg.Mode == BA || cfg.Mode == PMR {
-		n := 1
-		if cfg.DoubleBuffer {
-			n = 2
+	if cfg.FS != nil {
+		for i := 0; i < cfg.Ring; i++ {
+			f, err := openOrCreate(cfg.FS, fmt.Sprintf("%s.%d", cfg.Name, i), l.fileBytes)
+			if err != nil {
+				return nil, err
+			}
+			l.files = append(l.files, f)
 		}
-		for i := 0; i < n; i++ {
+		var err error
+		if l.meta, err = openOrCreate(cfg.FS, cfg.Name+".meta", ps); err != nil {
+			return nil, err
+		}
+		l.hdrPending = true
+		l.cRotations = reg.Counter("wal.seg_rotations")
+		l.cCheckpoints = reg.Counter("wal.seg_checkpoints")
+		l.cTruncations = reg.Counter("wal.seg_truncations")
+		l.cSegCommits = reg.Counter("wal.seg_commits")
+		l.cGroupFlushes = reg.Counter("wal.seg_group_flushes")
+		l.cTailRecs = reg.Counter("wal.seg_tail_records")
+		l.cRepairs = reg.Counter("wal.seg_torn_repairs")
+		l.hSegCommit = reg.Histo("wal.seg_commit_ns")
+		l.hRotate = reg.Histo("wal.seg_rotate_ns")
+		l.hCheckpoint = reg.Histo("wal.seg_checkpoint_ns")
+		l.hRecover = reg.Histo("wal.seg_recover_ns")
+		l.gLive = reg.Gauge("wal.seg_live")
+		l.gLive.Set(1)
+	}
+	if nHalves > 0 {
+		for i := 0; i < nHalves; i++ {
 			l.halves = append(l.halves, &half{
 				eid:    cfg.EIDs[i],
 				bufOff: cfg.BufferOffset + i*cfg.SegmentBytes,
@@ -265,30 +362,60 @@ func Open(env *sim.Env, cfg Config) (*Log, error) {
 			})
 		}
 	} else {
-		l.stage = make([]byte, cfg.File.Capacity())
+		l.stage = make([]byte, l.fileBytes)
 	}
 	return l, nil
 }
 
+func openOrCreate(fs *vfs.FS, name string, capacity int64) (*vfs.File, error) {
+	if fs.Exists(name) {
+		return fs.Open(name)
+	}
+	return fs.Create(name, capacity)
+}
+
 // Mode returns the commit mode.
 func (l *Log) Mode() CommitMode { return l.cfg.Mode }
-
-// Stats returns a snapshot of counters (sourced from the obs registry's
-// "wal.*" metrics; CommitTime is the "wal.commit_ns" histogram sum).
-func (l *Log) Stats() Stats {
-	return Stats{
-		Appends: l.cAppends.Value(), Commits: l.cCommits.Value(),
-		Flushes:       l.cFlushes.Value(),
-		BytesAppended: l.cBytes.Value(), PadBytes: l.cPadBytes.Value(),
-		CommitTime: l.hCommit.Sum(),
-	}
-}
 
 // AppendOff returns the current end of the log stream.
 func (l *Log) AppendOff() int64 { return l.appendOff }
 
 // DurableOff returns the offset below which all records are durable.
 func (l *Log) DurableOff() int64 { return l.durableOff }
+
+// CheckpointLSN returns the last durably recorded checkpoint.
+func (l *Log) CheckpointLSN() LSN { return LSN(l.ckpt) }
+
+// RetainedLSN returns the truncation floor: everything below it was
+// freed by a checkpoint, and tail readers positioned there see
+// ErrTruncated.
+func (l *Log) RetainedLSN() LSN { return LSN(l.firstSeg * l.fileBytes) }
+
+// Segments returns the live segment range [first, cur].
+func (l *Log) Segments() (first, cur int64) { return l.firstSeg, l.curSeg }
+
+// ringed reports ring geometry (segment headers, meta page, rotation).
+func (l *Log) ringed() bool { return l.meta != nil }
+
+// file returns the ring file holding segment seq.
+func (l *Log) file(seq int64) *vfs.File { return l.files[seq%int64(len(l.files))] }
+
+// halfFor returns the buffer half that serves the inner segment
+// containing pos: halves alternate within each file, starting over at
+// every file's first inner segment.
+func (l *Log) halfFor(pos int64) *half {
+	return l.halves[pos%l.fileBytes/l.segBytes%int64(len(l.halves))]
+}
+
+// maxRecord is the largest header+payload Append accepts: a record
+// must fit one inner segment, and when a ring file is a single inner
+// segment it also shares that segment with the header record.
+func (l *Log) maxRecord() int64 {
+	if l.ringed() && l.segBytes == l.fileBytes {
+		return l.segBytes - headerBytes - segHdrBytes
+	}
+	return l.segBytes
+}
 
 // getRec returns an n-byte record buffer, reusing a retired one when it
 // is large enough.
@@ -313,65 +440,124 @@ func encodeHeader(dst []byte, payload []byte, pos int64) {
 }
 
 // Append stages one record and returns its LSN (commit target). The
-// record becomes durable only after Commit(lsn) in Sync/BA modes.
+// record becomes durable only after Commit(lsn) in Sync/BA modes. On a
+// ring, rotation happens here, transparently, when the active segment
+// file fills; ErrWALFull means a checkpoint must free a slot first.
 func (l *Log) Append(p *sim.Proc, payload []byte) (LSN, error) {
 	need := headerBytes + len(payload)
-	if need > l.cfg.SegmentBytes {
-		return 0, fmt.Errorf("%w: %d > segment %d", ErrTooLarge, need, l.cfg.SegmentBytes)
+	if int64(need) > l.maxRecord() {
+		return 0, fmt.Errorf("%w: %d > segment %d", ErrTooLarge, need, l.maxRecord())
 	}
 	if l.cfg.AppendCPU > 0 {
 		p.Sleep(l.cfg.AppendCPU)
 	}
 
 	l.mu.Acquire(p)
-	// Segment-straddle handling: pad to the next boundary.
-	segEnd := (l.appendOff/int64(l.cfg.SegmentBytes) + 1) * int64(l.cfg.SegmentBytes)
-	if l.appendOff+int64(need) > segEnd {
-		if err := l.pad(p, segEnd); err != nil {
-			l.mu.Release()
-			return 0, err
-		}
-	}
-	if l.appendOff+int64(need) > l.cfg.File.Capacity() {
-		l.mu.Release()
-		return 0, ErrLogFull
-	}
-	pos := l.appendOff
-	l.appendOff += int64(need)
-	var h *half
-	if l.cfg.Mode == BA || l.cfg.Mode == PMR {
-		var err error
-		h, err = l.pinFor(p, pos)
-		if err != nil {
-			// Roll back the reservation: nothing was written.
-			l.appendOff = pos
-			l.mu.Release()
-			return 0, err
-		}
+	pos, h, err := l.reserve(p, need)
+	end := pos + int64(need)
+	if err == nil && l.retained != nil {
+		seg := pos / l.fileBytes
+		l.retained[seg] = append(l.retained[seg], tailRec{end: LSN(end), at: notStored, payload: string(payload)})
 	}
 	l.mu.Release()
-
-	rec := l.getRec(need)
-	encodeHeader(rec, payload, l.cfg.BaseLSN+pos)
-	copy(rec[headerBytes:], payload)
-
-	if l.cfg.Mode == BA || l.cfg.Mode == PMR {
-		off := h.bufOff + int(pos%int64(l.cfg.SegmentBytes))
-		if err := l.cfg.SSD.Mmio().Write(p, off, rec); err != nil {
-			l.putRec(rec)
-			return 0, err
-		}
-	} else {
-		copy(l.stage[pos:], rec)
+	if err != nil {
+		return 0, err
 	}
-	l.putRec(rec) // MMIO/stage copied the bytes; the buffer is free again
-	l.cAppends.Inc()
-	l.cBytes.Add(uint64(need))
-	return LSN(pos + int64(need)), nil
+	if err := l.store(p, pos, h, payload); err != nil {
+		return 0, err
+	}
+	if l.retained != nil {
+		l.stampRetained(end)
+	}
+	return LSN(end), nil
 }
 
-// pad writes a zero length marker (if room) and advances to `to`,
-// which must be the next segment boundary.
+// reserve claims need bytes of stream for one record: it writes the
+// active ring segment's header record if that is still pending, pads
+// to the next inner-segment boundary when the record would straddle
+// it, rotates (or reports ErrLogFull) when the file is exhausted, and
+// binds the record's inner segment to a buffer half. Called with l.mu
+// held.
+func (l *Log) reserve(p *sim.Proc, need int) (pos int64, h *half, err error) {
+	for {
+		if l.hdrPending {
+			if err := l.writeSegHeader(p); err != nil {
+				return 0, nil, err
+			}
+		}
+		segEnd := (l.appendOff/l.segBytes + 1) * l.segBytes
+		if l.appendOff+int64(need) > segEnd {
+			if err := l.pad(p, segEnd); err != nil {
+				return 0, nil, err
+			}
+		}
+		if l.appendOff+int64(need) <= (l.curSeg+1)*l.fileBytes {
+			break
+		}
+		if err := l.rotate(p); err != nil {
+			return 0, nil, err
+		}
+	}
+	return l.claim(p, need)
+}
+
+// claim takes the next need bytes of the stream and binds their inner
+// segment to a buffer half (nil in block modes). Called with l.mu held.
+func (l *Log) claim(p *sim.Proc, need int) (pos int64, h *half, err error) {
+	pos = l.appendOff
+	l.appendOff += int64(need)
+	if h, err = l.pinFor(p, pos); err != nil {
+		l.appendOff = pos // roll back: nothing was written
+	}
+	return pos, h, err
+}
+
+// write copies b into the log buffer at stream position pos: the BA
+// window pinned on h, or the stage image of the active file.
+func (l *Log) write(p *sim.Proc, pos int64, h *half, b []byte) error {
+	if h != nil {
+		return l.cfg.SSD.Mmio().Write(p, h.bufOff+int(pos%l.segBytes), b)
+	}
+	copy(l.stage[pos-l.curSeg*l.fileBytes:], b)
+	return nil
+}
+
+// store encodes one record at its claimed position and writes it.
+func (l *Log) store(p *sim.Proc, pos int64, h *half, payload []byte) error {
+	need := headerBytes + len(payload)
+	rec := l.getRec(need)
+	defer l.putRec(rec) // write copied the bytes; the buffer is free again
+	encodeHeader(rec, payload, pos)
+	copy(rec[headerBytes:], payload)
+	if err := l.write(p, pos, h, rec); err != nil {
+		return err
+	}
+	l.cAppends.Inc()
+	l.cBytes.Add(uint64(need))
+	return nil
+}
+
+// writeSegHeader appends the active ring segment's header record (the
+// first record of every segment: magic + sequence number). Called with
+// l.mu held.
+func (l *Log) writeSegHeader(p *sim.Proc) error {
+	var hdr [segHdrBytes]byte
+	copy(hdr[:], segHdrMagic)
+	binary.LittleEndian.PutUint64(hdr[8:], uint64(l.curSeg))
+	pos, h, err := l.claim(p, headerBytes+segHdrBytes)
+	if err != nil {
+		return err
+	}
+	if err := l.store(p, pos, h, hdr[:]); err != nil {
+		l.appendOff = pos
+		return err
+	}
+	l.hdrPending = false
+	return nil
+}
+
+// pad writes a pad marker (if room) and advances to `to`, which must be
+// the next inner-segment boundary.
 func (l *Log) pad(p *sim.Proc, to int64) error {
 	gap := to - l.appendOff
 	if gap <= 0 {
@@ -379,31 +565,57 @@ func (l *Log) pad(p *sim.Proc, to int64) error {
 	}
 	l.cPadBytes.Add(uint64(gap))
 	if gap >= 4 {
-		marker := []byte{0xFF, 0xFF, 0xFF, 0xFF}
-		if l.cfg.Mode == BA || l.cfg.Mode == PMR {
-			h, err := l.pinFor(p, l.appendOff)
-			if err != nil {
-				return err
-			}
-			off := h.bufOff + int(l.appendOff%int64(l.cfg.SegmentBytes))
-			if err := l.cfg.SSD.Mmio().Write(p, off, marker); err != nil {
-				return err
-			}
-		} else {
-			copy(l.stage[l.appendOff:], marker)
+		h, err := l.pinFor(p, l.appendOff)
+		if err != nil {
+			return err
+		}
+		if err := l.write(p, l.appendOff, h, []byte{0xFF, 0xFF, 0xFF, 0xFF}); err != nil {
+			return err
 		}
 	}
 	l.appendOff = to
 	return nil
 }
 
-// pinFor ensures the segment containing pos is bound to a half and
-// returns it. In BA mode the bind is a BA_PIN (with the internal
-// datapath load + the LBA gate); in PMR mode the window is raw NVRAM —
-// no pin, no gate, no load. Called with l.mu held.
+// rotate flushes the (padded-out) active segment to NAND and re-points
+// the writer at the next ring slot. Nothing is written to the new
+// slot's media here: the bytes a previous generation left in it
+// self-invalidate because their stamps are not LSNs of this segment.
+// Called with l.mu held.
+func (l *Log) rotate(p *sim.Proc) error {
+	if !l.ringed() {
+		return ErrLogFull
+	}
+	if l.curSeg-l.firstSeg+1 >= int64(len(l.files)) {
+		return ErrWALFull
+	}
+	t0 := l.env.Now()
+	sp := l.o.Tracer().BeginProc(p, "wal", "rotate")
+	defer sp.End()
+	if err := l.FlushToNAND(p); err != nil {
+		return err
+	}
+	l.curSeg++
+	l.hdrPending = true
+	clear(l.stage)
+	l.cRotations.Inc()
+	l.inj.Tick(fault.EvWalRotate)
+	l.hRotate.Observe(sim.Duration(l.env.Now() - t0))
+	l.gLive.Set(float64(l.curSeg - l.firstSeg + 1))
+	return nil
+}
+
+// pinFor ensures the inner segment containing pos is bound to a half
+// and returns it (nil in block modes, which have none). In BA mode the
+// bind is a BA_PIN (with the internal datapath load + the LBA gate); in
+// PMR mode the window is raw NVRAM — no pin, no gate, no load. Called
+// with l.mu held.
 func (l *Log) pinFor(p *sim.Proc, pos int64) (*half, error) {
-	seg := pos / int64(l.cfg.SegmentBytes)
-	h := l.halves[seg%int64(len(l.halves))]
+	if l.halves == nil {
+		return nil, nil
+	}
+	seg := pos / l.segBytes
+	h := l.halfFor(pos)
 	if h.seg == seg {
 		return h, nil
 	}
@@ -423,7 +635,8 @@ func (l *Log) pinFor(p *sim.Proc, pos int64) (*half, error) {
 	}
 	if l.cfg.Mode == BA {
 		pages := l.cfg.SegmentBytes / l.ps
-		lba := l.cfg.File.LBA(seg * int64(l.cfg.SegmentBytes))
+		start := seg * l.segBytes
+		lba := l.file(start / l.fileBytes).LBA(start % l.fileBytes)
 		if err := l.cfg.SSD.BAPin(p, h.eid, h.bufOff, lba, pages); err != nil {
 			return nil, err
 		}
@@ -433,7 +646,10 @@ func (l *Log) pinFor(p *sim.Proc, pos int64) (*half, error) {
 	// Double buffering: kick off a background flush of the *other*
 	// half so it is ready when the log wraps to it.
 	if l.cfg.DoubleBuffer {
-		other := l.halves[(seg+1)%2]
+		other := l.halves[0]
+		if other == h {
+			other = l.halves[1]
+		}
 		if other.seg >= 0 && other.ready && other.seg < seg {
 			other.ready = false
 			l.env.Go("wal.baflush", func(w *sim.Proc) {
@@ -472,11 +688,12 @@ func (l *Log) flushHalf(p *sim.Proc, h *half) error {
 		if _, err := l.cfg.SSD.PMRReadDMA(p, h.bufOff, buf); err != nil {
 			return err
 		}
-		off := h.seg * int64(l.cfg.SegmentBytes)
-		if err := l.cfg.File.WriteAt(p, off, buf); err != nil {
+		start := h.seg * l.segBytes
+		f := l.file(start / l.fileBytes)
+		if err := f.WriteAt(p, start%l.fileBytes, buf); err != nil {
 			return err
 		}
-		if err := l.cfg.File.Sync(p); err != nil {
+		if err := f.Sync(p); err != nil {
 			return err
 		}
 		h.seg = -1
@@ -502,80 +719,91 @@ func (l *Log) Commit(p *sim.Proc, lsn LSN) error {
 		sp.End()
 		l.cCommits.Inc()
 		l.inj.Tick(fault.EvWalCommit)
-		l.hCommit.Observe(sim.Duration(l.env.Now() - start))
+		d := sim.Duration(l.env.Now() - start)
+		l.hCommit.Observe(d)
+		if l.ringed() {
+			l.cSegCommits.Inc()
+			l.hSegCommit.Observe(d)
+		}
 	}()
-	switch l.cfg.Mode {
-	case Async:
+	if l.cfg.Mode == Async {
 		l.scheduleAsyncFlush()
 		return nil
-	case PM:
-		return l.commitPM(p, int64(lsn))
-	case BA, PMR:
-		return l.commitBA(p, int64(lsn))
-	default:
-		return l.commitSync(p, int64(lsn))
 	}
+	led, err := l.commitTo(p, int64(lsn))
+	if led {
+		l.cGroupFlushes.Inc()
+	}
+	return err
+}
+
+// commitTo is the one durability path behind Commit, Drain and
+// Checkpoint; led reports whether this caller's own burst moved the
+// durable frontier. Byte-addressable modes let every committer persist
+// its own range with no lock, as the paper describes; block modes elect
+// a leader whose single write+fsync covers every waiter (group commit).
+func (l *Log) commitTo(p *sim.Proc, target int64) (led bool, err error) {
+	switch l.cfg.Mode {
+	case PM:
+		return l.commitPM(p, target), nil
+	case BA, PMR:
+		return l.commitBA(p, target)
+	}
+	for l.durableOff < target {
+		if l.flushing {
+			l.moved.Wait(p)
+			continue
+		}
+		before := l.durableOff
+		if err := l.flushBlock(p); err != nil {
+			return led, err
+		}
+		led = led || l.durableOff > before
+	}
+	return led, nil
+}
+
+// advance moves the durable frontier, which tail readers follow.
+func (l *Log) advance(to int64) bool {
+	if to <= l.durableOff {
+		return false
+	}
+	l.durableOff = to
+	if l.retained != nil {
+		l.moved.Fire()
+	}
+	return true
 }
 
 // commitPM persists the record in the host PM buffer (a cache-line
 // flush away) and schedules a lazy write-behind to the log device —
 // the Fig 1(c) heterogeneous memory architecture.
-func (l *Log) commitPM(p *sim.Proc, target int64) error {
+func (l *Log) commitPM(p *sim.Proc, target int64) bool {
 	if target <= l.durableOff {
-		return nil
+		return false
 	}
 	p.Sleep(l.cfg.PMPersistCost)
-	if target > l.durableOff {
-		l.durableOff = target
-	}
+	led := l.advance(target)
 	l.scheduleAsyncFlush()
-	return nil
+	return led
 }
 
 // commitBA syncs the MMIO ranges covering [durableOff, target).
-func (l *Log) commitBA(p *sim.Proc, target int64) error {
-	if target <= l.durableOff {
-		return nil
-	}
-	segBytes := int64(l.cfg.SegmentBytes)
-	from := l.durableOff
-	for from < target {
-		seg := from / segBytes
-		segEnd := (seg + 1) * segBytes
-		to := target
-		if to > segEnd {
-			to = segEnd
-		}
-		h := l.halves[seg%int64(len(l.halves))]
-		if h.seg == seg {
-			off := h.bufOff + int(from%segBytes)
+func (l *Log) commitBA(p *sim.Proc, target int64) (led bool, err error) {
+	for from := l.durableOff; from < target; {
+		seg := from / l.segBytes
+		to := min(target, (seg+1)*l.segBytes)
+		// A segment that is no longer pinned was already flushed to
+		// NAND — durable by a stronger means.
+		if h := l.halfFor(from); h.seg == seg {
+			off := h.bufOff + int(from%l.segBytes)
 			if err := l.cfg.SSD.Mmio().Sync(p, off, int(to-from)); err != nil {
-				return err
+				return false, err
 			}
 		}
-		// If the segment is no longer pinned it was already flushed to
-		// NAND — durable by a stronger means.
 		from = to
 	}
-	if target > l.durableOff {
-		l.durableOff = target
-	}
-	return nil
-}
-
-// commitSync implements group commit: one leader writes the dirty
-// pages and fsyncs; followers whose target is covered just wait.
-func (l *Log) commitSync(p *sim.Proc, target int64) error {
-	for l.durableOff < target {
-		if l.flushing {
-			l.flushed.Wait(p)
-			continue
-		}
-		if err := l.flushBlock(p); err != nil {
-			return err
-		}
-	}
-	return nil
+	return l.advance(target), nil
 }
 
 // flushBlock writes all staged-but-unflushed bytes (page aligned) and
@@ -584,33 +812,33 @@ func (l *Log) flushBlock(p *sim.Proc) error {
 	for l.flushing {
 		// Another leader is mid-flush (e.g. an async timer racing a
 		// Drain): wait for it rather than double-writing.
-		l.flushed.Wait(p)
+		l.moved.Wait(p)
 	}
 	l.flushing = true
 	defer func() {
 		l.flushing = false
-		l.flushed.Fire()
+		l.moved.Fire()
 	}()
 	flushTo := l.appendOff // absorb everything appended so far (group)
 	if flushTo == l.flushedOff {
 		return nil
 	}
-	ps := int64(l.ps)
-	first := (l.flushedOff / ps) * ps
-	last := ((flushTo + ps - 1) / ps) * ps
-	if last > l.cfg.File.Capacity() {
-		last = l.cfg.File.Capacity()
-	}
-	if err := l.cfg.File.WriteAt(p, first, l.stage[first:last]); err != nil {
+	// Rotation drains before it moves curSeg, so both cursors lie in
+	// the active file.
+	ps, base := int64(l.ps), l.curSeg*l.fileBytes
+	first := (l.flushedOff - base) / ps * ps
+	last := min((flushTo-base+ps-1)/ps*ps, l.fileBytes)
+	f := l.file(l.curSeg)
+	if err := f.WriteAt(p, first, l.stage[first:last]); err != nil {
 		return err
 	}
-	if err := l.cfg.File.Sync(p); err != nil {
+	if err := f.Sync(p); err != nil {
 		return err
 	}
 	l.cFlushes.Inc()
 	l.flushedOff = flushTo
 	if l.cfg.Mode != PM && flushTo > l.durableOff {
-		l.durableOff = flushTo
+		l.durableOff = flushTo // the deferred Fire wakes tail readers too
 	}
 	return nil
 }
@@ -633,210 +861,137 @@ func (l *Log) scheduleAsyncFlush() {
 // Drain forces all appended records durable (shutdown / checkpoint
 // barrier) regardless of mode.
 func (l *Log) Drain(p *sim.Proc) error {
-	switch l.cfg.Mode {
-	case BA, PMR:
-		return l.commitBA(p, l.appendOff)
-	case PM:
-		if err := l.commitPM(p, l.appendOff); err != nil {
+	if _, err := l.commitTo(p, l.appendOff); err != nil {
+		return err
+	}
+	for l.cfg.Mode == PM && l.flushedOff < l.appendOff {
+		if err := l.flushBlock(p); err != nil {
 			return err
 		}
-		for l.flushedOff < l.appendOff {
-			if err := l.flushBlock(p); err != nil {
-				return err
-			}
-		}
-		return nil
-	default:
-		return l.commitSync(p, l.appendOff)
 	}
+	return nil
 }
 
-// FlushToNAND pushes everything down to flash and unpins BA segments.
+// FlushToNAND pushes everything down to flash and unpins BA segments
+// (a ring's sealed segments were flushed when it rotated past them).
 // After it returns the whole log is block-readable.
 func (l *Log) FlushToNAND(p *sim.Proc) error {
 	if err := l.Drain(p); err != nil {
 		return err
 	}
-	if l.cfg.Mode == BA || l.cfg.Mode == PMR {
-		for _, h := range l.halves {
-			for !h.ready {
-				h.sig.Wait(p)
-			}
-			if err := l.flushHalf(p, h); err != nil {
-				return err
-			}
+	for _, h := range l.halves {
+		for !h.ready {
+			h.sig.Wait(p)
 		}
+		if err := l.flushHalf(p, h); err != nil {
+			return err
+		}
+	}
+	if l.halves != nil {
 		return nil
 	}
-	return l.cfg.File.Sync(p)
+	return l.file(l.curSeg).Sync(p)
 }
 
-// Reset truncates the log (checkpoint): offsets return to zero and a
-// zero header is durably written at position 0 so recovery never
-// resurrects pre-reset records.
+// Reset truncates a ring of one (checkpoint): offsets return to zero
+// and a zero header is durably written at position 0 so recovery never
+// resurrects pre-reset records. A ring truncates through Checkpoint
+// instead, and so does any log with tail readers, whose positions a
+// rewind would invalidate.
 func (l *Log) Reset(p *sim.Proc) error {
+	if l.ringed() || l.retained != nil {
+		return fmt.Errorf("%w: Reset on a ring or a tailed log (use Checkpoint)", ErrBadConfig)
+	}
 	if err := l.FlushToNAND(p); err != nil {
 		return err
 	}
 	zero := make([]byte, l.ps)
-	if err := l.cfg.File.WriteAt(p, 0, zero); err != nil {
+	if err := l.files[0].WriteAt(p, 0, zero); err != nil {
 		return err
 	}
-	if err := l.cfg.File.Sync(p); err != nil {
+	if err := l.files[0].Sync(p); err != nil {
 		return err
 	}
-	if l.stage != nil {
-		for i := range l.stage {
-			l.stage[i] = 0
-		}
-	}
+	clear(l.stage)
 	l.appendOff = 0
 	l.durableOff = 0
 	l.flushedOff = 0
 	return nil
 }
 
-// Seal pads the log out to the end of its file — segment boundary by
-// segment boundary, so every gap carries a pad marker — and flushes
-// everything to NAND. A sealed log scans cleanly from position 0 to
-// the file's capacity, which is how the segmented lifecycle's chain
-// recovery knows the stream continues in the next segment file.
-func (l *Log) Seal(p *sim.Proc) error {
+// Checkpoint durably records that the caller's state covers the log up
+// to lsn (the caller persists its snapshot FIRST), then truncates —
+// frees — every ring segment wholly below the checkpoint. The log is
+// made durable to lsn first so a checkpoint never claims coverage of
+// volatile records. Truncation touches no media: freed slots are
+// recycled by a later rotation, which is what makes a crash
+// mid-truncation trivially safe.
+func (l *Log) Checkpoint(p *sim.Proc, lsn LSN) error {
+	target := int64(lsn)
+	if !l.ringed() {
+		return fmt.Errorf("%w: Checkpoint needs a segment ring (a ring of one truncates with Reset)", ErrBadConfig)
+	}
+	if target > l.appendOff {
+		return fmt.Errorf("%w: checkpoint %d past tail %d", ErrBadConfig, target, l.appendOff)
+	}
+	if _, err := l.commitTo(p, target); err != nil {
+		return err
+	}
+	t0 := l.env.Now()
+	sp := l.o.Tracer().BeginProc(p, "wal", "checkpoint")
+	defer sp.End()
 	l.mu.Acquire(p)
-	for l.appendOff < l.cfg.File.Capacity() {
-		segEnd := (l.appendOff/int64(l.cfg.SegmentBytes) + 1) * int64(l.cfg.SegmentBytes)
-		if segEnd > l.cfg.File.Capacity() {
-			segEnd = l.cfg.File.Capacity()
-		}
-		if err := l.pad(p, segEnd); err != nil {
-			l.mu.Release()
-			return err
-		}
+	defer l.mu.Release()
+	if target <= l.ckpt {
+		return nil // checkpoints are monotonic
 	}
-	l.mu.Release()
-	return l.FlushToNAND(p)
-}
-
-// Recycle re-arms the log over the same file under a new stamp base:
-// offsets return to zero, the stage clears, and subsequent records are
-// stamped newBase+position. Nothing is written to media — on-media
-// records from the previous generation self-invalidate because their
-// stamps no longer match the new base. The log must be fully flushed
-// (FlushToNAND) so no half is pinned or mid-flush.
-func (l *Log) Recycle(newBase int64) error {
-	if l.flushing {
-		return fmt.Errorf("%w: Recycle mid-flush", ErrBadConfig)
+	if err := l.writeMeta(p, target); err != nil {
+		return err
 	}
-	for _, h := range l.halves {
-		if h.seg != -1 || !h.ready {
-			return fmt.Errorf("%w: Recycle on a pinned log (FlushToNAND first)", ErrBadConfig)
-		}
+	l.ckpt = target
+	l.cCheckpoints.Inc()
+	l.inj.Tick(fault.EvWalCheckpoint)
+	freed := false
+	for l.firstSeg < l.curSeg && (l.firstSeg+1)*l.fileBytes <= l.ckpt {
+		delete(l.retained, l.firstSeg)
+		l.firstSeg++
+		l.cTruncations.Inc()
+		l.inj.Tick(fault.EvWalTruncate)
+		freed = true
 	}
-	l.cfg.BaseLSN = newBase
-	l.appendOff = 0
-	l.durableOff = 0
-	l.flushedOff = 0
-	if l.stage != nil {
-		for i := range l.stage {
-			l.stage[i] = 0
-		}
+	l.gLive.Set(float64(l.curSeg - l.firstSeg + 1))
+	l.hCheckpoint.Observe(sim.Duration(l.env.Now() - t0))
+	if freed {
+		l.moved.Fire() // lapped tail readers must learn ErrTruncated
 	}
 	return nil
 }
 
-// Recover scans the log from position 0, invoking fn for every intact
-// record, and positions the log to continue appending after the last
-// one. In BA mode any of this log's segments still pinned from before
-// a crash are flushed to NAND first (the mapping table survived the
-// power cycle via the recovery manager), so a single block-read scan
-// sees everything.
-func (l *Log) Recover(p *sim.Proc, fn func(lsn LSN, payload []byte) error) error {
-	if l.cfg.Mode == BA || l.cfg.Mode == PMR {
-		if err := l.unpinMine(p); err != nil {
-			return err
-		}
+func (l *Log) writeMeta(p *sim.Proc, ckpt int64) error {
+	page := make([]byte, l.ps)
+	binary.LittleEndian.PutUint32(page[0:], metaMagic)
+	binary.LittleEndian.PutUint64(page[4:], uint64(ckpt))
+	binary.LittleEndian.PutUint32(page[12:], integrity.PageCRC(page[:12]))
+	if err := l.meta.WriteAt(p, 0, page); err != nil {
+		return err
 	}
-	cap := l.cfg.File.Capacity()
-	segBytes := int64(l.cfg.SegmentBytes)
-	buf := make([]byte, headerBytes)
-	pos := int64(0)
-	for pos+headerBytes <= cap {
-		segEnd := (pos/segBytes + 1) * segBytes
-		if pos+headerBytes > segEnd {
-			pos = segEnd
-			continue
-		}
-		if err := l.cfg.File.ReadAt(p, pos, buf); err != nil {
-			return err
-		}
-		rawLen := binary.LittleEndian.Uint32(buf[0:])
-		if rawLen == 0 {
-			break // end of log
-		}
-		if rawLen == padMarker {
-			pos = segEnd // padding: resume at the next segment
-			continue
-		}
-		n := int(rawLen)
-		wantCRC := binary.LittleEndian.Uint32(buf[4:])
-		stamp := int64(binary.LittleEndian.Uint64(buf[8:]))
-		if stamp != l.cfg.BaseLSN+pos || pos+headerBytes+int64(n) > segEnd {
-			break // stale or torn
-		}
-		payload := make([]byte, n)
-		if err := l.cfg.File.ReadAt(p, pos+headerBytes, payload); err != nil {
-			return err
-		}
-		if crc32.ChecksumIEEE(payload) != wantCRC {
-			break // torn record: stop here
-		}
-		pos += headerBytes + int64(n)
-		if fn != nil {
-			if err := fn(LSN(pos), payload); err != nil {
-				return err
-			}
-		}
-	}
-	l.appendOff = pos
-	l.durableOff = pos
-	l.flushedOff = pos
-	if l.stage != nil {
-		// Rebuild the stage image so later flushes rewrite real bytes.
-		if pos > 0 {
-			if err := l.cfg.File.ReadAt(p, 0, l.stage[:pos]); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return l.meta.Sync(p)
 }
 
-// unpinMine flushes any BA-buffer entries pinned over this log's file.
-// PMR mode has no entries; its halves just reset.
-func (l *Log) unpinMine(p *sim.Proc) error {
-	if l.cfg.Mode == PMR {
-		for _, h := range l.halves {
-			if err := l.flushHalf(p, h); err != nil {
-				return err
-			}
-			h.ready = true
-		}
-		return nil
+// readMeta returns the durably recorded checkpoint LSN, or 0 when the
+// meta page is fresh or fails its integrity tag.
+func (l *Log) readMeta(p *sim.Proc) (int64, error) {
+	page := make([]byte, l.ps)
+	if err := l.meta.ReadAt(p, 0, page); err != nil {
+		return 0, err
 	}
-	lo := l.cfg.File.LBA(0)
-	hi := lo + ftl.LBA(l.cfg.File.Pages())
-	for _, ent := range l.cfg.SSD.Entries() {
-		if ent.LBA >= lo && ent.LBA < hi {
-			if err := l.cfg.SSD.BAFlush(p, ent.ID); err != nil {
-				return err
-			}
-		}
+	if binary.LittleEndian.Uint32(page[0:]) != metaMagic {
+		return 0, nil
 	}
-	for _, h := range l.halves {
-		h.seg = -1
-		h.ready = true
+	if integrity.Check(page[:12], binary.LittleEndian.Uint32(page[12:])) != nil {
+		return 0, nil
 	}
-	return nil
+	return int64(binary.LittleEndian.Uint64(page[4:])), nil
 }
 
 // Rebind moves a fully-flushed BA/PMR log onto a different set of
@@ -846,7 +1001,7 @@ func (l *Log) unpinMine(p *sim.Proc) error {
 // offset are free to change before the next append re-pins. Appending
 // state (offsets, durability cursors) is untouched.
 func (l *Log) Rebind(eids []core.EID, bufferOffset int) error {
-	if l.cfg.Mode != BA && l.cfg.Mode != PMR {
+	if l.halves == nil {
 		return fmt.Errorf("%w: Rebind needs a BA/PMR-mode log", ErrBadConfig)
 	}
 	if len(eids) < len(l.halves) {

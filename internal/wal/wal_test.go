@@ -8,6 +8,8 @@ import (
 	"testing/quick"
 
 	"twobssd/internal/core"
+	"twobssd/internal/histo"
+	"twobssd/internal/obs"
 	"twobssd/internal/sim"
 	"twobssd/internal/vfs"
 )
@@ -34,7 +36,50 @@ func newRig() *rig {
 	return &rig{env: e, ssd: ssd, fs: vfs.New(ssd.Device())}
 }
 
-// openLog creates a fresh file + log in the given mode.
+// count and histo read the env's "wal.*" registry series.
+func (r *rig) count(name string) uint64   { return obs.Of(r.env).Registry().Counter(name).Value() }
+func (r *rig) histo(name string) *histo.H { return obs.Of(r.env).Registry().Histo(name) }
+
+// powerCycle cuts the power and restores it. A short or torn capacitor
+// dump is a modeled outcome, not a harness error.
+func (r *rig) powerCycle(t testing.TB, p *sim.Proc) {
+	t.Helper()
+	if _, err := r.ssd.PowerLoss(p); err != nil &&
+		!errors.Is(err, core.ErrInsufficient) && !errors.Is(err, core.ErrDumpTorn) {
+		t.Fatalf("power loss: %v", err)
+	}
+	if err := r.ssd.PowerOn(p); err != nil {
+		t.Fatalf("power on: %v", err)
+	}
+}
+
+// appendCommit appends one record and commits it.
+func appendCommit(p *sim.Proc, l *Log, payload string) (LSN, error) {
+	lsn, err := l.Append(p, []byte(payload))
+	if err == nil {
+		err = l.Commit(p, lsn)
+	}
+	return lsn, err
+}
+
+// recoverAll runs l.Recover on a fresh proc and returns every replayed
+// payload with its LSN.
+func (r *rig) recoverAll(t testing.TB, l *Log) (payloads []string, lsns []LSN) {
+	t.Helper()
+	r.env.Go("recover", func(p *sim.Proc) {
+		if err := l.Recover(p, func(lsn LSN, payload []byte) error {
+			payloads = append(payloads, string(payload))
+			lsns = append(lsns, lsn)
+			return nil
+		}); err != nil {
+			t.Fatalf("recover: %v", err)
+		}
+	})
+	r.env.Run()
+	return payloads, lsns
+}
+
+// openLog creates a fresh file + log (a ring of one) in the given mode.
 func (r *rig) openLog(t *testing.T, name string, mode CommitMode) *Log {
 	t.Helper()
 	segBytes := 16 * 4096 // quarter of the BA-buffer per half
@@ -158,7 +203,7 @@ func TestBACommitFasterThanSync(t *testing.T) {
 			}
 		})
 		r.env.Run()
-		return l.Stats().AvgCommit()
+		return r.histo("wal.commit_ns").Mean()
 	}
 	ba, syn := measure(BA), measure(Sync)
 	if ba >= syn {
@@ -208,7 +253,7 @@ func TestGroupCommitSharesFlush(t *testing.T) {
 		})
 	}
 	r.env.Run()
-	if f := l.Stats().Flushes; f >= n/2 {
+	if f := r.count("wal.flushes"); f >= n/2 {
 		t.Fatalf("flushes = %d for %d clients; group commit broken", f, n)
 	}
 	if l.DurableOff() != l.AppendOff() {
@@ -236,7 +281,7 @@ func TestSegmentRolloverAndPadding(t *testing.T) {
 		l.FlushToNAND(p)
 	})
 	r.env.Run()
-	if l.Stats().PadBytes == 0 {
+	if r.count("wal.pad_bytes") == 0 {
 		t.Fatal("expected padding at segment boundaries")
 	}
 	// All records must survive recovery across the padding.
@@ -417,19 +462,14 @@ func TestStatsAccounting(t *testing.T) {
 		l.Commit(p, lsn)
 	})
 	r.env.Run()
-	st := l.Stats()
-	if st.Appends != 1 || st.Commits != 1 || st.Flushes == 0 {
-		t.Fatalf("stats = %+v", st)
+	if a, c, f := r.count("wal.appends"), r.count("wal.commits"), r.count("wal.flushes"); a != 1 || c != 1 || f == 0 {
+		t.Fatalf("appends=%d commits=%d flushes=%d", a, c, f)
 	}
-	if st.BytesAppended != uint64(3+headerBytes) {
-		t.Fatalf("bytes = %d", st.BytesAppended)
+	if b := r.count("wal.bytes_appended"); b != uint64(3+headerBytes) {
+		t.Fatalf("bytes = %d", b)
 	}
-	if st.AvgCommit() <= 0 {
+	if r.histo("wal.commit_ns").Mean() <= 0 {
 		t.Fatal("no commit time recorded")
-	}
-	var empty Stats
-	if empty.AvgCommit() != 0 {
-		t.Fatal("AvgCommit of empty stats")
 	}
 }
 
@@ -597,4 +637,86 @@ func TestPropertyRecoveryToleratesCorruption(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestRebindMovesWindow drives the fleet QoS lease pattern: commit a
+// batch, flush, Rebind onto different mapping-table entries and a
+// different BA-buffer window, commit more — every record from every
+// lease must recover from media, in order.
+func TestRebindMovesWindow(t *testing.T) {
+	r := newRig()
+	l := r.openLog(t, "log", BA)
+	segBytes := l.cfg.SegmentBytes
+	var want []string
+	batch := func(p *sim.Proc, lease int) {
+		for i := 0; i < 12; i++ {
+			payload := fmt.Sprintf("lease-%d-record-%03d", lease, i)
+			want = append(want, payload)
+			lsn, err := l.Append(p, []byte(payload))
+			if err != nil {
+				t.Fatalf("lease %d append %d: %v", lease, i, err)
+			}
+			if err := l.Commit(p, lsn); err != nil {
+				t.Fatalf("lease %d commit %d: %v", lease, i, err)
+			}
+		}
+	}
+	r.env.Go("t", func(p *sim.Proc) {
+		batch(p, 0)
+		// Rebind on a pinned log must refuse: the window still holds
+		// undumped bytes on the old entries.
+		if err := l.Rebind([]core.EID{2, 3}, 2*segBytes); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("rebind while pinned: err = %v, want ErrBadConfig", err)
+		}
+		if err := l.FlushToNAND(p); err != nil {
+			t.Fatalf("flush: %v", err)
+		}
+		if err := l.Rebind([]core.EID{2, 3}, 2*segBytes); err != nil {
+			t.Fatalf("rebind: %v", err)
+		}
+		batch(p, 1)
+		if err := l.FlushToNAND(p); err != nil {
+			t.Fatalf("flush 2: %v", err)
+		}
+		// Too few entries for a double-buffered log must refuse.
+		if err := l.Rebind([]core.EID{1}, 0); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("rebind with 1 EID: err = %v, want ErrBadConfig", err)
+		}
+		// And back onto the original window for a third lease.
+		if err := l.Rebind([]core.EID{0, 1}, 0); err != nil {
+			t.Fatalf("rebind back: %v", err)
+		}
+		batch(p, 2)
+		if err := l.FlushToNAND(p); err != nil {
+			t.Fatalf("flush 3: %v", err)
+		}
+		var got []string
+		err := l.Recover(p, func(_ LSN, payload []byte) error {
+			got = append(got, string(payload))
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("recover: %v", err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("recovered %d records, want %d", len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("record %d: %q, want %q", i, got[i], want[i])
+			}
+		}
+	})
+	r.env.Run()
+	r.env.Shutdown()
+}
+
+// Rebind is a byte-path concept; block-mode logs must refuse it.
+func TestRebindRejectsBlockModes(t *testing.T) {
+	r := newRig()
+	l := r.openLog(t, "log", Sync)
+	if err := l.Rebind([]core.EID{2, 3}, 0); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("rebind on SYNC log: err = %v, want ErrBadConfig", err)
+	}
+	r.env.Shutdown()
 }

@@ -121,10 +121,20 @@ func NewFS(d *Device) *FS { return vfs.New(d) }
 
 // Write-ahead logging (the paper's case study).
 type (
-	// WAL is a write-ahead log with the paper's commit modes.
+	// WAL is a write-ahead log with the paper's commit modes. It owns
+	// its segment files: WALConfig{File} is a single log file,
+	// WALConfig{FS, Name, Ring, SegmentFileBytes} a ring of segment
+	// files with rotation, Checkpoint truncation, tail readers (Tail)
+	// and torn-tail repair on Recover.
 	WAL = wal.Log
-	// WALConfig assembles a log.
+	// WALConfig assembles a log (commit mode, geometry, BA plumbing).
 	WALConfig = wal.Config
+	// WALTailReader streams a WAL's committed records in LSN order.
+	WALTailReader = wal.TailReader
+	// WALTailRecord is one record delivered to a tail reader.
+	WALTailRecord = wal.TailRecord
+	// WALRepairReport describes the torn-tail repair of the last Recover.
+	WALRepairReport = wal.RepairReport
 	// CommitMode selects the durability protocol of Fig 5.
 	CommitMode = wal.CommitMode
 	// LSN is a log sequence number.
@@ -143,6 +153,15 @@ const (
 
 // OpenWAL opens a write-ahead log.
 func OpenWAL(env *Env, cfg WALConfig) (*WAL, error) { return wal.Open(env, cfg) }
+
+// WAL errors callers match with errors.Is.
+var (
+	// ErrWALFull: the log is out of space until a checkpoint (Reset on a
+	// single file, Checkpoint on a ring) frees some.
+	ErrWALFull = wal.ErrLogFull
+	// ErrWALTruncated: a tail reader's position is no longer retained.
+	ErrWALTruncated = wal.ErrTruncated
+)
 
 // Observability.
 type (
