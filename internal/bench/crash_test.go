@@ -208,3 +208,47 @@ func TestDumpCutLeavesNoTornImage(t *testing.T) {
 	})
 	env.Run()
 }
+
+// The walseg driver may score a refused recovery as "nothing recovered"
+// only when the dump was lost and every unreadable log page sat under a
+// BA pin. Pin how often the full campaign takes that exit, so a change
+// that starts excusing more points shows up as a failure, not as
+// quietly weaker coverage.
+func TestWalSegExcusedPoints(t *testing.T) {
+	c, err := NewCrashCampaign("walseg", 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cycles []*walSegCrash // points run one at a time below
+	build := c.Build
+	c.Build = func(env *sim.Env, p *sim.Proc) (fault.Cycle, error) {
+		cyc, err := build(env, p)
+		if err == nil {
+			cycles = append(cycles, cyc.(*walSegCrash))
+		}
+		return cyc, err
+	}
+	rep, err := c.Run(func(n int, fn func(i int)) {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := rep.Violations(); len(v) != 0 {
+		t.Fatalf("%d violations, first: %+v", len(v), v[0])
+	}
+	excused := 0
+	for _, cyc := range cycles {
+		if cyc.excused {
+			excused++
+			if !cyc.dumpLost || len(cyc.pinned) == 0 {
+				t.Errorf("excused a point with dumpLost=%v and %d pinned ranges", cyc.dumpLost, len(cyc.pinned))
+			}
+		}
+	}
+	if excused != 1 {
+		t.Fatalf("campaign excused %d points, want exactly 1 (point 28: BA_FLUSH program torn, dump cut)", excused)
+	}
+}

@@ -15,7 +15,9 @@ import (
 	"sort"
 	"strings"
 
+	"twobssd/internal/core"
 	"twobssd/internal/fault"
+	"twobssd/internal/ftl"
 	"twobssd/internal/integrity"
 	"twobssd/internal/oracle"
 	"twobssd/internal/sim"
@@ -50,7 +52,13 @@ type walSegCrash struct {
 	snapN int
 	ops   int
 
-	dumpLost bool // the crash's capacitor dump did not fully persist
+	// Crash-time facts Recover needs to judge an unreadable log page:
+	// the LBA ranges pinned into the BA-buffer, whether the capacitor
+	// dump that should have saved them was lost, and whether this point
+	// was excused on those grounds.
+	pinned   []core.Entry
+	dumpLost bool
+	excused  bool
 
 	want    map[string]string // every appended key (incl. staged)
 	applied map[string]string // committed state, snapshotted at checkpoints
@@ -123,9 +131,10 @@ func (c *walSegCrash) Stage(p *sim.Proc) (string, error) {
 	return key, nil
 }
 
-// Crash records whether the dump persisted: Recover may excuse an
-// unreadable log page only when it did not.
+// Crash records what was pinned and whether the dump persisted: Recover
+// may excuse an unreadable log page only under a pin whose dump was lost.
 func (c *walSegCrash) Crash(p *sim.Proc) (bool, float64, error) {
+	c.pinned = c.ssd.Entries()
 	persisted, energy, err := c.crashStack.Crash(p)
 	c.dumpLost = !persisted
 	return persisted, energy, err
@@ -161,11 +170,14 @@ func (c *walSegCrash) Recover(p *sim.Proc) (recovered, phantoms []string, err er
 		return nil
 	})
 	if c.dumpLost && errors.Is(err, integrity.ErrPageCorrupt) {
-		// A cut capacitor dump tore a page under the log and the log
-		// refuses to come up on it — the loud failure a torn page
-		// deserves. The device lost the data, so the campaign scores
-		// the point like any unpersisted dump: nothing recovered.
-		return nil, nil, nil
+		// The log refuses to come up on a torn page — the loud failure
+		// a torn page deserves. If every such page sat under a BA pin
+		// the device lost the data (an interrupted BA_FLUSH program
+		// whose source the cut dump should have saved), so the campaign
+		// scores the point like any unpersisted dump: nothing recovered.
+		if c.excused, err = c.tornOnlyUnderPins(p, err); c.excused {
+			return nil, nil, nil
+		}
 	}
 	if err != nil {
 		return nil, nil, err
@@ -194,6 +206,36 @@ func (c *walSegCrash) Recover(p *sim.Proc) (recovered, phantoms []string, err er
 		phantoms = append(phantoms, "model: "+ph)
 	}
 	return recovered, phantoms, nil
+}
+
+// tornOnlyUnderPins reads every page of every ring file and reports
+// whether all the corrupt ones lie in LBA ranges that were pinned at the
+// crash; cause is Recover's error, returned again when one does not.
+func (c *walSegCrash) tornOnlyUnderPins(p *sim.Proc, cause error) (bool, error) {
+	page := make([]byte, c.fs.PageSize())
+	for i := 0; i < c.cfg.Ring; i++ {
+		f, err := c.fs.Open(fmt.Sprintf("%s.%d", c.cfg.Name, i))
+		if err != nil {
+			return false, err
+		}
+		for off := int64(0); off < c.cfg.SegmentFileBytes; off += int64(len(page)) {
+			err := f.ReadAt(p, off, page)
+			if err == nil {
+				continue
+			}
+			if !errors.Is(err, integrity.ErrPageCorrupt) {
+				return false, err
+			}
+			lba, covered := f.LBA(off), false
+			for _, e := range c.pinned {
+				covered = covered || (lba >= e.LBA && lba < e.LBA+ftl.LBA(e.Pages))
+			}
+			if !covered {
+				return false, fmt.Errorf("%w (corrupt page at lba %d was never pinned)", cause, lba)
+			}
+		}
+	}
+	return true, nil
 }
 
 // RecoveryRepair feeds the recovered log's torn-tail repair outcome to

@@ -400,15 +400,26 @@ func TestTailRetainsFromFirstReader(t *testing.T) {
 	r.env.Shutdown()
 }
 
-// TestTailOrderUnderConcurrentAppenders: BA appenders store their
-// records outside the log's lock, so stores complete out of LSN order
-// and one committer's BA_SYNC can push the durable frontier past a
-// neighbour's record that is still in flight. A tail reader must still
-// deliver every record exactly once, in LSN order, never an unstored
-// one.
+// mixedPayload draws appender c's i-th record: half are ~10 B, half up
+// to 7 KB, so a small record's MMIO store finishes long before a large
+// neighbour reserved ahead of it.
+func mixedPayload(rng *rand.Rand, c, i int) string {
+	size := 10
+	if rng.Intn(2) == 0 {
+		size += rng.Intn(7 << 10)
+	}
+	return fmt.Sprintf("c%d-%d-", c, i) + strings.Repeat("m", size)
+}
+
+// TestTailOrderUnderConcurrentAppenders: on a single file BA appenders
+// store their records outside the log's lock, so stores complete out of
+// LSN order and one committer's BA_SYNC can push the durable frontier
+// past a neighbour's record that is still in flight. A tail reader must
+// still deliver every record exactly once, in LSN order, never an
+// unstored one.
 func TestTailOrderUnderConcurrentAppenders(t *testing.T) {
 	r := newRig()
-	sl := openSeg(t, r, BA)
+	sl := r.openLog(t, "tailed", BA)
 	reader := sl.Tail(0)
 	ends := map[LSN]string{}
 	wg := r.env.NewWaitGroup("appenders")
@@ -416,9 +427,9 @@ func TestTailOrderUnderConcurrentAppenders(t *testing.T) {
 	for c := 0; c < 4; c++ {
 		r.env.GoIdx("append", c, func(p *sim.Proc, c int) {
 			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(c)))
 			for i := 0; i < 8; i++ {
-				// Sizes differ per appender so stores finish out of order.
-				payload := fmt.Sprintf("c%d-%02d-%s", c, i, strings.Repeat("t", 40+300*c))
+				payload := mixedPayload(rng, c, i)
 				lsn, err := appendCommit(p, sl, payload)
 				if err != nil {
 					t.Errorf("appender %d op %d: %v", c, i, err)
@@ -580,6 +591,67 @@ func TestRingBAPowerLoss(t *testing.T) {
 		}
 	}
 	r.env.Shutdown()
+}
+
+// TestRingBAConcurrentAppendersPowerLoss cuts power after six
+// concurrent appenders with mixed 10 B–7 KB records have all had every
+// commit acknowledged. Small records finish their MMIO store long
+// before a large neighbour reserved ahead of them, so a commit must not
+// count the neighbour's bytes durable, and a rotation must not BA_FLUSH
+// a half a store is still landing in: every acknowledged record has to
+// replay, with no torn tail to cut.
+func TestRingBAConcurrentAppendersPowerLoss(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		r := newRig()
+		cfg := segCfg(r, BA)
+		cfg.Ring = 16
+		sl, err := Open(r.env, cfg)
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		acked := map[LSN]string{}
+		wg := r.env.NewWaitGroup("appenders")
+		wg.Add(6)
+		for c := 0; c < 6; c++ {
+			r.env.GoIdx("append", c, func(p *sim.Proc, c int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(seed*6 + int64(c)))
+				for i := 0; i < 6; i++ {
+					payload := mixedPayload(rng, c, i)
+					lsn, err := appendCommit(p, sl, payload)
+					if err != nil {
+						t.Errorf("seed %d appender %d op %d: %v", seed, c, i, err)
+						return
+					}
+					acked[lsn] = payload
+				}
+			})
+		}
+		r.env.Go("crash", func(p *sim.Proc) {
+			wg.Wait(p)
+			r.powerCycle(t, p)
+		})
+		r.env.Run()
+
+		rl, err := Open(r.env, cfg)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		got, lsns := r.recoverAll(t, rl)
+		if rep := rl.Repair(); rep.TornTail {
+			t.Errorf("seed %d: torn tail at %d with every commit acknowledged", seed, rep.RepairedAt)
+		}
+		for i, lsn := range lsns {
+			if acked[lsn] != got[i] {
+				t.Fatalf("seed %d: record at %d is not the one acknowledged there", seed, lsn)
+			}
+			delete(acked, lsn)
+		}
+		if len(acked) != 0 {
+			t.Errorf("seed %d: lost %d acknowledged records", seed, len(acked))
+		}
+		r.env.Shutdown()
+	}
 }
 
 // geometryRun pushes one seeded record stream — sizes, commit pattern

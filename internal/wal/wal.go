@@ -206,7 +206,7 @@ type Log struct {
 	durableOff int64
 	flushedOff int64 // device-flush cursor (differs from durable in PM mode)
 
-	mu *sim.Resource // serializes offset reservation, rotation and checkpoints
+	mu *sim.Resource // serializes offset reservation, rotation, checkpoints and (ring) stores
 
 	// moved fires when a flush leader finishes and, once the log is
 	// tailed, whenever the durable frontier or the retention floor
@@ -459,7 +459,17 @@ func (l *Log) Append(p *sim.Proc, payload []byte) (LSN, error) {
 		seg := pos / l.fileBytes
 		l.retained[seg] = append(l.retained[seg], tailRec{end: LSN(end), at: notStored, payload: string(payload)})
 	}
-	l.mu.Release()
+	// A ring stores under the lock: rotation BA_FLUSHes whole halves and
+	// a committer persists everything below its own record, so both need
+	// every reserved byte below them landed. A single file releases
+	// first and lets concurrent stores overlap — the append path the
+	// paper tables are calibrated on; concurrent BA appenders there
+	// still carry the hazard (ROADMAP item 1).
+	if l.ringed() {
+		defer l.mu.Release()
+	} else {
+		l.mu.Release()
+	}
 	if err != nil {
 		return 0, err
 	}

@@ -129,12 +129,6 @@ type (
 	WAL = wal.Log
 	// WALConfig assembles a log (commit mode, geometry, BA plumbing).
 	WALConfig = wal.Config
-	// WALTailReader streams a WAL's committed records in LSN order.
-	WALTailReader = wal.TailReader
-	// WALTailRecord is one record delivered to a tail reader.
-	WALTailRecord = wal.TailRecord
-	// WALRepairReport describes the torn-tail repair of the last Recover.
-	WALRepairReport = wal.RepairReport
 	// CommitMode selects the durability protocol of Fig 5.
 	CommitMode = wal.CommitMode
 	// LSN is a log sequence number.
@@ -153,15 +147,6 @@ const (
 
 // OpenWAL opens a write-ahead log.
 func OpenWAL(env *Env, cfg WALConfig) (*WAL, error) { return wal.Open(env, cfg) }
-
-// WAL errors callers match with errors.Is.
-var (
-	// ErrWALFull: the log is out of space until a checkpoint (Reset on a
-	// single file, Checkpoint on a ring) frees some.
-	ErrWALFull = wal.ErrLogFull
-	// ErrWALTruncated: a tail reader's position is no longer retained.
-	ErrWALTruncated = wal.ErrTruncated
-)
 
 // Observability.
 type (
