@@ -10,6 +10,7 @@ package twobssd_test
 
 import (
 	"io"
+	"runtime"
 	"testing"
 
 	"twobssd/internal/bench"
@@ -19,10 +20,11 @@ import (
 // every shape the assertions in internal/bench check.
 var benchScale = bench.Scale{LatReps: 3, AppOps: 1000, Clients: 4, Records: 300, Nodes: 150}
 
-func benchTable(b *testing.B, gen func(bench.Scale) *bench.Table) {
+func benchTable(b *testing.B, gen func(*bench.Runner) *bench.Table) {
 	b.Helper()
+	r := bench.NewRunner(benchScale, runtime.NumCPU())
 	for i := 0; i < b.N; i++ {
-		tab := gen(benchScale)
+		tab := gen(r)
 		tab.Print(io.Discard)
 		if len(tab.Rows) == 0 {
 			b.Fatal("empty table")

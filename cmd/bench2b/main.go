@@ -1,82 +1,34 @@
-// Command bench2b regenerates the paper's tables and figures on the
-// simulated 2B-SSD stack.
+// Command bench2b regenerates the paper's tables and figures, and runs
+// the reliability gates, on the simulated 2B-SSD stack.
 //
-// Usage:
+//	bench2b [flags] [experiment ...]
 //
-//	bench2b [-full] [-j N] [-metrics m.json] [-trace out.trace.json] [-benchjson b.json] [experiment ...]
+// `bench2b -h` prints every flag with its default and every experiment
+// id; both lists are generated — the flags from the flag set below, the
+// ids from bench.Experiments(), the one registry — so this comment
+// holds only what they cannot say:
 //
-// Experiments: tab1 fig7a fig7b fig8a fig8b fig9 fig10 commit waf
-// mixed recovery tail smallread pmr journal qd pfleet probe ablations
-// all (default: all).
-//
-// Eight reliability artifacts run only when named explicitly (they
-// are not part of "all"): "crash" sweeps 128 deterministic power-loss
-// points per workload across every storage engine (768 total,
-// including the segmented-WAL lifecycle engine) and "crash-smoke" is
-// the 96-point CI variant over lsm, pglite + walseg. Both exit
-// non-zero when any crash point violates the durability contract (a
-// committed record lost despite a persisted dump, or a phantom record
-// recovered). "fuzz" replays -seeds randomized dual-path workloads
-// (default 256) against the internal/oracle reference model and
-// "fuzz-smoke" is the 32-seed CI variant; both exit non-zero on any
-// stack/model divergence, after shrinking it to a minimal op trace.
-// "fleet" runs the multi-device scenario family (a 4-device, 8-tenant
-// fleet with tail-streamed segmented-WAL replication under steady,
-// bursty, diurnal and saturating tenant traffic, plus an injected
-// primary power loss with follower takeover) and "fleet-smoke" is the
-// 2-device CI variant; both exit non-zero on any lost or phantom
-// record, missed failover, or worker-count determinism divergence.
-// "wal-life" is the segmented-WAL lifecycle evaluation: a feature
-// table timing commit/group-commit/rotation/checkpoint/tail/recovery
-// on the BA byte path vs the block+flush baseline, then 128 crash
-// points per mode with rotation/checkpoint/truncation-instant
-// triggers and torn-tail repair; "wal-life-smoke" is the 32-point CI
-// variant, which additionally runs the sweep twice and fails on any
-// byte-level nondeterminism.
-//
-// -j fans the independent simulation environments behind each
-// experiment data point — and the experiments themselves — out across N
-// workers (default: the number of CPUs). Every environment's virtual
-// clock is its own; results and reports are bit-identical at any -j.
-//
-// -metrics writes a merged snapshot of every counter, gauge and latency
-// histogram the run's environments recorded. -trace writes Chrome
-// trace-event JSON of the virtual-time spans (open in Perfetto or
-// chrome://tracing); each simulated environment is one trace process.
-//
-// -pshards runs the experiments under the partitioned executor:
-// multi-instance experiments (fig9, the crash campaigns, the fuzzer,
-// every points()-driven sweep) assign their independent instances to N
-// statically-scheduled shard workers, and linked fleets (pfleet) run
-// their sim.Group with N workers. Results are identical at any value.
-//
-// -benchjson records the wall-clock performance of the simulator itself
-// — events/sec, allocs/event, per-experiment wall time and event
-// attribution (at -j 1), and the partitioned-vs-serial speedup probe —
-// so kernel speedups and regressions are measured run over run, not
-// asserted. -benchgate compares the run against a committed baseline
-// (BENCH_kernel.json) and exits non-zero on a >20% events/sec drop or
-// an allocs/event increase: the CI regression gate.
-// -obsbench records the observability layer's own overhead (sampler
-// and flight recorder on/off) in the same spirit (BENCH_obs.json).
-//
-// -sample enables virtual-time metric timelines: every environment's
-// registry is snapshotted at the given virtual cadence into
-// delta-encoded windows. -timeline writes the merged timeline (JSON,
-// or CSV when the path ends in .csv); like every other artifact it is
-// byte-identical at any -j.
-//
-// -listen serves the run live over HTTP: Prometheus text exposition at
-// /metrics, the merged timeline at /timeline (and /timeline.csv), and
-// Server-Sent-Events batch progress at /progress. The server keeps
-// serving after the experiments finish, until interrupted (SIGINT),
-// so the final state can still be scraped.
+//   - "all" (the default) selects the paper artifacts. The reliability
+//     artifacts (crash campaigns, oracle fuzzing, fleet scenarios, WAL
+//     lifecycle, and their CI-sized "-smoke" variants) run only when
+//     named, print their reports, and make the exit status 1 when a
+//     gate fails. EXPERIMENTS.md describes each artifact.
+//   - -j is the only parallelism knob: at most N simulation
+//     environments execute at once, across however many experiments
+//     were selected. Every environment's virtual clock is its own, so
+//     every artifact — tables, -metrics, -timeline, -trace — is
+//     byte-identical at any -j; -j 1 is strictly sequential and is what
+//     -benchjson's per-experiment attribution needs.
+//   - -benchjson / -benchgate / -obsbench measure the simulator itself
+//     on the host clock (BENCH_kernel.json, BENCH_obs.json); -listen
+//     keeps serving the finished run until interrupted.
 package main
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -86,7 +38,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"sync/atomic"
+	"strings"
 	"syscall"
 	"time"
 
@@ -95,120 +47,89 @@ import (
 	"twobssd/internal/sim"
 )
 
-// experiment is one runnable paper artifact; run writes its tables to w.
-type experiment struct {
-	id  string
-	run func(w io.Writer)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// table is the experiment registry. It is a variable only so that the
+// command's tests can substitute an entry; nothing else writes it.
+var table = bench.Experiments()
+
+// errGate is run's one non-usage failure that is not an I/O error.
+var errGate = errors.New("gate failed (durability violation, model divergence, or kernel performance regression)")
+
+// options are the parsed flags.
+type options struct {
+	full        bool
+	jobs, seeds int
+	sample      time.Duration
+	listen      string
+	// report paths
+	metrics, trace, timeline, benchJSON, benchGate, obsbench, cpuProfile, memProfile string
 }
 
-// experiments returns the full artifact list in canonical print order.
-func experiments(scale bench.Scale) []experiment {
-	return []experiment{
-		{"tab1", func(w io.Writer) { bench.Spec().Print(w) }},
-		{"fig7a", func(w io.Writer) { bench.Fig7a(scale).Print(w) }},
-		{"fig7b", func(w io.Writer) { bench.Fig7b(scale).Print(w) }},
-		{"fig8a", func(w io.Writer) { bench.Fig8a(scale).Print(w) }},
-		{"fig8b", func(w io.Writer) { bench.Fig8b(scale).Print(w) }},
-		{"fig9", func(w io.Writer) {
-			bench.Fig9PG(scale).Print(w)
-			bench.Fig9LSM(scale).Print(w)
-			bench.Fig9AOF(scale).Print(w)
-		}},
-		{"fig10", func(w io.Writer) { bench.Fig10(scale).Print(w) }},
-		{"commit", func(w io.Writer) { bench.CommitOverhead(scale).Print(w) }},
-		{"waf", func(w io.Writer) { bench.WAFReduction(scale).Print(w) }},
-		{"mixed", func(w io.Writer) { bench.MixedWorkload(scale).Print(w) }},
-		{"recovery", func(w io.Writer) { bench.Recovery(scale).Print(w) }},
-		{"tail", func(w io.Writer) { bench.TailLatency(scale).Print(w) }},
-		{"smallread", func(w io.Writer) { bench.SmallRead(scale).Print(w) }},
-		{"pmr", func(w io.Writer) { bench.PMRComparison(scale).Print(w) }},
-		{"journal", func(w io.Writer) { bench.Journaling(scale).Print(w) }},
-		{"qd", func(w io.Writer) { bench.QueueDepth(scale).Print(w) }},
-		{"pfleet", func(w io.Writer) { bench.PartitionedFleet(scale).Print(w) }},
-		{"probe", func(w io.Writer) { bench.Probe(scale).Print(w) }},
-		{"ablations", func(w io.Writer) {
-			bench.AblationWriteCombining(scale).Print(w)
-			bench.AblationDoubleBuffering(scale).Print(w)
-			bench.AblationGroupCommit(scale).Print(w)
-		}},
-	}
-}
-
-// crashExperiments returns the reliability artifacts. They are
-// requested by name, never by "all": a full sweep crash-cycles the
-// simulated device hundreds of times, which is a reliability gate, not
-// a paper figure. A durability violation flips failed so main can exit
-// non-zero after the reports print.
-func crashExperiments(failed *atomic.Bool) []experiment {
-	run := func(w io.Writer, names []string, pointsPer int) {
-		if err := bench.RunCrash(w, names, pointsPer); err != nil {
-			fmt.Fprintf(w, "FAIL: %v\n", err)
-			failed.Store(true)
-		}
-	}
-	return []experiment{
-		{"crash", func(w io.Writer) { run(w, nil, 128) }},
-		{"crash-smoke", func(w io.Writer) { run(w, []string{"lsm", "pglite", "walseg"}, 32) }},
-	}
-}
-
-// walLifeExperiments returns the segmented-WAL lifecycle artifacts:
-// "wal-life" is the full evaluation (feature table + 128 crash points
-// per commit mode) and "wal-life-smoke" the 32-point CI variant with a
-// byte-identity determinism check. Any durability or repair violation
-// — or smoke-run nondeterminism — flips failed so main exits non-zero.
-func walLifeExperiments(failed *atomic.Bool) []experiment {
-	return []experiment{
-		{"wal-life", func(w io.Writer) {
-			if err := bench.RunWalLife(w, 128); err != nil {
-				fmt.Fprintf(w, "FAIL: %v\n", err)
-				failed.Store(true)
+// run is the whole command: 0 on success, 2 on a usage error, 1 when a
+// report cannot be written or a gate failed.
+func run(args []string, stdout, stderr io.Writer) int {
+	var o options
+	fs := flag.NewFlagSet("bench2b", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.BoolVar(&o.full, "full", false, "run at full scale (slower, closer to the paper's run lengths)")
+	fs.IntVar(&o.jobs, "j", runtime.NumCPU(), "simulation environments allowed to run at once (results identical at any value)")
+	fs.StringVar(&o.metrics, "metrics", "", "write merged metrics snapshot JSON to this file")
+	fs.StringVar(&o.trace, "trace", "", "write Chrome trace-event JSON (Perfetto) to this file")
+	fs.StringVar(&o.benchJSON, "benchjson", "", "write wall-clock kernel benchmark JSON to this file")
+	fs.StringVar(&o.obsbench, "obsbench", "", "write observability-overhead benchmark JSON to this file")
+	fs.DurationVar(&o.sample, "sample", 0, "virtual-time cadence for metric timelines (default 1ms when -timeline/-listen is given)")
+	fs.StringVar(&o.timeline, "timeline", "", "write the merged metric timeline to this file (.csv extension selects CSV, else JSON)")
+	fs.StringVar(&o.listen, "listen", "", "serve /metrics, /timeline and /progress on this address; keeps serving after the run until interrupted")
+	fs.IntVar(&o.seeds, "seeds", 256, "seed count for the fuzz experiment")
+	fs.StringVar(&o.benchGate, "benchgate", "", "compare this run against a baseline kernel benchmark JSON; exit non-zero on >20% events/sec drop or an allocs/event increase")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a host CPU profile (pprof) of the run to this file")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write a host allocation profile (pprof, alloc_space) to this file after the run")
+	fs.Usage = func() {
+		var all, named []string
+		for _, ex := range table {
+			if ex.InAll {
+				all = append(all, ex.ID)
+			} else {
+				named = append(named, ex.ID)
 			}
-		}},
-		{"wal-life-smoke", func(w io.Writer) {
-			if err := bench.RunWalLifeSmoke(w, 32); err != nil {
-				fmt.Fprintf(w, "FAIL: %v\n", err)
-				failed.Store(true)
+		}
+		fmt.Fprintf(stderr, "usage: bench2b [flags] [experiment ...]\n")
+		fmt.Fprintf(stderr, "experiments: %s all (default: all)\n", strings.Join(all, " "))
+		fmt.Fprintf(stderr, "reliability (not in \"all\"): %s\n", strings.Join(named, " "))
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	names := fs.Args()
+	if len(names) == 0 && o.obsbench == "" {
+		// An explicit -obsbench with no experiment list runs just the
+		// overhead sweep, mirroring a targeted -benchjson run.
+		names = []string{"all"}
+	}
+	var selected []bench.Experiment
+	for _, name := range names {
+		n := len(selected)
+		for _, ex := range table {
+			if ex.ID == name || (name == "all" && ex.InAll) {
+				selected = append(selected, ex)
 			}
-		}},
-	}
-}
-
-// fuzzExperiments returns the oracle fuzzing artifacts; like the crash
-// campaigns they run only when named. A divergence between the stack
-// and the reference model flips failed so main exits non-zero after
-// the shrunk trace prints.
-func fuzzExperiments(failed *atomic.Bool, seeds int) []experiment {
-	run := func(w io.Writer, n int) {
-		if _, err := bench.RunFuzz(w, n); err != nil {
-			fmt.Fprintf(w, "FAIL: %v\n", err)
-			failed.Store(true)
+		}
+		if len(selected) == n {
+			fmt.Fprintf(stderr, "bench2b: unknown experiment %q\n", name)
+			fs.Usage()
+			return 2
 		}
 	}
-	return []experiment{
-		{"fuzz", func(w io.Writer) { run(w, seeds) }},
-		{"fuzz-smoke", func(w io.Writer) { run(w, 32) }},
+	if err := execute(o, selected, stdout, stderr); err != nil {
+		fmt.Fprintf(stderr, "bench2b: %v\n", err)
+		return 1
 	}
-}
-
-// fleetExperiments returns the fleet-scale artifacts: "fleet" runs the
-// full multi-device scenario family (steady/bursty/diurnal/saturation
-// traffic plus an injected primary power loss on a 4-device, 8-tenant
-// fleet) and "fleet-smoke" is the CI variant (2 devices, 2 tenants,
-// one crash with follower takeover, plus a worker-count determinism
-// probe). Any lost or phantom record, missed failover, or determinism
-// divergence flips failed so main exits non-zero.
-func fleetExperiments(failed *atomic.Bool, scale bench.Scale) []experiment {
-	run := func(w io.Writer, smoke bool) {
-		if err := bench.RunFleet(w, scale, smoke); err != nil {
-			fmt.Fprintf(w, "FAIL: %v\n", err)
-			failed.Store(true)
-		}
-	}
-	return []experiment{
-		{"fleet", func(w io.Writer) { run(w, false) }},
-		{"fleet-smoke", func(w io.Writer) { run(w, true) }},
-	}
+	return 0
 }
 
 // expReport is one experiment's cost in the -benchjson report. Under
@@ -231,7 +152,6 @@ type kernelReport struct {
 	GoVersion      string                 `json:"go_version"`
 	NumCPU         int                    `json:"num_cpu"`
 	Jobs           int                    `json:"jobs"`
-	Pshards        int                    `json:"pshards"`
 	Experiments    []expReport            `json:"experiments"`
 	WallNs         int64                  `json:"wall_ns"`
 	VirtualNs      int64                  `json:"virtual_ns"`
@@ -244,13 +164,10 @@ type kernelReport struct {
 
 // gate compares this run against a committed baseline report and
 // returns an error on a kernel performance regression: a >20% drop in
-// events/sec, an allocs/event increase beyond measurement noise (10%
-// relative plus 0.02 absolute), or a partition-probe speedup that
-// collapsed versus the baseline. The speedup comparison only makes
-// sense between like hosts: when the baseline was recorded on a
-// machine with a different CPU count it is skipped with a notice,
-// so a multi-core runner doesn't false-fail against a 1-CPU baseline
-// (or vice versa).
+// events/sec, or an allocs/event increase beyond measurement noise
+// (10% relative plus 0.02 absolute). The partition probe's wall-clock
+// ratio moves ±20% run to run and gates nothing; only its identity
+// check can fail a run.
 func gate(cur kernelReport, basePath string) error {
 	data, err := os.ReadFile(basePath)
 	if err != nil {
@@ -259,19 +176,6 @@ func gate(cur kernelReport, basePath string) error {
 	var base kernelReport
 	if err := json.Unmarshal(data, &base); err != nil {
 		return fmt.Errorf("parsing %s: %w", basePath, err)
-	}
-	if base.Partition != nil && cur.Partition != nil && base.Partition.Speedup > 1 {
-		switch {
-		case base.NumCPU != runtime.NumCPU():
-			fmt.Printf("benchgate: skipping partition-speedup check: baseline recorded on %d CPUs, host has %d\n",
-				base.NumCPU, runtime.NumCPU())
-		case base.Partition.Shards != cur.Partition.Shards:
-			fmt.Printf("benchgate: skipping partition-speedup check: baseline ran %d shards, this run %d\n",
-				base.Partition.Shards, cur.Partition.Shards)
-		case cur.Partition.Speedup < 0.75*base.Partition.Speedup:
-			return fmt.Errorf("partition speedup regressed: %.2fx vs baseline %.2fx",
-				cur.Partition.Speedup, base.Partition.Speedup)
-		}
 	}
 	if base.EventsPerSec > 0 && cur.EventsPerSec < 0.8*base.EventsPerSec {
 		return fmt.Errorf("events/sec regressed: %.0f vs baseline %.0f (-%.1f%%)",
@@ -290,87 +194,53 @@ func gate(cur kernelReport, basePath string) error {
 	return nil
 }
 
-func main() {
-	full := flag.Bool("full", false, "run at full scale (slower, closer to the paper's run lengths)")
-	jobs := flag.Int("j", runtime.NumCPU(), "experiment worker parallelism (results identical at any value)")
-	metricsPath := flag.String("metrics", "", "write merged metrics snapshot JSON to this file")
-	tracePath := flag.String("trace", "", "write Chrome trace-event JSON (Perfetto) to this file")
-	benchPath := flag.String("benchjson", "", "write wall-clock kernel benchmark JSON to this file")
-	obsbenchPath := flag.String("obsbench", "", "write observability-overhead benchmark JSON to this file")
-	samplePeriod := flag.Duration("sample", 0, "virtual-time cadence for metric timelines (default 1ms when -timeline/-listen is given)")
-	timelinePath := flag.String("timeline", "", "write the merged metric timeline to this file (.csv extension selects CSV, else JSON)")
-	listenAddr := flag.String("listen", "", "serve /metrics, /timeline and /progress on this address; keeps serving after the run until interrupted")
-	seeds := flag.Int("seeds", 256, "seed count for the fuzz experiment")
-	pshards := flag.Int("pshards", 1, "partition shards: multi-instance experiments run on N statically-assigned shard workers and linked fleets use N sim.Group workers (results identical at any value; 1 = off)")
-	benchGate := flag.String("benchgate", "", "compare this run against a baseline kernel benchmark JSON; exit non-zero on >20% events/sec drop or an allocs/event increase")
-	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile (pprof) of the run to this file")
-	memProfile := flag.String("memprofile", "", "write a host allocation profile (pprof, alloc_space) to this file after the run")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: bench2b [-full] [-j N] [-pshards N] [-seeds N] [-metrics m.json] [-trace out.trace.json] [-benchjson b.json] [-benchgate base.json] [-obsbench o.json] [-sample D] [-timeline t.json] [-listen addr] [experiment ...]\n")
-		fmt.Fprintf(os.Stderr, "experiments: tab1 fig7a fig7b fig8a fig8b fig9 fig10 commit waf mixed recovery tail smallread pmr journal qd pfleet probe ablations all\n")
-		fmt.Fprintf(os.Stderr, "reliability (not in \"all\"): crash crash-smoke fuzz fuzz-smoke fleet fleet-smoke wal-life wal-life-smoke\n")
-	}
-	flag.Parse()
+// execute runs the selected experiments and writes every requested
+// report. It returns errGate when the run completed but a gate failed.
+func execute(o options, selected []bench.Experiment, stdout, stderr io.Writer) error {
 	scale, scaleName := bench.Quick, "quick"
-	if *full {
+	if o.full {
 		scale, scaleName = bench.Full, "full"
 	}
-	bench.SetJobs(*jobs)
-	bench.SetPartitionShards(*pshards)
+	r := bench.NewRunner(scale, o.jobs)
+	r.Seeds = o.seeds
+
+	// Open the report files before running anything: a bad path should
+	// fail now, not after minutes of experiments.
+	var cpuFile, memFile, obsbenchFile, metricsFile, traceFile, benchFile, timelineFile *os.File
+	for _, rf := range []struct {
+		path string
+		f    **os.File
+	}{
+		{o.cpuProfile, &cpuFile}, {o.memProfile, &memFile}, {o.obsbench, &obsbenchFile},
+		{o.metrics, &metricsFile}, {o.trace, &traceFile}, {o.benchJSON, &benchFile}, {o.timeline, &timelineFile},
+	} {
+		if rf.path == "" {
+			continue
+		}
+		f, err := os.Create(rf.path)
+		if err != nil {
+			return err
+		}
+		defer f.Close() // error paths; writeReport closes on success
+		*rf.f = f
+	}
 
 	// Host-side profiling: the kernel's wall-clock performance is a
 	// first-class artifact (BENCH_kernel.json), so regressions must be
 	// diagnosable from the shipped binary without code edits.
-	var cpuFile *os.File
-	if *cpuProfile != "" {
-		cpuFile = createReport(*cpuProfile)
+	if cpuFile != nil {
 		if err := pprof.StartCPUProfile(cpuFile); err != nil {
-			fmt.Fprintf(os.Stderr, "bench2b: cpuprofile: %v\n", err)
-			os.Exit(1)
+			return fmt.Errorf("cpuprofile: %w", err)
 		}
-	}
-	finishProfiles := func() {
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			if err := cpuFile.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "bench2b: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if *memProfile != "" {
-			f := createReport(*memProfile)
-			runtime.GC() // flush recent frees so alloc_space is settled
-			writeReport(f, func(w io.Writer) error {
-				return pprof.Lookup("allocs").WriteTo(w, 0)
-			})
-		}
+		defer pprof.StopCPUProfile() // error paths; a second stop is a no-op
 	}
 
-	sampling := *samplePeriod > 0 || *timelinePath != "" || *listenAddr != ""
-
-	// Open the report files before running anything: a bad path should
-	// fail now, not after minutes of experiments.
+	sampling := o.sample > 0 || o.timeline != "" || o.listen != ""
 	var col *obs.Collector
-	var metricsFile, traceFile, benchFile, timelineFile, obsbenchFile *os.File
-	if *obsbenchPath != "" {
-		obsbenchFile = createReport(*obsbenchPath)
-	}
-	if *metricsPath != "" || *tracePath != "" || *benchPath != "" || *benchGate != "" || sampling {
-		if *metricsPath != "" {
-			metricsFile = createReport(*metricsPath)
-		}
-		if *tracePath != "" {
-			traceFile = createReport(*tracePath)
-		}
-		if *benchPath != "" {
-			benchFile = createReport(*benchPath)
-		}
-		if *timelinePath != "" {
-			timelineFile = createReport(*timelinePath)
-		}
+	if metricsFile != nil || traceFile != nil || benchFile != nil || o.benchGate != "" || sampling {
 		col = obs.NewCollector(traceFile != nil)
 		if sampling {
-			col.EnableSampling(sim.Duration(samplePeriod.Nanoseconds()), 0)
+			col.EnableSampling(sim.Duration(o.sample.Nanoseconds()), 0)
 		}
 	}
 
@@ -378,168 +248,125 @@ func main() {
 	// the endpoints are live while the experiments execute.
 	var live *obs.LiveServer
 	var srv *http.Server
-	if *listenAddr != "" {
+	if o.listen != "" {
 		live = obs.NewLiveServer()
 		live.Attach(col)
-		ln, err := net.Listen("tcp", *listenAddr)
+		ln, err := net.Listen("tcp", o.listen)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench2b: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		srv = &http.Server{Handler: live.Handler()}
 		go func() {
 			if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintf(os.Stderr, "bench2b: serve: %v\n", err)
+				fmt.Fprintf(stderr, "bench2b: serve: %v\n", err)
 			}
 		}()
-		fmt.Fprintf(os.Stderr, "bench2b: serving observability on http://%s (interrupt to stop)\n", ln.Addr())
+		fmt.Fprintf(stderr, "bench2b: serving observability on http://%s (interrupt to stop)\n", ln.Addr())
 	}
 	if col != nil {
 		col.Install()
+		defer col.Uninstall()
 	}
 
-	var gateFailed atomic.Bool
-	all := experiments(scale)
-	byID := make(map[string]experiment, len(all))
-	for _, ex := range all {
-		byID[ex.id] = ex
-	}
-	for _, ex := range crashExperiments(&gateFailed) {
-		byID[ex.id] = ex
-	}
-	for _, ex := range fuzzExperiments(&gateFailed, *seeds) {
-		byID[ex.id] = ex
-	}
-	for _, ex := range fleetExperiments(&gateFailed, scale) {
-		byID[ex.id] = ex
-	}
-	for _, ex := range walLifeExperiments(&gateFailed) {
-		byID[ex.id] = ex
-	}
-	var selected []experiment
-	args := flag.Args()
-	if len(args) == 0 {
-		if *obsbenchPath != "" {
-			// An explicit -obsbench with no experiment list runs just
-			// the overhead sweep, mirroring a targeted -benchjson run.
-			args = nil
-		} else {
-			args = []string{"all"}
-		}
-	}
-	for _, arg := range args {
-		if arg == "all" {
-			selected = append(selected, all...)
-			continue
-		}
-		ex, ok := byID[arg]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "bench2b: unknown experiment %q\n", arg)
-			flag.Usage()
-			os.Exit(2)
-		}
-		selected = append(selected, ex)
-	}
-
-	var ms0 runtime.MemStats
+	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
 	start := time.Now()
-	walls, expEvents, expMallocs := runAll(selected, *jobs, live, col)
+	reports, failures, err := runAll(r, selected, live, col, stdout)
+	if err != nil {
+		return err
+	}
 	wallTotal := time.Since(start)
-	var ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms1)
 
 	if obsbenchFile != nil {
 		rep := bench.ObsOverhead(scale)
-		if err := rep.WriteText(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "bench2b: %v\n", err)
-			os.Exit(1)
+		if err := rep.WriteText(stdout); err != nil {
+			return err
 		}
-		writeReport(obsbenchFile, func(w io.Writer) error {
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			return enc.Encode(rep)
-		})
+		if err := writeReport(obsbenchFile, jsonReport(rep)); err != nil {
+			return err
+		}
 	}
 
 	if col != nil {
 		col.Uninstall()
-		if metricsFile != nil {
-			writeReport(metricsFile, col.WriteMetricsJSON)
+		emitTimeline := col.WriteTimelineJSON
+		if strings.HasSuffix(o.timeline, ".csv") {
+			emitTimeline = col.WriteTimelineCSV
 		}
-		if traceFile != nil {
-			writeReport(traceFile, col.WriteTraceJSON)
+		if err := writeReport(metricsFile, col.WriteMetricsJSON); err != nil {
+			return err
 		}
-		if timelineFile != nil {
-			emit := col.WriteTimelineJSON
-			if len(*timelinePath) > 4 && (*timelinePath)[len(*timelinePath)-4:] == ".csv" {
-				emit = col.WriteTimelineCSV
-			}
-			writeReport(timelineFile, emit)
+		if err := writeReport(traceFile, col.WriteTraceJSON); err != nil {
+			return err
 		}
-		if benchFile != nil || *benchGate != "" {
-			rep := kernelReport{
-				Schema:    "bench2b/kernel-v2",
-				Scale:     scaleName,
-				GoVersion: runtime.Version(),
-				NumCPU:    runtime.NumCPU(),
-				Jobs:      *jobs,
-				Pshards:   *pshards,
-				WallNs:    wallTotal.Nanoseconds(),
-				VirtualNs: int64(col.TotalVirtual()),
-				Events:    col.TotalEvents(),
-			}
-			for i, ex := range selected {
-				er := expReport{ID: ex.id, WallNs: walls[i].Nanoseconds()}
-				if expEvents != nil {
-					er.Events = expEvents[i]
-					if er.Events > 0 {
-						er.EventsPerSec = float64(er.Events) / walls[i].Seconds()
-						er.AllocsPerEvent = float64(expMallocs[i]) / float64(er.Events)
-					}
-				}
-				rep.Experiments = append(rep.Experiments, er)
-			}
-			if rep.Events > 0 {
-				rep.EventsPerSec = float64(rep.Events) / wallTotal.Seconds()
-				rep.AllocsPerEvent = float64(ms1.Mallocs-ms0.Mallocs) / float64(rep.Events)
-			}
-			// Partitioned-vs-serial speedup probe: the same linked fleet
-			// wall-clocked at one worker and at -pshards workers, with a
-			// result-identity check (the determinism bar).
-			rep.Partition = bench.PartitionSpeedup(scale)
-			fmt.Printf("partition probe: %d shards, %d pairs, speedup %.2fx, identical=%v\n",
-				rep.Partition.Shards, rep.Partition.Pairs, rep.Partition.Speedup, rep.Partition.Identical)
-			// Steady-state allocation probe: a sustained BA-WAL commit
-			// stream on a warmed stack. The aggregate allocs/event above
-			// includes per-experiment construction; this is the long-run
-			// rate the allocation work targets.
-			rep.Steady = bench.SteadyStateAllocs(scale)
-			fmt.Printf("steady-state probe: %d events, %.4f allocs/event\n",
-				rep.Steady.Events, rep.Steady.AllocsPerEvent)
-			if benchFile != nil {
-				writeReport(benchFile, func(w io.Writer) error {
-					enc := json.NewEncoder(w)
-					enc.SetIndent("", "  ")
-					return enc.Encode(rep)
-				})
-			}
-			if *benchGate != "" {
-				if err := gate(rep, *benchGate); err != nil {
-					fmt.Fprintf(os.Stderr, "bench2b: benchgate: %v\n", err)
-					gateFailed.Store(true)
-				} else {
-					fmt.Printf("benchgate: ok (%.0f events/sec, %.4f allocs/event vs %s)\n",
-						rep.EventsPerSec, rep.AllocsPerEvent, *benchGate)
-				}
-			}
-			if !rep.Partition.Identical {
-				fmt.Fprintln(os.Stderr, "bench2b: partition probe: partitioned result diverged from serial")
-				gateFailed.Store(true)
-			}
+		if err := writeReport(timelineFile, emitTimeline); err != nil {
+			return err
 		}
 	}
-	finishProfiles()
+	if benchFile != nil || o.benchGate != "" {
+		rep := kernelReport{
+			Schema:      "bench2b/kernel-v2",
+			Scale:       scaleName,
+			GoVersion:   runtime.Version(),
+			NumCPU:      runtime.NumCPU(),
+			Jobs:        r.Jobs(),
+			Experiments: reports,
+			WallNs:      wallTotal.Nanoseconds(),
+			VirtualNs:   int64(col.TotalVirtual()),
+			Events:      col.TotalEvents(),
+		}
+		if rep.Events > 0 {
+			rep.EventsPerSec = float64(rep.Events) / wallTotal.Seconds()
+			rep.AllocsPerEvent = float64(ms1.Mallocs-ms0.Mallocs) / float64(rep.Events)
+		}
+		// Worker-count probe: the steady fleet wall-clocked at one
+		// sim.Group worker and at one per device, with a result-identity
+		// check (the determinism bar).
+		if rep.Partition, err = bench.PartitionSpeedup(scale); err != nil {
+			return fmt.Errorf("partition probe: %w", err)
+		}
+		fmt.Fprintf(stdout, "partition probe: %d workers, %d devices, speedup %.2fx, identical=%v\n",
+			rep.Partition.Shards, rep.Partition.Pairs, rep.Partition.Speedup, rep.Partition.Identical)
+		// Steady-state allocation probe: a sustained BA-WAL commit
+		// stream on a warmed stack. The aggregate allocs/event above
+		// includes per-experiment construction; this is the long-run
+		// rate the allocation work targets.
+		rep.Steady = bench.SteadyStateAllocs(scale)
+		fmt.Fprintf(stdout, "steady-state probe: %d events, %.4f allocs/event\n",
+			rep.Steady.Events, rep.Steady.AllocsPerEvent)
+		if err := writeReport(benchFile, jsonReport(rep)); err != nil {
+			return err
+		}
+		if o.benchGate != "" {
+			if err := gate(rep, o.benchGate); err != nil {
+				fmt.Fprintf(stderr, "bench2b: benchgate: %v\n", err)
+				failures++
+			} else {
+				fmt.Fprintf(stdout, "benchgate: ok (%.0f events/sec, %.4f allocs/event vs %s)\n",
+					rep.EventsPerSec, rep.AllocsPerEvent, o.benchGate)
+			}
+		}
+		if !rep.Partition.Identical {
+			fmt.Fprintln(stderr, "bench2b: partition probe: partitioned result diverged from serial")
+			failures++
+		}
+	}
+
+	if cpuFile != nil {
+		pprof.StopCPUProfile()
+		if err := cpuFile.Close(); err != nil {
+			return err
+		}
+	}
+	if memFile != nil {
+		runtime.GC() // flush recent frees so alloc_space is settled
+		if err := writeReport(memFile, func(w io.Writer) error {
+			return pprof.Lookup("allocs").WriteTo(w, 0)
+		}); err != nil {
+			return err
+		}
+	}
 	if srv != nil {
 		// Keep serving the finished run until interrupted, then shut
 		// down gracefully (lets in-flight scrapes and the final SSE
@@ -554,100 +381,108 @@ func main() {
 			srv.Close()
 		}
 	}
-	if gateFailed.Load() {
-		fmt.Fprintln(os.Stderr, "bench2b: gate failed (durability violation, model divergence, or kernel performance regression)")
-		os.Exit(1)
+	if failures > 0 {
+		return errGate
 	}
+	return nil
 }
 
 // runAll executes the selected experiments and streams their output to
 // stdout in selection order. At -j 1 everything runs sequentially on
 // this goroutine (the legacy behavior); otherwise experiments run
 // concurrently, each into its own buffer, and buffers are printed as
-// their turn comes — output order never depends on scheduling. Returns
-// each experiment's wall time, plus — sequentially only, where the
-// deltas are unambiguous — each experiment's simulation events and
-// host allocations (nil slices under -j > 1, or without a collector
-// for the event counts). When live is non-nil, batch progress
-// (done/total, current experiment) feeds the /progress stream.
-func runAll(selected []experiment, jobs int, live *obs.LiveServer, col *obs.Collector) ([]time.Duration, []uint64, []uint64) {
+// their turn comes — output order never depends on scheduling (the
+// Runner's semaphore, not this fan-out, bounds the environments that
+// execute at once). Returns each experiment's wall time, plus —
+// sequentially only, where the deltas are unambiguous — its simulation
+// events and host allocations, and the number of experiments whose gate
+// failed (each printed as a FAIL line after its report). When live is
+// non-nil, batch progress (done/total, current experiment) feeds the
+// /progress stream.
+func runAll(r *bench.Runner, selected []bench.Experiment, live *obs.LiveServer, col *obs.Collector, stdout io.Writer) ([]expReport, int, error) {
 	if live != nil {
 		live.SetTotal(len(selected))
 	}
-	step := func(ex experiment, w io.Writer) time.Duration {
+	reports := make([]expReport, len(selected))
+	failed := make([]bool, len(selected))
+	step := func(i int, w io.Writer) {
+		ex := selected[i]
 		if live != nil {
-			live.SetLabel(ex.id)
+			live.SetLabel(ex.ID)
 		}
 		t0 := time.Now()
-		ex.run(w)
+		if err := ex.Run(r, w); err != nil {
+			fmt.Fprintf(w, "FAIL: %v\n", err)
+			failed[i] = true
+		}
 		if live != nil {
 			live.StepDone()
 		}
-		return time.Since(t0)
+		reports[i] = expReport{ID: ex.ID, WallNs: time.Since(t0).Nanoseconds()}
 	}
-	walls := make([]time.Duration, len(selected))
-	if jobs <= 1 || len(selected) == 1 {
-		events := make([]uint64, len(selected))
-		mallocs := make([]uint64, len(selected))
+	if r.Jobs() <= 1 || len(selected) == 1 {
 		var ms0, ms1 runtime.MemStats
-		for i, ex := range selected {
+		for i := range selected {
 			var ev0 uint64
 			if col != nil {
 				ev0 = col.TotalEvents()
 			}
 			runtime.ReadMemStats(&ms0)
-			walls[i] = step(ex, os.Stdout)
+			step(i, stdout)
 			runtime.ReadMemStats(&ms1)
-			if col != nil {
-				events[i] = col.TotalEvents() - ev0
+			if er := &reports[i]; col != nil && col.TotalEvents() > ev0 {
+				er.Events = col.TotalEvents() - ev0
+				er.EventsPerSec = float64(er.Events) / time.Duration(er.WallNs).Seconds()
+				er.AllocsPerEvent = float64(ms1.Mallocs-ms0.Mallocs) / float64(er.Events)
 			}
-			mallocs[i] = ms1.Mallocs - ms0.Mallocs
 		}
-		if col == nil {
-			events = nil
+	} else {
+		type slot struct {
+			buf  bytes.Buffer
+			done chan struct{}
 		}
-		return walls, events, mallocs
-	}
-	type slot struct {
-		buf  bytes.Buffer
-		done chan struct{}
-	}
-	slots := make([]*slot, len(selected))
-	for i, ex := range selected {
-		i, ex := i, ex
-		slots[i] = &slot{done: make(chan struct{})}
-		go func() {
-			defer close(slots[i].done)
-			walls[i] = step(ex, &slots[i].buf)
-		}()
-	}
-	for _, s := range slots {
-		<-s.done
-		if _, err := io.Copy(os.Stdout, &s.buf); err != nil {
-			fmt.Fprintf(os.Stderr, "bench2b: %v\n", err)
-			os.Exit(1)
+		slots := make([]*slot, len(selected))
+		for i := range selected {
+			i := i
+			slots[i] = &slot{done: make(chan struct{})}
+			go func() {
+				defer close(slots[i].done)
+				step(i, &slots[i].buf)
+			}()
+		}
+		for _, s := range slots {
+			<-s.done
+			if _, err := io.Copy(stdout, &s.buf); err != nil {
+				return nil, 0, err
+			}
 		}
 	}
-	return walls, nil, nil
+	failures := 0
+	for _, f := range failed {
+		if f {
+			failures++
+		}
+	}
+	return reports, failures, nil
 }
 
-func createReport(path string) *os.File {
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bench2b: %v\n", err)
-		os.Exit(1)
+// jsonReport returns an emitter that writes v as indented JSON.
+func jsonReport(v interface{}) func(io.Writer) error {
+	return func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(v)
 	}
-	return f
 }
 
-func writeReport(f *os.File, emit func(io.Writer) error) {
+// writeReport emits into f and closes it; a nil f (report not
+// requested) is a no-op.
+func writeReport(f *os.File, emit func(io.Writer) error) error {
+	if f == nil {
+		return nil
+	}
 	if err := emit(f); err != nil {
-		f.Close()
-		fmt.Fprintf(os.Stderr, "bench2b: writing %s: %v\n", f.Name(), err)
-		os.Exit(1)
+		return fmt.Errorf("writing %s: %w", f.Name(), err)
 	}
-	if err := f.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "bench2b: %v\n", err)
-		os.Exit(1)
-	}
+	return f.Close()
 }

@@ -58,11 +58,8 @@ type stack struct {
 	mode   wal.CommitMode
 }
 
-func newStack(cfg LogDevice) *stack { return newStackOn(sim.NewEnv(), cfg) }
-
-// newStackOn builds the stack on a caller-supplied environment, which
-// may be a partition of a sim.Group (see partition.go).
-func newStackOn(e *sim.Env, cfg LogDevice) *stack {
+func newStack(cfg LogDevice) *stack {
+	e := sim.NewEnv()
 	st := &stack{env: e}
 	dataProf := device.ULLSSD()
 	dataProf.Name = "data-" + dataProf.Name

@@ -516,14 +516,11 @@ func NewCrashCampaign(workload string, pts int) (*fault.Campaign, error) {
 // RunCrash sweeps pointsPer crash points over each named workload (all
 // of them when names is nil), streams each campaign's report to w, and
 // returns an error when any point violated the durability contract.
-// Points fan out through the package point runner, so -j applies; the
-// reports are byte-identical at any parallelism.
-func RunCrash(w io.Writer, names []string, pointsPer int) error {
+// Points fan out through the Runner, so -j applies; the reports are
+// byte-identical at any parallelism.
+func RunCrash(r *Runner, w io.Writer, names []string, pointsPer int) error {
 	if names == nil {
 		names = CrashWorkloads()
-	}
-	parallelFor := func(n int, fn func(i int)) {
-		points(n, func(i int) struct{} { fn(i); return struct{}{} })
 	}
 	violations := 0
 	for _, name := range names {
@@ -531,7 +528,7 @@ func RunCrash(w io.Writer, names []string, pointsPer int) error {
 		if err != nil {
 			return err
 		}
-		rep, err := c.Run(parallelFor)
+		rep, err := c.Run(r.parallelFor)
 		if err != nil {
 			return err
 		}

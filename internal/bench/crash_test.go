@@ -16,7 +16,7 @@ import (
 // A short sweep over every workload must hold the durability contract.
 func TestCrashCampaignsSmoke(t *testing.T) {
 	var buf bytes.Buffer
-	if err := RunCrash(&buf, nil, 6); err != nil {
+	if err := RunCrash(runner(Quick), &buf, nil, 6); err != nil {
 		t.Fatalf("RunCrash: %v\n%s", err, buf.String())
 	}
 	out := buf.String()
@@ -34,12 +34,9 @@ func TestCrashCampaignsSmoke(t *testing.T) {
 // parallelism — the same invariant TestJobsInvariance pins for the
 // paper experiments.
 func TestCrashCampaignDeterminism(t *testing.T) {
-	old := Jobs()
-	defer SetJobs(old)
 	run := func(jobs int) string {
-		SetJobs(jobs)
 		var buf bytes.Buffer
-		if err := RunCrash(&buf, []string{"lsm", "kvaof"}, 8); err != nil {
+		if err := RunCrash(NewRunner(Quick, jobs), &buf, []string{"lsm", "kvaof"}, 8); err != nil {
 			t.Fatalf("RunCrash (j=%d): %v\n%s", jobs, err, buf.String())
 		}
 		return buf.String()

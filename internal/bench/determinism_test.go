@@ -2,52 +2,10 @@ package bench
 
 import (
 	"bytes"
-	"io"
 	"testing"
 
 	"twobssd/internal/obs"
 )
-
-// quickExperiments lists every bench2b experiment at Quick scale, in
-// bench2b's print order. Kept in sync with cmd/bench2b by the ids.
-func quickExperiments() []struct {
-	id  string
-	run func(io.Writer)
-} {
-	s := Quick
-	return []struct {
-		id  string
-		run func(io.Writer)
-	}{
-		{"tab1", func(w io.Writer) { Spec().Print(w) }},
-		{"fig7a", func(w io.Writer) { Fig7a(s).Print(w) }},
-		{"fig7b", func(w io.Writer) { Fig7b(s).Print(w) }},
-		{"fig8a", func(w io.Writer) { Fig8a(s).Print(w) }},
-		{"fig8b", func(w io.Writer) { Fig8b(s).Print(w) }},
-		{"fig9", func(w io.Writer) {
-			Fig9PG(s).Print(w)
-			Fig9LSM(s).Print(w)
-			Fig9AOF(s).Print(w)
-		}},
-		{"fig10", func(w io.Writer) { Fig10(s).Print(w) }},
-		{"commit", func(w io.Writer) { CommitOverhead(s).Print(w) }},
-		{"waf", func(w io.Writer) { WAFReduction(s).Print(w) }},
-		{"mixed", func(w io.Writer) { MixedWorkload(s).Print(w) }},
-		{"recovery", func(w io.Writer) { Recovery(s).Print(w) }},
-		{"tail", func(w io.Writer) { TailLatency(s).Print(w) }},
-		{"smallread", func(w io.Writer) { SmallRead(s).Print(w) }},
-		{"pmr", func(w io.Writer) { PMRComparison(s).Print(w) }},
-		{"journal", func(w io.Writer) { Journaling(s).Print(w) }},
-		{"qd", func(w io.Writer) { QueueDepth(s).Print(w) }},
-		{"pfleet", func(w io.Writer) { PartitionedFleet(s).Print(w) }},
-		{"probe", func(w io.Writer) { Probe(s).Print(w) }},
-		{"ablations", func(w io.Writer) {
-			AblationWriteCombining(s).Print(w)
-			AblationDoubleBuffering(s).Print(w)
-			AblationGroupCommit(s).Print(w)
-		}},
-	}
-}
 
 // TestExperimentsDeterministic runs every experiment twice and demands
 // byte-identical table output. This is the guard that lets the sim
@@ -57,15 +15,21 @@ func TestExperimentsDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep; skipped with -short")
 	}
-	for _, ex := range quickExperiments() {
+	for _, ex := range Experiments() {
+		if !ex.InAll {
+			continue // the reliability gates have their own determinism tests
+		}
 		ex := ex
-		t.Run(ex.id, func(t *testing.T) {
+		t.Run(ex.ID, func(t *testing.T) {
 			var a, b bytes.Buffer
-			ex.run(&a)
-			ex.run(&b)
+			for _, w := range []*bytes.Buffer{&a, &b} {
+				if err := ex.Run(runner(Quick), w); err != nil {
+					t.Fatal(err)
+				}
+			}
 			if !bytes.Equal(a.Bytes(), b.Bytes()) {
 				t.Fatalf("two runs of %s differ:\n--- run 1 ---\n%s--- run 2 ---\n%s",
-					ex.id, a.String(), b.String())
+					ex.ID, a.String(), b.String())
 			}
 		})
 	}
@@ -81,16 +45,19 @@ func TestJobsInvariance(t *testing.T) {
 		t.Skip("full experiment sweep; skipped with -short")
 	}
 	sweep := func(jobs int) (tables, metrics, timeline []byte) {
-		old := Jobs()
-		SetJobs(jobs)
-		defer SetJobs(old)
+		r := NewRunner(Quick, jobs)
 		col := obs.NewCollector(false)
 		col.EnableSampling(0, 0)
 		col.Install()
 		defer col.Uninstall()
 		var out bytes.Buffer
-		for _, ex := range quickExperiments() {
-			ex.run(&out)
+		for _, ex := range Experiments() {
+			if !ex.InAll {
+				continue
+			}
+			if err := ex.Run(r, &out); err != nil {
+				t.Fatalf("jobs=%d: %s: %v", jobs, ex.ID, err)
+			}
 		}
 		var m, tl bytes.Buffer
 		if err := col.WriteMetricsJSON(&m); err != nil {

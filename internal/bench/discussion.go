@@ -17,7 +17,7 @@ import (
 // write per log page "optimizes tail latencies": the distribution of
 // per-commit latencies for concurrent committers on a block WAL versus
 // BA-WAL.
-func TailLatency(s Scale) *Table {
+func TailLatency(r *Runner) *Table {
 	t := &Table{
 		ID: "tail", Title: "Commit latency distribution (128B records, concurrent clients)",
 		XLabel: "config", Unit: "us",
@@ -54,8 +54,8 @@ func TailLatency(s Scale) *Table {
 			} else if err := l.Commit(p, lsn); err != nil {
 				panic(err)
 			}
-			per := int(s.AppOps) / s.Clients
-			for c := 0; c < s.Clients; c++ {
+			per := int(r.AppOps) / r.Clients
+			for c := 0; c < r.Clients; c++ {
 				st.env.Go(fmt.Sprintf("c%d", c), func(w *sim.Proc) {
 					rec := make([]byte, 128) // Append copies; reuse per client
 					for i := 0; i < per; i++ {
@@ -76,7 +76,7 @@ func TailLatency(s Scale) *Table {
 		return h
 	}
 	cfgs := []LogDevice{LogDC, LogULL, Log2B}
-	t.Rows = points(len(cfgs), func(i int) Row {
+	t.Rows = points(r, len(cfgs), func(i int) Row {
 		h := run(cfgs[i])
 		return Row{X: cfgs[i].String(), Vals: []float64{h.Mean().Micros(), h.P50().Micros(),
 			h.P99().Micros(), h.P999().Micros(), h.Max().Micros()}}
@@ -88,7 +88,9 @@ func TailLatency(s Scale) *Table {
 // written with the powerful block path, preloaded (pinned) into the
 // BA-buffer, and then read back in small pieces — where byte-granular
 // MMIO loads avoid reading a whole 4 KB page per access.
-func SmallRead(s Scale) *Table {
+func SmallRead(r *Runner) *Table { return single(r, smallRead) }
+
+func smallRead(s Scale) *Table {
 	t := &Table{
 		ID: "smallread", Title: "Bulk write + small reads (Section VI discussion)",
 		XLabel: "read size", Unit: "us",
@@ -159,7 +161,7 @@ func SmallRead(s Scale) *Table {
 // capacitor-backed commits; only the 2B-SSD has an internal
 // NVRAM<->NAND datapath, so the PMR device pays a host round trip
 // (DMA read + block write) for every filled segment.
-func PMRComparison(s Scale) *Table {
+func PMRComparison(r *Runner) *Table {
 	t := &Table{
 		ID: "pmr", Title: "2B-SSD vs PMR device: BA-style logging (Section VII)",
 		XLabel: "device", Unit: "",
@@ -188,10 +190,10 @@ func PMRComparison(s Scale) *Table {
 			if err != nil {
 				panic(err)
 			}
-			for c := 0; c < s.Clients; c++ {
+			for c := 0; c < r.Clients; c++ {
 				st.env.Go(fmt.Sprintf("c%d", c), func(w *sim.Proc) {
 					payload := make([]byte, 1024)
-					for i := int64(0); i < s.AppOps/int64(s.Clients); i++ {
+					for i := int64(0); i < r.AppOps/int64(r.Clients); i++ {
 						lsn, err := l.Append(w, payload)
 						if err != nil {
 							panic(err)
@@ -221,7 +223,7 @@ func PMRComparison(s Scale) *Table {
 			float64(hostBytes) / float64(appended)
 	}
 	modes := []wal.CommitMode{wal.BA, wal.PMR}
-	t.Rows = points(len(modes), func(i int) Row {
+	t.Rows = points(r, len(modes), func(i int) Row {
 		tput, host := run(modes[i])
 		x := "2B-SSD (BA-WAL)"
 		if modes[i] == wal.PMR {
@@ -236,7 +238,7 @@ func PMRComparison(s Scale) *Table {
 // IV: "2B-SSD is also a good fit for file system journaling"): a
 // jbd2-style metadata journal committing 1-4 block transactions, block
 // WAL versus BA-WAL.
-func Journaling(s Scale) *Table {
+func Journaling(r *Runner) *Table {
 	t := &Table{
 		ID: "journal", Title: "File-system journaling (jbd2-style), txns/s",
 		XLabel: "config", Unit: "",
@@ -280,8 +282,8 @@ func Journaling(s Scale) *Table {
 				panic(err)
 			}
 			startAt = st.env.Now()
-			per := int(s.AppOps) / s.Clients / 4
-			for c := 0; c < s.Clients; c++ {
+			per := int(r.AppOps) / r.Clients / 4
+			for c := 0; c < r.Clients; c++ {
 				c := c
 				st.env.Go(fmt.Sprintf("c%d", c), func(w *sim.Proc) {
 					for i := 0; i < per; i++ {
@@ -302,7 +304,7 @@ func Journaling(s Scale) *Table {
 			float64(elapsed.Micros()) / float64(txns)
 	}
 	cfgs := []LogDevice{LogDC, LogULL, Log2B}
-	t.Rows = points(len(cfgs), func(i int) Row {
+	t.Rows = points(r, len(cfgs), func(i int) Row {
 		tput, avg := run(cfgs[i])
 		return Row{X: cfgs[i].String(), Vals: []float64{tput, avg}}
 	})
@@ -312,7 +314,7 @@ func Journaling(s Scale) *Table {
 // QueueDepth is an extension beyond the paper's QD-1 sweeps: 4 KB read
 // IOPS versus queue depth on both block baselines, showing where each
 // device saturates (the paper's Fig 7/8 fix QD=1).
-func QueueDepth(s Scale) *Table {
+func QueueDepth(r *Runner) *Table {
 	t := &Table{
 		ID: "qd", Title: "4KB random-read IOPS vs queue depth (extension)",
 		XLabel: "queue depth", Unit: "kIOPS",
@@ -358,7 +360,7 @@ func QueueDepth(s Scale) *Table {
 	}
 	qds := []int{1, 2, 4, 8, 16, 32}
 	// One point per (queue depth, device) cell.
-	cells := points(len(qds)*2, func(i int) float64 {
+	cells := points(r, len(qds)*2, func(i int) float64 {
 		mk := DC
 		if i%2 == 1 {
 			mk = ULL

@@ -70,7 +70,7 @@ func runYCSB(engine string, cfg LogDevice, payload int, s Scale) float64 {
 }
 
 // Fig9PG reproduces the PostgreSQL/Linkbench panel of Fig 9.
-func Fig9PG(s Scale) *Table {
+func Fig9PG(r *Runner) *Table {
 	t := &Table{
 		ID: "fig9-pglite", Title: "pglite (PostgreSQL-like) / Linkbench throughput",
 		XLabel: "workload", Unit: "ops/s",
@@ -79,8 +79,8 @@ func Fig9PG(s Scale) *Table {
 			"expected shape: 2B-SSD 1.2-2.8x over DC-SSD, 75-95% of ASYNC.",
 		},
 	}
-	vals := points(len(fig9Configs), func(i int) float64 {
-		return runPGLinkbench(fig9Configs[i], s)
+	vals := points(r, len(fig9Configs), func(i int) float64 {
+		return runPGLinkbench(fig9Configs[i], r.Scale)
 	})
 	t.AddRow("linkbench", vals...)
 	return t
@@ -89,7 +89,7 @@ func Fig9PG(s Scale) *Table {
 // fig9Payloads are the YCSB payload sizes swept in Fig 9.
 var fig9Payloads = []int{64, 256, 1024}
 
-func fig9KV(engine, id, title string, s Scale) *Table {
+func fig9KV(r *Runner, engine, id, title string) *Table {
 	t := &Table{
 		ID: id, Title: title,
 		XLabel: "payload", Unit: "ops/s",
@@ -101,8 +101,8 @@ func fig9KV(engine, id, title string, s Scale) *Table {
 	}
 	// One point per (payload, config) cell of the sweep grid.
 	nc := len(fig9Configs)
-	cells := points(len(fig9Payloads)*nc, func(i int) float64 {
-		return runYCSB(engine, fig9Configs[i%nc], fig9Payloads[i/nc], s)
+	cells := points(r, len(fig9Payloads)*nc, func(i int) float64 {
+		return runYCSB(engine, fig9Configs[i%nc], fig9Payloads[i/nc], r.Scale)
 	})
 	for pi, payload := range fig9Payloads {
 		t.AddRow(fmt.Sprintf("%dB", payload), cells[pi*nc:(pi+1)*nc]...)
@@ -111,19 +111,19 @@ func fig9KV(engine, id, title string, s Scale) *Table {
 }
 
 // Fig9LSM reproduces the RocksDB/YCSB-A panel of Fig 9.
-func Fig9LSM(s Scale) *Table {
-	return fig9KV("lsm", "fig9-lsm", "lsm (RocksDB-like) / YCSB-A throughput", s)
+func Fig9LSM(r *Runner) *Table {
+	return fig9KV(r, "lsm", "fig9-lsm", "lsm (RocksDB-like) / YCSB-A throughput")
 }
 
 // Fig9AOF reproduces the Redis/YCSB-A panel of Fig 9.
-func Fig9AOF(s Scale) *Table {
-	return fig9KV("kvaof", "fig9-kvaof", "kvaof (Redis-like) / YCSB-A throughput", s)
+func Fig9AOF(r *Runner) *Table {
+	return fig9KV(r, "kvaof", "fig9-kvaof", "kvaof (Redis-like) / YCSB-A throughput")
 }
 
 // Fig10 compares the hybrid store (2B-SSD baseline) against the
 // heterogeneous-memory architecture (PM + block SSD) and ASYNC on
 // pglite/Linkbench, normalized to the baseline.
-func Fig10(s Scale) *Table {
+func Fig10(r *Runner) *Table {
 	t := &Table{
 		ID: "fig10", Title: "Heterogeneous memory vs hybrid store (pglite/Linkbench)",
 		XLabel: "config", Unit: "normalized throughput",
@@ -134,7 +134,7 @@ func Fig10(s Scale) *Table {
 		},
 	}
 	cfgs := []LogDevice{Log2B, LogPMULL, LogPMDC, LogAsync}
-	vals := points(len(cfgs), func(i int) float64 { return runPGLinkbench(cfgs[i], s) })
+	vals := points(r, len(cfgs), func(i int) float64 { return runPGLinkbench(cfgs[i], r.Scale) })
 	base := vals[0]
 	t.AddRow("2B-SSD (base)", 1.0)
 	t.AddRow("PM+ULL-SSD", vals[1]/base)

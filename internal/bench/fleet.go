@@ -1,10 +1,12 @@
 // The `bench2b fleet` experiment family: multi-device fleets of
 // simulated 2B-SSDs under tenant traffic, exercising the shard router,
 // BA-log replication, QoS slot arbitration and failover end to end.
-// Each scenario is one fleet.Run on its own sim.Group (workers =
-// -pshards), scenarios fan out through points() (so -j applies), and
-// every run doubles as an integrity gate: lost or phantom records, or
-// a determinism divergence between worker counts, fail the run.
+// Each scenario is one fleet.Run on its own sim.Group at the default
+// one worker (partitioned execution is fleet.Config.Workers, a library
+// property pinned by tests — the harness's parallelism is -j alone),
+// scenarios fan out through points() (so -j applies), and every run
+// doubles as an integrity gate: lost or phantom records, or a
+// determinism divergence between worker counts, fail the run.
 package bench
 
 import (
@@ -62,20 +64,25 @@ func fleetBase(s Scale, seed uint64, arrival func(i int) traffic.Arrival) fleet.
 	return fleet.Config{
 		Devices: 4,
 		Policy:  fleet.Hash,
-		Workers: PartitionShards(),
 		Seed:    seed,
 		QoS:     fleet.QoSConfig{Slots: 4, BurstOps: 4, MaxInflight: 8},
 		Tenants: fleetTenants(8, fleetTenantOps(s), seed, arrival),
 	}
 }
 
+// fleetSteady is the steady Zipfian scenario's configuration; it is
+// also what the -benchjson worker-count probe runs.
+func fleetSteady(s Scale) fleet.Config {
+	return fleetBase(s, 0x2B51, func(i int) traffic.Arrival {
+		return traffic.Poisson{RatePerSec: 20000}
+	})
+}
+
 // fleetScenarios is the full family: steady Zipfian load, bursty and
 // diurnal arrivals, an open-loop saturation ramp with a tight retry
 // budget (the retry-storm shape), and an injected primary power loss.
 func fleetScenarios(s Scale) []fleetScenario {
-	steady := fleetBase(s, 0x2B51, func(i int) traffic.Arrival {
-		return traffic.Poisson{RatePerSec: 20000}
-	})
+	steady := fleetSteady(s)
 	bursty := fleetBase(s, 0x2B52, func(i int) traffic.Arrival {
 		return traffic.Bursty{
 			BasePerSec:  4000,
@@ -113,7 +120,6 @@ func fleetSmokeScenario() fleetScenario {
 	cfg := fleet.Config{
 		Devices: 2,
 		Policy:  fleet.Hash,
-		Workers: PartitionShards(),
 		Seed:    0x2B50,
 		QoS:     fleet.QoSConfig{Slots: 2, BurstOps: 4, MaxInflight: 8},
 		Tenants: fleetTenants(2, 120, 0x2B50, func(i int) traffic.Arrival {
@@ -161,61 +167,32 @@ func fleetTable(sc fleetScenario, res *fleet.Result) *Table {
 	return t
 }
 
-// fleetOutcome is one scenario's rendered table plus its violations.
-type fleetOutcome struct {
-	table      *Table
-	violations []string
-	err        error
-}
-
-func runFleetScenario(sc fleetScenario) fleetOutcome {
-	res, err := fleet.Run(sc.cfg)
-	if err != nil {
-		return fleetOutcome{err: fmt.Errorf("%s: %w", sc.id, err)}
-	}
-	out := fleetOutcome{table: fleetTable(sc, res)}
-	for _, v := range res.Violations() {
-		out.violations = append(out.violations, sc.id+": "+v)
-	}
-	return out
-}
-
 // RunFleet executes the fleet experiment family (or the CI smoke
 // scenario) and writes the tables to w. It returns an error when any
 // scenario lost or phantomed a record, failed to fail over, or — the
 // smoke's extra determinism bar — produced a different result at a
 // different sim.Group worker count.
-func RunFleet(w io.Writer, s Scale, smoke bool) error {
-	var scens []fleetScenario
+func RunFleet(r *Runner, w io.Writer, smoke bool) error {
+	scens := fleetScenarios(r.Scale)
 	if smoke {
 		scens = []fleetScenario{fleetSmokeScenario()}
-	} else {
-		scens = fleetScenarios(s)
 	}
-	outs := points(len(scens), func(i int) fleetOutcome {
-		return runFleetScenario(scens[i])
-	})
-	var violations []string
-	for _, out := range outs {
-		if out.err != nil {
-			return out.err
-		}
-		out.table.Print(w)
-		violations = append(violations, out.violations...)
+	violations, err := runFleetScenarios(r, w, scens)
+	if err != nil {
+		return err
 	}
 	if smoke {
 		// Determinism bar: the same smoke fleet at 1 worker and at 2
 		// must produce the identical Result, field for field.
-		a := fleetSmokeScenario()
-		a.cfg.Workers = 1
-		b := fleetSmokeScenario()
-		b.cfg.Workers = 2
-		ra, errA := fleet.Run(a.cfg)
-		rb, errB := fleet.Run(b.cfg)
-		if errA != nil || errB != nil {
-			return fmt.Errorf("fleet-smoke determinism probe: %v / %v", errA, errB)
+		runs, err := pointsErr(r, 2, func(i int) (*fleet.Result, error) {
+			cfg := fleetSmokeScenario().cfg
+			cfg.Workers = i + 1
+			return fleet.Run(cfg)
+		})
+		if err != nil {
+			return fmt.Errorf("fleet-smoke determinism probe: %w", err)
 		}
-		if !reflect.DeepEqual(ra, rb) {
+		if !reflect.DeepEqual(runs[0], runs[1]) {
 			violations = append(violations,
 				"fleet-smoke: result diverged between 1 and 2 sim.Group workers")
 		} else {
@@ -226,4 +203,27 @@ func RunFleet(w io.Writer, s Scale, smoke bool) error {
 		return fmt.Errorf("fleet gate: %s", strings.Join(violations, "; "))
 	}
 	return nil
+}
+
+// runFleetScenarios runs the scenarios as points, prints their tables
+// in order, and returns every integrity violation they found.
+func runFleetScenarios(r *Runner, w io.Writer, scens []fleetScenario) ([]string, error) {
+	results, err := pointsErr(r, len(scens), func(i int) (*fleet.Result, error) {
+		res, err := fleet.Run(scens[i].cfg)
+		if err != nil {
+			err = fmt.Errorf("%s: %w", scens[i].id, err)
+		}
+		return res, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	var violations []string
+	for i, res := range results {
+		fleetTable(scens[i], res).Print(w)
+		for _, v := range res.Violations() {
+			violations = append(violations, scens[i].id+": "+v)
+		}
+	}
+	return violations, nil
 }

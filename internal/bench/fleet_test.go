@@ -13,50 +13,47 @@ import (
 // as it would fail `bench2b fleet`.
 func TestFleetGate(t *testing.T) {
 	var out bytes.Buffer
-	if err := RunFleet(&out, Quick, true); err != nil {
+	if err := RunFleet(runner(Quick), &out, true); err != nil {
 		t.Fatalf("fleet-smoke: %v\n%s", err, out.String())
 	}
 	if testing.Short() {
 		return
 	}
 	out.Reset()
-	if err := RunFleet(&out, Quick, false); err != nil {
+	if err := RunFleet(runner(Quick), &out, false); err != nil {
 		t.Fatalf("fleet: %v\n%s", err, out.String())
 	}
 }
 
 // TestFleetJobsInvariance demands the whole fleet family — tables,
 // merged metrics snapshot, and merged metric timeline — be
-// byte-identical at -j 1 vs -j 8 and under the partitioned executor
-// (-pshards 2, which also runs every fleet's sim.Group with 2
-// workers). Cross-device links must not leak host scheduling into any
-// observable result.
+// byte-identical at -j 1 vs -j 8 and with every scenario's sim.Group
+// on 2 workers. Cross-device links must not leak host scheduling into
+// any observable result.
 func TestFleetJobsInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full fleet sweep; skipped with -short")
 	}
-	sweep := func(jobs, shards int) (tables, metrics, timeline []byte) {
-		oldJ, oldS := Jobs(), PartitionShards()
-		SetJobs(jobs)
-		SetPartitionShards(shards)
-		defer func() {
-			SetJobs(oldJ)
-			SetPartitionShards(oldS)
-		}()
+	sweep := func(jobs, workers int) (tables, metrics, timeline []byte) {
 		col := obs.NewCollector(false)
 		col.EnableSampling(0, 0)
 		col.Install()
 		defer col.Uninstall()
+		scens := fleetScenarios(Quick)
+		for i := range scens {
+			scens[i].cfg.Workers = workers
+		}
 		var out bytes.Buffer
-		if err := RunFleet(&out, Quick, false); err != nil {
-			t.Fatalf("jobs=%d shards=%d: %v", jobs, shards, err)
+		violations, err := runFleetScenarios(NewRunner(Quick, jobs), &out, scens)
+		if err != nil || len(violations) > 0 {
+			t.Fatalf("jobs=%d workers=%d: %v %v", jobs, workers, err, violations)
 		}
 		var m, tl bytes.Buffer
 		if err := col.WriteMetricsJSON(&m); err != nil {
-			t.Fatalf("jobs=%d shards=%d: metrics: %v", jobs, shards, err)
+			t.Fatalf("jobs=%d workers=%d: metrics: %v", jobs, workers, err)
 		}
 		if err := col.WriteTimelineJSON(&tl); err != nil {
-			t.Fatalf("jobs=%d shards=%d: timeline: %v", jobs, shards, err)
+			t.Fatalf("jobs=%d workers=%d: timeline: %v", jobs, workers, err)
 		}
 		return out.Bytes(), m.Bytes(), tl.Bytes()
 	}
@@ -73,13 +70,13 @@ func TestFleetJobsInvariance(t *testing.T) {
 		t.Errorf("fleet merged timeline differs between -j 1 and -j 8 (%d vs %d bytes)", len(tl1), len(tl8))
 	}
 	if !bytes.Equal(t1, tp) {
-		t.Errorf("fleet tables differ between -pshards 1 and -pshards 2")
+		t.Errorf("fleet tables differ between 1 and 2 sim.Group workers")
 	}
 	if !bytes.Equal(m1, mp) {
-		t.Errorf("fleet merged metrics differ between -pshards 1 and -pshards 2")
+		t.Errorf("fleet merged metrics differ between 1 and 2 sim.Group workers")
 	}
 	if !bytes.Equal(tl1, tlp) {
-		t.Errorf("fleet merged timeline differs between -pshards 1 and -pshards 2 (%d vs %d bytes)", len(tl1), len(tlp))
+		t.Errorf("fleet merged timeline differs between 1 and 2 sim.Group workers (%d vs %d bytes)", len(tl1), len(tlp))
 	}
 	if len(tl1) < 100 {
 		t.Errorf("fleet merged timeline is empty: %s", tl1)

@@ -1,7 +1,7 @@
 // The model-based fuzzing campaign behind `bench2b fuzz`: N seeds of
 // randomized dual-path workload replayed against the internal/oracle
 // reference model, each on its own fresh sim.Env. Seeds fan out
-// through the package point runner (so -j applies) and land in seed
+// through the Runner (so -j applies) and land in seed
 // order, so the summary is byte-identical at any parallelism. Any
 // divergence is shrunk to a minimal op trace before reporting.
 package bench
@@ -25,22 +25,22 @@ type FuzzReport struct {
 // RunFuzz replays seeds 0..n-1 through the oracle, shrinks any
 // divergence, writes the summary table to w, and returns an error when
 // the stack and the reference model disagreed anywhere.
-func RunFuzz(w io.Writer, n int) (*FuzzReport, error) {
+func RunFuzz(r *Runner, w io.Writer, n int) (*FuzzReport, error) {
 	cfg := oracle.Config{}
-	results := points(n, func(i int) oracle.Result {
+	results := points(r, n, func(i int) oracle.Result {
 		return oracle.Run(uint64(i), cfg)
 	})
 	rep := &FuzzReport{Seeds: n}
-	for _, r := range results {
-		rep.Ops += r.Ops
-		rep.ScrubRepairs += r.ScrubRepairs
-		rep.EccRetries += r.EccRetries
-		if r.Divergence != nil {
-			sr := oracle.Shrink(r.Seed, cfg, oracle.Generate(r.Seed, cfg))
+	for _, res := range results {
+		rep.Ops += res.Ops
+		rep.ScrubRepairs += res.ScrubRepairs
+		rep.EccRetries += res.EccRetries
+		if res.Divergence != nil {
+			sr := oracle.Shrink(res.Seed, cfg, oracle.Generate(res.Seed, cfg))
 			if sr.Divergence == nil {
 				// The full trace diverged but the re-run did not:
 				// itself a determinism bug worth reporting loudly.
-				sr.Divergence = r.Divergence
+				sr.Divergence = res.Divergence
 				sr.Ops = nil
 			}
 			rep.Divergences = append(rep.Divergences, sr)

@@ -14,7 +14,9 @@ import (
 // single `bench2b -metrics m.json -trace out.json probe` run exercises
 // the nand, pcie, device, 2bssd and wal instrumentation end to end.
 // The table reports the counters each layer recorded.
-func Probe(s Scale) *Table {
+func Probe(r *Runner) *Table { return single(r, probe) }
+
+func probe(s Scale) *Table {
 	t := &Table{
 		ID: "probe", Title: "Observability probe: one pass over every datapath stage",
 		XLabel: "metric", Series: []string{"value"},

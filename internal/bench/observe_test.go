@@ -17,7 +17,7 @@ func TestProbeStageCoverage(t *testing.T) {
 	col.Install()
 	defer col.Uninstall()
 
-	tab := Probe(Quick)
+	tab := Probe(runner(Quick))
 	if len(tab.Rows) == 0 {
 		t.Fatal("probe produced no rows")
 	}

@@ -1,9 +1,6 @@
 package bench
 
-import (
-	"runtime"
-	"sync"
-)
+import "sync"
 
 // The parallel experiment runner. Every experiment data point builds
 // its own sim.Env, so independent points can run on independent host
@@ -13,59 +10,45 @@ import (
 // untouched by where or when it runs, so tables and merged metrics are
 // bit-identical to a sequential run (see determinism_test.go).
 //
-// One package-wide semaphore gates every point, including points of
-// experiments that cmd/bench2b runs concurrently, so the process never
-// oversubscribes the host no matter how the work is nested.
+// One Runner is shared by every experiment of a bench2b invocation and
+// its semaphore gates every simulation environment they build —
+// including single-environment experiments and the experiments
+// cmd/bench2b starts concurrently — so at most Jobs() environments
+// execute at once however the work is nested. Experiment goroutines
+// themselves only coordinate: they block in points and burn no CPU.
 
-var (
-	jobsMu sync.Mutex
-	jobsN  = runtime.NumCPU()
-	sem    = make(chan struct{}, runtime.NumCPU())
-)
+// Runner carries what every experiment needs: the run's scale, the
+// fuzz campaign width, and the one point executor (points).
+type Runner struct {
+	Scale
+	Seeds int // seed count of the "fuzz" experiment
 
-// SetJobs sets the number of experiment points allowed to run
-// concurrently (minimum 1). It must not be called while experiments are
-// running: slots checked out of the previous semaphore would never
-// return to the new one.
-func SetJobs(n int) {
-	if n < 1 {
-		n = 1
+	jobs int
+	sem  chan struct{}
+}
+
+// NewRunner returns a Runner that lets up to jobs points (minimum 1)
+// run concurrently. Seeds is the caller's to set.
+func NewRunner(s Scale, jobs int) *Runner {
+	if jobs < 1 {
+		jobs = 1
 	}
-	jobsMu.Lock()
-	defer jobsMu.Unlock()
-	jobsN = n
-	sem = make(chan struct{}, n)
+	return &Runner{Scale: s, jobs: jobs, sem: make(chan struct{}, jobs)}
 }
 
-// Jobs reports the current parallelism degree.
-func Jobs() int {
-	jobsMu.Lock()
-	defer jobsMu.Unlock()
-	return jobsN
-}
+// Jobs reports the Runner's parallelism degree.
+func (r *Runner) Jobs() int { return r.jobs }
 
 // points computes fn(0..n-1) and returns the results in index order.
 // With Jobs() == 1 it runs strictly sequentially on the calling
-// goroutine — the exact legacy execution order. Otherwise each point
-// runs on its own goroutine gated by the package semaphore; a panicking
-// point re-panics on the caller after every worker has finished.
-//
-// When PartitionShards() > 1 the semaphore executor is replaced by the
-// partitioned schedule: every point is an independent simulation
-// instance (infinite lookahead), so the sim.Group window plan
-// degenerates to static round-robin shard assignment — point i runs on
-// shard i mod shards, each shard a single goroutine draining its
-// points in order. Results land by index either way, so tables are
-// identical at any shard count.
-func points[T any](n int, fn func(i int) T) []T {
-	if sh := PartitionShards(); sh > 1 && n > 1 {
-		return pointsSharded(n, sh, fn)
-	}
+// goroutine — the exact legacy execution order, which -benchjson's
+// per-experiment attribution relies on. Otherwise each point (even a
+// lone one) runs on its own goroutine holding a slot of the Runner's
+// semaphore; a panicking point re-panics on the caller after every
+// point has finished.
+func points[T any](r *Runner, n int, fn func(i int) T) []T {
 	out := make([]T, n)
-	jobsMu.Lock()
-	j, s := jobsN, sem
-	jobsMu.Unlock()
-	if j <= 1 || n <= 1 {
+	if r.jobs <= 1 {
 		for i := range out {
 			out[i] = fn(i)
 		}
@@ -82,13 +65,13 @@ func points[T any](n int, fn func(i int) T) []T {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s <- struct{}{}
-			defer func() { <-s }()
+			r.sem <- struct{}{}
+			defer func() { <-r.sem }()
 			defer func() {
-				if r := recover(); r != nil {
+				if v := recover(); v != nil {
 					pmu.Lock()
 					if !pseen {
-						pseen, pval = true, r
+						pseen, pval = true, v
 					}
 					pmu.Unlock()
 				}
@@ -103,43 +86,29 @@ func points[T any](n int, fn func(i int) T) []T {
 	return out
 }
 
-// pointsSharded runs n points on sh shard goroutines with static
-// round-robin assignment, mirroring sim.Group's worker-to-partition
-// mapping. It bypasses the -j semaphore: under -pshards the shard
-// count IS the parallelism budget for multi-instance experiments.
-func pointsSharded[T any](n, sh int, fn func(i int) T) []T {
-	out := make([]T, n)
-	if sh > n {
-		sh = n
+// pointsErr is points for fallible point functions: every result in
+// index order, or the lowest-indexed error.
+func pointsErr[T any](r *Runner, n int, fn func(i int) (T, error)) ([]T, error) {
+	errs := make([]error, n)
+	out := points(r, n, func(i int) (v T) {
+		v, errs[i] = fn(i)
+		return v
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
-	var (
-		wg    sync.WaitGroup
-		pmu   sync.Mutex
-		pval  interface{}
-		pseen bool
-	)
-	wg.Add(sh)
-	for k := 0; k < sh; k++ {
-		k := k
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					pmu.Lock()
-					if !pseen {
-						pseen, pval = true, r
-					}
-					pmu.Unlock()
-				}
-			}()
-			for i := k; i < n; i += sh {
-				out[i] = fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	if pseen {
-		panic(pval)
-	}
-	return out
+	return out, nil
+}
+
+// single runs a one-environment experiment as one point, so it too
+// takes a slot of the Runner's semaphore.
+func single(r *Runner, gen func(Scale) *Table) *Table {
+	return points(r, 1, func(int) *Table { return gen(r.Scale) })[0]
+}
+
+// parallelFor adapts points to the fault.Campaign fan-out signature.
+func (r *Runner) parallelFor(n int, fn func(i int)) {
+	points(r, n, func(i int) struct{} { fn(i); return struct{}{} })
 }

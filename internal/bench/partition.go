@@ -1,233 +1,28 @@
 package bench
 
 import (
-	"fmt"
 	"reflect"
-	"sync"
+	"runtime"
+	"sort"
 	"time"
 
-	"twobssd/internal/core"
-	"twobssd/internal/sim"
-	"twobssd/internal/wal"
+	"twobssd/internal/fleet"
 )
 
-// Partitioned execution of the benchmark suite.
-//
-// Two distinct parallel shapes show up in the experiments:
-//
-//   - Unlinked fleets: fig9, the crash campaigns and the fuzzer all
-//     instantiate N fully independent device/engine instances. Those
-//     have infinite lookahead — no instance can ever affect another —
-//     so the conservative window schedule of sim.Group degenerates to
-//     a single window: assign instances to shards statically and run
-//     each shard to completion. points() applies exactly that schedule
-//     when PartitionShards() > 1 (see parallel.go), so every
-//     multi-instance experiment runs partitioned automatically under
-//     the bench2b -pshards flag.
-//
-//   - Linked fleets: partitions that exchange messages mid-simulation
-//     need the full bounded-skew lockstep of sim.Group. The pfleet
-//     experiment below is that case: primary/follower replication
-//     pairs joined by 5us links, byte-identical at any worker count.
+// Partitioned execution (sim.Group workers, fleet.Config.Workers) is a
+// property of the library, pinned by its own invariance tests and the
+// fleet-smoke identity probe; the harness never turns it on. This file
+// keeps the one instrument that says what it would buy: the steady
+// 4-device fleet wall-clocked at one worker and at one worker per
+// device (capped by the host's CPUs).
 
-var (
-	shardsMu sync.Mutex
-	shardsN  = 1
-)
-
-// SetPartitionShards sets the partition-shard count used by points()
-// and by the linked-fleet experiments' sim.Group workers (minimum 1;
-// 1 disables sharding and restores the -j semaphore executor). Like
-// SetJobs it must not be called while experiments run.
-func SetPartitionShards(n int) {
-	if n < 1 {
-		n = 1
-	}
-	shardsMu.Lock()
-	shardsN = n
-	shardsMu.Unlock()
-}
-
-// PartitionShards reports the current partition-shard count.
-func PartitionShards() int {
-	shardsMu.Lock()
-	defer shardsMu.Unlock()
-	return shardsN
-}
-
-// ---- pfleet: linked primary/follower replication fleet ----
-
-// repMsg is one replicated commit: the record's LSN and the primary's
-// commit timestamp, from which the follower derives replication lag.
-type repMsg struct {
-	lsn    wal.LSN
-	commit sim.Time
-}
-
-// fleetNetLatency is the modeled one-way primary<->follower network
-// latency; as the minimum link latency it is the group's lookahead.
-const fleetNetLatency = 5 * sim.Microsecond
-
-// fleetApplyCPU is the follower's per-record apply cost.
-const fleetApplyCPU = 2 * sim.Microsecond
-
-// pairStats is one replication pair's deterministic (virtual-time)
-// outcome; fleetResult aggregates them, so equality of fleetResults is
-// the byte-identity check between serial and partitioned executions.
-type pairStats struct {
-	Commits int
-	LagSum  sim.Duration
-	LagMax  sim.Duration
-	RTTSum  sim.Duration
-	Acks    int
-	Virtual sim.Time
-}
-
-type fleetResult struct {
-	Pairs  []pairStats
-	Events uint64
-}
-
-// runFleet executes a fleet of primary/follower pairs. Each pair is
-// two partitions of one sim.Group: the primary runs a full 2B-SSD
-// BA-WAL stack committing small records, streaming each commit over a
-// data link; the follower applies records and acks over a return link.
-// workers only changes wall-clock speed — the result is identical.
-func runFleet(pairs, records, workers int) fleetResult {
-	g := sim.NewGroup()
-	g.SetWorkers(workers)
-	res := fleetResult{Pairs: make([]pairStats, pairs)}
-	for k := 0; k < pairs; k++ {
-		ps := &res.Pairs[k]
-		st := newStackOn(g.NewEnv(fmt.Sprintf("primary%d", k)), Log2B)
-		fenv := g.NewEnv(fmt.Sprintf("follower%d", k))
-		data := sim.NewLink[repMsg](g, st.env, fenv, fmt.Sprintf("rep%d", k), fleetNetLatency)
-		ack := sim.NewLink[sim.Time](g, fenv, st.env, fmt.Sprintf("ack%d", k), fleetNetLatency)
-		st.env.Go("primary", func(p *sim.Proc) {
-			f, err := st.logFS.Create("replog", 8<<20)
-			if err != nil {
-				panic(err)
-			}
-			l, err := wal.Open(st.env, wal.Config{
-				Mode: st.mode, File: f, SSD: st.ssd,
-				EIDs:         []core.EID{0, 1},
-				SegmentBytes: st.ssd.Config().BABufferBytes / 2,
-				DoubleBuffer: true,
-			})
-			if err != nil {
-				panic(err)
-			}
-			rec := make([]byte, 128) // Append copies; reuse one buffer
-			for i := 0; i < records; i++ {
-				lsn, err := l.Append(p, rec)
-				if err != nil {
-					panic(err)
-				}
-				if err := l.Commit(p, lsn); err != nil {
-					panic(err)
-				}
-				data.Send(p, repMsg{lsn: lsn, commit: st.env.Now()})
-			}
-			data.Close(p)
-		})
-		st.env.Go("ackwatch", func(p *sim.Proc) {
-			for {
-				t0, ok := ack.Recv(p)
-				if !ok {
-					ps.Virtual = st.env.Now()
-					return
-				}
-				ps.Acks++
-				ps.RTTSum += sim.Duration(st.env.Now() - t0)
-			}
-		})
-		fenv.Go("follower", func(p *sim.Proc) {
-			for {
-				m, ok := data.Recv(p)
-				if !ok {
-					ack.Close(p)
-					return
-				}
-				p.Sleep(fleetApplyCPU)
-				lag := sim.Duration(fenv.Now() - m.commit)
-				ps.Commits++
-				ps.LagSum += lag
-				if lag > ps.LagMax {
-					ps.LagMax = lag
-				}
-				ack.Send(p, m.commit)
-			}
-		})
-	}
-	g.Run()
-	res.Events = g.Events()
-	g.Shutdown()
-	return res
-}
-
-// fleetRecords sizes the per-pair commit stream for a scale.
-func fleetRecords(s Scale) int {
-	n := int(s.AppOps / 8)
-	if n < 64 {
-		n = 64
-	}
-	return n
-}
-
-// PartitionedFleet is the pfleet experiment: replicated BA-WAL pairs
-// running under the partitioned kernel. It reports aggregate commit
-// throughput and the replication lag/ack-RTT profile as the fleet
-// grows — and, because every number is virtual-time arithmetic, the
-// table is identical at any -pshards.
-func PartitionedFleet(s Scale) *Table {
-	t := &Table{
-		ID: "pfleet", Title: "Replicated BA-WAL fleet under the partitioned kernel",
-		XLabel: "fleet", Unit: "",
-		Series: []string{"commits/s", "mean lag (us)", "max lag (us)", "mean ack RTT (us)"},
-		Notes: []string{
-			"each pair = 2 partitions (primary 2B-SSD stack, follower) joined",
-			fmt.Sprintf("by %v links; lookahead = link latency; workers = -pshards.", sim.Duration(fleetNetLatency)),
-		},
-	}
-	records := fleetRecords(s)
-	for _, pairs := range []int{1, 2, 4} {
-		r := runFleet(pairs, records, PartitionShards())
-		var commits, acks int
-		var lagSum, rttSum, lagMax sim.Duration
-		var virt sim.Time
-		for _, ps := range r.Pairs {
-			commits += ps.Commits
-			acks += ps.Acks
-			lagSum += ps.LagSum
-			rttSum += ps.RTTSum
-			if ps.LagMax > lagMax {
-				lagMax = ps.LagMax
-			}
-			if ps.Virtual > virt {
-				virt = ps.Virtual
-			}
-		}
-		rate := 0.0
-		if virt > 0 {
-			rate = float64(commits) / (float64(virt) / 1e9)
-		}
-		t.AddRow(fmt.Sprintf("%d pairs", pairs), rate,
-			(lagSum / sim.Duration(commits)).Micros(),
-			lagMax.Micros(),
-			(rttSum / sim.Duration(acks)).Micros())
-	}
-	return t
-}
-
-// ---- partitioned-vs-serial speedup probe ----
-
-// PartitionReport records the serial-vs-partitioned comparison that
-// feeds -benchjson: the same linked fleet executed with one worker and
-// with PartitionShards() workers, wall-clocked, and checked for
-// result identity (the determinism bar for partitioned mode).
+// PartitionReport is the -benchjson worker-count probe: median wall
+// time of fleet.Run on the fleet-steady scenario at Workers 1 and at
+// Shards workers, and whether every run produced the identical Result
+// (the determinism bar for partitioned mode).
 type PartitionReport struct {
-	Shards            int     `json:"shards"`
-	Pairs             int     `json:"pairs"`
+	Shards            int     `json:"shards"` // workers of the partitioned leg
+	Pairs             int     `json:"pairs"`  // devices, i.e. sim.Group partitions
 	Events            uint64  `json:"events"`
 	SerialWallNs      int64   `json:"serial_wall_ns"`
 	PartitionedWallNs int64   `json:"partitioned_wall_ns"`
@@ -235,32 +30,39 @@ type PartitionReport struct {
 	Identical         bool    `json:"identical"`
 }
 
-// PartitionSpeedup runs the speedup probe. With one shard configured
-// it still executes both runs (workers=1 twice) so Identical is
-// always a meaningful determinism check.
-func PartitionSpeedup(s Scale) *PartitionReport {
-	shards := PartitionShards()
-	pairs := 2 * shards
-	if pairs < 4 {
-		pairs = 4
+// partitionRounds is the number of timed serial/partitioned pairs.
+const partitionRounds = 5
+
+// PartitionSpeedup runs the probe: one untimed warm-up (pools, heap
+// growth — booked to whichever leg ran first before), then
+// partitionRounds pairs alternating which leg goes first. On a 1-CPU
+// host both legs run one worker and the ratio reads the probe's noise.
+func PartitionSpeedup(s Scale) (*PartitionReport, error) {
+	cfg := fleetSteady(s)
+	workers := min(runtime.NumCPU(), cfg.Devices)
+	ref, err := fleet.Run(cfg)
+	if err != nil {
+		return nil, err
 	}
-	records := fleetRecords(s)
-	t0 := time.Now()
-	serial := runFleet(pairs, records, 1)
-	serialWall := time.Since(t0)
-	t1 := time.Now()
-	part := runFleet(pairs, records, shards)
-	partWall := time.Since(t1)
-	rep := &PartitionReport{
-		Shards:            shards,
-		Pairs:             pairs,
-		Events:            part.Events,
-		SerialWallNs:      serialWall.Nanoseconds(),
-		PartitionedWallNs: partWall.Nanoseconds(),
-		Identical:         reflect.DeepEqual(serial, part),
+	rep := &PartitionReport{Shards: workers, Pairs: cfg.Devices, Events: ref.Events, Identical: true}
+	var walls [2][]time.Duration // [0] serial, [1] partitioned
+	for i := 0; i < 2*partitionRounds; i++ {
+		leg := (i/2 + i) % 2 // round i/2 runs both legs; the order flips each round
+		c := cfg
+		c.Workers = []int{1, workers}[leg]
+		t0 := time.Now()
+		res, err := fleet.Run(c)
+		if err != nil {
+			return nil, err
+		}
+		walls[leg] = append(walls[leg], time.Since(t0))
+		rep.Identical = rep.Identical && reflect.DeepEqual(ref, res)
 	}
-	if partWall > 0 {
-		rep.Speedup = float64(serialWall) / float64(partWall)
+	for _, w := range walls {
+		sort.Slice(w, func(i, j int) bool { return w[i] < w[j] })
 	}
-	return rep
+	serial, part := walls[0][partitionRounds/2], walls[1][partitionRounds/2]
+	rep.SerialWallNs, rep.PartitionedWallNs = serial.Nanoseconds(), part.Nanoseconds()
+	rep.Speedup = float64(serial) / float64(part)
+	return rep, nil
 }

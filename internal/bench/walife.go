@@ -205,15 +205,18 @@ func walLifeFeatures(mode wal.CommitMode) (walLifeRow, error) {
 
 // walLifeTable renders both modes' feature rows as the BA-vs-baseline
 // comparison table.
-func walLifeTable() (*Table, error) {
-	ba, err := walLifeFeatures(wal.BA)
+func walLifeTable(r *Runner) (*Table, error) {
+	rows, err := pointsErr(r, 2, func(i int) (walLifeRow, error) {
+		row, err := walLifeFeatures([]wal.CommitMode{wal.BA, wal.Sync}[i])
+		if err != nil {
+			err = fmt.Errorf("wal-life %s: %w", []string{"BA", "sync"}[i], err)
+		}
+		return row, err
+	})
 	if err != nil {
-		return nil, fmt.Errorf("wal-life BA: %w", err)
+		return nil, err
 	}
-	sync, err := walLifeFeatures(wal.Sync)
-	if err != nil {
-		return nil, fmt.Errorf("wal-life sync: %w", err)
-	}
+	ba, sync := rows[0], rows[1]
 	t := &Table{
 		ID:     "wal-life",
 		Title:  "segmented WAL lifecycle: BA byte path vs block+flush",
@@ -239,22 +242,19 @@ func walLifeTable() (*Table, error) {
 // the walseg crash campaigns on both modes with pointsPer crash points
 // each. Returns an error when any point loses a committed record,
 // recovers a phantom, or fails a torn-tail repair.
-func RunWalLife(w io.Writer, pointsPer int) error {
-	t, err := walLifeTable()
+func RunWalLife(r *Runner, w io.Writer, pointsPer int) error {
+	t, err := walLifeTable(r)
 	if err != nil {
 		return err
 	}
 	t.Print(w)
-	parallelFor := func(n int, fn func(i int)) {
-		points(n, func(i int) struct{} { fn(i); return struct{}{} })
-	}
 	violations := 0
 	for _, name := range WalLifeWorkloads() {
 		c, err := NewWalLifeCampaign(name, pointsPer)
 		if err != nil {
 			return err
 		}
-		rep, err := c.Run(parallelFor)
+		rep, err := c.Run(r.parallelFor)
 		if err != nil {
 			return err
 		}
@@ -273,12 +273,12 @@ func RunWalLife(w io.Writer, pointsPer int) error {
 // the two reports compared byte for byte before the first is emitted —
 // any nondeterminism in the lifecycle fails the job alongside any
 // durability or repair violation.
-func RunWalLifeSmoke(w io.Writer, pointsPer int) error {
+func RunWalLifeSmoke(r *Runner, w io.Writer, pointsPer int) error {
 	var a, b bytes.Buffer
-	if err := RunWalLife(&a, pointsPer); err != nil {
+	if err := RunWalLife(r, &a, pointsPer); err != nil {
 		return err
 	}
-	if err := RunWalLife(&b, pointsPer); err != nil {
+	if err := RunWalLife(r, &b, pointsPer); err != nil {
 		return err
 	}
 	if a.String() != b.String() {

@@ -11,7 +11,7 @@ import (
 // violates the durability contract.
 func TestWalLifeSmoke(t *testing.T) {
 	var buf bytes.Buffer
-	if err := RunWalLife(&buf, 8); err != nil {
+	if err := RunWalLife(runner(Quick), &buf, 8); err != nil {
 		t.Fatalf("RunWalLife: %v\n%s", err, buf.String())
 	}
 	out := buf.String()
@@ -29,11 +29,8 @@ func TestWalLifeSmoke(t *testing.T) {
 // campaign reports, metrics — is byte-identical between -j1 and -j8.
 func TestWalLifeDeterminism(t *testing.T) {
 	run := func(jobs int) string {
-		old := Jobs()
-		SetJobs(jobs)
-		defer SetJobs(old)
 		var buf bytes.Buffer
-		if err := RunWalLife(&buf, 8); err != nil {
+		if err := RunWalLife(NewRunner(Quick, jobs), &buf, 8); err != nil {
 			t.Fatalf("RunWalLife at -j%d: %v", jobs, err)
 		}
 		return buf.String()
