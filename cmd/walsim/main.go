@@ -16,6 +16,9 @@
 // every n commits (0 = never) that truncates the segments it covers —
 // the report then adds rotation/checkpoint/truncation/group-flush
 // counts and latencies.
+//
+// In ba mode the log is placed on mapping-table entries 0 and 1 — two
+// entries, so two double-buffered halves of the BA-buffer.
 package main
 
 import (
@@ -57,10 +60,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "walsim: unknown mode %q\n", *mode)
 		os.Exit(2)
 	}
-	if cm == wal.BA && *dev != "2b" {
-		fmt.Fprintln(os.Stderr, "walsim: BA mode requires -device 2b")
-		os.Exit(2)
-	}
 
 	env := sim.NewEnv()
 	var fs *vfs.FS
@@ -95,12 +94,15 @@ func main() {
 			cfg.File = f
 		}
 		if cm == wal.BA {
-			cfg.SSD = ssd
-			cfg.EIDs = []core.EID{0, 1}
-			// Pin window: half the BA buffer, clamped to the segment
-			// file (small -segbytes values pin whole files).
+			if ssd == nil {
+				fmt.Fprintln(os.Stderr, "walsim: BA mode requires -device 2b")
+				os.Exit(2)
+			}
+			// Two entries: double-buffered halves of the BA buffer, each
+			// clamped to the segment file (small -segbytes values pin
+			// whole files).
+			cfg.SSD, cfg.EIDs = ssd, []core.EID{0, 1}
 			cfg.SegmentBytes = int(min(int64(ssd.Config().BABufferBytes/2), pin))
-			cfg.DoubleBuffer = true
 		}
 		var err error
 		if l, err = wal.Open(env, cfg); err != nil {

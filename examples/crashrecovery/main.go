@@ -36,11 +36,13 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
-		seg := ssd.Config().BABufferBytes / 2
-		log, err := wal.Open(env, wal.Config{
-			Mode: wal.BA, File: f, SegmentBytes: seg,
-			SSD: ssd, EIDs: []core.EID{0, 1}, DoubleBuffer: true,
-		})
+		// Where the log lives, stated once: two mapping-table entries
+		// double-buffer the two halves of the BA-buffer.
+		cfg := wal.Config{
+			Mode: wal.BA, File: f, SegmentBytes: ssd.Config().BABufferBytes / 2,
+			SSD: ssd, EIDs: []core.EID{0, 1},
+		}
+		log, err := wal.Open(env, cfg)
 		if err != nil {
 			panic(err)
 		}
@@ -78,10 +80,7 @@ func main() {
 		fmt.Println("power restored; BA-buffer and mapping table recovered from NAND")
 
 		// Recover the log with a fresh handle (as a restarted DB would).
-		log2, err := wal.Open(env, wal.Config{
-			Mode: wal.BA, File: f, SegmentBytes: seg,
-			SSD: ssd, EIDs: []core.EID{0, 1}, DoubleBuffer: true,
-		})
+		log2, err := wal.Open(env, cfg)
 		if err != nil {
 			panic(err)
 		}

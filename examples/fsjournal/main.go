@@ -29,10 +29,12 @@ func main() {
 			panic(err)
 		}
 		s, err := jfs.Open(env, p, jfs.Config{
-			Home: home, Journal: journal,
-			Mode: wal.BA, SSD: ssd,
-			EIDs:         []core.EID{0, 1},
-			SegmentBytes: ssd.Config().BABufferBytes / 2,
+			Home: home,
+			Log: wal.Config{
+				Mode: wal.BA, File: journal, SSD: ssd,
+				EIDs:         []core.EID{0, 1},
+				SegmentBytes: ssd.Config().BABufferBytes / 2,
+			},
 		})
 		if err != nil {
 			panic(err)

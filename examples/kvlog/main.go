@@ -25,31 +25,26 @@ func run(mode wal.CommitMode) (opsPerSec float64) {
 	env := sim.NewEnv()
 	dataFS := vfs.New(device.New(env, device.ULLSSD()))
 
-	var logFS *vfs.FS
-	var ssd *core.TwoBSSD
+	cfg := lsm.Config{
+		DataFS:        dataFS,
+		WALMode:       mode,
+		MemtableBytes: 1 << 20,
+		WALBytes:      2 << 20,
+	}
 	if mode == wal.BA {
-		ssd = core.New(env, core.DefaultConfig())
-		logFS = vfs.New(ssd.Device())
+		// Each log file takes one of four quarter-buffer slots.
+		cfg.SSD = core.New(env, core.DefaultConfig())
+		cfg.LogFS = vfs.New(cfg.SSD.Device())
+		cfg.EIDs = []core.EID{0, 1, 2, 3}
+		cfg.WALBytes = cfg.SSD.Config().BABufferBytes / 4
 	} else {
 		prof := device.ULLSSD()
 		prof.Name = "log-" + prof.Name
-		logFS = vfs.New(device.New(env, prof))
+		cfg.LogFS = vfs.New(device.New(env, prof))
 	}
 
 	var db *lsm.DB
 	env.Go("setup", func(p *sim.Proc) {
-		cfg := lsm.Config{
-			DataFS:        dataFS,
-			LogFS:         logFS,
-			WALMode:       mode,
-			MemtableBytes: 1 << 20,
-			WALBytes:      2 << 20,
-		}
-		if mode == wal.BA {
-			cfg.SSD = ssd
-			cfg.EIDs = []core.EID{0, 1, 2, 3}
-			cfg.WALBytes = ssd.Config().BABufferBytes / 4
-		}
 		var err error
 		db, err = lsm.Open(env, p, cfg)
 		if err != nil {

@@ -78,7 +78,7 @@ func AblationDoubleBuffering(r *Runner) *Table {
 		XLabel: "config", Unit: "us total for 4-segment fill",
 	}
 	t.Series = []string{"elapsed"}
-	run := func(double bool) sim.Duration {
+	run := func(eids ...core.EID) sim.Duration {
 		st := newStack(Log2B)
 		defer st.env.Shutdown()
 		var elapsed sim.Duration
@@ -88,14 +88,10 @@ func AblationDoubleBuffering(r *Runner) *Table {
 			if err != nil {
 				panic(err)
 			}
-			eids := []core.EID{0}
-			if double {
-				eids = []core.EID{0, 1}
-			}
-			l, err := wal.Open(st.env, wal.Config{
-				Mode: wal.BA, File: f, SegmentBytes: seg,
-				SSD: st.ssd, EIDs: eids, DoubleBuffer: double,
-			})
+			// Entries given ⇒ halves used: same window, one entry or two.
+			wcfg := st.logConfig(f, eids...)
+			wcfg.SegmentBytes = seg
+			l, err := wal.Open(st.env, wcfg)
 			if err != nil {
 				panic(err)
 			}
@@ -115,7 +111,12 @@ func AblationDoubleBuffering(r *Runner) *Table {
 		st.env.Run()
 		return elapsed
 	}
-	vals := points(r, 2, func(i int) sim.Duration { return run(i == 0) })
+	vals := points(r, 2, func(i int) sim.Duration {
+		if i == 0 {
+			return run(0, 1)
+		}
+		return run(0)
+	})
 	t.AddRow("double buffer", vals[0].Micros())
 	t.AddRow("single buffer", vals[1].Micros())
 	return t
@@ -138,7 +139,7 @@ func AblationGroupCommit(r *Runner) *Table {
 			if err != nil {
 				panic(err)
 			}
-			l, err := wal.Open(st.env, wal.Config{Mode: wal.Sync, File: f})
+			l, err := wal.Open(st.env, st.logConfig(f))
 			if err != nil {
 				panic(err)
 			}

@@ -88,6 +88,21 @@ func newStack(cfg LogDevice) *stack {
 	return st
 }
 
+// logConfig states where a log on this stack's log device lives — the
+// one place a placement is written. f is the log file (nil when an
+// engine supplies its own). On the 2B-SSD the entries given decide the
+// layout: the BA-buffer is split evenly between them, so two entries
+// are the double-buffered halves and one entry is the whole buffer;
+// callers with a special window override SegmentBytes.
+func (st *stack) logConfig(f *vfs.File, eids ...core.EID) wal.Config {
+	cfg := wal.Config{Mode: st.mode, File: f}
+	if st.ssd != nil {
+		cfg.SSD, cfg.EIDs = st.ssd, eids
+		cfg.SegmentBytes = st.ssd.Config().BABufferBytes / len(eids)
+	}
+	return cfg
+}
+
 // ---- pglite <-> linkbench ----
 
 // pgGraph maps the LinkBench schema onto pglite tables, as the paper's
@@ -103,20 +118,15 @@ const (
 
 func newPGGraph(env *sim.Env, p *sim.Proc, st *stack) (*pgGraph, error) {
 	cfg := pglite.Config{
-		DataFS:        st.dataFS,
-		LogFS:         st.logFS,
-		WALMode:       st.mode,
+		DataFS: st.dataFS,
+		LogFS:  st.logFS,
+		// XLOG segment = half the BA-buffer, double buffered (IV-B).
+		Log:           st.logConfig(nil, 0, 1),
 		LogFileBytes:  16 << 20,
 		HeapFileBytes: 64 << 20,
 		// Paper setup: user data fits in memory; size the pool to the
 		// whole heap so only the log device sees traffic.
 		BufferPoolPages: 16384,
-	}
-	if st.mode == wal.BA {
-		cfg.SSD = st.ssd
-		cfg.EIDs = []core.EID{0, 1}
-		// XLOG segment = half the BA-buffer, double buffered (IV-B).
-		cfg.SegmentBytes = st.ssd.Config().BABufferBytes / 2
 	}
 	eng, err := pglite.Open(env, p, cfg)
 	if err != nil {
@@ -232,18 +242,14 @@ type aofKV struct{ s *kvaof.Store }
 
 func newAOFKV(env *sim.Env, p *sim.Proc, st *stack) (*aofKV, error) {
 	cfg := kvaof.Config{
-		LogFS:    st.logFS,
-		WALMode:  st.mode,
+		LogFS: st.logFS,
+		// AOF window = the whole BA-buffer, single entry (IV-B).
+		Log:      st.logConfig(nil, 0),
 		AOFBytes: 64 << 20,
 		// Redis-class command costs (parse, dict op, reply) so the AOF
 		// commit share matches the paper's single-threaded profile.
 		ReadCPU:  6 * sim.Microsecond,
 		WriteCPU: 8 * sim.Microsecond,
-	}
-	if st.mode == wal.BA {
-		cfg.SSD = st.ssd
-		// AOF window = the whole BA-buffer, single entry (IV-B).
-		cfg.SegmentBytes = st.ssd.Config().BABufferBytes
 	}
 	s, err := kvaof.Open(env, p, cfg)
 	if err != nil {

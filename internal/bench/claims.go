@@ -28,14 +28,7 @@ func CommitOverhead(r *Runner) *Table {
 			if err != nil {
 				panic(err)
 			}
-			wcfg := wal.Config{Mode: st.mode, File: f}
-			if st.mode == wal.BA {
-				wcfg.SSD = st.ssd
-				wcfg.EIDs = []core.EID{0, 1}
-				wcfg.SegmentBytes = st.ssd.Config().BABufferBytes / 2
-				wcfg.DoubleBuffer = true
-			}
-			l, err := wal.Open(st.env, wcfg)
+			l, err := wal.Open(st.env, st.logConfig(f, 0, 1))
 			if err != nil {
 				panic(err)
 			}
@@ -104,12 +97,8 @@ func WAFReduction(r *Runner) *Table {
 			if err != nil {
 				panic(err)
 			}
-			wcfg := wal.Config{Mode: st.mode, File: f, SegmentBytes: segBytes}
-			if st.mode == wal.BA {
-				wcfg.SSD = st.ssd
-				wcfg.EIDs = []core.EID{0, 1}
-				wcfg.DoubleBuffer = true
-			}
+			wcfg := st.logConfig(f, 0, 1)
+			wcfg.SegmentBytes = segBytes // the block side pads at the same boundary
 			l, err := wal.Open(st.env, wcfg)
 			if err != nil {
 				panic(err)

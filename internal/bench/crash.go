@@ -44,23 +44,19 @@ func crashStackConfig() core.Config {
 	return cfg
 }
 
-// crashStack is the per-point device stack shared by every workload
-// driver; it provides the Crash half of the fault.Cycle contract.
-type crashStack struct {
-	env *sim.Env
-	ssd *core.TwoBSSD
-	fs  *vfs.FS
-}
-
-func newCrashStack(env *sim.Env) *crashStack {
+// newCrashStack is the per-point device stack shared by every workload
+// driver: one scaled-down 2B-SSD holding both data and log. The stack's
+// Crash method is the Crash half of the fault.Cycle contract.
+func newCrashStack(env *sim.Env) *stack {
 	ssd := core.New(env, crashStackConfig())
-	return &crashStack{env: env, ssd: ssd, fs: vfs.New(ssd.Device())}
+	fs := vfs.New(ssd.Device())
+	return &stack{env: env, dataFS: fs, logFS: fs, ssd: ssd, mode: wal.BA}
 }
 
 // Crash cuts power. An insufficient-energy or torn-dump result is a
 // legitimate modeled outcome, not a harness error: it reports
 // persisted=false and the verifier only demands block-mode durability.
-func (s *crashStack) Crash(p *sim.Proc) (bool, float64, error) {
+func (s *stack) Crash(p *sim.Proc) (bool, float64, error) {
 	rep, err := s.ssd.PowerLoss(p)
 	if err != nil && !errors.Is(err, core.ErrInsufficient) && !errors.Is(err, core.ErrDumpTorn) {
 		return false, 0, err
@@ -85,7 +81,7 @@ func keyOf(payload string) string {
 // ---- wal: raw write-ahead log, BA commit, double-buffered ----------
 
 type walCrash struct {
-	*crashStack
+	*stack
 	cfg  wal.Config
 	log  *wal.Log
 	want map[string]string
@@ -93,26 +89,20 @@ type walCrash struct {
 
 func buildWALCrash(env *sim.Env, p *sim.Proc) (fault.Cycle, error) {
 	s := newCrashStack(env)
-	f, err := s.fs.Create("txlog", 2<<20)
+	f, err := s.logFS.Create("txlog", 2<<20)
 	if err != nil {
 		return nil, err
 	}
 	// Two-page segments make the workload rotate several times, so the
 	// campaign also lands crash points inside BA_FLUSH page moves and
 	// the NAND programs they issue — not just between commits.
-	cfg := wal.Config{
-		Mode:         wal.BA,
-		File:         f,
-		SegmentBytes: 2 * s.ssd.PageSize(),
-		SSD:          s.ssd,
-		EIDs:         []core.EID{0, 1},
-		DoubleBuffer: true,
-	}
+	cfg := s.logConfig(f, 0, 1)
+	cfg.SegmentBytes = 2 * s.ssd.PageSize()
 	l, err := wal.Open(env, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &walCrash{crashStack: s, cfg: cfg, log: l, want: map[string]string{}}, nil
+	return &walCrash{stack: s, cfg: cfg, log: l, want: map[string]string{}}, nil
 }
 
 func (c *walCrash) Step(p *sim.Proc, i int) (string, error) {
@@ -165,7 +155,7 @@ func (c *walCrash) Recover(p *sim.Proc) (recovered, phantoms []string, err error
 // ---- lsm: RocksDB-like store, WAL on BA-buffer slots ---------------
 
 type lsmCrash struct {
-	*crashStack
+	*stack
 	cfg  lsm.Config
 	db   *lsm.DB
 	ops  int
@@ -176,8 +166,8 @@ func buildLSMCrash(ops int) func(env *sim.Env, p *sim.Proc) (fault.Cycle, error)
 	return func(env *sim.Env, p *sim.Proc) (fault.Cycle, error) {
 		s := newCrashStack(env)
 		cfg := lsm.Config{
-			DataFS:        s.fs,
-			LogFS:         s.fs,
+			DataFS:        s.dataFS,
+			LogFS:         s.logFS,
 			WALMode:       wal.BA,
 			SSD:           s.ssd,
 			EIDs:          []core.EID{0, 1, 2, 3},
@@ -188,7 +178,7 @@ func buildLSMCrash(ops int) func(env *sim.Env, p *sim.Proc) (fault.Cycle, error)
 		if err != nil {
 			return nil, err
 		}
-		return &lsmCrash{crashStack: s, cfg: cfg, db: db, ops: ops, want: map[string]string{}}, nil
+		return &lsmCrash{stack: s, cfg: cfg, db: db, ops: ops, want: map[string]string{}}, nil
 	}
 }
 
@@ -233,7 +223,7 @@ func (c *lsmCrash) Recover(p *sim.Proc) (recovered, phantoms []string, err error
 const pgCrashTable = "crash"
 
 type pgCrash struct {
-	*crashStack
+	*stack
 	cfg  pglite.Config
 	eng  *pglite.Engine
 	ops  int
@@ -244,12 +234,9 @@ func buildPGCrash(ops int) func(env *sim.Env, p *sim.Proc) (fault.Cycle, error) 
 	return func(env *sim.Env, p *sim.Proc) (fault.Cycle, error) {
 		s := newCrashStack(env)
 		cfg := pglite.Config{
-			DataFS:          s.fs,
-			LogFS:           s.fs,
-			WALMode:         wal.BA,
-			SSD:             s.ssd,
-			EIDs:            []core.EID{0, 1},
-			SegmentBytes:    s.ssd.Config().BABufferBytes / 2,
+			DataFS:          s.dataFS,
+			LogFS:           s.logFS,
+			Log:             s.logConfig(nil, 0, 1),
 			LogFileBytes:    1 << 20,
 			HeapFileBytes:   1 << 20,
 			BufferPoolPages: 256,
@@ -261,7 +248,7 @@ func buildPGCrash(ops int) func(env *sim.Env, p *sim.Proc) (fault.Cycle, error) 
 		if err := eng.CreateTable(pgCrashTable); err != nil {
 			return nil, err
 		}
-		return &pgCrash{crashStack: s, cfg: cfg, eng: eng, ops: ops, want: map[string]string{}}, nil
+		return &pgCrash{stack: s, cfg: cfg, eng: eng, ops: ops, want: map[string]string{}}, nil
 	}
 }
 
@@ -315,7 +302,7 @@ func (c *pgCrash) Recover(p *sim.Proc) (recovered, phantoms []string, err error)
 // ---- kvaof: Redis-like store, AOF pinned over the whole buffer -----
 
 type aofCrash struct {
-	*crashStack
+	*stack
 	cfg  kvaof.Config
 	st   *kvaof.Store
 	want map[string]string
@@ -324,18 +311,15 @@ type aofCrash struct {
 func buildAOFCrash(env *sim.Env, p *sim.Proc) (fault.Cycle, error) {
 	s := newCrashStack(env)
 	cfg := kvaof.Config{
-		LogFS:        s.fs,
-		WALMode:      wal.BA,
-		SSD:          s.ssd,
-		EID:          0,
-		SegmentBytes: s.ssd.Config().BABufferBytes,
-		AOFBytes:     2 << 20,
+		LogFS:    s.logFS,
+		Log:      s.logConfig(nil, 0),
+		AOFBytes: 2 << 20,
 	}
 	st, err := kvaof.Open(env, p, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &aofCrash{crashStack: s, cfg: cfg, st: st, want: map[string]string{}}, nil
+	return &aofCrash{stack: s, cfg: cfg, st: st, want: map[string]string{}}, nil
 }
 
 func (c *aofCrash) Step(p *sim.Proc, i int) (string, error) {
@@ -370,7 +354,7 @@ func (c *aofCrash) Recover(p *sim.Proc) (recovered, phantoms []string, err error
 // ---- jfs: journaling filesystem, journal on the BA-buffer ----------
 
 type jfsCrash struct {
-	*crashStack
+	*stack
 	cfg  jfs.Config
 	st   *jfs.Store
 	ops  int
@@ -380,28 +364,24 @@ type jfsCrash struct {
 func buildJFSCrash(ops int) func(env *sim.Env, p *sim.Proc) (fault.Cycle, error) {
 	return func(env *sim.Env, p *sim.Proc) (fault.Cycle, error) {
 		s := newCrashStack(env)
-		home, err := s.fs.Create("home", int64(ops+2)*jfs.BlockSize)
+		home, err := s.dataFS.Create("home", int64(ops+2)*jfs.BlockSize)
 		if err != nil {
 			return nil, err
 		}
-		journal, err := s.fs.Create("journal", 1<<20)
+		journal, err := s.logFS.Create("journal", 1<<20)
 		if err != nil {
 			return nil, err
 		}
 		cfg := jfs.Config{
 			Home:            home,
-			Journal:         journal,
-			Mode:            wal.BA,
-			SSD:             s.ssd,
-			EIDs:            []core.EID{0, 1},
-			SegmentBytes:    s.ssd.Config().BABufferBytes / 2,
+			Log:             s.logConfig(journal, 0, 1),
 			CheckpointEvery: 1 << 20,
 		}
 		st, err := jfs.Open(env, p, cfg)
 		if err != nil {
 			return nil, err
 		}
-		return &jfsCrash{crashStack: s, cfg: cfg, st: st, ops: ops, want: map[uint32][]byte{}}, nil
+		return &jfsCrash{stack: s, cfg: cfg, st: st, ops: ops, want: map[uint32][]byte{}}, nil
 	}
 }
 

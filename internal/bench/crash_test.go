@@ -101,7 +101,6 @@ func TestCapacitorExhaustionFallsBackToWALReplay(t *testing.T) {
 			SegmentBytes: cfg.BABufferBytes / 2,
 			SSD:          ssd,
 			EIDs:         []core.EID{0, 1},
-			DoubleBuffer: true,
 		}
 		l, err := wal.Open(env, wcfg)
 		if err != nil {
@@ -176,7 +175,6 @@ func TestDumpCutLeavesNoTornImage(t *testing.T) {
 			SegmentBytes: crashStackConfig().BABufferBytes / 2,
 			SSD:          ssd,
 			EIDs:         []core.EID{0, 1},
-			DoubleBuffer: true,
 		}
 		l, err := wal.Open(env, wcfg)
 		if err != nil {

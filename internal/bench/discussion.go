@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"twobssd/internal/core"
 	"twobssd/internal/device"
 	"twobssd/internal/ftl"
 	"twobssd/internal/histo"
@@ -36,14 +35,7 @@ func TailLatency(r *Runner) *Table {
 			if err != nil {
 				panic(err)
 			}
-			wcfg := wal.Config{Mode: st.mode, File: f}
-			if st.mode == wal.BA {
-				wcfg.SSD = st.ssd
-				wcfg.EIDs = []core.EID{0, 1}
-				wcfg.SegmentBytes = st.ssd.Config().BABufferBytes / 2
-				wcfg.DoubleBuffer = true
-			}
-			l, err := wal.Open(st.env, wcfg)
+			l, err := wal.Open(st.env, st.logConfig(f, 0, 1))
 			if err != nil {
 				panic(err)
 			}
@@ -183,10 +175,9 @@ func PMRComparison(r *Runner) *Table {
 			if err != nil {
 				panic(err)
 			}
-			l, err = wal.Open(st.env, wal.Config{
-				Mode: mode, File: f, SegmentBytes: seg,
-				SSD: st.ssd, EIDs: []core.EID{0, 1}, DoubleBuffer: true,
-			})
+			wcfg := st.logConfig(f, 0, 1)
+			wcfg.Mode = mode
+			l, err = wal.Open(st.env, wcfg)
 			if err != nil {
 				panic(err)
 			}
@@ -264,14 +255,8 @@ func Journaling(r *Runner) *Table {
 			}
 			// Commit-dominated run: checkpoints are rare (jbd2 defaults
 			// to a 5s commit interval; the journal holds the whole run).
-			jcfg := jfs.Config{Home: home, Journal: journal, Mode: st.mode,
-				CheckpointEvery: 1 << 20}
-			if st.mode == wal.BA {
-				jcfg.SSD = st.ssd
-				jcfg.EIDs = []core.EID{0, 1}
-				jcfg.SegmentBytes = st.ssd.Config().BABufferBytes / 2
-			}
-			store, err = jfs.Open(st.env, p, jcfg)
+			store, err = jfs.Open(st.env, p, jfs.Config{Home: home,
+				Log: st.logConfig(journal, 0, 1), CheckpointEvery: 1 << 20})
 			if err != nil {
 				panic(err)
 			}

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"twobssd/internal/core"
 	"twobssd/internal/obs"
 	"twobssd/internal/sim"
 	"twobssd/internal/vfs"
@@ -27,6 +26,7 @@ func probe(s Scale) *Table {
 	defer env.Shutdown()
 	ssd := SSD2B(env)
 	fs := vfs.New(ssd.Device())
+	st := &stack{env: env, logFS: fs, ssd: ssd, mode: wal.BA}
 	ps := ssd.PageSize()
 	reps := s.LatReps
 	if reps < 4 {
@@ -66,10 +66,9 @@ func probe(s Scale) *Table {
 		if err != nil {
 			panic(err)
 		}
-		l, err := wal.Open(env, wal.Config{
-			Mode: wal.BA, File: logf, SegmentBytes: seg,
-			SSD: ssd, EIDs: []core.EID{0, 1}, DoubleBuffer: true,
-		})
+		wcfg := st.logConfig(logf, 0, 1)
+		wcfg.SegmentBytes = seg
+		l, err := wal.Open(env, wcfg)
 		if err != nil {
 			panic(err)
 		}

@@ -3,7 +3,6 @@ package bench
 import (
 	"runtime"
 
-	"twobssd/internal/core"
 	"twobssd/internal/ftl"
 	"twobssd/internal/sim"
 	"twobssd/internal/wal"
@@ -37,12 +36,7 @@ func SteadyStateAllocs(s Scale) *SteadyReport {
 				if err != nil {
 					panic(err)
 				}
-				l, err = wal.Open(st.env, wal.Config{
-					Mode: st.mode, File: f, SSD: st.ssd,
-					EIDs:         []core.EID{0, 1},
-					SegmentBytes: st.ssd.Config().BABufferBytes / 2,
-					DoubleBuffer: true,
-				})
+				l, err = wal.Open(st.env, st.logConfig(f, 0, 1))
 				if err != nil {
 					panic(err)
 				}

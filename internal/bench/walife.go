@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 
-	"twobssd/internal/core"
 	"twobssd/internal/obs"
 	"twobssd/internal/sim"
 	"twobssd/internal/wal"
@@ -23,21 +22,13 @@ import (
 // walLifeConfig is the lifecycle geometry on the scaled-down crash
 // stack, shared with the walseg crash driver: 16 KB segment files on a
 // 4-slot ring, two inner segments per file.
-func walLifeConfig(s *crashStack, mode wal.CommitMode) wal.Config {
+func walLifeConfig(s *stack, mode wal.CommitMode) wal.Config {
 	ps := int64(s.ssd.PageSize())
-	cfg := wal.Config{
-		Mode:             mode,
-		FS:               s.fs,
-		Name:             "seglog",
-		SegmentFileBytes: 4 * ps,
-		Ring:             4,
-		SegmentBytes:     2 * int(ps),
-	}
-	if mode == wal.BA {
-		cfg.SSD = s.ssd
-		cfg.EIDs = []core.EID{0, 1}
-		cfg.DoubleBuffer = true
-	}
+	cfg := s.logConfig(nil, 0, 1)
+	cfg.Mode = mode
+	cfg.FS, cfg.Name = s.logFS, "seglog"
+	cfg.Ring, cfg.SegmentFileBytes = 4, 4*ps
+	cfg.SegmentBytes = 2 * int(ps)
 	return cfg
 }
 

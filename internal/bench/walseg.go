@@ -43,7 +43,7 @@ func walSegPayload(key string) string {
 }
 
 type walSegCrash struct {
-	*crashStack
+	*stack
 	cfg   wal.Config
 	sl    *wal.Log
 	rec   *wal.Log // post-crash instance, for its repair report
@@ -74,12 +74,12 @@ func buildWalSegCrash(mode wal.CommitMode, ops int) func(env *sim.Env, p *sim.Pr
 		if err != nil {
 			return nil, err
 		}
-		snap, err := s.fs.Create("segsnap", 2*walSegSnapSlot)
+		snap, err := s.dataFS.Create("segsnap", 2*walSegSnapSlot)
 		if err != nil {
 			return nil, err
 		}
 		return &walSegCrash{
-			crashStack: s, cfg: cfg, sl: sl, model: oracle.NewWalLifecycle(),
+			stack: s, cfg: cfg, sl: sl, model: oracle.NewWalLifecycle(),
 			snap: snap, ops: ops,
 			want: map[string]string{}, applied: map[string]string{},
 		}, nil
@@ -135,7 +135,7 @@ func (c *walSegCrash) Stage(p *sim.Proc) (string, error) {
 // may excuse an unreadable log page only under a pin whose dump was lost.
 func (c *walSegCrash) Crash(p *sim.Proc) (bool, float64, error) {
 	c.pinned = c.ssd.Entries()
-	persisted, energy, err := c.crashStack.Crash(p)
+	persisted, energy, err := c.stack.Crash(p)
 	c.dumpLost = !persisted
 	return persisted, energy, err
 }
@@ -212,9 +212,9 @@ func (c *walSegCrash) Recover(p *sim.Proc) (recovered, phantoms []string, err er
 // whether all the corrupt ones lie in LBA ranges that were pinned at the
 // crash; cause is Recover's error, returned again when one does not.
 func (c *walSegCrash) tornOnlyUnderPins(p *sim.Proc, cause error) (bool, error) {
-	page := make([]byte, c.fs.PageSize())
+	page := make([]byte, c.logFS.PageSize())
 	for i := 0; i < c.cfg.Ring; i++ {
-		f, err := c.fs.Open(fmt.Sprintf("%s.%d", c.cfg.Name, i))
+		f, err := c.logFS.Open(fmt.Sprintf("%s.%d", c.cfg.Name, i))
 		if err != nil {
 			return false, err
 		}

@@ -55,18 +55,21 @@ type Config struct {
 	Workers int    // sim.Group workers (0 = 1); results identical at any value
 
 	NetLatency sim.Duration // one-way link latency = group lookahead (0 = 5us)
-	ApplyCPU   sim.Duration // follower per-record redo CPU (0 = 2us)
 
-	Device       *core.Config // per-device config (nil = DefaultDeviceConfig)
-	QoS          QoSConfig
-	SegmentBytes int   // slot window bytes (0 = 4 pages)
-	LogBytes     int64 // per-tenant WAL/redo file capacity (0 = 512 KB)
-	VolumeBytes  int64 // per-tenant data-volume capacity (0 = 256 KB)
+	Device   *core.Config // per-device config (nil = DefaultDeviceConfig)
+	QoS      QoSConfig
+	LogBytes int64 // per-tenant WAL/redo file capacity (0 = 512 KB)
 
 	Tenants []traffic.Spec
 	Crash   *CrashSpec
 	Seed    uint64
 }
+
+const (
+	applyCPU     = 2 * sim.Microsecond // follower per-record redo CPU
+	segmentBytes = 4 * 4096            // slot window bytes
+	volumeBytes  = 256 << 10           // per-tenant data-volume capacity
+)
 
 func (c *Config) workers() int {
 	if c.Workers < 1 {
@@ -82,32 +85,11 @@ func (c *Config) netLatency() sim.Duration {
 	return c.NetLatency
 }
 
-func (c *Config) applyCPU() sim.Duration {
-	if c.ApplyCPU <= 0 {
-		return 2 * sim.Microsecond
-	}
-	return c.ApplyCPU
-}
-
-func (c *Config) segmentBytes() int {
-	if c.SegmentBytes <= 0 {
-		return 4 * 4096
-	}
-	return c.SegmentBytes
-}
-
 func (c *Config) logBytes() int64 {
 	if c.LogBytes <= 0 {
 		return 512 << 10
 	}
 	return c.LogBytes
-}
-
-func (c *Config) volumeBytes() int64 {
-	if c.VolumeBytes <= 0 {
-		return 256 << 10
-	}
-	return c.VolumeBytes
 }
 
 // DefaultDeviceConfig scales the 2B-SSD down fleet-style (same
@@ -296,7 +278,7 @@ func newNode(g *sim.Group, fr *fleetRT, devCfg core.Config, d int) *node {
 		fs:  vfs.New(ssd.Device()),
 		inj: fault.Of(env),
 	}
-	n.slots = newSlotManager(env, fr.cfg.QoS, ssd.Config().MaxEntries, fr.cfg.segmentBytes())
+	n.slots = newSlotManager(env, fr.cfg.QoS, ssd.Config().MaxEntries, segmentBytes)
 	if crash != nil && crash.Device == d {
 		// The power watcher is the trigger's "poll at op boundary"
 		// moment for the whole node: it cuts power at the trip instant.
@@ -317,7 +299,7 @@ func newTenant(g *sim.Group, fr *fleetRT, idx int, spec traffic.Spec) (*tenantRT
 		return nil, fmt.Errorf("fleet: tenant %s placed on a single device", name)
 	}
 	pn, fn := fr.nodes[place.Primary], fr.nodes[place.Follower]
-	vol, err := pn.fs.Create("vol-"+name, cfg.volumeBytes())
+	vol, err := pn.fs.Create("vol-"+name, volumeBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -551,36 +533,20 @@ func (t *tenantRT) runAckWatch(p *sim.Proc) {
 	}
 	// End-of-run oracle check: everything committed on this primary
 	// must be recoverable from NAND, and nothing else may be.
-	rec := make(map[int]uint32, len(t.sched))
-	err := t.h.recover(p, func(_ wal.LSN, payload []byte) error {
-		seq, ok := payloadSeq(payload)
-		if !ok {
-			t.phantomP++
-			return nil
+	want := make(map[int]uint32, len(t.sched))
+	for i := range t.sched {
+		if t.committed[i] {
+			want[i] = crc32.ChecksumIEEE([]byte(encodePayload(t.name, i, t.sched[i].Key, t.spec.PayloadBytes)))
 		}
-		rec[seq] = crc32.ChecksumIEEE(payload)
-		return nil
-	})
+	}
+	lost, phantom, err := mediaCheck(p, t.h, want)
 	if err != nil {
 		if !errors.Is(err, core.ErrPowerIsOff) {
 			t.errsP = append(t.errsP, fmt.Sprintf("%s end recover: %v", t.name, err))
 		}
 		return
 	}
-	for i := range t.sched {
-		if !t.committed[i] {
-			continue
-		}
-		want := crc32.ChecksumIEEE([]byte(encodePayload(t.name, i, t.sched[i].Key, t.spec.PayloadBytes)))
-		if got, ok := rec[i]; !ok || got != want {
-			t.lostP++
-		}
-	}
-	for seq := range rec {
-		if seq < 0 || seq >= len(t.sched) || !t.committed[seq] {
-			t.phantomP++
-		}
-	}
+	t.lostP, t.phantomP = lost, phantom
 	if rerr := t.h.release(p); rerr != nil && !errors.Is(rerr, core.ErrPowerIsOff) {
 		t.errsP = append(t.errsP, fmt.Sprintf("%s release: %v", t.name, rerr))
 	}
@@ -604,7 +570,7 @@ func (t *tenantRT) runFollower(p *sim.Proc) {
 			t.verifyFailover(p, m.tripAt)
 			continue
 		}
-		p.Sleep(t.fr.cfg.applyCPU())
+		p.Sleep(applyCPU)
 		pay := []byte(m.payload)
 		if err := t.redo.append(p, pay); err != nil {
 			if errors.Is(err, core.ErrPowerIsOff) || t.fnode.down {
@@ -623,16 +589,7 @@ func (t *tenantRT) runFollower(p *sim.Proc) {
 		t.ack.Send(p, ackMsg{seq: m.seq})
 	}
 	// Traffic drained: verify the redo log end to end from media.
-	rec := make(map[int]uint32, t.appliedN)
-	err := t.redo.recover(p, func(_ wal.LSN, payload []byte) error {
-		seq, ok := payloadSeq(payload)
-		if !ok {
-			t.phantomF++
-			return nil
-		}
-		rec[seq] = crc32.ChecksumIEEE(payload)
-		return nil
-	})
+	lost, phantom, err := mediaCheck(p, t.redo, t.applied)
 	if err != nil {
 		if !errors.Is(err, core.ErrPowerIsOff) {
 			t.errsF = append(t.errsF, fmt.Sprintf("%s redo recover: %v", t.name, err))
@@ -640,16 +597,7 @@ func (t *tenantRT) runFollower(p *sim.Proc) {
 		t.ack.Close(p)
 		return
 	}
-	for seq, want := range t.applied {
-		if got, ok := rec[seq]; !ok || got != want {
-			t.lostF++
-		}
-	}
-	for seq := range rec {
-		if _, ok := t.applied[seq]; !ok {
-			t.phantomF++
-		}
-	}
+	t.lostF, t.phantomF = lost, phantom
 	if rerr := t.redo.release(p); rerr != nil && !errors.Is(rerr, core.ErrPowerIsOff) {
 		t.errsF = append(t.errsF, fmt.Sprintf("%s redo release: %v", t.name, rerr))
 	}
@@ -661,36 +609,41 @@ func (t *tenantRT) runFollower(p *sim.Proc) {
 // holds exactly what was applied — no lost records, no phantoms. The
 // verify duration is the tenant's failover recovery time.
 func (t *tenantRT) verifyFailover(p *sim.Proc, tripAt sim.Time) {
-	pre := make(map[int]uint32, len(t.applied))
-	for k, v := range t.applied {
-		pre[k] = v
+	var err error
+	if t.lostFail, t.phantomFail, err = mediaCheck(p, t.redo, t.applied); err != nil {
+		t.errsF = append(t.errsF, fmt.Sprintf("%s failover recover: %v", t.name, err))
 	}
-	rec := make(map[int]uint32, len(pre))
-	err := t.redo.recover(p, func(_ wal.LSN, payload []byte) error {
+	t.failedOver = true
+	t.failTripAt = tripAt
+	t.failVerifyAt = t.fnode.env.Now()
+}
+
+// mediaCheck recovers h's log from media and counts it against want
+// (seq → payload CRC): a wanted record that is missing or differs is
+// lost; a recovered record that is unparsable or not wanted is phantom.
+// On a recovery error the counts cover what was read before it.
+func mediaCheck(p *sim.Proc, h *logHandle, want map[int]uint32) (lost, phantom int, err error) {
+	rec := make(map[int]uint32, len(want))
+	err = h.recover(p, func(_ wal.LSN, payload []byte) error {
 		seq, ok := payloadSeq(payload)
 		if !ok {
-			t.phantomFail++
+			phantom++
 			return nil
 		}
 		rec[seq] = crc32.ChecksumIEEE(payload)
 		return nil
 	})
-	if err != nil {
-		t.errsF = append(t.errsF, fmt.Sprintf("%s failover recover: %v", t.name, err))
-	}
-	for seq, want := range pre {
-		if got, ok := rec[seq]; !ok || got != want {
-			t.lostFail++
+	for seq, crc := range want {
+		if got, ok := rec[seq]; !ok || got != crc {
+			lost++
 		}
 	}
 	for seq := range rec {
-		if _, ok := pre[seq]; !ok {
-			t.phantomFail++
+		if _, ok := want[seq]; !ok {
+			phantom++
 		}
 	}
-	t.failedOver = true
-	t.failTripAt = tripAt
-	t.failVerifyAt = t.fnode.env.Now()
+	return lost, phantom, err
 }
 
 // ---- results ----

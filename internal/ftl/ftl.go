@@ -35,9 +35,6 @@ type Config struct {
 	// FTL accounting; the 2B-SSD recovery manager owns them (a
 	// die-parallel dump area for power-loss protection).
 	ReservedPerDie int
-	// GCFreeTarget triggers garbage collection when the free-block
-	// count drops to this value. Zero selects a safe default.
-	GCFreeTarget int
 }
 
 // Stats captures FTL health and write-amplification counters.
@@ -78,6 +75,7 @@ type FTL struct {
 
 	exportedPages uint64
 	usableBlocks  int
+	gcFreeTarget  int // GC runs when the free-block count drops to this
 
 	l2p        map[LBA]nand.PPA
 	p2l        map[nand.PPA]LBA
@@ -133,18 +131,19 @@ func New(env *sim.Env, flash *nand.Flash, cfg Config) *FTL {
 	if cfg.OverProvision < 0 || cfg.OverProvision >= 0.9 {
 		panic("ftl: OverProvision must be in [0, 0.9)")
 	}
-	if cfg.GCFreeTarget <= 0 {
-		cfg.GCFreeTarget = fc.Dies() + 2
-	}
+	// Garbage collection triggers when the free-block count drops to
+	// one open block per die plus two spares.
+	gcFreeTarget := fc.Dies() + 2
 	opBlocks := int(float64(usable) * cfg.OverProvision)
-	if opBlocks < cfg.GCFreeTarget+1 {
-		opBlocks = cfg.GCFreeTarget + 1
+	if opBlocks < gcFreeTarget+1 {
+		opBlocks = gcFreeTarget + 1
 	}
 	exported := uint64(usable-opBlocks) * uint64(fc.PagesPerBlock)
 	f := &FTL{
 		env:           env,
 		flash:         flash,
 		cfg:           cfg,
+		gcFreeTarget:  gcFreeTarget,
 		exportedPages: exported,
 		usableBlocks:  usable,
 		l2p:           make(map[LBA]nand.PPA),
@@ -482,12 +481,12 @@ func (f *FTL) Trim(lba LBA) error {
 // the paper attributes to fsync-heavy logging. gcLock serializes
 // collectors; it is always taken before any die lock.
 func (f *FTL) maybeGC(p *sim.Proc) error {
-	if len(f.free) > f.cfg.GCFreeTarget {
+	if len(f.free) > f.gcFreeTarget {
 		return nil
 	}
 	f.gcLock.Acquire(p)
 	defer f.gcLock.Release()
-	if len(f.free) > f.cfg.GCFreeTarget {
+	if len(f.free) > f.gcFreeTarget {
 		// Another process collected while we waited on the lock.
 		return nil
 	}
@@ -506,7 +505,7 @@ func (f *FTL) collect(p *sim.Proc) error {
 	if f.gcBuf == nil {
 		f.gcBuf = make([]byte, fc.PageSize)
 	}
-	for len(f.free) <= f.cfg.GCFreeTarget {
+	for len(f.free) <= f.gcFreeTarget {
 		victim, ok := f.pickVictim()
 		if !ok {
 			if len(f.free) == 0 {
@@ -555,7 +554,8 @@ func (f *FTL) collect(p *sim.Proc) error {
 
 // relocLocked programs one valid page's data to a fresh location,
 // preferring the given die, and rebinds the mapping from src to the new
-// physical page. The page's integrity tag (if any) moves with it.
+// physical page — the one place host and relocation map updates are
+// arbitrated. The page's integrity tag (if any) moves with it.
 // Destination blocks that fail to program are retired in turn
 // (cascade), which terminates because every retirement marks one more
 // of the finitely many blocks bad. Called with gcLock held.
@@ -571,11 +571,16 @@ func (f *FTL) relocLocked(p *sim.Proc, src nand.PPA, lba LBA, data []byte, tag u
 		err = f.program(p, dst, data, tag, tagged)
 		f.dieLocks[die].Release()
 		if err == nil {
-			f.invalidate(src)
-			f.l2p[lba] = dst
-			f.p2l[dst] = lba
-			f.validCount[fc.BlockOf(dst)]++
 			f.cNandWrites.Inc()
+			// The program yielded: rebind only if the mapping is still
+			// the one that was read. A host write (or trim) of this LBA
+			// that landed meanwhile wins, and the copy stays unmapped.
+			if cur, ok := f.l2p[lba]; ok && cur == src {
+				f.invalidate(src)
+				f.l2p[lba] = dst
+				f.p2l[dst] = lba
+				f.validCount[fc.BlockOf(dst)]++
+			}
 			return nil
 		}
 		switch {

@@ -356,3 +356,60 @@ func TestWornBlocksRetireAndDeviceKeepsWorking(t *testing.T) {
 	})
 	e.Run()
 }
+
+// A relocation (GC, retirement, scrub) copies a page across two yields
+// — the read and the program. A host write of the same LBA that lands
+// in between must win: the relocation may only rebind a mapping that is
+// still the one it read. Four writers keep the drive in steady GC; each
+// owns a disjoint LBA set and stamps every page with a per-LBA version,
+// so the last acknowledged version of every LBA is unambiguous.
+func TestRelocationNeverRevertsAcknowledgedWrite(t *testing.T) {
+	const writers = 4
+	e := sim.NewEnv()
+	f := newTestFTL(e)
+	n := int(f.ExportedPages())
+	stamp := func(lba, ver int) []byte { return []byte(fmt.Sprintf("lba%04d-v%06d|", lba, ver)) }
+	acked := make([]int, n) // last version whose WritePage returned
+	check := func(p *sim.Proc, lba int, when string) {
+		got, err := f.ReadPage(p, LBA(lba))
+		if err != nil {
+			t.Fatalf("%s: read %d: %v", when, lba, err)
+		}
+		if want := stamp(lba, acked[lba]); !bytes.HasPrefix(got, want) {
+			t.Fatalf("%s: lba %d reads %q, last acknowledged write was %q", when, lba, got[:len(want)], want)
+		}
+	}
+	e.Go("fill", func(p *sim.Proc) {
+		for i := 0; i < n; i++ {
+			if err := f.WritePage(p, LBA(i), stamp(i, 0)); err != nil {
+				t.Fatalf("fill %d: %v", i, err)
+			}
+		}
+		for w := 0; w < writers; w++ {
+			w := w
+			e.Go(fmt.Sprintf("writer%d", w), func(p *sim.Proc) {
+				rng := rand.New(rand.NewSource(int64(11 + w)))
+				for op := 0; op < 6*n; op++ {
+					lba := rng.Intn(n/writers)*writers + w // this writer's LBAs only
+					if err := f.WritePage(p, LBA(lba), stamp(lba, acked[lba]+1)); err != nil {
+						t.Fatalf("writer %d op %d: %v", w, op, err)
+					}
+					acked[lba]++
+					if op%8 == 0 {
+						check(p, rng.Intn(n/writers)*writers+w, "mid-run")
+					}
+				}
+			})
+		}
+	})
+	e.Run()
+	if st := f.Stats(); st.GCRelocations == 0 {
+		t.Fatal("workload never relocated a page; the test exercises nothing")
+	}
+	e.Go("verify", func(p *sim.Proc) {
+		for i := 0; i < n/writers*writers; i++ {
+			check(p, i, "end of run")
+		}
+	})
+	e.Run()
+}

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 
-	"twobssd/internal/core"
 	"twobssd/internal/sim"
 	"twobssd/internal/vfs"
 	"twobssd/internal/wal"
@@ -26,22 +25,16 @@ const BlockSize = 4096
 
 // Config assembles a journaled store.
 type Config struct {
-	// Home is the file holding the filesystem image; Journal the
-	// journal file (on the log device under test).
-	Home    *vfs.File
-	Journal *vfs.File
+	// Home is the file holding the filesystem image.
+	Home *vfs.File
 
-	Mode         wal.CommitMode
-	SSD          *core.TwoBSSD
-	EIDs         []core.EID
-	BufferOffset int
-	SegmentBytes int
+	// Log is the journal: its file (on the log device under test), the
+	// commit mode and, in BA/PMR mode, the SSD, entries and window.
+	Log wal.Config
 
 	// CheckpointEvery transactions, dirty journaled blocks write back
 	// to their home locations and the journal truncates.
 	CheckpointEvery int
-
-	AsyncFlushInterval sim.Duration
 }
 
 // Errors reported by the journal layer.
@@ -77,25 +70,13 @@ type Store struct {
 // Open creates or recovers a store: journal records present in the
 // journal file are replayed into the pending set (crash recovery).
 func Open(env *sim.Env, p *sim.Proc, cfg Config) (*Store, error) {
-	if cfg.Home == nil || cfg.Journal == nil {
-		return nil, fmt.Errorf("%w: Home and Journal required", ErrBadConfig)
+	if cfg.Home == nil || cfg.Log.File == nil {
+		return nil, fmt.Errorf("%w: Home and Log.File required", ErrBadConfig)
 	}
 	if cfg.CheckpointEvery <= 0 {
 		cfg.CheckpointEvery = 64
 	}
-	wcfg := wal.Config{
-		Mode:               cfg.Mode,
-		File:               cfg.Journal,
-		SegmentBytes:       cfg.SegmentBytes,
-		AsyncFlushInterval: cfg.AsyncFlushInterval,
-	}
-	if cfg.Mode == wal.BA || cfg.Mode == wal.PMR {
-		wcfg.SSD = cfg.SSD
-		wcfg.EIDs = cfg.EIDs
-		wcfg.BufferOffset = cfg.BufferOffset
-		wcfg.DoubleBuffer = len(cfg.EIDs) >= 2
-	}
-	l, err := wal.Open(env, wcfg)
+	l, err := wal.Open(env, cfg.Log)
 	if err != nil {
 		return nil, err
 	}

@@ -51,12 +51,8 @@ func (r *rig) open(t *testing.T, mode wal.CommitMode) (*Store, Config) {
 			t.Fatal(err)
 		}
 	}
-	cfg := Config{Home: home, Journal: journal, Mode: mode}
-	if mode == wal.BA {
-		cfg.SSD = r.ssd
-		cfg.EIDs = []core.EID{0, 1}
-		cfg.SegmentBytes = 64 * 4096
-	}
+	cfg := Config{Home: home, Log: wal.Config{Mode: mode, File: journal,
+		SSD: r.ssd, EIDs: []core.EID{0, 1}, SegmentBytes: 64 * 4096}}
 	var s *Store
 	r.env.Go("open", func(p *sim.Proc) {
 		s, err = Open(r.env, p, cfg)

@@ -15,7 +15,6 @@ import (
 	"sort"
 	"strconv"
 
-	"twobssd/internal/core"
 	"twobssd/internal/sim"
 	"twobssd/internal/vfs"
 	"twobssd/internal/wal"
@@ -25,18 +24,15 @@ import (
 type Config struct {
 	LogFS *vfs.FS
 
-	WALMode      wal.CommitMode
-	SSD          *core.TwoBSSD
-	EID          core.EID
-	BufferOffset int
-	SegmentBytes int // BA window size (whole BA-buffer per the paper)
+	// Log places the AOF: commit mode and, in BA mode, the SSD, entry
+	// and window (per the paper, ONE entry over the whole BA-buffer — no
+	// double buffering). The store supplies the file.
+	Log wal.Config
 
 	AOFBytes int64 // AOF file capacity
 
 	ReadCPU  sim.Duration
 	WriteCPU sim.Duration
-
-	AsyncFlushInterval sim.Duration
 }
 
 func (c *Config) fillDefaults() error {
@@ -51,14 +47,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.WriteCPU <= 0 {
 		c.WriteCPU = 1500 * sim.Nanosecond
-	}
-	if c.WALMode == wal.BA {
-		if c.SSD == nil {
-			return errors.New("kvaof: BA mode needs an SSD")
-		}
-		if c.SegmentBytes <= 0 {
-			return errors.New("kvaof: BA mode needs SegmentBytes")
-		}
 	}
 	return nil
 }
@@ -117,7 +105,8 @@ func Open(env *sim.Env, p *sim.Proc, cfg Config) (*Store, error) {
 		return nil, err
 	}
 	s.file = f
-	l, err := wal.Open(env, s.walConfig(f))
+	cfg.Log.File = f
+	l, err := wal.Open(env, cfg.Log)
 	if err != nil {
 		return nil, err
 	}
@@ -128,22 +117,6 @@ func Open(env *sim.Env, p *sim.Proc, cfg Config) (*Store, error) {
 		}
 	}
 	return s, nil
-}
-
-func (s *Store) walConfig(f *vfs.File) wal.Config {
-	cfg := wal.Config{
-		Mode:               s.cfg.WALMode,
-		File:               f,
-		SegmentBytes:       s.cfg.SegmentBytes,
-		AsyncFlushInterval: s.cfg.AsyncFlushInterval,
-	}
-	if s.cfg.WALMode == wal.BA {
-		cfg.SSD = s.cfg.SSD
-		cfg.EIDs = []core.EID{s.cfg.EID}
-		cfg.BufferOffset = s.cfg.BufferOffset
-		cfg.DoubleBuffer = false // single-threaded design (paper IV-B)
-	}
-	return cfg
 }
 
 // Stats returns a snapshot of counters.

@@ -33,17 +33,15 @@ func newRig() *rig {
 	return &rig{env: e, ssd: ssd, fs: vfs.New(ssd.Device())}
 }
 
+// config places the AOF the paper's way — one entry over the whole
+// BA-buffer; the block modes use only the segment size.
 func (r *rig) config(mode wal.CommitMode) Config {
-	cfg := Config{
-		LogFS:    r.fs,
-		WALMode:  mode,
+	return Config{
+		LogFS: r.fs,
+		Log: wal.Config{Mode: mode, SSD: r.ssd, EIDs: []core.EID{0},
+			SegmentBytes: 64 * 4096},
 		AOFBytes: 1 << 20,
 	}
-	if mode == wal.BA {
-		cfg.SSD = r.ssd
-		cfg.SegmentBytes = 64 * 4096 // whole BA-buffer, per the paper
-	}
-	return cfg
 }
 
 func TestSetGetDel(t *testing.T) {

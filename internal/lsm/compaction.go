@@ -29,9 +29,9 @@ func levelBytes(tables []*table) int64 {
 }
 
 // maybeCompact runs leveled compaction until the tree is in shape.
-// It is invoked from flush processes; the write lock is NOT held, and
-// readers tolerate table-set swaps because Go slices are replaced
-// atomically between sim yields.
+// It is invoked from flush processes, one at a time (compactLock); the
+// write lock is NOT held, and readers tolerate table-set swaps because
+// Go slices are replaced atomically between sim yields.
 func (db *DB) maybeCompact(p *sim.Proc) error {
 	for {
 		switch {
@@ -52,7 +52,7 @@ func (db *DB) maybeCompact(p *sim.Proc) error {
 }
 
 func (db *DB) overfullLevel() int {
-	for lvl := 1; lvl < db.cfg.MaxLevels-1; lvl++ {
+	for lvl := 1; lvl < maxLevels-1; lvl++ {
 		if levelBytes(db.levels[lvl]) > db.levelLimit(lvl) {
 			return lvl
 		}
@@ -85,7 +85,9 @@ func (db *DB) compactL0(p *sim.Proc) error {
 	if err != nil {
 		return err
 	}
-	db.levels[0] = nil
+	// Retire only the merged prefix: a flush may have installed a newer
+	// L0 table while the merge yielded.
+	db.levels[0] = db.levels[0][len(inputs):]
 	newL1 := append(keepL1, out...)
 	sort.Slice(newL1, func(i, j int) bool { return bytes.Compare(newL1[i].first, newL1[j].first) < 0 })
 	db.levels[1] = newL1
@@ -124,7 +126,7 @@ func (db *DB) compactLevel(p *sim.Proc, lvl int) error {
 // bottomAfter reports whether any level below lvl holds data — if not,
 // tombstones can be dropped during compaction into lvl.
 func (db *DB) bottomAfter(lvl int) bool {
-	for i := lvl + 1; i < db.cfg.MaxLevels; i++ {
+	for i := lvl + 1; i < maxLevels; i++ {
 		if len(db.levels[i]) > 0 {
 			return false
 		}
@@ -189,7 +191,8 @@ func (db *DB) buildTables(p *sim.Proc, ents []entry) ([]*table, error) {
 		}
 		img := w.finish()
 		db.fileSeq++
-		f, err := db.cfg.DataFS.Create(sstName(db.fileSeq), int64(len(img)))
+		num := db.fileSeq // a flush may take the next number while this one yields below
+		f, err := db.cfg.DataFS.Create(sstName(num), int64(len(img)))
 		if err != nil {
 			return err
 		}
@@ -199,7 +202,7 @@ func (db *DB) buildTables(p *sim.Proc, ents []entry) ([]*table, error) {
 		if err := f.Sync(p); err != nil {
 			return err
 		}
-		t, err := openTable(p, f, db.fileSeq)
+		t, err := openTable(p, f, num)
 		if err != nil {
 			return err
 		}

@@ -37,10 +37,8 @@ type Config struct {
 	WALBytes      int
 
 	// Compaction shape.
-	L0Trigger  int   // L0 table count triggering compaction
-	LevelBase  int64 // max bytes of L1; each level down is x10
-	MaxLevels  int
-	BlockCache int // cached decoded blocks
+	L0Trigger int   // L0 table count triggering compaction
+	LevelBase int64 // max bytes of L1; each level down is x10
 
 	// Host CPU costs per operation (calibration knobs).
 	ReadCPU  sim.Duration
@@ -48,6 +46,11 @@ type Config struct {
 
 	AsyncFlushInterval sim.Duration
 }
+
+const (
+	maxLevels       = 4   // depth of the tree, L0 included
+	blockCacheSlots = 256 // cached decoded blocks
+)
 
 func (c *Config) fillDefaults() error {
 	if c.DataFS == nil {
@@ -70,12 +73,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.LevelBase <= 0 {
 		c.LevelBase = 4 << 20
-	}
-	if c.MaxLevels <= 0 {
-		c.MaxLevels = 4
-	}
-	if c.BlockCache <= 0 {
-		c.BlockCache = 256
 	}
 	if c.ReadCPU <= 0 {
 		c.ReadCPU = 2 * sim.Microsecond
@@ -123,6 +120,10 @@ type DB struct {
 
 	wlock   *sim.Resource
 	immDone *sim.Signal
+	// compactLock admits one flush process into maybeCompact at a time:
+	// a flush clears imm before it compacts, so the next flush can finish
+	// while this one is still merging the tables both would pick.
+	compactLock *sim.Resource
 
 	// Reader/compaction coordination: compaction replaces level slices
 	// (never mutates visible elements), so readers work on a snapshot.
@@ -154,13 +155,14 @@ func Open(env *sim.Env, p *sim.Proc, cfg Config) (*DB, error) {
 		return nil, err
 	}
 	db := &DB{
-		env:     env,
-		cfg:     cfg,
-		cache:   newBlockCache(cfg.BlockCache),
-		mem:     newMemtable(1),
-		wlock:   env.NewResource("lsm.write", 1),
-		immDone: env.NewSignal("lsm.immdone"),
-		levels:  make([][]*table, cfg.MaxLevels),
+		env:         env,
+		cfg:         cfg,
+		cache:       newBlockCache(blockCacheSlots),
+		mem:         newMemtable(1),
+		wlock:       env.NewResource("lsm.write", 1),
+		immDone:     env.NewSignal("lsm.immdone"),
+		compactLock: env.NewResource("lsm.compact", 1),
+		levels:      make([][]*table, maxLevels),
 	}
 	if err := db.recoverLogs(p); err != nil {
 		return nil, err
@@ -407,6 +409,8 @@ func (db *DB) flushImm(p *sim.Proc, imm *memtable, l *wal.Log, f *vfs.File) erro
 	db.walImm, db.immFile = nil, nil
 	db.stats.Flushes++
 	db.immDone.Fire()
+	db.compactLock.Acquire(p)
+	defer db.compactLock.Release()
 	return db.maybeCompact(p)
 }
 
@@ -432,8 +436,8 @@ func (db *DB) writeSST(p *sim.Proc, m *memtable, level int) error {
 func (db *DB) installSST(p *sim.Proc, w *sstWriter, level int) error {
 	img := w.finish()
 	db.fileSeq++
-	name := sstName(db.fileSeq)
-	f, err := db.cfg.DataFS.Create(name, int64(len(img)))
+	num := db.fileSeq // a compaction may take the next number while this one yields below
+	f, err := db.cfg.DataFS.Create(sstName(num), int64(len(img)))
 	if err != nil {
 		return err
 	}
@@ -443,7 +447,7 @@ func (db *DB) installSST(p *sim.Proc, w *sstWriter, level int) error {
 	if err := f.Sync(p); err != nil {
 		return err
 	}
-	t, err := openTable(p, f, db.fileSeq)
+	t, err := openTable(p, f, num)
 	if err != nil {
 		return err
 	}

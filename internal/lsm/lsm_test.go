@@ -809,3 +809,96 @@ func TestDifferentialCommitModes(t *testing.T) {
 		}
 	}
 }
+
+// Flushes overlapping compactions: a small memtable, L0Trigger 2 and
+// eight writers make every flush process finish while an earlier one is
+// still inside maybeCompact. Each writer owns its keys and stamps a
+// version, so the last written value of every key is unambiguous. The
+// run must not fault (two compactions dropping the same inputs), must
+// not lose an L0 table installed mid-merge, and must never give two
+// live tables the same file number (the block-cache key).
+func TestFlushesOverlapCompactions(t *testing.T) {
+	const (
+		writers = 8
+		keys    = 64 // per writer
+		rounds  = 40
+	)
+	r := newDBRig()
+	cfg := r.config(wal.Sync)
+	cfg.MemtableBytes = 8 << 10
+	cfg.WALBytes = 32 << 10
+	cfg.L0Trigger = 2
+	cfg.LevelBase = 64 << 10
+	run := func() {
+		defer func() {
+			if f := recover(); f != nil {
+				t.Fatalf("simulator fault: %v", f)
+			}
+		}()
+		r.env.Run()
+	}
+	key := func(w, k int) []byte { return []byte(fmt.Sprintf("w%d-key%03d", w, k)) }
+	val := func(w, k, ver int) []byte {
+		return []byte(fmt.Sprintf("w%d-key%03d-v%04d-%s", w, k, ver, bytes.Repeat([]byte{'x'}, 96)))
+	}
+	var db *DB
+	last := make([][]int, writers) // last version Put returned for
+	r.env.Go("open", func(p *sim.Proc) {
+		var err error
+		if db, err = Open(r.env, p, cfg); err != nil {
+			t.Fatal(err)
+		}
+		for w := 0; w < writers; w++ {
+			w := w
+			last[w] = make([]int, keys)
+			r.env.Go("writer", func(p *sim.Proc) {
+				rng := rand.New(rand.NewSource(int64(31 + w)))
+				for i := 0; i < rounds*keys; i++ {
+					k := rng.Intn(keys)
+					if err := db.Put(p, key(w, k), val(w, k, last[w][k]+1)); err != nil {
+						t.Errorf("w%d put: %v", w, err)
+						return
+					}
+					last[w][k]++
+					if i%16 == 0 {
+						k = rng.Intn(keys)
+						if got, _, err := db.Get(p, key(w, k)); err != nil || (last[w][k] > 0 && !bytes.Equal(got, val(w, k, last[w][k]))) {
+							t.Errorf("mid-run: %s = %.24q (err %v), want version %d", key(w, k), got, err, last[w][k])
+							return
+						}
+					}
+				}
+			})
+		}
+	})
+	run()
+	if st := db.Stats(); st.Compactions < 4 || st.Flushes < 8 {
+		t.Fatalf("only %d flushes / %d compactions; the test exercises nothing", st.Flushes, st.Compactions)
+	}
+	r.env.Go("verify", func(p *sim.Proc) {
+		for w := 0; w < writers; w++ {
+			for k := 0; k < keys; k++ {
+				if last[w][k] == 0 {
+					continue
+				}
+				got, ok, err := db.Get(p, key(w, k))
+				if err != nil || !ok || !bytes.Equal(got, val(w, k, last[w][k])) {
+					t.Errorf("%s = %.24q (ok=%v err=%v), want version %d", key(w, k), got, ok, err, last[w][k])
+				}
+			}
+		}
+	})
+	run()
+	seen := map[int]string{}
+	for lvl, tables := range db.levels {
+		for _, tb := range tables {
+			if other, dup := seen[tb.num]; dup {
+				t.Errorf("tables %s and %s (L%d) share file number %d", other, tb.file.Name(), lvl, tb.num)
+			}
+			seen[tb.num] = tb.file.Name()
+			if tb.file.Name() != sstName(tb.num) {
+				t.Errorf("table %s carries file number %d", tb.file.Name(), tb.num)
+			}
+		}
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"twobssd/internal/core"
 	"twobssd/internal/sim"
 	"twobssd/internal/vfs"
 	"twobssd/internal/wal"
@@ -18,13 +17,10 @@ type Config struct {
 	DataFS *vfs.FS
 	LogFS  *vfs.FS
 
-	// XLOG commit protocol. Per the paper, BA mode sets the segment to
-	// half the BA-buffer and double-buffers across two entries.
-	WALMode      wal.CommitMode
-	SSD          *core.TwoBSSD
-	EIDs         []core.EID
-	BufferOffset int
-	SegmentBytes int
+	// Log places the XLOG: commit mode and, in BA mode, the SSD, entries
+	// and window (per the paper, two entries double-buffering halves of
+	// the BA-buffer). The engine supplies the file.
+	Log wal.Config
 
 	LogFileBytes    int64 // XLOG file capacity (16 MB in PostgreSQL)
 	HeapFileBytes   int64 // per-table heap capacity
@@ -32,12 +28,10 @@ type Config struct {
 
 	ReadCPU  sim.Duration
 	WriteCPU sim.Duration
-
-	AsyncFlushInterval sim.Duration
-
-	// CheckpointFrac of the log file filled triggers a checkpoint.
-	CheckpointFrac float64
 }
+
+// checkpointFrac of the log file filled triggers a checkpoint.
+const checkpointFrac = 0.8
 
 func (c *Config) fillDefaults() error {
 	if c.DataFS == nil {
@@ -60,17 +54,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.WriteCPU <= 0 {
 		c.WriteCPU = 4 * sim.Microsecond
-	}
-	if c.CheckpointFrac <= 0 || c.CheckpointFrac > 0.95 {
-		c.CheckpointFrac = 0.8
-	}
-	if c.WALMode == wal.BA {
-		if c.SSD == nil || len(c.EIDs) < 2 {
-			return errors.New("pglite: BA mode needs SSD and 2 EIDs")
-		}
-		if c.SegmentBytes <= 0 {
-			return errors.New("pglite: BA mode needs SegmentBytes (half the BA-buffer)")
-		}
 	}
 	return nil
 }
@@ -160,19 +143,8 @@ func Open(env *sim.Env, p *sim.Proc, cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e.logFile = f
-	wcfg := wal.Config{
-		Mode:               cfg.WALMode,
-		File:               f,
-		SegmentBytes:       cfg.SegmentBytes,
-		AsyncFlushInterval: cfg.AsyncFlushInterval,
-	}
-	if cfg.WALMode == wal.BA {
-		wcfg.SSD = cfg.SSD
-		wcfg.EIDs = cfg.EIDs
-		wcfg.BufferOffset = cfg.BufferOffset
-		wcfg.DoubleBuffer = true
-	}
-	l, err := wal.Open(env, wcfg)
+	cfg.Log.File = f
+	l, err := wal.Open(env, cfg.Log)
 	if err != nil {
 		return nil, err
 	}
@@ -341,7 +313,7 @@ func (t *Txn) Commit(p *sim.Proc) error {
 	e.stats.Writes += uint64(len(t.ops))
 	e.endCommit()
 	// Proactive checkpoint before the log runs out.
-	if e.xlog.AppendOff() > int64(float64(e.logFile.Capacity())*e.cfg.CheckpointFrac) {
+	if e.xlog.AppendOff() > int64(float64(e.logFile.Capacity())*checkpointFrac) {
 		if err := e.Checkpoint(p); err != nil {
 			return err
 		}

@@ -177,20 +177,17 @@ func newRig() *rig {
 	return &rig{env: e, ssd: ssd, fs: vfs.New(ssd.Device())}
 }
 
+// config places the XLOG the paper's way — two entries double-buffering
+// halves of the BA-buffer; the block modes use only the segment size.
 func (r *rig) config(mode wal.CommitMode) Config {
-	cfg := Config{
-		DataFS:        r.fs,
-		LogFS:         r.fs,
-		WALMode:       mode,
+	return Config{
+		DataFS: r.fs,
+		LogFS:  r.fs,
+		Log: wal.Config{Mode: mode, SSD: r.ssd, EIDs: []core.EID{0, 1},
+			SegmentBytes: 64 * 4096},
 		LogFileBytes:  1 << 20,
 		HeapFileBytes: 2 << 20,
 	}
-	if mode == wal.BA {
-		cfg.SSD = r.ssd
-		cfg.EIDs = []core.EID{0, 1}
-		cfg.SegmentBytes = 64 * 4096 // half the BA-buffer
-	}
-	return cfg
 }
 
 func TestCommitAndRead(t *testing.T) {

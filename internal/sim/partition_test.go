@@ -83,21 +83,27 @@ func TestPartitionMatchesSingleEnv(t *testing.T) {
 	// arrival timestamp the consumer sleeps until.
 	ref := NewEnv()
 	var refDone []Time
-	q := ref.NewQueue("xfer")
+	var xfer []Time
+	closed := false
+	avail := ref.NewSignal("xfer")
 	ref.Go("stage1", func(p *Proc) {
 		for i := 0; i < n; i++ {
 			p.Sleep(work)
-			q.Put(ref.Now() + Time(hop))
+			xfer = append(xfer, ref.Now()+Time(hop))
+			avail.Fire()
 		}
-		q.Close()
+		closed = true
+		avail.Fire()
 	})
 	ref.Go("stage2", func(p *Proc) {
-		for {
-			v, ok := q.Get(p)
-			if !ok {
-				return
+		for i := 0; ; i++ {
+			for i == len(xfer) {
+				if closed {
+					return
+				}
+				avail.Wait(p)
 			}
-			if arrival := v.(Time); arrival > ref.Now() {
+			if arrival := xfer[i]; arrival > ref.Now() {
 				p.Sleep(Duration(arrival - ref.Now()))
 			}
 			p.Sleep(2 * work)

@@ -847,58 +847,3 @@ func (w *WaitGroup) Wait(p *Proc) {
 		w.done.Wait(p)
 	}
 }
-
-// Queue is an unbounded FIFO of items passed between processes, the
-// virtual-time analogue of a Go channel with an infinite buffer.
-type Queue struct {
-	env    *Env
-	name   string
-	items  []interface{}
-	head   int
-	avail  *Signal
-	closed bool
-}
-
-// NewQueue creates a named queue.
-func (e *Env) NewQueue(name string) *Queue {
-	return &Queue{env: e, name: name, avail: e.NewSignal(name + ".avail")}
-}
-
-// Put appends an item and wakes any waiting receivers.
-func (q *Queue) Put(item interface{}) {
-	if q.closed {
-		panic("sim: Put on closed queue " + q.name)
-	}
-	q.items = append(q.items, item)
-	q.avail.Fire()
-}
-
-// Close marks the queue closed; Get returns ok=false once drained.
-func (q *Queue) Close() {
-	q.closed = true
-	q.avail.Fire()
-}
-
-// Get removes the head item, parking until one is available or the
-// queue is closed and drained. The head advances by cursor (the slot is
-// nilled and the buffer recycled once drained) so a long-lived queue
-// neither shifts elements nor pins its backing array.
-func (q *Queue) Get(p *Proc) (interface{}, bool) {
-	for q.head == len(q.items) {
-		if q.closed {
-			return nil, false
-		}
-		q.avail.Wait(p)
-	}
-	it := q.items[q.head]
-	q.items[q.head] = nil
-	q.head++
-	if q.head == len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
-	}
-	return it, true
-}
-
-// Len reports the number of queued items.
-func (q *Queue) Len() int { return len(q.items) - q.head }

@@ -214,37 +214,6 @@ func TestWaitGroup(t *testing.T) {
 	}
 }
 
-func TestQueueProducerConsumer(t *testing.T) {
-	e := NewEnv()
-	q := e.NewQueue("q")
-	var got []int
-	e.Go("producer", func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			p.Sleep(10)
-			q.Put(i)
-		}
-		q.Close()
-	})
-	e.Go("consumer", func(p *Proc) {
-		for {
-			v, ok := q.Get(p)
-			if !ok {
-				return
-			}
-			got = append(got, v.(int))
-		}
-	})
-	e.Run()
-	if len(got) != 5 {
-		t.Fatalf("got %v", got)
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("got %v, want 0..4 in order", got)
-		}
-	}
-}
-
 func TestDeadlockDetected(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -465,44 +434,6 @@ func TestResourceFIFOManyWaiters(t *testing.T) {
 	}
 }
 
-// Queue FIFO order must survive interleaved Put/Get around the
-// head-cursor reset.
-func TestQueueFIFOAcrossCompaction(t *testing.T) {
-	e := NewEnv()
-	q := e.NewQueue("q")
-	var got []int
-	e.Go("producer", func(p *Proc) {
-		for i := 0; i < 100; i++ {
-			q.Put(i)
-			if i%3 == 0 {
-				p.Sleep(5) // let the consumer drain and reset the head
-			}
-		}
-		q.Close()
-	})
-	e.Go("consumer", func(p *Proc) {
-		for {
-			v, ok := q.Get(p)
-			if !ok {
-				return
-			}
-			got = append(got, v.(int))
-		}
-	})
-	e.Run()
-	if len(got) != 100 {
-		t.Fatalf("got %d items, want 100", len(got))
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("got[%d] = %d, want in-order", i, v)
-		}
-	}
-	if q.Len() != 0 {
-		t.Fatalf("queue len = %d, want 0", q.Len())
-	}
-}
-
 // Events counts every executed event, across repeated Runs.
 func TestEventsCounter(t *testing.T) {
 	e := NewEnv()
@@ -520,24 +451,6 @@ func TestEventsCounter(t *testing.T) {
 	e.Run()
 	if e.Events() != 12 {
 		t.Fatalf("events after second run = %d, want 12", e.Events())
-	}
-}
-
-func TestQueueCloseUnblocksReceivers(t *testing.T) {
-	e := NewEnv()
-	q := e.NewQueue("q")
-	done := 0
-	for i := 0; i < 3; i++ {
-		e.Go("recv", func(p *Proc) {
-			if _, ok := q.Get(p); !ok {
-				done++
-			}
-		})
-	}
-	e.GoAt(10, "closer", func(p *Proc) { q.Close() })
-	e.Run()
-	if done != 3 {
-		t.Fatalf("unblocked %d receivers, want 3", done)
 	}
 }
 

@@ -29,7 +29,6 @@ func segCfg(r *rig, mode CommitMode) Config {
 	if mode == BA {
 		cfg.SSD = r.ssd
 		cfg.EIDs = []core.EID{0, 1}
-		cfg.DoubleBuffer = true
 	}
 	return cfg
 }
@@ -665,7 +664,7 @@ func geometryRun(t *testing.T, mode CommitMode, ring int) (recovered []string, m
 	ps := int64(r.fs.PageSize())
 	cfg := Config{Mode: mode, SegmentBytes: 2 * int(ps)}
 	if mode == BA {
-		cfg.SSD, cfg.EIDs, cfg.DoubleBuffer = r.ssd, []core.EID{0, 1}, true
+		cfg.SSD, cfg.EIDs = r.ssd, []core.EID{0, 1}
 	}
 	if ring == 1 {
 		f, err := r.fs.Create("geo", 16*ps)

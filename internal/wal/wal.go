@@ -159,23 +159,23 @@ type Config struct {
 	// divide SegmentFileBytes.
 	SegmentBytes int
 
-	// BA-mode plumbing.
+	// BA/PMR-mode placement: the mapping-table entries given decide the
+	// buffer halves used. One entry is a single pinned window (the
+	// append stalls while a full window flushes); two or more double-
+	// buffer across the first two, pinning the next inner segment while
+	// the last one flushes (Section IV-B).
 	SSD          *core.TwoBSSD
-	EIDs         []core.EID // one entry per buffer half
-	BufferOffset int        // base of this log's window in the BA-buffer
-	DoubleBuffer bool       // pin the next segment while flushing the last
+	EIDs         []core.EID
+	BufferOffset int // base of this log's window in the BA-buffer
 
 	// AsyncFlushInterval bounds the loss window in Async mode and sets
 	// the PM mode's lazy write-behind cadence.
 	AsyncFlushInterval sim.Duration
-
-	// PMPersistCost is the PM-mode commit cost: a DRAM-latency store
-	// plus cache-line flush into the emulated persistent memory.
-	PMPersistCost sim.Duration
-
-	// AppendCPU charges per-append host CPU work (encode + memcpy).
-	AppendCPU sim.Duration
 }
+
+// pmPersistCost is the PM-mode commit cost: a DRAM-latency store plus
+// cache-line flush into the emulated persistent memory.
+const pmPersistCost = 200 * sim.Nanosecond
 
 type half struct {
 	eid    core.EID
@@ -293,12 +293,8 @@ func Open(env *sim.Env, cfg Config) (*Log, error) {
 		if cfg.SSD == nil {
 			return nil, fmt.Errorf("%w: BA/PMR mode needs an SSD", ErrBadConfig)
 		}
-		nHalves = 1
-		if cfg.DoubleBuffer {
-			nHalves = 2
-		}
-		if len(cfg.EIDs) < nHalves {
-			return nil, fmt.Errorf("%w: BA mode needs %d EIDs", ErrBadConfig, nHalves)
+		if nHalves = min(len(cfg.EIDs), 2); nHalves == 0 {
+			return nil, fmt.Errorf("%w: BA/PMR mode needs an EID", ErrBadConfig)
 		}
 		if l.segBytes%ps != 0 || l.segBytes <= 0 {
 			return nil, fmt.Errorf("%w: SegmentBytes must be page aligned", ErrBadConfig)
@@ -309,9 +305,6 @@ func Open(env *sim.Env, cfg Config) (*Log, error) {
 	}
 	if (cfg.Mode == Async || cfg.Mode == PM) && cfg.AsyncFlushInterval <= 0 {
 		cfg.AsyncFlushInterval = 10 * sim.Millisecond
-	}
-	if cfg.Mode == PM && cfg.PMPersistCost <= 0 {
-		cfg.PMPersistCost = 200 * sim.Nanosecond
 	}
 	l.cfg = cfg
 	l.mu = env.NewResource(muName, 1)
@@ -447,9 +440,6 @@ func (l *Log) Append(p *sim.Proc, payload []byte) (LSN, error) {
 	need := headerBytes + len(payload)
 	if int64(need) > l.maxRecord() {
 		return 0, fmt.Errorf("%w: %d > segment %d", ErrTooLarge, need, l.maxRecord())
-	}
-	if l.cfg.AppendCPU > 0 {
-		p.Sleep(l.cfg.AppendCPU)
 	}
 
 	l.mu.Acquire(p)
@@ -655,7 +645,7 @@ func (l *Log) pinFor(p *sim.Proc, pos int64) (*half, error) {
 
 	// Double buffering: kick off a background flush of the *other*
 	// half so it is ready when the log wraps to it.
-	if l.cfg.DoubleBuffer {
+	if len(l.halves) == 2 {
 		other := l.halves[0]
 		if other == h {
 			other = l.halves[1]
@@ -792,7 +782,7 @@ func (l *Log) commitPM(p *sim.Proc, target int64) bool {
 	if target <= l.durableOff {
 		return false
 	}
-	p.Sleep(l.cfg.PMPersistCost)
+	p.Sleep(pmPersistCost)
 	led := l.advance(target)
 	l.scheduleAsyncFlush()
 	return led

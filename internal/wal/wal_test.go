@@ -94,7 +94,6 @@ func (r *rig) openLog(t *testing.T, name string, mode CommitMode) *Log {
 		SSD:          r.ssd,
 		EIDs:         []core.EID{0, 1},
 		BufferOffset: 0,
-		DoubleBuffer: true,
 	}
 	l, err := Open(r.env, cfg)
 	if err != nil {
@@ -151,7 +150,7 @@ func appendCommitRecover(t *testing.T, mode CommitMode) {
 	// Recover with a fresh Log over the same file.
 	l2, err := Open(r.env, Config{
 		Mode: mode, File: l.cfg.File, SegmentBytes: l.cfg.SegmentBytes,
-		SSD: r.ssd, EIDs: []core.EID{0, 1}, DoubleBuffer: true,
+		SSD: r.ssd, EIDs: []core.EID{0, 1},
 	})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
@@ -286,7 +285,7 @@ func TestSegmentRolloverAndPadding(t *testing.T) {
 	}
 	// All records must survive recovery across the padding.
 	l2, _ := Open(r.env, Config{Mode: BA, File: l.cfg.File, SegmentBytes: seg,
-		SSD: r.ssd, EIDs: []core.EID{0, 1}, DoubleBuffer: true})
+		SSD: r.ssd, EIDs: []core.EID{0, 1}})
 	count := 0
 	r.env.Go("rec", func(p *sim.Proc) {
 		l2.Recover(p, func(_ LSN, payload []byte) error {
@@ -395,7 +394,7 @@ func TestBAWALSurvivesPowerLoss(t *testing.T) {
 	r.env.Run()
 
 	l2, _ := Open(r.env, Config{Mode: BA, File: l.cfg.File, SegmentBytes: l.cfg.SegmentBytes,
-		SSD: r.ssd, EIDs: []core.EID{0, 1}, DoubleBuffer: true})
+		SSD: r.ssd, EIDs: []core.EID{0, 1}})
 	var got [][]byte
 	r.env.Go("rec", func(p *sim.Proc) {
 		if err := l2.Recover(p, func(_ LSN, payload []byte) error {
@@ -422,16 +421,12 @@ func TestBAWALDoubleBufferingParallelism(t *testing.T) {
 	// With double buffering, appends into the next segment overlap the
 	// flush of the previous one; single buffering stalls. Fill several
 	// segments and compare total time.
-	fill := func(double bool) sim.Duration {
+	fill := func(eids ...core.EID) sim.Duration {
 		r := newRig()
 		seg := 16 * 4096
 		f, _ := r.fs.Create("log", int64(8*seg))
-		eids := []core.EID{0}
-		if double {
-			eids = []core.EID{0, 1}
-		}
 		l, err := Open(r.env, Config{Mode: BA, File: f, SegmentBytes: seg,
-			SSD: r.ssd, EIDs: eids, DoubleBuffer: double})
+			SSD: r.ssd, EIDs: eids})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -448,7 +443,7 @@ func TestBAWALDoubleBufferingParallelism(t *testing.T) {
 		r.env.Run()
 		return sim.Duration(r.env.Now())
 	}
-	d, s := fill(true), fill(false)
+	d, s := fill(0, 1), fill(0)
 	if d >= s {
 		t.Fatalf("double buffering (%v) not faster than single (%v)", d, s)
 	}
@@ -534,7 +529,7 @@ func TestPropertyConcurrentAppendersRecoverable(t *testing.T) {
 
 			l2, err := Open(r.env, Config{Mode: mode, File: l.cfg.File,
 				SegmentBytes: l.cfg.SegmentBytes, SSD: r.ssd,
-				EIDs: []core.EID{0, 1}, DoubleBuffer: true})
+				EIDs: []core.EID{0, 1}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -560,21 +555,46 @@ func TestPropertyConcurrentAppendersRecoverable(t *testing.T) {
 	}
 }
 
-func TestAppendCPUCharged(t *testing.T) {
+// The entries given decide the buffer halves used: there is no separate
+// double-buffering switch to keep in step with them.
+func TestBufferHalvesDerivedFromEIDs(t *testing.T) {
 	r := newRig()
-	f, _ := r.fs.Create("cpu", 1<<20)
-	l, err := Open(r.env, Config{Mode: Async, File: f, AppendCPU: 5 * sim.Microsecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.env.Go("t", func(p *sim.Proc) {
-		start := r.env.Now()
-		l.Append(p, []byte("x"))
-		if took := sim.Duration(r.env.Now() - start); took < 5*sim.Microsecond {
-			t.Errorf("append took %v, want >= 5us of CPU", took)
+	seg := 16 * 4096
+	for _, tc := range []struct {
+		eids   []core.EID
+		halves int
+	}{
+		{[]core.EID{3}, 1},
+		{[]core.EID{0, 1}, 2},
+		{[]core.EID{0, 1, 2, 3}, 2},
+	} {
+		f, _ := r.fs.Create(fmt.Sprintf("log%d", len(tc.eids)), int64(8*seg))
+		for _, mode := range []CommitMode{BA, PMR} {
+			l, err := Open(r.env, Config{Mode: mode, File: f, SegmentBytes: seg, SSD: r.ssd, EIDs: tc.eids})
+			if err != nil {
+				t.Fatalf("%v EIDs %v: %v", mode, tc.eids, err)
+			}
+			if len(l.halves) != tc.halves {
+				t.Errorf("%v EIDs %v: %d halves, want %d", mode, tc.eids, len(l.halves), tc.halves)
+			}
+			for i, h := range l.halves {
+				if h.eid != tc.eids[i] || h.bufOff != i*seg {
+					t.Errorf("%v EIDs %v: half %d on entry %d at %d", mode, tc.eids, i, h.eid, h.bufOff)
+				}
+			}
+			// Rebind may not shrink the log below the halves it was opened with.
+			if err := l.Rebind(tc.eids[:tc.halves-1], 0); !errors.Is(err, ErrBadConfig) {
+				t.Errorf("%v EIDs %v: Rebind onto %d entries = %v, want ErrBadConfig", mode, tc.eids, tc.halves-1, err)
+			}
+			if err := l.Rebind(tc.eids, 0); err != nil {
+				t.Errorf("%v EIDs %v: Rebind onto the same entries: %v", mode, tc.eids, err)
+			}
 		}
-	})
-	r.env.Run()
+	}
+	f, _ := r.fs.Create("none", int64(8*seg))
+	if _, err := Open(r.env, Config{Mode: BA, File: f, SegmentBytes: seg, SSD: r.ssd}); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("BA with no entries = %v, want ErrBadConfig", err)
+	}
 }
 
 // Property: recovery over an arbitrarily corrupted log file never

@@ -127,7 +127,10 @@ type (
 	// files with rotation, Checkpoint truncation, tail readers (Tail)
 	// and torn-tail repair on Recover.
 	WAL = wal.Log
-	// WALConfig assembles a log (commit mode, geometry, BA plumbing).
+	// WALConfig assembles a log: commit mode, geometry, and its
+	// placement on the 2B-SSD (SSD, EIDs, BufferOffset, SegmentBytes).
+	// The entries given decide the buffer halves used: two EIDs
+	// double-buffer, one is a single pinned window.
 	WALConfig = wal.Config
 	// CommitMode selects the durability protocol of Fig 5.
 	CommitMode = wal.CommitMode

@@ -66,7 +66,7 @@ func TestPublicAPIWAL(t *testing.T) {
 		log, err := twobssd.OpenWAL(env, twobssd.WALConfig{
 			Mode: twobssd.BACommit, File: f,
 			SegmentBytes: twobssd.DefaultConfig().BABufferBytes / 2,
-			SSD:          ssd, EIDs: []twobssd.EID{0, 1}, DoubleBuffer: true,
+			SSD:          ssd, EIDs: []twobssd.EID{0, 1},
 		})
 		if err != nil {
 			t.Fatal(err)
