@@ -41,6 +41,7 @@ type walLifeRow struct {
 	checkpoint   float64 // meta write + truncation per checkpoint
 	tailLag      float64 // append→tail-reader delivery lag
 	recover      float64 // full chain scan + replay
+	recoverReads float64 // device read commands that recovery issued
 	truncations  float64
 	tornRepaired float64
 }
@@ -182,11 +183,14 @@ func walLifeFeatures(mode wal.CommitMode) (walLifeRow, error) {
 			fail(err)
 			return
 		}
+		readCmds := reg.Counter(s.ssd.Device().Profile().Name + ".read_cmds")
+		reads0 := readCmds.Value()
 		if err := rl.Recover(p, nil); err != nil {
 			fail(err)
 			return
 		}
 		row.recover = usOf(total("recover"), 1)
+		row.recoverReads = float64(readCmds.Value() - reads0)
 		row.tornRepaired = float64(count("torn_repairs"))
 	})
 	env.Run()
@@ -222,6 +226,7 @@ func walLifeTable(r *Runner) (*Table, error) {
 	t.AddRow("truncations", ba.truncations, sync.truncations)
 	t.AddRow("tail_lag_us", ba.tailLag, sync.tailLag)
 	t.AddRow("recover_us", ba.recover, sync.recover)
+	t.AddRow("recover_read_cmds", ba.recoverReads, sync.recoverReads)
 	t.AddRow("torn_repaired", ba.tornRepaired, sync.tornRepaired)
 	t.Notes = append(t.Notes,
 		"group commit: 8 concurrent committers coalesced per flush burst",

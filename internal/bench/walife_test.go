@@ -16,7 +16,7 @@ func TestWalLifeSmoke(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"WAL-LIFE", "commit_1_us", "commits/flush", "recover_us",
+		"WAL-LIFE", "commit_1_us", "commits/flush", "recover_us", "recover_read_cmds",
 		"campaign walseg-ba:", "campaign walseg-sync:", "violations: 0",
 	} {
 		if !strings.Contains(out, want) {

@@ -256,12 +256,22 @@ func (f *File) ReadAt(p *sim.Proc, off int64, buf []byte) error {
 	firstPage := off / ps
 	lastPage := (off + int64(len(buf)) - 1) / ps
 	pages := int(lastPage - firstPage + 1)
-	data, err := f.fs.dev.ReadPages(p, f.ext.start+ftl.LBA(firstPage), pages)
+	data, err := f.ReadPages(p, int(firstPage), pages)
 	if err != nil {
 		return err
 	}
 	copy(buf, data[off-firstPage*ps:])
 	return nil
+}
+
+// ReadPages reads n whole pages from page index first in one device
+// command and returns the device's buffer itself, not a copy.
+func (f *File) ReadPages(p *sim.Proc, first, n int) ([]byte, error) {
+	ps := f.fs.PageSize()
+	if err := f.check(int64(first)*int64(ps), n*ps); err != nil {
+		return nil, err
+	}
+	return f.fs.dev.ReadPages(p, f.ext.start+ftl.LBA(first), n)
 }
 
 // Sync is fsync: it forces all acknowledged writes down to NAND.

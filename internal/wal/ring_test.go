@@ -279,12 +279,7 @@ func TestProbeErrorFailsRecover(t *testing.T) {
 				t.Fatalf("append %d: %v", i, err)
 			}
 		}
-		if err := sl.FlushToNAND(p); err != nil {
-			t.Fatalf("flush: %v", err)
-		}
-		if err := r.ssd.Device().Drain(p); err != nil {
-			t.Fatalf("drain: %v", err)
-		}
+		r.settle(t, p, sl)
 	})
 	r.env.Run()
 	if _, cur := sl.Segments(); cur < 2 {
@@ -294,10 +289,7 @@ func TestProbeErrorFailsRecover(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open seg.1: %v", err)
 	}
-	ppa, ok := r.ssd.Device().FTL().PPAOf(f.LBA(0))
-	if !ok || !r.ssd.Device().Flash().CorruptPage(ppa, 1) {
-		t.Fatal("seg.1's header page is not on NAND")
-	}
+	r.corruptFilePage(t, f, 0) // the header page
 
 	rl := openSeg(t, r, Sync)
 	replayed := 0
