@@ -82,7 +82,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.timeline, "timeline", "", "write the merged metric timeline to this file (.csv extension selects CSV, else JSON)")
 	fs.StringVar(&o.listen, "listen", "", "serve /metrics, /timeline and /progress on this address; keeps serving after the run until interrupted")
 	fs.IntVar(&o.seeds, "seeds", 256, "seed count for the fuzz experiment")
-	fs.StringVar(&o.benchGate, "benchgate", "", "compare this run against a baseline kernel benchmark JSON; exit non-zero on >20% events/sec drop or an allocs/event increase")
+	fs.StringVar(&o.benchGate, "benchgate", "", "compare this run against a baseline kernel benchmark JSON; exit non-zero when wall time (+25%) or allocations (+10%), in total or of one experiment, regressed")
 	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a host CPU profile (pprof) of the run to this file")
 	fs.StringVar(&o.memProfile, "memprofile", "", "write a host allocation profile (pprof, alloc_space) to this file after the run")
 	fs.Usage = func() {
@@ -134,12 +134,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // expReport is one experiment's cost in the -benchjson report. Under
 // -j > 1 experiments overlap, so their wall times can sum past the
-// run's total — and the per-experiment event/alloc attribution
-// (schema v2) is only recorded at -j 1, where the deltas between
-// experiments are unambiguous.
+// run's total — and the per-experiment allocation/event attribution
+// is only recorded at -j 1, where the deltas between experiments are
+// unambiguous. The two ratios are for reading; -benchgate compares
+// wall_ns and mallocs.
 type expReport struct {
 	ID             string  `json:"id"`
 	WallNs         int64   `json:"wall_ns"`
+	Mallocs        uint64  `json:"mallocs,omitempty"`
 	Events         uint64  `json:"events,omitempty"`
 	EventsPerSec   float64 `json:"events_per_sec,omitempty"`
 	AllocsPerEvent float64 `json:"allocs_per_event,omitempty"`
@@ -154,6 +156,7 @@ type kernelReport struct {
 	Jobs           int                    `json:"jobs"`
 	Experiments    []expReport            `json:"experiments"`
 	WallNs         int64                  `json:"wall_ns"`
+	Mallocs        uint64                 `json:"mallocs"`
 	VirtualNs      int64                  `json:"virtual_ns"`
 	Events         uint64                 `json:"events"`
 	EventsPerSec   float64                `json:"events_per_sec"`
@@ -163,11 +166,14 @@ type kernelReport struct {
 }
 
 // gate compares this run against a committed baseline report and
-// returns an error on a kernel performance regression: a >20% drop in
-// events/sec, or an allocs/event increase beyond measurement noise
-// (10% relative plus 0.02 absolute). The partition probe's wall-clock
-// ratio moves ±20% run to run and gates nothing; only its identity
-// check can fail a run.
+// returns an error on a host-cost regression. What it gates are totals —
+// wall time and heap allocations, for the run and for each experiment
+// the two reports share — never the per-event ratios printed next to
+// them: a change that deletes futile events lowers events/sec and
+// raises allocs/event while making every run cheaper. Wall time may
+// grow 25 % plus 50 ms (short experiments are all jitter), allocations
+// 10 % plus 2000. The partition probe's wall-clock ratio moves ±20 % run
+// to run and gates nothing; only its identity check can fail a run.
 func gate(cur kernelReport, basePath string) error {
 	data, err := os.ReadFile(basePath)
 	if err != nil {
@@ -177,19 +183,35 @@ func gate(cur kernelReport, basePath string) error {
 	if err := json.Unmarshal(data, &base); err != nil {
 		return fmt.Errorf("parsing %s: %w", basePath, err)
 	}
-	if base.EventsPerSec > 0 && cur.EventsPerSec < 0.8*base.EventsPerSec {
-		return fmt.Errorf("events/sec regressed: %.0f vs baseline %.0f (-%.1f%%)",
-			cur.EventsPerSec, base.EventsPerSec,
-			100*(1-cur.EventsPerSec/base.EventsPerSec))
+	check := func(what string, wall, baseWall int64, mallocs, baseMallocs uint64) error {
+		if baseWall > 0 && wall > baseWall+baseWall/4+50e6 {
+			return fmt.Errorf("%s: wall time regressed: %d ms vs baseline %d ms (+%.1f%%)",
+				what, wall/1e6, baseWall/1e6, 100*(float64(wall)/float64(baseWall)-1))
+		}
+		if baseMallocs > 0 && mallocs > baseMallocs+baseMallocs/10+2000 {
+			return fmt.Errorf("%s: allocations regressed: %d vs baseline %d (+%.1f%%)",
+				what, mallocs, baseMallocs, 100*(float64(mallocs)/float64(baseMallocs)-1))
+		}
+		return nil
 	}
-	if base.AllocsPerEvent > 0 && cur.AllocsPerEvent > 1.1*base.AllocsPerEvent+0.02 {
-		return fmt.Errorf("allocs/event regressed: %.4f vs baseline %.4f",
-			cur.AllocsPerEvent, base.AllocsPerEvent)
+	if err := check("run", cur.WallNs, base.WallNs, cur.Mallocs, base.Mallocs); err != nil {
+		return err
 	}
-	if base.Steady != nil && cur.Steady != nil &&
-		cur.Steady.AllocsPerEvent > 1.1*base.Steady.AllocsPerEvent+0.02 {
-		return fmt.Errorf("steady-state allocs/event regressed: %.4f vs baseline %.4f",
-			cur.Steady.AllocsPerEvent, base.Steady.AllocsPerEvent)
+	was := make(map[string]expReport, len(base.Experiments))
+	for _, er := range base.Experiments {
+		was[er.ID] = er
+	}
+	for _, er := range cur.Experiments {
+		if b, ok := was[er.ID]; ok {
+			if err := check(er.ID, er.WallNs, b.WallNs, er.Mallocs, b.Mallocs); err != nil {
+				return err
+			}
+		}
+	}
+	if base.Steady != nil && cur.Steady != nil {
+		if err := check("steady-state probe", 0, 0, cur.Steady.Allocs, base.Steady.Allocs); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -306,19 +328,20 @@ func execute(o options, selected []bench.Experiment, stdout, stderr io.Writer) e
 	}
 	if benchFile != nil || o.benchGate != "" {
 		rep := kernelReport{
-			Schema:      "bench2b/kernel-v2",
+			Schema:      "bench2b/kernel-v3",
 			Scale:       scaleName,
 			GoVersion:   runtime.Version(),
 			NumCPU:      runtime.NumCPU(),
 			Jobs:        r.Jobs(),
 			Experiments: reports,
 			WallNs:      wallTotal.Nanoseconds(),
+			Mallocs:     ms1.Mallocs - ms0.Mallocs,
 			VirtualNs:   int64(col.TotalVirtual()),
 			Events:      col.TotalEvents(),
 		}
 		if rep.Events > 0 {
 			rep.EventsPerSec = float64(rep.Events) / wallTotal.Seconds()
-			rep.AllocsPerEvent = float64(ms1.Mallocs-ms0.Mallocs) / float64(rep.Events)
+			rep.AllocsPerEvent = float64(rep.Mallocs) / float64(rep.Events)
 		}
 		// Worker-count probe: the steady fleet wall-clocked at one
 		// sim.Group worker and at one per device, with a result-identity
@@ -343,8 +366,8 @@ func execute(o options, selected []bench.Experiment, stdout, stderr io.Writer) e
 				fmt.Fprintf(stderr, "bench2b: benchgate: %v\n", err)
 				failures++
 			} else {
-				fmt.Fprintf(stdout, "benchgate: ok (%.0f events/sec, %.4f allocs/event vs %s)\n",
-					rep.EventsPerSec, rep.AllocsPerEvent, o.benchGate)
+				fmt.Fprintf(stdout, "benchgate: ok (%d ms, %d allocations; %.0f events/sec, %.4f allocs/event; vs %s)\n",
+					rep.WallNs/1e6, rep.Mallocs, rep.EventsPerSec, rep.AllocsPerEvent, o.benchGate)
 			}
 		}
 		if !rep.Partition.Identical {
@@ -430,10 +453,12 @@ func runAll(r *bench.Runner, selected []bench.Experiment, live *obs.LiveServer, 
 			runtime.ReadMemStats(&ms0)
 			step(i, stdout)
 			runtime.ReadMemStats(&ms1)
-			if er := &reports[i]; col != nil && col.TotalEvents() > ev0 {
+			er := &reports[i]
+			er.Mallocs = ms1.Mallocs - ms0.Mallocs
+			if col != nil && col.TotalEvents() > ev0 {
 				er.Events = col.TotalEvents() - ev0
 				er.EventsPerSec = float64(er.Events) / time.Duration(er.WallNs).Seconds()
-				er.AllocsPerEvent = float64(ms1.Mallocs-ms0.Mallocs) / float64(er.Events)
+				er.AllocsPerEvent = float64(er.Mallocs) / float64(er.Events)
 			}
 		}
 	} else {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -102,5 +103,43 @@ func TestRunGateFailure(t *testing.T) {
 		if !strings.Contains(errs, "gate failed") {
 			t.Errorf("-j %s: stderr %q does not say a gate failed", jobs, errs)
 		}
+	}
+}
+
+// The gate compares totals. A run that got cheaper by deleting events —
+// half the events, so half the events/sec and twice the allocs/event of
+// its baseline — passes; more wall time or more allocations, for the
+// run or for one experiment, does not.
+func TestGateComparesTotalsNotRatios(t *testing.T) {
+	report := func(wallMs int64, mallocs, events uint64) kernelReport {
+		r := kernelReport{
+			WallNs: wallMs * 1e6, Mallocs: mallocs, Events: events,
+			Experiments: []expReport{{ID: "fig9", WallNs: wallMs * 1e6 / 2, Mallocs: mallocs / 2, Events: events / 2}},
+		}
+		r.EventsPerSec = float64(events) / (float64(wallMs) / 1e3)
+		r.AllocsPerEvent = float64(mallocs) / float64(events)
+		return r
+	}
+	basePath := filepath.Join(t.TempDir(), "base.json")
+	var buf bytes.Buffer
+	if err := jsonReport(report(2000, 400000, 4000000))(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(basePath, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := gate(report(1900, 390000, 2000000), basePath); err != nil {
+		t.Errorf("fewer events at lower cost was refused: %v", err)
+	}
+	if err := gate(report(2700, 400000, 4000000), basePath); err == nil || !strings.Contains(err.Error(), "wall time") {
+		t.Errorf("+35%% wall time passed: %v", err)
+	}
+	if err := gate(report(2000, 460000, 4000000), basePath); err == nil || !strings.Contains(err.Error(), "allocations") {
+		t.Errorf("+15%% allocations passed: %v", err)
+	}
+	one := report(2000, 400000, 4000000)
+	one.Experiments[0].Mallocs += 40000 // +20 % in one experiment, +10 % in total
+	if err := gate(one, basePath); err == nil || !strings.Contains(err.Error(), "fig9") {
+		t.Errorf("one experiment's allocation regression passed: %v", err)
 	}
 }

@@ -12,13 +12,16 @@ package bench
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"strings"
 
 	"twobssd/internal/core"
 	"twobssd/internal/fault"
+	"twobssd/internal/ftl"
 	"twobssd/internal/jfs"
 	"twobssd/internal/kvaof"
 	"twobssd/internal/lsm"
@@ -437,6 +440,99 @@ func (c *jfsCrash) Recover(p *sim.Proc) (recovered, phantoms []string, err error
 	return recovered, phantoms, nil
 }
 
+// ---- blkgc: raw block path of a drive in steady-state GC -----------
+
+// blkGCCrash overwrites a 90 % full, 16-blocks/die drive through four
+// drain workers, so the FTL collects all along and the power-loss
+// points land inside relocation runs (ftl.evacuate) as often as between
+// them. Steps are four-page writes, a third of them into a 64-page hot
+// range: the same LBA sits in the write buffer, in flight to NAND and in
+// a victim under relocation at once. The block path promises an
+// acknowledged write is durable whatever the capacitor dump does, so
+// any page that reads anything but its newest version after recovery —
+// an older version a relocation put back included — is a phantom.
+type blkGCCrash struct {
+	*stack
+	span int      // LBAs [0, span) carry the workload
+	ver  []uint32 // newest version written, per LBA
+	rng  *rand.Rand
+	buf  []byte
+}
+
+const (
+	blkGCBurst = 4  // pages per step
+	blkGCHot   = 64 // LBAs of the hot range
+)
+
+func blkGCKey(lba int) string { return fmt.Sprintf("blk-%05d", lba) }
+
+func blkGCStamp(page []byte, lba int, ver uint32) {
+	binary.LittleEndian.PutUint32(page[0:], uint32(lba))
+	binary.LittleEndian.PutUint32(page[4:], ver)
+}
+
+func (c *blkGCCrash) write(p *sim.Proc, lba, pages int) error {
+	ps := c.ssd.PageSize()
+	for i := 0; i < pages; i++ {
+		c.ver[lba+i]++
+		blkGCStamp(c.buf[i*ps:], lba+i, c.ver[lba+i])
+	}
+	return c.ssd.Device().WritePages(p, ftl.LBA(lba), c.buf[:pages*ps])
+}
+
+func buildBlkGCCrash(env *sim.Env, p *sim.Proc) (fault.Cycle, error) {
+	cfg := crashStackConfig()
+	cfg.Base.Nand.BlocksPerDie = 16
+	ssd := core.New(env, cfg)
+	c := &blkGCCrash{
+		stack: &stack{env: env, ssd: ssd},
+		span:  int(float64(ssd.Device().Pages()) * 0.9),
+		rng:   rand.New(rand.NewSource(0x2b55)),
+		buf:   make([]byte, cfg.Base.WriteBufferPages*ssd.PageSize()),
+	}
+	c.ver = make([]uint32, c.span)
+	for lba := 0; lba < c.span; lba += cfg.Base.WriteBufferPages {
+		if err := c.write(p, lba, min(cfg.Base.WriteBufferPages, c.span-lba)); err != nil {
+			return nil, err
+		}
+	}
+	return c, nil
+}
+
+func (c *blkGCCrash) Step(p *sim.Proc, i int) (string, error) {
+	lba := c.rng.Intn(c.span - blkGCBurst)
+	if i%3 == 0 {
+		lba = c.rng.Intn(blkGCHot - blkGCBurst)
+	}
+	return blkGCKey(lba), c.write(p, lba, blkGCBurst)
+}
+
+// Stage: a block write is acknowledged-or-nothing; no uncommitted path.
+func (c *blkGCCrash) Stage(p *sim.Proc) (string, error) { return "", nil }
+
+func (c *blkGCCrash) Recover(p *sim.Proc) (recovered, phantoms []string, err error) {
+	if err := c.ssd.PowerOn(p); err != nil {
+		return nil, nil, err
+	}
+	ps := c.ssd.PageSize()
+	for lba := 0; lba < c.span; lba += blkGCHot {
+		n := min(blkGCHot, c.span-lba)
+		data, err := c.ssd.Device().ReadPages(p, ftl.LBA(lba), n)
+		if err != nil {
+			return nil, nil, err
+		}
+		for i := 0; i < n; i++ {
+			pg := data[i*ps:]
+			if binary.LittleEndian.Uint32(pg[0:]) == uint32(lba+i) && binary.LittleEndian.Uint32(pg[4:]) == c.ver[lba+i] {
+				recovered = append(recovered, blkGCKey(lba+i))
+			} else {
+				phantoms = append(phantoms, blkGCKey(lba+i))
+			}
+		}
+	}
+	return recovered, phantoms, nil
+}
+
 // ---- campaign assembly ---------------------------------------------
 
 // crashWorkload rows pin name, committed-op count and seed per
@@ -464,6 +560,9 @@ var crashWorkloads = []crashWorkload{
 	{"walseg", 48, 0x2b55c0de0006,
 		func(ops int) func(*sim.Env, *sim.Proc) (fault.Cycle, error) { return buildWalSegCrash(wal.BA, ops) },
 		walLifeTweak},
+	// blkgc has no log at all: the raw block path of a drive that is
+	// collecting garbage the whole time, relocation runs in flight.
+	{"blkgc", 192, 0x2b55c0de0007, func(int) func(*sim.Env, *sim.Proc) (fault.Cycle, error) { return buildBlkGCCrash }, nil},
 }
 
 // CrashWorkloads lists the crash-campaign workload names in run order.

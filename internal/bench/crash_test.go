@@ -8,6 +8,7 @@ import (
 
 	"twobssd/internal/core"
 	"twobssd/internal/fault"
+	"twobssd/internal/ftl"
 	"twobssd/internal/sim"
 	"twobssd/internal/vfs"
 	"twobssd/internal/wal"
@@ -245,5 +246,37 @@ func TestWalSegExcusedPoints(t *testing.T) {
 	}
 	if excused != 1 {
 		t.Fatalf("campaign excused %d points, want exactly 1 (point 28: BA_FLUSH program torn, dump cut)", excused)
+	}
+}
+
+// The blkgc profile must actually collect while the crash points fall:
+// by the end of its steps the drive has relocated pages in multi-run
+// victims, and a short campaign over it is clean.
+func TestBlkGCCrashProfileCollects(t *testing.T) {
+	env := sim.NewEnv()
+	var st ftl.Stats
+	env.Go("profile", func(p *sim.Proc) {
+		cyc, err := buildBlkGCCrash(env, p)
+		if err != nil {
+			t.Fatalf("build: %v", err)
+		}
+		c := cyc.(*blkGCCrash)
+		for i := 0; i < 192; i++ {
+			if _, err := c.Step(p, i); err != nil {
+				t.Fatalf("step %d: %v", i, err)
+			}
+		}
+		if err := c.ssd.Device().Drain(p); err != nil {
+			t.Fatal(err)
+		}
+		st = c.ssd.Device().FTL().Stats()
+	})
+	env.Run()
+	if st.GCRuns < 20 || st.GCRelocations < 12*st.GCRuns {
+		t.Fatalf("profile relocated %d pages in %d collections; want a drive in steady GC with victims of several runs", st.GCRelocations, st.GCRuns)
+	}
+	var buf bytes.Buffer
+	if err := RunCrash(runner(Quick), &buf, []string{"blkgc"}, 12); err != nil {
+		t.Fatalf("RunCrash: %v\n%s", err, buf.String())
 	}
 }

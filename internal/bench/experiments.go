@@ -49,15 +49,17 @@ func Experiments() []Experiment {
 		{"probe", true, tables(Probe)},
 		{"ablations", true, tables(AblationWriteCombining, AblationDoubleBuffering, AblationGroupCommit)},
 
-		// 128 power-loss points per storage engine (768 in all); the
-		// smoke is 32 points over lsm, pglite and walseg.
+		// 128 power-loss points per workload — six storage engines and
+		// the raw block path in steady-state GC (896 in all); the smoke
+		// is 32 points over lsm, pglite, walseg and blkgc.
 		{"crash", false, func(r *Runner, w io.Writer) error { return RunCrash(r, w, nil, 128) }},
 		{"crash-smoke", false, func(r *Runner, w io.Writer) error {
-			return RunCrash(r, w, []string{"lsm", "pglite", "walseg"}, 32)
+			return RunCrash(r, w, []string{"lsm", "pglite", "walseg", "blkgc"}, 32)
 		}},
-		// Randomized dual-path workloads against internal/oracle.
-		{"fuzz", false, func(r *Runner, w io.Writer) error { _, err := RunFuzz(r, w, r.Seeds); return err }},
-		{"fuzz-smoke", false, func(r *Runner, w io.Writer) error { _, err := RunFuzz(r, w, 32); return err }},
+		// Randomized dual-path workloads against internal/oracle, on an
+		// empty drive and on one in steady-state GC.
+		{"fuzz", false, func(r *Runner, w io.Writer) error { return RunFuzz(r, w, r.Seeds) }},
+		{"fuzz-smoke", false, func(r *Runner, w io.Writer) error { return RunFuzz(r, w, 32) }},
 		// The multi-device scenario family; the smoke is 2 devices with
 		// a primary crash, takeover and a 1-vs-2-worker identity probe.
 		{"fleet", false, func(r *Runner, w io.Writer) error { return RunFleet(r, w, false) }},

@@ -16,25 +16,38 @@ import (
 // FuzzReport aggregates one fuzz campaign.
 type FuzzReport struct {
 	Seeds        int
+	GCActive     bool // the profile: a drive in steady-state GC
 	Ops          int
 	Divergences  []oracle.ShrinkReport
 	ScrubRepairs uint64
 	EccRetries   uint64
+	GCRelocated  uint64 // pages garbage collection moved under the traces
 }
 
-// RunFuzz replays seeds 0..n-1 through the oracle, shrinks any
-// divergence, writes the summary table to w, and returns an error when
-// the stack and the reference model disagreed anywhere.
-func RunFuzz(r *Runner, w io.Writer, n int) (*FuzzReport, error) {
-	cfg := oracle.Config{}
+// RunFuzz replays seeds 0..n-1 through the oracle twice — on an empty
+// drive, then on one in steady-state garbage collection — shrinks any
+// divergence, writes one summary table per profile to w, and returns an
+// error when the stack and the reference model disagreed anywhere.
+func RunFuzz(r *Runner, w io.Writer, n int) error {
+	var first error
+	for _, cfg := range []oracle.Config{{}, {GCActive: true}} {
+		if err := runFuzz(r, w, n, cfg); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+func runFuzz(r *Runner, w io.Writer, n int, cfg oracle.Config) error {
 	results := points(r, n, func(i int) oracle.Result {
 		return oracle.Run(uint64(i), cfg)
 	})
-	rep := &FuzzReport{Seeds: n}
+	rep := &FuzzReport{Seeds: n, GCActive: cfg.GCActive}
 	for _, res := range results {
 		rep.Ops += res.Ops
 		rep.ScrubRepairs += res.ScrubRepairs
 		rep.EccRetries += res.EccRetries
+		rep.GCRelocated += res.GCRelocations
 		if res.Divergence != nil {
 			sr := oracle.Shrink(res.Seed, cfg, oracle.Generate(res.Seed, cfg))
 			if sr.Divergence == nil {
@@ -47,17 +60,21 @@ func RunFuzz(r *Runner, w io.Writer, n int) (*FuzzReport, error) {
 		}
 	}
 	if err := rep.WriteText(w); err != nil {
-		return rep, err
+		return err
 	}
 	if len(rep.Divergences) > 0 {
-		return rep, fmt.Errorf("bench: %d of %d fuzz seeds diverged from the reference model", len(rep.Divergences), n)
+		return fmt.Errorf("bench: %d of %d fuzz seeds diverged from the reference model", len(rep.Divergences), n)
 	}
-	return rep, nil
+	return nil
 }
 
 // WriteText renders the deterministic campaign summary.
 func (r *FuzzReport) WriteText(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "== fuzz: dual-path oracle, %d seeds ==\n", r.Seeds); err != nil {
+	profile := ""
+	if r.GCActive {
+		profile = "drive in steady-state GC, "
+	}
+	if _, err := fmt.Fprintf(w, "== fuzz: dual-path oracle, %s%d seeds ==\n", profile, r.Seeds); err != nil {
 		return err
 	}
 	if _, err := fmt.Fprintf(w, "%-24s %d\n%-24s %d\n%-24s %d\n%-24s %d\n%-24s %d\n",
@@ -67,6 +84,11 @@ func (r *FuzzReport) WriteText(w io.Writer) error {
 		"scrub repairs", r.ScrubRepairs,
 		"ecc retries", r.EccRetries); err != nil {
 		return err
+	}
+	if r.GCActive {
+		if _, err := fmt.Fprintf(w, "%-24s %d\n", "gc relocations", r.GCRelocated); err != nil {
+			return err
+		}
 	}
 	for _, sr := range r.Divergences {
 		if _, err := fmt.Fprintf(w, "DIVERGENCE %v\n", sr.Divergence); err != nil {

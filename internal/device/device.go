@@ -197,7 +197,7 @@ type Device struct {
 	buf          []bufEntry
 	bufHead      int         // drain cursor into buf (popped entries)
 	bufSpace     *sim.Signal // fired when space frees up
-	bufWork      *sim.Signal // fired when work arrives
+	bufWork      *sim.Signal // fired (one waiter) per entry buffered
 	inflight     int         // entries popped by drainers, not yet on NAND
 	inflightDone *sim.Signal // fired when an LBA's oldest copy persists
 	bufDrain     *sim.Signal // fired when buffer+inflight reaches empty
@@ -500,7 +500,9 @@ func (d *Device) WritePages(p *sim.Proc, lba ftl.LBA, data []byte) error {
 		l := lba + ftl.LBA(i)
 		if !d.coalesce(l, page, tag) {
 			d.buf = append(d.buf, bufEntry{lba: l, data: page, tag: tag})
-			d.bufWork.Fire()
+			// One entry, one drain worker: a broadcast would resume every
+			// idle worker to find the entry already popped.
+			d.bufWork.FireOne()
 			d.o.Tracer().Count(d.bufTrack, "buffered_pages", float64(d.BufferedPages()))
 		}
 	}

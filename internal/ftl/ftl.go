@@ -84,13 +84,26 @@ type FTL struct {
 	open       []openBlock // one open block per die, nil blk = -1
 	nextDie    int
 
-	// dieLocks serialize allocate+program per die so concurrent writer
-	// processes cannot reorder page programs within a block (the NAND
-	// sequential-program rule). gcLock serializes garbage collection.
-	// Lock order: gcLock strictly before any dieLock.
+	// dieLocks serialize allocate+program per open-block slot so
+	// concurrent writer processes cannot reorder page programs within a
+	// block (the NAND sequential-program rule). gcLock serializes garbage
+	// collection, retirement and scrub rewrites.
+	// Lock order: gcLock, then one dieLock, then NAND channel/die.
 	dieLocks []sim.Resource // one backing array; elements never copied
 	gcLock   *sim.Resource
-	gcBuf    []byte // relocation scratch page; gcLock serializes users
+
+	// Block evacuation (see evacuate). gcLock's holder owns all of it
+	// except the movers, which belong to their procs.
+	skip      []bool     // pickVictim scratch: open and free blocks
+	evacSrc   []nand.PPA // the victim's valid pages
+	mover     *mover     // scratch of a run the evacuating proc moves itself
+	relocDie  int        // round-robin cursor over destination slots
+	relocQ    []relocRun // runs handed to the workers, relocQ[:relocHead] taken
+	relocHead int
+	relocLeft int         // handed-out runs not finished yet
+	relocErr  error       // first error of the batch
+	relocWork *sim.Signal // a run was queued; nil until the workers start
+	relocDone *sim.Signal // the batch's last run finished
 
 	o                              *obs.Set
 	inj                            *fault.Injector
@@ -293,34 +306,33 @@ func (f *FTL) popFree(die int) (nand.BlockID, bool) {
 	return b, true
 }
 
-// allocPPA returns the next physical page on the preferred die's open
-// block, opening a fresh block if needed.
-func (f *FTL) allocPPA(p *sim.Proc, die int) (nand.PPA, error) {
+// allocRun takes up to want consecutive pages of slot die's open block —
+// as many as the block has left — opening a fresh block (preferably on
+// that die) if it is full. Called with dieLocks[die] held.
+func (f *FTL) allocRun(p *sim.Proc, die, want int) (base nand.PPA, n int, err error) {
 	fc := f.flash.Config()
 	ob := &f.open[die]
-	for {
-		if ob.nextPage < 0 || ob.nextPage >= fc.PagesPerBlock {
-			blk, ok := f.popFree(die)
-			if !ok {
-				return 0, ErrNoSpace
-			}
-			if f.flash.NextPage(blk) != 0 {
-				if err := f.flash.EraseBlock(p, blk); err != nil {
-					// Worn-out, erase-failed or bad block: drop it
-					// and retry with another.
-					if errors.Is(err, nand.ErrWornOut) || errors.Is(err, nand.ErrEraseFailed) {
-						f.cRetired.Inc()
-					}
-					continue
-				}
-			}
-			*ob = openBlock{blk: blk, nextPage: 0}
+	for ob.nextPage < 0 || ob.nextPage >= fc.PagesPerBlock {
+		blk, ok := f.popFree(die)
+		if !ok {
+			return 0, 0, ErrNoSpace
 		}
-		base := uint64(ob.blk) * uint64(fc.PagesPerBlock)
-		ppa := nand.PPA(base + uint64(ob.nextPage))
-		ob.nextPage++
-		return ppa, nil
+		if f.flash.NextPage(blk) != 0 {
+			if err := f.flash.EraseBlock(p, blk); err != nil {
+				// Worn-out, erase-failed or bad block: drop it
+				// and retry with another.
+				if errors.Is(err, nand.ErrWornOut) || errors.Is(err, nand.ErrEraseFailed) {
+					f.cRetired.Inc()
+				}
+				continue
+			}
+		}
+		*ob = openBlock{blk: blk, nextPage: 0}
 	}
+	base = nand.PPA(uint64(ob.blk)*uint64(fc.PagesPerBlock) + uint64(ob.nextPage))
+	n = min(want, fc.PagesPerBlock-ob.nextPage)
+	ob.nextPage += n
+	return base, n, nil
 }
 
 func (f *FTL) invalidate(ppa nand.PPA) {
@@ -368,7 +380,7 @@ func (f *FTL) writePage(p *sim.Proc, lba LBA, data []byte, tag uint32, tagged bo
 		die := f.nextDie
 		f.nextDie = (f.nextDie + 1) % len(f.open)
 		f.dieLocks[die].Acquire(p)
-		ppa, err := f.allocPPA(p, die)
+		ppa, _, err := f.allocRun(p, die, 1)
 		if err != nil {
 			f.dieLocks[die].Release()
 			return err
@@ -501,10 +513,6 @@ func (f *FTL) maybeGC(p *sim.Proc) error {
 // collect runs greedy reclamation until the pool is above target.
 // Called with gcLock held.
 func (f *FTL) collect(p *sim.Proc) error {
-	fc := f.flash.Config()
-	if f.gcBuf == nil {
-		f.gcBuf = make([]byte, fc.PageSize)
-	}
 	for len(f.free) <= f.gcFreeTarget {
 		victim, ok := f.pickVictim()
 		if !ok {
@@ -514,30 +522,10 @@ func (f *FTL) collect(p *sim.Proc) error {
 			return nil // nothing reclaimable; still have some room
 		}
 		f.cGCRuns.Inc()
-		base := uint64(victim) * uint64(fc.PagesPerBlock)
-		for pg := 0; pg < fc.PagesPerBlock; pg++ {
-			ppa := nand.PPA(base + uint64(pg))
-			lba, valid := f.p2l[ppa]
-			if !valid {
-				continue
-			}
-			data := f.gcBuf
-			tag, tagged, _, err := f.flash.ReadPageTaggedInto(p, ppa, data)
-			if err != nil {
-				// The victim is about to be erased anyway: salvage an
-				// uncorrectable page instead of failing the write path.
-				if errors.Is(err, nand.ErrUncorrectable) {
-					data, tag, tagged, err = f.flash.SalvageReadTagged(p, ppa)
-				}
-				if err != nil {
-					return fmt.Errorf("ftl: gc read: %w", err)
-				}
-			}
-			die := int(uint64(victim)/uint64(fc.BlocksPerDie)+1) % fc.Dies()
-			if err := f.relocLocked(p, ppa, lba, data, tag, tagged, die); err != nil {
-				return fmt.Errorf("ftl: gc program: %w", err)
-			}
-			f.cGCReloc.Inc()
+		// An uncorrectable victim page is salvaged, not fatal: the block
+		// is about to be erased anyway.
+		if err := f.evacuate(p, victim, false, f.cGCReloc, false); err != nil {
+			return fmt.Errorf("ftl: gc relocation: %w", err)
 		}
 		if err := f.flash.EraseBlock(p, victim); err != nil {
 			// Worn out or erase-failed: block retired, not returned to
@@ -552,71 +540,282 @@ func (f *FTL) collect(p *sim.Proc) error {
 	return nil
 }
 
-// relocLocked programs one valid page's data to a fresh location,
-// preferring the given die, and rebinds the mapping from src to the new
-// physical page — the one place host and relocation map updates are
-// arbitrated. The page's integrity tag (if any) moves with it.
-// Destination blocks that fail to program are retired in turn
-// (cascade), which terminates because every retirement marks one more
-// of the finitely many blocks bad. Called with gcLock held.
-func (f *FTL) relocLocked(p *sim.Proc, src nand.PPA, lba LBA, data []byte, tag uint32, tagged bool, die int) error {
-	fc := f.flash.Config()
-	for {
-		f.dieLocks[die].Acquire(p)
-		dst, err := f.allocPPA(p, die)
-		if err != nil {
-			f.dieLocks[die].Release()
+// Relocation moves a block's valid pages in runs: up to relocRunPages
+// pages read in one die hold and one channel hold, then programmed into
+// consecutive pages of one destination block in one channel hold and one
+// die hold (nand.ReadRun, nand.ProgramRun). A block with more than one
+// run is moved by relocWorkers worker procs, each run landing on a die
+// that is idle at that instant — a victim's reads serialize on its own
+// die, its programs spread over the array. Runs, not pages, are the unit
+// because the simulator pays per process switch: resuming a different
+// proc costs ~20x a lone sleeper's next event, and one proc per page
+// costs more host time than the serial loop it replaces.
+const (
+	relocWorkers  = 8
+	relocRunPages = 8
+)
+
+// mover is the scratch of one relocating proc: a run's pages and the
+// buffer their bytes pass through.
+type mover struct {
+	pages [relocRunPages]nand.RunPage
+	buf   []byte
+}
+
+// relocRun is one run handed to the workers.
+type relocRun struct {
+	src     []nand.PPA
+	salvage bool
+	moved   *obs.Counter
+}
+
+func (f *FTL) newMover() *mover {
+	return &mover{buf: make([]byte, relocRunPages*f.PageSize())}
+}
+
+// evacuate empties blk: every page still valid is copied elsewhere and
+// rebound — the one routine garbage collection and retirement share.
+// salvage reads raw (a condemned block's ECC verdicts are moot); moved
+// counts the pages copied. Called with gcLock held, or — nested — from a
+// run of an evacuation whose owner holds it, when a destination block
+// failed to program and has to be retired in turn. A nested evacuation
+// stays on its proc: the workers are its owner's, and waiting for them
+// from one of them could wait forever.
+func (f *FTL) evacuate(p *sim.Proc, blk nand.BlockID, salvage bool, moved *obs.Counter, nested bool) error {
+	if nested {
+		// The owner's page list, mover and workers are all in use.
+		if src := f.validPages(blk, nil); len(src) > 0 {
+			return f.moveRuns(p, f.newMover(), src, salvage, moved)
+		}
+		return nil
+	}
+	f.evacSrc = f.validPages(blk, f.evacSrc[:0])
+	src := f.evacSrc
+	switch {
+	case len(src) == 0:
+		return nil // nothing to move: no proc woken, no time spent
+	case len(src) <= relocRunPages:
+		// One run: handing it over would buy two process switches.
+		if f.mover == nil {
+			f.mover = f.newMover()
+		}
+		return f.moveRuns(p, f.mover, src, salvage, moved)
+	}
+	if f.relocWork == nil {
+		f.relocWork = f.env.NewSignal("ftl.reloc.work")
+		f.relocDone = f.env.NewSignal("ftl.reloc.done")
+		for i := 0; i < relocWorkers; i++ {
+			f.env.GoDaemon("ftl.reloc", f.relocLoop)
+		}
+	}
+	f.relocQ, f.relocHead, f.relocErr = f.relocQ[:0], 0, nil
+	for per := runLen(len(src)); len(src) > 0; src = src[min(per, len(src)):] {
+		f.relocQ = append(f.relocQ, relocRun{src[:min(per, len(src))], salvage, moved})
+		f.relocWork.FireOne()
+	}
+	f.relocLeft = len(f.relocQ)
+	for f.relocLeft > 0 {
+		f.relocDone.Wait(p)
+	}
+	return f.relocErr
+}
+
+// runLen is the run length that moves n pages in equal runs, as few as
+// fit: the last run to land ends the move.
+func runLen(n int) int {
+	runs := (n + relocRunPages - 1) / relocRunPages
+	return (n + runs - 1) / runs
+}
+
+// moveRuns moves src run after run on the calling proc.
+func (f *FTL) moveRuns(p *sim.Proc, m *mover, src []nand.PPA, salvage bool, moved *obs.Counter) error {
+	for per := runLen(len(src)); len(src) > 0; src = src[min(per, len(src)):] {
+		if err := f.moveRun(p, m, relocRun{src[:min(per, len(src))], salvage, moved}); err != nil {
 			return err
 		}
-		err = f.program(p, dst, data, tag, tagged)
-		f.dieLocks[die].Release()
-		if err == nil {
-			f.cNandWrites.Inc()
-			// The program yielded: rebind only if the mapping is still
-			// the one that was read. A host write (or trim) of this LBA
-			// that landed meanwhile wins, and the copy stays unmapped.
-			if cur, ok := f.l2p[lba]; ok && cur == src {
-				f.invalidate(src)
-				f.l2p[lba] = dst
-				f.p2l[dst] = lba
-				f.validCount[fc.BlockOf(dst)]++
-			}
-			return nil
+	}
+	return nil
+}
+
+// relocLoop is a relocation worker: it moves queued runs, one at a time,
+// for whichever proc is evacuating a block.
+func (f *FTL) relocLoop(p *sim.Proc) {
+	m := f.newMover()
+	for {
+		for f.relocHead == len(f.relocQ) {
+			f.relocWork.Wait(p)
 		}
+		run := f.relocQ[f.relocHead]
+		f.relocHead++
+		if err := f.moveRun(p, m, run); err != nil && f.relocErr == nil {
+			f.relocErr = err
+		}
+		if f.relocLeft--; f.relocLeft == 0 {
+			f.relocDone.Fire()
+		}
+	}
+}
+
+// moveRun copies one run: read the pages, drop those the host overwrote
+// or trimmed while the read was in flight, land the rest.
+func (f *FTL) moveRun(p *sim.Proc, m *mover, run relocRun) error {
+	ps := f.PageSize()
+	pages := m.pages[:len(run.src)]
+	for i, src := range run.src {
+		pages[i] = nand.RunPage{PPA: src, Data: m.buf[i*ps : (i+1)*ps]}
+	}
+	if err := f.flash.ReadRun(p, pages, run.salvage); err != nil {
+		return fmt.Errorf("ftl: relocation read: %w", err)
+	}
+	live := pages[:0]
+	for _, pg := range pages {
+		if _, valid := f.p2l[pg.PPA]; !valid {
+			continue
+		}
+		if pg.Err != nil {
+			// Beyond the ECC budget: recover this page raw, at full
+			// retry latency, and carry on with the run.
+			data, tag, tagged, err := f.flash.SalvageReadTagged(p, pg.PPA)
+			if err != nil {
+				return fmt.Errorf("ftl: relocation salvage: %w", err)
+			}
+			copy(pg.Data, data)
+			pg.Tag, pg.Tagged, pg.Err = tag, tagged, nil
+		}
+		live = append(live, pg)
+	}
+	return f.land(p, live, -1, run.moved)
+}
+
+// land programs copies of valid pages (pages[i].PPA is where each lives
+// now) into open blocks and rebinds their mappings — the one place host
+// and relocation map updates are arbitrated. slot names the open-block
+// slot to use; slot < 0 takes, run by run, a slot whose die is idle.
+// Integrity tags move with their pages. A destination block that fails
+// to program is retired in turn (cascade, which terminates because every
+// retirement marks one more of the finitely many blocks bad) and the
+// rest of the run lands elsewhere. Called under gcLock (see evacuate).
+func (f *FTL) land(p *sim.Proc, pages []nand.RunPage, slot int, moved *obs.Counter) error {
+	for len(pages) > 0 {
+		d := slot
+		if d < 0 {
+			d = f.lockIdleSlot(p)
+		} else {
+			f.dieLocks[d].Acquire(p)
+		}
+		// A run that outgrows the open block goes on in the slot's next
+		// block rather than on another die: the free block a relocation
+		// uses up is then taken while the collection that caused it is
+		// still counting, not by a later host write.
+		var base nand.PPA
+		var err error
+		for err == nil && len(pages) > 0 {
+			var n, done int
+			if base, n, err = f.allocRun(p, d, len(pages)); err != nil {
+				break
+			}
+			done, err = f.flash.ProgramRun(p, base, pages[:n])
+			for i, pg := range pages[:done] {
+				f.cNandWrites.Inc()
+				moved.Inc()
+				// The run yielded since the page was read: rebind only if
+				// the mapping is still the page that was read. A host
+				// write (or trim) that landed meanwhile wins, and the
+				// copy stays unmapped.
+				f.rebind(pg.PPA, base+nand.PPA(i))
+			}
+			pages = pages[done:]
+		}
+		f.dieLocks[d].Release()
 		switch {
+		case err == nil:
 		case errors.Is(err, nand.ErrProgramFailed):
-			if rerr := f.retireLocked(p, fc.BlockOf(dst)); rerr != nil {
+			if rerr := f.retireLocked(p, f.flash.Config().BlockOf(base), true); rerr != nil {
 				return rerr
 			}
 		case errors.Is(err, nand.ErrBadBlock):
-			// The open block was retired underneath this die's slot
-			// (cascade from another relocation); drop it and retry.
-			f.open[die] = openBlock{blk: 0, nextPage: -1}
+			// The open block was retired underneath this slot (cascade
+			// from another relocation); drop it and retry.
+			f.open[d] = openBlock{blk: 0, nextPage: -1}
 		default:
 			return err
 		}
 	}
+	return nil
+}
+
+// rebind moves the mapping of the valid page at src to its copy at dst.
+// l2p and p2l are each other's inverse, so "src still has an owner" is
+// the l2p[lba] == src rule: a host write or trim of the LBA since src
+// was read removed p2l[src], and the copy loses.
+func (f *FTL) rebind(src, dst nand.PPA) {
+	lba, ok := f.p2l[src]
+	if !ok {
+		return
+	}
+	f.invalidate(src)
+	f.l2p[lba] = dst
+	f.p2l[dst] = lba
+	f.validCount[f.flash.Config().BlockOf(dst)]++
+}
+
+// validPages appends the addresses of blk's valid pages to dst.
+func (f *FTL) validPages(blk nand.BlockID, dst []nand.PPA) []nand.PPA {
+	fc := f.flash.Config()
+	base := nand.PPA(uint64(blk) * uint64(fc.PagesPerBlock))
+	for pg := 0; pg < fc.PagesPerBlock; pg++ {
+		if _, valid := f.p2l[base+nand.PPA(pg)]; valid {
+			dst = append(dst, base+nand.PPA(pg))
+		}
+	}
+	return dst
+}
+
+// lockIdleSlot locks an open-block slot for a relocation run: the first
+// from the round-robin cursor whose lock is free and whose NAND die is
+// idle at this instant, so concurrent runs fan out over the array and
+// stay off dies that host reads or other runs are using. The die is the
+// one the slot will program — its open block's, which popFree's
+// fallback can put on another die than the slot's number. With nothing
+// idle it queues on the cursor's slot.
+func (f *FTL) lockIdleSlot(p *sim.Proc) int {
+	fc := f.flash.Config()
+	n := len(f.open)
+	for i := 0; i < n; i++ {
+		d := (f.relocDie + i) % n
+		die := d
+		if ob := f.open[d]; ob.nextPage >= 0 && ob.nextPage < fc.PagesPerBlock {
+			die = int(uint64(ob.blk) / uint64(fc.BlocksPerDie))
+		}
+		if f.flash.DieIdle(die) && f.dieLocks[d].TryAcquire() {
+			f.relocDie = (d + 1) % n
+			return d
+		}
+	}
+	d := f.relocDie
+	f.relocDie = (d + 1) % n
+	f.dieLocks[d].Acquire(p)
+	return d
 }
 
 // retireBlock takes the block out of service: its valid pages are
 // evacuated elsewhere and the block is marked bad, never to be
-// allocated again. Public entry point for the write/read paths; GC
-// (which already holds gcLock) calls retireLocked directly.
+// allocated again. Public entry point for the write/read paths;
+// relocation (which runs under gcLock already) calls retireLocked.
 func (f *FTL) retireBlock(p *sim.Proc, blk nand.BlockID) error {
 	f.gcLock.Acquire(p)
 	defer f.gcLock.Release()
-	return f.retireLocked(p, blk)
+	return f.retireLocked(p, blk, false)
 }
 
-// retireLocked implements retirement with gcLock held. Marking the
-// block bad happens first so that any cascading retirement (a
-// relocation target failing to program) cannot loop back into this
-// block.
-func (f *FTL) retireLocked(p *sim.Proc, blk nand.BlockID) error {
+// retireLocked implements retirement under gcLock (nested: from a
+// relocation run, see evacuate). Marking the block bad happens first so
+// that any cascading retirement (a relocation target failing to
+// program) cannot loop back into this block.
+func (f *FTL) retireLocked(p *sim.Proc, blk nand.BlockID, nested bool) error {
 	if f.flash.IsBad(blk) {
 		return nil // already retired (cascade re-entry)
 	}
-	fc := f.flash.Config()
 	f.flash.MarkBad(blk)
 	f.cRetired.Inc()
 	for i, b := range f.free {
@@ -630,50 +829,39 @@ func (f *FTL) retireLocked(p *sim.Proc, blk nand.BlockID) error {
 			f.open[i] = openBlock{blk: 0, nextPage: -1}
 		}
 	}
-	// Evacuate the surviving valid pages. Reads go through SalvageRead:
-	// the block is already condemned, so ECC verdicts are moot — the
-	// firmware recovers the raw data at full retry latency.
-	base := uint64(blk) * uint64(fc.PagesPerBlock)
-	homeDie := int(uint64(blk) / uint64(fc.BlocksPerDie))
-	for pg := 0; pg < fc.PagesPerBlock; pg++ {
-		ppa := nand.PPA(base + uint64(pg))
-		lba, valid := f.p2l[ppa]
-		if !valid {
-			continue
-		}
-		data, tag, tagged, err := f.flash.SalvageReadTagged(p, ppa)
-		if err != nil {
-			return fmt.Errorf("ftl: retire salvage: %w", err)
-		}
-		die := (homeDie + 1) % fc.Dies()
-		if err := f.relocLocked(p, ppa, lba, data, tag, tagged, die); err != nil {
-			return fmt.Errorf("ftl: retire relocation: %w", err)
-		}
-		f.cRetireReloc.Inc()
+	// Evacuate the surviving valid pages with raw reads: the block is
+	// already condemned, so ECC verdicts are moot.
+	if err := f.evacuate(p, blk, true, f.cRetireReloc, nested); err != nil {
+		return fmt.Errorf("ftl: retire relocation: %w", err)
 	}
 	return nil
 }
 
 // pickVictim selects the closed block with the fewest valid pages
-// (greedy). Open and free blocks are excluded.
+// (greedy; the lowest block wins a tie). Open and free blocks are
+// excluded.
 func (f *FTL) pickVictim() (nand.BlockID, bool) {
 	fc := f.flash.Config()
-	openSet := make(map[nand.BlockID]bool, len(f.open))
-	for _, ob := range f.open {
-		if ob.nextPage >= 0 {
-			openSet[ob.blk] = true
+	if f.skip == nil {
+		f.skip = make([]bool, fc.Blocks())
+	}
+	mark := func(v bool) {
+		for _, ob := range f.open {
+			if ob.nextPage >= 0 {
+				f.skip[ob.blk] = v
+			}
+		}
+		for _, b := range f.free {
+			f.skip[b] = v
 		}
 	}
-	freeSet := make(map[nand.BlockID]bool, len(f.free))
-	for _, b := range f.free {
-		freeSet[b] = true
-	}
+	mark(true)
 	best := nand.BlockID(0)
 	bestValid := fc.PagesPerBlock + 1
 	found := false
 	for b := 0; b < fc.Blocks(); b++ {
 		blk := nand.BlockID(b)
-		if f.reserved(blk) || openSet[blk] || freeSet[blk] || f.flash.IsBad(blk) {
+		if f.skip[b] || f.reserved(blk) || f.flash.IsBad(blk) {
 			continue
 		}
 		if f.flash.NextPage(blk) == 0 {
@@ -683,6 +871,7 @@ func (f *FTL) pickVictim() (nand.BlockID, bool) {
 			best, bestValid, found = blk, v, true
 		}
 	}
+	mark(false)
 	if !found || bestValid >= fc.PagesPerBlock {
 		// Only fully-valid blocks left: reclaiming one frees nothing
 		// (it would rewrite a whole block to free a whole block).
@@ -750,10 +939,18 @@ func (f *FTL) ScrubPage(p *sim.Proc, lba LBA) (ScrubResult, error) {
 		// starts with zero accumulated errors, nothing left to repair.
 		return r, nil
 	}
-	die := int(uint64(ppa)/uint64(f.flash.Config().PagesPerBlock)/uint64(f.flash.Config().BlocksPerDie)+1) % f.flash.Config().Dies()
-	if err := f.relocLocked(p, ppa, lba, data, tag, tagged, die); err != nil {
+	if err := f.relocLocked(p, ppa, data, tag, tagged); err != nil {
 		return r, fmt.Errorf("ftl: scrub rewrite: %w", err)
 	}
 	r.Repaired = true
 	return r, nil
+}
+
+// relocLocked rewrites one valid page, already read, into the open block
+// of the die after its own — scrub's single-page repair. Called with
+// gcLock held.
+func (f *FTL) relocLocked(p *sim.Proc, src nand.PPA, data []byte, tag uint32, tagged bool) error {
+	fc := f.flash.Config()
+	page := [1]nand.RunPage{{PPA: src, Data: data, Tag: tag, Tagged: tagged}}
+	return f.land(p, page[:], (fc.DieOf(src)+1)%fc.Dies(), nil)
 }

@@ -316,21 +316,30 @@ func (f *Flash) ReadPageTaggedInto(p *sim.Proc, ppa PPA, dst []byte) (tag uint32
 		return 0, false, 0, err
 	}
 	if f.inj != nil {
-		blk := f.cfg.BlockOf(ppa)
-		var age sim.Duration
-		if t, ok := f.progAt[ppa]; ok {
-			age = sim.Duration(f.env.Now() - t)
-		}
-		rd := f.inj.ReadFault(f.cfg.PageSize, f.blocks[blk].eraseCount, age)
-		if rd.Retries > 0 {
-			p.Sleep(rd.Extra)
-			retries = rd.Retries
-		}
-		if rd.Uncorrectable {
-			return 0, false, retries, fmt.Errorf("%w: ppa %d", ErrUncorrectable, uint64(ppa))
+		if retries, err = f.readFault(p, ppa); err != nil {
+			return 0, false, retries, err
 		}
 	}
 	return tag, tagged, retries, nil
+}
+
+// readFault asks the injector for the ECC verdict on a read of ppa at
+// this instant (wear and retention age feed the BER model), charges the
+// read-retry latency to p and reports ErrUncorrectable when the page
+// stays beyond the ECC budget. Called only with an injector installed.
+func (f *Flash) readFault(p *sim.Proc, ppa PPA) (retries int, err error) {
+	var age sim.Duration
+	if t, ok := f.progAt[ppa]; ok {
+		age = sim.Duration(f.env.Now() - t)
+	}
+	rd := f.inj.ReadFault(f.cfg.PageSize, f.blocks[f.cfg.BlockOf(ppa)].eraseCount, age)
+	if rd.Retries > 0 {
+		p.Sleep(rd.Extra)
+	}
+	if rd.Uncorrectable {
+		return rd.Retries, fmt.Errorf("%w: ppa %d", ErrUncorrectable, uint64(ppa))
+	}
+	return rd.Retries, nil
 }
 
 // SalvageRead is the FTL's last-resort read of an uncorrectable page:
@@ -378,16 +387,21 @@ func (f *Flash) readTimedInto(p *sim.Proc, ppa PPA, dst []byte) (uint32, bool, e
 	p.Sleep(f.cfg.TransferTime(f.cfg.PageSize))
 	sp.End()
 	f.channels[ch].Release()
+	f.hRead.Observe(sim.Duration(f.env.Now() - start))
+	tag, tagged := f.fetch(ppa, dst)
+	return tag, tagged, nil
+}
+
+// fetch copies a page's stored bytes and out-of-band tag out of the
+// array and counts the read — the data half of a read, after its timing.
+func (f *Flash) fetch(ppa PPA, dst []byte) (tag uint32, tagged bool) {
 	f.cReads.Inc()
 	f.cBytesRead.Add(uint64(f.cfg.PageSize))
-	f.hRead.Observe(sim.Duration(f.env.Now() - start))
 	dst = dst[:f.cfg.PageSize]
 	n := copy(dst, f.data[ppa])
-	for i := n; i < len(dst); i++ { // unprogrammed pages read as zeroes
-		dst[i] = 0
-	}
+	clear(dst[n:]) // unprogrammed pages read as zeroes
 	t := f.oob[ppa]
-	return t.tag, t.tagged, nil
+	return t.tag, t.tagged
 }
 
 // ProgramPage transfers data over the channel and programs one page.
@@ -438,6 +452,15 @@ func (f *Flash) programPage(p *sim.Proc, ppa PPA, data []byte, t oobTag) error {
 		// The FTL retires the block and retries elsewhere.
 		return fmt.Errorf("%w: block %d page %d", ErrProgramFailed, f.cfg.BlockOf(ppa), page)
 	}
+	f.commit(blk, ppa, data, t)
+	f.hProgram.Observe(sim.Duration(f.env.Now() - start))
+	return nil
+}
+
+// commit makes one page program take: the block's program cursor
+// advances, the bytes and tag are in the array, the program is counted
+// and — with an injector — stamped with its instant and ticked.
+func (f *Flash) commit(blk *blockState, ppa PPA, data []byte, t oobTag) {
 	blk.nextPage++
 	var stored []byte
 	if n := len(f.spare); n > 0 {
@@ -448,9 +471,7 @@ func (f *Flash) programPage(p *sim.Proc, ppa PPA, data []byte, t oobTag) error {
 		stored = make([]byte, f.cfg.PageSize)
 	}
 	n := copy(stored, data)
-	for i := n; i < len(stored); i++ { // short writes are zero-padded
-		stored[i] = 0
-	}
+	clear(stored[n:]) // short writes are zero-padded
 	f.data[ppa] = stored
 	if t.tagged {
 		f.oob[ppa] = t
@@ -459,13 +480,148 @@ func (f *Flash) programPage(p *sim.Proc, ppa PPA, data []byte, t oobTag) error {
 	}
 	f.cPrograms.Inc()
 	f.cBytesWritten.Add(uint64(f.cfg.PageSize))
-	f.hProgram.Observe(sim.Duration(f.env.Now() - start))
 	if f.inj != nil {
 		f.progAt[ppa] = f.env.Now()
 		f.inj.Tick(fault.EvNandProgram)
 	}
+}
+
+// RunPage is one page of a ReadRun or ProgramRun.
+type RunPage struct {
+	PPA    PPA    // ReadRun: the page to read. ProgramRun leaves it alone (the caller's source address).
+	Data   []byte // PageSize bytes: ReadRun fills them, ProgramRun programs them
+	Tag    uint32 // out-of-band tag, as ReadPageTagged / ProgramPageTagged carry it
+	Tagged bool
+	Err    error // ReadRun: ErrUncorrectable when this page failed ECC (injected)
+}
+
+// ReadRun reads pages of one block — in any order, with gaps — as one
+// background-class operation: one die hold of len(pages)·tR, then one
+// channel hold for all the transfers. That is the occupancy of as many
+// ReadPage calls, for two kernel events instead of two per page, and
+// the page counters advance per page; the latency histogram is not fed
+// (it describes single-page operations). The relocation paths of the
+// FTL move a victim's valid pages with it.
+//
+// With a fault injector installed and salvage false, the die hold steps
+// page by page so each page gets its ECC verdict at its own instant
+// (read-retry latency is spent on the die); a page beyond the budget
+// has Err set and the run goes on. salvage reads raw, as SalvageRead
+// does. The returned error is for the run as a whole (bad addresses).
+func (f *Flash) ReadRun(p *sim.Proc, pages []RunPage, salvage bool) error {
+	if len(pages) == 0 {
+		return nil
+	}
+	blk := f.cfg.BlockOf(pages[0].PPA)
+	for i := range pages {
+		if err := f.checkPPA(pages[i].PPA); err != nil {
+			return err
+		}
+		if f.cfg.BlockOf(pages[i].PPA) != blk {
+			return fmt.Errorf("%w: run spans blocks %d and %d", ErrOutOfRange, blk, f.cfg.BlockOf(pages[i].PPA))
+		}
+		pages[i].Err = nil
+	}
+	die := f.cfg.DieOf(pages[0].PPA)
+	ch := f.cfg.ChannelOf(die)
+	n := sim.Duration(len(pages))
+	tr := f.o.Tracer()
+	f.dies[die].Acquire(p)
+	sp := tr.Begin(f.dieTrack[die], "nand", "tR")
+	if f.inj != nil && !salvage {
+		for i := range pages {
+			p.Sleep(f.cfg.ReadLatency)
+			_, pages[i].Err = f.readFault(p, pages[i].PPA)
+		}
+	} else {
+		p.Sleep(n * f.cfg.ReadLatency)
+	}
+	sp.End()
+	f.dies[die].Release()
+	f.channels[ch].Acquire(p)
+	sp = tr.Begin(f.chTrack[ch], "nand", "xfer_out")
+	p.Sleep(n * f.cfg.TransferTime(f.cfg.PageSize))
+	sp.End()
+	f.channels[ch].Release()
+	for i := range pages {
+		pg := &pages[i]
+		pg.Tag, pg.Tagged = f.fetch(pg.PPA, pg.Data)
+	}
 	return nil
 }
+
+// ProgramRun programs pages into len(pages) consecutive pages of one
+// block starting at base, as one background-class operation: one
+// channel hold for all the transfers, then one die hold of
+// len(pages)·tPROG — the occupancy of as many ProgramPage calls for two
+// kernel events. The sequential-program rule applies to base. It
+// returns how many pages took; fewer than len(pages) comes with the
+// error that stopped the run.
+//
+// Without a fault injector the pages take together when the die hold
+// ends. With one, the die hold steps page by page: every page draws its
+// own program-failure verdict, is stamped with its own program instant
+// and ticks EvNandProgram on its own, tPROG after the page before it;
+// the first ErrProgramFailed ends the run with the earlier pages
+// programmed.
+func (f *Flash) ProgramRun(p *sim.Proc, base PPA, pages []RunPage) (int, error) {
+	if len(pages) == 0 {
+		return 0, nil
+	}
+	if err := f.checkPPA(base); err != nil {
+		return 0, err
+	}
+	die, _, page := f.cfg.Decompose(base)
+	if page+len(pages) > f.cfg.PagesPerBlock {
+		return 0, fmt.Errorf("%w: run of %d pages from page %d leaves the block", ErrOutOfRange, len(pages), page)
+	}
+	for i := range pages {
+		if len(pages[i].Data) > f.cfg.PageSize {
+			return 0, ErrPageTooLarge
+		}
+	}
+	blk := &f.blocks[f.cfg.BlockOf(base)]
+	if blk.bad {
+		return 0, ErrBadBlock
+	}
+	if page != blk.nextPage {
+		return 0, fmt.Errorf("%w: block %d page %d (next programmable %d)",
+			ErrNotErased, f.cfg.BlockOf(base), page, blk.nextPage)
+	}
+	ch := f.cfg.ChannelOf(die)
+	n := sim.Duration(len(pages))
+	tr := f.o.Tracer()
+	f.channels[ch].Acquire(p)
+	sp := tr.Begin(f.chTrack[ch], "nand", "xfer_in")
+	p.Sleep(n * f.cfg.TransferTime(f.cfg.PageSize))
+	sp.End()
+	f.channels[ch].Release()
+	f.dies[die].Acquire(p)
+	sp = tr.Begin(f.dieTrack[die], "nand", "tPROG")
+	if f.inj == nil {
+		p.Sleep(n * f.cfg.ProgramLatency)
+	}
+	done, err := 0, error(nil)
+	for ; done < len(pages); done++ {
+		if f.inj != nil {
+			p.Sleep(f.cfg.ProgramLatency)
+			if f.inj.ProgramFault() {
+				err = fmt.Errorf("%w: block %d page %d", ErrProgramFailed, f.cfg.BlockOf(base), page+done)
+				break
+			}
+		}
+		pg := &pages[done]
+		f.commit(blk, base+PPA(done), pg.Data, oobTag{tag: pg.Tag, tagged: pg.Tagged})
+	}
+	sp.End()
+	f.dies[die].Release()
+	return done, err
+}
+
+// DieIdle reports whether no operation holds the die right now — what a
+// scheduler with a choice of dies (the FTL placing a relocation run)
+// looks at before committing to one.
+func (f *Flash) DieIdle(die int) bool { return f.dies[die].InUse() == 0 }
 
 // EraseBlock erases a whole block, making its pages programmable again.
 // When the block's erase count passes the configured endurance the

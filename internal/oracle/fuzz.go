@@ -111,14 +111,32 @@ type Config struct {
 	// BuggyChecker runs the reference model with its off-by-one
 	// LBA-checker miswiring — the oracle self-test.
 	BuggyChecker bool
+	// GCActive runs the trace on a 16-blocks/die drive whose span
+	// (default 1380 pages, 90 % of it) is filled and then overwritten
+	// into steady-state garbage collection before the first op, with
+	// three times the ops (default 240) and more of them block writes,
+	// half on the first 96 LBAs: same-LBA overwrites through four drain
+	// workers while relocation runs, pins, flushes, scrubs and power
+	// cycles go on. Without it the drive never collects.
+	GCActive bool
 }
+
+// hotSpan is the default LBA span; a GCActive trace keeps its pins and
+// half of its block traffic on it.
+const hotSpan = 96
 
 func (c Config) withDefaults() Config {
 	if c.Ops <= 0 {
 		c.Ops = 80
+		if c.GCActive {
+			c.Ops = 240
+		}
 	}
 	if c.LBASpan <= 0 {
-		c.LBASpan = 96
+		c.LBASpan = hotSpan
+		if c.GCActive {
+			c.LBASpan = 1380
+		}
 	}
 	return c
 }
@@ -130,6 +148,9 @@ type Result struct {
 	Divergence   *Divergence
 	ScrubRepairs uint64
 	EccRetries   uint64
+	// GCRelocations counts the valid pages garbage collection moved: how
+	// much of the run had relocation under it (0 unless GCActive).
+	GCRelocations uint64
 
 	// Flight is the flight-recorder dump captured when the seed
 	// diverged: the last spans before the diverging op, plus the
@@ -165,11 +186,14 @@ func fillPattern(dst []byte, seed uint64) {
 // stackConfig returns the scaled-down 2B-SSD the fuzzer drives: a
 // 4-die NAND array and a 64-page BA-buffer — small enough that pins,
 // flushes and block I/O collide constantly, which is the point.
-func stackConfig() core.Config {
+func stackConfig(gcActive bool) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Base.Nand.Channels = 2
 	cfg.Base.Nand.DiesPerChannel = 2
 	cfg.Base.Nand.BlocksPerDie = 32
+	if gcActive {
+		cfg.Base.Nand.BlocksPerDie = 16
+	}
 	cfg.Base.Nand.PagesPerBlock = 32
 	cfg.Base.FTL.OverProvision = 0.2
 	cfg.Base.WriteBufferPages = 64
@@ -202,14 +226,26 @@ func fuzzPlan(seed uint64) fault.Plan {
 // Generate derives the deterministic op trace for one seed.
 func Generate(seed uint64, cfg Config) []Op {
 	cfg = cfg.withDefaults()
-	sc := stackConfig()
+	sc := stackConfig(cfg.GCActive)
 	ps := sc.Base.Nand.PageSize
 	bufPages := sc.BABufferBytes / ps
 	r := rng{s: seed*0x9E3779B97F4A7C15 + 1}
+	// blockLBA draws a block-I/O address: anywhere on the span, or —
+	// every other draw of a GCActive trace — on its hot head.
+	blockLBA := func() ftl.LBA {
+		if cfg.GCActive && r.intn(2) == 0 {
+			return ftl.LBA(r.intn(hotSpan))
+		}
+		return ftl.LBA(r.intn(cfg.LBASpan))
+	}
 	ops := make([]Op, 0, cfg.Ops)
 	for i := 0; i < cfg.Ops; i++ {
 		var o Op
-		switch w := r.intn(100); {
+		w := r.intn(100)
+		if cfg.GCActive && w < 20 && r.intn(2) == 0 {
+			w = 60 // half the MMIO writes become block writes
+		}
+		switch {
 		case w < 20: // mmio write
 			o = Op{Kind: OpMmioWrite, Off: r.intn(sc.BABufferBytes), Len: 1 + r.intn(700), Seed: r.next()}
 			if o.Off+o.Len > sc.BABufferBytes && r.intn(4) != 0 {
@@ -227,7 +263,7 @@ func Generate(seed uint64, cfg Config) []Op {
 				Kind:  OpPin,
 				EID:   core.EID(r.intn(sc.MaxEntries + 1)), // +1: sometimes a bad EID
 				Off:   r.intn(bufPages) * ps,
-				LBA:   ftl.LBA(r.intn(cfg.LBASpan)),
+				LBA:   ftl.LBA(r.intn(min(cfg.LBASpan, hotSpan))),
 				Pages: 1 + r.intn(4),
 			}
 			if r.intn(10) == 0 {
@@ -239,9 +275,9 @@ func Generate(seed uint64, cfg Config) []Op {
 		case w < 60: // flush
 			o = Op{Kind: OpFlush, EID: core.EID(r.intn(sc.MaxEntries + 1))}
 		case w < 75: // block write
-			o = Op{Kind: OpBlockWrite, LBA: ftl.LBA(r.intn(cfg.LBASpan)), Pages: 1 + r.intn(4), Seed: r.next()}
+			o = Op{Kind: OpBlockWrite, LBA: blockLBA(), Pages: 1 + r.intn(4), Seed: r.next()}
 		case w < 87: // block read
-			o = Op{Kind: OpBlockRead, LBA: ftl.LBA(r.intn(cfg.LBASpan)), Pages: 1 + r.intn(4)}
+			o = Op{Kind: OpBlockRead, LBA: blockLBA(), Pages: 1 + r.intn(4)}
 		case w < 92: // read dma
 			o = Op{Kind: OpReadDMA, EID: core.EID(r.intn(sc.MaxEntries)), Len: 1 + r.intn(4*ps)}
 		case w < 95:
@@ -273,7 +309,7 @@ func Replay(seed uint64, cfg Config, ops []Op) Result {
 	in := fault.Install(env, fuzzPlan(seed))
 	set := obs.Of(env)
 	set.EnableFlightRecorder(0)
-	sc := stackConfig()
+	sc := stackConfig(cfg.GCActive)
 	s := core.New(env, sc)
 	m := NewModel(ModelConfig{
 		PageSize:       s.PageSize(),
@@ -287,6 +323,13 @@ func Replay(seed uint64, cfg Config, ops []Op) Result {
 
 	res := Result{Seed: seed}
 	env.Go("oracle.fuzz", func(p *sim.Proc) {
+		if cfg.GCActive {
+			if d := precondition(p, s, m, seed, cfg.LBASpan); d != nil {
+				d.Seed, d.OpIndex = seed, -1
+				res.Divergence = d
+				return
+			}
+		}
 		for i, o := range ops {
 			res.Ops = i + 1
 			if d := execOp(p, s, m, o); d != nil {
@@ -303,12 +346,47 @@ func Replay(seed uint64, cfg Config, ops []Op) Result {
 	env.Run()
 	_ = in
 	res.ScrubRepairs = s.ScrubStats().Repaired
+	res.GCRelocations = s.Device().FTL().Stats().GCRelocations
 	res.EccRetries = set.Registry().Counter("fault.ecc_retries").Value()
 	if res.Divergence != nil {
 		d := set.FlightDump("oracle divergence: " + res.Divergence.String())
 		res.Flight = &d
 	}
 	return res
+}
+
+// precondition brings a GCActive drive to steady-state collection
+// before the trace starts: the span is written once, front to back, and
+// then a third of it again in scattered four-page writes, on stack and
+// model alike. What the relocations of that phase did to the data is
+// checked by every read that follows.
+func precondition(p *sim.Proc, s *core.TwoBSSD, m *Model, seed uint64, span int) *Divergence {
+	const burst = 64
+	if uint64(span) > s.Device().Pages() {
+		return &Divergence{Op: "precondition", Detail: fmt.Sprintf("span %d exceeds the drive's %d pages", span, s.Device().Pages())}
+	}
+	r := rng{s: seed ^ 0x6C0FFEE}
+	data := make([]byte, burst*s.PageSize())
+	write := func(lba, pages int) *Divergence {
+		buf := data[:pages*s.PageSize()]
+		fillPattern(buf, r.next())
+		if d := wantErr(s.Device().WritePages(p, ftl.LBA(lba), buf), m.BlockWrite(ftl.LBA(lba), buf)); d != nil {
+			d.Op = "precondition"
+			return d
+		}
+		return nil
+	}
+	for lba := 0; lba < span; lba += burst {
+		if d := write(lba, min(burst, span-lba)); d != nil {
+			return d
+		}
+	}
+	for i := 0; i < span/12; i++ {
+		if d := write(r.intn(span-4), 4); d != nil {
+			return d
+		}
+	}
+	return nil
 }
 
 // wantErr verifies the real error against the model's sentinel.

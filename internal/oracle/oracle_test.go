@@ -116,3 +116,30 @@ func TestDivergenceStrings(t *testing.T) {
 		t.Fatalf("op string %q", got)
 	}
 }
+
+// The GCActive profile must put relocation under the trace — victims of
+// several runs, collected while the ops execute — agree with the model,
+// and leave the default profile's traces exactly as they were.
+func TestGCActiveProfileCollects(t *testing.T) {
+	for seed := uint64(0); seed < 4; seed++ {
+		res := Run(seed, Config{GCActive: true})
+		if res.Divergence != nil {
+			t.Fatalf("seed %d diverged: %v", seed, res.Divergence)
+		}
+		if res.Ops != 240 || res.GCRelocations < 500 {
+			t.Fatalf("seed %d: %d ops, %d pages relocated; want a drive collecting throughout", seed, res.Ops, res.GCRelocations)
+		}
+	}
+	if res := Run(1, Config{}); res.GCRelocations != 0 {
+		t.Fatalf("default profile relocated %d pages", res.GCRelocations)
+	}
+	a, b := Generate(7, Config{}), Generate(7, Config{LBASpan: hotSpan, Ops: 80})
+	if len(a) != len(b) {
+		t.Fatalf("default trace length %d vs %d", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("op %d differs: %v vs %v", i, a[i], b[i])
+		}
+	}
+}

@@ -13,7 +13,8 @@
 //   - Proc.Sleep: advance virtual time for this process.
 //   - Resource:   a counted resource with a FIFO wait queue (dies,
 //     channels, mutexes are Resources of capacity 1..n).
-//   - Signal:     a broadcast condition processes can park on.
+//   - Signal:     a condition processes can park on (wake all, or the
+//     longest waiter).
 //
 // # Hot path
 //
@@ -773,14 +774,18 @@ func (r *Resource) Busy() Duration {
 	return b
 }
 
-// Signal is a broadcast condition. Waiters park until Fire; Fire wakes
-// every current waiter at the current instant. A Signal may be fired
-// repeatedly; waiters registered after a Fire wait for the next one.
+// Signal is a condition processes park on. Fire wakes every current
+// waiter at the current instant (broadcast); FireOne wakes only the
+// longest-waiting one — the wake-up for a pool of interchangeable
+// workers, where a broadcast resumes all of them for one item of work.
+// A Signal may be fired repeatedly; waiters registered after a Fire wait
+// for the next one.
 type Signal struct {
 	env     *Env
 	name    string
-	label   string // "signal <name>", precomputed for allocation-free parking
-	waiters []*Proc
+	label   string  // "signal <name>", precomputed for allocation-free parking
+	waiters []*Proc // FIFO; waiters[:whead] were woken by FireOne
+	whead   int
 	spare   []*Proc // retired waiter slice, reused to avoid re-allocating
 	fires   uint64
 }
@@ -790,8 +795,17 @@ func (e *Env) NewSignal(name string) *Signal {
 	return &Signal{env: e, name: name, label: "signal " + name}
 }
 
-// Wait parks until the next Fire.
+// Wait parks until the next Fire, or until a FireOne reaches this
+// process at the head of the queue.
 func (s *Signal) Wait(p *Proc) {
+	if n := len(s.waiters); n == cap(s.waiters) && s.whead > 0 && s.whead >= n/2 {
+		// Reclaim the prefix FireOne consumed instead of growing: a pool
+		// that never fully drains keeps one bounded array (at most twice
+		// its parked processes, one copy per that many waits).
+		n := copy(s.waiters, s.waiters[s.whead:])
+		clear(s.waiters[n:])
+		s.waiters, s.whead = s.waiters[:n], 0
+	}
 	s.waiters = append(s.waiters, p)
 	p.block(s.label)
 }
@@ -801,18 +815,35 @@ func (s *Signal) Fire() {
 	s.fires++
 	ws := s.waiters
 	s.waiters = s.spare[:0]
-	for i, w := range ws {
-		s.env.unblock(w)
+	for i := s.whead; i < len(ws); i++ {
+		s.env.unblock(ws[i])
 		ws[i] = nil
 	}
+	s.whead = 0
 	s.spare = ws[:0]
+}
+
+// FireOne wakes the longest-waiting process, if any; the others keep
+// their places. It counts as a fire either way.
+func (s *Signal) FireOne() {
+	s.fires++
+	if s.whead == len(s.waiters) {
+		return
+	}
+	w := s.waiters[s.whead]
+	s.waiters[s.whead] = nil
+	s.whead++
+	if s.whead == len(s.waiters) {
+		s.waiters, s.whead = s.waiters[:0], 0
+	}
+	s.env.unblock(w)
 }
 
 // Fires reports how many times the signal fired.
 func (s *Signal) Fires() uint64 { return s.fires }
 
 // Waiters reports the number of parked processes.
-func (s *Signal) Waiters() int { return len(s.waiters) }
+func (s *Signal) Waiters() int { return len(s.waiters) - s.whead }
 
 // WaitGroup counts outstanding work across processes, like sync.WaitGroup
 // but in virtual time.

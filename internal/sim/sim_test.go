@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -502,5 +504,116 @@ func TestOnRunEnd(t *testing.T) {
 	e.Run()
 	if len(order) != 4 {
 		t.Fatalf("run-end hooks fired %d times total, want 4", len(order))
+	}
+}
+
+// FireOne wakes waiters one at a time in the order they parked; the
+// rest stay parked, and a fire with nobody waiting only counts.
+func TestSignalFireOneFIFO(t *testing.T) {
+	e := NewEnv()
+	s := e.NewSignal("s")
+	s.FireOne() // empty signal: no-op
+	var order []int
+	for i := 0; i < 4; i++ {
+		i := i
+		e.GoDaemon("waiter", func(p *Proc) {
+			p.Sleep(Duration(i)) // park in index order
+			s.Wait(p)
+			order = append(order, i)
+		})
+	}
+	e.GoAt(100, "firer", func(p *Proc) {
+		for k := 0; k < 3; k++ {
+			s.FireOne()
+			p.Sleep(10)
+			if len(order) != k+1 || order[k] != k {
+				t.Errorf("after %d FireOne: woke %v", k+1, order)
+			}
+		}
+	})
+	e.Run()
+	if s.Waiters() != 1 {
+		t.Fatalf("waiters = %d, want 1 still parked", s.Waiters())
+	}
+	if s.Fires() != 4 {
+		t.Fatalf("fires = %d, want 4 (the empty one counts)", s.Fires())
+	}
+}
+
+// Fire after FireOne wakes exactly the waiters FireOne left, and the
+// signal is reusable afterwards.
+func TestSignalFireOneThenFire(t *testing.T) {
+	e := NewEnv()
+	s := e.NewSignal("s")
+	var order []int
+	wait := func(i int) {
+		e.Go("waiter", func(p *Proc) {
+			s.Wait(p)
+			order = append(order, i)
+		})
+	}
+	for i := 0; i < 3; i++ {
+		wait(i)
+	}
+	e.GoAt(10, "firer", func(p *Proc) {
+		s.FireOne()
+		s.Fire()
+		if s.Waiters() != 0 {
+			t.Errorf("waiters after Fire = %d", s.Waiters())
+		}
+		p.Sleep(10)
+		wait(3)
+		p.Sleep(10)
+		s.FireOne()
+	})
+	e.Run()
+	if fmt.Sprint(order) != "[0 1 2 3]" {
+		t.Fatalf("wake order %v, want [0 1 2 3]", order)
+	}
+}
+
+// A worker pool that never fully drains — FireOne takes the head, the
+// worker re-parks at the tail — must not grow the waiter array without
+// bound, nor allocate once it has reached its size.
+func TestSignalFireOneReusesWaiterSlice(t *testing.T) {
+	const workers = 5
+	e := NewEnv()
+	s := e.NewSignal("s")
+	served := 0
+	for i := 0; i < workers; i++ {
+		e.GoDaemon("worker", func(p *Proc) {
+			for {
+				s.Wait(p)
+				served++
+			}
+		})
+	}
+	var mallocs uint64
+	e.Go("producer", func(p *Proc) {
+		round := func(n int) {
+			for k := 0; k < n; k++ {
+				s.FireOne()
+				p.Sleep(1)
+			}
+		}
+		round(100) // reach steady state
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		round(10000)
+		runtime.ReadMemStats(&m1)
+		mallocs = m1.Mallocs - m0.Mallocs
+	})
+	e.Run()
+	if served != 10100 {
+		t.Fatalf("served %d, want 10100", served)
+	}
+	if s.Waiters() != workers {
+		t.Fatalf("waiters = %d, want %d", s.Waiters(), workers)
+	}
+	if c := cap(s.waiters); c > 4*workers {
+		t.Fatalf("waiter array grew to %d for %d workers", c, workers)
+	}
+	if mallocs > 10 {
+		t.Fatalf("%d allocations over 10000 FireOne/Wait cycles, want none", mallocs)
 	}
 }
