@@ -10,8 +10,8 @@
 //	       [-ring n] [-segbytes n] [-checkpoint-every n]
 //
 // -ring selects the log's geometry. The default, 1, is a single 64 MB
-// log file (all modes). -ring n >= 2 (sync and ba modes) runs the
-// stream through a ring of n segment files of -segbytes each: the log
+// log file, write-once. -ring n >= 2 (all modes too) runs the stream
+// through a ring of n segment files of -segbytes each: the log
 // rotates as files fill, and -checkpoint-every issues a checkpoint
 // every n commits (0 = never) that truncates the segments it covers —
 // the report then adds rotation/checkpoint/truncation/group-flush

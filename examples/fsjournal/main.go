@@ -24,16 +24,14 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
-		journal, err := openOrCreate(fs, "fs.journal", 8<<20)
-		if err != nil {
-			panic(err)
-		}
+		// An 8 MB journal: a ring of two files, each half the BA-buffer,
+		// pinned in two double-buffered windows.
+		half := ssd.Config().BABufferBytes / 2
 		s, err := jfs.Open(env, p, jfs.Config{
 			Home: home,
 			Log: wal.Config{
-				Mode: wal.BA, File: journal, SSD: ssd,
-				EIDs:         []core.EID{0, 1},
-				SegmentBytes: ssd.Config().BABufferBytes / 2,
+				Mode: wal.BA, FS: fs, Ring: 2, SegmentFileBytes: int64(half),
+				SSD: ssd, EIDs: []core.EID{0, 1}, SegmentBytes: half / 2,
 			},
 		})
 		if err != nil {

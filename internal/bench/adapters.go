@@ -56,6 +56,14 @@ type stack struct {
 	logFS  *vfs.FS
 	ssd    *core.TwoBSSD // non-nil for Log2B
 	mode   wal.CommitMode
+
+	// Crash-time facts (crash.go): the LBA ranges pinned into the
+	// BA-buffer at the cut, whether the capacitor dump that should have
+	// saved them was lost, and whether recovery was excused on those
+	// grounds.
+	pinned   []core.Entry
+	dumpLost bool
+	excused  bool
 }
 
 func newStack(cfg LogDevice) *stack {
@@ -89,17 +97,26 @@ func newStack(cfg LogDevice) *stack {
 }
 
 // logConfig states where a log on this stack's log device lives — the
-// one place a placement is written. f is the log file (nil when an
-// engine supplies its own). On the 2B-SSD the entries given decide the
-// layout: the BA-buffer is split evenly between them, so two entries
-// are the double-buffered halves and one entry is the whole buffer;
-// callers with a special window override SegmentBytes.
+// one place a placement is written. f is a write-once log file; nil
+// leaves the geometry to ringConfig. On the 2B-SSD the entries given
+// decide the layout: the BA-buffer is split evenly between them, so two
+// entries are the double-buffered halves and one entry is the whole
+// buffer; callers with a special window override SegmentBytes.
 func (st *stack) logConfig(f *vfs.File, eids ...core.EID) wal.Config {
 	cfg := wal.Config{Mode: st.mode, File: f}
 	if st.ssd != nil {
 		cfg.SSD, cfg.EIDs = st.ssd, eids
 		cfg.SegmentBytes = st.ssd.Config().BABufferBytes / len(eids)
 	}
+	return cfg
+}
+
+// ringConfig is logConfig for a log that truncates — every engine's: a
+// ring of `ring` segment files of fileBytes each on the log device. The
+// engine (or the caller) names it.
+func (st *stack) ringConfig(ring int, fileBytes int64, eids ...core.EID) wal.Config {
+	cfg := st.logConfig(nil, eids...)
+	cfg.FS, cfg.Ring, cfg.SegmentFileBytes = st.logFS, ring, fileBytes
 	return cfg
 }
 
@@ -119,10 +136,9 @@ const (
 func newPGGraph(env *sim.Env, p *sim.Proc, st *stack) (*pgGraph, error) {
 	cfg := pglite.Config{
 		DataFS: st.dataFS,
-		LogFS:  st.logFS,
-		// XLOG segment = half the BA-buffer, double buffered (IV-B).
-		Log:           st.logConfig(nil, 0, 1),
-		LogFileBytes:  16 << 20,
+		// A 16 MB XLOG: two ring files, each the two double-buffered
+		// halves of the BA-buffer (IV-B).
+		Log:           st.ringConfig(2, 8<<20, 0, 1),
 		HeapFileBytes: 64 << 20,
 		// Paper setup: user data fits in memory; size the pool to the
 		// whole heap so only the log device sees traffic.
@@ -242,10 +258,9 @@ type aofKV struct{ s *kvaof.Store }
 
 func newAOFKV(env *sim.Env, p *sim.Proc, st *stack) (*aofKV, error) {
 	cfg := kvaof.Config{
-		LogFS: st.logFS,
-		// AOF window = the whole BA-buffer, single entry (IV-B).
-		Log:      st.logConfig(nil, 0),
-		AOFBytes: 64 << 20,
+		// A 64 MB AOF whose window is the whole BA-buffer, single entry
+		// (IV-B): eight ring files of one window each.
+		Log: st.ringConfig(8, 8<<20, 0),
 		// Redis-class command costs (parse, dict op, reply) so the AOF
 		// commit share matches the paper's single-threaded profile.
 		ReadCPU:  6 * sim.Microsecond,

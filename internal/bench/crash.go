@@ -22,6 +22,7 @@ import (
 	"twobssd/internal/core"
 	"twobssd/internal/fault"
 	"twobssd/internal/ftl"
+	"twobssd/internal/integrity"
 	"twobssd/internal/jfs"
 	"twobssd/internal/kvaof"
 	"twobssd/internal/lsm"
@@ -59,12 +60,53 @@ func newCrashStack(env *sim.Env) *stack {
 // Crash cuts power. An insufficient-energy or torn-dump result is a
 // legitimate modeled outcome, not a harness error: it reports
 // persisted=false and the verifier only demands block-mode durability.
+// What was pinned and whether the dump persisted is kept for
+// tornLogExcused.
 func (s *stack) Crash(p *sim.Proc) (bool, float64, error) {
+	s.pinned = s.ssd.Entries()
 	rep, err := s.ssd.PowerLoss(p)
 	if err != nil && !errors.Is(err, core.ErrInsufficient) && !errors.Is(err, core.ErrDumpTorn) {
 		return false, 0, err
 	}
+	s.dumpLost = !rep.Persisted
 	return rep.Persisted, rep.EnergyUsedJ, nil
+}
+
+// tornLogExcused judges a recovery that failed with err. A log refuses
+// to come up on a torn page — the loud failure a torn page deserves.
+// When the dump was lost and every unreadable page on the log device
+// sat under a BA pin at the cut, the device lost the data (an
+// interrupted BA_FLUSH program whose source the cut dump should have
+// saved), so the point is excused: the driver scores it like any
+// unpersisted dump, nothing recovered. Anything else hands err back.
+func (s *stack) tornLogExcused(p *sim.Proc, err error) (bool, error) {
+	if !s.dumpLost || !errors.Is(err, integrity.ErrPageCorrupt) {
+		return false, err
+	}
+	for _, name := range s.logFS.List() {
+		f, oerr := s.logFS.Open(name)
+		if oerr != nil {
+			return false, oerr
+		}
+		for pg := 0; pg < f.Pages(); pg++ {
+			_, rerr := f.ReadPages(p, pg, 1)
+			if rerr == nil {
+				continue
+			}
+			if !errors.Is(rerr, integrity.ErrPageCorrupt) {
+				return false, rerr
+			}
+			lba, covered := f.LBA(int64(pg)*int64(s.logFS.PageSize())), false
+			for _, e := range s.pinned {
+				covered = covered || (lba >= e.LBA && lba < e.LBA+ftl.LBA(e.Pages))
+			}
+			if !covered {
+				return false, fmt.Errorf("%w (corrupt page at lba %d was never pinned)", err, lba)
+			}
+		}
+	}
+	s.excused = true
+	return true, nil
 }
 
 func crashKey(prefix string, i int) string { return fmt.Sprintf("%s-%04d", prefix, i) }
@@ -79,6 +121,56 @@ func keyOf(payload string) string {
 		return payload[:j]
 	}
 	return payload
+}
+
+// cycleBuilder builds one crash point's stack and workload on its env.
+type cycleBuilder = func(*sim.Env, *sim.Proc) (fault.Cycle, error)
+
+// overwrites is the write history of an engine driver: op i writes
+// version i of slot i%keys, a value of a fixed size that names its key
+// and version. With keys == ops every op has a fresh key and nothing is
+// ever overwritten; with a few keys and a log small enough to truncate
+// every few ops, a record of a generation the checkpoint has covered
+// that recovery replays puts a key back to a version older than its
+// last acknowledged one — which is how a stale-generation splice shows.
+type overwrites struct {
+	prefix     string
+	keys, size int
+	newest     map[string]int // key → newest version written (acknowledged, or staged)
+}
+
+func newOverwrites(prefix string, keys, size int) *overwrites {
+	return &overwrites{prefix: prefix, keys: keys, size: size, newest: map[string]int{}}
+}
+
+// value is key's content at version ver.
+func (o *overwrites) value(key string, ver int) string {
+	v := fmt.Sprintf("%s|%04d|", key, ver)
+	return v + strings.Repeat("v", max(o.size-len(v), 0))
+}
+
+// write records op i and returns the key and value it writes.
+func (o *overwrites) write(i int) (key, value string) {
+	key = crashKey(o.prefix, i%o.keys)
+	o.newest[key] = i
+	return key, o.value(key, i)
+}
+
+// judge classifies what recovery holds for key: its newest version is
+// recovered; an older version is a lost write, which the campaign
+// excuses only when the capacitor dump did not persist; anything else
+// was never written and is a phantom.
+func (o *overwrites) judge(key, got string, recovered, phantoms *[]string) {
+	newest, written := o.newest[key]
+	ver := -1 // stays -1 unless got parses as a version of key
+	fmt.Sscanf(got, key+"|%d|", &ver)
+	switch {
+	case written && got == o.value(key, newest):
+		*recovered = append(*recovered, key)
+	case written && ver >= 0 && ver < newest && got == o.value(key, ver):
+	default:
+		*phantoms = append(*phantoms, key)
+	}
 }
 
 // ---- wal: raw write-ahead log, BA commit, double-buffered ----------
@@ -165,7 +257,7 @@ type lsmCrash struct {
 	want map[string]string
 }
 
-func buildLSMCrash(ops int) func(env *sim.Env, p *sim.Proc) (fault.Cycle, error) {
+func buildLSMCrash(ops int) cycleBuilder {
 	return func(env *sim.Env, p *sim.Proc) (fault.Cycle, error) {
 		s := newCrashStack(env)
 		cfg := lsm.Config{
@@ -225,22 +317,32 @@ func (c *lsmCrash) Recover(p *sim.Proc) (recovered, phantoms []string, err error
 
 const pgCrashTable = "crash"
 
+// pgCrash upserts through the engine. With atLog unset it verifies by
+// reopening the engine and scanning the table. A pglite reopened after
+// a checkpoint cannot serve its heap yet (DESIGN.md §11), so the row
+// that checkpoints sets atLog and verifies one layer down: the engine's
+// own XLOG placement must replay exactly the batches committed past its
+// durable checkpoint, each with the bytes that were committed.
 type pgCrash struct {
 	*stack
-	cfg  pglite.Config
-	eng  *pglite.Engine
-	ops  int
-	want map[string]string
+	cfg   pglite.Config
+	eng   *pglite.Engine
+	hist  *overwrites
+	atLog bool
+	ends  []pgBatch // atLog: every committed batch, in LSN order
 }
 
-func buildPGCrash(ops int) func(env *sim.Env, p *sim.Proc) (fault.Cycle, error) {
+type pgBatch struct {
+	end        wal.LSN
+	key, value string
+}
+
+func buildPGCrash(log func(*stack) wal.Config, keys, size int, atLog bool) cycleBuilder {
 	return func(env *sim.Env, p *sim.Proc) (fault.Cycle, error) {
 		s := newCrashStack(env)
 		cfg := pglite.Config{
 			DataFS:          s.dataFS,
-			LogFS:           s.logFS,
-			Log:             s.logConfig(nil, 0, 1),
-			LogFileBytes:    1 << 20,
+			Log:             log(s),
 			HeapFileBytes:   1 << 20,
 			BufferPoolPages: 256,
 		}
@@ -251,26 +353,30 @@ func buildPGCrash(ops int) func(env *sim.Env, p *sim.Proc) (fault.Cycle, error) 
 		if err := eng.CreateTable(pgCrashTable); err != nil {
 			return nil, err
 		}
-		return &pgCrash{stack: s, cfg: cfg, eng: eng, ops: ops, want: map[string]string{}}, nil
+		return &pgCrash{stack: s, cfg: cfg, eng: eng, hist: newOverwrites("pg", keys, size), atLog: atLog}, nil
 	}
 }
 
 func (c *pgCrash) Step(p *sim.Proc, i int) (string, error) {
-	key := crashKey("pg", i)
-	value := crashValue(key)
-	c.want[key] = value
+	key, value := c.hist.write(i)
 	tx := c.eng.Begin()
 	tx.Upsert(pgCrashTable, []byte(key), []byte(value))
-	return key, tx.Commit(p)
+	if err := tx.Commit(p); err != nil {
+		return "", err
+	}
+	if c.atLog { // one committer: the batch is the last record of the log
+		c.ends = append(c.ends, pgBatch{wal.LSN(c.eng.Log().AppendOff()), key, value})
+	}
+	return key, nil
 }
 
 // Stage opens a transaction and upserts without committing: the change
 // lives only in the host-side txn buffer and must never survive.
 func (c *pgCrash) Stage(p *sim.Proc) (string, error) {
 	key := "pg-staged"
-	c.want[key] = crashValue(key)
+	c.hist.newest[key] = 0
 	tx := c.eng.Begin()
-	tx.Upsert(pgCrashTable, []byte(key), []byte(c.want[key]))
+	tx.Upsert(pgCrashTable, []byte(key), []byte(c.hist.value(key, 0)))
 	return key, nil
 }
 
@@ -278,8 +384,11 @@ func (c *pgCrash) Recover(p *sim.Proc) (recovered, phantoms []string, err error)
 	if err := c.ssd.PowerOn(p); err != nil {
 		return nil, nil, err
 	}
+	if c.atLog {
+		return c.recoverAtLog(p)
+	}
 	eng, err := pglite.Open(c.env, p, c.cfg)
-	if err != nil {
+	if excused, err := c.tornLogExcused(p, err); excused || err != nil {
 		return nil, nil, err
 	}
 	// Replay creates the table when any batch survived; the explicit
@@ -287,48 +396,84 @@ func (c *pgCrash) Recover(p *sim.Proc) (recovered, phantoms []string, err error)
 	if err := eng.CreateTable(pgCrashTable); err != nil {
 		return nil, nil, err
 	}
-	keys, values, err := eng.Begin().Scan(p, pgCrashTable, nil, c.ops*2+8)
+	keys, values, err := eng.Begin().Scan(p, pgCrashTable, nil, len(c.hist.newest)+8)
 	if err != nil {
 		return nil, nil, err
 	}
 	for i, k := range keys {
-		key := string(k)
-		if c.want[key] == string(values[i]) && c.want[key] != "" {
-			recovered = append(recovered, key)
+		c.hist.judge(string(k), string(values[i]), &recovered, &phantoms)
+	}
+	return recovered, phantoms, nil
+}
+
+// recoverAtLog replays the XLOG the way pglite.Open would. A key is
+// recovered when the batch holding its newest version is replayed, or
+// lies below the durable checkpoint (its heap pages were flushed before
+// the checkpoint was recorded); a replayed record that is not a batch
+// committed at that LSN is a phantom.
+func (c *pgCrash) recoverAtLog(p *sim.Proc) (recovered, phantoms []string, err error) {
+	cfg := c.cfg.Log
+	cfg.Name = pglite.LogName
+	l, err := wal.Open(c.env, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	byEnd := make(map[wal.LSN]pgBatch, len(c.ends))
+	for _, b := range c.ends {
+		byEnd[b.end] = b
+	}
+	replayed := map[string]string{} // key → value of its last replayed batch
+	err = l.Recover(p, func(lsn wal.LSN, payload []byte) error {
+		if b, ok := byEnd[lsn]; ok && bytes.Contains(payload, []byte(b.value)) {
+			replayed[b.key] = b.value
 		} else {
-			phantoms = append(phantoms, key)
+			phantoms = append(phantoms, fmt.Sprintf("xlog@%d", lsn))
+		}
+		return nil
+	})
+	if excused, err := c.tornLogExcused(p, err); excused || err != nil {
+		return nil, nil, err
+	}
+	state := map[string]string{} // the checkpointed heap, then the replay over it
+	for _, b := range c.ends {
+		if b.end <= l.CheckpointLSN() {
+			state[b.key] = b.value
+		}
+	}
+	for k, v := range replayed {
+		state[k] = v
+	}
+	for slot := 0; slot < c.hist.keys; slot++ {
+		if v, ok := state[crashKey("pg", slot)]; ok {
+			c.hist.judge(crashKey("pg", slot), v, &recovered, &phantoms)
 		}
 	}
 	return recovered, phantoms, nil
 }
 
-// ---- kvaof: Redis-like store, AOF pinned over the whole buffer -----
+// ---- kvaof: Redis-like store, AOF pinned over one window -----------
 
 type aofCrash struct {
 	*stack
 	cfg  kvaof.Config
 	st   *kvaof.Store
-	want map[string]string
+	hist *overwrites
 }
 
-func buildAOFCrash(env *sim.Env, p *sim.Proc) (fault.Cycle, error) {
-	s := newCrashStack(env)
-	cfg := kvaof.Config{
-		LogFS:    s.logFS,
-		Log:      s.logConfig(nil, 0),
-		AOFBytes: 2 << 20,
+func buildAOFCrash(log func(*stack) wal.Config, keys, size int) cycleBuilder {
+	return func(env *sim.Env, p *sim.Proc) (fault.Cycle, error) {
+		s := newCrashStack(env)
+		cfg := kvaof.Config{Log: log(s)}
+		st, err := kvaof.Open(env, p, cfg)
+		if err != nil {
+			return nil, err
+		}
+		return &aofCrash{stack: s, cfg: cfg, st: st, hist: newOverwrites("kv", keys, size)}, nil
 	}
-	st, err := kvaof.Open(env, p, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &aofCrash{stack: s, cfg: cfg, st: st, want: map[string]string{}}, nil
 }
 
 func (c *aofCrash) Step(p *sim.Proc, i int) (string, error) {
-	key := crashKey("kv", i)
-	value := crashValue(key)
-	c.want[key] = value
+	key, value := c.hist.write(i)
 	return key, c.st.Set(p, []byte(key), []byte(value))
 }
 
@@ -340,79 +485,61 @@ func (c *aofCrash) Recover(p *sim.Proc) (recovered, phantoms []string, err error
 		return nil, nil, err
 	}
 	st, err := kvaof.Open(c.env, p, c.cfg)
-	if err != nil {
+	if excused, err := c.tornLogExcused(p, err); excused || err != nil {
 		return nil, nil, err
 	}
 	for _, key := range st.Keys() {
 		v, _ := st.Get(p, []byte(key))
-		if c.want[key] == string(v) && c.want[key] != "" {
-			recovered = append(recovered, key)
-		} else {
-			phantoms = append(phantoms, key)
-		}
+		c.hist.judge(key, string(v), &recovered, &phantoms)
 	}
 	return recovered, phantoms, nil
 }
 
 // ---- jfs: journaling filesystem, journal on the BA-buffer ----------
 
+// jfsCrash journals one home block per op: slot k of the history is
+// block k, and the staged (never committed) write goes to block `keys`.
 type jfsCrash struct {
 	*stack
 	cfg  jfs.Config
 	st   *jfs.Store
-	ops  int
-	want map[uint32][]byte
+	hist *overwrites
 }
 
-func buildJFSCrash(ops int) func(env *sim.Env, p *sim.Proc) (fault.Cycle, error) {
+func buildJFSCrash(log func(*stack) wal.Config, keys, every int) cycleBuilder {
 	return func(env *sim.Env, p *sim.Proc) (fault.Cycle, error) {
 		s := newCrashStack(env)
-		home, err := s.dataFS.Create("home", int64(ops+2)*jfs.BlockSize)
+		home, err := s.dataFS.Create("home", int64(keys+2)*jfs.BlockSize)
 		if err != nil {
 			return nil, err
 		}
-		journal, err := s.logFS.Create("journal", 1<<20)
-		if err != nil {
-			return nil, err
-		}
-		cfg := jfs.Config{
-			Home:            home,
-			Log:             s.logConfig(journal, 0, 1),
-			CheckpointEvery: 1 << 20,
-		}
+		cfg := jfs.Config{Home: home, Log: log(s), CheckpointEvery: every}
 		st, err := jfs.Open(env, p, cfg)
 		if err != nil {
 			return nil, err
 		}
-		return &jfsCrash{stack: s, cfg: cfg, st: st, ops: ops, want: map[uint32][]byte{}}, nil
+		return &jfsCrash{stack: s, cfg: cfg, st: st, hist: newOverwrites("jfs", keys, 48)}, nil
 	}
-}
-
-// jfsBlock is the full padded home-block image for key i.
-func jfsBlock(i int) []byte {
-	b := make([]byte, jfs.BlockSize)
-	copy(b, crashValue(crashKey("jfs", i)))
-	return b
 }
 
 func (c *jfsCrash) Step(p *sim.Proc, i int) (string, error) {
-	c.want[uint32(i)] = jfsBlock(i)
+	key, value := c.hist.write(i)
 	tx := c.st.Begin()
-	if err := tx.WriteBlock(uint32(i), c.want[uint32(i)]); err != nil {
+	if err := tx.WriteBlock(uint32(i%c.hist.keys), []byte(value)); err != nil {
 		return "", err
 	}
-	return crashKey("jfs", i), tx.Commit(p)
+	return key, tx.Commit(p)
 }
 
 // Stage writes one block in an open transaction and never commits it.
 func (c *jfsCrash) Stage(p *sim.Proc) (string, error) {
-	blk := uint32(c.ops)
-	c.want[blk] = jfsBlock(c.ops)
+	key := crashKey("jfs", c.hist.keys)
+	c.hist.newest[key] = 0
 	tx := c.st.Begin()
-	if err := tx.WriteBlock(blk, c.want[blk]); err != nil {
+	if err := tx.WriteBlock(uint32(c.hist.keys), []byte(c.hist.value(key, 0))); err != nil {
 		return "", err
 	}
-	return crashKey("jfs", c.ops), nil
+	return key, nil
 }
 
 func (c *jfsCrash) Recover(p *sim.Proc) (recovered, phantoms []string, err error) {
@@ -420,21 +547,17 @@ func (c *jfsCrash) Recover(p *sim.Proc) (recovered, phantoms []string, err error
 		return nil, nil, err
 	}
 	st, err := jfs.Open(c.env, p, c.cfg)
-	if err != nil {
+	if excused, err := c.tornLogExcused(p, err); excused || err != nil {
 		return nil, nil, err
 	}
-	zero := make([]byte, jfs.BlockSize)
-	for i := 0; i <= c.ops; i++ {
-		data, err := st.ReadBlock(p, uint32(i))
+	for blk := 0; blk <= c.hist.keys; blk++ {
+		data, err := st.ReadBlock(p, uint32(blk))
 		if err != nil {
 			return nil, nil, err
 		}
-		switch {
-		case bytes.Equal(data, c.want[uint32(i)]):
-			recovered = append(recovered, crashKey("jfs", i))
-		case bytes.Equal(data, zero): // never reached the home file
-		default:
-			phantoms = append(phantoms, crashKey("jfs", i))
+		// Blocks are zero padded; an all-zero one never reached the store.
+		if got := string(bytes.TrimRight(data, "\x00")); got != "" {
+			c.hist.judge(crashKey("jfs", blk), got, &recovered, &phantoms)
 		}
 	}
 	return recovered, phantoms, nil
@@ -536,33 +659,62 @@ func (c *blkGCCrash) Recover(p *sim.Proc) (recovered, phantoms []string, err err
 // ---- campaign assembly ---------------------------------------------
 
 // crashWorkload rows pin name, committed-op count and seed per
-// workload; ops are sized so no workload rotates its memtable or
-// checkpoints mid-campaign (those paths have their own experiments).
+// workload. The lsm row is sized so its memtable never rotates (that
+// path has its own experiment); each of pglite, kvaof and jfs has one row
+// whose log holds the whole campaign and one (-ckpt) that overwrites a
+// few keys on a ring so small that the engine checkpoints every few ops.
 type crashWorkload struct {
 	name  string
 	ops   int
 	seed  uint64
-	build func(ops int) func(env *sim.Env, p *sim.Proc) (fault.Cycle, error)
+	build func(ops int) cycleBuilder
 	// tweak optionally adjusts per-point fault plans (fault.Campaign's
 	// Tweak contract: pure in the point index).
 	tweak func(i int, plan *fault.Plan)
 }
 
+// crashRing places an engine's log on the crash stack: a ring of `ring`
+// files of `pages` pages each, with BA windows of `window` pages on the
+// entries given.
+func crashRing(ring, pages, window int, eids ...core.EID) func(*stack) wal.Config {
+	return func(s *stack) wal.Config {
+		ps := s.ssd.PageSize()
+		cfg := s.ringConfig(ring, int64(pages*ps), eids...)
+		cfg.SegmentBytes = window * ps
+		return cfg
+	}
+}
+
 var crashWorkloads = []crashWorkload{
-	{"wal", 48, 0x2b55c0de0001, func(int) func(*sim.Env, *sim.Proc) (fault.Cycle, error) { return buildWALCrash }, nil},
+	{"wal", 48, 0x2b55c0de0001, func(int) cycleBuilder { return buildWALCrash }, nil},
 	{"lsm", 32, 0x2b55c0de0002, buildLSMCrash, nil},
-	{"pglite", 32, 0x2b55c0de0003, buildPGCrash, nil},
-	{"kvaof", 40, 0x2b55c0de0004, func(int) func(*sim.Env, *sim.Proc) (fault.Cycle, error) { return buildAOFCrash }, nil},
-	{"jfs", 32, 0x2b55c0de0005, buildJFSCrash, nil},
+	// A fresh key per op on a 1 MB XLOG / 2 MB AOF / 1 MB journal.
+	{"pglite", 32, 0x2b55c0de0003,
+		func(ops int) cycleBuilder { return buildPGCrash(crashRing(2, 128, 64, 0, 1), ops, 48, false) }, nil},
+	{"kvaof", 40, 0x2b55c0de0004,
+		func(ops int) cycleBuilder { return buildAOFCrash(crashRing(2, 256, 256, 0), ops, 48) }, nil},
+	{"jfs", 32, 0x2b55c0de0005,
+		func(ops int) cycleBuilder { return buildJFSCrash(crashRing(2, 128, 64, 0, 1), ops, 1<<20) }, nil},
+	// The checkpoint path: a few keys overwritten with versioned 1.5 KB
+	// values (whole blocks for jfs) on 32-128 KB rings, so the XLOG
+	// checkpoints, the AOF rewrites and the journal checkpoints every few
+	// ops, the rings lap, and power cuts land on rotations, checkpoints
+	// and truncations — with the dump cut short on a subset of points.
+	{"pglite-ckpt", 48, 0x2b55c0de0008,
+		func(int) cycleBuilder { return buildPGCrash(crashRing(2, 4, 2, 0, 1), 6, 1500, true) }, walLifeTweak},
+	{"kvaof-ckpt", 48, 0x2b55c0de0009,
+		func(int) cycleBuilder { return buildAOFCrash(crashRing(4, 4, 4, 0), 4, 1500) }, walLifeTweak},
+	{"jfs-ckpt", 48, 0x2b55c0de000a,
+		func(int) cycleBuilder { return buildJFSCrash(crashRing(4, 8, 4, 0, 1), 3, 5) }, walLifeTweak},
 	// walseg runs a full segmented-WAL lifecycle (rotation, checkpoint
 	// truncation, snapshot + chain-replay recovery) on the BA path,
 	// with dump cuts on a point subset so torn-tail repair runs too.
 	{"walseg", 48, 0x2b55c0de0006,
-		func(ops int) func(*sim.Env, *sim.Proc) (fault.Cycle, error) { return buildWalSegCrash(wal.BA, ops) },
+		func(ops int) cycleBuilder { return buildWalSegCrash(wal.BA, ops) },
 		walLifeTweak},
 	// blkgc has no log at all: the raw block path of a drive that is
 	// collecting garbage the whole time, relocation runs in flight.
-	{"blkgc", 192, 0x2b55c0de0007, func(int) func(*sim.Env, *sim.Proc) (fault.Cycle, error) { return buildBlkGCCrash }, nil},
+	{"blkgc", 192, 0x2b55c0de0007, func(int) cycleBuilder { return buildBlkGCCrash }, nil},
 }
 
 // CrashWorkloads lists the crash-campaign workload names in run order.

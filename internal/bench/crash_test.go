@@ -205,47 +205,66 @@ func TestDumpCutLeavesNoTornImage(t *testing.T) {
 	env.Run()
 }
 
-// The walseg driver may score a refused recovery as "nothing recovered"
-// only when the dump was lost and every unreadable log page sat under a
-// BA pin. Pin how often the full campaign takes that exit, so a change
-// that starts excusing more points shows up as a failure, not as
-// quietly weaker coverage.
+// A driver may score a refused recovery as "nothing recovered" only when
+// the dump was lost and every unreadable page on the log device sat
+// under a BA pin. Pin how often each campaign that cuts dumps takes that
+// exit, so a change that starts excusing more points shows up as a
+// failure, not as quietly weaker coverage.
 func TestWalSegExcusedPoints(t *testing.T) {
-	c, err := NewCrashCampaign("walseg", 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cycles []*walSegCrash // points run one at a time below
-	build := c.Build
-	c.Build = func(env *sim.Env, p *sim.Proc) (fault.Cycle, error) {
-		cyc, err := build(env, p)
-		if err == nil {
-			cycles = append(cycles, cyc.(*walSegCrash))
+	for _, tc := range []struct {
+		name         string
+		points, want int
+	}{
+		{"walseg", 128, 1}, // point 28: BA_FLUSH program torn, dump cut after one page
+		{"pglite-ckpt", 128, 0},
+		{"pglite-ckpt", 32, 1}, // crash-smoke's point 28: the same tear, of the XLOG's slot 0
+		{"kvaof-ckpt", 128, 0},
+		{"jfs-ckpt", 128, 0},
+	} {
+		name, want := tc.name, tc.want
+		c, err := NewCrashCampaign(name, tc.points)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return cyc, err
-	}
-	rep, err := c.Run(func(n int, fn func(i int)) {
-		for i := 0; i < n; i++ {
-			fn(i)
+		var stacks []*stack // points run one at a time below
+		build := c.Build
+		c.Build = func(env *sim.Env, p *sim.Proc) (fault.Cycle, error) {
+			cyc, err := build(env, p)
+			switch cyc := cyc.(type) {
+			case *walSegCrash:
+				stacks = append(stacks, cyc.stack)
+			case *pgCrash:
+				stacks = append(stacks, cyc.stack)
+			case *aofCrash:
+				stacks = append(stacks, cyc.stack)
+			case *jfsCrash:
+				stacks = append(stacks, cyc.stack)
+			}
+			return cyc, err
 		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := rep.Violations(); len(v) != 0 {
-		t.Fatalf("%d violations, first: %+v", len(v), v[0])
-	}
-	excused := 0
-	for _, cyc := range cycles {
-		if cyc.excused {
-			excused++
-			if !cyc.dumpLost || len(cyc.pinned) == 0 {
-				t.Errorf("excused a point with dumpLost=%v and %d pinned ranges", cyc.dumpLost, len(cyc.pinned))
+		rep, err := c.Run(func(n int, fn func(i int)) {
+			for i := 0; i < n; i++ {
+				fn(i)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := rep.Violations(); len(v) != 0 {
+			t.Fatalf("%s: %d violations, first: %+v", name, len(v), v[0])
+		}
+		excused := 0
+		for _, s := range stacks {
+			if s.excused {
+				excused++
+				if !s.dumpLost || len(s.pinned) == 0 {
+					t.Errorf("%s: excused a point with dumpLost=%v and %d pinned ranges", name, s.dumpLost, len(s.pinned))
+				}
 			}
 		}
-	}
-	if excused != 1 {
-		t.Fatalf("campaign excused %d points, want exactly 1 (point 28: BA_FLUSH program torn, dump cut)", excused)
+		if excused != want {
+			t.Errorf("%s: %d-point campaign excused %d points, want exactly %d", name, tc.points, excused, want)
+		}
 	}
 }
 

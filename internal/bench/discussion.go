@@ -249,14 +249,11 @@ func Journaling(r *Runner) *Table {
 			if err != nil {
 				panic(err)
 			}
-			journal, err := st.logFS.Create("journal", 16<<20)
-			if err != nil {
-				panic(err)
-			}
 			// Commit-dominated run: checkpoints are rare (jbd2 defaults
-			// to a 5s commit interval; the journal holds the whole run).
+			// to a 5s commit interval; the 16 MB journal — two ring files
+			// of both BA-buffer halves — holds the whole run).
 			store, err = jfs.Open(st.env, p, jfs.Config{Home: home,
-				Log: st.logConfig(journal, 0, 1), CheckpointEvery: 1 << 20})
+				Log: st.ringConfig(2, 8<<20, 0, 1), CheckpointEvery: 1 << 20})
 			if err != nil {
 				panic(err)
 			}

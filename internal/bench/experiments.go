@@ -49,12 +49,13 @@ func Experiments() []Experiment {
 		{"probe", true, tables(Probe)},
 		{"ablations", true, tables(AblationWriteCombining, AblationDoubleBuffering, AblationGroupCommit)},
 
-		// 128 power-loss points per workload — six storage engines and
-		// the raw block path in steady-state GC (896 in all); the smoke
-		// is 32 points over lsm, pglite, walseg and blkgc.
+		// 128 power-loss points per workload — six storage engines, the
+		// checkpoint path of three of them and the raw block path in
+		// steady-state GC (1 280 in all); the smoke is 32 points over lsm,
+		// pglite, the three checkpoint-path rows, walseg and blkgc.
 		{"crash", false, func(r *Runner, w io.Writer) error { return RunCrash(r, w, nil, 128) }},
 		{"crash-smoke", false, func(r *Runner, w io.Writer) error {
-			return RunCrash(r, w, []string{"lsm", "pglite", "walseg", "blkgc"}, 32)
+			return RunCrash(r, w, []string{"lsm", "pglite", "pglite-ckpt", "kvaof-ckpt", "jfs-ckpt", "walseg", "blkgc"}, 32)
 		}},
 		// Randomized dual-path workloads against internal/oracle, on an
 		// empty drive and on one in steady-state GC.

@@ -24,8 +24,8 @@ func TestOptionCountRatchet(t *testing.T) {
 	}{
 		{wal.Config{}, 11},
 		{lsm.Config{}, 13},
-		{pglite.Config{}, 8},
-		{kvaof.Config{}, 5},
+		{pglite.Config{}, 6},
+		{kvaof.Config{}, 3},
 		{jfs.Config{}, 3},
 		{fleet.Config{}, 10},
 		{ftl.Config{}, 2},

@@ -23,12 +23,8 @@ import (
 // stack, shared with the walseg crash driver: 16 KB segment files on a
 // 4-slot ring, two inner segments per file.
 func walLifeConfig(s *stack, mode wal.CommitMode) wal.Config {
-	ps := int64(s.ssd.PageSize())
-	cfg := s.logConfig(nil, 0, 1)
-	cfg.Mode = mode
-	cfg.FS, cfg.Name = s.logFS, "seglog"
-	cfg.Ring, cfg.SegmentFileBytes = 4, 4*ps
-	cfg.SegmentBytes = 2 * int(ps)
+	cfg := crashRing(4, 4, 2, 0, 1)(s)
+	cfg.Mode, cfg.Name = mode, "seglog"
 	return cfg
 }
 

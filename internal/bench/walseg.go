@@ -10,14 +10,11 @@ package bench
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
 
-	"twobssd/internal/core"
 	"twobssd/internal/fault"
-	"twobssd/internal/ftl"
 	"twobssd/internal/integrity"
 	"twobssd/internal/oracle"
 	"twobssd/internal/sim"
@@ -52,21 +49,13 @@ type walSegCrash struct {
 	snapN int
 	ops   int
 
-	// Crash-time facts Recover needs to judge an unreadable log page:
-	// the LBA ranges pinned into the BA-buffer, whether the capacitor
-	// dump that should have saved them was lost, and whether this point
-	// was excused on those grounds.
-	pinned   []core.Entry
-	dumpLost bool
-	excused  bool
-
 	want    map[string]string // every appended key (incl. staged)
 	applied map[string]string // committed state, snapshotted at checkpoints
 }
 
 // buildWalSegCrash builds the lifecycle engine in the given commit
 // mode: BA is the paper's byte path, Sync the block+flush baseline.
-func buildWalSegCrash(mode wal.CommitMode, ops int) func(env *sim.Env, p *sim.Proc) (fault.Cycle, error) {
+func buildWalSegCrash(mode wal.CommitMode, ops int) cycleBuilder {
 	return func(env *sim.Env, p *sim.Proc) (fault.Cycle, error) {
 		s := newCrashStack(env)
 		cfg := walLifeConfig(s, mode)
@@ -131,15 +120,6 @@ func (c *walSegCrash) Stage(p *sim.Proc) (string, error) {
 	return key, nil
 }
 
-// Crash records what was pinned and whether the dump persisted: Recover
-// may excuse an unreadable log page only under a pin whose dump was lost.
-func (c *walSegCrash) Crash(p *sim.Proc) (bool, float64, error) {
-	c.pinned = c.ssd.Entries()
-	persisted, energy, err := c.stack.Crash(p)
-	c.dumpLost = !persisted
-	return persisted, energy, err
-}
-
 func (c *walSegCrash) Recover(p *sim.Proc) (recovered, phantoms []string, err error) {
 	if err := c.ssd.PowerOn(p); err != nil {
 		return nil, nil, err
@@ -169,17 +149,7 @@ func (c *walSegCrash) Recover(p *sim.Proc) (recovered, phantoms []string, err er
 		}
 		return nil
 	})
-	if c.dumpLost && errors.Is(err, integrity.ErrPageCorrupt) {
-		// The log refuses to come up on a torn page — the loud failure
-		// a torn page deserves. If every such page sat under a BA pin
-		// the device lost the data (an interrupted BA_FLUSH program
-		// whose source the cut dump should have saved), so the campaign
-		// scores the point like any unpersisted dump: nothing recovered.
-		if c.excused, err = c.tornOnlyUnderPins(p, err); c.excused {
-			return nil, nil, nil
-		}
-	}
-	if err != nil {
+	if excused, err := c.tornLogExcused(p, err); excused || err != nil {
 		return nil, nil, err
 	}
 	snapMap := map[string]string{}
@@ -206,36 +176,6 @@ func (c *walSegCrash) Recover(p *sim.Proc) (recovered, phantoms []string, err er
 		phantoms = append(phantoms, "model: "+ph)
 	}
 	return recovered, phantoms, nil
-}
-
-// tornOnlyUnderPins reads every page of every ring file and reports
-// whether all the corrupt ones lie in LBA ranges that were pinned at the
-// crash; cause is Recover's error, returned again when one does not.
-func (c *walSegCrash) tornOnlyUnderPins(p *sim.Proc, cause error) (bool, error) {
-	page := make([]byte, c.logFS.PageSize())
-	for i := 0; i < c.cfg.Ring; i++ {
-		f, err := c.logFS.Open(fmt.Sprintf("%s.%d", c.cfg.Name, i))
-		if err != nil {
-			return false, err
-		}
-		for off := int64(0); off < c.cfg.SegmentFileBytes; off += int64(len(page)) {
-			err := f.ReadAt(p, off, page)
-			if err == nil {
-				continue
-			}
-			if !errors.Is(err, integrity.ErrPageCorrupt) {
-				return false, err
-			}
-			lba, covered := f.LBA(off), false
-			for _, e := range c.pinned {
-				covered = covered || (lba >= e.LBA && lba < e.LBA+ftl.LBA(e.Pages))
-			}
-			if !covered {
-				return false, fmt.Errorf("%w (corrupt page at lba %d was never pinned)", cause, lba)
-			}
-		}
-	}
-	return true, nil
 }
 
 // RecoveryRepair feeds the recovered log's torn-tail repair outcome to
@@ -338,10 +278,10 @@ func walLifeTweak(i int, plan *fault.Plan) {
 // block+flush baseline.
 var walLifeWorkloads = []crashWorkload{
 	{"walseg-ba", 48, 0x2b55c0de0106,
-		func(ops int) func(*sim.Env, *sim.Proc) (fault.Cycle, error) { return buildWalSegCrash(wal.BA, ops) },
+		func(ops int) cycleBuilder { return buildWalSegCrash(wal.BA, ops) },
 		walLifeTweak},
 	{"walseg-sync", 48, 0x2b55c0de0107,
-		func(ops int) func(*sim.Env, *sim.Proc) (fault.Cycle, error) { return buildWalSegCrash(wal.Sync, ops) },
+		func(ops int) cycleBuilder { return buildWalSegCrash(wal.Sync, ops) },
 		nil},
 }
 

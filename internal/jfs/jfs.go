@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"twobssd/internal/sim"
 	"twobssd/internal/vfs"
@@ -28,14 +29,17 @@ type Config struct {
 	// Home is the file holding the filesystem image.
 	Home *vfs.File
 
-	// Log is the journal: its file (on the log device under test), the
-	// commit mode and, in BA/PMR mode, the SSD, entries and window.
+	// Log places the journal: the segment ring (FS on the log device
+	// under test, Ring, SegmentFileBytes), the commit mode and, in BA
+	// mode, the SSD, entries and window. The store supplies the name.
 	Log wal.Config
 
 	// CheckpointEvery transactions, dirty journaled blocks write back
-	// to their home locations and the journal truncates.
+	// to their home locations and the journal checkpoints past them.
 	CheckpointEvery int
 }
+
+const journalName = "journal"
 
 // Errors reported by the journal layer.
 var (
@@ -67,15 +71,16 @@ type Store struct {
 	stats Stats
 }
 
-// Open creates or recovers a store: journal records present in the
-// journal file are replayed into the pending set (crash recovery).
+// Open creates or recovers a store: journal records past the last
+// checkpoint are replayed into the pending set (crash recovery).
 func Open(env *sim.Env, p *sim.Proc, cfg Config) (*Store, error) {
-	if cfg.Home == nil || cfg.Log.File == nil {
-		return nil, fmt.Errorf("%w: Home and Log.File required", ErrBadConfig)
+	if cfg.Home == nil || cfg.Log.FS == nil {
+		return nil, fmt.Errorf("%w: Home and Log.FS required", ErrBadConfig)
 	}
 	if cfg.CheckpointEvery <= 0 {
 		cfg.CheckpointEvery = 64
 	}
+	cfg.Log.Name = journalName
 	l, err := wal.Open(env, cfg.Log)
 	if err != nil {
 		return nil, err
@@ -122,15 +127,27 @@ func (t *Txn) WriteBlock(blk uint32, data []byte) error {
 	return nil
 }
 
-// encodeTxn serializes a transaction: [4]count then per block
-// [4]blockID [BlockSize]data.
+// sortedBlocks appends m's block numbers to dst in ascending order:
+// journal bytes and home writes must not depend on map iteration order.
+// (dst lets a transaction's handful of blocks sort on the stack.)
+func sortedBlocks(dst []uint32, m map[uint32][]byte) []uint32 {
+	for blk := range m {
+		dst = append(dst, blk)
+	}
+	slices.Sort(dst)
+	return dst
+}
+
+// encodeTxn serializes a transaction: [4]count then per block, in block
+// order, [4]blockID [BlockSize]data.
 func encodeTxn(blocks map[uint32][]byte) []byte {
 	out := make([]byte, 4+len(blocks)*(4+BlockSize))
 	binary.LittleEndian.PutUint32(out, uint32(len(blocks)))
 	pos := 4
-	for blk, data := range blocks {
+	var few [8]uint32
+	for _, blk := range sortedBlocks(few[:0], blocks) {
 		binary.LittleEndian.PutUint32(out[pos:], blk)
-		copy(out[pos+4:], data)
+		copy(out[pos+4:], blocks[blk])
 		pos += 4 + BlockSize
 	}
 	return out
@@ -205,8 +222,8 @@ func (s *Store) ReadBlock(p *sim.Proc, blk uint32) ([]byte, error) {
 	return buf, nil
 }
 
-// Checkpoint writes journaled blocks to their home locations and
-// truncates the journal.
+// Checkpoint writes journaled blocks to their home locations, then
+// checkpoints the journal past them (which frees the segments below).
 func (s *Store) Checkpoint(p *sim.Proc) error {
 	s.mu.Acquire(p)
 	defer s.mu.Release()
@@ -214,15 +231,16 @@ func (s *Store) Checkpoint(p *sim.Proc) error {
 }
 
 func (s *Store) checkpointLocked(p *sim.Proc) error {
-	for blk, data := range s.pending {
-		if err := s.cfg.Home.WriteAt(p, int64(blk)*BlockSize, data); err != nil {
+	for _, blk := range sortedBlocks(nil, s.pending) {
+		if err := s.cfg.Home.WriteAt(p, int64(blk)*BlockSize, s.pending[blk]); err != nil {
 			return err
 		}
 	}
 	if err := s.cfg.Home.Sync(p); err != nil {
 		return err
 	}
-	if err := s.log.Reset(p); err != nil {
+	// Transactions are serialized: everything appended is in pending.
+	if err := s.log.Checkpoint(p, wal.LSN(s.log.AppendOff())); err != nil {
 		return err
 	}
 	s.pending = make(map[uint32][]byte)
@@ -231,7 +249,7 @@ func (s *Store) checkpointLocked(p *sim.Proc) error {
 	return nil
 }
 
-// recover replays journal records written before a crash.
+// recover replays the journal records past the last checkpoint.
 func (s *Store) recover(p *sim.Proc) error {
 	return s.log.Recover(p, func(_ wal.LSN, payload []byte) error {
 		blocks, err := decodeTxn(payload)

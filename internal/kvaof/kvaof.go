@@ -16,32 +16,26 @@ import (
 	"strconv"
 
 	"twobssd/internal/sim"
-	"twobssd/internal/vfs"
 	"twobssd/internal/wal"
 )
 
 // Config assembles a store.
 type Config struct {
-	LogFS *vfs.FS
-
-	// Log places the AOF: commit mode and, in BA mode, the SSD, entry
-	// and window (per the paper, ONE entry over the whole BA-buffer — no
-	// double buffering). The store supplies the file.
+	// Log places the AOF: the segment ring (FS, Ring, SegmentFileBytes —
+	// their product is the AOF's capacity), the commit mode and, in BA
+	// mode, the SSD, entry and window (per the paper, ONE entry over the
+	// whole BA-buffer — no double buffering). The store supplies the name.
 	Log wal.Config
-
-	AOFBytes int64 // AOF file capacity
 
 	ReadCPU  sim.Duration
 	WriteCPU sim.Duration
 }
 
 func (c *Config) fillDefaults() error {
-	if c.LogFS == nil {
-		return errors.New("kvaof: LogFS required")
+	if c.Log.FS == nil {
+		return errors.New("kvaof: Log.FS required")
 	}
-	if c.AOFBytes <= 0 {
-		c.AOFBytes = 8 << 20
-	}
+	c.Log.Name = aofName
 	if c.ReadCPU <= 0 {
 		c.ReadCPU = 1 * sim.Microsecond
 	}
@@ -71,7 +65,6 @@ type Store struct {
 	cfg  Config
 	dict map[string]*entry
 	aof  *wal.Log
-	file *vfs.File
 	// loop serializes every command: Redis's single-threaded design.
 	loop  *sim.Resource
 	stats Stats
@@ -82,39 +75,25 @@ type Store struct {
 
 const aofName = "appendonly.aof"
 
-// Open creates or recovers a store. An existing AOF is replayed.
+// Open creates or recovers a store: the AOF past its last rewrite is
+// replayed.
 func Open(env *sim.Env, p *sim.Proc, cfg Config) (*Store, error) {
 	if err := cfg.fillDefaults(); err != nil {
+		return nil, err
+	}
+	l, err := wal.Open(env, cfg.Log)
+	if err != nil {
 		return nil, err
 	}
 	s := &Store{
 		env:  env,
 		cfg:  cfg,
 		dict: make(map[string]*entry),
+		aof:  l,
 		loop: env.NewResource("kvaof.loop", 1),
 	}
-	existing := cfg.LogFS.Exists(aofName)
-	var f *vfs.File
-	var err error
-	if existing {
-		f, err = cfg.LogFS.Open(aofName)
-	} else {
-		f, err = cfg.LogFS.Create(aofName, cfg.AOFBytes)
-	}
-	if err != nil {
+	if err := s.replay(p); err != nil {
 		return nil, err
-	}
-	s.file = f
-	cfg.Log.File = f
-	l, err := wal.Open(env, cfg.Log)
-	if err != nil {
-		return nil, err
-	}
-	s.aof = l
-	if existing {
-		if err := s.replay(p); err != nil {
-			return nil, err
-		}
 	}
 	return s, nil
 }
@@ -237,42 +216,52 @@ func (s *Store) lookup(key []byte) *entry {
 	return e
 }
 
-// logCmd appends and commits one AOF record, rewriting the AOF when it
-// fills (Redis's BGREWRITEAOF, done inline: single-threaded).
+// logCmd appends and commits one AOF record, rewriting the AOF first
+// when it has grown to the point where one more record would leave the
+// ring no room for a rewrite (Redis's BGREWRITEAOF, done inline:
+// single-threaded).
 func (s *Store) logCmd(p *sim.Proc, op byte, key, value []byte) error {
-	rec := s.encodeCmd(op, key, value)
-	lsn, err := s.aof.Append(p, rec)
-	if errors.Is(err, wal.ErrLogFull) {
-		if err = s.rewrite(p); err != nil {
+	// A snapshot is one SET per live key, and every live key's value was
+	// logged since the last snapshot began: it needs no more room than
+	// the log written since the checkpoint.
+	need := int64(wal.RecordOverhead + 5 + len(key) + len(value))
+	tail := s.aof.AppendOff()
+	free := int64(s.cfg.Log.Ring)*s.cfg.Log.SegmentFileBytes - (tail - int64(s.aof.RetainedLSN()))
+	if free-need < tail-int64(s.aof.CheckpointLSN())+need {
+		if err := s.rewrite(p); err != nil {
 			return err
 		}
-		lsn, err = s.aof.Append(p, rec)
 	}
+	lsn, err := s.aof.Append(p, s.encodeCmd(op, key, value))
 	if err != nil {
 		return err
 	}
 	return s.aof.Commit(p, lsn)
 }
 
-// rewrite compacts the AOF: truncate, then one SET per live key.
+// rewrite compacts the AOF: snapshot, then checkpoint. One SET per live
+// key, in key order, goes onto the tail of the log; once the snapshot is
+// durable the checkpoint moves to where it began and frees every segment
+// below. A crash before that replays the old log plus a snapshot prefix,
+// which is the same dictionary.
 func (s *Store) rewrite(p *sim.Proc) error {
-	if err := s.aof.Reset(p); err != nil {
-		return err
-	}
-	for k, e := range s.dict {
-		lsn, err := s.aof.Append(p, s.encodeCmd(cmdSet, []byte(k), e.v))
-		if err != nil {
+	start := wal.LSN(s.aof.AppendOff())
+	for _, k := range s.Keys() {
+		if _, err := s.aof.Append(p, s.encodeCmd(cmdSet, []byte(k), s.dict[k].v)); err != nil {
 			return fmt.Errorf("kvaof: rewrite overflow: %w", err)
 		}
-		if err := s.aof.Commit(p, lsn); err != nil {
-			return err
-		}
+	}
+	if err := s.aof.Drain(p); err != nil {
+		return err
+	}
+	if err := s.aof.Checkpoint(p, start); err != nil {
+		return err
 	}
 	s.stats.Rewrites++
 	return nil
 }
 
-// replay rebuilds the dictionary from the AOF.
+// replay rebuilds the dictionary from the AOF past its checkpoint.
 func (s *Store) replay(p *sim.Proc) error {
 	return s.aof.Recover(p, func(_ wal.LSN, payload []byte) error {
 		op, key, value, err := decodeCmd(payload)

@@ -12,17 +12,16 @@ import (
 
 // Config assembles an engine.
 type Config struct {
-	// DataFS stores heap files; LogFS the XLOG (the log device under
-	// test in Fig 9a / Fig 10).
+	// DataFS stores heap files.
 	DataFS *vfs.FS
-	LogFS  *vfs.FS
 
-	// Log places the XLOG: commit mode and, in BA mode, the SSD, entries
-	// and window (per the paper, two entries double-buffering halves of
-	// the BA-buffer). The engine supplies the file.
+	// Log places the XLOG: the segment ring (FS — the log device under
+	// test in Fig 9a / Fig 10, DataFS when nil — Ring, SegmentFileBytes),
+	// the commit mode and, in BA mode, the SSD, entries and window (per
+	// the paper, two entries double-buffering halves of the BA-buffer).
+	// The engine supplies the name.
 	Log wal.Config
 
-	LogFileBytes    int64 // XLOG file capacity (16 MB in PostgreSQL)
 	HeapFileBytes   int64 // per-table heap capacity
 	BufferPoolPages int
 
@@ -30,19 +29,17 @@ type Config struct {
 	WriteCPU sim.Duration
 }
 
-// checkpointFrac of the log file filled triggers a checkpoint.
+// checkpointFrac of the XLOG ring retained triggers a checkpoint.
 const checkpointFrac = 0.8
 
 func (c *Config) fillDefaults() error {
 	if c.DataFS == nil {
 		return errors.New("pglite: DataFS required")
 	}
-	if c.LogFS == nil {
-		c.LogFS = c.DataFS
+	if c.Log.FS == nil {
+		c.Log.FS = c.DataFS
 	}
-	if c.LogFileBytes <= 0 {
-		c.LogFileBytes = 16 << 20
-	}
+	c.Log.Name = LogName
 	if c.HeapFileBytes <= 0 {
 		c.HeapFileBytes = 8 << 20
 	}
@@ -80,9 +77,8 @@ type Engine struct {
 	env *sim.Env
 	cfg Config
 
-	tables  map[string]*Table
-	xlog    *wal.Log
-	logFile *vfs.File
+	tables map[string]*Table
+	xlog   *wal.Log
 
 	// Commit/checkpoint coordination: commits run shared, checkpoints
 	// exclusive (a checkpoint between another transaction's append and
@@ -121,38 +117,29 @@ func (e *Engine) putScanBuf(b *scanBuf) {
 	e.scanPool = append(e.scanPool, b)
 }
 
-const xlogName = "xlog"
+// LogName names the XLOG's ring files on Config.Log.FS.
+const LogName = "xlog"
 
-// Open creates or recovers an engine. If an XLOG file exists its
-// committed transactions are replayed (idempotent upserts), restoring
-// the pre-crash state.
+// Open creates or recovers an engine: the transactions committed past
+// the XLOG's last checkpoint are replayed (idempotent upserts).
 func Open(env *sim.Env, p *sim.Proc, cfg Config) (*Engine, error) {
 	if err := cfg.fillDefaults(); err != nil {
+		return nil, err
+	}
+	l, err := wal.Open(env, cfg.Log)
+	if err != nil {
 		return nil, err
 	}
 	e := &Engine{
 		env:         env,
 		cfg:         cfg,
 		tables:      make(map[string]*Table),
+		xlog:        l,
 		commitsIdle: env.NewSignal("pglite.commitsidle"),
 		ckptDone:    env.NewSignal("pglite.ckptdone"),
 	}
-	existing := cfg.LogFS.Exists(xlogName)
-	f, err := openOrCreate(cfg.LogFS, xlogName, cfg.LogFileBytes)
-	if err != nil {
+	if err := e.replay(p); err != nil {
 		return nil, err
-	}
-	e.logFile = f
-	cfg.Log.File = f
-	l, err := wal.Open(env, cfg.Log)
-	if err != nil {
-		return nil, err
-	}
-	e.xlog = l
-	if existing {
-		if err := e.replay(p); err != nil {
-			return nil, err
-		}
 	}
 	return e, nil
 }
@@ -312,8 +299,9 @@ func (t *Txn) Commit(p *sim.Proc) error {
 	e.stats.Commits++
 	e.stats.Writes += uint64(len(t.ops))
 	e.endCommit()
-	// Proactive checkpoint before the log runs out.
-	if e.xlog.AppendOff() > int64(float64(e.logFile.Capacity())*checkpointFrac) {
+	// Proactive checkpoint before the ring runs out of slots.
+	retained := e.xlog.AppendOff() - int64(e.xlog.RetainedLSN())
+	if float64(retained) > float64(int64(e.cfg.Log.Ring)*e.cfg.Log.SegmentFileBytes)*checkpointFrac {
 		if err := e.Checkpoint(p); err != nil {
 			return err
 		}
@@ -440,8 +428,9 @@ func (e *Engine) scanVisit(p *sim.Proc, table string, start []byte, limit int, f
 	return nil
 }
 
-// Checkpoint flushes all dirty heap pages and truncates the XLOG. It
-// runs exclusive with commits; concurrent checkpoint requests coalesce.
+// Checkpoint flushes all dirty heap pages, then checkpoints the XLOG
+// past every applied batch. It runs exclusive with commits (so every
+// appended batch is applied); concurrent checkpoint requests coalesce.
 func (e *Engine) Checkpoint(p *sim.Proc) error {
 	if e.ckptWanted {
 		// Someone else is checkpointing: wait for it and piggyback.
@@ -463,14 +452,14 @@ func (e *Engine) Checkpoint(p *sim.Proc) error {
 			return err
 		}
 	}
-	if err := e.xlog.Reset(p); err != nil {
+	if err := e.xlog.Checkpoint(p, wal.LSN(e.xlog.AppendOff())); err != nil {
 		return err
 	}
 	e.stats.Checkpoints++
 	return nil
 }
 
-// replay re-applies every committed batch found in the XLOG.
+// replay re-applies every committed batch past the XLOG's checkpoint.
 func (e *Engine) replay(p *sim.Proc) error {
 	return e.xlog.Recover(p, func(_ wal.LSN, payload []byte) error {
 		ops, err := decodeBatch(payload)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -177,15 +178,19 @@ func newRig() *rig {
 	return &rig{env: e, ssd: ssd, fs: vfs.New(ssd.Device())}
 }
 
-// config places the XLOG the paper's way — two entries double-buffering
-// halves of the BA-buffer; the block modes use only the segment size.
+// config places a 1 MB XLOG the paper's way — two entries double-
+// buffering windows of the BA-buffer, two windows per ring file; the
+// block modes use only the segment sizes.
 func (r *rig) config(mode wal.CommitMode) Config {
+	return r.sized(mode, 256<<10)
+}
+
+// sized is config with ring files of fileBytes each.
+func (r *rig) sized(mode wal.CommitMode, fileBytes int) Config {
 	return Config{
 		DataFS: r.fs,
-		LogFS:  r.fs,
-		Log: wal.Config{Mode: mode, SSD: r.ssd, EIDs: []core.EID{0, 1},
-			SegmentBytes: 64 * 4096},
-		LogFileBytes:  1 << 20,
+		Log: wal.Config{Mode: mode, FS: r.fs, Ring: 4, SegmentFileBytes: int64(fileBytes),
+			SSD: r.ssd, EIDs: []core.EID{0, 1}, SegmentBytes: fileBytes / 2},
 		HeapFileBytes: 2 << 20,
 	}
 }
@@ -288,8 +293,7 @@ func TestManyRowsForcePoolEviction(t *testing.T) {
 func TestCheckpointTriggeredByLogPressure(t *testing.T) {
 	r := newRig()
 	r.env.Go("t", func(p *sim.Proc) {
-		cfg := r.config(wal.Sync)
-		cfg.LogFileBytes = 64 << 10 // small log to force checkpoints
+		cfg := r.sized(wal.Sync, 16<<10) // small log to force checkpoints
 		eng, err := Open(r.env, p, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -539,4 +543,65 @@ func TestDifferentialCommitModes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestBACheckpointThenPowerLossAtTheLog: 500 B upserts over 50 keys on a
+// 512 KB XLOG up to the first checkpoint, twelve more commits, power
+// cut. Asserted at the log, on the engine's own placement (a reopened
+// engine cannot serve a checkpointed heap yet, DESIGN.md §11): Recover
+// must hand back exactly the twelve batches past the checkpoint, not the
+// hundreds of checkpointed ones still sitting in the ring's files and BA
+// windows.
+func TestBACheckpointThenPowerLossAtTheLog(t *testing.T) {
+	r := newRig()
+	r.env.Go("t", func(p *sim.Proc) {
+		cfg := r.sized(wal.BA, 128<<10)
+		eng, err := Open(r.env, p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.CreateTable("tbl")
+		val := bytes.Repeat([]byte{1}, 500)
+		after := -1
+		var live []wal.LSN
+		for i := 0; after != 0; i++ {
+			tx := eng.Begin()
+			tx.Upsert("tbl", []byte(fmt.Sprintf("k%04d", i%50)), val)
+			if err := tx.Commit(p); err != nil {
+				t.Fatalf("commit %d: %v", i, err)
+			}
+			switch {
+			case after > 0:
+				after--
+				live = append(live, wal.LSN(eng.Log().AppendOff()))
+			case eng.Stats().Checkpoints == 1:
+				after = 12
+			case i > 5000:
+				t.Fatal("the XLOG never checkpointed")
+			}
+		}
+		if _, err := r.ssd.PowerLoss(p); err != nil {
+			t.Fatalf("power loss: %v", err)
+		}
+		if err := r.ssd.PowerOn(p); err != nil {
+			t.Fatalf("power on: %v", err)
+		}
+		lcfg := cfg.Log
+		lcfg.Name = LogName
+		l, err := wal.Open(r.env, lcfg)
+		if err != nil {
+			t.Fatalf("reopen the xlog: %v", err)
+		}
+		var got []wal.LSN
+		if err := l.Recover(p, func(lsn wal.LSN, _ []byte) error {
+			got = append(got, lsn)
+			return nil
+		}); err != nil {
+			t.Fatalf("recover: %v", err)
+		}
+		if !slices.Equal(got, live) {
+			t.Fatalf("recovery visited %d batches, want exactly the %d committed past the checkpoint", len(got), len(live))
+		}
+	})
+	r.env.Run()
 }

@@ -34,54 +34,24 @@ func (r *rig) corruptFilePage(t testing.TB, f *vfs.File, pg int) {
 	}
 }
 
-// staleTailLogs are the two ways a log comes to have previously-written
-// pages past its clean end, inside the tail segment's first read-ahead
-// run: a ring of one that was Reset, and a ring slot recycled a lap
-// later. build writes the log and returns it with its tail file, a page
-// of that file below the tail and one past it.
-var staleTailLogs = []struct {
-	name  string
-	build func(t *testing.T, r *rig, mode CommitMode) (l *Log, f *vfs.File, inside, past int)
-}{
-	{"reset", func(t *testing.T, r *rig, mode CommitMode) (*Log, *vfs.File, int, int) {
-		l := r.openLog(t, "log", mode)
-		r.env.Go("write", func(p *sim.Proc) {
-			for i := 0; i < 40; i++ { // ~14 pages
-				if _, err := appendCommit(p, l, segPayload(i)); err != nil {
-					t.Fatalf("append %d: %v", i, err)
-				}
-			}
-			if err := l.Reset(p); err != nil {
-				t.Fatalf("reset: %v", err)
-			}
-			// A different record size: BA_PIN reloads the old generation's
-			// bytes past the new tail, and a record boundary shared with
-			// them would splice the old records back on.
-			for i := 0; i < 12; i++ { // ~3 pages
-				if _, err := appendCommit(p, l, segPayload(100 + i)[:1000]); err != nil {
-					t.Fatalf("append %d: %v", 100+i, err)
-				}
-			}
-			r.settle(t, p, l)
-		})
-		r.env.Run()
-		return l, l.files[0], 1, 9
-	}},
-	{"recycled-slot", func(t *testing.T, r *rig, mode CommitMode) (*Log, *vfs.File, int, int) {
-		l := openSeg(t, r, mode)
-		r.env.Go("write", func(p *sim.Proc) {
-			appendLaps(t, p, l, 44) // four full segments, then four records
-			r.settle(t, p, l)
-		})
-		r.env.Run()
-		_, cur := l.Segments()
-		f := l.file(cur)
-		local := int(l.AppendOff() - cur*l.fileBytes)
-		if cur < 4 || local == 0 || local > 2*l.ps {
-			t.Fatalf("active segment %d, tail at local %d: want a lapped slot with a stale second half", cur, local)
-		}
-		return l, f, 0, f.Pages() - 1
-	}},
+// recycledSlotLog builds the log that has previously-written pages past
+// its clean end, inside the tail segment's first read-ahead run: a ring
+// slot recycled a lap later. It returns the log with its tail file, a
+// page of that file below the tail and one past it.
+func recycledSlotLog(t *testing.T, r *rig, mode CommitMode) (l *Log, f *vfs.File, inside, past int) {
+	l = openSeg(t, r, mode)
+	r.env.Go("write", func(p *sim.Proc) {
+		appendLaps(t, p, l, 44) // four full segments, then four records
+		r.settle(t, p, l)
+	})
+	r.env.Run()
+	_, cur := l.Segments()
+	f = l.file(cur)
+	local := int(l.AppendOff() - cur*l.fileBytes)
+	if cur < 4 || local == 0 || local > 2*l.ps {
+		t.Fatalf("active segment %d, tail at local %d: want a lapped slot with a stale second half", cur, local)
+	}
+	return l, f, 0, f.Pages() - 1
 }
 
 // recovered is what one Recover reports.
@@ -99,55 +69,53 @@ type recovered struct {
 // still must.
 func TestReadAheadNeverFailsOnUnconsumedPage(t *testing.T) {
 	for _, mode := range []CommitMode{Sync, BA} {
-		for _, tc := range staleTailLogs {
-			t.Run(fmt.Sprintf("%s/%s", mode, tc.name), func(t *testing.T) {
-				// run rebuilds the same log, makes the named page of its tail
-				// file unreadable ("" = none) and recovers through a reopened log.
-				run := func(corrupt string) (got recovered, err error) {
-					r := newRig()
-					defer r.env.Shutdown()
-					l, f, inside, past := tc.build(t, r, mode)
-					if tail := int(l.AppendOff() % l.fileBytes); past >= readAheadPages || past*l.ps < tail || (inside+1)*l.ps > tail {
-						t.Fatalf("tail at local %d: page %d is not inside the log or page %d not past it in the first run", tail, inside, past)
-					}
-					switch corrupt {
-					case "inside":
-						r.corruptFilePage(t, f, inside)
-					case "past":
-						r.corruptFilePage(t, f, past)
-					}
-					rl, oerr := Open(r.env, l.cfg)
-					if oerr != nil {
-						t.Fatalf("reopen: %v", oerr)
-					}
-					r.env.Go("recover", func(p *sim.Proc) {
-						err = rl.Recover(p, func(lsn LSN, payload []byte) error {
-							got.payloads = append(got.payloads, string(payload))
-							got.lsns = append(got.lsns, lsn)
-							return nil
-						})
+		t.Run(fmt.Sprintf("%s/recycled-slot", mode), func(t *testing.T) {
+			// run rebuilds the same log, makes the named page of its tail
+			// file unreadable ("" = none) and recovers through a reopened log.
+			run := func(corrupt string) (got recovered, err error) {
+				r := newRig()
+				defer r.env.Shutdown()
+				l, f, inside, past := recycledSlotLog(t, r, mode)
+				if tail := int(l.AppendOff() % l.fileBytes); past >= readAheadPages || past*l.ps < tail || (inside+1)*l.ps > tail {
+					t.Fatalf("tail at local %d: page %d is not inside the log or page %d not past it in the first run", tail, inside, past)
+				}
+				switch corrupt {
+				case "inside":
+					r.corruptFilePage(t, f, inside)
+				case "past":
+					r.corruptFilePage(t, f, past)
+				}
+				rl, oerr := Open(r.env, l.cfg)
+				if oerr != nil {
+					t.Fatalf("reopen: %v", oerr)
+				}
+				r.env.Go("recover", func(p *sim.Proc) {
+					err = rl.Recover(p, func(lsn LSN, payload []byte) error {
+						got.payloads = append(got.payloads, string(payload))
+						got.lsns = append(got.lsns, lsn)
+						return nil
 					})
-					r.env.Run()
-					got.tail, got.repair = rl.AppendOff(), rl.Repair()
-					return got, err
-				}
-				want, err := run("")
-				if err != nil || len(want.payloads) == 0 {
-					t.Fatalf("intact log: %d records, err %v", len(want.payloads), err)
-				}
-				got, err := run("past")
-				if err != nil {
-					t.Fatalf("unreadable page past the tail failed Recover: %v", err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("unreadable page past the tail changed recovery:\n got %d records, tail %d, repair %+v\nwant %d records, tail %d, repair %+v",
-						len(got.payloads), got.tail, got.repair, len(want.payloads), want.tail, want.repair)
-				}
-				if _, err := run("inside"); !errors.Is(err, integrity.ErrPageCorrupt) {
-					t.Fatalf("unreadable page inside the log: err = %v, want ErrPageCorrupt", err)
-				}
-			})
-		}
+				})
+				r.env.Run()
+				got.tail, got.repair = rl.AppendOff(), rl.Repair()
+				return got, err
+			}
+			want, err := run("")
+			if err != nil || len(want.payloads) == 0 {
+				t.Fatalf("intact log: %d records, err %v", len(want.payloads), err)
+			}
+			got, err := run("past")
+			if err != nil {
+				t.Fatalf("unreadable page past the tail failed Recover: %v", err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("unreadable page past the tail changed recovery:\n got %d records, tail %d, repair %+v\nwant %d records, tail %d, repair %+v",
+					len(got.payloads), got.tail, got.repair, len(want.payloads), want.tail, want.repair)
+			}
+			if _, err := run("inside"); !errors.Is(err, integrity.ErrPageCorrupt) {
+				t.Fatalf("unreadable page inside the log: err = %v, want ErrPageCorrupt", err)
+			}
+		})
 	}
 }
 

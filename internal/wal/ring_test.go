@@ -55,12 +55,12 @@ func TestRingValidation(t *testing.T) {
 	f, _ := r.fs.Create("f", 4*ps)
 	bad := []Config{
 		{Mode: Sync}, // no File, no FS/Name
-		{Mode: Async, FS: r.fs, Name: "a", SegmentFileBytes: 4 * ps, Ring: 2}, // unsupported mode
-		{Mode: Sync, FS: r.fs, Name: "b", SegmentFileBytes: 4 * ps, Ring: 1},  // ring too small
+		{Mode: PMR, FS: r.fs, Name: "a", SegmentFileBytes: 4 * ps, Ring: 2, SSD: r.ssd, EIDs: []core.EID{0}}, // PMR is single-file
+		{Mode: Sync, FS: r.fs, Name: "b", SegmentFileBytes: 4 * ps, Ring: 1},                                 // ring too small
 		{Mode: Sync, FS: r.fs, Name: "c", SegmentFileBytes: 4*ps + 1, Ring: 2},
 		{Mode: Sync, FS: r.fs, Name: "d", SegmentFileBytes: 4 * ps, Ring: 2, SegmentBytes: 3000},
 		{Mode: Sync, File: f, FS: r.fs, Name: "e", SegmentFileBytes: 4 * ps, Ring: 2}, // both geometries
-		{Mode: Sync, File: f, Ring: 2},                                                // a single file is a ring of one
+		{Mode: Sync, File: f, Ring: 2}, // a single file is a ring of one
 	}
 	for i, cfg := range bad {
 		if _, err := Open(r.env, cfg); !errors.Is(err, ErrBadConfig) {
@@ -148,6 +148,111 @@ func TestRingRoundtrip(t *testing.T) {
 		})
 	}
 }
+
+// ringRotateRecover is the ring's contract in the two lazy block modes,
+// whose commits return before the log device has the bytes: fill past
+// two rotations with the write-behind timer armed all along, checkpoint,
+// append into the loss window, cut power, and recover through a fresh
+// handle. The prefix rule: Recover replays the records past the
+// checkpoint in LSN order up to some point at or beyond what the device
+// had at the cut — nothing below the checkpoint, nothing out of order,
+// nothing that was never appended.
+func ringRotateRecover(t *testing.T, mode CommitMode) {
+	r := newRig()
+	cfg := segCfg(r, mode)
+	cfg.AsyncFlushInterval = 20 * sim.Millisecond // fires twice during the fill; the third outlasts the recovery
+	sl, err := Open(r.env, cfg)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	const n = 28
+	ends := make([]LSN, n)
+	var ckpt LSN
+	var onDevice int64
+	var got []string
+	var gotLSNs []LSN
+	r.env.Go("run", func(p *sim.Proc) {
+		for i := 0; i < n; i++ {
+			lsn, err := appendCommit(p, sl, segPayload(i))
+			if err != nil {
+				t.Fatalf("append %d: %v", i, err)
+			}
+			ends[i] = lsn
+			if !sl.asyncScheduled {
+				t.Fatalf("record %d: no write-behind timer armed after a commit", i)
+			}
+			switch {
+			case i < 24:
+				p.Sleep(2 * sim.Millisecond)
+			case i == 24:
+				// Checkpoint two records back, inside segment 2: segments 0
+				// and 1 truncate, records 23 and 24 reach the device with it.
+				ckpt = ends[22]
+				if sl.flushedOff >= int64(ckpt) {
+					t.Fatalf("device frontier %d at the checkpoint: the write-behind is not lagging", sl.flushedOff)
+				}
+				if err := sl.Checkpoint(p, ckpt); err != nil {
+					t.Fatalf("checkpoint: %v", err)
+				}
+				if sl.flushedOff < int64(ckpt) {
+					t.Fatalf("checkpoint %d recorded with the device at %d: it covers records recovery cannot read", ckpt, sl.flushedOff)
+				}
+			}
+		}
+		if first, cur := sl.Segments(); first < 2 || cur < 2 {
+			t.Fatalf("segments = [%d, %d], want two rotations and a truncation", first, cur)
+		}
+		onDevice = sl.flushedOff
+		r.powerCycle(t, p)
+		// The sim cannot kill the dead handle's armed timer: recovery has
+		// to finish before it fires (checked below).
+		rl, err := Open(r.env, cfg)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		if err := rl.Recover(p, func(lsn LSN, payload []byte) error {
+			got, gotLSNs = append(got, string(payload)), append(gotLSNs, lsn)
+			return nil
+		}); err != nil {
+			t.Fatalf("recover: %v", err)
+		}
+		if sl.flushedOff != onDevice {
+			t.Fatalf("the dead handle flushed to %d during recovery: the loss window closed", sl.flushedOff)
+		}
+		if rl.CheckpointLSN() != ckpt || rl.AppendOff() < int64(ckpt) {
+			t.Fatalf("recovered checkpoint %d tail %d, want checkpoint %d and a tail at or past it",
+				rl.CheckpointLSN(), rl.AppendOff(), ckpt)
+		}
+	})
+	r.env.Run()
+	if onDevice >= int64(ends[n-1]) {
+		t.Fatalf("device frontier %d at the cut: no record was left in the loss window", onDevice)
+	}
+	var want []string
+	var wantLSNs []LSN
+	mustHave := 0
+	for i := 0; i < n; i++ {
+		if ends[i] > ckpt {
+			want, wantLSNs = append(want, segPayload(i)), append(wantLSNs, ends[i])
+			if int64(ends[i]) <= onDevice {
+				mustHave++
+			}
+		}
+	}
+	if mustHave == 0 || len(got) < mustHave || len(got) > len(want) {
+		t.Fatalf("replayed %d records, want between %d (on the device at the cut) and %d (appended past the checkpoint)",
+			len(got), mustHave, len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] || gotLSNs[i] != wantLSNs[i] {
+			t.Fatalf("record %d: got %q@%d, want %q@%d", i, got[i][:12], gotLSNs[i], want[i][:12], wantLSNs[i])
+		}
+	}
+	r.env.Shutdown()
+}
+
+func TestRingAsyncRotateRecover(t *testing.T) { ringRotateRecover(t, Async) }
+func TestRingPMRotateRecover(t *testing.T)    { ringRotateRecover(t, PM) }
 
 // buildBoundaryTail writes records until the first user record lands
 // just past a segment boundary — the final record of the stream is the

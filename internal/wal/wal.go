@@ -29,16 +29,19 @@
 //
 // Geometry. The stream is one LSN space cut into file-sized segments:
 // segment seq covers LSNs [seq*S, (seq+1)*S) and lives in ring slot
-// seq%Ring. Config{File} is a ring of one — the stream is the file,
-// Append fails with ErrLogFull at its end and Reset truncates; nothing
-// but records is ever written to it. Config{FS, Name, Ring,
-// SegmentFileBytes} is a ring of segment files Name.0 … Name.<Ring-1>
-// plus a checkpoint page Name.meta: Append rotates into the next slot
+// seq%Ring. Config{File} is a ring of one — the stream is the file and
+// the file is write-once: Append fails with ErrLogFull at its end and
+// nothing ever truncates it (lsm's per-memtable logs, which are removed
+// whole, and the benchmark probes); nothing but records is ever written
+// to it. Config{FS, Name, Ring, SegmentFileBytes} is a ring of segment
+// files Name.0 … Name.<Ring-1> plus a checkpoint page Name.meta, and
+// the only geometry that truncates: Append rotates into the next slot
 // when the active file fills, Checkpoint frees the segments it covers,
 // and because a recycled slot still holds the records of a dead
-// generation (self-invalidated by their stamps) every segment starts
-// with a header record naming its sequence number, so Recover can walk
-// the chain from the checkpoint forward and durably cut a torn tail.
+// generation (self-invalidated by their stamps, which are global LSNs)
+// every segment starts with a header record naming its sequence number,
+// so Recover can walk the chain from the checkpoint forward and durably
+// cut a torn tail.
 //
 // Tail readers (tail.go) stream committed records in LSN order from a
 // host-side cache that exists only once a reader has been opened.
@@ -142,7 +145,7 @@ type Config struct {
 	// Geometry — set File, or FS+Name+Ring+SegmentFileBytes.
 	//
 	// File is a ring of one: the whole stream lives in this file (all
-	// modes). FS and Name place a ring instead (Sync and BA modes):
+	// modes). FS and Name place a ring instead (every mode but PMR):
 	// Ring (>= 2) segment files of SegmentFileBytes (page aligned) each,
 	// plus the checkpoint page. Ring files that already exist are
 	// reopened (the post-crash path); call Recover to resume from them.
@@ -250,8 +253,8 @@ type Log struct {
 	gLive                                  *obs.Gauge
 }
 
-// Open builds a log over cfg. The files are assumed fresh or previously
-// Reset; call Recover to resume an existing log.
+// Open builds a log over cfg. The files are assumed fresh; call Recover
+// to resume an existing log (on fresh files it finds an empty one).
 func Open(env *sim.Env, cfg Config) (*Log, error) {
 	l := &Log{env: env, ps: 4096, o: obs.Of(env), inj: fault.Of(env)}
 	if cfg.SSD != nil {
@@ -267,8 +270,8 @@ func Open(env *sim.Env, cfg Config) (*Log, error) {
 		l.files = l.one[:]
 		l.fileBytes = cfg.File.Capacity()
 	case cfg.File == nil && cfg.FS != nil && cfg.Name != "":
-		if cfg.Mode != Sync && cfg.Mode != BA {
-			return nil, fmt.Errorf("%w: a segment ring supports Sync and BA", ErrBadConfig)
+		if cfg.Mode == PMR {
+			return nil, fmt.Errorf("%w: PMR mode needs a single File", ErrBadConfig)
 		}
 		if cfg.Ring < 2 {
 			return nil, fmt.Errorf("%w: segment ring needs >= 2 slots", ErrBadConfig)
@@ -860,11 +863,15 @@ func (l *Log) scheduleAsyncFlush() {
 
 // Drain forces all appended records durable (shutdown / checkpoint
 // barrier) regardless of mode.
-func (l *Log) Drain(p *sim.Proc) error {
-	if _, err := l.commitTo(p, l.appendOff); err != nil {
+func (l *Log) Drain(p *sim.Proc) error { return l.drainTo(p, l.appendOff) }
+
+// drainTo makes the log durable on the log device up to target in any
+// mode: PM's write-behind copy included, which is the one recovery reads.
+func (l *Log) drainTo(p *sim.Proc, target int64) error {
+	if _, err := l.commitTo(p, target); err != nil {
 		return err
 	}
-	for l.cfg.Mode == PM && l.flushedOff < l.appendOff {
+	for l.cfg.Mode == PM && l.flushedOff < target {
 		if err := l.flushBlock(p); err != nil {
 			return err
 		}
@@ -893,48 +900,22 @@ func (l *Log) FlushToNAND(p *sim.Proc) error {
 	return l.file(l.curSeg).Sync(p)
 }
 
-// Reset truncates a ring of one (checkpoint): offsets return to zero
-// and a zero header is durably written at position 0 so recovery never
-// resurrects pre-reset records. A ring truncates through Checkpoint
-// instead, and so does any log with tail readers, whose positions a
-// rewind would invalidate.
-func (l *Log) Reset(p *sim.Proc) error {
-	if l.ringed() || l.retained != nil {
-		return fmt.Errorf("%w: Reset on a ring or a tailed log (use Checkpoint)", ErrBadConfig)
-	}
-	if err := l.FlushToNAND(p); err != nil {
-		return err
-	}
-	zero := make([]byte, l.ps)
-	if err := l.files[0].WriteAt(p, 0, zero); err != nil {
-		return err
-	}
-	if err := l.files[0].Sync(p); err != nil {
-		return err
-	}
-	clear(l.stage)
-	l.appendOff = 0
-	l.durableOff = 0
-	l.flushedOff = 0
-	return nil
-}
-
 // Checkpoint durably records that the caller's state covers the log up
 // to lsn (the caller persists its snapshot FIRST), then truncates —
-// frees — every ring segment wholly below the checkpoint. The log is
-// made durable to lsn first so a checkpoint never claims coverage of
-// volatile records. Truncation touches no media: freed slots are
-// recycled by a later rotation, which is what makes a crash
-// mid-truncation trivially safe.
+// frees — every ring segment wholly below the checkpoint. It is the only
+// way a log shrinks. The log is made durable to lsn first, in any mode,
+// so a checkpoint never claims coverage of volatile records. Truncation
+// touches no media: freed slots are recycled by a later rotation, which
+// is what makes a crash mid-truncation trivially safe.
 func (l *Log) Checkpoint(p *sim.Proc, lsn LSN) error {
 	target := int64(lsn)
 	if !l.ringed() {
-		return fmt.Errorf("%w: Checkpoint needs a segment ring (a ring of one truncates with Reset)", ErrBadConfig)
+		return fmt.Errorf("%w: Checkpoint needs a segment ring (a single file is write-once)", ErrBadConfig)
 	}
 	if target > l.appendOff {
 		return fmt.Errorf("%w: checkpoint %d past tail %d", ErrBadConfig, target, l.appendOff)
 	}
-	if _, err := l.commitTo(p, target); err != nil {
+	if err := l.drainTo(p, target); err != nil {
 		return err
 	}
 	t0 := l.env.Now()

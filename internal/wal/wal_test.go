@@ -330,37 +330,12 @@ func TestLogFull(t *testing.T) {
 		if !sawFull {
 			t.Error("never hit ErrLogFull")
 		}
-		// Reset makes room again.
-		if err := l.Reset(p); err != nil {
-			t.Fatalf("reset: %v", err)
-		}
-		if _, err := l.Append(p, payload); err != nil {
-			t.Errorf("append after reset: %v", err)
+		// A single file is write-once: nothing truncates it.
+		if err := l.Checkpoint(p, LSN(l.AppendOff())); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("checkpoint on a single file: err = %v, want ErrBadConfig", err)
 		}
 	})
 	r.env.Run()
-}
-
-func TestResetPreventsResurrection(t *testing.T) {
-	r := newRig()
-	l := r.openLog(t, "log", Sync)
-	r.env.Go("t", func(p *sim.Proc) {
-		lsn, _ := l.Append(p, []byte("old-record"))
-		l.Commit(p, lsn)
-		if err := l.Reset(p); err != nil {
-			t.Fatalf("reset: %v", err)
-		}
-	})
-	r.env.Run()
-	l2, _ := Open(r.env, Config{Mode: Sync, File: l.cfg.File, SegmentBytes: l.cfg.SegmentBytes})
-	count := 0
-	r.env.Go("rec", func(p *sim.Proc) {
-		l2.Recover(p, func(LSN, []byte) error { count++; return nil })
-	})
-	r.env.Run()
-	if count != 0 {
-		t.Fatalf("recovered %d pre-reset records", count)
-	}
 }
 
 func TestBAWALSurvivesPowerLoss(t *testing.T) {
