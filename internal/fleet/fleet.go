@@ -202,9 +202,6 @@ type tenantRT struct {
 	reads       int
 	degraded    int
 	takeover    int
-	throttled   int
-	retries     int
-	dropped     int
 	lostP       int
 	phantomP    int
 	errsP       []string
@@ -422,22 +419,18 @@ func (t *tenantRT) opBody(p *sim.Proc, i int) {
 	op := t.sched[i]
 	env := t.pnode.env
 	for attempt := 0; t.inflight >= t.fr.cfg.QoS.maxInflight(); {
-		t.throttled++
 		t.cThrottled.Inc()
 		attempt++
 		if attempt > t.spec.MaxRetries {
-			t.dropped++
 			t.cDropped.Inc()
 			return
 		}
-		t.retries++
 		t.cRetries.Inc()
 		p.Sleep(t.spec.Backoff(i, attempt))
 	}
 	t.inflight++
 	if op.Read {
 		if t.pnode.down {
-			t.dropped++
 			t.cDropped.Inc()
 			t.inflight--
 			return
@@ -449,7 +442,6 @@ func (t *tenantRT) opBody(p *sim.Proc, i int) {
 			if !errors.Is(err, core.ErrPowerIsOff) {
 				t.errsP = append(t.errsP, fmt.Sprintf("%s read: %v", t.name, err))
 			}
-			t.dropped++
 			t.cDropped.Inc()
 			t.inflight--
 			return
@@ -485,7 +477,6 @@ func (t *tenantRT) opBody(p *sim.Proc, i int) {
 	}
 	// Primary down: reroute to the follower (the new primary).
 	if t.ackClosed || t.dataClosed {
-		t.dropped++
 		t.cDropped.Inc()
 		t.inflight--
 		return
@@ -789,8 +780,8 @@ func buildResult(fr *fleetRT, tenants []*tenantRT, events uint64) *Result {
 		tr := TenantResult{
 			Name: t.name, Primary: t.place.Primary, Follower: t.place.Follower,
 			Ops: len(t.sched), Acked: t.ackedN, Reads: t.reads,
-			Degraded: t.degraded, Takeover: t.takeover, Dropped: t.dropped,
-			Throttled: t.throttled, Retries: t.retries, Applied: t.appliedN,
+			Degraded: t.degraded, Takeover: t.takeover, Dropped: int(t.cDropped.Value()),
+			Throttled: int(t.cThrottled.Value()), Retries: int(t.cRetries.Value()), Applied: t.appliedN,
 			LatP50: t.hLat.P50(), LatP99: t.hLat.P99(), LatMax: t.hLat.Max(),
 			RepLagP50:  t.hLag.P50(),
 			RepLagMax:  t.hLag.Max(),

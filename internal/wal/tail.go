@@ -4,9 +4,13 @@
 // page-cache analog a real WAL tails), gated at the durable frontier.
 // The cache exists only once the first reader has been opened — a log
 // nobody tails retains nothing — and holds every record appended from
-// then on until a checkpoint truncates its segment. A reader lapped by
-// truncation, or positioned below where caching began, gets a clean
-// ErrTruncated, never garbage and never a silent gap.
+// then on until a checkpoint truncates its segment. Entries are inserted
+// when a record's position is reserved, under the log's lock, so the
+// cache is in LSN order although stores land out of order; an entry
+// below the durable frontier has landed (the log's append rule), so the
+// frontier is the only gate. A reader lapped by truncation, or
+// positioned below where caching began, gets a clean ErrTruncated,
+// never garbage and never a silent gap.
 package wal
 
 import (
@@ -30,17 +34,9 @@ var (
 // its segment truncates.
 type tailRec struct {
 	end     LSN      // LSN just past the record
-	at      sim.Time // append instant; notStored while the bytes are in flight
+	at      sim.Time // append instant, stamped when the store lands
 	payload string   // immutable copy; readers never alias log buffers
 }
-
-// notStored marks a cache entry whose position is reserved but whose
-// bytes have not reached the log buffer yet. Entries are inserted at
-// reservation, under the log's lock, so the cache stays in LSN order
-// under concurrent appenders; readers stop at an unstored entry even
-// when another committer's burst already pushed the durable frontier
-// past it.
-const notStored sim.Time = -1
 
 // TailRecord is one committed record delivered to a tail reader.
 type TailRecord struct {
@@ -70,16 +66,14 @@ func (l *Log) Tail(from LSN) *TailReader {
 }
 
 // stampRetained records that the record ending at end has reached the
-// log buffer: its append instant is now, and it is deliverable as soon
-// as the durable frontier covers it.
+// log buffer: its append instant is now. store stamps before it retires
+// the record from storing, and the durable frontier never passes a
+// store in flight, so every entry below the frontier is stamped.
 func (l *Log) stampRetained(end int64) {
 	recs := l.retained[(end-1)/l.fileBytes]
 	i := sort.Search(len(recs), func(i int) bool { return int64(recs[i].end) >= end })
 	if i < len(recs) && int64(recs[i].end) == end {
 		recs[i].at = l.env.Now()
-		if end <= l.durableOff {
-			l.moved.Fire() // another committer's burst already covered it
-		}
 	}
 }
 
@@ -110,7 +104,7 @@ func (r *TailReader) TryNext() (TailRecord, bool, error) {
 		recs := l.retained[seg]
 		i := sort.Search(len(recs), func(i int) bool { return int64(recs[i].end) > r.pos })
 		if i < len(recs) {
-			if int64(recs[i].end) > l.durableOff || recs[i].at == notStored {
+			if int64(recs[i].end) > l.durableOff {
 				return TailRecord{}, false, nil // not committed yet
 			}
 			rec := recs[i]

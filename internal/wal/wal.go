@@ -43,6 +43,16 @@
 // so Recover can walk the chain from the checkpoint forward and durably
 // cut a torn tail.
 //
+// Appends. One rule on every geometry: the lock covers reserving a
+// position (and whatever that triggers — padding, a window switch, a
+// rotation), never the store, so concurrent appenders' MMIO stores
+// overlap and land out of LSN order. The log lists the records that are
+// reserved but not yet stored; a BA committer, which persists everything
+// below its own record, first waits until none of them lies below it,
+// and a flush of a pinned window first waits until none lies inside it.
+// So the durable frontier never passes an unstored byte, and nothing
+// downstream — tail readers, recovery — re-checks that.
+//
 // Tail readers (tail.go) stream committed records in LSN order from a
 // host-side cache that exists only once a reader has been opened.
 package wal
@@ -52,6 +62,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"twobssd/internal/core"
 	"twobssd/internal/fault"
@@ -209,12 +220,21 @@ type Log struct {
 	durableOff int64
 	flushedOff int64 // device-flush cursor (differs from durable in PM mode)
 
-	mu *sim.Resource // serializes offset reservation, rotation, checkpoints and (ring) stores
+	mu *sim.Resource // serializes offset reservation, rotation and checkpoints — never a store
 
-	// moved fires when a flush leader finishes and, once the log is
-	// tailed, whenever the durable frontier or the retention floor
-	// moves; every waiter re-checks its own condition.
+	// moved fires when a flush leader finishes, when a store lands that
+	// someone is parked on and, once the log is tailed, whenever the
+	// durable frontier or the retention floor moves; every waiter
+	// re-checks its own condition.
 	moved *sim.Signal
+
+	// storing holds the start offsets of records that are reserved but
+	// whose MMIO store has not landed yet, in LSN order: at most one per
+	// concurrent appender, byte modes only (a block-mode store is a copy
+	// that never yields). storeWaiters counts the processes parked on
+	// moved for one of them, so a store nobody waits on fires nothing.
+	storing      []int64
+	storeWaiters int
 
 	// Block-mode state: the active file's image and the group-commit
 	// leader flag.
@@ -227,7 +247,7 @@ type Log struct {
 
 	// recPool recycles Append's record-encoding buffers. A freelist
 	// rather than a single scratch because l.mu is released before the
-	// staged copy/MMIO write, so concurrent appenders each hold one.
+	// MMIO store on every geometry, so concurrent appenders each hold one.
 	recPool [][]byte
 
 	// Tail-reader cache (tail.go): nil until the first Tail call.
@@ -450,29 +470,30 @@ func (l *Log) Append(p *sim.Proc, payload []byte) (LSN, error) {
 	end := pos + int64(need)
 	if err == nil && l.retained != nil {
 		seg := pos / l.fileBytes
-		l.retained[seg] = append(l.retained[seg], tailRec{end: LSN(end), at: notStored, payload: string(payload)})
+		l.retained[seg] = append(l.retained[seg], tailRec{end: LSN(end), payload: string(payload)})
 	}
-	// A ring stores under the lock: rotation BA_FLUSHes whole halves and
-	// a committer persists everything below its own record, so both need
-	// every reserved byte below them landed. A single file releases
-	// first and lets concurrent stores overlap — the append path the
-	// paper tables are calibrated on; concurrent BA appenders there
-	// still carry the hazard (ROADMAP item 1).
-	if l.ringed() {
-		defer l.mu.Release()
-	} else {
-		l.mu.Release()
-	}
+	// The store runs outside the lock, so concurrent stores overlap;
+	// what needs them landed waits for them (awaitStores), not for mu.
+	l.mu.Release()
 	if err != nil {
 		return 0, err
 	}
 	if err := l.store(p, pos, h, payload); err != nil {
 		return 0, err
 	}
-	if l.retained != nil {
-		l.stampRetained(end)
-	}
 	return LSN(end), nil
+}
+
+// awaitStores parks until no store is in flight on a record that
+// starts in [lo, hi). The check runs after every wake-up, so whatever
+// the caller decides next rests on bytes that have landed.
+func (l *Log) awaitStores(p *sim.Proc, lo, hi int64) {
+	inFlight := func(pos int64) bool { return lo <= pos && pos < hi }
+	for slices.ContainsFunc(l.storing, inFlight) {
+		l.storeWaiters++
+		l.moved.Wait(p)
+		l.storeWaiters--
+	}
 }
 
 // reserve claims need bytes of stream for one record: it writes the
@@ -504,13 +525,16 @@ func (l *Log) reserve(p *sim.Proc, need int) (pos int64, h *half, err error) {
 	return l.claim(p, need)
 }
 
-// claim takes the next need bytes of the stream and binds their inner
-// segment to a buffer half (nil in block modes). Called with l.mu held.
+// claim takes the next need bytes of the stream, binds their inner
+// segment to a buffer half (nil in block modes) and, on a half, lists
+// the record as storing until store retires it. Called with l.mu held.
 func (l *Log) claim(p *sim.Proc, need int) (pos int64, h *half, err error) {
 	pos = l.appendOff
 	l.appendOff += int64(need)
 	if h, err = l.pinFor(p, pos); err != nil {
 		l.appendOff = pos // roll back: nothing was written
+	} else if h != nil {
+		l.storing = append(l.storing, pos)
 	}
 	return pos, h, err
 }
@@ -525,14 +549,28 @@ func (l *Log) write(p *sim.Proc, pos int64, h *half, b []byte) error {
 	return nil
 }
 
-// store encodes one record at its claimed position and writes it.
+// store encodes one record at its claimed position and writes it, then
+// retires it from storing — failed or not, the caller has the error —
+// and wakes whoever is parked on stores. The tail cache is stamped
+// first: a record the frontier may cover is one a reader may have.
 func (l *Log) store(p *sim.Proc, pos int64, h *half, payload []byte) error {
 	need := headerBytes + len(payload)
 	rec := l.getRec(need)
-	defer l.putRec(rec) // write copied the bytes; the buffer is free again
 	encodeHeader(rec, payload, pos)
 	copy(rec[headerBytes:], payload)
-	if err := l.write(p, pos, h, rec); err != nil {
+	err := l.write(p, pos, h, rec)
+	l.putRec(rec) // write copied the bytes; the buffer is free again
+	if err == nil && l.retained != nil {
+		l.stampRetained(pos + int64(need))
+	}
+	if h != nil {
+		i := slices.Index(l.storing, pos)
+		l.storing = slices.Delete(l.storing, i, i+1)
+		if l.storeWaiters > 0 {
+			l.moved.Fire()
+		}
+	}
+	if err != nil {
 		return err
 	}
 	l.cAppends.Inc()
@@ -672,8 +710,9 @@ func (l *Log) pinFor(p *sim.Proc, pos int64) (*half, error) {
 	return h, nil
 }
 
-// flushHalf persists and releases one half. BA mode: BA_SYNC (commit
-// any posted stores) then BA_FLUSH over the internal datapath. PMR
+// flushHalf persists and releases one half, once no store is still
+// landing in its window. BA mode: BA_SYNC (commit any posted stores)
+// then BA_FLUSH over the internal datapath. PMR
 // mode: there is no internal datapath — the segment is DMA-read back
 // to the host and written to the file through the block I/O stack,
 // exactly the extra round trip Section VII attributes to PMR devices.
@@ -681,6 +720,7 @@ func (l *Log) flushHalf(p *sim.Proc, h *half) error {
 	if h.seg < 0 {
 		return nil
 	}
+	l.awaitStores(p, h.seg*l.segBytes, (h.seg+1)*l.segBytes)
 	sp := l.o.Tracer().BeginProc(p, "wal", "flush_half")
 	defer sp.End()
 	if l.cfg.Mode == PMR {
@@ -791,8 +831,11 @@ func (l *Log) commitPM(p *sim.Proc, target int64) bool {
 	return led
 }
 
-// commitBA syncs the MMIO ranges covering [durableOff, target).
+// commitBA syncs the MMIO ranges covering [durableOff, target), once
+// every record below target has landed: the frontier it advances is
+// "everything below is durable", so it never passes an unstored byte.
 func (l *Log) commitBA(p *sim.Proc, target int64) (led bool, err error) {
+	l.awaitStores(p, 0, target)
 	for from := l.durableOff; from < target; {
 		seg := from / l.segBytes
 		to := min(target, (seg+1)*l.segBytes)
