@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"twobssd/internal/core"
 )
 
 // tiny is a minimal scale so the full experiment matrix stays fast in
@@ -206,13 +208,41 @@ func TestMixedWorkloadNoDegradation(t *testing.T) {
 	}
 }
 
+// The dump and the power-on scale with the mapping table; the
+// whole-buffer row is the capacitor-sizing case and reads as it did
+// when every dump was a full one.
 func TestRecoveryWithinBudget(t *testing.T) {
 	tab := Recovery(runner(tiny))
-	var sb strings.Builder
-	tab.Print(&sb)
-	out := sb.String()
-	if !strings.Contains(out, "dump time") || !strings.Contains(out, "energy used") {
-		t.Fatalf("recovery table incomplete:\n%s", out)
+	budget := core.DefaultConfig().CapacitorEnergyJ() * 1e3
+	for _, want := range []struct {
+		row    string
+		dumpUs float64
+		erased float64
+		perCyc float64
+	}{
+		{"none", 53.4, 0, 32},
+		{"2MB window", 480.7, 0, 4},
+		{"half", 908.0, 0, 2},
+		{"whole", 1762.6, 1, 1},
+	} {
+		dump := get(t, tab, want.row, "dump_us")
+		if dump < want.dumpUs-0.1 || dump > want.dumpUs+0.1 {
+			t.Errorf("%s: dump %.2f µs, want ≈ %.0f", want.row, dump, want.dumpUs)
+		}
+		if e := get(t, tab, want.row, "energy_mJ"); e >= budget {
+			t.Errorf("%s: dump energy %.1f mJ over the %.1f mJ budget", want.row, e, budget)
+		}
+		if got := get(t, tab, want.row, "erased"); got != want.erased {
+			t.Errorf("%s: erased = %v, want %v", want.row, got, want.erased)
+		}
+		if got := get(t, tab, want.row, "cycles/erase"); got != want.perCyc {
+			t.Errorf("%s: %v cycles per erase, want %v", want.row, got, want.perCyc)
+		}
+		// A power-on that erases pays the 3 ms erase; one that does not
+		// pays only the restore.
+		if on := get(t, tab, want.row, "power_on_us"); (on > 3000) != (want.erased == 1) {
+			t.Errorf("%s: power-on %.2f µs with erased = %v", want.row, on, want.erased)
+		}
 	}
 }
 

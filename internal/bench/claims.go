@@ -193,43 +193,71 @@ func MixedWorkload(r *Runner) *Table {
 	return t
 }
 
-// Recovery measures the power-loss protection subsystem: dump
-// duration, energy used versus the capacitor budget, and restore time
-// — the quantities that justify "no risk of data loss".
-func Recovery(r *Runner) *Table { return single(r, recovery) }
-
-func recovery(Scale) *Table {
+// Recovery measures the power-loss protection subsystem against how
+// much of the BA-buffer the mapping table maps: dump duration, energy
+// used versus the capacitor budget, power-on time, whether that
+// power-on erased the dump area, and how many power cycles an erased
+// dump area takes before it must be erased again — the quantities that
+// justify "no risk of data loss". The whole-buffer row is the case the
+// capacitors are sized for.
+func Recovery(r *Runner) *Table {
 	t := &Table{
-		ID: "recovery", Title: "Power-loss dump/restore of the 8MB BA-buffer",
-		XLabel: "phase", Unit: "",
-		Series: []string{"value"},
+		ID: "recovery", Title: "Power-loss dump, power-on and dump-area erase vs mapped BA-buffer (8MB)",
+		XLabel: "mapped",
+		Series: []string{"dump_us", "energy_mJ", "power_on_us", "erased", "cycles/erase"},
+		Notes: []string{
+			fmt.Sprintf("capacitor budget %.1f mJ; power_on_us is the first power-on after a dump into an erased area, erased is 1 when it erased the area",
+				core.DefaultConfig().CapacitorEnergyJ()*1e3),
+		},
 	}
+	rows := []struct {
+		name  string
+		pages int
+	}{{"none", 0}, {"2MB window", 512}, {"half", 1024}, {"whole", 2048}}
+	vals := points(r, len(rows), func(i int) []float64 { return recoveryRow(rows[i].pages) })
+	for i, row := range rows {
+		t.AddRow(row.name, vals[i]...)
+	}
+	return t
+}
+
+// recoveryRow power-cycles a 2B-SSD whose table maps the first pages of
+// the buffer until a power-on erases the dump area, and reports the
+// first cycle and the cycle count.
+func recoveryRow(pages int) []float64 {
 	e := sim.NewEnv()
 	defer e.Shutdown()
 	ssd := SSD2B(e)
+	var out []float64
 	e.Go("t", func(p *sim.Proc) {
-		if err := ssd.BAPin(p, 0, 0, 0, ssd.BufferPages()/2); err != nil {
-			panic(err)
+		if pages > 0 {
+			if err := ssd.BAPin(p, 0, 0, 0, pages); err != nil {
+				panic(err)
+			}
 		}
-		if err := ssd.Mmio().Write(p, 0, make([]byte, 4096)); err != nil {
-			panic(err)
+		for cycles := 1; ; cycles++ {
+			rep, err := ssd.PowerLoss(p)
+			if err != nil {
+				panic(err)
+			}
+			erases := ssd.Device().Flash().Stats().BlockErases
+			start := e.Now()
+			if err := ssd.PowerOn(p); err != nil {
+				panic(err)
+			}
+			erased := ssd.Device().Flash().Stats().BlockErases > erases
+			if cycles == 1 {
+				out = []float64{rep.DumpDuration.Micros(), rep.EnergyUsedJ * 1e3, sim.Duration(e.Now() - start).Micros(), 0, 0}
+				if erased {
+					out[3] = 1
+				}
+			}
+			if erased {
+				out[4] = float64(cycles)
+				return
+			}
 		}
-		if err := ssd.BASync(p, 0); err != nil {
-			panic(err)
-		}
-		rep, err := ssd.PowerLoss(p)
-		if err != nil {
-			panic(err)
-		}
-		t.AddRow(fmt.Sprintf("dump time: %v", rep.DumpDuration))
-		t.AddRow(fmt.Sprintf("energy used: %.1f mJ of %.1f mJ budget",
-			rep.EnergyUsedJ*1e3, rep.EnergyBudgetJ*1e3))
-		start := e.Now()
-		if err := ssd.PowerOn(p); err != nil {
-			panic(err)
-		}
-		t.AddRow(fmt.Sprintf("restore+rearm time: %v", sim.Duration(e.Now()-start)))
 	})
 	e.Run()
-	return t
+	return out
 }

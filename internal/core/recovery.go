@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"twobssd/internal/ftl"
 	"twobssd/internal/integrity"
@@ -14,12 +15,18 @@ import (
 
 // recovery is the recovery manager (paper Section III-A4): it owns the
 // reserved die-parallel NAND dump area and, on power loss, saves the
-// BA-buffer contents and the mapping table there using the energy
+// mapped BA-buffer windows and the mapping table there using the energy
 // stored in the back-up capacitors. On power-up it restores both.
+//
+// Its work is proportional to the mapping table: a dump programs only
+// the pages the table maps, a restore reads only the pages the dumped
+// table names. Dumps append at each dump block's program cursor, and
+// the area is erased only when it could not take another full-buffer
+// dump (the worst case the capacitors are sized for), so several small
+// images share one erase.
 type recovery struct {
 	s          *TwoBSSD
-	dumpBlocks []nand.BlockID // one reserved block per die (die order)
-	armed      bool           // dump area erased and ready
+	dumpBlocks []nand.BlockID // reserved blocks, die order
 	dumpValid  bool           // a valid dump image exists on NAND
 }
 
@@ -28,16 +35,16 @@ const dumpMagic = 0x2B55D001
 func newRecovery(s *TwoBSSD) *recovery {
 	fc := s.dev.Flash().Config()
 	per := s.dev.FTL().Config().ReservedPerDie
-	r := &recovery{s: s, armed: true}
+	r := &recovery{s: s}
 	for d := 0; d < fc.Dies(); d++ {
 		for k := 0; k < per; k++ {
 			blk := nand.BlockID(d*fc.BlocksPerDie + fc.BlocksPerDie - 1 - k)
 			r.dumpBlocks = append(r.dumpBlocks, blk)
 		}
 	}
-	need := s.BufferPages() + 1
-	if got := len(r.dumpBlocks) * fc.PagesPerBlock; got < need {
-		panic(fmt.Sprintf("2bssd: dump area %d pages < %d needed", got, need))
+	if !r.room() {
+		lo, hi := r.span(s.BufferPages(), 0)
+		panic(fmt.Sprintf("2bssd: dump block of %d pages < %d needed", fc.PagesPerBlock, hi-lo+1))
 	}
 	return r
 }
@@ -48,27 +55,17 @@ type DumpReport struct {
 	DumpDuration  sim.Duration // firmware dump time on capacitor power
 	EnergyUsedJ   float64
 	EnergyBudgetJ float64
-	Persisted     bool // BA-buffer + table image reached NAND
+	Persisted     bool // mapped BA-buffer pages + table image reached NAND
 }
 
-// encodeMeta serializes the mapping table into one page image.
-func (r *recovery) encodeMeta() []byte {
-	ps := r.s.PageSize()
-	buf := make([]byte, ps)
+// encodeMeta serializes a mapping-table snapshot into one page image.
+func (r *recovery) encodeMeta(entries []Entry) []byte {
+	buf := make([]byte, r.s.PageSize())
 	binary.LittleEndian.PutUint32(buf[0:], dumpMagic)
 	binary.LittleEndian.PutUint32(buf[4:], uint32(r.s.BufferPages()))
-	n := 0
-	for _, e := range r.s.table {
-		if e != nil {
-			n++
-		}
-	}
-	binary.LittleEndian.PutUint32(buf[8:], uint32(n))
+	binary.LittleEndian.PutUint32(buf[8:], uint32(len(entries)))
 	off := 16
-	for _, e := range r.s.table {
-		if e == nil {
-			continue
-		}
+	for _, e := range entries {
 		binary.LittleEndian.PutUint32(buf[off:], uint32(e.ID))
 		binary.LittleEndian.PutUint64(buf[off+4:], uint64(e.Offset))
 		binary.LittleEndian.PutUint64(buf[off+12:], uint64(e.LBA))
@@ -80,7 +77,7 @@ func (r *recovery) encodeMeta() []byte {
 }
 
 // decodeMeta rebuilds the mapping table from a dump metadata page.
-func (r *recovery) decodeMeta(buf []byte) ([]*Entry, error) {
+func (r *recovery) decodeMeta(buf []byte) ([]Entry, error) {
 	if binary.LittleEndian.Uint32(buf[0:]) != dumpMagic {
 		return nil, errors.New("2bssd: dump metadata magic mismatch")
 	}
@@ -89,10 +86,10 @@ func (r *recovery) decodeMeta(buf []byte) ([]*Entry, error) {
 	if got := crc32.ChecksumIEEE(buf[16 : 16+24*n]); got != want {
 		return nil, errors.New("2bssd: dump metadata CRC mismatch")
 	}
-	entries := make([]*Entry, 0, n)
+	entries := make([]Entry, 0, n)
 	off := 16
 	for i := 0; i < n; i++ {
-		entries = append(entries, &Entry{
+		entries = append(entries, Entry{
 			ID:     EID(binary.LittleEndian.Uint32(buf[off:])),
 			Offset: int(binary.LittleEndian.Uint64(buf[off+4:])),
 			LBA:    ftl.LBA(binary.LittleEndian.Uint64(buf[off+12:])),
@@ -103,20 +100,59 @@ func (r *recovery) decodeMeta(buf []byte) ([]*Entry, error) {
 	return entries, nil
 }
 
-// pagesPerBlock returns how many BA-buffer pages each dump block holds.
-func (r *recovery) pagesPerBlock() int {
-	n := r.s.BufferPages()
-	blocks := len(r.dumpBlocks)
-	return (n + blocks - 1) / blocks
+// mappedPages lists the BA-buffer pages a table maps, in buffer order —
+// the data pages of its dump image. Entries never overlap in the buffer.
+func mappedPages(entries []Entry, pageSize int) []int {
+	var pages []int
+	for _, e := range entries {
+		for i := 0; i < e.Pages; i++ {
+			pages = append(pages, e.Offset/pageSize+i)
+		}
+	}
+	slices.Sort(pages)
+	return pages
+}
+
+// span is the one layout rule of a dump image of n data pages: they are
+// dealt out in order, ceil(n/blocks) to a dump block from block 0 on,
+// so block b holds image pages [lo, hi). Block 0 also holds the
+// metadata page, right after its slice. A table that maps the whole
+// buffer fills every block alike.
+func (r *recovery) span(n, b int) (lo, hi int) {
+	per := (n + len(r.dumpBlocks) - 1) / len(r.dumpBlocks)
+	return min(b*per, n), min((b+1)*per, n)
+}
+
+// room reports whether every dump block has erased pages for its share
+// of a full-buffer dump at its program cursor — whether the capacitors'
+// worst case still fits without an erase.
+func (r *recovery) room() bool {
+	fl := r.s.dev.Flash()
+	for b, blk := range r.dumpBlocks {
+		lo, hi := r.span(r.s.BufferPages(), b)
+		need := hi - lo
+		if b == 0 {
+			need++ // the metadata page
+		}
+		if fl.NextPage(blk)+need > fl.Config().PagesPerBlock {
+			return false
+		}
+	}
+	return true
+}
+
+// blockBase is the first page of a dump block.
+func (r *recovery) blockBase(blk nand.BlockID) nand.PPA {
+	return nand.PPA(uint64(blk) * uint64(r.s.dev.Flash().Config().PagesPerBlock))
 }
 
 // PowerLoss simulates an abrupt power failure. The host's un-synced
 // write-combining bursts are lost; the base device's write buffer and
-// the BA-buffer + mapping table are saved to NAND on capacitor energy.
-// If the stored energy cannot cover the dump, the BA-buffer image is
-// NOT persisted and the call reports ErrInsufficient — committed data
-// in the BA-buffer would be lost, which the recovery tests assert
-// never happens with the shipped configuration.
+// the mapped BA-buffer pages + mapping table are saved to NAND on
+// capacitor energy. If the stored energy cannot cover the dump, the
+// image is NOT persisted and the call reports ErrInsufficient —
+// committed data in the BA-buffer would be lost, which the recovery
+// tests assert never happens with the shipped configuration.
 func (s *TwoBSSD) PowerLoss(p *sim.Proc) (DumpReport, error) {
 	if err := s.checkPower(); err != nil {
 		return DumpReport{}, err
@@ -131,9 +167,9 @@ func (s *TwoBSSD) PowerLoss(p *sim.Proc) (DumpReport, error) {
 	if err := s.dev.Drain(p); err != nil {
 		return rep, err
 	}
-	// 2. Firmware dumps the BA-buffer and mapping table to the
-	//    pre-erased reserved area, die-parallel.
-	if !s.rec.armed {
+	// 2. Firmware dumps the mapped BA-buffer pages and the mapping
+	//    table to erased pages of the reserved area, die-parallel.
+	if !s.rec.room() {
 		return rep, errors.New("2bssd: dump area not armed")
 	}
 	derr := s.rec.dumpImage(p)
@@ -142,7 +178,6 @@ func (s *TwoBSSD) PowerLoss(p *sim.Proc) (DumpReport, error) {
 	s.gDumpEnergy.Set(rep.EnergyUsedJ)
 
 	s.powered = false
-	s.rec.armed = false
 	if derr != nil {
 		// The dump died mid-flight (injected capacitor cut or a program
 		// failure in the reserved area): the image on NAND is torn and
@@ -165,20 +200,25 @@ func (s *TwoBSSD) PowerLoss(p *sim.Proc) (DumpReport, error) {
 	return rep, nil
 }
 
-// scrambleVolatile models DRAM content loss at power-off.
+// scrambleVolatile models DRAM content loss at power-off. The fill
+// doubles a filled prefix with copy, at memmove speed: a power cycle
+// no longer costs a byte loop over the whole buffer.
 func (s *TwoBSSD) scrambleVolatile() {
-	for i := range s.babuf {
-		s.babuf[i] = 0xDE
+	s.babuf[0] = 0xDE
+	for n := 1; n < len(s.babuf); n *= 2 {
+		copy(s.babuf[n:], s.babuf[:n])
 	}
-	for i := range s.table {
-		s.table[i] = nil
-	}
+	clear(s.table)
 }
 
-// dumpImage programs the metadata page and every BA-buffer page into
-// the reserved blocks. One firmware worker per dump block programs its
-// slice sequentially; blocks sit on distinct dies, so the dump runs
+// dumpImage programs the image of the mapping table as it stands at the
+// cut: every page the table maps, then the metadata page, at each dump
+// block's program cursor. One firmware worker per dump block programs
+// its slice sequentially; blocks sit on distinct dies, so the dump runs
 // die-parallel — that is what makes it fast enough for capacitors.
+// The device's procs run on during the dump (a BA_FLUSH that completes
+// now removes its entry), so the pages programmed and the metadata page
+// that names them come from one snapshot, never from the live table.
 // A non-nil error means the image on NAND is torn: the injected
 // capacitor cut fired mid-dump (pagesDumped is shared across workers,
 // so the cut lands after an exact global page count), or a program in
@@ -186,11 +226,11 @@ func (s *TwoBSSD) scrambleVolatile() {
 func (r *recovery) dumpImage(p *sim.Proc) error {
 	s := r.s
 	ps := s.PageSize()
-	per := r.pagesPerBlock()
-	fc := s.dev.Flash().Config()
+	fl := s.dev.Flash()
+	snap := s.Entries()
+	pages := mappedPages(snap, ps)
+	meta := r.encodeMeta(snap)
 	wg := s.env.NewWaitGroup("2bssd.dump")
-	nblocks := len(r.dumpBlocks)
-	wg.Add(nblocks)
 	pagesDumped := 0
 	var firstErr error
 	fail := func(err error) {
@@ -198,14 +238,16 @@ func (r *recovery) dumpImage(p *sim.Proc) error {
 			firstErr = err
 		}
 	}
-	for b := 0; b < nblocks; b++ {
-		b := b
+	for b, blk := range r.dumpBlocks {
+		lo, hi := r.span(len(pages), b)
+		if lo == hi && b > 0 {
+			break // later blocks take nothing either
+		}
+		wg.Add(1)
 		s.env.Go(fmt.Sprintf("2bssd.dump%d", b), func(w *sim.Proc) {
 			defer wg.Done()
-			blk := r.dumpBlocks[b]
-			base := nand.PPA(uint64(blk) * uint64(fc.PagesPerBlock))
-			pg := 0
-			for i := b * per; i < (b+1)*per && i < s.BufferPages(); i++ {
+			at := r.blockBase(blk) + nand.PPA(fl.NextPage(blk))
+			for _, i := range pages[lo:hi] {
 				if firstErr != nil {
 					return
 				}
@@ -214,20 +256,19 @@ func (r *recovery) dumpImage(p *sim.Proc) error {
 					return
 				}
 				page := s.babuf[i*ps : (i+1)*ps]
-				if err := s.dev.Flash().ProgramPageTagged(w, base+nand.PPA(pg), page, integrity.PageCRC(page)); err != nil {
+				if err := fl.ProgramPageTagged(w, at, page, integrity.PageCRC(page)); err != nil {
 					fail(fmt.Errorf("dump program: %w", err))
 					return
 				}
 				pagesDumped++
-				pg++
+				at++
 			}
 			if b == 0 && firstErr == nil {
 				if s.inj.DumpCut(pagesDumped) {
 					fail(errors.New("capacitors cut before metadata page"))
 					return
 				}
-				meta := r.encodeMeta()
-				if err := s.dev.Flash().ProgramPageTagged(w, base+nand.PPA(pg), meta, integrity.PageCRC(meta)); err != nil {
+				if err := fl.ProgramPageTagged(w, at, meta, integrity.PageCRC(meta)); err != nil {
 					fail(fmt.Errorf("dump meta program: %w", err))
 					return
 				}
@@ -240,9 +281,10 @@ func (r *recovery) dumpImage(p *sim.Proc) error {
 }
 
 // PowerOn restores the device after a power failure: it reads the dump
-// image back into the BA-buffer, rebuilds the mapping table (re-gating
-// the pinned LBA ranges), and re-arms the dump area by erasing it.
-// Without a valid dump image the BA-buffer comes up empty.
+// image back into the BA-buffer and rebuilds the mapping table
+// (re-gating the pinned LBA ranges). Without a valid dump image the
+// BA-buffer comes up empty. The dump area is erased only if it could
+// not take another full-buffer dump, so Armed() holds on return.
 func (s *TwoBSSD) PowerOn(p *sim.Proc) error {
 	if s.powered {
 		return errors.New("2bssd: already powered on")
@@ -254,28 +296,25 @@ func (s *TwoBSSD) PowerOn(p *sim.Proc) error {
 		}
 		s.rec.dumpValid = false
 	} else {
-		for i := range s.babuf {
-			s.babuf[i] = 0
-		}
+		clear(s.babuf)
 	}
-	s.rec.rearm(p)
+	if !s.rec.room() {
+		s.rec.erase(p)
+	}
 	return nil
 }
 
-// restoreImage loads metadata and BA-buffer contents from the dump area.
+// restoreImage loads the metadata page, then exactly the BA-buffer
+// pages its entries map; every other buffer page comes up zeroed. The
+// image is the last one programmed: the metadata page sits at block 0's
+// program cursor and each block's slice right before it.
 func (r *recovery) restoreImage(p *sim.Proc) error {
 	s := r.s
 	ps := s.PageSize()
-	per := r.pagesPerBlock()
-	fc := s.dev.Flash().Config()
+	fl := s.dev.Flash()
 
-	// Metadata sits after block 0's data slice.
-	metaPg := per
-	if s.BufferPages() < per {
-		metaPg = s.BufferPages()
-	}
-	base0 := nand.PPA(uint64(r.dumpBlocks[0]) * uint64(fc.PagesPerBlock))
-	metaBuf, tag, tagged, _, err := s.dev.Flash().ReadPageTagged(p, base0+nand.PPA(metaPg))
+	blk0 := r.dumpBlocks[0]
+	metaBuf, tag, tagged, _, err := fl.ReadPageTagged(p, r.blockBase(blk0)+nand.PPA(fl.NextPage(blk0)-1))
 	if err == nil && tagged {
 		err = integrity.Check(metaBuf, tag)
 	}
@@ -286,21 +325,27 @@ func (r *recovery) restoreImage(p *sim.Proc) error {
 	if err != nil {
 		return err
 	}
+	pages := mappedPages(entries, ps)
+	clear(s.babuf)
 	wg := s.env.NewWaitGroup("2bssd.restore")
-	nblocks := len(r.dumpBlocks)
-	wg.Add(nblocks)
 	var firstErr error
-	for b := 0; b < nblocks; b++ {
-		b := b
+	for b, blk := range r.dumpBlocks {
+		lo, hi := r.span(len(pages), b)
+		if lo == hi {
+			break
+		}
+		wg.Add(1)
 		s.env.Go(fmt.Sprintf("2bssd.rst%d", b), func(w *sim.Proc) {
 			defer wg.Done()
-			blk := r.dumpBlocks[b]
-			base := nand.PPA(uint64(blk) * uint64(fc.PagesPerBlock))
-			pg := 0
-			for i := b * per; i < (b+1)*per && i < s.BufferPages(); i++ {
-				data, tag, tagged, _, err := s.dev.Flash().ReadPageTagged(w, base+nand.PPA(pg))
+			at := r.blockBase(blk) + nand.PPA(fl.NextPage(blk)-(hi-lo))
+			if b == 0 {
+				at-- // the metadata page follows block 0's slice
+			}
+			for _, i := range pages[lo:hi] {
+				dst := s.babuf[i*ps : (i+1)*ps]
+				tag, tagged, _, err := fl.ReadPageTaggedInto(w, at, dst)
 				if err == nil && tagged {
-					if cerr := integrity.Check(data, tag); cerr != nil {
+					if cerr := integrity.Check(dst, tag); cerr != nil {
 						err = fmt.Errorf("2bssd: restore page %d: %w", i, cerr)
 					}
 				}
@@ -310,8 +355,7 @@ func (r *recovery) restoreImage(p *sim.Proc) error {
 					}
 					return
 				}
-				copy(s.babuf[i*ps:(i+1)*ps], data)
-				pg++
+				at++
 			}
 		})
 	}
@@ -320,42 +364,42 @@ func (r *recovery) restoreImage(p *sim.Proc) error {
 		return firstErr
 	}
 	for _, e := range entries {
-		s.table[e.ID] = e
+		s.table[e.ID] = &e
 	}
 	return nil
 }
 
-// rearm erases the dump area so the next power loss can program it
-// immediately (pre-erased, as real PLP firmware keeps it).
-func (r *recovery) rearm(p *sim.Proc) {
+// erase wipes the dump area so it can take a full-buffer dump again
+// (pre-erased, as real PLP firmware keeps it).
+func (r *recovery) erase(p *sim.Proc) {
 	s := r.s
 	wg := s.env.NewWaitGroup("2bssd.rearm")
 	wg.Add(len(r.dumpBlocks))
 	for _, blk := range r.dumpBlocks {
-		blk := blk
 		s.env.Go("2bssd.erase", func(w *sim.Proc) {
 			defer wg.Done()
 			if s.dev.Flash().NextPage(blk) == 0 {
 				return // already erased
 			}
 			if err := s.dev.Flash().EraseBlock(w, blk); err != nil {
-				// An injected erase failure retires a dump block; the
-				// area keeps working at reduced parallelism as long as
-				// enough blocks remain (checked at construction). Real
-				// config errors still panic.
+				// An injected erase failure retires a dump block: a
+				// later dump that programs it tears, or is refused
+				// while the block lacks room. Real config errors still
+				// panic.
 				if errors.Is(err, nand.ErrEraseFailed) || errors.Is(err, nand.ErrWornOut) {
 					return
 				}
-				panic(fmt.Sprintf("2bssd: rearm erase failed: %v", err))
+				panic(fmt.Sprintf("2bssd: dump area erase failed: %v", err))
 			}
 		})
 	}
 	wg.Wait(p)
-	r.armed = true
 }
 
-// Armed reports whether the dump area is erased and ready.
-func (s *TwoBSSD) Armed() bool { return s.rec.armed }
+// Armed reports whether the dump area can take a full-buffer dump
+// without an erase. It holds whenever the device is powered and
+// PowerOn has returned.
+func (s *TwoBSSD) Armed() bool { return s.rec.room() }
 
 // HasDump reports whether a valid dump image awaits restore.
 func (s *TwoBSSD) HasDump() bool { return s.rec.dumpValid }

@@ -9,7 +9,8 @@
 // write-combining pool and commit on sync, read, eviction — and are
 // lost on power failure; BA_PIN loads committed NAND content and gates
 // the range against block I/O; BA_FLUSH moves the committed BA-buffer
-// view back to the block space; the recovery dump is all-or-nothing.
+// view back to the block space; the recovery dump is all-or-nothing
+// over the mapped pages (unmapped buffer pages come back zeroed).
 // Any behavioural difference between the stack and this model is a bug
 // in one of them, and either way worth a minimal reproducer.
 package oracle
@@ -294,17 +295,21 @@ func (m *Model) ReadDMA(eid core.EID, n int) ([]byte, error) {
 // is returned — the real DumpReport.LostWCBursts must agree). Whether
 // the dump image persisted is an input: the model takes the real
 // stack's all-or-nothing verdict (torn or energy-starved dumps do not
-// persist) and predicts the post-recovery state from it. Committed
-// block data always survives — the base device drains its protected
-// write buffer before the dump.
+// persist) and predicts the post-recovery state from it. The image
+// holds the table at the cut and only the buffer pages it maps.
+// Committed block data always survives — the base device drains its
+// protected write buffer before the dump.
 func (m *Model) PowerCut(persisted bool) (lostBursts int) {
 	lostBursts = len(m.pending)
 	m.pending = m.pending[:0]
 	m.powered = false
 	if persisted {
 		d := &mdump{babuf: make([]byte, len(m.babuf)), table: make([]*core.Entry, len(m.table))}
-		copy(d.babuf, m.babuf)
 		copy(d.table, m.table)
+		ps := m.cfg.PageSize
+		for _, e := range m.Entries() {
+			copy(d.babuf[e.Offset:e.Offset+e.Pages*ps], m.babuf[e.Offset:])
+		}
 		m.dump = d
 	} else {
 		m.dump = nil
@@ -312,8 +317,9 @@ func (m *Model) PowerCut(persisted bool) (lostBursts int) {
 	return lostBursts
 }
 
-// PowerOn mirrors PowerOn: restore the dump image if one persisted,
-// else come up with a zeroed buffer and empty table.
+// PowerOn mirrors PowerOn: restore the dump image if one persisted (its
+// unmapped pages are zero), else come up with a zeroed buffer and
+// empty table.
 func (m *Model) PowerOn() {
 	m.powered = true
 	if m.dump != nil {
