@@ -24,8 +24,6 @@ import (
 // LBA is a logical page address (page-granular, typically 4 KB units).
 type LBA uint64
 
-const invalidLBA = LBA(^uint64(0))
-
 // Config tunes the translation layer.
 type Config struct {
 	// OverProvision is the fraction of usable blocks hidden from the
@@ -335,11 +333,16 @@ func (f *FTL) allocRun(p *sim.Proc, die, want int) (base nand.PPA, n int, err er
 	return base, n, nil
 }
 
+// invalidate is the one place a physical page loses its owner —
+// overwrite, trim, and the rebind that follows a relocation. Nothing
+// reads the page after this (reads in flight took their bytes when they
+// were issued), so the flash drops its bytes now rather than at the
+// block's erase: host memory holds what the map holds.
 func (f *FTL) invalidate(ppa nand.PPA) {
-	if old, ok := f.p2l[ppa]; ok && old != invalidLBA {
+	if _, ok := f.p2l[ppa]; ok {
 		delete(f.p2l, ppa)
-		blk := f.flash.Config().BlockOf(ppa)
-		f.validCount[blk]--
+		f.validCount[f.flash.Config().BlockOf(ppa)]--
+		f.flash.Discard(ppa)
 	}
 }
 
@@ -462,12 +465,12 @@ func (f *FTL) ReadPageTaggedInto(p *sim.Proc, lba LBA, dst []byte) (tag uint32, 
 		if !errors.Is(err, nand.ErrUncorrectable) {
 			return 0, false, err
 		}
-		var data []byte
-		data, tag, tagged, err = f.flash.SalvageReadTagged(p, ppa)
-		if err != nil {
+		// dst and tag already hold the page as the read found it: the
+		// LBA may have been overwritten — and the page discarded — while
+		// the retries ran, so the salvage charges its time and no more.
+		if err := f.flash.SalvageRead(p, ppa); err != nil {
 			return 0, false, err
 		}
-		copy(dst, data)
 		if rerr := f.retireBlock(p, f.flash.Config().BlockOf(ppa)); rerr != nil {
 			return 0, false, fmt.Errorf("ftl: retire after uncorrectable read: %w", rerr)
 		}
@@ -674,13 +677,12 @@ func (f *FTL) moveRun(p *sim.Proc, m *mover, run relocRun) error {
 		}
 		if pg.Err != nil {
 			// Beyond the ECC budget: recover this page raw, at full
-			// retry latency, and carry on with the run.
-			data, tag, tagged, err := f.flash.SalvageReadTagged(p, pg.PPA)
-			if err != nil {
+			// retry latency, and carry on with the run. The run read
+			// its bytes and tag already.
+			if err := f.flash.SalvageRead(p, pg.PPA); err != nil {
 				return fmt.Errorf("ftl: relocation salvage: %w", err)
 			}
-			copy(pg.Data, data)
-			pg.Tag, pg.Tagged, pg.Err = tag, tagged, nil
+			pg.Err = nil
 		}
 		live = append(live, pg)
 	}
@@ -909,13 +911,14 @@ func (f *FTL) ScrubPage(p *sim.Proc, lba LBA) (ScrubResult, error) {
 		return r, nil
 	}
 	r.Mapped = true
-	data, tag, tagged, retries, err := f.flash.ReadPageTagged(p, ppa)
+	data := make([]byte, f.PageSize())
+	tag, tagged, retries, err := f.flash.ReadPageTaggedInto(p, ppa, data)
 	if err != nil {
 		if !errors.Is(err, nand.ErrUncorrectable) {
 			return r, err
 		}
-		data, tag, tagged, err = f.flash.SalvageReadTagged(p, ppa)
-		if err != nil {
+		// As in ReadPageTaggedInto: keep what the read captured.
+		if err := f.flash.SalvageRead(p, ppa); err != nil {
 			return r, err
 		}
 		// retireBlock relocates every surviving valid page — including

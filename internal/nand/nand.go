@@ -4,10 +4,21 @@
 // erase-before-program, strictly sequential page programming within a
 // block, and limited erase endurance.
 //
-// Pages carry real bytes (sparsely stored), so layers above can verify
-// data integrity end to end, and all latency is charged on the sim
-// clock: a die is a capacity-1 resource held for the array-operation
-// time, a channel is a capacity-1 resource held for the transfer time.
+// Pages carry real bytes, so layers above can verify data integrity end
+// to end, and all latency is charged on the sim clock: a die is a
+// capacity-1 resource held for the array-operation time, a channel is a
+// capacity-1 resource held for the transfer time.
+//
+// The page store holds live data only: a page's bytes exist from its
+// program until its block is erased or the FTL discards it (Discard —
+// the mapping table dropped it, and nothing reads such a page again),
+// so host memory follows what the drive maps, not what it ever wrote.
+// Each block keeps a table of its pages, made at its first program and
+// reused across erases, so a program or a discard writes a slot and
+// never rehashes or allocates anything but a page buffer the spare list
+// could not supply. A read takes its bytes when it is issued, before
+// its die and channel holds: a page discarded while the read waits
+// still comes back as it was.
 package nand
 
 import (
@@ -139,6 +150,7 @@ type blockState struct {
 	nextPage   int // next programmable page (sequential-program rule)
 	eraseCount int
 	bad        bool
+	pages      []page // by page index; made at the block's first program
 }
 
 // oobTag is the out-of-band metadata stored next to a page — the
@@ -148,6 +160,13 @@ type blockState struct {
 type oobTag struct {
 	tag    uint32
 	tagged bool
+}
+
+// page is what a programmed page holds: its bytes (nil while it holds
+// none) and its spare area.
+type page struct {
+	data []byte
+	oob  oobTag
 }
 
 // Stats aggregates operation counters for the flash array. The values
@@ -168,9 +187,7 @@ type Flash struct {
 	channels []*sim.Resource
 	dies     []*sim.Resource
 	blocks   []blockState
-	data     map[PPA][]byte
-	spare    [][]byte // page buffers retired by EraseBlock, reused by programPage
-	oob      map[PPA]oobTag
+	spare    [][]byte // page buffers dropped by Discard, reused by commit
 
 	o        *obs.Set
 	chTrack  []string // precomputed trace track names (no per-op fmt)
@@ -179,7 +196,9 @@ type Flash struct {
 	// Fault injection (nil = disabled, the common case). progAt
 	// tracks page program times for the retention term of the BER
 	// model and exists only when an injector is installed, so the
-	// fault-free datapath carries no extra bookkeeping.
+	// fault-free datapath carries no extra bookkeeping. Discard leaves
+	// it alone — only an erase clears it — so a read issued before a
+	// discard gets the ECC verdict of the page it read.
 	inj    *fault.Injector
 	progAt map[PPA]sim.Time
 
@@ -217,8 +236,6 @@ func New(env *sim.Env, cfg Config) *Flash {
 		env:    env,
 		cfg:    cfg,
 		blocks: make([]blockState, cfg.Blocks()),
-		data:   make(map[PPA][]byte),
-		oob:    make(map[PPA]oobTag),
 		o:      obs.Of(env),
 		inj:    fault.Of(env),
 	}
@@ -284,10 +301,10 @@ func (f *Flash) checkPPA(ppa PPA) error {
 }
 
 // ReadPage performs an array read of one page and transfers it over the
-// die's channel. The returned slice is a copy; never-written pages read
-// back as zeroes (an erased page). With a fault injector installed the
-// read may take stepped ECC retry latency or fail with
-// ErrUncorrectable (wear- and retention-driven BER model).
+// die's channel. The returned slice is a copy; never-written and
+// discarded pages read back as zeroes (an erased page). With a fault
+// injector installed the read may take stepped ECC retry latency or
+// fail with ErrUncorrectable (wear- and retention-driven BER model).
 func (f *Flash) ReadPage(p *sim.Proc, ppa PPA) ([]byte, error) {
 	out, _, _, _, err := f.ReadPageTagged(p, ppa)
 	return out, err
@@ -309,18 +326,19 @@ func (f *Flash) ReadPageTagged(p *sim.Proc, ppa PPA) (data []byte, tag uint32, t
 
 // ReadPageTaggedInto is ReadPageTagged reading into a caller-provided
 // buffer of at least PageSize bytes, so hot read paths can recycle one
-// destination instead of allocating a page per read.
+// destination instead of allocating a page per read. dst and the tag
+// are filled even when the read fails ECC: they are what SalvageRead
+// recovers.
 func (f *Flash) ReadPageTaggedInto(p *sim.Proc, ppa PPA, dst []byte) (tag uint32, tagged bool, retries int, err error) {
-	tag, tagged, err = f.readTimedInto(p, ppa, dst)
-	if err != nil {
+	if err := f.checkPPA(ppa); err != nil {
 		return 0, false, 0, err
 	}
+	tag, tagged = f.capture(ppa, dst)
+	f.readTimed(p, ppa)
 	if f.inj != nil {
-		if retries, err = f.readFault(p, ppa); err != nil {
-			return 0, false, retries, err
-		}
+		retries, err = f.readFault(p, ppa)
 	}
-	return tag, tagged, retries, nil
+	return tag, tagged, retries, err
 }
 
 // readFault asks the injector for the ECC verdict on a read of ppa at
@@ -342,35 +360,50 @@ func (f *Flash) readFault(p *sim.Proc, ppa PPA) (retries int, err error) {
 	return rd.Retries, nil
 }
 
-// SalvageRead is the FTL's last-resort read of an uncorrectable page:
-// full array/channel timing, no fault injection. The model keeps page
-// bytes intact, so salvage always yields the data — the realism is in
-// the latency already paid on retries and in the block retirement that
-// follows.
-func (f *Flash) SalvageRead(p *sim.Proc, ppa PPA) ([]byte, error) {
-	data, _, _, err := f.readTimed(p, ppa)
-	return data, err
-}
-
-// SalvageReadTagged is SalvageRead plus the page's out-of-band tag, so
-// relocation paths can carry the integrity tag along with rescued data.
-func (f *Flash) SalvageReadTagged(p *sim.Proc, ppa PPA) (data []byte, tag uint32, tagged bool, err error) {
-	return f.readTimed(p, ppa)
-}
-
-func (f *Flash) readTimed(p *sim.Proc, ppa PPA) ([]byte, uint32, bool, error) {
-	out := make([]byte, f.cfg.PageSize)
-	tag, tagged, err := f.readTimedInto(p, ppa, out)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	return out, tag, tagged, nil
-}
-
-func (f *Flash) readTimedInto(p *sim.Proc, ppa PPA, dst []byte) (uint32, bool, error) {
+// SalvageRead is the FTL's last-resort re-read of a page whose read
+// failed ECC: full array/channel timing, no fault injection. The model
+// keeps page bytes intact, so the bytes and tag the failed read already
+// captured (ReadPageTaggedInto, ReadRun) are the page's data, and
+// salvage hands back nothing new — a re-fetch after the retries could
+// find the page discarded. The realism is in the latency already paid
+// on retries, this re-read's, and the block retirement that follows.
+func (f *Flash) SalvageRead(p *sim.Proc, ppa PPA) error {
 	if err := f.checkPPA(ppa); err != nil {
-		return 0, false, err
+		return err
 	}
+	f.readTimed(p, ppa)
+	return nil
+}
+
+// capture copies a page's stored bytes and out-of-band tag into dst —
+// the data half of a read, taken when the read is issued.
+func (f *Flash) capture(ppa PPA, dst []byte) (tag uint32, tagged bool) {
+	dst = dst[:f.cfg.PageSize]
+	pg := f.stored(ppa)
+	if pg == nil {
+		clear(dst) // pages without bytes read as zeroes
+		return 0, false
+	}
+	copy(dst, pg.data)
+	return pg.oob.tag, pg.oob.tagged
+}
+
+// stored is what a page holds, nil while it holds no bytes.
+func (f *Flash) stored(ppa PPA) *page {
+	pages := f.blocks[f.cfg.BlockOf(ppa)].pages
+	if pages == nil {
+		return nil
+	}
+	pg := &pages[uint64(ppa)%uint64(f.cfg.PagesPerBlock)]
+	if pg.data == nil {
+		return nil
+	}
+	return pg
+}
+
+// readTimed charges one page read — the die hold for tR, then the
+// channel hold for the transfer — and counts it on completion.
+func (f *Flash) readTimed(p *sim.Proc, ppa PPA) {
 	die := f.cfg.DieOf(ppa)
 	ch := f.cfg.ChannelOf(die)
 	start := f.env.Now()
@@ -388,20 +421,8 @@ func (f *Flash) readTimedInto(p *sim.Proc, ppa PPA, dst []byte) (uint32, bool, e
 	sp.End()
 	f.channels[ch].Release()
 	f.hRead.Observe(sim.Duration(f.env.Now() - start))
-	tag, tagged := f.fetch(ppa, dst)
-	return tag, tagged, nil
-}
-
-// fetch copies a page's stored bytes and out-of-band tag out of the
-// array and counts the read — the data half of a read, after its timing.
-func (f *Flash) fetch(ppa PPA, dst []byte) (tag uint32, tagged bool) {
 	f.cReads.Inc()
 	f.cBytesRead.Add(uint64(f.cfg.PageSize))
-	dst = dst[:f.cfg.PageSize]
-	n := copy(dst, f.data[ppa])
-	clear(dst[n:]) // unprogrammed pages read as zeroes
-	t := f.oob[ppa]
-	return t.tag, t.tagged
 }
 
 // ProgramPage transfers data over the channel and programs one page.
@@ -470,14 +491,11 @@ func (f *Flash) commit(blk *blockState, ppa PPA, data []byte, t oobTag) {
 	} else {
 		stored = make([]byte, f.cfg.PageSize)
 	}
-	n := copy(stored, data)
-	clear(stored[n:]) // short writes are zero-padded
-	f.data[ppa] = stored
-	if t.tagged {
-		f.oob[ppa] = t
-	} else {
-		delete(f.oob, ppa)
+	clear(stored[copy(stored, data):]) // short writes are zero-padded
+	if blk.pages == nil {
+		blk.pages = make([]page, f.cfg.PagesPerBlock)
 	}
+	blk.pages[uint64(ppa)%uint64(f.cfg.PagesPerBlock)] = page{data: stored, oob: t}
 	f.cPrograms.Inc()
 	f.cBytesWritten.Add(uint64(f.cfg.PageSize))
 	if f.inj != nil {
@@ -500,14 +518,16 @@ type RunPage struct {
 // channel hold for all the transfers. That is the occupancy of as many
 // ReadPage calls, for two kernel events instead of two per page, and
 // the page counters advance per page; the latency histogram is not fed
-// (it describes single-page operations). The relocation paths of the
-// FTL move a victim's valid pages with it.
+// (it describes single-page operations). Every page's bytes and tag are
+// taken when the run is issued, as a single read's are. The relocation
+// paths of the FTL move a victim's valid pages with it.
 //
 // With a fault injector installed and salvage false, the die hold steps
 // page by page so each page gets its ECC verdict at its own instant
 // (read-retry latency is spent on the die); a page beyond the budget
-// has Err set and the run goes on. salvage reads raw, as SalvageRead
-// does. The returned error is for the run as a whole (bad addresses).
+// has Err set — its Data and Tag filled all the same, for SalvageRead —
+// and the run goes on. salvage reads raw, as SalvageRead does. The
+// returned error is for the run as a whole (bad addresses).
 func (f *Flash) ReadRun(p *sim.Proc, pages []RunPage, salvage bool) error {
 	if len(pages) == 0 {
 		return nil
@@ -521,6 +541,7 @@ func (f *Flash) ReadRun(p *sim.Proc, pages []RunPage, salvage bool) error {
 			return fmt.Errorf("%w: run spans blocks %d and %d", ErrOutOfRange, blk, f.cfg.BlockOf(pages[i].PPA))
 		}
 		pages[i].Err = nil
+		pages[i].Tag, pages[i].Tagged = f.capture(pages[i].PPA, pages[i].Data)
 	}
 	die := f.cfg.DieOf(pages[0].PPA)
 	ch := f.cfg.ChannelOf(die)
@@ -543,10 +564,8 @@ func (f *Flash) ReadRun(p *sim.Proc, pages []RunPage, salvage bool) error {
 	p.Sleep(n * f.cfg.TransferTime(f.cfg.PageSize))
 	sp.End()
 	f.channels[ch].Release()
-	for i := range pages {
-		pg := &pages[i]
-		pg.Tag, pg.Tagged = f.fetch(pg.PPA, pg.Data)
-	}
+	f.cReads.Add(uint64(len(pages)))
+	f.cBytesRead.Add(uint64(len(pages) * f.cfg.PageSize))
 	return nil
 }
 
@@ -653,11 +672,7 @@ func (f *Flash) EraseBlock(p *sim.Proc, blk BlockID) error {
 	f.hErase.Observe(sim.Duration(f.env.Now() - start))
 	base := PPA(uint64(blk) * uint64(f.cfg.PagesPerBlock))
 	for i := 0; i < f.cfg.PagesPerBlock; i++ {
-		if pg, ok := f.data[base+PPA(i)]; ok {
-			f.spare = append(f.spare, pg)
-			delete(f.data, base+PPA(i))
-		}
-		delete(f.oob, base+PPA(i))
+		f.Discard(base + PPA(i))
 		if f.inj != nil {
 			delete(f.progAt, base+PPA(i))
 		}
@@ -667,6 +682,19 @@ func (f *Flash) EraseBlock(p *sim.Proc, blk BlockID) error {
 		return ErrWornOut
 	}
 	return nil
+}
+
+// Discard drops a page's bytes and out-of-band tag and keeps its buffer
+// for the next program — the FTL calls it the moment its mapping table
+// drops the page, which nothing reads again. The page itself stays
+// programmed (its block's cursor and the ECC model's program instant
+// are untouched, only an erase makes it programmable again); it reads
+// back as zeroes.
+func (f *Flash) Discard(ppa PPA) {
+	if pg := f.stored(ppa); pg != nil {
+		f.spare = append(f.spare, pg.data)
+		*pg = page{}
+	}
 }
 
 // MarkBad retires a block — the FTL calls this after uncorrectable
@@ -686,18 +714,21 @@ func (f *Flash) NextPage(blk BlockID) int { return f.blocks[blk].nextPage }
 
 // PeekPage returns the stored contents of a page without timing or
 // counters — a debugging/verification hook for tests and recovery
-// assertions, not a datapath.
+// assertions, not a datapath. Never-programmed, erased and discarded
+// pages read as zeroes.
 func (f *Flash) PeekPage(ppa PPA) []byte {
 	out := make([]byte, f.cfg.PageSize)
-	copy(out, f.data[ppa])
+	f.capture(ppa, out)
 	return out
 }
 
 // PeekTag returns a page's out-of-band tag and whether one was
 // programmed — the verification-hook counterpart of PeekPage.
 func (f *Flash) PeekTag(ppa PPA) (uint32, bool) {
-	t := f.oob[ppa]
-	return t.tag, t.tagged
+	if pg := f.stored(ppa); pg != nil {
+		return pg.oob.tag, pg.oob.tagged
+	}
+	return 0, false
 }
 
 // CorruptPage flips the low bit of the first n stored bytes of a page —
@@ -705,12 +736,14 @@ func (f *Flash) PeekTag(ppa PPA) (uint32, bool) {
 // tags actually detect a page a layer mangled in flight. The BER fault
 // model perturbs *latency* and verdicts while keeping bytes intact;
 // this hook is how tests make bytes lie. Returns false when the page
-// was never programmed (nothing to corrupt).
+// holds no bytes — never programmed, erased or discarded (nothing to
+// corrupt).
 func (f *Flash) CorruptPage(ppa PPA, n int) bool {
-	data, ok := f.data[ppa]
-	if !ok {
+	pg := f.stored(ppa)
+	if pg == nil {
 		return false
 	}
+	data := pg.data
 	if n > len(data) {
 		n = len(data)
 	}

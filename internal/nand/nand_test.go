@@ -277,6 +277,39 @@ func TestMarkBadInjection(t *testing.T) {
 	e.Run()
 }
 
+// A read takes its bytes and tag when it is issued: a Discard while it
+// waits on the die leaves it the page as programmed, and only later
+// reads see the zeroes. The discarded buffer backs the next program.
+func TestReadTakesBytesAtIssue(t *testing.T) {
+	e := sim.NewEnv()
+	f := New(e, testConfig())
+	ppa := f.Config().PPAOf(1, 0, 0)
+	e.Go("t", func(p *sim.Proc) {
+		if err := f.ProgramPageTagged(p, ppa, []byte{7, 7}, 42); err != nil {
+			t.Fatal(err)
+		}
+		e.Go("discard", func(q *sim.Proc) {
+			q.Sleep(sim.Microsecond) // inside the read's tR
+			f.Discard(ppa)
+		})
+		got := make([]byte, f.Config().PageSize)
+		tag, tagged, _, err := f.ReadPageTaggedInto(p, ppa, got)
+		if err != nil || got[0] != 7 || got[1] != 7 || tag != 42 || !tagged {
+			t.Fatalf("read racing a discard = %v %d/%v, %v", got[:2], tag, tagged, err)
+		}
+		if again, _ := f.ReadPage(p, ppa); again[0] != 0 {
+			t.Error("a read issued after the discard found bytes")
+		}
+		if _, tagged := f.PeekTag(ppa); tagged || f.CorruptPage(ppa, 1) {
+			t.Error("the discarded page kept its tag or bytes")
+		}
+		if err := f.ProgramPage(p, ppa+1, []byte{9}); err != nil || len(f.spare) != 0 {
+			t.Errorf("program after discard: %v, %d spare buffers left", err, len(f.spare))
+		}
+	})
+	e.Run()
+}
+
 // Property: any program/read pair on a fresh block returns the data
 // written, zero-padded to page size.
 func TestPropertyProgramReadIdentity(t *testing.T) {
