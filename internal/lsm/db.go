@@ -116,7 +116,7 @@ type DB struct {
 	rotation int
 	fileSeq  int
 
-	levels [][]*table
+	levels [maxLevels][]*table
 
 	wlock   *sim.Resource
 	immDone *sim.Signal
@@ -162,7 +162,6 @@ func Open(env *sim.Env, p *sim.Proc, cfg Config) (*DB, error) {
 		wlock:       env.NewResource("lsm.write", 1),
 		immDone:     env.NewSignal("lsm.immdone"),
 		compactLock: env.NewResource("lsm.compact", 1),
-		levels:      make([][]*table, maxLevels),
 	}
 	if err := db.recoverLogs(p); err != nil {
 		return nil, err
@@ -458,11 +457,7 @@ func (db *DB) installSST(p *sim.Proc, w *sstWriter, level int) error {
 
 // snapshotLevels captures the current table sets. Compaction only
 // replaces whole slices, so the snapshot stays internally consistent.
-func (db *DB) snapshotLevels() [][]*table {
-	snap := make([][]*table, len(db.levels))
-	copy(snap, db.levels)
-	return snap
-}
+func (db *DB) snapshotLevels() [maxLevels][]*table { return db.levels }
 
 // beginRead/endRead bracket table reads so obsolete files are only
 // reclaimed when nobody can still be reading them.

@@ -171,16 +171,70 @@ func TestSSTWriteOpenGet(t *testing.T) {
 	e.Run()
 }
 
-func TestBlockCacheLRU(t *testing.T) {
-	c := newBlockCache(2)
-	c.put(1, 0, []entry{{key: []byte("a")}})
-	c.put(1, 1, []entry{{key: []byte("b")}})
-	c.put(1, 2, []entry{{key: []byte("c")}}) // evicts (1,0)
-	if _, ok := c.get(1, 0); ok {
-		t.Fatal("LRU did not evict")
+// The block cache evicts in order of first insertion. Hits and misses
+// decide which device reads a run makes, so the policy is part of every
+// kv result: a get must not refresh an entry, a re-put must not requeue
+// it, and the order must survive the ring wrapping around.
+func TestBlockCacheFIFO(t *testing.T) {
+	blk := func(s string) []entry { return []entry{{key: []byte(s)}} }
+	c := newBlockCache(3)
+	c.put(1, 0, blk("a"))
+	c.put(1, 1, blk("b"))
+	c.put(1, 2, blk("c"))
+	if _, ok := c.get(1, 0); !ok {
+		t.Fatal("(1,0) missing before any eviction")
 	}
-	if _, ok := c.get(1, 2); !ok {
-		t.Fatal("fresh entry evicted")
+	c.put(1, 3, blk("d"))
+	if _, ok := c.get(1, 0); ok {
+		t.Fatal("a get saved (1,0) from eviction")
+	}
+	c.put(1, 1, blk("b2"))
+	if ents, ok := c.get(1, 1); !ok || string(ents[0].key) != "b2" {
+		t.Fatalf("re-put did not replace (1,1): %v %v", ents, ok)
+	}
+	c.put(1, 4, blk("e"))
+	if _, ok := c.get(1, 1); ok {
+		t.Fatal("a re-put requeued (1,1)")
+	}
+	for _, off := range []uint64{2, 3, 4} {
+		if _, ok := c.get(1, off); !ok {
+			t.Fatalf("(1,%d) evicted out of order", off)
+		}
+	}
+
+	// Random gets and puts against a FIFO model, many laps of the ring.
+	const slots = 4
+	c = newBlockCache(slots)
+	var model []blockKey
+	rng := rand.New(rand.NewSource(7))
+	evictions := 0
+	for i := 0; i < 4000; i++ {
+		k := blockKey{rng.Intn(3), uint64(rng.Intn(4))}
+		if rng.Intn(3) == 0 {
+			c.get(k.num, k.off)
+		} else {
+			c.put(k.num, k.off, blk("x"))
+			found := false
+			for _, m := range model {
+				found = found || m == k
+			}
+			if !found {
+				if model = append(model, k); len(model) > slots {
+					model, evictions = model[1:], evictions+1
+				}
+			}
+		}
+		if len(c.items) != len(model) {
+			t.Fatalf("op %d: cache holds %d blocks, model %d", i, len(c.items), len(model))
+		}
+		for _, m := range model {
+			if _, ok := c.items[m]; !ok {
+				t.Fatalf("op %d: %v evicted out of FIFO order", i, m)
+			}
+		}
+	}
+	if evictions < 20*slots {
+		t.Fatalf("only %d evictions; the ring did not wrap often enough", evictions)
 	}
 }
 

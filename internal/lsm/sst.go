@@ -43,13 +43,11 @@ func newBloom(n int) *bloom {
 	return &bloom{bits: make([]byte, (nbits+7)/8), k: 7}
 }
 
-func bloomHash(key []byte) (uint32, uint32) {
-	h := crc32.ChecksumIEEE(key)
-	return h, (h >> 17) | (h << 15)
-}
+func (b *bloom) add(key []byte) { b.addHash(crc32.ChecksumIEEE(key)) }
 
-func (b *bloom) add(key []byte) {
-	h, delta := bloomHash(key)
+// addHash sets the bits of the key whose crc32 is h.
+func (b *bloom) addHash(h uint32) {
+	delta := (h >> 17) | (h << 15)
 	n := uint32(len(b.bits) * 8)
 	for i := 0; i < b.k; i++ {
 		pos := h % n
@@ -62,7 +60,8 @@ func (b *bloom) mayContain(key []byte) bool {
 	if len(b.bits) == 0 {
 		return true
 	}
-	h, delta := bloomHash(key)
+	h := crc32.ChecksumIEEE(key)
+	delta := (h >> 17) | (h << 15)
 	n := uint32(len(b.bits) * 8)
 	for i := 0; i < b.k; i++ {
 		pos := h % n
@@ -85,7 +84,7 @@ type sstWriter struct {
 	buf        bytes.Buffer
 	block      bytes.Buffer
 	index      []indexEntry
-	keys       [][]byte
+	hashes     []uint32 // crc32 of every key, for the filter
 	first      []byte
 	last       []byte
 	count      int
@@ -116,7 +115,7 @@ func (w *sstWriter) add(key []byte, seq uint64, value []byte, tombstone bool) {
 	if !tombstone {
 		w.block.Write(value)
 	}
-	w.keys = append(w.keys, append([]byte(nil), key...))
+	w.hashes = append(w.hashes, crc32.ChecksumIEEE(key))
 	w.count++
 	if w.block.Len() >= blockBytes {
 		w.finishBlock()
@@ -151,9 +150,9 @@ func (w *sstWriter) finish() []byte {
 	}
 	indexLen := uint64(w.buf.Len()) - indexOff
 
-	bl := newBloom(len(w.keys))
-	for _, k := range w.keys {
-		bl.add(k)
+	bl := newBloom(len(w.hashes))
+	for _, h := range w.hashes {
+		bl.addHash(h)
 	}
 	bloomOff := uint64(w.buf.Len())
 	w.buf.Write(bl.bits)
@@ -272,9 +271,18 @@ type entry struct {
 	tombstone bool
 }
 
-// parseBlock decodes all entries of one data block.
+// parseBlock decodes all entries of one data block. Keys and values
+// alias data (capacity-capped), so the entries live as long as it does.
 func parseBlock(data []byte) ([]entry, error) {
-	var out []entry
+	n := 0
+	for pos := 0; pos+16 <= len(data) && binary.LittleEndian.Uint32(data[pos:]) != 0; n++ {
+		klen, vlen := binary.LittleEndian.Uint32(data[pos:]), binary.LittleEndian.Uint32(data[pos+4:])
+		if vlen == tombstoneLen {
+			vlen = 0
+		}
+		pos += 16 + int(klen) + int(vlen)
+	}
+	out := make([]entry, 0, n)
 	pos := 0
 	for pos+16 <= len(data) {
 		klen := int(binary.LittleEndian.Uint32(data[pos:]))
@@ -287,7 +295,7 @@ func parseBlock(data []byte) ([]entry, error) {
 		if pos+klen > len(data) {
 			return nil, errCorruptSST
 		}
-		key := data[pos : pos+klen]
+		key := data[pos : pos+klen : pos+klen]
 		pos += klen
 		e := entry{key: key, seq: seq}
 		if vlenRaw == tombstoneLen {
@@ -297,7 +305,7 @@ func parseBlock(data []byte) ([]entry, error) {
 			if pos+vlen > len(data) {
 				return nil, errCorruptSST
 			}
-			e.value = data[pos : pos+vlen]
+			e.value = data[pos : pos+vlen : pos+vlen]
 			pos += vlen
 		}
 		out = append(out, e)
@@ -305,29 +313,33 @@ func parseBlock(data []byte) ([]entry, error) {
 	return out, nil
 }
 
-// blockCache is a tiny LRU over decoded data blocks.
+// blockCache holds decoded data blocks: per block, the exact-length
+// buffer read from the device and the entries that alias it. Eviction
+// is FIFO by first insertion — a get does not refresh an entry and a
+// re-put does not requeue it — because hits and misses decide which
+// device reads a run makes.
 type blockCache struct {
-	cap   int
-	items map[string][]entry
-	order []string
+	items map[blockKey][]entry
+	order []blockKey // ring of cached keys, oldest at head once full
+	head  int
 	hits  uint64
 	miss  uint64
+}
+
+type blockKey struct {
+	num int
+	off uint64
 }
 
 func newBlockCache(capacity int) *blockCache {
 	if capacity <= 0 {
 		capacity = 64
 	}
-	return &blockCache{cap: capacity, items: make(map[string][]entry)}
-}
-
-func (c *blockCache) key(num int, off uint64) string {
-	return fmt.Sprintf("%d/%d", num, off)
+	return &blockCache{items: make(map[blockKey][]entry, capacity), order: make([]blockKey, 0, capacity)}
 }
 
 func (c *blockCache) get(num int, off uint64) ([]entry, bool) {
-	k := c.key(num, off)
-	ents, ok := c.items[k]
+	ents, ok := c.items[blockKey{num, off}]
 	if ok {
 		c.hits++
 	} else {
@@ -337,13 +349,14 @@ func (c *blockCache) get(num int, off uint64) ([]entry, bool) {
 }
 
 func (c *blockCache) put(num int, off uint64, ents []entry) {
-	k := c.key(num, off)
+	k := blockKey{num, off}
 	if _, ok := c.items[k]; !ok {
-		c.order = append(c.order, k)
-		for len(c.order) > c.cap {
-			evict := c.order[0]
-			c.order = c.order[1:]
-			delete(c.items, evict)
+		if len(c.order) < cap(c.order) {
+			c.order = append(c.order, k)
+		} else {
+			delete(c.items, c.order[c.head])
+			c.order[c.head] = k
+			c.head = (c.head + 1) % len(c.order)
 		}
 	}
 	c.items[k] = ents
@@ -363,20 +376,8 @@ func (t *table) readBlock(p *sim.Proc, c *blockCache, idx int) ([]entry, error) 
 	if err != nil {
 		return nil, err
 	}
-	// Entries reference raw; copy for cache stability.
-	stable := make([]entry, len(ents))
-	for i, e := range ents {
-		stable[i] = entry{
-			key:       append([]byte(nil), e.key...),
-			seq:       e.seq,
-			tombstone: e.tombstone,
-		}
-		if !e.tombstone {
-			stable[i].value = append([]byte(nil), e.value...)
-		}
-	}
-	c.put(t.num, ie.off, stable)
-	return stable, nil
+	c.put(t.num, ie.off, ents)
+	return ents, nil
 }
 
 // get searches the table for the newest version of key.
