@@ -140,7 +140,12 @@ func main() {
 	reg := obs.Of(env).Registry()
 	n := func(name string) uint64 { return reg.Counter("wal." + name).Value() }
 	elapsed := sim.Duration(env.Now())
-	fstats := fs.Device().FTL().Stats()
+	// The env holds the log device alone, so the ftl.* series are its.
+	hostPages, nandPages := reg.Counter("ftl.host_page_writes").Value(), reg.Counter("ftl.nand_page_writes").Value()
+	waf := 1.0
+	if hostPages > 0 {
+		waf = float64(nandPages) / float64(hostPages)
+	}
 	fmt.Printf("mode=%s device=%s clients=%d records=%d size=%dB", cm, *dev, *clients, *records, *size)
 	if *ring > 1 {
 		fmt.Printf(" ring=%d segbytes=%d", *ring, *segbytes)
@@ -164,7 +169,7 @@ func main() {
 	}
 	fmt.Printf("  durable offset:    %d of %d appended\n", l.DurableOff(), l.AppendOff())
 	fmt.Printf("  log-device NAND:   %d page programs (WAF %.2f)\n",
-		fstats.NandPagewrites, fstats.WAF())
+		nandPages, waf)
 	fmt.Printf("  persist latency:   %s\n", h)
 	fmt.Print(h.Bars(40))
 }

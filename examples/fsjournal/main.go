@@ -9,6 +9,7 @@ import (
 
 	"twobssd/internal/core"
 	"twobssd/internal/jfs"
+	"twobssd/internal/obs"
 	"twobssd/internal/sim"
 	"twobssd/internal/vfs"
 	"twobssd/internal/wal"
@@ -70,9 +71,13 @@ func main() {
 			panic(err)
 		}
 
-		// Remount: the journal replays into the pending set.
+		// Remount: the journal replays into the pending set. The
+		// jfs.replayed series counts every mount of the environment, so
+		// this mount's replays are its move across Open.
+		replayed := obs.Of(env).Registry().Counter("jfs.replayed")
+		before := replayed.Value()
 		s2 := open(p)
-		fmt.Printf("remount replayed %d journal transactions\n", s2.Stats().Replayed)
+		fmt.Printf("remount replayed %d journal transactions\n", replayed.Value()-before)
 		got, err := s2.ReadBlock(p, 5)
 		if err != nil {
 			panic(err)

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"twobssd/internal/core"
+	"twobssd/internal/obs"
+	"twobssd/internal/sim"
 )
 
 // tiny is a minimal scale so the full experiment matrix stays fast in
@@ -20,6 +22,18 @@ func get(t *testing.T, tab *Table, x, series string) float64 {
 	v, ok := tab.Get(x, series)
 	if !ok {
 		t.Fatalf("%s: missing (%s, %s)", tab.ID, x, series)
+	}
+	return v
+}
+
+// counter reads a registry series by name and fails the test when no
+// component registered it: Registry.Counter would create the name and
+// read 0, so a misspelled name would pass an "== 0" check vacuously.
+func counter(t testing.TB, e *sim.Env, name string) uint64 {
+	t.Helper()
+	v, ok := obs.Of(e).Snapshot().Counters[name]
+	if !ok {
+		t.Fatalf("no counter %q in the registry", name)
 	}
 	return v
 }

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"twobssd/internal/core"
-	"twobssd/internal/ftl"
+	"twobssd/internal/obs"
 	"twobssd/internal/sim"
 	"twobssd/internal/wal"
 )
@@ -121,13 +121,14 @@ func WAFReduction(r *Runner) *Table {
 			}
 		})
 		st.env.Run()
-		var fstats ftl.Stats
-		if st.ssd != nil {
-			fstats = st.ssd.Device().FTL().Stats()
-		} else {
-			fstats = st.logFS.Device().FTL().Stats()
+		// The ftl.* series sum over both drives of the stack: the count
+		// is the log device's only because the data drive took no write.
+		reg := obs.Of(st.env).Registry()
+		data := st.dataFS.Device().Profile().Name + ".pages_written"
+		if n := reg.Counter(data).Value(); n != 0 {
+			panic(fmt.Sprintf("bench: waf: the data drive wrote %d pages (%s); the NAND count is not the log device's", n, data))
 		}
-		return fstats.NandPagewrites, records
+		return reg.Counter("ftl.nand_page_writes").Value(), records
 	}
 	cfgs := []LogDevice{LogULL, Log2B}
 	t.Rows = points(r, len(cfgs), func(i int) Row {
@@ -228,6 +229,7 @@ func recoveryRow(pages int) []float64 {
 	e := sim.NewEnv()
 	defer e.Shutdown()
 	ssd := SSD2B(e)
+	reg := obs.Of(e).Registry()
 	var out []float64
 	e.Go("t", func(p *sim.Proc) {
 		if pages > 0 {
@@ -240,12 +242,12 @@ func recoveryRow(pages int) []float64 {
 			if err != nil {
 				panic(err)
 			}
-			erases := ssd.Device().Flash().Stats().BlockErases
+			erases := reg.Counter("nand.block_erases").Value()
 			start := e.Now()
 			if err := ssd.PowerOn(p); err != nil {
 				panic(err)
 			}
-			erased := ssd.Device().Flash().Stats().BlockErases > erases
+			erased := reg.Counter("nand.block_erases").Value() > erases
 			if cycles == 1 {
 				out = []float64{rep.DumpDuration.Micros(), rep.EnergyUsedJ * 1e3, sim.Duration(e.Now() - start).Micros(), 0, 0}
 				if erased {

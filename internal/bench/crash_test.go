@@ -8,7 +8,6 @@ import (
 
 	"twobssd/internal/core"
 	"twobssd/internal/fault"
-	"twobssd/internal/ftl"
 	"twobssd/internal/integrity"
 	"twobssd/internal/sim"
 	"twobssd/internal/vfs"
@@ -338,7 +337,6 @@ func TestTornLogExcusedConstructed(t *testing.T) {
 // victims, and a short campaign over it is clean.
 func TestBlkGCCrashProfileCollects(t *testing.T) {
 	env := sim.NewEnv()
-	var st ftl.Stats
 	env.Go("profile", func(p *sim.Proc) {
 		cyc, err := buildBlkGCCrash(env, p)
 		if err != nil {
@@ -353,11 +351,10 @@ func TestBlkGCCrashProfileCollects(t *testing.T) {
 		if err := c.ssd.Device().Drain(p); err != nil {
 			t.Fatal(err)
 		}
-		st = c.ssd.Device().FTL().Stats()
 	})
 	env.Run()
-	if st.GCRuns < 20 || st.GCRelocations < 12*st.GCRuns {
-		t.Fatalf("profile relocated %d pages in %d collections; want a drive in steady GC with victims of several runs", st.GCRelocations, st.GCRuns)
+	if runs, relocs := counter(t, env, "ftl.gc_runs"), counter(t, env, "ftl.gc_relocations"); runs < 20 || relocs < 12*runs {
+		t.Fatalf("profile relocated %d pages in %d collections; want a drive in steady GC with victims of several runs", relocs, runs)
 	}
 	var buf bytes.Buffer
 	if err := RunCrash(runner(Quick), &buf, []string{"blkgc"}, 12); err != nil {

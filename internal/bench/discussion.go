@@ -208,8 +208,8 @@ func PMRComparison(r *Runner) *Table {
 		elapsed := sim.Duration(st.env.Now())
 		// Host interface traffic caused by log flushing: DMA reads of
 		// the window plus block writes of the same bytes (PMR only).
-		hostBytes := st.ssd.Stats().DMABytes +
-			st.ssd.Device().Stats().PagesWrit*uint64(st.ssd.PageSize())
+		hostBytes := reg.Counter("2bssd.dma_bytes").Value() +
+			reg.Counter(st.ssd.Device().Profile().Name+".pages_written").Value()*uint64(st.ssd.PageSize())
 		return float64(reg.Counter("wal.commits").Value()) / elapsed.Seconds(),
 			float64(hostBytes) / float64(appended)
 	}
@@ -281,7 +281,7 @@ func Journaling(r *Runner) *Table {
 		})
 		st.env.Run()
 		elapsed := sim.Duration(st.env.Now() - startAt)
-		txns := store.Stats().Txns - 1
+		txns := obs.Of(st.env).Registry().Counter("jfs.txns").Value() - 1
 		return float64(txns) / elapsed.Seconds(),
 			float64(elapsed.Micros()) / float64(txns)
 	}

@@ -118,20 +118,22 @@ func probe(s Scale) *Table {
 	})
 	env.Run()
 
-	dev := ssd.Device().Stats()
-	nand := ssd.Device().Flash().Stats()
-	mmio := ssd.Mmio().Stats()
-	ba := ssd.Stats()
-	t.AddRow("block write cmds", float64(dev.WriteCmds))
-	t.AddRow("block read cmds", float64(dev.ReadCmds))
-	t.AddRow("nand page programs", float64(nand.PagePrograms))
-	t.AddRow("nand page reads", float64(nand.PageReads))
-	t.AddRow("mmio writes", float64(mmio.Writes))
-	t.AddRow("mmio syncs", float64(mmio.Syncs))
-	t.AddRow("ba pins", float64(ba.Pins))
-	t.AddRow("ba flushes", float64(ba.Flushes))
-	t.AddRow("ba syncs", float64(ba.Syncs))
-	t.AddRow("dma reads", float64(ba.DMAReads))
+	reg := obs.Of(env).Registry()
+	dev := ssd.Device().Profile().Name
+	for _, row := range [][2]string{
+		{"block write cmds", dev + ".write_cmds"},
+		{"block read cmds", dev + ".read_cmds"},
+		{"nand page programs", "nand.page_programs"},
+		{"nand page reads", "nand.page_reads"},
+		{"mmio writes", "pcie.mmio_writes"},
+		{"mmio syncs", "pcie.syncs"},
+		{"ba pins", "2bssd.pins"},
+		{"ba flushes", "2bssd.flushes"},
+		{"ba syncs", "2bssd.syncs"},
+		{"dma reads", "2bssd.dma_reads"},
+	} {
+		t.AddRow(row[0], float64(reg.Counter(row[1]).Value()))
+	}
 	t.AddRow("gated block reads", float64(gateRejects))
 	t.AddRow("wal avg commit us", avgCommit.Micros())
 	return t

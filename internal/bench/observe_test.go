@@ -11,15 +11,27 @@ import (
 
 // TestProbeStageCoverage runs the probe under a collector (the same
 // wiring `bench2b -metrics -trace` uses) and asserts the artifacts
-// cover every instrumented stage of the datapath.
+// cover every instrumented stage of the datapath, and that the table's
+// counter rows — read back from the registry by name — hold the counts
+// one pass over the stages produces.
 func TestProbeStageCoverage(t *testing.T) {
 	col := obs.NewCollector(true)
 	col.Install()
 	defer col.Uninstall()
 
 	tab := Probe(runner(Quick))
-	if len(tab.Rows) == 0 {
-		t.Fatal("probe produced no rows")
+	for _, row := range []struct {
+		x    string
+		want float64
+	}{
+		{"block write cmds", 10}, {"block read cmds", 10},
+		{"nand page programs", 82}, {"nand page reads", 10},
+		{"mmio writes", 41}, {"mmio syncs", 42},
+		{"ba pins", 2}, {"ba flushes", 2}, {"ba syncs", 2}, {"dma reads", 1},
+	} {
+		if got := get(t, tab, row.x, "value"); got != row.want {
+			t.Errorf("probe row %q = %v, want %v", row.x, got, row.want)
+		}
 	}
 
 	var mbuf bytes.Buffer
@@ -48,7 +60,7 @@ func TestProbeStageCoverage(t *testing.T) {
 			t.Errorf("stage %q: %d counters, %d non-empty histograms; want >=1 of each", prefix, nc, nh)
 		}
 	}
-	if snap.Counters["2bssd.gate_rejects"] == 0 {
+	if n, ok := snap.Counters["2bssd.gate_rejects"]; !ok || n == 0 {
 		t.Error("probe did not exercise the LBA checker")
 	}
 

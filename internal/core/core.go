@@ -63,13 +63,6 @@ var (
 	ErrNotPermitted = errors.New("2bssd: OS denied BA_PIN for this LBA range")
 )
 
-// Stats aggregates 2B-SSD API counters.
-type Stats struct {
-	Pins, Flushes, Syncs, Infos, DMAReads uint64
-	PagesPinned, PagesFlushed             uint64
-	DMABytes                              uint64
-}
-
 // TwoBSSD is a simulated dual byte-/block-addressable SSD.
 type TwoBSSD struct {
 	env *sim.Env
@@ -87,7 +80,7 @@ type TwoBSSD struct {
 	rec     *recovery
 	scrub   *scrubber
 
-	// Metrics ("2bssd.*" in the obs registry; Stats() reads them back).
+	// Metrics ("2bssd.*" in the obs registry).
 	o                           *obs.Set
 	inj                         *fault.Injector
 	gDumpEnergy                 *obs.Gauge
@@ -171,19 +164,6 @@ func (s *TwoBSSD) PageSize() int { return s.dev.PageSize() }
 
 // BufferPages returns the BA-buffer capacity in pages.
 func (s *TwoBSSD) BufferPages() int { return len(s.babuf) / s.PageSize() }
-
-// Stats returns a snapshot of API counters (sourced from the obs
-// registry's "2bssd.*" metrics, so this API and the metrics report
-// agree by construction).
-func (s *TwoBSSD) Stats() Stats {
-	return Stats{
-		Pins: s.cPins.Value(), Flushes: s.cFlushes.Value(),
-		Syncs: s.cSyncs.Value(), Infos: s.cInfos.Value(),
-		DMAReads:    s.cDMAReads.Value(),
-		PagesPinned: s.cPagesPinned.Value(), PagesFlushed: s.cPagesFlushed.Value(),
-		DMABytes: s.cDMABytes.Value(),
-	}
-}
 
 // checker is the LBA checker: the hardware logic snooping every block
 // I/O request for collisions with pinned ranges (Section III-A2).

@@ -8,8 +8,21 @@ import (
 
 	"twobssd/internal/device"
 	"twobssd/internal/ftl"
+	"twobssd/internal/obs"
 	"twobssd/internal/sim"
 )
+
+// counter reads a registry series by name and fails the test when no
+// component registered it: Registry.Counter would create the name and
+// read 0, so a misspelled name would pass an "== 0" check vacuously.
+func counter(t testing.TB, e *sim.Env, name string) uint64 {
+	t.Helper()
+	v, ok := obs.Of(e).Snapshot().Counters[name]
+	if !ok {
+		t.Fatalf("no counter %q in the registry", name)
+	}
+	return v
+}
 
 // testConfig returns a scaled-down 2B-SSD for fast tests: a small base
 // device and a 256 KB BA-buffer (64 pages), 8 entries.
@@ -177,7 +190,7 @@ func TestLBACheckerGatesBlockIO(t *testing.T) {
 		}
 	})
 	e.Run()
-	if s.Device().Stats().GatedWrits == 0 {
+	if counter(t, e, s.Device().Profile().Name+".gated_writes") == 0 {
 		t.Fatal("no gated writes counted")
 	}
 }
@@ -352,12 +365,16 @@ func TestStatsCounters(t *testing.T) {
 		s.BAFlush(p, 0)
 	})
 	e.Run()
-	st := s.Stats()
-	if st.Pins != 1 || st.Flushes != 1 || st.Syncs != 1 || st.DMAReads != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if st.PagesPinned != 2 || st.PagesFlushed != 2 || st.DMABytes != 16 {
-		t.Fatalf("page stats = %+v", st)
+	for _, c := range []struct {
+		name string
+		want uint64
+	}{
+		{"2bssd.pins", 1}, {"2bssd.flushes", 1}, {"2bssd.syncs", 1}, {"2bssd.dma_reads", 1},
+		{"2bssd.pages_pinned", 2}, {"2bssd.pages_flushed", 2}, {"2bssd.dma_bytes", 16},
+	} {
+		if got := counter(t, e, c.name); got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, got, c.want)
+		}
 	}
 }
 

@@ -373,7 +373,7 @@ func (r *recovery) restoreImage(p *sim.Proc) error {
 // (pre-erased, as real PLP firmware keeps it).
 func (r *recovery) erase(p *sim.Proc) {
 	s := r.s
-	wg := s.env.NewWaitGroup("2bssd.rearm")
+	wg := s.env.NewWaitGroup("2bssd.erase")
 	wg.Add(len(r.dumpBlocks))
 	for _, blk := range r.dumpBlocks {
 		s.env.Go("2bssd.erase", func(w *sim.Proc) {

@@ -124,17 +124,3 @@ func (s *TwoBSSD) ScrubPass(p *sim.Proc) error {
 // daemon's pending timer is an event, and the simulation only finishes
 // when the event queue drains.
 func (s *TwoBSSD) StopScrub() { s.scrub.stopped = true }
-
-// ScrubStats is a snapshot of the scrub.* metrics.
-type ScrubStats struct {
-	Passes, Scanned, Repaired, Salvaged, CRCErrors uint64
-}
-
-// ScrubStats reports what the scrubber has done so far.
-func (s *TwoBSSD) ScrubStats() ScrubStats {
-	return ScrubStats{
-		Passes: s.scrub.cPasses.Value(), Scanned: s.scrub.cScanned.Value(),
-		Repaired: s.scrub.cRepaired.Value(), Salvaged: s.scrub.cSalvage.Value(),
-		CRCErrors: s.scrub.cCRCErrors.Value(),
-	}
-}

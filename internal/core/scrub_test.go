@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"twobssd/internal/fault"
-	"twobssd/internal/obs"
 	"twobssd/internal/sim"
 )
 
@@ -33,7 +32,6 @@ func TestScrubRepairsRetentionErrors(t *testing.T) {
 	const hour = 3600 * sim.Second
 	run := func(scrub bool) (uncorrectable uint64, repaired uint64, data []byte) {
 		e := sim.NewEnv()
-		o := obs.Of(e)
 		fault.Install(e, fault.Plan{Seed: 7, BER: retentionBER()})
 		s := New(e, testConfig())
 		ps := s.PageSize()
@@ -63,8 +61,7 @@ func TestScrubRepairsRetentionErrors(t *testing.T) {
 			data = got
 		})
 		e.Run()
-		return o.Registry().Counter("fault.uncorrectable_reads").Value(),
-			s.ScrubStats().Repaired, data
+		return counter(t, e, "fault.uncorrectable_reads"), counter(t, e, "scrub.repaired"), data
 	}
 
 	uncorr, repaired, data := run(true)
@@ -111,15 +108,14 @@ func TestScrubDaemonCadence(t *testing.T) {
 		s.StopScrub()
 	})
 	e.Run()
-	st := s.ScrubStats()
-	if st.Passes < 4 {
-		t.Errorf("scrub passes = %d, want >= 4 over 5 s at 1 s cadence", st.Passes)
+	if n := counter(t, e, "scrub.passes"); n < 4 {
+		t.Errorf("scrub passes = %d, want >= 4 over 5 s at 1 s cadence", n)
 	}
-	if st.Scanned == 0 {
+	if counter(t, e, "scrub.scanned") == 0 {
 		t.Error("scrub scanned no mapped pages")
 	}
-	if st.CRCErrors != 0 {
-		t.Errorf("scrub flagged %d CRC errors on a healthy device", st.CRCErrors)
+	if n := counter(t, e, "scrub.crc_errors"); n != 0 {
+		t.Errorf("scrub flagged %d CRC errors on a healthy device", n)
 	}
 }
 
@@ -141,7 +137,7 @@ func TestScrubSkipsWhilePoweredOff(t *testing.T) {
 		s.StopScrub()
 	})
 	e.Run()
-	if p := s.ScrubStats().Passes; p != 0 {
+	if p := counter(t, e, "scrub.passes"); p != 0 {
 		t.Errorf("scrubber ran %d passes while powered off", p)
 	}
 }

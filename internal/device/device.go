@@ -169,17 +169,6 @@ type lbaPend struct {
 	pagesHead  int
 }
 
-// Stats aggregates device-level counters.
-type Stats struct {
-	ReadCmds   uint64
-	WriteCmds  uint64
-	FlushCmds  uint64
-	PagesRead  uint64
-	PagesWrit  uint64
-	GatedReads uint64
-	GatedWrits uint64
-}
-
 // Device is one simulated NVMe SSD.
 type Device struct {
 	env     *sim.Env
@@ -211,8 +200,9 @@ type Device struct {
 
 	gate Gate
 
-	// Metrics ("<profile>.*" in the obs registry; Stats() reads them
-	// back). Track names are precomputed so the disabled-tracer hot
+	// Metrics ("<profile>.*" in the obs registry, so two drives of one
+	// environment keep separate series when their profiles are named
+	// apart). Track names are precomputed so the disabled-tracer hot
 	// path performs no string building.
 	o                      *obs.Set
 	inj                    *fault.Injector
@@ -290,17 +280,6 @@ func (d *Device) Pages() uint64 { return d.ftl.ExportedPages() }
 // SetGate installs an I/O gate (nil removes it).
 func (d *Device) SetGate(g Gate) { d.gate = g }
 
-// Stats returns a snapshot of device counters (sourced from the obs
-// registry's "<profile>.*" metrics).
-func (d *Device) Stats() Stats {
-	return Stats{
-		ReadCmds: d.cReadCmds.Value(), WriteCmds: d.cWriteCmds.Value(),
-		FlushCmds: d.cFlushCmds.Value(),
-		PagesRead: d.cPagesRead.Value(), PagesWrit: d.cPagesWrit.Value(),
-		GatedReads: d.cGatedRd.Value(), GatedWrits: d.cGatedWr.Value(),
-	}
-}
-
 // getPage returns a page-sized buffer, recycling drained write-buffer
 // copies. Contents are undefined; every user overwrites the whole page.
 func (d *Device) getPage() []byte {
@@ -343,7 +322,6 @@ func (d *Device) pcieTime(bytes int) sim.Duration {
 
 // pcieXfer moves bytes over the shared host link: acquire, hold for the
 // transfer time (under a span on the link's own track), release.
-// Timing-identical to pcie.Use.
 func (d *Device) pcieXfer(p *sim.Proc, bytes int) {
 	dur := d.pcieTime(bytes)
 	d.pcie.Acquire(p)

@@ -6,8 +6,21 @@ import (
 	"testing"
 
 	"twobssd/internal/ftl"
+	"twobssd/internal/obs"
 	"twobssd/internal/sim"
 )
+
+// counter reads a registry series by name and fails the test when no
+// component registered it: Registry.Counter would create the name and
+// read 0, so a misspelled name would pass an "== 0" check vacuously.
+func counter(t testing.TB, e *sim.Env, name string) uint64 {
+	t.Helper()
+	v, ok := obs.Of(e).Snapshot().Counters[name]
+	if !ok {
+		t.Fatalf("no counter %q in the registry", name)
+	}
+	return v
+}
 
 // small returns a profile scaled down for fast tests.
 func small(p Profile) Profile {
@@ -145,7 +158,7 @@ func TestSameLBARewritesLastWriteWins(t *testing.T) {
 		}
 	})
 	e.Run()
-	if w := d.FTL().Stats().HostPageWrites; w != 5 {
+	if w := counter(t, e, "ftl.host_page_writes"); w != 5 {
 		t.Errorf("FTL writes = %d, want 5 (each rewrite hits NAND)", w)
 	}
 }
@@ -174,7 +187,7 @@ func TestSameLBACoalescesWhenDrainIsSlow(t *testing.T) {
 	})
 	e.Run()
 	// lba 9 (1 write) + lba 3 coalesced (far fewer than 5).
-	if w := d.FTL().Stats().HostPageWrites; w > 3 {
+	if w := counter(t, e, "ftl.host_page_writes"); w > 3 {
 		t.Errorf("FTL writes = %d, want <= 3 (coalesced)", w)
 	}
 }
@@ -197,9 +210,8 @@ func TestGateBlocksIO(t *testing.T) {
 		}
 	})
 	e.Run()
-	st := d.Stats()
-	if st.GatedReads != 1 || st.GatedWrits != 1 {
-		t.Fatalf("gate stats = %+v", st)
+	if rd, wr := counter(t, e, "ULL-SSD.gated_reads"), counter(t, e, "ULL-SSD.gated_writes"); rd != 1 || wr != 1 {
+		t.Fatalf("%d gated reads, %d gated writes; want 1 each", rd, wr)
 	}
 }
 

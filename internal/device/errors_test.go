@@ -8,7 +8,6 @@ import (
 	"twobssd/internal/fault"
 	"twobssd/internal/ftl"
 	"twobssd/internal/integrity"
-	"twobssd/internal/obs"
 	"twobssd/internal/sim"
 )
 
@@ -20,7 +19,6 @@ import (
 // by equality.
 func TestTimeoutBackoffErrorWrapping(t *testing.T) {
 	e := sim.NewEnv()
-	o := obs.Of(e)
 	fault.Install(e, fault.Plan{
 		Seed:         11,
 		TimeoutOneIn: 2, // roughly every other command times out
@@ -68,7 +66,7 @@ func TestTimeoutBackoffErrorWrapping(t *testing.T) {
 		}
 	})
 	e.Run()
-	if n := o.Registry().Counter("ULL-SSD.cmd_timeouts").Value(); n == 0 {
+	if counter(t, e, "ULL-SSD.cmd_timeouts") == 0 {
 		t.Error("no command timeouts injected; backoff path never ran")
 	}
 }

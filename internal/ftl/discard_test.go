@@ -6,7 +6,6 @@ import (
 
 	"twobssd/internal/fault"
 	"twobssd/internal/nand"
-	"twobssd/internal/obs"
 	"twobssd/internal/sim"
 )
 
@@ -68,8 +67,8 @@ func TestSupersededPagesHoldNoBytes(t *testing.T) {
 		f.gcLock.Release()
 	})
 	e.Run()
-	if st := f.flash.Stats(); st.BlockErases != 0 || f.Stats().GCRuns != 0 {
-		t.Fatalf("%d erases, %d collections: the drive was meant never to collect", st.BlockErases, f.Stats().GCRuns)
+	if erases, runs := counter(t, e, "nand.block_erases"), counter(t, e, "ftl.gc_runs"); erases != 0 || runs != 0 {
+		t.Fatalf("%d erases, %d collections: the drive was meant never to collect", erases, runs)
 	}
 	if overwrites == 0 || trims == 0 || moves == 0 {
 		t.Fatalf("%d overwrites, %d trims, %d relocations: a way of dropping a page went unexercised", overwrites, trims, moves)
@@ -131,7 +130,7 @@ func racingOverwrite(t *testing.T, read func(p *sim.Proc, f *FTL, lba LBA) []byt
 		returned = e.Now()
 	})
 	e.Run()
-	if n := obs.Of(e).Registry().Counter("fault.uncorrectable_reads").Value(); n == 0 {
+	if counter(t, e, "fault.uncorrectable_reads") == 0 {
 		t.Fatal("the read never failed ECC; the test exercises nothing")
 	}
 	if overwritten == 0 || overwritten >= returned {

@@ -35,25 +35,6 @@ type Config struct {
 	ReservedPerDie int
 }
 
-// Stats captures FTL health and write-amplification counters.
-type Stats struct {
-	HostPageWrites uint64 // pages written by the host
-	HostPageReads  uint64
-	NandPagewrites uint64 // pages programmed on flash (host + GC)
-	GCRelocations  uint64 // valid pages moved by GC
-	GCRuns         uint64
-	FreeBlocks     int
-}
-
-// WAF returns the write-amplification factor (NAND writes per host
-// write). It reports 1.0 before any host write.
-func (s Stats) WAF() float64 {
-	if s.HostPageWrites == 0 {
-		return 1.0
-	}
-	return float64(s.NandPagewrites) / float64(s.HostPageWrites)
-}
-
 // Errors reported by the FTL.
 var (
 	ErrLBAOutOfRange = errors.New("ftl: LBA out of exported range")
@@ -205,14 +186,11 @@ func (f *FTL) Config() Config { return f.cfg }
 // WearStats summarizes erase wear across the usable blocks — the
 // "SSD lifespan" side of the paper's WAF argument (Section IV-A).
 // RetiredBlocks is a scan of blocks the NAND layer marked bad (worn
-// out, erase failures or explicit retirement); the relocation counts
-// mirror the "ftl.gc_relocations"/"ftl.retire_relocations" metrics.
+// out, erase failures or explicit retirement).
 type WearStats struct {
 	MinErase, MaxErase int
 	TotalErase         uint64
 	RetiredBlocks      int
-	GCRelocations      uint64 // valid pages moved by garbage collection
-	RetireRelocations  uint64 // valid pages evacuated off retired blocks
 }
 
 // Wear scans the usable blocks and reports erase-cycle statistics.
@@ -240,8 +218,6 @@ func (f *FTL) Wear() WearStats {
 	if w.MinErase == int(^uint(0)>>1) {
 		w.MinErase = 0
 	}
-	w.GCRelocations = f.cGCReloc.Value()
-	w.RetireRelocations = f.cRetireReloc.Value()
 	return w
 }
 
@@ -250,20 +226,6 @@ func (f *FTL) ExportedPages() uint64 { return f.exportedPages }
 
 // PageSize reports the logical/physical page size in bytes.
 func (f *FTL) PageSize() int { return f.flash.Config().PageSize }
-
-// Stats returns a snapshot of FTL counters, sourced from the obs
-// registry ("ftl.*" metrics) so reports and this API agree by
-// construction.
-func (f *FTL) Stats() Stats {
-	return Stats{
-		HostPageWrites: f.cHostWrites.Value(),
-		HostPageReads:  f.cHostReads.Value(),
-		NandPagewrites: f.cNandWrites.Value(),
-		GCRelocations:  f.cGCReloc.Value(),
-		GCRuns:         f.cGCRuns.Value(),
-		FreeBlocks:     len(f.free),
-	}
-}
 
 // Mapped reports whether an LBA currently has a physical mapping.
 func (f *FTL) Mapped(lba LBA) bool {

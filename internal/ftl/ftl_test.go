@@ -9,8 +9,21 @@ import (
 	"testing/quick"
 
 	"twobssd/internal/nand"
+	"twobssd/internal/obs"
 	"twobssd/internal/sim"
 )
+
+// counter reads a registry series by name and fails the test when no
+// component registered it: Registry.Counter would create the name and
+// read 0, so a misspelled name would pass an "== 0" check vacuously.
+func counter(t testing.TB, e *sim.Env, name string) uint64 {
+	t.Helper()
+	v, ok := obs.Of(e).Snapshot().Counters[name]
+	if !ok {
+		t.Fatalf("no counter %q in the registry", name)
+	}
+	return v
+}
 
 func testFlash(e *sim.Env) *nand.Flash {
 	return nand.New(e, nand.Config{
@@ -99,9 +112,8 @@ func TestOverwriteInvalidatesOld(t *testing.T) {
 		}
 	})
 	e.Run()
-	st := f.Stats()
-	if st.HostPageWrites != 2 || st.NandPagewrites != 2 {
-		t.Fatalf("stats = %+v", st)
+	if host, prog := counter(t, e, "ftl.host_page_writes"), counter(t, e, "ftl.nand_page_writes"); host != 2 || prog != 2 {
+		t.Fatalf("%d host writes, %d NAND writes; want 2 each", host, prog)
 	}
 }
 
@@ -180,15 +192,11 @@ func TestGCPreservesData(t *testing.T) {
 		}
 	})
 	e.Run()
-	st := f.Stats()
-	if st.GCRuns == 0 {
+	if counter(t, e, "ftl.gc_runs") == 0 {
 		t.Fatal("expected GC to run")
 	}
-	if st.NandPagewrites <= st.HostPageWrites {
+	if counter(t, e, "ftl.nand_page_writes") <= counter(t, e, "ftl.host_page_writes") {
 		t.Fatal("GC should amplify writes")
-	}
-	if st.WAF() < 1.0 {
-		t.Fatalf("WAF = %.2f < 1", st.WAF())
 	}
 }
 
@@ -203,15 +211,9 @@ func TestWAFOneForSequentialFill(t *testing.T) {
 		}
 	})
 	e.Run()
-	if waf := f.Stats().WAF(); waf != 1.0 {
-		t.Fatalf("sequential fill WAF = %.3f, want 1.0", waf)
-	}
-}
-
-func TestStatsWAFBeforeWrites(t *testing.T) {
-	var s Stats
-	if s.WAF() != 1.0 {
-		t.Fatalf("zero-write WAF = %v", s.WAF())
+	host, prog := counter(t, e, "ftl.host_page_writes"), counter(t, e, "ftl.nand_page_writes")
+	if host != f.ExportedPages() || prog != host {
+		t.Fatalf("sequential fill of %d pages: %d host writes, %d NAND writes; want WAF 1", f.ExportedPages(), host, prog)
 	}
 }
 
@@ -403,7 +405,7 @@ func TestRelocationNeverRevertsAcknowledgedWrite(t *testing.T) {
 		}
 	})
 	e.Run()
-	if st := f.Stats(); st.GCRelocations == 0 {
+	if counter(t, e, "ftl.gc_relocations") == 0 {
 		t.Fatal("workload never relocated a page; the test exercises nothing")
 	}
 	e.Go("verify", func(p *sim.Proc) {

@@ -28,7 +28,7 @@ func TestTagsSurviveGC(t *testing.T) {
 				want[lba] = data
 			}
 		}
-		if f.Stats().GCRuns == 0 {
+		if counter(t, e, "ftl.gc_runs") == 0 {
 			t.Fatal("workload did not trigger GC; test proves nothing")
 		}
 		for lba, data := range want {

@@ -9,7 +9,6 @@ import (
 
 	"twobssd/internal/fault"
 	"twobssd/internal/nand"
-	"twobssd/internal/obs"
 	"twobssd/internal/sim"
 )
 
@@ -177,15 +176,16 @@ func TestRelocationRunsNeverRevertHostWrite(t *testing.T) {
 		})
 	})
 	e.Run()
-	if st := f.Stats(); st.GCRelocations == 0 || f.relocWork == nil {
-		t.Fatalf("workload never handed a run to the relocation workers (%d relocations); the test exercises nothing", st.GCRelocations)
+	relocs := counter(t, e, "ftl.gc_relocations")
+	if relocs == 0 || f.relocWork == nil {
+		t.Fatalf("workload never handed a run to the relocation workers (%d relocations); the test exercises nothing", relocs)
 	}
 	if midMoveWrites == 0 || midMoveTrims == 0 || twiceInARow == 0 {
 		t.Fatalf("races not exercised: %d host writes and %d trims landed on a block being moved, %d pages sat in two consecutive victims",
 			midMoveWrites, midMoveTrims, twiceInARow)
 	}
 	t.Logf("%d relocations; %d writes and %d trims hit a block mid-move; %d pages in two consecutive victims",
-		f.Stats().GCRelocations, midMoveWrites, midMoveTrims, twiceInARow)
+		relocs, midMoveWrites, midMoveTrims, twiceInARow)
 	checkMaps(t, f)
 	e.Go("verify", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
@@ -213,9 +213,8 @@ func TestZeroValidVictimPathIsUntouched(t *testing.T) {
 		}
 	})
 	e.Run()
-	st := f.Stats()
-	if st.GCRuns != 135 || st.GCRelocations != 0 {
-		t.Fatalf("gc runs %d, relocations %d; want 135 zero-valid victims", st.GCRuns, st.GCRelocations)
+	if runs, relocs := counter(t, e, "ftl.gc_runs"), counter(t, e, "ftl.gc_relocations"); runs != 135 || relocs != 0 {
+		t.Fatalf("gc runs %d, relocations %d; want 135 zero-valid victims", runs, relocs)
 	}
 	if e.Now() != 352042368 || e.Events() != 3208 {
 		t.Fatalf("virtual time %d, events %d; want 352042368, 3208", e.Now(), e.Events())
@@ -312,13 +311,12 @@ func TestRunProgramFailureMidRun(t *testing.T) {
 	for seed := uint64(1); seed < 400; seed++ {
 		e := sim.NewEnv()
 		fault.Install(e, fault.Plan{Seed: seed, ProgramFailOneIn: 24})
-		fails := obs.Of(e).Registry().Counter("fault.program_fails")
 		f := newTestFTL(e)
 		fc := f.flash.Config()
 		tried := false
 		e.Go("t", func(p *sim.Proc) {
 			victim := fullBlocks(t, p, f)
-			if fails.Value() != 0 {
+			if counter(t, e, "fault.program_fails") != 0 {
 				return // this seed fails a host write first; try the next
 			}
 			if f.validCount[victim] != fc.PagesPerBlock {
@@ -331,7 +329,7 @@ func TestRunProgramFailureMidRun(t *testing.T) {
 				t.Fatalf("seed %d: evacuate: %v", seed, err)
 			}
 			k := int(f.cRetireReloc.Value())
-			if fails.Value() != 1 || k == 0 {
+			if counter(t, e, "fault.program_fails") != 1 || k == 0 {
 				return // no failure, or at the run's first page: nothing rebound before it
 			}
 			tried = true
@@ -371,7 +369,6 @@ func TestRunUncorrectableReadSalvagesOnePage(t *testing.T) {
 	fault.Install(e, fault.Plan{Seed: 1, BER: &fault.BERModel{
 		Base: 1e-4, RetentionPerHour: 100, ECCBits: 40, RetrySteps: 2, RetryLatency: 60 * sim.Microsecond,
 	}})
-	reg := obs.Of(e).Registry()
 	f := newTestFTL(e)
 	fc := f.flash.Config()
 	e.Go("t", func(p *sim.Proc) {
@@ -385,17 +382,17 @@ func TestRunUncorrectableReadSalvagesOnePage(t *testing.T) {
 			}
 		}
 		victim := f.open[0].blk
-		reads := f.flash.Stats().PageReads
+		reads := counter(t, e, "nand.page_reads")
 		f.gcLock.Acquire(p)
 		err := f.evacuate(p, victim, false, f.cGCReloc, false)
 		f.gcLock.Release()
 		if err != nil {
 			t.Fatalf("evacuate: %v", err)
 		}
-		if got := reg.Counter("fault.uncorrectable_reads").Value(); got != 1 {
+		if got := counter(t, e, "fault.uncorrectable_reads"); got != 1 {
 			t.Errorf("%d uncorrectable reads, want the aged page only", got)
 		}
-		if got := f.flash.Stats().PageReads - reads; got != uint64(fc.PagesPerBlock)+1 {
+		if got := counter(t, e, "nand.page_reads") - reads; got != uint64(fc.PagesPerBlock)+1 {
 			t.Errorf("%d page reads, want the run's %d plus one salvage", got, fc.PagesPerBlock)
 		}
 		if f.cRetired.Value() != 0 || f.validCount[victim] != 0 {

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"slices"
 
+	"twobssd/internal/obs"
 	"twobssd/internal/sim"
 	"twobssd/internal/vfs"
 	"twobssd/internal/wal"
@@ -47,14 +48,6 @@ var (
 	ErrOutOfHome = errors.New("jfs: block beyond home file")
 )
 
-// Stats aggregates journal activity.
-type Stats struct {
-	Txns        uint64
-	BlocksInTxn uint64
-	Checkpoints uint64
-	Replayed    uint64
-}
-
 // Store is a journaled block store.
 type Store struct {
 	cfg Config
@@ -68,7 +61,9 @@ type Store struct {
 	// mu serializes transactions (jbd2 has one running transaction).
 	mu *sim.Resource
 
-	stats Stats
+	// Counters ("jfs.*" in the obs registry, summed over every store of
+	// the environment: a mount's replay count is the delta around Open).
+	cTxns, cBlocks, cCheckpoints, cReplayed *obs.Counter
 }
 
 // Open creates or recovers a store: journal records past the last
@@ -85,21 +80,23 @@ func Open(env *sim.Env, p *sim.Proc, cfg Config) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
+	reg := obs.Of(env).Registry()
 	s := &Store{
-		cfg:     cfg,
-		env:     env,
-		log:     l,
-		pending: make(map[uint32][]byte),
-		mu:      env.NewResource("jfs.txn", 1),
+		cfg:          cfg,
+		env:          env,
+		log:          l,
+		pending:      make(map[uint32][]byte),
+		mu:           env.NewResource("jfs.txn", 1),
+		cTxns:        reg.Counter("jfs.txns"),
+		cBlocks:      reg.Counter("jfs.blocks_in_txn"),
+		cCheckpoints: reg.Counter("jfs.checkpoints"),
+		cReplayed:    reg.Counter("jfs.replayed"),
 	}
 	if err := s.recover(p); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
-
-// Stats returns a snapshot of counters.
-func (s *Store) Stats() Stats { return s.stats }
 
 // Blocks returns the home file capacity in blocks.
 func (s *Store) Blocks() uint32 { return uint32(s.cfg.Home.Capacity() / BlockSize) }
@@ -198,8 +195,8 @@ func (t *Txn) Commit(p *sim.Proc) error {
 	for blk, data := range t.blocks {
 		s.pending[blk] = data
 	}
-	s.stats.Txns++
-	s.stats.BlocksInTxn += uint64(len(t.blocks))
+	s.cTxns.Inc()
+	s.cBlocks.Add(uint64(len(t.blocks)))
 	s.sinceCk++
 	if s.sinceCk >= s.cfg.CheckpointEvery {
 		return s.checkpointLocked(p)
@@ -245,7 +242,7 @@ func (s *Store) checkpointLocked(p *sim.Proc) error {
 	}
 	s.pending = make(map[uint32][]byte)
 	s.sinceCk = 0
-	s.stats.Checkpoints++
+	s.cCheckpoints.Inc()
 	return nil
 }
 
@@ -259,7 +256,7 @@ func (s *Store) recover(p *sim.Proc) error {
 		for blk, data := range blocks {
 			s.pending[blk] = data
 		}
-		s.stats.Replayed++
+		s.cReplayed.Inc()
 		return nil
 	})
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"twobssd/internal/core"
+	"twobssd/internal/obs"
 	"twobssd/internal/sim"
 	"twobssd/internal/vfs"
 	"twobssd/internal/wal"
@@ -66,6 +67,54 @@ func (r *rig) open(t *testing.T, mode wal.CommitMode) (*Store, Config) {
 	return s, cfg
 }
 
+// counter reads a registry series by name and fails the test when no
+// component registered it: Registry.Counter would create the name and
+// read 0, so a misspelled name would pass an "== 0" check vacuously.
+func counter(t testing.TB, e *sim.Env, name string) uint64 {
+	t.Helper()
+	v, ok := obs.Of(e).Snapshot().Counters[name]
+	if !ok {
+		t.Fatalf("no counter %q in the registry", name)
+	}
+	return v
+}
+
+// The store counts into the environment's "jfs.*" series: two
+// transactions of three blocks, a checkpoint, and — on a remount after
+// one more transaction — one replayed record.
+func TestCountersAreRegistrySeries(t *testing.T) {
+	r := newRig()
+	s, _ := r.open(t, wal.Sync)
+	r.env.Go("t", func(p *sim.Proc) {
+		for i, blocks := range [][]uint32{{1, 2}, {3}, {4}} {
+			tx := s.Begin()
+			for _, blk := range blocks {
+				tx.WriteBlock(blk, versioned(blk, i))
+			}
+			if err := tx.Commit(p); err != nil {
+				t.Fatalf("commit %d: %v", i, err)
+			}
+			if i == 1 {
+				if err := s.Checkpoint(p); err != nil {
+					t.Fatalf("checkpoint: %v", err)
+				}
+			}
+		}
+	})
+	r.env.Run()
+	r.open(t, wal.Sync)
+	for _, c := range []struct {
+		name string
+		want uint64
+	}{
+		{"jfs.txns", 3}, {"jfs.blocks_in_txn", 4}, {"jfs.checkpoints", 1}, {"jfs.replayed", 1},
+	} {
+		if got := counter(t, r.env, c.name); got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, got, c.want)
+		}
+	}
+}
+
 func testWriteRead(t *testing.T, mode wal.CommitMode) {
 	r := newRig()
 	s, _ := r.open(t, mode)
@@ -109,7 +158,7 @@ func TestEmptyTxnIsNoop(t *testing.T) {
 		}
 	})
 	r.env.Run()
-	if s.Stats().Txns != 0 {
+	if counter(t, r.env, "jfs.txns") != 0 {
 		t.Fatal("empty txn counted")
 	}
 }
@@ -156,7 +205,7 @@ func TestCheckpointWritesHome(t *testing.T) {
 		}
 	})
 	r.env.Run()
-	if s.Stats().Checkpoints == 0 {
+	if counter(t, r.env, "jfs.checkpoints") == 0 {
 		t.Fatal("no checkpoint counted")
 	}
 }
@@ -174,7 +223,7 @@ func TestAutomaticCheckpointOnPressure(t *testing.T) {
 		}
 	})
 	r.env.Run()
-	if s.Stats().Checkpoints == 0 {
+	if counter(t, r.env, "jfs.checkpoints") == 0 {
 		t.Fatal("no automatic checkpoint")
 	}
 }
@@ -193,9 +242,10 @@ func TestCrashRecoveryReplaysJournal(t *testing.T) {
 		// No checkpoint: home file still stale. "Crash" and reopen.
 	})
 	r.env.Run()
+	before := counter(t, r.env, "jfs.replayed")
 	s2, _ := r.open(t, wal.Sync)
-	if s2.Stats().Replayed != 10 {
-		t.Fatalf("replayed %d txns, want 10", s2.Stats().Replayed)
+	if got := counter(t, r.env, "jfs.replayed") - before; got != 10 {
+		t.Fatalf("replayed %d txns, want 10", got)
 	}
 	r.env.Go("verify", func(p *sim.Proc) {
 		for i := 0; i < 10; i++ {
@@ -331,8 +381,8 @@ func TestBACheckpointThenPowerLoss(t *testing.T) {
 				t.Fatalf("commit %d: %v", i, err)
 			}
 		}
-		if s.Stats().Checkpoints != 1 {
-			t.Fatalf("checkpoints = %d, want the one after txn 64", s.Stats().Checkpoints)
+		if n := counter(t, r.env, "jfs.checkpoints"); n != 1 {
+			t.Fatalf("checkpoints = %d, want the one after txn 64", n)
 		}
 		if _, err := r.ssd.PowerLoss(p); err != nil {
 			t.Fatalf("power loss: %v", err)
@@ -342,8 +392,9 @@ func TestBACheckpointThenPowerLoss(t *testing.T) {
 		}
 	})
 	r.env.Run()
+	before := counter(t, r.env, "jfs.replayed")
 	s2, _ := r.open(t, wal.BA)
-	if got := s2.Stats().Replayed; got != 3 {
+	if got := counter(t, r.env, "jfs.replayed") - before; got != 3 {
 		t.Errorf("replayed %d journal records, want the 3 past the checkpoint", got)
 	}
 	r.env.Go("verify", func(p *sim.Proc) {
@@ -401,8 +452,8 @@ func TestCheckpointRunsAreDeterministic(t *testing.T) {
 			}
 		})
 		r.env.Run()
-		if s.Stats().Checkpoints != 2 {
-			t.Fatalf("checkpoints = %d, want 2", s.Stats().Checkpoints)
+		if n := counter(t, r.env, "jfs.checkpoints"); n != 2 {
+			t.Fatalf("checkpoints = %d, want 2", n)
 		}
 		return fmt.Sprintf("end=%d media=%08x", r.env.Now(), crc.Sum32())
 	}

@@ -15,6 +15,7 @@ import (
 	"sort"
 	"strconv"
 
+	"twobssd/internal/obs"
 	"twobssd/internal/sim"
 	"twobssd/internal/wal"
 )
@@ -45,13 +46,6 @@ func (c *Config) fillDefaults() error {
 	return nil
 }
 
-// Stats aggregates store counters.
-type Stats struct {
-	Sets, Gets, Dels uint64
-	Hits             uint64
-	Rewrites         uint64
-}
-
 // entry is one dictionary value. Values are boxed so a hot update
 // mutates in place (reusing the buffer) instead of paying a map
 // assignment — and its key-string conversion — per write.
@@ -66,8 +60,10 @@ type Store struct {
 	dict map[string]*entry
 	aof  *wal.Log
 	// loop serializes every command: Redis's single-threaded design.
-	loop  *sim.Resource
-	stats Stats
+	loop *sim.Resource
+	// Counters ("kvaof.*" in the obs registry, summed over every store
+	// of the environment).
+	cSets, cGets, cDels, cHits, cRewrites *obs.Counter
 	// scratch backs AOF record encoding; safe to reuse because the
 	// command loop is exclusive and wal.Append copies the payload.
 	scratch []byte
@@ -85,21 +81,24 @@ func Open(env *sim.Env, p *sim.Proc, cfg Config) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
+	reg := obs.Of(env).Registry()
 	s := &Store{
-		env:  env,
-		cfg:  cfg,
-		dict: make(map[string]*entry),
-		aof:  l,
-		loop: env.NewResource("kvaof.loop", 1),
+		env:       env,
+		cfg:       cfg,
+		dict:      make(map[string]*entry),
+		aof:       l,
+		loop:      env.NewResource("kvaof.loop", 1),
+		cSets:     reg.Counter("kvaof.sets"),
+		cGets:     reg.Counter("kvaof.gets"),
+		cDels:     reg.Counter("kvaof.dels"),
+		cHits:     reg.Counter("kvaof.hits"),
+		cRewrites: reg.Counter("kvaof.rewrites"),
 	}
 	if err := s.replay(p); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
-
-// Stats returns a snapshot of counters.
-func (s *Store) Stats() Stats { return s.stats }
 
 // Log exposes the AOF log for commit accounting.
 func (s *Store) Log() *wal.Log { return s.aof }
@@ -162,7 +161,7 @@ func (s *Store) Set(p *sim.Proc, key, value []byte) error {
 		return err
 	}
 	s.put(key, value)
-	s.stats.Sets++
+	s.cSets.Inc()
 	return nil
 }
 
@@ -175,7 +174,7 @@ func (s *Store) Del(p *sim.Proc, key []byte) error {
 		return err
 	}
 	delete(s.dict, string(key))
-	s.stats.Dels++
+	s.cDels.Inc()
 	return nil
 }
 
@@ -186,12 +185,12 @@ func (s *Store) Get(p *sim.Proc, key []byte) ([]byte, bool) {
 	s.loop.Acquire(p)
 	defer s.loop.Release()
 	p.Sleep(s.cfg.ReadCPU)
-	s.stats.Gets++
+	s.cGets.Inc()
 	e, ok := s.dict[string(key)]
 	if !ok {
 		return nil, false
 	}
-	s.stats.Hits++
+	s.cHits.Inc()
 	return e.v, true
 }
 
@@ -257,7 +256,7 @@ func (s *Store) rewrite(p *sim.Proc) error {
 	if err := s.aof.Checkpoint(p, start); err != nil {
 		return err
 	}
-	s.stats.Rewrites++
+	s.cRewrites.Inc()
 	return nil
 }
 
@@ -305,7 +304,7 @@ func (s *Store) Incr(p *sim.Proc, key []byte) (int64, error) {
 	if err := s.logCmd(p, cmdIncr, key, nil); err != nil {
 		return 0, err
 	}
-	s.stats.Sets++
+	s.cSets.Inc()
 	return s.applyIncr(key), nil
 }
 
@@ -318,7 +317,7 @@ func (s *Store) Append(p *sim.Proc, key, value []byte) (int, error) {
 	if err := s.logCmd(p, cmdAppend, key, value); err != nil {
 		return 0, err
 	}
-	s.stats.Sets++
+	s.cSets.Inc()
 	return s.applyAppend(key, value), nil
 }
 
@@ -327,7 +326,7 @@ func (s *Store) Exists(p *sim.Proc, key []byte) bool {
 	s.loop.Acquire(p)
 	defer s.loop.Release()
 	p.Sleep(s.cfg.ReadCPU)
-	s.stats.Gets++
+	s.cGets.Inc()
 	_, ok := s.dict[string(key)]
 	return ok
 }

@@ -11,6 +11,7 @@ import (
 	"testing/quick"
 
 	"twobssd/internal/core"
+	"twobssd/internal/obs"
 	"twobssd/internal/sim"
 	"twobssd/internal/vfs"
 	"twobssd/internal/wal"
@@ -48,6 +49,60 @@ func (r *rig) config(mode wal.CommitMode) Config {
 func (r *rig) sized(mode wal.CommitMode, fileBytes int) Config {
 	return Config{Log: wal.Config{Mode: mode, FS: r.fs, Ring: 4, SegmentFileBytes: int64(fileBytes),
 		SSD: r.ssd, EIDs: []core.EID{0}, SegmentBytes: fileBytes}}
+}
+
+// counter reads a registry series by name and fails the test when no
+// component registered it: Registry.Counter would create the name and
+// read 0, so a misspelled name would pass an "== 0" check vacuously.
+func counter(t testing.TB, e *sim.Env, name string) uint64 {
+	t.Helper()
+	v, ok := obs.Of(e).Snapshot().Counters[name]
+	if !ok {
+		t.Fatalf("no counter %q in the registry", name)
+	}
+	return v
+}
+
+// The store counts into the environment's "kvaof.*" series: SET, INCR
+// and APPEND are sets; GET and EXISTS are gets, of which the ones that
+// find their key are hits; a forced rewrite counts once.
+func TestCountersAreRegistrySeries(t *testing.T) {
+	r := newRig()
+	r.env.Go("t", func(p *sim.Proc) {
+		s, err := Open(r.env, p, r.config(wal.Sync))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Set(p, []byte("a"), []byte("1")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Incr(p, []byte("n")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Append(p, []byte("a"), []byte("2")); err != nil {
+			t.Fatal(err)
+		}
+		s.Get(p, []byte("a"))
+		s.Get(p, []byte("missing"))
+		s.Exists(p, []byte("n"))
+		if err := s.Del(p, []byte("n")); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.rewrite(p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	r.env.Run()
+	for _, c := range []struct {
+		name string
+		want uint64
+	}{
+		{"kvaof.sets", 3}, {"kvaof.gets", 3}, {"kvaof.hits", 1}, {"kvaof.dels", 1}, {"kvaof.rewrites", 1},
+	} {
+		if got := counter(t, r.env, c.name); got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, got, c.want)
+		}
+	}
 }
 
 func TestSetGetDel(t *testing.T) {
@@ -113,7 +168,7 @@ func TestAOFRewriteCompacts(t *testing.T) {
 				t.Fatalf("set %d: %v", i, err)
 			}
 		}
-		if s.Stats().Rewrites == 0 {
+		if counter(t, r.env, "kvaof.rewrites") == 0 {
 			t.Fatal("expected AOF rewrites")
 		}
 		if s.Len() != 20 {
@@ -368,7 +423,7 @@ func TestBARewriteThenPowerLoss(t *testing.T) {
 			switch {
 			case after > 0:
 				after--
-			case s.Stats().Rewrites == 1:
+			case counter(t, r.env, "kvaof.rewrites") == 1:
 				after = 5
 			case i > 5000:
 				t.Fatal("the AOF never rewrote")
@@ -442,7 +497,7 @@ func TestRewriteRunsAreDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; s.Stats().Rewrites < 2; i++ {
+			for i := 0; counter(t, r.env, "kvaof.rewrites") < 2; i++ {
 				k := fmt.Sprintf("k%02d", i%20)
 				if err := s.Set(p, []byte(k), bytes.Repeat([]byte{byte(i)}, 100+37*(i%20))); err != nil {
 					t.Fatalf("set %d: %v", i, err)

@@ -169,17 +169,6 @@ type page struct {
 	oob  oobTag
 }
 
-// Stats aggregates operation counters for the flash array. The values
-// are sourced from the environment's obs registry (metric names
-// "nand.*"), so this snapshot and a metrics report can never disagree.
-type Stats struct {
-	PageReads    uint64
-	PagePrograms uint64
-	BlockErases  uint64
-	BytesRead    uint64
-	BytesWritten uint64
-}
-
 // Flash is a simulated NAND array bound to a sim.Env.
 type Flash struct {
 	env      *sim.Env
@@ -281,17 +270,6 @@ func busyFrac(env *sim.Env, rs []*sim.Resource) float64 {
 
 // Config returns the geometry/timing configuration.
 func (f *Flash) Config() Config { return f.cfg }
-
-// Stats returns a copy of the operation counters.
-func (f *Flash) Stats() Stats {
-	return Stats{
-		PageReads:    f.cReads.Value(),
-		PagePrograms: f.cPrograms.Value(),
-		BlockErases:  f.cErases.Value(),
-		BytesRead:    f.cBytesRead.Value(),
-		BytesWritten: f.cBytesWritten.Value(),
-	}
-}
 
 func (f *Flash) checkPPA(ppa PPA) error {
 	if uint64(ppa) >= uint64(f.cfg.Pages()) {

@@ -6,8 +6,21 @@ import (
 	"testing"
 	"testing/quick"
 
+	"twobssd/internal/obs"
 	"twobssd/internal/sim"
 )
+
+// counter reads a registry series by name and fails the test when no
+// component registered it: Registry.Counter would create the name and
+// read 0, so a misspelled name would pass an "== 0" check vacuously.
+func counter(t testing.TB, e *sim.Env, name string) uint64 {
+	t.Helper()
+	v, ok := obs.Of(e).Snapshot().Counters[name]
+	if !ok {
+		t.Fatalf("no counter %q in the registry", name)
+	}
+	return v
+}
 
 func testConfig() Config {
 	return Config{
@@ -95,9 +108,8 @@ func TestProgramReadRoundTrip(t *testing.T) {
 		}
 	})
 	e.Run()
-	st := f.Stats()
-	if st.PagePrograms != 1 || st.PageReads != 1 {
-		t.Fatalf("stats = %+v", st)
+	if pr, rd := counter(t, e, "nand.page_programs"), counter(t, e, "nand.page_reads"); pr != 1 || rd != 1 {
+		t.Fatalf("%d programs, %d reads; want 1 each", pr, rd)
 	}
 }
 

@@ -73,9 +73,16 @@ func TestRunOccupancyCountersAndTags(t *testing.T) {
 		}
 	})
 	e.Run()
-	st := f.Stats()
-	if st.PagePrograms != n || st.BytesWritten != uint64(n*c.PageSize) || st.PageReads != 3 || st.BytesRead != uint64(3*c.PageSize) {
-		t.Fatalf("stats = %+v", st)
+	for _, s := range []struct {
+		name string
+		want uint64
+	}{
+		{"nand.page_programs", n}, {"nand.bytes_written", uint64(n * c.PageSize)},
+		{"nand.page_reads", 3}, {"nand.bytes_read", uint64(3 * c.PageSize)},
+	} {
+		if got := counter(t, e, s.name); got != s.want {
+			t.Errorf("%s = %d, want %d", s.name, got, s.want)
+		}
 	}
 	if _, _, _, busy := f.dies[1].Stats(); busy != n*c.ProgramLatency+3*c.ReadLatency {
 		t.Errorf("die busy %v", busy)
@@ -174,8 +181,8 @@ func TestProgramRunStepsUnderInjector(t *testing.T) {
 					t.Fatalf("page %d of a run that failed at %d holds %d", i, done, got)
 				}
 			}
-			if f2.Stats().PagePrograms != uint64(blk*n+done) {
-				t.Fatalf("programs counted %d, want %d", f2.Stats().PagePrograms, blk*n+done)
+			if got := counter(t, e2, "nand.page_programs"); got != uint64(blk*n+done) {
+				t.Fatalf("programs counted %d, want %d", got, blk*n+done)
 			}
 			return
 		}

@@ -345,9 +345,10 @@ func Replay(seed uint64, cfg Config, ops []Op) Result {
 	})
 	env.Run()
 	_ = in
-	res.ScrubRepairs = s.ScrubStats().Repaired
-	res.GCRelocations = s.Device().FTL().Stats().GCRelocations
-	res.EccRetries = set.Registry().Counter("fault.ecc_retries").Value()
+	reg := set.Registry()
+	res.ScrubRepairs = reg.Counter("scrub.repaired").Value()
+	res.GCRelocations = reg.Counter("ftl.gc_relocations").Value()
+	res.EccRetries = reg.Counter("fault.ecc_retries").Value()
 	if res.Divergence != nil {
 		d := set.FlightDump("oracle divergence: " + res.Divergence.String())
 		res.Flight = &d

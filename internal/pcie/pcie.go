@@ -93,16 +93,13 @@ type Window struct {
 	pendHead int
 	spare    [][]byte
 
-	// Metrics ("pcie.*" in the obs registry — Stats() reads them back,
-	// so the MMIO report and this API agree by construction).
+	// Metrics ("pcie.*" in the obs registry).
 	o                       *obs.Set
 	inj                     *fault.Injector
 	cWrites, cReads, cSyncs *obs.Counter
 	cBytesWrit, cBytesRead  *obs.Counter
 	cEvictions, cWVReads    *obs.Counter
 	hWrite, hRead, hSync    *histo.H
-
-	committedBytes uint64
 }
 
 type burst struct {
@@ -195,7 +192,6 @@ func (w *Window) Write(p *sim.Proc, off int, data []byte) error {
 
 func (w *Window) commitBurst(b burst) {
 	copy(w.mem[b.off:], b.data)
-	w.committedBytes += uint64(len(b.data))
 }
 
 // getSeg returns a burst buffer of length n (≤ one WC burst), reusing a
@@ -293,20 +289,3 @@ func (w *Window) DropPending() int {
 
 // PendingBursts reports how many WC bursts are staged (volatile).
 func (w *Window) PendingBursts() int { return len(w.pending) - w.pendHead }
-
-// Stats reports operation counters.
-type Stats struct {
-	Writes, Reads, Syncs     uint64
-	BytesWritten, BytesRead  uint64
-	WCEvictions, VerifyReads uint64
-}
-
-// Stats returns a snapshot of the window counters (sourced from the
-// obs registry's "pcie.*" metrics).
-func (w *Window) Stats() Stats {
-	return Stats{
-		Writes: w.cWrites.Value(), Reads: w.cReads.Value(), Syncs: w.cSyncs.Value(),
-		BytesWritten: w.cBytesWrit.Value(), BytesRead: w.cBytesRead.Value(),
-		WCEvictions: w.cEvictions.Value(), VerifyReads: w.cWVReads.Value(),
-	}
-}

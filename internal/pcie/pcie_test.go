@@ -6,8 +6,21 @@ import (
 	"testing"
 	"testing/quick"
 
+	"twobssd/internal/obs"
 	"twobssd/internal/sim"
 )
+
+// counter reads a registry series by name and fails the test when no
+// component registered it: Registry.Counter would create the name and
+// read 0, so a misspelled name would pass an "== 0" check vacuously.
+func counter(t testing.TB, e *sim.Env, name string) uint64 {
+	t.Helper()
+	v, ok := obs.Of(e).Snapshot().Counters[name]
+	if !ok {
+		t.Fatalf("no counter %q in the registry", name)
+	}
+	return v
+}
 
 func newWin(e *sim.Env, size int) *Window {
 	return NewWindow(e, DefaultConfig(), make([]byte, size))
@@ -206,7 +219,7 @@ func TestWCOverflowEvictsOldestToDevice(t *testing.T) {
 		}
 	})
 	e.Run()
-	if w.Stats().WCEvictions == 0 {
+	if counter(t, e, "pcie.wc_evictions") == 0 {
 		t.Error("no evictions counted")
 	}
 }
@@ -252,15 +265,16 @@ func TestStatsCounters(t *testing.T) {
 		w.Read(p, 0, make([]byte, 10))
 	})
 	e.Run()
-	st := w.Stats()
-	if st.Writes != 1 || st.Syncs != 1 || st.Reads != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if st.BytesWritten != 100 || st.BytesRead != 10 {
-		t.Fatalf("byte stats = %+v", st)
-	}
-	if st.VerifyReads != 1 {
-		t.Fatalf("verify reads = %d", st.VerifyReads)
+	for _, c := range []struct {
+		name string
+		want uint64
+	}{
+		{"pcie.mmio_writes", 1}, {"pcie.syncs", 1}, {"pcie.mmio_reads", 1},
+		{"pcie.bytes_written", 100}, {"pcie.bytes_read", 10}, {"pcie.write_verify_reads", 1},
+	} {
+		if got := counter(t, e, c.name); got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, got, c.want)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"twobssd/internal/obs"
 	"twobssd/internal/sim"
 	"twobssd/internal/vfs"
 	"twobssd/internal/wal"
@@ -55,16 +56,6 @@ func (c *Config) fillDefaults() error {
 	return nil
 }
 
-// Stats aggregates engine counters.
-type Stats struct {
-	Commits     uint64
-	Reads       uint64
-	Writes      uint64
-	Checkpoints uint64
-	PoolHits    uint64
-	PoolMisses  uint64
-}
-
 // Table is one relation: a heap plus a B-tree primary index.
 type Table struct {
 	name string
@@ -88,7 +79,9 @@ type Engine struct {
 	commitsIdle   *sim.Signal
 	ckptDone      *sim.Signal
 
-	stats Stats
+	// Counters ("pglite.*" in the obs registry, summed over every engine
+	// of the environment; the buffer pools count "pglite.pool_*").
+	cCommits, cReads, cWrites, cCheckpoints *obs.Counter
 
 	// scanPool recycles scan scratch (key/rid staging) across calls;
 	// each in-flight scan holds its own buffer, so concurrent scans
@@ -130,13 +123,18 @@ func Open(env *sim.Env, p *sim.Proc, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	reg := obs.Of(env).Registry()
 	e := &Engine{
-		env:         env,
-		cfg:         cfg,
-		tables:      make(map[string]*Table),
-		xlog:        l,
-		commitsIdle: env.NewSignal("pglite.commitsidle"),
-		ckptDone:    env.NewSignal("pglite.ckptdone"),
+		env:          env,
+		cfg:          cfg,
+		tables:       make(map[string]*Table),
+		xlog:         l,
+		commitsIdle:  env.NewSignal("pglite.commitsidle"),
+		ckptDone:     env.NewSignal("pglite.ckptdone"),
+		cCommits:     reg.Counter("pglite.commits"),
+		cReads:       reg.Counter("pglite.reads"),
+		cWrites:      reg.Counter("pglite.writes"),
+		cCheckpoints: reg.Counter("pglite.checkpoints"),
 	}
 	if err := e.replay(p); err != nil {
 		return nil, err
@@ -149,16 +147,6 @@ func openOrCreate(fs *vfs.FS, name string, capacity int64) (*vfs.File, error) {
 		return fs.Open(name)
 	}
 	return fs.Create(name, capacity)
-}
-
-// Stats returns a snapshot including pool counters.
-func (e *Engine) Stats() Stats {
-	s := e.stats
-	for _, t := range e.tables {
-		s.PoolHits += t.heap.pool.hits
-		s.PoolMisses += t.heap.pool.misses
-	}
-	return s
 }
 
 // Log exposes the XLOG for commit-latency accounting in benches.
@@ -175,7 +163,7 @@ func (e *Engine) CreateTable(name string) error {
 	}
 	e.tables[name] = &Table{
 		name: name,
-		heap: newHeapStore(heapFile, e.cfg.BufferPoolPages, 300*sim.Nanosecond),
+		heap: newHeapStore(heapFile, e.cfg.BufferPoolPages, 300*sim.Nanosecond, obs.Of(e.env).Registry()),
 		idx:  newBTree(),
 	}
 	return nil
@@ -296,8 +284,8 @@ func (t *Txn) Commit(p *sim.Proc) error {
 		e.endCommit()
 		return err
 	}
-	e.stats.Commits++
-	e.stats.Writes += uint64(len(t.ops))
+	e.cCommits.Inc()
+	e.cWrites.Add(uint64(len(t.ops)))
 	e.endCommit()
 	// Proactive checkpoint before the ring runs out of slots.
 	retained := e.xlog.AppendOff() - int64(e.xlog.RetainedLSN())
@@ -346,7 +334,7 @@ func (e *Engine) apply(p *sim.Proc, ops []op) error {
 
 func (e *Engine) get(p *sim.Proc, table string, key []byte) ([]byte, bool, error) {
 	p.Sleep(e.cfg.ReadCPU)
-	e.stats.Reads++
+	e.cReads.Inc()
 	tab, err := e.table(table)
 	if err != nil {
 		return nil, false, err
@@ -389,7 +377,7 @@ func (e *Engine) scan(p *sim.Proc, table string, start []byte, limit int) (keys,
 // are valid only during the fn call. fn returning false stops the scan.
 func (e *Engine) scanVisit(p *sim.Proc, table string, start []byte, limit int, fn func(key, value []byte) bool) error {
 	p.Sleep(e.cfg.ReadCPU)
-	e.stats.Reads++
+	e.cReads.Inc()
 	tab, err := e.table(table)
 	if err != nil {
 		return err
@@ -455,7 +443,7 @@ func (e *Engine) Checkpoint(p *sim.Proc) error {
 	if err := e.xlog.Checkpoint(p, wal.LSN(e.xlog.AppendOff())); err != nil {
 		return err
 	}
-	e.stats.Checkpoints++
+	e.cCheckpoints.Inc()
 	return nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 
 	"twobssd/internal/core"
+	"twobssd/internal/obs"
 	"twobssd/internal/sim"
 	"twobssd/internal/vfs"
 	"twobssd/internal/wal"
@@ -195,6 +196,66 @@ func (r *rig) sized(mode wal.CommitMode, fileBytes int) Config {
 	}
 }
 
+// counter reads a registry series by name and fails the test when no
+// component registered it: Registry.Counter would create the name and
+// read 0, so a misspelled name would pass an "== 0" check vacuously.
+func counter(t testing.TB, e *sim.Env, name string) uint64 {
+	t.Helper()
+	v, ok := obs.Of(e).Snapshot().Counters[name]
+	if !ok {
+		t.Fatalf("no counter %q in the registry", name)
+	}
+	return v
+}
+
+// The engine counts into the environment's "pglite.*" series: three
+// commits of five row writes, two point reads and a scan, one
+// checkpoint, and buffer-pool traffic on both sides.
+func TestCountersAreRegistrySeries(t *testing.T) {
+	r := newRig()
+	r.env.Go("t", func(p *sim.Proc) {
+		eng, err := Open(r.env, p, r.config(wal.Sync))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.CreateTable("node")
+		for i, keys := range [][]string{{"a", "b"}, {"c", "d"}, {"a"}} {
+			tx := eng.Begin()
+			for _, k := range keys {
+				tx.Upsert("node", []byte(k), []byte{byte(i)})
+			}
+			if err := tx.Commit(p); err != nil {
+				t.Fatalf("commit %d: %v", i, err)
+			}
+		}
+		for _, k := range []string{"a", "z"} {
+			if _, _, err := eng.Begin().Get(p, "node", []byte(k)); err != nil {
+				t.Fatalf("get %s: %v", k, err)
+			}
+		}
+		if _, _, err := eng.Begin().Scan(p, "node", nil, 0); err != nil {
+			t.Fatalf("scan: %v", err)
+		}
+		if err := eng.Checkpoint(p); err != nil {
+			t.Fatalf("checkpoint: %v", err)
+		}
+	})
+	r.env.Run()
+	for _, c := range []struct {
+		name string
+		want uint64
+	}{
+		{"pglite.commits", 3}, {"pglite.writes", 5}, {"pglite.reads", 3}, {"pglite.checkpoints", 1},
+	} {
+		if got := counter(t, r.env, c.name); got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, got, c.want)
+		}
+	}
+	if hits, misses := counter(t, r.env, "pglite.pool_hits"), counter(t, r.env, "pglite.pool_misses"); hits == 0 || misses == 0 {
+		t.Errorf("%d pool hits, %d pool misses; want both", hits, misses)
+	}
+}
+
 func TestCommitAndRead(t *testing.T) {
 	r := newRig()
 	r.env.Go("t", func(p *sim.Proc) {
@@ -307,7 +368,7 @@ func TestCheckpointTriggeredByLogPressure(t *testing.T) {
 				t.Fatalf("commit %d: %v", i, err)
 			}
 		}
-		if eng.Stats().Checkpoints == 0 {
+		if counter(t, r.env, "pglite.checkpoints") == 0 {
 			t.Error("no checkpoints despite log pressure")
 		}
 		// Data intact after checkpoints.
@@ -574,7 +635,7 @@ func TestBACheckpointThenPowerLossAtTheLog(t *testing.T) {
 			case after > 0:
 				after--
 				live = append(live, wal.LSN(eng.Log().AppendOff()))
-			case eng.Stats().Checkpoints == 1:
+			case counter(t, r.env, "pglite.checkpoints") == 1:
 				after = 12
 			case i > 5000:
 				t.Fatal("the XLOG never checkpointed")

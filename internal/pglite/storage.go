@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"twobssd/internal/obs"
 	"twobssd/internal/sim"
 	"twobssd/internal/vfs"
 )
@@ -95,16 +96,19 @@ type bufferPool struct {
 	frames map[int32]*heapPage
 	order  []int32
 	hitCPU sim.Duration
-	hits   uint64
-	misses uint64
+	hits   *obs.Counter
+	misses *obs.Counter
 	evicts uint64
 }
 
-func newBufferPool(f *vfs.File, capacity int, hitCPU sim.Duration) *bufferPool {
+func newBufferPool(f *vfs.File, capacity int, hitCPU sim.Duration, reg *obs.Registry) *bufferPool {
 	if capacity < 4 {
 		capacity = 4
 	}
-	return &bufferPool{file: f, cap: capacity, frames: make(map[int32]*heapPage), hitCPU: hitCPU}
+	return &bufferPool{
+		file: f, cap: capacity, frames: make(map[int32]*heapPage), hitCPU: hitCPU,
+		hits: reg.Counter("pglite.pool_hits"), misses: reg.Counter("pglite.pool_misses"),
+	}
 }
 
 func (bp *bufferPool) touch(id int32) {
@@ -121,14 +125,14 @@ func (bp *bufferPool) touch(id int32) {
 // evicting (write-back) when over capacity.
 func (bp *bufferPool) fetch(p *sim.Proc, id int32) (*heapPage, error) {
 	if hp, ok := bp.frames[id]; ok {
-		bp.hits++
+		bp.hits.Inc()
 		if bp.hitCPU > 0 {
 			p.Sleep(bp.hitCPU)
 		}
 		bp.touch(id)
 		return hp, nil
 	}
-	bp.misses++
+	bp.misses.Inc()
 	raw := make([]byte, heapPageBytes)
 	if err := bp.file.ReadAt(p, int64(id)*heapPageBytes, raw); err != nil {
 		return nil, err
@@ -176,8 +180,8 @@ var (
 	errDeadTuple = errors.New("pglite: dead tuple")
 )
 
-func newHeapStore(f *vfs.File, poolPages int, hitCPU sim.Duration) *heapStore {
-	return &heapStore{pool: newBufferPool(f, poolPages, hitCPU)}
+func newHeapStore(f *vfs.File, poolPages int, hitCPU sim.Duration, reg *obs.Registry) *heapStore {
+	return &heapStore{pool: newBufferPool(f, poolPages, hitCPU, reg)}
 }
 
 // insert stores a tuple and returns its RID.

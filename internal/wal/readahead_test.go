@@ -164,7 +164,7 @@ func TestRecoverReadAmplification(t *testing.T) {
 				t.Fatalf("reopen: %v", err)
 			}
 			name := r.ssd.Device().Profile().Name
-			cmds0, pages0 := r.count(name+".read_cmds"), r.count(name+".pages_read")
+			cmds0, pages0 := r.count(t, name+".read_cmds"), r.count(t, name+".pages_read")
 			var took sim.Duration
 			n := 0
 			r.env.Go("recover", func(p *sim.Proc) {
@@ -175,7 +175,7 @@ func TestRecoverReadAmplification(t *testing.T) {
 				took = sim.Duration(r.env.Now() - t0)
 			})
 			r.env.Run()
-			cmds, pages := r.count(name+".read_cmds")-cmds0, r.count(name+".pages_read")-pages0
+			cmds, pages := r.count(t, name+".read_cmds")-cmds0, r.count(t, name+".pages_read")-pages0
 			if n != records {
 				t.Fatalf("recovered %d records, want %d", n, records)
 			}

@@ -124,7 +124,7 @@ func TestRingRoundtrip(t *testing.T) {
 			if rep := rl.Repair(); rep.TornTail || rep.Failure != "" {
 				t.Fatalf("clean shutdown reported a torn tail: %+v", rep)
 			}
-			if n := r.count("wal.seg_torn_repairs"); n != 0 {
+			if n := r.count(t, "wal.seg_torn_repairs"); n != 0 {
 				t.Fatalf("repairs = %d, want none", n)
 			}
 			var want []string
@@ -612,10 +612,10 @@ func groupCommitFingerprint(t *testing.T, mode CommitMode) (fp string, commits, 
 		media = crc.Sum32()
 	})
 	r.env.Run()
-	commits, groupFlushes = r.count("wal.seg_commits"), r.count("wal.seg_group_flushes")
+	commits, groupFlushes = r.count(t, "wal.seg_commits"), r.count(t, "wal.seg_group_flushes")
 	fp = fmt.Sprintf("media=%08x tail=%d durable=%d commits=%d flushes=%d rotations=%d commit_ns=%d",
 		media, sl.AppendOff(), sl.DurableOff(), commits, groupFlushes,
-		r.count("wal.seg_rotations"), r.histo("wal.seg_commit_ns").Sum())
+		r.count(t, "wal.seg_rotations"), r.histo("wal.seg_commit_ns").Sum())
 	r.env.Shutdown()
 	return fp, commits, groupFlushes
 }

@@ -36,8 +36,19 @@ func newRig() *rig {
 	return &rig{env: e, ssd: ssd, fs: vfs.New(ssd.Device())}
 }
 
-// count and histo read the env's "wal.*" registry series.
-func (r *rig) count(name string) uint64   { return obs.Of(r.env).Registry().Counter(name).Value() }
+// count reads a registry series by name and fails the test when no
+// component registered it: Registry.Counter would create the name and
+// read 0, so a misspelled name would pass an "== 0" check vacuously.
+func (r *rig) count(t testing.TB, name string) uint64 {
+	t.Helper()
+	v, ok := obs.Of(r.env).Snapshot().Counters[name]
+	if !ok {
+		t.Fatalf("no counter %q in the registry", name)
+	}
+	return v
+}
+
+// histo reads one of the env's "wal.*" latency histograms.
 func (r *rig) histo(name string) *histo.H { return obs.Of(r.env).Registry().Histo(name) }
 
 // powerCycle cuts the power and restores it. A short or torn capacitor
@@ -252,7 +263,7 @@ func TestGroupCommitSharesFlush(t *testing.T) {
 		})
 	}
 	r.env.Run()
-	if f := r.count("wal.flushes"); f >= n/2 {
+	if f := r.count(t, "wal.flushes"); f >= n/2 {
 		t.Fatalf("flushes = %d for %d clients; group commit broken", f, n)
 	}
 	if l.DurableOff() != l.AppendOff() {
@@ -280,7 +291,7 @@ func TestSegmentRolloverAndPadding(t *testing.T) {
 		l.FlushToNAND(p)
 	})
 	r.env.Run()
-	if r.count("wal.pad_bytes") == 0 {
+	if r.count(t, "wal.pad_bytes") == 0 {
 		t.Fatal("expected padding at segment boundaries")
 	}
 	// All records must survive recovery across the padding.
@@ -432,10 +443,10 @@ func TestStatsAccounting(t *testing.T) {
 		l.Commit(p, lsn)
 	})
 	r.env.Run()
-	if a, c, f := r.count("wal.appends"), r.count("wal.commits"), r.count("wal.flushes"); a != 1 || c != 1 || f == 0 {
+	if a, c, f := r.count(t, "wal.appends"), r.count(t, "wal.commits"), r.count(t, "wal.flushes"); a != 1 || c != 1 || f == 0 {
 		t.Fatalf("appends=%d commits=%d flushes=%d", a, c, f)
 	}
-	if b := r.count("wal.bytes_appended"); b != uint64(3+headerBytes) {
+	if b := r.count(t, "wal.bytes_appended"); b != uint64(3+headerBytes) {
 		t.Fatalf("bytes = %d", b)
 	}
 	if r.histo("wal.commit_ns").Mean() <= 0 {
