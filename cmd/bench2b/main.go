@@ -20,26 +20,20 @@
 //     byte-identical at any -j; -j 1 is strictly sequential and is what
 //     -benchjson's per-experiment attribution needs.
 //   - -benchjson / -benchgate / -obsbench measure the simulator itself
-//     on the host clock (BENCH_kernel.json, BENCH_obs.json); -listen
-//     keeps serving the finished run until interrupted.
+//     on the host clock (BENCH_kernel.json, BENCH_obs.json).
 package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"syscall"
 	"time"
 
 	"twobssd/internal/bench"
@@ -61,7 +55,6 @@ type options struct {
 	full        bool
 	jobs, seeds int
 	sample      time.Duration
-	listen      string
 	// report paths
 	metrics, trace, timeline, benchJSON, benchGate, obsbench, cpuProfile, memProfile string
 }
@@ -78,9 +71,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.trace, "trace", "", "write Chrome trace-event JSON (Perfetto) to this file")
 	fs.StringVar(&o.benchJSON, "benchjson", "", "write wall-clock kernel benchmark JSON to this file")
 	fs.StringVar(&o.obsbench, "obsbench", "", "write observability-overhead benchmark JSON to this file")
-	fs.DurationVar(&o.sample, "sample", 0, "virtual-time cadence for metric timelines (default 1ms when -timeline/-listen is given)")
+	fs.DurationVar(&o.sample, "sample", 0, "virtual-time cadence for metric timelines (default 1ms when -timeline is given)")
 	fs.StringVar(&o.timeline, "timeline", "", "write the merged metric timeline to this file (.csv extension selects CSV, else JSON)")
-	fs.StringVar(&o.listen, "listen", "", "serve /metrics, /timeline and /progress on this address; keeps serving after the run until interrupted")
 	fs.IntVar(&o.seeds, "seeds", 256, "seed count for the fuzz experiment")
 	fs.StringVar(&o.benchGate, "benchgate", "", "compare this run against a baseline kernel benchmark JSON; exit non-zero when wall time (+25%) or allocations (+10%), in total or of one experiment, regressed")
 	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a host CPU profile (pprof) of the run to this file")
@@ -149,20 +141,19 @@ type expReport struct {
 
 // kernelReport is the -benchjson wall-clock performance record.
 type kernelReport struct {
-	Schema         string                 `json:"schema"`
-	Scale          string                 `json:"scale"`
-	GoVersion      string                 `json:"go_version"`
-	NumCPU         int                    `json:"num_cpu"`
-	Jobs           int                    `json:"jobs"`
-	Experiments    []expReport            `json:"experiments"`
-	WallNs         int64                  `json:"wall_ns"`
-	Mallocs        uint64                 `json:"mallocs"`
-	VirtualNs      int64                  `json:"virtual_ns"`
-	Events         uint64                 `json:"events"`
-	EventsPerSec   float64                `json:"events_per_sec"`
-	AllocsPerEvent float64                `json:"allocs_per_event"`
-	Partition      *bench.PartitionReport `json:"partition,omitempty"`
-	Steady         *bench.SteadyReport    `json:"steady_state,omitempty"`
+	Schema         string              `json:"schema"`
+	Scale          string              `json:"scale"`
+	GoVersion      string              `json:"go_version"`
+	NumCPU         int                 `json:"num_cpu"`
+	Jobs           int                 `json:"jobs"`
+	Experiments    []expReport         `json:"experiments"`
+	WallNs         int64               `json:"wall_ns"`
+	Mallocs        uint64              `json:"mallocs"`
+	VirtualNs      int64               `json:"virtual_ns"`
+	Events         uint64              `json:"events"`
+	EventsPerSec   float64             `json:"events_per_sec"`
+	AllocsPerEvent float64             `json:"allocs_per_event"`
+	Steady         *bench.SteadyReport `json:"steady_state,omitempty"`
 }
 
 // gate compares this run against a committed baseline report and
@@ -172,8 +163,7 @@ type kernelReport struct {
 // them: a change that deletes futile events lowers events/sec and
 // raises allocs/event while making every run cheaper. Wall time may
 // grow 25 % plus 50 ms (short experiments are all jitter), allocations
-// 10 % plus 2000. The partition probe's wall-clock ratio moves ±20 % run
-// to run and gates nothing; only its identity check can fail a run.
+// 10 % plus 2000.
 func gate(cur kernelReport, basePath string) error {
 	data, err := os.ReadFile(basePath)
 	if err != nil {
@@ -257,35 +247,13 @@ func execute(o options, selected []bench.Experiment, stdout, stderr io.Writer) e
 		defer pprof.StopCPUProfile() // error paths; a second stop is a no-op
 	}
 
-	sampling := o.sample > 0 || o.timeline != "" || o.listen != ""
+	sampling := o.sample > 0 || o.timeline != ""
 	var col *obs.Collector
 	if metricsFile != nil || traceFile != nil || benchFile != nil || o.benchGate != "" || sampling {
 		col = obs.NewCollector(traceFile != nil)
 		if sampling {
 			col.EnableSampling(sim.Duration(o.sample.Nanoseconds()), 0)
 		}
-	}
-
-	// Serve mode: bind before running so a bad address fails fast and
-	// the endpoints are live while the experiments execute.
-	var live *obs.LiveServer
-	var srv *http.Server
-	if o.listen != "" {
-		live = obs.NewLiveServer()
-		live.Attach(col)
-		ln, err := net.Listen("tcp", o.listen)
-		if err != nil {
-			return err
-		}
-		srv = &http.Server{Handler: live.Handler()}
-		go func() {
-			if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintf(stderr, "bench2b: serve: %v\n", err)
-			}
-		}()
-		fmt.Fprintf(stderr, "bench2b: serving observability on http://%s (interrupt to stop)\n", ln.Addr())
-	}
-	if col != nil {
 		col.Install()
 		defer col.Uninstall()
 	}
@@ -293,7 +261,7 @@ func execute(o options, selected []bench.Experiment, stdout, stderr io.Writer) e
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
 	start := time.Now()
-	reports, failures, err := runAll(r, selected, live, col, stdout)
+	reports, failures, err := runAll(r, selected, col, stdout)
 	if err != nil {
 		return err
 	}
@@ -343,14 +311,6 @@ func execute(o options, selected []bench.Experiment, stdout, stderr io.Writer) e
 			rep.EventsPerSec = float64(rep.Events) / wallTotal.Seconds()
 			rep.AllocsPerEvent = float64(rep.Mallocs) / float64(rep.Events)
 		}
-		// Worker-count probe: the steady fleet wall-clocked at one
-		// sim.Group worker and at one per device, with a result-identity
-		// check (the determinism bar).
-		if rep.Partition, err = bench.PartitionSpeedup(scale); err != nil {
-			return fmt.Errorf("partition probe: %w", err)
-		}
-		fmt.Fprintf(stdout, "partition probe: %d workers, %d devices, speedup %.2fx, identical=%v\n",
-			rep.Partition.Shards, rep.Partition.Pairs, rep.Partition.Speedup, rep.Partition.Identical)
 		// Steady-state allocation probe: a sustained BA-WAL commit
 		// stream on a warmed stack. The aggregate allocs/event above
 		// includes per-experiment construction; this is the long-run
@@ -370,10 +330,6 @@ func execute(o options, selected []bench.Experiment, stdout, stderr io.Writer) e
 					rep.WallNs/1e6, rep.Mallocs, rep.EventsPerSec, rep.AllocsPerEvent, o.benchGate)
 			}
 		}
-		if !rep.Partition.Identical {
-			fmt.Fprintln(stderr, "bench2b: partition probe: partitioned result diverged from serial")
-			failures++
-		}
 	}
 
 	if cpuFile != nil {
@@ -388,20 +344,6 @@ func execute(o options, selected []bench.Experiment, stdout, stderr io.Writer) e
 			return pprof.Lookup("allocs").WriteTo(w, 0)
 		}); err != nil {
 			return err
-		}
-	}
-	if srv != nil {
-		// Keep serving the finished run until interrupted, then shut
-		// down gracefully (lets in-flight scrapes and the final SSE
-		// events complete).
-		live.Finish()
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		<-ctx.Done()
-		stop()
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
-			srv.Close()
 		}
 	}
 	if failures > 0 {
@@ -419,27 +361,16 @@ func execute(o options, selected []bench.Experiment, stdout, stderr io.Writer) e
 // execute at once). Returns each experiment's wall time, plus —
 // sequentially only, where the deltas are unambiguous — its simulation
 // events and host allocations, and the number of experiments whose gate
-// failed (each printed as a FAIL line after its report). When live is
-// non-nil, batch progress (done/total, current experiment) feeds the
-// /progress stream.
-func runAll(r *bench.Runner, selected []bench.Experiment, live *obs.LiveServer, col *obs.Collector, stdout io.Writer) ([]expReport, int, error) {
-	if live != nil {
-		live.SetTotal(len(selected))
-	}
+// failed (each printed as a FAIL line after its report).
+func runAll(r *bench.Runner, selected []bench.Experiment, col *obs.Collector, stdout io.Writer) ([]expReport, int, error) {
 	reports := make([]expReport, len(selected))
 	failed := make([]bool, len(selected))
 	step := func(i int, w io.Writer) {
 		ex := selected[i]
-		if live != nil {
-			live.SetLabel(ex.ID)
-		}
 		t0 := time.Now()
 		if err := ex.Run(r, w); err != nil {
 			fmt.Fprintf(w, "FAIL: %v\n", err)
 			failed[i] = true
-		}
-		if live != nil {
-			live.StepDone()
 		}
 		reports[i] = expReport{ID: ex.ID, WallNs: time.Since(t0).Nanoseconds()}
 	}

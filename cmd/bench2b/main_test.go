@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"os"
@@ -63,8 +64,49 @@ func TestRunUnknownExperiment(t *testing.T) {
 	if got, want := strings.Join(listed, " "), strings.Join(want, " "); got != want {
 		t.Errorf("usage lists experiments\n  %s\nregistry has\n  %s", got, want)
 	}
-	if flags != 13 {
-		t.Errorf("usage documents %d flags, want 13:\n%s", flags, errs)
+	if flags != 12 {
+		t.Errorf("usage documents %d flags, want 12:\n%s", flags, errs)
+	}
+}
+
+// -timeline writes the merged timeline after the run, as JSON or (by
+// extension) CSV, and the file's bytes do not depend on -j.
+func TestRunWritesTimeline(t *testing.T) {
+	dir := t.TempDir()
+	for _, ext := range []string{"json", "csv"} {
+		var first []byte
+		for _, jobs := range []string{"1", "2"} {
+			path := filepath.Join(dir, "t-j"+jobs+"."+ext)
+			if code, _, errs := drive("-j", jobs, "-timeline", path, "probe"); code != 0 {
+				t.Fatalf("-j %s -timeline %s: exit %d, stderr %q", jobs, filepath.Base(path), code, errs)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first == nil {
+				first = data
+			} else if !bytes.Equal(data, first) {
+				t.Errorf("-timeline %s: -j %s wrote different bytes than -j 1", ext, jobs)
+			}
+		}
+		switch ext {
+		case "json":
+			var tl struct {
+				Schema string            `json:"schema"`
+				Points []json.RawMessage `json:"points"`
+			}
+			if err := json.Unmarshal(first, &tl); err != nil {
+				t.Fatal(err)
+			}
+			if tl.Schema != "twobssd/timeline-v1" || len(tl.Points) == 0 {
+				t.Errorf("timeline JSON: schema %q, %d points; want twobssd/timeline-v1 and some points", tl.Schema, len(tl.Points))
+			}
+		case "csv":
+			if !bytes.HasPrefix(first, []byte("window,time_ns,")) {
+				t.Errorf("timeline CSV does not start with the header: %.60q", first)
+			}
+		}
 	}
 }
 

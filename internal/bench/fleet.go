@@ -70,19 +70,13 @@ func fleetBase(s Scale, seed uint64, arrival func(i int) traffic.Arrival) fleet.
 	}
 }
 
-// fleetSteady is the steady Zipfian scenario's configuration; it is
-// also what the -benchjson worker-count probe runs.
-func fleetSteady(s Scale) fleet.Config {
-	return fleetBase(s, 0x2B51, func(i int) traffic.Arrival {
-		return traffic.Poisson{RatePerSec: 20000}
-	})
-}
-
 // fleetScenarios is the full family: steady Zipfian load, bursty and
 // diurnal arrivals, an open-loop saturation ramp with a tight retry
 // budget (the retry-storm shape), and an injected primary power loss.
 func fleetScenarios(s Scale) []fleetScenario {
-	steady := fleetSteady(s)
+	steady := fleetBase(s, 0x2B51, func(i int) traffic.Arrival {
+		return traffic.Poisson{RatePerSec: 20000}
+	})
 	bursty := fleetBase(s, 0x2B52, func(i int) traffic.Arrival {
 		return traffic.Bursty{
 			BasePerSec:  4000,

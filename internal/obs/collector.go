@@ -28,11 +28,6 @@ type Collector struct {
 
 	sampleEvery  sim.Duration
 	samplePoints int
-
-	// OnSampler, when non-nil, observes every sampler the collector
-	// starts (the serving layer hooks live publication here). Set it
-	// before Install, from one goroutine.
-	OnSampler func(*Sampler)
 }
 
 // NewCollector returns a collector; with tracing true, every collected
@@ -79,10 +74,7 @@ func (c *Collector) Collect(s *Set) {
 		s.EnableTracing()
 	}
 	if c.sampleEvery > 0 {
-		sm := s.StartSampler(c.sampleEvery, c.samplePoints)
-		if c.OnSampler != nil {
-			c.OnSampler(sm)
-		}
+		s.StartSampler(c.sampleEvery, c.samplePoints)
 	}
 	c.mu.Lock()
 	c.sets = append(c.sets, s)

@@ -33,9 +33,8 @@
 //     effects observe a deterministic evaluation sequence.
 //
 // Beyond snapshots, the package provides virtual-time metric timelines
-// (timeline.go), a bounded always-on flight recorder for post-mortem
-// dumps (flight.go), and an HTTP serving layer — Prometheus text
-// exposition, timeline JSON and SSE live progress (serve.go).
+// (timeline.go) and a bounded always-on flight recorder for post-mortem
+// dumps (flight.go).
 package obs
 
 import (

@@ -37,8 +37,8 @@ const DefaultMaxPoints = 1 << 10
 
 // point is one closed sampling window of a single environment. Maps
 // hold only metrics that changed during the window (sparse), and are
-// never mutated after the point is appended — publishers may share
-// them across goroutines freely.
+// never mutated after the point is appended, so points() hands them out
+// uncopied.
 type point struct {
 	window  int64 // index: window w covers virtual [w*I, (w+1)*I)
 	timeNs  int64 // end of the state this point reflects
@@ -69,11 +69,6 @@ type Sampler struct {
 	prevHistoN   map[string]uint64
 	prevHistos   map[string]*histo.H
 	lastTimeNs   int64
-
-	// publish, when set, runs after every emitted point and at run end,
-	// inside the simulation's single-threaded world — the hand-off hook
-	// the serving layer uses to publish immutable state to HTTP readers.
-	publish func(final bool)
 }
 
 // StartSampler begins sampling this set's registry every interval of
@@ -115,8 +110,6 @@ func (s *Set) StartSampler(interval sim.Duration, maxPoints int) *Sampler {
 		now := int64(env.Now())
 		if now > sm.lastTimeNs || sm.count == 0 {
 			sm.emit(now/int64(interval), now, true)
-		} else if sm.publish != nil {
-			sm.publish(true)
 		}
 	})
 	return sm
@@ -190,9 +183,6 @@ func (sm *Sampler) emit(window, timeNs int64, final bool) {
 	} else {
 		sm.pts = append(sm.pts, pt)
 		sm.count++
-	}
-	if sm.publish != nil {
-		sm.publish(final)
 	}
 }
 

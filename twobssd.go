@@ -181,9 +181,6 @@ type (
 	// recorder: the last spans before a failure plus metrics at that
 	// moment (Observe(env).EnableFlightRecorder / FlightDump).
 	FlightDump = obs.FlightDump
-	// LiveServer serves a running simulation over HTTP: Prometheus
-	// text exposition, timeline JSON, and SSE progress.
-	LiveServer = obs.LiveServer
 )
 
 // Observe returns the environment's observability set. Metrics are
@@ -204,8 +201,3 @@ func Observe(env *Env) *Observability { return obs.Of(env) }
 // environments internally. Call EnableSampling before Install to also
 // record metric timelines.
 func NewObsCollector(tracing bool) *ObsCollector { return obs.NewCollector(tracing) }
-
-// NewLiveServer returns an HTTP serving layer for live observability;
-// Attach it to a collector and mount Handler() — what bench2b -listen
-// does.
-func NewLiveServer() *LiveServer { return obs.NewLiveServer() }
