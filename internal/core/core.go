@@ -74,7 +74,8 @@ type TwoBSSD struct {
 
 	table []*Entry // mapping table, indexed by EID
 
-	arm *sim.Resource // firmware cores driving the internal datapath
+	arm      *sim.Resource // firmware cores driving the internal datapath
+	moveJobs []*moveJob    // idle multi-page internalMove fan-outs
 
 	powered bool
 	rec     *recovery
@@ -314,51 +315,90 @@ func (s *TwoBSSD) internalMove(p *sim.Proc, ent *Entry, write bool) error {
 	}
 	sp := s.o.Tracer().Begin("2bssd.datapath", "2bssd", name)
 	defer sp.End()
-	ps := s.PageSize()
-	movePage := func(w *sim.Proc, i int) error {
-		s.arm.Use(w, s.cfg.InternalPerPageCost)
-		off := ent.Offset + i*ps
-		lba := ent.LBA + ftl.LBA(i)
-		if write {
-			// BA_FLUSH is the byte path's host boundary: the page's
-			// content is fixed here for the first time (MMIO stores
-			// have no page-granular commit point), so the integrity
-			// tag is born here.
-			tag := integrity.PageCRC(s.babuf[off : off+ps])
-			if err := s.dev.FTL().WritePageTagged(w, lba, s.babuf[off:off+ps], tag); err != nil {
-				return err
-			}
-			s.inj.Tick(fault.EvBAFlushPage)
-			return nil
-		}
-		// Pin lands NAND pages straight in the BA-buffer frame.
-		tag, tagged, err := s.dev.FTL().ReadPageTaggedInto(w, lba, s.babuf[off:off+ps])
-		if err == nil && tagged {
-			if cerr := integrity.Check(s.babuf[off:off+ps], tag); cerr != nil {
-				err = fmt.Errorf("2bssd: pin lba %d: %w", lba, cerr)
-			}
-		}
-		return err
-	}
 	// Single-page entries (the common case for log windows) run inline:
-	// no fan-out goroutine, WaitGroup or closure — same virtual timing.
+	// no fan-out goroutine or WaitGroup — same virtual timing.
 	if ent.Pages == 1 {
-		return movePage(p, 0)
+		return s.movePage(p, ent, write, 0)
 	}
-	wg := s.env.NewWaitGroup("2bssd.move")
-	wg.Add(ent.Pages)
-	var firstErr error
-	mv := func(w *sim.Proc, i int) {
-		defer wg.Done()
-		if err := movePage(w, i); err != nil && firstErr == nil {
-			firstErr = err
+	j := s.getMoveJob()
+	j.ent, j.write = ent, write
+	j.wg.Add(ent.Pages)
+	for i := 0; i < ent.Pages; i++ {
+		s.env.GoIdx("2bssd.mv", i, j.page)
+	}
+	j.wg.Wait(p)
+	err := j.firstErr
+	s.putMoveJob(j)
+	return err
+}
+
+// movePage moves page i of ent over the internal datapath (see
+// internalMove).
+func (s *TwoBSSD) movePage(w *sim.Proc, ent *Entry, write bool, i int) error {
+	ps := s.PageSize()
+	s.arm.Use(w, s.cfg.InternalPerPageCost)
+	off := ent.Offset + i*ps
+	lba := ent.LBA + ftl.LBA(i)
+	if write {
+		// BA_FLUSH is the byte path's host boundary: the page's
+		// content is fixed here for the first time (MMIO stores
+		// have no page-granular commit point), so the integrity
+		// tag is born here.
+		tag := integrity.PageCRC(s.babuf[off : off+ps])
+		if err := s.dev.FTL().WritePageTagged(w, lba, s.babuf[off:off+ps], tag); err != nil {
+			return err
+		}
+		s.inj.Tick(fault.EvBAFlushPage)
+		return nil
+	}
+	// Pin lands NAND pages straight in the BA-buffer frame.
+	tag, tagged, err := s.dev.FTL().ReadPageTaggedInto(w, lba, s.babuf[off:off+ps])
+	if err == nil && tagged {
+		if cerr := integrity.Check(s.babuf[off:off+ps], tag); cerr != nil {
+			err = fmt.Errorf("2bssd: pin lba %d: %w", lba, cerr)
 		}
 	}
-	for i := 0; i < ent.Pages; i++ {
-		s.env.GoIdx("2bssd.mv", i, mv)
+	return err
+}
+
+// moveJob is one multi-page internalMove's fan-out state: the page
+// workers' shared body (bound once), their WaitGroup, and the first
+// error any of them hit. Jobs are pooled on the TwoBSSD, so a fan-out
+// allocates nothing in steady state; concurrent moves each hold their
+// own.
+type moveJob struct {
+	s        *TwoBSSD
+	ent      *Entry
+	write    bool
+	firstErr error
+	wg       *sim.WaitGroup
+	page     func(w *sim.Proc, i int) // j.run
+}
+
+func (j *moveJob) run(w *sim.Proc, i int) {
+	defer j.wg.Done()
+	if err := j.s.movePage(w, j.ent, j.write, i); err != nil && j.firstErr == nil {
+		j.firstErr = err
 	}
-	wg.Wait(p)
-	return firstErr
+}
+
+func (s *TwoBSSD) getMoveJob() *moveJob {
+	if n := len(s.moveJobs); n > 0 {
+		j := s.moveJobs[n-1]
+		s.moveJobs[n-1] = nil
+		s.moveJobs = s.moveJobs[:n-1]
+		return j
+	}
+	j := &moveJob{s: s, wg: s.env.NewWaitGroup("2bssd.move")}
+	j.page = j.run
+	return j
+}
+
+// putMoveJob returns a finished job to the pool, dropping its entry and
+// error so neither outlives the move.
+func (s *TwoBSSD) putMoveJob(j *moveJob) {
+	j.ent, j.firstErr = nil, nil
+	s.moveJobs = append(s.moveJobs, j)
 }
 
 // BASync implements BA_SYNC(EID): the three-step durability protocol —

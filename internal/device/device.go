@@ -197,6 +197,7 @@ type Device struct {
 	pend      map[ftl.LBA]*lbaPend
 	pendPool  []*lbaPend
 	pageSpare [][]byte
+	readJobs  []*readJob // idle multi-page read fan-outs
 
 	gate Gate
 
@@ -368,58 +369,94 @@ func (d *Device) ReadPages(p *sim.Proc, lba ftl.LBA, n int) ([]byte, error) {
 	d.fw.Use(p, d.profile.FwPerCmdCost)
 
 	out := make([]byte, n*ps)
-	var firstErr error
-	readPage := func(w *sim.Proc, i int) {
-		d.fw.Use(w, d.profile.FwPerPageCost)
-		l := lba + ftl.LBA(i)
-		dst := out[i*ps : (i+1)*ps]
-		// Serve from the write buffer if a newer copy is there.
-		if data, tag, ok := d.bufLookup(l); ok {
-			if err := integrity.Check(data, tag); err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("%s: buffered lba %d: %w", d.profile.Name, l, err)
-				}
-				return
-			}
-			copy(dst, data)
-		} else {
-			tag, tagged, err := d.ftl.ReadPageTaggedInto(w, l, dst)
-			if err == nil && tagged {
-				err = integrity.Check(dst, tag)
-			}
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("%s: lba %d: %w", d.profile.Name, l, err)
-				}
-				return
-			}
-		}
-		d.pcieXfer(w, ps)
-	}
+	var err error
 	// Single-page commands (the QD-1 4 KB case the paper sweeps) run
 	// inline: no fan-out goroutine or WaitGroup, same virtual timing.
 	if n == 1 {
-		readPage(p, 0)
+		err = d.readPage(p, lba, out)
 	} else {
-		wg := d.env.NewWaitGroup(d.rdWGName)
-		wg.Add(n)
-		rp := func(w *sim.Proc, i int) {
-			defer wg.Done()
-			readPage(w, i)
-		}
+		j := d.getReadJob()
+		j.lba, j.out = lba, out
+		j.wg.Add(n)
 		for i := 0; i < n; i++ {
-			d.env.GoIdx(d.rdName, i, rp)
+			d.env.GoIdx(d.rdName, i, j.page)
 		}
-		wg.Wait(p)
+		j.wg.Wait(p)
+		err = j.firstErr
+		d.putReadJob(j)
 	}
 	p.Sleep(d.profile.CompletionLatency)
 	cmd.End()
-	if firstErr != nil {
-		return nil, firstErr
+	if err != nil {
+		return nil, err
 	}
 	d.cPagesRead.Add(uint64(n))
 	d.hReadCmd.Observe(sim.Duration(d.env.Now() - start))
 	return out, nil
+}
+
+// readPage fetches one page of a read command into dst and moves it to
+// the host: from the write buffer if a newer copy is there, else from
+// NAND. A page that fails its check is not transferred.
+func (d *Device) readPage(w *sim.Proc, l ftl.LBA, dst []byte) error {
+	d.fw.Use(w, d.profile.FwPerPageCost)
+	if data, tag, ok := d.bufLookup(l); ok {
+		if err := integrity.Check(data, tag); err != nil {
+			return fmt.Errorf("%s: buffered lba %d: %w", d.profile.Name, l, err)
+		}
+		copy(dst, data)
+	} else {
+		tag, tagged, err := d.ftl.ReadPageTaggedInto(w, l, dst)
+		if err == nil && tagged {
+			err = integrity.Check(dst, tag)
+		}
+		if err != nil {
+			return fmt.Errorf("%s: lba %d: %w", d.profile.Name, l, err)
+		}
+	}
+	d.pcieXfer(w, len(dst))
+	return nil
+}
+
+// readJob is one multi-page read command's fan-out state: the page
+// workers' shared body (bound once), their WaitGroup, and the first
+// error any of them hit. Jobs are pooled on the Device, so a fan-out
+// allocates nothing in steady state; concurrent commands each hold
+// their own.
+type readJob struct {
+	d        *Device
+	lba      ftl.LBA
+	out      []byte
+	firstErr error
+	wg       *sim.WaitGroup
+	page     func(w *sim.Proc, i int) // j.run
+}
+
+func (j *readJob) run(w *sim.Proc, i int) {
+	defer j.wg.Done()
+	ps := j.d.PageSize()
+	if err := j.d.readPage(w, j.lba+ftl.LBA(i), j.out[i*ps:(i+1)*ps]); err != nil && j.firstErr == nil {
+		j.firstErr = err
+	}
+}
+
+func (d *Device) getReadJob() *readJob {
+	if n := len(d.readJobs); n > 0 {
+		j := d.readJobs[n-1]
+		d.readJobs[n-1] = nil
+		d.readJobs = d.readJobs[:n-1]
+		return j
+	}
+	j := &readJob{d: d, wg: d.env.NewWaitGroup(d.rdWGName)}
+	j.page = j.run
+	return j
+}
+
+// putReadJob returns a finished job to the pool, dropping its buffer
+// and error so neither outlives the command.
+func (d *Device) putReadJob(j *readJob) {
+	j.out, j.firstErr = nil, nil
+	d.readJobs = append(d.readJobs, j)
 }
 
 // bufLookup returns the newest not-yet-persisted copy of lba: a

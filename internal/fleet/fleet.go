@@ -23,11 +23,11 @@
 package fleet
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"strconv"
-	"strings"
 
 	"twobssd/internal/core"
 	"twobssd/internal/fault"
@@ -111,8 +111,10 @@ func DefaultDeviceConfig() core.Config {
 
 // repMsg travels primary→follower: one committed (or, after failover,
 // rerouted) record. fail marks the failover notification the crashed
-// node emits. The payload is a string so partitions never share
-// mutable bytes.
+// node emits. The payload is shared with the sender — the primary log's
+// tail cache, or the op's own record — and read-only on both sides:
+// nothing writes those bytes after they are sent, so partitions share
+// no mutable memory.
 type repMsg struct {
 	seq     int
 	at      sim.Time // open-loop arrival instant
@@ -120,7 +122,7 @@ type repMsg struct {
 	local   bool     // committed on the primary before shipping
 	fail    bool     // failover marker (tripAt set)
 	tripAt  sim.Time
-	payload string
+	payload []byte
 }
 
 // ackMsg travels follower→primary.
@@ -177,13 +179,15 @@ type tenantRT struct {
 	pnode *node
 	fnode *node
 
-	sched []traffic.Op
-	h     *logHandle // tenant WAL on the primary
-	tail  *wal.TailReader
-	vol   *vfs.File  // data volume on the primary
-	redo  *logHandle // replicated log on the follower
-	data  *sim.Link[repMsg]
-	ack   *sim.Link[ackMsg]
+	sched  []traffic.Op
+	opName string               // "fleet.op.<name>", built once
+	opFn   func(*sim.Proc, int) // t.opBody, bound once
+	h      *logHandle           // tenant WAL on the primary
+	tail   *wal.TailReader
+	vol    *vfs.File  // data volume on the primary
+	redo   *logHandle // replicated log on the follower
+	data   *sim.Link[repMsg]
+	ack    *sim.Link[ackMsg]
 
 	// ---- client side (primary env) ----
 	wg          *sim.WaitGroup
@@ -233,29 +237,60 @@ type fleetRT struct {
 	router *Router
 }
 
-func encodePayload(name string, seq int, key int64, size int) string {
-	head := fmt.Sprintf("%s|%06d|%08x|", name, seq, uint32(key))
-	if size <= len(head) {
-		return head
+// appendPayload appends tenant name's record for op seq (>= 0) to dst:
+// the head "name|seq|key|", seq zero-padded to 6 decimal digits and the
+// key's low 32 bits as 8 hex digits, then 'x' fill up to size bytes. A
+// head longer than size is not cut.
+func appendPayload(dst []byte, name string, seq int, key int64, size int) []byte {
+	start := len(dst)
+	dst = append(dst, name...)
+	dst = append(dst, '|')
+	dst = appendPadded(dst, uint64(seq), 10, 6)
+	dst = append(dst, '|')
+	dst = appendPadded(dst, uint64(uint32(key)), 16, 8)
+	dst = append(dst, '|')
+	for len(dst)-start < size {
+		dst = append(dst, 'x')
 	}
-	return head + strings.Repeat("x", size-len(head))
+	return dst
 }
 
-// payloadSeq recovers the sequence number stamped by encodePayload.
+// appendPadded appends v in base, left-padded with zeros to width digits.
+func appendPadded(dst []byte, v uint64, base, width int) []byte {
+	digits := 1
+	for x := v / uint64(base); x > 0; x /= uint64(base) {
+		digits++
+	}
+	for ; digits < width; digits++ {
+		dst = append(dst, '0')
+	}
+	return strconv.AppendUint(dst, v, base)
+}
+
+// payloadCap is a capacity that holds any record appendPayload writes
+// for name at size without growing.
+func payloadCap(name string, size int) int {
+	return max(size, len(name)+3+20+8)
+}
+
+// payloadSeq recovers the sequence number stamped by appendPayload: the
+// decimal digits between the first and second '|'.
 func payloadSeq(payload []byte) (int, bool) {
-	s := string(payload)
-	i := strings.IndexByte(s, '|')
+	i := bytes.IndexByte(payload, '|')
 	if i < 0 {
 		return 0, false
 	}
-	rest := s[i+1:]
-	j := strings.IndexByte(rest, '|')
-	if j < 0 {
+	rest := payload[i+1:]
+	j := bytes.IndexByte(rest, '|')
+	if j <= 0 || j > 18 { // empty, or too long to fit an int
 		return 0, false
 	}
-	seq, err := strconv.Atoi(rest[:j])
-	if err != nil {
-		return 0, false
+	seq := 0
+	for _, c := range rest[:j] {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		seq = seq*10 + int(c-'0')
 	}
 	return seq, true
 }
@@ -319,6 +354,7 @@ func newTenant(g *sim.Group, fr *fleetRT, idx int, spec traffic.Spec) (*tenantRT
 		return nil, err
 	}
 	t.sched = spec.Gen().Schedule()
+	t.opName, t.opFn = "fleet.op."+name, t.opBody
 	t.wg = pn.env.NewWaitGroup("fleet." + name + ".ops")
 	t.doneSig = pn.env.NewSignal("fleet." + name + ".done")
 	t.shipDone = pn.env.NewSignal("fleet." + name + ".ship")
@@ -373,7 +409,7 @@ func (t *tenantRT) runShipper(p *sim.Proc) {
 			t.h.log.WaitTail(p)
 			continue
 		}
-		seq, valid := payloadSeq([]byte(rec.Payload))
+		seq, valid := payloadSeq(rec.Payload)
 		if !valid || t.sent[seq] {
 			continue
 		}
@@ -394,7 +430,7 @@ func (t *tenantRT) runClient(p *sim.Proc) {
 			p.Sleep(sim.Duration(at - t.pnode.env.Now()))
 		}
 		t.wg.Add(1)
-		t.pnode.env.GoIdx("fleet.op."+t.name, i, t.opBody)
+		t.pnode.env.GoIdx(t.opName, i, t.opFn)
 	}
 	t.wg.Wait(p)
 	// Let the shipper drain the durable tail before closing the data
@@ -451,9 +487,12 @@ func (t *tenantRT) opBody(p *sim.Proc, i int) {
 		t.inflight--
 		return
 	}
-	payload := encodePayload(t.name, i, op.Key, t.spec.PayloadBytes)
+	// One buffer per write, never reused: append yields before the log
+	// copies it, and a takeover send shares it with the follower.
+	size := t.spec.PayloadBytes
+	payload := appendPayload(make([]byte, 0, payloadCap(t.name, size)), t.name, i, op.Key, size)
 	if !t.pnode.down {
-		err := t.h.append(p, []byte(payload))
+		err := t.h.append(p, payload)
 		if err == nil {
 			t.committed[i] = true
 			t.cCommits.Inc()
@@ -525,9 +564,12 @@ func (t *tenantRT) runAckWatch(p *sim.Proc) {
 	// End-of-run oracle check: everything committed on this primary
 	// must be recoverable from NAND, and nothing else may be.
 	want := make(map[int]uint32, len(t.sched))
+	size := t.spec.PayloadBytes
+	buf := make([]byte, 0, payloadCap(t.name, size))
 	for i := range t.sched {
 		if t.committed[i] {
-			want[i] = crc32.ChecksumIEEE([]byte(encodePayload(t.name, i, t.sched[i].Key, t.spec.PayloadBytes)))
+			buf = appendPayload(buf[:0], t.name, i, t.sched[i].Key, size)
+			want[i] = crc32.ChecksumIEEE(buf)
 		}
 	}
 	lost, phantom, err := mediaCheck(p, t.h, want)
@@ -562,8 +604,7 @@ func (t *tenantRT) runFollower(p *sim.Proc) {
 			continue
 		}
 		p.Sleep(applyCPU)
-		pay := []byte(m.payload)
-		if err := t.redo.append(p, pay); err != nil {
+		if err := t.redo.append(p, m.payload); err != nil {
 			if errors.Is(err, core.ErrPowerIsOff) || t.fnode.down {
 				t.fnode.crash(p)
 			} else {
@@ -572,7 +613,7 @@ func (t *tenantRT) runFollower(p *sim.Proc) {
 			t.ack.Close(p)
 			return
 		}
-		t.applied[m.seq] = crc32.ChecksumIEEE(pay)
+		t.applied[m.seq] = crc32.ChecksumIEEE(m.payload)
 		t.appliedN++
 		if m.local {
 			t.hLag.Observe(sim.Duration(env.Now() - m.commit))

@@ -3,6 +3,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -263,7 +264,7 @@ func (l *Log) Recover(p *sim.Proc, fn func(lsn LSN, payload []byte) error) error
 				}
 				if l.retained != nil {
 					l.retained[seg] = append(l.retained[seg], tailRec{
-						end: LSN(g), at: l.env.Now(), payload: string(payload),
+						end: LSN(g), at: l.env.Now(), payload: bytes.Clone(payload),
 					})
 				}
 				if fn == nil {

@@ -431,7 +431,7 @@ func TestRingTruncationRacesReader(t *testing.T) {
 			if err != nil || !ok {
 				break
 			}
-			prefix = append(prefix, rec.Payload)
+			prefix = append(prefix, string(rec.Payload))
 		}
 		// Now outrun the reader: enough records to rotate twice, then a
 		// checkpoint that truncates the reader's segment away.
@@ -488,8 +488,53 @@ func TestTailRetainsFromFirstReader(t *testing.T) {
 			t.Fatalf("append: %v", err)
 		}
 		rec, ok, err := late.TryNext()
-		if err != nil || !ok || rec.Payload != segPayload(1) {
+		if err != nil || !ok || string(rec.Payload) != segPayload(1) {
 			t.Fatalf("late reader got %q ok=%v err=%v, want record 1", rec.Payload, ok, err)
+		}
+	})
+	r.env.Run()
+	r.env.Shutdown()
+}
+
+// TestTailPayloadIsTheLogsCopy pins TailRecord's read-only contract from
+// the log's side: the payload a reader gets is the log's own copy, so a
+// caller reusing its Append buffer, later appends, and a Recover that
+// rebuilds the cache from media all leave a delivered payload unchanged.
+func TestTailPayloadIsTheLogsCopy(t *testing.T) {
+	r := newRig()
+	sl := openSeg(t, r, Sync)
+	reader := sl.Tail(0)
+	r.env.Go("t", func(p *sim.Proc) {
+		buf := []byte(segPayload(0))
+		lsn, err := sl.Append(p, buf)
+		if err != nil {
+			t.Fatalf("append: %v", err)
+		}
+		copy(buf, segPayload(1)) // the caller reuses its buffer at once
+		if err := sl.Commit(p, lsn); err != nil {
+			t.Fatalf("commit: %v", err)
+		}
+		rec, ok, err := reader.TryNext()
+		if err != nil || !ok || string(rec.Payload) != segPayload(0) {
+			t.Fatalf("reader got %.12q ok=%v err=%v, want record 0 as appended", rec.Payload, ok, err)
+		}
+		for i := 1; i < 12; i++ { // past a rotation
+			if _, err := appendCommit(p, sl, segPayload(i)); err != nil {
+				t.Fatalf("append %d: %v", i, err)
+			}
+		}
+		if err := sl.Recover(p, nil); err != nil {
+			t.Fatalf("recover: %v", err)
+		}
+		after, ok, err := sl.Tail(0).TryNext()
+		if err != nil || !ok || string(after.Payload) != segPayload(0) {
+			t.Fatalf("after Recover: %.12q ok=%v err=%v, want record 0", after.Payload, ok, err)
+		}
+		if _, err := appendCommit(p, sl, segPayload(12)); err != nil {
+			t.Fatalf("append 12: %v", err)
+		}
+		if string(rec.Payload) != segPayload(0) || string(after.Payload) != segPayload(0) {
+			t.Fatal("a delivered payload changed after later appends or a Recover")
 		}
 	})
 	r.env.Run()
@@ -564,7 +609,7 @@ func TestTailOrderUnderConcurrentAppenders(t *testing.T) {
 		if i > 0 && rec.LSN <= got[i-1].LSN {
 			t.Fatalf("record %d out of LSN order: %d after %d", i, rec.LSN, got[i-1].LSN)
 		}
-		if ends[rec.LSN] != rec.Payload {
+		if ends[rec.LSN] != string(rec.Payload) {
 			t.Fatalf("record at %d is not the one appended there", rec.LSN)
 		}
 	}

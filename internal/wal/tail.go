@@ -35,14 +35,19 @@ var (
 type tailRec struct {
 	end     LSN      // LSN just past the record
 	at      sim.Time // append instant, stamped when the store lands
-	payload string   // immutable copy; readers never alias log buffers
+	payload []byte   // the log's own copy; never written after it is made
 }
 
 // TailRecord is one committed record delivered to a tail reader.
+//
+// Payload is read-only: it is the log's retained copy of the record,
+// shared with every other reader (and with whatever a reader hands it
+// to), and it stays valid after its segment truncates. It never
+// aliases the caller's Append buffer. Copy it before modifying it.
 type TailRecord struct {
 	LSN     LSN      // LSN just past the record (resume position)
 	At      sim.Time // append instant
-	Payload string
+	Payload []byte
 }
 
 // TailReader streams committed records in LSN order, following the

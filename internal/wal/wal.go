@@ -58,6 +58,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -470,7 +471,7 @@ func (l *Log) Append(p *sim.Proc, payload []byte) (LSN, error) {
 	end := pos + int64(need)
 	if err == nil && l.retained != nil {
 		seg := pos / l.fileBytes
-		l.retained[seg] = append(l.retained[seg], tailRec{end: LSN(end), payload: string(payload)})
+		l.retained[seg] = append(l.retained[seg], tailRec{end: LSN(end), payload: bytes.Clone(payload)})
 	}
 	// The store runs outside the lock, so concurrent stores overlap;
 	// what needs them landed waits for them (awaitStores), not for mu.
