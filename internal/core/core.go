@@ -72,7 +72,7 @@ type TwoBSSD struct {
 	babuf []byte // BA-buffer DRAM (device-side committed view)
 	win   *pcie.Window
 
-	table []*Entry // mapping table, indexed by EID
+	table []Entry // mapping table, indexed by EID; Pages == 0 marks a free entry
 
 	arm      *sim.Resource // firmware cores driving the internal datapath
 	moveJobs []*moveJob    // idle multi-page internalMove fan-outs
@@ -120,7 +120,7 @@ func New(env *sim.Env, cfg Config) *TwoBSSD {
 		cfg:     cfg,
 		dev:     device.New(env, base),
 		babuf:   make([]byte, cfg.BABufferBytes),
-		table:   make([]*Entry, cfg.MaxEntries),
+		table:   make([]Entry, cfg.MaxEntries),
 		arm:     env.NewResource("2bssd.arm", cfg.InternalWorkers),
 		powered: true,
 		o:       obs.Of(env),
@@ -172,7 +172,7 @@ type checker struct{ s *TwoBSSD }
 
 func (c checker) check(lba ftl.LBA, pages int) error {
 	for _, e := range c.s.table {
-		if e == nil {
+		if e.Pages == 0 {
 			continue
 		}
 		if lba < e.LBA+ftl.LBA(e.Pages) && e.LBA < lba+ftl.LBA(pages) {
@@ -221,7 +221,7 @@ func (s *TwoBSSD) BAPin(p *sim.Proc, eid EID, offset int, lba ftl.LBA, pages int
 	if err := s.checkEID(eid); err != nil {
 		return err
 	}
-	if s.table[eid] != nil {
+	if s.table[eid].Pages != 0 {
 		return fmt.Errorf("%w: %d", ErrEntryInUse, eid)
 	}
 	ps := s.PageSize()
@@ -240,7 +240,7 @@ func (s *TwoBSSD) BAPin(p *sim.Proc, eid EID, offset int, lba ftl.LBA, pages int
 		}
 	}
 	for _, e := range s.table {
-		if e == nil {
+		if e.Pages == 0 {
 			continue
 		}
 		bufOverlap := offset < e.Offset+e.Pages*ps && e.Offset < offset+pages*ps
@@ -260,13 +260,13 @@ func (s *TwoBSSD) BAPin(p *sim.Proc, eid EID, offset int, lba ftl.LBA, pages int
 	}
 	// Install the entry (and the gate) before moving data so block I/O
 	// cannot race the internal datapath.
-	ent := &Entry{ID: eid, Offset: offset, LBA: lba, Pages: pages}
+	ent := Entry{ID: eid, Offset: offset, LBA: lba, Pages: pages}
 	s.table[eid] = ent
 	// Internal datapath: die-parallel reads, issue rate capped by the
 	// ARM firmware cores.
 	err := s.internalMove(p, ent, false)
 	if err != nil {
-		s.table[eid] = nil
+		s.table[eid] = Entry{}
 		return err
 	}
 	s.cPins.Inc()
@@ -286,7 +286,7 @@ func (s *TwoBSSD) BAFlush(p *sim.Proc, eid EID) error {
 		return err
 	}
 	ent := s.table[eid]
-	if ent == nil {
+	if ent.Pages == 0 {
 		return fmt.Errorf("%w: %d", ErrNoEntry, eid)
 	}
 	start := s.env.Now()
@@ -296,7 +296,7 @@ func (s *TwoBSSD) BAFlush(p *sim.Proc, eid EID) error {
 	if err := s.internalMove(p, ent, true); err != nil {
 		return err
 	}
-	s.table[eid] = nil
+	s.table[eid] = Entry{}
 	s.cFlushes.Inc()
 	s.cPagesFlushed.Add(uint64(ent.Pages))
 	s.hFlush.Observe(sim.Duration(s.env.Now() - start))
@@ -307,8 +307,10 @@ func (s *TwoBSSD) BAFlush(p *sim.Proc, eid EID) error {
 // write=false loads NAND into the BA-buffer (pin); write=true stores
 // the BA-buffer to NAND (flush). The 2B-SSD cannot tell which bytes
 // are dirty (the CPU wrote them directly), so a flush always moves the
-// whole entry — exactly the paper's Section III-C semantics.
-func (s *TwoBSSD) internalMove(p *sim.Proc, ent *Entry, write bool) error {
+// whole entry — exactly the paper's Section III-C semantics. The move
+// works from its own copy of the entry, which a power cut clearing the
+// table mid-move does not change.
+func (s *TwoBSSD) internalMove(p *sim.Proc, ent Entry, write bool) error {
 	name := "pin_move"
 	if write {
 		name = "flush_move"
@@ -334,7 +336,7 @@ func (s *TwoBSSD) internalMove(p *sim.Proc, ent *Entry, write bool) error {
 
 // movePage moves page i of ent over the internal datapath (see
 // internalMove).
-func (s *TwoBSSD) movePage(w *sim.Proc, ent *Entry, write bool, i int) error {
+func (s *TwoBSSD) movePage(w *sim.Proc, ent Entry, write bool, i int) error {
 	ps := s.PageSize()
 	s.arm.Use(w, s.cfg.InternalPerPageCost)
 	off := ent.Offset + i*ps
@@ -368,7 +370,7 @@ func (s *TwoBSSD) movePage(w *sim.Proc, ent *Entry, write bool, i int) error {
 // own.
 type moveJob struct {
 	s        *TwoBSSD
-	ent      *Entry
+	ent      Entry
 	write    bool
 	firstErr error
 	wg       *sim.WaitGroup
@@ -397,7 +399,7 @@ func (s *TwoBSSD) getMoveJob() *moveJob {
 // putMoveJob returns a finished job to the pool, dropping its entry and
 // error so neither outlives the move.
 func (s *TwoBSSD) putMoveJob(j *moveJob) {
-	j.ent, j.firstErr = nil, nil
+	j.ent, j.firstErr = Entry{}, nil
 	s.moveJobs = append(s.moveJobs, j)
 }
 
@@ -433,12 +435,12 @@ func (s *TwoBSSD) BAGetEntryInfo(p *sim.Proc, eid EID) (Entry, error) {
 		return Entry{}, err
 	}
 	ent := s.table[eid]
-	if ent == nil {
+	if ent.Pages == 0 {
 		return Entry{}, fmt.Errorf("%w: %d", ErrNoEntry, eid)
 	}
 	p.Sleep(s.cfg.InfoCost)
 	s.cInfos.Inc()
-	return *ent, nil
+	return ent, nil
 }
 
 // BAReadDMA implements BA_READ_DMA(EID, dst, length): programs the
@@ -500,8 +502,8 @@ func (s *TwoBSSD) PMRReadDMA(p *sim.Proc, off int, dst []byte) (int, error) {
 func (s *TwoBSSD) Entries() []Entry {
 	var out []Entry
 	for _, e := range s.table {
-		if e != nil {
-			out = append(out, *e)
+		if e.Pages != 0 {
+			out = append(out, e)
 		}
 	}
 	return out

@@ -44,7 +44,7 @@ func TestPooledMoveForgetsItsError(t *testing.T) {
 	if len(s.moveJobs) != 1 {
 		t.Fatalf("%d pooled move jobs after sequential moves, want 1", len(s.moveJobs))
 	}
-	if j := s.moveJobs[0]; j.ent != nil || j.firstErr != nil {
+	if j := s.moveJobs[0]; j.ent != (Entry{}) || j.firstErr != nil {
 		t.Fatal("a pooled move job kept its entry or error")
 	}
 }

@@ -364,7 +364,7 @@ func (r *recovery) restoreImage(p *sim.Proc) error {
 		return firstErr
 	}
 	for _, e := range entries {
-		s.table[e.ID] = &e
+		s.table[e.ID] = e
 	}
 	return nil
 }

@@ -146,6 +146,8 @@ type Gate interface {
 var (
 	ErrUnaligned = errors.New("device: length not page aligned")
 	ErrGated     = errors.New("device: LBA range gated (pinned to BA-buffer)")
+
+	errZeroRead = errors.New("device: read of zero pages")
 )
 
 type bufEntry struct {
@@ -346,37 +348,55 @@ func (d *Device) maybeTimeout(p *sim.Proc) {
 }
 
 // ReadPages executes one read command of n pages starting at lba and
-// returns the data. Pages are fetched from NAND in parallel (one
-// firmware work item per page) and transferred to the host over the
-// shared PCIe link.
+// returns the data in a new buffer (see ReadPagesInto).
 func (d *Device) ReadPages(p *sim.Proc, lba ftl.LBA, n int) ([]byte, error) {
 	if n <= 0 {
-		return nil, errors.New("device: read of zero pages")
+		return nil, errZeroRead
 	}
+	out := make([]byte, n*d.PageSize())
+	if err := d.ReadPagesInto(p, lba, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// ReadPagesInto executes one read command over the len(dst)/PageSize
+// pages starting at lba and lands them in dst, a whole number of pages.
+// Pages are fetched from NAND in parallel (one firmware work item per
+// page) and transferred to the host over the shared PCIe link. The
+// pages land in dst while the command runs, so dst must not be shared
+// with another read in flight; on an error its contents are undefined.
+func (d *Device) ReadPagesInto(p *sim.Proc, lba ftl.LBA, dst []byte) error {
+	ps := d.PageSize()
+	if len(dst) == 0 {
+		return errZeroRead
+	}
+	if len(dst)%ps != 0 {
+		return fmt.Errorf("%w: %d bytes", ErrUnaligned, len(dst))
+	}
+	n := len(dst) / ps
 	if d.gate != nil {
 		if err := d.gate.CheckRead(lba, n); err != nil {
 			d.cGatedRd.Inc()
 			d.o.Tracer().Instant(d.profile.Name+".gate", "device", "gated_read")
-			return nil, err
+			return err
 		}
 	}
 	d.cReadCmds.Inc()
 	start := d.env.Now()
 	cmd := d.o.Tracer().BeginProc(p, "device", "read_cmd")
 	d.maybeTimeout(p)
-	ps := d.PageSize()
 	p.Sleep(d.profile.SubmissionLatency)
 	d.fw.Use(p, d.profile.FwPerCmdCost)
 
-	out := make([]byte, n*ps)
 	var err error
 	// Single-page commands (the QD-1 4 KB case the paper sweeps) run
 	// inline: no fan-out goroutine or WaitGroup, same virtual timing.
 	if n == 1 {
-		err = d.readPage(p, lba, out)
+		err = d.readPage(p, lba, dst)
 	} else {
 		j := d.getReadJob()
-		j.lba, j.out = lba, out
+		j.lba, j.out = lba, dst
 		j.wg.Add(n)
 		for i := 0; i < n; i++ {
 			d.env.GoIdx(d.rdName, i, j.page)
@@ -388,11 +408,11 @@ func (d *Device) ReadPages(p *sim.Proc, lba ftl.LBA, n int) ([]byte, error) {
 	p.Sleep(d.profile.CompletionLatency)
 	cmd.End()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	d.cPagesRead.Add(uint64(n))
 	d.hReadCmd.Observe(sim.Duration(d.env.Now() - start))
-	return out, nil
+	return nil
 }
 
 // readPage fetches one page of a read command into dst and moves it to

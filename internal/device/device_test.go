@@ -208,11 +208,31 @@ func TestGateBlocksIO(t *testing.T) {
 		if _, err := d.ReadPages(p, 0, 1); !errors.Is(err, ErrGated) {
 			t.Errorf("read err = %v", err)
 		}
+		if err := d.ReadPagesInto(p, 0, make([]byte, 2*d.PageSize())); !errors.Is(err, ErrGated) {
+			t.Errorf("read into err = %v", err)
+		}
 	})
 	e.Run()
-	if rd, wr := counter(t, e, "ULL-SSD.gated_reads"), counter(t, e, "ULL-SSD.gated_writes"); rd != 1 || wr != 1 {
-		t.Fatalf("%d gated reads, %d gated writes; want 1 each", rd, wr)
+	if rd, wr := counter(t, e, "ULL-SSD.gated_reads"), counter(t, e, "ULL-SSD.gated_writes"); rd != 2 || wr != 1 {
+		t.Fatalf("%d gated reads, %d gated writes; want 2 and 1", rd, wr)
 	}
+	if n := counter(t, e, "ULL-SSD.read_cmds"); n != 0 {
+		t.Fatalf("gated reads issued %d read commands, want 0", n)
+	}
+}
+
+func TestReadIntoPartialPageRejected(t *testing.T) {
+	e := sim.NewEnv()
+	d := New(e, small(ULLSSD()))
+	e.Go("t", func(p *sim.Proc) {
+		if err := d.ReadPagesInto(p, 0, make([]byte, d.PageSize()+1)); !errors.Is(err, ErrUnaligned) {
+			t.Errorf("err = %v", err)
+		}
+		if err := d.ReadPagesInto(p, 0, nil); err == nil {
+			t.Error("empty read accepted")
+		}
+	})
+	e.Run()
 }
 
 func latencyOf(t *testing.T, p Profile, op func(pr *sim.Proc, d *Device)) sim.Duration {

@@ -105,13 +105,14 @@ func TestConcurrentMultiPageReads(t *testing.T) {
 	}
 }
 
-// In steady state a multi-page read allocates only the buffer it
-// returns: the fan-out's workers, closures and WaitGroup are reused.
+// In steady state a multi-page read allocates only the buffer ReadPages
+// returns, and ReadPagesInto nothing: the fan-out's workers, closures and
+// WaitGroup are reused.
 func TestMultiPageReadAllocatesOnlyItsBuffer(t *testing.T) {
 	const calls = 200
 	e := sim.NewEnv()
 	d := New(e, small(ULLSSD()))
-	var mallocs uint64
+	var mallocs, mallocsInto uint64
 	e.Go("t", func(p *sim.Proc) {
 		writeDrained(t, p, d, 0, 4, 1)
 		for i := 0; i < 8; i++ { // warm the job and proc pools
@@ -120,15 +121,20 @@ func TestMultiPageReadAllocatesOnlyItsBuffer(t *testing.T) {
 			}
 		}
 		runtime.GC() // start the collector's own workers outside the window
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		for i := 0; i < calls; i++ {
-			if _, err := d.ReadPages(p, 0, 4); err != nil {
-				t.Fatalf("read: %v", err)
+		measure := func(read func() error) uint64 {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for i := 0; i < calls; i++ {
+				if err := read(); err != nil {
+					t.Fatalf("read: %v", err)
+				}
 			}
+			runtime.ReadMemStats(&m1)
+			return m1.Mallocs - m0.Mallocs
 		}
-		runtime.ReadMemStats(&m1)
-		mallocs = m1.Mallocs - m0.Mallocs
+		mallocs = measure(func() error { _, err := d.ReadPages(p, 0, 4); return err })
+		dst := make([]byte, 4*d.PageSize())
+		mallocsInto = measure(func() error { return d.ReadPagesInto(p, 0, dst) })
 	})
 	e.Run()
 	// The Go runtime's channel handoff between proc goroutines refills
@@ -136,5 +142,8 @@ func TestMultiPageReadAllocatesOnlyItsBuffer(t *testing.T) {
 	// simulator does; a fan-out that allocated would add hundreds.
 	if mallocs > calls+8 {
 		t.Fatalf("%d allocations over %d 4-page reads, want <= 1 per read", mallocs, calls)
+	}
+	if mallocsInto > 8 {
+		t.Fatalf("%d allocations over %d 4-page reads into one buffer, want none", mallocsInto, calls)
 	}
 }

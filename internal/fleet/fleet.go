@@ -29,6 +29,7 @@ import (
 	"hash/crc32"
 	"strconv"
 
+	"twobssd/internal/arena"
 	"twobssd/internal/core"
 	"twobssd/internal/fault"
 	"twobssd/internal/histo"
@@ -113,8 +114,9 @@ func DefaultDeviceConfig() core.Config {
 // rerouted) record. fail marks the failover notification the crashed
 // node emits. The payload is shared with the sender — the primary log's
 // tail cache, or the op's own record — and read-only on both sides:
-// nothing writes those bytes after they are sent, so partitions share
-// no mutable memory.
+// nothing writes those bytes after they are sent (the arenas both come
+// from carve later records out of bytes never handed out), so
+// partitions share no mutable memory.
 type repMsg struct {
 	seq     int
 	at      sim.Time // open-loop arrival instant
@@ -209,7 +211,8 @@ type tenantRT struct {
 	lostP       int
 	phantomP    int
 	errsP       []string
-	readBuf     []byte
+	records     arena.Arena // every write's record, carved once and never reused
+	readBufs    [][]byte    // idle volume-read pages: reads in flight each hold one
 	hLat        *histo.H
 	cCommits    *obs.Counter
 	cThrottled  *obs.Counter
@@ -361,7 +364,6 @@ func newTenant(g *sim.Group, fr *fleetRT, idx int, spec traffic.Spec) (*tenantRT
 	t.sent = make([]bool, len(t.sched))
 	t.acked = make([]bool, len(t.sched))
 	t.committed = make([]bool, len(t.sched))
-	t.readBuf = make([]byte, pn.ssd.PageSize())
 	t.applied = make(map[int]uint32, len(t.sched))
 	preg := obs.Of(pn.env).Registry()
 	t.hLat = preg.Histo(fmt.Sprintf("fleet.%s.latency_ns", name))
@@ -471,10 +473,13 @@ func (t *tenantRT) opBody(p *sim.Proc, i int) {
 			t.inflight--
 			return
 		}
-		pageSize := int64(len(t.readBuf))
+		buf := t.readBuf()
+		pageSize := int64(len(buf))
 		pages := t.vol.Capacity() / pageSize
 		off := (op.Key % pages) * pageSize
-		if err := t.vol.ReadAt(p, off, t.readBuf); err != nil {
+		err := t.vol.ReadAt(p, off, buf)
+		t.readBufs = append(t.readBufs, buf)
+		if err != nil {
 			if !errors.Is(err, core.ErrPowerIsOff) {
 				t.errsP = append(t.errsP, fmt.Sprintf("%s read: %v", t.name, err))
 			}
@@ -487,10 +492,10 @@ func (t *tenantRT) opBody(p *sim.Proc, i int) {
 		t.inflight--
 		return
 	}
-	// One buffer per write, never reused: append yields before the log
+	// One record per write, never reused: append yields before the log
 	// copies it, and a takeover send shares it with the follower.
 	size := t.spec.PayloadBytes
-	payload := appendPayload(make([]byte, 0, payloadCap(t.name, size)), t.name, i, op.Key, size)
+	payload := appendPayload(t.records.Alloc(payloadCap(t.name, size)), t.name, i, op.Key, size)
 	if !t.pnode.down {
 		err := t.h.append(p, payload)
 		if err == nil {
@@ -523,6 +528,17 @@ func (t *tenantRT) opBody(p *sim.Proc, i int) {
 	t.takeover++
 	t.sent[i] = true
 	t.data.Send(p, repMsg{seq: i, at: op.At, payload: payload})
+}
+
+// readBuf returns a page for one volume read: the page lands in it
+// while the read runs, so concurrent reads each need their own.
+func (t *tenantRT) readBuf() []byte {
+	if n := len(t.readBufs); n > 0 {
+		buf := t.readBufs[n-1]
+		t.readBufs = t.readBufs[:n-1]
+		return buf
+	}
+	return make([]byte, t.pnode.ssd.PageSize())
 }
 
 // runAckWatch completes ops as follower acks arrive and, once traffic

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"twobssd/internal/sim"
@@ -172,5 +173,32 @@ func TestFleetConfigValidation(t *testing.T) {
 	cfg.Crash = &CrashSpec{Device: 5, At: sim.Time(sim.Millisecond)}
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("out-of-range crash device accepted")
+	}
+}
+
+// A fleet op allocates almost nothing: the heap objects a run makes grow
+// with its op count by well under one per op. Comparing two sizes of one
+// fleet cancels what building and tearing it down costs.
+func TestFleetOpAllocations(t *testing.T) {
+	mallocs := func(ops int) uint64 {
+		cfg := testConfig(3, 4, ops)
+		runtime.GC()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		res, err := Run(cfg)
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := res.Violations(); len(v) != 0 {
+			t.Fatalf("violations: %v", v)
+		}
+		return m1.Mallocs - m0.Mallocs
+	}
+	const small, large = 200, 800
+	perOp := float64(mallocs(large)-mallocs(small)) / float64(4*(large-small))
+	t.Logf("%.3f extra allocations per op", perOp)
+	if perOp >= 0.5 {
+		t.Fatalf("%.2f extra allocations per op between %d and %d ops per tenant, want < 0.5", perOp, small, large)
 	}
 }

@@ -185,6 +185,9 @@ func (f *File) LBA(off int64) ftl.LBA {
 // Pages returns the file capacity in pages.
 func (f *File) Pages() int { return f.ext.pages }
 
+// PageSize returns the device page size, the unit of ReadPages.
+func (f *File) PageSize() int { return f.fs.PageSize() }
+
 func (f *File) check(off int64, n int) error {
 	if f.removed {
 		return fmt.Errorf("%w: %s (removed)", ErrNotFound, f.name)
@@ -244,7 +247,10 @@ func (f *File) WriteAt(p *sim.Proc, off int64, data []byte) error {
 	return nil
 }
 
-// ReadAt reads len(buf) bytes from a byte offset.
+// ReadAt reads len(buf) bytes from a byte offset, in one device command.
+// A page-aligned range lands in buf itself while the command runs, so buf
+// must not be shared with another read in flight; on an error its
+// contents are undefined.
 func (f *File) ReadAt(p *sim.Proc, off int64, buf []byte) error {
 	if err := f.check(off, len(buf)); err != nil {
 		return err
@@ -253,6 +259,9 @@ func (f *File) ReadAt(p *sim.Proc, off int64, buf []byte) error {
 		return nil
 	}
 	ps := int64(f.fs.PageSize())
+	if off%ps == 0 && int64(len(buf))%ps == 0 {
+		return f.fs.dev.ReadPagesInto(p, f.LBA(off), buf)
+	}
 	firstPage := off / ps
 	lastPage := (off + int64(len(buf)) - 1) / ps
 	pages := int(lastPage - firstPage + 1)

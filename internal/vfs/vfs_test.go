@@ -6,8 +6,10 @@ import (
 	"testing"
 	"testing/quick"
 
+	"twobssd/internal/core"
 	"twobssd/internal/device"
 	"twobssd/internal/ftl"
+	"twobssd/internal/obs"
 	"twobssd/internal/sim"
 )
 
@@ -269,5 +271,129 @@ func TestPropertyWriteReadIsolation(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// readCmds is the device's read-command count.
+func readCmds(t *testing.T, e *sim.Env, profile string) uint64 {
+	t.Helper()
+	v, ok := obs.Of(e).Snapshot().Counters[profile+".read_cmds"]
+	if !ok {
+		t.Fatalf("no counter %s.read_cmds in the registry", profile)
+	}
+	return v
+}
+
+// ReadAt is one device command whether or not the range is page aligned
+// (an aligned range lands in the caller's buffer, any other is copied
+// out of the device's), and returns the bytes ReadPages does.
+func TestReadAtMatchesReadPages(t *testing.T) {
+	e := sim.NewEnv()
+	fs := newFS(e)
+	ps := int64(fs.PageSize())
+	f, _ := fs.Create("f", 8*ps)
+	e.Go("t", func(p *sim.Proc) {
+		img := make([]byte, 8*ps)
+		for i := range img {
+			img[i] = byte(i * 7 / 5)
+		}
+		if err := f.WriteAt(p, 0, img); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		if err := fs.Device().Drain(p); err != nil { // read NAND pages, tag checks included
+			t.Fatalf("drain: %v", err)
+		}
+		for _, c := range []struct{ off, n int64 }{
+			{0, ps},            // one aligned page
+			{2 * ps, 3 * ps},   // aligned pages
+			{100, 200},         // inside a page
+			{ps - 10, 20},      // across a boundary
+			{ps, ps + 1},       // aligned start, partial tail
+			{ps + 1, 2*ps - 1}, // partial head, aligned end
+			{7*ps + 5, ps - 5}, // the file's last bytes
+		} {
+			got := make([]byte, c.n)
+			cmds := readCmds(t, e, "ULL-SSD")
+			if err := f.ReadAt(p, c.off, got); err != nil {
+				t.Fatalf("ReadAt(%d, %d): %v", c.off, c.n, err)
+			}
+			if n := readCmds(t, e, "ULL-SSD") - cmds; n != 1 {
+				t.Fatalf("ReadAt(%d, %d) issued %d read commands, want 1", c.off, c.n, n)
+			}
+			first := c.off / ps
+			pages, err := f.ReadPages(p, int(first), int((c.off+c.n+ps-1)/ps-first))
+			if err != nil {
+				t.Fatalf("ReadPages: %v", err)
+			}
+			want := pages[c.off-first*ps:][:c.n]
+			if !bytes.Equal(got, want) || !bytes.Equal(got, img[c.off:c.off+c.n]) {
+				t.Fatalf("ReadAt(%d, %d) differs from ReadPages", c.off, c.n)
+			}
+		}
+	})
+	e.Run()
+}
+
+// The LBA checker gates ReadAt on either path before any read command
+// is issued.
+func TestGatedReadAtIssuesNoCommand(t *testing.T) {
+	e := sim.NewEnv()
+	cfg := core.DefaultConfig()
+	cfg.Base.Nand.Channels = 2
+	cfg.Base.Nand.DiesPerChannel = 2
+	cfg.Base.Nand.BlocksPerDie = 16
+	cfg.Base.Nand.PagesPerBlock = 16
+	cfg.Base.FTL.OverProvision = 0.25
+	cfg.BABufferBytes = 16 * 4096
+	ssd := core.New(e, cfg)
+	fs := New(ssd.Device())
+	ps := int64(fs.PageSize())
+	f, _ := fs.Create("pinned", 4*ps)
+	name := ssd.Device().Profile().Name
+	e.Go("t", func(p *sim.Proc) {
+		if err := ssd.BAPin(p, 0, 0, f.LBA(0), 4); err != nil {
+			t.Fatalf("pin: %v", err)
+		}
+		cmds := readCmds(t, e, name)
+		for _, c := range []struct{ off, n int64 }{{0, ps}, {ps, 2 * ps}, {10, 100}} {
+			if err := f.ReadAt(p, c.off, make([]byte, c.n)); !errors.Is(err, core.ErrPinnedRange) {
+				t.Fatalf("ReadAt(%d, %d) of a pinned range: err = %v, want ErrPinnedRange", c.off, c.n, err)
+			}
+		}
+		if n := readCmds(t, e, name) - cmds; n != 0 {
+			t.Fatalf("gated reads issued %d read commands, want 0", n)
+		}
+	})
+	e.Run()
+}
+
+// An aligned one-page ReadAt lands in the caller's buffer and makes no
+// heap object.
+func TestAlignedReadAtDoesNotAllocate(t *testing.T) {
+	e := sim.NewEnv()
+	fs := newFS(e)
+	ps := fs.PageSize()
+	f, _ := fs.Create("f", int64(4*ps))
+	var allocs float64
+	e.Go("t", func(p *sim.Proc) {
+		if err := f.WriteAt(p, 0, bytes.Repeat([]byte{0x5A}, 4*ps)); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		if err := fs.Device().Drain(p); err != nil {
+			t.Fatalf("drain: %v", err)
+		}
+		buf := make([]byte, ps)
+		allocs = testing.AllocsPerRun(200, func() {
+			if err := f.ReadAt(p, int64(ps), buf); err != nil {
+				t.Fatalf("read: %v", err)
+			}
+		})
+		if buf[0] != 0x5A || buf[ps-1] != 0x5A {
+			t.Fatal("the read did not land in the caller's buffer")
+		}
+	})
+	e.Run()
+	if allocs != 0 {
+		t.Fatalf("%.2f allocations per aligned one-page ReadAt, want 0", allocs)
 	}
 }

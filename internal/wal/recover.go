@@ -3,7 +3,6 @@
 package wal
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -27,7 +26,8 @@ type RepairReport struct {
 func (l *Log) Repair() RepairReport { return l.repair }
 
 // viewAt returns the n bytes at off of one segment file. The slice may
-// alias the reader's buffer: it is read-only and stays valid for good.
+// alias the reader's buffer, capped at n: it is read-only and stays
+// valid for good, so Recover caches record payloads without copying.
 type viewAt func(off, n int64) ([]byte, error)
 
 // readAheadPages is the length of one recovery read command. Sequential
@@ -87,8 +87,8 @@ func (r *segReader) load(i int64) []byte {
 	return b
 }
 
-// view is the reader's viewAt: a sub-slice of the run holding
-// [off, off+n), or a copy when the range straddles runs.
+// view is the reader's viewAt: a capacity-capped sub-slice of the run
+// holding [off, off+n), or a copy when the range straddles runs.
 func (r *segReader) view(off, n int64) ([]byte, error) {
 	rb := r.run * r.ps
 	first, last := off/rb, (off+n-1)/rb
@@ -98,7 +98,8 @@ func (r *segReader) view(off, n int64) ([]byte, error) {
 	}
 	for i := first; i <= last; i++ {
 		b := r.load(i)
-		part := b[max(off-i*rb, 0):min(off+n-i*rb, int64(len(b)))]
+		hi := min(off+n-i*rb, int64(len(b)))
+		part := b[max(off-i*rb, 0):hi:hi]
 		if first == last {
 			out = part
 		} else {
@@ -207,7 +208,8 @@ func probeSlot(hdr []byte, i, ring int, fileBytes int64) int64 {
 // header, and walks the segment chain from the checkpoint segment
 // forward; a torn or stale tail is durably cut back to the last intact
 // record (see Repair). The caller must quiesce appenders/committers
-// first.
+// first. A payload handed to fn is read-only: on a tailed log it is the
+// very bytes the tail cache serves.
 func (l *Log) Recover(p *sim.Proc, fn func(lsn LSN, payload []byte) error) error {
 	t0 := l.env.Now()
 	sp := l.o.Tracer().BeginProc(p, "wal", "recover")
@@ -264,7 +266,7 @@ func (l *Log) Recover(p *sim.Proc, fn func(lsn LSN, payload []byte) error) error
 				}
 				if l.retained != nil {
 					l.retained[seg] = append(l.retained[seg], tailRec{
-						end: LSN(g), at: l.env.Now(), payload: bytes.Clone(payload),
+						end: LSN(g), at: l.env.Now(), payload: payload,
 					})
 				}
 				if fn == nil {

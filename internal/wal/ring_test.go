@@ -497,48 +497,121 @@ func TestTailRetainsFromFirstReader(t *testing.T) {
 }
 
 // TestTailPayloadIsTheLogsCopy pins TailRecord's read-only contract from
-// the log's side: the payload a reader gets is the log's own copy, so a
-// caller reusing its Append buffer, later appends, and a Recover that
-// rebuilds the cache from media all leave a delivered payload unchanged.
+// the log's side, with a reader open from the start: every delivered
+// payload stays the bytes appended, although the caller overwrites its
+// Append buffer at once, a checkpoint truncates the record's segment, a
+// Recover rebuilds the cache from media and more appends follow. Checks
+// report with Errorf and return, so the proc ends cleanly on a failure.
 func TestTailPayloadIsTheLogsCopy(t *testing.T) {
+	for _, mode := range []CommitMode{Sync, BA} {
+		t.Run(mode.String(), func(t *testing.T) {
+			r := newRig()
+			defer r.env.Shutdown()
+			sl := openSeg(t, r, mode)
+			reader := sl.Tail(0)
+			var got []TailRecord
+			drain := func(rd *TailReader) (recs []TailRecord) {
+				for {
+					rec, ok, err := rd.TryNext()
+					if err != nil {
+						t.Errorf("tail: %v", err)
+					}
+					if err != nil || !ok {
+						return recs
+					}
+					recs = append(recs, rec)
+				}
+			}
+			intact := func(when string, recs []TailRecord, first int) bool {
+				for i, rec := range recs {
+					if string(rec.Payload) != segPayload(first+i) {
+						t.Errorf("%s: payload of record %d reads %.12q", when, first+i, rec.Payload)
+						return false
+					}
+				}
+				return true
+			}
+			r.env.Go("t", func(p *sim.Proc) {
+				buf := make([]byte, len(segPayload(0)))
+				var last LSN
+				appendN := func(from, to int) bool {
+					for i := from; i < to; i++ {
+						copy(buf, segPayload(i))
+						lsn, err := sl.Append(p, buf)
+						copy(buf, strings.Repeat("z", len(buf))) // the caller reuses its buffer at once
+						if err == nil {
+							err = sl.Commit(p, lsn)
+						}
+						if err != nil {
+							t.Errorf("record %d: %v", i, err)
+							return false
+						}
+						last = lsn
+					}
+					got = append(got, drain(reader)...)
+					return true
+				}
+				if !appendN(0, 20) || !intact("after the caller reused its buffer", got, 0) {
+					return
+				}
+				ckpt := last // two segments in
+				if err := sl.Checkpoint(p, ckpt); err != nil || sl.RetainedLSN() == 0 {
+					t.Errorf("checkpoint truncated nothing (err %v)", err)
+					return
+				}
+				if !intact("after a checkpoint truncated their segment", got, 0) || !appendN(20, 30) {
+					return
+				}
+				if err := sl.Recover(p, nil); err != nil {
+					t.Errorf("recover: %v", err)
+					return
+				}
+				recached := drain(sl.Tail(ckpt))
+				if len(recached) != 10 {
+					t.Errorf("Recover re-cached %d records past the checkpoint, want 10", len(recached))
+					return
+				}
+				if !intact("re-cached", recached, 20) || !intact("after Recover re-cached them", got, 0) ||
+					!appendN(30, 36) {
+					return
+				}
+				if intact("after appends on top of the re-cache", got, 0) {
+					intact("re-cached, after later appends", recached, 20)
+				}
+			})
+			r.env.Run()
+			if !t.Failed() && len(got) != 36 {
+				t.Fatalf("reader delivered %d records, want 36", len(got))
+			}
+		})
+	}
+}
+
+// A steady-state Append on a tailed log makes no heap object of its own:
+// the tail cache's copy of the record is carved from the log's arena.
+func TestTailedAppendDoesNotAllocate(t *testing.T) {
 	r := newRig()
-	sl := openSeg(t, r, Sync)
-	reader := sl.Tail(0)
+	defer r.env.Shutdown()
+	l := r.openLog(t, "tailed", Sync)
+	l.Tail(0)
+	rec := make([]byte, 100)
+	var allocs float64
 	r.env.Go("t", func(p *sim.Proc) {
-		buf := []byte(segPayload(0))
-		lsn, err := sl.Append(p, buf)
-		if err != nil {
-			t.Fatalf("append: %v", err)
-		}
-		copy(buf, segPayload(1)) // the caller reuses its buffer at once
-		if err := sl.Commit(p, lsn); err != nil {
-			t.Fatalf("commit: %v", err)
-		}
-		rec, ok, err := reader.TryNext()
-		if err != nil || !ok || string(rec.Payload) != segPayload(0) {
-			t.Fatalf("reader got %.12q ok=%v err=%v, want record 0 as appended", rec.Payload, ok, err)
-		}
-		for i := 1; i < 12; i++ { // past a rotation
-			if _, err := appendCommit(p, sl, segPayload(i)); err != nil {
-				t.Fatalf("append %d: %v", i, err)
+		for i := 0; i < 64; i++ { // past the cache's first slice doublings
+			if _, err := l.Append(p, rec); err != nil {
+				t.Fatalf("append: %v", err)
 			}
 		}
-		if err := sl.Recover(p, nil); err != nil {
-			t.Fatalf("recover: %v", err)
-		}
-		after, ok, err := sl.Tail(0).TryNext()
-		if err != nil || !ok || string(after.Payload) != segPayload(0) {
-			t.Fatalf("after Recover: %.12q ok=%v err=%v, want record 0", after.Payload, ok, err)
-		}
-		if _, err := appendCommit(p, sl, segPayload(12)); err != nil {
-			t.Fatalf("append 12: %v", err)
-		}
-		if string(rec.Payload) != segPayload(0) || string(after.Payload) != segPayload(0) {
-			t.Fatal("a delivered payload changed after later appends or a Recover")
-		}
+		allocs = testing.AllocsPerRun(200, func() {
+			if _, err := l.Append(p, rec); err != nil {
+				t.Fatalf("append: %v", err)
+			}
+		})
 	})
 	r.env.Run()
-	r.env.Shutdown()
+	if allocs >= 0.05 {
+		t.Fatalf("%.2f allocations per tailed Append, want < 0.05", allocs)
+	}
 }
 
 // mixedPayload draws appender c's i-th record: half are ~10 B, half up

@@ -35,7 +35,7 @@ var (
 type tailRec struct {
 	end     LSN      // LSN just past the record
 	at      sim.Time // append instant, stamped when the store lands
-	payload []byte   // the log's own copy; never written after it is made
+	payload []byte   // the log's own copy (arena or Recover's read run); never written
 }
 
 // TailRecord is one committed record delivered to a tail reader.

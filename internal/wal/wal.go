@@ -58,13 +58,13 @@
 package wal
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"slices"
 
+	"twobssd/internal/arena"
 	"twobssd/internal/core"
 	"twobssd/internal/fault"
 	"twobssd/internal/histo"
@@ -251,9 +251,12 @@ type Log struct {
 	// MMIO store on every geometry, so concurrent appenders each hold one.
 	recPool [][]byte
 
-	// Tail-reader cache (tail.go): nil until the first Tail call.
+	// Tail-reader cache (tail.go): nil until the first Tail call. Append
+	// copies each cached record into kept; Recover caches the scan's
+	// read buffers as they are.
 	retained   map[int64][]tailRec // segment seq → records in LSN order
 	retainFrom int64               // records ending at or below were never cached
+	kept       arena.Arena
 
 	repair RepairReport
 
@@ -326,6 +329,7 @@ func Open(env *sim.Env, cfg Config) (*Log, error) {
 		if l.segBytes > l.fileBytes {
 			return nil, fmt.Errorf("%w: segment larger than file", ErrBadConfig)
 		}
+		cfg.EIDs = slices.Clone(cfg.EIDs) // Rebind overwrites it in place
 	}
 	if (cfg.Mode == Async || cfg.Mode == PM) && cfg.AsyncFlushInterval <= 0 {
 		cfg.AsyncFlushInterval = 10 * sim.Millisecond
@@ -471,7 +475,7 @@ func (l *Log) Append(p *sim.Proc, payload []byte) (LSN, error) {
 	end := pos + int64(need)
 	if err == nil && l.retained != nil {
 		seg := pos / l.fileBytes
-		l.retained[seg] = append(l.retained[seg], tailRec{end: LSN(end), payload: bytes.Clone(payload)})
+		l.retained[seg] = append(l.retained[seg], tailRec{end: LSN(end), payload: l.kept.Copy(payload)})
 	}
 	// The store runs outside the lock, so concurrent stores overlap;
 	// what needs them landed waits for them (awaitStores), not for mu.
@@ -1037,7 +1041,7 @@ func (l *Log) Rebind(eids []core.EID, bufferOffset int) error {
 			return fmt.Errorf("%w: Rebind on a pinned log (FlushToNAND first)", ErrBadConfig)
 		}
 	}
-	l.cfg.EIDs = append([]core.EID(nil), eids...)
+	l.cfg.EIDs = append(l.cfg.EIDs[:0], eids...) // Open made the slice the log's own
 	l.cfg.BufferOffset = bufferOffset
 	for i, h := range l.halves {
 		h.eid = eids[i]
