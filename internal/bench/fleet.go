@@ -1,18 +1,15 @@
 // The `bench2b fleet` experiment family: multi-device fleets of
 // simulated 2B-SSDs under tenant traffic, exercising the shard router,
 // BA-log replication, QoS slot arbitration and failover end to end.
-// Each scenario is one fleet.Run on its own sim.Group at the default
-// one worker (partitioned execution is fleet.Config.Workers, a library
-// property pinned by tests — the harness's parallelism is -j alone),
-// scenarios fan out through points() (so -j applies), and every run
-// doubles as an integrity gate: lost or phantom records, or a
-// determinism divergence between worker counts, fail the run.
+// Each scenario is one fleet.Run on its own sim.Group, scenarios fan
+// out through points() (so -j applies), and every run doubles as an
+// integrity gate: lost or phantom records, or a missed failover, fail
+// the run.
 package bench
 
 import (
 	"fmt"
 	"io"
-	"reflect"
 	"strings"
 
 	"twobssd/internal/fleet"
@@ -163,9 +160,7 @@ func fleetTable(sc fleetScenario, res *fleet.Result) *Table {
 
 // RunFleet executes the fleet experiment family (or the CI smoke
 // scenario) and writes the tables to w. It returns an error when any
-// scenario lost or phantomed a record, failed to fail over, or — the
-// smoke's extra determinism bar — produced a different result at a
-// different sim.Group worker count.
+// scenario lost or phantomed a record or failed to fail over.
 func RunFleet(r *Runner, w io.Writer, smoke bool) error {
 	scens := fleetScenarios(r.Scale)
 	if smoke {
@@ -174,24 +169,6 @@ func RunFleet(r *Runner, w io.Writer, smoke bool) error {
 	violations, err := runFleetScenarios(r, w, scens)
 	if err != nil {
 		return err
-	}
-	if smoke {
-		// Determinism bar: the same smoke fleet at 1 worker and at 2
-		// must produce the identical Result, field for field.
-		runs, err := pointsErr(r, 2, func(i int) (*fleet.Result, error) {
-			cfg := fleetSmokeScenario().cfg
-			cfg.Workers = i + 1
-			return fleet.Run(cfg)
-		})
-		if err != nil {
-			return fmt.Errorf("fleet-smoke determinism probe: %w", err)
-		}
-		if !reflect.DeepEqual(runs[0], runs[1]) {
-			violations = append(violations,
-				"fleet-smoke: result diverged between 1 and 2 sim.Group workers")
-		} else {
-			fmt.Fprintln(w, "fleet-smoke: determinism probe ok (1 vs 2 workers identical)")
-		}
 	}
 	if len(violations) > 0 {
 		return fmt.Errorf("fleet gate: %s", strings.Join(violations, "; "))

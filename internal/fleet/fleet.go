@@ -2,10 +2,9 @@
 // router and drives multi-tenant traffic across them — the
 // "millions of users" layer over the single-device reproduction.
 //
-// Topology: every device is one partition of a sim.Group, so a fleet
-// runs serially (one worker) or partitioned (N workers) with
-// byte-identical results — the conservative-lookahead guarantee of
-// sim.Group. A tenant's WAL (a ring of segment files) and volume live
+// Topology: every device is one partition of a sim.Group, run on the
+// caller's goroutine in lockstep windows as wide as the link latency.
+// A tenant's WAL (a ring of segment files) and volume live
 // on its primary device (placed by the Router); a per-tenant shipper
 // streams every durable record off the WAL's tailing reader (wal.Log.Tail)
 // and ships it over a latency-modeled sim.Link to a follower device, which redoes the
@@ -53,7 +52,8 @@ type CrashSpec struct {
 type Config struct {
 	Devices int    // device count (>= 2: replication needs a distinct follower)
 	Policy  Policy // shard-router placement policy
-	Workers int    // sim.Group workers (0 = 1); results identical at any value
+	// Deprecated: ignored. A fleet runs on the caller's goroutine.
+	Workers int
 
 	NetLatency sim.Duration // one-way link latency = group lookahead (0 = 5us)
 
@@ -71,13 +71,6 @@ const (
 	segmentBytes = 4 * 4096            // slot window bytes
 	volumeBytes  = 256 << 10           // per-tenant data-volume capacity
 )
-
-func (c *Config) workers() int {
-	if c.Workers < 1 {
-		return 1
-	}
-	return c.Workers
-}
 
 func (c *Config) netLatency() sim.Duration {
 	if c.NetLatency <= 0 {
@@ -804,7 +797,6 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 	g := sim.NewGroup()
-	g.SetWorkers(cfg.workers())
 	fr.nodes = make([]*node, cfg.Devices)
 	for d := range fr.nodes {
 		fr.nodes[d] = newNode(g, fr, devCfg, d)

@@ -137,27 +137,47 @@ func TestFleetFailover(t *testing.T) {
 	}
 }
 
-// The whole Result — every counter, percentile, and event count — must
-// be byte-identical at any worker count (the partitioned-DES claim).
-func TestFleetWorkersInvariance(t *testing.T) {
-	base := testConfig(4, 6, 120)
-	base.Crash = &CrashSpec{Device: -1, At: sim.Time(2 * sim.Millisecond)}
-	var ref *Result
-	for _, workers := range []int{1, 4, 8} {
-		cfg := base
-		cfg.Workers = workers
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref == nil {
-			ref = res
-			continue
-		}
-		if !reflect.DeepEqual(ref, res) {
-			t.Fatalf("workers=%d result diverged from workers=1:\n%+v\nvs\n%+v",
-				workers, ref, res)
-		}
+// TestFleetResultGolden pins a crashed fleet's whole Result except the
+// event count — every counter, percentile and fairness index — so a
+// change to the kernel, the links or the fleet that moves the
+// simulation fails here.
+func TestFleetResultGolden(t *testing.T) {
+	cfg := testConfig(4, 6, 120)
+	cfg.Crash = &CrashSpec{Device: -1, At: sim.Time(2 * sim.Millisecond)}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Events == 0 {
+		t.Fatal("no simulation events counted")
+	}
+	res.Events = 0
+	want := &Result{
+		Tenants: []TenantResult{
+			{Name: "ta", Primary: 2, Follower: 3, Ops: 120, Acked: 97, Reads: 8, Takeover: 58, Dropped: 15, Throttled: 133, Retries: 133, Applied: 97,
+				LatP50: 355009, LatP99: 2965820, LatMax: 3180201, RepLagP50: 211090, RepLagMax: 547373, QoSWaitP99: 77935, Evictions: 21,
+				FailedOver: true, Recovery: 972954},
+			{Name: "tb", Primary: 1, Follower: 3, Ops: 120, Acked: 93, Reads: 27, Applied: 93,
+				LatP50: 115097, LatP99: 387141, LatMax: 410152, RepLagP50: 155871, RepLagMax: 404480, QoSWaitP99: 52772, Evictions: 21},
+			{Name: "tc", Primary: 3, Follower: 2, Ops: 120, Acked: 33, Reads: 25, Degraded: 62, Throttled: 12, Retries: 12, Applied: 33,
+				LatP50: 202140, LatP99: 502059, LatMax: 547728, RepLagP50: 9741, RepLagMax: 21914, QoSWaitP99: 84989, Evictions: 22},
+			{Name: "td", Primary: 1, Follower: 3, Ops: 120, Acked: 87, Reads: 33, Applied: 87,
+				LatP50: 38967, LatP99: 273750, LatMax: 290874, RepLagP50: 101070, RepLagMax: 285223, QoSWaitP99: 77935, Evictions: 18},
+			{Name: "te", Primary: 1, Follower: 3, Ops: 120, Acked: 93, Reads: 27, Throttled: 97, Retries: 97, Applied: 93,
+				LatP50: 230195, LatP99: 2493948, LatMax: 2872025, RepLagP50: 262144, RepLagMax: 541100, QoSWaitP99: 101070, Evictions: 22},
+			{Name: "tf", Primary: 1, Follower: 2, Ops: 120, Acked: 32, Reads: 19, Degraded: 69, Applied: 32,
+				LatP50: 789, LatP99: 17866, LatMax: 39646, RepLagP50: 7867, RepLagMax: 20944},
+		},
+		Devices: []DeviceResult{
+			{Fairness: 1},
+			{Fairness: 0.9966487467585775, Leases: 8},
+			{Down: true, Fairness: 1, Leases: 3},
+			{Fairness: 0.9965199362151264, Leases: 115, Evictions: 104},
+		},
+		Failover: &FailoverResult{Device: 2, TripAt: 2000000, Tenants: 1, RecoveryMax: 972954},
+	}
+	if !reflect.DeepEqual(res, want) {
+		t.Fatalf("fleet result moved:\n got %+v\nwant %+v", res, want)
 	}
 }
 

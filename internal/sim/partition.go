@@ -1,61 +1,42 @@
-// Partitioned execution: several environments advancing in bounded-skew
-// lockstep on multiple OS threads, with results byte-identical to a
-// serial run.
+// Partitioned execution on one thread: several environments, each with
+// its own clock, event heap and ready ring — the kernel in sim.go,
+// unchanged — advanced together by the caller's goroutine.
 //
-// A Group owns N member environments ("partitions"). Each partition
-// keeps its own clock, event heap and ready ring — the single-threaded
-// kernel in sim.go, unchanged — and the Group advances all of them
+// A Group owns N member environments ("partitions") and runs them
 // window by window:
 //
 //	W       = min over partitions of their next pending event time
 //	horizon = W + lookahead, where lookahead = min link latency
 //
-// Within a window every partition dispatches only events strictly
-// before the horizon, so partitions can run concurrently without locks:
-// they share no simulation state, and anything one partition sends to
-// another through a Link arrives at send-time + link latency, which is
-// at or past the horizon. Messages queued during a window are therefore
-// injected at the barrier between windows — when no process is running
-// anywhere — without ever reordering an event the receiver could
-// already have executed. That conservative-lookahead argument is the
-// whole determinism story: event order inside each partition is the
-// ordinary (at, seq) order, barrier injection follows fixed link-id
-// order, so the merged run is byte-identical no matter how many worker
-// threads execute the windows (SetWorkers(1) and SetWorkers(8) produce
-// the same simulation).
+// Within a window each partition in index order dispatches its events
+// strictly before the horizon. Partitions interact only through Links,
+// and a message sent at t arrives at t + latency >= W + lookahead =
+// horizon. So when a Send wakes a parked receiver by scheduling it
+// straight into the receiver's heap at the arrival, that event is at or
+// past the horizon: it never lands in the past of a partition that has
+// already run this window, and a partition still to run this window
+// does not dispatch it yet. Event order inside each partition is the
+// ordinary (at, seq) order, so every run is exactly reproducible.
 //
 // Lookahead must be positive — a zero-latency cross-partition
-// interaction would force a zero-width window and no parallelism is
-// possible; model such coupling inside one partition instead.
+// interaction would force a zero-width window; model such coupling
+// inside one partition instead.
 package sim
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
-// Group is a set of environments run in lockstep. Create members with
-// NewEnv, connect them with NewLink, then call Run once all processes
-// are started (Run on a member environment panics).
+// Group is a set of environments run in lockstep windows. Create
+// members with NewEnv, connect them with NewLink, then call Run once
+// all processes are started (Run on a member environment panics).
 type Group struct {
-	parts   []*Env
-	names   []string
-	links   []*linkCore
-	workers int
-	running bool
+	parts     []*Env
+	names     []string
+	lookahead Duration // min link latency; 0 while there are no links
+	running   bool
 }
 
 // NewGroup returns an empty partition group.
-func NewGroup() *Group { return &Group{workers: 1} }
-
-// SetWorkers sets how many OS goroutines execute windows (default 1).
-// The worker count changes wall-clock speed only, never results.
-func (g *Group) SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	g.workers = n
-}
+func NewGroup() *Group { return &Group{} }
 
 // NewEnv adds a named partition and returns its environment.
 func (g *Group) NewEnv(name string) *Env {
@@ -70,9 +51,6 @@ func (g *Group) NewEnv(name string) *Env {
 	return e
 }
 
-// Parts reports the number of member environments.
-func (g *Group) Parts() int { return len(g.parts) }
-
 // Events reports the total events executed across all partitions.
 func (g *Group) Events() uint64 {
 	var n uint64
@@ -82,21 +60,8 @@ func (g *Group) Events() uint64 {
 	return n
 }
 
-// linkCore is the untyped view of a Link the Group's window loop
-// manipulates: flushing the sender-side queue at barriers and waking a
-// parked pump at the earliest new arrival.
-type linkCore struct {
-	id      int
-	name    string
-	from    *Env
-	to      *Env
-	latency Duration
-	pump    *Proc
-	parked  bool
-	flush   func() (first Time, any bool)
-}
-
-// timed is a payload annotated with its arrival time.
+// timed is a message annotated with its arrival time; closeMk marks the
+// end of the stream.
 type timed[T any] struct {
 	at      Time
 	v       T
@@ -106,26 +71,24 @@ type timed[T any] struct {
 // Link is a typed, unbounded, FIFO message channel from one partition
 // to another with a fixed positive latency. Send never blocks; Recv
 // parks until a message arrives (in the receiver's virtual time) or the
-// link is closed and drained. Payloads travel in typed slices — no
-// interface{} boxing, and steady-state messaging does not allocate once
-// the queues have grown to their working size.
+// link is closed and drained. Messages wait in one queue in arrival
+// order (the sender's clock is monotone and the latency fixed), and a
+// message costs no event of its own: it is a timed wake of a parked
+// receiver. Payloads travel in a typed slice — no interface{} boxing,
+// and steady-state messaging does not allocate once the queue has grown
+// to its working size.
 type Link[T any] struct {
-	core      *linkCore
-	avail     *Signal
-	pumpLabel string
+	name     string
+	label    string // "link <name>", precomputed for allocation-free parking
+	from, to *Env
+	latency  Duration
 
-	// Sender side: messages queued during the current window.
-	outq       []timed[T]
-	sendClosed bool
+	q      []timed[T] // q[head:] in flight or delivered, in arrival order
+	head   int
+	closed bool // Close was called (sender side)
 
-	// Receiver side: in-flight messages (injected at barriers, ordered
-	// by arrival because the sender's clock is monotone), the delivered
-	// inbox, and the close mark.
-	pending  []timed[T]
-	pendHead int
-	inbox    []T
-	inbHead  int
-	closed   bool
+	rx     *Proc // the process inside Recv, if any
+	parked bool  // rx is blocked on an empty queue; the next Send wakes it
 }
 
 // NewLink connects two partitions of g with the given one-way latency
@@ -143,235 +106,114 @@ func NewLink[T any](g *Group, from, to *Env, name string, latency Duration) *Lin
 	if latency <= 0 {
 		panic("sim: link " + name + " latency must be positive (it bounds the lockstep window)")
 	}
-	l := &Link[T]{
-		avail:     to.NewSignal("link " + name + ".avail"),
-		pumpLabel: "link " + name + ".pump",
+	if g.lookahead == 0 || latency < g.lookahead {
+		g.lookahead = latency
 	}
-	c := &linkCore{id: len(g.links), name: name, from: from, to: to, latency: latency}
-	c.flush = l.flushOut
-	l.core = c
-	g.links = append(g.links, c)
-	c.pump = to.GoDaemon("link."+name+".pump", l.pumpLoop)
-	return l
+	return &Link[T]{name: name, label: "link " + name, from: from, to: to, latency: latency}
 }
 
 // Send queues v for delivery at the sender's current time plus the link
 // latency. It never blocks and must be called from the source partition.
-func (l *Link[T]) Send(p *Proc, v T) {
-	c := l.core
-	if p.env != c.from {
-		panic("sim: Send on link " + c.name + " from the wrong partition")
-	}
-	if l.sendClosed {
-		panic("sim: Send on closed link " + c.name)
-	}
-	l.outq = append(l.outq, timed[T]{at: c.from.now + Time(c.latency), v: v})
-}
+func (l *Link[T]) Send(p *Proc, v T) { l.push(p, "Send", timed[T]{v: v}) }
 
 // Close marks the end of the stream. The close travels like a message:
 // the receiver sees ok=false only after draining everything sent before
 // it, one latency later.
 func (l *Link[T]) Close(p *Proc) {
-	c := l.core
-	if p.env != c.from {
-		panic("sim: Close on link " + c.name + " from the wrong partition")
-	}
-	if l.sendClosed {
-		panic("sim: Close on closed link " + c.name)
-	}
-	l.sendClosed = true
-	l.outq = append(l.outq, timed[T]{at: c.from.now + Time(c.latency), closeMk: true})
+	l.push(p, "Close", timed[T]{closeMk: true})
+	l.closed = true
 }
 
-// Recv returns the next delivered message, parking until one arrives.
+// push appends m at its arrival time and wakes a receiver parked on the
+// empty queue at that arrival.
+func (l *Link[T]) push(p *Proc, op string, m timed[T]) {
+	if p.env != l.from {
+		panic("sim: " + op + " on link " + l.name + " from the wrong partition")
+	}
+	if l.closed {
+		panic("sim: " + op + " on closed link " + l.name)
+	}
+	m.at = l.from.now + Time(l.latency)
+	l.q = append(l.q, m)
+	if l.parked {
+		l.parked = false
+		l.to.schedule(l.rx, m.at)
+	}
+}
+
+// Recv returns the next delivered message, waiting until one arrives.
 // ok is false once the link is closed and drained. Must be called from
-// the destination partition.
+// the destination partition, by one process at a time.
 func (l *Link[T]) Recv(p *Proc) (v T, ok bool) {
-	c := l.core
-	if p.env != c.to {
-		panic("sim: Recv on link " + c.name + " from the wrong partition")
+	e := l.to
+	if p.env != e {
+		panic("sim: Recv on link " + l.name + " from the wrong partition")
 	}
-	var zero T
-	for l.inbHead == len(l.inbox) {
-		if l.closed {
-			return zero, false
-		}
-		l.avail.Wait(p)
+	if l.rx != nil {
+		panic("sim: second receiver on link " + l.name)
 	}
-	v = l.inbox[l.inbHead]
-	l.inbox[l.inbHead] = zero
-	l.inbHead++
-	if l.inbHead == len(l.inbox) {
-		l.inbox = l.inbox[:0]
-		l.inbHead = 0
-	}
-	return v, true
-}
-
-// Len reports the number of delivered-but-unread messages.
-func (l *Link[T]) Len() int { return len(l.inbox) - l.inbHead }
-
-// flushOut moves the window's sends to the receiver side. Runs only at
-// barriers, when neither endpoint has a process executing.
-func (l *Link[T]) flushOut() (Time, bool) {
-	if len(l.outq) == 0 {
-		return 0, false
-	}
-	first := l.outq[0].at
-	l.pending = append(l.pending, l.outq...)
-	var zero timed[T]
-	for i := range l.outq {
-		l.outq[i] = zero
-	}
-	l.outq = l.outq[:0]
-	return first, true
-}
-
-// pumpLoop is the receiver-side daemon that turns in-flight messages
-// into inbox entries at their arrival times. It parks when nothing is
-// in flight; the barrier reschedules it at the earliest new arrival.
-func (l *Link[T]) pumpLoop(p *Proc) {
-	e := l.core.to
-	var zero timed[T]
+	l.rx = p
 	for {
-		for l.pendHead == len(l.pending) {
-			l.core.parked = true
-			p.block(l.pumpLabel)
-		}
-		if next := l.pending[l.pendHead].at; next > e.now {
-			p.Sleep(Duration(next - e.now))
-			continue
-		}
-		for l.pendHead < len(l.pending) && l.pending[l.pendHead].at <= e.now {
-			m := l.pending[l.pendHead]
-			l.pending[l.pendHead] = zero
-			l.pendHead++
-			if m.closeMk {
-				l.closed = true
-			} else {
-				l.inbox = append(l.inbox, m.v)
-			}
-		}
-		if l.pendHead == len(l.pending) {
-			l.pending = l.pending[:0]
-			l.pendHead = 0
-		}
-		l.avail.Fire()
-		if l.closed {
-			return
+		if l.head == len(l.q) {
+			l.parked = true
+			p.block(l.label)
+		} else if at := l.q[l.head].at; at > e.now {
+			p.Sleep(Duration(at - e.now))
+		} else {
+			break
 		}
 	}
+	l.rx = nil
+	m := l.q[l.head]
+	if m.closeMk {
+		return v, false // the close mark stays: every later Recv sees it too
+	}
+	l.q[l.head] = timed[T]{}
+	l.head++
+	if l.head == len(l.q) {
+		l.q, l.head = l.q[:0], 0
+	}
+	return m.v, true
 }
 
 // Run executes all partitions to completion in lockstep windows, then
 // performs the usual end-of-run duties (deadlock diagnosis, run-end
-// hooks) per partition in order. Process faults and deadlock panics
-// surface exactly as in Env.Run, prefixed with the partition name, and
-// identically at any worker count.
+// hooks) per partition in order. A process fault surfaces as in
+// Env.Run, prefixed with the partition name.
 func (g *Group) Run() {
 	if g.running {
 		panic("sim: Group.Run called re-entrantly")
 	}
-	if len(g.parts) == 0 {
-		return
-	}
 	g.running = true
 	defer func() { g.running = false }()
 
-	lookahead := Duration(0)
-	for i, c := range g.links {
-		if i == 0 || c.latency < lookahead {
-			lookahead = c.latency
+	cur := -1 // the partition running a window, for the fault prefix
+	defer func() {
+		if cur >= 0 {
+			panic(fmt.Sprintf("sim: partition %d (%s): %v", cur, g.names[cur], recover()))
 		}
-	}
-
-	nw := g.workers
-	if nw > len(g.parts) {
-		nw = len(g.parts)
-	}
-	faults := make([]interface{}, len(g.parts))
-	var starts []chan Time
-	var wg sync.WaitGroup
-	if nw > 1 {
-		// Persistent workers with static partition assignment: worker k
-		// owns partitions k, k+nw, k+2nw, … so each environment is only
-		// ever touched by one goroutine (plus this one, at barriers —
-		// ordered by the start/wg channel handshakes).
-		starts = make([]chan Time, nw)
-		for k := 0; k < nw; k++ {
-			starts[k] = make(chan Time)
-			go func(k int) {
-				for horizon := range starts[k] {
-					for i := k; i < len(g.parts); i += nw {
-						runPart(g.parts[i], horizon, &faults[i])
-					}
-					wg.Done()
-				}
-			}(k)
-		}
-		defer func() {
-			for _, ch := range starts {
-				close(ch)
-			}
-		}()
-	}
-
+	}()
 	for {
 		w := maxTime
 		for _, e := range g.parts {
-			if t := e.peekNext(); t < w {
-				w = t
-			}
+			w = min(w, e.peekNext())
 		}
 		if w == maxTime {
 			break
 		}
-		horizon := maxTime
-		if len(g.links) > 0 {
-			horizon = w + Time(lookahead)
-			if horizon <= w { // overflow
-				horizon = maxTime
-			}
+		horizon := maxTime // without links, or past the clock's range, run to the end
+		if g.lookahead > 0 && w+Time(g.lookahead) > w {
+			horizon = w + Time(g.lookahead)
 		}
-		if nw > 1 {
-			wg.Add(nw)
-			for _, ch := range starts {
-				ch <- horizon
-			}
-			wg.Wait()
-		} else {
-			for i, e := range g.parts {
-				runPart(e, horizon, &faults[i])
-			}
+		for i, e := range g.parts {
+			cur = i
+			e.runPhase(horizon)
 		}
-		for i, f := range faults {
-			if f != nil {
-				panic(fmt.Sprintf("sim: partition %d (%s): %v", i, g.names[i], f))
-			}
-		}
-		for _, c := range g.links {
-			first, any := c.flush()
-			if any && c.parked {
-				c.parked = false
-				c.to.schedule(c.pump, first)
-			}
-		}
+		cur = -1
 	}
 	for _, e := range g.parts {
 		e.finishRun()
 	}
-}
-
-// runPart advances one partition through a window, capturing a fault so
-// sibling partitions still finish the window before the group re-panics
-// (deterministically, lowest partition first).
-func runPart(e *Env, horizon Time, fault *interface{}) {
-	defer func() {
-		if r := recover(); r != nil {
-			*fault = r
-		}
-	}()
-	e.runPhase(horizon)
 }
 
 // Shutdown tears down every partition (see Env.Shutdown).

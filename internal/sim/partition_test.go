@@ -8,9 +8,8 @@ import (
 )
 
 // pingPongTrace runs a two-partition request/response exchange and
-// returns the receiver-side trace (message, arrival time) plus final
-// clocks — the byte-identity fingerprint compared across worker counts.
-func pingPongTrace(workers int) (trace []string, aEnd, bEnd Time) {
+// returns the receiver-side trace (message, arrival time).
+func pingPongTrace() (trace []string) {
 	g := NewGroup()
 	a := g.NewEnv("a")
 	b := g.NewEnv("b")
@@ -40,13 +39,12 @@ func pingPongTrace(workers int) (trace []string, aEnd, bEnd Time) {
 			rsp.Send(p, v*10)
 		}
 	})
-	g.SetWorkers(workers)
 	g.Run()
-	return trace, a.Now(), b.Now()
+	return trace
 }
 
 func TestPartitionPingPongTiming(t *testing.T) {
-	trace, _, _ := pingPongTrace(1)
+	trace := pingPongTrace()
 	// Round trip: send@t, arrive t+5us, service 2us, reply arrives +3us.
 	want := []string{
 		"b got 0 @5000", "a got 0 @10000",
@@ -56,17 +54,6 @@ func TestPartitionPingPongTiming(t *testing.T) {
 	}
 	if !reflect.DeepEqual(trace, want) {
 		t.Fatalf("trace = %v\nwant    %v", trace, want)
-	}
-}
-
-func TestPartitionWorkerCountInvariance(t *testing.T) {
-	t1, a1, b1 := pingPongTrace(1)
-	for _, w := range []int{2, 4, 8} {
-		tw, aw, bw := pingPongTrace(w)
-		if !reflect.DeepEqual(t1, tw) || a1 != aw || b1 != bw {
-			t.Fatalf("workers=%d diverged:\n  %v (a=%d b=%d)\nvs %v (a=%d b=%d)",
-				w, tw, aw, bw, t1, a1, b1)
-		}
 	}
 }
 
@@ -135,7 +122,6 @@ func TestPartitionMatchesSingleEnv(t *testing.T) {
 			gotDone = append(gotDone, s2.Now())
 		}
 	})
-	g.SetWorkers(4)
 	g.Run()
 
 	if !reflect.DeepEqual(refDone, gotDone) {
@@ -175,6 +161,71 @@ func TestLinkFIFOAndClose(t *testing.T) {
 	if closedAt != 2000 {
 		t.Fatalf("close observed at %d, want 2000 (one latency after sender close)", closedAt)
 	}
+}
+
+// TestLinkMessageIsOneEvent pins the event count of a ping-pong with no
+// sleeps: each message is one event, the wake of its parked receiver,
+// on top of the two process starts and the close.
+func TestLinkMessageIsOneEvent(t *testing.T) {
+	const n = 50
+	g := NewGroup()
+	a := g.NewEnv("a")
+	b := g.NewEnv("b")
+	req := NewLink[int](g, a, b, "req", 5*Microsecond)
+	rsp := NewLink[int](g, b, a, "rsp", 3*Microsecond)
+	a.Go("client", func(p *Proc) {
+		for i := 0; i < n; i++ {
+			req.Send(p, i)
+			if v, ok := rsp.Recv(p); !ok || v != i {
+				panic(fmt.Sprintf("reply %d, %v to request %d", v, ok, i))
+			}
+		}
+		req.Close(p)
+	})
+	b.Go("server", func(p *Proc) {
+		for {
+			v, ok := req.Recv(p)
+			if !ok {
+				return
+			}
+			rsp.Send(p, v)
+		}
+	})
+	g.Run()
+	if got, want := g.Events(), uint64(2*n+3); got != want {
+		t.Fatalf("%d events for %d round trips, want %d", got, n, want)
+	}
+	// The last reply lands at n round trips of 8us; the close 5us later.
+	if want := Time(n * 8 * Microsecond); a.Now() != want || b.Now() != want+Time(5*Microsecond) {
+		t.Fatalf("clocks a=%d b=%d", a.Now(), b.Now())
+	}
+}
+
+func TestLinkSecondReceiverPanics(t *testing.T) {
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "second receiver on link l") {
+			t.Fatalf("panic %q, want a second-receiver panic", msg)
+		}
+	}()
+	g := NewGroup()
+	a := g.NewEnv("a")
+	b := g.NewEnv("b")
+	lk := NewLink[int](g, a, b, "l", Microsecond)
+	a.Go("tx", func(p *Proc) {
+		lk.Send(p, 1)
+		lk.Close(p)
+	})
+	for _, name := range []string{"rx1", "rx2"} {
+		b.Go(name, func(p *Proc) {
+			for {
+				if _, ok := lk.Recv(p); !ok {
+					return
+				}
+			}
+		})
+	}
+	g.Run()
 }
 
 func TestPartitionDeadlockNamesPartition(t *testing.T) {
@@ -249,7 +300,6 @@ func TestGroupWithoutLinksRunsToCompletion(t *testing.T) {
 			ends[i] = e.Now()
 		})
 	}
-	g.SetWorkers(3)
 	g.Run()
 	for i, end := range ends {
 		if end != Time(i+1)*Time(Millisecond) {
@@ -308,7 +358,7 @@ func TestShutdownFreshEnv(t *testing.T) {
 	b := g.NewEnv("b")
 	lk := NewLink[int](g, g.parts[0], b, "l", Microsecond)
 	_ = lk
-	g.Shutdown() // kills the never-run pump daemons
+	g.Shutdown() // a link starts no process: both partitions are empty
 }
 
 func TestSpawnReusesPooledProcs(t *testing.T) {
