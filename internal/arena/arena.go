@@ -1,6 +1,8 @@
 // Package arena carves many small, long-lived byte slices out of a few
-// large allocations: the host-side copies a log keeps of its records,
-// where one heap object per record would dominate a run's allocations.
+// large allocations. It has two users: the host-side copies a log keeps
+// of its records, where one heap object per record would dominate a
+// run's allocations, and the flash array's page buffers (internal/nand),
+// where one heap object per first-programmed page would.
 //
 // An Arena is append-only. It never hands out a byte twice and never
 // writes a byte after handing it out, so a carved slice stays valid, and

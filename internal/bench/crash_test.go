@@ -337,6 +337,7 @@ func TestTornLogExcusedConstructed(t *testing.T) {
 // victims, and a short campaign over it is clean.
 func TestBlkGCCrashProfileCollects(t *testing.T) {
 	env := sim.NewEnv()
+	defer env.Shutdown()
 	env.Go("profile", func(p *sim.Proc) {
 		cyc, err := buildBlkGCCrash(env, p)
 		if err != nil {

@@ -318,7 +318,7 @@ func (s *TwoBSSD) internalMove(p *sim.Proc, ent Entry, write bool) error {
 	sp := s.o.Tracer().Begin("2bssd.datapath", "2bssd", name)
 	defer sp.End()
 	// Single-page entries (the common case for log windows) run inline:
-	// no fan-out goroutine or WaitGroup — same virtual timing.
+	// no fan-out process or WaitGroup — same virtual timing.
 	if ent.Pages == 1 {
 		return s.movePage(p, ent, write, 0)
 	}

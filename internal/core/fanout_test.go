@@ -86,9 +86,9 @@ func TestMultiPageFlushDoesNotAllocate(t *testing.T) {
 		}
 	})
 	e.Run()
-	// The Go runtime's channel handoff between proc goroutines refills
-	// its per-P caches now and then, a few objects per run whatever the
-	// simulator does; a fan-out that allocated would add hundreds.
+	// The Go runtime allocates a few objects of its own now and then
+	// (the collector's workers, per-P caches) whatever the simulator
+	// does; a fan-out that allocated would add hundreds.
 	if mallocs > 8 {
 		t.Fatalf("%d allocations over %d 4-page BA_FLUSHes, want none", mallocs, calls)
 	}

@@ -391,7 +391,7 @@ func (d *Device) ReadPagesInto(p *sim.Proc, lba ftl.LBA, dst []byte) error {
 
 	var err error
 	// Single-page commands (the QD-1 4 KB case the paper sweeps) run
-	// inline: no fan-out goroutine or WaitGroup, same virtual timing.
+	// inline: no fan-out process or WaitGroup, same virtual timing.
 	if n == 1 {
 		err = d.readPage(p, lba, dst)
 	} else {

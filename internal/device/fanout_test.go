@@ -137,9 +137,9 @@ func TestMultiPageReadAllocatesOnlyItsBuffer(t *testing.T) {
 		mallocsInto = measure(func() error { return d.ReadPagesInto(p, 0, dst) })
 	})
 	e.Run()
-	// The Go runtime's channel handoff between proc goroutines refills
-	// its per-P caches now and then, a few objects per run whatever the
-	// simulator does; a fan-out that allocated would add hundreds.
+	// The Go runtime allocates a few objects of its own now and then
+	// (the collector's workers, per-P caches) whatever the simulator
+	// does; a fan-out that allocated would add hundreds.
 	if mallocs > calls+8 {
 		t.Fatalf("%d allocations over %d 4-page reads, want <= 1 per read", mallocs, calls)
 	}

@@ -147,6 +147,7 @@ func (c *Campaign) Prepare() error {
 		return fmt.Errorf("fault: campaign %q needs Points, Ops and Build", c.Name)
 	}
 	env := sim.NewEnv()
+	defer env.Shutdown() // its parked daemons would pin the drive
 	in := Install(env, Plan{Seed: c.Seed})
 	var perr error
 	env.Go("fault.profile", func(p *sim.Proc) {
@@ -225,6 +226,7 @@ func (c *Campaign) RunPoint(i int) PointResult {
 func (c *Campaign) runTrial(i int, trig Trigger) PointResult {
 	pr := PointResult{Index: i, Trigger: trig.String()}
 	env := sim.NewEnv()
+	defer env.Shutdown() // after the flight dump; parked daemons would pin the drive
 	plan := Plan{Seed: c.pointSeed(i), PowerLoss: trig}
 	if c.Tweak != nil {
 		c.Tweak(i, &plan)

@@ -15,10 +15,10 @@
 // so host memory follows what the drive maps, not what it ever wrote.
 // Each block keeps a table of its pages, made at its first program and
 // reused across erases, so a program or a discard writes a slot and
-// never rehashes or allocates anything but a page buffer the spare list
-// could not supply. A read takes its bytes when it is issued, before
-// its die and channel holds: a page discarded while the read waits
-// still comes back as it was.
+// never rehashes. A page buffer the spare list cannot supply is carved
+// from an arena, many pages per heap object. A read takes its bytes
+// when it is issued, before its die and channel holds: a page discarded
+// while the read waits still comes back as it was.
 package nand
 
 import (
@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"sync"
 
+	"twobssd/internal/arena"
 	"twobssd/internal/fault"
 	"twobssd/internal/histo"
 	"twobssd/internal/obs"
@@ -176,7 +177,8 @@ type Flash struct {
 	channels []*sim.Resource
 	dies     []*sim.Resource
 	blocks   []blockState
-	spare    [][]byte // page buffers dropped by Discard, reused by commit
+	spare    [][]byte    // page buffers dropped by Discard, reused by commit
+	pageMem  arena.Arena // fresh page buffers, when spare is empty
 
 	o        *obs.Set
 	chTrack  []string // precomputed trace track names (no per-op fmt)
@@ -467,7 +469,7 @@ func (f *Flash) commit(blk *blockState, ppa PPA, data []byte, t oobTag) {
 		f.spare[n-1] = nil
 		f.spare = f.spare[:n-1]
 	} else {
-		stored = make([]byte, f.cfg.PageSize)
+		stored = f.pageMem.Alloc(f.cfg.PageSize)[:f.cfg.PageSize]
 	}
 	clear(stored[copy(stored, data):]) // short writes are zero-padded
 	if blk.pages == nil {

@@ -3,7 +3,7 @@ package sim
 import "testing"
 
 // BenchmarkSelfSleep measures the self-dispatch fast path: one process
-// sleeping in a loop resumes itself without any goroutine switch. This
+// sleeping in a loop resumes itself without any coroutine switch. This
 // is the dominant pattern in the QD-1 latency sweeps (Fig 7).
 func BenchmarkSelfSleep(b *testing.B) {
 	e := NewEnv()
@@ -17,9 +17,9 @@ func BenchmarkSelfSleep(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkHandoffPingPong measures the direct process-to-process
-// handoff: two processes alternating through a capacity-1 resource, one
-// goroutine switch per event.
+// BenchmarkHandoffPingPong measures the handoff between processes: two
+// processes alternating through a capacity-1 resource, one switch from
+// one coroutine to the other (through the dispatch loop) per Use.
 func BenchmarkHandoffPingPong(b *testing.B) {
 	e := NewEnv()
 	r := e.NewResource("r", 1)

@@ -189,8 +189,11 @@ func (g *Group) Run() {
 
 	cur := -1 // the partition running a window, for the fault prefix
 	defer func() {
-		if cur >= 0 {
-			panic(fmt.Sprintf("sim: partition %d (%s): %v", cur, g.names[cur], recover()))
+		if cur < 0 {
+			return
+		}
+		if r := recover(); r != nil { // nil: a process called runtime.Goexit
+			panic(fmt.Sprintf("sim: partition %d (%s): %v", cur, g.names[cur], r))
 		}
 	}()
 	for {

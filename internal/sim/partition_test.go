@@ -312,7 +312,7 @@ func TestShutdownRunsDefersAndReleasesMemory(t *testing.T) {
 	e := NewEnv()
 	res := e.NewResource("r", 1)
 	var cleaned []string
-	e.Go("holder", func(p *Proc) {
+	holder := e.Go("holder", func(p *Proc) {
 		res.Acquire(p)
 		defer func() {
 			cleaned = append(cleaned, "holder")
@@ -320,12 +320,14 @@ func TestShutdownRunsDefersAndReleasesMemory(t *testing.T) {
 		}()
 		p.Sleep(Second) // parked on a far-future event at Shutdown time
 	})
-	e.Go("waiter", func(p *Proc) {
+	waiter := e.Go("waiter", func(p *Proc) {
 		defer func() { cleaned = append(cleaned, "waiter") }()
 		res.Acquire(p) // parked on the resource at Shutdown time
 		res.Release()
 	})
-	e.Go("short", func(p *Proc) { p.Sleep(Microsecond) })
+	pooled := e.Go("short", func(p *Proc) { p.Sleep(Microsecond) })
+	started := false
+	unstarted := e.GoAt(Time(Second), "unstarted", func(p *Proc) { started = true })
 
 	// Run a little, then tear down mid-simulation.
 	e.Go("stopper", func(p *Proc) { p.Sleep(Millisecond) })
@@ -335,8 +337,16 @@ func TestShutdownRunsDefersAndReleasesMemory(t *testing.T) {
 	}()
 	e.Shutdown()
 
-	if len(cleaned) != 2 {
-		t.Fatalf("defers ran for %v, want both holder and waiter", cleaned)
+	if fmt.Sprint(cleaned) != "[waiter holder]" {
+		t.Fatalf("defers ran for %v, want waiter and holder once each", cleaned)
+	}
+	if started {
+		t.Fatal("Shutdown started a body that had not started")
+	}
+	for _, p := range []*Proc{holder, waiter, pooled, unstarted} {
+		if _, ok := p.resume(); ok {
+			t.Errorf("%s: coroutine still alive after Shutdown", p.name)
+		}
 	}
 	if e.heap != nil || e.ring != nil || e.blocked != nil || e.free != nil {
 		t.Fatal("Shutdown left backing arrays pinned")

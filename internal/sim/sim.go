@@ -2,7 +2,7 @@
 //
 // Every latency in the repository — NAND array operations, PCIe
 // transactions, firmware work, database CPU costs — is expressed in
-// virtual nanoseconds on a sim.Env. Processes (Proc) are goroutines that
+// virtual nanoseconds on a sim.Env. Processes (Proc) are coroutines that
 // cooperate with the scheduler: exactly one process runs at a time, so
 // simulation state needs no locking and every run is exactly
 // reproducible on any machine.
@@ -23,12 +23,14 @@
 // virtual-time semantics (events still execute in strict (at, seq)
 // order, FIFO among simultaneous events):
 //
-//   - Direct handoff: a parking process pops the next event itself and
-//     resumes its owner directly, instead of bouncing control through a
-//     central scheduler goroutine. One goroutine switch per event
-//     instead of two — and when the next event belongs to the parking
-//     process itself (a lone process sleeping in a loop, the common case
-//     in latency sweeps), no switch at all.
+//   - Coroutine handoff: every process is a coroutine (iter.Pull), and
+//     the goroutine that called Run is one dispatch loop resuming them.
+//     A parking process pops the next event itself and names its owner
+//     to the loop, so a switch between processes is two coroutine
+//     switches on one thread — no channel, no scheduler wake-up, no
+//     second CPU. When the next event belongs to the parking process
+//     itself (a lone process sleeping in a loop, the common case in
+//     latency sweeps), there is no switch at all.
 //   - Split event queue: events for the current instant go to a FIFO
 //     ready ring (O(1) push/pop); only events in the future enter a
 //     value-typed 4-ary min-heap. Neither path boxes events into
@@ -112,9 +114,12 @@ type Env struct {
 	ring     []event
 	ringHead int
 
-	// runq wakes the goroutine parked in Run when the event queue
-	// drains or a process faults.
-	runq      chan struct{}
+	// hand is the process Run's dispatch loop resumes next: a process
+	// about to give up control pops the next event and leaves its owner
+	// here (nil when no event is left before the horizon). fault is a
+	// body's panic, recovered in its coroutine and re-panicked by the
+	// loop.
+	hand      *Proc
 	fault     interface{}
 	faultProc *Proc
 
@@ -129,9 +134,9 @@ type Env struct {
 	nevents    uint64
 	attachment interface{}
 
-	// free holds exited processes whose goroutines are parked for
+	// free holds exited processes whose coroutines are suspended for
 	// reuse: spawning is allocation-free in steady state because a
-	// recycled Proc brings its resume channel and goroutine stack along.
+	// recycled Proc brings its coroutine and its stack along.
 	free []*Proc
 
 	// horizon bounds event dispatch: next refuses events at or past it.
@@ -171,7 +176,7 @@ func (e *Env) Attachment() interface{} { return e.attachment }
 
 // NewEnv returns an environment with the clock at zero.
 func NewEnv() *Env {
-	return &Env{runq: make(chan struct{}, 1), horizon: maxTime, pid: -1}
+	return &Env{horizon: maxTime, pid: -1}
 }
 
 // SetTick installs (or replaces) the clock-tick hook: fn runs inside
@@ -187,9 +192,9 @@ func (e *Env) SetTick(at Time, fn func(now Time) Time) {
 }
 
 // OnRunEnd registers fn to run each time Run returns normally (event
-// queue drained, no process fault). Hooks run in registration order on
-// the goroutine that called Run, when no process is executing — safe
-// for publishing final observability state.
+// queue drained, no process fault). Hooks run in registration order in
+// Run's caller, when no process is executing — safe for publishing
+// final observability state.
 func (e *Env) OnRunEnd(fn func()) { e.runEnd = append(e.runEnd, fn) }
 
 // Now returns the current virtual time.
@@ -200,15 +205,22 @@ func (e *Env) Now() Time { return e.now }
 // this by real elapsed time for an events/sec figure of merit.
 func (e *Env) Events() uint64 { return e.nevents }
 
-// Proc is a simulation process. A Proc must only be used from the
-// goroutine running its body function.
+// Proc is a simulation process: a coroutine that Run's dispatch loop
+// resumes at each of its events, and that runs until it parks again. A
+// Proc must only be used from its own body function.
 type Proc struct {
 	env    *Env
 	name   string
-	resume chan struct{}
 	daemon bool
 
-	// body is the function the next resume starts (pooled goroutines
+	// resume switches into the coroutine until it parks or finishes a
+	// body; stop unwinds it (Shutdown). yield is the coroutine's side of
+	// resume: it returns false once stop was called.
+	resume func() (struct{}, bool)
+	stop   func()
+	yield  func(struct{}) bool
+
+	// body is the function the next resume starts (pooled coroutines
 	// run one body after another); killed marks a process Shutdown is
 	// unwinding. ibody/idx are the indexed variant (GoIdx): fan-out
 	// loops share one closure instead of allocating one per spawn.
@@ -223,7 +235,7 @@ type Proc struct {
 }
 
 // killedSentinel is the panic value park throws when Shutdown unwinds a
-// parked process; cycle recognizes it and retires the goroutine.
+// parked process; run recognizes it and the coroutine ends.
 type killedSentinel struct{}
 
 // Env returns the environment this process belongs to.
@@ -250,28 +262,12 @@ func (e *Env) GoDaemon(name string, body func(p *Proc)) *Proc {
 }
 
 // GoAt is like Go but delays the process start until t. Exited
-// processes are recycled: a spawn normally reuses a pooled goroutine,
-// its Proc and its resume channel, so steady-state spawning does not
-// allocate.
+// processes are recycled: a spawn normally reuses a pooled Proc and its
+// suspended coroutine, so steady-state spawning does not allocate.
 func (e *Env) GoAt(t Time, name string, body func(p *Proc)) *Proc {
-	if e.dead {
-		panic("sim: Go on a shut-down environment")
-	}
-	if t < e.now {
-		t = e.now
-	}
-	var p *Proc
-	if n := len(e.free); n > 0 {
-		p = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		p.name, p.daemon, p.body = name, false, body
-	} else {
-		p = &Proc{env: e, name: name, resume: make(chan struct{}, 1), body: body}
-		go p.main()
-	}
-	e.nlive++
-	e.schedule(p, t)
+	p := e.spawn(name)
+	p.body = body
+	e.schedule(p, max(t, e.now))
 	return p
 }
 
@@ -279,6 +275,15 @@ func (e *Env) GoAt(t Time, name string, body func(p *Proc)) *Proc {
 // idx. Fan-out loops (one worker per page of a large command) spawn N
 // workers from one shared closure — no per-spawn closure allocation.
 func (e *Env) GoIdx(name string, idx int, body func(p *Proc, idx int)) *Proc {
+	p := e.spawn(name)
+	p.ibody, p.idx = body, idx
+	e.schedule(p, e.now)
+	return p
+}
+
+// spawn takes a process from the free pool, or makes one with a fresh
+// coroutine, and counts it live.
+func (e *Env) spawn(name string) *Proc {
 	if e.dead {
 		panic("sim: Go on a shut-down environment")
 	}
@@ -287,60 +292,45 @@ func (e *Env) GoIdx(name string, idx int, body func(p *Proc, idx int)) *Proc {
 		p = e.free[n-1]
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
-		p.name, p.daemon, p.ibody, p.idx = name, false, body, idx
+		p.daemon = false
 	} else {
-		p = &Proc{env: e, name: name, resume: make(chan struct{}, 1), ibody: body, idx: idx}
-		go p.main()
+		p = e.newProc()
 	}
+	p.name = name
 	e.nlive++
-	e.schedule(p, e.now)
 	return p
 }
 
-// main is the goroutine body of every process: run bodies until the
-// process faults or Shutdown retires it.
-func (p *Proc) main() {
-	for p.cycle() {
+// main is the coroutine of every process: run one body per resume
+// until a body faults or Shutdown stops the coroutine.
+func (p *Proc) main(yield func(struct{}) bool) {
+	p.yield = yield
+	for p.run() && yield(struct{}{}) {
 	}
 }
 
-// cycle waits for the resume that starts one body and runs it to
-// completion. On a clean return the Proc parks itself in the free pool
-// and dispatches the next event; on a panic it records the fault and
-// wakes Run, which re-panics on the caller's goroutine. It reports
-// whether the goroutine should stay alive for another body.
-func (p *Proc) cycle() (again bool) {
-	<-p.resume
+// run runs the body the current resume starts. On a clean return the
+// Proc goes back to the free pool and pops the next event for the
+// dispatch loop; on a panic it records the fault for Run to re-panic.
+// It reports whether the coroutine may run another body. When the body
+// calls runtime.Goexit (t.Fatal in a test), run never returns: the
+// Proc is not recycled, and the Goexit unwinds Run's caller.
+func (p *Proc) run() (clean bool) {
 	e := p.env
-	if p.killed {
-		e.runq <- struct{}{}
-		return false
-	}
 	body, ibody, idx := p.body, p.ibody, p.idx
 	p.body, p.ibody = nil, nil
 	defer func() {
+		if clean {
+			return
+		}
 		r := recover()
 		if _, k := r.(killedSentinel); k {
-			// Shutdown unwound this process while it was parked; hand
-			// control back to Shutdown and retire the goroutine.
-			e.runq <- struct{}{}
-			return
+			return // Shutdown unwound this process while it was parked
 		}
 		e.nlive--
 		if r != nil {
 			e.fault = r
 			e.faultProc = p
-			e.runq <- struct{}{}
-			return
-		}
-		// Clean exit: recycle before dispatching, so a successor body
-		// spawned by the next event can already reuse this goroutine.
-		e.free = append(e.free, p)
-		again = true
-		if np, ok := e.next(); ok {
-			np.resume <- struct{}{}
-		} else {
-			e.runq <- struct{}{}
 		}
 	}()
 	if ibody != nil {
@@ -348,7 +338,12 @@ func (p *Proc) cycle() (again bool) {
 	} else {
 		body(p)
 	}
-	return
+	// Recycle before dispatching, so a successor body spawned by the
+	// next event can already reuse this process.
+	e.nlive--
+	e.free = append(e.free, p)
+	e.hand = e.next()
+	return true
 }
 
 func (e *Env) schedule(p *Proc, at Time) {
@@ -362,14 +357,14 @@ func (e *Env) schedule(p *Proc, at Time) {
 }
 
 // next pops the earliest pending event in (at, seq) order, advances the
-// clock to it, and returns its process. Ring events always carry the
-// current instant; a heap event at the current instant predates every
-// ring event (it was scheduled before the clock got here), so it wins
-// the tie.
+// clock to it, and returns its process, or nil when none is left. Ring
+// events always carry the current instant; a heap event at the current
+// instant predates every ring event (it was scheduled before the clock
+// got here), so it wins the tie.
 // Events at or past the horizon stay queued: a partition member only
 // dispatches within its current lockstep window (ring events are always
 // at the current instant, which is below the horizon by construction).
-func (e *Env) next() (*Proc, bool) {
+func (e *Env) next() *Proc {
 	hasRing := e.ringHead < len(e.ring)
 	var ev event
 	switch {
@@ -386,7 +381,7 @@ func (e *Env) next() (*Proc, bool) {
 	case len(e.heap) > 0 && e.heap[0].at < e.horizon:
 		ev = e.heapPop()
 	default:
-		return nil, false
+		return nil
 	}
 	if ev.at < e.now {
 		panic("sim: time went backwards")
@@ -400,7 +395,7 @@ func (e *Env) next() (*Proc, bool) {
 		}
 		e.tickAt = next
 	}
-	return ev.proc, true
+	return ev.proc
 }
 
 // heapPush inserts into the 4-ary min-heap (sift up).
@@ -468,7 +463,9 @@ func (e *Env) Run() {
 
 // runPhase executes events strictly before horizon and returns when
 // none remain (processes may still hold later events or be blocked).
-// It re-panics a process fault on the caller's goroutine.
+// It is the dispatch loop: each resume runs one process until it parks
+// or exits, having left the owner of the next event in e.hand. A
+// process fault is re-panicked here, in Run's caller.
 func (e *Env) runPhase(horizon Time) {
 	if e.running {
 		panic("sim: Run called re-entrantly")
@@ -479,9 +476,9 @@ func (e *Env) runPhase(horizon Time) {
 	e.running = true
 	e.horizon = horizon
 	defer func() { e.running = false }()
-	if np, ok := e.next(); ok {
-		np.resume <- struct{}{}
-		<-e.runq
+	for np := e.next(); np != nil; np = e.hand {
+		e.hand = nil
+		np.resume()
 		if e.fault != nil {
 			f, fp := e.fault, e.faultProc
 			e.fault, e.faultProc = nil, nil
@@ -536,7 +533,7 @@ func (e *Env) peekNext() Time {
 // Shutdown tears the environment down: every process — parked, pooled,
 // or still holding a pending event — is unwound (parked bodies see a
 // killedSentinel panic through park; deferred cleanup runs) and its
-// goroutine retired, then the backing arrays are released. A spiky
+// coroutine ended, then the backing arrays are released. A spiky
 // experiment thus stops pinning peak memory once its results are read.
 // The environment is unusable afterwards; Shutdown is idempotent.
 func (e *Env) Shutdown() {
@@ -557,8 +554,7 @@ func (e *Env) Shutdown() {
 			return
 		}
 		p.killed = true
-		p.resume <- struct{}{}
-		<-e.runq
+		p.stop() // returns once the coroutine has ended
 	}
 	for len(e.blocked) > 0 || e.ringHead < len(e.ring) || len(e.heap) > 0 {
 		for i := 0; i < len(e.blocked); i++ {
@@ -585,26 +581,25 @@ func (e *Env) Shutdown() {
 	e.nlive = 0
 }
 
-// park yields control to the scheduler and blocks until resumed. The
-// parking process dispatches the next event itself: either it is its
-// own (continue inline, no goroutine switch), or it belongs to another
-// process (direct handoff), or the queue is empty (wake Run).
+// park gives up control until this process's next event. The parking
+// process pops the next event itself: either it is its own (continue
+// inline, no switch), or it belongs to another process, which it leaves
+// to the dispatch loop in e.hand, or the queue is empty (hand is nil
+// and Run's loop ends). A false from yield means Shutdown is unwinding
+// the process.
 func (p *Proc) park() {
 	e := p.env
 	if p.killed {
-		// Shutdown resumed us to unwind; do not dispatch further events.
+		// A deferred call of a process Shutdown is unwinding parked
+		// again; do not dispatch further events.
 		panic(killedSentinel{})
 	}
-	if np, ok := e.next(); ok {
-		if np == p {
-			return
-		}
-		np.resume <- struct{}{}
-	} else {
-		e.runq <- struct{}{}
+	np := e.next()
+	if np == p {
+		return
 	}
-	<-p.resume
-	if p.killed {
+	e.hand = np
+	if !p.yield(struct{}{}) {
 		panic(killedSentinel{})
 	}
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -230,12 +231,17 @@ func TestDeadlockDetected(t *testing.T) {
 
 func TestProcessPanicPropagates(t *testing.T) {
 	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic from process fault")
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, `sim: process "boom" faulted: kaput`) {
+			t.Fatalf("panic %q does not name the faulting process", msg)
 		}
 	}()
 	e := NewEnv()
-	e.Go("boom", func(p *Proc) { panic("boom") })
+	e.Go("fine", func(p *Proc) { p.Sleep(Microsecond) })
+	e.Go("boom", func(p *Proc) {
+		p.Sleep(Nanosecond)
+		panic("kaput")
+	})
 	e.Run()
 }
 
