@@ -1,10 +1,10 @@
 // The `bench2b fleet` experiment family: multi-device fleets of
 // simulated 2B-SSDs under tenant traffic, exercising the shard router,
 // BA-log replication, QoS slot arbitration and failover end to end.
-// Each scenario is one fleet.Run on its own sim.Group, scenarios fan
-// out through points() (so -j applies), and every run doubles as an
-// integrity gate: lost or phantom records, or a missed failover, fail
-// the run.
+// Each scenario is one fleet.Run on its own sim.Group — one event queue
+// over all its devices — scenarios fan out through points() (so -j
+// applies), and every run doubles as an integrity gate: lost or phantom
+// records, or a missed failover, fail the run.
 package bench
 
 import (

@@ -2,8 +2,8 @@
 // router and drives multi-tenant traffic across them — the
 // "millions of users" layer over the single-device reproduction.
 //
-// Topology: every device is one partition of a sim.Group, run on the
-// caller's goroutine in lockstep windows as wide as the link latency.
+// Topology: every device is one partition of a sim.Group; the
+// partitions share one event queue, run on the caller's goroutine.
 // A tenant's WAL (a ring of segment files) and volume live
 // on its primary device (placed by the Router); a per-tenant shipper
 // streams every durable record off the WAL's tailing reader (wal.Log.Tail)
@@ -55,7 +55,7 @@ type Config struct {
 	// Deprecated: ignored. A fleet runs on the caller's goroutine.
 	Workers int
 
-	NetLatency sim.Duration // one-way link latency = group lookahead (0 = 5us)
+	NetLatency sim.Duration // one-way link latency (0 = 5us)
 
 	Device   *core.Config // per-device config (nil = DefaultDeviceConfig)
 	QoS      QoSConfig

@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -171,15 +172,19 @@ func (r *rng) next() uint64 {
 
 func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
 
-// fillPattern writes a deterministic byte pattern derived from seed.
+// fillPattern writes a deterministic byte pattern derived from seed:
+// one PRNG word per 8 bytes, little-endian, the last word cut short.
 func fillPattern(dst []byte, seed uint64) {
 	r := rng{s: seed}
-	var w uint64
-	for i := range dst {
-		if i%8 == 0 {
-			w = r.next()
+	for len(dst) >= 8 {
+		binary.LittleEndian.PutUint64(dst, r.next())
+		dst = dst[8:]
+	}
+	if len(dst) > 0 {
+		w := r.next()
+		for i := range dst {
+			dst[i] = byte(w >> (8 * i))
 		}
-		dst[i] = byte(w >> (8 * (i % 8)))
 	}
 }
 

@@ -16,6 +16,7 @@
 package oracle
 
 import (
+	"bytes"
 	"fmt"
 
 	"twobssd/internal/core"
@@ -351,6 +352,9 @@ func (m *Model) Entries() []core.Entry {
 func diffBytes(want, got []byte) string {
 	if len(want) != len(got) {
 		return fmt.Sprintf("length %d != %d", len(got), len(want))
+	}
+	if bytes.Equal(want, got) {
+		return ""
 	}
 	for i := range want {
 		if want[i] != got[i] {

@@ -143,3 +143,33 @@ func TestGCActiveProfileCollects(t *testing.T) {
 		}
 	}
 }
+
+// TestFillPatternMatchesByteLoop pins fillPattern's word-at-a-time fill
+// to the byte loop it replaced: every page image the fuzzer writes, and
+// so every divergence it reports, depends on these bytes.
+func TestFillPatternMatchesByteLoop(t *testing.T) {
+	byteLoop := func(dst []byte, seed uint64) {
+		r := rng{s: seed}
+		var w uint64
+		for i := range dst {
+			if i%8 == 0 {
+				w = r.next()
+			}
+			dst[i] = byte(w >> (8 * (i % 8)))
+		}
+	}
+	lengths := []int{4096}
+	for n := 0; n <= 17; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		for _, seed := range []uint64{0, 1, 0xdeadbeef} {
+			want, got := make([]byte, n), make([]byte, n)
+			byteLoop(want, seed)
+			fillPattern(got, seed)
+			if d := diffBytes(want, got); d != "" {
+				t.Fatalf("len %d seed %d: %s", n, seed, d)
+			}
+		}
+	}
+}

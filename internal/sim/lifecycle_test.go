@@ -35,12 +35,12 @@ func TestGoexitInBodyUnwindsRunAndIsNotRecycled(t *testing.T) {
 	if returned || panicked != nil {
 		t.Fatalf("Run returned=%v panicked=%v, want the Goexit to unwind Run's caller", returned, panicked)
 	}
-	for _, p := range e.free {
+	for _, p := range e.k.free {
 		if p == exited {
 			t.Fatal("a process that called runtime.Goexit was recycled into the free pool")
 		}
 	}
-	if e.running {
+	if e.k.running {
 		t.Fatal("env still marked running after the Goexit unwound Run")
 	}
 	e.Shutdown() // the bystander is still parked
@@ -92,7 +92,7 @@ func TestFreshProcAllocations(t *testing.T) {
 	park := func(p *Proc) { never.Wait(p) }
 	// Room for every parked process up front, so the count is the
 	// process's own.
-	e.blocked = make([]*Proc, 0, 2*runs)
+	e.k.blocked = make([]*Proc, 0, 2*runs)
 	never.waiters = make([]*Proc, 0, 2*runs)
 	allocs := testing.AllocsPerRun(runs, func() {
 		e.GoDaemon("fresh", park) // every earlier one is still parked

@@ -1,51 +1,34 @@
-// Partitioned execution on one thread: several environments, each with
-// its own clock, event heap and ready ring — the kernel in sim.go,
-// unchanged — advanced together by the caller's goroutine.
+// Partitioned simulations: a Group is several environments ("partitions",
+// one per device) over one kernel — one clock, one event queue, one
+// dispatch loop — so the whole group runs in a single (at, seq) order on
+// the caller's goroutine, exactly like a standalone Env.
 //
-// A Group owns N member environments ("partitions") and runs them
-// window by window:
-//
-//	W       = min over partitions of their next pending event time
-//	horizon = W + lookahead, where lookahead = min link latency
-//
-// Within a window each partition in index order dispatches its events
-// strictly before the horizon. Partitions interact only through Links,
-// and a message sent at t arrives at t + latency >= W + lookahead =
-// horizon. So when a Send wakes a parked receiver by scheduling it
-// straight into the receiver's heap at the arrival, that event is at or
-// past the horizon: it never lands in the past of a partition that has
-// already run this window, and a partition still to run this window
-// does not dispatch it yet. Event order inside each partition is the
-// ordinary (at, seq) order, so every run is exactly reproducible.
-//
-// Lookahead must be positive — a zero-latency cross-partition
-// interaction would force a zero-width window; model such coupling
-// inside one partition instead.
+// What stays per environment is what describes one device: its
+// attachment (the observability set), its tick and run-end hooks, its
+// event count, and its clock reading, the time of its own last event.
+// Partitions interact only through Links: a message is a timed wake of
+// the receiver, scheduled into the shared queue at its arrival.
 package sim
 
-import "fmt"
-
-// Group is a set of environments run in lockstep windows. Create
-// members with NewEnv, connect them with NewLink, then call Run once
-// all processes are started (Run on a member environment panics).
+// Group is a set of environments sharing one kernel. Create members
+// with NewEnv, connect them with NewLink, then call Run once all
+// processes are started (Run on a member environment panics).
 type Group struct {
-	parts     []*Env
-	names     []string
-	lookahead Duration // min link latency; 0 while there are no links
-	running   bool
+	k     *kernel
+	parts []*Env
+	names []string
 }
 
 // NewGroup returns an empty partition group.
-func NewGroup() *Group { return &Group{} }
+func NewGroup() *Group { return &Group{k: &kernel{}} }
 
-// NewEnv adds a named partition and returns its environment.
+// NewEnv adds a named partition and returns its environment, which
+// runs on the group's kernel.
 func (g *Group) NewEnv(name string) *Env {
-	if g.running {
+	if g.k.running {
 		panic("sim: NewEnv during Group.Run")
 	}
-	e := NewEnv()
-	e.grp = g
-	e.pid = len(g.parts)
+	e := &Env{k: g.k, grp: g, pid: len(g.parts)}
 	g.parts = append(g.parts, e)
 	g.names = append(g.names, name)
 	return e
@@ -92,9 +75,9 @@ type Link[T any] struct {
 }
 
 // NewLink connects two partitions of g with the given one-way latency
-// (> 0; the minimum latency over all links is the group's lookahead).
+// (> 0).
 func NewLink[T any](g *Group, from, to *Env, name string, latency Duration) *Link[T] {
-	if g.running {
+	if g.k.running {
 		panic("sim: NewLink during Group.Run")
 	}
 	if from.grp != g || to.grp != g {
@@ -104,10 +87,7 @@ func NewLink[T any](g *Group, from, to *Env, name string, latency Duration) *Lin
 		panic("sim: link " + name + " connects a partition to itself")
 	}
 	if latency <= 0 {
-		panic("sim: link " + name + " latency must be positive (it bounds the lockstep window)")
-	}
-	if g.lookahead == 0 || latency < g.lookahead {
-		g.lookahead = latency
+		panic("sim: link " + name + " latency must be positive (model zero-latency coupling inside one partition)")
 	}
 	return &Link[T]{name: name, label: "link " + name, from: from, to: to, latency: latency}
 }
@@ -137,7 +117,7 @@ func (l *Link[T]) push(p *Proc, op string, m timed[T]) {
 	l.q = append(l.q, m)
 	if l.parked {
 		l.parked = false
-		l.to.schedule(l.rx, m.at)
+		l.to.k.schedule(l.rx, m.at)
 	}
 }
 
@@ -176,54 +156,19 @@ func (l *Link[T]) Recv(p *Proc) (v T, ok bool) {
 	return m.v, true
 }
 
-// Run executes all partitions to completion in lockstep windows, then
-// performs the usual end-of-run duties (deadlock diagnosis, run-end
-// hooks) per partition in order. A process fault surfaces as in
-// Env.Run, prefixed with the partition name.
+// Run executes the group's events to completion in one (at, seq) order
+// — the dispatch loop of Env.Run — then runs each member's run-end
+// hooks in partition order. A process fault or a deadlock surfaces as
+// in Env.Run, prefixed with the partition's index and name.
 func (g *Group) Run() {
-	if g.running {
-		panic("sim: Group.Run called re-entrantly")
-	}
-	g.running = true
-	defer func() { g.running = false }()
-
-	cur := -1 // the partition running a window, for the fault prefix
-	defer func() {
-		if cur < 0 {
-			return
-		}
-		if r := recover(); r != nil { // nil: a process called runtime.Goexit
-			panic(fmt.Sprintf("sim: partition %d (%s): %v", cur, g.names[cur], r))
-		}
-	}()
-	for {
-		w := maxTime
-		for _, e := range g.parts {
-			w = min(w, e.peekNext())
-		}
-		if w == maxTime {
-			break
-		}
-		horizon := maxTime // without links, or past the clock's range, run to the end
-		if g.lookahead > 0 && w+Time(g.lookahead) > w {
-			horizon = w + Time(g.lookahead)
-		}
-		for i, e := range g.parts {
-			cur = i
-			e.runPhase(horizon)
-		}
-		cur = -1
-	}
+	g.k.run()
 	for _, e := range g.parts {
-		e.finishRun()
+		e.endRun()
 	}
 }
 
 // Shutdown tears down every partition (see Env.Shutdown).
 func (g *Group) Shutdown() {
-	if g.running {
-		panic("sim: Shutdown during Group.Run")
-	}
 	for _, e := range g.parts {
 		e.Shutdown()
 	}

@@ -329,11 +329,19 @@ func TestShutdownRunsDefersAndReleasesMemory(t *testing.T) {
 	started := false
 	unstarted := e.GoAt(Time(Second), "unstarted", func(p *Proc) { started = true })
 
-	// Run a little, then tear down mid-simulation.
-	e.Go("stopper", func(p *Proc) { p.Sleep(Millisecond) })
+	// Run a little, then tear down mid-simulation: a fault at 2ms stops
+	// the run with every other process still parked.
+	e.Go("stopper", func(p *Proc) {
+		p.Sleep(2 * Millisecond)
+		panic("stop")
+	})
 	func() {
-		defer func() { recover() }() // the deadlockless partial run is fine
-		e.runPhase(Time(2 * Millisecond))
+		defer func() {
+			if r := recover(); !strings.Contains(fmt.Sprint(r), `"stopper" faulted: stop`) {
+				t.Fatalf("run ended with %v, want the stopper's fault", r)
+			}
+		}()
+		e.Run()
 	}()
 	e.Shutdown()
 
@@ -348,7 +356,7 @@ func TestShutdownRunsDefersAndReleasesMemory(t *testing.T) {
 			t.Errorf("%s: coroutine still alive after Shutdown", p.name)
 		}
 	}
-	if e.heap != nil || e.ring != nil || e.blocked != nil || e.free != nil {
+	if k := e.k; k.heap != nil || k.ring != nil || k.blocked != nil || k.free != nil {
 		t.Fatal("Shutdown left backing arrays pinned")
 	}
 	e.Shutdown() // idempotent
@@ -376,14 +384,14 @@ func TestSpawnReusesPooledProcs(t *testing.T) {
 	// Warm the pool.
 	e.Go("warm", func(p *Proc) {})
 	e.Run()
-	before := len(e.free)
+	before := len(e.k.free)
 	if before == 0 {
 		t.Fatal("no pooled proc after a clean exit")
 	}
 	var inner *Proc
 	e.Go("reuse", func(p *Proc) { inner = p })
 	e.Run()
-	if want := e.free[len(e.free)-1]; inner != want {
+	if want := e.k.free[len(e.k.free)-1]; inner != want {
 		t.Fatal("spawn did not reuse the pooled proc")
 	}
 	allocs := testing.AllocsPerRun(100, func() {
@@ -392,5 +400,112 @@ func TestSpawnReusesPooledProcs(t *testing.T) {
 	})
 	if allocs > 0.1 {
 		t.Fatalf("steady-state spawn+run allocates %.2f allocs/op, want ~0", allocs)
+	}
+}
+
+// TestGroupIsOneQueue: the members of a Group share one event queue, so
+// events for one instant dispatch in the order they were scheduled,
+// whichever member they belong to — not one partition after another.
+func TestGroupIsOneQueue(t *testing.T) {
+	g := NewGroup()
+	a := g.NewEnv("a")
+	b := g.NewEnv("b")
+	var trace []string
+	for i, e := range []*Env{b, a, b, a} {
+		name := fmt.Sprintf("%s%d", g.names[e.pid], i)
+		e.Go(name, func(p *Proc) {
+			trace = append(trace, fmt.Sprintf("%s@%d", name, e.Now()))
+			p.Sleep(10 * Microsecond)
+			trace = append(trace, fmt.Sprintf("%s@%d", name, e.Now()))
+		})
+	}
+	g.Run()
+	want := []string{"b0@0", "a1@0", "b2@0", "a3@0", "b0@10000", "a1@10000", "b2@10000", "a3@10000"}
+	if !reflect.DeepEqual(trace, want) {
+		t.Fatalf("dispatch order %v\nwant           %v", trace, want)
+	}
+	if a.Events() != 4 || b.Events() != 4 || g.Events() != 8 {
+		t.Fatalf("events a=%d b=%d group=%d, want 4, 4, 8", a.Events(), b.Events(), g.Events())
+	}
+}
+
+// A Group's members share one pool of exited processes: a Proc that one
+// member recycled and another reuses belongs to the new member, and its
+// events count there.
+func TestRecycledProcTakesSpawningMember(t *testing.T) {
+	g := NewGroup()
+	a := g.NewEnv("a")
+	b := g.NewEnv("b")
+	var first, reused *Proc
+	var reusedEnv *Env
+	a.Go("first", func(p *Proc) { first = p })
+	b.Go("spawner", func(p *Proc) {
+		p.Sleep(Microsecond)
+		b.Go("reuse", func(q *Proc) {
+			reused, reusedEnv = q, q.Env()
+			q.Sleep(Microsecond)
+		})
+	})
+	g.Run()
+	if reused != first {
+		t.Fatal("the spawn did not reuse the proc the other member recycled")
+	}
+	if reusedEnv != b {
+		t.Fatalf("a reused proc reports env %q, want b", g.names[reusedEnv.pid])
+	}
+	// a: first's start; b: spawner's start and wake, reuse's start and wake.
+	if a.Events() != 1 || b.Events() != 4 {
+		t.Fatalf("events a=%d b=%d, want 1 and 4", a.Events(), b.Events())
+	}
+	if a.Now() != 0 || b.Now() != Time(2*Microsecond) {
+		t.Fatalf("clocks a=%d b=%d, want 0 and 2000", a.Now(), b.Now())
+	}
+}
+
+// Group.Shutdown unwinds every member's processes — parked, pending or
+// pooled — once, and leaves every member unusable.
+func TestGroupShutdownUnwindsEveryMemberOnce(t *testing.T) {
+	g := NewGroup()
+	members := []*Env{g.NewEnv("a"), g.NewEnv("b"), g.NewEnv("c")}
+	lk := NewLink[int](g, members[0], members[1], "l", Microsecond)
+	unwound := map[string]int{}
+	for _, e := range members {
+		name := g.names[e.pid]
+		e.Go(name+"-sleeper", func(p *Proc) {
+			defer func() { unwound[name+"-sleeper"]++ }()
+			p.Sleep(Second)
+		})
+		e.Go(name+"-short", func(p *Proc) {})
+	}
+	members[1].Go("b-rx", func(p *Proc) {
+		defer func() { unwound["b-rx"]++ }()
+		lk.Recv(p) // parked on the empty link at Shutdown time
+	})
+	members[2].Go("c-stopper", func(p *Proc) {
+		p.Sleep(Millisecond)
+		panic("stop")
+	})
+	func() {
+		defer func() { recover() }()
+		g.Run()
+	}()
+	g.Shutdown()
+	g.Shutdown() // idempotent
+	want := map[string]int{"a-sleeper": 1, "b-sleeper": 1, "c-sleeper": 1, "b-rx": 1}
+	if !reflect.DeepEqual(unwound, want) {
+		t.Fatalf("unwound %v, want %v", unwound, want)
+	}
+	if k := g.k; k.heap != nil || k.ring != nil || k.blocked != nil || k.free != nil {
+		t.Fatal("Shutdown left backing arrays pinned")
+	}
+	for _, e := range members {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Go on shut-down member %s did not panic", g.names[e.pid])
+				}
+			}()
+			e.Go("late", func(p *Proc) {})
+		}()
 	}
 }

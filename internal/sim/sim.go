@@ -81,9 +81,6 @@ func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 // Micros reports the duration as floating-point microseconds.
 func (d Duration) Micros() float64 { return float64(d) / float64(Microsecond) }
 
-// maxTime is the horizon of a standalone Run: no event is ever beyond it.
-const maxTime = Time(1<<63 - 1)
-
 type event struct {
 	at   Time
 	seq  uint64 // tie-breaker: FIFO among simultaneous events
@@ -99,9 +96,10 @@ func eventLess(a, b event) bool {
 	return a.seq < b.seq
 }
 
-// Env is a simulation environment: a virtual clock plus an event queue.
-// Create one with NewEnv, start processes with Go, then call Run.
-type Env struct {
+// kernel is the scheduling state of one simulation: a virtual clock, an
+// event queue and the processes it dispatches. A standalone Env has a
+// kernel of its own; the members of a Group share one (partition.go).
+type kernel struct {
 	now Time
 	seq uint64
 
@@ -114,45 +112,48 @@ type Env struct {
 	ring     []event
 	ringHead int
 
-	// hand is the process Run's dispatch loop resumes next: a process
+	// hand is the process the dispatch loop resumes next: a process
 	// about to give up control pops the next event and leaves its owner
-	// here (nil when no event is left before the horizon). fault is a
-	// body's panic, recovered in its coroutine and re-panicked by the
-	// loop.
+	// here (nil when the queue is empty). fault is a body's panic,
+	// recovered in its coroutine and re-panicked by the loop.
 	hand      *Proc
 	fault     interface{}
 	faultProc *Proc
 
-	// blocked tracks processes parked on a Resource or Signal (no
+	// blocked tracks processes parked on a Resource, Signal or Link (no
 	// scheduled event); used for deadlock diagnosis. Each Proc remembers
 	// its own index for O(1) swap-removal.
 	blocked []*Proc
 
-	nlive      int
-	running    bool
-	dead       bool // Shutdown ran; the environment is unusable
-	nevents    uint64
-	attachment interface{}
+	running bool
+	dead    bool // Shutdown ran; the kernel is unusable
 
 	// free holds exited processes whose coroutines are suspended for
 	// reuse: spawning is allocation-free in steady state because a
 	// recycled Proc brings its coroutine and its stack along.
 	free []*Proc
+}
 
-	// horizon bounds event dispatch: next refuses events at or past it.
-	// Standalone Run uses maxTime; the partitioned executor advances a
-	// member environment window by window (see partition.go).
-	horizon Time
+// Env is a simulation environment: one device's view of a kernel.
+// Create one with NewEnv, start processes with Go, then call Run.
+type Env struct {
+	k *kernel
+
+	// now is the time of this environment's last event, nevents their
+	// count. For a standalone Env now is the kernel's clock.
+	now        Time
+	nevents    uint64
+	attachment interface{}
 
 	// Partition membership (nil/-1 for a standalone environment).
 	grp *Group
 	pid int
 
 	// Clock-tick hook: when set, tickFn runs from the event loop the
-	// first time the clock reaches or passes tickAt (before the event's
-	// process resumes). The observability sampler hangs here — a
-	// sleeping daemon process could not drive it, because a pending
-	// wakeup event would keep Run from ever draining the queue.
+	// first time this environment's clock reaches or passes tickAt
+	// (before the event's process resumes). The observability sampler
+	// hangs here — a sleeping daemon process could not drive it, because
+	// a pending wakeup event would keep Run from ever draining the queue.
 	tickAt Time
 	tickFn func(now Time) Time
 
@@ -176,17 +177,17 @@ func (e *Env) Attachment() interface{} { return e.attachment }
 
 // NewEnv returns an environment with the clock at zero.
 func NewEnv() *Env {
-	return &Env{horizon: maxTime, pid: -1}
+	return &Env{k: &kernel{}, pid: -1}
 }
 
 // SetTick installs (or replaces) the clock-tick hook: fn runs inside
-// the event loop the first time the virtual clock reaches or passes
-// at, and returns the next tick time (return a value <= the current
-// time to stop ticking). The hook observes simulation state between
-// events — it runs after the clock advances but before the dispatched
-// process resumes — and must not call Proc methods, schedule events,
-// or otherwise re-enter the kernel. One hook per environment; the
-// observability sampler owns it in practice.
+// the event loop the first time the environment's clock reaches or
+// passes at, and returns the next tick time (return a value <= the
+// current time to stop ticking). The hook observes simulation state
+// between events — it runs after the clock advances but before the
+// dispatched process resumes — and must not call Proc methods, schedule
+// events, or otherwise re-enter the kernel. One hook per environment;
+// the observability sampler owns it in practice.
 func (e *Env) SetTick(at Time, fn func(now Time) Time) {
 	e.tickAt, e.tickFn = at, fn
 }
@@ -197,7 +198,9 @@ func (e *Env) SetTick(at Time, fn func(now Time) Time) {
 // final observability state.
 func (e *Env) OnRunEnd(fn func()) { e.runEnd = append(e.runEnd, fn) }
 
-// Now returns the current virtual time.
+// Now returns the current virtual time: the time of the environment's
+// latest event (a Group member's clock trails the group's while others
+// run).
 func (e *Env) Now() Time { return e.now }
 
 // Events reports the number of events the environment has executed so
@@ -248,7 +251,7 @@ func (p *Proc) Name() string { return p.name }
 // reaches it; the initial resume is scheduled at the current time.
 // Go may be called before Run or from inside a running process.
 func (e *Env) Go(name string, body func(p *Proc)) *Proc {
-	return e.GoAt(e.now, name, body)
+	return e.GoAt(e.k.now, name, body)
 }
 
 // GoDaemon starts a background service process. A daemon parked on a
@@ -267,7 +270,7 @@ func (e *Env) GoDaemon(name string, body func(p *Proc)) *Proc {
 func (e *Env) GoAt(t Time, name string, body func(p *Proc)) *Proc {
 	p := e.spawn(name)
 	p.body = body
-	e.schedule(p, max(t, e.now))
+	e.k.schedule(p, max(t, e.k.now))
 	return p
 }
 
@@ -277,27 +280,28 @@ func (e *Env) GoAt(t Time, name string, body func(p *Proc)) *Proc {
 func (e *Env) GoIdx(name string, idx int, body func(p *Proc, idx int)) *Proc {
 	p := e.spawn(name)
 	p.ibody, p.idx = body, idx
-	e.schedule(p, e.now)
+	e.k.schedule(p, e.k.now)
 	return p
 }
 
-// spawn takes a process from the free pool, or makes one with a fresh
-// coroutine, and counts it live.
+// spawn takes a process from the kernel's free pool — a Group member
+// may reuse one another member recycled — or makes one with a fresh
+// coroutine, and gives it to e.
 func (e *Env) spawn(name string) *Proc {
-	if e.dead {
+	k := e.k
+	if k.dead {
 		panic("sim: Go on a shut-down environment")
 	}
 	var p *Proc
-	if n := len(e.free); n > 0 {
-		p = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		p.daemon = false
+	if n := len(k.free); n > 0 {
+		p = k.free[n-1]
+		k.free[n-1] = nil
+		k.free = k.free[:n-1]
+		p.env, p.daemon = e, false
 	} else {
 		p = e.newProc()
 	}
 	p.name = name
-	e.nlive++
 	return p
 }
 
@@ -316,7 +320,7 @@ func (p *Proc) main(yield func(struct{}) bool) {
 // calls runtime.Goexit (t.Fatal in a test), run never returns: the
 // Proc is not recycled, and the Goexit unwinds Run's caller.
 func (p *Proc) run() (clean bool) {
-	e := p.env
+	k := p.env.k
 	body, ibody, idx := p.body, p.ibody, p.idx
 	p.body, p.ibody = nil, nil
 	defer func() {
@@ -327,10 +331,9 @@ func (p *Proc) run() (clean bool) {
 		if _, k := r.(killedSentinel); k {
 			return // Shutdown unwound this process while it was parked
 		}
-		e.nlive--
 		if r != nil {
-			e.fault = r
-			e.faultProc = p
+			k.fault = r
+			k.faultProc = p
 		}
 	}()
 	if ibody != nil {
@@ -340,19 +343,18 @@ func (p *Proc) run() (clean bool) {
 	}
 	// Recycle before dispatching, so a successor body spawned by the
 	// next event can already reuse this process.
-	e.nlive--
-	e.free = append(e.free, p)
-	e.hand = e.next()
+	k.free = append(k.free, p)
+	k.hand = k.next()
 	return true
 }
 
-func (e *Env) schedule(p *Proc, at Time) {
-	e.seq++
-	ev := event{at: at, seq: e.seq, proc: p}
-	if at == e.now {
-		e.ring = append(e.ring, ev)
+func (k *kernel) schedule(p *Proc, at Time) {
+	k.seq++
+	ev := event{at: at, seq: k.seq, proc: p}
+	if at == k.now {
+		k.ring = append(k.ring, ev)
 	} else {
-		e.heapPush(ev)
+		k.heapPush(ev)
 	}
 }
 
@@ -360,32 +362,32 @@ func (e *Env) schedule(p *Proc, at Time) {
 // clock to it, and returns its process, or nil when none is left. Ring
 // events always carry the current instant; a heap event at the current
 // instant predates every ring event (it was scheduled before the clock
-// got here), so it wins the tie.
-// Events at or past the horizon stay queued: a partition member only
-// dispatches within its current lockstep window (ring events are always
-// at the current instant, which is below the horizon by construction).
-func (e *Env) next() *Proc {
-	hasRing := e.ringHead < len(e.ring)
+// got here), so it wins the tie. The process's environment takes the
+// event: its clock, its event count and its tick hook.
+func (k *kernel) next() *Proc {
+	hasRing := k.ringHead < len(k.ring)
 	var ev event
 	switch {
-	case hasRing && len(e.heap) > 0 && e.heap[0].at <= e.now:
-		ev = e.heapPop()
+	case hasRing && len(k.heap) > 0 && k.heap[0].at <= k.now:
+		ev = k.heapPop()
 	case hasRing:
-		ev = e.ring[e.ringHead]
-		e.ring[e.ringHead].proc = nil
-		e.ringHead++
-		if e.ringHead == len(e.ring) {
-			e.ring = e.ring[:0]
-			e.ringHead = 0
+		ev = k.ring[k.ringHead]
+		k.ring[k.ringHead].proc = nil
+		k.ringHead++
+		if k.ringHead == len(k.ring) {
+			k.ring = k.ring[:0]
+			k.ringHead = 0
 		}
-	case len(e.heap) > 0 && e.heap[0].at < e.horizon:
-		ev = e.heapPop()
+	case len(k.heap) > 0:
+		ev = k.heapPop()
 	default:
 		return nil
 	}
-	if ev.at < e.now {
+	if ev.at < k.now {
 		panic("sim: time went backwards")
 	}
+	k.now = ev.at
+	e := ev.proc.env
 	e.now = ev.at
 	e.nevents++
 	if e.tickFn != nil && e.now >= e.tickAt {
@@ -399,8 +401,8 @@ func (e *Env) next() *Proc {
 }
 
 // heapPush inserts into the 4-ary min-heap (sift up).
-func (e *Env) heapPush(ev event) {
-	h := append(e.heap, ev)
+func (k *kernel) heapPush(ev event) {
+	h := append(k.heap, ev)
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 4
@@ -410,12 +412,12 @@ func (e *Env) heapPush(ev event) {
 		h[i], h[parent] = h[parent], h[i]
 		i = parent
 	}
-	e.heap = h
+	k.heap = h
 }
 
 // heapPop removes the minimum from the 4-ary min-heap (sift down).
-func (e *Env) heapPop() event {
-	h := e.heap
+func (k *kernel) heapPop() event {
+	h := k.heap
 	top := h[0]
 	last := h[len(h)-1]
 	h[len(h)-1].proc = nil
@@ -445,7 +447,7 @@ func (e *Env) heapPop() event {
 		}
 		h[i] = last
 	}
-	e.heap = h
+	k.heap = h
 	return top
 }
 
@@ -457,77 +459,72 @@ func (e *Env) Run() {
 	if e.grp != nil {
 		panic("sim: Run on a partition member; use Group.Run")
 	}
-	e.runPhase(maxTime)
-	e.finishRun()
+	e.k.run()
+	e.endRun()
 }
 
-// runPhase executes events strictly before horizon and returns when
-// none remain (processes may still hold later events or be blocked).
-// It is the dispatch loop: each resume runs one process until it parks
-// or exits, having left the owner of the next event in e.hand. A
-// process fault is re-panicked here, in Run's caller.
-func (e *Env) runPhase(horizon Time) {
-	if e.running {
-		panic("sim: Run called re-entrantly")
-	}
-	if e.dead {
-		panic("sim: Run on a shut-down environment")
-	}
-	e.running = true
-	e.horizon = horizon
-	defer func() { e.running = false }()
-	for np := e.next(); np != nil; np = e.hand {
-		e.hand = nil
-		np.resume()
-		if e.fault != nil {
-			f, fp := e.fault, e.faultProc
-			e.fault, e.faultProc = nil, nil
-			panic(fmt.Sprintf("sim: process %q faulted: %v", fp.name, f))
-		}
-	}
-}
-
-// finishRun performs Run's end-of-simulation duties once no events
-// remain anywhere: deadlock diagnosis, then the run-end hooks.
-func (e *Env) finishRun() {
-	if e.nlive > 0 {
-		stuck := false
-		for _, p := range e.blocked {
-			if !p.daemon {
-				stuck = true
-				break
-			}
-		}
-		if stuck {
-			names := make([]string, 0, len(e.blocked))
-			for _, p := range e.blocked {
-				names = append(names, p.name+" ("+p.blockedOn+")")
-			}
-			sort.Strings(names)
-			where := ""
-			if e.grp != nil {
-				where = fmt.Sprintf(" in partition %d", e.pid)
-			}
-			panic("sim: deadlock" + where + ", blocked processes: " + strings.Join(names, ", "))
-		}
-	}
+// endRun runs the run-end hooks, in registration order.
+func (e *Env) endRun() {
 	for _, fn := range e.runEnd {
 		fn()
 	}
 }
 
-// peekNext reports the time of the earliest pending event, or maxTime
-// when the queue is empty. The partitioned executor uses it to pick the
-// next lockstep window.
-func (e *Env) peekNext() Time {
-	t := maxTime
-	if e.ringHead < len(e.ring) {
-		t = e.now
+// run is the dispatch loop of Env.Run and Group.Run: each resume runs
+// one process until it parks or exits, having left the owner of the
+// next event in k.hand. Once the queue drains it checks for a deadlock.
+// A process fault or a deadlock is panicked here, in Run's caller.
+func (k *kernel) run() {
+	if k.running {
+		panic("sim: Run called re-entrantly")
 	}
-	if len(e.heap) > 0 && e.heap[0].at < t {
-		t = e.heap[0].at
+	if k.dead {
+		panic("sim: Run on a shut-down environment")
 	}
-	return t
+	k.running = true
+	defer func() { k.running = false }()
+	for np := k.next(); np != nil; np = k.hand {
+		k.hand = nil
+		np.resume()
+		if k.fault != nil {
+			f, fp := k.fault, k.faultProc
+			k.fault, k.faultProc = nil, nil
+			panic(fmt.Sprintf("%ssim: process %q faulted: %v", fp.env.where(), fp.name, f))
+		}
+	}
+	k.checkDeadlock()
+}
+
+// checkDeadlock panics if a process that is not a daemon is blocked
+// with no event left to wake it, listing the blocked processes of its
+// environment (the lowest-indexed stuck one in a Group).
+func (k *kernel) checkDeadlock() {
+	var stuck *Env
+	for _, p := range k.blocked {
+		if !p.daemon && (stuck == nil || p.env.pid < stuck.pid) {
+			stuck = p.env
+		}
+	}
+	if stuck == nil {
+		return
+	}
+	var names []string
+	for _, p := range k.blocked {
+		if p.env == stuck {
+			names = append(names, p.name+" ("+p.blockedOn+")")
+		}
+	}
+	sort.Strings(names)
+	panic(stuck.where() + "sim: deadlock, blocked processes: " + strings.Join(names, ", "))
+}
+
+// where prefixes a kernel panic about e's processes: a Group member
+// names its partition.
+func (e *Env) where() string {
+	if e.grp == nil {
+		return ""
+	}
+	return fmt.Sprintf("sim: partition %d (%s): ", e.pid, e.grp.names[e.pid])
 }
 
 // Shutdown tears the environment down: every process — parked, pooled,
@@ -535,19 +532,24 @@ func (e *Env) peekNext() Time {
 // killedSentinel panic through park; deferred cleanup runs) and its
 // coroutine ended, then the backing arrays are released. A spiky
 // experiment thus stops pinning peak memory once its results are read.
-// The environment is unusable afterwards; Shutdown is idempotent.
+// The environment is unusable afterwards; Shutdown is idempotent. On a
+// Group member it tears the whole group's kernel down.
 func (e *Env) Shutdown() {
-	if e.running {
+	if e.k.running {
 		panic("sim: Shutdown from inside Run")
 	}
-	if e.dead {
-		return
-	}
-	e.dead = true
 	e.tickFn = nil
 	e.runEnd = nil
+	e.k.shutdown()
+}
+
+func (k *kernel) shutdown() {
+	if k.dead {
+		return
+	}
+	k.dead = true
 	// Unwinding a process runs its defers, which may Release resources
-	// or Fire signals and thereby schedule events or grow e.blocked —
+	// or Fire signals and thereby schedule events or grow k.blocked —
 	// both are re-scanned until everything is down.
 	kill := func(p *Proc) {
 		if p == nil || p.killed {
@@ -556,49 +558,48 @@ func (e *Env) Shutdown() {
 		p.killed = true
 		p.stop() // returns once the coroutine has ended
 	}
-	for len(e.blocked) > 0 || e.ringHead < len(e.ring) || len(e.heap) > 0 {
-		for i := 0; i < len(e.blocked); i++ {
-			kill(e.blocked[i])
+	for len(k.blocked) > 0 || k.ringHead < len(k.ring) || len(k.heap) > 0 {
+		for i := 0; i < len(k.blocked); i++ {
+			kill(k.blocked[i])
 		}
-		e.blocked = e.blocked[:0]
-		for e.ringHead < len(e.ring) {
-			p := e.ring[e.ringHead].proc
-			e.ringHead++
+		k.blocked = k.blocked[:0]
+		for k.ringHead < len(k.ring) {
+			p := k.ring[k.ringHead].proc
+			k.ringHead++
 			kill(p)
 		}
-		e.ring, e.ringHead = nil, 0
-		for len(e.heap) > 0 {
-			kill(e.heapPop().proc)
+		k.ring, k.ringHead = nil, 0
+		for len(k.heap) > 0 {
+			kill(k.heapPop().proc)
 		}
 	}
-	for _, p := range e.free {
+	for _, p := range k.free {
 		kill(p)
 	}
-	e.free = nil
-	e.heap = nil
-	e.ring = nil
-	e.blocked = nil
-	e.nlive = 0
+	k.free = nil
+	k.heap = nil
+	k.ring = nil
+	k.blocked = nil
 }
 
 // park gives up control until this process's next event. The parking
 // process pops the next event itself: either it is its own (continue
 // inline, no switch), or it belongs to another process, which it leaves
-// to the dispatch loop in e.hand, or the queue is empty (hand is nil
+// to the dispatch loop in k.hand, or the queue is empty (hand is nil
 // and Run's loop ends). A false from yield means Shutdown is unwinding
 // the process.
 func (p *Proc) park() {
-	e := p.env
+	k := p.env.k
 	if p.killed {
 		// A deferred call of a process Shutdown is unwinding parked
 		// again; do not dispatch further events.
 		panic(killedSentinel{})
 	}
-	np := e.next()
+	np := k.next()
 	if np == p {
 		return
 	}
-	e.hand = np
+	k.hand = np
 	if !p.yield(struct{}{}) {
 		panic(killedSentinel{})
 	}
@@ -610,7 +611,8 @@ func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		d = 0
 	}
-	p.env.schedule(p, p.env.now+Time(d))
+	k := p.env.k
+	k.schedule(p, k.now+Time(d))
 	p.park()
 }
 
@@ -621,22 +623,22 @@ func (p *Proc) Yield() { p.Sleep(0) }
 // must unblock it. what describes the wait for deadlock diagnostics
 // (callers pass a precomputed label so parking does not allocate).
 func (p *Proc) block(what string) {
-	e := p.env
+	k := p.env.k
 	p.blockedOn = what
-	p.blockIdx = len(e.blocked)
-	e.blocked = append(e.blocked, p)
+	p.blockIdx = len(k.blocked)
+	k.blocked = append(k.blocked, p)
 	p.park()
-	last := len(e.blocked) - 1
-	moved := e.blocked[last]
-	e.blocked[p.blockIdx] = moved
+	last := len(k.blocked) - 1
+	moved := k.blocked[last]
+	k.blocked[p.blockIdx] = moved
 	moved.blockIdx = p.blockIdx
-	e.blocked[last] = nil
-	e.blocked = e.blocked[:last]
+	k.blocked[last] = nil
+	k.blocked = k.blocked[:last]
 	p.blockedOn = ""
 }
 
 // unblock schedules a blocked process to resume at the current instant.
-func (e *Env) unblock(p *Proc) { e.schedule(p, e.now) }
+func (e *Env) unblock(p *Proc) { e.k.schedule(p, e.k.now) }
 
 // Resource is a counted resource with a FIFO wait queue. A Resource of
 // capacity 1 is a virtual mutex; a NAND die or a PCIe link is a
