@@ -19,8 +19,9 @@
 //     every artifact — tables, -metrics, -timeline, -trace — is
 //     byte-identical at any -j; -j 1 is strictly sequential and is what
 //     -benchjson's per-experiment attribution needs.
-//   - -benchjson / -benchgate / -obsbench measure the simulator itself
-//     on the host clock (BENCH_kernel.json, BENCH_obs.json).
+//   - -benchjson / -benchgate measure the simulator itself on the host
+//     clock (BENCH_kernel.json); the cost of an observer is the same
+//     report taken with and without it (-timeline, -trace).
 package main
 
 import (
@@ -56,7 +57,7 @@ type options struct {
 	jobs, seeds int
 	sample      time.Duration
 	// report paths
-	metrics, trace, timeline, benchJSON, benchGate, obsbench, cpuProfile, memProfile string
+	metrics, trace, timeline, benchJSON, benchGate, cpuProfile, memProfile string
 }
 
 // run is the whole command: 0 on success, 2 on a usage error, 1 when a
@@ -70,7 +71,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.metrics, "metrics", "", "write merged metrics snapshot JSON to this file")
 	fs.StringVar(&o.trace, "trace", "", "write Chrome trace-event JSON (Perfetto) to this file")
 	fs.StringVar(&o.benchJSON, "benchjson", "", "write wall-clock kernel benchmark JSON to this file")
-	fs.StringVar(&o.obsbench, "obsbench", "", "write observability-overhead benchmark JSON to this file")
 	fs.DurationVar(&o.sample, "sample", 0, "virtual-time cadence for metric timelines (default 1ms when -timeline is given)")
 	fs.StringVar(&o.timeline, "timeline", "", "write the merged metric timeline to this file (.csv extension selects CSV, else JSON)")
 	fs.IntVar(&o.seeds, "seeds", 256, "seed count for the fuzz experiment")
@@ -98,9 +98,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	names := fs.Args()
-	if len(names) == 0 && o.obsbench == "" {
-		// An explicit -obsbench with no experiment list runs just the
-		// overhead sweep, mirroring a targeted -benchjson run.
+	if len(names) == 0 {
 		names = []string{"all"}
 	}
 	var selected []bench.Experiment
@@ -218,12 +216,12 @@ func execute(o options, selected []bench.Experiment, stdout, stderr io.Writer) e
 
 	// Open the report files before running anything: a bad path should
 	// fail now, not after minutes of experiments.
-	var cpuFile, memFile, obsbenchFile, metricsFile, traceFile, benchFile, timelineFile *os.File
+	var cpuFile, memFile, metricsFile, traceFile, benchFile, timelineFile *os.File
 	for _, rf := range []struct {
 		path string
 		f    **os.File
 	}{
-		{o.cpuProfile, &cpuFile}, {o.memProfile, &memFile}, {o.obsbench, &obsbenchFile},
+		{o.cpuProfile, &cpuFile}, {o.memProfile, &memFile},
 		{o.metrics, &metricsFile}, {o.trace, &traceFile}, {o.benchJSON, &benchFile}, {o.timeline, &timelineFile},
 	} {
 		if rf.path == "" {
@@ -267,16 +265,6 @@ func execute(o options, selected []bench.Experiment, stdout, stderr io.Writer) e
 	}
 	wallTotal := time.Since(start)
 	runtime.ReadMemStats(&ms1)
-
-	if obsbenchFile != nil {
-		rep := bench.ObsOverhead(scale)
-		if err := rep.WriteText(stdout); err != nil {
-			return err
-		}
-		if err := writeReport(obsbenchFile, jsonReport(rep)); err != nil {
-			return err
-		}
-	}
 
 	if col != nil {
 		col.Uninstall()

@@ -64,8 +64,8 @@ func TestRunUnknownExperiment(t *testing.T) {
 	if got, want := strings.Join(listed, " "), strings.Join(want, " "); got != want {
 		t.Errorf("usage lists experiments\n  %s\nregistry has\n  %s", got, want)
 	}
-	if flags != 12 {
-		t.Errorf("usage documents %d flags, want 12:\n%s", flags, errs)
+	if flags != 11 {
+		t.Errorf("usage documents %d flags, want 11:\n%s", flags, errs)
 	}
 }
 

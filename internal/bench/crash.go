@@ -32,27 +32,12 @@ import (
 	"twobssd/internal/wal"
 )
 
-// crashStackConfig scales the 2B-SSD down so one crash point costs
-// milliseconds of host time: a 16 MB flash array with a 1 MB BA-buffer
-// whose capacitor dump still fits the stock energy budget.
-func crashStackConfig() core.Config {
-	cfg := core.DefaultConfig()
-	cfg.Base.Nand.Channels = 2
-	cfg.Base.Nand.DiesPerChannel = 2
-	cfg.Base.Nand.BlocksPerDie = 32
-	cfg.Base.Nand.PagesPerBlock = 32
-	cfg.Base.FTL.OverProvision = 0.2
-	cfg.Base.WriteBufferPages = 64
-	cfg.Base.DrainWorkers = 4
-	cfg.BABufferBytes = 256 * 4096 // 1 MB
-	return cfg
-}
-
 // newCrashStack is the per-point device stack shared by every workload
-// driver: one scaled-down 2B-SSD holding both data and log. The stack's
-// Crash method is the Crash half of the fault.Cycle contract.
+// driver: one small 2B-SSD (core.SmallConfig) holding both data and
+// log. The stack's Crash method is the Crash half of the fault.Cycle
+// contract.
 func newCrashStack(env *sim.Env) *stack {
-	ssd := core.New(env, crashStackConfig())
+	ssd := core.New(env, core.SmallConfig())
 	fs := vfs.New(ssd.Device())
 	return &stack{env: env, dataFS: fs, logFS: fs, ssd: ssd, mode: wal.BA}
 }
@@ -604,7 +589,7 @@ func (c *blkGCCrash) write(p *sim.Proc, lba, pages int) error {
 }
 
 func buildBlkGCCrash(env *sim.Env, p *sim.Proc) (fault.Cycle, error) {
-	cfg := crashStackConfig()
+	cfg := core.SmallConfig()
 	cfg.Base.Nand.BlocksPerDie = 16
 	ssd := core.New(env, cfg)
 	c := &blkGCCrash{
@@ -658,12 +643,15 @@ func (c *blkGCCrash) Recover(p *sim.Proc) (recovered, phantoms []string, err err
 
 // ---- campaign assembly ---------------------------------------------
 
-// crashWorkload rows pin name, committed-op count and seed per
-// workload. The lsm row is sized so its memtable never rotates (that
-// path has its own experiment); each of pglite, kvaof and jfs has one row
-// whose log holds the whole campaign and one (-ckpt) that overwrites a
-// few keys on a ring so small that the engine checkpoints every few ops.
-type crashWorkload struct {
+// campaign rows pin name, committed-op count and seed per sweep, and
+// which experiment's sweep runs the row; smoke rows also run in that
+// experiment's -smoke variant. The lsm row is sized so its memtable
+// never rotates (that path has its own experiment); each of pglite,
+// kvaof and jfs has one row whose log holds the whole campaign and one
+// (-ckpt) that overwrites a few keys on a ring so small that the engine
+// checkpoints every few ops.
+type campaign struct {
+	exp   string // "crash" or "wal-life"
 	name  string
 	ops   int
 	seed  uint64
@@ -671,6 +659,7 @@ type crashWorkload struct {
 	// tweak optionally adjusts per-point fault plans (fault.Campaign's
 	// Tweak contract: pure in the point index).
 	tweak func(i int, plan *fault.Plan)
+	smoke bool
 }
 
 // crashRing places an engine's log on the crash stack: a ring of `ring`
@@ -685,77 +674,82 @@ func crashRing(ring, pages, window int, eids ...core.EID) func(*stack) wal.Confi
 	}
 }
 
-var crashWorkloads = []crashWorkload{
-	{"wal", 48, 0x2b55c0de0001, func(int) cycleBuilder { return buildWALCrash }, nil},
-	{"lsm", 32, 0x2b55c0de0002, buildLSMCrash, nil},
+// fixed adapts a builder that does not depend on the op count.
+func fixed(b cycleBuilder) func(int) cycleBuilder { return func(int) cycleBuilder { return b } }
+
+// walSeg builds the segmented-WAL lifecycle engine in one commit mode.
+func walSeg(mode wal.CommitMode) func(int) cycleBuilder {
+	return func(ops int) cycleBuilder { return buildWalSegCrash(mode, ops) }
+}
+
+var campaigns = []campaign{
+	{"crash", "wal", 48, 0x2b55c0de0001, fixed(buildWALCrash), nil, false},
+	{"crash", "lsm", 32, 0x2b55c0de0002, buildLSMCrash, nil, true},
 	// A fresh key per op on a 1 MB XLOG / 2 MB AOF / 1 MB journal.
-	{"pglite", 32, 0x2b55c0de0003,
-		func(ops int) cycleBuilder { return buildPGCrash(crashRing(2, 128, 64, 0, 1), ops, 48, false) }, nil},
-	{"kvaof", 40, 0x2b55c0de0004,
-		func(ops int) cycleBuilder { return buildAOFCrash(crashRing(2, 256, 256, 0), ops, 48) }, nil},
-	{"jfs", 32, 0x2b55c0de0005,
-		func(ops int) cycleBuilder { return buildJFSCrash(crashRing(2, 128, 64, 0, 1), ops, 1<<20) }, nil},
+	{"crash", "pglite", 32, 0x2b55c0de0003,
+		func(ops int) cycleBuilder { return buildPGCrash(crashRing(2, 128, 64, 0, 1), ops, 48, false) }, nil, true},
+	{"crash", "kvaof", 40, 0x2b55c0de0004,
+		func(ops int) cycleBuilder { return buildAOFCrash(crashRing(2, 256, 256, 0), ops, 48) }, nil, false},
+	{"crash", "jfs", 32, 0x2b55c0de0005,
+		func(ops int) cycleBuilder { return buildJFSCrash(crashRing(2, 128, 64, 0, 1), ops, 1<<20) }, nil, false},
 	// The checkpoint path: a few keys overwritten with versioned 1.5 KB
 	// values (whole blocks for jfs) on 32-128 KB rings, so the XLOG
 	// checkpoints, the AOF rewrites and the journal checkpoints every few
 	// ops, the rings lap, and power cuts land on rotations, checkpoints
 	// and truncations — with the dump cut short on a subset of points.
-	{"pglite-ckpt", 48, 0x2b55c0de0008,
-		func(int) cycleBuilder { return buildPGCrash(crashRing(2, 4, 2, 0, 1), 6, 1500, true) }, walLifeTweak},
-	{"kvaof-ckpt", 48, 0x2b55c0de0009,
-		func(int) cycleBuilder { return buildAOFCrash(crashRing(4, 4, 4, 0), 4, 1500) }, walLifeTweak},
-	{"jfs-ckpt", 48, 0x2b55c0de000a,
-		func(int) cycleBuilder { return buildJFSCrash(crashRing(4, 8, 4, 0, 1), 3, 5) }, walLifeTweak},
+	{"crash", "pglite-ckpt", 48, 0x2b55c0de0008,
+		fixed(buildPGCrash(crashRing(2, 4, 2, 0, 1), 6, 1500, true)), walLifeTweak, true},
+	{"crash", "kvaof-ckpt", 48, 0x2b55c0de0009,
+		fixed(buildAOFCrash(crashRing(4, 4, 4, 0), 4, 1500)), walLifeTweak, true},
+	{"crash", "jfs-ckpt", 48, 0x2b55c0de000a,
+		fixed(buildJFSCrash(crashRing(4, 8, 4, 0, 1), 3, 5)), walLifeTweak, true},
 	// walseg runs a full segmented-WAL lifecycle (rotation, checkpoint
 	// truncation, snapshot + chain-replay recovery) on the BA path,
 	// with dump cuts on a point subset so torn-tail repair runs too.
-	{"walseg", 48, 0x2b55c0de0006,
-		func(ops int) cycleBuilder { return buildWalSegCrash(wal.BA, ops) },
-		walLifeTweak},
+	{"crash", "walseg", 48, 0x2b55c0de0006, walSeg(wal.BA), walLifeTweak, true},
 	// blkgc has no log at all: the raw block path of a drive that is
 	// collecting garbage the whole time, relocation runs in flight.
-	{"blkgc", 192, 0x2b55c0de0007, func(int) cycleBuilder { return buildBlkGCCrash }, nil},
+	{"crash", "blkgc", 192, 0x2b55c0de0007, fixed(buildBlkGCCrash), nil, true},
+	// The lifecycle sweeps behind wal-life: the same engine as walseg on
+	// the BA byte path and on the block+flush baseline.
+	{"wal-life", "walseg-ba", 48, 0x2b55c0de0106, walSeg(wal.BA), walLifeTweak, true},
+	{"wal-life", "walseg-sync", 48, 0x2b55c0de0107, walSeg(wal.Sync), nil, true},
 }
 
-// CrashWorkloads lists the crash-campaign workload names in run order.
-func CrashWorkloads() []string {
-	names := make([]string, len(crashWorkloads))
-	for i, w := range crashWorkloads {
-		names[i] = w.name
+// campaignNames lists, in table order, the rows exp sweeps — only its
+// smoke rows when smoke is set.
+func campaignNames(exp string, smoke bool) []string {
+	var names []string
+	for _, c := range campaigns {
+		if c.exp == exp && (c.smoke || !smoke) {
+			names = append(names, c.name)
+		}
 	}
 	return names
 }
 
-// NewCrashCampaign builds the named workload's campaign with the given
-// number of crash points.
-func NewCrashCampaign(workload string, pts int) (*fault.Campaign, error) {
-	for _, w := range crashWorkloads {
-		if w.name == workload {
+// newCampaign builds the named row's campaign with the given number of
+// crash points.
+func newCampaign(name string, pts int) (*fault.Campaign, error) {
+	for _, c := range campaigns {
+		if c.name == name {
 			return &fault.Campaign{
-				Name:   w.name,
-				Points: pts,
-				Ops:    w.ops,
-				Seed:   w.seed,
-				Build:  w.build(w.ops),
-				Tweak:  w.tweak,
+				Name: c.name, Points: pts, Ops: c.ops, Seed: c.seed,
+				Build: c.build(c.ops), Tweak: c.tweak,
 			}, nil
 		}
 	}
-	return nil, fmt.Errorf("bench: unknown crash workload %q", workload)
+	return nil, fmt.Errorf("bench: unknown crash campaign %q", name)
 }
 
-// RunCrash sweeps pointsPer crash points over each named workload (all
-// of them when names is nil), streams each campaign's report to w, and
-// returns an error when any point violated the durability contract.
-// Points fan out through the Runner, so -j applies; the reports are
-// byte-identical at any parallelism.
-func RunCrash(r *Runner, w io.Writer, names []string, pointsPer int) error {
-	if names == nil {
-		names = CrashWorkloads()
-	}
+// runCampaigns sweeps pts crash points over each named row, streams
+// each campaign's report to w, and returns an error when any point
+// violated the durability contract. Points fan out through the Runner,
+// so -j applies; the reports are byte-identical at any parallelism.
+func runCampaigns(r *Runner, w io.Writer, names []string, pts int) error {
 	violations := 0
 	for _, name := range names {
-		c, err := NewCrashCampaign(name, pointsPer)
+		c, err := newCampaign(name, pts)
 		if err != nil {
 			return err
 		}

@@ -17,11 +17,11 @@ import (
 // A short sweep over every workload must hold the durability contract.
 func TestCrashCampaignsSmoke(t *testing.T) {
 	var buf bytes.Buffer
-	if err := RunCrash(runner(Quick), &buf, nil, 6); err != nil {
-		t.Fatalf("RunCrash: %v\n%s", err, buf.String())
+	if err := runCampaigns(runner(Quick), &buf, campaignNames("crash", false), 6); err != nil {
+		t.Fatalf("runCampaigns: %v\n%s", err, buf.String())
 	}
 	out := buf.String()
-	for _, name := range CrashWorkloads() {
+	for _, name := range campaignNames("crash", false) {
 		if !strings.Contains(out, "campaign "+name+":") {
 			t.Errorf("report missing campaign %q:\n%s", name, out)
 		}
@@ -37,8 +37,8 @@ func TestCrashCampaignsSmoke(t *testing.T) {
 func TestCrashCampaignDeterminism(t *testing.T) {
 	run := func(jobs int) string {
 		var buf bytes.Buffer
-		if err := RunCrash(NewRunner(Quick, jobs), &buf, []string{"lsm", "kvaof"}, 8); err != nil {
-			t.Fatalf("RunCrash (j=%d): %v\n%s", jobs, err, buf.String())
+		if err := runCampaigns(NewRunner(Quick, jobs), &buf, []string{"lsm", "kvaof"}, 8); err != nil {
+			t.Fatalf("runCampaigns (j=%d): %v\n%s", jobs, err, buf.String())
 		}
 		return buf.String()
 	}
@@ -86,7 +86,7 @@ func TestEmptyPlanDoesNotPerturbTiming(t *testing.T) {
 // clean WAL replay of whatever reached NAND — no torn garbage, no
 // phantom records, and the log stays usable.
 func TestCapacitorExhaustionFallsBackToWALReplay(t *testing.T) {
-	cfg := crashStackConfig()
+	cfg := core.SmallConfig()
 	cfg.CapacitorsUF = []float64{1} // ~72 µJ: hopeless for a 1 MB dump
 	env := sim.NewEnv()
 	env.Go("t", func(p *sim.Proc) {
@@ -164,7 +164,7 @@ func TestDumpCutLeavesNoTornImage(t *testing.T) {
 	env := sim.NewEnv()
 	fault.Install(env, fault.Plan{Seed: 5, CutDumpAfterPages: 3})
 	env.Go("t", func(p *sim.Proc) {
-		ssd := core.New(env, crashStackConfig())
+		ssd := core.New(env, core.SmallConfig())
 		fs := vfs.New(ssd.Device())
 		f, err := fs.Create("txlog", 2<<20)
 		if err != nil {
@@ -173,7 +173,7 @@ func TestDumpCutLeavesNoTornImage(t *testing.T) {
 		wcfg := wal.Config{
 			Mode:         wal.BA,
 			File:         f,
-			SegmentBytes: crashStackConfig().BABufferBytes / 2,
+			SegmentBytes: core.SmallConfig().BABufferBytes / 2,
 			SSD:          ssd,
 			EIDs:         []core.EID{0, 1},
 		}
@@ -235,7 +235,7 @@ func TestWalSegExcusedPoints(t *testing.T) {
 		{"jfs-ckpt", 128, 0},
 	} {
 		name, want := tc.name, tc.want
-		c, err := NewCrashCampaign(name, tc.points)
+		c, err := newCampaign(name, tc.points)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -358,7 +358,7 @@ func TestBlkGCCrashProfileCollects(t *testing.T) {
 		t.Fatalf("profile relocated %d pages in %d collections; want a drive in steady GC with victims of several runs", relocs, runs)
 	}
 	var buf bytes.Buffer
-	if err := RunCrash(runner(Quick), &buf, []string{"blkgc"}, 12); err != nil {
-		t.Fatalf("RunCrash: %v\n%s", err, buf.String())
+	if err := runCampaigns(runner(Quick), &buf, []string{"blkgc"}, 12); err != nil {
+		t.Fatalf("runCampaigns: %v\n%s", err, buf.String())
 	}
 }

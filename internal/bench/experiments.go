@@ -49,25 +49,27 @@ func Experiments() []Experiment {
 		{"probe", true, tables(Probe)},
 		{"ablations", true, tables(AblationWriteCombining, AblationDoubleBuffering, AblationGroupCommit)},
 
-		// 128 power-loss points per workload — six storage engines, the
-		// checkpoint path of three of them and the raw block path in
-		// steady-state GC (1 280 in all); the smoke is 32 points over lsm,
-		// pglite, the three checkpoint-path rows, walseg and blkgc.
-		{"crash", false, func(r *Runner, w io.Writer) error { return RunCrash(r, w, nil, 128) }},
+		// 128 power-loss points per row of the campaign table's crash
+		// sweep — six storage engines, the checkpoint path of three of
+		// them and the raw block path in steady-state GC (1 280 in all);
+		// the smoke is 32 points over the rows marked smoke.
+		{"crash", false, func(r *Runner, w io.Writer) error {
+			return runCampaigns(r, w, campaignNames("crash", false), 128)
+		}},
 		{"crash-smoke", false, func(r *Runner, w io.Writer) error {
-			return RunCrash(r, w, []string{"lsm", "pglite", "pglite-ckpt", "kvaof-ckpt", "jfs-ckpt", "walseg", "blkgc"}, 32)
+			return runCampaigns(r, w, campaignNames("crash", true), 32)
 		}},
 		// Randomized dual-path workloads against internal/oracle, on an
 		// empty drive and on one in steady-state GC.
 		{"fuzz", false, func(r *Runner, w io.Writer) error { return RunFuzz(r, w, r.Seeds) }},
 		{"fuzz-smoke", false, func(r *Runner, w io.Writer) error { return RunFuzz(r, w, 32) }},
 		// The multi-device scenario family; the smoke is 2 devices with
-		// a primary crash, takeover and a 1-vs-2-worker identity probe.
+		// a primary crash and follower takeover.
 		{"fleet", false, func(r *Runner, w io.Writer) error { return RunFleet(r, w, false) }},
 		{"fleet-smoke", false, func(r *Runner, w io.Writer) error { return RunFleet(r, w, true) }},
 		// WAL lifecycle feature table + 128 crash points per commit
-		// mode; the smoke runs 32 points twice and byte-compares.
-		{"wal-life", false, func(r *Runner, w io.Writer) error { return RunWalLife(r, w, 128) }},
-		{"wal-life-smoke", false, func(r *Runner, w io.Writer) error { return RunWalLifeSmoke(r, w, 32) }},
+		// mode; the smoke is the same at 32 points.
+		{"wal-life", false, func(r *Runner, w io.Writer) error { return runWalLife(r, w, 128) }},
+		{"wal-life-smoke", false, func(r *Runner, w io.Writer) error { return runWalLife(r, w, 32) }},
 	}
 }

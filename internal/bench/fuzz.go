@@ -49,7 +49,9 @@ func runFuzz(r *Runner, w io.Writer, n int, cfg oracle.Config) error {
 		rep.EccRetries += res.EccRetries
 		rep.GCRelocated += res.GCRelocations
 		if res.Divergence != nil {
-			sr := oracle.Shrink(res.Seed, cfg, oracle.Generate(res.Seed, cfg))
+			sr := points(r, 1, func(int) oracle.ShrinkReport {
+				return oracle.Shrink(res.Seed, cfg, oracle.Generate(res.Seed, cfg))
+			})[0]
 			if sr.Divergence == nil {
 				// The full trace diverged but the re-run did not:
 				// itself a determinism bug worth reporting loudly.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"twobssd/internal/obs"
+	"twobssd/internal/sim"
 )
 
 // TestProbeStageCoverage runs the probe under a collector (the same
@@ -88,6 +89,61 @@ func TestProbeStageCoverage(t *testing.T) {
 	for _, want := range []string{"nand", "pcie", "device", "2bssd", "wal"} {
 		if !cats[want] {
 			t.Errorf("trace has no spans in category %q (got %v)", want, cats)
+		}
+	}
+}
+
+// TestObserversDoNotPerturb: the observers only watch. Probe and
+// CommitOverhead run under a bare collector, under the flight recorder
+// every campaign point and fuzz seed leaves on, and under full tracing
+// plus the timeline sampler over a flight recorder (the tracer takes the
+// recorder over in place); the tables, the event count and the virtual
+// time simulated are identical in every run. Their host cost is
+// `bench2b -benchjson` taken with and without the observer.
+func TestObserversDoNotPerturb(t *testing.T) {
+	type run struct {
+		tables  string
+		events  uint64
+		virtual sim.Time
+	}
+	measure := func(tracing, sampling, flight bool) run {
+		col := obs.NewCollector(tracing)
+		if sampling {
+			col.EnableSampling(0, 0)
+		}
+		col.Install()
+		defer col.Uninstall()
+		if flight {
+			collect := obs.OnNewSet
+			obs.OnNewSet = func(s *obs.Set) {
+				s.EnableFlightRecorder(0)
+				collect(s)
+			}
+		}
+		var out bytes.Buffer
+		r := NewRunner(Quick, 2)
+		Probe(r).Print(&out)
+		CommitOverhead(r).Print(&out)
+		return run{out.String(), col.TotalEvents(), col.TotalVirtual()}
+	}
+	bare := measure(false, false, false)
+	if bare.events == 0 || bare.virtual == 0 {
+		t.Fatalf("bare run simulated %d events over %d ns", bare.events, int64(bare.virtual))
+	}
+	for _, c := range []struct {
+		name                      string
+		tracing, sampling, flight bool
+	}{
+		{"flight recorder", false, false, true},
+		{"tracing + sampler + flight recorder", true, true, true},
+	} {
+		got := measure(c.tracing, c.sampling, c.flight)
+		if got.tables != bare.tables {
+			t.Errorf("%s: tables differ from the bare run:\n--- bare\n%s--- observed\n%s", c.name, bare.tables, got.tables)
+		}
+		if got.events != bare.events || got.virtual != bare.virtual {
+			t.Errorf("%s: %d events over %d ns, bare run %d over %d ns",
+				c.name, got.events, int64(got.virtual), bare.events, int64(bare.virtual))
 		}
 	}
 }

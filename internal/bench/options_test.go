@@ -23,7 +23,7 @@ func TestOptionCountRatchet(t *testing.T) {
 		want int
 	}{
 		{wal.Config{}, 11},
-		{lsm.Config{}, 13},
+		{lsm.Config{}, 12},
 		{pglite.Config{}, 6},
 		{kvaof.Config{}, 3},
 		{jfs.Config{}, 3},

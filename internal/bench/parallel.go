@@ -40,17 +40,22 @@ func NewRunner(s Scale, jobs int) *Runner {
 func (r *Runner) Jobs() int { return r.jobs }
 
 // points computes fn(0..n-1) and returns the results in index order.
-// With Jobs() == 1 it runs strictly sequentially on the calling
-// goroutine — the exact legacy execution order, which -benchjson's
-// per-experiment attribution relies on. Otherwise each point (even a
-// lone one) runs on its own goroutine holding a slot of the Runner's
-// semaphore; a panicking point re-panics on the caller after every
+// Every point holds a slot of the Runner's semaphore while it runs, so
+// a point function must not call points itself. With Jobs() == 1 the
+// points run strictly sequentially on the calling goroutine — the exact
+// legacy execution order, which -benchjson's per-experiment attribution
+// relies on. Otherwise each point (even a lone one) runs on its own
+// goroutine; a panicking point re-panics on the caller after every
 // point has finished.
 func points[T any](r *Runner, n int, fn func(i int) T) []T {
 	out := make([]T, n)
 	if r.jobs <= 1 {
 		for i := range out {
-			out[i] = fn(i)
+			func() {
+				r.sem <- struct{}{}
+				defer func() { <-r.sem }()
+				out[i] = fn(i)
+			}()
 		}
 		return out
 	}
@@ -108,7 +113,8 @@ func single(r *Runner, gen func(Scale) *Table) *Table {
 	return points(r, 1, func(int) *Table { return gen(r.Scale) })[0]
 }
 
-// parallelFor adapts points to the fault.Campaign fan-out signature.
+// parallelFor adapts points to the fault.Campaign fan-out signature;
+// a campaign runs its profile pass and its shrinker through it too.
 func (r *Runner) parallelFor(n int, fn func(i int)) {
 	points(r, n, func(i int) struct{} { fn(i); return struct{}{} })
 }

@@ -5,6 +5,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"twobssd/internal/fault"
+	"twobssd/internal/sim"
 )
 
 // goid returns the current goroutine's id ("goroutine 12 [running]").
@@ -82,6 +85,19 @@ func TestPointsPanicAfterAllFinish(t *testing.T) {
 	t.Fatal("points returned normally")
 }
 
+// liveCounter counts the calls of work that overlap, and its peak.
+type liveCounter struct{ running, peak atomic.Int32 }
+
+func (c *liveCounter) work() {
+	now := c.running.Add(1)
+	for p := c.peak.Load(); now > p && !c.peak.CompareAndSwap(p, now); p = c.peak.Load() {
+	}
+	for k := 0; k < 20; k++ {
+		runtime.Gosched()
+	}
+	c.running.Add(-1)
+}
+
 // TestRunnerBoundsConcurrency: -j is a bound. Experiments that share a
 // Runner — fanned-out sweeps, lone points and single-environment
 // experiments, started concurrently the way bench2b's runAll starts
@@ -89,19 +105,10 @@ func TestPointsPanicAfterAllFinish(t *testing.T) {
 func TestRunnerBoundsConcurrency(t *testing.T) {
 	const jobs = 2
 	r := NewRunner(Quick, jobs)
-	var running, peak atomic.Int32
-	work := func() {
-		now := running.Add(1)
-		for p := peak.Load(); now > p && !peak.CompareAndSwap(p, now); p = peak.Load() {
-		}
-		for k := 0; k < 20; k++ {
-			runtime.Gosched()
-		}
-		running.Add(-1)
-	}
-	sweep := func() { points(r, 16, func(int) struct{} { work(); return struct{}{} }) }
-	lone := func() { points(r, 1, func(int) struct{} { work(); return struct{}{} }) }
-	one := func() { single(r, func(Scale) *Table { work(); return nil }) }
+	var live liveCounter
+	sweep := func() { points(r, 16, func(int) struct{} { live.work(); return struct{}{} }) }
+	lone := func() { points(r, 1, func(int) struct{} { live.work(); return struct{}{} }) }
+	one := func() { single(r, func(Scale) *Table { live.work(); return nil }) }
 	var wg sync.WaitGroup
 	for _, ex := range []func(){sweep, lone, one, one, sweep, one, lone} {
 		ex := ex
@@ -112,7 +119,61 @@ func TestRunnerBoundsConcurrency(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := peak.Load(); got > jobs {
+	if got := live.peak.Load(); got > jobs {
 		t.Fatalf("peak %d point functions running at once, want <= %d", got, jobs)
+	}
+}
+
+// lossyCycle commits a key per microsecond and recovers none of them,
+// so every point that committed something violates the contract and
+// the campaign's shrinker runs.
+type lossyCycle struct{}
+
+func (lossyCycle) Step(p *sim.Proc, i int) (string, error) {
+	p.Sleep(sim.Microsecond)
+	return string(rune('a' + i)), nil
+}
+func (lossyCycle) Stage(*sim.Proc) (string, error)               { return "", nil }
+func (lossyCycle) Crash(*sim.Proc) (bool, float64, error)        { return true, 0, nil }
+func (lossyCycle) Recover(*sim.Proc) ([]string, []string, error) { return nil, nil, nil }
+
+// TestRunnerBoundsCampaignSetup: a fault.Campaign builds environments
+// outside its points too — the fault-free profile run and the
+// shrinker's trials — and -j bounds those as well. A violating
+// campaign beside a sweep on a one-job Runner never has a Build and a
+// sweep point, or two Builds, live at once.
+func TestRunnerBoundsCampaignSetup(t *testing.T) {
+	r := NewRunner(Quick, 1)
+	var live liveCounter
+	var builds atomic.Int32
+	c := &fault.Campaign{
+		Name: "bound", Points: 4, Ops: 8, Seed: 1,
+		Build: func(*sim.Env, *sim.Proc) (fault.Cycle, error) {
+			builds.Add(1)
+			live.work()
+			return lossyCycle{}, nil
+		},
+	}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		points(r, 64, func(int) struct{} { live.work(); return struct{}{} })
+	}()
+	var rep *fault.Report
+	var err error
+	go func() {
+		defer wg.Done()
+		rep, err = c.Run(r.parallelFor)
+	}()
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Shrunk == nil || builds.Load() <= 1+int32(c.Points) {
+		t.Fatalf("shrunk %v after %d builds: the campaign did not exercise its shrinker", rep.Shrunk, builds.Load())
+	}
+	if got := live.peak.Load(); got > 1 {
+		t.Fatalf("peak %d environments at once on a one-job Runner", got)
 	}
 }

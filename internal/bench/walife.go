@@ -3,14 +3,13 @@
 // and group commit, rotation, checkpoint+truncation, tail streaming,
 // chain recovery) timed on both the paper's BA byte path and the
 // block+flush baseline, one deterministic env per mode. Part two is
-// the fault sweep: the walseg crash campaigns (internal/bench/walseg.go)
-// on both modes, with rotation/checkpoint/truncation-instant triggers
+// the fault sweep: the campaign table's wal-life rows (the walseg
+// driver on both modes), with rotation/checkpoint/truncation-instant triggers
 // and torn-tail repair, gating on 0 lost / 0 phantom / 0 repair
 // failures. Reports are byte-identical at any -j.
 package bench
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 
@@ -230,52 +229,15 @@ func walLifeTable(r *Runner) (*Table, error) {
 	return t, nil
 }
 
-// RunWalLife runs the lifecycle evaluation: the feature table, then
-// the walseg crash campaigns on both modes with pointsPer crash points
-// each. Returns an error when any point loses a committed record,
-// recovers a phantom, or fails a torn-tail repair.
-func RunWalLife(r *Runner, w io.Writer, pointsPer int) error {
+// runWalLife runs the lifecycle evaluation: the feature table, then
+// the wal-life campaign rows with pts crash points each. Returns an
+// error when any point loses a committed record, recovers a phantom, or
+// fails a torn-tail repair.
+func runWalLife(r *Runner, w io.Writer, pts int) error {
 	t, err := walLifeTable(r)
 	if err != nil {
 		return err
 	}
 	t.Print(w)
-	violations := 0
-	for _, name := range WalLifeWorkloads() {
-		c, err := NewWalLifeCampaign(name, pointsPer)
-		if err != nil {
-			return err
-		}
-		rep, err := c.Run(r.parallelFor)
-		if err != nil {
-			return err
-		}
-		if err := rep.WriteText(w); err != nil {
-			return err
-		}
-		violations += len(rep.Violations())
-	}
-	if violations > 0 {
-		return fmt.Errorf("bench: %d wal-life crash points violated the durability contract", violations)
-	}
-	return nil
-}
-
-// RunWalLifeSmoke is the CI gate: a smaller sweep executed twice, with
-// the two reports compared byte for byte before the first is emitted —
-// any nondeterminism in the lifecycle fails the job alongside any
-// durability or repair violation.
-func RunWalLifeSmoke(r *Runner, w io.Writer, pointsPer int) error {
-	var a, b bytes.Buffer
-	if err := RunWalLife(r, &a, pointsPer); err != nil {
-		return err
-	}
-	if err := RunWalLife(r, &b, pointsPer); err != nil {
-		return err
-	}
-	if a.String() != b.String() {
-		return fmt.Errorf("bench: wal-life smoke is nondeterministic across identical runs")
-	}
-	_, err := w.Write(a.Bytes())
-	return err
+	return runCampaigns(r, w, campaignNames("wal-life", false), pts)
 }

@@ -11,8 +11,8 @@ import (
 // violates the durability contract.
 func TestWalLifeSmoke(t *testing.T) {
 	var buf bytes.Buffer
-	if err := RunWalLife(runner(Quick), &buf, 8); err != nil {
-		t.Fatalf("RunWalLife: %v\n%s", err, buf.String())
+	if err := runWalLife(runner(Quick), &buf, 8); err != nil {
+		t.Fatalf("runWalLife: %v\n%s", err, buf.String())
 	}
 	out := buf.String()
 	for _, want := range []string{
@@ -30,8 +30,8 @@ func TestWalLifeSmoke(t *testing.T) {
 func TestWalLifeDeterminism(t *testing.T) {
 	run := func(jobs int) string {
 		var buf bytes.Buffer
-		if err := RunWalLife(NewRunner(Quick, jobs), &buf, 8); err != nil {
-			t.Fatalf("RunWalLife at -j%d: %v", jobs, err)
+		if err := runWalLife(NewRunner(Quick, jobs), &buf, 8); err != nil {
+			t.Fatalf("runWalLife at -j%d: %v", jobs, err)
 		}
 		return buf.String()
 	}

@@ -1,5 +1,5 @@
-// The segmented-WAL lifecycle crash driver behind `bench2b wal-life`
-// (and the `walseg` row of the crash campaign): a checkpointing engine
+// The segmented-WAL lifecycle crash driver behind the `walseg`,
+// `walseg-ba` and `walseg-sync` campaign rows: a checkpointing engine
 // on a ring-geometry wal.Log that rotates through the segment ring,
 // truncates at every checkpoint, and recovers from snapshot + chain replay — so the
 // fault campaign lands power cuts mid-rotation, mid-checkpoint and
@@ -271,39 +271,4 @@ func walLifeTweak(i int, plan *fault.Plan) {
 	if i%5 == 3 {
 		plan.CutDumpAfterPages = 1 + i%7
 	}
-}
-
-// walLifeWorkloads are the lifecycle sweeps behind `bench2b wal-life`:
-// the same checkpointing engine on the BA byte path and on the
-// block+flush baseline.
-var walLifeWorkloads = []crashWorkload{
-	{"walseg-ba", 48, 0x2b55c0de0106,
-		func(ops int) cycleBuilder { return buildWalSegCrash(wal.BA, ops) },
-		walLifeTweak},
-	{"walseg-sync", 48, 0x2b55c0de0107,
-		func(ops int) cycleBuilder { return buildWalSegCrash(wal.Sync, ops) },
-		nil},
-}
-
-// WalLifeWorkloads lists the wal-life campaign names in run order.
-func WalLifeWorkloads() []string {
-	names := make([]string, len(walLifeWorkloads))
-	for i, w := range walLifeWorkloads {
-		names[i] = w.name
-	}
-	return names
-}
-
-// NewWalLifeCampaign builds the named lifecycle campaign with the
-// given number of crash points.
-func NewWalLifeCampaign(name string, pts int) (*fault.Campaign, error) {
-	for _, w := range walLifeWorkloads {
-		if w.name == name {
-			return &fault.Campaign{
-				Name: w.name, Points: pts, Ops: w.ops, Seed: w.seed,
-				Build: w.build(w.ops), Tweak: w.tweak,
-			}, nil
-		}
-	}
-	return nil, fmt.Errorf("bench: unknown wal-life workload %q", name)
 }

@@ -128,6 +128,25 @@ func DefaultConfig() Config {
 	}
 }
 
+// SmallConfig scales the prototype down so one simulated drive costs
+// milliseconds of host time: a 16 MB flash array (2×2 dies of 32 blocks
+// of 32 pages, 20 % over-provisioned), a 64-page write buffer drained by
+// 4 workers, and a 1 MB BA-buffer whose capacitor dump still fits the
+// stock energy budget. The crash campaigns, the oracle fuzzer and the
+// fleet drive it.
+func SmallConfig() Config {
+	cfg := DefaultConfig()
+	cfg.Base.Nand.Channels = 2
+	cfg.Base.Nand.DiesPerChannel = 2
+	cfg.Base.Nand.BlocksPerDie = 32
+	cfg.Base.Nand.PagesPerBlock = 32
+	cfg.Base.FTL.OverProvision = 0.2
+	cfg.Base.WriteBufferPages = 64
+	cfg.Base.DrainWorkers = 4
+	cfg.BABufferBytes = 256 * 4096
+	return cfg
+}
+
 // CapacitorEnergyJ returns the stored back-up energy in joules.
 func (c Config) CapacitorEnergyJ() float64 {
 	var e float64

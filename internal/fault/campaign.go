@@ -46,8 +46,7 @@ type RepairReporter interface {
 	RecoveryRepair() (repairs int, failure string)
 }
 
-// Campaign sweeps crash points across one workload. Prepare (or Run)
-// first executes a fault-free profile run to learn the workload's
+// Campaign sweeps crash points across one workload. Run first executes a fault-free profile run to learn the workload's
 // duration and per-class event counts, then spreads Points triggers
 // across virtual time and every active event class — so the sweep
 // lands crashes mid-WC-burst, mid-flush, mid-program and between
@@ -137,12 +136,9 @@ type Report struct {
 	Shrunk *PointResult
 }
 
-// Prepare runs the fault-free profile pass and derives the trigger for
-// every point. Idempotent; Run calls it automatically.
-func (c *Campaign) Prepare() error {
-	if c.specs != nil {
-		return nil
-	}
+// prepare runs the fault-free profile pass and derives the trigger for
+// every point.
+func (c *Campaign) prepare() error {
 	if c.Points <= 0 || c.Ops <= 0 || c.Build == nil {
 		return fmt.Errorf("fault: campaign %q needs Points, Ops and Build", c.Name)
 	}
@@ -208,21 +204,14 @@ func (c *Campaign) Prepare() error {
 	return nil
 }
 
-// NumPoints returns the planned point count (after Prepare).
-func (c *Campaign) NumPoints() int { return len(c.specs) }
-
 // pointSeed decorrelates per-point randomness from the point order so
 // results do not depend on scheduling.
 func (c *Campaign) pointSeed(i int) uint64 {
 	return c.Seed + uint64(i)*0x9E3779B97F4A7C15
 }
 
-// RunPoint executes crash point i on a fresh environment. Safe to call
-// concurrently for distinct i once Prepare has run.
-func (c *Campaign) RunPoint(i int) PointResult {
-	return c.runTrial(i, c.specs[i])
-}
-
+// runTrial executes crash point i under trig on a fresh environment.
+// Safe to call concurrently for distinct i once prepare has run.
 func (c *Campaign) runTrial(i int, trig Trigger) PointResult {
 	pr := PointResult{Index: i, Trigger: trig.String()}
 	env := sim.NewEnv()
@@ -314,32 +303,32 @@ func (c *Campaign) runTrial(i int, trig Trigger) PointResult {
 	return pr
 }
 
-// Run prepares the campaign, executes every point through parallelFor
-// (which must call fn(i) exactly once for each 0 <= i < n, in any
-// order or concurrency) and returns the aggregated report. Results
-// land in index order, so the report is byte-identical regardless of
-// how parallelFor schedules the points.
+// Run profiles the campaign, executes every point, and returns the
+// aggregated report; when a point violated the contract, the first such
+// point is shrunk to a minimal failing crash point. Every environment —
+// the profile run, each point, the shrinker's trials — runs inside
+// parallelFor (which must call fn(i) exactly once for each 0 <= i < n,
+// in any order or concurrency), so the caller's fan-out bounds them
+// all. Results land in index order, so the report is byte-identical
+// regardless of how parallelFor schedules the points.
 func (c *Campaign) Run(parallelFor func(n int, fn func(i int))) (*Report, error) {
-	if err := c.Prepare(); err != nil {
+	var err error
+	parallelFor(1, func(int) { err = c.prepare() })
+	if err != nil {
 		return nil, err
 	}
-	results := make([]PointResult, c.NumPoints())
-	parallelFor(len(results), func(i int) { results[i] = c.RunPoint(i) })
-	return c.Finish(results), nil
-}
-
-// Finish aggregates point results into a report and, when a violation
-// is present, shrinks the first one to a minimal failing crash point.
-func (c *Campaign) Finish(results []PointResult) *Report {
+	results := make([]PointResult, len(c.specs))
+	parallelFor(len(results), func(i int) { results[i] = c.runTrial(i, c.specs[i]) })
 	r := &Report{Name: c.Name, Seed: c.Seed, Points: c.Points, Ops: c.Ops, Results: results}
 	for _, pr := range results {
 		if pr.Violation() && pr.Err == "" {
-			s := c.shrink(pr)
+			var s PointResult
+			parallelFor(1, func(int) { s = c.shrink(pr) })
 			r.Shrunk = &s
 			break
 		}
 	}
-	return r
+	return r, nil
 }
 
 // shrink bisects the violating point's trigger threshold toward the

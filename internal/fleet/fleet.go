@@ -86,22 +86,9 @@ func (c *Config) logBytes() int64 {
 	return c.LogBytes
 }
 
-// DefaultDeviceConfig scales the 2B-SSD down fleet-style (same
-// geometry the crash campaigns use): a 16 MB flash array with a 1 MB
-// BA-buffer whose capacitor dump still fits the stock energy budget,
-// so a multi-device fleet stays cheap to simulate.
-func DefaultDeviceConfig() core.Config {
-	cfg := core.DefaultConfig()
-	cfg.Base.Nand.Channels = 2
-	cfg.Base.Nand.DiesPerChannel = 2
-	cfg.Base.Nand.BlocksPerDie = 32
-	cfg.Base.Nand.PagesPerBlock = 32
-	cfg.Base.FTL.OverProvision = 0.2
-	cfg.Base.WriteBufferPages = 64
-	cfg.Base.DrainWorkers = 4
-	cfg.BABufferBytes = 256 * 4096 // 1 MB
-	return cfg
-}
+// DefaultDeviceConfig is a fleet device: core.SmallConfig, so a
+// multi-device fleet stays cheap to simulate.
+func DefaultDeviceConfig() core.Config { return core.SmallConfig() }
 
 // repMsg travels primary→follower: one committed (or, after failover,
 // rerouted) record. fail marks the failover notification the crashed

@@ -43,8 +43,6 @@ type Config struct {
 	// Host CPU costs per operation (calibration knobs).
 	ReadCPU  sim.Duration
 	WriteCPU sim.Duration
-
-	AsyncFlushInterval sim.Duration
 }
 
 const (
@@ -268,9 +266,8 @@ func (db *DB) newWAL(p *sim.Proc) error {
 		return err
 	}
 	cfg := wal.Config{
-		Mode:               db.cfg.WALMode,
-		File:               f,
-		AsyncFlushInterval: db.cfg.AsyncFlushInterval,
+		Mode: db.cfg.WALMode,
+		File: f,
 	}
 	if db.cfg.WALMode == wal.BA {
 		slot := db.rotation % len(db.cfg.EIDs)

@@ -188,21 +188,15 @@ func fillPattern(dst []byte, seed uint64) {
 	}
 }
 
-// stackConfig returns the scaled-down 2B-SSD the fuzzer drives: a
-// 4-die NAND array and a 64-page BA-buffer — small enough that pins,
-// flushes and block I/O collide constantly, which is the point.
+// stackConfig returns the 2B-SSD the fuzzer drives: core.SmallConfig
+// with a 64-page BA-buffer — small enough that pins, flushes and block
+// I/O collide constantly, which is the point — and, for the GC profile,
+// 16 blocks per die.
 func stackConfig(gcActive bool) core.Config {
-	cfg := core.DefaultConfig()
-	cfg.Base.Nand.Channels = 2
-	cfg.Base.Nand.DiesPerChannel = 2
-	cfg.Base.Nand.BlocksPerDie = 32
+	cfg := core.SmallConfig()
 	if gcActive {
 		cfg.Base.Nand.BlocksPerDie = 16
 	}
-	cfg.Base.Nand.PagesPerBlock = 32
-	cfg.Base.FTL.OverProvision = 0.2
-	cfg.Base.WriteBufferPages = 64
-	cfg.Base.DrainWorkers = 4
 	cfg.BABufferBytes = 64 * 4096
 	return cfg
 }
