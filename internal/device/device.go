@@ -150,25 +150,22 @@ var (
 	errZeroRead = errors.New("device: read of zero pages")
 )
 
-type bufEntry struct {
-	lba  ftl.LBA
+// taggedPage is one write-buffer copy of a page.
+type taggedPage struct {
 	data []byte
 	tag  uint32 // integrity.PageCRC(data), stamped at the host boundary
 }
 
-// taggedPage is one popped-but-unpersisted write-buffer copy.
-type taggedPage struct {
-	data []byte
-	tag  uint32
-}
-
-// lbaPend tracks one LBA's in-flight drain state: tickets [head, tail)
-// are popped copies not yet on NAND, pages holds their data oldest
-// first (pagesHead is the consumed prefix).
-type lbaPend struct {
-	head, tail uint64
-	pages      []taggedPage
-	pagesHead  int
+// lbaBuf is everything the write buffer holds for one LBA: the copy
+// waiting in the buffer, if queued, and the copies drain workers popped
+// that are not on NAND yet, oldest first, of which inflight[:landed]
+// have landed. A copy's index in inflight is its drain ticket: it goes
+// to NAND once every copy before it has.
+type lbaBuf struct {
+	queued   bool
+	buffered taggedPage
+	inflight []taggedPage
+	landed   int
 }
 
 // Device is one simulated NVMe SSD.
@@ -185,19 +182,20 @@ type Device struct {
 	// buffer coalesce in place; drains of the same LBA are serialized
 	// in pop order by per-LBA tickets, so NAND always ends with the
 	// newest copy; reads see the newest not-yet-persisted copy.
-	buf          []bufEntry
-	bufHead      int         // drain cursor into buf (popped entries)
+	ring         []ftl.LBA   // queued LBAs in arrival order: WriteBufferPages slots
+	ringHead     int         // drain cursor: the oldest queued slot
+	queued       int         // LBAs waiting in the ring
 	bufSpace     *sim.Signal // fired when space frees up
 	bufWork      *sim.Signal // fired (one waiter) per entry buffered
 	inflight     int         // entries popped by drainers, not yet on NAND
 	inflightDone *sim.Signal // fired when an LBA's oldest copy persists
 	bufDrain     *sim.Signal // fired when buffer+inflight reaches empty
-	// Per-LBA pop bookkeeping: tickets force program order; pages keeps
-	// every popped-but-unpersisted copy visible to reads (oldest first —
-	// the newest is the read-visible one). Structs and page buffers are
-	// pooled: the drain path allocates nothing in steady state.
-	pend      map[ftl.LBA]*lbaPend
-	pendPool  []*lbaPend
+	// The buffer's index: one record per LBA with a queued or in-flight
+	// copy, so a read or a write finds its LBA with one lookup. Records
+	// and page buffers are pooled: the drain path allocates nothing in
+	// steady state.
+	byLBA     map[ftl.LBA]*lbaBuf
+	bufPool   []*lbaBuf
 	pageSpare [][]byte
 	readJobs  []*readJob // idle multi-page read fan-outs
 
@@ -237,7 +235,8 @@ func New(env *sim.Env, p Profile) *Device {
 		bufWork:      env.NewSignal(p.Name + ".bufwork"),
 		bufDrain:     env.NewSignal(p.Name + ".bufdrain"),
 		inflightDone: env.NewSignal(p.Name + ".inflightdone"),
-		pend:         make(map[ftl.LBA]*lbaPend),
+		ring:         make([]ftl.LBA, p.WriteBufferPages),
+		byLBA:        make(map[ftl.LBA]*lbaBuf),
 		o:            obs.Of(env),
 		inj:          fault.Of(env),
 		pcieTrack:    p.Name + ".pcie",
@@ -302,21 +301,32 @@ func (d *Device) putPage(pg []byte) {
 	d.pageSpare = append(d.pageSpare, pg)
 }
 
-func (d *Device) getPend() *lbaPend {
-	if n := len(d.pendPool); n > 0 {
-		pd := d.pendPool[n-1]
-		d.pendPool[n-1] = nil
-		d.pendPool = d.pendPool[:n-1]
-		return pd
+// lbaBufFor returns lba's record, making one (from the pool) if the
+// buffer holds nothing for it.
+func (d *Device) lbaBufFor(lba ftl.LBA) *lbaBuf {
+	if b := d.byLBA[lba]; b != nil {
+		return b
 	}
-	return &lbaPend{}
+	var b *lbaBuf
+	if n := len(d.bufPool); n > 0 {
+		b = d.bufPool[n-1]
+		d.bufPool[n-1] = nil
+		d.bufPool = d.bufPool[:n-1]
+	} else {
+		b = &lbaBuf{}
+	}
+	d.byLBA[lba] = b
+	return b
 }
 
-func (d *Device) putPend(pd *lbaPend) {
-	pd.head, pd.tail = 0, 0
-	pd.pages = pd.pages[:0]
-	pd.pagesHead = 0
-	d.pendPool = append(d.pendPool, pd)
+// release drops lba's record once it holds no copy, queued or in
+// flight, and returns it to the pool.
+func (d *Device) release(lba ftl.LBA, b *lbaBuf) {
+	if b.queued || len(b.inflight) > 0 {
+		return
+	}
+	delete(d.byLBA, lba)
+	d.bufPool = append(d.bufPool, b)
 }
 
 func (d *Device) pcieTime(bytes int) sim.Duration {
@@ -479,17 +489,18 @@ func (d *Device) putReadJob(j *readJob) {
 	d.readJobs = append(d.readJobs, j)
 }
 
-// bufLookup returns the newest not-yet-persisted copy of lba: a
-// buffered entry, or the newest copy popped by a drain worker that has
-// not reached NAND yet.
+// bufLookup returns the newest not-yet-persisted copy of lba: the
+// queued one, or the newest copy popped by a drain worker that has not
+// reached NAND yet.
 func (d *Device) bufLookup(lba ftl.LBA) ([]byte, uint32, bool) {
-	for i := len(d.buf) - 1; i >= d.bufHead; i-- {
-		if d.buf[i].lba == lba {
-			return d.buf[i].data, d.buf[i].tag, true
-		}
-	}
-	if pd := d.pend[lba]; pd != nil && pd.pagesHead < len(pd.pages) {
-		last := pd.pages[len(pd.pages)-1]
+	b := d.byLBA[lba]
+	switch {
+	case b == nil:
+		return nil, 0, false
+	case b.queued:
+		return b.buffered.data, b.buffered.tag, true
+	case b.landed < len(b.inflight):
+		last := b.inflight[len(b.inflight)-1]
 		return last.data, last.tag, true
 	}
 	return nil, 0, false
@@ -524,7 +535,7 @@ func (d *Device) WritePages(p *sim.Proc, lba ftl.LBA, data []byte) error {
 	for i := 0; i < n; i++ {
 		// Transfer the page over PCIe, then wait for buffer space.
 		d.pcieXfer(p, ps)
-		for len(d.buf)-d.bufHead >= d.profile.WriteBufferPages {
+		for d.queued >= len(d.ring) {
 			d.bufSpace.Wait(p)
 		}
 		page := d.getPage()
@@ -532,9 +543,7 @@ func (d *Device) WritePages(p *sim.Proc, lba ftl.LBA, data []byte) error {
 		// The integrity tag is born here — the block path's host
 		// boundary — and rides with the page to NAND and back.
 		tag := integrity.PageCRC(page)
-		l := lba + ftl.LBA(i)
-		if !d.coalesce(l, page, tag) {
-			d.buf = append(d.buf, bufEntry{lba: l, data: page, tag: tag})
+		if d.enqueue(lba+ftl.LBA(i), taggedPage{data: page, tag: tag}) {
 			// One entry, one drain worker: a broadcast would resume every
 			// idle worker to find the entry already popped.
 			d.bufWork.FireOne()
@@ -574,25 +583,28 @@ func (d *Device) Flush(p *sim.Proc) error {
 // consumers (BA_PIN's internal datapath, the recovery dump, benchmarks
 // that meter NAND bandwidth) need data physically on flash.
 func (d *Device) Drain(p *sim.Proc) error {
-	for len(d.buf)-d.bufHead > 0 || d.inflight > 0 {
+	for d.queued > 0 || d.inflight > 0 {
 		d.bufDrain.Wait(p)
 	}
 	return nil
 }
 
-// coalesce replaces an already-buffered copy of lba in place, keeping
-// one buffered entry per LBA (the real write buffer's behaviour — and
-// exactly how repeated partial log-page writes are absorbed).
-func (d *Device) coalesce(lba ftl.LBA, page []byte, tag uint32) bool {
-	for i := d.bufHead; i < len(d.buf); i++ {
-		if d.buf[i].lba == lba {
-			d.putPage(d.buf[i].data) // no reader holds it across a yield
-			d.buf[i].data = page
-			d.buf[i].tag = tag
-			return true
-		}
+// enqueue buffers pg as lba's newest copy. A copy of lba already
+// waiting in the buffer is replaced in place, keeping one queued entry
+// per LBA (the real write buffer's behaviour — and exactly how repeated
+// partial log-page writes are absorbed); otherwise lba takes the ring's
+// next slot and enqueue reports true. The caller has made room.
+func (d *Device) enqueue(lba ftl.LBA, pg taggedPage) bool {
+	b := d.lbaBufFor(lba)
+	if b.queued {
+		d.putPage(b.buffered.data) // no reader holds it across a yield
+		b.buffered = pg
+		return false
 	}
-	return false
+	b.queued, b.buffered = true, pg
+	d.ring[(d.ringHead+d.queued)%len(d.ring)] = lba
+	d.queued++
+	return true
 }
 
 // drainLoop is the background firmware thread moving buffered pages to
@@ -600,71 +612,44 @@ func (d *Device) coalesce(lba ftl.LBA, page []byte, tag uint32) bool {
 // on the same LBA, wait, so the newest copy always lands last.
 func (d *Device) drainLoop(p *sim.Proc) {
 	for {
-		for len(d.buf) == d.bufHead {
+		for d.queued == 0 {
 			d.bufWork.Wait(p)
 		}
-		ent := d.buf[d.bufHead]
-		d.buf[d.bufHead] = bufEntry{}
-		d.bufHead++
-		if d.bufHead == len(d.buf) {
-			d.buf = d.buf[:0] // reuse the backing array
-			d.bufHead = 0
-		} else if d.bufHead > 1024 && d.bufHead > len(d.buf)/2 {
-			// Compact the consumed prefix so the array stays bounded
-			// even if the buffer never fully empties.
-			n := copy(d.buf, d.buf[d.bufHead:])
-			for i := n; i < len(d.buf); i++ {
-				d.buf[i] = bufEntry{}
-			}
-			d.buf = d.buf[:n]
-			d.bufHead = 0
-		}
+		lba := d.ring[d.ringHead]
+		d.ringHead = (d.ringHead + 1) % len(d.ring)
+		d.queued--
+		b := d.byLBA[lba]
+		ent := b.buffered
+		b.queued, b.buffered = false, taggedPage{}
 		d.inflight++
 		d.bufSpace.Fire()
-		pd := d.pend[ent.lba]
-		if pd == nil {
-			pd = d.getPend()
-			d.pend[ent.lba] = pd
-		}
-		ticket := pd.tail
-		pd.tail++
-		pd.pages = append(pd.pages, taggedPage{data: ent.data, tag: ent.tag})
-		for pd.head != ticket {
+		ticket := len(b.inflight)
+		b.inflight = append(b.inflight, ent)
+		for b.landed != ticket {
 			d.inflightDone.Wait(p)
 		}
 		sp := d.o.Tracer().BeginProc(p, "device", "drain_write")
-		if err := d.ftl.WritePageTagged(p, ent.lba, ent.data, ent.tag); err != nil {
+		if err := d.ftl.WritePageTagged(p, lba, ent.data, ent.tag); err != nil {
 			// Drain failure means the device is configured too small
 			// for the workload: a fatal modeling error.
 			panic(fmt.Sprintf("%s: drain write failed: %v", d.profile.Name, err))
 		}
 		sp.End()
-		pd.head++
-		pd.pages[pd.pagesHead] = taggedPage{}
+		b.inflight[ticket] = taggedPage{}
 		d.putPage(ent.data) // NAND holds its own copy now
-		d.pagesPop(pd, ent.lba)
+		if b.landed++; b.landed == len(b.inflight) {
+			// Nothing waits on a ticket: the tickets start over.
+			b.inflight, b.landed = b.inflight[:0], 0
+		}
+		d.release(lba, b)
 		d.inflightDone.Fire()
 		d.inflight--
 		d.o.Tracer().Count(d.bufTrack, "buffered_pages", float64(d.BufferedPages()))
-		if len(d.buf) == d.bufHead && d.inflight == 0 {
+		if d.queued == 0 && d.inflight == 0 {
 			d.bufDrain.Fire()
 		}
 	}
 }
 
-// pagesPop advances pd's consumed-pages cursor and returns the struct
-// to the pool once the LBA has no in-flight copies left.
-func (d *Device) pagesPop(pd *lbaPend, lba ftl.LBA) {
-	pd.pagesHead++
-	if pd.pagesHead == len(pd.pages) {
-		pd.pages = pd.pages[:0]
-		pd.pagesHead = 0
-	}
-	if pd.head == pd.tail {
-		delete(d.pend, lba)
-		d.putPend(pd)
-	}
-}
-
 // BufferedPages reports how many pages currently sit in the write buffer.
-func (d *Device) BufferedPages() int { return len(d.buf) - d.bufHead + d.inflight }
+func (d *Device) BufferedPages() int { return d.queued + d.inflight }

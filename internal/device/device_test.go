@@ -2,6 +2,7 @@ package device
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -347,6 +348,114 @@ func TestConcurrentWritersIntegrity(t *testing.T) {
 					t.Errorf("lba %d: got %d want %d", w*perWriter+i, got[0], w+1)
 				}
 			}
+		}
+	})
+	e.Run()
+}
+
+// The write buffer's LBA index keeps its place while the drain cursor
+// wraps: with 1 500 slots and one slow drain worker the cursor passes
+// slot 1 024 and then the end of the ring without the buffer ever
+// emptying. In that state a rewrite of a still-queued LBA replaces its
+// copy in its slot, reads return every LBA's newest copy, and
+// BufferedPages matches a recount.
+func TestBufferIndexKeepsItsPosition(t *testing.T) {
+	prof := small(ULLSSD())
+	prof.Nand.BlocksPerDie, prof.Nand.PagesPerBlock = 64, 32
+	prof.WriteBufferPages = 1500
+	prof.DrainWorkers = 1
+	prof.Nand.ProgramLatency = sim.Millisecond
+	e := sim.NewEnv()
+	d := New(e, prof)
+	ps := d.PageSize()
+	const lbas = 2000 // more than the buffer holds: queued LBAs are distinct
+	version := make([]uint32, lbas)
+	page := func(lba int) []byte {
+		pg := make([]byte, ps)
+		binary.LittleEndian.PutUint32(pg, uint32(lba))
+		binary.LittleEndian.PutUint32(pg[4:], version[lba])
+		return pg
+	}
+	write := func(p *sim.Proc, lba int) {
+		version[lba]++
+		if err := d.WritePages(p, ftl.LBA(lba), page(lba)); err != nil {
+			t.Fatalf("write %d: %v", lba, err)
+		}
+	}
+	checkRead := func(p *sim.Proc, lba int) {
+		got, err := d.ReadPages(p, ftl.LBA(lba), 1)
+		if err != nil || !bytes.Equal(got, page(lba)) {
+			t.Fatalf("lba %d reads version %d, %v; want %d", lba, binary.LittleEndian.Uint32(got[4:]), err, version[lba])
+		}
+	}
+	// slotOf is the ring slot holding lba among the queued ones, -1 if
+	// none does; it fails the test if two do.
+	slotOf := func(lba ftl.LBA) int {
+		at := -1
+		for i := 0; i < d.queued; i++ {
+			if s := (d.ringHead + i) % len(d.ring); d.ring[s] == lba {
+				if at >= 0 {
+					t.Fatalf("lba %d queued in slots %d and %d", lba, at, s)
+				}
+				at = s
+			}
+		}
+		return at
+	}
+	recount := func() int {
+		n := 0
+		for lba, b := range d.byLBA {
+			if b.queued {
+				if slotOf(lba) < 0 {
+					t.Fatalf("lba %d is marked queued but holds no ring slot", lba)
+				}
+				n++
+			}
+			n += len(b.inflight) - b.landed
+		}
+		return n
+	}
+	drained := obs.Of(e).Registry().Counter("ftl.host_page_writes")
+	e.Go("t", func(p *sim.Proc) {
+		next, emptied := 0, false
+		for drained.Value() < uint64(prof.WriteBufferPages)+100 {
+			write(p, next%lbas)
+			if next++; next > 16 && d.queued == 0 {
+				emptied = true
+			}
+		}
+		if emptied || next <= prof.WriteBufferPages {
+			t.Fatalf("%d writes, buffer emptied %v: the cursor never wrapped under load", next, emptied)
+		}
+		// The newest write is queued near the ring's tail: rewrite it.
+		last := ftl.LBA((next - 1) % lbas)
+		at := slotOf(last)
+		if at < 0 {
+			t.Fatal("the newest write is not queued")
+		}
+		queued := d.queued
+		write(p, int(last))
+		if s := slotOf(last); s != at {
+			t.Fatalf("the rewrite moved lba %d from slot %d to %d", last, at, s)
+		}
+		if d.queued > queued {
+			t.Fatalf("the rewrite took a slot: %d queued, was %d", d.queued, queued)
+		}
+		if got, want := d.BufferedPages(), recount(); got != want {
+			t.Fatalf("BufferedPages %d, recount %d", got, want)
+		}
+		for lba := 0; lba < lbas; lba++ {
+			checkRead(p, lba)
+		}
+		if got, want := d.BufferedPages(), recount(); got != want {
+			t.Fatalf("after the reads: BufferedPages %d, recount %d", got, want)
+		}
+		d.Drain(p)
+		if d.BufferedPages() != 0 || len(d.byLBA) != 0 {
+			t.Fatalf("drained buffer holds %d pages, %d index records", d.BufferedPages(), len(d.byLBA))
+		}
+		for lba := 0; lba < lbas; lba++ {
+			checkRead(p, lba)
 		}
 	})
 	e.Run()

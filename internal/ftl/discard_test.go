@@ -75,7 +75,7 @@ func TestSupersededPagesHoldNoBytes(t *testing.T) {
 	}
 	zero := make([]byte, f.PageSize())
 	for _, ppa := range superseded {
-		if _, owned := f.p2l[ppa]; owned {
+		if _, owned := f.owner(ppa); owned {
 			t.Fatalf("ppa %d is mapped again", ppa)
 		}
 		if !bytes.Equal(f.flash.PeekPage(ppa), zero) {
@@ -159,4 +159,76 @@ func TestUncorrectableScrubRacingOverwrite(t *testing.T) {
 		}
 		return r.Data
 	})
+}
+
+// A relocation copy that loses its race with a host write holds no
+// bytes. The write lands after the run has read the LBA's page and
+// before the run rebinds it, so the copy stays unmapped — and, because
+// bytes move only at the rebind, empty: no stale image of the LBA is
+// left on the flash for anything to find.
+func TestLostRaceCopyHoldsNoBytes(t *testing.T) {
+	e := sim.NewEnv()
+	f := newTestFTL(e)
+	fc := f.flash.Config()
+	const lba = 4 // page 1 of die 0's block
+	readRun := sim.Duration(fc.PagesPerBlock) * (fc.ReadLatency + fc.TransferTime(fc.PageSize))
+	var written, moved sim.Time
+	var dst nand.PPA
+	e.Go("t", func(p *sim.Proc) {
+		// Die d's block holds LBAs d, d+4, d+8, ... in page order, every
+		// page valid and tagged.
+		for i := 0; i < fc.Dies()*fc.PagesPerBlock; i++ {
+			if err := f.WritePageTagged(p, LBA(i), []byte{byte(i + 1)}, uint32(i+1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		victim := f.open[0].blk
+		f.nextDie = 1 // the host write programs on die 1; the run lands on idle die 0
+		e.Go("writer", func(q *sim.Proc) {
+			q.Sleep(readRun + sim.Microsecond)
+			if err := f.WritePageTagged(q, lba, []byte{0xEE}, 0xEE); err != nil {
+				t.Error(err)
+			}
+			written = e.Now()
+		})
+		t0 := e.Now()
+		f.gcLock.Acquire(p)
+		err := f.evacuate(p, victim, false, f.cGCReloc, false)
+		f.gcLock.Release()
+		if err != nil {
+			t.Fatalf("evacuate: %v", err)
+		}
+		moved = e.Now()
+		if written == 0 || written < t0+sim.Time(readRun) || written >= moved {
+			t.Fatalf("host write at %d, run read until %d and rebound at %d: the race was not exercised",
+				written, t0+sim.Time(readRun), moved)
+		}
+		// The run kept the victim's page order: LBA 0's copy is its first
+		// page, and the lost copy of LBA 4 the one after it.
+		base, _ := f.lookup(0)
+		dst = base + 1
+		if fc.BlockOf(dst) != fc.BlockOf(base) || f.flash.NextPage(fc.BlockOf(dst)) != fc.PagesPerBlock {
+			t.Fatalf("the run did not program a whole block from ppa %d", base)
+		}
+		if got, err := f.ReadPage(p, lba); err != nil || got[0] != 0xEE {
+			t.Fatalf("lba %d reads %x, %v; want the host write", lba, got[0], err)
+		}
+	})
+	e.Run()
+	if got := counter(t, e, "ftl.gc_relocations"); got != uint64(fc.PagesPerBlock) {
+		t.Fatalf("%d pages relocated, want the victim's %d", got, fc.PagesPerBlock)
+	}
+	if _, owned := f.owner(dst); owned {
+		t.Fatalf("the copy at ppa %d is mapped", dst)
+	}
+	if !bytes.Equal(f.flash.PeekPage(dst), make([]byte, f.PageSize())) {
+		t.Errorf("the lost copy at ppa %d holds bytes", dst)
+	}
+	if _, tagged := f.flash.PeekTag(dst); tagged {
+		t.Errorf("the lost copy at ppa %d holds a tag", dst)
+	}
+	if f.flash.CorruptPage(dst, 1) {
+		t.Errorf("CorruptPage found bytes at the lost copy, ppa %d", dst)
+	}
+	checkMaps(t, f)
 }

@@ -12,6 +12,7 @@ package ftl
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"twobssd/internal/fault"
@@ -56,9 +57,17 @@ type FTL struct {
 	usableBlocks  int
 	gcFreeTarget  int // GC runs when the free-block count drops to this
 
-	l2p        map[LBA]nand.PPA
-	p2l        map[nand.PPA]LBA
-	validCount []int // valid pages per usable block
+	// The page map, as a controller keeps it: tables indexed by LBA and
+	// by PPA, in pieces of one block's worth of entries, each made at the
+	// first bind that lands in it (as the flash makes a block's page
+	// table at its first program), so a drive pays only for the LBA
+	// ranges and blocks it uses. An entry holds the other address plus
+	// one, so 0 means unmapped; New checks the geometry fits.
+	l2p        [][]uint32 // by LBA/piece: PPA+1
+	p2l        [][]uint32 // by block: LBA+1
+	piece      uint64     // entries per piece: PagesPerBlock
+	pieceMem   []uint32   // pieces not handed out yet, carved mapPieces at a time
+	validCount []int      // valid pages per usable block
 	free       []nand.BlockID
 	open       []openBlock // one open block per die, nil blk = -1
 	nextDie    int
@@ -123,6 +132,9 @@ func New(env *sim.Env, flash *nand.Flash, cfg Config) *FTL {
 	if cfg.OverProvision < 0 || cfg.OverProvision >= 0.9 {
 		panic("ftl: OverProvision must be in [0, 0.9)")
 	}
+	if fc.Pages() > math.MaxUint32 {
+		panic(fmt.Sprintf("ftl: %d pages do not fit the 32-bit map tables", fc.Pages()))
+	}
 	// Garbage collection triggers when the free-block count drops to
 	// one open block per die plus two spares.
 	gcFreeTarget := fc.Dies() + 2
@@ -138,8 +150,9 @@ func New(env *sim.Env, flash *nand.Flash, cfg Config) *FTL {
 		gcFreeTarget:  gcFreeTarget,
 		exportedPages: exported,
 		usableBlocks:  usable,
-		l2p:           make(map[LBA]nand.PPA),
-		p2l:           make(map[nand.PPA]LBA),
+		l2p:           make([][]uint32, (exported+uint64(fc.PagesPerBlock)-1)/uint64(fc.PagesPerBlock)),
+		p2l:           make([][]uint32, fc.Blocks()),
+		piece:         uint64(fc.PagesPerBlock),
 		validCount:    make([]int, fc.Blocks()),
 		open:          make([]openBlock, fc.Dies()),
 	}
@@ -229,7 +242,7 @@ func (f *FTL) PageSize() int { return f.flash.Config().PageSize }
 
 // Mapped reports whether an LBA currently has a physical mapping.
 func (f *FTL) Mapped(lba LBA) bool {
-	_, ok := f.l2p[lba]
+	_, ok := f.PPAOf(lba)
 	return ok
 }
 
@@ -237,8 +250,65 @@ func (f *FTL) Mapped(lba LBA) bool {
 // for fault-injection and integrity tests that need to corrupt or
 // inspect a specific page image on flash.
 func (f *FTL) PPAOf(lba LBA) (nand.PPA, bool) {
-	ppa, ok := f.l2p[lba]
-	return ppa, ok
+	if uint64(lba) >= f.exportedPages {
+		return 0, false
+	}
+	return f.lookup(lba)
+}
+
+// get reads entry i of a map table; a piece not made yet reads 0.
+func (f *FTL) get(table [][]uint32, i uint64) uint32 {
+	if piece := table[i/f.piece]; piece != nil {
+		return piece[i%f.piece]
+	}
+	return 0
+}
+
+// mapPieces is how many map-table pieces one allocation makes: a
+// drive built for a short run touches hundreds of blocks, and a piece
+// per heap object would cost as many allocations.
+const mapPieces = 64
+
+// set writes entry i of a map table, making its piece if need be.
+func (f *FTL) set(table [][]uint32, i uint64, v uint32) {
+	piece := &table[i/f.piece]
+	if *piece == nil {
+		if len(f.pieceMem) == 0 {
+			f.pieceMem = make([]uint32, mapPieces*f.piece)
+		}
+		*piece, f.pieceMem = f.pieceMem[:f.piece:f.piece], f.pieceMem[f.piece:]
+	}
+	(*piece)[i%f.piece] = v
+}
+
+// lookup returns the page backing an exported LBA.
+func (f *FTL) lookup(lba LBA) (nand.PPA, bool) {
+	v := f.get(f.l2p, uint64(lba))
+	return nand.PPA(v - 1), v != 0
+}
+
+// owner returns the LBA a physical page backs.
+func (f *FTL) owner(ppa nand.PPA) (LBA, bool) {
+	v := f.get(f.p2l, uint64(ppa))
+	return LBA(v - 1), v != 0
+}
+
+// bind maps lba to ppa, a page nothing maps.
+func (f *FTL) bind(lba LBA, ppa nand.PPA) {
+	f.set(f.l2p, uint64(lba), uint32(ppa)+1)
+	f.set(f.p2l, uint64(ppa), uint32(lba)+1)
+	f.validCount[f.flash.Config().BlockOf(ppa)]++
+}
+
+// unbind takes ppa's owner away, if it has one, and reports whether it
+// had; the LBA's own entry is the caller's to replace or clear.
+func (f *FTL) unbind(ppa nand.PPA) bool {
+	if _, ok := f.owner(ppa); !ok {
+		return false
+	}
+	f.set(f.p2l, uint64(ppa), 0)
+	f.validCount[f.flash.Config().BlockOf(ppa)]--
+	return true
 }
 
 func (f *FTL) checkLBA(lba LBA) error {
@@ -295,15 +365,13 @@ func (f *FTL) allocRun(p *sim.Proc, die, want int) (base nand.PPA, n int, err er
 	return base, n, nil
 }
 
-// invalidate is the one place a physical page loses its owner —
-// overwrite, trim, and the rebind that follows a relocation. Nothing
-// reads the page after this (reads in flight took their bytes when they
-// were issued), so the flash drops its bytes now rather than at the
-// block's erase: host memory holds what the map holds.
+// invalidate is where a physical page loses its owner to an overwrite
+// or a trim (a rebind hands its bytes on instead). Nothing reads the
+// page after this (reads in flight took their bytes when they were
+// issued), so the flash drops its bytes now rather than at the block's
+// erase: host memory holds what the map holds.
 func (f *FTL) invalidate(ppa nand.PPA) {
-	if _, ok := f.p2l[ppa]; ok {
-		delete(f.p2l, ppa)
-		f.validCount[f.flash.Config().BlockOf(ppa)]--
+	if f.unbind(ppa) {
 		f.flash.Discard(ppa)
 	}
 }
@@ -353,12 +421,10 @@ func (f *FTL) writePage(p *sim.Proc, lba LBA, data []byte, tag uint32, tagged bo
 		err = f.program(p, ppa, data, tag, tagged)
 		f.dieLocks[die].Release()
 		if err == nil {
-			if old, ok := f.l2p[lba]; ok {
+			if old, ok := f.lookup(lba); ok {
 				f.invalidate(old)
 			}
-			f.l2p[lba] = ppa
-			f.p2l[ppa] = lba
-			f.validCount[f.flash.Config().BlockOf(ppa)]++
+			f.bind(lba, ppa)
 			f.cHostWrites.Inc()
 			f.cNandWrites.Inc()
 			// The histogram includes any inline GC pause — the
@@ -414,7 +480,7 @@ func (f *FTL) ReadPageTaggedInto(p *sim.Proc, lba LBA, dst []byte) (tag uint32, 
 		return 0, false, err
 	}
 	f.cHostReads.Inc()
-	ppa, ok := f.l2p[lba]
+	ppa, ok := f.lookup(lba)
 	if !ok {
 		dst = dst[:f.PageSize()]
 		for i := range dst {
@@ -445,9 +511,9 @@ func (f *FTL) Trim(lba LBA) error {
 	if err := f.checkLBA(lba); err != nil {
 		return err
 	}
-	if ppa, ok := f.l2p[lba]; ok {
+	if ppa, ok := f.lookup(lba); ok {
 		f.invalidate(ppa)
-		delete(f.l2p, lba)
+		f.set(f.l2p, uint64(lba), 0)
 	}
 	return nil
 }
@@ -508,23 +574,23 @@ func (f *FTL) collect(p *sim.Proc) error {
 // Relocation moves a block's valid pages in runs: up to relocRunPages
 // pages read in one die hold and one channel hold, then programmed into
 // consecutive pages of one destination block in one channel hold and one
-// die hold (nand.ReadRun, nand.ProgramRun). A block with more than one
-// run is moved by relocWorkers worker procs, each run landing on a die
-// that is idle at that instant — a victim's reads serialize on its own
-// die, its programs spread over the array. Runs, not pages, are the unit
-// because the simulator pays per process switch: resuming a different
-// proc costs ~20x a lone sleeper's next event, and one proc per page
-// costs more host time than the serial loop it replaces.
+// die hold (nand.ReadRun, nand.ProgramRun). It is copy-back: no byte is
+// copied, each page's buffer passes to its copy when the LBA is rebound
+// (nand.Move). A block with more than one run is moved by relocWorkers
+// worker procs, each run landing on a die that is idle at that instant —
+// a victim's reads serialize on its own die, its programs spread over
+// the array. Runs, not pages, are the unit because the simulator pays
+// per process switch: resuming a different proc costs ~20x a lone
+// sleeper's next event, and one proc per page costs more host time than
+// the serial loop it replaces.
 const (
 	relocWorkers  = 8
 	relocRunPages = 8
 )
 
-// mover is the scratch of one relocating proc: a run's pages and the
-// buffer their bytes pass through.
+// mover is the scratch of one relocating proc: a run's pages.
 type mover struct {
 	pages [relocRunPages]nand.RunPage
-	buf   []byte
 }
 
 // relocRun is one run handed to the workers.
@@ -534,11 +600,7 @@ type relocRun struct {
 	moved   *obs.Counter
 }
 
-func (f *FTL) newMover() *mover {
-	return &mover{buf: make([]byte, relocRunPages*f.PageSize())}
-}
-
-// evacuate empties blk: every page still valid is copied elsewhere and
+// evacuate empties blk: every page still valid is moved elsewhere and
 // rebound — the one routine garbage collection and retirement share.
 // salvage reads raw (a condemned block's ECC verdicts are moot); moved
 // counts the pages copied. Called with gcLock held, or — nested — from a
@@ -550,7 +612,7 @@ func (f *FTL) evacuate(p *sim.Proc, blk nand.BlockID, salvage bool, moved *obs.C
 	if nested {
 		// The owner's page list, mover and workers are all in use.
 		if src := f.validPages(blk, nil); len(src) > 0 {
-			return f.moveRuns(p, f.newMover(), src, salvage, moved)
+			return f.moveRuns(p, new(mover), src, salvage, moved)
 		}
 		return nil
 	}
@@ -562,7 +624,7 @@ func (f *FTL) evacuate(p *sim.Proc, blk nand.BlockID, salvage bool, moved *obs.C
 	case len(src) <= relocRunPages:
 		// One run: handing it over would buy two process switches.
 		if f.mover == nil {
-			f.mover = f.newMover()
+			f.mover = new(mover)
 		}
 		return f.moveRuns(p, f.mover, src, salvage, moved)
 	}
@@ -605,7 +667,7 @@ func (f *FTL) moveRuns(p *sim.Proc, m *mover, src []nand.PPA, salvage bool, move
 // relocLoop is a relocation worker: it moves queued runs, one at a time,
 // for whichever proc is evacuating a block.
 func (f *FTL) relocLoop(p *sim.Proc) {
-	m := f.newMover()
+	m := new(mover)
 	for {
 		for f.relocHead == len(f.relocQ) {
 			f.relocWork.Wait(p)
@@ -621,26 +683,25 @@ func (f *FTL) relocLoop(p *sim.Proc) {
 	}
 }
 
-// moveRun copies one run: read the pages, drop those the host overwrote
+// moveRun moves one run: read the pages, drop those the host overwrote
 // or trimmed while the read was in flight, land the rest.
 func (f *FTL) moveRun(p *sim.Proc, m *mover, run relocRun) error {
-	ps := f.PageSize()
 	pages := m.pages[:len(run.src)]
 	for i, src := range run.src {
-		pages[i] = nand.RunPage{PPA: src, Data: m.buf[i*ps : (i+1)*ps]}
+		pages[i] = nand.RunPage{PPA: src}
 	}
 	if err := f.flash.ReadRun(p, pages, run.salvage); err != nil {
 		return fmt.Errorf("ftl: relocation read: %w", err)
 	}
 	live := pages[:0]
 	for _, pg := range pages {
-		if _, valid := f.p2l[pg.PPA]; !valid {
+		if _, valid := f.owner(pg.PPA); !valid {
 			continue
 		}
 		if pg.Err != nil {
 			// Beyond the ECC budget: recover this page raw, at full
-			// retry latency, and carry on with the run. The run read
-			// its bytes and tag already.
+			// retry latency, and carry on with the run. The page's
+			// bytes are intact; they move at the rebind.
 			if err := f.flash.SalvageRead(p, pg.PPA); err != nil {
 				return fmt.Errorf("ftl: relocation salvage: %w", err)
 			}
@@ -651,14 +712,16 @@ func (f *FTL) moveRun(p *sim.Proc, m *mover, run relocRun) error {
 	return f.land(p, live, -1, run.moved)
 }
 
-// land programs copies of valid pages (pages[i].PPA is where each lives
-// now) into open blocks and rebinds their mappings — the one place host
-// and relocation map updates are arbitrated. slot names the open-block
-// slot to use; slot < 0 takes, run by run, a slot whose die is idle.
-// Integrity tags move with their pages. A destination block that fails
-// to program is retired in turn (cascade, which terminates because every
-// retirement marks one more of the finitely many blocks bad) and the
-// rest of the run lands elsewhere. Called under gcLock (see evacuate).
+// land programs copy-back targets for valid pages (pages[i].PPA is where
+// each lives now) into open blocks and rebinds their mappings — the one
+// place host and relocation map updates are arbitrated. slot names the
+// open-block slot to use; slot < 0 takes, run by run, a slot whose die
+// is idle. Bytes and integrity tags move with their pages at the
+// rebind, after the whole run has programmed. A destination block that
+// fails to program is retired in turn (cascade, which terminates because
+// every retirement marks one more of the finitely many blocks bad) and
+// the rest of the run lands elsewhere. Called under gcLock (see
+// evacuate).
 func (f *FTL) land(p *sim.Proc, pages []nand.RunPage, slot int, moved *obs.Counter) error {
 	for len(pages) > 0 {
 		d := slot
@@ -678,14 +741,14 @@ func (f *FTL) land(p *sim.Proc, pages []nand.RunPage, slot int, moved *obs.Count
 			if base, n, err = f.allocRun(p, d, len(pages)); err != nil {
 				break
 			}
-			done, err = f.flash.ProgramRun(p, base, pages[:n])
+			done, err = f.flash.ProgramRun(p, base, n)
 			for i, pg := range pages[:done] {
 				f.cNandWrites.Inc()
 				moved.Inc()
 				// The run yielded since the page was read: rebind only if
 				// the mapping is still the page that was read. A host
 				// write (or trim) that landed meanwhile wins, and the
-				// copy stays unmapped.
+				// copy stays unmapped, without bytes.
 				f.rebind(pg.PPA, base+nand.PPA(i))
 			}
 			pages = pages[done:]
@@ -708,27 +771,27 @@ func (f *FTL) land(p *sim.Proc, pages []nand.RunPage, slot int, moved *obs.Count
 	return nil
 }
 
-// rebind moves the mapping of the valid page at src to its copy at dst.
-// l2p and p2l are each other's inverse, so "src still has an owner" is
-// the l2p[lba] == src rule: a host write or trim of the LBA since src
-// was read removed p2l[src], and the copy loses.
+// rebind moves the mapping of the valid page at src to its copy at dst,
+// and src's bytes and tag with it, in one step with no yield: a mapped
+// page always holds its bytes. l2p and p2l are each other's inverse, so
+// "src still has an owner" is the l2p[lba] == src rule: a host write or
+// trim of the LBA since src was read cleared p2l[src], and the copy
+// loses.
 func (f *FTL) rebind(src, dst nand.PPA) {
-	lba, ok := f.p2l[src]
+	lba, ok := f.owner(src)
 	if !ok {
 		return
 	}
-	f.invalidate(src)
-	f.l2p[lba] = dst
-	f.p2l[dst] = lba
-	f.validCount[f.flash.Config().BlockOf(dst)]++
+	f.unbind(src)
+	f.flash.Move(src, dst)
+	f.bind(lba, dst)
 }
 
 // validPages appends the addresses of blk's valid pages to dst.
 func (f *FTL) validPages(blk nand.BlockID, dst []nand.PPA) []nand.PPA {
-	fc := f.flash.Config()
-	base := nand.PPA(uint64(blk) * uint64(fc.PagesPerBlock))
-	for pg := 0; pg < fc.PagesPerBlock; pg++ {
-		if _, valid := f.p2l[base+nand.PPA(pg)]; valid {
+	base := nand.PPA(uint64(blk) * f.piece)
+	for pg, v := range f.p2l[blk] {
+		if v != 0 {
 			dst = append(dst, base+nand.PPA(pg))
 		}
 	}
@@ -803,7 +866,8 @@ func (f *FTL) retireLocked(p *sim.Proc, blk nand.BlockID, nested bool) error {
 
 // pickVictim selects the closed block with the fewest valid pages
 // (greedy; the lowest block wins a tie). Open and free blocks are
-// excluded.
+// excluded, and so is each die's reserved tail, which the scan never
+// enters.
 func (f *FTL) pickVictim() (nand.BlockID, bool) {
 	fc := f.flash.Config()
 	if f.skip == nil {
@@ -823,16 +887,19 @@ func (f *FTL) pickVictim() (nand.BlockID, bool) {
 	best := nand.BlockID(0)
 	bestValid := fc.PagesPerBlock + 1
 	found := false
-	for b := 0; b < fc.Blocks(); b++ {
-		blk := nand.BlockID(b)
-		if f.skip[b] || f.reserved(blk) || f.flash.IsBad(blk) {
-			continue
-		}
-		if f.flash.NextPage(blk) == 0 {
-			continue // never programmed since erase; nothing to reclaim
-		}
-		if v := f.validCount[b]; v < bestValid {
-			best, bestValid, found = blk, v, true
+	usable := fc.BlocksPerDie - f.cfg.ReservedPerDie
+	for first := 0; first < fc.Blocks(); first += fc.BlocksPerDie {
+		for b := first; b < first+usable; b++ {
+			blk := nand.BlockID(b)
+			if f.skip[b] || f.flash.IsBad(blk) {
+				continue
+			}
+			if f.flash.NextPage(blk) == 0 {
+				continue // never programmed since erase; nothing to reclaim
+			}
+			if v := f.validCount[b]; v < bestValid {
+				best, bestValid, found = blk, v, true
+			}
 		}
 	}
 	mark(false)
@@ -868,7 +935,7 @@ func (f *FTL) ScrubPage(p *sim.Proc, lba LBA) (ScrubResult, error) {
 	if err := f.checkLBA(lba); err != nil {
 		return r, err
 	}
-	ppa, ok := f.l2p[lba]
+	ppa, ok := f.lookup(lba)
 	if !ok {
 		return r, nil
 	}
@@ -899,23 +966,23 @@ func (f *FTL) ScrubPage(p *sim.Proc, lba LBA) (ScrubResult, error) {
 	}
 	f.gcLock.Acquire(p)
 	defer f.gcLock.Release()
-	if cur, ok := f.l2p[lba]; !ok || cur != ppa {
+	if cur, ok := f.lookup(lba); !ok || cur != ppa {
 		// The host or GC moved the page while we read it; the fresh copy
 		// starts with zero accumulated errors, nothing left to repair.
 		return r, nil
 	}
-	if err := f.relocLocked(p, ppa, data, tag, tagged); err != nil {
+	if err := f.relocLocked(p, ppa); err != nil {
 		return r, fmt.Errorf("ftl: scrub rewrite: %w", err)
 	}
 	r.Repaired = true
 	return r, nil
 }
 
-// relocLocked rewrites one valid page, already read, into the open block
-// of the die after its own — scrub's single-page repair. Called with
-// gcLock held.
-func (f *FTL) relocLocked(p *sim.Proc, src nand.PPA, data []byte, tag uint32, tagged bool) error {
+// relocLocked moves one valid page, already read, into the open block
+// of the die after its own — scrub's single-page repair, a copy-back
+// like any relocation. Called with gcLock held.
+func (f *FTL) relocLocked(p *sim.Proc, src nand.PPA) error {
 	fc := f.flash.Config()
-	page := [1]nand.RunPage{{PPA: src, Data: data, Tag: tag, Tagged: tagged}}
+	page := [1]nand.RunPage{{PPA: src}}
 	return f.land(p, page[:], (fc.DieOf(src)+1)%fc.Dies(), nil)
 }

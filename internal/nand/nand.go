@@ -19,6 +19,12 @@
 // from an arena, many pages per heap object. A read takes its bytes
 // when it is issued, before its die and channel holds: a page discarded
 // while the read waits still comes back as it was.
+//
+// Relocation is copy-back: a ReadRun takes no bytes, a ProgramRun
+// programs pages that hold none yet, and Move hands a source page's
+// buffer and tag to its copy when the FTL remaps the LBA. A page's bytes
+// are never copied inside the array, and a copy the FTL does not map
+// never holds any.
 package nand
 
 import (
@@ -343,10 +349,11 @@ func (f *Flash) readFault(p *sim.Proc, ppa PPA) (retries int, err error) {
 // SalvageRead is the FTL's last-resort re-read of a page whose read
 // failed ECC: full array/channel timing, no fault injection. The model
 // keeps page bytes intact, so the bytes and tag the failed read already
-// captured (ReadPageTaggedInto, ReadRun) are the page's data, and
-// salvage hands back nothing new — a re-fetch after the retries could
-// find the page discarded. The realism is in the latency already paid
-// on retries, this re-read's, and the block retirement that follows.
+// captured (ReadPageTaggedInto) are the page's data — a relocation run
+// moves the page's own bytes (Move) — and salvage hands back nothing
+// new: a re-fetch after the retries could find the page discarded. The
+// realism is in the latency already paid on retries, this re-read's,
+// and the block retirement that follows.
 func (f *Flash) SalvageRead(p *sim.Proc, ppa PPA) error {
 	if err := f.checkPPA(ppa); err != nil {
 		return err
@@ -453,16 +460,6 @@ func (f *Flash) programPage(p *sim.Proc, ppa PPA, data []byte, t oobTag) error {
 		// The FTL retires the block and retries elsewhere.
 		return fmt.Errorf("%w: block %d page %d", ErrProgramFailed, f.cfg.BlockOf(ppa), page)
 	}
-	f.commit(blk, ppa, data, t)
-	f.hProgram.Observe(sim.Duration(f.env.Now() - start))
-	return nil
-}
-
-// commit makes one page program take: the block's program cursor
-// advances, the bytes and tag are in the array, the program is counted
-// and — with an injector — stamped with its instant and ticked.
-func (f *Flash) commit(blk *blockState, ppa PPA, data []byte, t oobTag) {
-	blk.nextPage++
 	var stored []byte
 	if n := len(f.spare); n > 0 {
 		stored = f.spare[n-1]
@@ -472,6 +469,17 @@ func (f *Flash) commit(blk *blockState, ppa PPA, data []byte, t oobTag) {
 		stored = f.pageMem.Alloc(f.cfg.PageSize)[:f.cfg.PageSize]
 	}
 	clear(stored[copy(stored, data):]) // short writes are zero-padded
+	f.commit(blk, ppa, stored, t)
+	f.hProgram.Observe(sim.Duration(f.env.Now() - start))
+	return nil
+}
+
+// commit makes one page program take: the block's program cursor
+// advances, the page holds stored and its tag (no bytes for a copy-back
+// target, which Move fills), the program is counted and — with an
+// injector — stamped with its instant and ticked.
+func (f *Flash) commit(blk *blockState, ppa PPA, stored []byte, t oobTag) {
+	blk.nextPage++
 	if blk.pages == nil {
 		blk.pages = make([]page, f.cfg.PagesPerBlock)
 	}
@@ -484,13 +492,12 @@ func (f *Flash) commit(blk *blockState, ppa PPA, data []byte, t oobTag) {
 	}
 }
 
-// RunPage is one page of a ReadRun or ProgramRun.
+// RunPage is one page of a ReadRun.
 type RunPage struct {
-	PPA    PPA    // ReadRun: the page to read. ProgramRun leaves it alone (the caller's source address).
-	Data   []byte // PageSize bytes: ReadRun fills them, ProgramRun programs them
-	Tag    uint32 // out-of-band tag, as ReadPageTagged / ProgramPageTagged carry it
+	PPA    PPA    // the page to read
+	Tag    uint32 // out-of-band tag, as ReadPageTagged carries it
 	Tagged bool
-	Err    error // ReadRun: ErrUncorrectable when this page failed ECC (injected)
+	Err    error // ErrUncorrectable when this page failed ECC (injected)
 }
 
 // ReadRun reads pages of one block — in any order, with gaps — as one
@@ -498,16 +505,16 @@ type RunPage struct {
 // channel hold for all the transfers. That is the occupancy of as many
 // ReadPage calls, for two kernel events instead of two per page, and
 // the page counters advance per page; the latency histogram is not fed
-// (it describes single-page operations). Every page's bytes and tag are
-// taken when the run is issued, as a single read's are. The relocation
-// paths of the FTL move a victim's valid pages with it.
+// (it describes single-page operations). It is the read half of a
+// copy-back: every page's tag is taken when the run is issued, as a
+// single read's is, and its bytes stay in the array for Move. The
+// relocation paths of the FTL move a victim's valid pages with it.
 //
 // With a fault injector installed and salvage false, the die hold steps
 // page by page so each page gets its ECC verdict at its own instant
 // (read-retry latency is spent on the die); a page beyond the budget
-// has Err set — its Data and Tag filled all the same, for SalvageRead —
-// and the run goes on. salvage reads raw, as SalvageRead does. The
-// returned error is for the run as a whole (bad addresses).
+// has Err set and the run goes on. salvage reads raw, as SalvageRead
+// does. The returned error is for the run as a whole (bad addresses).
 func (f *Flash) ReadRun(p *sim.Proc, pages []RunPage, salvage bool) error {
 	if len(pages) == 0 {
 		return nil
@@ -521,7 +528,7 @@ func (f *Flash) ReadRun(p *sim.Proc, pages []RunPage, salvage bool) error {
 			return fmt.Errorf("%w: run spans blocks %d and %d", ErrOutOfRange, blk, f.cfg.BlockOf(pages[i].PPA))
 		}
 		pages[i].Err = nil
-		pages[i].Tag, pages[i].Tagged = f.capture(pages[i].PPA, pages[i].Data)
+		pages[i].Tag, pages[i].Tagged = f.PeekTag(pages[i].PPA)
 	}
 	die := f.cfg.DieOf(pages[0].PPA)
 	ch := f.cfg.ChannelOf(die)
@@ -549,13 +556,13 @@ func (f *Flash) ReadRun(p *sim.Proc, pages []RunPage, salvage bool) error {
 	return nil
 }
 
-// ProgramRun programs pages into len(pages) consecutive pages of one
-// block starting at base, as one background-class operation: one
-// channel hold for all the transfers, then one die hold of
-// len(pages)·tPROG — the occupancy of as many ProgramPage calls for two
-// kernel events. The sequential-program rule applies to base. It
-// returns how many pages took; fewer than len(pages) comes with the
-// error that stopped the run.
+// ProgramRun programs n consecutive pages of one block starting at base
+// as copy-back targets, as one background-class operation: one channel
+// hold for all the transfers, then one die hold of n·tPROG — the
+// occupancy of as many ProgramPage calls for two kernel events. The
+// pages hold no bytes until Move hands each its source's. The
+// sequential-program rule applies to base. It returns how many pages
+// took; fewer than n comes with the error that stopped the run.
 //
 // Without a fault injector the pages take together when the die hold
 // ends. With one, the die hold steps page by page: every page draws its
@@ -563,21 +570,16 @@ func (f *Flash) ReadRun(p *sim.Proc, pages []RunPage, salvage bool) error {
 // and ticks EvNandProgram on its own, tPROG after the page before it;
 // the first ErrProgramFailed ends the run with the earlier pages
 // programmed.
-func (f *Flash) ProgramRun(p *sim.Proc, base PPA, pages []RunPage) (int, error) {
-	if len(pages) == 0 {
+func (f *Flash) ProgramRun(p *sim.Proc, base PPA, n int) (int, error) {
+	if n <= 0 {
 		return 0, nil
 	}
 	if err := f.checkPPA(base); err != nil {
 		return 0, err
 	}
 	die, _, page := f.cfg.Decompose(base)
-	if page+len(pages) > f.cfg.PagesPerBlock {
-		return 0, fmt.Errorf("%w: run of %d pages from page %d leaves the block", ErrOutOfRange, len(pages), page)
-	}
-	for i := range pages {
-		if len(pages[i].Data) > f.cfg.PageSize {
-			return 0, ErrPageTooLarge
-		}
+	if page+n > f.cfg.PagesPerBlock {
+		return 0, fmt.Errorf("%w: run of %d pages from page %d leaves the block", ErrOutOfRange, n, page)
 	}
 	blk := &f.blocks[f.cfg.BlockOf(base)]
 	if blk.bad {
@@ -588,20 +590,19 @@ func (f *Flash) ProgramRun(p *sim.Proc, base PPA, pages []RunPage) (int, error) 
 			ErrNotErased, f.cfg.BlockOf(base), page, blk.nextPage)
 	}
 	ch := f.cfg.ChannelOf(die)
-	n := sim.Duration(len(pages))
 	tr := f.o.Tracer()
 	f.channels[ch].Acquire(p)
 	sp := tr.Begin(f.chTrack[ch], "nand", "xfer_in")
-	p.Sleep(n * f.cfg.TransferTime(f.cfg.PageSize))
+	p.Sleep(sim.Duration(n) * f.cfg.TransferTime(f.cfg.PageSize))
 	sp.End()
 	f.channels[ch].Release()
 	f.dies[die].Acquire(p)
 	sp = tr.Begin(f.dieTrack[die], "nand", "tPROG")
 	if f.inj == nil {
-		p.Sleep(n * f.cfg.ProgramLatency)
+		p.Sleep(sim.Duration(n) * f.cfg.ProgramLatency)
 	}
 	done, err := 0, error(nil)
-	for ; done < len(pages); done++ {
+	for ; done < n; done++ {
 		if f.inj != nil {
 			p.Sleep(f.cfg.ProgramLatency)
 			if f.inj.ProgramFault() {
@@ -609,12 +610,28 @@ func (f *Flash) ProgramRun(p *sim.Proc, base PPA, pages []RunPage) (int, error) 
 				break
 			}
 		}
-		pg := &pages[done]
-		f.commit(blk, base+PPA(done), pg.Data, oobTag{tag: pg.Tag, tagged: pg.Tagged})
+		f.commit(blk, base+PPA(done), nil, oobTag{})
 	}
 	sp.End()
 	f.dies[die].Release()
 	return done, err
+}
+
+// Move hands src's bytes and out-of-band tag to dst, a page a
+// ProgramRun programmed as a copy-back target that holds none yet: dst
+// then reads as src did, and src holds nothing, as after a Discard. The
+// FTL calls it in the step that remaps the LBA from src to dst, so the
+// bytes of a mapped page are always where the map points.
+func (f *Flash) Move(src, dst PPA) {
+	blk := &f.blocks[f.cfg.BlockOf(dst)]
+	i := uint64(dst) % uint64(f.cfg.PagesPerBlock)
+	if int(i) >= blk.nextPage || blk.pages[i].data != nil {
+		panic(fmt.Sprintf("nand: move to ppa %d, which is not an empty programmed page", uint64(dst)))
+	}
+	if pg := f.stored(src); pg != nil {
+		blk.pages[i] = *pg
+		*pg = page{}
+	}
 }
 
 // DieIdle reports whether no operation holds the die right now — what a

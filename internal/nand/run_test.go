@@ -9,33 +9,34 @@ import (
 	"twobssd/internal/sim"
 )
 
-// runPages builds n run pages with their own buffers; data[i] (if any)
-// is copied in and tagged i+1.
-func runPages(c Config, n int, fill func(i int) []byte) []RunPage {
-	pages := make([]RunPage, n)
-	for i := range pages {
-		pages[i].Data = make([]byte, c.PageSize)
-		if fill != nil {
-			copy(pages[i].Data, fill(i))
-			pages[i].Tag, pages[i].Tagged = uint32(i+1), true
-		}
+// readRun builds a read run over the given pages.
+func readRun(ppas ...PPA) []RunPage {
+	pages := make([]RunPage, len(ppas))
+	for i, ppa := range ppas {
+		pages[i].PPA = ppa
 	}
 	return pages
 }
 
 // A run occupies die and channel exactly as long as that many
-// single-page operations, counts every page, carries every tag — and
-// costs two kernel events, not two per page.
+// single-page operations, counts every page — and costs two kernel
+// events, not two per page. Its pages hold no bytes until Move hands
+// each its source's bytes and tag, and a read run takes the tags.
 func TestRunOccupancyCountersAndTags(t *testing.T) {
 	const n = 5
 	c := testConfig()
 	e := sim.NewEnv()
 	f := New(e, c)
-	base := c.PPAOf(1, 2, 0)
+	src, base := c.PPAOf(0, 2, 0), c.PPAOf(1, 2, 0)
 	fill := func(i int) []byte { return bytes.Repeat([]byte{byte(0xA0 + i)}, 100) }
 	e.Go("t", func(p *sim.Proc) {
+		for i := 0; i < n; i++ {
+			if err := f.ProgramPageTagged(p, src+PPA(i), fill(i), uint32(i+1)); err != nil {
+				t.Fatal(err)
+			}
+		}
 		t0, ev0 := e.Now(), e.Events()
-		done, err := f.ProgramRun(p, base, runPages(c, n, fill))
+		done, err := f.ProgramRun(p, base, n)
 		if err != nil || done != n {
 			t.Fatalf("ProgramRun = %d, %v", done, err)
 		}
@@ -48,11 +49,14 @@ func TestRunOccupancyCountersAndTags(t *testing.T) {
 		if np := f.NextPage(c.BlockOf(base)); np != n {
 			t.Errorf("next programmable page = %d, want %d", np, n)
 		}
-		// Read back pages 4, 0, 2: any order, gaps allowed.
-		pages := runPages(c, 3, nil)
-		for i, pg := range []int{4, 0, 2} {
-			pages[i].PPA = base + PPA(pg)
+		for i := 0; i < n; i++ {
+			if _, tagged := f.PeekTag(base + PPA(i)); tagged || f.CorruptPage(base+PPA(i), 1) {
+				t.Fatalf("copy-back target %d holds a tag or bytes before its move", i)
+			}
+			f.Move(src+PPA(i), base+PPA(i))
 		}
+		// Read back pages 4, 0, 2: any order, gaps allowed.
+		pages := readRun(base+4, base, base+2)
 		t0, ev0 = e.Now(), e.Events()
 		if err := f.ReadRun(p, pages, false); err != nil {
 			t.Fatalf("ReadRun: %v", err)
@@ -67,8 +71,13 @@ func TestRunOccupancyCountersAndTags(t *testing.T) {
 			if pages[i].Err != nil || !pages[i].Tagged || pages[i].Tag != uint32(pg+1) {
 				t.Errorf("page %d: tag %d tagged %v err %v", pg, pages[i].Tag, pages[i].Tagged, pages[i].Err)
 			}
-			if want := fill(pg); !bytes.Equal(pages[i].Data[:len(want)], want) || pages[i].Data[len(want)] != 0 {
-				t.Errorf("page %d: wrong bytes", pg)
+		}
+		for i := 0; i < n; i++ {
+			if got, want := f.PeekPage(base+PPA(i)), fill(i); !bytes.Equal(got[:len(want)], want) || got[len(want)] != 0 {
+				t.Errorf("page %d: wrong bytes after the move", i)
+			}
+			if _, tagged := f.PeekTag(src + PPA(i)); tagged || f.CorruptPage(src+PPA(i), 1) {
+				t.Errorf("source %d kept its tag or bytes after the move", i)
 			}
 		}
 	})
@@ -77,7 +86,7 @@ func TestRunOccupancyCountersAndTags(t *testing.T) {
 		name string
 		want uint64
 	}{
-		{"nand.page_programs", n}, {"nand.bytes_written", uint64(n * c.PageSize)},
+		{"nand.page_programs", 2 * n}, {"nand.bytes_written", uint64(2 * n * c.PageSize)},
 		{"nand.page_reads", 3}, {"nand.bytes_read", uint64(3 * c.PageSize)},
 	} {
 		if got := counter(t, e, s.name); got != s.want {
@@ -97,24 +106,17 @@ func TestRunRules(t *testing.T) {
 	f := New(e, c)
 	base := c.PPAOf(0, 1, 0)
 	e.Go("t", func(p *sim.Proc) {
-		if _, err := f.ProgramRun(p, base+1, runPages(c, 2, nil)); !errors.Is(err, ErrNotErased) {
+		if _, err := f.ProgramRun(p, base+1, 2); !errors.Is(err, ErrNotErased) {
 			t.Errorf("out-of-order run: %v", err)
 		}
-		if _, err := f.ProgramRun(p, base, runPages(c, c.PagesPerBlock+1, nil)); !errors.Is(err, ErrOutOfRange) {
+		if _, err := f.ProgramRun(p, base, c.PagesPerBlock+1); !errors.Is(err, ErrOutOfRange) {
 			t.Errorf("run past the block: %v", err)
 		}
-		big := runPages(c, 1, nil)
-		big[0].Data = make([]byte, c.PageSize+1)
-		if _, err := f.ProgramRun(p, base, big); !errors.Is(err, ErrPageTooLarge) {
-			t.Errorf("oversized page: %v", err)
-		}
-		two := runPages(c, 2, nil)
-		two[0].PPA, two[1].PPA = base, c.PPAOf(0, 2, 0)
-		if err := f.ReadRun(p, two, false); !errors.Is(err, ErrOutOfRange) {
+		if err := f.ReadRun(p, readRun(base, c.PPAOf(0, 2, 0)), false); !errors.Is(err, ErrOutOfRange) {
 			t.Errorf("read run over two blocks: %v", err)
 		}
 		f.MarkBad(c.BlockOf(base))
-		if _, err := f.ProgramRun(p, base, runPages(c, 1, nil)); !errors.Is(err, ErrBadBlock) {
+		if _, err := f.ProgramRun(p, base, 1); !errors.Is(err, ErrBadBlock) {
 			t.Errorf("run on a bad block: %v", err)
 		}
 		if e.Now() != 0 {
@@ -137,7 +139,7 @@ func TestProgramRunStepsUnderInjector(t *testing.T) {
 	f := New(e, c)
 	base := c.PPAOf(2, 0, 0)
 	e.Go("t", func(p *sim.Proc) {
-		done, err := f.ProgramRun(p, base, runPages(c, n, func(i int) []byte { return []byte{byte(i + 1)} }))
+		done, err := f.ProgramRun(p, base, n)
 		if err != nil || done != n {
 			t.Fatalf("ProgramRun = %d, %v", done, err)
 		}
@@ -166,7 +168,7 @@ func TestProgramRunStepsUnderInjector(t *testing.T) {
 	e2.Go("t", func(p *sim.Proc) {
 		for blk := 0; blk < c.BlocksPerDie; blk++ {
 			b := c.PPAOf(0, blk, 0)
-			done, err := f2.ProgramRun(p, b, runPages(c, n, func(i int) []byte { return []byte{byte(i + 1)} }))
+			done, err := f2.ProgramRun(p, b, n)
 			if err == nil {
 				continue
 			}
@@ -177,8 +179,8 @@ func TestProgramRunStepsUnderInjector(t *testing.T) {
 				t.Fatalf("failed at page %d but next programmable page is %d", done, np)
 			}
 			for i := 0; i < n; i++ {
-				if got := f2.PeekPage(b + PPA(i))[0]; (i < done && got != byte(i+1)) || (i >= done && got != 0) {
-					t.Fatalf("page %d of a run that failed at %d holds %d", i, done, got)
+				if _, stamped := f2.progAt[b+PPA(i)]; stamped != (i < done) {
+					t.Fatalf("page %d of a run that failed at %d: program stamp %v", i, done, stamped)
 				}
 			}
 			if got := counter(t, e2, "nand.page_programs"); got != uint64(blk*n+done) {
@@ -192,9 +194,9 @@ func TestProgramRunStepsUnderInjector(t *testing.T) {
 }
 
 // With a BER model the read run gives each page its own verdict: a page
-// left to age beyond the ECC budget comes back ErrUncorrectable, its
-// neighbours in the same run read clean, and a salvage run reads all of
-// them raw.
+// left to age beyond the ECC budget comes back ErrUncorrectable — its
+// tag taken all the same — its neighbours in the same run read clean,
+// and a salvage run reads all of them raw.
 func TestReadRunPerPageVerdicts(t *testing.T) {
 	c := testConfig()
 	e := sim.NewEnv()
@@ -204,17 +206,16 @@ func TestReadRunPerPageVerdicts(t *testing.T) {
 	f := New(e, c)
 	base := c.PPAOf(3, 0, 0)
 	e.Go("t", func(p *sim.Proc) {
-		if err := f.ProgramPage(p, base, []byte{1}); err != nil {
+		if err := f.ProgramPageTagged(p, base, []byte{1}, 1); err != nil {
 			t.Fatal(err)
 		}
 		p.Sleep(3600 * sim.Second) // page 0 ages an hour: ~330 raw bit errors
-		if _, err := f.ProgramRun(p, base+1, runPages(c, 2, func(i int) []byte { return []byte{byte(i + 2)} })); err != nil {
-			t.Fatal(err)
+		for i := 1; i < 3; i++ {
+			if err := f.ProgramPageTagged(p, base+PPA(i), []byte{byte(i + 1)}, uint32(i+1)); err != nil {
+				t.Fatal(err)
+			}
 		}
-		pages := runPages(c, 3, nil)
-		for i := range pages {
-			pages[i].PPA = base + PPA(i)
-		}
+		pages := readRun(base, base+1, base+2)
 		t0 := e.Now()
 		if err := f.ReadRun(p, pages, false); err != nil {
 			t.Fatalf("ReadRun: %v", err)
@@ -225,12 +226,14 @@ func TestReadRunPerPageVerdicts(t *testing.T) {
 		if got, want := sim.Duration(e.Now()-t0), 3*(c.ReadLatency+c.TransferTime(c.PageSize))+2*60*sim.Microsecond; got != want {
 			t.Errorf("run with two retry steps took %v, want %v", got, want)
 		}
-		if pages[1].Data[0] != 2 || pages[2].Data[0] != 3 {
-			t.Error("clean pages of the run lost their bytes")
+		for i, pg := range pages {
+			if pg.Tag != uint32(i+1) || !pg.Tagged {
+				t.Errorf("page %d: tag %d tagged %v", i, pg.Tag, pg.Tagged)
+			}
 		}
 		t0 = e.Now()
-		if err := f.ReadRun(p, pages, true); err != nil || pages[0].Err != nil || pages[0].Data[0] != 1 {
-			t.Fatalf("salvage run: %v, page 0 err %v data %d", err, pages[0].Err, pages[0].Data[0])
+		if err := f.ReadRun(p, pages, true); err != nil || pages[0].Err != nil || pages[0].Tag != 1 {
+			t.Fatalf("salvage run: %v, page 0 err %v tag %d", err, pages[0].Err, pages[0].Tag)
 		}
 		if got, want := sim.Duration(e.Now()-t0), 3*(c.ReadLatency+c.TransferTime(c.PageSize)); got != want {
 			t.Errorf("salvage run took %v, want %v", got, want)
