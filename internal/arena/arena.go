@@ -1,8 +1,10 @@
 // Package arena carves many small, long-lived byte slices out of a few
-// large allocations. It has two users: the host-side copies a log keeps
-// of its records, where one heap object per record would dominate a
-// run's allocations, and the flash array's page buffers (internal/nand),
-// where one heap object per first-programmed page would.
+// large allocations. It has three users: the host-side copies a log
+// keeps of its records, where one heap object per record would dominate
+// a run's allocations; the flash array's page buffers (internal/nand),
+// where one heap object per first-programmed page would; and the
+// buffers a device's ReadPages returns (internal/device), where a heap
+// of 4 KB read buffers would fragment the space larger ones need.
 //
 // An Arena is append-only. It never hands out a byte twice and never
 // writes a byte after handing it out, so a carved slice stays valid, and
@@ -24,10 +26,14 @@ type Arena struct {
 
 // Alloc returns a zero-length slice with capacity n carved from the
 // arena. Appending beyond n reallocates instead of spilling into the
-// next carve.
+// next carve. A carve larger than a chunk is a heap object of its own,
+// and the current chunk keeps its free tail for the carves after it.
 func (a *Arena) Alloc(n int) []byte {
+	if n > chunkBytes {
+		return make([]byte, 0, n)
+	}
 	if cap(a.chunk)-len(a.chunk) < n {
-		a.chunk = make([]byte, 0, max(chunkBytes, n))
+		a.chunk = make([]byte, 0, chunkBytes)
 	}
 	start := len(a.chunk)
 	a.chunk = a.chunk[:start+n]

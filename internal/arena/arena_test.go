@@ -38,4 +38,10 @@ func TestAllocAmortizesChunks(t *testing.T) {
 	if n := testing.AllocsPerRun(400, func() { a.Copy(rec) }); n != 0 {
 		t.Fatalf("%.2f allocations per 128-byte carve, want 0 (one chunk per %d carves)", n, chunkBytes/128)
 	}
+	// A carve bigger than a chunk leaves the current chunk's tail for
+	// the next small carve.
+	a.Alloc(2 * chunkBytes)
+	if n := testing.AllocsPerRun(1, func() { a.Copy(rec) }); n != 0 {
+		t.Fatalf("%.2f allocations for a carve after a big one, want 0", n)
+	}
 }

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 
+	"twobssd/internal/arena"
 	"twobssd/internal/fault"
 	"twobssd/internal/ftl"
 	"twobssd/internal/histo"
@@ -198,6 +199,13 @@ type Device struct {
 	bufPool   []*lbaBuf
 	pageSpare [][]byte
 	readJobs  []*readJob // idle multi-page read fan-outs
+	// The buffers ReadPages hands out, carved many to a heap object. A
+	// stream of 4 KB reads then leaves large spans the collector frees
+	// whole, not 4 KB spans that a sweep hands back one at a time in no
+	// address order — between them a later multi-page buffer finds no
+	// room, and the heap grows by however much garbage the last
+	// collection happened to leave behind.
+	readMem arena.Arena
 
 	gate Gate
 
@@ -358,12 +366,15 @@ func (d *Device) maybeTimeout(p *sim.Proc) {
 }
 
 // ReadPages executes one read command of n pages starting at lba and
-// returns the data in a new buffer (see ReadPagesInto).
+// returns the data in a new buffer (see ReadPagesInto). The buffer is
+// the caller's: no other read shares its bytes, and its capacity ends
+// where its length does.
 func (d *Device) ReadPages(p *sim.Proc, lba ftl.LBA, n int) ([]byte, error) {
 	if n <= 0 {
 		return nil, errZeroRead
 	}
-	out := make([]byte, n*d.PageSize())
+	size := n * d.PageSize()
+	out := d.readMem.Alloc(size)[:size]
 	if err := d.ReadPagesInto(p, lba, out); err != nil {
 		return nil, err
 	}

@@ -147,3 +147,48 @@ func TestMultiPageReadAllocatesOnlyItsBuffer(t *testing.T) {
 		t.Fatalf("%d allocations over %d 4-page reads into one buffer, want none", mallocsInto, calls)
 	}
 }
+
+// ReadPages carves its buffers many to a heap object, and each is still
+// the caller's alone: it holds its own page, a write into it changes no
+// other buffer, and an append to it reallocates instead of running into
+// the next one.
+func TestReadBuffersAreCarvedAndTheCallers(t *testing.T) {
+	const calls = 200
+	e := sim.NewEnv()
+	d := New(e, small(ULLSSD()))
+	ps := d.PageSize()
+	var mallocs uint64
+	e.Go("t", func(p *sim.Proc) {
+		writeDrained(t, p, d, 0, 4, 0x40)
+		got := make([][]byte, calls)
+		runtime.GC()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := range got {
+			var err error
+			if got[i], err = d.ReadPages(p, ftl.LBA(i%4), 1); err != nil {
+				t.Fatalf("read %d: %v", i, err)
+			}
+		}
+		runtime.ReadMemStats(&m1)
+		mallocs = m1.Mallocs - m0.Mallocs
+		for i, b := range got {
+			if len(b) != ps || cap(b) != ps {
+				t.Fatalf("read %d: len %d cap %d, want both %d", i, len(b), cap(b), ps)
+			}
+			b[0] = 0xFF
+		}
+		for _, b := range got {
+			_ = append(b, 0xEE)
+		}
+		for i, b := range got {
+			if want := 0x40 + byte(i%4); b[0] != 0xFF || b[1] != want || b[ps-1] != want {
+				t.Fatalf("read %d holds %#x %#x … %#x, want 0xff %#x … %#x", i, b[0], b[1], b[ps-1], want, want)
+			}
+		}
+	})
+	e.Run()
+	if mallocs > calls/4 {
+		t.Fatalf("%d allocations over %d one-page reads, want a fraction of one per read", mallocs, calls)
+	}
+}
