@@ -354,13 +354,7 @@ func (s *TwoBSSD) movePage(w *sim.Proc, ent Entry, write bool, i int) error {
 		return nil
 	}
 	// Pin lands NAND pages straight in the BA-buffer frame.
-	tag, tagged, err := s.dev.FTL().ReadPageTaggedInto(w, lba, s.babuf[off:off+ps])
-	if err == nil && tagged {
-		if cerr := integrity.Check(s.babuf[off:off+ps], tag); cerr != nil {
-			err = fmt.Errorf("2bssd: pin lba %d: %w", lba, cerr)
-		}
-	}
-	return err
+	return s.dev.FTL().ReadPageInto(w, lba, s.babuf[off:off+ps])
 }
 
 // moveJob is one multi-page internalMove's fan-out state: the page

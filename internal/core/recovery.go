@@ -314,8 +314,9 @@ func (r *recovery) restoreImage(p *sim.Proc) error {
 	fl := s.dev.Flash()
 
 	blk0 := r.dumpBlocks[0]
-	metaBuf, tag, tagged, _, err := fl.ReadPageTagged(p, r.blockBase(blk0)+nand.PPA(fl.NextPage(blk0)-1))
-	if err == nil && tagged {
+	metaBuf := make([]byte, ps)
+	tag, _, err := fl.ReadPageInto(p, r.blockBase(blk0)+nand.PPA(fl.NextPage(blk0)-1), metaBuf)
+	if err == nil {
 		err = integrity.Check(metaBuf, tag)
 	}
 	if err != nil {
@@ -343,8 +344,8 @@ func (r *recovery) restoreImage(p *sim.Proc) error {
 			}
 			for _, i := range pages[lo:hi] {
 				dst := s.babuf[i*ps : (i+1)*ps]
-				tag, tagged, _, err := fl.ReadPageTaggedInto(w, at, dst)
-				if err == nil && tagged {
+				tag, _, err := fl.ReadPageInto(w, at, dst)
+				if err == nil {
 					if cerr := integrity.Check(dst, tag); cerr != nil {
 						err = fmt.Errorf("2bssd: restore page %d: %w", i, cerr)
 					}

@@ -5,7 +5,6 @@ import (
 
 	"twobssd/internal/ftl"
 	"twobssd/internal/histo"
-	"twobssd/internal/integrity"
 	"twobssd/internal/obs"
 	"twobssd/internal/sim"
 )
@@ -89,13 +88,11 @@ func (sc *scrubber) pass(p *sim.Proc) error {
 			continue
 		}
 		sc.cScanned.Inc()
-		if r.Tagged {
-			if integrity.Check(r.Data, r.Tag) != nil {
-				// The stored CRC no longer matches the (post-ECC)
-				// contents: silent corruption below the ECC model. Count
-				// it — the read paths will refuse to serve the page.
-				sc.cCRCErrors.Inc()
-			}
+		if r.Corrupt {
+			// The stored CRC no longer matches the (post-ECC) contents:
+			// silent corruption below the ECC model. Count it — the read
+			// paths will refuse to serve the page.
+			sc.cCRCErrors.Inc()
 		}
 		if r.Salvaged {
 			sc.cSalvage.Inc()

@@ -151,8 +151,8 @@ var (
 	errZeroRead = errors.New("device: read of zero pages")
 )
 
-// taggedPage is one write-buffer copy of a page.
-type taggedPage struct {
+// bufPage is one write-buffer copy of a page.
+type bufPage struct {
 	data []byte
 	tag  uint32 // integrity.PageCRC(data), stamped at the host boundary
 }
@@ -164,8 +164,8 @@ type taggedPage struct {
 // to NAND once every copy before it has.
 type lbaBuf struct {
 	queued   bool
-	buffered taggedPage
-	inflight []taggedPage
+	buffered bufPage
+	inflight []bufPage
 	landed   int
 }
 
@@ -446,14 +446,8 @@ func (d *Device) readPage(w *sim.Proc, l ftl.LBA, dst []byte) error {
 			return fmt.Errorf("%s: buffered lba %d: %w", d.profile.Name, l, err)
 		}
 		copy(dst, data)
-	} else {
-		tag, tagged, err := d.ftl.ReadPageTaggedInto(w, l, dst)
-		if err == nil && tagged {
-			err = integrity.Check(dst, tag)
-		}
-		if err != nil {
-			return fmt.Errorf("%s: lba %d: %w", d.profile.Name, l, err)
-		}
+	} else if err := d.ftl.ReadPageInto(w, l, dst); err != nil {
+		return fmt.Errorf("%s: lba %d: %w", d.profile.Name, l, err)
 	}
 	d.pcieXfer(w, len(dst))
 	return nil
@@ -554,7 +548,7 @@ func (d *Device) WritePages(p *sim.Proc, lba ftl.LBA, data []byte) error {
 		// The integrity tag is born here — the block path's host
 		// boundary — and rides with the page to NAND and back.
 		tag := integrity.PageCRC(page)
-		if d.enqueue(lba+ftl.LBA(i), taggedPage{data: page, tag: tag}) {
+		if d.enqueue(lba+ftl.LBA(i), bufPage{data: page, tag: tag}) {
 			// One entry, one drain worker: a broadcast would resume every
 			// idle worker to find the entry already popped.
 			d.bufWork.FireOne()
@@ -605,7 +599,7 @@ func (d *Device) Drain(p *sim.Proc) error {
 // per LBA (the real write buffer's behaviour — and exactly how repeated
 // partial log-page writes are absorbed); otherwise lba takes the ring's
 // next slot and enqueue reports true. The caller has made room.
-func (d *Device) enqueue(lba ftl.LBA, pg taggedPage) bool {
+func (d *Device) enqueue(lba ftl.LBA, pg bufPage) bool {
 	b := d.lbaBufFor(lba)
 	if b.queued {
 		d.putPage(b.buffered.data) // no reader holds it across a yield
@@ -631,7 +625,7 @@ func (d *Device) drainLoop(p *sim.Proc) {
 		d.queued--
 		b := d.byLBA[lba]
 		ent := b.buffered
-		b.queued, b.buffered = false, taggedPage{}
+		b.queued, b.buffered = false, bufPage{}
 		d.inflight++
 		d.bufSpace.Fire()
 		ticket := len(b.inflight)
@@ -646,7 +640,7 @@ func (d *Device) drainLoop(p *sim.Proc) {
 			panic(fmt.Sprintf("%s: drain write failed: %v", d.profile.Name, err))
 		}
 		sp.End()
-		b.inflight[ticket] = taggedPage{}
+		b.inflight[ticket] = bufPage{}
 		d.putPage(ent.data) // NAND holds its own copy now
 		if b.landed++; b.landed == len(b.inflight) {
 			// Nothing waits on a ticket: the tickets start over.

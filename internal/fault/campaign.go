@@ -182,12 +182,12 @@ func (c *Campaign) prepare() error {
 		}
 	}
 	perClass := (c.Points + len(classes) - 1) / len(classes)
-	jit := splitmix64{s: c.Seed ^ 0x2B55D001}
+	jit := sim.NewRand(c.Seed ^ 0x2B55D001)
 	c.specs = make([]Trigger, c.Points)
 	for i := range c.specs {
 		cl := classes[i%len(classes)]
 		j := i / len(classes)
-		frac := (float64(j) + jit.float()) / float64(perClass)
+		frac := (float64(j) + jit.Float()) / float64(perClass)
 		if frac >= 1 {
 			frac = 0.999999
 		}

@@ -91,9 +91,6 @@ type Trigger struct {
 	N  uint64   // ...when N > 0
 }
 
-// Active reports whether the trigger can ever fire.
-func (t Trigger) Active() bool { return t.At > 0 || t.N > 0 }
-
 // String renders the trigger for deterministic reports.
 func (t Trigger) String() string {
 	switch {
@@ -180,23 +177,6 @@ type ReadDisturb struct {
 	Uncorrectable bool         // still failing after all retries
 }
 
-// splitmix64 is the per-stream PRNG (Steele et al.); tiny, fast and
-// plenty for fault decisions, with no dependency beyond the stdlib.
-type splitmix64 struct{ s uint64 }
-
-func (r *splitmix64) next() uint64 {
-	r.s += 0x9E3779B97F4A7C15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-// float returns a uniform float64 in [0, 1).
-func (r *splitmix64) float() float64 {
-	return float64(r.next()>>11) / float64(uint64(1)<<53)
-}
-
 // Injector is the per-environment fault engine. A nil *Injector is the
 // disabled state: every method is a no-op that allocates nothing, so
 // datapaths call hooks unconditionally on their cached pointer.
@@ -206,7 +186,7 @@ type Injector struct {
 
 	// Independent streams per fault class so enabling one class never
 	// shifts another's sequence.
-	rngRead, rngProg, rngErase, rngTimeout splitmix64
+	rngRead, rngProg, rngErase, rngTimeout sim.Rand
 
 	counts  [numEvents]uint64
 	armed   bool
@@ -232,10 +212,10 @@ func Install(env *sim.Env, plan Plan) *Injector {
 		plan.TimeoutDelay = 100 * sim.Microsecond
 	}
 	in := &Injector{env: env, plan: plan, armed: true}
-	in.rngRead.s = plan.Seed ^ 0xA5A5A5A5A5A5A5A5
-	in.rngProg.s = plan.Seed ^ 0x0F0F0F0F0F0F0F0F
-	in.rngErase.s = plan.Seed ^ 0x3C3C3C3C3C3C3C3C
-	in.rngTimeout.s = plan.Seed ^ 0xC3C3C3C3C3C3C3C3
+	in.rngRead = sim.NewRand(plan.Seed ^ 0xA5A5A5A5A5A5A5A5)
+	in.rngProg = sim.NewRand(plan.Seed ^ 0x0F0F0F0F0F0F0F0F)
+	in.rngErase = sim.NewRand(plan.Seed ^ 0x3C3C3C3C3C3C3C3C)
+	in.rngTimeout = sim.NewRand(plan.Seed ^ 0xC3C3C3C3C3C3C3C3)
 	reg := obs.Of(env).Registry()
 	in.cTrips = reg.Counter("fault.trips")
 	in.cRetries = reg.Counter("fault.ecc_retries")
@@ -342,7 +322,7 @@ func (in *Injector) ReadFault(pageBytes, eraseCount int, age sim.Duration) ReadD
 	ber := m.Base * (1 + m.PECycleGrowth*float64(eraseCount)) * (1 + m.RetentionPerHour*hours)
 	lambda := ber * float64(pageBytes) * 8
 	errs := int(lambda)
-	if in.rngRead.float() < lambda-float64(errs) {
+	if in.rngRead.Float() < lambda-float64(errs) {
 		errs++
 	}
 	if errs <= m.ECCBits {
@@ -367,7 +347,7 @@ func (in *Injector) ProgramFault() bool {
 	if in == nil || in.plan.ProgramFailOneIn == 0 {
 		return false
 	}
-	if in.rngProg.next()%in.plan.ProgramFailOneIn != 0 {
+	if in.rngProg.Uint64()%in.plan.ProgramFailOneIn != 0 {
 		return false
 	}
 	in.cProgFail.Inc()
@@ -380,7 +360,7 @@ func (in *Injector) EraseFault() bool {
 	if in == nil || in.plan.EraseFailOneIn == 0 {
 		return false
 	}
-	if in.rngErase.next()%in.plan.EraseFailOneIn != 0 {
+	if in.rngErase.Uint64()%in.plan.EraseFailOneIn != 0 {
 		return false
 	}
 	in.cEraseFail.Inc()
@@ -395,10 +375,10 @@ func (in *Injector) Timeouts() (n int, delay sim.Duration) {
 	if in == nil || in.plan.TimeoutOneIn == 0 {
 		return 0, 0
 	}
-	if in.rngTimeout.next()%in.plan.TimeoutOneIn != 0 {
+	if in.rngTimeout.Uint64()%in.plan.TimeoutOneIn != 0 {
 		return 0, 0
 	}
-	n = 1 + int(in.rngTimeout.next()%uint64(in.plan.TimeoutMaxRetries))
+	n = 1 + int(in.rngTimeout.Uint64()%uint64(in.plan.TimeoutMaxRetries))
 	in.cTimeout.Add(uint64(n))
 	return n, in.plan.TimeoutDelay
 }

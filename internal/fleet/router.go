@@ -5,6 +5,8 @@ package fleet
 import (
 	"fmt"
 	"hash/fnv"
+
+	"twobssd/internal/sim"
 )
 
 // Policy selects the placement function.
@@ -63,14 +65,11 @@ func (r *Router) Devices() int { return r.n }
 func (r *Router) Policy() Policy { return r.policy }
 
 // score is the rendezvous weight of (tenant, device): an FNV-1a hash
-// of the tenant name whitened per device through splitmix64.
+// of the tenant name whitened per device through splitmix64's mixer.
 func score(tenant string, device int) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(tenant))
-	s := h.Sum64() ^ (uint64(device)+1)*0x9E3779B97F4A7C15
-	s = (s ^ (s >> 30)) * 0xBF58476D1CE4E5B9
-	s = (s ^ (s >> 27)) * 0x94D049BB133111EB
-	return s ^ (s >> 31)
+	return sim.Mix64(h.Sum64() ^ (uint64(device)+1)*0x9E3779B97F4A7C15)
 }
 
 // Place assigns tenant idx (of total tenants) with the given name.

@@ -37,7 +37,7 @@ func TestSupersededPagesHoldNoBytes(t *testing.T) {
 					continue
 				}
 				data := version(lba, round)
-				if err := f.WritePageTagged(p, lba, data, uint32(round+1)); err != nil {
+				if err := f.WritePage(p, lba, data); err != nil {
 					t.Fatal(err)
 				}
 				live[lba] = data
@@ -80,9 +80,6 @@ func TestSupersededPagesHoldNoBytes(t *testing.T) {
 		}
 		if !bytes.Equal(f.flash.PeekPage(ppa), zero) {
 			t.Errorf("superseded ppa %d still holds bytes", ppa)
-		}
-		if _, tagged := f.flash.PeekTag(ppa); tagged {
-			t.Errorf("superseded ppa %d still holds a tag", ppa)
 		}
 		if f.flash.CorruptPage(ppa, 1) {
 			t.Errorf("CorruptPage found bytes at superseded ppa %d", ppa)
@@ -178,7 +175,7 @@ func TestLostRaceCopyHoldsNoBytes(t *testing.T) {
 		// Die d's block holds LBAs d, d+4, d+8, ... in page order, every
 		// page valid and tagged.
 		for i := 0; i < fc.Dies()*fc.PagesPerBlock; i++ {
-			if err := f.WritePageTagged(p, LBA(i), []byte{byte(i + 1)}, uint32(i+1)); err != nil {
+			if err := f.WritePage(p, LBA(i), []byte{byte(i + 1)}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -186,7 +183,7 @@ func TestLostRaceCopyHoldsNoBytes(t *testing.T) {
 		f.nextDie = 1 // the host write programs on die 1; the run lands on idle die 0
 		e.Go("writer", func(q *sim.Proc) {
 			q.Sleep(readRun + sim.Microsecond)
-			if err := f.WritePageTagged(q, lba, []byte{0xEE}, 0xEE); err != nil {
+			if err := f.WritePage(q, lba, []byte{0xEE}); err != nil {
 				t.Error(err)
 			}
 			written = e.Now()
@@ -223,9 +220,6 @@ func TestLostRaceCopyHoldsNoBytes(t *testing.T) {
 	}
 	if !bytes.Equal(f.flash.PeekPage(dst), make([]byte, f.PageSize())) {
 		t.Errorf("the lost copy at ppa %d holds bytes", dst)
-	}
-	if _, tagged := f.flash.PeekTag(dst); tagged {
-		t.Errorf("the lost copy at ppa %d holds a tag", dst)
 	}
 	if f.flash.CorruptPage(dst, 1) {
 		t.Errorf("CorruptPage found bytes at the lost copy, ppa %d", dst)

@@ -3,6 +3,12 @@
 // garbage collection, over-provisioning and write-amplification
 // accounting.
 //
+// Every page the FTL maps carries the integrity CRC of its bytes out of
+// band (package integrity): WritePage computes it, WritePageTagged takes
+// the one computed where the page crossed the host boundary, relocation
+// moves it with the page, and ReadPageInto checks it. Layers above read
+// flash pages through the FTL and do not check them again.
+//
 // The FTL is the substrate behind every block device in this
 // repository; its WAF counters are what make the paper's
 // "BA-WAL reduces write amplification" claim (Section IV-A) measurable
@@ -17,6 +23,7 @@ import (
 
 	"twobssd/internal/fault"
 	"twobssd/internal/histo"
+	"twobssd/internal/integrity"
 	"twobssd/internal/nand"
 	"twobssd/internal/obs"
 	"twobssd/internal/sim"
@@ -376,32 +383,21 @@ func (f *FTL) invalidate(ppa nand.PPA) {
 	}
 }
 
-// program issues one page program, carrying the optional out-of-band
-// integrity tag into the flash spare area.
-func (f *FTL) program(p *sim.Proc, ppa nand.PPA, data []byte, tag uint32, tagged bool) error {
-	if tagged {
-		return f.flash.ProgramPageTagged(p, ppa, data, tag)
-	}
-	return f.flash.ProgramPage(p, ppa, data)
-}
-
-// WritePage writes one logical page out of place. The data may be
-// shorter than a page (zero padded by the flash layer). A program
-// failure (injected grown defect) retires the block — evacuating its
-// valid pages — and retries on another block, so callers above the FTL
-// never see transient NAND program errors.
+// WritePage writes one logical page out of place. Its integrity tag is
+// the CRC of the page as the flash stores it: the data may be shorter
+// than a page, zero padded by the flash layer and so for the CRC.
 func (f *FTL) WritePage(p *sim.Proc, lba LBA, data []byte) error {
-	return f.writePage(p, lba, data, 0, false)
+	return f.WritePageTagged(p, lba, data, integrity.PaddedCRC(data, f.PageSize()))
 }
 
-// WritePageTagged is WritePage plus a host-boundary integrity tag that
-// rides out of band with the page through NAND, garbage collection and
-// block retirement, and comes back on every read path.
+// WritePageTagged is WritePage with the integrity tag computed by the
+// caller where the page crossed the host boundary: the CRC of the page
+// as stored. The tag rides out of band with the page through NAND,
+// garbage collection and block retirement, and ReadPageInto checks it.
+// A program failure (injected grown defect) retires the block —
+// evacuating its valid pages — and retries on another block, so callers
+// above the FTL never see transient NAND program errors.
 func (f *FTL) WritePageTagged(p *sim.Proc, lba LBA, data []byte, tag uint32) error {
-	return f.writePage(p, lba, data, tag, true)
-}
-
-func (f *FTL) writePage(p *sim.Proc, lba LBA, data []byte, tag uint32, tagged bool) error {
 	if err := f.checkLBA(lba); err != nil {
 		return err
 	}
@@ -418,7 +414,7 @@ func (f *FTL) writePage(p *sim.Proc, lba LBA, data []byte, tag uint32, tagged bo
 			f.dieLocks[die].Release()
 			return err
 		}
-		err = f.program(p, ppa, data, tag, tagged)
+		err = f.flash.ProgramPageTagged(p, ppa, data, tag)
 		f.dieLocks[die].Release()
 		if err == nil {
 			if old, ok := f.lookup(lba); ok {
@@ -448,62 +444,57 @@ func (f *FTL) writePage(p *sim.Proc, lba LBA, data []byte, tag uint32, tagged bo
 	}
 }
 
-// ReadPage reads one logical page. Unmapped pages return zeroes without
-// touching flash (the controller answers from the map). An
-// uncorrectable read (injected BER beyond the ECC budget) is absorbed
-// here: the firmware salvages the raw page, relocates the block's
-// valid pages elsewhere and retires it via MarkBad — the host sees the
-// data, plus the latency of the rescue.
+// ReadPage reads one logical page into a fresh buffer (see
+// ReadPageInto).
 func (f *FTL) ReadPage(p *sim.Proc, lba LBA) ([]byte, error) {
-	data, _, _, err := f.ReadPageTagged(p, lba)
-	return data, err
-}
-
-// ReadPageTagged is ReadPage plus the page's out-of-band integrity tag.
-// tagged is false for unmapped pages and for pages written through the
-// untagged WritePage path.
-func (f *FTL) ReadPageTagged(p *sim.Proc, lba LBA) (data []byte, tag uint32, tagged bool, err error) {
 	out := make([]byte, f.PageSize())
-	tag, tagged, err = f.ReadPageTaggedInto(p, lba, out)
-	if err != nil {
-		return nil, 0, false, err
+	if err := f.ReadPageInto(p, lba, out); err != nil {
+		return nil, err
 	}
-	return out, tag, tagged, nil
+	return out, nil
 }
 
-// ReadPageTaggedInto is ReadPageTagged reading into a caller-provided
-// buffer of at least PageSize bytes. Device-level read fan-out uses it
-// to land pages directly in the host buffer with zero copies or
-// allocations on the fault-free path.
-func (f *FTL) ReadPageTaggedInto(p *sim.Proc, lba LBA, dst []byte) (tag uint32, tagged bool, err error) {
+// ReadPageInto reads one logical page into a caller-provided buffer of
+// at least PageSize bytes, so device-level read fan-out lands pages
+// directly in the host buffer with zero copies or allocations on the
+// fault-free path. Unmapped pages return zeroes without touching flash
+// (the controller answers from the map). An uncorrectable read
+// (injected BER beyond the ECC budget) is absorbed here: the firmware
+// salvages the raw page, relocates the block's valid pages elsewhere
+// and retires it via MarkBad — the host sees the data, plus the latency
+// of the rescue. Every mapped page is checked against the integrity tag
+// it was written with, the salvaged one included; a mismatch is an
+// error wrapping integrity.ErrPageCorrupt.
+func (f *FTL) ReadPageInto(p *sim.Proc, lba LBA, dst []byte) error {
 	if err := f.checkLBA(lba); err != nil {
-		return 0, false, err
+		return err
 	}
 	f.cHostReads.Inc()
+	dst = dst[:f.PageSize()]
 	ppa, ok := f.lookup(lba)
 	if !ok {
-		dst = dst[:f.PageSize()]
-		for i := range dst {
-			dst[i] = 0
-		}
-		return 0, false, nil
+		clear(dst)
+		return nil
 	}
-	tag, tagged, _, err = f.flash.ReadPageTaggedInto(p, ppa, dst)
+	tag, _, err := f.flash.ReadPageInto(p, ppa, dst)
 	if err != nil {
 		if !errors.Is(err, nand.ErrUncorrectable) {
-			return 0, false, err
+			return err
 		}
 		// dst and tag already hold the page as the read found it: the
 		// LBA may have been overwritten — and the page discarded — while
 		// the retries ran, so the salvage charges its time and no more.
 		if err := f.flash.SalvageRead(p, ppa); err != nil {
-			return 0, false, err
+			return err
 		}
 		if rerr := f.retireBlock(p, f.flash.Config().BlockOf(ppa)); rerr != nil {
-			return 0, false, fmt.Errorf("ftl: retire after uncorrectable read: %w", rerr)
+			return fmt.Errorf("ftl: retire after uncorrectable read: %w", rerr)
 		}
 	}
-	return tag, tagged, nil
+	if err := integrity.Check(dst, tag); err != nil {
+		return fmt.Errorf("ftl: lba %d: %w", lba, err)
+	}
+	return nil
 }
 
 // Trim invalidates a logical page without writing.
@@ -918,8 +909,7 @@ type ScrubResult struct {
 	Salvaged bool   // page was uncorrectable; raw salvage + block retirement ran
 	Repaired bool   // page was rewritten to a fresh location
 	Data     []byte // page contents as read (post-correction)
-	Tag      uint32 // out-of-band integrity tag, if Tagged
-	Tagged   bool
+	Corrupt  bool   // contents no longer match the page's integrity tag
 }
 
 // ScrubPage patrol-reads one logical page on behalf of the background
@@ -929,7 +919,8 @@ type ScrubResult struct {
 // an already-uncorrectable page takes the salvage + retire path. The
 // rewrite is guarded against concurrent host writes and GC: it only
 // rebinds the mapping if the LBA still points at the physical page the
-// patrol read, and counts as a NAND write, not a host write.
+// patrol read, and counts as a NAND write, not a host write. A page
+// whose contents fail their integrity check is reported Corrupt.
 func (f *FTL) ScrubPage(p *sim.Proc, lba LBA) (ScrubResult, error) {
 	var r ScrubResult
 	if err := f.checkLBA(lba); err != nil {
@@ -941,12 +932,13 @@ func (f *FTL) ScrubPage(p *sim.Proc, lba LBA) (ScrubResult, error) {
 	}
 	r.Mapped = true
 	data := make([]byte, f.PageSize())
-	tag, tagged, retries, err := f.flash.ReadPageTaggedInto(p, ppa, data)
+	tag, retries, err := f.flash.ReadPageInto(p, ppa, data)
+	if err != nil && !errors.Is(err, nand.ErrUncorrectable) {
+		return r, err
+	}
+	r.Data, r.Corrupt = data, integrity.Check(data, tag) != nil
 	if err != nil {
-		if !errors.Is(err, nand.ErrUncorrectable) {
-			return r, err
-		}
-		// As in ReadPageTaggedInto: keep what the read captured.
+		// As in ReadPageInto: keep what the read captured.
 		if err := f.flash.SalvageRead(p, ppa); err != nil {
 			return r, err
 		}
@@ -956,11 +948,9 @@ func (f *FTL) ScrubPage(p *sim.Proc, lba LBA) (ScrubResult, error) {
 			return r, fmt.Errorf("ftl: scrub retire: %w", rerr)
 		}
 		r.Salvaged, r.Repaired = true, true
-		r.Data, r.Tag, r.Tagged = data, tag, tagged
 		return r, nil
 	}
 	r.Retries = retries
-	r.Data, r.Tag, r.Tagged = data, tag, tagged
 	if retries == 0 {
 		return r, nil
 	}

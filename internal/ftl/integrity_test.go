@@ -2,6 +2,7 @@ package ftl
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"twobssd/internal/integrity"
@@ -10,7 +11,7 @@ import (
 
 // TestTagsSurviveGC writes tagged pages, churns the FTL hard enough to
 // force garbage collection (and hence relocation), and checks every
-// page still reads back with its original tag intact and matching.
+// page still reads back — through the check against its original tag.
 func TestTagsSurviveGC(t *testing.T) {
 	e := sim.NewEnv()
 	f := newTestFTL(e)
@@ -32,15 +33,9 @@ func TestTagsSurviveGC(t *testing.T) {
 			t.Fatal("workload did not trigger GC; test proves nothing")
 		}
 		for lba, data := range want {
-			got, tag, tagged, err := f.ReadPageTagged(p, lba)
+			got, err := f.ReadPage(p, lba)
 			if err != nil {
 				t.Fatalf("read %d: %v", lba, err)
-			}
-			if !tagged {
-				t.Fatalf("lba %d lost its tag across GC", lba)
-			}
-			if err := integrity.Check(got, tag); err != nil {
-				t.Fatalf("lba %d: %v", lba, err)
 			}
 			if !bytes.Equal(got, data) {
 				t.Fatalf("lba %d content mismatch", lba)
@@ -50,34 +45,38 @@ func TestTagsSurviveGC(t *testing.T) {
 	e.Run()
 }
 
-// TestUntaggedWritesStayUntagged checks the legacy WritePage path does
-// not invent tags (so pre-integrity images keep working unverified).
-func TestUntaggedWritesStayUntagged(t *testing.T) {
+// TestWritePageIsChecked writes a short page through WritePage, which
+// tags it with the CRC of the zero-padded page: it reads back clean,
+// and once its bytes are flipped under the FTL's feet the read fails
+// the check. An unmapped LBA reads zeroes with nothing to check.
+func TestWritePageIsChecked(t *testing.T) {
 	e := sim.NewEnv()
 	f := newTestFTL(e)
 	e.Go("t", func(p *sim.Proc) {
 		if err := f.WritePage(p, 5, []byte("plain")); err != nil {
 			t.Fatalf("write: %v", err)
 		}
-		_, _, tagged, err := f.ReadPageTagged(p, 5)
-		if err != nil {
-			t.Fatalf("read: %v", err)
+		got, err := f.ReadPage(p, 5)
+		if err != nil || !bytes.HasPrefix(got, []byte("plain")) {
+			t.Fatalf("read = %q, %v", got[:5], err)
 		}
-		if tagged {
-			t.Fatal("untagged write came back tagged")
+		ppa, _ := f.PPAOf(5)
+		if !f.flash.CorruptPage(ppa, 1) {
+			t.Fatal("CorruptPage found no stored image")
 		}
-		// Unmapped pages are also untagged.
-		_, _, tagged, err = f.ReadPageTagged(p, 6)
-		if err != nil || tagged {
-			t.Fatalf("unmapped read: tagged=%v err=%v", tagged, err)
+		if _, err := f.ReadPage(p, 5); !errors.Is(err, integrity.ErrPageCorrupt) {
+			t.Fatalf("read of a corrupted page = %v, want ErrPageCorrupt", err)
+		}
+		if got, err := f.ReadPage(p, 6); err != nil || !bytes.Equal(got, make([]byte, f.PageSize())) {
+			t.Fatalf("unmapped read: %v", err)
 		}
 	})
 	e.Run()
 }
 
 // TestCorruptionBreaksTagMatch flips bits under the FTL's feet and
-// checks the tag no longer matches — the detection the upper layers
-// rely on.
+// checks that a read and a patrol read both catch it — the detection
+// the upper layers rely on.
 func TestCorruptionBreaksTagMatch(t *testing.T) {
 	e := sim.NewEnv()
 	f := newTestFTL(e)
@@ -93,12 +92,12 @@ func TestCorruptionBreaksTagMatch(t *testing.T) {
 		if !f.flash.CorruptPage(ppa, 2) {
 			t.Fatal("CorruptPage found no stored image")
 		}
-		got, tag, tagged, err := f.ReadPageTagged(p, 9)
-		if err != nil || !tagged {
-			t.Fatalf("read: tagged=%v err=%v", tagged, err)
+		dst := make([]byte, f.PageSize())
+		if err := f.ReadPageInto(p, 9, dst); !errors.Is(err, integrity.ErrPageCorrupt) {
+			t.Fatalf("read of a corrupted page = %v, want ErrPageCorrupt", err)
 		}
-		if integrity.Check(got, tag) == nil {
-			t.Fatal("corrupted page still matched its tag")
+		if r, err := f.ScrubPage(p, 9); err != nil || !r.Corrupt {
+			t.Fatalf("scrub of a corrupted page = %+v, %v", r, err)
 		}
 	})
 	e.Run()
@@ -120,7 +119,7 @@ func TestScrubPageRewritesOnRetries(t *testing.T) {
 		if err != nil {
 			t.Fatalf("scrub: %v", err)
 		}
-		if !r.Mapped || r.Repaired || r.Retries != 0 {
+		if !r.Mapped || r.Repaired || r.Retries != 0 || r.Corrupt {
 			t.Fatalf("clean page scrub = %+v", r)
 		}
 		if after, _ := f.PPAOf(4); after != before {
@@ -159,15 +158,9 @@ func TestTagsSurviveRetirement(t *testing.T) {
 			t.Fatalf("retire: %v", err)
 		}
 		for i, lba := range lbas {
-			got, tag, tagged, err := f.ReadPageTagged(p, lba)
+			got, err := f.ReadPage(p, lba)
 			if err != nil {
 				t.Fatalf("read %d: %v", lba, err)
-			}
-			if !tagged {
-				t.Fatalf("lba %d lost its tag across retirement", lba)
-			}
-			if err := integrity.Check(got, tag); err != nil {
-				t.Fatalf("lba %d: %v", lba, err)
 			}
 			if got[0] != byte(0xC0+i) {
 				t.Fatalf("lba %d content = %x", lba, got[0])

@@ -6,10 +6,14 @@
 // datapath, the post-crash restore and the background scrubber — can
 // verify that no layer in between silently corrupted the page.
 //
-// The tag is opaque to ftl and nand (they only carry it next to the
-// page, the way real NAND carries host metadata in the page's spare
-// area); only the layers that own the host boundary compute and check
-// it, all through this package so both datapaths agree on the scheme.
+// The tag is opaque to nand, which only carries it next to the page,
+// the way real NAND carries host metadata in the page's spare area.
+// Every page the FTL maps carries one (ftl.WritePage computes it when
+// the caller did not), and the FTL's read is where a mapped page is
+// checked. The other checks are of pages that do not come through the
+// FTL: the device's write-buffer copies and the recovery dump, which
+// the recovery manager reads from nand directly. All of them go through
+// this package so both datapaths agree on the scheme.
 package integrity
 
 import (
@@ -31,6 +35,19 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // PageCRC computes the integrity tag of one page image.
 func PageCRC(data []byte) uint32 {
 	return crc32.Checksum(data, castagnoli)
+}
+
+// zeros is the padding PaddedCRC feeds the checksum.
+var zeros [4096]byte
+
+// PaddedCRC is PageCRC of data zero-padded to size bytes — the tag of a
+// short write as the flash stores it — without building the padded page.
+func PaddedCRC(data []byte, size int) uint32 {
+	crc := PageCRC(data)
+	for n := size - len(data); n > 0; n -= len(zeros) {
+		crc = crc32.Update(crc, castagnoli, zeros[:min(n, len(zeros))])
+	}
+	return crc
 }
 
 // Check verifies data against the tag recorded when the page crossed

@@ -34,3 +34,13 @@ func TestPageCRCIsContentOnly(t *testing.T) {
 		t.Fatal("reordered contents produced the same tag")
 	}
 }
+
+func TestPaddedCRCIsTheCRCOfThePaddedPage(t *testing.T) {
+	for _, size := range []int{3, 4096, 9000} {
+		page := make([]byte, size)
+		copy(page, "abc")
+		if got, want := PaddedCRC([]byte("abc"), size), PageCRC(page); got != want {
+			t.Errorf("size %d: PaddedCRC %08x, CRC of the padded page %08x", size, got, want)
+		}
+	}
+}

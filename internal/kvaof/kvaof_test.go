@@ -223,31 +223,33 @@ func TestSingleThreadedSerialization(t *testing.T) {
 	// is at least the sum of individual command times.
 	r := newRig()
 	var s *Store
+	var busy0, inSet sim.Duration
 	r.env.Go("setup", func(p *sim.Proc) {
 		var err error
 		s, err = Open(r.env, p, r.config(wal.BA))
 		if err != nil {
 			t.Fatal(err)
 		}
+		busy0 = s.loop.Busy()
 		for c := 0; c < 4; c++ {
 			c := c
 			r.env.Go("client", func(p *sim.Proc) {
 				for i := 0; i < 10; i++ {
+					t0 := r.env.Now()
 					s.Set(p, []byte(fmt.Sprintf("c%d-%d", c, i)), []byte("v"))
+					inSet += sim.Duration(r.env.Now() - t0)
 				}
 			})
 		}
 	})
 	r.env.Run()
-	acq, waited, _, _ := 0, 0, 0, 0
-	_ = acq
-	_ = waited
 	if s.Len() != 40 {
 		t.Fatalf("len = %d", s.Len())
 	}
-	a, w, _, _ := s.loop.Stats()
-	if a == 0 || w == 0 {
-		t.Fatalf("expected contention on the command loop (acq=%d waited=%d)", a, w)
+	// A Set is a wait for the loop plus its hold of it: the clients
+	// spent longer in Set than the loop was held only if they waited.
+	if busy := s.loop.Busy() - busy0; busy == 0 || inSet <= busy {
+		t.Fatalf("expected contention on the command loop (%v in Set, loop held %v)", inSet, busy)
 	}
 }
 

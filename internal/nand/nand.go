@@ -160,20 +160,13 @@ type blockState struct {
 	pages      []page // by page index; made at the block's first program
 }
 
-// oobTag is the out-of-band metadata stored next to a page — the
-// simulated spare area. The flash layer never interprets the tag; it
-// carries whatever the host boundary computed (an integrity CRC in
-// this stack) so upper layers can verify pages end to end.
-type oobTag struct {
-	tag    uint32
-	tagged bool
-}
-
 // page is what a programmed page holds: its bytes (nil while it holds
-// none) and its spare area.
+// none) and one out-of-band word, the simulated spare area. The flash
+// layer never interprets the tag; it carries whatever the layer above
+// programmed (the FTL's integrity CRC in this stack).
 type page struct {
 	data []byte
-	oob  oobTag
+	tag  uint32
 }
 
 // Flash is a simulated NAND array bound to a sim.Env.
@@ -292,39 +285,32 @@ func (f *Flash) checkPPA(ppa PPA) error {
 // injector installed the read may take stepped ECC retry latency or
 // fail with ErrUncorrectable (wear- and retention-driven BER model).
 func (f *Flash) ReadPage(p *sim.Proc, ppa PPA) ([]byte, error) {
-	out, _, _, _, err := f.ReadPageTagged(p, ppa)
-	return out, err
+	out := make([]byte, f.cfg.PageSize)
+	if _, _, err := f.ReadPageInto(p, ppa, out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
-// ReadPageTagged is ReadPage plus the page's out-of-band tag (tagged
-// reports whether one was ever programmed) and the number of ECC
-// read-retry steps the read needed. retries > 0 means the page holds
+// ReadPageInto is ReadPage reading into a caller-provided buffer of at
+// least PageSize bytes, so hot read paths can recycle one destination
+// instead of allocating a page per read. It also returns the page's
+// out-of-band tag (0 for a page without bytes) and the number of ECC
+// read-retry steps the read needed: retries > 0 means the page holds
 // latent-but-correctable errors — the signal the background scrubber
 // acts on before wear or retention pushes the page past the ECC budget.
-func (f *Flash) ReadPageTagged(p *sim.Proc, ppa PPA) (data []byte, tag uint32, tagged bool, retries int, err error) {
-	out := make([]byte, f.cfg.PageSize)
-	tag, tagged, retries, err = f.ReadPageTaggedInto(p, ppa, out)
-	if err != nil {
-		return nil, 0, false, retries, err
-	}
-	return out, tag, tagged, retries, nil
-}
-
-// ReadPageTaggedInto is ReadPageTagged reading into a caller-provided
-// buffer of at least PageSize bytes, so hot read paths can recycle one
-// destination instead of allocating a page per read. dst and the tag
-// are filled even when the read fails ECC: they are what SalvageRead
-// recovers.
-func (f *Flash) ReadPageTaggedInto(p *sim.Proc, ppa PPA, dst []byte) (tag uint32, tagged bool, retries int, err error) {
+// dst and the tag are filled even when the read fails ECC: they are
+// what SalvageRead recovers.
+func (f *Flash) ReadPageInto(p *sim.Proc, ppa PPA, dst []byte) (tag uint32, retries int, err error) {
 	if err := f.checkPPA(ppa); err != nil {
-		return 0, false, 0, err
+		return 0, 0, err
 	}
-	tag, tagged = f.capture(ppa, dst)
+	tag = f.capture(ppa, dst)
 	f.readTimed(p, ppa)
 	if f.inj != nil {
 		retries, err = f.readFault(p, ppa)
 	}
-	return tag, tagged, retries, err
+	return tag, retries, err
 }
 
 // readFault asks the injector for the ECC verdict on a read of ppa at
@@ -349,7 +335,7 @@ func (f *Flash) readFault(p *sim.Proc, ppa PPA) (retries int, err error) {
 // SalvageRead is the FTL's last-resort re-read of a page whose read
 // failed ECC: full array/channel timing, no fault injection. The model
 // keeps page bytes intact, so the bytes and tag the failed read already
-// captured (ReadPageTaggedInto) are the page's data — a relocation run
+// captured (ReadPageInto) are the page's data — a relocation run
 // moves the page's own bytes (Move) — and salvage hands back nothing
 // new: a re-fetch after the retries could find the page discarded. The
 // realism is in the latency already paid on retries, this re-read's,
@@ -364,15 +350,15 @@ func (f *Flash) SalvageRead(p *sim.Proc, ppa PPA) error {
 
 // capture copies a page's stored bytes and out-of-band tag into dst —
 // the data half of a read, taken when the read is issued.
-func (f *Flash) capture(ppa PPA, dst []byte) (tag uint32, tagged bool) {
+func (f *Flash) capture(ppa PPA, dst []byte) uint32 {
 	dst = dst[:f.cfg.PageSize]
 	pg := f.stored(ppa)
 	if pg == nil {
 		clear(dst) // pages without bytes read as zeroes
-		return 0, false
+		return 0
 	}
 	copy(dst, pg.data)
-	return pg.oob.tag, pg.oob.tagged
+	return pg.tag
 }
 
 // stored is what a page holds, nil while it holds no bytes.
@@ -414,19 +400,15 @@ func (f *Flash) readTimed(p *sim.Proc, ppa PPA) {
 
 // ProgramPage transfers data over the channel and programs one page.
 // Data shorter than a page is zero-padded. Programming must follow the
-// block's sequential-page order on an erased block.
+// block's sequential-page order on an erased block. The page's tag is 0.
 func (f *Flash) ProgramPage(p *sim.Proc, ppa PPA, data []byte) error {
-	return f.programPage(p, ppa, data, oobTag{})
+	return f.ProgramPageTagged(p, ppa, data, 0)
 }
 
 // ProgramPageTagged is ProgramPage plus an out-of-band tag programmed
 // into the page's spare area alongside the data. The flash layer never
-// interprets the tag; ReadPageTagged hands it back on every read.
+// interprets the tag; ReadPageInto hands it back on every read.
 func (f *Flash) ProgramPageTagged(p *sim.Proc, ppa PPA, data []byte, tag uint32) error {
-	return f.programPage(p, ppa, data, oobTag{tag: tag, tagged: true})
-}
-
-func (f *Flash) programPage(p *sim.Proc, ppa PPA, data []byte, t oobTag) error {
 	if err := f.checkPPA(ppa); err != nil {
 		return err
 	}
@@ -469,7 +451,7 @@ func (f *Flash) programPage(p *sim.Proc, ppa PPA, data []byte, t oobTag) error {
 		stored = f.pageMem.Alloc(f.cfg.PageSize)[:f.cfg.PageSize]
 	}
 	clear(stored[copy(stored, data):]) // short writes are zero-padded
-	f.commit(blk, ppa, stored, t)
+	f.commit(blk, ppa, stored, tag)
 	f.hProgram.Observe(sim.Duration(f.env.Now() - start))
 	return nil
 }
@@ -478,12 +460,12 @@ func (f *Flash) programPage(p *sim.Proc, ppa PPA, data []byte, t oobTag) error {
 // advances, the page holds stored and its tag (no bytes for a copy-back
 // target, which Move fills), the program is counted and — with an
 // injector — stamped with its instant and ticked.
-func (f *Flash) commit(blk *blockState, ppa PPA, stored []byte, t oobTag) {
+func (f *Flash) commit(blk *blockState, ppa PPA, stored []byte, tag uint32) {
 	blk.nextPage++
 	if blk.pages == nil {
 		blk.pages = make([]page, f.cfg.PagesPerBlock)
 	}
-	blk.pages[uint64(ppa)%uint64(f.cfg.PagesPerBlock)] = page{data: stored, oob: t}
+	blk.pages[uint64(ppa)%uint64(f.cfg.PagesPerBlock)] = page{data: stored, tag: tag}
 	f.cPrograms.Inc()
 	f.cBytesWritten.Add(uint64(f.cfg.PageSize))
 	if f.inj != nil {
@@ -494,10 +476,8 @@ func (f *Flash) commit(blk *blockState, ppa PPA, stored []byte, t oobTag) {
 
 // RunPage is one page of a ReadRun.
 type RunPage struct {
-	PPA    PPA    // the page to read
-	Tag    uint32 // out-of-band tag, as ReadPageTagged carries it
-	Tagged bool
-	Err    error // ErrUncorrectable when this page failed ECC (injected)
+	PPA PPA   // the page to read
+	Err error // ErrUncorrectable when this page failed ECC (injected)
 }
 
 // ReadRun reads pages of one block — in any order, with gaps — as one
@@ -506,8 +486,7 @@ type RunPage struct {
 // ReadPage calls, for two kernel events instead of two per page, and
 // the page counters advance per page; the latency histogram is not fed
 // (it describes single-page operations). It is the read half of a
-// copy-back: every page's tag is taken when the run is issued, as a
-// single read's is, and its bytes stay in the array for Move. The
+// copy-back: every page's bytes and tag stay in the array for Move. The
 // relocation paths of the FTL move a victim's valid pages with it.
 //
 // With a fault injector installed and salvage false, the die hold steps
@@ -528,7 +507,6 @@ func (f *Flash) ReadRun(p *sim.Proc, pages []RunPage, salvage bool) error {
 			return fmt.Errorf("%w: run spans blocks %d and %d", ErrOutOfRange, blk, f.cfg.BlockOf(pages[i].PPA))
 		}
 		pages[i].Err = nil
-		pages[i].Tag, pages[i].Tagged = f.PeekTag(pages[i].PPA)
 	}
 	die := f.cfg.DieOf(pages[0].PPA)
 	ch := f.cfg.ChannelOf(die)
@@ -610,7 +588,7 @@ func (f *Flash) ProgramRun(p *sim.Proc, base PPA, n int) (int, error) {
 				break
 			}
 		}
-		f.commit(blk, base+PPA(done), nil, oobTag{})
+		f.commit(blk, base+PPA(done), nil, 0)
 	}
 	sp.End()
 	f.dies[die].Release()
@@ -717,15 +695,6 @@ func (f *Flash) PeekPage(ppa PPA) []byte {
 	out := make([]byte, f.cfg.PageSize)
 	f.capture(ppa, out)
 	return out
-}
-
-// PeekTag returns a page's out-of-band tag and whether one was
-// programmed — the verification-hook counterpart of PeekPage.
-func (f *Flash) PeekTag(ppa PPA) (uint32, bool) {
-	if pg := f.stored(ppa); pg != nil {
-		return pg.oob.tag, pg.oob.tagged
-	}
-	return 0, false
 }
 
 // CorruptPage flips the low bit of the first n stored bytes of a page —

@@ -18,10 +18,18 @@ func readRun(ppas ...PPA) []RunPage {
 	return pages
 }
 
+// peekTag is a page's out-of-band tag and whether the page holds bytes.
+func peekTag(f *Flash, ppa PPA) (uint32, bool) {
+	if pg := f.stored(ppa); pg != nil {
+		return pg.tag, true
+	}
+	return 0, false
+}
+
 // A run occupies die and channel exactly as long as that many
 // single-page operations, counts every page — and costs two kernel
 // events, not two per page. Its pages hold no bytes until Move hands
-// each its source's bytes and tag, and a read run takes the tags.
+// each its source's bytes and tag.
 func TestRunOccupancyCountersAndTags(t *testing.T) {
 	const n = 5
 	c := testConfig()
@@ -50,7 +58,7 @@ func TestRunOccupancyCountersAndTags(t *testing.T) {
 			t.Errorf("next programmable page = %d, want %d", np, n)
 		}
 		for i := 0; i < n; i++ {
-			if _, tagged := f.PeekTag(base + PPA(i)); tagged || f.CorruptPage(base+PPA(i), 1) {
+			if _, held := peekTag(f, base+PPA(i)); held || f.CorruptPage(base+PPA(i), 1) {
 				t.Fatalf("copy-back target %d holds a tag or bytes before its move", i)
 			}
 			f.Move(src+PPA(i), base+PPA(i))
@@ -67,16 +75,19 @@ func TestRunOccupancyCountersAndTags(t *testing.T) {
 		if ev := e.Events() - ev0; ev != 2 {
 			t.Errorf("read run cost %d events, want 2", ev)
 		}
-		for i, pg := range []int{4, 0, 2} {
-			if pages[i].Err != nil || !pages[i].Tagged || pages[i].Tag != uint32(pg+1) {
-				t.Errorf("page %d: tag %d tagged %v err %v", pg, pages[i].Tag, pages[i].Tagged, pages[i].Err)
+		for i := range pages {
+			if pages[i].Err != nil {
+				t.Errorf("page %d: err %v", pages[i].PPA, pages[i].Err)
 			}
 		}
 		for i := 0; i < n; i++ {
 			if got, want := f.PeekPage(base+PPA(i)), fill(i); !bytes.Equal(got[:len(want)], want) || got[len(want)] != 0 {
 				t.Errorf("page %d: wrong bytes after the move", i)
 			}
-			if _, tagged := f.PeekTag(src + PPA(i)); tagged || f.CorruptPage(src+PPA(i), 1) {
+			if tag, _ := peekTag(f, base+PPA(i)); tag != uint32(i+1) {
+				t.Errorf("page %d: tag %d after the move", i, tag)
+			}
+			if _, held := peekTag(f, src+PPA(i)); held || f.CorruptPage(src+PPA(i), 1) {
 				t.Errorf("source %d kept its tag or bytes after the move", i)
 			}
 		}
@@ -93,7 +104,7 @@ func TestRunOccupancyCountersAndTags(t *testing.T) {
 			t.Errorf("%s = %d, want %d", s.name, got, s.want)
 		}
 	}
-	if _, _, _, busy := f.dies[1].Stats(); busy != n*c.ProgramLatency+3*c.ReadLatency {
+	if busy := f.dies[1].Busy(); busy != n*c.ProgramLatency+3*c.ReadLatency {
 		t.Errorf("die busy %v", busy)
 	}
 }
@@ -226,14 +237,9 @@ func TestReadRunPerPageVerdicts(t *testing.T) {
 		if got, want := sim.Duration(e.Now()-t0), 3*(c.ReadLatency+c.TransferTime(c.PageSize))+2*60*sim.Microsecond; got != want {
 			t.Errorf("run with two retry steps took %v, want %v", got, want)
 		}
-		for i, pg := range pages {
-			if pg.Tag != uint32(i+1) || !pg.Tagged {
-				t.Errorf("page %d: tag %d tagged %v", i, pg.Tag, pg.Tagged)
-			}
-		}
 		t0 = e.Now()
-		if err := f.ReadRun(p, pages, true); err != nil || pages[0].Err != nil || pages[0].Tag != 1 {
-			t.Fatalf("salvage run: %v, page 0 err %v tag %d", err, pages[0].Err, pages[0].Tag)
+		if err := f.ReadRun(p, pages, true); err != nil || pages[0].Err != nil {
+			t.Fatalf("salvage run: %v, page 0 err %v", err, pages[0].Err)
 		}
 		if got, want := sim.Duration(e.Now()-t0), 3*(c.ReadLatency+c.TransferTime(c.PageSize)); got != want {
 			t.Errorf("salvage run took %v, want %v", got, want)

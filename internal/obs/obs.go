@@ -30,7 +30,10 @@
 //     merged report is one environment's reading, not a fleet total.
 //   - GaugeFuncs OVERWRITE like gauges. They are evaluated at
 //     snapshot/merge time in sorted name order, so callbacks with side
-//     effects observe a deterministic evaluation sequence.
+//     effects observe a deterministic evaluation sequence. When the
+//     environment shuts down they are evaluated one last time into
+//     plain gauges and dropped (Registry.freeze), so a collected set
+//     does not keep its environment's model alive.
 //
 // Beyond snapshots, the package provides virtual-time metric timelines
 // (timeline.go) and a bounded always-on flight recorder for post-mortem
@@ -133,6 +136,17 @@ func (r *Registry) Gauge(name string) *Gauge {
 // function (the newest component instance wins).
 func (r *Registry) GaugeFunc(name string, fn func() float64) {
 	r.gaugeFns[name] = fn
+}
+
+// freeze evaluates every gauge func once, in sorted name order, into a
+// plain gauge of the same name and drops the funcs: a registry read
+// after its environment shut down reports the same gauges without
+// keeping alive the components the funcs close over.
+func (r *Registry) freeze() {
+	for _, name := range sortedKeys(r.gaugeFns) {
+		r.Gauge(name).Set(r.gaugeFns[name]())
+	}
+	clear(r.gaugeFns)
 }
 
 // Histo returns the named latency histogram, creating it on first use.
@@ -302,6 +316,7 @@ func Of(env *sim.Env) *Set {
 	}
 	s := &Set{env: env, reg: NewRegistry()}
 	env.SetAttachment(s)
+	env.OnShutdown(s.reg.freeze)
 	if OnNewSet != nil {
 		OnNewSet(s)
 	}

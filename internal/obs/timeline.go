@@ -118,9 +118,6 @@ func (s *Set) StartSampler(interval sim.Duration, maxPoints int) *Sampler {
 // Sampler returns the set's sampler, or nil when sampling is off.
 func (s *Set) Sampler() *Sampler { return s.sampler }
 
-// Interval returns the sampling cadence.
-func (sm *Sampler) Interval() sim.Duration { return sm.interval }
-
 // Dropped reports how many points the ring capacity discarded.
 func (sm *Sampler) Dropped() uint64 { return sm.dropped }
 

@@ -159,29 +159,16 @@ type Result struct {
 	Flight *obs.FlightDump
 }
 
-// splitmix64 mirrors the fault injector's per-stream PRNG.
-type rng struct{ s uint64 }
-
-func (r *rng) next() uint64 {
-	r.s += 0x9E3779B97F4A7C15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
-
 // fillPattern writes a deterministic byte pattern derived from seed:
 // one PRNG word per 8 bytes, little-endian, the last word cut short.
 func fillPattern(dst []byte, seed uint64) {
-	r := rng{s: seed}
+	r := sim.NewRand(seed)
 	for len(dst) >= 8 {
-		binary.LittleEndian.PutUint64(dst, r.next())
+		binary.LittleEndian.PutUint64(dst, r.Uint64())
 		dst = dst[8:]
 	}
 	if len(dst) > 0 {
-		w := r.next()
+		w := r.Uint64()
 		for i := range dst {
 			dst[i] = byte(w >> (8 * i))
 		}
@@ -228,31 +215,31 @@ func Generate(seed uint64, cfg Config) []Op {
 	sc := stackConfig(cfg.GCActive)
 	ps := sc.Base.Nand.PageSize
 	bufPages := sc.BABufferBytes / ps
-	r := rng{s: seed*0x9E3779B97F4A7C15 + 1}
+	r := sim.NewRand(seed*0x9E3779B97F4A7C15 + 1)
 	// blockLBA draws a block-I/O address: anywhere on the span, or —
 	// every other draw of a GCActive trace — on its hot head.
 	blockLBA := func() ftl.LBA {
-		if cfg.GCActive && r.intn(2) == 0 {
-			return ftl.LBA(r.intn(hotSpan))
+		if cfg.GCActive && r.Intn(2) == 0 {
+			return ftl.LBA(r.Intn(hotSpan))
 		}
-		return ftl.LBA(r.intn(cfg.LBASpan))
+		return ftl.LBA(r.Intn(cfg.LBASpan))
 	}
 	ops := make([]Op, 0, cfg.Ops)
 	for i := 0; i < cfg.Ops; i++ {
 		var o Op
-		w := r.intn(100)
-		if cfg.GCActive && w < 20 && r.intn(2) == 0 {
+		w := r.Intn(100)
+		if cfg.GCActive && w < 20 && r.Intn(2) == 0 {
 			w = 60 // half the MMIO writes become block writes
 		}
 		switch {
 		case w < 20: // mmio write
-			o = Op{Kind: OpMmioWrite, Off: r.intn(sc.BABufferBytes), Len: 1 + r.intn(700), Seed: r.next()}
-			if o.Off+o.Len > sc.BABufferBytes && r.intn(4) != 0 {
+			o = Op{Kind: OpMmioWrite, Off: r.Intn(sc.BABufferBytes), Len: 1 + r.Intn(700), Seed: r.Uint64()}
+			if o.Off+o.Len > sc.BABufferBytes && r.Intn(4) != 0 {
 				o.Len = sc.BABufferBytes - o.Off // mostly in range; sometimes out-of-window
 			}
 		case w < 28: // mmio read
-			o = Op{Kind: OpMmioRead, Off: r.intn(sc.BABufferBytes), Len: 1 + r.intn(700)}
-			if o.Off+o.Len > sc.BABufferBytes && r.intn(4) != 0 {
+			o = Op{Kind: OpMmioRead, Off: r.Intn(sc.BABufferBytes), Len: 1 + r.Intn(700)}
+			if o.Off+o.Len > sc.BABufferBytes && r.Intn(4) != 0 {
 				o.Len = sc.BABufferBytes - o.Off
 			}
 		case w < 36: // mmio sync
@@ -260,25 +247,25 @@ func Generate(seed uint64, cfg Config) []Op {
 		case w < 48: // pin
 			o = Op{
 				Kind:  OpPin,
-				EID:   core.EID(r.intn(sc.MaxEntries + 1)), // +1: sometimes a bad EID
-				Off:   r.intn(bufPages) * ps,
-				LBA:   ftl.LBA(r.intn(min(cfg.LBASpan, hotSpan))),
-				Pages: 1 + r.intn(4),
+				EID:   core.EID(r.Intn(sc.MaxEntries + 1)), // +1: sometimes a bad EID
+				Off:   r.Intn(bufPages) * ps,
+				LBA:   ftl.LBA(r.Intn(min(cfg.LBASpan, hotSpan))),
+				Pages: 1 + r.Intn(4),
 			}
-			if r.intn(10) == 0 {
+			if r.Intn(10) == 0 {
 				o.Off++ // unaligned
 			}
-			if r.intn(16) == 0 {
+			if r.Intn(16) == 0 {
 				o.Off = sc.BABufferBytes // out of buffer
 			}
 		case w < 60: // flush
-			o = Op{Kind: OpFlush, EID: core.EID(r.intn(sc.MaxEntries + 1))}
+			o = Op{Kind: OpFlush, EID: core.EID(r.Intn(sc.MaxEntries + 1))}
 		case w < 75: // block write
-			o = Op{Kind: OpBlockWrite, LBA: blockLBA(), Pages: 1 + r.intn(4), Seed: r.next()}
+			o = Op{Kind: OpBlockWrite, LBA: blockLBA(), Pages: 1 + r.Intn(4), Seed: r.Uint64()}
 		case w < 87: // block read
-			o = Op{Kind: OpBlockRead, LBA: blockLBA(), Pages: 1 + r.intn(4)}
+			o = Op{Kind: OpBlockRead, LBA: blockLBA(), Pages: 1 + r.Intn(4)}
 		case w < 92: // read dma
-			o = Op{Kind: OpReadDMA, EID: core.EID(r.intn(sc.MaxEntries)), Len: 1 + r.intn(4*ps)}
+			o = Op{Kind: OpReadDMA, EID: core.EID(r.Intn(sc.MaxEntries)), Len: 1 + r.Intn(4*ps)}
 		case w < 95:
 			o = Op{Kind: OpPowerCycle}
 		case w < 98:
@@ -305,7 +292,7 @@ func Run(seed uint64, cfg Config) Result {
 func Replay(seed uint64, cfg Config, ops []Op) Result {
 	cfg = cfg.withDefaults()
 	env := sim.NewEnv()
-	in := fault.Install(env, fuzzPlan(seed))
+	fault.Install(env, fuzzPlan(seed))
 	set := obs.Of(env)
 	set.EnableFlightRecorder(0)
 	sc := stackConfig(cfg.GCActive)
@@ -343,7 +330,6 @@ func Replay(seed uint64, cfg Config, ops []Op) Result {
 		}
 	})
 	env.Run()
-	_ = in
 	reg := set.Registry()
 	res.ScrubRepairs = reg.Counter("scrub.repaired").Value()
 	res.GCRelocations = reg.Counter("ftl.gc_relocations").Value()
@@ -365,11 +351,11 @@ func precondition(p *sim.Proc, s *core.TwoBSSD, m *Model, seed uint64, span int)
 	if uint64(span) > s.Device().Pages() {
 		return &Divergence{Op: "precondition", Detail: fmt.Sprintf("span %d exceeds the drive's %d pages", span, s.Device().Pages())}
 	}
-	r := rng{s: seed ^ 0x6C0FFEE}
+	r := sim.NewRand(seed ^ 0x6C0FFEE)
 	data := make([]byte, burst*s.PageSize())
 	write := func(lba, pages int) *Divergence {
 		buf := data[:pages*s.PageSize()]
-		fillPattern(buf, r.next())
+		fillPattern(buf, r.Uint64())
 		if d := wantErr(s.Device().WritePages(p, ftl.LBA(lba), buf), m.BlockWrite(ftl.LBA(lba), buf)); d != nil {
 			d.Op = "precondition"
 			return d
@@ -382,7 +368,7 @@ func precondition(p *sim.Proc, s *core.TwoBSSD, m *Model, seed uint64, span int)
 		}
 	}
 	for i := 0; i < span/12; i++ {
-		if d := write(r.intn(span-4), 4); d != nil {
+		if d := write(r.Intn(span-4), 4); d != nil {
 			return d
 		}
 	}

@@ -3,6 +3,8 @@ package oracle
 import (
 	"strings"
 	"testing"
+
+	"twobssd/internal/sim"
 )
 
 // TestFuzzCleanSeeds is the oracle's main claim: the reference model
@@ -149,11 +151,11 @@ func TestGCActiveProfileCollects(t *testing.T) {
 // so every divergence it reports, depends on these bytes.
 func TestFillPatternMatchesByteLoop(t *testing.T) {
 	byteLoop := func(dst []byte, seed uint64) {
-		r := rng{s: seed}
+		r := sim.NewRand(seed)
 		var w uint64
 		for i := range dst {
 			if i%8 == 0 {
-				w = r.next()
+				w = r.Uint64()
 			}
 			dst[i] = byte(w >> (8 * (i % 8)))
 		}

@@ -130,8 +130,8 @@ func TestZeroDurationUse(t *testing.T) {
 	if r.InUse() != 0 {
 		t.Errorf("resource still held after Use: inUse=%d", r.InUse())
 	}
-	if _, waited, waitTotal, _ := r.Stats(); waited != 1 || waitTotal != 60 {
-		t.Errorf("stats: waited=%d waitTotal=%v, want 1/60", waited, waitTotal)
+	if busy := r.Busy(); busy != 100 {
+		t.Errorf("Busy = %v, want 100 (the zero-length holds add nothing)", busy)
 	}
 }
 

@@ -160,6 +160,9 @@ type Env struct {
 	// Run-end hooks fire each time Run returns normally (queue drained,
 	// no fault); the sampler uses one to flush a final partial window.
 	runEnd []func()
+
+	// Shutdown hooks fire once, when Shutdown has unwound the processes.
+	onShutdown []func()
 }
 
 // SetAttachment stores an opaque value on the environment (used by the
@@ -197,6 +200,12 @@ func (e *Env) SetTick(at Time, fn func(now Time) Time) {
 // Run's caller, when no process is executing — safe for publishing
 // final observability state.
 func (e *Env) OnRunEnd(fn func()) { e.runEnd = append(e.runEnd, fn) }
+
+// OnShutdown registers fn to run once when Shutdown tears the
+// environment down, after every process is unwound, in registration
+// order. The observability layer freezes its sampled gauges there, so
+// a report read later no longer needs — or keeps alive — the model.
+func (e *Env) OnShutdown(fn func()) { e.onShutdown = append(e.onShutdown, fn) }
 
 // Now returns the current virtual time: the time of the environment's
 // latest event (a Group member's clock trails the group's while others
@@ -533,7 +542,8 @@ func (e *Env) where() string {
 // coroutine ended, then the backing arrays are released. A spiky
 // experiment thus stops pinning peak memory once its results are read.
 // The environment is unusable afterwards; Shutdown is idempotent. On a
-// Group member it tears the whole group's kernel down.
+// Group member it tears the whole group's kernel down. The shutdown
+// hooks (OnShutdown) run last.
 func (e *Env) Shutdown() {
 	if e.k.running {
 		panic("sim: Shutdown from inside Run")
@@ -541,6 +551,11 @@ func (e *Env) Shutdown() {
 	e.tickFn = nil
 	e.runEnd = nil
 	e.k.shutdown()
+	hooks := e.onShutdown
+	e.onShutdown = nil
+	for _, fn := range hooks {
+		fn()
+	}
 }
 
 func (k *kernel) shutdown() {
@@ -616,9 +631,6 @@ func (p *Proc) Sleep(d Duration) {
 	p.park()
 }
 
-// Yield lets any other event scheduled for the current instant run first.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // block parks the process with no scheduled event; some other process
 // must unblock it. what describes the wait for deadlock diagnostics
 // (callers pass a precomputed label so parking does not allocate).
@@ -652,10 +664,7 @@ type Resource struct {
 	waiters []*Proc
 	whead   int
 
-	// Stats
-	acquires  uint64
-	waited    uint64
-	waitTotal Duration
+	// Occupancy, for Busy.
 	busyTotal Duration
 	lastBusy  Time
 }
@@ -685,17 +694,12 @@ func (e *Env) NewResources(names []string, capacity int) []Resource {
 
 // Acquire obtains one unit, waiting FIFO if none is free.
 func (r *Resource) Acquire(p *Proc) {
-	r.acquires++
 	if r.inUse < r.cap && r.whead == len(r.waiters) {
 		r.grab()
 		return
 	}
-	start := r.env.now
 	r.waiters = append(r.waiters, p)
-	p.block(r.label)
-	// Our unit was reserved for us by Release before unblocking.
-	r.waited++
-	r.waitTotal += Duration(r.env.now - start)
+	p.block(r.label) // Release reserved our unit for us before unblocking
 }
 
 func (r *Resource) grab() {
@@ -754,11 +758,6 @@ func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen reports the number of processes waiting.
 func (r *Resource) QueueLen() int { return len(r.waiters) - r.whead }
-
-// Stats reports acquisition counters for the resource.
-func (r *Resource) Stats() (acquires, waited uint64, waitTotal, busyTotal Duration) {
-	return r.acquires, r.waited, r.waitTotal, r.busyTotal
-}
 
 // Busy reports the cumulative time the resource has been non-idle,
 // including a still-open busy period — the numerator of an occupancy

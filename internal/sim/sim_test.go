@@ -262,25 +262,21 @@ func TestDurationString(t *testing.T) {
 	}
 }
 
+// Three holders of a capacity-1 resource queue FIFO: the second waits
+// 100 and the third 200, and the resource is busy for all 300.
 func TestResourceStats(t *testing.T) {
 	e := NewEnv()
 	r := e.NewResource("r", 1)
+	var took []Duration
 	for i := 0; i < 3; i++ {
-		e.Go("w", func(p *Proc) { r.Use(p, 100) })
+		e.Go("w", func(p *Proc) { took = append(took, r.Use(p, 100)) })
 	}
 	e.Run()
-	acq, waited, waitTotal, busy := r.Stats()
-	if acq != 3 {
-		t.Errorf("acquires = %d, want 3", acq)
+	if len(took) != 3 || took[0] != 100 || took[1] != 200 || took[2] != 300 {
+		t.Errorf("Use took %v, want [100 200 300]", took)
 	}
-	if waited != 2 {
-		t.Errorf("waited = %d, want 2", waited)
-	}
-	if waitTotal != 100+200 {
-		t.Errorf("waitTotal = %d, want 300", waitTotal)
-	}
-	if busy != 300 {
-		t.Errorf("busyTotal = %d, want 300", busy)
+	if busy := r.Busy(); busy != 300 {
+		t.Errorf("Busy = %d, want 300", busy)
 	}
 }
 

@@ -19,32 +19,10 @@ import (
 	"twobssd/internal/ycsb"
 )
 
-// Rand is a splitmix64 stream (Steele et al.) — the same tiny PRNG the
-// fault injector uses, kept local so traffic draws never perturb fault
-// streams.
-type Rand struct{ s uint64 }
-
-// NewRand seeds a stream.
-func NewRand(seed uint64) *Rand { return &Rand{s: seed} }
-
-// Uint64 returns the next raw draw.
-func (r *Rand) Uint64() uint64 {
-	r.s += 0x9E3779B97F4A7C15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-// Float returns a uniform float64 in [0, 1).
-func (r *Rand) Float() float64 {
-	return float64(r.Uint64()>>11) / float64(uint64(1)<<53)
-}
-
 // expGap draws an exponential interarrival gap for a rate in ops/sec
 // of virtual time. Rates at or below zero yield a 1s fallback gap so a
 // misconfigured process stalls visibly instead of dividing by zero.
-func expGap(r *Rand, ratePerSec float64) sim.Duration {
+func expGap(r *sim.Rand, ratePerSec float64) sim.Duration {
 	if ratePerSec <= 0 {
 		return sim.Second
 	}
@@ -63,14 +41,14 @@ func expGap(r *Rand, ratePerSec float64) sim.Duration {
 // the current virtual time it returns the gap to the next arrival.
 type Arrival interface {
 	Name() string
-	Gap(r *Rand, now sim.Time) sim.Duration
+	Gap(r *sim.Rand, now sim.Time) sim.Duration
 }
 
 // Poisson is a stationary Poisson process.
 type Poisson struct{ RatePerSec float64 }
 
 func (a Poisson) Name() string { return fmt.Sprintf("poisson(%.0f/s)", a.RatePerSec) }
-func (a Poisson) Gap(r *Rand, now sim.Time) sim.Duration {
+func (a Poisson) Gap(r *sim.Rand, now sim.Time) sim.Duration {
 	return expGap(r, a.RatePerSec)
 }
 
@@ -87,7 +65,7 @@ type Diurnal struct {
 func (a Diurnal) Name() string {
 	return fmt.Sprintf("diurnal(%.0f/s±%.0f%%)", a.BasePerSec, a.Amplitude*100)
 }
-func (a Diurnal) Gap(r *Rand, now sim.Time) sim.Duration {
+func (a Diurnal) Gap(r *sim.Rand, now sim.Time) sim.Duration {
 	period := a.Period
 	if period <= 0 {
 		period = sim.Second
@@ -111,7 +89,7 @@ type Bursty struct {
 func (a Bursty) Name() string {
 	return fmt.Sprintf("bursty(%.0f/%.0f per s)", a.BasePerSec, a.BurstPerSec)
 }
-func (a Bursty) Gap(r *Rand, now sim.Time) sim.Duration {
+func (a Bursty) Gap(r *sim.Rand, now sim.Time) sim.Duration {
 	every := a.BurstEvery
 	if every <= 0 {
 		every = 100 * sim.Millisecond
@@ -135,7 +113,7 @@ type Ramp struct {
 func (a Ramp) Name() string {
 	return fmt.Sprintf("ramp(%.0f→%.0f/s)", a.StartPerSec, a.EndPerSec)
 }
-func (a Ramp) Gap(r *Rand, now sim.Time) sim.Duration {
+func (a Ramp) Gap(r *sim.Rand, now sim.Time) sim.Duration {
 	rate := a.EndPerSec
 	if a.Over > 0 && sim.Duration(now) < a.Over {
 		f := float64(now) / float64(a.Over)
@@ -182,7 +160,7 @@ func (s Spec) Backoff(seq, attempt int) sim.Duration {
 		base = 50 * sim.Microsecond
 	}
 	d := base << uint(attempt-1)
-	r := NewRand(s.Seed ^ 0xB0FF<<32 ^ uint64(seq)<<8 ^ uint64(attempt))
+	r := sim.NewRand(s.Seed ^ 0xB0FF<<32 ^ uint64(seq)<<8 ^ uint64(attempt))
 	jitter := 0.75 + 0.5*r.Float()
 	return sim.Duration(float64(d) * jitter)
 }
@@ -190,7 +168,7 @@ func (s Spec) Backoff(seq, attempt int) sim.Duration {
 // Gen streams a Spec's ops in arrival order.
 type Gen struct {
 	spec Spec
-	rng  *Rand
+	rng  sim.Rand
 	zipf *ycsb.Zipfian
 	now  sim.Time
 	seq  int
@@ -203,7 +181,7 @@ func (s Spec) Gen() *Gen {
 	if theta > 0 {
 		z = ycsb.NewZipfian(s.Keys, theta, int64(s.Seed^0x21F))
 	}
-	return &Gen{spec: s, rng: NewRand(s.Seed), zipf: z}
+	return &Gen{spec: s, rng: sim.NewRand(s.Seed), zipf: z}
 }
 
 // Next returns the next op, or ok=false when Ops are exhausted.
@@ -211,7 +189,7 @@ func (g *Gen) Next() (Op, bool) {
 	if g.seq >= g.spec.Ops {
 		return Op{}, false
 	}
-	g.now += sim.Time(g.spec.Arrival.Gap(g.rng, g.now))
+	g.now += sim.Time(g.spec.Arrival.Gap(&g.rng, g.now))
 	var key int64
 	if g.zipf != nil {
 		key = g.zipf.Next()
