@@ -77,11 +77,7 @@ func (db *DB) compactL0(p *sim.Proc) error {
 	// Assign priority by position: later L0 tables override earlier
 	// ones, all L0 overrides L1 (seq numbers already encode this).
 	all := append(append([]*table(nil), mergeL1...), inputs...)
-	merged, err := db.mergeTables(p, all, db.bottomAfter(1))
-	if err != nil {
-		return err
-	}
-	out, err := db.buildTables(p, merged)
+	out, err := db.mergeTables(p, all, db.bottomAfter(1))
 	if err != nil {
 		return err
 	}
@@ -107,11 +103,7 @@ func (db *DB) compactLevel(p *sim.Proc, lvl int) error {
 		}
 	}
 	all := append([]*table{src}, mergeDown...)
-	merged, err := db.mergeTables(p, all, db.bottomAfter(lvl+1))
-	if err != nil {
-		return err
-	}
-	out, err := db.buildTables(p, merged)
+	out, err := db.mergeTables(p, all, db.bottomAfter(lvl+1))
 	if err != nil {
 		return err
 	}
@@ -146,81 +138,65 @@ func keyRange(tables []*table) (lo, hi []byte) {
 	return
 }
 
-// mergeTables loads every entry of the inputs and keeps the newest
-// version per key (highest seq). dropTombstones removes deletions when
-// merging into the bottom of the tree.
-func (db *DB) mergeTables(p *sim.Proc, inputs []*table, dropTombstones bool) ([]entry, error) {
-	var all []entry
-	for _, t := range inputs {
+// mergeTables merges the inputs into target-sized SSTs that keep the
+// newest version per key (highest seq). dropTombstones removes
+// deletions when merging into the bottom of the tree.
+//
+// It first reads every block of every input through the cache, in
+// input order, copying each input's blocks back to back into a scratch
+// buffer the DB keeps: a cached block is valid only until the next
+// yield, and the merge below yields whenever an output table is
+// written. Then one merger walks the scratch copies into the writer.
+func (db *DB) mergeTables(p *sim.Proc, inputs []*table, dropTombstones bool) ([]*table, error) {
+	for len(db.mergeBufs) < len(inputs) {
+		db.mergeBufs = append(db.mergeBufs, nil)
+	}
+	m := merger{srcs: make([]cursor, len(inputs))}
+	for i, t := range inputs {
+		buf := db.mergeBufs[i][:0]
 		for bi := range t.index {
-			ents, err := t.readBlock(p, db.cache, bi)
+			raw, err := t.readBlock(p, db.cache, bi)
 			if err != nil {
 				return nil, err
 			}
-			all = append(all, ents...)
+			buf = append(buf, raw...)
 		}
+		db.mergeBufs[i] = buf
+		c := &tableCursor{t: t, data: buf}
+		if err := c.load(p); err != nil {
+			return nil, err
+		}
+		m.srcs[i] = c
 	}
-	sort.SliceStable(all, func(i, j int) bool {
-		if c := bytes.Compare(all[i].key, all[j].key); c != 0 {
-			return c < 0
+	var out []*table
+	w := db.writer()
+	defer db.idleWriter(w)
+	for {
+		e, ok, err := m.next(p)
+		if err != nil {
+			return nil, err
 		}
-		return all[i].seq > all[j].seq
-	})
-	out := all[:0]
-	var lastKey []byte
-	for _, e := range all {
-		if lastKey != nil && bytes.Equal(e.key, lastKey) {
-			continue
+		if !ok {
+			break
 		}
-		lastKey = e.key
 		if e.tombstone && dropTombstones {
 			continue
 		}
-		out = append(out, e)
-	}
-	return out, nil
-}
-
-// buildTables splits a sorted entry run into target-sized SSTs.
-func (db *DB) buildTables(p *sim.Proc, ents []entry) ([]*table, error) {
-	var out []*table
-	w := newSSTWriter()
-	flush := func() error {
-		if w.count == 0 {
-			return nil
-		}
-		img := w.finish()
-		db.fileSeq++
-		num := db.fileSeq // a flush may take the next number while this one yields below
-		f, err := db.cfg.DataFS.Create(sstName(num), int64(len(img)))
-		if err != nil {
-			return err
-		}
-		if err := f.WriteAt(p, 0, img); err != nil {
-			return err
-		}
-		if err := f.Sync(p); err != nil {
-			return err
-		}
-		t, err := openTable(p, f, num)
-		if err != nil {
-			return err
-		}
-		t.setBounds(w.first, w.last)
-		out = append(out, t)
-		w = newSSTWriter()
-		return nil
-	}
-	for _, e := range ents {
 		w.add(e.key, e.seq, e.value, e.tombstone)
-		if w.buf.Len()+w.block.Len() >= targetSSTBytes {
-			if err := flush(); err != nil {
+		if w.size() >= targetSSTBytes {
+			t, err := db.writeTable(p, w)
+			if err != nil {
 				return nil, err
 			}
+			out = append(out, t)
 		}
 	}
-	if err := flush(); err != nil {
-		return nil, err
+	if w.count > 0 {
+		t, err := db.writeTable(p, w)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, t)
 	}
 	return out, nil
 }
@@ -240,68 +216,4 @@ func (db *DB) dropTables(p *sim.Proc, tables []*table) error {
 	}
 	_ = p
 	return nil
-}
-
-// Scan returns up to limit live key/value pairs with key >= start, in
-// order — a merge across memtables and every table. Used by range
-// workloads and as a whole-tree consistency check in tests.
-func (db *DB) Scan(p *sim.Proc, start []byte, limit int) (keys, values [][]byte, err error) {
-	p.Sleep(db.cfg.ReadCPU)
-	type ver struct {
-		seq       uint64
-		value     []byte
-		tombstone bool
-	}
-	db.beginRead()
-	defer db.endRead(p)
-	levels := db.snapshotLevels()
-	best := make(map[string]ver)
-	consider := func(key []byte, seq uint64, value []byte, tomb bool) {
-		if bytes.Compare(key, start) < 0 {
-			return
-		}
-		k := string(key)
-		if cur, ok := best[k]; ok && cur.seq >= seq {
-			return
-		}
-		best[k] = ver{seq: seq, value: append([]byte(nil), value...), tombstone: tomb}
-	}
-	for n := db.mem.first(); n != nil; n = n.next[0] {
-		consider(n.key, n.seq, n.value, n.value == nil)
-	}
-	if db.imm != nil {
-		for n := db.imm.first(); n != nil; n = n.next[0] {
-			consider(n.key, n.seq, n.value, n.value == nil)
-		}
-	}
-	for lvl := range levels {
-		for _, t := range levels[lvl] {
-			for bi := range t.index {
-				ents, err := t.readBlock(p, db.cache, bi)
-				if err != nil {
-					return nil, nil, err
-				}
-				for _, e := range ents {
-					consider(e.key, e.seq, e.value, e.tombstone)
-				}
-			}
-		}
-	}
-	sorted := make([]string, 0, len(best))
-	for k := range best {
-		sorted = append(sorted, k)
-	}
-	sort.Strings(sorted)
-	for _, k := range sorted {
-		v := best[k]
-		if v.tombstone {
-			continue
-		}
-		keys = append(keys, []byte(k))
-		values = append(values, v.value)
-		if limit > 0 && len(keys) >= limit {
-			break
-		}
-	}
-	return keys, values, nil
 }

@@ -128,6 +128,17 @@ type DB struct {
 	// Obsolete SST files are reclaimed only when no reader is active.
 	activeReaders int
 	obsolete      []string
+	// retired holds flushed memtables whose chunks wait for the read
+	// epoch to close: an open Iterator holds memtable nodes across
+	// yields. Released chunks go to memSpares for the next memtables.
+	retired   []*memtable
+	memSpares memChunks
+
+	// writers holds idle SST writers; a flush and a compaction may each
+	// be building an image. mergeBufs is compaction's scratch, one
+	// buffer per merge input (compactLock admits one merge at a time).
+	writers   []*sstWriter
+	mergeBufs [][]byte
 
 	// encBuf is the WAL-record encoding scratch. Writers hold wlock
 	// across encode+Append, and wal.Append copies the payload out
@@ -156,11 +167,11 @@ func Open(env *sim.Env, p *sim.Proc, cfg Config) (*DB, error) {
 		env:         env,
 		cfg:         cfg,
 		cache:       newBlockCache(blockCacheSlots),
-		mem:         newMemtable(1),
 		wlock:       env.NewResource("lsm.write", 1),
 		immDone:     env.NewSignal("lsm.immdone"),
 		compactLock: env.NewResource("lsm.compact", 1),
 	}
+	db.mem = newMemtable(1, &db.memSpares)
 	if err := db.recoverLogs(p); err != nil {
 		return nil, err
 	}
@@ -176,6 +187,32 @@ func (db *DB) Stats() Stats {
 	s.CacheHits = db.cache.hits
 	s.CacheMiss = db.cache.miss
 	return s
+}
+
+// retire releases a flushed memtable's chunks now, or at the end of
+// the read epoch if one is open.
+func (db *DB) retire(m *memtable) {
+	if db.activeReaders > 0 {
+		db.retired = append(db.retired, m)
+		return
+	}
+	m.release()
+}
+
+// writer returns an idle SST writer, or a new one.
+func (db *DB) writer() *sstWriter {
+	if k := len(db.writers); k > 0 {
+		w := db.writers[k-1]
+		db.writers = db.writers[:k-1]
+		return w
+	}
+	return newSSTWriter()
+}
+
+// idleWriter resets w and keeps it for the next image.
+func (db *DB) idleWriter(w *sstWriter) {
+	w.reset()
+	db.writers = append(db.writers, w)
 }
 
 // walName formats a log file name.
@@ -197,7 +234,7 @@ func (db *DB) recoverLogs(p *sim.Proc) error {
 	if len(names) == 0 {
 		return nil
 	}
-	rec := newMemtable(2)
+	rec := newMemtable(2, &db.memSpares)
 	for _, name := range names {
 		f, err := db.cfg.LogFS.Open(name)
 		if err != nil {
@@ -250,6 +287,7 @@ func (db *DB) recoverLogs(p *sim.Proc) error {
 			return err
 		}
 	}
+	db.retire(rec)
 	for _, name := range names {
 		if err := db.cfg.LogFS.Remove(name); err != nil {
 			return err
@@ -369,7 +407,7 @@ func (db *DB) rotate(p *sim.Proc) error {
 	db.stats.StallTime += sim.Duration(db.env.Now() - start)
 	db.imm = db.mem
 	db.walImm, db.immFile = db.walAct, db.actFile
-	db.mem = newMemtable(int64(db.rotation) + 100)
+	db.mem = newMemtable(int64(db.rotation)+100, &db.memSpares)
 	if err := db.newWAL(p); err != nil {
 		return err
 	}
@@ -402,6 +440,7 @@ func (db *DB) flushImm(p *sim.Proc, imm *memtable, l *wal.Log, f *vfs.File) erro
 		return err
 	}
 	db.imm = nil
+	db.retire(imm)
 	db.walImm, db.immFile = nil, nil
 	db.stats.Flushes++
 	db.immDone.Fire()
@@ -413,7 +452,8 @@ func (db *DB) flushImm(p *sim.Proc, imm *memtable, l *wal.Log, f *vfs.File) erro
 // writeSST serializes a memtable (newest version per key) into a new
 // SST at the given level.
 func (db *DB) writeSST(p *sim.Proc, m *memtable, level int) error {
-	w := newSSTWriter()
+	w := db.writer()
+	defer db.idleWriter(w)
 	var lastKey []byte
 	for n := m.first(); n != nil; n = n.next[0] {
 		if lastKey != nil && bytes.Equal(n.key, lastKey) {
@@ -425,31 +465,37 @@ func (db *DB) writeSST(p *sim.Proc, m *memtable, level int) error {
 	if w.count == 0 {
 		return nil
 	}
-	return db.installSST(p, w, level)
-}
-
-// installSST writes a finished SST image to DataFS and registers it.
-func (db *DB) installSST(p *sim.Proc, w *sstWriter, level int) error {
-	img := w.finish()
-	db.fileSeq++
-	num := db.fileSeq // a compaction may take the next number while this one yields below
-	f, err := db.cfg.DataFS.Create(sstName(num), int64(len(img)))
+	t, err := db.writeTable(p, w)
 	if err != nil {
 		return err
 	}
+	db.levels[level] = append(db.levels[level], t)
+	return nil
+}
+
+// writeTable writes w's image to a new file on DataFS, opens it and
+// resets w for the next image.
+func (db *DB) writeTable(p *sim.Proc, w *sstWriter) (*table, error) {
+	img := w.finish()
+	db.fileSeq++
+	num := db.fileSeq // another flush or compaction may take the next number while this one yields below
+	f, err := db.cfg.DataFS.Create(sstName(num), int64(len(img)))
+	if err != nil {
+		return nil, err
+	}
 	if err := f.WriteAt(p, 0, img); err != nil {
-		return err
+		return nil, err
 	}
 	if err := f.Sync(p); err != nil {
-		return err
+		return nil, err
 	}
 	t, err := openTable(p, f, num)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	t.setBounds(w.first, w.last)
-	db.levels[level] = append(db.levels[level], t)
-	return nil
+	w.reset()
+	return t, nil
 }
 
 // snapshotLevels captures the current table sets. Compaction only
@@ -462,7 +508,15 @@ func (db *DB) beginRead() { db.activeReaders++ }
 
 func (db *DB) endRead(p *sim.Proc) {
 	db.activeReaders--
-	if db.activeReaders == 0 && len(db.obsolete) > 0 {
+	if db.activeReaders > 0 {
+		return
+	}
+	for i, m := range db.retired {
+		m.release()
+		db.retired[i] = nil
+	}
+	db.retired = db.retired[:0]
+	if len(db.obsolete) > 0 {
 		names := db.obsolete
 		db.obsolete = nil
 		for _, n := range names {

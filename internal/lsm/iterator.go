@@ -9,16 +9,16 @@ import (
 // Iterator streams live key/value pairs in ascending key order, merged
 // across the memtables and every SST level. Block reads happen lazily
 // (charged to the process) as the iterator advances; memory use is one
-// decoded block per source.
+// block per source.
 type Iterator struct {
-	db      *DB
-	p       *sim.Proc
-	sources []cursor
-	key     []byte
-	value   []byte
-	valid   bool
-	err     error
-	closed  bool
+	db     *DB
+	p      *sim.Proc
+	m      merger
+	key    []byte
+	value  []byte
+	valid  bool
+	err    error
+	closed bool
 }
 
 // cursor is one ordered source of (key, seq, value) versions.
@@ -27,6 +27,60 @@ type cursor interface {
 	peek() (entry, bool)
 	// advance moves past the current entry.
 	advance(p *sim.Proc) error
+}
+
+// merger is the engine's one merge rule, run by the iterator and by
+// compaction: a k-way merge over cursors, each sorted by (key asc, seq
+// desc), that yields every key once, at its newest version. It picks
+// the lowest key, then the highest seq, then the earliest source.
+type merger struct {
+	srcs  []cursor
+	key   []byte
+	value []byte
+}
+
+// next returns the newest version of the next key, tombstones included,
+// after moving every source past the key's older versions. Its key and
+// value are the merger's copies, valid until the next call: advancing a
+// source may load a block over the one the version came from.
+func (m *merger) next(p *sim.Proc) (entry, bool, error) {
+	var best entry
+	bestIdx := -1
+	for i, src := range m.srcs {
+		e, ok := src.peek()
+		if !ok {
+			continue
+		}
+		if bestIdx < 0 {
+			best, bestIdx = e, i
+			continue
+		}
+		c := bytes.Compare(e.key, best.key)
+		if c < 0 || (c == 0 && e.seq > best.seq) {
+			best, bestIdx = e, i
+		}
+	}
+	if bestIdx < 0 {
+		return entry{}, false, nil
+	}
+	m.key = append(m.key[:0], best.key...)
+	m.value = append(m.value[:0], best.value...)
+	best.key = m.key
+	if !best.tombstone {
+		best.value = m.value
+	}
+	for _, src := range m.srcs {
+		for {
+			e, ok := src.peek()
+			if !ok || !bytes.Equal(e.key, m.key) {
+				break
+			}
+			if err := src.advance(p); err != nil {
+				return entry{}, false, err
+			}
+		}
+	}
+	return best, true, nil
 }
 
 // memCursor walks a memtable from a start key.
@@ -49,13 +103,21 @@ func (c *memCursor) advance(*sim.Proc) error {
 	return nil
 }
 
-// tableCursor walks an SST's blocks in order, decoding lazily.
+// tableCursor walks an SST's blocks in order, decoding in place. With
+// a cache it reads each block through it and copies it into data: a
+// cached block is valid only until the next yield, and the cursor
+// holds its block across the yields of every other source. Without
+// one, data already holds every block back to back (compaction's
+// scratch), and a load only moves to the next.
 type tableCursor struct {
 	t     *table
 	cache *blockCache
-	block []entry
-	bi    int // next block index to load
-	ei    int // position within block
+	data  []byte
+	block []byte // the current block; nil once exhausted
+	end   int    // where the next block starts in data (no cache)
+	bi    int    // next block index to load
+	cur   entry
+	next  int // offset of the entry after cur in block
 }
 
 func newTableCursor(p *sim.Proc, t *table, cache *blockCache, start []byte) (*tableCursor, error) {
@@ -81,17 +143,28 @@ func newTableCursor(p *sim.Proc, t *table, cache *blockCache, start []byte) (*ta
 	return c, nil
 }
 
-// load decodes block bi (if any) and resets the entry position.
+// load moves to the first entry of the next non-empty block, if any.
 func (c *tableCursor) load(p *sim.Proc) error {
 	for c.bi < len(c.t.index) {
-		ents, err := c.t.readBlock(p, c.cache, c.bi)
+		if c.cache != nil {
+			raw, err := c.t.readBlock(p, c.cache, c.bi)
+			if err != nil {
+				return err
+			}
+			c.data = append(c.data[:0], raw...)
+			c.block = c.data
+		} else {
+			n := int(c.t.index[c.bi].length)
+			c.block = c.data[c.end : c.end+n : c.end+n]
+			c.end += n
+		}
+		c.bi++
+		e, next, err := decodeEntry(c.block, 0)
 		if err != nil {
 			return err
 		}
-		c.bi++
-		if len(ents) > 0 {
-			c.block = ents
-			c.ei = 0
+		if next >= 0 {
+			c.cur, c.next = e, next
 			return nil
 		}
 	}
@@ -99,31 +172,33 @@ func (c *tableCursor) load(p *sim.Proc) error {
 	return nil
 }
 
-func (c *tableCursor) peek() (entry, bool) {
-	if c.block == nil || c.ei >= len(c.block) {
-		return entry{}, false
-	}
-	return c.block[c.ei], true
-}
+func (c *tableCursor) peek() (entry, bool) { return c.cur, c.block != nil }
 
 func (c *tableCursor) advance(p *sim.Proc) error {
-	c.ei++
-	if c.ei >= len(c.block) {
+	if c.block == nil {
+		return nil
+	}
+	e, next, err := decodeEntry(c.block, c.next)
+	if err != nil {
+		return err
+	}
+	if next < 0 {
 		return c.load(p)
 	}
+	c.cur, c.next = e, next
 	return nil
 }
 
 // NewIterator opens an iterator positioned at the first live key >=
-// start. Close it to release the read epoch (obsolete SSTs are
-// reclaimed only when no iterator or reader is active).
+// start. Close it to release the read epoch (obsolete SSTs and memtable
+// chunks are reclaimed only when no iterator or reader is active).
 func (db *DB) NewIterator(p *sim.Proc, start []byte) (*Iterator, error) {
 	p.Sleep(db.cfg.ReadCPU)
 	db.beginRead()
 	it := &Iterator{db: db, p: p}
-	it.sources = append(it.sources, &memCursor{node: db.mem.seek(start, ^uint64(0))})
+	it.m.srcs = append(it.m.srcs, &memCursor{node: db.mem.seek(start, ^uint64(0))})
 	if db.imm != nil {
-		it.sources = append(it.sources, &memCursor{node: db.imm.seek(start, ^uint64(0))})
+		it.m.srcs = append(it.m.srcs, &memCursor{node: db.imm.seek(start, ^uint64(0))})
 	}
 	for _, level := range db.snapshotLevels() {
 		for _, t := range level {
@@ -135,7 +210,7 @@ func (db *DB) NewIterator(p *sim.Proc, start []byte) (*Iterator, error) {
 				it.Close()
 				return nil, err
 			}
-			it.sources = append(it.sources, tc)
+			it.m.srcs = append(it.m.srcs, tc)
 		}
 	}
 	it.step()
@@ -145,47 +220,18 @@ func (db *DB) NewIterator(p *sim.Proc, start []byte) (*Iterator, error) {
 // step advances to the next live (non-tombstone) key.
 func (it *Iterator) step() {
 	for {
-		// Find the smallest key among sources; among equal keys the
-		// highest seq wins.
-		var best entry
-		bestIdx := -1
-		for i, src := range it.sources {
-			e, ok := src.peek()
-			if !ok {
-				continue
-			}
-			if bestIdx < 0 {
-				best, bestIdx = e, i
-				continue
-			}
-			c := bytes.Compare(e.key, best.key)
-			if c < 0 || (c == 0 && e.seq > best.seq) {
-				best, bestIdx = e, i
-			}
+		e, ok, err := it.m.next(it.p)
+		if err != nil {
+			it.err = err
 		}
-		if bestIdx < 0 {
+		if err != nil || !ok {
 			it.valid = false
 			return
 		}
-		// Consume every version of this key from all sources.
-		for _, src := range it.sources {
-			for {
-				e, ok := src.peek()
-				if !ok || !bytes.Equal(e.key, best.key) {
-					break
-				}
-				if err := src.advance(it.p); err != nil {
-					it.err = err
-					it.valid = false
-					return
-				}
-			}
-		}
-		if best.tombstone {
+		if e.tombstone {
 			continue // deleted: move on
 		}
-		it.key = append(it.key[:0], best.key...)
-		it.value = append(it.value[:0], best.value...)
+		it.key, it.value = e.key, e.value
 		it.valid = true
 		return
 	}
@@ -219,4 +265,20 @@ func (it *Iterator) Close() {
 	it.closed = true
 	it.valid = false
 	it.db.endRead(it.p)
+}
+
+// Scan returns up to limit live key/value pairs with key >= start, in
+// order (limit 0: all of them): a drained Iterator whose pairs are
+// copied out.
+func (db *DB) Scan(p *sim.Proc, start []byte, limit int) (keys, values [][]byte, err error) {
+	it, err := db.NewIterator(p, start)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer it.Close()
+	for ; it.Valid() && (limit <= 0 || len(keys) < limit); it.Next() {
+		keys = append(keys, append([]byte(nil), it.Key()...))
+		values = append(values, append([]byte(nil), it.Value()...))
+	}
+	return keys, values, it.Err()
 }

@@ -18,7 +18,7 @@ import (
 // ---- memtable unit tests ----
 
 func TestMemtableBasic(t *testing.T) {
-	m := newMemtable(1)
+	m := newMemtable(1, nil)
 	m.add([]byte("b"), 1, []byte("v1"))
 	m.add([]byte("a"), 2, []byte("v2"))
 	m.add([]byte("b"), 3, []byte("v3"))
@@ -37,7 +37,7 @@ func TestMemtableBasic(t *testing.T) {
 }
 
 func TestMemtableTombstone(t *testing.T) {
-	m := newMemtable(1)
+	m := newMemtable(1, nil)
 	m.add([]byte("k"), 1, []byte("v"))
 	m.add([]byte("k"), 2, nil)
 	v, ok := m.get([]byte("k"), ^uint64(0))
@@ -47,7 +47,7 @@ func TestMemtableTombstone(t *testing.T) {
 }
 
 func TestMemtableOrderedIteration(t *testing.T) {
-	m := newMemtable(42)
+	m := newMemtable(42, nil)
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 200; i++ {
 		k := fmt.Sprintf("key-%04d", rng.Intn(100))
@@ -72,7 +72,7 @@ func TestMemtableOrderedIteration(t *testing.T) {
 // Property: memtable behaves like a map with last-writer-wins.
 func TestPropertyMemtableLastWriteWins(t *testing.T) {
 	prop := func(ops []uint16) bool {
-		m := newMemtable(7)
+		m := newMemtable(7, nil)
 		shadow := make(map[string]string)
 		for i, raw := range ops {
 			k := fmt.Sprintf("k%d", raw%32)
@@ -176,7 +176,7 @@ func TestSSTWriteOpenGet(t *testing.T) {
 // kv result: a get must not refresh an entry, a re-put must not requeue
 // it, and the order must survive the ring wrapping around.
 func TestBlockCacheFIFO(t *testing.T) {
-	blk := func(s string) []entry { return []entry{{key: []byte(s)}} }
+	blk := func(s string) []byte { return []byte(s) }
 	c := newBlockCache(3)
 	c.put(1, 0, blk("a"))
 	c.put(1, 1, blk("b"))
@@ -189,8 +189,8 @@ func TestBlockCacheFIFO(t *testing.T) {
 		t.Fatal("a get saved (1,0) from eviction")
 	}
 	c.put(1, 1, blk("b2"))
-	if ents, ok := c.get(1, 1); !ok || string(ents[0].key) != "b2" {
-		t.Fatalf("re-put did not replace (1,1): %v %v", ents, ok)
+	if raw, ok := c.get(1, 1); !ok || string(raw) != "b2" {
+		t.Fatalf("re-put did not replace (1,1): %q %v", raw, ok)
 	}
 	c.put(1, 4, blk("e"))
 	if _, ok := c.get(1, 1); ok {
@@ -717,17 +717,29 @@ func TestIteratorFullSweepMatchesScan(t *testing.T) {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(77))
+		model := map[string]string{}
 		for i := 0; i < 500; i++ {
 			k := fmt.Sprintf("k%03d", rng.Intn(120))
 			if rng.Intn(5) == 0 {
 				db.Delete(p, []byte(k))
+				delete(model, k)
 			} else {
 				db.Put(p, []byte(k), []byte(fmt.Sprintf("v%d", i)))
+				model[k] = fmt.Sprintf("v%d", i)
 			}
 		}
 		scanKeys, scanVals, err := db.Scan(p, nil, 0)
 		if err != nil {
 			t.Fatal(err)
+		}
+		// Scan is a drained iterator; the model checks both.
+		if len(scanKeys) != len(model) {
+			t.Fatalf("Scan returned %d keys, the model holds %d", len(scanKeys), len(model))
+		}
+		for i, k := range scanKeys {
+			if v, ok := model[string(k)]; !ok || v != string(scanVals[i]) || (i > 0 && bytes.Compare(scanKeys[i-1], k) >= 0) {
+				t.Fatalf("Scan pos %d: %s = %q, model %q (present %v)", i, k, scanVals[i], v, ok)
+			}
 		}
 		it, err := db.NewIterator(p, nil)
 		if err != nil {

@@ -11,7 +11,8 @@ package lsm
 
 import (
 	"bytes"
-	"math/rand"
+
+	"twobssd/internal/sim"
 )
 
 const maxHeight = 12
@@ -28,18 +29,29 @@ type memNode struct {
 type memtable struct {
 	head   *memNode
 	height int
-	rng    *rand.Rand
+	rng    sim.Rand // node heights: the skiplist's shape is host-only
 	bytes  int
 	count  int
 
 	// Arena allocation: nodes and key/value copies are carved from
 	// chunks so an add costs ~3 allocations per few hundred entries
-	// instead of 3 each. Chunks are never reused — retired chunks stay
-	// alive exactly as long as skiplist pointers into them do, and the
-	// whole arena dies with the memtable at flush.
-	nodes []memNode
-	nused int
-	arena []byte
+	// instead of 3 each. A chunk comes from spares when it has one.
+	// release hands every chunk back to spares; the DB calls it once
+	// the memtable is flushed and no reader epoch that could still
+	// hold its nodes is open.
+	nodes      []memNode
+	nused      int
+	arena      []byte
+	nodeChunks [][]memNode
+	byteChunks [][]byte
+	spares     *memChunks
+}
+
+// memChunks holds the node and byte chunks of released memtables for
+// later ones to carve from.
+type memChunks struct {
+	nodes [][]memNode
+	bytes [][]byte
 }
 
 const (
@@ -47,17 +59,26 @@ const (
 	memArenaChunk = 1 << 16
 )
 
-func newMemtable(seed int64) *memtable {
+// newMemtable returns an empty memtable that carves from spares'
+// chunks first (nil: it allocates its own and release keeps none).
+func newMemtable(seed int64, spares *memChunks) *memtable {
 	return &memtable{
 		head:   &memNode{},
 		height: 1,
-		rng:    rand.New(rand.NewSource(seed)),
+		rng:    sim.NewRand(uint64(seed)),
+		spares: spares,
 	}
 }
 
 func (m *memtable) newNode() *memNode {
 	if m.nused == len(m.nodes) {
-		m.nodes = make([]memNode, memNodeChunk)
+		if s := m.spares; s != nil && len(s.nodes) > 0 {
+			m.nodes, s.nodes = s.nodes[len(s.nodes)-1], s.nodes[:len(s.nodes)-1]
+			clear(m.nodes)
+		} else {
+			m.nodes = make([]memNode, memNodeChunk)
+		}
+		m.nodeChunks = append(m.nodeChunks, m.nodes)
 		m.nused = 0
 	}
 	n := &m.nodes[m.nused]
@@ -73,16 +94,32 @@ func (m *memtable) copyArena(b []byte) []byte {
 		return emptyBytes // non-nil: nil means tombstone
 	}
 	if len(b) > len(m.arena) {
-		size := memArenaChunk
-		if len(b) > size {
-			size = len(b)
+		switch s := m.spares; {
+		case len(b) > memArenaChunk:
+			m.arena = make([]byte, len(b)) // oversized: not recycled
+		case s != nil && len(s.bytes) > 0:
+			m.arena, s.bytes = s.bytes[len(s.bytes)-1], s.bytes[:len(s.bytes)-1]
+			m.byteChunks = append(m.byteChunks, m.arena)
+		default:
+			m.arena = make([]byte, memArenaChunk)
+			m.byteChunks = append(m.byteChunks, m.arena)
 		}
-		m.arena = make([]byte, size)
 	}
 	c := m.arena[:len(b):len(b)]
 	m.arena = m.arena[len(b):]
 	copy(c, b)
 	return c
+}
+
+// release hands the memtable's chunks to its spares. Nothing may read
+// the memtable afterwards.
+func (m *memtable) release() {
+	if m.spares == nil {
+		return
+	}
+	m.spares.nodes = append(m.spares.nodes, m.nodeChunks...)
+	m.spares.bytes = append(m.spares.bytes, m.byteChunks...)
+	*m = memtable{}
 }
 
 // compare orders by key ascending, then seq descending (newer first).
@@ -102,7 +139,7 @@ func compareEntries(aKey []byte, aSeq uint64, bKey []byte, bSeq uint64) int {
 
 func (m *memtable) randomHeight() int {
 	h := 1
-	for h < maxHeight && m.rng.Intn(4) == 0 {
+	for h < maxHeight && m.rng.Uint64()%4 == 0 {
 		h++
 	}
 	return h

@@ -35,12 +35,21 @@ type bloom struct {
 	k    int
 }
 
-func newBloom(n int) *bloom {
+func newBloom(n int) *bloom { return &bloom{bits: bloomBits(nil, n), k: 7} }
+
+// bloomBits returns a cleared filter for n keys, in buf if it fits.
+func bloomBits(buf []byte, n int) []byte {
 	nbits := n * 10
 	if nbits < 64 {
 		nbits = 64
 	}
-	return &bloom{bits: make([]byte, (nbits+7)/8), k: 7}
+	if size := (nbits + 7) / 8; cap(buf) >= size {
+		buf = buf[:size]
+		clear(buf)
+	} else {
+		buf = make([]byte, size)
+	}
+	return buf
 }
 
 func (b *bloom) add(key []byte) { b.addHash(crc32.ChecksumIEEE(key)) }
@@ -80,27 +89,49 @@ type indexEntry struct {
 }
 
 // sstWriter accumulates sorted entries and serializes an SST image.
+// A writer is reused across images (reset): its buffers keep their
+// capacity, so a steady stream of flushes and compactions allocates
+// only the tables it opens. The image finish returns is valid until
+// the next reset; WriteAt copies it out and openTable re-reads the
+// index, so nothing aliases it once writeTable returns.
 type sstWriter struct {
-	buf        bytes.Buffer
-	block      bytes.Buffer
-	index      []indexEntry
-	hashes     []uint32 // crc32 of every key, for the filter
-	first      []byte
-	last       []byte
-	count      int
-	blockFirst []byte
+	buf    bytes.Buffer
+	block  bytes.Buffer
+	index  []indexEntry
+	hashes []uint32 // crc32 of every key, for the filter
+	keys   []byte   // arena for the index entries' first keys
+	filter []byte
+	first  []byte
+	last   []byte
+	count  int
 }
 
 func newSSTWriter() *sstWriter { return &sstWriter{} }
 
+// reset empties the writer for the next image.
+func (w *sstWriter) reset() {
+	w.buf.Reset()
+	w.block.Reset()
+	w.index = w.index[:0]
+	w.hashes = w.hashes[:0]
+	w.keys = w.keys[:0]
+	w.first, w.last = w.first[:0], w.last[:0]
+	w.count = 0
+}
+
 // add appends one version; keys must arrive in ascending order.
 func (w *sstWriter) add(key []byte, seq uint64, value []byte, tombstone bool) {
-	if w.first == nil {
-		w.first = append([]byte(nil), key...)
+	if w.count == 0 {
+		w.first = append(w.first[:0], key...)
 	}
 	w.last = append(w.last[:0], key...)
-	if w.blockFirst == nil {
-		w.blockFirst = append([]byte(nil), key...)
+	if w.block.Len() == 0 {
+		// A new block: its index entry's first key is carved from the
+		// arena. The arena may move as it grows; earlier keys keep the
+		// array they were carved from.
+		at := len(w.keys)
+		w.keys = append(w.keys, key...)
+		w.index = append(w.index, indexEntry{firstKey: w.keys[at:len(w.keys):len(w.keys)]})
 	}
 	var hdr [16]byte
 	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(key)))
@@ -126,15 +157,15 @@ func (w *sstWriter) finishBlock() {
 	if w.block.Len() == 0 {
 		return
 	}
-	w.index = append(w.index, indexEntry{
-		firstKey: w.blockFirst,
-		off:      uint64(w.buf.Len()),
-		length:   uint32(w.block.Len()),
-	})
+	ie := &w.index[len(w.index)-1]
+	ie.off = uint64(w.buf.Len())
+	ie.length = uint32(w.block.Len())
 	w.buf.Write(w.block.Bytes())
 	w.block.Reset()
-	w.blockFirst = nil
 }
+
+// size is the image's length so far, bar the index, filter and footer.
+func (w *sstWriter) size() int { return w.buf.Len() + w.block.Len() }
 
 // finish serializes the SST and returns the complete image.
 func (w *sstWriter) finish() []byte {
@@ -150,7 +181,8 @@ func (w *sstWriter) finish() []byte {
 	}
 	indexLen := uint64(w.buf.Len()) - indexOff
 
-	bl := newBloom(len(w.hashes))
+	bl := bloom{bits: bloomBits(w.filter, len(w.hashes)), k: 7}
+	w.filter = bl.bits
 	for _, h := range w.hashes {
 		bl.addHash(h)
 	}
@@ -209,17 +241,18 @@ func openTable(p *sim.Proc, f *vfs.File, num int) (*table, error) {
 	if crc32.ChecksumIEEE(meta[:indexLen]) != wantCRC {
 		return nil, fmt.Errorf("%w: index CRC", errCorruptSST)
 	}
-	t := &table{file: f, num: num, count: count, dataLen: indexOff}
+	// The index keys and the filter alias meta, which the table keeps.
+	t := &table{file: f, num: num, count: count, dataLen: indexOff, index: make([]indexEntry, 0, nIndex)}
 	pos := 0
 	for i := 0; i < nIndex; i++ {
 		klen := int(binary.LittleEndian.Uint32(meta[pos:]))
 		off := binary.LittleEndian.Uint64(meta[pos+4:])
 		length := binary.LittleEndian.Uint32(meta[pos+12:])
-		key := append([]byte(nil), meta[pos+16:pos+16+klen]...)
+		key := meta[pos+16 : pos+16+klen : pos+16+klen]
 		t.index = append(t.index, indexEntry{firstKey: key, off: off, length: length})
 		pos += 16 + klen
 	}
-	t.filter = &bloom{bits: append([]byte(nil), meta[indexLen:]...), k: 7}
+	t.filter = &bloom{bits: meta[indexLen:], k: 7}
 	if len(t.index) > 0 {
 		t.first = t.index[0].firstKey
 	}
@@ -271,60 +304,55 @@ type entry struct {
 	tombstone bool
 }
 
-// parseBlock decodes all entries of one data block. Keys and values
-// alias data (capacity-capped), so the entries live as long as it does.
-func parseBlock(data []byte) ([]entry, error) {
-	n := 0
-	for pos := 0; pos+16 <= len(data) && binary.LittleEndian.Uint32(data[pos:]) != 0; n++ {
-		klen, vlen := binary.LittleEndian.Uint32(data[pos:]), binary.LittleEndian.Uint32(data[pos+4:])
-		if vlen == tombstoneLen {
-			vlen = 0
-		}
-		pos += 16 + int(klen) + int(vlen)
+// decodeEntry decodes the entry at data[pos:] in place: its key and
+// value alias data (capacity-capped). next is the position of the
+// following entry, or -1 at the end of the block — fewer bytes left
+// than a header, or the zero key length of a padded tail.
+func decodeEntry(data []byte, pos int) (e entry, next int, err error) {
+	if pos+16 > len(data) {
+		return entry{}, -1, nil
 	}
-	out := make([]entry, 0, n)
-	pos := 0
-	for pos+16 <= len(data) {
-		klen := int(binary.LittleEndian.Uint32(data[pos:]))
-		vlenRaw := binary.LittleEndian.Uint32(data[pos+4:])
-		seq := binary.LittleEndian.Uint64(data[pos+8:])
-		if klen == 0 {
-			break // zero padding at block tail
-		}
-		pos += 16
-		if pos+klen > len(data) {
-			return nil, errCorruptSST
-		}
-		key := data[pos : pos+klen : pos+klen]
-		pos += klen
-		e := entry{key: key, seq: seq}
-		if vlenRaw == tombstoneLen {
-			e.tombstone = true
-		} else {
-			vlen := int(vlenRaw)
-			if pos+vlen > len(data) {
-				return nil, errCorruptSST
-			}
-			e.value = data[pos : pos+vlen : pos+vlen]
-			pos += vlen
-		}
-		out = append(out, e)
+	klen := int(binary.LittleEndian.Uint32(data[pos:]))
+	if klen == 0 {
+		return entry{}, -1, nil
 	}
-	return out, nil
+	vlenRaw := binary.LittleEndian.Uint32(data[pos+4:])
+	e.seq = binary.LittleEndian.Uint64(data[pos+8:])
+	pos += 16
+	if pos+klen > len(data) {
+		return entry{}, -1, errCorruptSST
+	}
+	e.key = data[pos : pos+klen : pos+klen]
+	pos += klen
+	if vlenRaw == tombstoneLen {
+		e.tombstone = true
+		return e, pos, nil
+	}
+	vlen := int(vlenRaw)
+	if pos+vlen > len(data) {
+		return entry{}, -1, errCorruptSST
+	}
+	e.value = data[pos : pos+vlen : pos+vlen]
+	return e, pos + vlen, nil
 }
 
-// blockCache holds decoded data blocks: per block, the exact-length
-// buffer read from the device and the entries that alias it. Eviction
-// is FIFO by first insertion — a get does not refresh an entry and a
-// re-put does not requeue it — because hits and misses decide which
-// device reads a run makes.
+// blockCache holds raw data blocks, each in an exact-length buffer.
+// Eviction is FIFO by first insertion — a get does not refresh an
+// entry and a re-put does not requeue it — because hits and misses
+// decide which device reads a run makes.
+//
+// The buffer of an evicted or replaced block goes on a free list, and
+// the next miss copies into it. So a block from get or readBlock is
+// valid only until its holder's next yield: whoever keeps one across
+// a yield copies it first.
 type blockCache struct {
-	items map[blockKey][]entry
+	items map[blockKey][]byte
 	order []blockKey // ring of cached keys, oldest at head once full
 	head  int
 	hits  uint64
 	miss  uint64
 	spans [][]byte // idle page-span read buffers; a read in flight holds its own
+	free  [][]byte // buffers of evicted and replaced blocks
 }
 
 type blockKey struct {
@@ -336,14 +364,14 @@ func newBlockCache(capacity int) *blockCache {
 	if capacity <= 0 {
 		capacity = 64
 	}
-	return &blockCache{items: make(map[blockKey][]entry, capacity), order: make([]blockKey, 0, capacity)}
+	return &blockCache{items: make(map[blockKey][]byte, capacity), order: make([]blockKey, 0, capacity)}
 }
 
 // read returns a copy of the n bytes at off of f. One command reads the
 // pages they span into a pooled buffer (an aligned ReadAt lands there),
-// so a miss allocates only the exact-length copy the cache keeps.
-// Caching the page-span buffer instead would save the copy but not an
-// allocation, and costs kv-ba ≈ 9 % of peak RSS.
+// and the block is copied into a free buffer, so in steady state a
+// miss allocates nothing. Caching the page-span buffer instead would
+// cost kv-ba ≈ 9 % of peak RSS.
 func (c *blockCache) read(p *sim.Proc, f *vfs.File, off, n int64) ([]byte, error) {
 	ps := int64(f.PageSize())
 	first, end := off/ps*ps, off+n
@@ -359,55 +387,70 @@ func (c *blockCache) read(p *sim.Proc, f *vfs.File, off, n int64) ([]byte, error
 	err := f.ReadAt(p, first, span)
 	var raw []byte
 	if err == nil {
-		raw = append([]byte(nil), span[off-first:end-first]...)
+		// Taken after the read's yield: nobody holds a free buffer.
+		raw = append(c.freeBuf(int(n)), span[off-first:end-first]...)
 	}
 	c.spans = append(c.spans, span)
 	return raw, err
 }
 
-func (c *blockCache) get(num int, off uint64) ([]entry, bool) {
-	ents, ok := c.items[blockKey{num, off}]
+// freeBuf returns an empty buffer with room for n bytes: the last
+// freed one if it fits, else a new one (and the freed one is dropped).
+func (c *blockCache) freeBuf(n int) []byte {
+	if k := len(c.free); k > 0 {
+		b := c.free[k-1]
+		c.free = c.free[:k-1]
+		if cap(b) >= n {
+			return b[:0]
+		}
+	}
+	// Data blocks close past blockBytes by at most one entry; room for
+	// a quarter more lets a buffer serve nearly any block.
+	return make([]byte, 0, max(n, blockBytes+blockBytes/4))
+}
+
+func (c *blockCache) get(num int, off uint64) ([]byte, bool) {
+	raw, ok := c.items[blockKey{num, off}]
 	if ok {
 		c.hits++
 	} else {
 		c.miss++
 	}
-	return ents, ok
+	return raw, ok
 }
 
-func (c *blockCache) put(num int, off uint64, ents []entry) {
+func (c *blockCache) put(num int, off uint64, raw []byte) {
 	k := blockKey{num, off}
-	if _, ok := c.items[k]; !ok {
-		if len(c.order) < cap(c.order) {
-			c.order = append(c.order, k)
-		} else {
-			delete(c.items, c.order[c.head])
-			c.order[c.head] = k
-			c.head = (c.head + 1) % len(c.order)
-		}
+	if old, ok := c.items[k]; ok {
+		c.free = append(c.free, old)
+	} else if len(c.order) < cap(c.order) {
+		c.order = append(c.order, k)
+	} else {
+		c.free = append(c.free, c.items[c.order[c.head]])
+		delete(c.items, c.order[c.head])
+		c.order[c.head] = k
+		c.head = (c.head + 1) % len(c.order)
 	}
-	c.items[k] = ents
+	c.items[k] = raw
 }
 
-// readBlock fetches and decodes one data block, through the cache.
-func (t *table) readBlock(p *sim.Proc, c *blockCache, idx int) ([]entry, error) {
+// readBlock returns raw data block idx, through the cache. It is valid
+// until the caller's next yield.
+func (t *table) readBlock(p *sim.Proc, c *blockCache, idx int) ([]byte, error) {
 	ie := t.index[idx]
-	if ents, ok := c.get(t.num, ie.off); ok {
-		return ents, nil
+	if raw, ok := c.get(t.num, ie.off); ok {
+		return raw, nil
 	}
 	raw, err := c.read(p, t.file, int64(ie.off), int64(ie.length))
 	if err != nil {
 		return nil, err
 	}
-	ents, err := parseBlock(raw)
-	if err != nil {
-		return nil, err
-	}
-	c.put(t.num, ie.off, ents)
-	return ents, nil
+	c.put(t.num, ie.off, raw)
+	return raw, nil
 }
 
-// get searches the table for the newest version of key.
+// get searches the table for the newest version of key. The entry
+// aliases a cached block: it is valid until the caller's next yield.
 func (t *table) get(p *sim.Proc, c *blockCache, key []byte) (entry, bool, error) {
 	if !t.filter.mayContain(key) {
 		return entry{}, false, nil
@@ -416,15 +459,22 @@ func (t *table) get(p *sim.Proc, c *blockCache, key []byte) (entry, bool, error)
 	if bi < 0 {
 		return entry{}, false, nil
 	}
-	ents, err := t.readBlock(p, c, bi)
+	raw, err := t.readBlock(p, c, bi)
 	if err != nil {
 		return entry{}, false, err
 	}
 	// Entries sorted by (key asc, seq desc): first match is newest.
-	for _, e := range ents {
-		if bytes.Equal(e.key, key) {
-			return e, true, nil
+	for pos := 0; ; {
+		e, next, err := decodeEntry(raw, pos)
+		if err != nil || next < 0 {
+			return entry{}, false, err
 		}
+		switch cmp := bytes.Compare(e.key, key); {
+		case cmp == 0:
+			return e, true, nil
+		case cmp > 0:
+			return entry{}, false, nil
+		}
+		pos = next
 	}
-	return entry{}, false, nil
 }

@@ -121,8 +121,8 @@ func TestReadAheadNeverFailsOnUnconsumedPage(t *testing.T) {
 
 // TestRecoverReadAmplification ratchets what recovery costs the drive:
 // 4 096 records of 100 B are read back in about one command per 64
-// pages — each media page once — and in Sync mode the stage image comes
-// out of the same bytes.
+// pages — each media page once — and in Sync mode the stage's tail page
+// comes out of the same bytes.
 func TestRecoverReadAmplification(t *testing.T) {
 	const records, recBytes = 4096, 100
 	for _, ring := range []int{1, 4} {
@@ -208,8 +208,8 @@ func TestRecoverReadAmplification(t *testing.T) {
 				}
 			})
 			r.env.Run()
-			if !bytes.Equal(rl.stage[:local], media) {
-				t.Errorf("stage image differs from the %d-byte media prefix of segment %d", local, cur)
+			if tail := local - rl.stageOff; !bytes.Equal(rl.stage[:tail], media[rl.stageOff:]) {
+				t.Errorf("stage tail differs from bytes %d..%d of segment %d's media", rl.stageOff, local, cur)
 			}
 		})
 	}

@@ -294,15 +294,14 @@ func (l *Log) Recover(p *sim.Proc, fn func(lsn LSN, payload []byte) error) error
 		break
 	}
 
-	// Re-point the writer at the tail and rebuild the stage image so
-	// later flushes rewrite real bytes.
+	// Re-point the writer at the tail and rebuild the stage's tail page
+	// so later flushes rewrite real bytes.
 	local := tail - seg*l.fileBytes
-	if l.stage != nil {
-		if prev := l.appendOff - l.curSeg*l.fileBytes; prev > local {
-			clear(l.stage[local:prev]) // bytes of the pre-recovery stream past the tail
-		}
-		if local > 0 {
-			img, err := rd.view(0, local) // already fetched by the scan, bar runs a pad skipped
+	if l.halves == nil {
+		l.stage, l.stageOff = l.stage[:0], local/int64(l.ps)*int64(l.ps)
+		l.growStage(local)
+		if local > l.stageOff {
+			img, err := rd.view(l.stageOff, local-l.stageOff) // already fetched by the scan
 			if err != nil {
 				return err
 			}

@@ -237,9 +237,13 @@ type Log struct {
 	storing      []int64
 	storeWaiters int
 
-	// Block-mode state: the active file's image and the group-commit
-	// leader flag.
+	// Block-mode state. stage holds the active file's bytes from
+	// stageOff — the page holding flushedOff, where the next flush
+	// starts rewriting — to the end of the page holding appendOff: it
+	// grows on append, and a flush shifts the partial tail page down.
+	// flushing is the group-commit leader flag.
 	stage          []byte
+	stageOff       int64
 	flushing       bool
 	asyncScheduled bool
 
@@ -382,8 +386,6 @@ func Open(env *sim.Env, cfg Config) (*Log, error) {
 				sig:    env.NewSignal(fmt.Sprintf("wal.half%d", i)),
 			})
 		}
-	} else {
-		l.stage = make([]byte, l.fileBytes)
 	}
 	return l, nil
 }
@@ -550,8 +552,21 @@ func (l *Log) write(p *sim.Proc, pos int64, h *half, b []byte) error {
 	if h != nil {
 		return l.cfg.SSD.Mmio().Write(p, h.bufOff+int(pos%l.segBytes), b)
 	}
-	copy(l.stage[pos-l.curSeg*l.fileBytes:], b)
+	local := pos - l.curSeg*l.fileBytes
+	l.growStage(local + int64(len(b)))
+	copy(l.stage[local-l.stageOff:], b)
 	return nil
+}
+
+// growStage extends the stage, zero-filled, to the end of the page
+// holding file offset end.
+func (l *Log) growStage(end int64) {
+	ps := int64(l.ps)
+	n := int(min((end+ps-1)/ps*ps, l.fileBytes) - l.stageOff)
+	if old := len(l.stage); n > old {
+		l.stage = slices.Grow(l.stage, n-old)[:n]
+		clear(l.stage[old:])
+	}
 }
 
 // store encodes one record at its claimed position and writes it, then
@@ -643,7 +658,7 @@ func (l *Log) rotate(p *sim.Proc) error {
 	}
 	l.curSeg++
 	l.hdrPending = true
-	clear(l.stage)
+	l.stage, l.stageOff = l.stage[:0], 0
 	l.cRotations.Inc()
 	l.inj.Tick(fault.EvWalRotate)
 	l.hRotate.Observe(sim.Duration(l.env.Now() - t0))
@@ -877,10 +892,11 @@ func (l *Log) flushBlock(p *sim.Proc) error {
 	// Rotation drains before it moves curSeg, so both cursors lie in
 	// the active file.
 	ps, base := int64(l.ps), l.curSeg*l.fileBytes
-	first := (l.flushedOff - base) / ps * ps
+	first := (l.flushedOff - base) / ps * ps // == stageOff
 	last := min((flushTo-base+ps-1)/ps*ps, l.fileBytes)
 	f := l.file(l.curSeg)
-	if err := f.WriteAt(p, first, l.stage[first:last]); err != nil {
+	l.growStage(last)
+	if err := f.WriteAt(p, first, l.stage[first-l.stageOff:last-l.stageOff]); err != nil {
 		return err
 	}
 	if err := f.Sync(p); err != nil {
@@ -888,6 +904,11 @@ func (l *Log) flushBlock(p *sim.Proc) error {
 	}
 	l.cFlushes.Inc()
 	l.flushedOff = flushTo
+	// The next flush starts at the page holding flushTo.
+	if cut := (flushTo-base)/ps*ps - l.stageOff; cut > 0 {
+		l.stage = l.stage[:copy(l.stage, l.stage[cut:])]
+		l.stageOff += cut
+	}
 	if l.cfg.Mode != PM && flushTo > l.durableOff {
 		l.durableOff = flushTo // the deferred Fire wakes tail readers too
 	}
