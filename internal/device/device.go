@@ -169,6 +169,16 @@ type lbaBuf struct {
 	landed   int
 }
 
+// Holds reports whether the copy with drain ticket t is the next to
+// land: the turn a drain worker waits for on inflightDone.
+func (b *lbaBuf) Holds(t int64) bool { return int64(b.landed) == t }
+
+// bufRoom is the device seen as the condition WritePages waits for on
+// bufSpace: a free ring slot.
+type bufRoom Device
+
+func (r *bufRoom) Holds(int64) bool { return r.queued < len(r.ring) }
+
 // Device is one simulated NVMe SSD.
 type Device struct {
 	env     *sim.Env
@@ -540,9 +550,7 @@ func (d *Device) WritePages(p *sim.Proc, lba ftl.LBA, data []byte) error {
 	for i := 0; i < n; i++ {
 		// Transfer the page over PCIe, then wait for buffer space.
 		d.pcieXfer(p, ps)
-		for d.queued >= len(d.ring) {
-			d.bufSpace.Wait(p)
-		}
+		d.bufSpace.WaitUntil(p, (*bufRoom)(d), 0)
 		page := d.getPage()
 		copy(page, data[i*ps:(i+1)*ps])
 		// The integrity tag is born here — the block path's host
@@ -630,9 +638,7 @@ func (d *Device) drainLoop(p *sim.Proc) {
 		d.bufSpace.Fire()
 		ticket := len(b.inflight)
 		b.inflight = append(b.inflight, ent)
-		for b.landed != ticket {
-			d.inflightDone.Wait(p)
-		}
+		d.inflightDone.WaitUntil(p, b, int64(ticket))
 		sp := d.o.Tracer().BeginProc(p, "device", "drain_write")
 		if err := d.ftl.WritePageTagged(p, lba, ent.data, ent.tag); err != nil {
 			// Drain failure means the device is configured too small

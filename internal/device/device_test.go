@@ -460,3 +460,44 @@ func TestBufferIndexKeepsItsPosition(t *testing.T) {
 	})
 	e.Run()
 }
+
+// TestSameLBAHerdResumesOnlyTheNextTicket rewrites one LBA back to back
+// on a drive with 64 drain workers: the copies queue for NAND behind
+// per-LBA tickets on one signal, and every landing fires it. Only the
+// worker holding the next ticket may be resumed; the kernel re-checks
+// the others' turns in place. The pinned event count moves if any
+// worker is resumed only to park again, and the last write must win.
+func TestSameLBAHerdResumesOnlyTheNextTicket(t *testing.T) {
+	prof := small(ULLSSD())
+	prof.DrainWorkers = 64
+	e := sim.NewEnv()
+	d := New(e, prof)
+	ps := d.PageSize()
+	const rewrites = 48
+	deepest := 0
+	e.Go("t", func(p *sim.Proc) {
+		for v := 1; v <= rewrites; v++ {
+			if err := d.WritePages(p, 3, bytes.Repeat([]byte{byte(v)}, ps)); err != nil {
+				t.Fatalf("write %d: %v", v, err)
+			}
+			deepest = max(deepest, d.inflightDone.Waiters())
+		}
+		if err := d.Drain(p); err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := d.ReadPages(p, 3, 1); got[0] != rewrites {
+			t.Errorf("read version %d, want %d (last write wins)", got[0], rewrites)
+		}
+	})
+	e.Run()
+	if w := counter(t, e, "ftl.host_page_writes"); w != rewrites {
+		t.Errorf("FTL writes = %d, want %d", w, rewrites)
+	}
+	if deepest < 4 {
+		t.Fatalf("at most %d copies waited for their turn: no herd to thin", deepest)
+	}
+	// 1398 when every landing resumed every queued worker.
+	if got := e.Events(); got != 504 {
+		t.Errorf("dispatched %d events, want 504", got)
+	}
+}

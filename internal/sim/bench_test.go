@@ -76,3 +76,50 @@ func BenchmarkSignalFanout(b *testing.B) {
 	b.ResetTimer()
 	e.Run()
 }
+
+// herdTurn holds when the turn counter has reached arg.
+type herdTurn struct{ n int64 }
+
+func (c *herdTurn) Holds(t int64) bool { return c.n == t }
+
+// BenchmarkSignalHerd measures a herd: 32 waiters each waiting for its
+// own turn on one signal, one Fire per turn (an op). Under WaitUntil the
+// kernel re-checks the 31 others in place; the recheck-loop variant is
+// the `for !cond { s.Wait(p) }` idiom, which resumes all 32 per Fire.
+func BenchmarkSignalHerd(b *testing.B) {
+	for _, until := range []bool{false, true} {
+		name := "recheck-loop"
+		if until {
+			name = "WaitUntil"
+		}
+		b.Run(name, func(b *testing.B) {
+			e := NewEnv()
+			defer e.Shutdown()
+			s := e.NewSignal("s")
+			c := &herdTurn{n: -1}
+			for w := int64(0); w < 32; w++ {
+				e.GoDaemon("waiter", func(p *Proc) {
+					for t := w; ; t += 32 {
+						if until {
+							s.WaitUntil(p, c, t)
+						} else {
+							for !c.Holds(t) {
+								s.Wait(p)
+							}
+						}
+					}
+				})
+			}
+			e.Go("firer", func(p *Proc) {
+				for i := 0; i < b.N; i++ {
+					p.Sleep(10)
+					c.n++
+					s.Fire()
+				}
+			})
+			b.ReportAllocs()
+			b.ResetTimer()
+			e.Run()
+		})
+	}
+}

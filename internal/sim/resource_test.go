@@ -4,7 +4,7 @@ import "testing"
 
 // Edge-of-contract tests for Resource and Signal: handoff vs
 // TryAcquire, waiter-queue wraparound, zero-capacity construction,
-// zero-duration Use, and Signal re-wait/spare-slice behavior.
+// zero-duration Use, and Signal re-wait behavior.
 
 // A Release with queued waiters hands the unit directly to the head
 // waiter — a TryAcquire racing at the same instant, after the release
@@ -136,7 +136,7 @@ func TestZeroDurationUse(t *testing.T) {
 }
 
 // A waiter that re-Waits from inside the wakeup of a Fire must not see
-// the same fire twice, and the recycled spare slice must not leak
+// the same fire twice, and the waiter slice Fire emptied must not leak
 // old waiters into the next Fire.
 func TestSignalReWaitNeedsNextFire(t *testing.T) {
 	e := NewEnv()

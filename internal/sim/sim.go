@@ -14,7 +14,7 @@
 //   - Resource:   a counted resource with a FIFO wait queue (dies,
 //     channels, mutexes are Resources of capacity 1..n).
 //   - Signal:     a condition processes can park on (wake all, or the
-//     longest waiter).
+//     longest waiter), or park on until a predicate holds (WaitUntil).
 //
 // # Hot path
 //
@@ -36,6 +36,11 @@
 //     value-typed 4-ary min-heap. Neither path boxes events into
 //     interface{} the way container/heap does, so steady-state
 //     scheduling does not allocate.
+//   - Herds re-checked in place: a Fire schedules the signal's waiters
+//     as one ready-ring entry, and the kernel evaluates the condition of
+//     each one waiting in WaitUntil at its turn. A process whose
+//     condition fails goes back onto the signal without being resumed,
+//     so it costs neither a coroutine switch nor an event.
 //   - Allocation-free parking: Resource/Signal wait labels are
 //     precomputed, the blocked-process set is an index-linked slice
 //     rather than a map, and FIFO queues reclaim their heads with a
@@ -87,6 +92,14 @@ type event struct {
 	proc *Proc
 }
 
+// slot is a ready-ring entry: a process to resume, or a herd (exactly
+// one of the two). Ring entries all belong to the current instant and
+// run in ring order, so they carry neither a time nor a sequence number.
+type slot struct {
+	proc *Proc
+	herd *herd
+}
+
 // eventLess orders events by (at, seq): time first, FIFO among
 // simultaneous events.
 func eventLess(a, b event) bool {
@@ -105,12 +118,15 @@ type kernel struct {
 
 	// heap holds pending events scheduled past the current instant: a
 	// value-typed 4-ary min-heap on (at, seq). ring holds events for the
-	// current instant in FIFO order (their seqs are necessarily newer
-	// than any same-instant event still in the heap, which was scheduled
-	// before the clock reached this instant).
+	// current instant in FIFO order (they are necessarily newer than any
+	// same-instant event still in the heap, which was scheduled before
+	// the clock reached this instant).
 	heap     []event
-	ring     []event
+	ring     []slot
 	ringHead int
+
+	// herds holds exhausted herds for reuse by the next Fire.
+	herds []*herd
 
 	// hand is the process the dispatch loop resumes next: a process
 	// about to give up control pops the next event and leaves its owner
@@ -212,9 +228,11 @@ func (e *Env) OnShutdown(fn func()) { e.onShutdown = append(e.onShutdown, fn) }
 // run).
 func (e *Env) Now() Time { return e.now }
 
-// Events reports the number of events the environment has executed so
-// far. The wall-clock benchmark harness (bench2b -benchjson) divides
-// this by real elapsed time for an events/sec figure of merit.
+// Events reports the number of events the environment has dispatched
+// so far: resumes of a process. A WaitUntil condition the kernel
+// re-checked and found false resumes nothing and is not counted. The
+// wall-clock benchmark harness (bench2b -benchjson) divides this by
+// real elapsed time for an events/sec figure of merit.
 func (e *Env) Events() uint64 { return e.nevents }
 
 // Proc is a simulation process: a coroutine that Run's dispatch loop
@@ -244,6 +262,11 @@ type Proc struct {
 	// Deadlock-diagnosis state while parked on a Resource or Signal.
 	blockedOn string
 	blockIdx  int
+
+	// cond and carg are the condition of a WaitUntil in progress (cond
+	// is nil in a plain Wait), which a herd re-checks for the process.
+	cond Cond
+	carg int64
 }
 
 // killedSentinel is the panic value park throws when Shutdown unwinds a
@@ -358,13 +381,12 @@ func (p *Proc) run() (clean bool) {
 }
 
 func (k *kernel) schedule(p *Proc, at Time) {
-	k.seq++
-	ev := event{at: at, seq: k.seq, proc: p}
 	if at == k.now {
-		k.ring = append(k.ring, ev)
-	} else {
-		k.heapPush(ev)
+		k.ring = append(k.ring, slot{proc: p})
+		return
 	}
+	k.seq++
+	k.heapPush(event{at: at, seq: k.seq, proc: p})
 }
 
 // next pops the earliest pending event in (at, seq) order, advances the
@@ -373,40 +395,69 @@ func (k *kernel) schedule(p *Proc, at Time) {
 // instant predates every ring event (it was scheduled before the clock
 // got here), so it wins the tie. The process's environment takes the
 // event: its clock, its event count and its tick hook.
+//
+// A herd entry yields the first member it dispatches (herd.next) and
+// keeps its place at the ring's head while members remain, so the rest
+// of the herd is walked before any later same-instant event, exactly
+// where their own ring events would have run.
 func (k *kernel) next() *Proc {
-	hasRing := k.ringHead < len(k.ring)
-	var ev event
-	switch {
-	case hasRing && len(k.heap) > 0 && k.heap[0].at <= k.now:
-		ev = k.heapPop()
-	case hasRing:
-		ev = k.ring[k.ringHead]
-		k.ring[k.ringHead].proc = nil
-		k.ringHead++
-		if k.ringHead == len(k.ring) {
-			k.ring = k.ring[:0]
-			k.ringHead = 0
+	for {
+		var p *Proc
+		switch {
+		case k.ringHead < len(k.ring) && (len(k.heap) == 0 || k.heap[0].at > k.now):
+			s := &k.ring[k.ringHead]
+			if h := s.herd; h != nil {
+				p = h.next(k.now)
+				if h.head < len(h.ps) {
+					break // the herd keeps its place at the head
+				}
+				k.putHerd(h)
+			} else {
+				p = s.proc
+			}
+			*s = slot{}
+			k.ringHead++
+			if k.ringHead == len(k.ring) {
+				k.ring = k.ring[:0]
+				k.ringHead = 0
+			}
+			if p == nil {
+				continue // every member of the herd parked again
+			}
+		case len(k.heap) > 0:
+			ev := k.heapPop()
+			if ev.at < k.now {
+				panic("sim: time went backwards")
+			}
+			k.now = ev.at
+			p = ev.proc
+		default:
+			return nil
 		}
-	case len(k.heap) > 0:
-		ev = k.heapPop()
-	default:
-		return nil
+		e := p.env
+		e.now = k.now
+		e.nevents++
+		e.tick()
+		return p
 	}
-	if ev.at < k.now {
-		panic("sim: time went backwards")
-	}
-	k.now = ev.at
-	e := ev.proc.env
-	e.now = ev.at
-	e.nevents++
+}
+
+// tick runs the clock-tick hook if the environment's clock reached it.
+// It stays small enough to inline into the dispatch path, where the
+// common case is no hook.
+func (e *Env) tick() {
 	if e.tickFn != nil && e.now >= e.tickAt {
-		next := e.tickFn(e.now)
-		if next <= e.now {
-			e.tickFn = nil
-		}
-		e.tickAt = next
+		e.runTick()
 	}
-	return ev.proc
+}
+
+//go:noinline
+func (e *Env) runTick() {
+	next := e.tickFn(e.now)
+	if next <= e.now {
+		e.tickFn = nil
+	}
+	e.tickAt = next
 }
 
 // heapPush inserts into the 4-ary min-heap (sift up).
@@ -594,6 +645,7 @@ func (k *kernel) shutdown() {
 	k.free = nil
 	k.heap = nil
 	k.ring = nil
+	k.herds = nil
 	k.blocked = nil
 }
 
@@ -636,10 +688,18 @@ func (p *Proc) Sleep(d Duration) {
 // (callers pass a precomputed label so parking does not allocate).
 func (p *Proc) block(what string) {
 	k := p.env.k
+	k.enterBlocked(p, what)
+	p.park()
+	k.leaveBlocked(p)
+}
+
+func (k *kernel) enterBlocked(p *Proc, what string) {
 	p.blockedOn = what
 	p.blockIdx = len(k.blocked)
 	k.blocked = append(k.blocked, p)
-	p.park()
+}
+
+func (k *kernel) leaveBlocked(p *Proc) {
 	last := len(k.blocked) - 1
 	moved := k.blocked[last]
 	k.blocked[p.blockIdx] = moved
@@ -782,8 +842,55 @@ type Signal struct {
 	label   string  // "signal <name>", precomputed for allocation-free parking
 	waiters []*Proc // FIFO; waiters[:whead] were woken by FireOne
 	whead   int
-	spare   []*Proc // retired waiter slice, reused to avoid re-allocating
 	fires   uint64
+}
+
+// Cond is a condition a process waits for with Signal.WaitUntil. Holds
+// reports whether it holds for the waiter's own datum arg. It must only
+// read model state: it must not yield, schedule events or allocate, and
+// it must not depend on who evaluates it — the kernel re-checks it on
+// the waiter's behalf. A pointer to the state it reads makes a Cond
+// without a per-wait allocation.
+type Cond interface {
+	Holds(arg int64) bool
+}
+
+// herd is the waiters one Fire woke, in FIFO order, scheduled as one
+// ready-ring entry: ps[head:] have not had their turn yet.
+type herd struct {
+	sig  *Signal
+	ps   []*Proc
+	head int
+}
+
+// next walks the herd from its next member and returns the first one to
+// dispatch — a plain waiter, or one whose condition holds — or nil once
+// every member has had its turn. Each member takes the instant as its
+// dispatch would have: the clock and the tick hook. A member whose
+// condition fails takes the path its own re-Wait would have taken, back
+// onto the signal, at its turn; it is not resumed and not counted.
+func (h *herd) next(now Time) *Proc {
+	for h.head < len(h.ps) {
+		p := h.ps[h.head]
+		h.ps[h.head] = nil
+		h.head++
+		if p.cond == nil || p.cond.Holds(p.carg) {
+			return p
+		}
+		e := p.env
+		e.now = now
+		e.tick()
+		e.k.leaveBlocked(p)
+		h.sig.enqueue(p)
+		e.k.enterBlocked(p, h.sig.label)
+	}
+	return nil
+}
+
+// putHerd recycles an exhausted herd.
+func (k *kernel) putHerd(h *herd) {
+	h.sig, h.ps, h.head = nil, h.ps[:0], 0
+	k.herds = append(k.herds, h)
 }
 
 // NewSignal creates a named signal.
@@ -794,6 +901,30 @@ func (e *Env) NewSignal(name string) *Signal {
 // Wait parks until the next Fire, or until a FireOne reaches this
 // process at the head of the queue.
 func (s *Signal) Wait(p *Proc) {
+	s.enqueue(p)
+	p.block(s.label)
+}
+
+// WaitUntil parks until c.Holds(arg). It behaves exactly as
+//
+//	for !c.Holds(arg) { s.Wait(p) }
+//
+// — same results, same virtual time, same order of every effectful
+// event — except that a Fire does not resume the process to re-check:
+// the kernel evaluates the condition at the process's turn, and if it
+// fails puts the process back on the signal, as its own Wait would
+// have, without a coroutine switch or an event.
+func (s *Signal) WaitUntil(p *Proc, c Cond, arg int64) {
+	for !c.Holds(arg) {
+		p.cond, p.carg = c, arg
+		s.Wait(p)
+	}
+	p.cond = nil
+}
+
+// enqueue appends p to the waiters: the path of a Wait, and of a herd
+// member whose re-check failed.
+func (s *Signal) enqueue(p *Proc) {
 	if n := len(s.waiters); n == cap(s.waiters) && s.whead > 0 && s.whead >= n/2 {
 		// Reclaim the prefix FireOne consumed instead of growing: a pool
 		// that never fully drains keeps one bounded array (at most twice
@@ -803,20 +934,30 @@ func (s *Signal) Wait(p *Proc) {
 		s.waiters, s.whead = s.waiters[:n], 0
 	}
 	s.waiters = append(s.waiters, p)
-	p.block(s.label)
 }
 
 // Fire wakes all current waiters. It is safe to call with no waiters.
+// The waiters become one herd in the ready ring, at the place the first
+// one's wake-up would have taken.
 func (s *Signal) Fire() {
 	s.fires++
-	ws := s.waiters
-	s.waiters = s.spare[:0]
-	for i := s.whead; i < len(ws); i++ {
-		s.env.unblock(ws[i])
-		ws[i] = nil
+	if s.whead == len(s.waiters) {
+		return
 	}
-	s.whead = 0
-	s.spare = ws[:0]
+	k := s.env.k
+	var h *herd
+	if n := len(k.herds); n > 0 {
+		h = k.herds[n-1]
+		k.herds[n-1] = nil
+		k.herds = k.herds[:n-1]
+	} else {
+		h = new(herd)
+	}
+	h.sig = s
+	h.ps = append(h.ps, s.waiters[s.whead:]...)
+	clear(s.waiters)
+	s.waiters, s.whead = s.waiters[:0], 0
+	k.ring = append(k.ring, slot{herd: h})
 }
 
 // FireOne wakes the longest-waiting process, if any; the others keep

@@ -62,6 +62,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"slices"
 
 	"twobssd/internal/arena"
@@ -814,7 +815,7 @@ func (l *Log) commitTo(p *sim.Proc, target int64) (led bool, err error) {
 	}
 	for l.durableOff < target {
 		if l.flushing {
-			l.moved.Wait(p)
+			l.moved.WaitUntil(p, (*flushWait)(l), target)
 			continue
 		}
 		before := l.durableOff
@@ -872,14 +873,20 @@ func (l *Log) commitBA(p *sim.Proc, target int64) (led bool, err error) {
 	return l.advance(target), nil
 }
 
+// flushWait is the log seen as the condition a block-mode committer
+// waits for on moved: the durable frontier reached the target, or no
+// flush is in progress (a target of math.MaxInt64 waits for the flush
+// alone).
+type flushWait Log
+
+func (w *flushWait) Holds(target int64) bool { return w.durableOff >= target || !w.flushing }
+
 // flushBlock writes all staged-but-unflushed bytes (page aligned) and
 // fsyncs. The caller becomes the flush leader.
 func (l *Log) flushBlock(p *sim.Proc) error {
-	for l.flushing {
-		// Another leader is mid-flush (e.g. an async timer racing a
-		// Drain): wait for it rather than double-writing.
-		l.moved.Wait(p)
-	}
+	// Another leader may be mid-flush (e.g. an async timer racing a
+	// Drain): wait for it rather than double-writing.
+	l.moved.WaitUntil(p, (*flushWait)(l), math.MaxInt64)
 	l.flushing = true
 	defer func() {
 		l.flushing = false
