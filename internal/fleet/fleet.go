@@ -200,7 +200,7 @@ type tenantRT struct {
 	cDropped    *obs.Counter
 
 	// ---- follower side (follower env) ----
-	applied      map[int]uint32 // seq → payload CRC applied to the redo log
+	applied      seqCRCs // payload CRC of each seq applied to the redo log
 	appliedN     int
 	failedOver   bool
 	failTripAt   sim.Time
@@ -212,6 +212,13 @@ type tenantRT struct {
 	errsF        []string
 	hLag         *histo.H
 }
+
+// seqCRCs is a dense table of payload CRCs over one tenant's schedule,
+// indexed by seq (0 … len(sched)-1): entry seq holds 1<<32 | crc, or 0
+// when the seq has no record.
+type seqCRCs []uint64
+
+func (s seqCRCs) set(seq int, crc uint32) { s[seq] = 1<<32 | uint64(crc) }
 
 // fleetRT carries run-wide derived values.
 type fleetRT struct {
@@ -228,27 +235,24 @@ func appendPayload(dst []byte, name string, seq int, key int64, size int) []byte
 	start := len(dst)
 	dst = append(dst, name...)
 	dst = append(dst, '|')
-	dst = appendPadded(dst, uint64(seq), 10, 6)
+	// seq, zero-padded to six digits; key, eight hex digits.
+	for pow := uint64(100_000); pow > 1 && uint64(seq) < pow; pow /= 10 {
+		dst = append(dst, '0')
+	}
+	dst = strconv.AppendUint(dst, uint64(seq), 10)
 	dst = append(dst, '|')
-	dst = appendPadded(dst, uint64(uint32(key)), 16, 8)
+	const hex = "0123456789abcdef"
+	for shift := 28; shift >= 0; shift -= 4 {
+		dst = append(dst, hex[uint32(key)>>shift&15])
+	}
 	dst = append(dst, '|')
-	for len(dst)-start < size {
-		dst = append(dst, 'x')
+	for n := size - (len(dst) - start); n > 0; n -= len(xFill) {
+		dst = append(dst, xFill[:min(n, len(xFill))]...)
 	}
 	return dst
 }
 
-// appendPadded appends v in base, left-padded with zeros to width digits.
-func appendPadded(dst []byte, v uint64, base, width int) []byte {
-	digits := 1
-	for x := v / uint64(base); x > 0; x /= uint64(base) {
-		digits++
-	}
-	for ; digits < width; digits++ {
-		dst = append(dst, '0')
-	}
-	return strconv.AppendUint(dst, v, base)
-}
+const xFill = "xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx"
 
 // payloadCap is a capacity that holds any record appendPayload writes
 // for name at size without growing.
@@ -344,7 +348,7 @@ func newTenant(g *sim.Group, fr *fleetRT, idx int, spec traffic.Spec) (*tenantRT
 	t.sent = make([]bool, len(t.sched))
 	t.acked = make([]bool, len(t.sched))
 	t.committed = make([]bool, len(t.sched))
-	t.applied = make(map[int]uint32, len(t.sched))
+	t.applied = make(seqCRCs, len(t.sched))
 	preg := obs.Of(pn.env).Registry()
 	t.hLat = preg.Histo(fmt.Sprintf("fleet.%s.latency_ns", name))
 	t.cCommits = preg.Counter(fmt.Sprintf("fleet.%s.commits", name))
@@ -559,13 +563,13 @@ func (t *tenantRT) runAckWatch(p *sim.Proc) {
 	}
 	// End-of-run oracle check: everything committed on this primary
 	// must be recoverable from NAND, and nothing else may be.
-	want := make(map[int]uint32, len(t.sched))
+	want := make(seqCRCs, len(t.sched))
 	size := t.spec.PayloadBytes
 	buf := make([]byte, 0, payloadCap(t.name, size))
 	for i := range t.sched {
 		if t.committed[i] {
 			buf = appendPayload(buf[:0], t.name, i, t.sched[i].Key, size)
-			want[i] = crc32.ChecksumIEEE(buf)
+			want.set(i, crc32.ChecksumIEEE(buf))
 		}
 	}
 	lost, phantom, err := mediaCheck(p, t.h, want)
@@ -609,7 +613,7 @@ func (t *tenantRT) runFollower(p *sim.Proc) {
 			t.ack.Close(p)
 			return
 		}
-		t.applied[m.seq] = crc32.ChecksumIEEE(m.payload)
+		t.applied.set(m.seq, crc32.ChecksumIEEE(m.payload))
 		t.appliedN++
 		if m.local {
 			t.hLag.Observe(sim.Duration(env.Now() - m.commit))
@@ -646,32 +650,38 @@ func (t *tenantRT) verifyFailover(p *sim.Proc, tripAt sim.Time) {
 	t.failVerifyAt = t.fnode.env.Now()
 }
 
-// mediaCheck recovers h's log from media and counts it against want
-// (seq → payload CRC): a wanted record that is missing or differs is
-// lost; a recovered record that is unparsable or not wanted is phantom.
-// On a recovery error the counts cover what was read before it.
-func mediaCheck(p *sim.Proc, h *logHandle, want map[int]uint32) (lost, phantom int, err error) {
-	rec := make(map[int]uint32, len(want))
+// mediaCheck recovers h's log from media and counts it against want: a
+// wanted record that is missing or differs is lost; a recovered record
+// that is unparsable, not wanted or past the schedule is phantom, once
+// per seq (the last record of a seq decides). On a recovery error the
+// counts cover what was read before it.
+func mediaCheck(p *sim.Proc, h *logHandle, want seqCRCs) (lost, phantom int, err error) {
+	rec := make(seqCRCs, len(want))
+	var beyond map[int]bool // seqs past the schedule: only a broken log has any
 	err = h.recover(p, func(_ wal.LSN, payload []byte) error {
 		seq, ok := payloadSeq(payload)
-		if !ok {
+		switch {
+		case !ok:
 			phantom++
-			return nil
+		case seq >= len(rec):
+			if beyond == nil {
+				beyond = make(map[int]bool)
+			}
+			beyond[seq] = true
+		default:
+			rec.set(seq, crc32.ChecksumIEEE(payload))
 		}
-		rec[seq] = crc32.ChecksumIEEE(payload)
 		return nil
 	})
-	for seq, crc := range want {
-		if got, ok := rec[seq]; !ok || got != crc {
+	for seq, w := range want {
+		if w != 0 && rec[seq] != w {
 			lost++
 		}
-	}
-	for seq := range rec {
-		if _, ok := want[seq]; !ok {
+		if w == 0 && rec[seq] != 0 {
 			phantom++
 		}
 	}
-	return lost, phantom, err
+	return lost, phantom + len(beyond), err
 }
 
 // ---- results ----

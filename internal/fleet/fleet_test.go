@@ -1,12 +1,14 @@
 package fleet
 
 import (
+	"hash/crc32"
 	"reflect"
 	"runtime"
 	"testing"
 
 	"twobssd/internal/sim"
 	"twobssd/internal/traffic"
+	"twobssd/internal/wal"
 )
 
 func testSpec(name string, seed uint64, ops int) traffic.Spec {
@@ -220,5 +222,104 @@ func TestFleetOpAllocations(t *testing.T) {
 	t.Logf("%.3f extra allocations per op", perOp)
 	if perOp >= 0.5 {
 		t.Fatalf("%.2f extra allocations per op between %d and %d ops per tenant, want < 0.5", perOp, small, large)
+	}
+}
+
+// refMediaCheck is mediaCheck's verdict as a seq → CRC map computes it,
+// over the payloads a recovery returned.
+func refMediaCheck(recovered [][]byte, want map[int]uint32) (lost, phantom int) {
+	rec := make(map[int]uint32)
+	for _, payload := range recovered {
+		seq, ok := payloadSeq(payload)
+		if !ok {
+			phantom++
+			continue
+		}
+		rec[seq] = crc32.ChecksumIEEE(payload)
+	}
+	for seq, crc := range want {
+		if got, ok := rec[seq]; !ok || got != crc {
+			lost++
+		}
+	}
+	for seq := range rec {
+		if _, ok := want[seq]; !ok {
+			phantom++
+		}
+	}
+	return lost, phantom
+}
+
+// mediaCheck's dense tables give the map's lost and phantom verdicts on
+// a log holding each kind of damage.
+func TestMediaCheckMatchesMapReference(t *testing.T) {
+	const sched = 8
+	rec := func(seq, key int) []byte { return appendPayload(nil, "m", seq, int64(key), 48) }
+	var all [][]byte // a record per seq, key = seq: what a clean run writes
+	for seq := 0; seq < sched; seq++ {
+		all = append(all, rec(seq, seq))
+	}
+	cases := []struct {
+		name          string
+		log           [][]byte // appended in order
+		wanted        []int    // seqs want holds, each with its clean record
+		lost, phantom int
+	}{
+		{"clean", all, []int{0, 1, 2, 3, 4, 5, 6, 7}, 0, 0},
+		{"missing record", all[:6], []int{0, 1, 2, 3, 4, 5, 6}, 1, 0},
+		{"differing crc", append(append([][]byte{}, all[:3]...), rec(3, 99)), []int{0, 1, 2, 3}, 1, 0},
+		{"duplicate seq, last differs", [][]byte{all[0], all[1], rec(1, 99)}, []int{0, 1}, 1, 0},
+		{"duplicate seq, last matches", [][]byte{all[0], rec(1, 99), all[1]}, []int{0, 1}, 0, 0},
+		{"duplicate unwanted seq", [][]byte{all[0], all[5], all[5]}, []int{0}, 0, 1},
+		{"unparsable payload", [][]byte{all[0], []byte("no seq here"), all[1]}, []int{0, 1}, 0, 1},
+		{"seq past the schedule", [][]byte{all[0], rec(sched, 1), rec(sched+40, 1), rec(sched, 2)}, []int{0}, 0, 2},
+	}
+	for _, c := range cases {
+		want := make(seqCRCs, sched)
+		wantMap := make(map[int]uint32)
+		for _, seq := range c.wanted {
+			crc := crc32.ChecksumIEEE(all[seq])
+			want.set(seq, crc)
+			wantMap[seq] = crc
+		}
+		g := sim.NewGroup()
+		fr := &fleetRT{cfg: &Config{}}
+		n := newNode(g, fr, DefaultDeviceConfig(), 0)
+		h, err := newLogHandle(n.slots, n.ssd, n.fs, "wal-m", "m", fr.cfg.logBytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var recovered [][]byte
+		var lost, phantom int
+		var runErr error
+		n.env.Go("check", func(p *sim.Proc) {
+			for _, r := range c.log {
+				if runErr = h.append(p, r); runErr != nil {
+					return
+				}
+			}
+			if runErr = h.recover(p, func(_ wal.LSN, payload []byte) error {
+				recovered = append(recovered, append([]byte(nil), payload...))
+				return nil
+			}); runErr != nil {
+				return
+			}
+			lost, phantom, runErr = mediaCheck(p, h, want)
+		})
+		g.Run()
+		g.Shutdown()
+		if runErr != nil {
+			t.Fatalf("%s: %v", c.name, runErr)
+		}
+		if len(recovered) != len(c.log) {
+			t.Fatalf("%s: recovered %d records of %d appended", c.name, len(recovered), len(c.log))
+		}
+		refLost, refPhantom := refMediaCheck(recovered, wantMap)
+		if lost != refLost || phantom != refPhantom {
+			t.Errorf("%s: mediaCheck lost %d phantom %d, map reference %d and %d", c.name, lost, phantom, refLost, refPhantom)
+		}
+		if lost != c.lost || phantom != c.phantom {
+			t.Errorf("%s: mediaCheck lost %d phantom %d, want %d and %d", c.name, lost, phantom, c.lost, c.phantom)
+		}
 	}
 }

@@ -8,6 +8,7 @@ package histo
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 
 	"twobssd/internal/sim"
@@ -29,15 +30,54 @@ type H struct {
 	max    sim.Duration
 }
 
-// bucketOf maps a duration to its bucket index.
+// bucketLows[i] is the smallest duration the float rule
+// int(log2(d) * bucketsPerOctave) puts in bucket i or above. Buckets no
+// integer reaches (1 … 15: log2 2 is already 1) share the next reached
+// bucket's bound, so walking up past them never stops on one.
+var bucketLows = buildBucketLows()
+
+func buildBucketLows() (lows [maxBuckets]sim.Duration) {
+	floatRule := func(d sim.Duration) int { return int(math.Log2(float64(d)) * bucketsPerOctave) }
+	for i := 1; i < maxBuckets; i++ {
+		// The rule is monotone in d and puts 1<<34 past the last bucket.
+		lo, hi := max(lows[i-1], 1), sim.Duration(1)<<34
+		for lo < hi {
+			mid := lo + (hi-lo)/2
+			if floatRule(mid) >= i {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		lows[i] = lo
+	}
+	return lows
+}
+
+// bucketOf maps a duration to its bucket index: int(log2(d) *
+// bucketsPerOctave), clamped to the table, computed without a float.
+// With d = 2^e·m, m in [1, 2), the guess 16e + (top four bits of m's
+// fraction) never exceeds the answer, because log2 m >= m-1 on [1, 2),
+// and falls short of it by at most two; the walk up against bucketLows
+// closes the gap exactly.
 func bucketOf(d sim.Duration) int {
 	if d < 1 {
 		return 0
 	}
-	l := math.Log2(float64(d))
-	idx := int(l * bucketsPerOctave)
-	if idx >= maxBuckets {
-		idx = maxBuckets - 1
+	u := uint64(d)
+	e := bits.Len64(u) - 1
+	var frac uint64
+	if e >= 4 {
+		frac = u >> (e - 4) & 15
+	} else {
+		frac = u << (4 - e) & 15
+	}
+	idx := e*bucketsPerOctave + int(frac)
+	if idx >= maxBuckets-1 {
+		return maxBuckets - 1
+	}
+	for idx+1 < maxBuckets && d >= bucketLows[idx+1] {
+		idx++
 	}
 	return idx
 }

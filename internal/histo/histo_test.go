@@ -1,6 +1,7 @@
 package histo
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -312,5 +313,62 @@ func TestWindowMergeInterleaved(t *testing.T) {
 	all.Merge(&h2)
 	if got, want := w.Quantile(0.5), all.Quantile(0.5); got != want {
 		t.Fatalf("merged window p50 = %v, cumulative p50 = %v", got, want)
+	}
+}
+
+// refBucket is the float rule bucketOf must reproduce for every int64.
+func refBucket(d sim.Duration) int {
+	if d < 1 {
+		return 0
+	}
+	idx := int(math.Log2(float64(d)) * bucketsPerOctave)
+	if idx >= maxBuckets {
+		idx = maxBuckets - 1
+	}
+	return idx
+}
+
+func TestBucketOfMatchesFloatRule(t *testing.T) {
+	check := func(d sim.Duration) {
+		t.Helper()
+		if got, want := bucketOf(d), refBucket(d); got != want {
+			t.Fatalf("bucketOf(%d) = %d, float rule says %d", d, got, want)
+		}
+	}
+	for _, d := range []sim.Duration{0, -1, -1 << 40, math.MinInt64, 1, 2, 3, math.MaxInt64} {
+		check(d)
+	}
+	// Every bucket boundary, ±2 000: where a wrong table or a guess walked
+	// the wrong way shows.
+	for i := 0; i <= maxBuckets; i++ {
+		b := sim.Duration(math.Exp2(float64(i) / bucketsPerOctave))
+		for d := b - 2000; d <= b+2000; d++ {
+			check(d)
+		}
+	}
+	// A seeded sweep of every octave of int64.
+	rng := rand.New(rand.NewSource(42))
+	for e := 0; e < 63; e++ {
+		lo := int64(1) << e
+		for k := 0; k < 2000; k++ {
+			check(sim.Duration(lo + rng.Int63n(lo)))
+		}
+	}
+}
+
+var sinkH H
+
+func BenchmarkObserve(b *testing.B) {
+	// Durations spread over 1 ns … ~1 s, as a latency histogram sees them.
+	var ds [1024]sim.Duration
+	rng := rand.New(rand.NewSource(1))
+	for i := range ds {
+		ds[i] = sim.Duration(1) << rng.Intn(30)
+		ds[i] += sim.Duration(rng.Int63n(int64(ds[i])))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkH.Observe(ds[i&(len(ds)-1)])
 	}
 }

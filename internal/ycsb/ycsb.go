@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"twobssd/internal/sim"
 )
@@ -16,33 +17,53 @@ import (
 // (Gray et al.'s rejection-free algorithm, as in the YCSB core).
 type Zipfian struct {
 	n     int64
-	theta float64
 	alpha float64
 	zetan float64
 	eta   float64
-	zeta2 float64
+	one   float64 // 1 + 0.5^theta: a draw below it (and not below 1) is key 1
 	rng   *rand.Rand
 }
 
 // NewZipfian builds a generator over [0, n) with skew theta (YCSB
-// default 0.99).
+// default 0.99). Theta 1 is the distribution's singularity (alpha =
+// 1/(1-theta) is infinite) and panics.
 func NewZipfian(n int64, theta float64, seed int64) *Zipfian {
 	if n <= 0 {
 		panic("ycsb: zipfian over empty range")
 	}
-	z := &Zipfian{n: n, theta: theta, rng: rand.New(rand.NewSource(seed))}
+	if theta == 1 {
+		panic("ycsb: zipfian theta 1 is the singularity of alpha = 1/(1-theta)")
+	}
+	z := &Zipfian{n: n, rng: rand.New(rand.NewSource(seed))}
 	z.zetan = zeta(n, theta)
-	z.zeta2 = zeta(2, theta)
 	z.alpha = 1.0 / (1.0 - theta)
-	z.eta = (1 - math.Pow(2.0/float64(n), 1-theta)) / (1 - z.zeta2/z.zetan)
+	z.eta = (1 - math.Pow(2.0/float64(n), 1-theta)) / (1 - zeta(2, theta)/z.zetan)
+	z.one = 1.0 + math.Pow(0.5, theta)
 	return z
 }
 
+type zetaKey struct {
+	n     int64
+	theta float64
+}
+
+// zetas memoizes zeta per (n, theta): every tenant and client of a run
+// shares one keyspace and skew, and the sum is n Pow calls. Experiments
+// run side by side (bench2b -j), hence the sync.Map; two that miss at
+// once both compute the same value.
+var zetas sync.Map // zetaKey → float64
+
+// zeta returns sum_{i=1..n} 1/i^theta, summed in index order.
 func zeta(n int64, theta float64) float64 {
+	k := zetaKey{n, theta}
+	if v, ok := zetas.Load(k); ok {
+		return v.(float64)
+	}
 	var sum float64
 	for i := int64(1); i <= n; i++ {
 		sum += 1.0 / math.Pow(float64(i), theta)
 	}
+	zetas.Store(k, sum)
 	return sum
 }
 
@@ -53,10 +74,11 @@ func (z *Zipfian) Next() int64 {
 	if uz < 1.0 {
 		return 0
 	}
-	if uz < 1.0+math.Pow(0.5, z.theta) {
+	if uz < z.one {
 		return 1
 	}
-	return int64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
+	// u close to 1 can round the product up to n.
+	return min(int64(float64(z.n)*math.Pow(z.eta*u-z.eta+1, z.alpha)), z.n-1)
 }
 
 // OpKind is a workload operation type.
