@@ -319,8 +319,6 @@ func QueueDepth(r *Runner) *Table {
 			if err := d.Drain(p); err != nil {
 				panic(err)
 			}
-			start := e.Now()
-			_ = start
 			for w := 0; w < qd; w++ {
 				w := w
 				e.Go(fmt.Sprintf("q%d", w), func(pr *sim.Proc) {

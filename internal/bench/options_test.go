@@ -4,13 +4,22 @@ import (
 	"reflect"
 	"testing"
 
+	"twobssd/internal/core"
+	"twobssd/internal/device"
+	"twobssd/internal/fault"
 	"twobssd/internal/fleet"
 	"twobssd/internal/ftl"
 	"twobssd/internal/jfs"
 	"twobssd/internal/kvaof"
+	"twobssd/internal/linkbench"
 	"twobssd/internal/lsm"
+	"twobssd/internal/nand"
+	"twobssd/internal/oracle"
+	"twobssd/internal/pcie"
 	"twobssd/internal/pglite"
+	"twobssd/internal/traffic"
 	"twobssd/internal/wal"
+	"twobssd/internal/ycsb"
 )
 
 // TestOptionCountRatchet pins the number of independently settable
@@ -24,11 +33,20 @@ func TestOptionCountRatchet(t *testing.T) {
 	}{
 		{wal.Config{}, 11},
 		{lsm.Config{}, 12},
-		{pglite.Config{}, 6},
+		{pglite.Config{}, 4},
 		{kvaof.Config{}, 3},
 		{jfs.Config{}, 3},
 		{fleet.Config{}, 10},
 		{ftl.Config{}, 2},
+		{core.Config{}, 7},
+		{pcie.Config{}, 2},
+		{device.Profile{}, 10},
+		{nand.Config{}, 10},
+		{ycsb.Config{}, 5},
+		{linkbench.Config{}, 2},
+		{fault.Plan{}, 8},
+		{oracle.Config{}, 4},
+		{traffic.Spec{}, 10},
 	} {
 		typ := reflect.TypeOf(c.cfg)
 		if got := typ.NumField(); got != c.want {

@@ -594,24 +594,3 @@ func TestPropertyDualPathRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestPinAuthorizer(t *testing.T) {
-	cfg := testConfig()
-	cfg.PinAuthorizer = func(lba uint64, pages int) error {
-		if lba < 100 {
-			return errors.New("range owned by another tenant")
-		}
-		return nil
-	}
-	e := sim.NewEnv()
-	s := New(e, cfg)
-	e.Go("t", func(p *sim.Proc) {
-		if err := s.BAPin(p, 0, 0, 5, 1); !errors.Is(err, ErrNotPermitted) {
-			t.Errorf("denied range: err = %v", err)
-		}
-		if err := s.BAPin(p, 0, 0, 120, 1); err != nil {
-			t.Errorf("allowed range: %v", err)
-		}
-	})
-	e.Run()
-}

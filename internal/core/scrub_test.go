@@ -86,58 +86,3 @@ func TestScrubRepairsRetentionErrors(t *testing.T) {
 		t.Error("control: salvage read returned wrong data")
 	}
 }
-
-// TestScrubDaemonCadence runs the interval-driven scrubber and checks
-// that passes tick on the virtual clock and that StopScrub lets the
-// simulation terminate.
-func TestScrubDaemonCadence(t *testing.T) {
-	e := sim.NewEnv()
-	cfg := testConfig()
-	cfg.ScrubInterval = 1 * sim.Second
-	cfg.ScrubPagesPerPass = 16
-	s := New(e, cfg)
-	ps := s.PageSize()
-	e.Go("t", func(p *sim.Proc) {
-		if err := s.Device().WritePages(p, 0, bytes.Repeat([]byte{1}, 4*ps)); err != nil {
-			t.Errorf("write: %v", err)
-		}
-		if err := s.Device().Drain(p); err != nil {
-			t.Errorf("drain: %v", err)
-		}
-		p.Sleep(5 * sim.Second)
-		s.StopScrub()
-	})
-	e.Run()
-	if n := counter(t, e, "scrub.passes"); n < 4 {
-		t.Errorf("scrub passes = %d, want >= 4 over 5 s at 1 s cadence", n)
-	}
-	if counter(t, e, "scrub.scanned") == 0 {
-		t.Error("scrub scanned no mapped pages")
-	}
-	if n := counter(t, e, "scrub.crc_errors"); n != 0 {
-		t.Errorf("scrub flagged %d CRC errors on a healthy device", n)
-	}
-}
-
-// TestScrubSkipsWhilePoweredOff checks the daemon idles across a
-// power-loss window instead of patrolling a dead device.
-func TestScrubSkipsWhilePoweredOff(t *testing.T) {
-	e := sim.NewEnv()
-	cfg := testConfig()
-	cfg.ScrubInterval = 1 * sim.Second
-	s := New(e, cfg)
-	e.Go("t", func(p *sim.Proc) {
-		if _, err := s.PowerLoss(p); err != nil {
-			t.Errorf("power loss: %v", err)
-		}
-		p.Sleep(3 * sim.Second)
-		if err := s.PowerOn(p); err != nil {
-			t.Errorf("power on: %v", err)
-		}
-		s.StopScrub()
-	})
-	e.Run()
-	if p := counter(t, e, "scrub.passes"); p != 0 {
-		t.Errorf("scrubber ran %d passes while powered off", p)
-	}
-}

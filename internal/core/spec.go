@@ -5,7 +5,6 @@ import (
 
 	"twobssd/internal/device"
 	"twobssd/internal/pcie"
-	"twobssd/internal/sim"
 )
 
 // Spec mirrors Table I of the paper: the headline specification of the
@@ -50,9 +49,9 @@ func (s Spec) Rows() [][2]string {
 }
 
 // Config assembles a full 2B-SSD: the ULL-class base device it
-// piggybacks on, the BA-buffer geometry, the MMIO latency model, the
-// internal-datapath firmware, the read DMA engine and the power-loss
-// protection subsystem.
+// piggybacks on, the BA-buffer geometry, the MMIO latency model and the
+// power-loss protection subsystem. The firmware and DMA costs are
+// calibrations of the prototype, constants in core.go.
 type Config struct {
 	// Base is the block device the 2B-SSD piggybacks on (the paper's
 	// prototype is built on the Z-SSD). Its FTL reservation is forced
@@ -67,64 +66,24 @@ type Config struct {
 	// MMIO is the host-side BAR1 access model.
 	MMIO pcie.Config
 
-	// Internal datapath (BA_PIN / BA_FLUSH): firmware running on
-	// InternalWorkers ARM cores, charging InternalPerPageCost per 4 KB
-	// page moved. Calibrated to the paper's ~2.2 GB/s internal
-	// bandwidth ceiling.
-	InternalWorkers     int
-	InternalPerPageCost sim.Duration
-
-	// APIBaseCost models the ioctl + vendor-unique-command round trip
-	// of BA_PIN/BA_FLUSH; InfoCost the lighter BA_GET_ENTRY_INFO.
-	APIBaseCost sim.Duration
-	InfoCost    sim.Duration
-
-	// Read DMA engine: setup/interrupt overhead plus streaming rate.
-	// Calibrated so a 4 KB DMA read takes ~58 µs (2.6x faster than
-	// plain MMIO) and pays off from ~2 KB upward.
-	DMABaseCost sim.Duration
-	DMAMBps     int
-
 	// Power-loss protection: back-up electrolytic capacitors and the
 	// power drawn while dumping the BA-buffer to the reserved NAND
 	// area. Energy budget = sum of 1/2 C V^2 over the capacitors.
 	CapacitorsUF []float64
 	CapVoltage   float64
 	DumpPowerW   float64
-
-	// PinAuthorizer models the OS permission check of Section III-C:
-	// "only applications with permission to access the requested LBA
-	// range are allowed to use this API". A nil authorizer allows all
-	// pins (single-tenant use).
-	PinAuthorizer func(lba uint64, pages int) error
-
-	// Background scrubber: every ScrubInterval of virtual time the
-	// firmware patrol-reads ScrubPagesPerPass logical pages (round
-	// robin over the exported LBA space), rewriting pages whose reads
-	// needed ECC retries before retention errors grow uncorrectable.
-	// A zero ScrubInterval disables the scrubber (the default, so
-	// existing experiment results are untouched). A zero
-	// ScrubPagesPerPass with a non-zero interval scans 64 pages/pass.
-	ScrubInterval     sim.Duration
-	ScrubPagesPerPass int
 }
 
 // DefaultConfig returns the calibrated prototype configuration.
 func DefaultConfig() Config {
 	return Config{
-		Base:                device.ULLSSD(),
-		BABufferBytes:       8 << 20,
-		MaxEntries:          8,
-		MMIO:                pcie.DefaultConfig(),
-		InternalWorkers:     2,
-		InternalPerPageCost: 3700 * sim.Nanosecond,
-		APIBaseCost:         5 * sim.Microsecond,
-		InfoCost:            2 * sim.Microsecond,
-		DMABaseCost:         37500 * sim.Nanosecond,
-		DMAMBps:             200,
-		CapacitorsUF:        []float64{270, 270, 270},
-		CapVoltage:          12.0,
-		DumpPowerW:          6.0,
+		Base:          device.ULLSSD(),
+		BABufferBytes: 8 << 20,
+		MaxEntries:    8,
+		MMIO:          pcie.DefaultConfig(),
+		CapacitorsUF:  []float64{270, 270, 270},
+		CapVoltage:    12.0,
+		DumpPowerW:    6.0,
 	}
 }
 

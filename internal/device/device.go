@@ -33,10 +33,8 @@ type Profile struct {
 	Nand nand.Config
 	FTL  ftl.Config
 
-	// SubmissionLatency covers the host driver, doorbell and command
-	// fetch; CompletionLatency covers the interrupt and host completion
-	// handling.
-	SubmissionLatency sim.Duration
+	// CompletionLatency covers the interrupt and host completion
+	// handling (submissionLatency the way in).
 	CompletionLatency sim.Duration
 
 	// Firmware processing: per-command cost plus per-page cost, on a
@@ -45,9 +43,6 @@ type Profile struct {
 	FwPerCmdCost  sim.Duration
 	FwPerPageCost sim.Duration
 
-	// PCIeMBps is the host-link bandwidth (PCIe Gen3 x4 ~ 3200 MB/s).
-	PCIeMBps int
-
 	// Write buffer (power-loss protected on both comparison devices):
 	// writes complete once buffered; DrainWorkers firmware threads move
 	// buffered pages to NAND in the background.
@@ -55,6 +50,13 @@ type Profile struct {
 	BufferAckLatency sim.Duration
 	DrainWorkers     int
 }
+
+// Both comparison devices sit on the same host: the same driver,
+// doorbell and command-fetch cost on submission, and the same link.
+const (
+	submissionLatency = 3 * sim.Microsecond
+	pcieMBps          = 3200 // PCIe Gen3 x4
+)
 
 // DCSSD returns the datacenter-SSD profile (PM963-class, TLC-like
 // timing). Calibrated targets: 4 KB QD1 read ≈ 83 µs, write ≈ 17 µs,
@@ -74,12 +76,10 @@ func DCSSD() Profile {
 			ChannelMBps:    800,
 		},
 		FTL:               ftl.Config{OverProvision: 0.07},
-		SubmissionLatency: 3 * sim.Microsecond,
 		CompletionLatency: 1 * sim.Microsecond,
 		FirmwareCores:     2,
 		FwPerCmdCost:      1500 * sim.Nanosecond,
 		FwPerPageCost:     3500 * sim.Nanosecond,
-		PCIeMBps:          3200,
 		WriteBufferPages:  1024,
 		BufferAckLatency:  10200 * sim.Nanosecond,
 		DrainWorkers:      64,
@@ -104,12 +104,10 @@ func ULLSSD() Profile {
 			ChannelMBps:    1200,
 		},
 		FTL:               ftl.Config{OverProvision: 0.07},
-		SubmissionLatency: 3 * sim.Microsecond,
 		CompletionLatency: 1200 * sim.Nanosecond,
 		FirmwareCores:     8,
 		FwPerCmdCost:      1 * sim.Microsecond,
 		FwPerPageCost:     400 * sim.Nanosecond,
-		PCIeMBps:          3200,
 		WriteBufferPages:  1024,
 		BufferAckLatency:  3500 * sim.Nanosecond,
 		DrainWorkers:      64,
@@ -124,8 +122,6 @@ func (p Profile) Validate() error {
 	switch {
 	case p.FirmwareCores <= 0:
 		return errors.New("device: FirmwareCores must be > 0")
-	case p.PCIeMBps <= 0:
-		return errors.New("device: PCIeMBps must be > 0")
 	case p.WriteBufferPages <= 0:
 		return errors.New("device: WriteBufferPages must be > 0")
 	case p.DrainWorkers <= 0:
@@ -348,7 +344,7 @@ func (d *Device) release(lba ftl.LBA, b *lbaBuf) {
 }
 
 func (d *Device) pcieTime(bytes int) sim.Duration {
-	return sim.Duration(int64(bytes) * 1000 / int64(d.profile.PCIeMBps))
+	return sim.Duration(int64(bytes) * 1000 / pcieMBps)
 }
 
 // pcieXfer moves bytes over the shared host link: acquire, hold for the
@@ -417,7 +413,7 @@ func (d *Device) ReadPagesInto(p *sim.Proc, lba ftl.LBA, dst []byte) error {
 	start := d.env.Now()
 	cmd := d.o.Tracer().BeginProc(p, "device", "read_cmd")
 	d.maybeTimeout(p)
-	p.Sleep(d.profile.SubmissionLatency)
+	p.Sleep(submissionLatency)
 	d.fw.Use(p, d.profile.FwPerCmdCost)
 
 	var err error
@@ -545,7 +541,7 @@ func (d *Device) WritePages(p *sim.Proc, lba ftl.LBA, data []byte) error {
 	start := d.env.Now()
 	cmd := d.o.Tracer().BeginProc(p, "device", "write_cmd")
 	d.maybeTimeout(p)
-	p.Sleep(d.profile.SubmissionLatency)
+	p.Sleep(submissionLatency)
 	d.fw.Use(p, d.profile.FwPerCmdCost)
 	for i := 0; i < n; i++ {
 		// Transfer the page over PCIe, then wait for buffer space.
@@ -584,7 +580,7 @@ func (d *Device) Flush(p *sim.Proc) error {
 	start := d.env.Now()
 	cmd := d.o.Tracer().BeginProc(p, "device", "flush_cmd")
 	d.maybeTimeout(p)
-	p.Sleep(d.profile.SubmissionLatency)
+	p.Sleep(submissionLatency)
 	d.fw.Use(p, d.profile.FwPerCmdCost)
 	p.Sleep(d.profile.CompletionLatency)
 	cmd.End()

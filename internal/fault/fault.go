@@ -158,11 +158,10 @@ type Plan struct {
 
 	// TimeoutOneIn makes roughly one in N device commands hit
 	// transient timeouts; the device retries with exponential backoff
-	// starting at TimeoutDelay (0 disables). TimeoutMaxRetries bounds
-	// the injected consecutive timeouts per command (default 2).
-	TimeoutOneIn      uint64
-	TimeoutDelay      sim.Duration
-	TimeoutMaxRetries int
+	// starting at TimeoutDelay (0 disables). A command hits at most
+	// timeoutMaxRetries consecutive timeouts.
+	TimeoutOneIn uint64
+	TimeoutDelay sim.Duration
 
 	// CutDumpAfterPages kills the capacitor-powered dump after that
 	// many pages have been programmed, leaving a torn image the
@@ -205,9 +204,6 @@ type Injector struct {
 // Installing twice replaces the previous injector for components built
 // afterwards.
 func Install(env *sim.Env, plan Plan) *Injector {
-	if plan.TimeoutMaxRetries <= 0 {
-		plan.TimeoutMaxRetries = 2
-	}
 	if plan.TimeoutDelay <= 0 {
 		plan.TimeoutDelay = 100 * sim.Microsecond
 	}
@@ -367,6 +363,10 @@ func (in *Injector) EraseFault() bool {
 	return true
 }
 
+// timeoutMaxRetries bounds the injected consecutive timeouts per
+// command.
+const timeoutMaxRetries = 2
+
 // Timeouts decides whether this device command hits transient
 // timeouts, returning how many and the base backoff delay. The device
 // retries with exponential backoff; commands always eventually
@@ -378,7 +378,7 @@ func (in *Injector) Timeouts() (n int, delay sim.Duration) {
 	if in.rngTimeout.Uint64()%in.plan.TimeoutOneIn != 0 {
 		return 0, 0
 	}
-	n = 1 + int(in.rngTimeout.Uint64()%uint64(in.plan.TimeoutMaxRetries))
+	n = 1 + int(in.rngTimeout.Uint64()%timeoutMaxRetries)
 	in.cTimeout.Add(uint64(n))
 	return n, in.plan.TimeoutDelay
 }

@@ -72,11 +72,14 @@ type Graph interface {
 
 // Config shapes a workload.
 type Config struct {
-	Nodes     int64 // initial graph size
-	LinkTypes int   // distinct link types (default 2)
-	DataBytes int   // node/link payload size (default 128)
-	Seed      int64
+	Nodes int64 // initial graph size
+	Seed  int64
 }
+
+const (
+	linkTypes = 2   // distinct link types
+	dataBytes = 128 // node/link payload size
+)
 
 // Generator produces deterministic LinkBench operations.
 type Generator struct {
@@ -90,18 +93,12 @@ type Generator struct {
 
 // NewGenerator builds a generator.
 func NewGenerator(cfg Config) *Generator {
-	if cfg.LinkTypes <= 0 {
-		cfg.LinkTypes = 2
-	}
-	if cfg.DataBytes <= 0 {
-		cfg.DataBytes = 128
-	}
 	g := &Generator{
 		cfg:    cfg,
 		zipf:   ycsb.NewZipfian(cfg.Nodes, 0.99, cfg.Seed),
 		rng:    rand.New(rand.NewSource(cfg.Seed + 13)),
 		nextID: uint64(cfg.Nodes),
-		data:   make([]byte, cfg.DataBytes),
+		data:   make([]byte, dataBytes),
 	}
 	for i := range g.data {
 		g.data[i] = byte('A' + i%26)
@@ -126,7 +123,7 @@ func (g *Generator) pick() OpKind {
 
 func (g *Generator) node() uint64 { return uint64(g.zipf.Next()) }
 
-func (g *Generator) linkType() uint32 { return uint32(g.rng.Intn(g.cfg.LinkTypes)) }
+func (g *Generator) linkType() uint32 { return uint32(g.rng.Intn(linkTypes)) }
 
 // NodeKey/LinkKey format composite keys for a relational mapping.
 func NodeKey(id uint64) []byte {

@@ -88,7 +88,7 @@ func (db *DB) compactL0(p *sim.Proc) error {
 	sort.Slice(newL1, func(i, j int) bool { return bytes.Compare(newL1[i].first, newL1[j].first) < 0 })
 	db.levels[1] = newL1
 	db.stats.Compactions++
-	return db.dropTables(p, all)
+	return db.dropTables(all)
 }
 
 // compactLevel pushes one table from lvl into lvl+1.
@@ -112,7 +112,7 @@ func (db *DB) compactLevel(p *sim.Proc, lvl int) error {
 	sort.Slice(next, func(i, j int) bool { return bytes.Compare(next[i].first, next[j].first) < 0 })
 	db.levels[lvl+1] = next
 	db.stats.Compactions++
-	return db.dropTables(p, all)
+	return db.dropTables(all)
 }
 
 // bottomAfter reports whether any level below lvl holds data — if not,
@@ -204,7 +204,7 @@ func (db *DB) mergeTables(p *sim.Proc, inputs []*table, dropTombstones bool) ([]
 // dropTables retires compaction inputs. Files are removed immediately
 // when no reader is active, otherwise queued for reclamation at the
 // last reader's exit.
-func (db *DB) dropTables(p *sim.Proc, tables []*table) error {
+func (db *DB) dropTables(tables []*table) error {
 	for _, t := range tables {
 		if db.activeReaders > 0 {
 			db.obsolete = append(db.obsolete, t.file.Name())
@@ -214,6 +214,5 @@ func (db *DB) dropTables(p *sim.Proc, tables []*table) error {
 			return err
 		}
 	}
-	_ = p
 	return nil
 }

@@ -330,10 +330,6 @@ const (
 	recBatch  = byte(3)
 )
 
-func encodeRecord(typ byte, key, value []byte) []byte {
-	return encodeRecordInto(make([]byte, 1+4+len(key)+len(value)), typ, key, value)
-}
-
 func encodeRecordInto(out []byte, typ byte, key, value []byte) []byte {
 	out[0] = typ
 	binary.LittleEndian.PutUint32(out[1:], uint32(len(key)))
@@ -506,7 +502,7 @@ func (db *DB) snapshotLevels() [maxLevels][]*table { return db.levels }
 // reclaimed when nobody can still be reading them.
 func (db *DB) beginRead() { db.activeReaders++ }
 
-func (db *DB) endRead(p *sim.Proc) {
+func (db *DB) endRead() {
 	db.activeReaders--
 	if db.activeReaders > 0 {
 		return
@@ -527,7 +523,6 @@ func (db *DB) endRead(p *sim.Proc) {
 			}
 		}
 	}
-	_ = p
 }
 
 // Get returns the newest value, or found=false.
@@ -543,7 +538,7 @@ func (db *DB) Get(p *sim.Proc, key []byte) (value []byte, found bool, err error)
 		}
 	}
 	db.beginRead()
-	defer db.endRead(p)
+	defer db.endRead()
 	levels := db.snapshotLevels()
 	// L0 newest-first (tables appended in age order).
 	for i := len(levels[0]) - 1; i >= 0; i-- {

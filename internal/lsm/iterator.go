@@ -264,7 +264,7 @@ func (it *Iterator) Close() {
 	}
 	it.closed = true
 	it.valid = false
-	it.db.endRead(it.p)
+	it.db.endRead()
 }
 
 // Scan returns up to limit live key/value pairs with key >= start, in

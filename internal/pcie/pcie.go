@@ -24,39 +24,33 @@ import (
 	"twobssd/internal/sim"
 )
 
-// Config calibrates the MMIO latency model. Defaults (DefaultConfig)
-// are tuned to the paper's measured Fig 7 MMIO curves.
+// Config sets the write-combining geometry, the one part of the MMIO
+// model an experiment varies (the write-combining ablation).
 type Config struct {
-	// Writes: posted transactions, combined into WC bursts.
-	WCBurstBytes   int          // burst granule (64 B on x86)
-	WCBufferBursts int          // WC buffers before forced eviction (~10 on x86)
-	WriteBase      sim.Duration // first burst of a store sequence
-	WritePerBurst  sim.Duration // each additional burst
-	// Reads: non-posted, split into small transactions for atomicity.
-	ReadTxBytes int          // split size (8 B on x86)
-	ReadBase    sim.Duration // fixed per-request overhead
-	ReadPerTx   sim.Duration // per split transaction round trip
-	// Sync: clflush+mfence per dirty line plus write-verify read.
-	SyncBase    sim.Duration // mfence + zero-byte write-verify read
-	SyncPerLine sim.Duration // clflush per 64 B line in the range
+	WCBurstBytes   int // burst granule (64 B on x86)
+	WCBufferBursts int // WC buffers before forced eviction (~10 on x86)
 }
 
-// DefaultConfig returns the calibrated model:
-// 8 B write 630 ns, 4 KB write ≈ 2 µs, 4 KB read ≈ 150 µs,
-// sync overhead ≈ +15 % at 8 B and ≈ +47 % at 4 KB.
+// DefaultConfig returns the x86 write-combining geometry.
 func DefaultConfig() Config {
-	return Config{
-		WCBurstBytes:   64,
-		WCBufferBursts: 10,
-		WriteBase:      630 * sim.Nanosecond,
-		WritePerBurst:  21 * sim.Nanosecond,
-		ReadTxBytes:    8,
-		ReadBase:       1900 * sim.Nanosecond,
-		ReadPerTx:      289 * sim.Nanosecond,
-		SyncBase:       82 * sim.Nanosecond,
-		SyncPerLine:    13 * sim.Nanosecond,
-	}
+	return Config{WCBurstBytes: 64, WCBufferBursts: 10}
 }
+
+// The MMIO latencies, tuned to the paper's measured Fig 7 curves:
+// 8 B write 630 ns, 4 KB write ≈ 2 µs, 4 KB read ≈ 150 µs, sync
+// overhead ≈ +15 % at 8 B and ≈ +47 % at 4 KB.
+const (
+	// Writes: posted transactions, combined into WC bursts.
+	writeBase     = 630 * sim.Nanosecond // first burst of a store sequence
+	writePerBurst = 21 * sim.Nanosecond  // each additional burst
+	// Reads: non-posted, split into small transactions for atomicity.
+	readTxBytes = 8                     // split size (8 B on x86)
+	readBase    = 1900 * sim.Nanosecond // fixed per-request overhead
+	readPerTx   = 289 * sim.Nanosecond  // per split transaction round trip
+	// Sync: clflush+mfence per dirty line plus write-verify read.
+	syncBase    = 82 * sim.Nanosecond // mfence + zero-byte write-verify read
+	syncPerLine = 13 * sim.Nanosecond // clflush per 64 B line in the range
+)
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
@@ -65,11 +59,6 @@ func (c Config) Validate() error {
 		return errors.New("pcie: WCBurstBytes must be > 0")
 	case c.WCBufferBursts <= 0:
 		return errors.New("pcie: WCBufferBursts must be > 0")
-	case c.ReadTxBytes <= 0:
-		return errors.New("pcie: ReadTxBytes must be > 0")
-	case c.WriteBase < 0 || c.WritePerBurst < 0 || c.ReadBase < 0 ||
-		c.ReadPerTx < 0 || c.SyncBase < 0 || c.SyncPerLine < 0:
-		return errors.New("pcie: latencies must be >= 0")
 	}
 	return nil
 }
@@ -157,7 +146,7 @@ func (w *Window) Write(p *sim.Proc, off int, data []byte) error {
 	firstLine := off / bs
 	lastLine := (off + len(data) - 1) / bs
 	bursts := lastLine - firstLine + 1
-	d := w.cfg.WriteBase + sim.Duration(bursts-1)*w.cfg.WritePerBurst
+	d := writeBase + sim.Duration(bursts-1)*writePerBurst
 	sp := w.o.Tracer().Begin("pcie.mmio", "pcie", "mmio_write")
 	p.Sleep(d)
 	sp.End()
@@ -231,8 +220,8 @@ func (w *Window) Read(p *sim.Proc, off int, buf []byte) error {
 		return err
 	}
 	w.drainPending()
-	tx := (len(buf) + w.cfg.ReadTxBytes - 1) / w.cfg.ReadTxBytes
-	d := w.cfg.ReadBase + sim.Duration(tx)*w.cfg.ReadPerTx
+	tx := (len(buf) + readTxBytes - 1) / readTxBytes
+	d := readBase + sim.Duration(tx)*readPerTx
 	sp := w.o.Tracer().Begin("pcie.mmio", "pcie", "mmio_read")
 	p.Sleep(d)
 	sp.End()
@@ -265,7 +254,7 @@ func (w *Window) Sync(p *sim.Proc, off, n int) error {
 	if n > 0 {
 		lines = (off+n-1)/bs - off/bs + 1
 	}
-	d := w.cfg.SyncBase + sim.Duration(lines)*w.cfg.SyncPerLine
+	d := syncBase + sim.Duration(lines)*syncPerLine
 	sp := w.o.Tracer().Begin("pcie.mmio", "pcie", "sync")
 	p.Sleep(d)
 	sp.End()

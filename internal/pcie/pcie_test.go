@@ -31,7 +31,7 @@ func TestDefaultConfigValid(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := DefaultConfig()
-	bad.ReadTxBytes = 0
+	bad.WCBurstBytes = 0
 	if bad.Validate() == nil {
 		t.Fatal("invalid config accepted")
 	}

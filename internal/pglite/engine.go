@@ -25,13 +25,16 @@ type Config struct {
 
 	HeapFileBytes   int64 // per-table heap capacity
 	BufferPoolPages int
-
-	ReadCPU  sim.Duration
-	WriteCPU sim.Duration
 }
 
-// checkpointFrac of the XLOG ring retained triggers a checkpoint.
-const checkpointFrac = 0.8
+const (
+	// checkpointFrac of the XLOG ring retained triggers a checkpoint.
+	checkpointFrac = 0.8
+
+	// Host CPU per read or scan and per commit.
+	readCPU  = 3 * sim.Microsecond
+	writeCPU = 4 * sim.Microsecond
+)
 
 func (c *Config) fillDefaults() error {
 	if c.DataFS == nil {
@@ -46,12 +49,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.BufferPoolPages <= 0 {
 		c.BufferPoolPages = 512
-	}
-	if c.ReadCPU <= 0 {
-		c.ReadCPU = 3 * sim.Microsecond
-	}
-	if c.WriteCPU <= 0 {
-		c.WriteCPU = 4 * sim.Microsecond
 	}
 	return nil
 }
@@ -260,7 +257,7 @@ func (t *Txn) Commit(p *sim.Proc) error {
 	if len(t.ops) == 0 {
 		return nil
 	}
-	p.Sleep(e.cfg.WriteCPU)
+	p.Sleep(writeCPU)
 	e.beginCommit(p)
 	payload := encodeBatch(t.ops)
 	lsn, err := e.xlog.Append(p, payload)
@@ -333,7 +330,7 @@ func (e *Engine) apply(p *sim.Proc, ops []op) error {
 }
 
 func (e *Engine) get(p *sim.Proc, table string, key []byte) ([]byte, bool, error) {
-	p.Sleep(e.cfg.ReadCPU)
+	p.Sleep(readCPU)
 	e.cReads.Inc()
 	tab, err := e.table(table)
 	if err != nil {
@@ -376,7 +373,7 @@ func (e *Engine) scan(p *sim.Proc, table string, start []byte, limit int) (keys,
 // never mutates a stored key) and values alias heap page frames; both
 // are valid only during the fn call. fn returning false stops the scan.
 func (e *Engine) scanVisit(p *sim.Proc, table string, start []byte, limit int, fn func(key, value []byte) bool) error {
-	p.Sleep(e.cfg.ReadCPU)
+	p.Sleep(readCPU)
 	e.cReads.Inc()
 	tab, err := e.table(table)
 	if err != nil {

@@ -23,12 +23,6 @@ type heapPage struct {
 	dirty bool
 }
 
-func newHeapPage() *heapPage {
-	hp := &heapPage{data: make([]byte, heapPageBytes)}
-	binary.LittleEndian.PutUint16(hp.data[2:], 4)
-	return hp
-}
-
 func loadHeapPage(data []byte) *heapPage {
 	hp := &heapPage{data: data}
 	if binary.LittleEndian.Uint16(hp.data[2:]) < 4 {

@@ -105,7 +105,10 @@ func (fs *FS) Remove(name string) error {
 		return fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
 	for i := 0; i < f.ext.pages; i++ {
-		// Trim failures only mean the page was never mapped.
+		// Trim fails only on an LBA beyond the device, which no
+		// extent holds. It reaches the FTL alone: a copy of the page
+		// still queued in the device write buffer lands after it, a
+		// known gap (DESIGN.md §11).
 		_ = fs.dev.FTL().Trim(f.ext.start + ftl.LBA(i))
 	}
 	fs.release(f.ext)

@@ -88,8 +88,6 @@ type OpKind int
 const (
 	OpRead OpKind = iota
 	OpUpdate
-	OpInsert
-	OpScan
 )
 
 func (k OpKind) String() string {
@@ -98,10 +96,6 @@ func (k OpKind) String() string {
 		return "READ"
 	case OpUpdate:
 		return "UPDATE"
-	case OpInsert:
-		return "INSERT"
-	case OpScan:
-		return "SCAN"
 	default:
 		return fmt.Sprintf("OpKind(%d)", int(k))
 	}
@@ -118,7 +112,6 @@ type Op struct {
 type Config struct {
 	Records      int64   // keyspace size
 	ReadFraction float64 // e.g. 0.5 for workload A
-	ScanFraction float64 // 0 for workload A
 	PayloadBytes int     // value size per update/insert
 	Theta        float64 // zipfian skew (default 0.99)
 	Seed         int64
@@ -187,15 +180,10 @@ func (g *Generator) Key(i int64) []byte {
 func (g *Generator) Next() Op {
 	i := g.zipf.Next()
 	key := g.Key(i)
-	r := g.rng.Float64()
-	switch {
-	case r < g.cfg.ReadFraction:
+	if g.rng.Float64() < g.cfg.ReadFraction {
 		return Op{Kind: OpRead, Key: key}
-	case r < g.cfg.ReadFraction+g.cfg.ScanFraction:
-		return Op{Kind: OpScan, Key: key}
-	default:
-		return Op{Kind: OpUpdate, Key: key, Value: g.val}
 	}
+	return Op{Kind: OpUpdate, Key: key, Value: g.val}
 }
 
 // KV is the store interface the runner drives.
