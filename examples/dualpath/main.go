@@ -38,7 +38,7 @@ func main() {
 		if !errors.Is(err, core.ErrPinnedRange) {
 			panic("LBA checker failed to gate")
 		}
-		_, err = ssd.Device().ReadPages(p, 99, 2)
+		err = ssd.Device().ReadPagesInto(p, 99, make([]byte, 2*ps))
 		fmt.Printf("block read overlapping pinned range: %v\n", err)
 
 		// Posted MMIO writes are invisible to the DMA engine until the

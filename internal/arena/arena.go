@@ -3,8 +3,8 @@
 // keeps of its records, where one heap object per record would dominate
 // a run's allocations; the flash array's page buffers (internal/nand),
 // where one heap object per first-programmed page would; and the
-// buffers a device's ReadPages returns (internal/device), where a heap
-// of 4 KB read buffers would fragment the space larger ones need.
+// buffers device.ReadPages returns to the benchmark, its only caller,
+// where 4 KB read buffers would fragment the space larger ones need.
 //
 // An Arena is append-only. It never hands out a byte twice and never
 // writes a byte after handing it out, so a carved slice stays valid, and

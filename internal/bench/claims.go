@@ -176,9 +176,10 @@ func MixedWorkload(r *Runner) *Table {
 				})
 			}
 			var total sim.Duration
+			page := make([]byte, ssd.PageSize())
 			for i := 0; i < r.LatReps; i++ {
 				start := e.Now()
-				if _, err := ssd.Device().ReadPages(p, 0, 1); err != nil {
+				if err := ssd.Device().ReadPagesInto(p, 0, page); err != nil {
 					panic(err)
 				}
 				total += sim.Duration(e.Now() - start)

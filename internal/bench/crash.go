@@ -68,20 +68,21 @@ func (s *stack) tornLogExcused(p *sim.Proc, err error) (bool, error) {
 	if !s.dumpLost || !errors.Is(err, integrity.ErrPageCorrupt) {
 		return false, err
 	}
+	page := make([]byte, s.logFS.PageSize())
 	for _, name := range s.logFS.List() {
 		f, oerr := s.logFS.Open(name)
 		if oerr != nil {
 			return false, oerr
 		}
 		for pg := 0; pg < f.Pages(); pg++ {
-			_, rerr := f.ReadPages(p, pg, 1)
+			rerr := f.ReadAt(p, int64(pg)*int64(len(page)), page)
 			if rerr == nil {
 				continue
 			}
 			if !errors.Is(rerr, integrity.ErrPageCorrupt) {
 				return false, rerr
 			}
-			lba, covered := f.LBA(int64(pg)*int64(s.logFS.PageSize())), false
+			lba, covered := f.LBA(int64(pg)*int64(len(page))), false
 			for _, e := range s.pinned {
 				covered = covered || (lba >= e.LBA && lba < e.LBA+ftl.LBA(e.Pages))
 			}
@@ -623,10 +624,11 @@ func (c *blkGCCrash) Recover(p *sim.Proc) (recovered, phantoms []string, err err
 		return nil, nil, err
 	}
 	ps := c.ssd.PageSize()
+	buf := make([]byte, blkGCHot*ps)
 	for lba := 0; lba < c.span; lba += blkGCHot {
 		n := min(blkGCHot, c.span-lba)
-		data, err := c.ssd.Device().ReadPages(p, ftl.LBA(lba), n)
-		if err != nil {
+		data := buf[:n*ps]
+		if err := c.ssd.Device().ReadPagesInto(p, ftl.LBA(lba), data); err != nil {
 			return nil, nil, err
 		}
 		for i := 0; i < n; i++ {

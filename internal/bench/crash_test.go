@@ -307,7 +307,7 @@ func TestTornLogExcusedConstructed(t *testing.T) {
 		if !ok || !s.ssd.Device().Flash().CorruptPage(ppa, 1) {
 			t.Fatal("could not corrupt the log page")
 		}
-		_, rerr := f.ReadPages(p, 1, 1)
+		rerr := f.ReadAt(p, int64(ps), make([]byte, ps))
 		if !errors.Is(rerr, integrity.ErrPageCorrupt) {
 			t.Fatalf("read of the corrupted page: err = %v, want ErrPageCorrupt", rerr)
 		}

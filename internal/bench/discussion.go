@@ -110,11 +110,12 @@ func smallRead(s Scale) *Table {
 		if err := ssd.Device().Drain(p); err != nil {
 			panic(err)
 		}
+		page := make([]byte, ssd.PageSize())
 		for _, size := range sizes {
 			var blk sim.Duration
 			for i := 0; i < s.LatReps; i++ {
 				start := e.Now()
-				if _, err := ssd.Device().ReadPages(p, ftl.LBA(i%pages), 1); err != nil {
+				if err := ssd.Device().ReadPagesInto(p, ftl.LBA(i%pages), page); err != nil {
 					panic(err)
 				}
 				blk += sim.Duration(e.Now() - start)
@@ -322,9 +323,10 @@ func QueueDepth(r *Runner) *Table {
 			for w := 0; w < qd; w++ {
 				w := w
 				e.Go(fmt.Sprintf("q%d", w), func(pr *sim.Proc) {
+					page := make([]byte, d.PageSize())
 					for i := 0; i < perWorker; i++ {
 						lba := ftl.LBA((w*131 + i*17) % 256)
-						if _, err := d.ReadPages(pr, lba, 1); err != nil {
+						if err := d.ReadPagesInto(pr, lba, page); err != nil {
 							panic(err)
 						}
 					}

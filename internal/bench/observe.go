@@ -109,7 +109,7 @@ func probe(s Scale) *Table {
 		// A block read of the pinned range must bounce off the LBA
 		// checker — the consistency mechanism the trace shows as a
 		// gate_reject instant.
-		if _, err := ssd.Device().ReadPages(p, pin.LBA(0), 1); err != nil {
+		if err := ssd.Device().ReadPagesInto(p, pin.LBA(0), page); err != nil {
 			gateRejects++
 		}
 		if err := ssd.BAFlush(p, 2); err != nil {

@@ -56,7 +56,7 @@ func SteadyStateAllocs(s Scale) *SteadyReport {
 					if err := dev.WritePages(p, lba, page); err != nil {
 						panic(err)
 					}
-					if _, err := dev.ReadPages(p, lba, 1); err != nil {
+					if err := dev.ReadPagesInto(p, lba, page); err != nil {
 						panic(err)
 					}
 				}

@@ -43,7 +43,7 @@ func TestCheckerBoundaries(t *testing.T) {
 		}
 		for _, tc := range cases {
 			werr := s.Device().WritePages(p, tc.lba, make([]byte, tc.pages*ps))
-			_, rerr := s.Device().ReadPages(p, tc.lba, tc.pages)
+			rerr := s.Device().ReadPagesInto(p, tc.lba, make([]byte, tc.pages*ps))
 			if tc.gated {
 				if !errors.Is(werr, ErrPinnedRange) {
 					t.Errorf("%s: write err = %v, want ErrPinnedRange", tc.name, werr)

@@ -104,8 +104,8 @@ func TestFlushStoresBufferToNand(t *testing.T) {
 			t.Fatalf("flush: %v", err)
 		}
 		// Entry gone, range unpinned: block read must return the data.
-		got, err := s.Device().ReadPages(p, 20, 1)
-		if err != nil {
+		got := make([]byte, s.PageSize())
+		if err := s.Device().ReadPagesInto(p, 20, got); err != nil {
 			t.Fatalf("block read: %v", err)
 		}
 		if !bytes.HasPrefix(got, payload) {
@@ -174,7 +174,7 @@ func TestLBACheckerGatesBlockIO(t *testing.T) {
 			t.Errorf("gated write err = %v", err)
 		}
 		// Block read overlapping the range is gated too.
-		if _, err := s.Device().ReadPages(p, 9, 2); !errors.Is(err, ErrPinnedRange) {
+		if err := s.Device().ReadPagesInto(p, 9, make([]byte, 2*ps)); !errors.Is(err, ErrPinnedRange) {
 			t.Errorf("gated read err = %v", err)
 		}
 		// Outside the range: fine.
@@ -478,9 +478,9 @@ func TestConcurrentPinnersDistinctEntries(t *testing.T) {
 	}
 	e.Run()
 	e.Go("verify", func(p *sim.Proc) {
+		got := make([]byte, s.PageSize())
 		for w := 0; w < workers; w++ {
-			got, err := s.Device().ReadPages(p, ftl.LBA(w*10), 1)
-			if err != nil {
+			if err := s.Device().ReadPagesInto(p, ftl.LBA(w*10), got); err != nil {
 				t.Errorf("verify read w%d: %v", w, err)
 				return
 			}
@@ -514,9 +514,9 @@ func TestEntryReuseCycles(t *testing.T) {
 				t.Fatalf("cycle %d flush: %v", cycle, err)
 			}
 		}
+		got := make([]byte, s.PageSize())
 		for cycle := 0; cycle < 12; cycle++ {
-			got, err := s.Device().ReadPages(p, ftl.LBA(cycle*3), 1)
-			if err != nil {
+			if err := s.Device().ReadPagesInto(p, ftl.LBA(cycle*3), got); err != nil {
 				t.Fatalf("verify %d: %v", cycle, err)
 			}
 			if got[0] != byte(cycle+1) {
@@ -580,8 +580,8 @@ func TestPropertyDualPathRoundTrip(t *testing.T) {
 				ok = false
 				return
 			}
-			got, err := s.Device().ReadPages(p, lba, 1)
-			if err != nil {
+			got := make([]byte, s.PageSize())
+			if err := s.Device().ReadPagesInto(p, lba, got); err != nil {
 				ok = false
 				return
 			}

@@ -58,8 +58,8 @@ func TestPowerLossPersistsSyncedData(t *testing.T) {
 		if err := s.BAFlush(p, 1); err != nil {
 			t.Fatalf("flush after recovery: %v", err)
 		}
-		data, err := s.Device().ReadPages(p, 7, 1)
-		if err != nil {
+		data := make([]byte, s.PageSize())
+		if err := s.Device().ReadPagesInto(p, 7, data); err != nil {
 			t.Fatalf("block read: %v", err)
 		}
 		if !bytes.HasPrefix(data, payload) {

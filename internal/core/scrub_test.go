@@ -53,12 +53,11 @@ func TestScrubRepairsRetentionErrors(t *testing.T) {
 				}
 			}
 			p.Sleep(30 * hour)
-			got, err := s.Device().ReadPages(p, 3, 1)
-			if err != nil {
+			data = make([]byte, s.PageSize())
+			if err := s.Device().ReadPagesInto(p, 3, data); err != nil {
 				t.Errorf("read: %v", err)
 				return
 			}
-			data = got
 		})
 		e.Run()
 		return counter(t, e, "fault.uncorrectable_reads"), counter(t, e, "scrub.repaired"), data

@@ -205,12 +205,12 @@ type Device struct {
 	bufPool   []*lbaBuf
 	pageSpare [][]byte
 	readJobs  []*readJob // idle multi-page read fan-outs
-	// The buffers ReadPages hands out, carved many to a heap object. A
-	// stream of 4 KB reads then leaves large spans the collector frees
-	// whole, not 4 KB spans that a sweep hands back one at a time in no
-	// address order — between them a later multi-page buffer finds no
-	// room, and the heap grows by however much garbage the last
-	// collection happened to leave behind.
+	// The buffers ReadPages hands the benchmark, carved many to a heap
+	// object. A stream of 4 KB reads then leaves large spans the
+	// collector frees whole, not 4 KB spans that a sweep hands back one
+	// at a time in no address order — between them a later multi-page
+	// buffer finds no room, and the heap grows by however much garbage
+	// the last collection happened to leave behind.
 	readMem arena.Arena
 
 	gate Gate
@@ -371,10 +371,9 @@ func (d *Device) maybeTimeout(p *sim.Proc) {
 	}
 }
 
-// ReadPages executes one read command of n pages starting at lba and
-// returns the data in a new buffer (see ReadPagesInto). The buffer is
-// the caller's: no other read shares its bytes, and its capacity ends
-// where its length does.
+// ReadPages reads n pages from lba into a new buffer (see ReadPagesInto)
+// that no other read shares, its capacity capped at its length. Only
+// benchmark/adapter.go calls it; revision A deletes it, with readMem.
 func (d *Device) ReadPages(p *sim.Proc, lba ftl.LBA, n int) ([]byte, error) {
 	if n <= 0 {
 		return nil, errZeroRead
@@ -408,6 +407,9 @@ func (d *Device) ReadPagesInto(p *sim.Proc, lba ftl.LBA, dst []byte) error {
 			d.o.Tracer().Instant(d.profile.Name+".gate", "device", "gated_read")
 			return err
 		}
+	}
+	if uint64(lba)+uint64(n) > d.Pages() {
+		return ftl.ErrLBAOutOfRange
 	}
 	d.cReadCmds.Inc()
 	start := d.env.Now()

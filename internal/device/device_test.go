@@ -57,8 +57,8 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		if err := d.WritePages(p, 10, payload); err != nil {
 			t.Errorf("write: %v", err)
 		}
-		got, err := d.ReadPages(p, 10, 3)
-		if err != nil {
+		got := make([]byte, len(payload))
+		if err := d.ReadPagesInto(p, 10, got); err != nil {
 			t.Errorf("read: %v", err)
 		}
 		if !bytes.Equal(got, payload) {
@@ -76,8 +76,8 @@ func TestReadServesBufferedCopy(t *testing.T) {
 	ps := d.PageSize()
 	e.Go("t", func(p *sim.Proc) {
 		d.WritePages(p, 0, bytes.Repeat([]byte{1}, ps))
-		got, err := d.ReadPages(p, 0, 1)
-		if err != nil {
+		got := make([]byte, ps)
+		if err := d.ReadPagesInto(p, 0, got); err != nil {
 			t.Errorf("read: %v", err)
 		}
 		if got[0] != 1 {
@@ -111,6 +111,27 @@ func TestOutOfRangeWrite(t *testing.T) {
 		}
 	})
 	e.Run()
+}
+
+// A read that runs past the drive's end is rejected at submission, as a
+// write is: no read command counted, no virtual time spent, not even
+// for its in-range page.
+func TestOutOfRangeReadIssuesNoCommand(t *testing.T) {
+	e := sim.NewEnv()
+	d := New(e, small(ULLSSD()))
+	e.Go("t", func(p *sim.Proc) {
+		lba := ftl.LBA(d.Pages() - 1)
+		if err := d.ReadPagesInto(p, lba, make([]byte, 2*d.PageSize())); !errors.Is(err, ftl.ErrLBAOutOfRange) {
+			t.Errorf("err = %v", err)
+		}
+		if e.Now() != 0 {
+			t.Errorf("rejected read took %v of virtual time, want none", sim.Duration(e.Now()))
+		}
+	})
+	e.Run()
+	if n := counter(t, e, "ULL-SSD.read_cmds"); n != 0 {
+		t.Fatalf("rejected read counted %d read commands, want 0", n)
+	}
 }
 
 func TestDrainEmptiesBuffer(t *testing.T) {
@@ -148,12 +169,14 @@ func TestSameLBARewritesLastWriteWins(t *testing.T) {
 			d.WritePages(p, 3, bytes.Repeat([]byte{v}, ps))
 		}
 		// Mid-drain read must see the newest copy.
-		got, _ := d.ReadPages(p, 3, 1)
+		got := make([]byte, ps)
+		d.ReadPagesInto(p, 3, got)
 		if got[0] != 5 {
 			t.Errorf("mid-drain read got %d, want 5 (last write wins)", got[0])
 		}
 		d.Drain(p)
-		got, _ = d.ReadPages(p, 3, 1)
+		clear(got)
+		d.ReadPagesInto(p, 3, got)
 		if got[0] != 5 {
 			t.Errorf("post-drain read got %d, want 5", got[0])
 		}
@@ -181,7 +204,8 @@ func TestSameLBACoalescesWhenDrainIsSlow(t *testing.T) {
 			d.WritePages(pr, 3, bytes.Repeat([]byte{v}, ps))
 		}
 		d.Drain(pr)
-		got, _ := d.ReadPages(pr, 3, 1)
+		got := make([]byte, ps)
+		d.ReadPagesInto(pr, 3, got)
 		if got[0] != 5 {
 			t.Errorf("got %d, want 5", got[0])
 		}
@@ -206,7 +230,7 @@ func TestGateBlocksIO(t *testing.T) {
 		if err := d.WritePages(p, 0, make([]byte, d.PageSize())); !errors.Is(err, ErrGated) {
 			t.Errorf("write err = %v", err)
 		}
-		if _, err := d.ReadPages(p, 0, 1); !errors.Is(err, ErrGated) {
+		if err := d.ReadPagesInto(p, 0, make([]byte, d.PageSize())); !errors.Is(err, ErrGated) {
 			t.Errorf("read err = %v", err)
 		}
 		if err := d.ReadPagesInto(p, 0, make([]byte, 2*d.PageSize())); !errors.Is(err, ErrGated) {
@@ -266,7 +290,7 @@ func within(t *testing.T, name string, got sim.Duration, want sim.Duration, tolF
 
 // Calibration: the paper's Fig 7 block-I/O anchor points.
 func TestCalibration4KBLatencies(t *testing.T) {
-	read := func(pr *sim.Proc, d *Device) { d.ReadPages(pr, 0, 1) }
+	read := func(pr *sim.Proc, d *Device) { d.ReadPagesInto(pr, 0, make([]byte, d.PageSize())) }
 	write := func(pr *sim.Proc, d *Device) { d.WritePages(pr, 0, make([]byte, d.PageSize())) }
 
 	within(t, "ULL 4KB read", latencyOf(t, ULLSSD(), read), 13200, 0.10)   // 13.2 µs
@@ -295,7 +319,7 @@ func TestCalibrationBandwidth(t *testing.T) {
 				d.WritePages(pr, 0, make([]byte, total))
 				d.Drain(pr)
 			} else {
-				d.ReadPages(pr, 0, pages)
+				d.ReadPagesInto(pr, 0, make([]byte, total))
 			}
 			took = sim.Duration(e.Now() - start)
 		})
@@ -337,10 +361,10 @@ func TestConcurrentWritersIntegrity(t *testing.T) {
 	e.Run()
 	e.Go("verify", func(p *sim.Proc) {
 		d.Drain(p)
+		got := make([]byte, d.PageSize())
 		for w := 0; w < writers; w++ {
 			for i := 0; i < perWriter; i++ {
-				got, err := d.ReadPages(p, ftl.LBA(w*perWriter+i), 1)
-				if err != nil {
+				if err := d.ReadPagesInto(p, ftl.LBA(w*perWriter+i), got); err != nil {
 					t.Errorf("read: %v", err)
 					return
 				}
@@ -383,8 +407,8 @@ func TestBufferIndexKeepsItsPosition(t *testing.T) {
 		}
 	}
 	checkRead := func(p *sim.Proc, lba int) {
-		got, err := d.ReadPages(p, ftl.LBA(lba), 1)
-		if err != nil || !bytes.Equal(got, page(lba)) {
+		got := make([]byte, d.PageSize())
+		if err := d.ReadPagesInto(p, ftl.LBA(lba), got); err != nil || !bytes.Equal(got, page(lba)) {
 			t.Fatalf("lba %d reads version %d, %v; want %d", lba, binary.LittleEndian.Uint32(got[4:]), err, version[lba])
 		}
 	}
@@ -485,7 +509,9 @@ func TestSameLBAHerdResumesOnlyTheNextTicket(t *testing.T) {
 		if err := d.Drain(p); err != nil {
 			t.Fatal(err)
 		}
-		if got, _ := d.ReadPages(p, 3, 1); got[0] != rewrites {
+		got := make([]byte, d.PageSize())
+		d.ReadPagesInto(p, 3, got)
+		if got[0] != rewrites {
 			t.Errorf("read version %d, want %d (last write wins)", got[0], rewrites)
 		}
 	})

@@ -37,9 +37,9 @@ func TestTimeoutBackoffErrorWrapping(t *testing.T) {
 			t.Errorf("drain: %v", err)
 			return
 		}
+		got := make([]byte, ps)
 		for i := 0; i < 8; i++ {
-			got, err := d.ReadPages(p, ftl.LBA(i), 1)
-			if err != nil || got[0] != byte(i) {
+			if err := d.ReadPagesInto(p, ftl.LBA(i), got); err != nil || got[0] != byte(i) {
 				t.Errorf("read %d after timeouts: %v", i, err)
 				return
 			}
@@ -53,7 +53,7 @@ func TestTimeoutBackoffErrorWrapping(t *testing.T) {
 			return
 		}
 		d.Flash().CorruptPage(ppa, 1)
-		_, err := d.ReadPages(p, 3, 1)
+		err := d.ReadPagesInto(p, 3, got)
 		if err == nil {
 			t.Error("read of corrupted page succeeded")
 			return

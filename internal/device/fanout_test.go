@@ -40,11 +40,11 @@ func TestPooledReadForgetsItsError(t *testing.T) {
 		if !ok || !d.Flash().CorruptPage(ppa, 1) {
 			t.Fatal("could not corrupt lba 2")
 		}
-		if _, err := d.ReadPages(p, 0, 4); !errors.Is(err, integrity.ErrPageCorrupt) {
+		got := make([]byte, 4*ps)
+		if err := d.ReadPagesInto(p, 0, got); !errors.Is(err, integrity.ErrPageCorrupt) {
 			t.Fatalf("read over a corrupt page: err = %v, want ErrPageCorrupt", err)
 		}
-		got, err := d.ReadPages(p, 4, 4)
-		if err != nil {
+		if err := d.ReadPagesInto(p, 4, got); err != nil {
 			t.Fatalf("clean read after a failed one: %v", err)
 		}
 		for i := 0; i < 4; i++ {
@@ -83,8 +83,8 @@ func TestConcurrentMultiPageReads(t *testing.T) {
 			for !ready {
 				setup.Wait(p)
 			}
-			var err error
-			if got[r], err = d.ReadPages(p, lba, 4); err != nil {
+			got[r] = make([]byte, 4*ps)
+			if err := d.ReadPagesInto(p, lba, got[r]); err != nil {
 				t.Errorf("reader %d: %v", r, err)
 			}
 		})

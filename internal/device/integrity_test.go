@@ -35,8 +35,8 @@ func TestReadDetectsSilentCorruption(t *testing.T) {
 			t.Error("CorruptPage found no stored image")
 			return
 		}
-		_, err := d.ReadPages(p, 7, 1)
-		if !errors.Is(err, integrity.ErrPageCorrupt) {
+		got := make([]byte, ps)
+		if err := d.ReadPagesInto(p, 7, got); !errors.Is(err, integrity.ErrPageCorrupt) {
 			t.Errorf("read of corrupted page: err = %v, want ErrPageCorrupt", err)
 		}
 		// A healthy neighbour still reads fine.
@@ -44,8 +44,7 @@ func TestReadDetectsSilentCorruption(t *testing.T) {
 			t.Errorf("write: %v", err)
 			return
 		}
-		got, err := d.ReadPages(p, 8, 1)
-		if err != nil || got[0] != 0x88 {
+		if err := d.ReadPagesInto(p, 8, got); err != nil || got[0] != 0x88 {
 			t.Errorf("healthy read: %v", err)
 		}
 	})

@@ -33,7 +33,8 @@ func BlockReadLatency(mk func(*sim.Env) *device.Device, size, reps int) sim.Dura
 	n := pagesFor(size, ps)
 	var total sim.Duration
 	e.Go("fio", func(p *sim.Proc) {
-		if err := d.WritePages(p, 0, make([]byte, n*ps)); err != nil {
+		buf := make([]byte, n*ps)
+		if err := d.WritePages(p, 0, buf); err != nil {
 			panic(fmt.Sprintf("fio precondition: %v", err))
 		}
 		if err := d.Drain(p); err != nil {
@@ -41,7 +42,7 @@ func BlockReadLatency(mk func(*sim.Env) *device.Device, size, reps int) sim.Dura
 		}
 		for i := 0; i < reps; i++ {
 			start := e.Now()
-			if _, err := d.ReadPages(p, 0, n); err != nil {
+			if err := d.ReadPagesInto(p, 0, buf); err != nil {
 				panic(err)
 			}
 			total += sim.Duration(e.Now() - start)
@@ -151,8 +152,9 @@ func BlockBandwidth(mk func(*sim.Env) *device.Device, reqBytes int, write bool) 
 	n := pagesFor(reqBytes, ps)
 	var took sim.Duration
 	e.Go("fio", func(p *sim.Proc) {
+		buf := make([]byte, n*ps)
 		if !write {
-			if err := d.WritePages(p, 0, make([]byte, n*ps)); err != nil {
+			if err := d.WritePages(p, 0, buf); err != nil {
 				panic(err)
 			}
 			if err := d.Drain(p); err != nil {
@@ -161,14 +163,14 @@ func BlockBandwidth(mk func(*sim.Env) *device.Device, reqBytes int, write bool) 
 		}
 		start := e.Now()
 		if write {
-			if err := d.WritePages(p, 0, make([]byte, n*ps)); err != nil {
+			if err := d.WritePages(p, 0, buf); err != nil {
 				panic(err)
 			}
 			if err := d.Drain(p); err != nil {
 				panic(err)
 			}
 		} else {
-			if _, err := d.ReadPages(p, 0, n); err != nil {
+			if err := d.ReadPagesInto(p, 0, buf); err != nil {
 				panic(err)
 			}
 		}

@@ -140,8 +140,8 @@ func racingOverwrite(t *testing.T, read func(p *sim.Proc, f *FTL, lba LBA) []byt
 
 func TestUncorrectableReadRacingOverwrite(t *testing.T) {
 	racingOverwrite(t, func(p *sim.Proc, f *FTL, lba LBA) []byte {
-		got, err := f.ReadPage(p, lba)
-		if err != nil {
+		got := make([]byte, f.PageSize())
+		if err := f.ReadPageInto(p, lba, got); err != nil {
 			t.Fatalf("read: %v", err)
 		}
 		return got
@@ -207,7 +207,8 @@ func TestLostRaceCopyHoldsNoBytes(t *testing.T) {
 		if fc.BlockOf(dst) != fc.BlockOf(base) || f.flash.NextPage(fc.BlockOf(dst)) != fc.PagesPerBlock {
 			t.Fatalf("the run did not program a whole block from ppa %d", base)
 		}
-		if got, err := f.ReadPage(p, lba); err != nil || got[0] != 0xEE {
+		got := make([]byte, f.PageSize())
+		if err := f.ReadPageInto(p, lba, got); err != nil || got[0] != 0xEE {
 			t.Fatalf("lba %d reads %x, %v; want the host write", lba, got[0], err)
 		}
 	})

@@ -445,7 +445,7 @@ func (f *FTL) WritePageTagged(p *sim.Proc, lba LBA, data []byte, tag uint32) err
 }
 
 // ReadPage reads one logical page into a fresh buffer (see
-// ReadPageInto).
+// ReadPageInto). Only benchmark/adapter.go calls it; revision A deletes it.
 func (f *FTL) ReadPage(p *sim.Proc, lba LBA) ([]byte, error) {
 	out := make([]byte, f.PageSize())
 	if err := f.ReadPageInto(p, lba, out); err != nil {

@@ -65,9 +65,9 @@ func TestWriteReadRoundTrip(t *testing.T) {
 				t.Errorf("write %d: %v", i, err)
 			}
 		}
+		got := make([]byte, f.PageSize())
 		for i := 0; i < 10; i++ {
-			got, err := f.ReadPage(p, LBA(i))
-			if err != nil {
+			if err := f.ReadPageInto(p, LBA(i), got); err != nil {
 				t.Errorf("read %d: %v", i, err)
 			}
 			if got[0] != byte(i+1) {
@@ -106,7 +106,8 @@ func TestOverwriteInvalidatesOld(t *testing.T) {
 	e.Go("t", func(p *sim.Proc) {
 		f.WritePage(p, 0, []byte{1})
 		f.WritePage(p, 0, []byte{2})
-		got, _ := f.ReadPage(p, 0)
+		got := make([]byte, f.PageSize())
+		f.ReadPageInto(p, 0, got)
 		if got[0] != 2 {
 			t.Errorf("got %d, want 2", got[0])
 		}
@@ -125,7 +126,7 @@ func TestLBARangeEnforced(t *testing.T) {
 		if err := f.WritePage(p, bad, nil); !errors.Is(err, ErrLBAOutOfRange) {
 			t.Errorf("write: %v", err)
 		}
-		if _, err := f.ReadPage(p, bad); !errors.Is(err, ErrLBAOutOfRange) {
+		if err := f.ReadPageInto(p, bad, make([]byte, f.PageSize())); !errors.Is(err, ErrLBAOutOfRange) {
 			t.Errorf("read: %v", err)
 		}
 		if err := f.Trim(bad); !errors.Is(err, ErrLBAOutOfRange) {
@@ -149,7 +150,8 @@ func TestTrim(t *testing.T) {
 		if f.Mapped(3) {
 			t.Error("still mapped after trim")
 		}
-		got, _ := f.ReadPage(p, 3)
+		got := bytes.Repeat([]byte{0xFF}, f.PageSize())
+		f.ReadPageInto(p, 3, got)
 		if got[0] != 0 {
 			t.Error("trimmed page should read zero")
 		}
@@ -180,9 +182,9 @@ func TestGCPreservesData(t *testing.T) {
 				t.Fatalf("overwrite op %d: %v", op, err)
 			}
 		}
+		got := make([]byte, f.PageSize())
 		for i := 0; i < n; i++ {
-			got, err := f.ReadPage(p, LBA(i))
-			if err != nil {
+			if err := f.ReadPageInto(p, LBA(i), got); err != nil {
 				t.Fatalf("read %d: %v", i, err)
 			}
 			want := fmt.Sprintf("v%d-lba%d", last[i], i)
@@ -245,9 +247,9 @@ func TestRandomOverwritesModelConsistency(t *testing.T) {
 			}
 			shadow[lba] = v
 		}
+		got := make([]byte, f.PageSize())
 		for lba, v := range shadow {
-			got, err := f.ReadPage(p, lba)
-			if err != nil {
+			if err := f.ReadPageInto(p, lba, got); err != nil {
 				t.Fatalf("read: %v", err)
 			}
 			if got[0] != v {
@@ -277,9 +279,9 @@ func TestPropertyLastWriteWins(t *testing.T) {
 				}
 				shadow[lba] = v
 			}
+			got := make([]byte, f.PageSize())
 			for lba, v := range shadow {
-				got, err := f.ReadPage(p, lba)
-				if err != nil || got[0] != v {
+				if err := f.ReadPageInto(p, lba, got); err != nil || got[0] != v {
 					ok = false
 					return
 				}
@@ -350,8 +352,9 @@ func TestWornBlocksRetireAndDeviceKeepsWorking(t *testing.T) {
 	}
 	// Live data still correct.
 	e.Go("verify", func(p *sim.Proc) {
+		got := make([]byte, f.PageSize())
 		for i := 0; i < n/2; i++ {
-			if _, err := f.ReadPage(p, LBA(i)); err != nil {
+			if err := f.ReadPageInto(p, LBA(i), got); err != nil {
 				t.Fatalf("read %d: %v", i, err)
 			}
 		}
@@ -373,8 +376,8 @@ func TestRelocationNeverRevertsAcknowledgedWrite(t *testing.T) {
 	stamp := func(lba, ver int) []byte { return []byte(fmt.Sprintf("lba%04d-v%06d|", lba, ver)) }
 	acked := make([]int, n) // last version whose WritePage returned
 	check := func(p *sim.Proc, lba int, when string) {
-		got, err := f.ReadPage(p, LBA(lba))
-		if err != nil {
+		got := make([]byte, f.PageSize())
+		if err := f.ReadPageInto(p, LBA(lba), got); err != nil {
 			t.Fatalf("%s: read %d: %v", when, lba, err)
 		}
 		if want := stamp(lba, acked[lba]); !bytes.HasPrefix(got, want) {

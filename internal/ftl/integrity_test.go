@@ -32,9 +32,9 @@ func TestTagsSurviveGC(t *testing.T) {
 		if counter(t, e, "ftl.gc_runs") == 0 {
 			t.Fatal("workload did not trigger GC; test proves nothing")
 		}
+		got := make([]byte, ps)
 		for lba, data := range want {
-			got, err := f.ReadPage(p, lba)
-			if err != nil {
+			if err := f.ReadPageInto(p, lba, got); err != nil {
 				t.Fatalf("read %d: %v", lba, err)
 			}
 			if !bytes.Equal(got, data) {
@@ -56,7 +56,8 @@ func TestWritePageIsChecked(t *testing.T) {
 		if err := f.WritePage(p, 5, []byte("plain")); err != nil {
 			t.Fatalf("write: %v", err)
 		}
-		got, err := f.ReadPage(p, 5)
+		got := make([]byte, f.PageSize())
+		err := f.ReadPageInto(p, 5, got)
 		if err != nil || !bytes.HasPrefix(got, []byte("plain")) {
 			t.Fatalf("read = %q, %v", got[:5], err)
 		}
@@ -64,10 +65,10 @@ func TestWritePageIsChecked(t *testing.T) {
 		if !f.flash.CorruptPage(ppa, 1) {
 			t.Fatal("CorruptPage found no stored image")
 		}
-		if _, err := f.ReadPage(p, 5); !errors.Is(err, integrity.ErrPageCorrupt) {
+		if err := f.ReadPageInto(p, 5, got); !errors.Is(err, integrity.ErrPageCorrupt) {
 			t.Fatalf("read of a corrupted page = %v, want ErrPageCorrupt", err)
 		}
-		if got, err := f.ReadPage(p, 6); err != nil || !bytes.Equal(got, make([]byte, f.PageSize())) {
+		if err := f.ReadPageInto(p, 6, got); err != nil || !bytes.Equal(got, make([]byte, f.PageSize())) {
 			t.Fatalf("unmapped read: %v", err)
 		}
 	})
@@ -157,9 +158,9 @@ func TestTagsSurviveRetirement(t *testing.T) {
 		if err := f.retireBlock(p, blk); err != nil {
 			t.Fatalf("retire: %v", err)
 		}
+		got := make([]byte, f.PageSize())
 		for i, lba := range lbas {
-			got, err := f.ReadPage(p, lba)
-			if err != nil {
+			if err := f.ReadPageInto(p, lba, got); err != nil {
 				t.Fatalf("read %d: %v", lba, err)
 			}
 			if got[0] != byte(0xC0+i) {

@@ -84,8 +84,8 @@ func TestRelocationRunsNeverRevertHostWrite(t *testing.T) {
 	stamp := func(lba, ver int) []byte { return []byte(fmt.Sprintf("lba%05d-v%06d|", lba, ver)) }
 	acked := make([]int, n) // last acknowledged version; -1: trimmed
 	check := func(p *sim.Proc, lba int, when string) {
-		got, err := f.ReadPage(p, LBA(lba))
-		if err != nil {
+		got := make([]byte, f.PageSize())
+		if err := f.ReadPageInto(p, LBA(lba), got); err != nil {
 			t.Fatalf("%s: read %d: %v", when, lba, err)
 		}
 		want := stamp(lba, acked[lba])
@@ -353,12 +353,13 @@ func TestRunProgramFailureMidRun(t *testing.T) {
 			if f.validCount[victim] != 0 {
 				t.Errorf("seed %d: victim still holds %d valid pages", seed, f.validCount[victim])
 			}
+			got := make([]byte, fc.PageSize)
 			for i := 0; i < fc.Dies()*fc.PagesPerBlock; i++ {
 				ppa, _ := f.PPAOf(LBA(i))
 				if f.flash.IsBad(fc.BlockOf(ppa)) {
 					t.Errorf("seed %d: lba %d still maps into the retired block", seed, i)
 				}
-				if got, err := f.ReadPage(p, LBA(i)); err != nil || got[0] != byte(i+1) {
+				if err := f.ReadPageInto(p, LBA(i), got); err != nil || got[0] != byte(i+1) {
 					t.Errorf("seed %d: lba %d reads %d, %v", seed, i, got[0], err)
 				}
 			}
@@ -499,8 +500,8 @@ func TestBytesMoveAtRebindNotAtProgram(t *testing.T) {
 			if src, _ := f.lookup(lba); fc.BlockOf(src) != victim {
 				t.Errorf("lba %d was rebound before the run finished programming", lba)
 			}
-			got, err := f.ReadPage(q, lba)
-			if err != nil || got[0] != lba+1 {
+			got := make([]byte, fc.PageSize)
+			if err := f.ReadPageInto(q, lba, got); err != nil || got[0] != lba+1 {
 				t.Errorf("read mid-program: %d, %v; want %d", got[0], err, lba+1)
 			}
 		})
@@ -510,8 +511,9 @@ func TestBytesMoveAtRebindNotAtProgram(t *testing.T) {
 		if err != nil {
 			t.Fatalf("evacuate: %v", err)
 		}
+		got := make([]byte, fc.PageSize)
 		for i := 0; i < fc.Dies()*fc.PagesPerBlock; i++ {
-			if got, err := f.ReadPage(p, LBA(i)); err != nil || got[0] != byte(i+1) {
+			if err := f.ReadPageInto(p, LBA(i), got); err != nil || got[0] != byte(i+1) {
 				t.Errorf("lba %d reads %d, %v", i, got[0], err)
 			}
 		}

@@ -279,11 +279,8 @@ func (f *Flash) checkPPA(ppa PPA) error {
 	return nil
 }
 
-// ReadPage performs an array read of one page and transfers it over the
-// die's channel. The returned slice is a copy; never-written and
-// discarded pages read back as zeroes (an erased page). With a fault
-// injector installed the read may take stepped ECC retry latency or
-// fail with ErrUncorrectable (wear- and retention-driven BER model).
+// ReadPage reads one page into a fresh buffer (see ReadPageInto). Only
+// benchmark/adapter.go calls it; the benchmark's revision A deletes it.
 func (f *Flash) ReadPage(p *sim.Proc, ppa PPA) ([]byte, error) {
 	out := make([]byte, f.cfg.PageSize)
 	if _, _, err := f.ReadPageInto(p, ppa, out); err != nil {
@@ -292,15 +289,17 @@ func (f *Flash) ReadPage(p *sim.Proc, ppa PPA) ([]byte, error) {
 	return out, nil
 }
 
-// ReadPageInto is ReadPage reading into a caller-provided buffer of at
-// least PageSize bytes, so hot read paths can recycle one destination
-// instead of allocating a page per read. It also returns the page's
-// out-of-band tag (0 for a page without bytes) and the number of ECC
-// read-retry steps the read needed: retries > 0 means the page holds
-// latent-but-correctable errors — the signal the background scrubber
-// acts on before wear or retention pushes the page past the ECC budget.
-// dst and the tag are filled even when the read fails ECC: they are
-// what SalvageRead recovers.
+// ReadPageInto performs an array read of one page, transfers it over the
+// die's channel and lands it in dst, at least PageSize bytes the caller
+// owns; never-written and discarded pages read back as zeroes (an erased
+// page). With a fault injector installed the read may take stepped ECC
+// retry latency or fail with ErrUncorrectable (wear- and retention-driven
+// BER model). It also returns the page's out-of-band tag (0 for a page
+// without bytes) and the number of ECC read-retry steps the read needed:
+// retries > 0 means the page holds latent-but-correctable errors — the
+// signal the background scrubber acts on before wear or retention pushes
+// the page past the ECC budget. dst and the tag are filled even when the
+// read fails ECC: they are what SalvageRead recovers.
 func (f *Flash) ReadPageInto(p *sim.Proc, ppa PPA, dst []byte) (tag uint32, retries int, err error) {
 	if err := f.checkPPA(ppa); err != nil {
 		return 0, 0, err
@@ -483,7 +482,7 @@ type RunPage struct {
 // ReadRun reads pages of one block — in any order, with gaps — as one
 // background-class operation: one die hold of len(pages)·tR, then one
 // channel hold for all the transfers. That is the occupancy of as many
-// ReadPage calls, for two kernel events instead of two per page, and
+// ReadPageInto calls, for two kernel events instead of two per page, and
 // the page counters advance per page; the latency histogram is not fed
 // (it describes single-page operations). It is the read half of a
 // copy-back: every page's bytes and tag stay in the array for Move. The

@@ -121,7 +121,8 @@ func TestShortProgramZeroPadded(t *testing.T) {
 		if err := f.ProgramPage(p, ppa, []byte{1, 2, 3}); err != nil {
 			t.Errorf("program: %v", err)
 		}
-		got, _ := f.ReadPage(p, ppa)
+		got := make([]byte, 4096)
+		f.ReadPageInto(p, ppa, got)
 		if got[0] != 1 || got[1] != 2 || got[2] != 3 || got[3] != 0 || got[4095] != 0 {
 			t.Error("short program not zero padded")
 		}
@@ -162,7 +163,8 @@ func TestEraseResetsBlock(t *testing.T) {
 		if err := f.EraseBlock(p, f.Config().BlockOf(ppa)); err != nil {
 			t.Fatalf("erase: %v", err)
 		}
-		got, _ := f.ReadPage(p, ppa)
+		got := make([]byte, 4096)
+		f.ReadPageInto(p, ppa, got)
 		if got[0] != 0 {
 			t.Error("erase did not clear data")
 		}
@@ -205,7 +207,7 @@ func TestOutOfRange(t *testing.T) {
 	e := sim.NewEnv()
 	f := New(e, testConfig())
 	e.Go("t", func(p *sim.Proc) {
-		if _, err := f.ReadPage(p, PPA(f.Config().Pages())); !errors.Is(err, ErrOutOfRange) {
+		if _, _, err := f.ReadPageInto(p, PPA(f.Config().Pages()), make([]byte, 4096)); !errors.Is(err, ErrOutOfRange) {
 			t.Errorf("read: err = %v", err)
 		}
 		if err := f.ProgramPage(p, PPA(f.Config().Pages()), nil); !errors.Is(err, ErrOutOfRange) {
@@ -235,7 +237,7 @@ func TestReadTiming(t *testing.T) {
 	var took sim.Duration
 	e.Go("t", func(p *sim.Proc) {
 		start := e.Now()
-		if _, err := f.ReadPage(p, 0); err != nil {
+		if _, _, err := f.ReadPageInto(p, 0, make([]byte, 4096)); err != nil {
 			t.Errorf("read: %v", err)
 		}
 		took = sim.Duration(e.Now() - start)
@@ -254,9 +256,12 @@ func TestDieParallelism(t *testing.T) {
 	e := sim.NewEnv()
 	f := New(e, cfg)
 	perRead := cfg.ReadLatency + cfg.TransferTime(cfg.PageSize)
+	read := func(f *Flash, ppa PPA) func(*sim.Proc) {
+		return func(p *sim.Proc) { f.ReadPageInto(p, ppa, make([]byte, cfg.PageSize)) }
+	}
 	// Different dies on different channels.
-	e.Go("a", func(p *sim.Proc) { f.ReadPage(p, cfg.PPAOf(0, 0, 0)) })
-	e.Go("b", func(p *sim.Proc) { f.ReadPage(p, cfg.PPAOf(1, 0, 0)) })
+	e.Go("a", read(f, cfg.PPAOf(0, 0, 0)))
+	e.Go("b", read(f, cfg.PPAOf(1, 0, 0)))
 	e.Run()
 	if sim.Duration(e.Now()) != perRead {
 		t.Fatalf("parallel reads took %v, want %v", sim.Duration(e.Now()), perRead)
@@ -264,8 +269,8 @@ func TestDieParallelism(t *testing.T) {
 
 	e2 := sim.NewEnv()
 	f2 := New(e2, cfg)
-	e2.Go("a", func(p *sim.Proc) { f2.ReadPage(p, cfg.PPAOf(0, 0, 0)) })
-	e2.Go("b", func(p *sim.Proc) { f2.ReadPage(p, cfg.PPAOf(0, 0, 1)) })
+	e2.Go("a", read(f2, cfg.PPAOf(0, 0, 0)))
+	e2.Go("b", read(f2, cfg.PPAOf(0, 0, 1)))
 	e2.Run()
 	// Same die: second array read waits for the first; transfers share
 	// a channel too, so total = 2*tR + 2*xfer serialized except overlap
@@ -340,8 +345,8 @@ func TestPropertyProgramReadIdentity(t *testing.T) {
 				ok = false
 				return
 			}
-			got, err := fl.ReadPage(p, ppa)
-			if err != nil {
+			got := make([]byte, cfg.PageSize)
+			if _, _, err := fl.ReadPageInto(p, ppa, got); err != nil {
 				ok = false
 				return
 			}

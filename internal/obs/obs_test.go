@@ -85,7 +85,7 @@ func deviceRun(t *testing.T) []byte {
 			t.Errorf("drain: %v", err)
 		}
 		for i := 0; i < 16; i++ {
-			if _, err := dev.ReadPages(p, ftl.LBA(i), 1); err != nil {
+			if err := dev.ReadPagesInto(p, ftl.LBA(i), page); err != nil {
 				t.Errorf("read: %v", err)
 			}
 		}

@@ -133,7 +133,7 @@ func sampledDeviceRun(t *testing.T) ([]byte, []byte) {
 			t.Errorf("drain: %v", err)
 		}
 		for i := 0; i < 16; i++ {
-			if _, err := dev.ReadPages(p, ftl.LBA(i), 1); err != nil {
+			if err := dev.ReadPagesInto(p, ftl.LBA(i), page); err != nil {
 				t.Errorf("read: %v", err)
 			}
 		}

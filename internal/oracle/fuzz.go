@@ -421,7 +421,8 @@ func execOp(p *sim.Proc, s *core.TwoBSSD, m *Model, o Op) *Divergence {
 		fillPattern(data, o.Seed)
 		return wantErr(s.Device().WritePages(p, o.LBA, data), m.BlockWrite(o.LBA, data))
 	case OpBlockRead:
-		got, rerr := s.Device().ReadPages(p, o.LBA, o.Pages)
+		got := make([]byte, o.Pages*s.PageSize())
+		rerr := s.Device().ReadPagesInto(p, o.LBA, got)
 		want, werr := m.BlockRead(o.LBA, o.Pages)
 		if d := wantErr(rerr, werr); d != nil {
 			return d
@@ -531,8 +532,9 @@ func finalCheck(p *sim.Proc, s *core.TwoBSSD, m *Model, cfg Config) *Divergence 
 				return &Divergence{Op: when + " dma", Detail: fmt.Sprintf("eid %d: %s", e.ID, diff)}
 			}
 		}
+		got := make([]byte, m.cfg.PageSize)
 		for lba := 0; lba < cfg.LBASpan; lba++ {
-			got, rerr := s.Device().ReadPages(p, ftl.LBA(lba), 1)
+			rerr := s.Device().ReadPagesInto(p, ftl.LBA(lba), got)
 			want, werr := m.BlockRead(ftl.LBA(lba), 1)
 			if d := wantErr(rerr, werr); d != nil {
 				d.Op = fmt.Sprintf("%s block lba=%d", when, lba)

@@ -255,7 +255,7 @@ func (m *Model) BlockWrite(lba ftl.LBA, data []byte) error {
 	return nil
 }
 
-// BlockRead mirrors device.ReadPages: gate first; out-of-range pages
+// BlockRead mirrors device.ReadPagesInto: gate first; out-of-range pages
 // surface the FTL's range error; unwritten pages read as zeros.
 func (m *Model) BlockRead(lba ftl.LBA, pages int) ([]byte, error) {
 	if err := m.gate(lba, pages); err != nil {

@@ -188,7 +188,7 @@ func (f *File) LBA(off int64) ftl.LBA {
 // Pages returns the file capacity in pages.
 func (f *File) Pages() int { return f.ext.pages }
 
-// PageSize returns the device page size, the unit of ReadPages.
+// PageSize returns the device page size, the unit of an aligned ReadAt.
 func (f *File) PageSize() int { return f.fs.PageSize() }
 
 func (f *File) check(off int64, n int) error {
@@ -216,6 +216,7 @@ func (f *File) WriteAt(p *sim.Proc, off int64, data []byte) error {
 	ps := int64(f.fs.PageSize())
 	cur := off
 	rem := data
+	var page []byte // the partial pages' read-modify-write buffer
 	for len(rem) > 0 {
 		pageOff := cur % ps
 		if pageOff == 0 && int64(len(rem)) >= ps {
@@ -233,8 +234,10 @@ func (f *File) WriteAt(p *sim.Proc, off int64, data []byte) error {
 		if int64(len(rem)) < n {
 			n = int64(len(rem))
 		}
-		page, err := f.fs.dev.ReadPages(p, f.LBA(cur), 1)
-		if err != nil {
+		if page == nil {
+			page = make([]byte, ps)
+		}
+		if err := f.fs.dev.ReadPagesInto(p, f.LBA(cur), page); err != nil {
 			return err
 		}
 		copy(page[pageOff:], rem[:n])
@@ -267,23 +270,12 @@ func (f *File) ReadAt(p *sim.Proc, off int64, buf []byte) error {
 	}
 	firstPage := off / ps
 	lastPage := (off + int64(len(buf)) - 1) / ps
-	pages := int(lastPage - firstPage + 1)
-	data, err := f.ReadPages(p, int(firstPage), pages)
-	if err != nil {
+	span := make([]byte, (lastPage-firstPage+1)*ps)
+	if err := f.fs.dev.ReadPagesInto(p, f.LBA(off), span); err != nil {
 		return err
 	}
-	copy(buf, data[off-firstPage*ps:])
+	copy(buf, span[off-firstPage*ps:])
 	return nil
-}
-
-// ReadPages reads n whole pages from page index first in one device
-// command and returns the device's buffer itself, not a copy.
-func (f *File) ReadPages(p *sim.Proc, first, n int) ([]byte, error) {
-	ps := f.fs.PageSize()
-	if err := f.check(int64(first)*int64(ps), n*ps); err != nil {
-		return nil, err
-	}
-	return f.fs.dev.ReadPages(p, f.ext.start+ftl.LBA(first), n)
 }
 
 // Sync is fsync: it forces all acknowledged writes down to NAND.

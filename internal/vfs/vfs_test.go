@@ -274,6 +274,54 @@ func TestPropertyWriteReadIsolation(t *testing.T) {
 	}
 }
 
+// A WriteAt over a partial head page, whole pages and a partial tail
+// page reads each partial page and writes it back, and writes the whole
+// pages in one command: 2 read commands, 3 write commands. The partial
+// pages' bytes outside the range keep what they held.
+func TestWriteAtReadModifyWrite(t *testing.T) {
+	e := sim.NewEnv()
+	fs := newFS(e)
+	ps := int64(fs.PageSize())
+	f, _ := fs.Create("f", 8*ps)
+	e.Go("t", func(p *sim.Proc) {
+		ref := make([]byte, 8*ps)
+		for i := range ref {
+			ref[i] = byte(i * 3 / 7)
+		}
+		if err := f.WriteAt(p, 0, ref); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		if err := fs.Device().Drain(p); err != nil {
+			t.Fatalf("drain: %v", err)
+		}
+		off, n := ps+100, 3*ps // head [ps+100, 2ps), pages 2 and 3, tail [4ps, 4ps+100)
+		old := bytes.Clone(ref)
+		copy(ref[off:off+n], bytes.Repeat([]byte{0xEE}, int(n)))
+		cmds := func() (rd, wr uint64) {
+			c := obs.Of(e).Snapshot().Counters
+			return c["ULL-SSD.read_cmds"], c["ULL-SSD.write_cmds"]
+		}
+		rd0, wr0 := cmds()
+		if err := f.WriteAt(p, off, ref[off:off+n]); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		if rd, wr := cmds(); rd-rd0 != 2 || wr-wr0 != 3 {
+			t.Fatalf("partial-page WriteAt issued %d reads and %d writes, want 2 and 3", rd-rd0, wr-wr0)
+		}
+		got := make([]byte, 8*ps)
+		if err := f.ReadAt(p, 0, got); err != nil {
+			t.Fatalf("read: %v", err)
+		}
+		if !bytes.Equal(got[ps:off], old[ps:off]) || !bytes.Equal(got[off+n:5*ps], old[off+n:5*ps]) {
+			t.Fatal("WriteAt changed bytes of its partial pages outside its range")
+		}
+		if !bytes.Equal(got, ref) {
+			t.Fatal("read-back differs from the reference image")
+		}
+	})
+	e.Run()
+}
+
 // readCmds is the device's read-command count.
 func readCmds(t *testing.T, e *sim.Env, profile string) uint64 {
 	t.Helper()
@@ -286,8 +334,9 @@ func readCmds(t *testing.T, e *sim.Env, profile string) uint64 {
 
 // ReadAt is one device command whether or not the range is page aligned
 // (an aligned range lands in the caller's buffer, any other is copied
-// out of the device's), and returns the bytes ReadPages does.
-func TestReadAtMatchesReadPages(t *testing.T) {
+// out of a span of its covering pages), and returns the bytes a device
+// read of those pages does.
+func TestReadAtMatchesReadPagesInto(t *testing.T) {
 	e := sim.NewEnv()
 	fs := newFS(e)
 	ps := int64(fs.PageSize())
@@ -321,13 +370,13 @@ func TestReadAtMatchesReadPages(t *testing.T) {
 				t.Fatalf("ReadAt(%d, %d) issued %d read commands, want 1", c.off, c.n, n)
 			}
 			first := c.off / ps
-			pages, err := f.ReadPages(p, int(first), int((c.off+c.n+ps-1)/ps-first))
-			if err != nil {
-				t.Fatalf("ReadPages: %v", err)
+			pages := make([]byte, ((c.off+c.n+ps-1)/ps-first)*ps)
+			if err := fs.Device().ReadPagesInto(p, f.LBA(c.off), pages); err != nil {
+				t.Fatalf("ReadPagesInto: %v", err)
 			}
 			want := pages[c.off-first*ps:][:c.n]
 			if !bytes.Equal(got, want) || !bytes.Equal(got, img[c.off:c.off+c.n]) {
-				t.Fatalf("ReadAt(%d, %d) differs from ReadPages", c.off, c.n)
+				t.Fatalf("ReadAt(%d, %d) differs from ReadPagesInto", c.off, c.n)
 			}
 		}
 	})

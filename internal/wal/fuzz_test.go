@@ -178,11 +178,13 @@ func FuzzScan(f *testing.F) {
 		media := make([]byte, pages*ps) // the file's whole pages
 		copy(media, img)
 		for _, run := range []int64{1, 2, 3, 64} {
-			rd := &segReader{ps: ps, run: run, pages: pages, fetch: func(first, n int64) ([]byte, error) {
-				if first < 0 || n < 1 || n > run || first%run != 0 || first+n > pages {
-					t.Fatalf("run %d: fetch of %d pages at %d in a %d-page file", run, n, first, pages)
+			rd := &segReader{ps: ps, run: run, pages: pages, fetch: func(dst []byte, first int64) error {
+				n := int64(len(dst)) / ps
+				if first < 0 || first%run != 0 || int64(len(dst))%ps != 0 || n != min(run, pages-first) {
+					t.Fatalf("run %d: fetch of %d bytes at page %d in a %d-page file", run, len(dst), first, pages)
 				}
-				return media[first*ps : (first+n)*ps], nil
+				copy(dst, media[first*ps:])
+				return nil
 			}}
 			got, err := scanAll(rd.view, fcap, inner, base)
 			if err != nil {

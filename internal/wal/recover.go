@@ -41,15 +41,15 @@ const readAheadPages = 64
 // once. Runs are never recycled: what view hands out stays valid for
 // whatever a Recover callback retains.
 type segReader struct {
-	fetch          func(first, n int64) ([]byte, error) // n whole pages from page first
-	ps, run, pages int64                                // page bytes, pages per run, pages in the file
-	runs           [][]byte                             // by run index; nil = not fetched yet
-	bad            map[int64]error                      // unreadable pages, by page index
+	fetch          func(dst []byte, first int64) error // fills dst, whole pages, from page first
+	ps, run, pages int64                               // page bytes, pages per run, pages in the file
+	runs           [][]byte                            // by run index; nil = not fetched yet
+	bad            map[int64]error                     // unreadable pages, by page index
 }
 
 func (l *Log) reader(p *sim.Proc, f *vfs.File) *segReader {
 	return &segReader{
-		fetch: func(first, n int64) ([]byte, error) { return f.ReadPages(p, int(first), int(n)) },
+		fetch: func(dst []byte, first int64) error { return f.ReadAt(p, first*int64(l.ps), dst) },
 		ps:    int64(l.ps), run: readAheadPages, pages: int64(f.Pages()),
 	}
 }
@@ -68,19 +68,15 @@ func (r *segReader) load(i int64) []byte {
 	}
 	first := i * r.run
 	n := min(r.run, r.pages-first)
-	b, err := r.fetch(first, n)
-	if err != nil {
-		b = make([]byte, n*r.ps)
+	b := make([]byte, n*r.ps)
+	if r.fetch(b, first) != nil {
 		for k := int64(0); k < n; k++ {
-			pg, err := r.fetch(first+k, 1)
-			if err != nil {
+			if err := r.fetch(b[k*r.ps:(k+1)*r.ps], first+k); err != nil {
 				if r.bad == nil {
 					r.bad = make(map[int64]error)
 				}
 				r.bad[first+k] = err
-				continue
 			}
-			copy(b[k*r.ps:], pg)
 		}
 	}
 	r.runs[i] = b
@@ -168,8 +164,8 @@ func scan(read viewAt, fcap, inner, base int64, visit func(start int64, payload 
 	return pos, scanReached, nil
 }
 
-// probeSlot validates hdr, the first headerBytes+segHdrBytes of ring
-// slot i's file, and returns the segment sequence the slot holds, or -1
+// probeSlot validates hdr, which starts with the first
+// headerBytes+segHdrBytes of ring slot i's file, and returns the segment sequence the slot holds, or -1
 // for a slot holding none: the header must be an intact record at
 // position 0 whose stamp is a segment base owned by this slot and whose
 // payload names the same sequence.
@@ -231,15 +227,15 @@ func (l *Log) Recover(p *sim.Proc, fn func(lsn LSN, payload []byte) error) error
 			return err
 		}
 		slotSeq = make([]int64, ring)
-		var hdr [headerBytes + segHdrBytes]byte
+		hdr := make([]byte, l.ps) // each slot's first page, the one command a probe costs
 		for i, f := range l.files {
 			// A read error must fail Recover, never pass for a free slot:
 			// that would end the chain walk early and let the next appends
 			// overwrite live records.
-			if err := f.ReadAt(p, 0, hdr[:]); err != nil {
+			if err := f.ReadAt(p, 0, hdr); err != nil {
 				return fmt.Errorf("wal: probing ring slot %d: %w", i, err)
 			}
-			slotSeq[i] = probeSlot(hdr[:], i, len(l.files), l.fileBytes)
+			slotSeq[i] = probeSlot(hdr, i, len(l.files), l.fileBytes)
 		}
 	}
 
