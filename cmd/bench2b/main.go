@@ -97,6 +97,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	if o.seeds < 1 {
+		fmt.Fprintf(stderr, "bench2b: -seeds %d: want at least 1\n", o.seeds)
+		fs.Usage()
+		return 2
+	}
 	names := fs.Args()
 	if len(names) == 0 {
 		names = []string{"all"}

@@ -69,6 +69,20 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
+// A seed count below 1 is a usage error caught before anything runs:
+// -seeds 0 would gate on zero seeds and pass, -seeds -1 would panic.
+func TestRunRejectsSeedsBelowOne(t *testing.T) {
+	for _, n := range []string{"0", "-1"} {
+		code, out, errs := drive("-seeds", n, "fuzz")
+		if code != 2 || out != "" {
+			t.Fatalf("-seeds %s: exit %d, stdout %q; want 2 and nothing printed", n, code, out)
+		}
+		if !strings.Contains(errs, "-seeds "+n+": want at least 1") || !strings.Contains(errs, "usage: bench2b") {
+			t.Errorf("-seeds %s: stderr does not name the bad count and print the usage:\n%s", n, errs)
+		}
+	}
+}
+
 // -timeline writes the merged timeline after the run, as JSON or (by
 // extension) CSV, and the file's bytes do not depend on -j.
 func TestRunWritesTimeline(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"strconv"
 
 	"twobssd/internal/core"
+	"twobssd/internal/fio"
 	"twobssd/internal/obs"
 	"twobssd/internal/pcie"
 	"twobssd/internal/sim"
@@ -35,38 +36,12 @@ func AblationWriteCombining(r *Runner) *Table {
 		if i%2 == 1 {
 			mk = noWC
 		}
-		return mmioWriteWith(mk, sizes[i/2], r.LatReps)
+		return fio.MMIOWriteLatency(mk, sizes[i/2], r.LatReps, false)
 	})
 	for si, size := range sizes {
 		t.AddRow(sizeLabel(size), cells[2*si].Micros(), cells[2*si+1].Micros())
 	}
 	return t
-}
-
-func mmioWriteWith(mk func(*sim.Env) *core.TwoBSSD, size, reps int) sim.Duration {
-	e := sim.NewEnv()
-	defer e.Shutdown()
-	ssd := mk(e)
-	var total sim.Duration
-	e.Go("t", func(p *sim.Proc) {
-		pages := (size + ssd.PageSize() - 1) / ssd.PageSize()
-		if pages < 1 {
-			pages = 1
-		}
-		if err := ssd.BAPin(p, 0, 0, 0, pages); err != nil {
-			panic(err)
-		}
-		buf := make([]byte, size)
-		for i := 0; i < reps; i++ {
-			start := e.Now()
-			if err := ssd.Mmio().Write(p, 0, buf); err != nil {
-				panic(err)
-			}
-			total += sim.Duration(e.Now() - start)
-		}
-	})
-	e.Run()
-	return total / sim.Duration(reps)
 }
 
 // AblationDoubleBuffering quantifies design decision 5: BA-WAL's

@@ -84,25 +84,20 @@ func walLifeFeatures(mode wal.CommitMode) (walLifeRow, error) {
 		row.commit1 = usOf(time1, commits1)
 
 		// Group commit: 8 concurrent committers, 8 records each.
-		wg := env.NewWaitGroup("wal-life.committers")
-		wg.Add(8)
-		for c := 0; c < 8; c++ {
-			env.GoIdx("wal-life.commit", c, func(p *sim.Proc, c int) {
-				defer wg.Done()
-				for i := 0; i < 8; i++ {
-					lsn, err := sl.Append(p, []byte(small(100+c*8+i)))
-					if err == nil {
-						err = sl.Commit(p, lsn)
-					}
-					if err != nil {
-						runErr = err
-						return
-					}
+		commit := sim.NewFan(env, "wal-life.commit", func(p *sim.Proc, _ *struct{}, c int) error {
+			for i := 0; i < 8; i++ {
+				lsn, err := sl.Append(p, []byte(small(100+c*8+i)))
+				if err == nil {
+					err = sl.Commit(p, lsn)
 				}
-			})
-		}
-		wg.Wait(p)
-		if runErr != nil {
+				if err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err := commit.Run(p, 8, struct{}{}); err != nil {
+			fail(err)
 			return
 		}
 		commits8 := count("commits") - commits1

@@ -94,8 +94,8 @@ type TwoBSSD struct {
 
 	table []Entry // mapping table, indexed by EID; Pages == 0 marks a free entry
 
-	arm      *sim.Resource // firmware cores driving the internal datapath
-	moveJobs []*moveJob    // idle multi-page internalMove fan-outs
+	arm   *sim.Resource     // firmware cores driving the internal datapath
+	moves *sim.Fan[moveCmd] // a multi-page internalMove's page workers
 
 	powered bool
 	rec     *recovery
@@ -143,6 +143,7 @@ func New(env *sim.Env, cfg Config) *TwoBSSD {
 		o:       obs.Of(env),
 		inj:     fault.Of(env),
 	}
+	s.moves = sim.NewFan(env, "2bssd.mv", s.movePage)
 	reg := s.o.Registry()
 	s.gDumpEnergy = reg.Gauge("2bssd.dump_energy_j")
 	s.cPins = reg.Counter("2bssd.pins")
@@ -330,30 +331,27 @@ func (s *TwoBSSD) internalMove(p *sim.Proc, ent Entry, write bool) error {
 	sp := s.o.Tracer().Begin("2bssd.datapath", "2bssd", name)
 	defer sp.End()
 	// Single-page entries (the common case for log windows) run inline:
-	// no fan-out process or WaitGroup — same virtual timing.
+	// no fan-out process — same virtual timing.
 	if ent.Pages == 1 {
-		return s.movePage(p, ent, write, 0)
+		return s.movePage(p, &moveCmd{ent, write}, 0)
 	}
-	j := s.getMoveJob()
-	j.ent, j.write = ent, write
-	j.wg.Add(ent.Pages)
-	for i := 0; i < ent.Pages; i++ {
-		s.env.GoIdx("2bssd.mv", i, j.page)
-	}
-	j.wg.Wait(p)
-	err := j.firstErr
-	s.putMoveJob(j)
-	return err
+	return s.moves.Run(p, ent.Pages, moveCmd{ent, write})
 }
 
-// movePage moves page i of ent over the internal datapath (see
+// moveCmd is one internalMove as its page workers see it.
+type moveCmd struct {
+	ent   Entry
+	write bool
+}
+
+// movePage moves page i of c.ent over the internal datapath (see
 // internalMove).
-func (s *TwoBSSD) movePage(w *sim.Proc, ent Entry, write bool, i int) error {
+func (s *TwoBSSD) movePage(w *sim.Proc, c *moveCmd, i int) error {
 	ps := s.PageSize()
 	s.arm.Use(w, armPerPageCost)
-	off := ent.Offset + i*ps
-	lba := ent.LBA + ftl.LBA(i)
-	if write {
+	off := c.ent.Offset + i*ps
+	lba := c.ent.LBA + ftl.LBA(i)
+	if c.write {
 		// BA_FLUSH is the byte path's host boundary: the page's
 		// content is fixed here for the first time (MMIO stores
 		// have no page-granular commit point), so the integrity
@@ -367,46 +365,6 @@ func (s *TwoBSSD) movePage(w *sim.Proc, ent Entry, write bool, i int) error {
 	}
 	// Pin lands NAND pages straight in the BA-buffer frame.
 	return s.dev.FTL().ReadPageInto(w, lba, s.babuf[off:off+ps])
-}
-
-// moveJob is one multi-page internalMove's fan-out state: the page
-// workers' shared body (bound once), their WaitGroup, and the first
-// error any of them hit. Jobs are pooled on the TwoBSSD, so a fan-out
-// allocates nothing in steady state; concurrent moves each hold their
-// own.
-type moveJob struct {
-	s        *TwoBSSD
-	ent      Entry
-	write    bool
-	firstErr error
-	wg       *sim.WaitGroup
-	page     func(w *sim.Proc, i int) // j.run
-}
-
-func (j *moveJob) run(w *sim.Proc, i int) {
-	defer j.wg.Done()
-	if err := j.s.movePage(w, j.ent, j.write, i); err != nil && j.firstErr == nil {
-		j.firstErr = err
-	}
-}
-
-func (s *TwoBSSD) getMoveJob() *moveJob {
-	if n := len(s.moveJobs); n > 0 {
-		j := s.moveJobs[n-1]
-		s.moveJobs[n-1] = nil
-		s.moveJobs = s.moveJobs[:n-1]
-		return j
-	}
-	j := &moveJob{s: s, wg: s.env.NewWaitGroup("2bssd.move")}
-	j.page = j.run
-	return j
-}
-
-// putMoveJob returns a finished job to the pool, dropping its entry and
-// error so neither outlives the move.
-func (s *TwoBSSD) putMoveJob(j *moveJob) {
-	j.ent, j.firstErr = Entry{}, nil
-	s.moveJobs = append(s.moveJobs, j)
 }
 
 // BASync implements BA_SYNC(EID): the three-step durability protocol —

@@ -28,6 +28,11 @@ type recovery struct {
 	s          *TwoBSSD
 	dumpBlocks []nand.BlockID // reserved blocks, die order
 	dumpValid  bool           // a valid dump image exists on NAND
+
+	// One firmware worker per dump block (index b of dumpBlocks).
+	dumps    *sim.Fan[dumpCmd]
+	restores *sim.Fan[[]int] // the image's data pages
+	erases   *sim.Fan[struct{}]
 }
 
 const dumpMagic = 0x2B55D001
@@ -36,6 +41,9 @@ func newRecovery(s *TwoBSSD) *recovery {
 	fc := s.dev.Flash().Config()
 	per := s.dev.FTL().Config().ReservedPerDie
 	r := &recovery{s: s}
+	r.dumps = sim.NewFan(s.env, "2bssd.dump", r.dumpBlock)
+	r.restores = sim.NewFan(s.env, "2bssd.rst", r.restoreBlock)
+	r.erases = sim.NewFan(s.env, "2bssd.erase", r.eraseBlock)
 	for d := 0; d < fc.Dies(); d++ {
 		for k := 0; k < per; k++ {
 			blk := nand.BlockID(d*fc.BlocksPerDie + fc.BlocksPerDie - 1 - k)
@@ -121,6 +129,13 @@ func mappedPages(entries []Entry, pageSize int) []int {
 func (r *recovery) span(n, b int) (lo, hi int) {
 	per := (n + len(r.dumpBlocks) - 1) / len(r.dumpBlocks)
 	return min(b*per, n), min((b+1)*per, n)
+}
+
+// spanned is how many dump blocks an image of n data pages spans: the
+// blocks from 0 on whose span is not empty.
+func (r *recovery) spanned(n int) int {
+	per := max(1, (n+len(r.dumpBlocks)-1)/len(r.dumpBlocks))
+	return (n + per - 1) / per
 }
 
 // room reports whether every dump block has erased pages for its share
@@ -220,64 +235,60 @@ func (s *TwoBSSD) scrambleVolatile() {
 // now removes its entry), so the pages programmed and the metadata page
 // that names them come from one snapshot, never from the live table.
 // A non-nil error means the image on NAND is torn: the injected
-// capacitor cut fired mid-dump (pagesDumped is shared across workers,
+// capacitor cut fired mid-dump (dumpCmd.dumped is shared across workers,
 // so the cut lands after an exact global page count), or a program in
 // the reserved area failed.
 func (r *recovery) dumpImage(p *sim.Proc) error {
+	snap := r.s.Entries()
+	pages := mappedPages(snap, r.s.PageSize())
+	// Block 0 takes the metadata page even when no data page is mapped.
+	return r.dumps.Run(p, max(1, r.spanned(len(pages))), dumpCmd{pages: pages, meta: r.encodeMeta(snap)})
+}
+
+// dumpCmd is a dump as its block workers see it.
+type dumpCmd struct {
+	pages  []int  // the image's data pages
+	meta   []byte // the metadata page
+	dumped int    // pages programmed by every worker, where a cut lands
+	failed bool   // the image is torn: every worker stops at its next page
+}
+
+// dumpBlock is dump block b's worker: it programs the block's slice of
+// the image sequentially at its program cursor, and block 0 the
+// metadata page after it. A worker that fails marks the image torn.
+func (r *recovery) dumpBlock(w *sim.Proc, c *dumpCmd, b int) (err error) {
+	defer func() { c.failed = c.failed || err != nil }()
 	s := r.s
 	ps := s.PageSize()
 	fl := s.dev.Flash()
-	snap := s.Entries()
-	pages := mappedPages(snap, ps)
-	meta := r.encodeMeta(snap)
-	wg := s.env.NewWaitGroup("2bssd.dump")
-	pagesDumped := 0
-	var firstErr error
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
+	blk := r.dumpBlocks[b]
+	lo, hi := r.span(len(c.pages), b)
+	at := r.blockBase(blk) + nand.PPA(fl.NextPage(blk))
+	for _, i := range c.pages[lo:hi] {
+		if c.failed {
+			return nil
 		}
-	}
-	for b, blk := range r.dumpBlocks {
-		lo, hi := r.span(len(pages), b)
-		if lo == hi && b > 0 {
-			break // later blocks take nothing either
+		if s.inj.DumpCut(c.dumped) {
+			return errors.New("capacitors cut mid-dump")
 		}
-		wg.Add(1)
-		s.env.Go(fmt.Sprintf("2bssd.dump%d", b), func(w *sim.Proc) {
-			defer wg.Done()
-			at := r.blockBase(blk) + nand.PPA(fl.NextPage(blk))
-			for _, i := range pages[lo:hi] {
-				if firstErr != nil {
-					return
-				}
-				if s.inj.DumpCut(pagesDumped) {
-					fail(errors.New("capacitors cut mid-dump"))
-					return
-				}
-				page := s.babuf[i*ps : (i+1)*ps]
-				if err := fl.ProgramPageTagged(w, at, page, integrity.PageCRC(page)); err != nil {
-					fail(fmt.Errorf("dump program: %w", err))
-					return
-				}
-				pagesDumped++
-				at++
-			}
-			if b == 0 && firstErr == nil {
-				if s.inj.DumpCut(pagesDumped) {
-					fail(errors.New("capacitors cut before metadata page"))
-					return
-				}
-				if err := fl.ProgramPageTagged(w, at, meta, integrity.PageCRC(meta)); err != nil {
-					fail(fmt.Errorf("dump meta program: %w", err))
-					return
-				}
-				pagesDumped++
-			}
-		})
+		page := s.babuf[i*ps : (i+1)*ps]
+		if err := fl.ProgramPageTagged(w, at, page, integrity.PageCRC(page)); err != nil {
+			return fmt.Errorf("dump program: %w", err)
+		}
+		c.dumped++
+		at++
 	}
-	wg.Wait(p)
-	return firstErr
+	if b > 0 || c.failed {
+		return nil
+	}
+	if s.inj.DumpCut(c.dumped) {
+		return errors.New("capacitors cut before metadata page")
+	}
+	if err := fl.ProgramPageTagged(w, at, c.meta, integrity.PageCRC(c.meta)); err != nil {
+		return fmt.Errorf("dump meta program: %w", err)
+	}
+	c.dumped++
+	return nil
 }
 
 // PowerOn restores the device after a power failure: it reads the dump
@@ -299,7 +310,7 @@ func (s *TwoBSSD) PowerOn(p *sim.Proc) error {
 		clear(s.babuf)
 	}
 	if !s.rec.room() {
-		s.rec.erase(p)
+		s.rec.erases.Run(p, len(s.rec.dumpBlocks), struct{}{})
 	}
 	return nil
 }
@@ -328,41 +339,8 @@ func (r *recovery) restoreImage(p *sim.Proc) error {
 	}
 	pages := mappedPages(entries, ps)
 	clear(s.babuf)
-	wg := s.env.NewWaitGroup("2bssd.restore")
-	var firstErr error
-	for b, blk := range r.dumpBlocks {
-		lo, hi := r.span(len(pages), b)
-		if lo == hi {
-			break
-		}
-		wg.Add(1)
-		s.env.Go(fmt.Sprintf("2bssd.rst%d", b), func(w *sim.Proc) {
-			defer wg.Done()
-			at := r.blockBase(blk) + nand.PPA(fl.NextPage(blk)-(hi-lo))
-			if b == 0 {
-				at-- // the metadata page follows block 0's slice
-			}
-			for _, i := range pages[lo:hi] {
-				dst := s.babuf[i*ps : (i+1)*ps]
-				tag, _, err := fl.ReadPageInto(w, at, dst)
-				if err == nil {
-					if cerr := integrity.Check(dst, tag); cerr != nil {
-						err = fmt.Errorf("2bssd: restore page %d: %w", i, cerr)
-					}
-				}
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					return
-				}
-				at++
-			}
-		})
-	}
-	wg.Wait(p)
-	if firstErr != nil {
-		return firstErr
+	if err := r.restores.Run(p, r.spanned(len(pages)), pages); err != nil {
+		return err
 	}
 	for _, e := range entries {
 		s.table[e.ID] = e
@@ -370,31 +348,52 @@ func (r *recovery) restoreImage(p *sim.Proc) error {
 	return nil
 }
 
-// erase wipes the dump area so it can take a full-buffer dump again
-// (pre-erased, as real PLP firmware keeps it).
-func (r *recovery) erase(p *sim.Proc) {
+// restoreBlock is dump block b's worker: it reads the block's slice of
+// the image, which sits right before its program cursor (and before
+// the metadata page in block 0), into the BA-buffer.
+func (r *recovery) restoreBlock(w *sim.Proc, pages *[]int, b int) error {
 	s := r.s
-	wg := s.env.NewWaitGroup("2bssd.erase")
-	wg.Add(len(r.dumpBlocks))
-	for _, blk := range r.dumpBlocks {
-		s.env.Go("2bssd.erase", func(w *sim.Proc) {
-			defer wg.Done()
-			if s.dev.Flash().NextPage(blk) == 0 {
-				return // already erased
-			}
-			if err := s.dev.Flash().EraseBlock(w, blk); err != nil {
-				// An injected erase failure retires a dump block: a
-				// later dump that programs it tears, or is refused
-				// while the block lacks room. Real config errors still
-				// panic.
-				if errors.Is(err, nand.ErrEraseFailed) || errors.Is(err, nand.ErrWornOut) {
-					return
-				}
-				panic(fmt.Sprintf("2bssd: dump area erase failed: %v", err))
-			}
-		})
+	ps := s.PageSize()
+	fl := s.dev.Flash()
+	blk := r.dumpBlocks[b]
+	lo, hi := r.span(len(*pages), b)
+	at := r.blockBase(blk) + nand.PPA(fl.NextPage(blk)-(hi-lo))
+	if b == 0 {
+		at-- // the metadata page follows block 0's slice
 	}
-	wg.Wait(p)
+	for _, i := range (*pages)[lo:hi] {
+		dst := s.babuf[i*ps : (i+1)*ps]
+		tag, _, err := fl.ReadPageInto(w, at, dst)
+		if err != nil {
+			return err
+		}
+		if err := integrity.Check(dst, tag); err != nil {
+			return fmt.Errorf("2bssd: restore page %d: %w", i, err)
+		}
+		at++
+	}
+	return nil
+}
+
+// eraseBlock is dump block b's erase worker. Erasing every block wipes
+// the dump area so it can take a full-buffer dump again (pre-erased, as
+// real PLP firmware keeps it).
+func (r *recovery) eraseBlock(w *sim.Proc, _ *struct{}, b int) error {
+	fl := r.s.dev.Flash()
+	blk := r.dumpBlocks[b]
+	if fl.NextPage(blk) == 0 {
+		return nil // already erased
+	}
+	if err := fl.EraseBlock(w, blk); err != nil {
+		// An injected erase failure retires a dump block: a later dump
+		// that programs it tears, or is refused while the block lacks
+		// room. Real config errors still panic.
+		if errors.Is(err, nand.ErrEraseFailed) || errors.Is(err, nand.ErrWornOut) {
+			return nil
+		}
+		panic(fmt.Sprintf("2bssd: dump area erase failed: %v", err))
+	}
+	return nil
 }
 
 // Armed reports whether the dump area can take a full-buffer dump

@@ -204,7 +204,7 @@ type Device struct {
 	byLBA     map[ftl.LBA]*lbaBuf
 	bufPool   []*lbaBuf
 	pageSpare [][]byte
-	readJobs  []*readJob // idle multi-page read fan-outs
+	reads     *sim.Fan[readCmd] // a multi-page read's page workers
 	// The buffers ReadPages hands the benchmark, carved many to a heap
 	// object. A stream of 4 KB reads then leaves large spans the
 	// collector frees whole, not 4 KB spans that a sweep hands back one
@@ -222,7 +222,6 @@ type Device struct {
 	o                      *obs.Set
 	inj                    *fault.Injector
 	pcieTrack, bufTrack    string
-	rdName, rdWGName       string
 	cReadCmds, cWriteCmds  *obs.Counter
 	cFlushCmds, cTimeouts  *obs.Counter
 	cPagesRead, cPagesWrit *obs.Counter
@@ -255,9 +254,8 @@ func New(env *sim.Env, p Profile) *Device {
 		inj:          fault.Of(env),
 		pcieTrack:    p.Name + ".pcie",
 		bufTrack:     p.Name + ".wbuf",
-		rdName:       p.Name + ".rd",
-		rdWGName:     p.Name + ".read",
 	}
+	d.reads = sim.NewFan(env, p.Name+".rd", d.readPage)
 	reg := d.o.Registry()
 	d.cReadCmds = reg.Counter(p.Name + ".read_cmds")
 	d.cWriteCmds = reg.Counter(p.Name + ".write_cmds")
@@ -420,19 +418,11 @@ func (d *Device) ReadPagesInto(p *sim.Proc, lba ftl.LBA, dst []byte) error {
 
 	var err error
 	// Single-page commands (the QD-1 4 KB case the paper sweeps) run
-	// inline: no fan-out process or WaitGroup, same virtual timing.
+	// inline: no fan-out process, same virtual timing.
 	if n == 1 {
-		err = d.readPage(p, lba, dst)
+		err = d.readPage(p, &readCmd{lba, dst}, 0)
 	} else {
-		j := d.getReadJob()
-		j.lba, j.out = lba, dst
-		j.wg.Add(n)
-		for i := 0; i < n; i++ {
-			d.env.GoIdx(d.rdName, i, j.page)
-		}
-		j.wg.Wait(p)
-		err = j.firstErr
-		d.putReadJob(j)
+		err = d.reads.Run(p, n, readCmd{lba, dst})
 	}
 	p.Sleep(d.profile.CompletionLatency)
 	cmd.End()
@@ -444,10 +434,18 @@ func (d *Device) ReadPagesInto(p *sim.Proc, lba ftl.LBA, dst []byte) error {
 	return nil
 }
 
-// readPage fetches one page of a read command into dst and moves it to
-// the host: from the write buffer if a newer copy is there, else from
-// NAND. A page that fails its check is not transferred.
-func (d *Device) readPage(w *sim.Proc, l ftl.LBA, dst []byte) error {
+// readCmd is one read command as its page workers see it.
+type readCmd struct {
+	lba ftl.LBA
+	dst []byte
+}
+
+// readPage fetches page i of a read command into its slice of c.dst and
+// moves it to the host: from the write buffer if a newer copy is there,
+// else from NAND. A page that fails its check is not transferred.
+func (d *Device) readPage(w *sim.Proc, c *readCmd, i int) error {
+	ps := d.PageSize()
+	l, dst := c.lba+ftl.LBA(i), c.dst[i*ps:(i+1)*ps]
 	d.fw.Use(w, d.profile.FwPerPageCost)
 	if data, tag, ok := d.bufLookup(l); ok {
 		if err := integrity.Check(data, tag); err != nil {
@@ -459,47 +457,6 @@ func (d *Device) readPage(w *sim.Proc, l ftl.LBA, dst []byte) error {
 	}
 	d.pcieXfer(w, len(dst))
 	return nil
-}
-
-// readJob is one multi-page read command's fan-out state: the page
-// workers' shared body (bound once), their WaitGroup, and the first
-// error any of them hit. Jobs are pooled on the Device, so a fan-out
-// allocates nothing in steady state; concurrent commands each hold
-// their own.
-type readJob struct {
-	d        *Device
-	lba      ftl.LBA
-	out      []byte
-	firstErr error
-	wg       *sim.WaitGroup
-	page     func(w *sim.Proc, i int) // j.run
-}
-
-func (j *readJob) run(w *sim.Proc, i int) {
-	defer j.wg.Done()
-	ps := j.d.PageSize()
-	if err := j.d.readPage(w, j.lba+ftl.LBA(i), j.out[i*ps:(i+1)*ps]); err != nil && j.firstErr == nil {
-		j.firstErr = err
-	}
-}
-
-func (d *Device) getReadJob() *readJob {
-	if n := len(d.readJobs); n > 0 {
-		j := d.readJobs[n-1]
-		d.readJobs[n-1] = nil
-		d.readJobs = d.readJobs[:n-1]
-		return j
-	}
-	j := &readJob{d: d, wg: d.env.NewWaitGroup(d.rdWGName)}
-	j.page = j.run
-	return j
-}
-
-// putReadJob returns a finished job to the pool, dropping its buffer
-// and error so neither outlives the command.
-func (d *Device) putReadJob(j *readJob) {
-	j.out, j.firstErr = nil, nil
-	d.readJobs = append(d.readJobs, j)
 }
 
 // bufLookup returns the newest not-yet-persisted copy of lba: the

@@ -87,18 +87,15 @@ type FTL struct {
 	dieLocks []sim.Resource // one backing array; elements never copied
 	gcLock   *sim.Resource
 
-	// Block evacuation (see evacuate). gcLock's holder owns all of it
-	// except the movers, which belong to their procs.
-	skip      []bool     // pickVictim scratch: open and free blocks
-	evacSrc   []nand.PPA // the victim's valid pages
-	mover     *mover     // scratch of a run the evacuating proc moves itself
-	relocDie  int        // round-robin cursor over destination slots
-	relocQ    []relocRun // runs handed to the workers, relocQ[:relocHead] taken
+	// Block evacuation (see evacuate); gcLock's holder owns all of it.
+	skip      []bool              // pickVictim scratch: open and free blocks
+	evacSrc   []nand.PPA          // the victim's valid pages
+	movers    [relocWorkers]mover // worker i's run scratch; [0] also the evacuating proc's
+	relocDie  int                 // round-robin cursor over destination slots
+	relocQ    []relocRun          // runs handed to the workers, relocQ[:relocHead] taken
 	relocHead int
-	relocLeft int         // handed-out runs not finished yet
-	relocErr  error       // first error of the batch
-	relocWork *sim.Signal // a run was queued; nil until the workers start
-	relocDone *sim.Signal // the batch's last run finished
+	relocErr  error              // first error of the batch
+	reloc     *sim.Fan[struct{}] // the batch's workers
 
 	o                              *obs.Set
 	inj                            *fault.Injector
@@ -168,6 +165,7 @@ func New(env *sim.Env, flash *nand.Flash, cfg Config) *FTL {
 	}
 	f.dieLocks = env.NewResources(dieNames(fc.Dies()), 1)
 	f.gcLock = env.NewResource("ftl.gc", 1)
+	f.reloc = sim.NewFan(env, "ftl.reloc", f.relocWorker)
 	// All non-reserved blocks start free (the last ReservedPerDie
 	// blocks of each die belong to the recovery manager).
 	for b := 0; b < fc.Blocks(); b++ {
@@ -567,13 +565,14 @@ func (f *FTL) collect(p *sim.Proc) error {
 // consecutive pages of one destination block in one channel hold and one
 // die hold (nand.ReadRun, nand.ProgramRun). It is copy-back: no byte is
 // copied, each page's buffer passes to its copy when the LBA is rebound
-// (nand.Move). A block with more than one run is moved by relocWorkers
-// worker procs, each run landing on a die that is idle at that instant —
-// a victim's reads serialize on its own die, its programs spread over
-// the array. Runs, not pages, are the unit because the simulator pays
-// per process switch: resuming a different proc costs ~20x a lone
-// sleeper's next event, and one proc per page costs more host time than
-// the serial loop it replaces.
+// (nand.Move). A block with more than one run is moved by up to
+// relocWorkers worker procs, one fork-join (sim.Fan) per block, each run
+// landing on a die that is idle at that instant — a victim's reads
+// serialize on its own die, its programs spread over the array. Runs,
+// not pages, are the unit because the simulator pays per process
+// switch: resuming a different proc costs ~20x a lone sleeper's next
+// event, and one proc per page costs more host time than the serial
+// loop it replaces.
 const (
 	relocWorkers  = 8
 	relocRunPages = 8
@@ -601,7 +600,7 @@ type relocRun struct {
 // from one of them could wait forever.
 func (f *FTL) evacuate(p *sim.Proc, blk nand.BlockID, salvage bool, moved *obs.Counter, nested bool) error {
 	if nested {
-		// The owner's page list, mover and workers are all in use.
+		// The owner's page list, movers and workers are all in use.
 		if src := f.validPages(blk, nil); len(src) > 0 {
 			return f.moveRuns(p, new(mover), src, salvage, moved)
 		}
@@ -614,27 +613,13 @@ func (f *FTL) evacuate(p *sim.Proc, blk nand.BlockID, salvage bool, moved *obs.C
 		return nil // nothing to move: no proc woken, no time spent
 	case len(src) <= relocRunPages:
 		// One run: handing it over would buy two process switches.
-		if f.mover == nil {
-			f.mover = new(mover)
-		}
-		return f.moveRuns(p, f.mover, src, salvage, moved)
-	}
-	if f.relocWork == nil {
-		f.relocWork = f.env.NewSignal("ftl.reloc.work")
-		f.relocDone = f.env.NewSignal("ftl.reloc.done")
-		for i := 0; i < relocWorkers; i++ {
-			f.env.GoDaemon("ftl.reloc", f.relocLoop)
-		}
+		return f.moveRuns(p, &f.movers[0], src, salvage, moved)
 	}
 	f.relocQ, f.relocHead, f.relocErr = f.relocQ[:0], 0, nil
 	for per := runLen(len(src)); len(src) > 0; src = src[min(per, len(src)):] {
 		f.relocQ = append(f.relocQ, relocRun{src[:min(per, len(src))], salvage, moved})
-		f.relocWork.FireOne()
 	}
-	f.relocLeft = len(f.relocQ)
-	for f.relocLeft > 0 {
-		f.relocDone.Wait(p)
-	}
+	f.reloc.Run(p, min(len(f.relocQ), relocWorkers), struct{}{})
 	return f.relocErr
 }
 
@@ -655,23 +640,19 @@ func (f *FTL) moveRuns(p *sim.Proc, m *mover, src []nand.PPA, salvage bool, move
 	return nil
 }
 
-// relocLoop is a relocation worker: it moves queued runs, one at a time,
-// for whichever proc is evacuating a block.
-func (f *FTL) relocLoop(p *sim.Proc) {
-	m := new(mover)
-	for {
-		for f.relocHead == len(f.relocQ) {
-			f.relocWork.Wait(p)
-		}
+// relocWorker is relocation worker i of a batch: it moves queued runs,
+// one at a time, until none is left. A failed run does not stop it; the
+// batch reports the first error in time, which is not always the first
+// a worker returns.
+func (f *FTL) relocWorker(w *sim.Proc, _ *struct{}, i int) error {
+	for f.relocHead < len(f.relocQ) {
 		run := f.relocQ[f.relocHead]
 		f.relocHead++
-		if err := f.moveRun(p, m, run); err != nil && f.relocErr == nil {
+		if err := f.moveRun(w, &f.movers[i], run); err != nil && f.relocErr == nil {
 			f.relocErr = err
 		}
-		if f.relocLeft--; f.relocLeft == 0 {
-			f.relocDone.Fire()
-		}
 	}
+	return nil
 }
 
 // moveRun moves one run: read the pages, drop those the host overwrote

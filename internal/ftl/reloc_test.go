@@ -191,7 +191,7 @@ func TestRelocationRunsNeverRevertHostWrite(t *testing.T) {
 	})
 	e.Run()
 	relocs := counter(t, e, "ftl.gc_relocations")
-	if relocs == 0 || f.relocWork == nil {
+	if relocs == 0 || f.relocQ == nil {
 		t.Fatalf("workload never handed a run to the relocation workers (%d relocations); the test exercises nothing", relocs)
 	}
 	if midMoveWrites == 0 || midMoveTrims == 0 || twiceInARow == 0 {
@@ -233,7 +233,7 @@ func TestZeroValidVictimPathIsUntouched(t *testing.T) {
 	if e.Now() != 352042368 || e.Events() != 3208 {
 		t.Fatalf("virtual time %d, events %d; want 352042368, 3208", e.Now(), e.Events())
 	}
-	if f.relocWork != nil || f.mover != nil {
+	if f.relocQ != nil || f.evacSrc != nil {
 		t.Fatal("reclaiming empty victims started the relocation machinery")
 	}
 }
@@ -255,7 +255,7 @@ func TestNoCollectionNoRelocationProcs(t *testing.T) {
 	if e.Now() != 20510592 || e.Events() != 769 {
 		t.Fatalf("virtual time %d, events %d; want 20510592, 769", e.Now(), e.Events())
 	}
-	if f.relocWork != nil || f.mover != nil || f.skip != nil {
+	if f.relocQ != nil || f.evacSrc != nil || f.skip != nil {
 		t.Fatal("a drive that never collected allocated relocation state")
 	}
 }

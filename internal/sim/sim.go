@@ -16,6 +16,9 @@
 //   - Signal:     a condition processes can park on (wake all, or the
 //     longest waiter), or park on until a predicate holds (WaitUntil).
 //
+// Fan is the kernel's one fork-join: start n workers at this instant,
+// park until the last returns, keep the first error.
+//
 // # Hot path
 //
 // The kernel is the simulator's wall-clock bottleneck, so its event loop
@@ -307,7 +310,7 @@ func (e *Env) GoAt(t Time, name string, body func(p *Proc)) *Proc {
 }
 
 // GoIdx starts a process at the current instant whose body receives
-// idx. Fan-out loops (one worker per page of a large command) spawn N
+// idx. Fan-out loops (a Fan's workers, the fleet's arrivals) spawn N
 // workers from one shared closure — no per-spawn closure allocation.
 func (e *Env) GoIdx(name string, idx int, body func(p *Proc, idx int)) *Proc {
 	p := e.spawn(name)
@@ -983,7 +986,8 @@ func (s *Signal) Fires() uint64 { return s.fires }
 func (s *Signal) Waiters() int { return len(s.waiters) - s.whead }
 
 // WaitGroup counts outstanding work across processes, like sync.WaitGroup
-// but in virtual time.
+// but in virtual time. A fork-join of workers started at one instant is
+// a Fan; a WaitGroup joins work started over time.
 type WaitGroup struct {
 	env  *Env
 	n    int
