@@ -45,30 +45,44 @@ func TestTagsSurviveGC(t *testing.T) {
 	e.Run()
 }
 
-// TestWritePageIsChecked writes a short page through WritePage, which
-// tags it with the CRC of the zero-padded page: it reads back clean,
-// and once its bytes are flipped under the FTL's feet the read fails
-// the check. An unmapped LBA reads zeroes with nothing to check.
+// TestWritePageIsChecked writes short pages through WritePage, which
+// tags each with the CRC of the zero-padded page: it reads back clean,
+// and once a bit past the bytes the flash stores of it is flipped under
+// the FTL's feet (the second CorruptPage undoes the first one's flips
+// below byte 64 and adds byte 64's) the read fails the check. The
+// all-zero page stores no bytes at all, and its tag, the CRC of a zero
+// page, is not 0: a store that dropped it would fail every read of the
+// page. An unmapped LBA reads zeroes with nothing to check.
 func TestWritePageIsChecked(t *testing.T) {
 	e := sim.NewEnv()
 	f := newTestFTL(e)
+	zero := make([]byte, f.PageSize())
+	if integrity.PageCRC(zero) == 0 {
+		t.Fatal("the CRC of a zero page is 0; the test proves nothing")
+	}
 	e.Go("t", func(p *sim.Proc) {
-		if err := f.WritePage(p, 5, []byte("plain")); err != nil {
-			t.Fatalf("write: %v", err)
-		}
 		got := make([]byte, f.PageSize())
-		err := f.ReadPageInto(p, 5, got)
-		if err != nil || !bytes.HasPrefix(got, []byte("plain")) {
-			t.Fatalf("read = %q, %v", got[:5], err)
+		for _, w := range []struct {
+			lba  LBA
+			data []byte
+		}{{5, []byte("plain")}, {7, zero}} {
+			lba, data := w.lba, w.data
+			if err := f.WritePage(p, lba, data); err != nil {
+				t.Fatalf("write %d: %v", lba, err)
+			}
+			err := f.ReadPageInto(p, lba, got)
+			if err != nil || !bytes.HasPrefix(got, data) {
+				t.Fatalf("read %d = %q, %v", lba, got[:5], err)
+			}
+			ppa, _ := f.PPAOf(lba)
+			if !f.flash.CorruptPage(ppa, 64) || !f.flash.CorruptPage(ppa, 65) {
+				t.Fatal("CorruptPage found no stored image")
+			}
+			if err := f.ReadPageInto(p, lba, got); !errors.Is(err, integrity.ErrPageCorrupt) {
+				t.Fatalf("read of corrupted page %d = %v, want ErrPageCorrupt", lba, err)
+			}
 		}
-		ppa, _ := f.PPAOf(5)
-		if !f.flash.CorruptPage(ppa, 1) {
-			t.Fatal("CorruptPage found no stored image")
-		}
-		if err := f.ReadPageInto(p, 5, got); !errors.Is(err, integrity.ErrPageCorrupt) {
-			t.Fatalf("read of a corrupted page = %v, want ErrPageCorrupt", err)
-		}
-		if err := f.ReadPageInto(p, 6, got); err != nil || !bytes.Equal(got, make([]byte, f.PageSize())) {
+		if err := f.ReadPageInto(p, 6, got); err != nil || !bytes.Equal(got, zero) {
 			t.Fatalf("unmapped read: %v", err)
 		}
 	})

@@ -13,12 +13,18 @@
 // program until its block is erased or the FTL discards it (Discard —
 // the mapping table dropped it, and nothing reads such a page again),
 // so host memory follows what the drive maps, not what it ever wrote.
+// Of a page it holds the bytes up to the last non-zero one, rounded up
+// to a size class (64 B doubling up to the page size); an all-zero page
+// holds none but keeps its tag, and a read pads what a page holds back
+// to the page with zeroes. The byte path's whole-page moves program
+// many mostly-zero pages, so host memory also follows what pages hold.
 // Each block keeps a table of its pages, made at its first program and
 // reused across erases, so a program or a discard writes a slot and
-// never rehashes. A page buffer the spare list cannot supply is carved
-// from an arena, many pages per heap object. A read takes its bytes
-// when it is issued, before its die and channel holds: a page discarded
-// while the read waits still comes back as it was.
+// never rehashes. Discarded buffers wait on one spare list per size
+// class; a buffer its list cannot supply is carved from an arena, many
+// pages per heap object. A read takes its bytes when it is issued,
+// before its die and channel holds: a page discarded while the read
+// waits still comes back as it was.
 //
 // Relocation is copy-back: a ReadRun takes no bytes, a ProgramRun
 // programs pages that hold none yet, and Move hands a source page's
@@ -28,8 +34,10 @@
 package nand
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"twobssd/internal/arena"
@@ -160,14 +168,24 @@ type blockState struct {
 	pages      []page // by page index; made at the block's first program
 }
 
-// page is what a programmed page holds: its bytes (nil while it holds
-// none) and one out-of-band word, the simulated spare area. The flash
-// layer never interprets the tag; it carries whatever the layer above
-// programmed (the FTL's integrity CRC in this stack).
+// page is what a programmed page holds: its bytes up to the last
+// non-zero one, in a buffer of its size class (noBytes when all are
+// zero, nil while it holds none), and one out-of-band word, the
+// simulated spare area. The flash layer never interprets the tag; it
+// carries whatever the layer above programmed (the FTL's integrity CRC
+// in this stack).
 type page struct {
 	data []byte
 	tag  uint32
 }
+
+// minClass is the smallest page buffer. The size classes are minClass
+// doubling up to the page size, which is the largest.
+const minClass = 64
+
+// noBytes is what an all-zero page stores: empty but not nil, so the
+// page still holds its tag (the CRC of a zero page is not 0).
+var noBytes = []byte{}
 
 // Flash is a simulated NAND array bound to a sim.Env.
 type Flash struct {
@@ -176,8 +194,9 @@ type Flash struct {
 	channels []*sim.Resource
 	dies     []*sim.Resource
 	blocks   []blockState
-	spare    [][]byte    // page buffers dropped by Discard, reused by commit
-	pageMem  arena.Arena // fresh page buffers, when spare is empty
+	spare    [][][]byte  // by size class: page buffers dropped by Discard, reused by a program
+	pageMem  arena.Arena // fresh page buffers, when a class's spare list is empty
+	zero     []byte      // a zero page, what a program's stored length is found against
 
 	o        *obs.Set
 	chTrack  []string // precomputed trace track names (no per-op fmt)
@@ -226,9 +245,11 @@ func New(env *sim.Env, cfg Config) *Flash {
 		env:    env,
 		cfg:    cfg,
 		blocks: make([]blockState, cfg.Blocks()),
+		zero:   make([]byte, cfg.PageSize),
 		o:      obs.Of(env),
 		inj:    fault.Of(env),
 	}
+	f.spare = make([][][]byte, f.classOf(cfg.PageSize)+1)
 	if f.inj != nil {
 		f.progAt = make(map[PPA]sim.Time)
 	}
@@ -347,8 +368,9 @@ func (f *Flash) SalvageRead(p *sim.Proc, ppa PPA) error {
 	return nil
 }
 
-// capture copies a page's stored bytes and out-of-band tag into dst —
-// the data half of a read, taken when the read is issued.
+// capture copies a page's stored bytes, zero-padded to the page, and
+// its out-of-band tag into dst — the data half of a read, taken when the
+// read is issued.
 func (f *Flash) capture(ppa PPA, dst []byte) uint32 {
 	dst = dst[:f.cfg.PageSize]
 	pg := f.stored(ppa)
@@ -356,7 +378,7 @@ func (f *Flash) capture(ppa PPA, dst []byte) uint32 {
 		clear(dst) // pages without bytes read as zeroes
 		return 0
 	}
-	copy(dst, pg.data)
+	clear(dst[copy(dst, pg.data):])
 	return pg.tag
 }
 
@@ -441,18 +463,65 @@ func (f *Flash) ProgramPageTagged(p *sim.Proc, ppa PPA, data []byte, tag uint32)
 		// The FTL retires the block and retries elsewhere.
 		return fmt.Errorf("%w: block %d page %d", ErrProgramFailed, f.cfg.BlockOf(ppa), page)
 	}
-	var stored []byte
-	if n := len(f.spare); n > 0 {
-		stored = f.spare[n-1]
-		f.spare[n-1] = nil
-		f.spare = f.spare[:n-1]
-	} else {
-		stored = f.pageMem.Alloc(f.cfg.PageSize)[:f.cfg.PageSize]
+	stored := noBytes
+	if k := f.storedClass(data); k >= 0 {
+		stored = f.buffer(k, data)
 	}
-	clear(stored[copy(stored, data):]) // short writes are zero-padded
 	f.commit(blk, ppa, stored, tag)
 	f.hProgram.Observe(sim.Duration(f.env.Now() - start))
 	return nil
+}
+
+// classSize is the byte size of page buffers of class k.
+func (f *Flash) classSize(k int) int { return min(minClass<<k, f.cfg.PageSize) }
+
+// classOf is the smallest class whose buffers hold n bytes.
+func (f *Flash) classOf(n int) int { return bits.Len(uint(max(n-1, 0) / minClass)) }
+
+// storedClass is the size class that holds data up to its last non-zero
+// byte, -1 when data is all zeroes. From the top class down it checks
+// the part of data each class adds over the one below — the upper half
+// of the class — and stops at the first that is not zero. bytes.Equal
+// against the zero page compares at memory speed; a byte or word loop
+// here costs a visible share of a run's host time and saves none.
+func (f *Flash) storedClass(data []byte) int {
+	for k := len(f.spare) - 1; k >= 0; k-- {
+		lo := 0
+		if k > 0 {
+			lo = f.classSize(k - 1)
+		}
+		hi := min(f.classSize(k), len(data))
+		if lo < hi && !bytes.Equal(data[lo:hi], f.zero[:hi-lo]) {
+			return k
+		}
+	}
+	return -1
+}
+
+// buffer returns a page buffer of class k holding src, zero-padded: a
+// spare one when Discard filed one (its old bytes are overwritten), else
+// a fresh carve.
+func (f *Flash) buffer(k int, src []byte) []byte {
+	size := f.classSize(k)
+	var b []byte
+	if n := len(f.spare[k]); n > 0 {
+		b = f.spare[k][n-1][:size]
+		f.spare[k][n-1] = nil
+		f.spare[k] = f.spare[k][:n-1]
+	} else {
+		b = f.pageMem.Alloc(size)[:size]
+	}
+	clear(b[copy(b, src):])
+	return b
+}
+
+// release files a page buffer on the spare list of its class; noBytes
+// is shared and never filed.
+func (f *Flash) release(b []byte) {
+	if c := cap(b); c > 0 {
+		k := f.classOf(c)
+		f.spare[k] = append(f.spare[k], b)
+	}
 }
 
 // commit makes one page program take: the block's program cursor
@@ -666,7 +735,7 @@ func (f *Flash) EraseBlock(p *sim.Proc, blk BlockID) error {
 // back as zeroes.
 func (f *Flash) Discard(ppa PPA) {
 	if pg := f.stored(ppa); pg != nil {
-		f.spare = append(f.spare, pg.data)
+		f.release(pg.data)
 		*pg = page{}
 	}
 }
@@ -696,24 +765,28 @@ func (f *Flash) PeekPage(ppa PPA) []byte {
 	return out
 }
 
-// CorruptPage flips the low bit of the first n stored bytes of a page —
-// the silent-corruption hook the integrity tests use to prove the CRC
-// tags actually detect a page a layer mangled in flight. The BER fault
-// model perturbs *latency* and verdicts while keeping bytes intact;
-// this hook is how tests make bytes lie. Returns false when the page
-// holds no bytes — never programmed, erased or discarded (nothing to
-// corrupt).
+// CorruptPage flips the low bit of the first n bytes of a page (at most
+// a page's worth) — the silent-corruption hook the integrity tests use
+// to prove the CRC tags actually detect a page a layer mangled in
+// flight. The BER fault model perturbs *latency* and verdicts while
+// keeping bytes intact; this hook is how tests make bytes lie. When n
+// runs past the stored bytes, the page first grows to the class that
+// holds n, so every flipped bit is one a read returns. Returns false
+// when the page holds no bytes — never programmed, erased or discarded
+// (nothing to corrupt).
 func (f *Flash) CorruptPage(ppa PPA, n int) bool {
 	pg := f.stored(ppa)
 	if pg == nil {
 		return false
 	}
-	data := pg.data
-	if n > len(data) {
-		n = len(data)
+	n = min(n, f.cfg.PageSize)
+	if n > len(pg.data) {
+		grown := f.buffer(f.classOf(n), pg.data)
+		f.release(pg.data)
+		pg.data = grown
 	}
 	for i := 0; i < n; i++ {
-		data[i] ^= 1
+		pg.data[i] ^= 1
 	}
 	return true
 }

@@ -296,7 +296,8 @@ func TestMarkBadInjection(t *testing.T) {
 
 // A read takes its bytes and tag when it is issued: a Discard while it
 // waits on the die leaves it the page as programmed, and only later
-// reads see the zeroes. The discarded buffer backs the next program.
+// reads see the zeroes. The discarded buffer backs the next program of
+// its size class, not one of another class.
 func TestReadTakesBytesAtIssue(t *testing.T) {
 	e := sim.NewEnv()
 	f := New(e, testConfig())
@@ -305,6 +306,7 @@ func TestReadTakesBytesAtIssue(t *testing.T) {
 		if err := f.ProgramPageTagged(p, ppa, []byte{7, 7}, 42); err != nil {
 			t.Fatal(err)
 		}
+		buf := f.stored(ppa).data
 		e.Go("discard", func(q *sim.Proc) {
 			q.Sleep(sim.Microsecond) // inside the read's tR
 			f.Discard(ppa)
@@ -320,8 +322,17 @@ func TestReadTakesBytesAtIssue(t *testing.T) {
 		if f.CorruptPage(ppa, 1) {
 			t.Error("the discarded page kept its bytes")
 		}
-		if err := f.ProgramPage(p, ppa+1, []byte{9}); err != nil || len(f.spare) != 0 {
-			t.Errorf("program after discard: %v, %d spare buffers left", err, len(f.spare))
+		if err := f.ProgramPage(p, ppa+1, bytes.Repeat([]byte{9}, 2*minClass)); err != nil {
+			t.Fatal(err)
+		}
+		if &f.stored(ppa + 1).data[0] == &buf[0] {
+			t.Error("a program of a larger class took the discarded buffer")
+		}
+		if err := f.ProgramPage(p, ppa+2, []byte{9}); err != nil {
+			t.Fatal(err)
+		}
+		if &f.stored(ppa + 2).data[0] != &buf[0] || len(f.spare[0]) != 0 {
+			t.Errorf("the next program of its class did not take the discarded buffer (%d spare)", len(f.spare[0]))
 		}
 	})
 	e.Run()

@@ -145,6 +145,11 @@ var (
 	ErrTooLarge  = errors.New("wal: record larger than a segment")
 	ErrBadConfig = errors.New("wal: invalid configuration")
 
+	// ErrEmptyRecord rejects an empty payload: its zero length field
+	// would read as the clean end of the log, and recovery would stop
+	// there, before every record appended after it.
+	ErrEmptyRecord = errors.New("wal: empty record")
+
 	// ErrWALFull is ErrLogFull on a ring: every slot still holds a
 	// retained segment, and a Checkpoint must free some before more can
 	// be appended.
@@ -466,8 +471,12 @@ func encodeHeader(dst []byte, payload []byte, pos int64) {
 // Append stages one record and returns its LSN (commit target). The
 // record becomes durable only after Commit(lsn) in Sync/BA modes. On a
 // ring, rotation happens here, transparently, when the active segment
-// file fills; ErrWALFull means a checkpoint must free a slot first.
+// file fills; ErrWALFull means a checkpoint must free a slot first. An
+// empty payload is ErrEmptyRecord, and reserves nothing.
 func (l *Log) Append(p *sim.Proc, payload []byte) (LSN, error) {
+	if len(payload) == 0 {
+		return 0, ErrEmptyRecord
+	}
 	need := headerBytes + len(payload)
 	if int64(need) > l.maxRecord() {
 		return 0, fmt.Errorf("%w: %d > segment %d", ErrTooLarge, need, l.maxRecord())

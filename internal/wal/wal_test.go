@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -307,6 +308,41 @@ func TestSegmentRolloverAndPadding(t *testing.T) {
 	r.env.Run()
 	if count != 6 {
 		t.Fatalf("recovered %d records, want 6", count)
+	}
+}
+
+// An empty record is refused: its zero length field is the scanner's
+// clean end-of-log marker, so recovery would stop at it and lose every
+// acknowledged record after it.
+func TestEmptyRecordRefused(t *testing.T) {
+	for _, mode := range []CommitMode{Sync, BA} {
+		t.Run(mode.String(), func(t *testing.T) {
+			r := newRig()
+			l := r.openLog(t, "log", mode)
+			r.env.Go("t", func(p *sim.Proc) {
+				for _, rec := range []string{"a", "", "b", "c"} {
+					_, err := appendCommit(p, l, rec)
+					if rec == "" && !errors.Is(err, ErrEmptyRecord) || rec != "" && err != nil {
+						t.Fatalf("append %q: %v", rec, err)
+					}
+				}
+				if err := l.FlushToNAND(p); err != nil {
+					t.Fatalf("flush: %v", err)
+				}
+			})
+			r.env.Run()
+			l2, err := Open(r.env, l.cfg)
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			got, _ := r.recoverAll(t, l2)
+			if !slices.Equal(got, []string{"a", "b", "c"}) {
+				t.Fatalf("recovered %q, want [a b c]", got)
+			}
+			if l2.AppendOff() != l.AppendOff() {
+				t.Fatalf("append offset %d, want %d", l2.AppendOff(), l.AppendOff())
+			}
+		})
 	}
 }
 
