@@ -97,8 +97,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
-	if o.seeds < 1 {
-		fmt.Fprintf(stderr, "bench2b: -seeds %d: want at least 1\n", o.seeds)
+	var bad string
+	switch {
+	case o.jobs < 1:
+		bad = fmt.Sprintf("-j %d: want at least 1", o.jobs)
+	case o.seeds < 1:
+		bad = fmt.Sprintf("-seeds %d: want at least 1", o.seeds)
+	case o.sample < 0:
+		bad = fmt.Sprintf("-sample %v: want 0 or more", o.sample)
+	}
+	if bad != "" {
+		fmt.Fprintf(stderr, "bench2b: %s\n", bad)
 		fs.Usage()
 		return 2
 	}

@@ -83,6 +83,36 @@ func TestRunRejectsSeedsBelowOne(t *testing.T) {
 	}
 }
 
+// A job count below 1 is a usage error caught before anything runs:
+// the runner would otherwise run it at 1 and say nothing.
+func TestRunRejectsJobsBelowOne(t *testing.T) {
+	for _, n := range []string{"0", "-3"} {
+		code, out, errs := drive("-j", n, "tab1")
+		if code != 2 || out != "" {
+			t.Fatalf("-j %s: exit %d, stdout %q; want 2 and nothing printed", n, code, out)
+		}
+		if !strings.Contains(errs, "-j "+n+": want at least 1") || !strings.Contains(errs, "usage: bench2b") {
+			t.Errorf("-j %s: stderr does not name the bad count and print the usage:\n%s", n, errs)
+		}
+	}
+}
+
+// A negative sample cadence is a usage error caught before anything
+// runs: with -timeline it would otherwise sample at the 1 ms default.
+func TestRunRejectsNegativeSample(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tl.json")
+	code, out, errs := drive("-sample", "-1ms", "-timeline", path, "tab1")
+	if code != 2 || out != "" {
+		t.Fatalf("exit %d, stdout %q; want 2 and nothing printed", code, out)
+	}
+	if !strings.Contains(errs, "-sample -1ms: want 0 or more") || !strings.Contains(errs, "usage: bench2b") {
+		t.Errorf("stderr does not name the bad cadence and print the usage:\n%s", errs)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("a rejected run created %s (stat: %v)", path, err)
+	}
+}
+
 // -timeline writes the merged timeline after the run, as JSON or (by
 // extension) CSV, and the file's bytes do not depend on -j.
 func TestRunWritesTimeline(t *testing.T) {

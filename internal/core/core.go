@@ -88,9 +88,9 @@ type TwoBSSD struct {
 	env *sim.Env
 	cfg Config
 
-	dev   *device.Device
-	babuf []byte // BA-buffer DRAM (device-side committed view)
-	win   *pcie.Window
+	dev    *device.Device
+	frames *frames // BA-buffer DRAM (device-side committed view)
+	win    *pcie.Window
 
 	table []Entry // mapping table, indexed by EID; Pages == 0 marks a free entry
 
@@ -136,7 +136,7 @@ func New(env *sim.Env, cfg Config) *TwoBSSD {
 		env:     env,
 		cfg:     cfg,
 		dev:     device.New(env, base),
-		babuf:   make([]byte, cfg.BABufferBytes),
+		frames:  newFrames(cfg.BABufferBytes, ps),
 		table:   make([]Entry, cfg.MaxEntries),
 		arm:     env.NewResource("2bssd.arm", armWorkers),
 		powered: true,
@@ -160,7 +160,7 @@ func New(env *sim.Env, cfg Config) *TwoBSSD {
 	s.hSync = reg.Histo("2bssd.sync_ns")
 	s.hDMA = reg.Histo("2bssd.dma_read_ns")
 	reg.GaugeFunc("2bssd.pinned_entries", func() float64 { return float64(len(s.Entries())) })
-	s.win = pcie.NewWindow(env, cfg.MMIO, s.babuf)
+	s.win = pcie.NewWindowOn(env, cfg.MMIO, s.frames)
 	s.rec = newRecovery(s)
 	s.scrub = newScrubber(s)
 	s.dev.SetGate(checker{s})
@@ -182,7 +182,7 @@ func (s *TwoBSSD) Mmio() *pcie.Window { return s.win }
 func (s *TwoBSSD) PageSize() int { return s.dev.PageSize() }
 
 // BufferPages returns the BA-buffer capacity in pages.
-func (s *TwoBSSD) BufferPages() int { return len(s.babuf) / s.PageSize() }
+func (s *TwoBSSD) BufferPages() int { return len(s.frames.pages) }
 
 // checker is the LBA checker: the hardware logic snooping every block
 // I/O request for collisions with pinned ranges (Section III-A2).
@@ -246,8 +246,8 @@ func (s *TwoBSSD) BAPin(p *sim.Proc, eid EID, offset int, lba ftl.LBA, pages int
 	if offset%ps != 0 || pages <= 0 {
 		return fmt.Errorf("%w: offset %d pages %d", ErrUnaligned, offset, pages)
 	}
-	if offset+pages*ps > len(s.babuf) {
-		return fmt.Errorf("%w: [%d,%d) of %d", ErrOutOfBuffer, offset, offset+pages*ps, len(s.babuf))
+	if offset < 0 || offset+pages*ps > s.frames.Len() {
+		return fmt.Errorf("%w: [%d,%d) of %d", ErrOutOfBuffer, offset, offset+pages*ps, s.frames.Len())
 	}
 	if uint64(lba)+uint64(pages) > s.dev.Pages() {
 		return fmt.Errorf("%w: [%d,%d)", ErrOutOfLBA, lba, uint64(lba)+uint64(pages))
@@ -347,24 +347,25 @@ type moveCmd struct {
 // movePage moves page i of c.ent over the internal datapath (see
 // internalMove).
 func (s *TwoBSSD) movePage(w *sim.Proc, c *moveCmd, i int) error {
-	ps := s.PageSize()
 	s.arm.Use(w, armPerPageCost)
-	off := c.ent.Offset + i*ps
+	pg := c.ent.Offset/s.PageSize() + i
 	lba := c.ent.LBA + ftl.LBA(i)
+	s.frames.busy++
+	defer func() { s.frames.busy-- }()
 	if c.write {
 		// BA_FLUSH is the byte path's host boundary: the page's
 		// content is fixed here for the first time (MMIO stores
 		// have no page-granular commit point), so the integrity
 		// tag is born here.
-		tag := integrity.PageCRC(s.babuf[off : off+ps])
-		if err := s.dev.FTL().WritePageTagged(w, lba, s.babuf[off:off+ps], tag); err != nil {
+		frame := s.frames.page(pg)
+		if err := s.dev.FTL().WritePageTagged(w, lba, frame, integrity.PageCRC(frame)); err != nil {
 			return err
 		}
 		s.inj.Tick(fault.EvBAFlushPage)
 		return nil
 	}
 	// Pin lands NAND pages straight in the BA-buffer frame.
-	return s.dev.FTL().ReadPageInto(w, lba, s.babuf[off:off+ps])
+	return s.dev.FTL().ReadPageInto(w, lba, s.frames.page(pg))
 }
 
 // BASync implements BA_SYNC(EID): the three-step durability protocol —
@@ -429,7 +430,7 @@ func (s *TwoBSSD) BAReadDMA(p *sim.Proc, eid EID, dst []byte) (int, error) {
 	p.Sleep(dmaBaseCost)
 	p.Sleep(sim.Duration(int64(n) * 1000 / dmaMBps))
 	sp.End()
-	copy(dst[:n], s.babuf[ent.Offset:ent.Offset+n])
+	s.frames.ReadAt(dst[:n], ent.Offset)
 	s.cDMAReads.Inc()
 	s.cDMABytes.Add(uint64(n))
 	s.hDMA.Observe(sim.Duration(s.env.Now() - start))
@@ -447,7 +448,7 @@ func (s *TwoBSSD) PMRReadDMA(p *sim.Proc, off int, dst []byte) (int, error) {
 		return 0, err
 	}
 	n := len(dst)
-	if off < 0 || off+n > len(s.babuf) {
+	if off < 0 || off+n > s.frames.Len() {
 		return 0, fmt.Errorf("%w: [%d,%d)", ErrOutOfBuffer, off, off+n)
 	}
 	start := s.env.Now()
@@ -455,7 +456,7 @@ func (s *TwoBSSD) PMRReadDMA(p *sim.Proc, off int, dst []byte) (int, error) {
 	p.Sleep(dmaBaseCost)
 	p.Sleep(sim.Duration(int64(n) * 1000 / dmaMBps))
 	sp.End()
-	copy(dst, s.babuf[off:off+n])
+	s.frames.ReadAt(dst, off)
 	s.cDMAReads.Inc()
 	s.cDMABytes.Add(uint64(n))
 	s.hDMA.Observe(sim.Duration(s.env.Now() - start))

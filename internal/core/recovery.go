@@ -215,14 +215,10 @@ func (s *TwoBSSD) PowerLoss(p *sim.Proc) (DumpReport, error) {
 	return rep, nil
 }
 
-// scrambleVolatile models DRAM content loss at power-off. The fill
-// doubles a filled prefix with copy, at memmove speed: a power cycle
-// no longer costs a byte loop over the whole buffer.
+// scrambleVolatile models DRAM content loss at power-off: every
+// BA-buffer page reads 0xDE, and the mapping table is gone.
 func (s *TwoBSSD) scrambleVolatile() {
-	s.babuf[0] = 0xDE
-	for n := 1; n < len(s.babuf); n *= 2 {
-		copy(s.babuf[n:], s.babuf[:n])
-	}
+	s.frames.reset(0xDE)
 	clear(s.table)
 }
 
@@ -259,7 +255,6 @@ type dumpCmd struct {
 func (r *recovery) dumpBlock(w *sim.Proc, c *dumpCmd, b int) (err error) {
 	defer func() { c.failed = c.failed || err != nil }()
 	s := r.s
-	ps := s.PageSize()
 	fl := s.dev.Flash()
 	blk := r.dumpBlocks[b]
 	lo, hi := r.span(len(c.pages), b)
@@ -271,8 +266,11 @@ func (r *recovery) dumpBlock(w *sim.Proc, c *dumpCmd, b int) (err error) {
 		if s.inj.DumpCut(c.dumped) {
 			return errors.New("capacitors cut mid-dump")
 		}
-		page := s.babuf[i*ps : (i+1)*ps]
-		if err := fl.ProgramPageTagged(w, at, page, integrity.PageCRC(page)); err != nil {
+		page := s.frames.page(i)
+		s.frames.busy++
+		err := fl.ProgramPageTagged(w, at, page, integrity.PageCRC(page))
+		s.frames.busy--
+		if err != nil {
 			return fmt.Errorf("dump program: %w", err)
 		}
 		c.dumped++
@@ -307,7 +305,7 @@ func (s *TwoBSSD) PowerOn(p *sim.Proc) error {
 		}
 		s.rec.dumpValid = false
 	} else {
-		clear(s.babuf)
+		s.frames.reset(0)
 	}
 	if !s.rec.room() {
 		s.rec.erases.Run(p, len(s.rec.dumpBlocks), struct{}{})
@@ -338,7 +336,7 @@ func (r *recovery) restoreImage(p *sim.Proc) error {
 		return err
 	}
 	pages := mappedPages(entries, ps)
-	clear(s.babuf)
+	s.frames.reset(0)
 	if err := r.restores.Run(p, r.spanned(len(pages)), pages); err != nil {
 		return err
 	}
@@ -353,7 +351,6 @@ func (r *recovery) restoreImage(p *sim.Proc) error {
 // the metadata page in block 0), into the BA-buffer.
 func (r *recovery) restoreBlock(w *sim.Proc, pages *[]int, b int) error {
 	s := r.s
-	ps := s.PageSize()
 	fl := s.dev.Flash()
 	blk := r.dumpBlocks[b]
 	lo, hi := r.span(len(*pages), b)
@@ -362,8 +359,10 @@ func (r *recovery) restoreBlock(w *sim.Proc, pages *[]int, b int) error {
 		at-- // the metadata page follows block 0's slice
 	}
 	for _, i := range (*pages)[lo:hi] {
-		dst := s.babuf[i*ps : (i+1)*ps]
+		dst := s.frames.page(i)
+		s.frames.busy++
 		tag, _, err := fl.ReadPageInto(w, at, dst)
+		s.frames.busy--
 		if err != nil {
 			return err
 		}

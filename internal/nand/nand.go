@@ -18,11 +18,13 @@
 // holds none but keeps its tag, and a read pads what a page holds back
 // to the page with zeroes. The byte path's whole-page moves program
 // many mostly-zero pages, so host memory also follows what pages hold.
-// Each block keeps a table of its pages, made at its first program and
-// reused across erases, so a program or a discard writes a slot and
-// never rehashes. Discarded buffers wait on one spare list per size
-// class; a buffer its list cannot supply is carved from an arena, many
-// pages per heap object. A read takes its bytes when it is issued,
+// A block keeps a table of its pages exactly while one of them holds
+// bytes: the first page that stores some takes a table, the last one
+// dropped files it on a spare list for the next block, so a program or
+// a discard writes a slot and never rehashes, and a block that holds
+// nothing costs no table. Discarded buffers wait on one spare list per
+// size class; a buffer its list cannot supply is carved from an arena,
+// many pages per heap object. A read takes its bytes when it is issued,
 // before its die and channel holds: a page discarded while the read
 // waits still comes back as it was.
 //
@@ -165,7 +167,8 @@ type blockState struct {
 	nextPage   int // next programmable page (sequential-program rule)
 	eraseCount int
 	bad        bool
-	pages      []page // by page index; made at the block's first program
+	held       int    // pages holding bytes (data != nil)
+	pages      []page // by page index; non-nil exactly while held > 0
 }
 
 // page is what a programmed page holds: its bytes up to the last
@@ -194,6 +197,7 @@ type Flash struct {
 	channels []*sim.Resource
 	dies     []*sim.Resource
 	blocks   []blockState
+	tables   [][]page    // page tables no block holds, all zero, for the next hold
 	spare    [][][]byte  // by size class: page buffers dropped by Discard, reused by a program
 	pageMem  arena.Arena // fresh page buffers, when a class's spare list is empty
 	zero     []byte      // a zero page, what a program's stored length is found against
@@ -525,20 +529,46 @@ func (f *Flash) release(b []byte) {
 }
 
 // commit makes one page program take: the block's program cursor
-// advances, the page holds stored and its tag (no bytes for a copy-back
-// target, which Move fills), the program is counted and — with an
-// injector — stamped with its instant and ticked.
+// advances, the page holds stored and its tag (nothing for a copy-back
+// target, stored nil, which Move fills), the program is counted and —
+// with an injector — stamped with its instant and ticked.
 func (f *Flash) commit(blk *blockState, ppa PPA, stored []byte, tag uint32) {
 	blk.nextPage++
-	if blk.pages == nil {
-		blk.pages = make([]page, f.cfg.PagesPerBlock)
+	if stored != nil {
+		f.hold(blk, uint64(ppa)%uint64(f.cfg.PagesPerBlock), page{data: stored, tag: tag})
 	}
-	blk.pages[uint64(ppa)%uint64(f.cfg.PagesPerBlock)] = page{data: stored, tag: tag}
 	f.cPrograms.Inc()
 	f.cBytesWritten.Add(uint64(f.cfg.PageSize))
 	if f.inj != nil {
 		f.progAt[ppa] = f.env.Now()
 		f.inj.Tick(fault.EvNandProgram)
+	}
+}
+
+// hold makes page i of blk hold pg, which carries bytes. The block's
+// first holding page takes a table from the spare list, or a new one.
+func (f *Flash) hold(blk *blockState, i uint64, pg page) {
+	if blk.pages == nil {
+		if n := len(f.tables); n > 0 {
+			blk.pages = f.tables[n-1]
+			f.tables[n-1] = nil
+			f.tables = f.tables[:n-1]
+		} else {
+			blk.pages = make([]page, f.cfg.PagesPerBlock)
+		}
+	}
+	blk.pages[i] = pg
+	blk.held++
+}
+
+// drop clears pg, a page of blk that holds bytes. The block's last
+// holding page files its table on the spare list: every entry has been
+// cleared on the way, so the table goes back all zero.
+func (f *Flash) drop(blk *blockState, pg *page) {
+	*pg = page{}
+	if blk.held--; blk.held == 0 {
+		f.tables = append(f.tables, blk.pages)
+		blk.pages = nil
 	}
 }
 
@@ -671,12 +701,12 @@ func (f *Flash) ProgramRun(p *sim.Proc, base PPA, n int) (int, error) {
 func (f *Flash) Move(src, dst PPA) {
 	blk := &f.blocks[f.cfg.BlockOf(dst)]
 	i := uint64(dst) % uint64(f.cfg.PagesPerBlock)
-	if int(i) >= blk.nextPage || blk.pages[i].data != nil {
+	if int(i) >= blk.nextPage || (blk.pages != nil && blk.pages[i].data != nil) {
 		panic(fmt.Sprintf("nand: move to ppa %d, which is not an empty programmed page", uint64(dst)))
 	}
 	if pg := f.stored(src); pg != nil {
-		blk.pages[i] = *pg
-		*pg = page{}
+		f.hold(blk, i, *pg)
+		f.drop(&f.blocks[f.cfg.BlockOf(src)], pg)
 	}
 }
 
@@ -736,7 +766,7 @@ func (f *Flash) EraseBlock(p *sim.Proc, blk BlockID) error {
 func (f *Flash) Discard(ppa PPA) {
 	if pg := f.stored(ppa); pg != nil {
 		f.release(pg.data)
-		*pg = page{}
+		f.drop(&f.blocks[f.cfg.BlockOf(ppa)], pg)
 	}
 }
 

@@ -66,13 +66,29 @@ func (c Config) Validate() error {
 // ErrOutOfWindow reports an access beyond the mapped BAR range.
 var ErrOutOfWindow = errors.New("pcie: access outside MMIO window")
 
+// Memory is the device memory behind a window: Len bytes, which the
+// window reads and writes at byte offsets it has checked. For the
+// 2B-SSD it is the BA-buffer DRAM, which the recovery manager treats
+// as durable, carved a page at a time as it is first written.
+type Memory interface {
+	Len() int
+	ReadAt(dst []byte, off int)
+	WriteAt(src []byte, off int)
+}
+
+// flat is device memory that is one byte slice.
+type flat []byte
+
+func (m flat) Len() int                    { return len(m) }
+func (m flat) ReadAt(dst []byte, off int)  { copy(dst, m[off:]) }
+func (m flat) WriteAt(src []byte, off int) { copy(m[off:], src) }
+
 // Window is one mapped BAR region backed by device memory. `mem` is
-// the device-side (committed) view — for the 2B-SSD this is the
-// BA-buffer DRAM, which the recovery manager treats as durable.
+// the device-side (committed) view.
 type Window struct {
 	env *sim.Env
 	cfg Config
-	mem []byte
+	mem Memory
 
 	// pending holds WC bursts not yet committed to the device, in
 	// arrival order (oldest first). Lost on power failure. The head
@@ -96,9 +112,15 @@ type burst struct {
 	data []byte
 }
 
-// NewWindow maps cfg over the given device memory. Panics on invalid
-// configuration (construction-time misuse).
+// NewWindow maps cfg over device memory that is one byte slice (see
+// NewWindowOn).
 func NewWindow(env *sim.Env, cfg Config, mem []byte) *Window {
+	return NewWindowOn(env, cfg, flat(mem))
+}
+
+// NewWindowOn maps cfg over the given device memory. Panics on invalid
+// configuration (construction-time misuse).
+func NewWindowOn(env *sim.Env, cfg Config, mem Memory) *Window {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -119,14 +141,14 @@ func NewWindow(env *sim.Env, cfg Config, mem []byte) *Window {
 }
 
 // Size returns the window length in bytes.
-func (w *Window) Size() int { return len(w.mem) }
+func (w *Window) Size() int { return w.mem.Len() }
 
 // Config returns the latency model in use.
 func (w *Window) Config() Config { return w.cfg }
 
 func (w *Window) check(off, n int) error {
-	if off < 0 || n < 0 || off+n > len(w.mem) {
-		return fmt.Errorf("%w: [%d,%d) of %d", ErrOutOfWindow, off, off+n, len(w.mem))
+	if off < 0 || n < 0 || off+n > w.mem.Len() {
+		return fmt.Errorf("%w: [%d,%d) of %d", ErrOutOfWindow, off, off+n, w.mem.Len())
 	}
 	return nil
 }
@@ -180,7 +202,7 @@ func (w *Window) Write(p *sim.Proc, off int, data []byte) error {
 }
 
 func (w *Window) commitBurst(b burst) {
-	copy(w.mem[b.off:], b.data)
+	w.mem.WriteAt(b.data, b.off)
 }
 
 // getSeg returns a burst buffer of length n (≤ one WC burst), reusing a
@@ -226,7 +248,7 @@ func (w *Window) Read(p *sim.Proc, off int, buf []byte) error {
 	p.Sleep(d)
 	sp.End()
 	w.hRead.Observe(d)
-	copy(buf, w.mem[off:off+len(buf)])
+	w.mem.ReadAt(buf, off)
 	w.cReads.Inc()
 	w.cBytesRead.Add(uint64(len(buf)))
 	return nil

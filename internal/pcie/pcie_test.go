@@ -176,7 +176,7 @@ func TestUnsyncedWritesLostOnPowerFailure(t *testing.T) {
 		if lost := w.DropPending(); lost == 0 {
 			t.Error("expected pending bursts to be lost")
 		}
-		if w.mem[0] != 0 {
+		if w.mem.(flat)[0] != 0 {
 			t.Error("unsynced data reached device memory")
 		}
 	})
@@ -190,7 +190,7 @@ func TestSyncedWritesSurvivePowerFailure(t *testing.T) {
 		w.Write(p, 0, []byte{0xAA, 0xBB})
 		w.Sync(p, 0, 2)
 		w.DropPending()
-		if w.mem[0] != 0xAA || w.mem[1] != 0xBB {
+		if w.mem.(flat)[0] != 0xAA || w.mem.(flat)[1] != 0xBB {
 			t.Error("synced data lost")
 		}
 	})
@@ -211,10 +211,10 @@ func TestWCOverflowEvictsOldestToDevice(t *testing.T) {
 		}
 		w.DropPending()
 		// First 5 bursts (evicted) must be on the device; the rest not.
-		if w.mem[0] != 0xCC {
+		if w.mem.(flat)[0] != 0xCC {
 			t.Error("evicted burst missing from device memory")
 		}
-		if w.mem[64*14] == 0xCC {
+		if w.mem.(flat)[64*14] == 0xCC {
 			t.Error("staged burst reached device without sync")
 		}
 	})
@@ -299,7 +299,7 @@ func TestPropertyWriteSyncCommits(t *testing.T) {
 				ok = false
 				return
 			}
-			ok = bytes.Equal(w.mem[o:o+len(payload)], payload)
+			ok = bytes.Equal(w.mem.(flat)[o:o+len(payload)], payload)
 		})
 		e.Run()
 		return ok
