@@ -1,0 +1,300 @@
+package twobssd_test
+
+import (
+	"bytes"
+	"fmt"
+	"go/ast"
+	"go/format"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// The design rules: decisions that must not come back undone, each a row
+// checked against the syntax of every non-test Go file of the repository
+// (benchmark/ read, never written). A rule matches syntax, so a comment
+// or a string never trips one, and a package qualifier resolves through
+// the file's own imports. Every row plants a fixture that must break it.
+var designRules = []rule{
+	{name: "No log Reset", pr: 22, in: dirs("wal", "pglite", "kvaof", "jfs"), bad: call("^Reset$", 1),
+		planted: []string{"internal/jfs/x.go\nfunc f() { j.log.Reset(p) }"}},
+	{name: "One append rule", pr: 24, in: []string{"internal/wal/wal.go"}, bad: callIn("Append", "ringed"),
+		planted: []string{"internal/wal/wal.go\nfunc (l *Log) Append() { if l.ringed() {} }"}},
+	{name: "One counter surface", pr: 30, exempt: dirs("lsm"), bad: method("^[A-Za-z]*Stats$"),
+		planted: []string{"internal/core/x.go\nfunc (s *S) ScrubStats() {}", "benchmark/x.go\nfunc (d DB) Stats() {}"}},
+	{name: "Artifacts only", pr: 31, exempt: []string{"benchmark/"}, bad: imports("net", "net/http"),
+		planted: []string{"cmd/bench2b/x.go\nimport \"net/http\"", "internal/obs/x.go\nimport n \"net\""}},
+	{name: "One thread runs a simulation", pr: 34, in: dirs("sim", "fleet"), bad: imports("sync", "sync/atomic"),
+		planted: []string{"internal/fleet/x.go\nimport \"sync/atomic\"", "internal/sim/x.go\nimport s \"sync\"\nvar mu s.Mutex"}},
+	{name: "One event queue", pr: 36, in: dirs("sim"), bad: ident("^(horizon|lookahead|peekNext)$"),
+		planted: []string{"internal/sim/x.go\nvar horizon Time", "internal/sim/x.go\nfunc f() { e.k.peekNext() }"}},
+	{name: "Procs are coroutines", pr: 35, in: dirs("sim"), bad: syntax("chan", "send", "recv", "go"),
+		planted: []string{"internal/sim/x.go\nvar wake chan struct{}", "internal/sim/x.go\nfunc f() { c <- 1 }",
+			"internal/sim/x.go\nfunc f() { <-c }", "internal/sim/x.go\nfunc f() { go g() }"}},
+	{name: "go only in the runner", pr: 39, exempt: []string{"internal/bench/parallel.go", "cmd/bench2b/main.go"}, bad: syntax("go"),
+		planted: []string{"internal/bench/x.go\nfunc f() { go g() }", "benchmark/x.go\nfunc f() { go g() }"}},
+	{name: "Every mapped page carries its CRC", pr: 39, in: dirs("nand", "ftl", "device", "core"), bad: ident("^(tagged|ReadPageTagged)$|oobTag"),
+		planted: []string{"internal/ftl/x.go\nvar tagged bool", "internal/nand/x.go\nfunc f() { fl.ReadPageTagged(p, 0) }",
+			"internal/core/x.go\ntype page struct{ oobTagged bool }"}},
+	{name: "One campaign table", pr: 37, bad: anyOf(ident("^(ObsOverhead|NewWalLifeCampaign|RunWalLifeSmoke)$"), firstArg("obsbench")),
+		planted: []string{"cmd/bench2b/x.go\nvar _ = fs.Bool(\"obsbench\", false, \"\")", "benchmark/x.go\nvar _ = bench.RunWalLifeSmoke"}},
+	{name: "One merge", pr: 40, in: dirs("lsm"), bad: ident("^(SliceStable|parseBlock)$"),
+		planted: []string{"internal/lsm/x.go\nfunc f() { sort.SliceStable(es, less) }", "internal/lsm/x.go\nfunc parseBlock() {}"}},
+	{name: "Dense map tables", pr: 38, in: dirs("ftl"), bad: mapKey("LBA", "twobssd/internal/nand.PPA"),
+		planted: []string{"internal/ftl/x.go\nvar l2p map[LBA]uint32", "internal/ftl/x.go\nimport n \"twobssd/internal/nand\"\nvar p2l map[n.PPA]uint32"}},
+	// Revision A of the benchmark deletes the wrappers and this exemption.
+	{name: "One read path", pr: 44, bad: call("^ReadPages?$", -1),
+		exempt:  []string{"benchmark/", "internal/nand/nand.go", "internal/ftl/ftl.go", "internal/device/device.go"},
+		planted: []string{"internal/vfs/x.go\nfunc f() { d.ReadPages(p, 0, 1) }", "internal/nand/x.go\nfunc f() { fl.ReadPage(p, 0) }"}},
+	{name: "One fork-join", pr: 46, exempt: dirs("sim", "fleet"), bad: call("^(NewWaitGroup|GoIdx)$", -1),
+		planted: []string{"internal/core/x.go\nfunc f() { e.NewWaitGroup(\"dump\") }", "benchmark/x.go\nfunc f() { e.GoIdx(\"w\", 0, g) }"}},
+	{name: "gofmt", pr: 51, tests: true, bad: gofmt,
+		planted: []string{"internal/sim/x_test.go\nfunc  f() {}", "benchmark/x.go\nvar  n = 1"}},
+}
+
+type rule struct {
+	name    string
+	pr      int      // the PR that made the decision
+	in      []string // path prefixes the rule covers; none: every file
+	exempt  []string // path prefixes it skips
+	tests   bool     // it covers _test.go files too
+	bad     matcher
+	planted []string // "pretend/path.go\ndeclarations" that must break it
+}
+
+func dirs(names ...string) (out []string) {
+	for _, n := range names {
+		out = append(out, "internal/"+n+"/")
+	}
+	return out
+}
+
+func (r *rule) covers(path string) bool {
+	under := func(prefixes []string) bool {
+		return slices.ContainsFunc(prefixes, func(pre string) bool { return strings.HasPrefix(path, pre) })
+	}
+	return (r.tests || !strings.HasSuffix(path, "_test.go")) && (len(r.in) == 0 || under(r.in)) && !under(r.exempt)
+}
+
+// A source is a file's text and the package each import name refers to.
+type source struct {
+	text    []byte
+	imports map[string]string
+}
+
+// A matcher reports whether node n of file s breaks a rule.
+type matcher func(n ast.Node, s *source) bool
+
+func imports(paths ...string) matcher {
+	return func(n ast.Node, _ *source) bool {
+		spec, ok := n.(*ast.ImportSpec)
+		return ok && slices.Contains(paths, unquote(spec.Path))
+	}
+}
+
+func ident(re string) matcher {
+	rx := regexp.MustCompile(re)
+	return func(n ast.Node, _ *source) bool {
+		id, ok := n.(*ast.Ident)
+		return ok && rx.MatchString(id.Name)
+	}
+}
+
+// call matches a call of a function or method whose name matches re,
+// with nargs arguments (-1: any number).
+func call(re string, nargs int) matcher {
+	rx := regexp.MustCompile(re)
+	return func(n ast.Node, _ *source) bool {
+		c, ok := n.(*ast.CallExpr)
+		if !ok || (nargs >= 0 && len(c.Args) != nargs) {
+			return false
+		}
+		fun := c.Fun
+		if sel, ok := fun.(*ast.SelectorExpr); ok {
+			fun = sel.Sel
+		}
+		id, ok := fun.(*ast.Ident)
+		return ok && rx.MatchString(id.Name)
+	}
+}
+
+// callIn matches a function or method named fn whose body calls callee.
+func callIn(fn, callee string) matcher {
+	calls := call("^"+callee+"$", -1)
+	return func(n ast.Node, s *source) bool {
+		d, ok := n.(*ast.FuncDecl)
+		found := false
+		if ok && d.Name.Name == fn && d.Body != nil {
+			ast.Inspect(d.Body, func(m ast.Node) bool { found = found || calls(m, s); return !found })
+		}
+		return found
+	}
+}
+
+func method(re string) matcher {
+	rx := regexp.MustCompile(re)
+	return func(n ast.Node, _ *source) bool {
+		d, ok := n.(*ast.FuncDecl)
+		return ok && d.Recv != nil && rx.MatchString(d.Name.Name)
+	}
+}
+
+// syntax matches goroutine and channel syntax: "go" statements, "chan"
+// types, "send" statements and "recv" expressions.
+func syntax(kinds ...string) matcher {
+	return func(n ast.Node, _ *source) bool {
+		switch n := n.(type) {
+		case *ast.GoStmt:
+			return slices.Contains(kinds, "go")
+		case *ast.ChanType:
+			return slices.Contains(kinds, "chan")
+		case *ast.SendStmt:
+			return slices.Contains(kinds, "send")
+		case *ast.UnaryExpr:
+			return n.Op == token.ARROW && slices.Contains(kinds, "recv")
+		}
+		return false
+	}
+}
+
+// mapKey matches a map type keyed by one of types; a qualified type is
+// named by its package's import path ("twobssd/internal/nand.PPA").
+func mapKey(types ...string) matcher {
+	return func(n ast.Node, s *source) bool {
+		m, ok := n.(*ast.MapType)
+		if !ok {
+			return false
+		}
+		key := ""
+		switch k := m.Key.(type) {
+		case *ast.Ident:
+			key = k.Name
+		case *ast.SelectorExpr:
+			if pkg, ok := k.X.(*ast.Ident); ok {
+				key = s.imports[pkg.Name] + "." + k.Sel.Name
+			}
+		}
+		return slices.Contains(types, key)
+	}
+}
+
+// firstArg matches a call whose first argument is the string literal lit.
+func firstArg(lit string) matcher {
+	return func(n ast.Node, _ *source) bool {
+		c, ok := n.(*ast.CallExpr)
+		if !ok || len(c.Args) == 0 {
+			return false
+		}
+		b, ok := c.Args[0].(*ast.BasicLit)
+		return ok && b.Kind == token.STRING && unquote(b) == lit
+	}
+}
+
+func anyOf(ms ...matcher) matcher {
+	return func(n ast.Node, s *source) bool {
+		return slices.ContainsFunc(ms, func(m matcher) bool { return m(n, s) })
+	}
+}
+
+// gofmt matches a file that differs from what go/format makes of it.
+func gofmt(n ast.Node, s *source) bool {
+	if _, ok := n.(*ast.File); !ok {
+		return false
+	}
+	out, err := format.Source(s.text)
+	return err != nil || !bytes.Equal(out, s.text)
+}
+
+func unquote(lit *ast.BasicLit) string {
+	s, _ := strconv.Unquote(lit.Value)
+	return s
+}
+
+// violations parses one file and lists every node of it that breaks a
+// rule covering its path, as "path:line: rule (PR n)".
+func violations(t *testing.T, path string, text []byte) []string {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, path, text, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &source{text: text, imports: map[string]string{}}
+	for _, spec := range f.Imports {
+		p := unquote(spec.Path)
+		name := p[strings.LastIndex(p, "/")+1:]
+		if spec.Name != nil {
+			name = spec.Name.Name
+		}
+		s.imports[name] = p
+	}
+	var out []string
+	for i := range designRules {
+		if r := &designRules[i]; r.covers(path) {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if n != nil && r.bad(n, s) {
+					out = append(out, fmt.Sprintf("%s:%d: %s (PR %d)", path, fset.Position(n.Pos()).Line, r.name, r.pr))
+				}
+				return true
+			})
+		}
+	}
+	return out
+}
+
+func TestDesignRules(t *testing.T) {
+	var seen []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		text, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		path = filepath.ToSlash(path)
+		seen = append(seen, path)
+		for _, v := range violations(t, path, text) {
+			t.Error(v)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range designRules {
+		// A prefix that names nothing would turn its rule off unseen.
+		for _, pre := range append(slices.Clip(r.in), r.exempt...) {
+			if !slices.ContainsFunc(seen, func(p string) bool { return strings.HasPrefix(p, pre) }) {
+				t.Errorf("%s: %s names no file", r.name, pre)
+			}
+		}
+		for _, fx := range r.planted {
+			path, decls, _ := strings.Cut(fx, "\n")
+			if !slices.ContainsFunc(violations(t, path, []byte("package p\n\n"+decls+"\n")),
+				func(v string) bool { return strings.HasSuffix(v, ": "+r.name+fmt.Sprintf(" (PR %d)", r.pr)) }) {
+				t.Errorf("%s: planted %q passes", r.name, fx)
+			}
+		}
+	}
+	// A comment or a string is not code.
+	clean := []byte("// Package p mentions tagged, horizon, go f(), c <- 1 and map[LBA]int.\npackage p\n\n" +
+		"import \"fmt\"\n\nvar _ = fmt.Sprint(\"tagged\", \"horizon\", \"sync\", \"obsbench\", \"<-c\")\n")
+	for _, path := range []string{"internal/sim/p.go", "internal/ftl/p.go"} {
+		if v := violations(t, path, clean); len(v) > 0 {
+			t.Errorf("a comment or string tripped a rule: %v", v)
+		}
+	}
+}

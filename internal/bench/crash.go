@@ -57,6 +57,12 @@ func (s *stack) Crash(p *sim.Proc) (bool, float64, error) {
 	return rep.Persisted, rep.EnergyUsedJ, nil
 }
 
+// Audit checks the page map of the stack's 2B-SSD (fault.Auditor) —
+// the one drive of every crash cycle, which its file systems, when it
+// has any, sit on — so a crash point whose recovery leaves the FTL's
+// l2p and p2l out of step is a violation.
+func (s *stack) Audit() error { return s.ssd.Device().FTL().Audit() }
+
 // tornLogExcused judges a recovery that failed with err. A log refuses
 // to come up on a torn page — the loud failure a torn page deserves.
 // When the dump was lost and every unreadable page on the log device

@@ -46,6 +46,14 @@ type RepairReporter interface {
 	RecoveryRepair() (repairs int, failure string)
 }
 
+// Auditor is an optional Cycle extension for workloads whose stack can
+// check its own invariants (an FTL's page map). After a successful
+// Recover the campaign runs Audit; an error is a campaign violation and
+// captures the flight recorder like any other durability break.
+type Auditor interface {
+	Audit() error
+}
+
 // Campaign sweeps crash points across one workload. Run first executes a fault-free profile run to learn the workload's
 // duration and per-class event counts, then spreads Points triggers
 // across virtual time and every active event class — so the sweep
@@ -267,6 +275,12 @@ func (c *Campaign) runTrial(i int, trig Trigger) PointResult {
 			pr.Repairs = n
 			if fail != "" {
 				pr.Err = fmt.Sprintf("recovery repair: %s", fail)
+				return
+			}
+		}
+		if a, ok := cyc.(Auditor); ok {
+			if err := a.Audit(); err != nil {
+				pr.Err = fmt.Sprintf("audit: %v", err)
 				return
 			}
 		}

@@ -2,6 +2,7 @@ package fault_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -223,6 +224,45 @@ func TestRepairFailureIsViolationWithDump(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), `err="recovery repair: readback at 4096 not clean"`) {
 		t.Fatalf("report does not surface the repair failure:\n%s", buf.String())
+	}
+}
+
+// auditCycle is a cleanCycle whose stack fails its own audit after
+// recovery (fault.Auditor).
+type auditCycle struct{ cleanCycle }
+
+func (c *auditCycle) Audit() error { return errors.New("l2p[3] = 7 but p2l[7] = 4") }
+
+// TestAuditFailureIsViolationWithDump: a stack whose invariants break
+// across a recovery is a campaign violation with a flight dump, even
+// when every committed record came back.
+func TestAuditFailureIsViolationWithDump(t *testing.T) {
+	c := &fault.Campaign{
+		Name: "audit-fail", Points: 2, Ops: 4, Seed: 0x2b59,
+		Build: func(env *sim.Env, p *sim.Proc) (fault.Cycle, error) {
+			return &auditCycle{cleanCycle{env: env}}, nil
+		},
+	}
+	serial := func(n int, fn func(i int)) {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+	}
+	rep, err := c.Run(serial)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	viol := rep.Violations()
+	if len(viol) != 2 {
+		t.Fatalf("violations = %d, want every point", len(viol))
+	}
+	for _, pr := range viol {
+		if pr.Err != "audit: l2p[3] = 7 but p2l[7] = 4" {
+			t.Fatalf("point %d err = %q, want the audit failure", pr.Index, pr.Err)
+		}
+		if pr.Flight == nil {
+			t.Fatalf("point %d audit violation carries no flight dump", pr.Index)
+		}
 	}
 }
 

@@ -1,0 +1,90 @@
+package ftl
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"twobssd/internal/sim"
+)
+
+// auditedFTL is a drive past its first collections: every LBA written,
+// then overwritten at random, so relocation has moved pages and blocks
+// hold every number of valid pages, and every tenth LBA trimmed. Its
+// map passes the audit.
+func auditedFTL(t *testing.T) *FTL {
+	t.Helper()
+	e := sim.NewEnv()
+	f := newTestFTL(e)
+	n := int(f.ExportedPages())
+	e.Go("fill", func(p *sim.Proc) {
+		rng := rand.New(rand.NewSource(1))
+		for op := 0; op < 4*n; op++ {
+			lba := LBA(op)
+			if op >= n {
+				lba = LBA(rng.Intn(n))
+			}
+			if err := f.WritePage(p, lba, []byte(fmt.Sprintf("v%d", op))); err != nil {
+				t.Errorf("write %d: %v", lba, err)
+				return
+			}
+		}
+		for lba := LBA(0); lba < LBA(n); lba += 10 {
+			f.Trim(lba)
+		}
+	})
+	e.Run()
+	if counter(t, e, "ftl.gc_relocations") == 0 {
+		t.Fatal("no page was relocated")
+	}
+	if err := f.Audit(); err != nil {
+		t.Fatalf("a clean drive fails the audit: %v", err)
+	}
+	return f
+}
+
+func TestAuditFindsPlantedBugs(t *testing.T) {
+	const lba, other = 5, 6
+	for _, tc := range []struct {
+		name  string
+		plant func(f *FTL, ppa uint64)
+	}{
+		{"validCount off by one after a trim", func(f *FTL, ppa uint64) {
+			f.Trim(lba)
+			f.validCount[ppa/f.piece]++
+		}},
+		{"p2l entry left behind by a trim", func(f *FTL, ppa uint64) {
+			f.Trim(lba)
+			f.set(f.p2l, ppa, lba+1)
+			f.validCount[ppa/f.piece]++
+		}},
+		{"two LBAs map one PPA", func(f *FTL, ppa uint64) {
+			old, _ := f.lookup(other)
+			f.unbind(old)
+			f.set(f.l2p, other, uint32(ppa)+1)
+		}},
+	} {
+		f := auditedFTL(t)
+		ppa, ok := f.lookup(lba)
+		if !ok {
+			t.Fatalf("lba %d is not mapped", lba)
+		}
+		tc.plant(f, uint64(ppa))
+		if err := f.Audit(); err == nil {
+			t.Errorf("%s: the audit passes", tc.name)
+		} else {
+			t.Logf("%s: %v", tc.name, err)
+		}
+	}
+}
+
+func TestAuditDoesNotAllocate(t *testing.T) {
+	f := auditedFTL(t)
+	if n := testing.AllocsPerRun(10, func() {
+		if err := f.Audit(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("Audit allocates %.1f times a run, want 0", n)
+	}
+}

@@ -91,7 +91,9 @@ func TestSupersededPagesHoldNoBytes(t *testing.T) {
 			t.Errorf("lba %d: live page holds %x, want %x", lba, got[:len(want)], want)
 		}
 	}
-	checkMaps(t, f)
+	if err := f.Audit(); err != nil {
+		t.Fatal(err)
+	}
 	t.Logf("%d overwrites, %d trims, %d relocations dropped their pages", overwrites, trims, moves)
 }
 
@@ -225,5 +227,7 @@ func TestLostRaceCopyHoldsNoBytes(t *testing.T) {
 	if f.flash.CorruptPage(dst, 1) {
 		t.Errorf("CorruptPage found bytes at the lost copy, ppa %d", dst)
 	}
-	checkMaps(t, f)
+	if err := f.Audit(); err != nil {
+		t.Fatal(err)
+	}
 }

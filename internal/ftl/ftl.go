@@ -316,6 +316,48 @@ func (f *FTL) unbind(ppa nand.PPA) bool {
 	return true
 }
 
+// Audit checks the invariants of the page map: l2p and p2l are each
+// other's inverse, so no physical page backs two LBAs and none is owned
+// by an LBA that maps elsewhere, and each block's valid count is what a
+// recount of its p2l gives. A write, trim or relocation updates the map
+// without yielding, so the invariants hold whenever a proc can run.
+// Audit does not yield, and allocates only the error it returns.
+func (f *FTL) Audit() error {
+	pages := f.flash.Config().Pages()
+	mapped, owned := 0, 0
+	for i, piece := range f.l2p {
+		for j, v := range piece {
+			if v == 0 {
+				continue
+			}
+			lba, ppa := LBA(uint64(i)*f.piece+uint64(j)), nand.PPA(v-1)
+			if uint64(ppa) >= uint64(pages) {
+				return fmt.Errorf("ftl: l2p[%d] = %d, past the array's %d pages", lba, ppa, pages)
+			}
+			if back, ok := f.owner(ppa); !ok || back != lba {
+				return fmt.Errorf("ftl: l2p[%d] = %d but p2l[%d] = %d (%v)", lba, ppa, ppa, back, ok)
+			}
+			mapped++
+		}
+	}
+	for b, piece := range f.p2l {
+		n := 0
+		for _, v := range piece {
+			if v != 0 {
+				n++
+			}
+		}
+		if f.validCount[b] != n {
+			return fmt.Errorf("ftl: block %d: validCount %d, recount %d", b, f.validCount[b], n)
+		}
+		owned += n
+	}
+	if mapped != owned {
+		return fmt.Errorf("ftl: l2p maps %d LBAs, p2l %d pages: a page is orphaned", mapped, owned)
+	}
+	return nil
+}
+
 func (f *FTL) checkLBA(lba LBA) error {
 	if uint64(lba) >= f.exportedPages {
 		return fmt.Errorf("%w: %d >= %d", ErrLBAOutOfRange, lba, f.exportedPages)

@@ -28,43 +28,6 @@ func runFlash(e *sim.Env) *nand.Flash {
 	})
 }
 
-// checkMaps verifies the mapping invariants relocation must preserve:
-// l2p and p2l are each other's inverse (so no physical page backs two
-// LBAs) and validCount is what a recount of p2l gives.
-func checkMaps(t *testing.T, f *FTL) {
-	t.Helper()
-	fc := f.flash.Config()
-	count := make([]int, fc.Blocks())
-	mapped, owned := 0, 0
-	for i := uint64(0); i < f.ExportedPages(); i++ {
-		lba := LBA(i)
-		ppa, ok := f.lookup(lba)
-		if !ok {
-			continue
-		}
-		if back, ok := f.owner(ppa); !ok || back != lba {
-			t.Fatalf("l2p[%d] = %d but p2l[%d] = %d (%v)", lba, ppa, ppa, back, ok)
-		}
-		mapped++
-		count[fc.BlockOf(ppa)]++
-	}
-	for _, piece := range f.p2l {
-		for _, v := range piece {
-			if v != 0 {
-				owned++
-			}
-		}
-	}
-	if mapped != owned {
-		t.Fatalf("l2p has %d entries, p2l %d: a page is double-mapped or orphaned", mapped, owned)
-	}
-	for b, n := range count {
-		if f.validCount[b] != n {
-			t.Fatalf("block %d: validCount %d, recount %d", b, f.validCount[b], n)
-		}
-	}
-}
-
 // Steady-state GC with the host aiming at the victim. Four writers pick
 // their next LBA from the block being evacuated (or, between
 // collections, from the block the next collection will pick), so the
@@ -200,7 +163,9 @@ func TestRelocationRunsNeverRevertHostWrite(t *testing.T) {
 	}
 	t.Logf("%d relocations; %d writes and %d trims hit a block mid-move; %d pages in two consecutive victims",
 		relocs, midMoveWrites, midMoveTrims, twiceInARow)
-	checkMaps(t, f)
+	if err := f.Audit(); err != nil {
+		t.Fatal(err)
+	}
 	e.Go("verify", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
 			check(p, i, "end of run")
@@ -363,7 +328,9 @@ func TestRunProgramFailureMidRun(t *testing.T) {
 					t.Errorf("seed %d: lba %d reads %d, %v", seed, i, got[0], err)
 				}
 			}
-			checkMaps(t, f)
+			if err := f.Audit(); err != nil {
+				t.Fatal(err)
+			}
 			t.Logf("seed %d: program failed at page %d of the run", seed, k)
 		})
 		e.Run()
@@ -416,7 +383,9 @@ func TestRunUncorrectableReadSalvagesOnePage(t *testing.T) {
 				t.Errorf("lba %d moved as %d", i, got[0])
 			}
 		}
-		checkMaps(t, f)
+		if err := f.Audit(); err != nil {
+			t.Fatal(err)
+		}
 	})
 	e.Run()
 }
@@ -472,7 +441,9 @@ func TestRelocationPicksSlotsByPhysicalDie(t *testing.T) {
 				t.Errorf("lba %d landed on the busy die", i)
 			}
 		}
-		checkMaps(t, f)
+		if err := f.Audit(); err != nil {
+			t.Fatal(err)
+		}
 	})
 	e.Run()
 }
@@ -522,5 +493,7 @@ func TestBytesMoveAtRebindNotAtProgram(t *testing.T) {
 	if !midRun {
 		t.Fatal("the read did not land while the run was part-way through its program")
 	}
-	checkMaps(t, f)
+	if err := f.Audit(); err != nil {
+		t.Fatal(err)
+	}
 }

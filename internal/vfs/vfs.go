@@ -72,6 +72,10 @@ func (fs *FS) Create(name string, capacity int64) (*File, error) {
 		return nil, fmt.Errorf("%w: capacity %d", ErrBadLength, capacity)
 	}
 	ps := int64(fs.PageSize())
+	// Checked before rounding up, which would overflow near MaxInt64.
+	if capacity > int64(fs.dev.Pages())*ps {
+		return nil, fmt.Errorf("%w: capacity %d exceeds the device", ErrNoSpace, capacity)
+	}
 	pages := int((capacity + ps - 1) / ps)
 	ext, err := fs.alloc(pages)
 	if err != nil {
@@ -198,8 +202,8 @@ func (f *File) check(off int64, n int) error {
 	if off < 0 || n < 0 {
 		return ErrBadLength
 	}
-	if off+int64(n) > f.capacity {
-		return fmt.Errorf("%w: [%d,%d) of %d", ErrPastEnd, off, off+int64(n), f.capacity)
+	if off > f.capacity-int64(n) { // off+n would overflow near MaxInt64
+		return fmt.Errorf("%w: %d bytes at %d of %d", ErrPastEnd, n, off, f.capacity)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package vfs
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -178,6 +179,43 @@ func TestNoSpace(t *testing.T) {
 	if _, err := fs.Create("huge", int64(fs.FreePages()+1)*int64(fs.PageSize())); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("err = %v", err)
 	}
+}
+
+// A capacity whose page count overflows int64 is refused, and the free
+// pool is left as it was.
+func TestCreateHugeCapacity(t *testing.T) {
+	e := sim.NewEnv()
+	fs := newFS(e)
+	free := fs.FreePages()
+	if _, err := fs.Create("huge", math.MaxInt64); !errors.Is(err, ErrNoSpace) {
+		t.Fatalf("err = %v", err)
+	}
+	if fs.FreePages() != free {
+		t.Fatalf("free pages %d, want %d", fs.FreePages(), free)
+	}
+	f, err := fs.Create("next", int64(fs.PageSize()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.LBA(0) != 0 {
+		t.Fatalf("next file at lba %d, want 0", f.LBA(0))
+	}
+}
+
+// An offset near MaxInt64 is past the end, not a range the FTL refuses.
+func TestOffsetNearMaxInt64(t *testing.T) {
+	e := sim.NewEnv()
+	fs := newFS(e)
+	f, _ := fs.Create("f", 8192)
+	e.Go("t", func(p *sim.Proc) {
+		if err := f.WriteAt(p, math.MaxInt64-1, []byte("abc")); !errors.Is(err, ErrPastEnd) {
+			t.Errorf("write err = %v", err)
+		}
+		if err := f.ReadAt(p, math.MaxInt64-1, make([]byte, 4096)); !errors.Is(err, ErrPastEnd) {
+			t.Errorf("read err = %v", err)
+		}
+	})
+	e.Run()
 }
 
 func TestFragmentationCoalescing(t *testing.T) {
