@@ -57,6 +57,8 @@ var designRules = []rule{
 		planted: []string{"internal/core/x.go\nfunc f() { e.NewWaitGroup(\"dump\") }", "benchmark/x.go\nfunc f() { e.GoIdx(\"w\", 0, g) }"}},
 	{name: "gofmt", pr: 51, tests: true, bad: gofmt,
 		planted: []string{"internal/sim/x_test.go\nfunc  f() {}", "benchmark/x.go\nvar  n = 1"}},
+	{name: "Power-on reads the media", pr: 52, in: dirs("core"), bad: ident("^(dumpValid|HasDump)$"),
+		planted: []string{"internal/core/x.go\ntype recovery struct{ dumpValid bool }", "internal/core/x.go\nfunc f() bool { return s.HasDump() }"}},
 }
 
 type rule struct {

@@ -53,8 +53,8 @@ func (s *stack) Crash(p *sim.Proc) (bool, float64, error) {
 	if err != nil && !errors.Is(err, core.ErrInsufficient) && !errors.Is(err, core.ErrDumpTorn) {
 		return false, 0, err
 	}
-	s.dumpLost = !rep.Persisted
-	return rep.Persisted, rep.EnergyUsedJ, nil
+	s.dumpLost = err != nil
+	return err == nil, rep.EnergyUsedJ, nil
 }
 
 // Audit checks the page map of the stack's 2B-SSD (fault.Auditor) —

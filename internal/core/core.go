@@ -132,6 +132,9 @@ func New(env *sim.Env, cfg Config) *TwoBSSD {
 	if base.FTL.ReservedPerDie < perDie {
 		base.FTL.ReservedPerDie = perDie
 	}
+	if metaBytes(cfg.MaxEntries, base.Nand.Dies()*base.FTL.ReservedPerDie) > ps {
+		panic("2bssd: a dump metadata page cannot hold MaxEntries entries and the cursor record")
+	}
 	s := &TwoBSSD{
 		env:     env,
 		cfg:     cfg,

@@ -16,7 +16,8 @@ import (
 // recovery is the recovery manager (paper Section III-A4): it owns the
 // reserved die-parallel NAND dump area and, on power loss, saves the
 // mapped BA-buffer windows and the mapping table there using the energy
-// stored in the back-up capacitors. On power-up it restores both.
+// stored in the back-up capacitors. On power-up it restores both, from
+// what the dump area holds alone.
 //
 // Its work is proportional to the mapping table: a dump programs only
 // the pages the table maps, a restore reads only the pages the dumped
@@ -27,15 +28,20 @@ import (
 type recovery struct {
 	s          *TwoBSSD
 	dumpBlocks []nand.BlockID // reserved blocks, die order
-	dumpValid  bool           // a valid dump image exists on NAND
 
 	// One firmware worker per dump block (index b of dumpBlocks).
 	dumps    *sim.Fan[dumpCmd]
-	restores *sim.Fan[[]int] // the image's data pages
+	restores *sim.Fan[restoreCmd]
 	erases   *sim.Fan[struct{}]
 }
 
+// dumpMagic opens a metadata page and is XORed into its out-of-band
+// tag, so no BA-buffer page, tagged with its plain CRC, passes for one.
 const dumpMagic = 0x2B55D001
+
+// metaBytes is the length of a metadata page's image: magic, buffer
+// pages, entry count and CRC, a cursor per dump block, n entries.
+func metaBytes(n, blocks int) int { return 16 + 4*blocks + 24*n }
 
 func newRecovery(s *TwoBSSD) *recovery {
 	fc := s.dev.Flash().Config()
@@ -63,16 +69,20 @@ type DumpReport struct {
 	DumpDuration  sim.Duration // firmware dump time on capacitor power
 	EnergyUsedJ   float64
 	EnergyBudgetJ float64
-	Persisted     bool // mapped BA-buffer pages + table image reached NAND
 }
 
-// encodeMeta serializes a mapping-table snapshot into one page image.
-func (r *recovery) encodeMeta(entries []Entry) []byte {
+// encodeMeta serializes a mapping-table snapshot and the cursors the
+// dump blocks will have once the dump completes into one page image.
+func (r *recovery) encodeMeta(entries []Entry, cursors []int) []byte {
 	buf := make([]byte, r.s.PageSize())
 	binary.LittleEndian.PutUint32(buf[0:], dumpMagic)
 	binary.LittleEndian.PutUint32(buf[4:], uint32(r.s.BufferPages()))
 	binary.LittleEndian.PutUint32(buf[8:], uint32(len(entries)))
 	off := 16
+	for _, c := range cursors {
+		binary.LittleEndian.PutUint32(buf[off:], uint32(c))
+		off += 4
+	}
 	for _, e := range entries {
 		binary.LittleEndian.PutUint32(buf[off:], uint32(e.ID))
 		binary.LittleEndian.PutUint64(buf[off+4:], uint64(e.Offset))
@@ -80,32 +90,40 @@ func (r *recovery) encodeMeta(entries []Entry) []byte {
 		binary.LittleEndian.PutUint32(buf[off+20:], uint32(e.Pages))
 		off += 24
 	}
-	binary.LittleEndian.PutUint32(buf[12:], crc32.ChecksumIEEE(buf[16:off]))
+	binary.LittleEndian.PutUint32(buf[12:], crc32.ChecksumIEEE(buf[16:]))
 	return buf
 }
 
-// decodeMeta rebuilds the mapping table from a dump metadata page.
-func (r *recovery) decodeMeta(buf []byte) ([]Entry, error) {
-	if binary.LittleEndian.Uint32(buf[0:]) != dumpMagic {
-		return nil, errors.New("2bssd: dump metadata magic mismatch")
+// decodeMeta rebuilds the mapping table and the cursors from a dump
+// metadata page. It checks before it slices: the count fits the table
+// and the page, and every entry lies inside the table and the buffer.
+func (r *recovery) decodeMeta(buf []byte) ([]Entry, []int, error) {
+	le := binary.LittleEndian
+	nb, size := len(r.dumpBlocks), uint64(r.s.frames.Len())
+	if le.Uint32(buf[0:]) != dumpMagic || int(le.Uint32(buf[4:])) != r.s.BufferPages() {
+		return nil, nil, errors.New("2bssd: not a dump metadata page")
 	}
-	n := int(binary.LittleEndian.Uint32(buf[8:]))
-	want := binary.LittleEndian.Uint32(buf[12:])
-	if got := crc32.ChecksumIEEE(buf[16 : 16+24*n]); got != want {
-		return nil, errors.New("2bssd: dump metadata CRC mismatch")
+	n := le.Uint32(buf[8:])
+	if n > uint32(len(r.s.table)) || metaBytes(int(n), nb) > len(buf) {
+		return nil, nil, errors.New("2bssd: dump metadata entry count out of range")
 	}
-	entries := make([]Entry, 0, n)
-	off := 16
-	for i := 0; i < n; i++ {
-		entries = append(entries, Entry{
-			ID:     EID(binary.LittleEndian.Uint32(buf[off:])),
-			Offset: int(binary.LittleEndian.Uint64(buf[off+4:])),
-			LBA:    ftl.LBA(binary.LittleEndian.Uint64(buf[off+12:])),
-			Pages:  int(binary.LittleEndian.Uint32(buf[off+20:])),
-		})
-		off += 24
+	if crc32.ChecksumIEEE(buf[16:]) != le.Uint32(buf[12:]) {
+		return nil, nil, errors.New("2bssd: dump metadata CRC mismatch")
 	}
-	return entries, nil
+	cursors := make([]int, nb)
+	for b := range cursors {
+		cursors[b] = int(le.Uint32(buf[16+4*b:]))
+	}
+	entries := make([]Entry, n)
+	for i := range entries {
+		e := buf[16+4*nb+24*i:]
+		id, off, pages := le.Uint32(e), le.Uint64(e[4:]), le.Uint32(e[20:])
+		if id >= uint32(len(r.s.table)) || off > size || off+uint64(pages)*uint64(r.s.PageSize()) > size {
+			return nil, nil, errors.New("2bssd: dump metadata entry out of range")
+		}
+		entries[i] = Entry{ID: EID(id), Offset: int(off), LBA: ftl.LBA(le.Uint64(e[12:])), Pages: int(pages)}
+	}
+	return entries, cursors, nil
 }
 
 // mappedPages lists the BA-buffer pages a table maps, in buffer order —
@@ -138,22 +156,45 @@ func (r *recovery) spanned(n int) int {
 	return (n + per - 1) / per
 }
 
+// cursorsAfter is every dump block's program cursor once a dump of n
+// data pages completes: its slice past where it stands now, and block
+// 0's metadata page after that.
+func (r *recovery) cursorsAfter(n int) []int {
+	fl := r.s.dev.Flash()
+	cursors := make([]int, len(r.dumpBlocks))
+	for b, blk := range r.dumpBlocks {
+		lo, hi := r.span(n, b)
+		cursors[b] = fl.NextPage(blk) + hi - lo
+	}
+	cursors[0]++
+	return cursors
+}
+
 // room reports whether every dump block has erased pages for its share
 // of a full-buffer dump at its program cursor — whether the capacitors'
-// worst case still fits without an erase.
+// worst case still fits without an erase — and the last block for the
+// page that retires the image, with block 0 behind none (lead). The
+// last block's share and growth per cycle are at most block 0's, so
+// the retirement page leaves the erase cadence as it was.
 func (r *recovery) room() bool {
+	ppb := r.s.dev.Flash().Config().PagesPerBlock
+	cursors := r.cursorsAfter(r.s.BufferPages())
+	cursors[len(cursors)-1]++
+	return !slices.ContainsFunc(cursors, func(c int) bool { return c > ppb }) && r.lead() >= 0
+}
+
+// lead is how far block 0's cursor is past every other dump block's
+// (and its own start). A whole dump that starts with block 0 behind no
+// block leaves it ahead of all, as block 0 takes the largest slice and
+// the metadata page; a torn one can leave it level or behind.
+func (r *recovery) lead() int {
 	fl := r.s.dev.Flash()
-	for b, blk := range r.dumpBlocks {
-		lo, hi := r.span(r.s.BufferPages(), b)
-		need := hi - lo
-		if b == 0 {
-			need++ // the metadata page
-		}
-		if fl.NextPage(blk)+need > fl.Config().PagesPerBlock {
-			return false
-		}
+	c0 := fl.NextPage(r.dumpBlocks[0])
+	lead := c0
+	for _, blk := range r.dumpBlocks[1:] {
+		lead = min(lead, c0-fl.NextPage(blk))
 	}
-	return true
+	return lead
 }
 
 // blockBase is the first page of a dump block.
@@ -164,10 +205,10 @@ func (r *recovery) blockBase(blk nand.BlockID) nand.PPA {
 // PowerLoss simulates an abrupt power failure. The host's un-synced
 // write-combining bursts are lost; the base device's write buffer and
 // the mapped BA-buffer pages + mapping table are saved to NAND on
-// capacitor energy. If the stored energy cannot cover the dump, the
-// image is NOT persisted and the call reports ErrInsufficient —
-// committed data in the BA-buffer would be lost, which the recovery
-// tests assert never happens with the shipped configuration.
+// capacitor energy. If that energy runs out first, the dump stops
+// there, torn, and the call reports ErrInsufficient — committed data
+// in the BA-buffer would be lost, which the recovery tests assert
+// never happens with the shipped configuration.
 func (s *TwoBSSD) PowerLoss(p *sim.Proc) (DumpReport, error) {
 	if err := s.checkPower(); err != nil {
 		return DumpReport{}, err
@@ -183,43 +224,21 @@ func (s *TwoBSSD) PowerLoss(p *sim.Proc) (DumpReport, error) {
 		return rep, err
 	}
 	// 2. Firmware dumps the mapped BA-buffer pages and the mapping
-	//    table to erased pages of the reserved area, die-parallel.
+	//    table to erased pages of the reserved area, die-parallel,
+	//    until the reserve runs out.
 	if !s.rec.room() {
 		return rep, errors.New("2bssd: dump area not armed")
 	}
-	derr := s.rec.dumpImage(p)
+	end := start + sim.Time(rep.EnergyBudgetJ/s.cfg.DumpPowerW*float64(sim.Second))
+	err := s.rec.dumpImage(p, end)
 	rep.DumpDuration = sim.Duration(s.env.Now() - start)
 	rep.EnergyUsedJ = s.cfg.DumpPowerW * rep.DumpDuration.Seconds()
 	s.gDumpEnergy.Set(rep.EnergyUsedJ)
 
 	s.powered = false
-	if derr != nil {
-		// The dump died mid-flight (injected capacitor cut or a program
-		// failure in the reserved area): the image on NAND is torn and
-		// must never be restored as if it were complete.
-		s.rec.dumpValid = false
-		s.scrambleVolatile()
-		return rep, fmt.Errorf("%w: %v", ErrDumpTorn, derr)
-	}
-	if rep.EnergyUsedJ > rep.EnergyBudgetJ {
-		// The capacitors drained before the dump finished: the image on
-		// NAND is torn and unusable.
-		s.rec.dumpValid = false
-		s.scrambleVolatile()
-		return rep, fmt.Errorf("%w: needed %.1f mJ, have %.1f mJ",
-			ErrInsufficient, rep.EnergyUsedJ*1e3, rep.EnergyBudgetJ*1e3)
-	}
-	s.rec.dumpValid = true
-	rep.Persisted = true
-	s.scrambleVolatile()
-	return rep, nil
-}
-
-// scrambleVolatile models DRAM content loss at power-off: every
-// BA-buffer page reads 0xDE, and the mapping table is gone.
-func (s *TwoBSSD) scrambleVolatile() {
-	s.frames.reset(0xDE)
+	s.frames.reset(0xDE) // DRAM loses its contents, and the table with them
 	clear(s.table)
+	return rep, err
 }
 
 // dumpImage programs the image of the mapping table as it stands at the
@@ -230,82 +249,85 @@ func (s *TwoBSSD) scrambleVolatile() {
 // The device's procs run on during the dump (a BA_FLUSH that completes
 // now removes its entry), so the pages programmed and the metadata page
 // that names them come from one snapshot, never from the live table.
-// A non-nil error means the image on NAND is torn: the injected
-// capacitor cut fired mid-dump (dumpCmd.dumped is shared across workers,
-// so the cut lands after an exact global page count), or a program in
-// the reserved area failed.
-func (r *recovery) dumpImage(p *sim.Proc) error {
+// A non-nil error means the image on NAND is torn: the dump was cut,
+// or a program in the reserved area failed.
+func (r *recovery) dumpImage(p *sim.Proc, end sim.Time) error {
 	snap := r.s.Entries()
 	pages := mappedPages(snap, r.s.PageSize())
 	// Block 0 takes the metadata page even when no data page is mapped.
-	return r.dumps.Run(p, max(1, r.spanned(len(pages))), dumpCmd{pages: pages, meta: r.encodeMeta(snap)})
+	return r.dumps.Run(p, max(1, r.spanned(len(pages))),
+		dumpCmd{pages: pages, meta: r.encodeMeta(snap, r.cursorsAfter(len(pages))), end: end})
 }
 
 // dumpCmd is a dump as its block workers see it.
 type dumpCmd struct {
-	pages  []int  // the image's data pages
-	meta   []byte // the metadata page
-	dumped int    // pages programmed by every worker, where a cut lands
-	failed bool   // the image is torn: every worker stops at its next page
+	pages  []int    // the image's data pages
+	meta   []byte   // the metadata page
+	end    sim.Time // the instant the capacitors' energy runs out
+	dumped int      // pages programmed by every worker, where a cut lands
+	failed bool     // the image is torn: every worker stops at its next page
 }
 
 // dumpBlock is dump block b's worker: it programs the block's slice of
 // the image sequentially at its program cursor, and block 0 the
-// metadata page after it. A worker that fails marks the image torn.
+// metadata page after it, tagged as metadata. Before each page it
+// checks the dump's one stop rule: an injected cut after an exact
+// global page count, or the reserve's end (a data page in flight then
+// finishes). The metadata page, the image's commit record, is issued
+// only if its program, uncontended, completes inside the reserve. A
+// worker that fails marks the image torn.
 func (r *recovery) dumpBlock(w *sim.Proc, c *dumpCmd, b int) (err error) {
 	defer func() { c.failed = c.failed || err != nil }()
 	s := r.s
 	fl := s.dev.Flash()
+	fc := fl.Config()
 	blk := r.dumpBlocks[b]
 	lo, hi := r.span(len(c.pages), b)
+	last := hi
+	if b == 0 {
+		last++ // the metadata page
+	}
 	at := r.blockBase(blk) + nand.PPA(fl.NextPage(blk))
-	for _, i := range c.pages[lo:hi] {
-		if c.failed {
+	for k := lo; k < last; k++ {
+		switch {
+		case c.failed:
 			return nil
+		case s.inj.DumpCut(c.dumped):
+			return fmt.Errorf("%w: capacitors cut mid-dump", ErrDumpTorn)
+		case s.env.Now() >= c.end, k == hi && s.env.Now()+sim.Time(fc.TransferTime(fc.PageSize)+fc.ProgramLatency) > c.end:
+			return fmt.Errorf("%w: reserve spent after %d pages", ErrInsufficient, c.dumped)
 		}
-		if s.inj.DumpCut(c.dumped) {
-			return errors.New("capacitors cut mid-dump")
+		page := c.meta
+		if k < hi {
+			page = s.frames.page(c.pages[k])
 		}
-		page := s.frames.page(i)
+		tag := integrity.PageCRC(page)
+		if k == hi {
+			tag ^= dumpMagic
+		}
 		s.frames.busy++
-		err := fl.ProgramPageTagged(w, at, page, integrity.PageCRC(page))
+		err := fl.ProgramPageTagged(w, at, page, tag)
 		s.frames.busy--
 		if err != nil {
-			return fmt.Errorf("dump program: %w", err)
+			return fmt.Errorf("%w: dump program: %v", ErrDumpTorn, err)
 		}
 		c.dumped++
 		at++
 	}
-	if b > 0 || c.failed {
-		return nil
-	}
-	if s.inj.DumpCut(c.dumped) {
-		return errors.New("capacitors cut before metadata page")
-	}
-	if err := fl.ProgramPageTagged(w, at, c.meta, integrity.PageCRC(c.meta)); err != nil {
-		return fmt.Errorf("dump meta program: %w", err)
-	}
-	c.dumped++
 	return nil
 }
 
-// PowerOn restores the device after a power failure: it reads the dump
-// image back into the BA-buffer and rebuilds the mapping table
-// (re-gating the pinned LBA ranges). Without a valid dump image the
+// PowerOn restores the device after a power failure from the dump area
+// alone (restoreImage); without an image that proves itself there the
 // BA-buffer comes up empty. The dump area is erased only if it could
-// not take another full-buffer dump, so Armed() holds on return.
+// not take another full-buffer dump, so the next PowerLoss finds room.
 func (s *TwoBSSD) PowerOn(p *sim.Proc) error {
 	if s.powered {
 		return errors.New("2bssd: already powered on")
 	}
 	s.powered = true
-	if s.rec.dumpValid {
-		if err := s.rec.restoreImage(p); err != nil {
-			return err
-		}
-		s.rec.dumpValid = false
-	} else {
-		s.frames.reset(0)
+	if err := s.rec.restoreImage(p); err != nil {
+		return err
 	}
 	if !s.rec.room() {
 		s.rec.erases.Run(p, len(s.rec.dumpBlocks), struct{}{})
@@ -313,32 +335,29 @@ func (s *TwoBSSD) PowerOn(p *sim.Proc) error {
 	return nil
 }
 
-// restoreImage loads the metadata page, then exactly the BA-buffer
-// pages its entries map; every other buffer page comes up zeroed. The
-// image is the last one programmed: the metadata page sits at block 0's
-// program cursor and each block's slice right before it.
+// restoreImage resets the buffer and the table to the image on NAND:
+// exactly the BA-buffer pages its entries map, every other page zeroed.
+// If the image's retirement page fails to program, the dump area is
+// erased instead: a restore whose reads succeeded never fails on it.
 func (r *recovery) restoreImage(p *sim.Proc) error {
 	s := r.s
-	ps := s.PageSize()
-	fl := s.dev.Flash()
-
-	blk0 := r.dumpBlocks[0]
-	metaBuf := make([]byte, ps)
-	tag, _, err := fl.ReadPageInto(p, r.blockBase(blk0)+nand.PPA(fl.NextPage(blk0)-1), metaBuf)
-	if err == nil {
-		err = integrity.Check(metaBuf, tag)
-	}
-	if err != nil {
-		return fmt.Errorf("2bssd: restore meta: %w", err)
-	}
-	entries, err := r.decodeMeta(metaBuf)
+	entries, cursors, err := r.image(p)
 	if err != nil {
 		return err
 	}
-	pages := mappedPages(entries, ps)
 	s.frames.reset(0)
-	if err := r.restores.Run(p, r.spanned(len(pages)), pages); err != nil {
+	clear(s.table)
+	var retired bool
+	c := restoreCmd{cursors: cursors, pages: mappedPages(entries, s.PageSize()), retired: &retired}
+	n := r.spanned(len(c.pages))
+	if len(c.pages) > 0 {
+		n++ // the worker that retires the image
+	}
+	if err := r.restores.Run(p, n, c); err != nil {
 		return err
+	}
+	if len(c.pages) > 0 && !retired {
+		r.erases.Run(p, len(r.dumpBlocks), struct{}{})
 	}
 	for _, e := range entries {
 		s.table[e.ID] = e
@@ -346,19 +365,76 @@ func (r *recovery) restoreImage(p *sim.Proc) error {
 	return nil
 }
 
+// image is the table and cursors of the image on NAND, nil without
+// one. The candidate is block 0's last programmed page; without a lead
+// it is not even read. Tagged with its plain CRC it is BA-buffer data a
+// torn dump or a spent reserve left there: no image. Tagged as
+// metadata it must decode, and every dump block's cursor must be the
+// one it records, or a later torn dump or the retirement page has
+// passed it: no image. A candidate whose read fails, or whose tag is
+// neither, is a damaged image, and restoring fails as it does on a
+// damaged slice page.
+func (r *recovery) image(p *sim.Proc) ([]Entry, []int, error) {
+	fl := r.s.dev.Flash()
+	blk0 := r.dumpBlocks[0]
+	if r.lead() <= 0 {
+		return nil, nil, nil
+	}
+	meta := make([]byte, r.s.PageSize())
+	tag, _, err := fl.ReadPageInto(p, r.blockBase(blk0)+nand.PPA(fl.NextPage(blk0)-1), meta)
+	if err != nil {
+		return nil, nil, fmt.Errorf("2bssd: restore meta: %w", err)
+	}
+	switch crc := integrity.PageCRC(meta); tag {
+	case crc:
+		return nil, nil, nil
+	case crc ^ dumpMagic:
+	default:
+		return nil, nil, fmt.Errorf("2bssd: restore meta: %w", integrity.ErrPageCorrupt)
+	}
+	entries, cursors, err := r.decodeMeta(meta)
+	if err != nil {
+		return nil, nil, err
+	}
+	for b, blk := range r.dumpBlocks {
+		if fl.NextPage(blk) != cursors[b] {
+			return nil, nil, nil
+		}
+	}
+	return entries, cursors, nil
+}
+
+// restoreCmd is a restore as its block workers see it.
+type restoreCmd struct {
+	cursors []int // the cursors the image's metadata page records
+	pages   []int // its data pages
+	retired *bool // the retirement page is programmed
+}
+
 // restoreBlock is dump block b's worker: it reads the block's slice of
-// the image, which sits right before its program cursor (and before
-// the metadata page in block 0), into the BA-buffer.
-func (r *recovery) restoreBlock(w *sim.Proc, pages *[]int, b int) error {
+// the image, which sits right before its recorded cursor (and before
+// the metadata page in block 0), into the BA-buffer. The worker past
+// the last slice retires the image: a zero page at the last dump
+// block's cursor breaks the cursor match for good, so no later boot
+// restores it again. A failed program leaves the cursor where it was,
+// so it is tried once more there.
+func (r *recovery) restoreBlock(w *sim.Proc, c *restoreCmd, b int) error {
 	s := r.s
 	fl := s.dev.Flash()
-	blk := r.dumpBlocks[b]
-	lo, hi := r.span(len(*pages), b)
-	at := r.blockBase(blk) + nand.PPA(fl.NextPage(blk)-(hi-lo))
+	if b == r.spanned(len(c.pages)) {
+		last := len(r.dumpBlocks) - 1
+		at := r.blockBase(r.dumpBlocks[last]) + nand.PPA(c.cursors[last])
+		for try := 0; try < 2 && !*c.retired; try++ {
+			*c.retired = fl.ProgramPageTagged(w, at, nil, integrity.PaddedCRC(nil, s.PageSize())) == nil
+		}
+		return nil
+	}
+	lo, hi := r.span(len(c.pages), b)
+	at := r.blockBase(r.dumpBlocks[b]) + nand.PPA(c.cursors[b]-(hi-lo))
 	if b == 0 {
 		at-- // the metadata page follows block 0's slice
 	}
-	for _, i := range (*pages)[lo:hi] {
+	for _, i := range c.pages[lo:hi] {
 		dst := s.frames.page(i)
 		s.frames.busy++
 		tag, _, err := fl.ReadPageInto(w, at, dst)
@@ -394,11 +470,3 @@ func (r *recovery) eraseBlock(w *sim.Proc, _ *struct{}, b int) error {
 	}
 	return nil
 }
-
-// Armed reports whether the dump area can take a full-buffer dump
-// without an erase. It holds whenever the device is powered and
-// PowerOn has returned.
-func (s *TwoBSSD) Armed() bool { return s.rec.room() }
-
-// HasDump reports whether a valid dump image awaits restore.
-func (s *TwoBSSD) HasDump() bool { return s.rec.dumpValid }

