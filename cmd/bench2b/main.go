@@ -39,7 +39,6 @@ import (
 
 	"twobssd/internal/bench"
 	"twobssd/internal/obs"
-	"twobssd/internal/sim"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -53,9 +52,8 @@ var errGate = errors.New("gate failed (durability violation, model divergence, o
 
 // options are the parsed flags.
 type options struct {
-	full        bool
-	jobs, seeds int
-	sample      time.Duration
+	full bool
+	jobs int
 	// report paths
 	metrics, trace, timeline, benchJSON, benchGate, cpuProfile, memProfile string
 }
@@ -71,9 +69,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.metrics, "metrics", "", "write merged metrics snapshot JSON to this file")
 	fs.StringVar(&o.trace, "trace", "", "write Chrome trace-event JSON (Perfetto) to this file")
 	fs.StringVar(&o.benchJSON, "benchjson", "", "write wall-clock kernel benchmark JSON to this file")
-	fs.DurationVar(&o.sample, "sample", 0, "virtual-time cadence for metric timelines (default 1ms when -timeline is given)")
-	fs.StringVar(&o.timeline, "timeline", "", "write the merged metric timeline to this file (.csv extension selects CSV, else JSON)")
-	fs.IntVar(&o.seeds, "seeds", 256, "seed count for the fuzz experiment")
+	fs.StringVar(&o.timeline, "timeline", "", "write the merged metric timeline, one window per virtual millisecond, to this file (.csv extension selects CSV, else JSON)")
 	fs.StringVar(&o.benchGate, "benchgate", "", "compare this run against a baseline kernel benchmark JSON; exit non-zero when wall time (+25%) or allocations (+10%), in total or of one experiment, regressed")
 	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a host CPU profile (pprof) of the run to this file")
 	fs.StringVar(&o.memProfile, "memprofile", "", "write a host allocation profile (pprof, alloc_space) to this file after the run")
@@ -97,17 +93,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
-	var bad string
-	switch {
-	case o.jobs < 1:
-		bad = fmt.Sprintf("-j %d: want at least 1", o.jobs)
-	case o.seeds < 1:
-		bad = fmt.Sprintf("-seeds %d: want at least 1", o.seeds)
-	case o.sample < 0:
-		bad = fmt.Sprintf("-sample %v: want 0 or more", o.sample)
-	}
-	if bad != "" {
-		fmt.Fprintf(stderr, "bench2b: %s\n", bad)
+	if o.jobs < 1 {
+		fmt.Fprintf(stderr, "bench2b: -j %d: want at least 1\n", o.jobs)
 		fs.Usage()
 		return 2
 	}
@@ -226,7 +213,6 @@ func execute(o options, selected []bench.Experiment, stdout, stderr io.Writer) e
 		scale, scaleName = bench.Full, "full"
 	}
 	r := bench.NewRunner(scale, o.jobs)
-	r.Seeds = o.seeds
 
 	// Open the report files before running anything: a bad path should
 	// fail now, not after minutes of experiments.
@@ -259,12 +245,11 @@ func execute(o options, selected []bench.Experiment, stdout, stderr io.Writer) e
 		defer pprof.StopCPUProfile() // error paths; a second stop is a no-op
 	}
 
-	sampling := o.sample > 0 || o.timeline != ""
 	var col *obs.Collector
-	if metricsFile != nil || traceFile != nil || benchFile != nil || o.benchGate != "" || sampling {
+	if metricsFile != nil || traceFile != nil || benchFile != nil || o.benchGate != "" || timelineFile != nil {
 		col = obs.NewCollector(traceFile != nil)
-		if sampling {
-			col.EnableSampling(sim.Duration(o.sample.Nanoseconds()), 0)
+		if timelineFile != nil {
+			col.EnableSampling()
 		}
 		col.Install()
 		defer col.Uninstall()

@@ -1,8 +1,7 @@
 // Package bench regenerates every table and figure of the paper's
 // evaluation (Section V) on the simulated stack, plus the ablations
 // called out in DESIGN.md. Each experiment returns a Table whose rows
-// mirror the series the paper plots; cmd/bench2b prints them and
-// bench_test.go wraps them as testing.B benchmarks.
+// mirror the series the paper plots; cmd/bench2b prints them.
 package bench
 
 import (

@@ -47,7 +47,7 @@ func TestJobsInvariance(t *testing.T) {
 	sweep := func(jobs int) (tables, metrics, timeline []byte) {
 		r := NewRunner(Quick, jobs)
 		col := obs.NewCollector(false)
-		col.EnableSampling(0, 0)
+		col.EnableSampling()
 		col.Install()
 		defer col.Uninstall()
 		var out bytes.Buffer

@@ -35,7 +35,7 @@ func TestFleetJobsInvariance(t *testing.T) {
 	}
 	sweep := func(jobs int) (tables, metrics, timeline []byte) {
 		col := obs.NewCollector(false)
-		col.EnableSampling(0, 0)
+		col.EnableSampling()
 		col.Install()
 		defer col.Uninstall()
 		var out bytes.Buffer

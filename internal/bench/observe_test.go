@@ -109,14 +109,14 @@ func TestObserversDoNotPerturb(t *testing.T) {
 	measure := func(tracing, sampling, flight bool) run {
 		col := obs.NewCollector(tracing)
 		if sampling {
-			col.EnableSampling(0, 0)
+			col.EnableSampling()
 		}
 		col.Install()
 		defer col.Uninstall()
 		if flight {
 			collect := obs.OnNewSet
 			obs.OnNewSet = func(s *obs.Set) {
-				s.EnableFlightRecorder(0)
+				s.EnableFlightRecorder()
 				collect(s)
 			}
 		}

@@ -31,21 +31,21 @@ func TestOptionCountRatchet(t *testing.T) {
 		cfg  any
 		want int
 	}{
-		{wal.Config{}, 11},
+		{wal.Config{}, 10},
 		{lsm.Config{}, 12},
 		{pglite.Config{}, 4},
 		{kvaof.Config{}, 3},
 		{jfs.Config{}, 3},
 		{fleet.Config{}, 10},
 		{ftl.Config{}, 2},
-		{core.Config{}, 7},
+		{core.Config{}, 5},
 		{pcie.Config{}, 2},
 		{device.Profile{}, 10},
 		{nand.Config{}, 10},
 		{ycsb.Config{}, 5},
 		{linkbench.Config{}, 2},
-		{fault.Plan{}, 8},
-		{oracle.Config{}, 4},
+		{fault.Plan{}, 7},
+		{oracle.Config{}, 2},
 		{traffic.Spec{}, 10},
 	} {
 		typ := reflect.TypeOf(c.cfg)

@@ -17,18 +17,17 @@ import "sync"
 // execute at once however the work is nested. Experiment goroutines
 // themselves only coordinate: they block in points and burn no CPU.
 
-// Runner carries what every experiment needs: the run's scale, the
-// fuzz campaign width, and the one point executor (points).
+// Runner carries what every experiment needs: the run's scale and the
+// one point executor (points).
 type Runner struct {
 	Scale
-	Seeds int // seed count of the "fuzz" experiment
 
 	jobs int
 	sem  chan struct{}
 }
 
 // NewRunner returns a Runner that lets up to jobs points (minimum 1)
-// run concurrently. Seeds is the caller's to set.
+// run concurrently.
 func NewRunner(s Scale, jobs int) *Runner {
 	if jobs < 1 {
 		jobs = 1

@@ -17,7 +17,7 @@ import (
 // down, the drive is garbage, and the set still reports its gauges.
 func TestCollectedDriveIsFreedAtShutdown(t *testing.T) {
 	c := obs.NewCollector(true)
-	c.EnableSampling(sim.Microsecond, 0)
+	c.EnableSampling()
 	env := sim.NewEnv()
 	c.Collect(obs.Of(env))
 	drive := runDrive(t, env)

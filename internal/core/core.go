@@ -191,30 +191,21 @@ func (s *TwoBSSD) BufferPages() int { return len(s.frames.pages) }
 // I/O request for collisions with pinned ranges (Section III-A2).
 type checker struct{ s *TwoBSSD }
 
-func (c checker) check(lba ftl.LBA, pages int) error {
+// Check rejects block I/O that overlaps a pinned range, and records the
+// rejection (counter + trace instant) on its way back to the block path.
+func (c checker) Check(lba ftl.LBA, pages int) error {
 	for _, e := range c.s.table {
 		if e.Pages == 0 {
 			continue
 		}
 		if lba < e.LBA+ftl.LBA(e.Pages) && e.LBA < lba+ftl.LBA(pages) {
+			c.s.cGateRejects.Inc()
+			c.s.o.Tracer().Instant("2bssd.checker", "2bssd", "gate_reject")
 			return fmt.Errorf("%w: [%d,%d) pinned by entry %d",
 				ErrPinnedRange, e.LBA, e.LBA+ftl.LBA(e.Pages), e.ID)
 		}
 	}
 	return nil
-}
-
-func (c checker) CheckRead(lba ftl.LBA, pages int) error  { return c.reject(c.check(lba, pages)) }
-func (c checker) CheckWrite(lba ftl.LBA, pages int) error { return c.reject(c.check(lba, pages)) }
-
-// reject records a gate rejection (counter + trace instant) on its way
-// back to the block path.
-func (c checker) reject(err error) error {
-	if err != nil {
-		c.s.cGateRejects.Inc()
-		c.s.o.Tracer().Instant("2bssd.checker", "2bssd", "gate_reject")
-	}
-	return err
 }
 
 func (s *TwoBSSD) checkEID(eid EID) error {
@@ -252,8 +243,8 @@ func (s *TwoBSSD) BAPin(p *sim.Proc, eid EID, offset int, lba ftl.LBA, pages int
 	if offset < 0 || offset+pages*ps > s.frames.Len() {
 		return fmt.Errorf("%w: [%d,%d) of %d", ErrOutOfBuffer, offset, offset+pages*ps, s.frames.Len())
 	}
-	if uint64(lba)+uint64(pages) > s.dev.Pages() {
-		return fmt.Errorf("%w: [%d,%d)", ErrOutOfLBA, lba, uint64(lba)+uint64(pages))
+	if !ftl.Within(lba, pages, s.dev.Pages()) {
+		return fmt.Errorf("%w: %d pages at %d of %d", ErrOutOfLBA, pages, lba, s.dev.Pages())
 	}
 	for _, e := range s.table {
 		if e.Pages == 0 {

@@ -229,10 +229,10 @@ func (s *TwoBSSD) PowerLoss(p *sim.Proc) (DumpReport, error) {
 	if !s.rec.room() {
 		return rep, errors.New("2bssd: dump area not armed")
 	}
-	end := start + sim.Time(rep.EnergyBudgetJ/s.cfg.DumpPowerW*float64(sim.Second))
+	end := start + sim.Time(rep.EnergyBudgetJ/dumpPowerW*float64(sim.Second))
 	err := s.rec.dumpImage(p, end)
 	rep.DumpDuration = sim.Duration(s.env.Now() - start)
-	rep.EnergyUsedJ = s.cfg.DumpPowerW * rep.DumpDuration.Seconds()
+	rep.EnergyUsedJ = dumpPowerW * rep.DumpDuration.Seconds()
 	s.gDumpEnergy.Set(rep.EnergyUsedJ)
 
 	s.powered = false

@@ -20,17 +20,20 @@ type Spec struct {
 	MaxEntries    int
 }
 
-// DefaultSpec returns the Table I values of the prototype.
+// DefaultSpec returns the Table I values of the prototype. The rows the
+// simulator models come from DefaultConfig, so the table cannot drift
+// from the configuration that produces the results.
 func DefaultSpec() Spec {
+	cfg := DefaultConfig()
 	return Spec{
 		HostInterface: "PCIe Gen.3 x4",
 		Protocol:      "NVMe 1.2",
 		CapacityGB:    800,
 		Architecture:  "Multiple channels/ways/cores",
 		Medium:        "Single-bit NAND flash",
-		CapacitorsUF:  []float64{270, 270, 270},
-		BABufferBytes: 8 << 20, // 8 MB
-		MaxEntries:    8,
+		CapacitorsUF:  cfg.CapacitorsUF,
+		BABufferBytes: cfg.BABufferBytes,
+		MaxEntries:    cfg.MaxEntries,
 	}
 }
 
@@ -66,13 +69,20 @@ type Config struct {
 	// MMIO is the host-side BAR1 access model.
 	MMIO pcie.Config
 
-	// Power-loss protection: back-up electrolytic capacitors and the
-	// power drawn while dumping the BA-buffer to the reserved NAND
-	// area. Energy budget = sum of 1/2 C V^2 over the capacitors.
+	// Power-loss protection: back-up electrolytic capacitors, charged
+	// to capVoltage. Energy budget = sum of 1/2 C V^2 over the
+	// capacitors, spent at dumpPowerW while the BA-buffer is dumped to
+	// the reserved NAND area.
 	CapacitorsUF []float64
-	CapVoltage   float64
-	DumpPowerW   float64
 }
+
+// The power-loss protection hardware of Section III-A4: the voltage the
+// back-up capacitors charge to, and the power the drive draws while it
+// dumps the BA-buffer on their energy.
+const (
+	capVoltage = 12.0
+	dumpPowerW = 6.0
+)
 
 // DefaultConfig returns the calibrated prototype configuration.
 func DefaultConfig() Config {
@@ -82,8 +92,6 @@ func DefaultConfig() Config {
 		MaxEntries:    8,
 		MMIO:          pcie.DefaultConfig(),
 		CapacitorsUF:  []float64{270, 270, 270},
-		CapVoltage:    12.0,
-		DumpPowerW:    6.0,
 	}
 }
 
@@ -110,7 +118,7 @@ func SmallConfig() Config {
 func (c Config) CapacitorEnergyJ() float64 {
 	var e float64
 	for _, uf := range c.CapacitorsUF {
-		e += 0.5 * uf * 1e-6 * c.CapVoltage * c.CapVoltage
+		e += 0.5 * uf * 1e-6 * capVoltage * capVoltage
 	}
 	return e
 }

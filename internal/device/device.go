@@ -134,9 +134,9 @@ func (p Profile) Validate() error {
 // 2B-SSD LBA checker uses this to protect NAND pages currently pinned
 // into the BA-buffer (paper Section III-A2).
 type Gate interface {
-	// CheckRead/CheckWrite return a non-nil error to reject the access.
-	CheckRead(lba ftl.LBA, pages int) error
-	CheckWrite(lba ftl.LBA, pages int) error
+	// Check returns a non-nil error to reject a read or write of the
+	// pages from lba.
+	Check(lba ftl.LBA, pages int) error
 }
 
 // Errors reported by the device.
@@ -400,13 +400,13 @@ func (d *Device) ReadPagesInto(p *sim.Proc, lba ftl.LBA, dst []byte) error {
 	}
 	n := len(dst) / ps
 	if d.gate != nil {
-		if err := d.gate.CheckRead(lba, n); err != nil {
+		if err := d.gate.Check(lba, n); err != nil {
 			d.cGatedRd.Inc()
 			d.o.Tracer().Instant(d.profile.Name+".gate", "device", "gated_read")
 			return err
 		}
 	}
-	if uint64(lba)+uint64(n) > d.Pages() {
+	if !ftl.Within(lba, n, d.Pages()) {
 		return ftl.ErrLBAOutOfRange
 	}
 	d.cReadCmds.Inc()
@@ -487,13 +487,13 @@ func (d *Device) WritePages(p *sim.Proc, lba ftl.LBA, data []byte) error {
 	}
 	n := len(data) / ps
 	if d.gate != nil {
-		if err := d.gate.CheckWrite(lba, n); err != nil {
+		if err := d.gate.Check(lba, n); err != nil {
 			d.cGatedWr.Inc()
 			d.o.Tracer().Instant(d.profile.Name+".gate", "device", "gated_write")
 			return err
 		}
 	}
-	if uint64(lba)+uint64(n) > d.Pages() {
+	if !ftl.Within(lba, n, d.Pages()) {
 		return ftl.ErrLBAOutOfRange
 	}
 	d.cWriteCmds.Inc()

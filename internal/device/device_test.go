@@ -219,8 +219,7 @@ func TestSameLBACoalescesWhenDrainIsSlow(t *testing.T) {
 
 type denyGate struct{ err error }
 
-func (g denyGate) CheckRead(ftl.LBA, int) error  { return g.err }
-func (g denyGate) CheckWrite(ftl.LBA, int) error { return g.err }
+func (g denyGate) Check(ftl.LBA, int) error { return g.err }
 
 func TestGateBlocksIO(t *testing.T) {
 	e := sim.NewEnv()

@@ -22,7 +22,6 @@ func TestTimeoutBackoffErrorWrapping(t *testing.T) {
 	fault.Install(e, fault.Plan{
 		Seed:         11,
 		TimeoutOneIn: 2, // roughly every other command times out
-		TimeoutDelay: 50 * sim.Microsecond,
 	})
 	d := New(e, small(ULLSSD()))
 	ps := d.PageSize()

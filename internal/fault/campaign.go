@@ -232,7 +232,7 @@ func (c *Campaign) runTrial(i int, trig Trigger) PointResult {
 	// Always-on flight recorder: bounded ring, constant memory, so the
 	// one point in thousands that violates hands over its last spans.
 	set := obs.Of(env)
-	set.EnableFlightRecorder(0)
+	set.EnableFlightRecorder()
 	env.Go("fault.point", func(p *sim.Proc) {
 		cyc, err := c.Build(env, p)
 		if err != nil {

@@ -157,11 +157,10 @@ type Plan struct {
 	EraseFailOneIn uint64
 
 	// TimeoutOneIn makes roughly one in N device commands hit
-	// transient timeouts; the device retries with exponential backoff
-	// starting at TimeoutDelay (0 disables). A command hits at most
-	// timeoutMaxRetries consecutive timeouts.
+	// transient timeouts (0 disables); the device retries with
+	// exponential backoff starting at timeoutDelay. A command hits at
+	// most timeoutMaxRetries consecutive timeouts.
 	TimeoutOneIn uint64
-	TimeoutDelay sim.Duration
 
 	// CutDumpAfterPages kills the capacitor-powered dump after that
 	// many pages have been programmed, leaving a torn image the
@@ -204,9 +203,6 @@ type Injector struct {
 // Installing twice replaces the previous injector for components built
 // afterwards.
 func Install(env *sim.Env, plan Plan) *Injector {
-	if plan.TimeoutDelay <= 0 {
-		plan.TimeoutDelay = 100 * sim.Microsecond
-	}
 	in := &Injector{env: env, plan: plan, armed: true}
 	in.rngRead = sim.NewRand(plan.Seed ^ 0xA5A5A5A5A5A5A5A5)
 	in.rngProg = sim.NewRand(plan.Seed ^ 0x0F0F0F0F0F0F0F0F)
@@ -364,8 +360,11 @@ func (in *Injector) EraseFault() bool {
 }
 
 // timeoutMaxRetries bounds the injected consecutive timeouts per
-// command.
-const timeoutMaxRetries = 2
+// command, and timeoutDelay is the first backoff step.
+const (
+	timeoutMaxRetries = 2
+	timeoutDelay      = 100 * sim.Microsecond
+)
 
 // Timeouts decides whether this device command hits transient
 // timeouts, returning how many and the base backoff delay. The device
@@ -380,7 +379,7 @@ func (in *Injector) Timeouts() (n int, delay sim.Duration) {
 	}
 	n = 1 + int(in.rngTimeout.Uint64()%timeoutMaxRetries)
 	in.cTimeout.Add(uint64(n))
-	return n, in.plan.TimeoutDelay
+	return n, timeoutDelay
 }
 
 // DumpCut reports whether the capacitor dump dies before programming

@@ -32,6 +32,13 @@ import (
 // LBA is a logical page address (page-granular, typically 4 KB units).
 type LBA uint64
 
+// Within reports whether the n pages from lba lie inside the first
+// pages logical pages. It is the one range check of every layer, and
+// it cannot wrap: a range that runs past the top of uint64 is outside.
+func Within(lba LBA, n int, pages uint64) bool {
+	return n >= 0 && uint64(n) <= pages && uint64(lba) <= pages-uint64(n)
+}
+
 // Config tunes the translation layer.
 type Config struct {
 	// OverProvision is the fraction of usable blocks hidden from the

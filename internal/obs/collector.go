@@ -26,8 +26,7 @@ type Collector struct {
 	prev    func(*Set)
 	sets    []*Set
 
-	sampleEvery  sim.Duration
-	samplePoints int
+	sampling bool
 }
 
 // NewCollector returns a collector; with tracing true, every collected
@@ -36,19 +35,9 @@ func NewCollector(tracing bool) *Collector {
 	return &Collector{tracing: tracing}
 }
 
-// EnableSampling makes the collector start a timeline sampler (at the
-// given virtual cadence, with the given ring capacity; non-positive
-// values select the obs defaults) on every environment it collects.
-// Call before Install.
-func (c *Collector) EnableSampling(every sim.Duration, maxPoints int) {
-	if every <= 0 {
-		every = DefaultSampleInterval
-	}
-	if maxPoints <= 0 {
-		maxPoints = DefaultMaxPoints
-	}
-	c.sampleEvery, c.samplePoints = every, maxPoints
-}
+// EnableSampling makes the collector start a timeline sampler on every
+// environment it collects. Call before Install.
+func (c *Collector) EnableSampling() { c.sampling = true }
 
 // Install hooks the collector into OnNewSet so every subsequently
 // created environment is collected. It chains to any previously
@@ -73,8 +62,8 @@ func (c *Collector) Collect(s *Set) {
 	if c.tracing {
 		s.EnableTracing()
 	}
-	if c.sampleEvery > 0 {
-		s.StartSampler(c.sampleEvery, c.samplePoints)
+	if c.sampling {
+		s.StartSampler()
 	}
 	c.mu.Lock()
 	c.sets = append(c.sets, s)
@@ -170,19 +159,15 @@ func (c *Collector) WriteMetricsJSON(w io.Writer) error {
 func (c *Collector) MergedTimeline() Timeline {
 	var streams [][]point
 	var dropped uint64
-	interval := c.sampleEvery
 	for _, s := range c.sortedSets() {
 		sm := s.Sampler()
 		if sm == nil {
 			continue
 		}
-		if interval <= 0 {
-			interval = sm.interval
-		}
 		streams = append(streams, sm.points())
 		dropped += sm.dropped
 	}
-	return mergeTimelines(interval, streams, dropped)
+	return mergeTimelines(streams, dropped)
 }
 
 // WriteTimelineJSON writes the merged timeline as JSON.

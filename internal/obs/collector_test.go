@@ -23,7 +23,7 @@ import (
 func collectedRun(t *testing.T) *obs.Collector {
 	t.Helper()
 	c := obs.NewCollector(false)
-	c.EnableSampling(sim.Microsecond, 0)
+	c.EnableSampling()
 
 	env := sim.NewEnv()
 	set := obs.Of(env)

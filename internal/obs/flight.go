@@ -17,23 +17,20 @@ import (
 // fires. "640 crash points, 0 lost" is a result; a flight dump is what
 // makes point 641 debuggable.
 
-// DefaultFlightDepth is the ring capacity used when EnableFlightRecorder
-// is given a non-positive depth.
-const DefaultFlightDepth = 256
+// FlightDepth is the flight recorder's ring capacity.
+const FlightDepth = 256
 
 // EnableFlightRecorder switches this environment's tracer into
-// flight-recorder mode: a ring of the last n events (spans, instants,
-// counter samples), overwriting the oldest past capacity. If full
-// tracing is already enabled the full tracer doubles as the recorder —
-// it already holds everything — and is returned unchanged. Idempotent.
-func (s *Set) EnableFlightRecorder(n int) *Tracer {
+// flight-recorder mode: a ring of the last FlightDepth events (spans,
+// instants, counter samples), overwriting the oldest past capacity. If
+// full tracing is already enabled the full tracer doubles as the
+// recorder — it already holds everything — and is returned unchanged.
+// Idempotent.
+func (s *Set) EnableFlightRecorder() *Tracer {
 	if s.tracer != nil {
 		return s.tracer
 	}
-	if n <= 0 {
-		n = DefaultFlightDepth
-	}
-	s.tracer = newRingTracer(s.env, n)
+	s.tracer = newRingTracer(s.env)
 	return s.tracer
 }
 
@@ -64,7 +61,7 @@ const FlightSchema = "twobssd/flight-v1"
 // FlightDump captures the environment's current flight-recorder state:
 // metrics at this instant plus the recorded event tail. Works with
 // either tracer mode (a full tracer contributes its newest
-// DefaultFlightDepth events). With no tracer at all the dump still
+// FlightDepth events). With no tracer at all the dump still
 // carries the metrics snapshot.
 func (s *Set) FlightDump(reason string) FlightDump {
 	d := FlightDump{Schema: FlightSchema, Reason: reason, Metrics: s.Snapshot()}
@@ -73,8 +70,8 @@ func (s *Set) FlightDump(reason string) FlightDump {
 		return d
 	}
 	evs := t.Events()
-	if !t.ring && len(evs) > DefaultFlightDepth {
-		evs = evs[len(evs)-DefaultFlightDepth:]
+	if !t.ring && len(evs) > FlightDepth {
+		evs = evs[len(evs)-FlightDepth:]
 	}
 	d.Events = make([]FlightEvent, 0, len(evs))
 	for _, ev := range evs {

@@ -15,13 +15,13 @@ import (
 func TestFlightRecorderRing(t *testing.T) {
 	env := sim.NewEnv()
 	set := obs.Of(env)
-	tr := set.EnableFlightRecorder(4)
+	tr := set.EnableFlightRecorder()
 	if !tr.Ring() {
 		t.Fatal("flight recorder is not in ring mode")
 	}
 	set.Registry().Counter("ops").Add(7)
 	env.Go("w", func(p *sim.Proc) {
-		for i := 0; i < 10; i++ {
+		for i := 0; i < obs.FlightDepth+6; i++ {
 			sp := tr.Begin("w", "test", "op")
 			p.Sleep(10)
 			sp.End()
@@ -30,17 +30,17 @@ func TestFlightRecorderRing(t *testing.T) {
 	env.Run()
 
 	evs := tr.Events()
-	if len(evs) != 4 {
-		t.Fatalf("ring holds %d events, want 4", len(evs))
+	if len(evs) != obs.FlightDepth {
+		t.Fatalf("ring holds %d events, want %d", len(evs), obs.FlightDepth)
 	}
 	for i := 1; i < len(evs); i++ {
 		if evs[i].TS < evs[i-1].TS {
 			t.Fatalf("ring events out of order: %d then %d", evs[i-1].TS, evs[i].TS)
 		}
 	}
-	// The newest span ends at run end: it began at 90ns.
-	if got := evs[len(evs)-1].TS; got != sim.Time(90) {
-		t.Fatalf("newest event at %d, want 90", got)
+	// The newest span ends at run end: it began 10 ns before it.
+	if got, want := evs[len(evs)-1].TS, env.Now()-10; got != want {
+		t.Fatalf("newest event at %d, want %d", got, want)
 	}
 	if tr.Dropped() != 6 {
 		t.Fatalf("dropped = %d, want 6", tr.Dropped())
@@ -50,7 +50,7 @@ func TestFlightRecorderRing(t *testing.T) {
 	if d.Schema != obs.FlightSchema || d.Reason != "test violation" {
 		t.Fatalf("dump header = %q %q", d.Schema, d.Reason)
 	}
-	if len(d.Events) != 4 || d.Events[0].Kind != "span" {
+	if len(d.Events) != obs.FlightDepth || d.Events[0].Kind != "span" {
 		t.Fatalf("dump events = %+v", d.Events)
 	}
 	if d.Metrics.Counters["ops"] != 7 {
@@ -83,9 +83,9 @@ func TestFlightRecorderRing(t *testing.T) {
 func TestEnableTracingUpgradesRing(t *testing.T) {
 	env := sim.NewEnv()
 	set := obs.Of(env)
-	ring := set.EnableFlightRecorder(4)
+	ring := set.EnableFlightRecorder()
 	env.Go("early", func(p *sim.Proc) {
-		for i := 0; i < 6; i++ {
+		for i := 0; i < obs.FlightDepth+2; i++ {
 			ring.Instant("t", "c", "early")
 			p.Sleep(1)
 		}
@@ -108,9 +108,9 @@ func TestEnableTracingUpgradesRing(t *testing.T) {
 	env.Run()
 
 	evs := full.Events()
-	// 4 surviving ring events + 10 post-upgrade events, chronological.
-	if len(evs) != 14 {
-		t.Fatalf("events after upgrade = %d, want 14", len(evs))
+	// A full ring of surviving events + 10 post-upgrade events, chronological.
+	if len(evs) != obs.FlightDepth+10 {
+		t.Fatalf("events after upgrade = %d, want %d", len(evs), obs.FlightDepth+10)
 	}
 	for i := 1; i < len(evs); i++ {
 		if evs[i].TS < evs[i-1].TS {
@@ -143,7 +143,7 @@ func TestCollectorSkipsRingTracers(t *testing.T) {
 	c := obs.NewCollector(false)
 	env := sim.NewEnv()
 	set := obs.Of(env)
-	tr := set.EnableFlightRecorder(8)
+	tr := set.EnableFlightRecorder()
 	env.Go("w", func(p *sim.Proc) { tr.Instant("t", "c", "x") })
 	env.Run()
 	c.Collect(set)

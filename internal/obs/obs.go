@@ -346,7 +346,6 @@ func (s *Set) EnableTracing() *Tracer {
 		s.tracer.events = s.tracer.Events()
 		s.tracer.ring = false
 		s.tracer.head = 0
-		s.tracer.maxEvents = DefaultMaxEvents
 	}
 	return s.tracer
 }

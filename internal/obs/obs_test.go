@@ -211,15 +211,14 @@ func TestSpanNestingAndExport(t *testing.T) {
 func TestEventCap(t *testing.T) {
 	env := sim.NewEnv()
 	tr := obs.Of(env).EnableTracing()
-	tr.SetMaxEvents(4)
 	env.Go("w", func(p *sim.Proc) {
-		for i := 0; i < 10; i++ {
+		for i := 0; i < obs.MaxEvents+6; i++ {
 			tr.Instant("t", "c", "e")
 		}
 	})
 	env.Run()
-	if got := len(tr.Events()); got != 4 {
-		t.Fatalf("events = %d, want 4", got)
+	if got := len(tr.Events()); got != obs.MaxEvents {
+		t.Fatalf("events = %d, want %d", got, obs.MaxEvents)
 	}
 	if got := tr.Dropped(); got != 6 {
 		t.Fatalf("dropped = %d, want 6", got)

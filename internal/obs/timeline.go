@@ -27,13 +27,12 @@ import (
 // window's point reflects exactly the events that completed inside it —
 // identical at any host parallelism.
 
-// DefaultSampleInterval is the sampling cadence used when a caller
-// passes a non-positive interval.
-const DefaultSampleInterval = sim.Millisecond
+// SampleInterval is the sampling cadence: one window per virtual
+// millisecond.
+const SampleInterval = sim.Millisecond
 
-// DefaultMaxPoints bounds one sampler's ring when a caller passes a
-// non-positive capacity.
-const DefaultMaxPoints = 1 << 10
+// MaxPoints bounds one sampler's ring.
+const MaxPoints = 1 << 10
 
 // point is one closed sampling window of a single environment. Maps
 // hold only metrics that changed during the window (sparse), and are
@@ -53,8 +52,7 @@ type point struct {
 // Sampler snapshots one registry at a fixed virtual-time cadence into
 // a ring of delta-encoded points. Create one with Set.StartSampler.
 type Sampler struct {
-	set      *Set
-	interval sim.Duration
+	set *Set
 
 	// Ring of emitted points in chronological order.
 	pts     []point
@@ -71,27 +69,20 @@ type Sampler struct {
 	lastTimeNs   int64
 }
 
-// StartSampler begins sampling this set's registry every interval of
-// virtual time, keeping at most maxPoints windows (non-positive
-// arguments select DefaultSampleInterval / DefaultMaxPoints). The
-// sampler is driven by the environment's clock between events, so it
-// neither keeps the simulation alive nor perturbs its virtual-time
-// results; a final partial window is flushed when Run returns.
-// Calling StartSampler again returns the existing sampler.
-func (s *Set) StartSampler(interval sim.Duration, maxPoints int) *Sampler {
+// StartSampler begins sampling this set's registry every SampleInterval
+// of virtual time, keeping at most MaxPoints windows. The sampler is
+// driven by the environment's clock between events, so it neither
+// keeps the simulation alive nor perturbs its virtual-time results; a
+// final partial window is flushed when Run returns. Calling
+// StartSampler again returns the existing sampler.
+func (s *Set) StartSampler() *Sampler {
 	if s.sampler != nil {
 		return s.sampler
 	}
-	if interval <= 0 {
-		interval = DefaultSampleInterval
-	}
-	if maxPoints <= 0 {
-		maxPoints = DefaultMaxPoints
-	}
+	const interval = int64(SampleInterval)
 	sm := &Sampler{
 		set:          s,
-		interval:     interval,
-		pts:          make([]point, 0, maxPoints),
+		pts:          make([]point, 0, MaxPoints),
 		prevCounters: make(map[string]uint64),
 		prevHistoN:   make(map[string]uint64),
 		prevHistos:   make(map[string]*histo.H),
@@ -102,14 +93,14 @@ func (s *Set) StartSampler(interval sim.Duration, maxPoints int) *Sampler {
 		// Windows closed: every window k with (k+1)*I <= now — the
 		// current event has not executed yet, so state is exactly the
 		// prefix of events in those windows.
-		lastClosed := int64(now)/int64(interval) - 1
-		sm.emit(lastClosed, (lastClosed+1)*int64(interval), false)
-		return sim.Time((lastClosed + 2) * int64(interval))
+		lastClosed := int64(now)/interval - 1
+		sm.emit(lastClosed, (lastClosed+1)*interval, false)
+		return sim.Time((lastClosed + 2) * interval)
 	})
 	env.OnRunEnd(func() {
 		now := int64(env.Now())
 		if now > sm.lastTimeNs || sm.count == 0 {
-			sm.emit(now/int64(interval), now, true)
+			sm.emit(now/interval, now, true)
 		}
 	})
 	return sm
@@ -251,7 +242,7 @@ const TimelineSchema = "twobssd/timeline-v1"
 // windows merge, gauges overwrite in input order — callers pass the
 // streams in a deterministic order (Collector.sortedSets) so the result
 // is byte-identical regardless of scheduling.
-func mergeTimelines(interval sim.Duration, streams [][]point, dropped uint64) Timeline {
+func mergeTimelines(streams [][]point, dropped uint64) Timeline {
 	type acc struct {
 		pt   point
 		envs int
@@ -299,7 +290,7 @@ func mergeTimelines(interval sim.Duration, streams [][]point, dropped uint64) Ti
 	sort.Slice(windows, func(i, j int) bool { return windows[i] < windows[j] })
 	tl := Timeline{
 		Schema:        TimelineSchema,
-		IntervalNs:    int64(interval),
+		IntervalNs:    int64(SampleInterval),
 		Envs:          len(streams),
 		DroppedPoints: dropped,
 		Points:        make([]TimelinePoint, 0, len(windows)),
@@ -328,7 +319,7 @@ func mergeTimelines(interval sim.Duration, streams [][]point, dropped uint64) Ti
 
 // Timeline exports this sampler's ring alone (one environment).
 func (sm *Sampler) Timeline() Timeline {
-	return mergeTimelines(sm.interval, [][]point{sm.points()}, sm.dropped)
+	return mergeTimelines([][]point{sm.points()}, sm.dropped)
 }
 
 // WriteJSON writes the timeline as indented JSON. Map keys are emitted

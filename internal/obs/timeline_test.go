@@ -11,26 +11,27 @@ import (
 )
 
 // TestSamplerWindows drives a hand-built event schedule through a
-// sampler with a 1µs window and checks the exact window contents: a
-// window's point reflects precisely the events that completed inside
-// it, and the run-end flush emits a final partial window.
+// sampler and checks the exact window contents: a window's point
+// reflects precisely the events that completed inside it, and the
+// run-end flush emits a final partial window.
 func TestSamplerWindows(t *testing.T) {
+	const w = int64(obs.SampleInterval)
 	env := sim.NewEnv()
 	set := obs.Of(env)
-	sm := set.StartSampler(sim.Duration(1000), 16)
+	sm := set.StartSampler()
 	r := set.Registry()
 	c := r.Counter("ops")
 	r.Gauge("depth").Set(1)
 	env.Go("w", func(p *sim.Proc) {
-		p.Sleep(100)
-		c.Inc() // t=100, window 0
-		p.Sleep(500)
-		c.Inc() // t=600, window 0
-		p.Sleep(500)
-		c.Inc() // t=1100, window 1
+		p.Sleep(sim.Duration(w / 10))
+		c.Inc() // 0.1 windows in: window 0
+		p.Sleep(sim.Duration(w / 2))
+		c.Inc() // 0.6: window 0
+		p.Sleep(sim.Duration(w / 2))
+		c.Inc() // 1.1: window 1
 		r.Histo("lat").Observe(sim.Duration(42))
-		p.Sleep(1400)
-		c.Inc() // t=2500, window 2 (partial: run ends here)
+		p.Sleep(sim.Duration(w * 14 / 10))
+		c.Inc() // 2.5: window 2 (partial: run ends here)
 	})
 	env.Run()
 
@@ -43,9 +44,9 @@ func TestSamplerWindows(t *testing.T) {
 		delta                  uint64
 		partial                bool
 	}{
-		{0, 1000, 1000, 2, false},
-		{1, 2000, 1000, 1, false},
-		{2, 2500, 500, 1, true},
+		{0, w, w, 2, false},
+		{1, 2 * w, w, 1, false},
+		{2, 5 * w / 2, w / 2, 1, true},
 	}
 	for i, w := range want {
 		pt := tl.Points[i]
@@ -63,7 +64,7 @@ func TestSamplerWindows(t *testing.T) {
 			t.Fatalf("point %d gauge depth = %v, want 1", i, pt.Gauges["depth"])
 		}
 	}
-	// The t=1100 observation lands in window 1 and nowhere else.
+	// The observation 1.1 windows in lands in window 1 and nowhere else.
 	if h, ok := tl.Points[1].Histos["lat"]; !ok || h.N != 1 {
 		t.Fatalf("window 1 lat histo = %+v, want n=1", tl.Points[1].Histos)
 	}
@@ -83,19 +84,19 @@ func TestSamplerWindows(t *testing.T) {
 func TestSamplerRingDrop(t *testing.T) {
 	env := sim.NewEnv()
 	set := obs.Of(env)
-	sm := set.StartSampler(sim.Duration(10), 4)
+	sm := set.StartSampler()
 	c := set.Registry().Counter("ops")
 	env.Go("w", func(p *sim.Proc) {
-		for i := 0; i < 100; i++ {
-			p.Sleep(10)
+		for i := 0; i < obs.MaxPoints+100; i++ {
+			p.Sleep(obs.SampleInterval)
 			c.Inc()
 		}
 	})
 	env.Run()
 
 	tl := sm.Timeline()
-	if len(tl.Points) != 4 {
-		t.Fatalf("ring kept %d points, want 4", len(tl.Points))
+	if len(tl.Points) != obs.MaxPoints {
+		t.Fatalf("ring kept %d points, want %d", len(tl.Points), obs.MaxPoints)
 	}
 	if tl.DroppedPoints == 0 {
 		t.Fatal("ring overflow reported no drops")
@@ -118,7 +119,7 @@ func TestSamplerRingDrop(t *testing.T) {
 func sampledDeviceRun(t *testing.T) ([]byte, []byte) {
 	t.Helper()
 	env := sim.NewEnv()
-	sm := obs.Of(env).StartSampler(sim.Microsecond, 0)
+	sm := obs.Of(env).StartSampler()
 	dev := device.New(env, device.ULLSSD())
 	env.Go("w", func(p *sim.Proc) {
 		ps := dev.PageSize()
@@ -128,6 +129,7 @@ func sampledDeviceRun(t *testing.T) ([]byte, []byte) {
 			if err := dev.WritePages(p, ftl.LBA(i), page); err != nil {
 				t.Errorf("write: %v", err)
 			}
+			p.Sleep(obs.SampleInterval / 4) // spread the run over several windows
 		}
 		if err := dev.Drain(p); err != nil {
 			t.Errorf("drain: %v", err)
@@ -170,16 +172,16 @@ func TestTimelineDeterministic(t *testing.T) {
 func mergedRun(t *testing.T, reversed bool) []byte {
 	t.Helper()
 	c := obs.NewCollector(false)
-	c.EnableSampling(sim.Duration(10), 0)
+	c.EnableSampling()
 	build := func(inc uint64, gauge float64) *sim.Env {
 		env := sim.NewEnv()
 		set := obs.Of(env)
 		ctr := set.Registry().Counter("shared.ops")
 		set.Registry().Gauge("shared.depth").Set(gauge)
 		env.Go("w", func(p *sim.Proc) {
-			p.Sleep(5)
+			p.Sleep(obs.SampleInterval / 2)
 			ctr.Add(inc)
-			p.Sleep(10)
+			p.Sleep(obs.SampleInterval)
 			ctr.Add(inc)
 		})
 		return env
@@ -213,14 +215,14 @@ func TestCollectorMergedTimeline(t *testing.T) {
 	}
 
 	c := obs.NewCollector(false)
-	c.EnableSampling(sim.Duration(10), 0)
+	c.EnableSampling()
 	env := sim.NewEnv()
 	set := obs.Of(env)
 	ctr := set.Registry().Counter("shared.ops")
 	env.Go("w", func(p *sim.Proc) {
-		p.Sleep(5)
+		p.Sleep(obs.SampleInterval / 2)
 		ctr.Add(3)
-		p.Sleep(10)
+		p.Sleep(obs.SampleInterval)
 		ctr.Add(3)
 	})
 	c.Collect(set)

@@ -8,11 +8,11 @@ import (
 	"twobssd/internal/sim"
 )
 
-// DefaultMaxEvents bounds one tracer's event buffer. A paper experiment
+// MaxEvents bounds one full tracer's event buffer. A paper experiment
 // at full scale can emit tens of millions of spans; past the cap new
 // events are counted as dropped instead of recorded, keeping the trace
 // loadable in Perfetto and the simulator's memory bounded.
-const DefaultMaxEvents = 1 << 18
+const MaxEvents = 1 << 18
 
 // Tracer records begin/end spans, instant events and counter samples
 // stamped with virtual time, grouped into named tracks (one Chrome
@@ -23,20 +23,19 @@ const DefaultMaxEvents = 1 << 18
 // by BenchmarkDisabledTracer.
 //
 // A tracer runs in one of two modes. The full tracer (EnableTracing)
-// appends every event up to maxEvents and exports Chrome trace JSON.
+// appends every event up to MaxEvents and exports Chrome trace JSON.
 // The ring tracer (EnableFlightRecorder) is the flight recorder: a
 // fixed-capacity ring that overwrites its oldest event, so it is
 // allocation-bounded no matter how long the run — it always holds the
 // last N events leading up to whatever went wrong.
 type Tracer struct {
-	env       *sim.Env
-	maxEvents int
-	dropped   uint64
-	tracks    []string       // tid -> track name, in first-use order
-	tids      map[string]int // track name -> tid
-	events    []Event
+	env     *sim.Env
+	dropped uint64
+	tracks  []string       // tid -> track name, in first-use order
+	tids    map[string]int // track name -> tid
+	events  []Event
 
-	// Ring (flight-recorder) mode: events wraps at maxEvents and head
+	// Ring (flight-recorder) mode: events wraps at FlightDepth and head
 	// marks the oldest entry.
 	ring bool
 	head int
@@ -54,20 +53,15 @@ type Event struct {
 }
 
 func newTracer(env *sim.Env) *Tracer {
-	return &Tracer{
-		env:       env,
-		maxEvents: DefaultMaxEvents,
-		tids:      make(map[string]int),
-	}
+	return &Tracer{env: env, tids: make(map[string]int)}
 }
 
-func newRingTracer(env *sim.Env, n int) *Tracer {
+func newRingTracer(env *sim.Env) *Tracer {
 	return &Tracer{
-		env:       env,
-		maxEvents: n,
-		tids:      make(map[string]int),
-		events:    make([]Event, 0, n),
-		ring:      true,
+		env:    env,
+		tids:   make(map[string]int),
+		events: make([]Event, 0, FlightDepth),
+		ring:   true,
 	}
 }
 
@@ -77,13 +71,6 @@ func (t *Tracer) Enabled() bool { return t != nil }
 // Ring reports whether the tracer is a bounded flight-recorder ring
 // (as opposed to a full exporting tracer).
 func (t *Tracer) Ring() bool { return t != nil && t.ring }
-
-// SetMaxEvents adjusts the event cap (<= 0 means unlimited).
-func (t *Tracer) SetMaxEvents(n int) {
-	if t != nil {
-		t.maxEvents = n
-	}
-}
 
 // Events returns the recorded events in chronological order. For a
 // full tracer the slice is borrowed (do not mutate); a ring tracer
@@ -123,18 +110,18 @@ func (t *Tracer) tid(track string) int {
 }
 
 func (t *Tracer) emit(ev Event) {
-	if t.maxEvents > 0 && len(t.events) >= t.maxEvents {
-		if t.ring {
-			// Flight recorder: overwrite the oldest event in place —
-			// steady state allocates nothing and keeps the newest N.
-			t.events[t.head] = ev
-			t.head++
-			if t.head == len(t.events) {
-				t.head = 0
-			}
-			t.dropped++
-			return
+	if t.ring && len(t.events) == FlightDepth {
+		// Flight recorder: overwrite the oldest event in place —
+		// steady state allocates nothing and keeps the newest N.
+		t.events[t.head] = ev
+		t.head++
+		if t.head == len(t.events) {
+			t.head = 0
 		}
+		t.dropped++
+		return
+	}
+	if len(t.events) >= MaxEvents {
 		t.dropped++
 		return
 	}

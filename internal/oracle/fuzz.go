@@ -105,41 +105,40 @@ func (d *Divergence) String() string {
 	return fmt.Sprintf("seed %d op %d (%s): %s", d.Seed, d.OpIndex, d.Op, d.Detail)
 }
 
-// Config tunes one fuzz run.
+// Config tunes one fuzz run. A trace is 80 operations over hotSpan
+// logical pages.
 type Config struct {
-	Ops     int // generated operations per seed (default 80)
-	LBASpan int // logical pages the workload churns (default 96)
 	// BuggyChecker runs the reference model with its off-by-one
 	// LBA-checker miswiring — the oracle self-test.
 	BuggyChecker bool
 	// GCActive runs the trace on a 16-blocks/die drive whose span
-	// (default 1380 pages, 90 % of it) is filled and then overwritten
-	// into steady-state garbage collection before the first op, with
-	// three times the ops (default 240) and more of them block writes,
-	// half on the first 96 LBAs: same-LBA overwrites through four drain
-	// workers while relocation runs, pins, flushes, scrubs and power
-	// cycles go on. Without it the drive never collects.
+	// (1380 pages, 90 % of it) is filled and then overwritten into
+	// steady-state garbage collection before the first op, with three
+	// times the ops (240) and more of them block writes, half on the
+	// first 96 LBAs: same-LBA overwrites through four drain workers
+	// while relocation runs, pins, flushes, scrubs and power cycles go
+	// on. Without it the drive never collects.
 	GCActive bool
 }
 
-// hotSpan is the default LBA span; a GCActive trace keeps its pins and
-// half of its block traffic on it.
+// hotSpan is the LBA span of a trace without GCActive; a GCActive trace
+// keeps its pins and half of its block traffic on it.
 const hotSpan = 96
 
-func (c Config) withDefaults() Config {
-	if c.Ops <= 0 {
-		c.Ops = 80
-		if c.GCActive {
-			c.Ops = 240
-		}
+// ops is the trace length of the profile.
+func (c Config) ops() int {
+	if c.GCActive {
+		return 240
 	}
-	if c.LBASpan <= 0 {
-		c.LBASpan = hotSpan
-		if c.GCActive {
-			c.LBASpan = 1380
-		}
+	return 80
+}
+
+// lbaSpan is the logical pages the profile's workload churns.
+func (c Config) lbaSpan() int {
+	if c.GCActive {
+		return 1380
 	}
-	return c
+	return hotSpan
 }
 
 // Result is the outcome of one seed.
@@ -211,7 +210,6 @@ func fuzzPlan(seed uint64) fault.Plan {
 
 // Generate derives the deterministic op trace for one seed.
 func Generate(seed uint64, cfg Config) []Op {
-	cfg = cfg.withDefaults()
 	sc := stackConfig(cfg.GCActive)
 	ps := sc.Base.Nand.PageSize
 	bufPages := sc.BABufferBytes / ps
@@ -222,10 +220,11 @@ func Generate(seed uint64, cfg Config) []Op {
 		if cfg.GCActive && r.Intn(2) == 0 {
 			return ftl.LBA(r.Intn(hotSpan))
 		}
-		return ftl.LBA(r.Intn(cfg.LBASpan))
+		return ftl.LBA(r.Intn(cfg.lbaSpan()))
 	}
-	ops := make([]Op, 0, cfg.Ops)
-	for i := 0; i < cfg.Ops; i++ {
+	n := cfg.ops()
+	ops := make([]Op, 0, n)
+	for i := 0; i < n; i++ {
 		var o Op
 		w := r.Intn(100)
 		if cfg.GCActive && w < 20 && r.Intn(2) == 0 {
@@ -249,7 +248,7 @@ func Generate(seed uint64, cfg Config) []Op {
 				Kind:  OpPin,
 				EID:   core.EID(r.Intn(sc.MaxEntries + 1)), // +1: sometimes a bad EID
 				Off:   r.Intn(bufPages) * ps,
-				LBA:   ftl.LBA(r.Intn(min(cfg.LBASpan, hotSpan))),
+				LBA:   ftl.LBA(r.Intn(hotSpan)),
 				Pages: 1 + r.Intn(4),
 			}
 			if r.Intn(10) == 0 {
@@ -282,7 +281,6 @@ func Generate(seed uint64, cfg Config) []Op {
 // stack + model, returning the first divergence (if any) plus fault
 // and scrub counters.
 func Run(seed uint64, cfg Config) Result {
-	cfg = cfg.withDefaults()
 	return Replay(seed, cfg, Generate(seed, cfg))
 }
 
@@ -290,11 +288,10 @@ func Run(seed uint64, cfg Config) Result {
 // Env, stack and model — the entry point the shrinker re-invokes with
 // candidate subsequences.
 func Replay(seed uint64, cfg Config, ops []Op) Result {
-	cfg = cfg.withDefaults()
 	env := sim.NewEnv()
 	fault.Install(env, fuzzPlan(seed))
 	set := obs.Of(env)
-	set.EnableFlightRecorder(0)
+	set.EnableFlightRecorder()
 	sc := stackConfig(cfg.GCActive)
 	s := core.New(env, sc)
 	m := NewModel(ModelConfig{
@@ -310,7 +307,7 @@ func Replay(seed uint64, cfg Config, ops []Op) Result {
 	res := Result{Seed: seed}
 	env.Go("oracle.fuzz", func(p *sim.Proc) {
 		if cfg.GCActive {
-			if d := precondition(p, s, m, seed, cfg.LBASpan); d != nil {
+			if d := precondition(p, s, m, seed, cfg.lbaSpan()); d != nil {
 				d.Seed, d.OpIndex = seed, -1
 				res.Divergence = d
 				return
@@ -530,7 +527,7 @@ func finalCheck(p *sim.Proc, s *core.TwoBSSD, m *Model, cfg Config) *Divergence 
 			}
 		}
 		got := make([]byte, m.cfg.PageSize)
-		for lba := 0; lba < cfg.LBASpan; lba++ {
+		for lba := 0; lba < cfg.lbaSpan(); lba++ {
 			rerr := s.Device().ReadPagesInto(p, ftl.LBA(lba), got)
 			want, werr := m.BlockRead(ftl.LBA(lba), 1)
 			if d := wantErr(rerr, werr); d != nil {

@@ -192,7 +192,7 @@ func (m *Model) Pin(eid core.EID, off int, lba ftl.LBA, pages int) error {
 	if off+pages*ps > len(m.babuf) {
 		return core.ErrOutOfBuffer
 	}
-	if uint64(lba)+uint64(pages) > m.cfg.Pages {
+	if !ftl.Within(lba, pages, m.cfg.Pages) {
 		return core.ErrOutOfLBA
 	}
 	for _, e := range m.table {
@@ -244,7 +244,7 @@ func (m *Model) BlockWrite(lba ftl.LBA, data []byte) error {
 	if err := m.gate(lba, pages); err != nil {
 		return err
 	}
-	if uint64(lba)+uint64(pages) > m.cfg.Pages {
+	if !ftl.Within(lba, pages, m.cfg.Pages) {
 		return ftl.ErrLBAOutOfRange
 	}
 	for i := 0; i < pages; i++ {
@@ -261,7 +261,7 @@ func (m *Model) BlockRead(lba ftl.LBA, pages int) ([]byte, error) {
 	if err := m.gate(lba, pages); err != nil {
 		return nil, err
 	}
-	if uint64(lba)+uint64(pages) > m.cfg.Pages {
+	if !ftl.Within(lba, pages, m.cfg.Pages) {
 		return nil, ftl.ErrLBAOutOfRange
 	}
 	out := make([]byte, pages*m.cfg.PageSize)

@@ -160,7 +160,6 @@ func TestRingRoundtrip(t *testing.T) {
 func ringRotateRecover(t *testing.T, mode CommitMode) {
 	r := newRig()
 	cfg := segCfg(r, mode)
-	cfg.AsyncFlushInterval = 20 * sim.Millisecond // fires twice during the fill; the third outlasts the recovery
 	sl, err := Open(r.env, cfg)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
@@ -183,7 +182,9 @@ func ringRotateRecover(t *testing.T, mode CommitMode) {
 			}
 			switch {
 			case i < 24:
-				p.Sleep(2 * sim.Millisecond)
+				// The write-behind fires twice during the fill; the
+				// third outlasts the recovery.
+				p.Sleep(asyncFlushInterval / 10)
 			case i == 24:
 				// Checkpoint two records back, inside segment 2: segments 0
 				// and 1 truncate, records 23 and 24 reach the device with it.

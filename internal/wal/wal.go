@@ -188,11 +188,11 @@ type Config struct {
 	SSD          *core.TwoBSSD
 	EIDs         []core.EID
 	BufferOffset int // base of this log's window in the BA-buffer
-
-	// AsyncFlushInterval bounds the loss window in Async mode and sets
-	// the PM mode's lazy write-behind cadence.
-	AsyncFlushInterval sim.Duration
 }
+
+// asyncFlushInterval bounds the loss window in Async mode and sets the
+// PM mode's lazy write-behind cadence.
+const asyncFlushInterval = 10 * sim.Millisecond
 
 // pmPersistCost is the PM-mode commit cost: a DRAM-latency store plus
 // cache-line flush into the emulated persistent memory.
@@ -340,9 +340,6 @@ func Open(env *sim.Env, cfg Config) (*Log, error) {
 			return nil, fmt.Errorf("%w: segment larger than file", ErrBadConfig)
 		}
 		cfg.EIDs = slices.Clone(cfg.EIDs) // Rebind overwrites it in place
-	}
-	if (cfg.Mode == Async || cfg.Mode == PM) && cfg.AsyncFlushInterval <= 0 {
-		cfg.AsyncFlushInterval = 10 * sim.Millisecond
 	}
 	l.cfg = cfg
 	l.mu = env.NewResource(muName, 1)
@@ -938,7 +935,7 @@ func (l *Log) scheduleAsyncFlush() {
 		return
 	}
 	l.asyncScheduled = true
-	l.env.GoAt(l.env.Now()+sim.Time(l.cfg.AsyncFlushInterval), "wal.asyncflush", func(p *sim.Proc) {
+	l.env.GoAt(l.env.Now()+sim.Time(asyncFlushInterval), "wal.asyncflush", func(p *sim.Proc) {
 		l.asyncScheduled = false
 		if err := l.flushBlock(p); err != nil {
 			panic(fmt.Sprintf("wal: async flush: %v", err))

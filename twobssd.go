@@ -167,9 +167,9 @@ type (
 	// ObsCollector aggregates metrics, traces and timelines across
 	// environments.
 	ObsCollector = obs.Collector
-	// Sampler snapshots a registry at a fixed virtual-time cadence into
+	// Sampler snapshots a registry once per virtual millisecond into
 	// ring-buffered, delta-encoded timeline windows (Observe(env).
-	// StartSampler).
+	// StartSampler()).
 	Sampler = obs.Sampler
 	// Timeline is the exported metric timeline: per-window counter
 	// rates, sampled gauges and windowed histogram percentiles, merged
@@ -178,8 +178,8 @@ type (
 	// TimelinePoint is one timeline window.
 	TimelinePoint = obs.TimelinePoint
 	// FlightDump is the post-mortem artifact of the always-on flight
-	// recorder: the last spans before a failure plus metrics at that
-	// moment (Observe(env).EnableFlightRecorder / FlightDump).
+	// recorder: the last 256 events before a failure plus metrics at
+	// that moment (Observe(env).EnableFlightRecorder() / FlightDump).
 	FlightDump = obs.FlightDump
 )
 
@@ -198,6 +198,6 @@ func Observe(env *Env) *Observability { return obs.Of(env) }
 // NewObsCollector returns a collector that, once Install()ed, captures
 // every environment the process subsequently creates — how bench2b's
 // -metrics/-trace/-timeline flags observe experiments that build many
-// environments internally. Call EnableSampling before Install to also
-// record metric timelines.
+// environments internally. Call EnableSampling() before Install to
+// also record metric timelines, one window per virtual millisecond.
 func NewObsCollector(tracing bool) *ObsCollector { return obs.NewCollector(tracing) }
