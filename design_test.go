@@ -59,6 +59,9 @@ var designRules = []rule{
 		planted: []string{"internal/sim/x_test.go\nfunc  f() {}", "benchmark/x.go\nvar  n = 1"}},
 	{name: "Power-on reads the media", pr: 52, in: dirs("core"), bad: ident("^(dumpValid|HasDump)$"),
 		planted: []string{"internal/core/x.go\ntype recovery struct{ dumpValid bool }", "internal/core/x.go\nfunc f() bool { return s.HasDump() }"}},
+	{name: "Engines serve the traffic they get", pr: 54, in: dirs("lsm", "kvaof"), bad: ident("^(WriteBatch|recBatch|NewIterator|cmdIncr|cmdAppend)$"),
+		planted: []string{"internal/lsm/x.go\ntype WriteBatch struct{}", "internal/lsm/x.go\nfunc f() { db.NewIterator(p, nil) }",
+			"internal/lsm/x.go\nconst recBatch = byte(3)", "internal/kvaof/x.go\nconst cmdIncr = byte(3)", "internal/kvaof/x.go\nvar _ = cmdAppend"}},
 }
 
 type rule struct {

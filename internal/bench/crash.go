@@ -309,27 +309,17 @@ func (c *lsmCrash) Recover(p *sim.Proc) (recovered, phantoms []string, err error
 
 const pgCrashTable = "crash"
 
-// pgCrash upserts through the engine. With atLog unset it verifies by
-// reopening the engine and scanning the table. A pglite reopened after
-// a checkpoint cannot serve its heap yet (DESIGN.md §11), so the row
-// that checkpoints sets atLog and verifies one layer down: the engine's
-// own XLOG placement must replay exactly the batches committed past its
-// durable checkpoint, each with the bytes that were committed.
+// pgCrash upserts through the engine and verifies by reopening the
+// engine and scanning the table: the heap scan at Open serves what the
+// last checkpoint flushed, the XLOG replay what was committed after it.
 type pgCrash struct {
 	*stack
-	cfg   pglite.Config
-	eng   *pglite.Engine
-	hist  *overwrites
-	atLog bool
-	ends  []pgBatch // atLog: every committed batch, in LSN order
+	cfg  pglite.Config
+	eng  *pglite.Engine
+	hist *overwrites
 }
 
-type pgBatch struct {
-	end        wal.LSN
-	key, value string
-}
-
-func buildPGCrash(log func(*stack) wal.Config, keys, size int, atLog bool) cycleBuilder {
+func buildPGCrash(log func(*stack) wal.Config, keys, size int) cycleBuilder {
 	return func(env *sim.Env, p *sim.Proc) (fault.Cycle, error) {
 		s := newCrashStack(env)
 		cfg := pglite.Config{
@@ -345,7 +335,7 @@ func buildPGCrash(log func(*stack) wal.Config, keys, size int, atLog bool) cycle
 		if err := eng.CreateTable(pgCrashTable); err != nil {
 			return nil, err
 		}
-		return &pgCrash{stack: s, cfg: cfg, eng: eng, hist: newOverwrites("pg", keys, size), atLog: atLog}, nil
+		return &pgCrash{stack: s, cfg: cfg, eng: eng, hist: newOverwrites("pg", keys, size)}, nil
 	}
 }
 
@@ -355,9 +345,6 @@ func (c *pgCrash) Step(p *sim.Proc, i int) (string, error) {
 	tx.Upsert(pgCrashTable, []byte(key), []byte(value))
 	if err := tx.Commit(p); err != nil {
 		return "", err
-	}
-	if c.atLog { // one committer: the batch is the last record of the log
-		c.ends = append(c.ends, pgBatch{wal.LSN(c.eng.Log().AppendOff()), key, value})
 	}
 	return key, nil
 }
@@ -376,16 +363,8 @@ func (c *pgCrash) Recover(p *sim.Proc) (recovered, phantoms []string, err error)
 	if err := c.ssd.PowerOn(p); err != nil {
 		return nil, nil, err
 	}
-	if c.atLog {
-		return c.recoverAtLog(p)
-	}
 	eng, err := pglite.Open(c.env, p, c.cfg)
 	if excused, err := c.tornLogExcused(p, err); excused || err != nil {
-		return nil, nil, err
-	}
-	// Replay creates the table when any batch survived; the explicit
-	// create covers the crash-before-first-commit points.
-	if err := eng.CreateTable(pgCrashTable); err != nil {
 		return nil, nil, err
 	}
 	keys, values, err := eng.Begin().Scan(p, pgCrashTable, nil, len(c.hist.newest)+8)
@@ -394,51 +373,6 @@ func (c *pgCrash) Recover(p *sim.Proc) (recovered, phantoms []string, err error)
 	}
 	for i, k := range keys {
 		c.hist.judge(string(k), string(values[i]), &recovered, &phantoms)
-	}
-	return recovered, phantoms, nil
-}
-
-// recoverAtLog replays the XLOG the way pglite.Open would. A key is
-// recovered when the batch holding its newest version is replayed, or
-// lies below the durable checkpoint (its heap pages were flushed before
-// the checkpoint was recorded); a replayed record that is not a batch
-// committed at that LSN is a phantom.
-func (c *pgCrash) recoverAtLog(p *sim.Proc) (recovered, phantoms []string, err error) {
-	cfg := c.cfg.Log
-	cfg.Name = pglite.LogName
-	l, err := wal.Open(c.env, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	byEnd := make(map[wal.LSN]pgBatch, len(c.ends))
-	for _, b := range c.ends {
-		byEnd[b.end] = b
-	}
-	replayed := map[string]string{} // key → value of its last replayed batch
-	err = l.Recover(p, func(lsn wal.LSN, payload []byte) error {
-		if b, ok := byEnd[lsn]; ok && bytes.Contains(payload, []byte(b.value)) {
-			replayed[b.key] = b.value
-		} else {
-			phantoms = append(phantoms, fmt.Sprintf("xlog@%d", lsn))
-		}
-		return nil
-	})
-	if excused, err := c.tornLogExcused(p, err); excused || err != nil {
-		return nil, nil, err
-	}
-	state := map[string]string{} // the checkpointed heap, then the replay over it
-	for _, b := range c.ends {
-		if b.end <= l.CheckpointLSN() {
-			state[b.key] = b.value
-		}
-	}
-	for k, v := range replayed {
-		state[k] = v
-	}
-	for slot := 0; slot < c.hist.keys; slot++ {
-		if v, ok := state[crashKey("pg", slot)]; ok {
-			c.hist.judge(crashKey("pg", slot), v, &recovered, &phantoms)
-		}
 	}
 	return recovered, phantoms, nil
 }
@@ -695,7 +629,7 @@ var campaigns = []campaign{
 	{"crash", "lsm", 32, 0x2b55c0de0002, buildLSMCrash, nil, true},
 	// A fresh key per op on a 1 MB XLOG / 2 MB AOF / 1 MB journal.
 	{"crash", "pglite", 32, 0x2b55c0de0003,
-		func(ops int) cycleBuilder { return buildPGCrash(crashRing(2, 128, 64, 0, 1), ops, 48, false) }, nil, true},
+		func(ops int) cycleBuilder { return buildPGCrash(crashRing(2, 128, 64, 0, 1), ops, 48) }, nil, true},
 	{"crash", "kvaof", 40, 0x2b55c0de0004,
 		func(ops int) cycleBuilder { return buildAOFCrash(crashRing(2, 256, 256, 0), ops, 48) }, nil, false},
 	{"crash", "jfs", 32, 0x2b55c0de0005,
@@ -706,7 +640,7 @@ var campaigns = []campaign{
 	// ops, the rings lap, and power cuts land on rotations, checkpoints
 	// and truncations — with the dump cut short on a subset of points.
 	{"crash", "pglite-ckpt", 48, 0x2b55c0de0008,
-		fixed(buildPGCrash(crashRing(2, 4, 2, 0, 1), 6, 1500, true)), walLifeTweak, true},
+		fixed(buildPGCrash(crashRing(2, 4, 2, 0, 1), 6, 1500)), walLifeTweak, true},
 	{"crash", "kvaof-ckpt", 48, 0x2b55c0de0009,
 		fixed(buildAOFCrash(crashRing(4, 4, 4, 0), 4, 1500)), walLifeTweak, true},
 	{"crash", "jfs-ckpt", 48, 0x2b55c0de000a,

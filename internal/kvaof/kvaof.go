@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 
 	"twobssd/internal/obs"
 	"twobssd/internal/sim"
@@ -119,10 +118,8 @@ func (s *Store) Keys() []string {
 
 // AOF record encoding.
 const (
-	cmdSet    = byte(1)
-	cmdDel    = byte(2)
-	cmdIncr   = byte(3)
-	cmdAppend = byte(4)
+	cmdSet = byte(1)
+	cmdDel = byte(2)
 )
 
 // encodeCmd builds one AOF record in the store's scratch buffer; the
@@ -205,16 +202,6 @@ func (s *Store) put(key, value []byte) {
 	s.dict[string(key)] = &entry{v: append([]byte(nil), value...)}
 }
 
-// lookup returns the entry for key, creating it if missing.
-func (s *Store) lookup(key []byte) *entry {
-	if e, ok := s.dict[string(key)]; ok {
-		return e
-	}
-	e := &entry{}
-	s.dict[string(key)] = e
-	return e
-}
-
 // logCmd appends and commits one AOF record, rewriting the AOF first
 // when it has grown to the point where one more record would leave the
 // ring no room for a rewrite (Redis's BGREWRITEAOF, done inline:
@@ -262,7 +249,7 @@ func (s *Store) rewrite(p *sim.Proc) error {
 
 // replay rebuilds the dictionary from the AOF past its checkpoint.
 func (s *Store) replay(p *sim.Proc) error {
-	return s.aof.Recover(p, func(_ wal.LSN, payload []byte) error {
+	return s.aof.Recover(p, func(lsn wal.LSN, payload []byte) error {
 		op, key, value, err := decodeCmd(payload)
 		if err != nil {
 			return err
@@ -272,61 +259,9 @@ func (s *Store) replay(p *sim.Proc) error {
 			s.put(key, value)
 		case cmdDel:
 			delete(s.dict, string(key))
-		case cmdIncr:
-			s.applyIncr(key)
-		case cmdAppend:
-			s.applyAppend(key, value)
+		default:
+			return fmt.Errorf("kvaof: record @%d: unknown command %d", lsn, op)
 		}
 		return nil
 	})
-}
-
-func (s *Store) applyIncr(key []byte) int64 {
-	e := s.lookup(key)
-	n, _ := strconv.ParseInt(string(e.v), 10, 64)
-	n++
-	e.v = strconv.AppendInt(e.v[:0], n, 10)
-	return n
-}
-
-func (s *Store) applyAppend(key, value []byte) int {
-	e := s.lookup(key)
-	e.v = append(e.v, value...)
-	return len(e.v)
-}
-
-// Incr atomically increments the integer value at key (INCR), starting
-// from 0 for a missing key, and returns the new value.
-func (s *Store) Incr(p *sim.Proc, key []byte) (int64, error) {
-	s.loop.Acquire(p)
-	defer s.loop.Release()
-	p.Sleep(s.cfg.WriteCPU)
-	if err := s.logCmd(p, cmdIncr, key, nil); err != nil {
-		return 0, err
-	}
-	s.cSets.Inc()
-	return s.applyIncr(key), nil
-}
-
-// Append appends value to the string at key (APPEND) and returns the
-// new length.
-func (s *Store) Append(p *sim.Proc, key, value []byte) (int, error) {
-	s.loop.Acquire(p)
-	defer s.loop.Release()
-	p.Sleep(s.cfg.WriteCPU)
-	if err := s.logCmd(p, cmdAppend, key, value); err != nil {
-		return 0, err
-	}
-	s.cSets.Inc()
-	return s.applyAppend(key, value), nil
-}
-
-// Exists reports whether key is present (EXISTS).
-func (s *Store) Exists(p *sim.Proc, key []byte) bool {
-	s.loop.Acquire(p)
-	defer s.loop.Release()
-	p.Sleep(s.cfg.ReadCPU)
-	s.cGets.Inc()
-	_, ok := s.dict[string(key)]
-	return ok
 }

@@ -151,7 +151,7 @@ func (db *DB) mergeTables(p *sim.Proc, inputs []*table, dropTombstones bool) ([]
 	for len(db.mergeBufs) < len(inputs) {
 		db.mergeBufs = append(db.mergeBufs, nil)
 	}
-	m := merger{srcs: make([]cursor, len(inputs))}
+	m := merger{srcs: make([]*tableCursor, len(inputs))}
 	for i, t := range inputs {
 		buf := db.mergeBufs[i][:0]
 		for bi := range t.index {
@@ -163,7 +163,7 @@ func (db *DB) mergeTables(p *sim.Proc, inputs []*table, dropTombstones bool) ([]
 		}
 		db.mergeBufs[i] = buf
 		c := &tableCursor{t: t, data: buf}
-		if err := c.load(p); err != nil {
+		if err := c.load(); err != nil {
 			return nil, err
 		}
 		m.srcs[i] = c
@@ -172,7 +172,7 @@ func (db *DB) mergeTables(p *sim.Proc, inputs []*table, dropTombstones bool) ([]
 	w := db.writer()
 	defer db.idleWriter(w)
 	for {
-		e, ok, err := m.next(p)
+		e, ok, err := m.next()
 		if err != nil {
 			return nil, err
 		}
@@ -214,5 +214,108 @@ func (db *DB) dropTables(tables []*table) error {
 			return err
 		}
 	}
+	return nil
+}
+
+// merger is the engine's one merge rule: a k-way merge over table
+// cursors, each sorted by (key asc, seq desc), that yields every key
+// once, at its newest version. It picks the lowest key, then the
+// highest seq, then the earliest source.
+type merger struct {
+	srcs  []*tableCursor
+	key   []byte
+	value []byte
+}
+
+// next returns the newest version of the next key, tombstones included,
+// after moving every source past the key's older versions. Its key and
+// value are the merger's copies, valid until the next call.
+func (m *merger) next() (entry, bool, error) {
+	var best entry
+	bestIdx := -1
+	for i, src := range m.srcs {
+		e, ok := src.peek()
+		if !ok {
+			continue
+		}
+		if bestIdx < 0 {
+			best, bestIdx = e, i
+			continue
+		}
+		c := bytes.Compare(e.key, best.key)
+		if c < 0 || (c == 0 && e.seq > best.seq) {
+			best, bestIdx = e, i
+		}
+	}
+	if bestIdx < 0 {
+		return entry{}, false, nil
+	}
+	m.key = append(m.key[:0], best.key...)
+	m.value = append(m.value[:0], best.value...)
+	best.key = m.key
+	if !best.tombstone {
+		best.value = m.value
+	}
+	for _, src := range m.srcs {
+		for {
+			e, ok := src.peek()
+			if !ok || !bytes.Equal(e.key, m.key) {
+				break
+			}
+			if err := src.advance(); err != nil {
+				return entry{}, false, err
+			}
+		}
+	}
+	return best, true, nil
+}
+
+// tableCursor walks an SST's blocks in order, decoding in place. data
+// holds every block of the table back to back (compaction's scratch),
+// and a load moves to the next.
+type tableCursor struct {
+	t     *table
+	data  []byte
+	block []byte // the current block; nil once exhausted
+	end   int    // where the next block starts in data
+	bi    int    // next block index to load
+	cur   entry
+	next  int // offset of the entry after cur in block
+}
+
+// load moves to the first entry of the next non-empty block, if any.
+func (c *tableCursor) load() error {
+	for c.bi < len(c.t.index) {
+		n := int(c.t.index[c.bi].length)
+		c.block = c.data[c.end : c.end+n : c.end+n]
+		c.end += n
+		c.bi++
+		e, next, err := decodeEntry(c.block, 0)
+		if err != nil {
+			return err
+		}
+		if next >= 0 {
+			c.cur, c.next = e, next
+			return nil
+		}
+	}
+	c.block = nil
+	return nil
+}
+
+func (c *tableCursor) peek() (entry, bool) { return c.cur, c.block != nil }
+
+func (c *tableCursor) advance() error {
+	if c.block == nil {
+		return nil
+	}
+	e, next, err := decodeEntry(c.block, c.next)
+	if err != nil {
+		return err
+	}
+	if next < 0 {
+		return c.load()
+	}
+	c.cur, c.next = e, next
 	return nil
 }

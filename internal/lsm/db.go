@@ -128,10 +128,8 @@ type DB struct {
 	// Obsolete SST files are reclaimed only when no reader is active.
 	activeReaders int
 	obsolete      []string
-	// retired holds flushed memtables whose chunks wait for the read
-	// epoch to close: an open Iterator holds memtable nodes across
-	// yields. Released chunks go to memSpares for the next memtables.
-	retired   []*memtable
+	// memSpares holds the chunks of flushed memtables for the next
+	// memtables to carve from.
 	memSpares memChunks
 
 	// writers holds idle SST writers; a flush and a compaction may each
@@ -189,16 +187,6 @@ func (db *DB) Stats() Stats {
 	return s
 }
 
-// retire releases a flushed memtable's chunks now, or at the end of
-// the read epoch if one is open.
-func (db *DB) retire(m *memtable) {
-	if db.activeReaders > 0 {
-		db.retired = append(db.retired, m)
-		return
-	}
-	m.release()
-}
-
 // writer returns an idle SST writer, or a new one.
 func (db *DB) writer() *sstWriter {
 	if k := len(db.writers); k > 0 {
@@ -250,31 +238,20 @@ func (db *DB) recoverLogs(p *sim.Proc) error {
 		if err != nil {
 			return err
 		}
-		err = l.Recover(p, func(_ wal.LSN, payload []byte) error {
-			if len(payload) > 0 && payload[0] == recBatch {
-				ops, err := decodeBatchRecord(payload)
-				if err != nil {
-					return err
-				}
-				for _, o := range ops {
-					db.seq++
-					if o.typ == recDelete {
-						rec.add(o.key, db.seq, nil)
-					} else {
-						rec.add(o.key, db.seq, o.value)
-					}
-				}
-				return nil
-			}
+		err = l.Recover(p, func(lsn wal.LSN, payload []byte) error {
 			typ, key, value, err := decodeRecord(payload)
 			if err != nil {
 				return err
 			}
-			db.seq++
-			if typ == recDelete {
-				rec.add(key, db.seq, nil)
-			} else {
+			switch typ {
+			case recPut:
+				db.seq++
 				rec.add(key, db.seq, value)
+			case recDelete:
+				db.seq++
+				rec.add(key, db.seq, nil)
+			default:
+				return fmt.Errorf("lsm: %s@%d: unknown record type %d", name, lsn, typ)
 			}
 			return nil
 		})
@@ -287,7 +264,7 @@ func (db *DB) recoverLogs(p *sim.Proc) error {
 			return err
 		}
 	}
-	db.retire(rec)
+	rec.release()
 	for _, name := range names {
 		if err := db.cfg.LogFS.Remove(name); err != nil {
 			return err
@@ -327,7 +304,6 @@ func (db *DB) newWAL(p *sim.Proc) error {
 const (
 	recPut    = byte(1)
 	recDelete = byte(2)
-	recBatch  = byte(3)
 )
 
 func encodeRecordInto(out []byte, typ byte, key, value []byte) []byte {
@@ -436,7 +412,7 @@ func (db *DB) flushImm(p *sim.Proc, imm *memtable, l *wal.Log, f *vfs.File) erro
 		return err
 	}
 	db.imm = nil
-	db.retire(imm)
+	imm.release()
 	db.walImm, db.immFile = nil, nil
 	db.stats.Flushes++
 	db.immDone.Fire()
@@ -507,11 +483,6 @@ func (db *DB) endRead() {
 	if db.activeReaders > 0 {
 		return
 	}
-	for i, m := range db.retired {
-		m.release()
-		db.retired[i] = nil
-	}
-	db.retired = db.retired[:0]
 	if len(db.obsolete) > 0 {
 		names := db.obsolete
 		db.obsolete = nil
@@ -529,11 +500,11 @@ func (db *DB) endRead() {
 func (db *DB) Get(p *sim.Proc, key []byte) (value []byte, found bool, err error) {
 	p.Sleep(db.cfg.ReadCPU)
 	db.stats.Gets++
-	if v, ok := db.mem.get(key, ^uint64(0)); ok {
+	if v, ok := db.mem.get(key); ok {
 		return db.hit(v)
 	}
 	if db.imm != nil {
-		if v, ok := db.imm.get(key, ^uint64(0)); ok {
+		if v, ok := db.imm.get(key); ok {
 			return db.hit(v)
 		}
 	}

@@ -22,13 +22,13 @@ func TestMemtableBasic(t *testing.T) {
 	m.add([]byte("b"), 1, []byte("v1"))
 	m.add([]byte("a"), 2, []byte("v2"))
 	m.add([]byte("b"), 3, []byte("v3"))
-	if v, ok := m.get([]byte("b"), ^uint64(0)); !ok || string(v) != "v3" {
+	if v, ok := m.get([]byte("b")); !ok || string(v) != "v3" {
 		t.Fatalf("get b = %q, %v", v, ok)
 	}
-	if v, ok := m.get([]byte("a"), ^uint64(0)); !ok || string(v) != "v2" {
+	if v, ok := m.get([]byte("a")); !ok || string(v) != "v2" {
 		t.Fatalf("get a = %q, %v", v, ok)
 	}
-	if _, ok := m.get([]byte("zz"), ^uint64(0)); ok {
+	if _, ok := m.get([]byte("zz")); ok {
 		t.Fatal("phantom key")
 	}
 	if m.len() != 3 {
@@ -40,7 +40,7 @@ func TestMemtableTombstone(t *testing.T) {
 	m := newMemtable(1, nil)
 	m.add([]byte("k"), 1, []byte("v"))
 	m.add([]byte("k"), 2, nil)
-	v, ok := m.get([]byte("k"), ^uint64(0))
+	v, ok := m.get([]byte("k"))
 	if !ok || v != nil {
 		t.Fatalf("tombstone: %q %v", v, ok)
 	}
@@ -81,7 +81,7 @@ func TestPropertyMemtableLastWriteWins(t *testing.T) {
 			shadow[k] = v
 		}
 		for k, want := range shadow {
-			got, ok := m.get([]byte(k), ^uint64(0))
+			got, ok := m.get([]byte(k))
 			if !ok || string(got) != want {
 				return false
 			}
@@ -379,33 +379,28 @@ func TestCompactionKeepsDataCorrect(t *testing.T) {
 	r.env.Run()
 }
 
-func TestScanMergesAllSources(t *testing.T) {
+// A committed WAL record of a type the engine never writes fails the
+// replay instead of coming back as a put.
+func TestRecoveryRejectsUnknownRecordType(t *testing.T) {
 	r := newDBRig()
 	r.env.Go("t", func(p *sim.Proc) {
-		cfg := r.config(wal.Sync)
-		cfg.MemtableBytes = 8 << 10
-		db, err := Open(r.env, p, cfg)
+		db, err := Open(r.env, p, r.config(wal.Sync))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 300; i++ {
-			db.Put(p, []byte(fmt.Sprintf("k%04d", i)), []byte(fmt.Sprintf("v%d", i)))
+		if err := db.Put(p, []byte("k"), []byte("v")); err != nil {
+			t.Fatal(err)
 		}
-		db.Delete(p, []byte("k0100"))
-		keys, values, err := db.Scan(p, []byte("k0098"), 5)
+		lsn, err := db.walAct.Append(p, []byte{7, 1, 0, 0, 0, 'x', 'v'})
 		if err != nil {
-			t.Fatalf("scan: %v", err)
+			t.Fatal(err)
 		}
-		want := []string{"k0098", "k0099", "k0101", "k0102", "k0103"} // k0100 deleted
-		if len(keys) != len(want) {
-			t.Fatalf("scan returned %d keys", len(keys))
+		if err := db.walAct.Commit(p, lsn); err != nil {
+			t.Fatal(err)
 		}
-		for i, w := range want {
-			if string(keys[i]) != w {
-				t.Fatalf("keys[%d] = %s, want %s", i, keys[i], w)
-			}
+		if _, err := Open(r.env, p, r.config(wal.Sync)); err == nil {
+			t.Fatal("a record of type 7 replayed without an error")
 		}
-		_ = values
 	})
 	r.env.Run()
 }
@@ -584,206 +579,6 @@ func TestPropertyDBMatchesMap(t *testing.T) {
 	}
 }
 
-func TestWriteBatchAtomicity(t *testing.T) {
-	r := newDBRig()
-	r.env.Go("t", func(p *sim.Proc) {
-		db, err := Open(r.env, p, r.config(wal.BA))
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Empty batch is a no-op.
-		if err := db.Write(p, NewWriteBatch()); err != nil {
-			t.Fatalf("empty batch: %v", err)
-		}
-		b := NewWriteBatch()
-		b.Put([]byte("acct-a"), []byte("90"))
-		b.Put([]byte("acct-b"), []byte("110"))
-		b.Delete([]byte("acct-c"))
-		if b.Len() != 3 {
-			t.Fatalf("len = %d", b.Len())
-		}
-		if err := db.Write(p, b); err != nil {
-			t.Fatalf("write: %v", err)
-		}
-		for k, want := range map[string]string{"acct-a": "90", "acct-b": "110"} {
-			v, ok, _ := db.Get(p, []byte(k))
-			if !ok || string(v) != want {
-				t.Fatalf("%s = %q %v", k, v, ok)
-			}
-		}
-		if _, ok, _ := db.Get(p, []byte("acct-c")); ok {
-			t.Fatal("batched delete not applied")
-		}
-	})
-	r.env.Run()
-}
-
-func TestWriteBatchSurvivesRecovery(t *testing.T) {
-	r := newDBRig()
-	r.env.Go("t", func(p *sim.Proc) {
-		db, err := Open(r.env, p, r.config(wal.Sync))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 10; i++ {
-			b := NewWriteBatch()
-			b.Put([]byte(fmt.Sprintf("b%d-k1", i)), []byte("v1"))
-			b.Put([]byte(fmt.Sprintf("b%d-k2", i)), []byte("v2"))
-			if err := db.Write(p, b); err != nil {
-				t.Fatalf("batch %d: %v", i, err)
-			}
-		}
-		// Crash (no FlushAll) and reopen: batches replay from the WAL.
-		db2, err := Open(r.env, p, r.config(wal.Sync))
-		if err != nil {
-			t.Fatalf("reopen: %v", err)
-		}
-		for i := 0; i < 10; i++ {
-			for _, suffix := range []string{"k1", "k2"} {
-				k := []byte(fmt.Sprintf("b%d-%s", i, suffix))
-				if _, ok, err := db2.Get(p, k); !ok || err != nil {
-					t.Fatalf("%s lost (ok=%v err=%v)", k, ok, err)
-				}
-			}
-		}
-	})
-	r.env.Run()
-}
-
-func TestBatchCodecRejectsGarbage(t *testing.T) {
-	if _, err := decodeBatchRecord(nil); err == nil {
-		t.Fatal("nil accepted")
-	}
-	if _, err := decodeBatchRecord([]byte{recBatch, 5, 0, 0, 0}); err == nil {
-		t.Fatal("truncated accepted")
-	}
-	if _, err := decodeBatchRecord([]byte{recPut, 0, 0, 0, 0}); err == nil {
-		t.Fatal("wrong type accepted")
-	}
-}
-
-func TestIteratorOrderedAndLive(t *testing.T) {
-	r := newDBRig()
-	r.env.Go("t", func(p *sim.Proc) {
-		cfg := r.config(wal.Sync)
-		cfg.MemtableBytes = 8 << 10 // spread data over memtable + SSTs
-		db, err := Open(r.env, p, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 300; i++ {
-			db.Put(p, []byte(fmt.Sprintf("k%04d", i)), []byte(fmt.Sprintf("v%d", i)))
-		}
-		db.Delete(p, []byte("k0050"))
-		db.Put(p, []byte("k0051"), []byte("updated"))
-
-		it, err := db.NewIterator(p, []byte("k0048"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer it.Close()
-		var keys []string
-		for it.Valid() && len(keys) < 6 {
-			keys = append(keys, string(it.Key()))
-			if string(it.Key()) == "k0051" && string(it.Value()) != "updated" {
-				t.Errorf("k0051 = %q, want newest version", it.Value())
-			}
-			it.Next()
-		}
-		if it.Err() != nil {
-			t.Fatal(it.Err())
-		}
-		want := []string{"k0048", "k0049", "k0051", "k0052", "k0053", "k0054"}
-		if len(keys) != len(want) {
-			t.Fatalf("keys = %v", keys)
-		}
-		for i := range want {
-			if keys[i] != want[i] {
-				t.Fatalf("keys = %v, want %v (tombstone k0050 skipped)", keys, want)
-			}
-		}
-	})
-	r.env.Run()
-}
-
-func TestIteratorFullSweepMatchesScan(t *testing.T) {
-	r := newDBRig()
-	r.env.Go("t", func(p *sim.Proc) {
-		cfg := r.config(wal.Sync)
-		cfg.MemtableBytes = 8 << 10
-		cfg.L0Trigger = 2
-		db, err := Open(r.env, p, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(77))
-		model := map[string]string{}
-		for i := 0; i < 500; i++ {
-			k := fmt.Sprintf("k%03d", rng.Intn(120))
-			if rng.Intn(5) == 0 {
-				db.Delete(p, []byte(k))
-				delete(model, k)
-			} else {
-				db.Put(p, []byte(k), []byte(fmt.Sprintf("v%d", i)))
-				model[k] = fmt.Sprintf("v%d", i)
-			}
-		}
-		scanKeys, scanVals, err := db.Scan(p, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Scan is a drained iterator; the model checks both.
-		if len(scanKeys) != len(model) {
-			t.Fatalf("Scan returned %d keys, the model holds %d", len(scanKeys), len(model))
-		}
-		for i, k := range scanKeys {
-			if v, ok := model[string(k)]; !ok || v != string(scanVals[i]) || (i > 0 && bytes.Compare(scanKeys[i-1], k) >= 0) {
-				t.Fatalf("Scan pos %d: %s = %q, model %q (present %v)", i, k, scanVals[i], v, ok)
-			}
-		}
-		it, err := db.NewIterator(p, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer it.Close()
-		i := 0
-		for ; it.Valid(); it.Next() {
-			if i >= len(scanKeys) {
-				t.Fatalf("iterator yielded more than Scan's %d keys", len(scanKeys))
-			}
-			if !bytes.Equal(it.Key(), scanKeys[i]) || !bytes.Equal(it.Value(), scanVals[i]) {
-				t.Fatalf("pos %d: iter (%s)=%q vs scan (%s)=%q",
-					i, it.Key(), it.Value(), scanKeys[i], scanVals[i])
-			}
-			i++
-		}
-		if i != len(scanKeys) {
-			t.Fatalf("iterator yielded %d keys, Scan %d", i, len(scanKeys))
-		}
-	})
-	r.env.Run()
-}
-
-func TestIteratorEmptyDB(t *testing.T) {
-	r := newDBRig()
-	r.env.Go("t", func(p *sim.Proc) {
-		db, err := Open(r.env, p, r.config(wal.Sync))
-		if err != nil {
-			t.Fatal(err)
-		}
-		it, err := db.NewIterator(p, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if it.Valid() {
-			t.Fatal("empty DB iterator valid")
-		}
-		it.Close()
-		it.Close() // double close is safe
-	})
-	r.env.Run()
-}
-
 func TestCorruptSSTDetected(t *testing.T) {
 	e := sim.NewEnv()
 	fs := testFS(e)
@@ -847,13 +642,16 @@ func TestDifferentialCommitModes(t *testing.T) {
 					db.Put(p, []byte(k), []byte(fmt.Sprintf("v%d", i)))
 				}
 			}
-			keys, vals, err := db.Scan(p, nil, 0)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			for i := range keys {
-				state[string(keys[i])] = string(vals[i])
+			for k := 0; k < 80; k++ {
+				key := fmt.Sprintf("k%03d", k)
+				v, ok, err := db.Get(p, []byte(key))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if ok {
+					state[key] = string(v)
+				}
 			}
 		})
 		r.env.Run()

@@ -37,8 +37,8 @@ type memtable struct {
 	// chunks so an add costs ~3 allocations per few hundred entries
 	// instead of 3 each. A chunk comes from spares when it has one.
 	// release hands every chunk back to spares; the DB calls it once
-	// the memtable is flushed and no reader epoch that could still
-	// hold its nodes is open.
+	// the memtable is flushed (Get copies what it returns, so nothing
+	// holds a node across a yield).
 	nodes      []memNode
 	nused      int
 	arena      []byte
@@ -176,13 +176,13 @@ func (m *memtable) add(key []byte, seq uint64, value []byte) {
 	m.count++
 }
 
-// get returns the newest version of key at or below maxSeq.
-// found=false means the memtable has no version; found=true with
-// value=nil means the key was deleted.
-func (m *memtable) get(key []byte, maxSeq uint64) (value []byte, found bool) {
+// get returns the newest version of key. found=false means the
+// memtable has no version; found=true with value=nil means the key was
+// deleted.
+func (m *memtable) get(key []byte) (value []byte, found bool) {
 	x := m.head
 	for lvl := m.height - 1; lvl >= 0; lvl-- {
-		for x.next[lvl] != nil && compareEntries(x.next[lvl].key, x.next[lvl].seq, key, maxSeq) < 0 {
+		for x.next[lvl] != nil && compareEntries(x.next[lvl].key, x.next[lvl].seq, key, ^uint64(0)) < 0 {
 			x = x.next[lvl]
 		}
 	}
@@ -195,17 +195,6 @@ func (m *memtable) get(key []byte, maxSeq uint64) (value []byte, found bool) {
 
 // first returns the first node (ordered iteration entry point).
 func (m *memtable) first() *memNode { return m.head.next[0] }
-
-// seek returns the first node with (key,seq) >= (key, maxSeq).
-func (m *memtable) seek(key []byte, maxSeq uint64) *memNode {
-	x := m.head
-	for lvl := m.height - 1; lvl >= 0; lvl-- {
-		for x.next[lvl] != nil && compareEntries(x.next[lvl].key, x.next[lvl].seq, key, maxSeq) < 0 {
-			x = x.next[lvl]
-		}
-	}
-	return x.next[0]
-}
 
 // sizeBytes approximates memory use (flush trigger).
 func (m *memtable) sizeBytes() int { return m.bytes }

@@ -212,10 +212,10 @@ func TestEngineAllocatesOnlyReturnedValues(t *testing.T) {
 	}
 }
 
-// An iterator sweep and a compaction run while a second proc thrashes
-// the block cache with Gets: every cached block either holds is reused
-// by the other's misses, so only the copies keep the results exact.
-func TestIteratorAndCompactionUnderCacheThrash(t *testing.T) {
+// A Get sweep and a compaction run while a second proc thrashes the
+// block cache with Gets: every cached block either holds is reused by
+// the other's misses, so only the copies keep the results exact.
+func TestGetSweepAndCompactionUnderCacheThrash(t *testing.T) {
 	const n = 4000
 	r := newDBRig()
 	cfg := r.config(wal.Sync)
@@ -246,22 +246,12 @@ func TestIteratorAndCompactionUnderCacheThrash(t *testing.T) {
 			}
 		})
 		sweep := func(stage string) {
-			it, err := db.NewIterator(p, nil)
-			if err != nil {
-				t.Errorf("%s: %v", stage, err)
-				return
-			}
-			defer it.Close()
-			k := 0
-			for ; it.Valid(); it.Next() {
-				if want := aliasKey(k); !bytes.Equal(it.Key(), want) || !bytes.Equal(it.Value(), val(k, ver[k])) {
-					t.Errorf("%s: at %s got %s = %.20q, want version %d", stage, want, it.Key(), it.Value(), ver[k])
+			for k := 0; k < n; k++ {
+				got, ok, err := db.Get(p, aliasKey(k))
+				if err != nil || !ok || !bytes.Equal(got, val(k, ver[k])) {
+					t.Errorf("%s: key %d = %.20q (ok=%v err=%v), want version %d", stage, k, got, ok, err, ver[k])
 					return
 				}
-				k++
-			}
-			if err := it.Err(); err != nil || k != n {
-				t.Errorf("%s: iterator saw %d keys (err %v), want %d", stage, k, err, n)
 			}
 		}
 		sweep("flushed")
@@ -284,10 +274,10 @@ func TestIteratorAndCompactionUnderCacheThrash(t *testing.T) {
 	r.env.Run()
 }
 
-// An Iterator left open across flushes still reads the keys of the
-// memtable it started on: a flushed memtable's chunks go to the next
-// memtables only once the read epoch closes.
-func TestIteratorOpenAcrossFlushKeepsMemtable(t *testing.T) {
+// A flushed memtable's chunks are spares the moment its flush ends,
+// even while a reader holds the read epoch open: Get copies what it
+// returns, so no reader holds memtable nodes across a yield.
+func TestFlushedMemtableChunksAreSpares(t *testing.T) {
 	r := newDBRig()
 	cfg := r.config(wal.Sync)
 	cfg.MemtableBytes = 16 << 10
@@ -296,40 +286,20 @@ func TestIteratorOpenAcrossFlushKeepsMemtable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		const held = 40
-		for k := 0; k < held; k++ {
-			if err := db.Put(p, []byte(fmt.Sprintf("a%03d", k)), []byte(fmt.Sprintf("held-%d", k))); err != nil {
+		for k := 0; db.imm == nil; k++ {
+			if err := db.Put(p, []byte(fmt.Sprintf("a%05d", k)), bytes.Repeat([]byte{'z'}, 200)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		it, err := db.NewIterator(p, nil)
-		if err != nil {
-			t.Fatal(err)
+		nodes, arena := len(db.imm.nodeChunks), len(db.imm.byteChunks)
+		db.beginRead()
+		defer db.endRead()
+		for db.Stats().Flushes == 0 {
+			p.Sleep(10 * sim.Microsecond)
 		}
-		defer it.Close()
-		// Enough later writes for several rotations: each new memtable
-		// would carve from the first one's chunks if they were released.
-		for k := 0; db.Stats().Flushes < 4; k++ {
-			if err := db.Put(p, []byte(fmt.Sprintf("b%05d", k)), bytes.Repeat([]byte{'z'}, 200)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if len(db.retired) == 0 {
-			t.Fatal("no flushed memtable waits for the open iterator")
-		}
-		k := 0
-		for ; it.Valid() && k < held; it.Next() {
-			if want := fmt.Sprintf("a%03d", k); string(it.Key()) != want || string(it.Value()) != fmt.Sprintf("held-%d", k) {
-				t.Fatalf("key %d: %q = %q, want %s", k, it.Key(), it.Value(), want)
-			}
-			k++
-		}
-		if k != held {
-			t.Fatalf("iterator read %d of the %d held keys", k, held)
-		}
-		it.Close()
-		if len(db.retired) != 0 || len(db.memSpares.nodes) == 0 {
-			t.Fatalf("closing the epoch left %d memtables retired, %d spare node chunks", len(db.retired), len(db.memSpares.nodes))
+		if len(db.memSpares.nodes) != nodes || len(db.memSpares.bytes) != arena {
+			t.Fatalf("after the flush: %d node and %d byte chunks spare, want the flushed memtable's %d and %d",
+				len(db.memSpares.nodes), len(db.memSpares.bytes), nodes, arena)
 		}
 	})
 	r.env.Run()

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sort"
+	"strings"
 
 	"twobssd/internal/obs"
 	"twobssd/internal/sim"
@@ -110,8 +112,9 @@ func (e *Engine) putScanBuf(b *scanBuf) {
 // LogName names the XLOG's ring files on Config.Log.FS.
 const LogName = "xlog"
 
-// Open creates or recovers an engine: the transactions committed past
-// the XLOG's last checkpoint are replayed (idempotent upserts).
+// Open creates or recovers an engine: every heap file on DataFS is
+// scanned back into its table, then the transactions committed past the
+// XLOG's last checkpoint are replayed (idempotent upserts).
 func Open(env *sim.Env, p *sim.Proc, cfg Config) (*Engine, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
@@ -133,36 +136,60 @@ func Open(env *sim.Env, p *sim.Proc, cfg Config) (*Engine, error) {
 		cWrites:      reg.Counter("pglite.writes"),
 		cCheckpoints: reg.Counter("pglite.checkpoints"),
 	}
+	for _, name := range cfg.DataFS.List() {
+		if table, ok := strings.CutPrefix(name, heapPrefix); ok {
+			if err := e.openTable(p, table); err != nil {
+				return nil, err
+			}
+		}
+	}
 	if err := e.replay(p); err != nil {
 		return nil, err
 	}
 	return e, nil
 }
 
-func openOrCreate(fs *vfs.FS, name string, capacity int64) (*vfs.File, error) {
-	if fs.Exists(name) {
-		return fs.Open(name)
+// heapPrefix names a table's heap file on DataFS.
+const heapPrefix = "heap-"
+
+// openTable serves a heap file an earlier engine left: a scan of its
+// pages rebuilds the page count and the index.
+func (e *Engine) openTable(p *sim.Proc, name string) error {
+	f, err := e.cfg.DataFS.Open(heapPrefix + name)
+	if err != nil {
+		return err
 	}
-	return fs.Create(name, capacity)
+	t := e.newTable(name, f)
+	if err := t.heap.scan(p, t.idx); err != nil {
+		return fmt.Errorf("pglite: scan %s: %w", name, err)
+	}
+	return nil
+}
+
+func (e *Engine) newTable(name string, f *vfs.File) *Table {
+	t := &Table{
+		name: name,
+		heap: newHeapStore(f, e.cfg.BufferPoolPages, 300*sim.Nanosecond, obs.Of(e.env).Registry()),
+		idx:  newBTree(),
+	}
+	e.tables[name] = t
+	return t
 }
 
 // Log exposes the XLOG for commit-latency accounting in benches.
 func (e *Engine) Log() *wal.Log { return e.xlog }
 
-// CreateTable declares a relation (idempotent on recovery).
+// CreateTable declares a relation. It is idempotent: a table whose heap
+// file an earlier engine left was opened, and its heap scanned, at Open.
 func (e *Engine) CreateTable(name string) error {
 	if _, ok := e.tables[name]; ok {
 		return nil
 	}
-	heapFile, err := openOrCreate(e.cfg.DataFS, "heap-"+name, e.cfg.HeapFileBytes)
+	f, err := e.cfg.DataFS.Create(heapPrefix+name, e.cfg.HeapFileBytes)
 	if err != nil {
 		return err
 	}
-	e.tables[name] = &Table{
-		name: name,
-		heap: newHeapStore(heapFile, e.cfg.BufferPoolPages, 300*sim.Nanosecond, obs.Of(e.env).Registry()),
-		idx:  newBTree(),
-	}
+	e.newTable(name, f)
 	return nil
 }
 
@@ -324,6 +351,8 @@ func (e *Engine) apply(p *sim.Proc, ops []op) error {
 				}
 				tab.idx.Delete(o.key)
 			}
+		default:
+			return fmt.Errorf("pglite: unknown op %d on %s", o.code, o.table)
 		}
 	}
 	return nil
@@ -432,8 +461,13 @@ func (e *Engine) Checkpoint(p *sim.Proc) error {
 		e.ckptWanted = false
 		e.ckptDone.Fire()
 	}()
-	for _, tab := range e.tables {
-		if err := tab.heap.pool.flushAll(p); err != nil {
+	names := make([]string, 0, len(e.tables))
+	for name := range e.tables {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if err := e.tables[name].heap.pool.flushAll(p); err != nil {
 			return err
 		}
 	}

@@ -2,6 +2,7 @@ package pglite
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -154,6 +155,44 @@ func TestHeapPageFillsUp(t *testing.T) {
 	if n < 30 || n > 40 {
 		t.Fatalf("page held %d 100B tuples", n)
 	}
+}
+
+// A heap scan indexes every live tuple, counts pages up to the last
+// non-empty one and kills the second live tuple of a key.
+func TestHeapScanKeepsOneVersionPerKey(t *testing.T) {
+	r := newRig()
+	r.env.Go("t", func(p *sim.Proc) {
+		f, err := r.fs.Create("heap-t", 8*heapPageBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img := make([]byte, 4*heapPageBytes)
+		page := func(i int) *heapPage { return loadHeapPage(img[i*heapPageBytes : (i+1)*heapPageBytes]) }
+		p0, p2 := page(0), page(2)
+		p0.insert(encodeTuple([]byte("a"), []byte("old")))
+		p0.kill(p0.insert(encodeTuple([]byte("dead"), []byte("x"))))
+		p2.insert(encodeTuple([]byte("b"), []byte("1")))
+		p2.insert(encodeTuple([]byte("a"), []byte("new")))
+		page(3) // a fresh page the scan must not count: zero slots
+		if err := f.WriteAt(p, 0, img); err != nil {
+			t.Fatal(err)
+		}
+		h := newHeapStore(f, 4, 0, obs.Of(r.env).Registry())
+		idx := newBTree()
+		if err := h.scan(p, idx); err != nil {
+			t.Fatal(err)
+		}
+		if h.pages != 3 || h.lastFree != 2 || idx.Len() != 2 {
+			t.Fatalf("pages %d, lastFree %d, %d keys; want 3, 2, 2", h.pages, h.lastFree, idx.Len())
+		}
+		if r, ok := idx.Get([]byte("a")); !ok || r != (rid{page: 0, slot: 0}) {
+			t.Fatalf("a at %v (found %v), want the first version found", r, ok)
+		}
+		if _, err := h.read(p, rid{page: 2, slot: 1}); !errors.Is(err, errDeadTuple) {
+			t.Fatalf("the second live version of a reads %v, want it killed", err)
+		}
+	})
+	r.env.Run()
 }
 
 // ---- engine tests ----
@@ -662,6 +701,109 @@ func TestBACheckpointThenPowerLossAtTheLog(t *testing.T) {
 		}
 		if !slices.Equal(got, live) {
 			t.Fatalf("recovery visited %d batches, want exactly the %d committed past the checkpoint", len(got), len(live))
+		}
+	})
+	r.env.Run()
+}
+
+// A checkpoint flushes the heap and frees the XLOG below it, so a
+// reopened engine serves the keys written before it from the heap and
+// the ones after it from the replay: every committed key reads back at
+// its last committed value. A tiny pool writes pages back between
+// checkpoints, so the heap also holds keys live in two tuples. Two
+// runs end at the same virtual time: a checkpoint writes its pages in
+// an order that does not depend on map iteration.
+func TestReopenAfterCheckpointServesHeap(t *testing.T) {
+	if a, b := reopenAfterCheckpoint(t), reopenAfterCheckpoint(t); a != b {
+		t.Fatalf("two identical runs ended at %v and %v", a, b)
+	}
+}
+
+func reopenAfterCheckpoint(t *testing.T) sim.Time {
+	r := newRig()
+	r.env.Go("t", func(p *sim.Proc) {
+		cfg := r.sized(wal.BA, 128<<10)
+		cfg.BufferPoolPages = 4 // evictions write pages between checkpoints
+		eng, err := Open(r.env, p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.CreateTable("tbl")
+		acked := map[string]string{}
+		after := -1
+		for i := 0; after != 0; i++ {
+			k, v := fmt.Sprintf("k%04d", i%70), fmt.Sprintf("v%05d-%s", i, bytes.Repeat([]byte{'x'}, 480))
+			tx := eng.Begin()
+			tx.Upsert("tbl", []byte(k), []byte(v))
+			if i%9 == 4 {
+				tx.Delete("tbl", []byte(fmt.Sprintf("k%04d", (i+3)%70)))
+			}
+			if err := tx.Commit(p); err != nil {
+				t.Fatalf("commit %d: %v", i, err)
+			}
+			acked[k] = v
+			if i%9 == 4 {
+				delete(acked, fmt.Sprintf("k%04d", (i+3)%70))
+			}
+			switch {
+			case after > 0:
+				after--
+			case counter(t, r.env, "pglite.checkpoints") == 2:
+				after = 30
+			case i > 5000:
+				t.Fatal("the XLOG never checkpointed twice")
+			}
+		}
+		if _, err := r.ssd.PowerLoss(p); err != nil {
+			t.Fatalf("power loss: %v", err)
+		}
+		if err := r.ssd.PowerOn(p); err != nil {
+			t.Fatalf("power on: %v", err)
+		}
+		eng, err = Open(r.env, p, cfg)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		for i := 0; i < 70; i++ {
+			k := fmt.Sprintf("k%04d", i)
+			v, ok, err := eng.Begin().Get(p, "tbl", []byte(k))
+			if err != nil {
+				t.Fatalf("get %s: %v", k, err)
+			}
+			if want, acked := acked[k]; ok != acked || string(v) != want {
+				t.Fatalf("%s = %.6q (found %v), want %.6q (found %v)", k, v, ok, want, acked)
+			}
+		}
+		// The reopened heap takes new rows past the ones it holds.
+		tx := eng.Begin()
+		tx.Upsert("tbl", []byte("new"), []byte("row"))
+		if err := tx.Commit(p); err != nil {
+			t.Fatalf("commit after reopen: %v", err)
+		}
+	})
+	r.env.Run()
+	return r.env.Now()
+}
+
+// A committed XLOG batch holding an op the engine never writes fails
+// the replay instead of being skipped.
+func TestReplayRejectsUnknownOp(t *testing.T) {
+	r := newRig()
+	r.env.Go("t", func(p *sim.Proc) {
+		eng, err := Open(r.env, p, r.config(wal.Sync))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.CreateTable("tbl")
+		lsn, err := eng.xlog.Append(p, encodeBatch([]op{{code: 7, table: "tbl", key: []byte("k")}}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.xlog.Commit(p, lsn); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(r.env, p, r.config(wal.Sync)); err == nil {
+			t.Fatal("a batch of op 7 replayed without an error")
 		}
 	})
 	r.env.Run()

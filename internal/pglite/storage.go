@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"twobssd/internal/obs"
 	"twobssd/internal/sim"
@@ -149,10 +150,17 @@ func (bp *bufferPool) fetch(p *sim.Proc, id int32) (*heapPage, error) {
 	return hp, nil
 }
 
-// flushAll writes every dirty frame back (checkpoint).
+// flushAll writes every dirty frame back (checkpoint), in page order:
+// the order decides where the pages land on flash, and so what reading
+// them back costs.
 func (bp *bufferPool) flushAll(p *sim.Proc) error {
-	for id, hp := range bp.frames {
-		if hp.dirty {
+	ids := make([]int32, 0, len(bp.frames))
+	for id := range bp.frames {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		if hp := bp.frames[id]; hp.dirty {
 			if err := bp.file.WriteAt(p, int64(id)*heapPageBytes, hp.data); err != nil {
 				return err
 			}
@@ -178,16 +186,65 @@ func newHeapStore(f *vfs.File, poolPages int, hitCPU sim.Duration, reg *obs.Regi
 	return &heapStore{pool: newBufferPool(f, poolPages, hitCPU, reg)}
 }
 
+// maxPages is the heap file's capacity in pages.
+func (h *heapStore) maxPages() int32 { return int32(h.pool.file.Capacity() / heapPageBytes) }
+
+// scanChunkPages is how many heap pages a reopen's scan reads per
+// command.
+const scanChunkPages = 64
+
+// scan rebuilds a reopened heap's page count and its index from every
+// page up to the file's capacity. A key live in two tuples keeps the
+// first one found and the other is killed: only work after the last
+// checkpoint can leave two live versions, and the XLOG replay that
+// follows re-applies that key.
+func (h *heapStore) scan(p *sim.Proc, idx *btree) error {
+	buf := make([]byte, scanChunkPages*heapPageBytes)
+	var dups []rid
+	for first := int32(0); first < h.maxPages(); first += scanChunkPages {
+		chunk := buf[:min(scanChunkPages, h.maxPages()-first)*heapPageBytes]
+		if err := h.pool.file.ReadAt(p, int64(first)*heapPageBytes, chunk); err != nil {
+			return err
+		}
+		for i := int32(0); int(i)*heapPageBytes < len(chunk); i++ {
+			hp := heapPage{data: chunk[i*heapPageBytes : (i+1)*heapPageBytes]}
+			if hp.slotCount() == 0 {
+				continue
+			}
+			h.pages = first + i + 1
+			for slot := int16(0); int(slot) < hp.slotCount(); slot++ {
+				t := hp.read(slot)
+				if t == nil {
+					continue
+				}
+				key, _ := decodeTuple(t)
+				r := rid{page: first + i, slot: slot}
+				if _, ok := idx.Get(key); ok {
+					dups = append(dups, r)
+					continue
+				}
+				idx.Put(key, r)
+			}
+		}
+	}
+	h.lastFree = max(h.pages-1, 0)
+	for _, r := range dups {
+		if err := h.kill(p, r); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // insert stores a tuple and returns its RID.
 func (h *heapStore) insert(p *sim.Proc, tuple []byte) (rid, error) {
 	if len(tuple)+8 > heapPageBytes-4 {
 		return rid{}, fmt.Errorf("pglite: tuple of %d bytes too large", len(tuple))
 	}
-	maxPages := int32(h.pool.file.Capacity() / heapPageBytes)
 	for try := 0; try < 2; try++ {
 		pg := h.lastFree
 		if pg >= h.pages {
-			if h.pages >= maxPages {
+			if h.pages >= h.maxPages() {
 				return rid{}, errHeapFull
 			}
 			h.pages++
