@@ -62,6 +62,10 @@ var designRules = []rule{
 	{name: "Engines serve the traffic they get", pr: 54, in: dirs("lsm", "kvaof"), bad: ident("^(WriteBatch|recBatch|NewIterator|cmdIncr|cmdAppend)$"),
 		planted: []string{"internal/lsm/x.go\ntype WriteBatch struct{}", "internal/lsm/x.go\nfunc f() { db.NewIterator(p, nil) }",
 			"internal/lsm/x.go\nconst recBatch = byte(3)", "internal/kvaof/x.go\nconst cmdIncr = byte(3)", "internal/kvaof/x.go\nvar _ = cmdAppend"}},
+	{name: "A violation is replayed, not recorded", pr: 55, bad: ident("^(EnableFlightRecorder|newRingTracer|RepairReport|RepairReporter|FaultCounts)$"),
+		planted: []string{"internal/fault/x.go\nfunc f() { obs.Of(env).EnableFlightRecorder() }", "internal/obs/x.go\nfunc newRingTracer() *Tracer { return nil }",
+			"internal/wal/x.go\ntype RepairReport struct{ Failure string }", "internal/bench/x.go\nvar _ fault.RepairReporter",
+			"internal/fault/x.go\ntype PointResult struct{ Faults FaultCounts }"}},
 }
 
 type rule struct {

@@ -47,14 +47,14 @@ func newCrashStack(env *sim.Env) *stack {
 // persisted=false and the verifier only demands block-mode durability.
 // What was pinned and whether the dump persisted is kept for
 // tornLogExcused.
-func (s *stack) Crash(p *sim.Proc) (bool, float64, error) {
+func (s *stack) Crash(p *sim.Proc) (bool, error) {
 	s.pinned = s.ssd.Entries()
-	rep, err := s.ssd.PowerLoss(p)
+	_, err := s.ssd.PowerLoss(p)
 	if err != nil && !errors.Is(err, core.ErrInsufficient) && !errors.Is(err, core.ErrDumpTorn) {
-		return false, 0, err
+		return false, err
 	}
 	s.dumpLost = err != nil
-	return err == nil, rep.EnergyUsedJ, nil
+	return err == nil, nil
 }
 
 // Audit checks the page map of the stack's 2B-SSD (fault.Auditor) —

@@ -94,11 +94,10 @@ func TestProbeStageCoverage(t *testing.T) {
 }
 
 // TestObserversDoNotPerturb: the observers only watch. Probe and
-// CommitOverhead run under a bare collector, under the flight recorder
-// every campaign point and fuzz seed leaves on, and under full tracing
-// plus the timeline sampler over a flight recorder (the tracer takes the
-// recorder over in place); the tables, the event count and the virtual
-// time simulated are identical in every run. Their host cost is
+// CommitOverhead run under a bare collector and under full tracing plus
+// the timeline sampler — the observers a campaign's replay of a
+// violating point turns on; the tables, the event count and the virtual
+// time simulated are identical in both runs. Their host cost is
 // `bench2b -benchjson` taken with and without the observer.
 func TestObserversDoNotPerturb(t *testing.T) {
 	type run struct {
@@ -106,44 +105,29 @@ func TestObserversDoNotPerturb(t *testing.T) {
 		events  uint64
 		virtual sim.Time
 	}
-	measure := func(tracing, sampling, flight bool) run {
-		col := obs.NewCollector(tracing)
-		if sampling {
+	measure := func(observed bool) run {
+		col := obs.NewCollector(observed)
+		if observed {
 			col.EnableSampling()
 		}
 		col.Install()
 		defer col.Uninstall()
-		if flight {
-			collect := obs.OnNewSet
-			obs.OnNewSet = func(s *obs.Set) {
-				s.EnableFlightRecorder()
-				collect(s)
-			}
-		}
 		var out bytes.Buffer
 		r := NewRunner(Quick, 2)
 		Probe(r).Print(&out)
 		CommitOverhead(r).Print(&out)
 		return run{out.String(), col.TotalEvents(), col.TotalVirtual()}
 	}
-	bare := measure(false, false, false)
+	bare := measure(false)
 	if bare.events == 0 || bare.virtual == 0 {
 		t.Fatalf("bare run simulated %d events over %d ns", bare.events, int64(bare.virtual))
 	}
-	for _, c := range []struct {
-		name                      string
-		tracing, sampling, flight bool
-	}{
-		{"flight recorder", false, false, true},
-		{"tracing + sampler + flight recorder", true, true, true},
-	} {
-		got := measure(c.tracing, c.sampling, c.flight)
-		if got.tables != bare.tables {
-			t.Errorf("%s: tables differ from the bare run:\n--- bare\n%s--- observed\n%s", c.name, bare.tables, got.tables)
-		}
-		if got.events != bare.events || got.virtual != bare.virtual {
-			t.Errorf("%s: %d events over %d ns, bare run %d over %d ns",
-				c.name, got.events, int64(got.virtual), bare.events, int64(bare.virtual))
-		}
+	got := measure(true)
+	if got.tables != bare.tables {
+		t.Errorf("tables differ from the bare run:\n--- bare\n%s--- observed\n%s", bare.tables, got.tables)
+	}
+	if got.events != bare.events || got.virtual != bare.virtual {
+		t.Errorf("%d events over %d ns, bare run %d over %d ns",
+			got.events, int64(got.virtual), bare.events, int64(bare.virtual))
 	}
 }

@@ -134,14 +134,14 @@ func (lossyCycle) Step(p *sim.Proc, i int) (string, error) {
 	return string(rune('a' + i)), nil
 }
 func (lossyCycle) Stage(*sim.Proc) (string, error)               { return "", nil }
-func (lossyCycle) Crash(*sim.Proc) (bool, float64, error)        { return true, 0, nil }
+func (lossyCycle) Crash(*sim.Proc) (bool, error)                 { return true, nil }
 func (lossyCycle) Recover(*sim.Proc) ([]string, []string, error) { return nil, nil, nil }
 
 // TestRunnerBoundsCampaignSetup: a fault.Campaign builds environments
-// outside its points too — the fault-free profile run and the
-// shrinker's trials — and -j bounds those as well. A violating
-// campaign beside a sweep on a one-job Runner never has a Build and a
-// sweep point, or two Builds, live at once.
+// outside its points too — the fault-free profile run, the replays of
+// violating points and the shrinker's trials — and -j bounds those as
+// well. A violating campaign beside a sweep on a one-job Runner never
+// has a Build and a sweep point, or two Builds, live at once.
 func TestRunnerBoundsCampaignSetup(t *testing.T) {
 	r := NewRunner(Quick, 1)
 	var live liveCounter

@@ -43,7 +43,6 @@ type walSegCrash struct {
 	*stack
 	cfg   wal.Config
 	sl    *wal.Log
-	rec   *wal.Log // post-crash instance, for its repair report
 	model *oracle.WalLifecycle
 	snap  *vfs.File
 	snapN int
@@ -128,7 +127,6 @@ func (c *walSegCrash) Recover(p *sim.Proc) (recovered, phantoms []string, err er
 	if err != nil {
 		return nil, nil, err
 	}
-	c.rec = sl
 	var replayed []oracle.WalRecord
 	seen := map[string]bool{}
 	err = sl.Recover(p, func(lsn wal.LSN, payload []byte) error {
@@ -176,19 +174,6 @@ func (c *walSegCrash) Recover(p *sim.Proc) (recovered, phantoms []string, err er
 		phantoms = append(phantoms, "model: "+ph)
 	}
 	return recovered, phantoms, nil
-}
-
-// RecoveryRepair feeds the recovered log's torn-tail repair outcome to
-// the campaign (fault.RepairReporter).
-func (c *walSegCrash) RecoveryRepair() (int, string) {
-	if c.rec == nil {
-		return 0, ""
-	}
-	rep := c.rec.Repair()
-	if rep.TornTail && rep.Failure == "" {
-		return 1, ""
-	}
-	return 0, rep.Failure
 }
 
 func (c *walSegCrash) writeSnapshot(p *sim.Proc, ckpt int64) error {

@@ -3,6 +3,7 @@ package fault
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"twobssd/internal/obs"
@@ -25,9 +26,9 @@ type Cycle interface {
 	// workload has no uncommitted path.
 	Stage(p *sim.Proc) (key string, err error)
 	// Crash cuts power (PowerLoss). persisted reports whether the
-	// capacitor dump completed within budget; energyJ is the dump
-	// energy consumed.
-	Crash(p *sim.Proc) (persisted bool, energyJ float64, err error)
+	// capacitor dump completed within budget; the energy it consumed is
+	// the 2bssd.dump_energy_j gauge.
+	Crash(p *sim.Proc) (persisted bool, err error)
 	// Recover powers the device back on, reopens the engine, and
 	// probes the full planned keyspace: recovered lists keys present
 	// with exactly the written content; phantoms lists keys present
@@ -36,20 +37,10 @@ type Cycle interface {
 	Recover(p *sim.Proc) (recovered, phantoms []string, err error)
 }
 
-// RepairReporter is an optional Cycle extension for workloads whose
-// recovery path can repair torn WAL tails (the segmented WAL). After a
-// successful Recover the campaign asks how many repairs ran and
-// whether any failed; a non-empty failure string is a campaign
-// violation and captures the flight recorder like any other
-// durability break.
-type RepairReporter interface {
-	RecoveryRepair() (repairs int, failure string)
-}
-
 // Auditor is an optional Cycle extension for workloads whose stack can
 // check its own invariants (an FTL's page map). After a successful
-// Recover the campaign runs Audit; an error is a campaign violation and
-// captures the flight recorder like any other durability break.
+// Recover the campaign runs Audit; an error is a campaign violation,
+// shrunk and dumped like any other durability break.
 type Auditor interface {
 	Audit() error
 }
@@ -82,22 +73,16 @@ type Campaign struct {
 	}
 }
 
-// FaultCounts snapshots the injector's counters for one point.
-type FaultCounts struct {
-	Trips, EccRetries, Uncorrectable   uint64
-	ProgramFails, EraseFails, Timeouts uint64
-	DumpCuts                           uint64
-}
-
-func (a FaultCounts) add(b FaultCounts) FaultCounts {
-	a.Trips += b.Trips
-	a.EccRetries += b.EccRetries
-	a.Uncorrectable += b.Uncorrectable
-	a.ProgramFails += b.ProgramFails
-	a.EraseFails += b.EraseFails
-	a.Timeouts += b.Timeouts
-	a.DumpCuts += b.DumpCuts
-	return a
+// reportSeries are the registry counters the report totals over every
+// point, each with its label on the report's faults line.
+var reportSeries = [...]struct{ name, label string }{
+	{"fault.trips", "trips"},
+	{"fault.ecc_retries", "ecc-retries"},
+	{"fault.uncorrectable_reads", "uncorrectable"},
+	{"fault.program_fails", "program-fails"},
+	{"fault.erase_fails", "erase-fails"},
+	{"fault.cmd_timeouts", "timeouts"},
+	{"wal.seg_torn_repairs", "torn-repairs"},
 }
 
 // PointResult is the deterministic outcome of one crash point.
@@ -112,24 +97,25 @@ type PointResult struct {
 	StagedSurvived bool
 	Persisted      bool
 	DumpEnergyJ    float64
-	Repairs        int // torn-tail repairs recovery performed
 
 	Lost    []string // committed keys missing after recovery (sorted)
 	Phantom []string // recovered keys never appended / wrong content (sorted)
-	Faults  FaultCounts
+	Audit   string   // the stack's failed self-check after recovery ("" = passed)
 	Err     string
+	Series  [len(reportSeries)]uint64 // the point's reportSeries values
 
-	// Flight is the environment's flight-recorder dump, captured only
-	// when the point violated the durability contract: the last spans
-	// and instants leading up to the trigger, plus metrics at failure.
+	// Flight is the flight dump of the point's traced replay, taken
+	// only when the point violated the durability contract: the last
+	// spans and instants leading up to the trigger, plus metrics at
+	// failure.
 	Flight *obs.FlightDump
 }
 
 // Violation reports whether the point breaks the durability contract:
 // a committed record lost despite a persisted dump, any phantom
-// record, or a harness error.
+// record, a failed audit, or a harness error.
 func (pr PointResult) Violation() bool {
-	return (pr.Persisted && len(pr.Lost) > 0) || len(pr.Phantom) > 0 || pr.Err != ""
+	return (pr.Persisted && len(pr.Lost) > 0) || len(pr.Phantom) > 0 || pr.Audit != "" || pr.Err != ""
 }
 
 // Report is a campaign's aggregated, byte-stable outcome.
@@ -140,7 +126,7 @@ type Report struct {
 	Results     []PointResult
 	// Shrunk is the minimal failing crash point found by bisecting the
 	// first violation's trigger threshold (nil when the campaign is
-	// clean or the violation was a harness error).
+	// clean or every violation was a harness error).
 	Shrunk *PointResult
 }
 
@@ -218,9 +204,10 @@ func (c *Campaign) pointSeed(i int) uint64 {
 	return c.Seed + uint64(i)*0x9E3779B97F4A7C15
 }
 
-// runTrial executes crash point i under trig on a fresh environment.
+// runTrial executes crash point i under trig on a fresh environment;
+// traced, it records spans and returns the point's flight dump.
 // Safe to call concurrently for distinct i once prepare has run.
-func (c *Campaign) runTrial(i int, trig Trigger) PointResult {
+func (c *Campaign) runTrial(i int, trig Trigger, traced bool) PointResult {
 	pr := PointResult{Index: i, Trigger: trig.String()}
 	env := sim.NewEnv()
 	defer env.Shutdown() // after the flight dump; parked daemons would pin the drive
@@ -229,10 +216,11 @@ func (c *Campaign) runTrial(i int, trig Trigger) PointResult {
 		c.Tweak(i, &plan)
 	}
 	in := Install(env, plan)
-	// Always-on flight recorder: bounded ring, constant memory, so the
-	// one point in thousands that violates hands over its last spans.
 	set := obs.Of(env)
-	set.EnableFlightRecorder()
+	if traced {
+		set.EnableTracing()
+	}
+	reg := set.Registry()
 	env.Go("fault.point", func(p *sim.Proc) {
 		cyc, err := c.Build(env, p)
 		if err != nil {
@@ -259,29 +247,20 @@ func (c *Campaign) runTrial(i int, trig Trigger) PointResult {
 			pr.Err = fmt.Sprintf("stage: %v", err)
 			return
 		}
-		persisted, energy, err := cyc.Crash(p)
+		persisted, err := cyc.Crash(p)
 		if err != nil {
 			pr.Err = fmt.Sprintf("crash: %v", err)
 			return
 		}
-		pr.Persisted, pr.DumpEnergyJ = persisted, energy
+		pr.Persisted, pr.DumpEnergyJ = persisted, reg.Gauge("2bssd.dump_energy_j").Value()
 		recovered, phantoms, err := cyc.Recover(p)
 		if err != nil {
 			pr.Err = fmt.Sprintf("recover: %v", err)
 			return
 		}
-		if rr, ok := cyc.(RepairReporter); ok {
-			n, fail := rr.RecoveryRepair()
-			pr.Repairs = n
-			if fail != "" {
-				pr.Err = fmt.Sprintf("recovery repair: %s", fail)
-				return
-			}
-		}
 		if a, ok := cyc.(Auditor); ok {
 			if err := a.Audit(); err != nil {
-				pr.Err = fmt.Sprintf("audit: %v", err)
-				return
+				pr.Audit = err.Error()
 			}
 		}
 		rec := make(map[string]bool, len(recovered))
@@ -298,18 +277,12 @@ func (c *Campaign) runTrial(i int, trig Trigger) PointResult {
 		pr.Phantom = append(pr.Phantom, phantoms...)
 		sort.Strings(pr.Lost)
 		sort.Strings(pr.Phantom)
-		pr.Faults = FaultCounts{
-			Trips:         in.cTrips.Value(),
-			EccRetries:    in.cRetries.Value(),
-			Uncorrectable: in.cUncorr.Value(),
-			ProgramFails:  in.cProgFail.Value(),
-			EraseFails:    in.cEraseFail.Value(),
-			Timeouts:      in.cTimeout.Value(),
-			DumpCuts:      in.cDumpCut.Value(),
+		for k, s := range reportSeries {
+			pr.Series[k] = reg.CounterValue(s.name)
 		}
 	})
 	env.Run()
-	if pr.Violation() {
+	if traced {
 		d := set.FlightDump(fmt.Sprintf("campaign %s point %d trigger %s: durability violation",
 			c.Name, i, pr.Trigger))
 		pr.Flight = &d
@@ -317,10 +290,27 @@ func (c *Campaign) runTrial(i int, trig Trigger) PointResult {
 	return pr
 }
 
+// replay re-runs a violating point under trig with tracing on and
+// returns the replay, which carries the flight dump. The simulator is
+// deterministic, so the replay must reproduce the point's outcome; one
+// that does not is a determinism failure, returned in Err without a
+// dump.
+func (c *Campaign) replay(pr PointResult, trig Trigger) PointResult {
+	again := c.runTrial(pr.Index, trig, true)
+	if slices.Equal(again.Lost, pr.Lost) && slices.Equal(again.Phantom, pr.Phantom) &&
+		again.Audit == pr.Audit && again.Err == pr.Err {
+		return again
+	}
+	pr.Err = fmt.Sprintf("nondeterministic: the traced replay gave lost=%v phantom=%v audit=%q err=%q; the first run err=%q",
+		again.Lost, again.Phantom, again.Audit, again.Err, pr.Err)
+	return pr
+}
+
 // Run profiles the campaign, executes every point, and returns the
-// aggregated report; when a point violated the contract, the first such
-// point is shrunk to a minimal failing crash point. Every environment —
-// the profile run, each point, the shrinker's trials — runs inside
+// aggregated report; every violating point is replayed for its flight
+// dump, and the first one is shrunk to a minimal failing crash point.
+// Every environment — the profile run, each point and its replay, the
+// shrinker's trials — runs inside
 // parallelFor (which must call fn(i) exactly once for each 0 <= i < n,
 // in any order or concurrency), so the caller's fan-out bounds them
 // all. Results land in index order, so the report is byte-identical
@@ -332,12 +322,16 @@ func (c *Campaign) Run(parallelFor func(n int, fn func(i int))) (*Report, error)
 		return nil, err
 	}
 	results := make([]PointResult, len(c.specs))
-	parallelFor(len(results), func(i int) { results[i] = c.runTrial(i, c.specs[i]) })
+	parallelFor(len(results), func(i int) {
+		if results[i] = c.runTrial(i, c.specs[i], false); results[i].Violation() {
+			results[i] = c.replay(results[i], c.specs[i])
+		}
+	})
 	r := &Report{Name: c.Name, Seed: c.Seed, Points: c.Points, Ops: c.Ops, Results: results}
 	for _, pr := range results {
 		if pr.Violation() && pr.Err == "" {
 			var s PointResult
-			parallelFor(1, func(int) { s = c.shrink(pr) })
+			parallelFor(1, func(int) { s = c.replay(c.shrink(pr)) })
 			r.Shrunk = &s
 			break
 		}
@@ -346,22 +340,26 @@ func (c *Campaign) Run(parallelFor func(n int, fn func(i int))) (*Report, error)
 }
 
 // shrink bisects the violating point's trigger threshold toward the
-// smallest value that still violates, re-running the cycle each probe.
+// smallest value that still violates, re-running the cycle untraced
+// each probe, and returns the minimal point with its trigger.
 // Deterministic: same seed, same violation, same minimal point.
-func (c *Campaign) shrink(bad PointResult) PointResult {
+func (c *Campaign) shrink(bad PointResult) (PointResult, Trigger) {
 	trig := c.specs[bad.Index]
-	fails := func(t Trigger) (PointResult, bool) {
-		pr := c.runTrial(bad.Index, t)
-		return pr, pr.Violation() && pr.Err == ""
+	fails := func(t Trigger) bool {
+		pr := c.runTrial(bad.Index, t, false)
+		if pr.Violation() && pr.Err == "" {
+			bad, trig = pr, t
+			return true
+		}
+		return false
 	}
-	best := bad
 	switch {
 	case trig.N > 0:
 		lo, hi := uint64(1), trig.N
 		for lo < hi {
 			mid := lo + (hi-lo)/2
-			if pr, v := fails(Trigger{On: trig.On, N: mid}); v {
-				best, hi = pr, mid
+			if fails(Trigger{On: trig.On, N: mid}) {
+				hi = mid
 			} else {
 				lo = mid + 1
 			}
@@ -370,14 +368,14 @@ func (c *Campaign) shrink(bad PointResult) PointResult {
 		lo, hi := sim.Time(1), trig.At
 		for lo < hi {
 			mid := lo + (hi-lo)/2
-			if pr, v := fails(Trigger{At: mid}); v {
-				best, hi = pr, mid
+			if fails(Trigger{At: mid}) {
+				hi = mid
 			} else {
 				lo = mid + 1
 			}
 		}
 	}
-	return best
+	return bad, trig
 }
 
 // Violations returns the violating points (index order).
@@ -396,9 +394,8 @@ func (r *Report) WriteText(w io.Writer) error {
 	classes := map[string]int{}
 	tripped := 0
 	committed, recovered, survivors, persisted := 0, 0, 0, 0
-	repairs := 0
 	var energy float64
-	var faults FaultCounts
+	var series [len(reportSeries)]uint64
 	for _, pr := range r.Results {
 		classes[triggerClass(pr.Trigger)]++
 		if pr.TrippedBy != "" {
@@ -412,9 +409,10 @@ func (r *Report) WriteText(w io.Writer) error {
 		if pr.Persisted {
 			persisted++
 		}
-		repairs += pr.Repairs
 		energy += pr.DumpEnergyJ
-		faults = faults.add(pr.Faults)
+		for k, v := range pr.Series {
+			series[k] += v
+		}
 	}
 	names := make([]string, 0, len(classes))
 	for n := range classes {
@@ -434,14 +432,20 @@ func (r *Report) WriteText(w io.Writer) error {
 	fmt.Fprintf(w, "  committed=%d recovered=%d staged-survivors=%d dump-persisted=%d/%d\n",
 		committed, recovered, survivors, persisted, len(r.Results))
 	fmt.Fprintf(w, "  dump energy: %.2f mJ total\n", energy*1e3)
-	fmt.Fprintf(w, "  faults: trips=%d ecc-retries=%d uncorrectable=%d program-fails=%d erase-fails=%d timeouts=%d torn-repairs=%d\n",
-		faults.Trips, faults.EccRetries, faults.Uncorrectable,
-		faults.ProgramFails, faults.EraseFails, faults.Timeouts, repairs)
+	fmt.Fprintf(w, "  faults:")
+	for k, s := range reportSeries {
+		fmt.Fprintf(w, " %s=%d", s.label, series[k])
+	}
+	fmt.Fprintln(w)
 	viol := r.Violations()
 	fmt.Fprintf(w, "  violations: %d\n", len(viol))
 	for _, pr := range viol {
-		fmt.Fprintf(w, "  VIOLATION point %d trigger %s: lost=%d %v phantom=%d %v err=%q\n",
+		fmt.Fprintf(w, "  VIOLATION point %d trigger %s: lost=%d %v phantom=%d %v err=%q",
 			pr.Index, pr.Trigger, len(pr.Lost), pr.Lost, len(pr.Phantom), pr.Phantom, pr.Err)
+		if pr.Audit != "" {
+			fmt.Fprintf(w, " audit=%q", pr.Audit)
+		}
+		fmt.Fprintln(w)
 	}
 	// Post-mortem context: the minimal point's flight dump when the
 	// shrinker found one, otherwise the first violation's.

@@ -11,6 +11,8 @@ import (
 	"testing/quick"
 
 	"twobssd/internal/core"
+	"twobssd/internal/device"
+	"twobssd/internal/ftl"
 	"twobssd/internal/obs"
 	"twobssd/internal/sim"
 	"twobssd/internal/vfs"
@@ -506,4 +508,57 @@ func TestRewriteRunsAreDeterministic(t *testing.T) {
 	if a, b := run(), run(); a != b {
 		t.Fatalf("two identical runs differ:\n  %s\n  %s", a, b)
 	}
+}
+
+// rmwGate is a device gate that rejects the write half of a
+// read-modify-write: a one-page command right after a one-page command
+// on the same page, which is what cutting a log's torn tail issues.
+type rmwGate struct {
+	last     ftl.LBA
+	lastPage bool
+}
+
+func (g *rmwGate) Check(lba ftl.LBA, pages int) error {
+	rmw := pages == 1 && g.lastPage && lba == g.last
+	g.last, g.lastPage = lba, pages == 1
+	if rmw {
+		return device.ErrGated
+	}
+	return nil
+}
+
+// TestOpenFailsWhenTheTornTailCutFails: SETs over a 64 KB BA AOF lap
+// its ring past two rewrites, then one record is staged uncommitted and
+// the power is cut, so the reopen finds a torn tail in a recycled file
+// and cuts it back. A gate rejects that cut's write: Open must fail with
+// the cut's error, not come up to append after a tail that is not
+// durable.
+func TestOpenFailsWhenTheTornTailCutFails(t *testing.T) {
+	r := newRig()
+	r.env.Go("t", func(p *sim.Proc) {
+		cfg := r.sized(wal.BA, 16<<10)
+		s, err := Open(r.env, p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; counter(t, r.env, "kvaof.rewrites") < 2; i++ {
+			k := fmt.Sprintf("k%02d", i%20)
+			if err := s.Set(p, []byte(k), []byte(fixedValue(k, i))); err != nil || i > 5000 {
+				t.Fatalf("set %d: %v", i, err)
+			}
+		}
+		if _, err := s.aof.Append(p, s.encodeCmd(cmdSet, []byte("staged"), []byte(fixedValue("staged", 0)))); err != nil {
+			t.Fatalf("stage: %v", err)
+		}
+		r.powerCycle(t, p)
+		dev := r.ssd.Device()
+		dev.SetGate(&rmwGate{})
+		if _, err = Open(r.env, p, cfg); !errors.Is(err, device.ErrGated) || !strings.Contains(err.Error(), "cutting the torn tail") {
+			t.Fatalf("reopen with the cut rejected = %v, want the cut's error", err)
+		}
+		if n := counter(t, r.env, dev.Profile().Name+".gated_writes"); n != 1 {
+			t.Fatalf("the gate rejected %d writes, want the cut's one", n)
+		}
+	})
+	r.env.Run()
 }

@@ -110,18 +110,33 @@ func (c *Collector) sortedSets() []*Set {
 }
 
 // MergedSnapshot folds every collected registry into one snapshot.
-// Counters and histograms aggregate across environments; the stamp is
-// the total virtual time simulated (the sum of every environment's
-// clock). The fold visits sets in sorted order, so the result is
-// bit-identical no matter how experiment workers were scheduled.
+// Counters and histograms aggregate across environments and a gauge
+// keeps the largest value any environment reported, so no fold depends
+// on the order sets are visited in; the stamp is the total virtual time
+// simulated (the sum of every environment's clock).
 func (c *Collector) MergedSnapshot() Snapshot {
 	merged := NewRegistry()
+	gauges := make(map[string]float64)
 	var total sim.Time
 	for _, s := range c.sortedSets() {
 		s.Registry().MergeInto(merged)
+		for name, v := range s.Snapshot().Gauges {
+			maxGauge(gauges, name, v)
+		}
 		total += s.Env().Now()
 	}
+	for name, v := range gauges {
+		merged.Gauge(name).Set(v)
+	}
 	return merged.SnapshotAt(total)
+}
+
+// maxGauge folds one environment's reading of a gauge into a merged
+// set: the largest reading wins.
+func maxGauge(m map[string]float64, name string, v float64) {
+	if old, ok := m[name]; !ok || v > old {
+		m[name] = v
+	}
 }
 
 // TotalEvents sums the dispatched-event counts of every collected
@@ -152,10 +167,8 @@ func (c *Collector) WriteMetricsJSON(w io.Writer) error {
 
 // MergedTimeline folds every sampled environment's timeline into one:
 // window k aggregates window k of each environment (all virtual clocks
-// start at zero). Counter deltas add and histogram windows merge;
-// gauges overwrite in sorted-set order. Environments are visited in
-// the same deterministic order as MergedSnapshot, so the timeline is
-// byte-identical no matter how experiment workers were scheduled.
+// start at zero). Counter deltas add, histogram windows merge and a
+// gauge keeps its largest reading, as in MergedSnapshot.
 func (c *Collector) MergedTimeline() Timeline {
 	var streams [][]point
 	var dropped uint64
@@ -181,13 +194,12 @@ func (c *Collector) WriteTimelineCSV(w io.Writer) error {
 }
 
 // WriteTraceJSON writes one Chrome trace combining every collected
-// environment's full tracer (environments without tracing — including
-// those carrying only a bounded flight-recorder ring — are skipped),
-// in the same deterministic set order as MergedSnapshot.
+// environment's tracer (environments without tracing are skipped), in
+// the same deterministic set order as MergedSnapshot.
 func (c *Collector) WriteTraceJSON(w io.Writer) error {
 	var parts []TracePart
 	for _, s := range c.sortedSets() {
-		if t := s.Tracer(); t != nil && !t.Ring() {
+		if t := s.Tracer(); t != nil {
 			parts = append(parts, TracePart{Tracer: t})
 		}
 	}

@@ -101,3 +101,44 @@ func TestTimelineEndpoint(t *testing.T) {
 		t.Fatalf("csv header = %q", strings.SplitN(csv.String(), "\n", 2)[0])
 	}
 }
+
+// TestMergedGaugesKeepTheMax merges two environments that report one
+// gauge at different levels, collected in both orders: the -metrics and
+// -timeline artifacts are byte-identical and read the larger level,
+// though the environment reporting it sorts first ("a" < "b").
+func TestMergedGaugesKeepTheMax(t *testing.T) {
+	type level struct {
+		counter string
+		g       float64
+	}
+	artifacts := func(order ...level) string {
+		c := obs.NewCollector(false)
+		c.EnableSampling()
+		for _, l := range order {
+			set := obs.Of(sim.NewEnv())
+			c.Collect(set)
+			set.Registry().Counter(l.counter).Inc()
+			set.Env().Go("w", func(p *sim.Proc) {
+				set.Registry().Gauge("g").Set(l.g)
+				p.Sleep(2 * sim.Millisecond)
+			})
+			set.Env().Run()
+		}
+		var buf bytes.Buffer
+		if err := c.WriteMetricsJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.WriteTimelineJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	busy, idle := level{"a", 0.9}, level{"b", 0.1}
+	got := artifacts(busy, idle)
+	if other := artifacts(idle, busy); got != other {
+		t.Fatalf("merged artifacts depend on collection order:\n%s\n---\n%s", got, other)
+	}
+	if n := strings.Count(got, `"g": 0.9`); n != 2 || strings.Contains(got, `"g": 0.1`) {
+		t.Fatalf("merged gauge g does not read 0.9 in the snapshot and the timeline window:\n%s", got)
+	}
+}

@@ -8,33 +8,18 @@ import (
 	"twobssd/internal/sim"
 )
 
-// The flight recorder: a bounded, always-affordable ring of the most
-// recent trace events of one environment, captured through the same
-// instrumentation points as the full tracer but with constant memory —
-// so reliability campaigns can leave it on for every crash point, fuzz
-// seed and integrity check, and still hand over "the last N spans
-// before the violation" plus metrics-at-failure when one finally
-// fires. "640 crash points, 0 lost" is a result; a flight dump is what
-// makes point 641 debuggable.
+// The flight dump: the last FlightDepth trace events of one
+// environment plus its metrics, the post-mortem artifact of a campaign
+// violation or a fuzz divergence. Nothing records it on the way: the
+// simulator is deterministic, so a harness runs every point untraced
+// and replays the one that failed with EnableTracing, and the replay's
+// tail is the dump. "640 crash points, 0 lost" is a result; a replayed
+// flight dump is what makes point 641 debuggable.
 
-// FlightDepth is the flight recorder's ring capacity.
+// FlightDepth is the number of trace events a flight dump keeps.
 const FlightDepth = 256
 
-// EnableFlightRecorder switches this environment's tracer into
-// flight-recorder mode: a ring of the last FlightDepth events (spans,
-// instants, counter samples), overwriting the oldest past capacity. If
-// full tracing is already enabled the full tracer doubles as the
-// recorder — it already holds everything — and is returned unchanged.
-// Idempotent.
-func (s *Set) EnableFlightRecorder() *Tracer {
-	if s.tracer != nil {
-		return s.tracer
-	}
-	s.tracer = newRingTracer(s.env)
-	return s.tracer
-}
-
-// FlightEvent is one exported flight-recorder event.
+// FlightEvent is one exported flight-dump event.
 type FlightEvent struct {
 	TimeNs int64   `json:"time_ns"`
 	DurNs  int64   `json:"dur_ns,omitempty"`
@@ -58,11 +43,9 @@ type FlightDump struct {
 // FlightSchema identifies the flight-dump JSON format.
 const FlightSchema = "twobssd/flight-v1"
 
-// FlightDump captures the environment's current flight-recorder state:
-// metrics at this instant plus the recorded event tail. Works with
-// either tracer mode (a full tracer contributes its newest
-// FlightDepth events). With no tracer at all the dump still
-// carries the metrics snapshot.
+// FlightDump captures the environment's metrics at this instant plus
+// the newest FlightDepth events its tracer recorded. With no tracer the
+// dump still carries the metrics snapshot.
 func (s *Set) FlightDump(reason string) FlightDump {
 	d := FlightDump{Schema: FlightSchema, Reason: reason, Metrics: s.Snapshot()}
 	t := s.tracer
@@ -70,7 +53,7 @@ func (s *Set) FlightDump(reason string) FlightDump {
 		return d
 	}
 	evs := t.Events()
-	if !t.ring && len(evs) > FlightDepth {
+	if len(evs) > FlightDepth {
 		evs = evs[len(evs)-FlightDepth:]
 	}
 	d.Events = make([]FlightEvent, 0, len(evs))

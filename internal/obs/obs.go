@@ -24,11 +24,12 @@
 //
 //   - Counters AGGREGATE: values (and per-window deltas) add.
 //   - Histograms AGGREGATE: bucket counts, sums and extremes merge.
-//   - Gauges OVERWRITE: the value from the last-merged registry wins.
-//     The collector visits environments in a deterministic sorted
-//     order, so the winner is schedule-independent — but a gauge in a
-//     merged report is one environment's reading, not a fleet total.
-//   - GaugeFuncs OVERWRITE like gauges. They are evaluated at
+//   - Gauges OVERWRITE in Registry.MergeInto: the value from the
+//     last-merged registry wins. The collector's reports (MergedSnapshot,
+//     MergedTimeline) keep the MAX instead, so a merged gauge is the
+//     largest reading any environment reported, whatever order the
+//     fold visits — never a fleet total.
+//   - GaugeFuncs fold like gauges. They are evaluated at
 //     snapshot/merge time in sorted name order, so callbacks with side
 //     effects observe a deterministic evaluation sequence. When the
 //     environment shuts down they are evaluated one last time into
@@ -36,8 +37,8 @@
 //     does not keep its environment's model alive.
 //
 // Beyond snapshots, the package provides virtual-time metric timelines
-// (timeline.go) and a bounded always-on flight recorder for post-mortem
-// dumps (flight.go).
+// (timeline.go) and post-mortem flight dumps of a traced replay
+// (flight.go).
 package obs
 
 import (
@@ -148,6 +149,10 @@ func (r *Registry) freeze() {
 	}
 	clear(r.gaugeFns)
 }
+
+// CounterValue returns the named counter's value without creating it:
+// 0 when no component registered the name.
+func (r *Registry) CounterValue(name string) uint64 { return r.counters[name].Value() }
 
 // Histo returns the named latency histogram, creating it on first use.
 func (r *Registry) Histo(name string) *histo.H {
@@ -336,16 +341,10 @@ func (s *Set) Tracer() *Tracer { return s.tracer }
 // EnableTracing switches span recording on (idempotent) and returns the
 // tracer. Call it before constructing the components to be traced —
 // they read the tracer through the Set on every operation, so enabling
-// late also works, it just misses earlier events. If the environment
-// already has a flight recorder, it is upgraded in place to a full
-// tracer, keeping the events recorded so far.
+// late also works, it just misses earlier events.
 func (s *Set) EnableTracing() *Tracer {
 	if s.tracer == nil {
 		s.tracer = newTracer(s.env)
-	} else if s.tracer.ring {
-		s.tracer.events = s.tracer.Events()
-		s.tracer.ring = false
-		s.tracer.head = 0
 	}
 	return s.tracer
 }

@@ -239,9 +239,9 @@ const TimelineSchema = "twobssd/timeline-v1"
 // timeline, grouping by window index. Environments all start their
 // clocks at zero, so window k of one env is the same virtual interval
 // as window k of another. Per window: counter deltas add, histogram
-// windows merge, gauges overwrite in input order — callers pass the
-// streams in a deterministic order (Collector.sortedSets) so the result
-// is byte-identical regardless of scheduling.
+// windows merge and a gauge keeps its largest reading. Callers pass the
+// streams in a deterministic order (Collector.sortedSets); the fold
+// itself does not depend on it.
 func mergeTimelines(streams [][]point, dropped uint64) Timeline {
 	type acc struct {
 		pt   point
@@ -274,7 +274,7 @@ func mergeTimelines(streams [][]point, dropped uint64) Timeline {
 				if a.pt.gauges == nil {
 					a.pt.gauges = make(map[string]float64)
 				}
-				a.pt.gauges[name] = v
+				maxGauge(a.pt.gauges, name, v)
 			}
 			for name, w := range p.histos {
 				hw := a.hist[name]

@@ -20,25 +20,14 @@ const MaxEvents = 1 << 18
 //
 // A nil *Tracer is the disabled tracer: every method returns
 // immediately without allocating — the zero-overhead fast path asserted
-// by BenchmarkDisabledTracer.
-//
-// A tracer runs in one of two modes. The full tracer (EnableTracing)
+// by BenchmarkDisabledTracer. An enabled tracer (EnableTracing)
 // appends every event up to MaxEvents and exports Chrome trace JSON.
-// The ring tracer (EnableFlightRecorder) is the flight recorder: a
-// fixed-capacity ring that overwrites its oldest event, so it is
-// allocation-bounded no matter how long the run — it always holds the
-// last N events leading up to whatever went wrong.
 type Tracer struct {
 	env     *sim.Env
 	dropped uint64
 	tracks  []string       // tid -> track name, in first-use order
 	tids    map[string]int // track name -> tid
 	events  []Event
-
-	// Ring (flight-recorder) mode: events wraps at FlightDepth and head
-	// marks the oldest entry.
-	ring bool
-	head int
 }
 
 // Event is one recorded trace event.
@@ -56,36 +45,16 @@ func newTracer(env *sim.Env) *Tracer {
 	return &Tracer{env: env, tids: make(map[string]int)}
 }
 
-func newRingTracer(env *sim.Env) *Tracer {
-	return &Tracer{
-		env:    env,
-		tids:   make(map[string]int),
-		events: make([]Event, 0, FlightDepth),
-		ring:   true,
-	}
-}
-
 // Enabled reports whether the tracer records events.
 func (t *Tracer) Enabled() bool { return t != nil }
 
-// Ring reports whether the tracer is a bounded flight-recorder ring
-// (as opposed to a full exporting tracer).
-func (t *Tracer) Ring() bool { return t != nil && t.ring }
-
-// Events returns the recorded events in chronological order. For a
-// full tracer the slice is borrowed (do not mutate); a ring tracer
-// returns a fresh unwrapped copy.
+// Events returns the recorded events in chronological order. The
+// slice is borrowed: do not mutate it.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	if !t.ring || t.head == 0 {
-		return t.events
-	}
-	out := make([]Event, 0, len(t.events))
-	out = append(out, t.events[t.head:]...)
-	out = append(out, t.events[:t.head]...)
-	return out
+	return t.events
 }
 
 // Dropped reports how many events the cap discarded.
@@ -110,17 +79,6 @@ func (t *Tracer) tid(track string) int {
 }
 
 func (t *Tracer) emit(ev Event) {
-	if t.ring && len(t.events) == FlightDepth {
-		// Flight recorder: overwrite the oldest event in place —
-		// steady state allocates nothing and keeps the newest N.
-		t.events[t.head] = ev
-		t.head++
-		if t.head == len(t.events) {
-			t.head = 0
-		}
-		t.dropped++
-		return
-	}
 	if len(t.events) >= MaxEvents {
 		t.dropped++
 		return

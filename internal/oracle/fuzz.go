@@ -152,9 +152,9 @@ type Result struct {
 	// much of the run had relocation under it (0 unless GCActive).
 	GCRelocations uint64
 
-	// Flight is the flight-recorder dump captured when the seed
-	// diverged: the last spans before the diverging op, plus the
-	// stack's metrics at that moment.
+	// Flight is the flight dump of a traced replay that diverged: the
+	// last spans before the diverging op, plus the stack's metrics at
+	// that moment.
 	Flight *obs.FlightDump
 }
 
@@ -288,10 +288,18 @@ func Run(seed uint64, cfg Config) Result {
 // Env, stack and model — the entry point the shrinker re-invokes with
 // candidate subsequences.
 func Replay(seed uint64, cfg Config, ops []Op) Result {
+	return replay(seed, cfg, ops, false)
+}
+
+// replay is Replay; traced, it records spans and a divergence carries
+// the run's flight dump.
+func replay(seed uint64, cfg Config, ops []Op, traced bool) Result {
 	env := sim.NewEnv()
 	fault.Install(env, fuzzPlan(seed))
 	set := obs.Of(env)
-	set.EnableFlightRecorder()
+	if traced {
+		set.EnableTracing()
+	}
 	sc := stackConfig(cfg.GCActive)
 	s := core.New(env, sc)
 	m := NewModel(ModelConfig{
@@ -331,7 +339,7 @@ func Replay(seed uint64, cfg Config, ops []Op) Result {
 	res.ScrubRepairs = reg.Counter("scrub.repaired").Value()
 	res.GCRelocations = reg.Counter("ftl.gc_relocations").Value()
 	res.EccRetries = reg.Counter("fault.ecc_retries").Value()
-	if res.Divergence != nil {
+	if traced && res.Divergence != nil {
 		d := set.FlightDump("oracle divergence: " + res.Divergence.String())
 		res.Flight = &d
 	}

@@ -1,6 +1,10 @@
 package oracle
 
-import "twobssd/internal/obs"
+import (
+	"fmt"
+
+	"twobssd/internal/obs"
+)
 
 // Shrink minimizes a diverging trace. The strategy mirrors the fault
 // campaign's threshold bisection, then goes further:
@@ -12,16 +16,16 @@ import "twobssd/internal/obs"
 //     the middle of the trace, halving the chunk size whenever a full
 //     sweep removes nothing, until chunks of one op survive.
 //
-// Every candidate replays on a fresh environment with the same seed,
-// so the fault schedule is identical and results are deterministic.
-// Shrink stops early when the replay budget is exhausted and returns
-// the best (shortest) diverging trace found so far.
+// Every candidate replays untraced on a fresh environment with the
+// same seed, so the fault schedule is identical and results are
+// deterministic. Shrink stops early when the replay budget is exhausted
+// and keeps the best (shortest) diverging trace found so far; one
+// traced replay of that trace then takes its flight dump.
 type ShrinkReport struct {
 	Ops        []Op // minimal diverging trace
 	Divergence *Divergence
-	Replays    int // replays spent
-	// Flight is the flight-recorder dump of the best (shortest)
-	// diverging replay found.
+	Replays    int // replays the search spent
+	// Flight is the flight dump of the traced replay of Ops.
 	Flight *obs.FlightDump
 }
 
@@ -37,11 +41,7 @@ func Shrink(seed uint64, cfg Config, ops []Op) ShrinkReport {
 			return nil
 		}
 		rep.Replays++
-		res := Replay(seed, cfg, cand)
-		if res.Divergence != nil {
-			rep.Flight = res.Flight
-		}
-		return res.Divergence
+		return Replay(seed, cfg, cand).Divergence
 	}
 
 	// Confirm, and truncate to the diverging op: nothing after it ran.
@@ -109,5 +109,17 @@ func Shrink(seed uint64, cfg Config, ops []Op) ShrinkReport {
 			chunk = len(ops)
 		}
 	}
+
+	// The dump: one traced replay of the minimal trace. It must diverge
+	// exactly as the search saw; anything else is a determinism failure,
+	// reported in place of the divergence and never dumped.
+	traced := replay(seed, cfg, rep.Ops, true)
+	if traced.Divergence.String() != rep.Divergence.String() {
+		rep.Divergence = &Divergence{Seed: seed, OpIndex: -1, Op: "replay",
+			Detail: fmt.Sprintf("nondeterministic: the traced replay of the minimal trace gave %v, the search %v",
+				traced.Divergence, rep.Divergence)}
+		return rep
+	}
+	rep.Flight = traced.Flight
 	return rep
 }

@@ -12,19 +12,6 @@ import (
 	"twobssd/internal/vfs"
 )
 
-// RepairReport describes what torn-tail repair the last Recover
-// performed. Only a ring repairs: its recycled slots leave stale
-// generations past the tail, which the repair durably cuts off.
-type RepairReport struct {
-	TornTail     bool   // a torn or stale tail was detected
-	RepairedAt   LSN    // LSN where the log was durably cut back
-	DroppedBytes int64  // bytes past the cut invalidated by the repair
-	Failure      string // why the cut could not be made durable ("" = repaired)
-}
-
-// Repair returns the last Recover's torn-tail repair report.
-func (l *Log) Repair() RepairReport { return l.repair }
-
 // viewAt returns the n bytes at off of one segment file. The slice may
 // alias the reader's buffer, capped at n: it is read-only and stays
 // valid for good, so Recover caches record payloads without copying.
@@ -203,14 +190,15 @@ func probeSlot(hdr []byte, i, ring int, fileBytes int64) int64 {
 // A ring reads the checkpoint meta page, probes every slot's segment
 // header, and walks the segment chain from the checkpoint segment
 // forward; a torn or stale tail is durably cut back to the last intact
-// record (see Repair). The caller must quiesce appenders/committers
-// first. A payload handed to fn is read-only: on a tailed log it is the
-// very bytes the tail cache serves.
+// record. Only a ring cuts: its recycled slots leave stale generations
+// past the tail. A cut counts in wal.seg_torn_repairs; one that cannot
+// be made durable fails Recover. The caller must quiesce
+// appenders/committers first. A payload handed to fn is read-only: on
+// a tailed log it is the very bytes the tail cache serves.
 func (l *Log) Recover(p *sim.Proc, fn func(lsn LSN, payload []byte) error) error {
 	t0 := l.env.Now()
 	sp := l.o.Tracer().BeginProc(p, "wal", "recover")
 	defer sp.End()
-	l.repair = RepairReport{}
 	if l.retained != nil {
 		l.retained = make(map[int64][]tailRec)
 	}
@@ -280,12 +268,10 @@ func (l *Log) Recover(p *sim.Proc, fn func(lsn LSN, payload []byte) error) error
 		tail = base + end
 		l.hdrPending = false
 		if how == scanTorn && l.ringed() {
-			l.repair = RepairReport{TornTail: true, RepairedAt: LSN(tail), DroppedBytes: base + l.fileBytes - tail}
 			if err := repairTail(p, f, end); err != nil {
-				l.repair.Failure = err.Error()
-			} else {
-				l.cRepairs.Inc()
+				return fmt.Errorf("wal: cutting the torn tail back to %d: %w", tail, err)
 			}
+			l.cRepairs.Inc()
 		}
 		break
 	}

@@ -10,7 +10,10 @@ import (
 	"testing"
 
 	"twobssd/internal/core"
+	"twobssd/internal/device"
+	"twobssd/internal/ftl"
 	"twobssd/internal/integrity"
+	"twobssd/internal/obs"
 	"twobssd/internal/sim"
 )
 
@@ -121,9 +124,6 @@ func TestRingRoundtrip(t *testing.T) {
 				}
 			})
 			r.env.Run()
-			if rep := rl.Repair(); rep.TornTail || rep.Failure != "" {
-				t.Fatalf("clean shutdown reported a torn tail: %+v", rep)
-			}
 			if n := r.count(t, "wal.seg_torn_repairs"); n != 0 {
 				t.Fatalf("repairs = %d, want none", n)
 			}
@@ -336,15 +336,13 @@ func TestRingTornBoundaryRecord(t *testing.T) {
 			mangleBoundaryTail(t, r, last, len(payloads[len(payloads)-1]), tc.mangle)
 			rl := openSeg(t, r, Sync)
 			got, _ := r.recoverAll(t, rl)
-			rep := rl.Repair()
-			if !rep.TornTail || rep.Failure != "" {
-				t.Fatalf("recovery missed the torn tail: %+v", rep)
+			if n := r.count(t, "wal.seg_torn_repairs"); n != 1 {
+				t.Fatalf("recovery cut %d torn tails, want 1", n)
 			}
 			// The cut lands right after segment 1's header record.
 			segBytes := segCfg(r, Sync).SegmentFileBytes
-			wantCut := LSN(segBytes + RecordOverhead + segHdrBytes)
-			if rep.RepairedAt != wantCut {
-				t.Fatalf("repaired at %d, want %d", rep.RepairedAt, wantCut)
+			if cut, want := rl.AppendOff(), segBytes+RecordOverhead+segHdrBytes; cut != want {
+				t.Fatalf("cut back to %d, want %d", cut, want)
 			}
 			want := payloads[:len(payloads)-1] // the torn record is dropped
 			if len(got) != len(want) {
@@ -360,14 +358,59 @@ func TestRingTornBoundaryRecord(t *testing.T) {
 			// clean tail and repairs nothing.
 			rl2 := openSeg(t, r, Sync)
 			again, _ := r.recoverAll(t, rl2)
-			if rep2 := rl2.Repair(); rep2.TornTail || rep2.Failure != "" {
-				t.Fatalf("second recovery re-reported the repaired tail: %+v", rep2)
+			if n := r.count(t, "wal.seg_torn_repairs"); n != 1 {
+				t.Fatalf("second recovery cut the repaired tail again (%d cuts)", n)
 			}
 			if len(again) != len(want) {
 				t.Fatalf("second recovery replayed %d, want %d", len(again), len(want))
 			}
 			r.env.Shutdown()
 		})
+	}
+}
+
+// rmwGate is a device gate that rejects the write half of a
+// read-modify-write: a one-page command right after a one-page command
+// on the same page. A torn-tail cut is such a write (four zero bytes
+// patched into the tail page); a ring's probes and scans only read.
+type rmwGate struct {
+	last     ftl.LBA
+	lastPage bool
+}
+
+func (g *rmwGate) Check(lba ftl.LBA, pages int) error {
+	rmw := pages == 1 && g.lastPage && lba == g.last
+	g.last, g.lastPage = lba, pages == 1
+	if rmw {
+		return device.ErrGated
+	}
+	return nil
+}
+
+// TestRingFailedCutFailsRecover: when the write that cuts a torn tail
+// back is rejected, the cut is not durable, and Recover fails with that
+// error instead of reporting a log that appends over the stale bytes.
+func TestRingFailedCutFailsRecover(t *testing.T) {
+	r, payloads, last := buildBoundaryTail(t)
+	defer r.env.Shutdown()
+	mangleBoundaryTail(t, r, last, len(payloads[len(payloads)-1]), boundaryMangles[0].mangle)
+	dev := r.ssd.Device()
+	dev.SetGate(&rmwGate{})
+	rl := openSeg(t, r, Sync)
+	var err error
+	r.env.Go("recover", func(p *sim.Proc) { err = rl.Recover(p, nil) })
+	r.env.Run()
+	if !errors.Is(err, device.ErrGated) || !strings.Contains(err.Error(), "cutting the torn tail") {
+		t.Fatalf("Recover = %v, want the rejected cut's error", err)
+	}
+	if n := r.count(t, dev.Profile().Name+".gated_writes"); n != 1 {
+		t.Fatalf("gate rejected %d writes, want the cut's one", n)
+	}
+	if n := r.count(t, dev.Profile().Name+".gated_reads"); n != 0 {
+		t.Fatalf("gate rejected %d reads", n)
+	}
+	if n := r.count(t, "wal.seg_torn_repairs"); n != 0 {
+		t.Fatalf("a failed cut counted as a repair (%d)", n)
 	}
 }
 
@@ -847,9 +890,6 @@ func TestRingBAPowerLoss(t *testing.T) {
 
 	rl := openSeg(t, r, BA)
 	got, _ := r.recoverAll(t, rl)
-	if fail := rl.Repair().Failure; fail != "" {
-		t.Fatalf("repair failed: %s", fail)
-	}
 	if len(got) < n {
 		t.Fatalf("recovered %d records, want the %d committed ones", len(got), n)
 	}
@@ -939,8 +979,9 @@ func concurrentAppendersPowerLoss(t *testing.T, seed int64, ring int, eids []cor
 		t.Fatalf("reopen: %v", err)
 	}
 	got, lsns := r.recoverAll(t, rl)
-	if rep := rl.Repair(); rep.TornTail {
-		t.Errorf("seed %d: torn tail at %d with every commit acknowledged", seed, rep.RepairedAt)
+	// Only a ring cuts; on a single file the series stays unregistered.
+	if n := obs.Of(r.env).Registry().CounterValue("wal.seg_torn_repairs"); n != 0 {
+		t.Errorf("seed %d: torn tail cut back to %d with every commit acknowledged", seed, rl.AppendOff())
 	}
 	for i, lsn := range lsns {
 		if acked[lsn] != got[i] {

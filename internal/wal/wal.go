@@ -268,8 +268,6 @@ type Log struct {
 	retainFrom int64               // records ending at or below were never cached
 	kept       arena.Arena
 
-	repair RepairReport
-
 	// Metrics: "wal.*" for every log; a ring additionally publishes its
 	// lifecycle under "wal.seg_*" (left nil — a no-op — otherwise).
 	o                  *obs.Set

@@ -177,9 +177,10 @@ type (
 	Timeline = obs.Timeline
 	// TimelinePoint is one timeline window.
 	TimelinePoint = obs.TimelinePoint
-	// FlightDump is the post-mortem artifact of the always-on flight
-	// recorder: the last 256 events before a failure plus metrics at
-	// that moment (Observe(env).EnableFlightRecorder() / FlightDump).
+	// FlightDump is the post-mortem artifact of a failure: the last 256
+	// trace events plus metrics at that moment, taken from a traced
+	// replay of the failing run (Observe(env).EnableTracing() /
+	// FlightDump).
 	FlightDump = obs.FlightDump
 )
 
