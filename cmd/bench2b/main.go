@@ -19,6 +19,10 @@
 //     every artifact — tables, -metrics, -timeline, -trace — is
 //     byte-identical at any -j; -j 1 is strictly sequential and is what
 //     -benchjson's per-experiment attribution needs.
+//   - "digest" runs alone: it fingerprints a fixed list of experiments
+//     (their stdout, -metrics and -timeline at quick scale) as the
+//     SHA-256 digests GOLDEN.json holds, so a change that should move
+//     no simulated number is checked with one cmp.
 //   - -benchjson / -benchgate measure the simulator itself on the host
 //     clock (BENCH_kernel.json); the cost of an observer is the same
 //     report taken with and without it (-timeline, -trace).
@@ -34,6 +38,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -85,6 +90,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "usage: bench2b [flags] [experiment ...]\n")
 		fmt.Fprintf(stderr, "experiments: %s all (default: all)\n", strings.Join(all, " "))
 		fmt.Fprintf(stderr, "reliability (not in \"all\"): %s\n", strings.Join(named, " "))
+		fmt.Fprintf(stderr, "digest: SHA-256 of the stdout, -metrics and -timeline of %s at quick scale (GOLDEN.json)\n", strings.Join(digestIDs, " "))
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -102,7 +108,34 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if len(names) == 0 {
 		names = []string{"all"}
 	}
-	var selected []bench.Experiment
+	if slices.Contains(names, "digest") {
+		if len(names) > 1 {
+			fmt.Fprintf(stderr, "bench2b: digest runs alone\n")
+			fs.Usage()
+			return 2
+		}
+		if err := digest(o.jobs, stdout); err != nil {
+			fmt.Fprintf(stderr, "bench2b: %v\n", err)
+			return 1
+		}
+		return 0
+	}
+	selected, unknown := selectExperiments(names)
+	if unknown != "" {
+		fmt.Fprintf(stderr, "bench2b: unknown experiment %q\n", unknown)
+		fs.Usage()
+		return 2
+	}
+	if err := execute(o, selected, stdout, stderr); err != nil {
+		fmt.Fprintf(stderr, "bench2b: %v\n", err)
+		return 1
+	}
+	return 0
+}
+
+// selectExperiments resolves ids to registry entries in the order
+// named ("all": every paper artifact), or returns the first unknown id.
+func selectExperiments(names []string) (selected []bench.Experiment, unknown string) {
 	for _, name := range names {
 		n := len(selected)
 		for _, ex := range table {
@@ -111,16 +144,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 		if len(selected) == n {
-			fmt.Fprintf(stderr, "bench2b: unknown experiment %q\n", name)
-			fs.Usage()
-			return 2
+			return nil, name
 		}
 	}
-	if err := execute(o, selected, stdout, stderr); err != nil {
-		fmt.Fprintf(stderr, "bench2b: %v\n", err)
-		return 1
-	}
-	return 0
+	return selected, ""
 }
 
 // expReport is one experiment's cost in the -benchjson report. Under

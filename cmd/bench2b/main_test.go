@@ -220,3 +220,25 @@ func TestGateComparesTotalsNotRatios(t *testing.T) {
 		t.Errorf("one experiment's allocation regression passed: %v", err)
 	}
 }
+
+// digest runs alone: naming it beside another id is a usage error, and
+// nothing runs.
+func TestDigestRunsAlone(t *testing.T) {
+	code, out, errs := drive("digest", "tab1")
+	if code != 2 || out != "" || !strings.Contains(errs, "digest runs alone") {
+		t.Fatalf("exit %d, stdout %q, stderr %q; want a usage error", code, out, errs)
+	}
+}
+
+// The digest hashes what the simulation decides, never what the host's
+// clock or allocator measured: those members go at any depth, and the
+// rest keeps its literal numbers.
+func TestStripHostFields(t *testing.T) {
+	got, err := stripHostFields([]byte(`{"wall_ns": 12, "experiments": [{"id": "fig9", "mallocs": 3, "events": 1.50}], "virtual_ns": 7}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"experiments":[{"events":1.50,"id":"fig9"}],"virtual_ns":7}`; string(got) != want {
+		t.Errorf("stripped to %s, want %s", got, want)
+	}
+}

@@ -38,7 +38,7 @@ func TestExperimentsTable(t *testing.T) {
 // a document tells the reader to run — an inline `bench2b ... <id>`
 // span or a `go run ./cmd/bench2b ... <id>` line — is in the table.
 func TestDocsNameRegisteredExperiments(t *testing.T) {
-	ids := map[string]bool{"all": true}
+	ids := map[string]bool{"all": true, "digest": true}
 	for _, ex := range Experiments() {
 		ids[ex.ID] = true
 	}
