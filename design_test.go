@@ -66,6 +66,12 @@ var designRules = []rule{
 		planted: []string{"internal/fault/x.go\nfunc f() { obs.Of(env).EnableFlightRecorder() }", "internal/obs/x.go\nfunc newRingTracer() *Tracer { return nil }",
 			"internal/wal/x.go\ntype RepairReport struct{ Failure string }", "internal/bench/x.go\nvar _ fault.RepairReporter",
 			"internal/fault/x.go\ntype PointResult struct{ Faults FaultCounts }"}},
+	{name: "One campaign engine", pr: 56, in: dirs("fault", "oracle", "bench"),
+		bad: declares(`^(Shrink|ShrinkReport|MaxShrinkReplays|Run|Replay|replay|RunFuzz|runFuzz|FuzzReport|Campaign\.(shrink|replay|runTrial)|(Point)?Result\.Flight)$`),
+		planted: []string{"internal/oracle/x.go\nfunc Shrink(seed uint64, ops []Op) ShrinkReport { return ShrinkReport{} }",
+			"internal/oracle/x.go\nconst MaxShrinkReplays = 200", "internal/oracle/x.go\nfunc replay(seed uint64, traced bool) {}",
+			"internal/fault/x.go\nfunc (c *Campaign[C, P, R]) shrink() {}", "internal/fault/x.go\ntype PointResult struct{ Flight *obs.FlightDump }",
+			"internal/bench/x.go\ntype FuzzReport struct{}", "internal/bench/x.go\nfunc RunFuzz(r *Runner) error { return nil }"}},
 }
 
 type rule struct {
@@ -191,6 +197,56 @@ func mapKey(types ...string) matcher {
 			}
 		}
 		return slices.Contains(types, key)
+	}
+}
+
+// declares matches a declaration whose qualified name matches re: a
+// function, Type.Method, a type, Type.Field of a struct, or a constant
+// or variable.
+func declares(re string) matcher {
+	rx := regexp.MustCompile(re)
+	return func(n ast.Node, _ *source) bool {
+		var names []string
+		switch d := n.(type) {
+		case *ast.FuncDecl:
+			names = append(names, d.Name.Name)
+			if d.Recv != nil {
+				names[0] = receiver(d.Recv.List[0].Type) + "." + d.Name.Name
+			}
+		case *ast.TypeSpec:
+			names = append(names, d.Name.Name)
+			if st, ok := d.Type.(*ast.StructType); ok {
+				for _, f := range st.Fields.List {
+					for _, id := range f.Names {
+						names = append(names, d.Name.Name+"."+id.Name)
+					}
+				}
+			}
+		case *ast.ValueSpec:
+			for _, id := range d.Names {
+				names = append(names, id.Name)
+			}
+		}
+		return slices.ContainsFunc(names, rx.MatchString)
+	}
+}
+
+// receiver names a method's receiver type, pointer and type arguments
+// stripped.
+func receiver(e ast.Expr) string {
+	for {
+		switch t := e.(type) {
+		case *ast.StarExpr:
+			e = t.X
+		case *ast.IndexExpr:
+			e = t.X
+		case *ast.IndexListExpr:
+			e = t.X
+		case *ast.Ident:
+			return t.Name
+		default:
+			return ""
+		}
 	}
 }
 

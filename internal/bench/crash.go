@@ -26,6 +26,7 @@ import (
 	"twobssd/internal/jfs"
 	"twobssd/internal/kvaof"
 	"twobssd/internal/lsm"
+	"twobssd/internal/oracle"
 	"twobssd/internal/pglite"
 	"twobssd/internal/sim"
 	"twobssd/internal/vfs"
@@ -42,11 +43,11 @@ func newCrashStack(env *sim.Env) *stack {
 	return &stack{env: env, dataFS: fs, logFS: fs, ssd: ssd, mode: wal.BA}
 }
 
-// Crash cuts power. An insufficient-energy or torn-dump result is a
-// legitimate modeled outcome, not a harness error: it reports
-// persisted=false and the verifier only demands block-mode durability.
-// What was pinned and whether the dump persisted is kept for
-// tornLogExcused.
+// Crash cuts power and powers the drive back on. An insufficient-energy
+// or torn-dump result is a legitimate modeled outcome, not a harness
+// error: it reports persisted=false and the verifier only demands
+// block-mode durability. What was pinned and whether the dump persisted
+// is kept for tornLogExcused.
 func (s *stack) Crash(p *sim.Proc) (bool, error) {
 	s.pinned = s.ssd.Entries()
 	_, err := s.ssd.PowerLoss(p)
@@ -54,7 +55,7 @@ func (s *stack) Crash(p *sim.Proc) (bool, error) {
 		return false, err
 	}
 	s.dumpLost = err != nil
-	return err == nil, nil
+	return err == nil, s.ssd.PowerOn(p)
 }
 
 // Audit checks the page map of the stack's 2B-SSD (fault.Auditor) —
@@ -216,9 +217,6 @@ func (c *walCrash) Stage(p *sim.Proc) (string, error) {
 }
 
 func (c *walCrash) Recover(p *sim.Proc) (recovered, phantoms []string, err error) {
-	if err := c.ssd.PowerOn(p); err != nil {
-		return nil, nil, err
-	}
 	l, err := wal.Open(c.env, c.cfg)
 	if err != nil {
 		return nil, nil, err
@@ -280,9 +278,6 @@ func (c *lsmCrash) Step(p *sim.Proc, i int) (string, error) {
 func (c *lsmCrash) Stage(p *sim.Proc) (string, error) { return "", nil }
 
 func (c *lsmCrash) Recover(p *sim.Proc) (recovered, phantoms []string, err error) {
-	if err := c.ssd.PowerOn(p); err != nil {
-		return nil, nil, err
-	}
 	db, err := lsm.Open(c.env, p, c.cfg)
 	if err != nil {
 		return nil, nil, err
@@ -360,9 +355,6 @@ func (c *pgCrash) Stage(p *sim.Proc) (string, error) {
 }
 
 func (c *pgCrash) Recover(p *sim.Proc) (recovered, phantoms []string, err error) {
-	if err := c.ssd.PowerOn(p); err != nil {
-		return nil, nil, err
-	}
 	eng, err := pglite.Open(c.env, p, c.cfg)
 	if excused, err := c.tornLogExcused(p, err); excused || err != nil {
 		return nil, nil, err
@@ -407,9 +399,6 @@ func (c *aofCrash) Step(p *sim.Proc, i int) (string, error) {
 func (c *aofCrash) Stage(p *sim.Proc) (string, error) { return "", nil }
 
 func (c *aofCrash) Recover(p *sim.Proc) (recovered, phantoms []string, err error) {
-	if err := c.ssd.PowerOn(p); err != nil {
-		return nil, nil, err
-	}
 	st, err := kvaof.Open(c.env, p, c.cfg)
 	if excused, err := c.tornLogExcused(p, err); excused || err != nil {
 		return nil, nil, err
@@ -469,9 +458,6 @@ func (c *jfsCrash) Stage(p *sim.Proc) (string, error) {
 }
 
 func (c *jfsCrash) Recover(p *sim.Proc) (recovered, phantoms []string, err error) {
-	if err := c.ssd.PowerOn(p); err != nil {
-		return nil, nil, err
-	}
 	st, err := jfs.Open(c.env, p, c.cfg)
 	if excused, err := c.tornLogExcused(p, err); excused || err != nil {
 		return nil, nil, err
@@ -560,9 +546,6 @@ func (c *blkGCCrash) Step(p *sim.Proc, i int) (string, error) {
 func (c *blkGCCrash) Stage(p *sim.Proc) (string, error) { return "", nil }
 
 func (c *blkGCCrash) Recover(p *sim.Proc) (recovered, phantoms []string, err error) {
-	if err := c.ssd.PowerOn(p); err != nil {
-		return nil, nil, err
-	}
 	ps := c.ssd.PageSize()
 	buf := make([]byte, blkGCHot*ps)
 	for lba := 0; lba < c.span; lba += blkGCHot {
@@ -585,23 +568,25 @@ func (c *blkGCCrash) Recover(p *sim.Proc) (recovered, phantoms []string, err err
 
 // ---- campaign assembly ---------------------------------------------
 
-// campaign rows pin name, committed-op count and seed per sweep, and
-// which experiment's sweep runs the row; smoke rows also run in that
-// experiment's -smoke variant. The lsm row is sized so its memtable
-// never rotates (that path has its own experiment); each of pglite,
-// kvaof and jfs has one row whose log holds the whole campaign and one
-// (-ckpt) that overwrites a few keys on a ring so small that the engine
-// checkpoints every few ops.
+// campaign rows are the sweeps of the campaign experiments: each names
+// its experiment and whether that experiment's -smoke variant runs it
+// too. A crash row pins its committed-op count and seed and builds its
+// workload; a fuzz row (build nil) names an oracle profile. The lsm row
+// is sized so its memtable never rotates (that path has its own
+// experiment); each of pglite, kvaof and jfs has one row whose log holds
+// the whole campaign and one (-ckpt) that overwrites a few keys on a
+// ring so small that the engine checkpoints every few ops.
 type campaign struct {
-	exp   string // "crash" or "wal-life"
+	exp   string // "crash", "wal-life" or "fuzz"
 	name  string
 	ops   int
 	seed  uint64
 	build func(ops int) cycleBuilder
-	// tweak optionally adjusts per-point fault plans (fault.Campaign's
+	// tweak optionally adjusts per-point fault plans (fault.Crash's
 	// Tweak contract: pure in the point index).
 	tweak func(i int, plan *fault.Plan)
 	smoke bool
+	fuzz  oracle.Config
 }
 
 // crashRing places an engine's log on the crash stack: a ring of `ring`
@@ -625,37 +610,41 @@ func walSeg(mode wal.CommitMode) func(int) cycleBuilder {
 }
 
 var campaigns = []campaign{
-	{"crash", "wal", 48, 0x2b55c0de0001, fixed(buildWALCrash), nil, false},
-	{"crash", "lsm", 32, 0x2b55c0de0002, buildLSMCrash, nil, true},
+	{"crash", "wal", 48, 0x2b55c0de0001, fixed(buildWALCrash), nil, false, oracle.Config{}},
+	{"crash", "lsm", 32, 0x2b55c0de0002, buildLSMCrash, nil, true, oracle.Config{}},
 	// A fresh key per op on a 1 MB XLOG / 2 MB AOF / 1 MB journal.
 	{"crash", "pglite", 32, 0x2b55c0de0003,
-		func(ops int) cycleBuilder { return buildPGCrash(crashRing(2, 128, 64, 0, 1), ops, 48) }, nil, true},
+		func(ops int) cycleBuilder { return buildPGCrash(crashRing(2, 128, 64, 0, 1), ops, 48) }, nil, true, oracle.Config{}},
 	{"crash", "kvaof", 40, 0x2b55c0de0004,
-		func(ops int) cycleBuilder { return buildAOFCrash(crashRing(2, 256, 256, 0), ops, 48) }, nil, false},
+		func(ops int) cycleBuilder { return buildAOFCrash(crashRing(2, 256, 256, 0), ops, 48) }, nil, false, oracle.Config{}},
 	{"crash", "jfs", 32, 0x2b55c0de0005,
-		func(ops int) cycleBuilder { return buildJFSCrash(crashRing(2, 128, 64, 0, 1), ops, 1<<20) }, nil, false},
+		func(ops int) cycleBuilder { return buildJFSCrash(crashRing(2, 128, 64, 0, 1), ops, 1<<20) }, nil, false, oracle.Config{}},
 	// The checkpoint path: a few keys overwritten with versioned 1.5 KB
 	// values (whole blocks for jfs) on 32-128 KB rings, so the XLOG
 	// checkpoints, the AOF rewrites and the journal checkpoints every few
 	// ops, the rings lap, and power cuts land on rotations, checkpoints
 	// and truncations — with the dump cut short on a subset of points.
 	{"crash", "pglite-ckpt", 48, 0x2b55c0de0008,
-		fixed(buildPGCrash(crashRing(2, 4, 2, 0, 1), 6, 1500)), walLifeTweak, true},
+		fixed(buildPGCrash(crashRing(2, 4, 2, 0, 1), 6, 1500)), walLifeTweak, true, oracle.Config{}},
 	{"crash", "kvaof-ckpt", 48, 0x2b55c0de0009,
-		fixed(buildAOFCrash(crashRing(4, 4, 4, 0), 4, 1500)), walLifeTweak, true},
+		fixed(buildAOFCrash(crashRing(4, 4, 4, 0), 4, 1500)), walLifeTweak, true, oracle.Config{}},
 	{"crash", "jfs-ckpt", 48, 0x2b55c0de000a,
-		fixed(buildJFSCrash(crashRing(4, 8, 4, 0, 1), 3, 5)), walLifeTweak, true},
+		fixed(buildJFSCrash(crashRing(4, 8, 4, 0, 1), 3, 5)), walLifeTweak, true, oracle.Config{}},
 	// walseg runs a full segmented-WAL lifecycle (rotation, checkpoint
 	// truncation, snapshot + chain-replay recovery) on the BA path,
 	// with dump cuts on a point subset so torn-tail repair runs too.
-	{"crash", "walseg", 48, 0x2b55c0de0006, walSeg(wal.BA), walLifeTweak, true},
+	{"crash", "walseg", 48, 0x2b55c0de0006, walSeg(wal.BA), walLifeTweak, true, oracle.Config{}},
 	// blkgc has no log at all: the raw block path of a drive that is
 	// collecting garbage the whole time, relocation runs in flight.
-	{"crash", "blkgc", 192, 0x2b55c0de0007, fixed(buildBlkGCCrash), nil, true},
+	{"crash", "blkgc", 192, 0x2b55c0de0007, fixed(buildBlkGCCrash), nil, true, oracle.Config{}},
 	// The lifecycle sweeps behind wal-life: the same engine as walseg on
-	// the BA byte path and on the block+flush baseline.
-	{"wal-life", "walseg-ba", 48, 0x2b55c0de0106, walSeg(wal.BA), walLifeTweak, true},
-	{"wal-life", "walseg-sync", 48, 0x2b55c0de0107, walSeg(wal.Sync), nil, true},
+	// the BA path and on the block+flush baseline.
+	{"wal-life", "walseg-ba", 48, 0x2b55c0de0106, walSeg(wal.BA), walLifeTweak, true, oracle.Config{}},
+	{"wal-life", "walseg-sync", 48, 0x2b55c0de0107, walSeg(wal.Sync), nil, true, oracle.Config{}},
+	// Randomized dual-path traces against internal/oracle's reference
+	// model: on an empty drive, then on one in steady-state GC.
+	{exp: "fuzz", name: "oracle", smoke: true},
+	{exp: "fuzz", name: "oracle-gc", smoke: true, fuzz: oracle.Config{GCActive: true}},
 }
 
 // campaignNames lists, in table order, the rows exp sweeps — only its
@@ -670,42 +659,62 @@ func campaignNames(exp string, smoke bool) []string {
 	return names
 }
 
-// newCampaign builds the named row's campaign with the given number of
-// crash points.
-func newCampaign(name string, pts int) (*fault.Campaign, error) {
-	for _, c := range campaigns {
-		if c.name == name {
-			return &fault.Campaign{
-				Name: c.name, Points: pts, Ops: c.ops, Seed: c.seed,
-				Build: c.build(c.ops), Tweak: c.tweak,
-			}, nil
+// crash is a crash row's sweep of pts points.
+func (c *campaign) crash(pts int) *fault.Crash {
+	return &fault.Crash{Name: c.name, Points: pts, Ops: c.ops, Seed: c.seed, Build: c.build(c.ops), Tweak: c.tweak}
+}
+
+// newCampaign returns the named crash row's sweep of pts points.
+func newCampaign(name string, pts int) (*fault.Crash, error) {
+	for i, c := range campaigns {
+		if c.name == name && c.build != nil {
+			return campaigns[i].crash(pts), nil
 		}
 	}
 	return nil, fmt.Errorf("bench: unknown crash campaign %q", name)
 }
 
-// runCampaigns sweeps pts crash points over each named row, streams
-// each campaign's report to w, and returns an error when any point
-// violated the durability contract. Points fan out through the Runner,
-// so -j applies; the reports are byte-identical at any parallelism.
+// runCampaigns sweeps pts points — crash points or fuzz seeds — over each
+// named row, streams each campaign's report to w, and returns an error
+// when any point violated its contract. Points fan out through the
+// Runner, so -j applies; the reports are byte-identical at any
+// parallelism.
 func runCampaigns(r *Runner, w io.Writer, names []string, pts int) error {
 	violations := 0
 	for _, name := range names {
-		c, err := newCampaign(name, pts)
+		n, err := runRow(r, w, name, pts)
 		if err != nil {
 			return err
 		}
-		rep, err := c.Run(r.parallelFor)
-		if err != nil {
-			return err
-		}
-		if err := rep.WriteText(w); err != nil {
-			return err
-		}
-		violations += len(rep.Violations())
+		violations += n
 	}
 	if violations > 0 {
-		return fmt.Errorf("bench: %d crash points violated the durability contract", violations)
+		return fmt.Errorf("bench: %d campaign points broke the durability contract or diverged from the reference model", violations)
 	}
 	return nil
+}
+
+// runRow runs the named row's sweep of pts points, writes its report to
+// w and returns its violation count.
+func runRow(r *Runner, w io.Writer, name string, pts int) (int, error) {
+	for i, c := range campaigns {
+		switch {
+		case c.name != name:
+		case c.build == nil:
+			return sweep(r, w, oracle.Campaign(c.fuzz, pts))
+		default:
+			return sweep(r, w, campaigns[i].crash(pts).Campaign())
+		}
+	}
+	return 0, fmt.Errorf("bench: unknown campaign %q", name)
+}
+
+// sweep runs one campaign, writes its report to w and returns its
+// violation count.
+func sweep[C any, P fault.Planner, R fault.Outcome[R]](r *Runner, w io.Writer, c *fault.Campaign[C, P, R]) (int, error) {
+	rep, err := c.Run(r.parallelFor)
+	if err != nil {
+		return 0, err
+	}
+	return len(rep.Violations()), rep.WriteText(w)
 }

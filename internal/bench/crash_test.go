@@ -250,7 +250,7 @@ func TestWalSegExcusedPoints(t *testing.T) {
 			}
 			return cyc, err
 		}
-		rep, err := c.Run(func(n int, fn func(i int)) {
+		rep, err := c.Campaign().Run(func(n int, fn func(i int)) {
 			for i := 0; i < n; i++ {
 				fn(i)
 			}

@@ -62,8 +62,12 @@ func Experiments() []Experiment {
 		// Randomized dual-path workloads against internal/oracle, on an
 		// empty drive and on one in steady-state GC: 256 seeds each; the
 		// smoke is 32.
-		{"fuzz", false, func(r *Runner, w io.Writer) error { return RunFuzz(r, w, 256) }},
-		{"fuzz-smoke", false, func(r *Runner, w io.Writer) error { return RunFuzz(r, w, 32) }},
+		{"fuzz", false, func(r *Runner, w io.Writer) error {
+			return runCampaigns(r, w, campaignNames("fuzz", false), 256)
+		}},
+		{"fuzz-smoke", false, func(r *Runner, w io.Writer) error {
+			return runCampaigns(r, w, campaignNames("fuzz", true), 32)
+		}},
 		// The multi-device scenario family; the smoke is 2 devices with
 		// a primary crash and follower takeover.
 		{"fleet", false, func(r *Runner, w io.Writer) error { return RunFleet(r, w, false) }},

@@ -146,7 +146,7 @@ func TestRunnerBoundsCampaignSetup(t *testing.T) {
 	r := NewRunner(Quick, 1)
 	var live liveCounter
 	var builds atomic.Int32
-	c := &fault.Campaign{
+	c := &fault.Crash{
 		Name: "bound", Points: 4, Ops: 8, Seed: 1,
 		Build: func(*sim.Env, *sim.Proc) (fault.Cycle, error) {
 			builds.Add(1)
@@ -160,11 +160,11 @@ func TestRunnerBoundsCampaignSetup(t *testing.T) {
 		defer wg.Done()
 		points(r, 64, func(int) struct{} { live.work(); return struct{}{} })
 	}()
-	var rep *fault.Report
+	var rep *fault.CrashReport
 	var err error
 	go func() {
 		defer wg.Done()
-		rep, err = c.Run(r.parallelFor)
+		rep, err = c.Campaign().Run(r.parallelFor)
 	}()
 	wg.Wait()
 	if err != nil {

@@ -120,9 +120,6 @@ func (c *walSegCrash) Stage(p *sim.Proc) (string, error) {
 }
 
 func (c *walSegCrash) Recover(p *sim.Proc) (recovered, phantoms []string, err error) {
-	if err := c.ssd.PowerOn(p); err != nil {
-		return nil, nil, err
-	}
 	sl, err := wal.Open(c.env, c.cfg)
 	if err != nil {
 		return nil, nil, err

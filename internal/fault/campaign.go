@@ -3,481 +3,298 @@ package fault
 import (
 	"fmt"
 	"io"
-	"slices"
-	"sort"
+	"reflect"
 
 	"twobssd/internal/obs"
 	"twobssd/internal/sim"
 )
 
-// A Cycle is one crash-recovery workload instance: the campaign builds
-// a fresh one per crash point (on a fresh env with the point's
-// Injector pre-installed), drives committed operations until the
-// injector trips, then crashes, recovers and verifies.
-//
-// The committed-set accounting relies on Step being synchronous: when
-// Step returns, operation i's commit has been acknowledged, so it
-// happened strictly before the PowerLoss that Crash performs.
-type Cycle interface {
-	// Step performs the i-th committed operation and returns its key.
-	Step(p *sim.Proc, i int) (key string, err error)
-	// Stage appends one record *without* committing it — volatile
-	// state the crash may or may not preserve. Returns "" when the
-	// workload has no uncommitted path.
-	Stage(p *sim.Proc) (key string, err error)
-	// Crash cuts power (PowerLoss). persisted reports whether the
-	// capacitor dump completed within budget; the energy it consumed is
-	// the 2bssd.dump_energy_j gauge.
-	Crash(p *sim.Proc) (persisted bool, err error)
-	// Recover powers the device back on, reopens the engine, and
-	// probes the full planned keyspace: recovered lists keys present
-	// with exactly the written content; phantoms lists keys present
-	// that were never appended, or whose content differs from any
-	// appended value.
-	Recover(p *sim.Proc) (recovered, phantoms []string, err error)
+// A Point is one trial of a campaign, as data: where it sits in the
+// sweep, its seed, the choices it makes in order (a fuzz seed's
+// generated ops; none for a crash point, whose Cycle steps by index)
+// and the fault plan installed on its environment. One engine runs the
+// points of every kind of campaign — crash sweeps (Crash) and the
+// oracle's fuzz profiles — through their check, replays, shrinks and
+// reports them.
+type Point[C any, P Planner] struct {
+	Index   int
+	Seed    uint64
+	Choices []C
+	Plan    P
 }
 
-// Auditor is an optional Cycle extension for workloads whose stack can
-// check its own invariants (an FTL's page map). After a successful
-// Recover the campaign runs Audit; an error is a campaign violation,
-// shrunk and dumped like any other durability break.
-type Auditor interface {
-	Audit() error
+// A Planner is a point's fault plan: a Plan, or a struct embedding one
+// that adds fault dimensions of its own. Every Trigger field in it, at
+// any depth, is a threshold the shrinker bisects and the report names.
+type Planner interface{ FaultPlan() Plan }
+
+// FaultPlan makes a Plan a Planner: the plan the engine installs.
+func (p Plan) FaultPlan() Plan { return p }
+
+// An Outcome is what a check found at one point (R is its own type).
+// Verdict says it as exactly as a replay of the point must reproduce
+// it; FailedAt is the index of the choice it failed at, or -1. A
+// harness failure is a violation the report lists and the shrinker
+// never chases; Broken returns the outcome failed by its harness.
+type Outcome[R any] interface {
+	Violation() bool
+	Harness() bool
+	Verdict() string
+	FailedAt() int
+	Broken(why string) R
 }
 
-// Campaign sweeps crash points across one workload. Run first executes a fault-free profile run to learn the workload's
-// duration and per-class event counts, then spreads Points triggers
-// across virtual time and every active event class — so the sweep
-// lands crashes mid-WC-burst, mid-flush, mid-program and between
-// commits in proportion to where the workload actually spends events.
-type Campaign struct {
-	Name   string
-	Points int
-	Ops    int
-	Seed   uint64
-	// Build constructs the device stack and workload on env. The
-	// campaign has already installed the point's Injector on env.
-	Build func(env *sim.Env, p *sim.Proc) (Cycle, error)
-
-	// Tweak optionally adjusts one point's fault plan before it is
-	// installed (e.g. cutting the capacitor dump short on a subset of
-	// points so recovery must repair torn tails). The plan arrives
-	// with Seed and the PowerLoss trigger already set. Must be a pure
-	// function of i so shrinking stays deterministic.
-	Tweak func(i int, plan *Plan)
-
-	specs   []Trigger
-	profile struct {
-		counts [numEvents]uint64
-		dur    sim.Time
-	}
+// A Campaign is one sweep of points through a check.
+type Campaign[C any, P Planner, R Outcome[R]] struct {
+	// Points generates the sweep. It runs in one slot of the caller's
+	// fan-out, so an environment it builds is bounded like the rest.
+	Points func() ([]Point[C, P], error)
+	// Check runs pt to completion on env, whose injector holds pt's plan.
+	Check func(env *sim.Env, pt Point[C, P]) R
+	// Reason heads the flight dump of a violating point.
+	Reason func(pt Point[C, P], r R) string
+	// Summary writes the kind's own report lines.
+	Summary func(w io.Writer, rep *Report[C, P, R]) error
 }
 
-// reportSeries are the registry counters the report totals over every
-// point, each with its label on the report's faults line.
-var reportSeries = [...]struct{ name, label string }{
-	{"fault.trips", "trips"},
-	{"fault.ecc_retries", "ecc-retries"},
-	{"fault.uncorrectable_reads", "uncorrectable"},
-	{"fault.program_fails", "program-fails"},
-	{"fault.erase_fails", "erase-fails"},
-	{"fault.cmd_timeouts", "timeouts"},
-	{"wal.seg_torn_repairs", "torn-repairs"},
-}
-
-// PointResult is the deterministic outcome of one crash point.
-type PointResult struct {
-	Index     int
-	Trigger   string // planned trigger
-	TrippedBy string // "" when the workload finished before the trigger
-	TrippedAt int64  // virtual ns of the trip (0 = ran to completion)
-
-	Committed      int
-	Recovered      int
-	StagedSurvived bool
-	Persisted      bool
-	DumpEnergyJ    float64
-
-	Lost    []string // committed keys missing after recovery (sorted)
-	Phantom []string // recovered keys never appended / wrong content (sorted)
-	Audit   string   // the stack's failed self-check after recovery ("" = passed)
-	Err     string
-	Series  [len(reportSeries)]uint64 // the point's reportSeries values
-
-	// Flight is the flight dump of the point's traced replay, taken
-	// only when the point violated the durability contract: the last
-	// spans and instants leading up to the trigger, plus metrics at
-	// failure.
+// A Finding is a point and what its check found; a violating point
+// carries the flight dump of its traced replay.
+type Finding[C any, P Planner, R Outcome[R]] struct {
+	Point  Point[C, P]
+	Result R
 	Flight *obs.FlightDump
 }
 
-// Violation reports whether the point breaks the durability contract:
-// a committed record lost despite a persisted dump, any phantom
-// record, a failed audit, or a harness error.
-func (pr PointResult) Violation() bool {
-	return (pr.Persisted && len(pr.Lost) > 0) || len(pr.Phantom) > 0 || pr.Audit != "" || pr.Err != ""
+// Report is a campaign's byte-stable outcome.
+type Report[C any, P Planner, R Outcome[R]] struct {
+	Findings []Finding[C, P, R] // every point, in index order
+	// Shrunk is the first violation that is no harness failure, shrunk
+	// to a minimal point (nil when there is none).
+	Shrunk  *Finding[C, P, R]
+	summary func(io.Writer, *Report[C, P, R]) error
 }
 
-// Report is a campaign's aggregated, byte-stable outcome.
-type Report struct {
-	Name        string
-	Seed        uint64
-	Points, Ops int
-	Results     []PointResult
-	// Shrunk is the minimal failing crash point found by bisecting the
-	// first violation's trigger threshold (nil when the campaign is
-	// clean or every violation was a harness error).
-	Shrunk *PointResult
-}
+// maxShrinkReplays bounds the shrinker's trials per violation.
+const maxShrinkReplays = 200
 
-// prepare runs the fault-free profile pass and derives the trigger for
-// every point.
-func (c *Campaign) prepare() error {
-	if c.Points <= 0 || c.Ops <= 0 || c.Build == nil {
-		return fmt.Errorf("fault: campaign %q needs Points, Ops and Build", c.Name)
+// Run generates the points, runs every one, replays each violating
+// point traced and shrinks the first violation that is no harness
+// failure. Every environment — point generation, each point and its
+// replay, the shrinker's trials — runs inside parallelFor (which must
+// call fn(i) exactly once for each 0 <= i < n, in any order or
+// concurrency), so the caller's fan-out bounds them all. Results land
+// in index order, so the report is byte-identical however parallelFor
+// schedules the points.
+func (c *Campaign[C, P, R]) Run(parallelFor func(n int, fn func(i int))) (*Report[C, P, R], error) {
+	var pts []Point[C, P]
+	var err error
+	parallelFor(1, func(int) { pts, err = c.Points() })
+	if err != nil {
+		return nil, err
 	}
-	env := sim.NewEnv()
-	defer env.Shutdown() // its parked daemons would pin the drive
-	in := Install(env, Plan{Seed: c.Seed})
-	var perr error
-	env.Go("fault.profile", func(p *sim.Proc) {
-		cyc, err := c.Build(env, p)
-		if err != nil {
-			perr = fmt.Errorf("fault: profile build: %w", err)
-			return
-		}
-		for k := 0; k < c.Ops; k++ {
-			if _, err := cyc.Step(p, k); err != nil {
-				perr = fmt.Errorf("fault: profile step %d: %w", k, err)
-				return
-			}
+	rep := &Report[C, P, R]{Findings: make([]Finding[C, P, R], len(pts)), summary: c.Summary}
+	parallelFor(len(pts), func(i int) {
+		f := &rep.Findings[i]
+		f.Point = pts[i]
+		if f.Result, _ = c.Trial(pts[i], false); f.Result.Violation() {
+			f.Result, f.Flight = c.Replay(pts[i], f.Result)
 		}
 	})
-	env.Run()
-	if perr != nil {
-		return perr
-	}
-	for ev := Event(0); ev < numEvents; ev++ {
-		c.profile.counts[ev] = in.Count(ev)
-	}
-	c.profile.dur = env.Now()
-
-	// Active trigger classes: virtual time plus every event class the
-	// profile run actually exercised.
-	type class struct {
-		ev   Event
-		time bool
-		max  uint64
-	}
-	classes := []class{{time: true, max: uint64(c.profile.dur)}}
-	for ev := Event(0); ev < numEvents; ev++ {
-		if c.profile.counts[ev] > 0 {
-			classes = append(classes, class{ev: ev, max: c.profile.counts[ev]})
+	for _, f := range rep.Findings {
+		if f.Result.Violation() && !f.Result.Harness() {
+			parallelFor(1, func(int) {
+				s := Finding[C, P, R]{}
+				s.Point, s.Result = c.Shrink(f.Point, f.Result)
+				s.Result, s.Flight = c.Replay(s.Point, s.Result)
+				rep.Shrunk = &s
+			})
+			break
 		}
 	}
-	perClass := (c.Points + len(classes) - 1) / len(classes)
-	jit := sim.NewRand(c.Seed ^ 0x2B55D001)
-	c.specs = make([]Trigger, c.Points)
-	for i := range c.specs {
-		cl := classes[i%len(classes)]
-		j := i / len(classes)
-		frac := (float64(j) + jit.Float()) / float64(perClass)
-		if frac >= 1 {
-			frac = 0.999999
-		}
-		n := 1 + uint64(frac*float64(cl.max))
-		if n > cl.max {
-			n = cl.max
-		}
-		if cl.time {
-			c.specs[i] = Trigger{At: sim.Time(n)}
-		} else {
-			c.specs[i] = Trigger{On: cl.ev, N: n}
-		}
-	}
-	return nil
+	return rep, nil
 }
 
-// pointSeed decorrelates per-point randomness from the point order so
-// results do not depend on scheduling.
-func (c *Campaign) pointSeed(i int) uint64 {
-	return c.Seed + uint64(i)*0x9E3779B97F4A7C15
-}
-
-// runTrial executes crash point i under trig on a fresh environment;
-// traced, it records spans and returns the point's flight dump.
-// Safe to call concurrently for distinct i once prepare has run.
-func (c *Campaign) runTrial(i int, trig Trigger, traced bool) PointResult {
-	pr := PointResult{Index: i, Trigger: trig.String()}
+// Trial runs pt once on a fresh environment. Traced, it records spans,
+// and a violation comes back with the run's flight dump. Safe to call
+// concurrently.
+func (c *Campaign[C, P, R]) Trial(pt Point[C, P], traced bool) (R, *obs.FlightDump) {
 	env := sim.NewEnv()
 	defer env.Shutdown() // after the flight dump; parked daemons would pin the drive
-	plan := Plan{Seed: c.pointSeed(i), PowerLoss: trig}
-	if c.Tweak != nil {
-		c.Tweak(i, &plan)
-	}
-	in := Install(env, plan)
+	Install(env, pt.Plan.FaultPlan())
 	set := obs.Of(env)
 	if traced {
 		set.EnableTracing()
 	}
-	reg := set.Registry()
-	env.Go("fault.point", func(p *sim.Proc) {
-		cyc, err := c.Build(env, p)
-		if err != nil {
-			pr.Err = fmt.Sprintf("build: %v", err)
-			return
-		}
-		var committed []string
-		for k := 0; k < c.Ops; k++ {
-			if in.Tripped() {
-				break
-			}
-			key, err := cyc.Step(p, k)
-			if err != nil {
-				pr.Err = fmt.Sprintf("step %d: %v", k, err)
-				return
-			}
-			committed = append(committed, key)
-		}
-		why, at := in.TripInfo()
-		pr.TrippedBy, pr.TrippedAt = why, int64(at)
-		in.Disarm()
-		staged, err := cyc.Stage(p)
-		if err != nil {
-			pr.Err = fmt.Sprintf("stage: %v", err)
-			return
-		}
-		persisted, err := cyc.Crash(p)
-		if err != nil {
-			pr.Err = fmt.Sprintf("crash: %v", err)
-			return
-		}
-		pr.Persisted, pr.DumpEnergyJ = persisted, reg.Gauge("2bssd.dump_energy_j").Value()
-		recovered, phantoms, err := cyc.Recover(p)
-		if err != nil {
-			pr.Err = fmt.Sprintf("recover: %v", err)
-			return
-		}
-		if a, ok := cyc.(Auditor); ok {
-			if err := a.Audit(); err != nil {
-				pr.Audit = err.Error()
-			}
-		}
-		rec := make(map[string]bool, len(recovered))
-		for _, k := range recovered {
-			rec[k] = true
-		}
-		for _, k := range committed {
-			if !rec[k] {
-				pr.Lost = append(pr.Lost, k)
-			}
-		}
-		pr.Committed, pr.Recovered = len(committed), len(recovered)
-		pr.StagedSurvived = staged != "" && rec[staged]
-		pr.Phantom = append(pr.Phantom, phantoms...)
-		sort.Strings(pr.Lost)
-		sort.Strings(pr.Phantom)
-		for k, s := range reportSeries {
-			pr.Series[k] = reg.CounterValue(s.name)
-		}
-	})
-	env.Run()
-	if traced {
-		d := set.FlightDump(fmt.Sprintf("campaign %s point %d trigger %s: durability violation",
-			c.Name, i, pr.Trigger))
-		pr.Flight = &d
+	r := c.Check(env, pt)
+	if !traced || !r.Violation() {
+		return r, nil
 	}
-	return pr
+	d := set.FlightDump(c.Reason(pt, r))
+	return r, &d
 }
 
-// replay re-runs a violating point under trig with tracing on and
-// returns the replay, which carries the flight dump. The simulator is
-// deterministic, so the replay must reproduce the point's outcome; one
-// that does not is a determinism failure, returned in Err without a
-// dump.
-func (c *Campaign) replay(pr PointResult, trig Trigger) PointResult {
-	again := c.runTrial(pr.Index, trig, true)
-	if slices.Equal(again.Lost, pr.Lost) && slices.Equal(again.Phantom, pr.Phantom) &&
-		again.Audit == pr.Audit && again.Err == pr.Err {
-		return again
+// Replay re-runs the violating point pt traced and returns the replay's
+// outcome with its flight dump. The simulator is deterministic, so the
+// replay must reach first's verdict; one that does not is a harness
+// failure, returned in first's place without a dump.
+func (c *Campaign[C, P, R]) Replay(pt Point[C, P], first R) (R, *obs.FlightDump) {
+	again, dump := c.Trial(pt, true)
+	if again.Verdict() == first.Verdict() {
+		return again, dump
 	}
-	pr.Err = fmt.Sprintf("nondeterministic: the traced replay gave lost=%v phantom=%v audit=%q err=%q; the first run err=%q",
-		again.Lost, again.Phantom, again.Audit, again.Err, pr.Err)
-	return pr
+	return first.Broken(fmt.Sprintf("nondeterministic: the traced replay gave %s; the first run %s",
+		again.Verdict(), first.Verdict())), nil
 }
 
-// Run profiles the campaign, executes every point, and returns the
-// aggregated report; every violating point is replayed for its flight
-// dump, and the first one is shrunk to a minimal failing crash point.
-// Every environment — the profile run, each point and its replay, the
-// shrinker's trials — runs inside
-// parallelFor (which must call fn(i) exactly once for each 0 <= i < n,
-// in any order or concurrency), so the caller's fan-out bounds them
-// all. Results land in index order, so the report is byte-identical
-// regardless of how parallelFor schedules the points.
-func (c *Campaign) Run(parallelFor func(n int, fn func(i int))) (*Report, error) {
-	var err error
-	parallelFor(1, func(int) { err = c.prepare() })
-	if err != nil {
-		return nil, err
-	}
-	results := make([]PointResult, len(c.specs))
-	parallelFor(len(results), func(i int) {
-		if results[i] = c.runTrial(i, c.specs[i], false); results[i].Violation() {
-			results[i] = c.replay(results[i], c.specs[i])
+// Shrink reduces the violating point pt (outcome r) to a minimal point
+// that still violates. First it ddmins the choice list: truncate at the
+// failing choice, bisect the shortest failing prefix, then remove ever
+// smaller chunks. Then it bisects each trigger's threshold toward the
+// smallest that still fails. Every probe is an untraced trial of the
+// point with fewer choices or a lower threshold and the rest of its
+// plan as is, so the fault schedule is the same and the search
+// deterministic. After maxShrinkReplays trials it stops and keeps the
+// smallest failing point found, which it returns with its outcome.
+func (c *Campaign[C, P, R]) Shrink(pt Point[C, P], r R) (Point[C, P], R) {
+	replays := 0
+	fails := func(cand Point[C, P]) bool {
+		if replays >= maxShrinkReplays {
+			return false
 		}
-	})
-	r := &Report{Name: c.Name, Seed: c.Seed, Points: c.Points, Ops: c.Ops, Results: results}
-	for _, pr := range results {
-		if pr.Violation() && pr.Err == "" {
-			var s PointResult
-			parallelFor(1, func(int) { s = c.replay(c.shrink(pr)) })
-			r.Shrunk = &s
-			break
-		}
-	}
-	return r, nil
-}
-
-// shrink bisects the violating point's trigger threshold toward the
-// smallest value that still violates, re-running the cycle untraced
-// each probe, and returns the minimal point with its trigger.
-// Deterministic: same seed, same violation, same minimal point.
-func (c *Campaign) shrink(bad PointResult) (PointResult, Trigger) {
-	trig := c.specs[bad.Index]
-	fails := func(t Trigger) bool {
-		pr := c.runTrial(bad.Index, t, false)
-		if pr.Violation() && pr.Err == "" {
-			bad, trig = pr, t
+		replays++
+		got, _ := c.Trial(cand, false)
+		if got.Violation() && !got.Harness() {
+			pt, r = cand, got
 			return true
 		}
 		return false
 	}
-	switch {
-	case trig.N > 0:
-		lo, hi := uint64(1), trig.N
-		for lo < hi {
-			mid := lo + (hi-lo)/2
-			if fails(Trigger{On: trig.On, N: mid}) {
-				hi = mid
+	try := func(choices []C) bool {
+		cand := pt
+		cand.Choices = choices
+		return fails(cand)
+	}
+	// cut is the failing choice list truncated after the choice it failed
+	// at: the choices after it never ran.
+	cut := func(ops []C) []C {
+		if at := r.FailedAt(); at >= 0 && at+1 < len(ops) {
+			return ops[:at+1]
+		}
+		return ops
+	}
+	ops := cut(pt.Choices)
+	// A shorter prefix can pass even though a longer one fails (the
+	// failure may need earlier state), so keep the best confirmed length.
+	for lo, hi := 1, len(ops); lo < hi; {
+		mid := (lo + hi) / 2
+		if try(ops[:mid]) {
+			ops = cut(ops[:mid])
+			hi = min(mid, len(ops))
+		} else {
+			lo = mid + 1
+		}
+	}
+	for chunk := len(ops) / 2; chunk >= 1 && replays < maxShrinkReplays; {
+		removed := false
+		for start := 0; start+chunk <= len(ops); {
+			cand := append(append(make([]C, 0, len(ops)-chunk), ops[:start]...), ops[start+chunk:]...)
+			if len(cand) > 0 && try(cand) {
+				ops, removed = cand, true // the next chunk slid into place
 			} else {
-				lo = mid + 1
+				start += chunk
 			}
 		}
-	case trig.At > 0:
-		lo, hi := sim.Time(1), trig.At
-		for lo < hi {
-			mid := lo + (hi-lo)/2
-			if fails(Trigger{At: mid}) {
+		if !removed {
+			chunk /= 2
+		} else {
+			chunk = min(chunk, len(ops))
+		}
+	}
+	pt.Choices = ops
+	for k := range triggers(&pt.Plan) {
+		t := *triggers(&pt.Plan)[k]
+		for lo, hi := uint64(1), max(t.N, uint64(t.At)); lo < hi; {
+			mid, cand := lo+(hi-lo)/2, pt
+			if tr := triggers(&cand.Plan)[k]; t.N > 0 {
+				tr.N = mid
+			} else {
+				tr.At = sim.Time(mid)
+			}
+			if fails(cand) {
 				hi = mid
 			} else {
 				lo = mid + 1
 			}
 		}
 	}
-	return bad, trig
+	return pt, r
 }
 
-// Violations returns the violating points (index order).
-func (r *Report) Violations() []PointResult {
-	var out []PointResult
-	for _, pr := range r.Results {
-		if pr.Violation() {
-			out = append(out, pr)
+// triggers lists the Trigger fields of *plan, embedded structs included,
+// in field order.
+func triggers[P Planner](plan *P) []*Trigger {
+	var walk func(v reflect.Value) []*Trigger
+	walk = func(v reflect.Value) (out []*Trigger) {
+		for i := 0; i < v.NumField(); i++ {
+			switch f := v.Field(i); {
+			case f.Type() == reflect.TypeFor[Trigger]():
+				out = append(out, f.Addr().Interface().(*Trigger))
+			case f.Kind() == reflect.Struct:
+				out = append(out, walk(f)...)
+			}
+		}
+		return out
+	}
+	return walk(reflect.ValueOf(plan).Elem())
+}
+
+// Violations returns the violating findings, in index order.
+func (r *Report[C, P, R]) Violations() []Finding[C, P, R] {
+	var out []Finding[C, P, R]
+	for _, f := range r.Findings {
+		if f.Result.Violation() {
+			out = append(out, f)
 		}
 	}
 	return out
 }
 
-// WriteText renders the deterministic campaign report.
-func (r *Report) WriteText(w io.Writer) error {
-	classes := map[string]int{}
-	tripped := 0
-	committed, recovered, survivors, persisted := 0, 0, 0, 0
-	var energy float64
-	var series [len(reportSeries)]uint64
-	for _, pr := range r.Results {
-		classes[triggerClass(pr.Trigger)]++
-		if pr.TrippedBy != "" {
-			tripped++
-		}
-		committed += pr.Committed
-		recovered += pr.Recovered
-		if pr.StagedSurvived {
-			survivors++
-		}
-		if pr.Persisted {
-			persisted++
-		}
-		energy += pr.DumpEnergyJ
-		for k, v := range pr.Series {
-			series[k] += v
-		}
-	}
-	names := make([]string, 0, len(classes))
-	for n := range classes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	if _, err := fmt.Fprintf(w, "campaign %s: %d points x %d ops, seed 0x%x\n",
-		r.Name, r.Points, r.Ops, r.Seed); err != nil {
+// WriteText renders the deterministic report: the kind's summary, one
+// line per violation, then the minimal point with its choices and its
+// flight dump — or, when nothing was shrunk, the first violation's dump.
+func (r *Report[C, P, R]) WriteText(w io.Writer) error {
+	if err := r.summary(w, r); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "  triggers:")
-	for _, n := range names {
-		fmt.Fprintf(w, " %s=%d", n, classes[n])
-	}
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "  tripped mid-run: %d/%d\n", tripped, len(r.Results))
-	fmt.Fprintf(w, "  committed=%d recovered=%d staged-survivors=%d dump-persisted=%d/%d\n",
-		committed, recovered, survivors, persisted, len(r.Results))
-	fmt.Fprintf(w, "  dump energy: %.2f mJ total\n", energy*1e3)
-	fmt.Fprintf(w, "  faults:")
-	for k, s := range reportSeries {
-		fmt.Fprintf(w, " %s=%d", s.label, series[k])
-	}
-	fmt.Fprintln(w)
 	viol := r.Violations()
-	fmt.Fprintf(w, "  violations: %d\n", len(viol))
-	for _, pr := range viol {
-		fmt.Fprintf(w, "  VIOLATION point %d trigger %s: lost=%d %v phantom=%d %v err=%q",
-			pr.Index, pr.Trigger, len(pr.Lost), pr.Lost, len(pr.Phantom), pr.Phantom, pr.Err)
-		if pr.Audit != "" {
-			fmt.Fprintf(w, " audit=%q", pr.Audit)
-		}
-		fmt.Fprintln(w)
+	for i := range viol {
+		fmt.Fprintf(w, "  VIOLATION %s\n", viol[i].describe())
 	}
-	// Post-mortem context: the minimal point's flight dump when the
-	// shrinker found one, otherwise the first violation's.
-	dump := func(pr *PointResult) error {
-		if pr == nil || pr.Flight == nil {
-			return nil
-		}
-		return pr.Flight.WriteText(w)
-	}
-	if r.Shrunk != nil {
-		if _, err := fmt.Fprintf(w, "  minimal failing crash point: %s (lost=%d phantom=%d)\n",
-			r.Shrunk.Trigger, len(r.Shrunk.Lost), len(r.Shrunk.Phantom)); err != nil {
-			return err
-		}
-		return dump(r.Shrunk)
-	}
+	var dump *obs.FlightDump
 	if len(viol) > 0 {
-		return dump(&viol[0])
+		dump = viol[0].Flight
 	}
-	return nil
+	if s := r.Shrunk; s != nil {
+		fmt.Fprintf(w, "  minimal failing %s\n", s.describe())
+		for i, op := range s.Point.Choices {
+			fmt.Fprintf(w, "    op %2d: %v\n", i, op)
+		}
+		dump = s.Flight
+	}
+	if dump == nil {
+		return nil
+	}
+	return dump.WriteText(w)
 }
 
-// triggerClass maps a trigger description back to its class name for
-// the report's histogram line.
-func triggerClass(desc string) string {
-	for i := 0; i < len(desc); i++ {
-		switch desc[i] {
-		case '=':
-			return desc[:i]
-		case '#':
-			return desc[:i]
+// describe names a finding's point — its index and each armed trigger —
+// and what its check found.
+func (f *Finding[C, P, R]) describe() string {
+	s := fmt.Sprintf("point %d", f.Point.Index)
+	for _, t := range triggers(&f.Point.Plan) {
+		if *t != (Trigger{}) {
+			s += " trigger " + t.String()
 		}
 	}
-	return desc
+	return s + ": " + f.Result.Verdict()
 }

@@ -51,13 +51,13 @@ func (c *plantedCycle) Recover(p *sim.Proc) ([]string, []string, error) {
 // whose span tail leads up to the trigger, both in the result and in
 // the text report.
 func TestPlantedViolationProducesFlightDump(t *testing.T) {
-	c := &fault.Campaign{
+	c := &fault.Crash{
 		Name: "planted", Points: 3, Ops: 6, Seed: 0x2b55,
 		Build: func(env *sim.Env, p *sim.Proc) (fault.Cycle, error) {
 			return &plantedCycle{env: env}, nil
 		},
 	}
-	rep, err := c.Run(serial)
+	rep, err := c.Campaign().Run(serial)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -65,28 +65,28 @@ func TestPlantedViolationProducesFlightDump(t *testing.T) {
 	if len(viol) == 0 {
 		t.Fatal("planted violation not detected")
 	}
-	for _, pr := range viol {
-		if pr.Flight == nil {
-			t.Fatalf("point %d violated but has no flight dump", pr.Index)
+	for _, f := range viol {
+		if f.Flight == nil {
+			t.Fatalf("point %d violated but has no flight dump", f.Point.Index)
 		}
-		if !strings.Contains(pr.Flight.Reason, "durability violation") {
-			t.Fatalf("dump reason = %q", pr.Flight.Reason)
+		if !strings.Contains(f.Flight.Reason, "durability violation") {
+			t.Fatalf("dump reason = %q", f.Flight.Reason)
 		}
-		if len(pr.Flight.Events) == 0 {
-			t.Fatalf("point %d flight dump is empty", pr.Index)
+		if len(f.Flight.Events) == 0 {
+			t.Fatalf("point %d flight dump is empty", f.Point.Index)
 		}
 		var spans int
-		for _, ev := range pr.Flight.Events {
+		for _, ev := range f.Flight.Events {
 			if ev.Kind == "span" && ev.Name == "commit_step" {
 				spans++
 			}
 		}
 		if spans == 0 {
-			t.Fatalf("point %d dump has no commit_step spans: %+v", pr.Index, pr.Flight.Events)
+			t.Fatalf("point %d dump has no commit_step spans: %+v", f.Point.Index, f.Flight.Events)
 		}
 		// Chronological, ending at (or after) the events nearest the
 		// crash: the last event must not precede the first.
-		first, last := pr.Flight.Events[0], pr.Flight.Events[len(pr.Flight.Events)-1]
+		first, last := f.Flight.Events[0], f.Flight.Events[len(f.Flight.Events)-1]
 		if last.TimeNs < first.TimeNs {
 			t.Fatalf("dump events out of order: %d .. %d", first.TimeNs, last.TimeNs)
 		}
@@ -110,22 +110,22 @@ func TestPlantedViolationProducesFlightDump(t *testing.T) {
 // TestCleanCampaignHasNoDump checks dumps are captured only on
 // violation — a clean sweep stays dump-free.
 func TestCleanCampaignHasNoDump(t *testing.T) {
-	c := &fault.Campaign{
+	c := &fault.Crash{
 		Name: "clean", Points: 2, Ops: 4, Seed: 0x2b56,
 		Build: func(env *sim.Env, p *sim.Proc) (fault.Cycle, error) {
 			return &cleanCycle{env: env}, nil
 		},
 	}
-	rep, err := c.Run(serial)
+	rep, err := c.Campaign().Run(serial)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if len(rep.Violations()) != 0 {
 		t.Fatalf("clean campaign reported violations: %+v", rep.Violations())
 	}
-	for _, pr := range rep.Results {
-		if pr.Flight != nil {
-			t.Fatalf("clean point %d carries a flight dump", pr.Index)
+	for _, f := range rep.Findings {
+		if f.Flight != nil {
+			t.Fatalf("clean point %d carries a flight dump", f.Point.Index)
 		}
 	}
 }
@@ -183,7 +183,7 @@ func (c *repairCycle) Recover(p *sim.Proc) ([]string, []string, error) {
 // that error as a violation with a replayed flight dump, even though
 // no committed record was reported lost.
 func TestRepairFailureIsViolationWithDump(t *testing.T) {
-	c := &fault.Campaign{
+	c := &fault.Crash{
 		Name: "repair-fail", Points: 2, Ops: 4, Seed: 0x2b57,
 		Build: func(env *sim.Env, p *sim.Proc) (fault.Cycle, error) {
 			return &repairCycle{
@@ -192,7 +192,7 @@ func TestRepairFailureIsViolationWithDump(t *testing.T) {
 			}, nil
 		},
 	}
-	rep, err := c.Run(serial)
+	rep, err := c.Campaign().Run(serial)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -200,13 +200,13 @@ func TestRepairFailureIsViolationWithDump(t *testing.T) {
 	if len(viol) != 2 {
 		t.Fatalf("violations = %d, want every point", len(viol))
 	}
-	for _, pr := range viol {
-		if !strings.Contains(pr.Err, "recover: wal: cutting the torn tail") ||
-			!strings.Contains(pr.Err, "readback at 4096") {
-			t.Fatalf("point %d err = %q, want the cut's failure", pr.Index, pr.Err)
+	for _, f := range viol {
+		if !strings.Contains(f.Result.Err, "recover: wal: cutting the torn tail") ||
+			!strings.Contains(f.Result.Err, "readback at 4096") {
+			t.Fatalf("point %d err = %q, want the cut's failure", f.Point.Index, f.Result.Err)
 		}
-		if pr.Flight == nil || len(pr.Flight.Events) == 0 {
-			t.Fatalf("point %d repair violation carries no flight dump", pr.Index)
+		if f.Flight == nil || len(f.Flight.Events) == 0 {
+			t.Fatalf("point %d repair violation carries no flight dump", f.Point.Index)
 		}
 	}
 	var buf bytes.Buffer
@@ -237,13 +237,13 @@ func (c *auditCycle) Audit() error {
 // across a recovery is a campaign violation with a flight dump, even
 // when every committed record came back.
 func TestAuditFailureIsViolationWithDump(t *testing.T) {
-	c := &fault.Campaign{
+	c := &fault.Crash{
 		Name: "audit-fail", Points: 2, Ops: 4, Seed: 0x2b59,
 		Build: func(env *sim.Env, p *sim.Proc) (fault.Cycle, error) {
 			return &auditCycle{cleanCycle: cleanCycle{env: env}}, nil
 		},
 	}
-	rep, err := c.Run(serial)
+	rep, err := c.Campaign().Run(serial)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -251,12 +251,12 @@ func TestAuditFailureIsViolationWithDump(t *testing.T) {
 	if len(viol) != 2 {
 		t.Fatalf("violations = %d, want every point", len(viol))
 	}
-	for _, pr := range viol {
-		if pr.Audit != "l2p[3] = 7 but p2l[7] = 4" || pr.Err != "" {
-			t.Fatalf("point %d audit = %q err = %q, want the audit failure alone", pr.Index, pr.Audit, pr.Err)
+	for _, f := range viol {
+		if f.Result.Audit != "l2p[3] = 7 but p2l[7] = 4" || f.Result.Err != "" {
+			t.Fatalf("point %d audit = %q err = %q, want the audit failure alone", f.Point.Index, f.Result.Audit, f.Result.Err)
 		}
-		if pr.Flight == nil {
-			t.Fatalf("point %d audit violation carries no flight dump", pr.Index)
+		if f.Flight == nil {
+			t.Fatalf("point %d audit violation carries no flight dump", f.Point.Index)
 		}
 	}
 }
@@ -266,13 +266,13 @@ func TestAuditFailureIsViolationWithDump(t *testing.T) {
 // 400 µs, with the replayed dump of that point.
 func TestAuditFailureShrinks(t *testing.T) {
 	const k = sim.Time(400 * sim.Microsecond)
-	c := &fault.Campaign{
+	c := &fault.Crash{
 		Name: "audit-shrink", Points: 4, Ops: 20, Seed: 0x2b5a,
 		Build: func(env *sim.Env, p *sim.Proc) (fault.Cycle, error) {
 			return &auditCycle{cleanCycle: cleanCycle{env: env}, failAt: k}, nil
 		},
 	}
-	rep, err := c.Run(serial)
+	rep, err := c.Campaign().Run(serial)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -282,8 +282,8 @@ func TestAuditFailureShrinks(t *testing.T) {
 	if rep.Shrunk == nil {
 		t.Fatal("the audit failure was not shrunk")
 	}
-	if want := (fault.Trigger{At: k}).String(); rep.Shrunk.Trigger != want || rep.Shrunk.Audit == "" {
-		t.Fatalf("shrunk to %s (audit %q), want %s", rep.Shrunk.Trigger, rep.Shrunk.Audit, want)
+	if want := (fault.Trigger{At: k}).String(); rep.Shrunk.Point.Plan.PowerLoss.String() != want || rep.Shrunk.Result.Audit == "" {
+		t.Fatalf("shrunk to %s (audit %q), want %s", rep.Shrunk.Point.Plan.PowerLoss, rep.Shrunk.Result.Audit, want)
 	}
 	if rep.Shrunk.Flight == nil {
 		t.Fatal("shrunk audit failure carries no flight dump")
@@ -311,13 +311,13 @@ func (c *flakyCycle) Recover(p *sim.Proc) ([]string, []string, error) {
 // dump of a run that did not fail.
 func TestNondeterministicReplayIsReported(t *testing.T) {
 	runs := map[sim.Time]int{}
-	c := &fault.Campaign{
+	c := &fault.Crash{
 		Name: "flaky", Points: 2, Ops: 4, Seed: 0x2b5b,
 		Build: func(env *sim.Env, p *sim.Proc) (fault.Cycle, error) {
 			return &flakyCycle{cleanCycle: cleanCycle{env: env}, runs: runs}, nil
 		},
 	}
-	rep, err := c.Run(serial)
+	rep, err := c.Campaign().Run(serial)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -325,12 +325,12 @@ func TestNondeterministicReplayIsReported(t *testing.T) {
 	if len(viol) == 0 {
 		t.Fatal("the first run's loss was not reported")
 	}
-	for _, pr := range viol {
-		if !strings.HasPrefix(pr.Err, "nondeterministic: the traced replay gave lost=[]") {
-			t.Fatalf("point %d err = %q, want a determinism failure", pr.Index, pr.Err)
+	for _, f := range viol {
+		if !strings.HasPrefix(f.Result.Err, "nondeterministic: the traced replay gave lost=0 []") {
+			t.Fatalf("point %d err = %q, want a determinism failure", f.Point.Index, f.Result.Err)
 		}
-		if pr.Flight != nil {
-			t.Fatalf("point %d dumps a replay that did not fail", pr.Index)
+		if f.Flight != nil {
+			t.Fatalf("point %d dumps a replay that did not fail", f.Point.Index)
 		}
 	}
 	if rep.Shrunk != nil {
@@ -341,13 +341,13 @@ func TestNondeterministicReplayIsReported(t *testing.T) {
 // TestSuccessfulRepairsAggregate: successful torn-tail cuts are no
 // violation and the report totals each point's wal.seg_torn_repairs.
 func TestSuccessfulRepairsAggregate(t *testing.T) {
-	c := &fault.Campaign{
+	c := &fault.Crash{
 		Name: "repair-ok", Points: 3, Ops: 4, Seed: 0x2b58,
 		Build: func(env *sim.Env, p *sim.Proc) (fault.Cycle, error) {
 			return &repairCycle{cleanCycle: cleanCycle{env: env}, repairs: 2}, nil
 		},
 	}
-	rep, err := c.Run(serial)
+	rep, err := c.Campaign().Run(serial)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 
 	"twobssd/internal/core"
 	"twobssd/internal/fault"
@@ -29,37 +30,20 @@ const (
 	OpDrain
 )
 
+var opNames = [...]string{"mmio_write", "mmio_read", "mmio_sync", "pin", "flush", "block_write",
+	"block_read", "read_dma", "power_cycle", "scrub", "drain"}
+
 func (k OpKind) String() string {
-	switch k {
-	case OpMmioWrite:
-		return "mmio_write"
-	case OpMmioRead:
-		return "mmio_read"
-	case OpMmioSync:
-		return "mmio_sync"
-	case OpPin:
-		return "pin"
-	case OpFlush:
-		return "flush"
-	case OpBlockWrite:
-		return "block_write"
-	case OpBlockRead:
-		return "block_read"
-	case OpReadDMA:
-		return "read_dma"
-	case OpPowerCycle:
-		return "power_cycle"
-	case OpScrub:
-		return "scrub"
-	case OpDrain:
-		return "drain"
+	if int(k) < len(opNames) {
+		return opNames[k]
 	}
 	return fmt.Sprintf("op_%d", int(k))
 }
 
 // Op is one self-contained generated operation: every parameter is
 // concrete, so any subsequence of a trace replays deterministically —
-// the property the shrinker depends on.
+// the property the shrinker depends on. A seed's trace is its point's
+// choice list.
 type Op struct {
 	Kind  OpKind
 	EID   core.EID
@@ -151,11 +135,100 @@ type Result struct {
 	// GCRelocations counts the valid pages garbage collection moved: how
 	// much of the run had relocation under it (0 unless GCActive).
 	GCRelocations uint64
+	// Err is a harness failure: a traced replay that did not reproduce
+	// the run.
+	Err string
+}
 
-	// Flight is the flight dump of a traced replay that diverged: the
-	// last spans before the diverging op, plus the stack's metrics at
-	// that moment.
-	Flight *obs.FlightDump
+// Violation reports a divergence or a harness failure.
+func (r Result) Violation() bool { return r.Divergence != nil || r.Err != "" }
+
+// Harness reports a harness failure.
+func (r Result) Harness() bool { return r.Err != "" }
+
+// Verdict is the divergence, or the harness failure.
+func (r Result) Verdict() string {
+	if r.Err != "" {
+		return r.Err
+	}
+	return r.Divergence.String()
+}
+
+// FailedAt is the diverging op's index, or -1 (no divergence, or one
+// the final-state sweep found).
+func (r Result) FailedAt() int {
+	if r.Divergence == nil {
+		return -1
+	}
+	return r.Divergence.OpIndex
+}
+
+// Broken returns the result with the harness failure why.
+func (r Result) Broken(why string) Result {
+	r.Err = why
+	return r
+}
+
+// Point, Report and Sweep are the engine's types for the fuzz kind.
+type (
+	Point  = fault.Point[Op, fault.Plan]
+	Report = fault.Report[Op, fault.Plan, Result]
+	Sweep  = fault.Campaign[Op, fault.Plan, Result]
+)
+
+// Campaign returns the fuzz campaign of a profile: seeds 0..seeds-1,
+// each a point whose choices are the seed's generated trace, checked
+// against a fresh stack and model.
+func Campaign(cfg Config, seeds int) *Sweep {
+	return &Sweep{
+		Points: func() ([]Point, error) {
+			pts := make([]Point, seeds)
+			for i := range pts {
+				pts[i] = NewPoint(uint64(i), cfg)
+			}
+			return pts, nil
+		},
+		Check:   func(env *sim.Env, pt Point) Result { return check(env, pt, cfg) },
+		Reason:  func(_ Point, r Result) string { return "oracle divergence: " + r.Divergence.String() },
+		Summary: func(w io.Writer, rep *Report) error { return summary(w, rep, cfg) },
+	}
+}
+
+// NewPoint is seed's point: its generated trace and its fault plan.
+func NewPoint(seed uint64, cfg Config) Point {
+	return Point{Index: int(seed), Seed: seed, Choices: Generate(seed, cfg), Plan: fuzzPlan(seed)}
+}
+
+// summary writes the fuzz report's own lines: one table per profile.
+func summary(w io.Writer, rep *Report, cfg Config) error {
+	var ops int
+	var repairs, retries, relocated uint64
+	for _, f := range rep.Findings {
+		ops += f.Result.Ops
+		repairs += f.Result.ScrubRepairs
+		retries += f.Result.EccRetries
+		relocated += f.Result.GCRelocations
+	}
+	profile := ""
+	if cfg.GCActive {
+		profile = "drive in steady-state GC, "
+	}
+	if _, err := fmt.Fprintf(w, "== fuzz: dual-path oracle, %s%d seeds ==\n", profile, len(rep.Findings)); err != nil {
+		return err
+	}
+	if _, err := fmt.Fprintf(w, "%-24s %d\n%-24s %d\n%-24s %d\n%-24s %d\n%-24s %d\n",
+		"seeds run", len(rep.Findings),
+		"ops executed", ops,
+		"divergences", len(rep.Violations()),
+		"scrub repairs", repairs,
+		"ecc retries", retries); err != nil {
+		return err
+	}
+	if cfg.GCActive {
+		_, err := fmt.Fprintf(w, "%-24s %d\n", "gc relocations", relocated)
+		return err
+	}
+	return nil
 }
 
 // fillPattern writes a deterministic byte pattern derived from seed:
@@ -277,29 +350,10 @@ func Generate(seed uint64, cfg Config) []Op {
 	return ops
 }
 
-// Run generates the trace for one seed and replays it against a fresh
-// stack + model, returning the first divergence (if any) plus fault
-// and scrub counters.
-func Run(seed uint64, cfg Config) Result {
-	return Replay(seed, cfg, Generate(seed, cfg))
-}
-
-// Replay executes an explicit op sequence for a seed on a fresh sim
-// Env, stack and model — the entry point the shrinker re-invokes with
-// candidate subsequences.
-func Replay(seed uint64, cfg Config, ops []Op) Result {
-	return replay(seed, cfg, ops, false)
-}
-
-// replay is Replay; traced, it records spans and a divergence carries
-// the run's flight dump.
-func replay(seed uint64, cfg Config, ops []Op, traced bool) Result {
-	env := sim.NewEnv()
-	fault.Install(env, fuzzPlan(seed))
-	set := obs.Of(env)
-	if traced {
-		set.EnableTracing()
-	}
+// check runs pt's trace on env against a fresh stack and model and
+// returns the first divergence (if any) plus fault and scrub counters.
+func check(env *sim.Env, pt Point, cfg Config) Result {
+	seed := pt.Seed
 	sc := stackConfig(cfg.GCActive)
 	s := core.New(env, sc)
 	m := NewModel(ModelConfig{
@@ -321,7 +375,7 @@ func replay(seed uint64, cfg Config, ops []Op, traced bool) Result {
 				return
 			}
 		}
-		for i, o := range ops {
+		for i, o := range pt.Choices {
 			res.Ops = i + 1
 			if d := execOp(p, s, m, o); d != nil {
 				d.Seed, d.OpIndex, d.Op = seed, i, o.String()
@@ -335,14 +389,10 @@ func replay(seed uint64, cfg Config, ops []Op, traced bool) Result {
 		}
 	})
 	env.Run()
-	reg := set.Registry()
+	reg := obs.Of(env).Registry()
 	res.ScrubRepairs = reg.Counter("scrub.repaired").Value()
 	res.GCRelocations = reg.Counter("ftl.gc_relocations").Value()
 	res.EccRetries = reg.Counter("fault.ecc_retries").Value()
-	if traced && res.Divergence != nil {
-		d := set.FlightDump("oracle divergence: " + res.Divergence.String())
-		res.Flight = &d
-	}
 	return res
 }
 
@@ -395,6 +445,18 @@ func wantErr(real, want error) *Divergence {
 	return nil
 }
 
+// wantBytes verifies a read against the model: the error class, then —
+// when the model predicts success — the content.
+func wantBytes(what string, got []byte, rerr error, want []byte, werr error) *Divergence {
+	if d := wantErr(rerr, werr); d != nil || werr != nil {
+		return d
+	}
+	if diff := diffBytes(want, got); diff != "" {
+		return &Divergence{Detail: what + " content: " + diff}
+	}
+	return nil
+}
+
 // execOp runs one operation on both stack and model and compares.
 func execOp(p *sim.Proc, s *core.TwoBSSD, m *Model, o Op) *Divergence {
 	switch o.Kind {
@@ -406,15 +468,7 @@ func execOp(p *sim.Proc, s *core.TwoBSSD, m *Model, o Op) *Divergence {
 		buf := make([]byte, o.Len)
 		rerr := s.Mmio().Read(p, o.Off, buf)
 		want, werr := m.MmioRead(o.Off, o.Len)
-		if d := wantErr(rerr, werr); d != nil {
-			return d
-		}
-		if werr == nil {
-			if diff := diffBytes(want, buf); diff != "" {
-				return &Divergence{Detail: "mmio read content: " + diff}
-			}
-		}
-		return nil
+		return wantBytes("mmio read", buf, rerr, want, werr)
 	case OpMmioSync:
 		return wantErr(s.Mmio().Sync(p, o.Off, o.Len), m.MmioSync(o.Off, o.Len))
 	case OpPin:
@@ -429,31 +483,15 @@ func execOp(p *sim.Proc, s *core.TwoBSSD, m *Model, o Op) *Divergence {
 		got := make([]byte, o.Pages*s.PageSize())
 		rerr := s.Device().ReadPagesInto(p, o.LBA, got)
 		want, werr := m.BlockRead(o.LBA, o.Pages)
-		if d := wantErr(rerr, werr); d != nil {
-			return d
-		}
-		if werr == nil {
-			if diff := diffBytes(want, got); diff != "" {
-				return &Divergence{Detail: "block read content: " + diff}
-			}
-		}
-		return nil
+		return wantBytes("block read", got, rerr, want, werr)
 	case OpReadDMA:
 		dst := make([]byte, o.Len)
 		n, rerr := s.BAReadDMA(p, o.EID, dst)
 		want, werr := m.ReadDMA(o.EID, o.Len)
-		if d := wantErr(rerr, werr); d != nil {
-			return d
+		if rerr == nil && werr == nil && n != len(want) {
+			return &Divergence{Detail: fmt.Sprintf("dma length: stack %d, model %d", n, len(want))}
 		}
-		if werr == nil {
-			if n != len(want) {
-				return &Divergence{Detail: fmt.Sprintf("dma length: stack %d, model %d", n, len(want))}
-			}
-			if diff := diffBytes(want, dst[:n]); diff != "" {
-				return &Divergence{Detail: "dma content: " + diff}
-			}
-		}
-		return nil
+		return wantBytes("dma", dst[:n], rerr, want, werr)
 	case OpPowerCycle:
 		return powerCycle(p, s, m)
 	case OpScrub:

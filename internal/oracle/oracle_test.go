@@ -18,7 +18,7 @@ func TestFuzzCleanSeeds(t *testing.T) {
 	}
 	var repairs, retries uint64
 	for seed := uint64(0); seed < uint64(seeds); seed++ {
-		res := Run(seed, Config{})
+		res := run(seed, Config{})
 		if res.Divergence != nil {
 			t.Fatalf("seed %d diverged: %v", seed, res.Divergence)
 		}
@@ -42,8 +42,8 @@ func TestFuzzCleanSeeds(t *testing.T) {
 // TestFuzzDeterministic replays one seed twice and demands bit-equal
 // results: same op count, same counters, same (absence of) divergence.
 func TestFuzzDeterministic(t *testing.T) {
-	a := Run(3, Config{})
-	b := Run(3, Config{})
+	a := run(3, Config{})
+	b := run(3, Config{})
 	if a.Ops != b.Ops || a.ScrubRepairs != b.ScrubRepairs || a.EccRetries != b.EccRetries {
 		t.Fatalf("replay not deterministic: %+v vs %+v", a, b)
 	}
@@ -71,7 +71,7 @@ func TestBuggyCheckerCaughtAndShrunk(t *testing.T) {
 	var seed uint64
 	var found *Result
 	for seed = 0; seed < 32; seed++ {
-		res := Run(seed, cfg)
+		res := run(seed, cfg)
 		if res.Divergence != nil {
 			found = &res
 			break
@@ -80,27 +80,28 @@ func TestBuggyCheckerCaughtAndShrunk(t *testing.T) {
 	if found == nil {
 		t.Fatal("buggy checker never diverged across 32 seeds; oracle is blind")
 	}
-	rep := Shrink(seed, cfg, Generate(seed, cfg))
-	if rep.Divergence == nil {
+	c := Campaign(cfg, 0)
+	pt, res := c.Shrink(NewPoint(seed, cfg), *found)
+	if res.Divergence == nil {
 		t.Fatal("shrink lost the divergence")
 	}
-	if len(rep.Ops) > 5 {
-		t.Fatalf("shrunk trace still %d ops: %v", len(rep.Ops), rep.Ops)
+	if len(pt.Choices) > 5 {
+		t.Fatalf("shrunk trace still %d ops: %v", len(pt.Choices), pt.Choices)
 	}
 	hasPin := false
-	for _, o := range rep.Ops {
+	for _, o := range pt.Choices {
 		if o.Kind == OpPin {
 			hasPin = true
 		}
 	}
 	if !hasPin {
-		t.Fatalf("minimal trace %v has no pin; checker bug needs one", rep.Ops)
+		t.Fatalf("minimal trace %v has no pin; checker bug needs one", pt.Choices)
 	}
-	// The minimal trace must still reproduce on a fresh replay.
-	if again := Replay(seed, cfg, rep.Ops); again.Divergence == nil {
-		t.Fatal("minimal trace does not reproduce")
+	// The minimal trace must reproduce on the traced replay, which dumps it.
+	if again, dump := c.Replay(pt, res); again.Harness() || dump == nil {
+		t.Fatalf("minimal trace does not reproduce: %v", again.Verdict())
 	}
-	t.Logf("shrunk to %d ops in %d replays: %v (%v)", len(rep.Ops), rep.Replays, rep.Ops, rep.Divergence)
+	t.Logf("shrunk to %d ops: %v (%v)", len(pt.Choices), pt.Choices, res.Divergence)
 }
 
 // TestDivergenceStrings keeps the human-facing formats stable enough
@@ -124,7 +125,7 @@ func TestDivergenceStrings(t *testing.T) {
 // the default profile's drive never collects.
 func TestGCActiveProfileCollects(t *testing.T) {
 	for seed := uint64(0); seed < 4; seed++ {
-		res := Run(seed, Config{GCActive: true})
+		res := run(seed, Config{GCActive: true})
 		if res.Divergence != nil {
 			t.Fatalf("seed %d diverged: %v", seed, res.Divergence)
 		}
@@ -132,7 +133,7 @@ func TestGCActiveProfileCollects(t *testing.T) {
 			t.Fatalf("seed %d: %d ops, %d pages relocated; want a drive collecting throughout", seed, res.Ops, res.GCRelocations)
 		}
 	}
-	if res := Run(1, Config{}); res.GCRelocations != 0 {
+	if res := run(1, Config{}); res.GCRelocations != 0 {
 		t.Fatalf("default profile relocated %d pages", res.GCRelocations)
 	}
 }
@@ -165,4 +166,10 @@ func TestFillPatternMatchesByteLoop(t *testing.T) {
 			}
 		}
 	}
+}
+
+// run checks seed's point once, untraced, on a fresh environment.
+func run(seed uint64, cfg Config) Result {
+	r, _ := Campaign(cfg, 0).Trial(NewPoint(seed, cfg), false)
+	return r
 }
