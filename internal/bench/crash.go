@@ -58,11 +58,17 @@ func (s *stack) Crash(p *sim.Proc) (bool, error) {
 	return err == nil, s.ssd.PowerOn(p)
 }
 
-// Audit checks the page map of the stack's 2B-SSD (fault.Auditor) —
-// the one drive of every crash cycle, which its file systems, when it
-// has any, sit on — so a crash point whose recovery leaves the FTL's
-// l2p and p2l out of step is a violation.
-func (s *stack) Audit() error { return s.ssd.Device().FTL().Audit() }
+// Audit checks the page map and then the BA mapping table of the
+// stack's 2B-SSD (fault.Auditor) — the one drive of every crash cycle,
+// which its file systems, when it has any, sit on — so a crash point
+// whose recovery leaves the FTL's l2p and p2l out of step, or two pins
+// over one buffer page or one LBA, is a violation.
+func (s *stack) Audit() error {
+	if err := s.ssd.Device().FTL().Audit(); err != nil {
+		return err
+	}
+	return s.ssd.Audit()
+}
 
 // tornLogExcused judges a recovery that failed with err. A log refuses
 // to come up on a torn page — the loud failure a torn page deserves.

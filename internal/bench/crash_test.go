@@ -3,8 +3,10 @@ package bench
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"twobssd/internal/core"
 	"twobssd/internal/fault"
@@ -355,5 +357,49 @@ func TestBlkGCCrashProfileCollects(t *testing.T) {
 	var buf bytes.Buffer
 	if err := runCampaigns(runner(Quick), &buf, []string{"blkgc"}, 12); err != nil {
 		t.Fatalf("runCampaigns: %v\n%s", err, buf.String())
+	}
+}
+
+// overlapAfterRecover is an lsm crash cycle whose recovery leaves two
+// entries over one buffer page in the drive's mapping table — a table no
+// BAPin can build.
+type overlapAfterRecover struct{ *lsmCrash }
+
+func (c overlapAfterRecover) Recover(p *sim.Proc) ([]string, []string, error) {
+	rec, ph, err := c.lsmCrash.Recover(p)
+	f := reflect.ValueOf(c.ssd).Elem().FieldByName("table")
+	table := *(*[]core.Entry)(unsafe.Pointer(f.UnsafeAddr()))
+	n := len(table)
+	table[n-2] = core.Entry{ID: core.EID(n - 2), Offset: 0, LBA: 1000, Pages: 1}
+	table[n-1] = core.Entry{ID: core.EID(n - 1), Offset: 0, LBA: 2000, Pages: 1}
+	return rec, ph, err
+}
+
+// A planted overlap in the mapping table fails the crash-smoke lsm row
+// through the stack's audit, at every point, with no record lost.
+func TestPlantedOverlapFailsCrashAudit(t *testing.T) {
+	c, err := newCampaign("lsm", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := c.Build
+	c.Build = func(env *sim.Env, p *sim.Proc) (fault.Cycle, error) {
+		cyc, err := build(env, p)
+		if err != nil {
+			return nil, err
+		}
+		return overlapAfterRecover{cyc.(*lsmCrash)}, nil
+	}
+	rep, err := c.Campaign().Run(runner(Quick).parallelFor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := rep.Violations(); len(v) != 4 {
+		t.Fatalf("%d of 4 points violated", len(v))
+	}
+	for _, f := range rep.Findings {
+		if pr := f.Result; !strings.Contains(pr.Audit, "overlap in the BA-buffer") || len(pr.Lost) > 0 || pr.Err != "" {
+			t.Errorf("point %d: audit %q, lost %v, err %q; want the overlap alone", f.Point.Index, pr.Audit, pr.Lost, pr.Err)
+		}
 	}
 }

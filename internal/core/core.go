@@ -457,6 +457,27 @@ func (s *TwoBSSD) PMRReadDMA(p *sim.Proc, off int, dst []byte) (int, error) {
 	return n, nil
 }
 
+// Audit checks the mapping table's invariant: no two live entries
+// overlap in the BA-buffer or in LBA space. BAPin refuses an overlap
+// entry by entry; Audit catches a table that got one another way — a
+// restored dump image is trusted as written. It does not yield, writes
+// nothing to the registry and allocates only the error it returns.
+func (s *TwoBSSD) Audit() error {
+	ps := s.PageSize()
+	for i, a := range s.table {
+		for _, b := range s.table[i+1:] {
+			switch {
+			case a.Pages == 0 || b.Pages == 0:
+			case a.Offset < b.Offset+b.Pages*ps && b.Offset < a.Offset+a.Pages*ps:
+				return fmt.Errorf("2bssd: entries %d and %d overlap in the BA-buffer", a.ID, b.ID)
+			case a.LBA < b.LBA+ftl.LBA(b.Pages) && b.LBA < a.LBA+ftl.LBA(a.Pages):
+				return fmt.Errorf("2bssd: entries %d and %d overlap in LBA space", a.ID, b.ID)
+			}
+		}
+	}
+	return nil
+}
+
 // Entries returns a snapshot of the live mapping-table entries.
 func (s *TwoBSSD) Entries() []Entry {
 	var out []Entry

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -370,5 +371,97 @@ func TestSuccessfulRepairsAggregate(t *testing.T) {
 func serial(n int, fn func(i int)) {
 	for i := 0; i < n; i++ {
 		fn(i)
+	}
+}
+
+// toyPlan is a fault plan with one dimension more than Plan: a bit that
+// sticks at the first sample taken at or after Stuck. It exists only in
+// this test, which shows that a new fault dimension costs one plan field
+// and one check — the engine bisects, replays and reports it unchanged.
+type toyPlan struct {
+	fault.Plan
+	Stuck fault.Trigger
+}
+
+// toyResult lists the sample instants still corrupt when the run ends.
+type toyResult struct {
+	Corrupt []int64
+	Err     string
+}
+
+func (r toyResult) Violation() bool { return len(r.Corrupt) > 0 || r.Err != "" }
+func (r toyResult) Harness() bool   { return r.Err != "" }
+func (r toyResult) Verdict() string { return fmt.Sprintf("corrupt=%v err=%q", r.Corrupt, r.Err) }
+func (r toyResult) FailedAt() int   { return -1 }
+func (r toyResult) Broken(why string) toyResult {
+	r.Err = why
+	return r
+}
+
+// toyCheck samples every 10 µs for 1 ms. The stuck bit corrupts the
+// first sample at or after the plan's Stuck instant, and a scrub at
+// 400 µs repairs what is corrupt by then — so a bit that sticks later
+// than 400 µs is a violation, and the minimal one sticks at 400 µs + 1 ns.
+func toyCheck(env *sim.Env, pt fault.Point[struct{}, toyPlan]) toyResult {
+	var r toyResult
+	stuck, hit := pt.Plan.Stuck.At, false
+	env.Go("toy", func(p *sim.Proc) {
+		for k := 0; k < 100; k++ {
+			sp := obs.Of(env).Tracer().BeginProc(p, "toy", "sample")
+			p.Sleep(10 * sim.Microsecond)
+			sp.End()
+			if now := env.Now(); !hit && stuck > 0 && now >= stuck {
+				hit, r.Corrupt = true, append(r.Corrupt, int64(now))
+			}
+			if env.Now() == sim.Time(400*sim.Microsecond) {
+				r.Corrupt = nil
+			}
+		}
+	})
+	env.Run()
+	return r
+}
+
+// TestToyDimensionShrinksAndReplays: a campaign over the toy dimension
+// needs nothing of the engine but its plan type, its check and its
+// summary. The violating points are replayed with a dump, and the first
+// shrinks to the smallest Stuck instant that still fails.
+func TestToyDimensionShrinksAndReplays(t *testing.T) {
+	c := &fault.Campaign[struct{}, toyPlan, toyResult]{
+		Points: func() ([]fault.Point[struct{}, toyPlan], error) {
+			var pts []fault.Point[struct{}, toyPlan]
+			for i, us := range []sim.Time{700, 900, 200} {
+				pts = append(pts, fault.Point[struct{}, toyPlan]{Index: i, Plan: toyPlan{Stuck: fault.Trigger{At: us * sim.Time(sim.Microsecond)}}})
+			}
+			return pts, nil
+		},
+		Check: toyCheck,
+		Reason: func(pt fault.Point[struct{}, toyPlan], _ toyResult) string {
+			return fmt.Sprintf("toy point %d", pt.Index)
+		},
+		Summary: func(w io.Writer, rep *fault.Report[struct{}, toyPlan, toyResult]) error {
+			_, err := fmt.Fprintf(w, "toy: %d points\n", len(rep.Findings))
+			return err
+		},
+	}
+	rep, err := c.Run(serial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := rep.Violations(); len(v) != 2 || v[0].Point.Index != 0 || v[1].Point.Index != 1 || v[0].Flight == nil {
+		t.Fatalf("violations %+v, want points 0 and 1 with dumps", v)
+	}
+	if s := rep.Shrunk; s == nil || s.Point.Plan.Stuck != (fault.Trigger{At: 400_001}) || s.Flight == nil {
+		t.Fatalf("shrunk to %+v, want the bit stuck at 400 µs + 1 ns, dumped", s)
+	}
+	var buf bytes.Buffer
+	if err := rep.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"toy: 3 points\n", "  VIOLATION point 1 trigger t=900000ns: corrupt=[900000]",
+		"  minimal failing point 0 trigger t=400001ns: corrupt=[410000]", "flight recorder: toy point 0"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("report lacks %q:\n%s", want, buf.String())
+		}
 	}
 }

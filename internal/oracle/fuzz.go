@@ -525,6 +525,9 @@ func powerCycle(p *sim.Proc, s *core.TwoBSSD, m *Model) *Divergence {
 	if err := s.PowerOn(p); err != nil {
 		return &Divergence{Detail: fmt.Sprintf("power on failed: %v", err)}
 	}
+	if err := s.Audit(); err != nil {
+		return &Divergence{Detail: fmt.Sprintf("mapping table audit: %v", err)}
+	}
 	m.PowerOn()
 	return compareEntries(s, m, "post-recovery")
 }
