@@ -467,7 +467,7 @@ func (e *Engine) Checkpoint(p *sim.Proc) error {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		if err := e.tables[name].heap.pool.flushAll(p); err != nil {
+		if err := e.tables[name].heap.checkpoint(p); err != nil {
 			return err
 		}
 	}

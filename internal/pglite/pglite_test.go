@@ -157,8 +157,9 @@ func TestHeapPageFillsUp(t *testing.T) {
 	}
 }
 
-// A heap scan indexes every live tuple, counts pages up to the last
-// non-empty one and kills the second live tuple of a key.
+// A heap scan indexes every live tuple under the high-water mark, counts
+// pages up to the last non-empty one and kills the second live tuple of
+// a key.
 func TestHeapScanKeepsOneVersionPerKey(t *testing.T) {
 	r := newRig()
 	r.env.Go("t", func(p *sim.Proc) {
@@ -175,6 +176,11 @@ func TestHeapScanKeepsOneVersionPerKey(t *testing.T) {
 		p2.insert(encodeTuple([]byte("a"), []byte("new")))
 		page(3) // a fresh page the scan must not count: zero slots
 		if err := f.WriteAt(p, 0, img); err != nil {
+			t.Fatal(err)
+		}
+		mark := make([]byte, heapPageBytes)
+		mark[0] = 4 // the four pages a checkpoint left
+		if err := f.WriteAt(p, 7*heapPageBytes, mark); err != nil {
 			t.Fatal(err)
 		}
 		h := newHeapStore(f, 4, 0, obs.Of(r.env).Registry())
@@ -805,6 +811,96 @@ func TestReplayRejectsUnknownOp(t *testing.T) {
 		if _, err := Open(r.env, p, r.config(wal.Sync)); err == nil {
 			t.Fatal("a batch of op 7 replayed without an error")
 		}
+	})
+	r.env.Run()
+}
+
+// A power cut between a heap extension and the next checkpoint: the
+// pages past the checkpoint's high-water mark were written back by
+// evictions, so they hold this life's rows on media. The reopen serves
+// every acked key from the heap under the mark and the XLOG replay. The
+// next life deletes those rows, extends the heap over the same pages and
+// checkpoints; the reopen after that must not find the first life's
+// rows there — a page past the mark starts empty on first use.
+func TestCutPastHighWaterMarkRevivesNothing(t *testing.T) {
+	r := newRig()
+	r.env.Go("t", func(p *sim.Proc) {
+		cfg := r.config(wal.BA)
+		cfg.BufferPoolPages = 4 // evictions write pages between checkpoints
+		val := func(k string) []byte { return append([]byte(k+"|"), bytes.Repeat([]byte{'v'}, 480)...) }
+		commit := func(eng *Engine, upsert, del []string) {
+			tx := eng.Begin()
+			for _, k := range upsert {
+				tx.Upsert("tbl", []byte(k), val(k))
+			}
+			for _, k := range del {
+				tx.Delete("tbl", []byte(k))
+			}
+			if err := tx.Commit(p); err != nil {
+				t.Fatalf("commit: %v", err)
+			}
+		}
+		keys := func(prefix string, n int) (out []string) {
+			for i := 0; i < n; i++ {
+				out = append(out, fmt.Sprintf("%s%03d", prefix, i))
+			}
+			return out
+		}
+		reopen := func() *Engine {
+			if _, err := r.ssd.PowerLoss(p); err != nil {
+				t.Fatalf("power loss: %v", err)
+			}
+			if err := r.ssd.PowerOn(p); err != nil {
+				t.Fatalf("power on: %v", err)
+			}
+			eng, err := Open(r.env, p, cfg)
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			return eng
+		}
+		expect := func(eng *Engine, present, absent []string) {
+			for _, k := range present {
+				if v, ok, err := eng.Begin().Get(p, "tbl", []byte(k)); err != nil || !ok || !bytes.Equal(v, val(k)) {
+					t.Fatalf("acked %s reads %.8q (found %v, err %v)", k, v, ok, err)
+				}
+			}
+			for _, k := range absent {
+				if v, ok, err := eng.Begin().Get(p, "tbl", []byte(k)); err != nil || ok {
+					t.Fatalf("deleted %s revived as %.8q (err %v)", k, v, err)
+				}
+			}
+		}
+		early, late, fill := keys("early", 40), keys("late", 40), keys("fill", 40)
+		eng, err := Open(r.env, p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.CreateTable("tbl")
+		for _, k := range early {
+			commit(eng, []string{k}, nil)
+		}
+		if err := eng.Checkpoint(p); err != nil {
+			t.Fatal(err)
+		}
+		mark := eng.tables["tbl"].heap.mark
+		for _, k := range late {
+			commit(eng, []string{k}, nil)
+		}
+		if h := eng.tables["tbl"].heap; h.pages < mark+4 || h.pool.evicts == 0 {
+			t.Fatalf("heap at %d pages (mark %d), %d evictions: the rows never went past the mark to media", h.pages, mark, h.pool.evicts)
+		}
+		eng = reopen()
+		expect(eng, append(early, late...), nil)
+		commit(eng, nil, late)
+		for _, k := range fill {
+			commit(eng, []string{k}, nil)
+		}
+		if err := eng.Checkpoint(p); err != nil {
+			t.Fatal(err)
+		}
+		eng = reopen()
+		expect(eng, append(early, fill...), late)
 	})
 	r.env.Run()
 }

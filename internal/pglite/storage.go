@@ -150,9 +150,9 @@ func (bp *bufferPool) fetch(p *sim.Proc, id int32) (*heapPage, error) {
 	return hp, nil
 }
 
-// flushAll writes every dirty frame back (checkpoint), in page order:
-// the order decides where the pages land on flash, and so what reading
-// them back costs.
+// flushAll writes every dirty frame back, in page order: the order
+// decides where the pages land on flash, and so what reading them back
+// costs. The caller syncs.
 func (bp *bufferPool) flushAll(p *sim.Proc) error {
 	ids := make([]int32, 0, len(bp.frames))
 	for id := range bp.frames {
@@ -167,14 +167,19 @@ func (bp *bufferPool) flushAll(p *sim.Proc) error {
 			hp.dirty = false
 		}
 	}
-	return bp.file.Sync(p)
+	return nil
 }
 
-// heapStore is one table's heap: pages in a file behind a pool.
+// heapStore is one table's heap: pages in a file behind a pool. The
+// file's last page holds the high-water mark: the pages allocated at the
+// last checkpoint, all of them durable then. A page past the mark may
+// hold bytes of an earlier life written back by an eviction; a reopen
+// never reads it, and its first use starts it empty.
 type heapStore struct {
 	pool     *bufferPool
 	pages    int32 // allocated pages
 	lastFree int32 // page most likely to have space
+	mark     int32 // high-water mark on media
 }
 
 var (
@@ -186,23 +191,49 @@ func newHeapStore(f *vfs.File, poolPages int, hitCPU sim.Duration, reg *obs.Regi
 	return &heapStore{pool: newBufferPool(f, poolPages, hitCPU, reg)}
 }
 
-// maxPages is the heap file's capacity in pages.
-func (h *heapStore) maxPages() int32 { return int32(h.pool.file.Capacity() / heapPageBytes) }
+// maxPages is the heap file's capacity in pages, less the mark page.
+func (h *heapStore) maxPages() int32 { return int32(h.pool.file.Capacity()/heapPageBytes) - 1 }
+
+// markOff is the byte offset of the mark page.
+func (h *heapStore) markOff() int64 { return int64(h.maxPages()) * heapPageBytes }
+
+// checkpoint writes every dirty page back and then, when it moved, the
+// high-water mark, and syncs the file: what the mark covers is durable
+// before the mark is.
+func (h *heapStore) checkpoint(p *sim.Proc) error {
+	if err := h.pool.flushAll(p); err != nil {
+		return err
+	}
+	if h.pages != h.mark {
+		page := make([]byte, heapPageBytes)
+		binary.LittleEndian.PutUint32(page, uint32(h.pages))
+		if err := h.pool.file.WriteAt(p, h.markOff(), page); err != nil {
+			return err
+		}
+		h.mark = h.pages
+	}
+	return h.pool.file.Sync(p)
+}
 
 // scanChunkPages is how many heap pages a reopen's scan reads per
 // command.
 const scanChunkPages = 64
 
-// scan rebuilds a reopened heap's page count and its index from every
-// page up to the file's capacity. A key live in two tuples keeps the
+// scan rebuilds a reopened heap's page count and its index from the
+// pages under the high-water mark. A key live in two tuples keeps the
 // first one found and the other is killed: only work after the last
 // checkpoint can leave two live versions, and the XLOG replay that
-// follows re-applies that key.
+// follows re-applies that key, as it does every key written past the
+// mark.
 func (h *heapStore) scan(p *sim.Proc, idx *btree) error {
 	buf := make([]byte, scanChunkPages*heapPageBytes)
+	if err := h.pool.file.ReadAt(p, h.markOff(), buf[:heapPageBytes]); err != nil {
+		return err
+	}
+	h.mark = min(int32(binary.LittleEndian.Uint32(buf)), h.maxPages())
 	var dups []rid
-	for first := int32(0); first < h.maxPages(); first += scanChunkPages {
-		chunk := buf[:min(scanChunkPages, h.maxPages()-first)*heapPageBytes]
+	for first := int32(0); first < h.mark; first += scanChunkPages {
+		chunk := buf[:min(scanChunkPages, h.mark-first)*heapPageBytes]
 		if err := h.pool.file.ReadAt(p, int64(first)*heapPageBytes, chunk); err != nil {
 			return err
 		}
@@ -243,7 +274,8 @@ func (h *heapStore) insert(p *sim.Proc, tuple []byte) (rid, error) {
 	}
 	for try := 0; try < 2; try++ {
 		pg := h.lastFree
-		if pg >= h.pages {
+		fresh := pg >= h.pages
+		if fresh {
 			if h.pages >= h.maxPages() {
 				return rid{}, errHeapFull
 			}
@@ -252,6 +284,10 @@ func (h *heapStore) insert(p *sim.Proc, tuple []byte) (rid, error) {
 		hp, err := h.pool.fetch(p, pg)
 		if err != nil {
 			return rid{}, err
+		}
+		if fresh { // first use: whatever the media held is not this heap's
+			clear(hp.data)
+			binary.LittleEndian.PutUint16(hp.data[2:], 4)
 		}
 		if hp.freeBytes() >= len(tuple) {
 			slot := hp.insert(tuple)
