@@ -30,12 +30,30 @@ const (
 	OpDrain
 )
 
-var opNames = [...]string{"mmio_write", "mmio_read", "mmio_sync", "pin", "flush", "block_write",
-	"block_read", "read_dma", "power_cycle", "scrub", "drain"}
-
 func (k OpKind) String() string {
-	if int(k) < len(opNames) {
-		return opNames[k]
+	switch k {
+	case OpMmioWrite:
+		return "mmio_write"
+	case OpMmioRead:
+		return "mmio_read"
+	case OpMmioSync:
+		return "mmio_sync"
+	case OpPin:
+		return "pin"
+	case OpFlush:
+		return "flush"
+	case OpBlockWrite:
+		return "block_write"
+	case OpBlockRead:
+		return "block_read"
+	case OpReadDMA:
+		return "read_dma"
+	case OpPowerCycle:
+		return "power_cycle"
+	case OpScrub:
+		return "scrub"
+	case OpDrain:
+		return "drain"
 	}
 	return fmt.Sprintf("op_%d", int(k))
 }
@@ -445,18 +463,6 @@ func wantErr(real, want error) *Divergence {
 	return nil
 }
 
-// wantBytes verifies a read against the model: the error class, then —
-// when the model predicts success — the content.
-func wantBytes(what string, got []byte, rerr error, want []byte, werr error) *Divergence {
-	if d := wantErr(rerr, werr); d != nil || werr != nil {
-		return d
-	}
-	if diff := diffBytes(want, got); diff != "" {
-		return &Divergence{Detail: what + " content: " + diff}
-	}
-	return nil
-}
-
 // execOp runs one operation on both stack and model and compares.
 func execOp(p *sim.Proc, s *core.TwoBSSD, m *Model, o Op) *Divergence {
 	switch o.Kind {
@@ -468,7 +474,15 @@ func execOp(p *sim.Proc, s *core.TwoBSSD, m *Model, o Op) *Divergence {
 		buf := make([]byte, o.Len)
 		rerr := s.Mmio().Read(p, o.Off, buf)
 		want, werr := m.MmioRead(o.Off, o.Len)
-		return wantBytes("mmio read", buf, rerr, want, werr)
+		if d := wantErr(rerr, werr); d != nil {
+			return d
+		}
+		if werr == nil {
+			if diff := diffBytes(want, buf); diff != "" {
+				return &Divergence{Detail: "mmio read content: " + diff}
+			}
+		}
+		return nil
 	case OpMmioSync:
 		return wantErr(s.Mmio().Sync(p, o.Off, o.Len), m.MmioSync(o.Off, o.Len))
 	case OpPin:
@@ -483,15 +497,31 @@ func execOp(p *sim.Proc, s *core.TwoBSSD, m *Model, o Op) *Divergence {
 		got := make([]byte, o.Pages*s.PageSize())
 		rerr := s.Device().ReadPagesInto(p, o.LBA, got)
 		want, werr := m.BlockRead(o.LBA, o.Pages)
-		return wantBytes("block read", got, rerr, want, werr)
+		if d := wantErr(rerr, werr); d != nil {
+			return d
+		}
+		if werr == nil {
+			if diff := diffBytes(want, got); diff != "" {
+				return &Divergence{Detail: "block read content: " + diff}
+			}
+		}
+		return nil
 	case OpReadDMA:
 		dst := make([]byte, o.Len)
 		n, rerr := s.BAReadDMA(p, o.EID, dst)
 		want, werr := m.ReadDMA(o.EID, o.Len)
-		if rerr == nil && werr == nil && n != len(want) {
-			return &Divergence{Detail: fmt.Sprintf("dma length: stack %d, model %d", n, len(want))}
+		if d := wantErr(rerr, werr); d != nil {
+			return d
 		}
-		return wantBytes("dma", dst[:n], rerr, want, werr)
+		if werr == nil {
+			if n != len(want) {
+				return &Divergence{Detail: fmt.Sprintf("dma length: stack %d, model %d", n, len(want))}
+			}
+			if diff := diffBytes(want, dst[:n]); diff != "" {
+				return &Divergence{Detail: "dma content: " + diff}
+			}
+		}
+		return nil
 	case OpPowerCycle:
 		return powerCycle(p, s, m)
 	case OpScrub:

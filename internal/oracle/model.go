@@ -2,8 +2,9 @@
 // the 2B-SSD stack: a small in-memory reference model of the paper's
 // dual-path semantics, a seeded deterministic workload generator that
 // drives the real simulated stack and the model through interleaved
-// byte-path / block-path / pin / flush / power-cut operations, and a
-// trace minimizer that shrinks any divergence to a minimal op sequence.
+// byte-path / block-path / pin / flush / power-cut operations, and the
+// fuzz kind of fault's campaign engine, whose shrinker reduces any
+// divergence to a minimal op sequence.
 //
 // The model is the specification: byte-window writes stage in a finite
 // write-combining pool and commit on sync, read, eviction — and are
