@@ -145,7 +145,6 @@ func (c Config) lbaSpan() int {
 
 // Result is the outcome of one seed.
 type Result struct {
-	Seed         uint64
 	Ops          int // operations executed (including the diverging one)
 	Divergence   *Divergence
 	ScrubRepairs uint64
@@ -384,7 +383,7 @@ func check(env *sim.Env, pt Point, cfg Config) Result {
 	})
 	m.BuggyChecker = cfg.BuggyChecker
 
-	res := Result{Seed: seed}
+	var res Result
 	env.Go("oracle.fuzz", func(p *sim.Proc) {
 		if cfg.GCActive {
 			if d := precondition(p, s, m, seed, cfg.lbaSpan()); d != nil {
