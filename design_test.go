@@ -59,9 +59,14 @@ var designRules = []rule{
 		planted: []string{"internal/sim/x_test.go\nfunc  f() {}", "benchmark/x.go\nvar  n = 1"}},
 	{name: "Power-on reads the media", pr: 52, in: dirs("core"), bad: ident("^(dumpValid|HasDump)$"),
 		planted: []string{"internal/core/x.go\ntype recovery struct{ dumpValid bool }", "internal/core/x.go\nfunc f() bool { return s.HasDump() }"}},
-	{name: "Engines serve the traffic they get", pr: 54, in: dirs("lsm", "kvaof"), bad: ident("^(WriteBatch|recBatch|NewIterator|cmdIncr|cmdAppend)$"),
+	{name: "Engines serve the traffic they get", pr: 54, in: dirs("lsm", "kvaof", "pglite", "fleet"),
+		bad: anyOf(ident("^(WriteBatch|recBatch|NewIterator|cmdIncr|cmdAppend|recDelete|cmdDel|tombstone|tombstoneLen|dropTombstones|bottomAfter|Range)$"), declares(`^Txn\.Scan$`)),
 		planted: []string{"internal/lsm/x.go\ntype WriteBatch struct{}", "internal/lsm/x.go\nfunc f() { db.NewIterator(p, nil) }",
-			"internal/lsm/x.go\nconst recBatch = byte(3)", "internal/kvaof/x.go\nconst cmdIncr = byte(3)", "internal/kvaof/x.go\nvar _ = cmdAppend"}},
+			"internal/lsm/x.go\nconst recBatch = byte(3)", "internal/kvaof/x.go\nconst cmdIncr = byte(3)", "internal/kvaof/x.go\nvar _ = cmdAppend",
+			"internal/lsm/x.go\nconst recDelete = byte(2)", "internal/kvaof/x.go\nfunc f() []byte { return []byte{cmdDel} }",
+			"internal/lsm/x.go\ntype entry struct{ tombstone bool }", "internal/lsm/x.go\nconst tombstoneLen = 0xFFFFFFFF",
+			"internal/lsm/x.go\nfunc (db *DB) mergeTables(dropTombstones bool) {}", "internal/lsm/x.go\nfunc f() bool { return db.bottomAfter(1) }",
+			"internal/pglite/x.go\nfunc (t *Txn) Scan(p *sim.Proc, table string) {}", "internal/fleet/x.go\nfunc f() { cfg.Policy = Range }"}},
 	{name: "A violation is replayed, not recorded", pr: 55, bad: ident("^(EnableFlightRecorder|newRingTracer|RepairReport|RepairReporter|FaultCounts)$"),
 		planted: []string{"internal/fault/x.go\nfunc f() { obs.Of(env).EnableFlightRecorder() }", "internal/obs/x.go\nfunc newRingTracer() *Tracer { return nil }",
 			"internal/wal/x.go\ntype RepairReport struct{ Failure string }", "internal/bench/x.go\nvar _ fault.RepairReporter",

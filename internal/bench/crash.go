@@ -365,12 +365,12 @@ func (c *pgCrash) Recover(p *sim.Proc) (recovered, phantoms []string, err error)
 	if excused, err := c.tornLogExcused(p, err); excused || err != nil {
 		return nil, nil, err
 	}
-	keys, values, err := eng.Begin().Scan(p, pgCrashTable, nil, len(c.hist.newest)+8)
+	err = eng.Begin().ScanFunc(p, pgCrashTable, nil, len(c.hist.newest)+8, func(k, v []byte) bool {
+		c.hist.judge(string(k), string(v), &recovered, &phantoms)
+		return true
+	})
 	if err != nil {
 		return nil, nil, err
-	}
-	for i, k := range keys {
-		c.hist.judge(string(k), string(values[i]), &recovered, &phantoms)
 	}
 	return recovered, phantoms, nil
 }

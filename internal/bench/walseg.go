@@ -87,7 +87,6 @@ func (c *walSegCrash) Step(p *sim.Proc, i int) (string, error) {
 	if err := c.sl.Commit(p, lsn); err != nil {
 		return "", err
 	}
-	c.model.Commit(end)
 	c.applied[key] = payload
 	// Checkpoint every 12 ops: the snapshot goes durable first, then
 	// the WAL checkpoint truncates every segment it fully covers.

@@ -84,8 +84,7 @@ func TestFleetHealthyRun(t *testing.T) {
 // Fewer slots than streams must produce contention (evictions) while
 // still committing everything — the QoS arbitration at work.
 func TestFleetQoSContention(t *testing.T) {
-	cfg := testConfig(2, 6, 120)
-	cfg.Policy = Range // pack 3 tenants per device: 6 streams on 4 slots
+	cfg := testConfig(2, 6, 120) // each device hosts all 6 streams: a primary or a follower of each
 	cfg.QoS = QoSConfig{Slots: 2, BurstOps: 2, MaxInflight: 8}
 	res, err := Run(cfg)
 	if err != nil {

@@ -13,44 +13,40 @@ func names(n int) []string {
 	return out
 }
 
-// Placement must be a pure function of (policy, n, idx, name, total).
+// Placement must be a pure function of (n, idx, name, total).
 func TestRouterDeterministicPlacement(t *testing.T) {
-	for _, pol := range []Policy{Hash, Range} {
-		t.Run(pol.String(), func(t *testing.T) {
-			a, b := NewRouter(pol, 5), NewRouter(pol, 5)
-			for idx, name := range names(64) {
-				p1 := a.Place(idx, name, 64)
-				p2 := b.Place(idx, name, 64)
-				if p1 != p2 {
-					t.Fatalf("%s/%s: %+v != %+v", pol, name, p1, p2)
-				}
-				if p1.Primary < 0 || p1.Primary >= 5 || p1.Follower < 0 || p1.Follower >= 5 {
-					t.Fatalf("%s/%s: out-of-range placement %+v", pol, name, p1)
-				}
-				if p1.Primary == p1.Follower {
-					t.Fatalf("%s/%s: follower on the primary device: %+v", pol, name, p1)
-				}
+	t.Run("hash", func(t *testing.T) {
+		a, b := NewRouter(Hash, 5), NewRouter(Hash, 5)
+		for idx, name := range names(64) {
+			p1 := a.Place(idx, name, 64)
+			p2 := b.Place(idx, name, 64)
+			if p1 != p2 {
+				t.Fatalf("%s: %+v != %+v", name, p1, p2)
 			}
-		})
-	}
+			if p1.Primary < 0 || p1.Primary >= 5 || p1.Follower < 0 || p1.Follower >= 5 {
+				t.Fatalf("%s: out-of-range placement %+v", name, p1)
+			}
+			if p1.Primary == p1.Follower {
+				t.Fatalf("%s: follower on the primary device: %+v", name, p1)
+			}
+		}
+	})
 }
 
-// Every device should get some primaries under either policy.
+// Every device should get some primaries.
 func TestRouterSpreadsLoad(t *testing.T) {
 	const devs, tenants = 4, 200
-	for _, pol := range []Policy{Hash, Range} {
-		counts := make([]int, devs)
-		r := NewRouter(pol, devs)
-		for idx, name := range names(tenants) {
-			counts[r.Place(idx, name, tenants).Primary]++
+	counts := make([]int, devs)
+	r := NewRouter(Hash, devs)
+	for idx, name := range names(tenants) {
+		counts[r.Place(idx, name, tenants).Primary]++
+	}
+	for d, c := range counts {
+		if c == 0 {
+			t.Fatalf("device %d received no tenants: %v", d, counts)
 		}
-		for d, c := range counts {
-			if c == 0 {
-				t.Fatalf("%s: device %d received no tenants: %v", pol, d, counts)
-			}
-			if c > tenants/2 {
-				t.Fatalf("%s: device %d hogs placement: %v", pol, d, counts)
-			}
+		if c > tenants/2 {
+			t.Fatalf("device %d hogs placement: %v", d, counts)
 		}
 	}
 }
@@ -77,21 +73,5 @@ func TestHashRebalanceStability(t *testing.T) {
 	// Expect ~tenants/7 ≈ 71 moves; allow generous slack either way.
 	if moved == 0 || moved > tenants/3 {
 		t.Fatalf("moved %d of %d tenants on grow 6→7 (want ~%d)", moved, tenants, tenants/7)
-	}
-}
-
-// Range placement must keep contiguous tenant runs on each device.
-func TestRangeContiguity(t *testing.T) {
-	r := NewRouter(Range, 4)
-	last := -1
-	for idx, name := range names(100) {
-		p := r.Place(idx, name, 100)
-		if p.Primary < last {
-			t.Fatalf("range placement went backwards at idx %d: %d after %d", idx, p.Primary, last)
-		}
-		last = p.Primary
-	}
-	if last != 3 {
-		t.Fatalf("last tenant landed on device %d, want 3", last)
 	}
 }

@@ -62,7 +62,7 @@ type Store struct {
 	loop *sim.Resource
 	// Counters ("kvaof.*" in the obs registry, summed over every store
 	// of the environment).
-	cSets, cGets, cDels, cHits, cRewrites *obs.Counter
+	cSets, cGets, cHits, cRewrites *obs.Counter
 	// scratch backs AOF record encoding; safe to reuse because the
 	// command loop is exclusive and wal.Append copies the payload.
 	scratch []byte
@@ -89,7 +89,6 @@ func Open(env *sim.Env, p *sim.Proc, cfg Config) (*Store, error) {
 		loop:      env.NewResource("kvaof.loop", 1),
 		cSets:     reg.Counter("kvaof.sets"),
 		cGets:     reg.Counter("kvaof.gets"),
-		cDels:     reg.Counter("kvaof.dels"),
 		cHits:     reg.Counter("kvaof.hits"),
 		cRewrites: reg.Counter("kvaof.rewrites"),
 	}
@@ -116,21 +115,18 @@ func (s *Store) Keys() []string {
 	return keys
 }
 
-// AOF record encoding.
-const (
-	cmdSet = byte(1)
-	cmdDel = byte(2)
-)
+// cmdSet is the command byte of the AOF's one record, a SET.
+const cmdSet = byte(1)
 
-// encodeCmd builds one AOF record in the store's scratch buffer; the
-// result is valid until the next encodeCmd call.
-func (s *Store) encodeCmd(op byte, key, value []byte) []byte {
+// encodeSet builds one SET record in the store's scratch buffer; the
+// result is valid until the next encodeSet call.
+func (s *Store) encodeSet(key, value []byte) []byte {
 	need := 5 + len(key) + len(value)
 	if cap(s.scratch) < need {
 		s.scratch = make([]byte, need)
 	}
 	out := s.scratch[:need]
-	out[0] = op
+	out[0] = cmdSet
 	binary.LittleEndian.PutUint32(out[1:], uint32(len(key)))
 	copy(out[5:], key)
 	copy(out[5+len(key):], value)
@@ -154,24 +150,11 @@ func (s *Store) Set(p *sim.Proc, key, value []byte) error {
 	s.loop.Acquire(p)
 	defer s.loop.Release()
 	p.Sleep(s.cfg.WriteCPU)
-	if err := s.logCmd(p, cmdSet, key, value); err != nil {
+	if err := s.logSet(p, key, value); err != nil {
 		return err
 	}
 	s.put(key, value)
 	s.cSets.Inc()
-	return nil
-}
-
-// Del removes a key durably.
-func (s *Store) Del(p *sim.Proc, key []byte) error {
-	s.loop.Acquire(p)
-	defer s.loop.Release()
-	p.Sleep(s.cfg.WriteCPU)
-	if err := s.logCmd(p, cmdDel, key, nil); err != nil {
-		return err
-	}
-	delete(s.dict, string(key))
-	s.cDels.Inc()
 	return nil
 }
 
@@ -202,11 +185,11 @@ func (s *Store) put(key, value []byte) {
 	s.dict[string(key)] = &entry{v: append([]byte(nil), value...)}
 }
 
-// logCmd appends and commits one AOF record, rewriting the AOF first
+// logSet appends and commits one SET record, rewriting the AOF first
 // when it has grown to the point where one more record would leave the
 // ring no room for a rewrite (Redis's BGREWRITEAOF, done inline:
 // single-threaded).
-func (s *Store) logCmd(p *sim.Proc, op byte, key, value []byte) error {
+func (s *Store) logSet(p *sim.Proc, key, value []byte) error {
 	// A snapshot is one SET per live key, and every live key's value was
 	// logged since the last snapshot began: it needs no more room than
 	// the log written since the checkpoint.
@@ -218,7 +201,7 @@ func (s *Store) logCmd(p *sim.Proc, op byte, key, value []byte) error {
 			return err
 		}
 	}
-	lsn, err := s.aof.Append(p, s.encodeCmd(op, key, value))
+	lsn, err := s.aof.Append(p, s.encodeSet(key, value))
 	if err != nil {
 		return err
 	}
@@ -233,7 +216,7 @@ func (s *Store) logCmd(p *sim.Proc, op byte, key, value []byte) error {
 func (s *Store) rewrite(p *sim.Proc) error {
 	start := wal.LSN(s.aof.AppendOff())
 	for _, k := range s.Keys() {
-		if _, err := s.aof.Append(p, s.encodeCmd(cmdSet, []byte(k), s.dict[k].v)); err != nil {
+		if _, err := s.aof.Append(p, s.encodeSet([]byte(k), s.dict[k].v)); err != nil {
 			return fmt.Errorf("kvaof: rewrite overflow: %w", err)
 		}
 	}
@@ -254,14 +237,10 @@ func (s *Store) replay(p *sim.Proc) error {
 		if err != nil {
 			return err
 		}
-		switch op {
-		case cmdSet:
-			s.put(key, value)
-		case cmdDel:
-			delete(s.dict, string(key))
-		default:
+		if op != cmdSet {
 			return fmt.Errorf("kvaof: record @%d: unknown command %d", lsn, op)
 		}
+		s.put(key, value)
 		return nil
 	})
 }

@@ -83,9 +83,6 @@ func TestCountersAreRegistrySeries(t *testing.T) {
 		s.Get(p, []byte("a"))
 		s.Get(p, []byte("missing"))
 		s.Get(p, []byte("n"))
-		if err := s.Del(p, []byte("n")); err != nil {
-			t.Fatal(err)
-		}
 		if err := s.rewrite(p); err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +92,7 @@ func TestCountersAreRegistrySeries(t *testing.T) {
 		name string
 		want uint64
 	}{
-		{"kvaof.sets", 2}, {"kvaof.gets", 3}, {"kvaof.hits", 2}, {"kvaof.dels", 1}, {"kvaof.rewrites", 1},
+		{"kvaof.sets", 2}, {"kvaof.gets", 3}, {"kvaof.hits", 2}, {"kvaof.rewrites", 1},
 	} {
 		if got := counter(t, r.env, c.name); got != c.want {
 			t.Errorf("%s = %d, want %d", c.name, got, c.want)
@@ -103,7 +100,7 @@ func TestCountersAreRegistrySeries(t *testing.T) {
 	}
 }
 
-func TestSetGetDel(t *testing.T) {
+func TestSetGet(t *testing.T) {
 	r := newRig()
 	r.env.Go("t", func(p *sim.Proc) {
 		s, err := Open(r.env, p, r.config(wal.Sync))
@@ -115,11 +112,10 @@ func TestSetGetDel(t *testing.T) {
 		if v, ok := s.Get(p, []byte("k1")); !ok || string(v) != "v1" {
 			t.Fatalf("get k1: %q %v", v, ok)
 		}
-		s.Del(p, []byte("k1"))
-		if _, ok := s.Get(p, []byte("k1")); ok {
-			t.Fatal("deleted key visible")
+		if _, ok := s.Get(p, []byte("k3")); ok {
+			t.Fatal("phantom key")
 		}
-		if s.Len() != 1 {
+		if s.Len() != 2 {
 			t.Fatalf("len = %d", s.Len())
 		}
 	})
@@ -133,20 +129,16 @@ func TestReplayRebuildsDict(t *testing.T) {
 		for i := 0; i < 40; i++ {
 			s.Set(p, []byte(fmt.Sprintf("k%02d", i)), []byte(fmt.Sprintf("v%d", i)))
 		}
-		s.Del(p, []byte("k05"))
 		// Crash and reopen.
 		s2, err := Open(r.env, p, r.config(wal.Sync))
 		if err != nil {
 			t.Fatalf("reopen: %v", err)
 		}
-		if s2.Len() != 39 {
-			t.Fatalf("len = %d, want 39", s2.Len())
+		if s2.Len() != 40 {
+			t.Fatalf("len = %d, want 40", s2.Len())
 		}
 		if v, ok := s2.Get(p, []byte("k07")); !ok || string(v) != "v7" {
 			t.Fatalf("k07 = %q %v", v, ok)
-		}
-		if _, ok := s2.Get(p, []byte("k05")); ok {
-			t.Fatal("deleted key resurrected")
 		}
 	})
 	r.env.Run()
@@ -291,8 +283,11 @@ func TestPropertyStoreMatchesMap(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				k := fmt.Sprintf("k%02d", rng.Intn(25))
 				if rng.Intn(4) == 0 {
-					s.Del(p, []byte(k))
-					delete(shadow, k)
+					got, found := s.Get(p, []byte(k))
+					if want, in := shadow[k]; found != in || string(got) != want {
+						ok = false
+						return
+					}
 				} else {
 					v := fmt.Sprintf("v%d", i)
 					s.Set(p, []byte(k), []byte(v))
@@ -325,29 +320,32 @@ func TestPropertyStoreMatchesMap(t *testing.T) {
 }
 
 // A committed AOF record whose command the store never writes fails
-// the replay instead of being skipped.
+// the replay instead of being skipped: command 7, and command 2, the
+// DEL the store once wrote.
 func TestReplayRejectsUnknownCommand(t *testing.T) {
-	r := newRig()
-	r.env.Go("t", func(p *sim.Proc) {
-		s, err := Open(r.env, p, r.config(wal.Sync))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Set(p, []byte("k"), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-		lsn, err := s.aof.Append(p, []byte{7, 1, 0, 0, 0, 'k'})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.aof.Commit(p, lsn); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Open(r.env, p, r.config(wal.Sync)); err == nil {
-			t.Fatal("a record of command 7 replayed without an error")
-		}
-	})
-	r.env.Run()
+	for _, cmd := range []byte{7, 2} {
+		r := newRig()
+		r.env.Go("t", func(p *sim.Proc) {
+			s, err := Open(r.env, p, r.config(wal.Sync))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Set(p, []byte("k"), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			lsn, err := s.aof.Append(p, []byte{cmd, 1, 0, 0, 0, 'k'})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.aof.Commit(p, lsn); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Open(r.env, p, r.config(wal.Sync)); err == nil {
+				t.Errorf("a record of command %d replayed without an error", cmd)
+			}
+		})
+		r.env.Run()
+	}
 }
 
 // powerCycle cuts power at an operation boundary and restores it.
@@ -547,7 +545,7 @@ func TestOpenFailsWhenTheTornTailCutFails(t *testing.T) {
 				t.Fatalf("set %d: %v", i, err)
 			}
 		}
-		if _, err := s.aof.Append(p, s.encodeCmd(cmdSet, []byte("staged"), []byte(fixedValue("staged", 0)))); err != nil {
+		if _, err := s.aof.Append(p, s.encodeSet([]byte("staged"), []byte(fixedValue("staged", 0)))); err != nil {
 			t.Fatalf("stage: %v", err)
 		}
 		r.powerCycle(t, p)

@@ -77,7 +77,7 @@ func (db *DB) compactL0(p *sim.Proc) error {
 	// Assign priority by position: later L0 tables override earlier
 	// ones, all L0 overrides L1 (seq numbers already encode this).
 	all := append(append([]*table(nil), mergeL1...), inputs...)
-	out, err := db.mergeTables(p, all, db.bottomAfter(1))
+	out, err := db.mergeTables(p, all)
 	if err != nil {
 		return err
 	}
@@ -103,7 +103,7 @@ func (db *DB) compactLevel(p *sim.Proc, lvl int) error {
 		}
 	}
 	all := append([]*table{src}, mergeDown...)
-	out, err := db.mergeTables(p, all, db.bottomAfter(lvl+1))
+	out, err := db.mergeTables(p, all)
 	if err != nil {
 		return err
 	}
@@ -113,17 +113,6 @@ func (db *DB) compactLevel(p *sim.Proc, lvl int) error {
 	db.levels[lvl+1] = next
 	db.stats.Compactions++
 	return db.dropTables(all)
-}
-
-// bottomAfter reports whether any level below lvl holds data — if not,
-// tombstones can be dropped during compaction into lvl.
-func (db *DB) bottomAfter(lvl int) bool {
-	for i := lvl + 1; i < maxLevels; i++ {
-		if len(db.levels[i]) > 0 {
-			return false
-		}
-	}
-	return true
 }
 
 func keyRange(tables []*table) (lo, hi []byte) {
@@ -139,15 +128,14 @@ func keyRange(tables []*table) (lo, hi []byte) {
 }
 
 // mergeTables merges the inputs into target-sized SSTs that keep the
-// newest version per key (highest seq). dropTombstones removes
-// deletions when merging into the bottom of the tree.
+// newest version per key (highest seq).
 //
 // It first reads every block of every input through the cache, in
 // input order, copying each input's blocks back to back into a scratch
 // buffer the DB keeps: a cached block is valid only until the next
 // yield, and the merge below yields whenever an output table is
 // written. Then one merger walks the scratch copies into the writer.
-func (db *DB) mergeTables(p *sim.Proc, inputs []*table, dropTombstones bool) ([]*table, error) {
+func (db *DB) mergeTables(p *sim.Proc, inputs []*table) ([]*table, error) {
 	for len(db.mergeBufs) < len(inputs) {
 		db.mergeBufs = append(db.mergeBufs, nil)
 	}
@@ -179,10 +167,7 @@ func (db *DB) mergeTables(p *sim.Proc, inputs []*table, dropTombstones bool) ([]
 		if !ok {
 			break
 		}
-		if e.tombstone && dropTombstones {
-			continue
-		}
-		w.add(e.key, e.seq, e.value, e.tombstone)
+		w.add(e.key, e.seq, e.value)
 		if w.size() >= targetSSTBytes {
 			t, err := db.writeTable(p, w)
 			if err != nil {
@@ -227,9 +212,9 @@ type merger struct {
 	value []byte
 }
 
-// next returns the newest version of the next key, tombstones included,
-// after moving every source past the key's older versions. Its key and
-// value are the merger's copies, valid until the next call.
+// next returns the newest version of the next key, after moving every
+// source past the key's older versions. Its key and value are the
+// merger's copies, valid until the next call.
 func (m *merger) next() (entry, bool, error) {
 	var best entry
 	bestIdx := -1
@@ -252,10 +237,7 @@ func (m *merger) next() (entry, bool, error) {
 	}
 	m.key = append(m.key[:0], best.key...)
 	m.value = append(m.value[:0], best.value...)
-	best.key = m.key
-	if !best.tombstone {
-		best.value = m.value
-	}
+	best.key, best.value = m.key, m.value
 	for _, src := range m.srcs {
 		for {
 			e, ok := src.peek()

@@ -88,8 +88,6 @@ func (c *Config) fillDefaults() error {
 
 // Stats aggregates engine counters.
 type Stats struct {
-	Puts, Gets, Deletes  uint64
-	GetHits              uint64
 	MemtableRotations    uint64
 	Flushes              uint64
 	Compactions          uint64
@@ -243,16 +241,11 @@ func (db *DB) recoverLogs(p *sim.Proc) error {
 			if err != nil {
 				return err
 			}
-			switch typ {
-			case recPut:
-				db.seq++
-				rec.add(key, db.seq, value)
-			case recDelete:
-				db.seq++
-				rec.add(key, db.seq, nil)
-			default:
+			if typ != recPut {
 				return fmt.Errorf("lsm: %s@%d: unknown record type %d", name, lsn, typ)
 			}
+			db.seq++
+			rec.add(key, db.seq, value)
 			return nil
 		})
 		if err != nil {
@@ -300,14 +293,11 @@ func (db *DB) newWAL(p *sim.Proc) error {
 	return nil
 }
 
-// Record types in the WAL payload.
-const (
-	recPut    = byte(1)
-	recDelete = byte(2)
-)
+// recPut is the type byte of the engine's one WAL record.
+const recPut = byte(1)
 
-func encodeRecordInto(out []byte, typ byte, key, value []byte) []byte {
-	out[0] = typ
+func encodeRecordInto(out []byte, key, value []byte) []byte {
+	out[0] = recPut
 	binary.LittleEndian.PutUint32(out[1:], uint32(len(key)))
 	copy(out[5:], key)
 	copy(out[5+len(key):], value)
@@ -328,15 +318,6 @@ func decodeRecord(payload []byte) (typ byte, key, value []byte, err error) {
 
 // Put inserts or overwrites a key durably (per the WAL commit mode).
 func (db *DB) Put(p *sim.Proc, key, value []byte) error {
-	return db.write(p, recPut, key, value)
-}
-
-// Delete removes a key durably.
-func (db *DB) Delete(p *sim.Proc, key []byte) error {
-	return db.write(p, recDelete, key, nil)
-}
-
-func (db *DB) write(p *sim.Proc, typ byte, key, value []byte) error {
 	p.Sleep(db.cfg.WriteCPU)
 	db.wlock.Acquire(p)
 	if db.mem.sizeBytes()+len(key)+len(value) >= db.cfg.MemtableBytes {
@@ -345,23 +326,14 @@ func (db *DB) write(p *sim.Proc, typ byte, key, value []byte) error {
 			return err
 		}
 	}
-	rec := encodeRecordInto(db.encScratch(1+4+len(key)+len(value)), typ, key, value)
+	rec := encodeRecordInto(db.encScratch(1+4+len(key)+len(value)), key, value)
 	lsn, err := db.walAct.Append(p, rec)
 	if err != nil {
 		db.wlock.Release()
 		return err
 	}
 	db.seq++
-	if typ == recDelete {
-		db.mem.add(key, db.seq, nil)
-	} else {
-		db.mem.add(key, db.seq, value)
-	}
-	if typ == recPut {
-		db.stats.Puts++
-	} else {
-		db.stats.Deletes++
-	}
+	db.mem.add(key, db.seq, value)
 	db.wlock.Release()
 	// Commit outside the write lock so concurrent committers can share
 	// a group flush (Sync mode) or overlap BA_SYNCs.
@@ -432,7 +404,7 @@ func (db *DB) writeSST(p *sim.Proc, m *memtable, level int) error {
 			continue // older version of the same key
 		}
 		lastKey = n.key
-		w.add(n.key, n.seq, n.value, n.value == nil)
+		w.add(n.key, n.seq, n.value)
 	}
 	if w.count == 0 {
 		return nil
@@ -499,7 +471,6 @@ func (db *DB) endRead() {
 // Get returns the newest value, or found=false.
 func (db *DB) Get(p *sim.Proc, key []byte) (value []byte, found bool, err error) {
 	p.Sleep(db.cfg.ReadCPU)
-	db.stats.Gets++
 	if v, ok := db.mem.get(key); ok {
 		return db.hit(v)
 	}
@@ -522,9 +493,6 @@ func (db *DB) Get(p *sim.Proc, key []byte) (value []byte, found bool, err error)
 			return nil, false, err
 		}
 		if ok {
-			if e.tombstone {
-				return nil, false, nil
-			}
 			return db.hit(e.value)
 		}
 	}
@@ -538,9 +506,6 @@ func (db *DB) Get(p *sim.Proc, key []byte) (value []byte, found bool, err error)
 				return nil, false, err
 			}
 			if ok {
-				if e.tombstone {
-					return nil, false, nil
-				}
 				return db.hit(e.value)
 			}
 		}
@@ -548,11 +513,8 @@ func (db *DB) Get(p *sim.Proc, key []byte) (value []byte, found bool, err error)
 	return nil, false, nil
 }
 
+// hit returns a copy of a found value.
 func (db *DB) hit(v []byte) ([]byte, bool, error) {
-	if v == nil {
-		return nil, false, nil // tombstone in a memtable
-	}
-	db.stats.GetHits++
 	return append([]byte(nil), v...), true, nil
 }
 

@@ -3,7 +3,9 @@ package lsm
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -33,16 +35,6 @@ func TestMemtableBasic(t *testing.T) {
 	}
 	if m.len() != 3 {
 		t.Fatalf("len = %d", m.len())
-	}
-}
-
-func TestMemtableTombstone(t *testing.T) {
-	m := newMemtable(1, nil)
-	m.add([]byte("k"), 1, []byte("v"))
-	m.add([]byte("k"), 2, nil)
-	v, ok := m.get([]byte("k"))
-	if !ok || v != nil {
-		t.Fatalf("tombstone: %q %v", v, ok)
 	}
 }
 
@@ -96,9 +88,9 @@ func TestPropertyMemtableLastWriteWins(t *testing.T) {
 // ---- bloom + SST unit tests ----
 
 func TestBloomNoFalseNegatives(t *testing.T) {
-	b := newBloom(1000)
+	b := bloom{bits: bloomBits(nil, 1000), k: 7}
 	for i := 0; i < 1000; i++ {
-		b.add([]byte(fmt.Sprintf("key-%d", i)))
+		b.addHash(crc32.ChecksumIEEE([]byte(fmt.Sprintf("key-%d", i))))
 	}
 	for i := 0; i < 1000; i++ {
 		if !b.mayContain([]byte(fmt.Sprintf("key-%d", i))) {
@@ -135,7 +127,7 @@ func TestSSTWriteOpenGet(t *testing.T) {
 	e.Go("t", func(p *sim.Proc) {
 		w := newSSTWriter()
 		for i := 0; i < 500; i++ {
-			w.add([]byte(fmt.Sprintf("key-%04d", i)), uint64(i+1), []byte(fmt.Sprintf("value-%d", i)), false)
+			w.add([]byte(fmt.Sprintf("key-%04d", i)), uint64(i+1), []byte(fmt.Sprintf("value-%d", i)))
 		}
 		img := w.finish()
 		f, err := fs.Create("sst", int64(len(img)))
@@ -315,33 +307,6 @@ func runPutGet(t *testing.T, mode wal.CommitMode, n int) {
 func TestPutGetAcrossFlushesSync(t *testing.T) { runPutGet(t, wal.Sync, 800) }
 func TestPutGetAcrossFlushesBA(t *testing.T)   { runPutGet(t, wal.BA, 800) }
 
-func TestDeleteAndTombstones(t *testing.T) {
-	r := newDBRig()
-	r.env.Go("t", func(p *sim.Proc) {
-		db, err := Open(r.env, p, r.config(wal.Sync))
-		if err != nil {
-			t.Fatal(err)
-		}
-		db.Put(p, []byte("a"), []byte("1"))
-		db.Put(p, []byte("b"), []byte("2"))
-		db.Delete(p, []byte("a"))
-		if _, ok, _ := db.Get(p, []byte("a")); ok {
-			t.Fatal("deleted key visible")
-		}
-		// Force the tombstone into an SST and check again.
-		if err := db.FlushAll(p); err != nil {
-			t.Fatalf("flush: %v", err)
-		}
-		if _, ok, _ := db.Get(p, []byte("a")); ok {
-			t.Fatal("deleted key visible after flush")
-		}
-		if v, ok, _ := db.Get(p, []byte("b")); !ok || string(v) != "2" {
-			t.Fatal("surviving key lost")
-		}
-	})
-	r.env.Run()
-}
-
 func TestCompactionKeepsDataCorrect(t *testing.T) {
 	r := newDBRig()
 	r.env.Go("t", func(p *sim.Proc) {
@@ -380,29 +345,32 @@ func TestCompactionKeepsDataCorrect(t *testing.T) {
 }
 
 // A committed WAL record of a type the engine never writes fails the
-// replay instead of coming back as a put.
+// replay instead of coming back as a put: type 7, and type 2, the
+// deletion record the engine once wrote.
 func TestRecoveryRejectsUnknownRecordType(t *testing.T) {
-	r := newDBRig()
-	r.env.Go("t", func(p *sim.Proc) {
-		db, err := Open(r.env, p, r.config(wal.Sync))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := db.Put(p, []byte("k"), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-		lsn, err := db.walAct.Append(p, []byte{7, 1, 0, 0, 0, 'x', 'v'})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := db.walAct.Commit(p, lsn); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Open(r.env, p, r.config(wal.Sync)); err == nil {
-			t.Fatal("a record of type 7 replayed without an error")
-		}
-	})
-	r.env.Run()
+	for _, typ := range []byte{7, 2} {
+		r := newDBRig()
+		r.env.Go("t", func(p *sim.Proc) {
+			db, err := Open(r.env, p, r.config(wal.Sync))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Put(p, []byte("k"), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			lsn, err := db.walAct.Append(p, []byte{typ, 1, 0, 0, 0, 'x', 'v'})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := db.walAct.Commit(p, lsn); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Open(r.env, p, r.config(wal.Sync)); err == nil {
+				t.Errorf("a record of type %d replayed without an error", typ)
+			}
+		})
+		r.env.Run()
+	}
 }
 
 func TestWALRecoveryAfterUncleanStop(t *testing.T) {
@@ -520,7 +488,7 @@ func TestConcurrentWriters(t *testing.T) {
 	r.env.Run()
 }
 
-// Property: DB == map under random put/delete/get, across flushes.
+// Property: DB == map under random put/get, across flushes.
 func TestPropertyDBMatchesMap(t *testing.T) {
 	prop := func(seed int64) bool {
 		r := newDBRig()
@@ -546,28 +514,21 @@ func TestPropertyDBMatchesMap(t *testing.T) {
 					}
 					shadow[k] = v
 				case 2:
-					if err := db.Delete(p, []byte(k)); err != nil {
+					got, found, err := db.Get(p, []byte(k))
+					want, inShadow := shadow[k]
+					if err != nil || found != inShadow || string(got) != want {
 						ok = false
 						return
 					}
-					delete(shadow, k)
 				}
 			}
-			for k, want := range shadow {
-				got, found, err := db.Get(p, []byte(k))
-				if err != nil || !found || string(got) != want {
-					ok = false
-					return
-				}
-			}
-			// And deleted keys stay deleted.
 			for i := 0; i < 64; i++ {
 				k := fmt.Sprintf("k%03d", i)
-				if _, inShadow := shadow[k]; !inShadow {
-					if _, found, _ := db.Get(p, []byte(k)); found {
-						ok = false
-						return
-					}
+				got, found, err := db.Get(p, []byte(k))
+				want, inShadow := shadow[k]
+				if err != nil || found != inShadow || string(got) != want {
+					ok = false
+					return
 				}
 			}
 		})
@@ -585,7 +546,7 @@ func TestCorruptSSTDetected(t *testing.T) {
 	e.Go("t", func(p *sim.Proc) {
 		w := newSSTWriter()
 		for i := 0; i < 100; i++ {
-			w.add([]byte(fmt.Sprintf("k%03d", i)), uint64(i+1), []byte("v"), false)
+			w.add([]byte(fmt.Sprintf("k%03d", i)), uint64(i+1), []byte("v"))
 		}
 		img := w.finish()
 		// Corrupt a byte inside the index region (its offset is the
@@ -599,7 +560,7 @@ func TestCorruptSSTDetected(t *testing.T) {
 		}
 		// Corrupt the magic: also rejected.
 		img2 := newSSTWriter()
-		img2.add([]byte("k"), 1, []byte("v"), false)
+		img2.add([]byte("k"), 1, []byte("v"))
 		raw := img2.finish()
 		raw[len(raw)-1] ^= 0xFF
 		f2, _ := fs.Create("bad2", int64(len(raw)))
@@ -611,6 +572,22 @@ func TestCorruptSSTDetected(t *testing.T) {
 		f3, _ := fs.Create("tiny", 16)
 		if _, err := openTable(p, f3, 3); err == nil {
 			t.Error("short file accepted")
+		}
+		// An entry whose value length is 0xFFFFFFFF, the deletion marker
+		// the format once had, runs past its block.
+		img4 := newSSTWriter()
+		img4.add([]byte("k"), 1, []byte("v"))
+		raw = img4.finish()
+		binary.LittleEndian.PutUint32(raw[4:], 0xFFFFFFFF)
+		f4, _ := fs.Create("bad4", int64(len(raw)))
+		f4.WriteAt(p, 0, raw)
+		tab, err := openTable(p, f4, 4)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		tab.setBounds([]byte("k"), []byte("k"))
+		if e, ok, err := tab.get(p, newBlockCache(4), []byte("k")); !errors.Is(err, errCorruptSST) {
+			t.Errorf("an entry of value length 0xFFFFFFFF read as %q/%v, err %v", e.value, ok, err)
 		}
 	})
 	e.Run()
@@ -637,7 +614,7 @@ func TestDifferentialCommitModes(t *testing.T) {
 				k := fmt.Sprintf("k%03d", rng.Intn(80))
 				switch rng.Intn(4) {
 				case 0:
-					db.Delete(p, []byte(k))
+					db.Get(p, []byte(k))
 				default:
 					db.Put(p, []byte(k), []byte(fmt.Sprintf("v%d", i)))
 				}

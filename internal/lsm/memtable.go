@@ -20,7 +20,7 @@ const maxHeight = 12
 type memNode struct {
 	key   []byte
 	seq   uint64
-	value []byte // nil means tombstone
+	value []byte
 	next  [maxHeight]*memNode
 }
 
@@ -86,13 +86,8 @@ func (m *memtable) newNode() *memNode {
 	return n
 }
 
-var emptyBytes = []byte{}
-
 // copyArena copies b into the memtable's byte arena.
 func (m *memtable) copyArena(b []byte) []byte {
-	if len(b) == 0 {
-		return emptyBytes // non-nil: nil means tombstone
-	}
 	if len(b) > len(m.arena) {
 		switch s := m.spares; {
 		case len(b) > memArenaChunk:
@@ -145,7 +140,7 @@ func (m *memtable) randomHeight() int {
 	return h
 }
 
-// add inserts one version. value nil records a tombstone.
+// add inserts one version.
 func (m *memtable) add(key []byte, seq uint64, value []byte) {
 	var prev [maxHeight]*memNode
 	x := m.head
@@ -165,9 +160,7 @@ func (m *memtable) add(key []byte, seq uint64, value []byte) {
 	n := m.newNode()
 	n.key = m.copyArena(key)
 	n.seq = seq
-	if value != nil {
-		n.value = m.copyArena(value)
-	}
+	n.value = m.copyArena(value)
 	for lvl := 0; lvl < h; lvl++ {
 		n.next[lvl] = prev[lvl].next[lvl]
 		prev[lvl].next[lvl] = n
@@ -176,9 +169,7 @@ func (m *memtable) add(key []byte, seq uint64, value []byte) {
 	m.count++
 }
 
-// get returns the newest version of key. found=false means the
-// memtable has no version; found=true with value=nil means the key was
-// deleted.
+// get returns the newest version of key, or found=false.
 func (m *memtable) get(key []byte) (value []byte, found bool) {
 	x := m.head
 	for lvl := m.height - 1; lvl >= 0; lvl-- {

@@ -41,7 +41,7 @@ func tableEntries(t *testing.T, p *sim.Proc, tb *table, c *blockCache) []entry {
 // referenceMerge is the merge compaction ran before it streamed: every
 // input entry collected in input order, stably sorted by (key asc, seq
 // desc), the first version per key kept.
-func referenceMerge(inputs [][]entry, dropTombstones bool) []entry {
+func referenceMerge(inputs [][]entry) []entry {
 	var all []entry
 	for _, in := range inputs {
 		all = append(all, in...)
@@ -59,17 +59,13 @@ func referenceMerge(inputs [][]entry, dropTombstones bool) []entry {
 			continue
 		}
 		lastKey = e.key
-		if e.tombstone && dropTombstones {
-			continue
-		}
 		out = append(out, e)
 	}
 	return out
 }
 
 // The k-way merge writes exactly what the collect-and-sort merge did:
-// random tables over a shared key space, with tombstones, repeated
-// sequence numbers across tables (the earlier input wins the tie) and
+// random tables over a shared key space, with repeated sequence numbers across tables (the earlier input wins the tie) and
 // enough bytes for more than one output table.
 func TestMergeMatchesSortedReference(t *testing.T) {
 	r := newDBRig()
@@ -80,7 +76,6 @@ func TestMergeMatchesSortedReference(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(11))
 		for round := 0; round < 6; round++ {
-			drop := round%2 == 0
 			nIn := 2 + rng.Intn(5)
 			keySpace, valMax := 200+rng.Intn(3000), 600
 			if round == 5 {
@@ -94,11 +89,7 @@ func TestMergeMatchesSortedReference(t *testing.T) {
 				for _, k := range perm {
 					seq := uint64(rng.Intn(4 * keySpace))
 					key := []byte(fmt.Sprintf("key%06d", k))
-					if rng.Intn(6) == 0 {
-						w.add(key, seq, nil, true)
-						continue
-					}
-					w.add(key, seq, bytes.Repeat([]byte{byte('a' + i)}, rng.Intn(valMax)), false)
+					w.add(key, seq, bytes.Repeat([]byte{byte('a' + i)}, rng.Intn(valMax)))
 				}
 				tb, err := db.writeTable(p, w)
 				db.idleWriter(w)
@@ -111,8 +102,8 @@ func TestMergeMatchesSortedReference(t *testing.T) {
 			for _, tb := range inputs {
 				ins = append(ins, tableEntries(t, p, tb, newBlockCache(4)))
 			}
-			want := referenceMerge(ins, drop)
-			out, err := db.mergeTables(p, inputs, drop)
+			want := referenceMerge(ins)
+			out, err := db.mergeTables(p, inputs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,13 +112,13 @@ func TestMergeMatchesSortedReference(t *testing.T) {
 				got = append(got, tableEntries(t, p, tb, newBlockCache(4))...)
 			}
 			if len(got) != len(want) {
-				t.Fatalf("round %d (drop %v): merged %d entries, reference %d", round, drop, len(got), len(want))
+				t.Fatalf("round %d: merged %d entries, reference %d", round, len(got), len(want))
 			}
 			for i := range want {
 				g, w := got[i], want[i]
-				if !bytes.Equal(g.key, w.key) || g.seq != w.seq || g.tombstone != w.tombstone || !bytes.Equal(g.value, w.value) {
-					t.Fatalf("round %d (drop %v) entry %d: got %s/%d/%v/%d bytes, want %s/%d/%v/%d bytes",
-						round, drop, i, g.key, g.seq, g.tombstone, len(g.value), w.key, w.seq, w.tombstone, len(w.value))
+				if !bytes.Equal(g.key, w.key) || g.seq != w.seq || !bytes.Equal(g.value, w.value) {
+					t.Fatalf("round %d entry %d: got %s/%d/%d bytes, want %s/%d/%d bytes",
+						round, i, g.key, g.seq, len(g.value), w.key, w.seq, len(w.value))
 				}
 			}
 			if round == 5 && len(out) < 2 {
@@ -312,7 +303,7 @@ func TestEvictedBlockBufferIsReused(t *testing.T) {
 	e.Go("t", func(p *sim.Proc) {
 		w := newSSTWriter()
 		for i := 0; i < 200; i++ {
-			w.add([]byte(fmt.Sprintf("key-%04d", i)), uint64(i+1), bytes.Repeat([]byte{'v'}, 100), false)
+			w.add([]byte(fmt.Sprintf("key-%04d", i)), uint64(i+1), bytes.Repeat([]byte{'v'}, 100))
 		}
 		img := w.finish()
 		f, err := fs.Create("sst", int64(len(img)))

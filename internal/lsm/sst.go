@@ -18,13 +18,11 @@ import (
 //	bloom filter  10 bits/key, k=7
 //	footer        fixed 44 bytes at the end
 //
-// Entry encoding: [4]klen [4]vlen [8]seq [klen]key [vlen]value,
-// vlen == tombstoneLen marks a deletion.
+// Entry encoding: [4]klen [4]vlen [8]seq [klen]key [vlen]value.
 const (
-	blockBytes   = 4096
-	tombstoneLen = 0xFFFFFFFF
-	sstMagic     = 0x55713BDD
-	footerBytes  = 44
+	blockBytes  = 4096
+	sstMagic    = 0x55713BDD
+	footerBytes = 44
 )
 
 var errCorruptSST = errors.New("lsm: corrupt SST")
@@ -34,8 +32,6 @@ type bloom struct {
 	bits []byte
 	k    int
 }
-
-func newBloom(n int) *bloom { return &bloom{bits: bloomBits(nil, n), k: 7} }
 
 // bloomBits returns a cleared filter for n keys, in buf if it fits.
 func bloomBits(buf []byte, n int) []byte {
@@ -51,8 +47,6 @@ func bloomBits(buf []byte, n int) []byte {
 	}
 	return buf
 }
-
-func (b *bloom) add(key []byte) { b.addHash(crc32.ChecksumIEEE(key)) }
 
 // addHash sets the bits of the key whose crc32 is h.
 func (b *bloom) addHash(h uint32) {
@@ -120,7 +114,7 @@ func (w *sstWriter) reset() {
 }
 
 // add appends one version; keys must arrive in ascending order.
-func (w *sstWriter) add(key []byte, seq uint64, value []byte, tombstone bool) {
+func (w *sstWriter) add(key []byte, seq uint64, value []byte) {
 	if w.count == 0 {
 		w.first = append(w.first[:0], key...)
 	}
@@ -135,17 +129,11 @@ func (w *sstWriter) add(key []byte, seq uint64, value []byte, tombstone bool) {
 	}
 	var hdr [16]byte
 	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(key)))
-	vlen := uint32(len(value))
-	if tombstone {
-		vlen = tombstoneLen
-	}
-	binary.LittleEndian.PutUint32(hdr[4:], vlen)
+	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(value)))
 	binary.LittleEndian.PutUint64(hdr[8:], seq)
 	w.block.Write(hdr[:])
 	w.block.Write(key)
-	if !tombstone {
-		w.block.Write(value)
-	}
+	w.block.Write(value)
 	w.hashes = append(w.hashes, crc32.ChecksumIEEE(key))
 	w.count++
 	if w.block.Len() >= blockBytes {
@@ -298,10 +286,9 @@ func (t *table) blockFor(key []byte) int {
 
 // entry is one decoded SST/memtable version.
 type entry struct {
-	key       []byte
-	seq       uint64
-	value     []byte
-	tombstone bool
+	key   []byte
+	seq   uint64
+	value []byte
 }
 
 // decodeEntry decodes the entry at data[pos:] in place: its key and
@@ -316,7 +303,7 @@ func decodeEntry(data []byte, pos int) (e entry, next int, err error) {
 	if klen == 0 {
 		return entry{}, -1, nil
 	}
-	vlenRaw := binary.LittleEndian.Uint32(data[pos+4:])
+	vlen := int(binary.LittleEndian.Uint32(data[pos+4:]))
 	e.seq = binary.LittleEndian.Uint64(data[pos+8:])
 	pos += 16
 	if pos+klen > len(data) {
@@ -324,11 +311,6 @@ func decodeEntry(data []byte, pos int) (e entry, next int, err error) {
 	}
 	e.key = data[pos : pos+klen : pos+klen]
 	pos += klen
-	if vlenRaw == tombstoneLen {
-		e.tombstone = true
-		return e, pos, nil
-	}
-	vlen := int(vlenRaw)
 	if pos+vlen > len(data) {
 		return entry{}, -1, errCorruptSST
 	}

@@ -1,8 +1,7 @@
 // WalLifecycle is the pure reference model for the segmented WAL's
-// lifecycle semantics (a ring-geometry internal/wal.Log): which records exist,
-// which are committed, which checkpoints were issued with which
-// snapshot, and — after a crash — whether a claimed recovery outcome
-// is even possible. It is driven alongside the real log by the crash
+// lifecycle semantics (a ring-geometry internal/wal.Log): which records
+// exist, which checkpoints were issued with which snapshot, and — after
+// a crash — whether a claimed recovery outcome is even possible. It is driven alongside the real log by the crash
 // drivers in internal/bench and consulted during recovery
 // verification; it never touches the simulated stack.
 //
@@ -28,11 +27,10 @@ type WalRecord struct {
 
 // WalLifecycle models a segmented WAL stream.
 type WalLifecycle struct {
-	records   []WalRecord     // in append (= LSN) order
-	byEnd     map[int64]int   // End LSN -> index into records
-	committed int64           // highest End passed to Commit
-	ckpts     map[int64]bool  // checkpoint LSNs issued
-	snaps     []lifecycleSnap // snapshots persisted at checkpoints
+	records []WalRecord     // in append (= LSN) order
+	byEnd   map[int64]int   // End LSN -> index into records
+	ckpts   map[int64]bool  // checkpoint LSNs issued
+	snaps   []lifecycleSnap // snapshots persisted at checkpoints
 }
 
 type lifecycleSnap struct {
@@ -54,13 +52,6 @@ func (m *WalLifecycle) Append(key, payload string, start, end int64) {
 	m.records = append(m.records, WalRecord{Key: key, Payload: payload, Start: start, End: end})
 }
 
-// Commit records that the stream is durable up to end.
-func (m *WalLifecycle) Commit(end int64) {
-	if end > m.committed {
-		m.committed = end
-	}
-}
-
 // Checkpoint records that the driver durably persisted snap and then
 // checkpointed the log at lsn.
 func (m *WalLifecycle) Checkpoint(lsn int64, snap map[string]string) {
@@ -71,9 +62,6 @@ func (m *WalLifecycle) Checkpoint(lsn int64, snap map[string]string) {
 	}
 	m.snaps = append(m.snaps, lifecycleSnap{ckpt: lsn, snap: cp})
 }
-
-// Committed returns the highest committed End LSN.
-func (m *WalLifecycle) Committed() int64 { return m.committed }
 
 // VerifyRecovery checks a claimed recovery outcome against the model
 // and returns a phantom/impossibility description per defect (empty =

@@ -9,10 +9,8 @@ func lifecycleFixture() *WalLifecycle {
 	m := NewWalLifecycle()
 	m.Append("a", "pay-a", 32, 64)
 	m.Append("b", "pay-b", 64, 96)
-	m.Commit(96)
 	m.Checkpoint(96, map[string]string{"a": "pay-a", "b": "pay-b"})
 	m.Append("c", "pay-c", 96, 128)
-	m.Commit(128)
 	return m
 }
 
@@ -80,7 +78,6 @@ func TestWalLifecycleNewerSnapshotAccepted(t *testing.T) {
 	// that must verify cleanly.
 	m := lifecycleFixture()
 	m.Append("d", "pay-d", 128, 160)
-	m.Commit(160)
 	m.Checkpoint(160, map[string]string{"a": "pay-a", "b": "pay-b", "c": "pay-c", "d": "pay-d"})
 	got := m.VerifyRecovery(96, nil,
 		map[string]string{"a": "pay-a", "b": "pay-b", "c": "pay-c", "d": "pay-d"})

@@ -246,13 +246,6 @@ func (t *Txn) Get(p *sim.Proc, table string, key []byte) ([]byte, bool, error) {
 	return t.e.get(p, table, key)
 }
 
-// Scan visits committed keys >= start in order, up to limit. Returned
-// keys and values alias engine-internal storage and must not be
-// modified by the caller.
-func (t *Txn) Scan(p *sim.Proc, table string, start []byte, limit int) (keys, values [][]byte, err error) {
-	return t.e.scan(p, table, start, limit)
-}
-
 // ScanFunc streams committed rows >= start in order, up to limit,
 // without materializing result slices. Key and value are valid only
 // during the fn call (they alias engine-internal storage); fn returning
@@ -383,18 +376,6 @@ func (e *Engine) get(p *sim.Proc, table string, key []byte) ([]byte, bool, error
 		return v, true, nil
 	}
 	return nil, false, nil
-}
-
-func (e *Engine) scan(p *sim.Proc, table string, start []byte, limit int) (keys, values [][]byte, err error) {
-	err = e.scanVisit(p, table, start, limit, func(k, v []byte) bool {
-		keys = append(keys, k)
-		values = append(values, v)
-		return true
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return keys, values, nil
 }
 
 // scanVisit streams rows to fn without materializing result slices.

@@ -278,7 +278,7 @@ func TestCountersAreRegistrySeries(t *testing.T) {
 				t.Fatalf("get %s: %v", k, err)
 			}
 		}
-		if _, _, err := eng.Begin().Scan(p, "node", nil, 0); err != nil {
+		if err := eng.Begin().ScanFunc(p, "node", nil, 0, func(_, _ []byte) bool { return true }); err != nil {
 			t.Fatalf("scan: %v", err)
 		}
 		if err := eng.Checkpoint(p); err != nil {
@@ -350,15 +350,19 @@ func TestScanRange(t *testing.T) {
 			tx.Upsert("link", []byte(fmt.Sprintf("n1|%03d", i)), []byte("x"))
 		}
 		tx.Commit(p)
-		keys, values, err := eng.Begin().Scan(p, "link", []byte("n1|010"), 5)
+		var keys []string
+		err := eng.Begin().ScanFunc(p, "link", []byte("n1|010"), 5, func(k, v []byte) bool {
+			if string(v) != "x" {
+				t.Errorf("%s = %q", k, v)
+			}
+			keys = append(keys, string(k))
+			return true
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(keys) != 5 || string(keys[0]) != "n1|010" || string(keys[4]) != "n1|014" {
+		if len(keys) != 5 || keys[0] != "n1|010" || keys[4] != "n1|014" {
 			t.Fatalf("scan keys = %v", keys)
-		}
-		if len(values) != 5 {
-			t.Fatalf("values = %d", len(values))
 		}
 	})
 	r.env.Run()
@@ -620,15 +624,14 @@ func TestDifferentialCommitModes(t *testing.T) {
 					return
 				}
 			}
-			keys, vals, err := eng.Begin().Scan(p, "t", nil, 0)
+			err = eng.Begin().ScanFunc(p, "t", nil, 0, func(k, v []byte) bool {
+				if v != nil {
+					state[string(k)] = string(v)
+				}
+				return true
+			})
 			if err != nil {
 				t.Error(err)
-				return
-			}
-			for i := range keys {
-				if vals[i] != nil {
-					state[string(keys[i])] = string(vals[i])
-				}
 			}
 		})
 		r.env.Run()

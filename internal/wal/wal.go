@@ -398,9 +398,6 @@ func openOrCreate(fs *vfs.FS, name string, capacity int64) (*vfs.File, error) {
 	return fs.Create(name, capacity)
 }
 
-// Mode returns the commit mode.
-func (l *Log) Mode() CommitMode { return l.cfg.Mode }
-
 // AppendOff returns the current end of the log stream.
 func (l *Log) AppendOff() int64 { return l.appendOff }
 
