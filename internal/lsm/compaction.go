@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"fmt"
 	"sort"
 
 	"twobssd/internal/sim"
@@ -113,6 +114,34 @@ func (db *DB) compactLevel(p *sim.Proc, lvl int) error {
 	db.levels[lvl+1] = next
 	db.stats.Compactions++
 	return db.dropTables(all)
+}
+
+// Audit checks the shape of the tree below L0: each level's tables are
+// sorted by first key, no two of them overlap, and every table's first
+// key is at most its last. A compaction builds a level's new table set
+// before it installs it, without yielding in between, so the invariants
+// hold whenever a proc can run. Audit does not yield, writes nothing to
+// the registry and allocates only the error it returns.
+func (db *DB) Audit() error {
+	for lvl := 1; lvl < maxLevels; lvl++ {
+		tables := db.levels[lvl]
+		for i, t := range tables {
+			if bytes.Compare(t.first, t.last) > 0 {
+				return fmt.Errorf("lsm: L%d table %s: first key %q after last %q", lvl, t.file.Name(), t.first, t.last)
+			}
+			if i == 0 {
+				continue
+			}
+			prev := tables[i-1]
+			if bytes.Compare(prev.first, t.first) > 0 {
+				return fmt.Errorf("lsm: L%d tables %s and %s out of key order", lvl, prev.file.Name(), t.file.Name())
+			}
+			if bytes.Compare(prev.last, t.first) >= 0 {
+				return fmt.Errorf("lsm: L%d tables %s and %s overlap", lvl, prev.file.Name(), t.file.Name())
+			}
+		}
+	}
+	return nil
 }
 
 func keyRange(tables []*table) (lo, hi []byte) {

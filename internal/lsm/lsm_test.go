@@ -309,12 +309,14 @@ func TestPutGetAcrossFlushesBA(t *testing.T)   { runPutGet(t, wal.BA, 800) }
 
 func TestCompactionKeepsDataCorrect(t *testing.T) {
 	r := newDBRig()
+	var db *DB
 	r.env.Go("t", func(p *sim.Proc) {
 		cfg := r.config(wal.Sync)
 		cfg.MemtableBytes = 16 << 10
 		cfg.L0Trigger = 2
 		cfg.LevelBase = 64 << 10
-		db, err := Open(r.env, p, cfg)
+		var err error
+		db, err = Open(r.env, p, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -339,6 +341,57 @@ func TestCompactionKeepsDataCorrect(t *testing.T) {
 			if string(got) != want {
 				t.Fatalf("%s = %q, want %q", k, got, want)
 			}
+		}
+	})
+	r.env.Run()
+	if err := db.Audit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Audit fails a tree whose L1 holds a table installed out of key order,
+// two overlapping tables or a table whose bounds are inverted. A sound
+// L1 passes, and the check allocates nothing.
+func TestAuditRejectsL1OutOfKeyOrder(t *testing.T) {
+	r := newDBRig()
+	r.env.Go("t", func(p *sim.Proc) {
+		db, err := Open(r.env, p, r.config(wal.Sync))
+		if err != nil {
+			t.Fatal(err)
+		}
+		newTable := func(keys ...string) *table {
+			w := db.writer()
+			defer db.idleWriter(w)
+			for i, k := range keys {
+				w.add([]byte(k), uint64(i+1), []byte("v"))
+			}
+			tb, err := db.writeTable(p, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tb
+		}
+		ac, df, eg, hi := newTable("a", "c"), newTable("d", "f"), newTable("e", "g"), newTable("h", "i")
+		inverted := *hi
+		inverted.first, inverted.last = hi.last, hi.first
+		for _, c := range []struct {
+			name string
+			l1   []*table
+			bad  bool
+		}{
+			{"sorted", []*table{ac, df, hi}, false},
+			{"out of key order", []*table{df, ac}, true},
+			{"overlapping", []*table{ac, df, eg}, true},
+			{"inverted bounds", []*table{ac, &inverted}, true},
+		} {
+			db.levels[1] = c.l1
+			if err := db.Audit(); (err != nil) != c.bad {
+				t.Errorf("%s: Audit = %v", c.name, err)
+			}
+		}
+		db.levels[1] = []*table{ac, df, hi}
+		if n := testing.AllocsPerRun(100, func() { _ = db.Audit() }); n != 0 {
+			t.Errorf("Audit of a sound tree allocates %.1f objects", n)
 		}
 	})
 	r.env.Run()
@@ -474,6 +527,9 @@ func TestConcurrentWriters(t *testing.T) {
 		}
 	})
 	r.env.Run()
+	if err := db.Audit(); err != nil {
+		t.Fatal(err)
+	}
 	r.env.Go("verify", func(p *sim.Proc) {
 		for w := 0; w < 8; w++ {
 			for i := 0; i < 50; i++ {
@@ -493,6 +549,7 @@ func TestPropertyDBMatchesMap(t *testing.T) {
 	prop := func(seed int64) bool {
 		r := newDBRig()
 		ok := true
+		var audit func() error
 		r.env.Go("t", func(p *sim.Proc) {
 			cfg := r.config(wal.Sync)
 			cfg.MemtableBytes = 8 << 10
@@ -531,9 +588,10 @@ func TestPropertyDBMatchesMap(t *testing.T) {
 					return
 				}
 			}
+			audit = db.Audit
 		})
 		r.env.Run()
-		return ok
+		return ok && audit() == nil
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 8}); err != nil {
 		t.Fatal(err)
