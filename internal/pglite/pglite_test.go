@@ -201,6 +201,45 @@ func TestHeapScanKeepsOneVersionPerKey(t *testing.T) {
 	r.env.Run()
 }
 
+// A page the heap has never used starts empty in the pool without a
+// device read, whatever bytes an earlier life left on the media.
+func TestFreshHeapPageReadsNothing(t *testing.T) {
+	r := newRig()
+	r.env.Go("t", func(p *sim.Proc) {
+		f, err := r.fs.Create("heap-t", 8*heapPageBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.WriteAt(p, 0, bytes.Repeat([]byte{0xAB}, 2*heapPageBytes)); err != nil {
+			t.Fatal(err)
+		}
+		reads := r.ssd.Device().Profile().Name + ".read_cmds"
+		before := counter(t, r.env, reads)
+		h := newHeapStore(f, 4, 0, obs.Of(r.env).Registry())
+		tuple := encodeTuple([]byte("k"), bytes.Repeat([]byte{'v'}, 1000))
+		var rids []rid
+		for len(rids) == 0 || rids[len(rids)-1].page < 1 {
+			rd, err := h.insert(p, tuple)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rids = append(rids, rd)
+		}
+		if n := counter(t, r.env, reads) - before; n != 0 {
+			t.Fatalf("filling two fresh pages read the device %d times", n)
+		}
+		for _, rd := range rids {
+			if got, err := h.read(p, rd); err != nil || !bytes.Equal(got, tuple) {
+				t.Fatalf("%v reads %d bytes, err %v", rd, len(got), err)
+			}
+		}
+		if hp, _ := h.pool.fetch(p, 1); hp.slotCount() != 1 {
+			t.Fatalf("page 1 holds %d slots, want the one inserted", hp.slotCount())
+		}
+	})
+	r.env.Run()
+}
+
 // ---- engine tests ----
 
 type rig struct {

@@ -133,6 +133,20 @@ func (bp *bufferPool) fetch(p *sim.Proc, id int32) (*heapPage, error) {
 		return nil, err
 	}
 	hp := loadHeapPage(raw)
+	return hp, bp.install(p, id, hp)
+}
+
+// fresh returns an empty frame for a page the heap has never used,
+// without reading it: whatever the media holds there is not this
+// heap's. It counts as a miss, a frame the pool did not hold.
+func (bp *bufferPool) fresh(p *sim.Proc, id int32) (*heapPage, error) {
+	bp.misses.Inc()
+	hp := loadHeapPage(make([]byte, heapPageBytes))
+	return hp, bp.install(p, id, hp)
+}
+
+// install adds a frame and evicts (write-back) while over capacity.
+func (bp *bufferPool) install(p *sim.Proc, id int32, hp *heapPage) error {
 	bp.frames[id] = hp
 	bp.order = append(bp.order, id)
 	for len(bp.frames) > bp.cap {
@@ -143,11 +157,11 @@ func (bp *bufferPool) fetch(p *sim.Proc, id int32) (*heapPage, error) {
 		bp.evicts++
 		if v.dirty {
 			if err := bp.file.WriteAt(p, int64(victim)*heapPageBytes, v.data); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
-	return hp, nil
+	return nil
 }
 
 // flushAll writes every dirty frame back, in page order: the order
@@ -281,13 +295,15 @@ func (h *heapStore) insert(p *sim.Proc, tuple []byte) (rid, error) {
 			}
 			h.pages++
 		}
-		hp, err := h.pool.fetch(p, pg)
+		var hp *heapPage
+		var err error
+		if fresh {
+			hp, err = h.pool.fresh(p, pg)
+		} else {
+			hp, err = h.pool.fetch(p, pg)
+		}
 		if err != nil {
 			return rid{}, err
-		}
-		if fresh { // first use: whatever the media held is not this heap's
-			clear(hp.data)
-			binary.LittleEndian.PutUint16(hp.data[2:], 4)
 		}
 		if hp.freeBytes() >= len(tuple) {
 			slot := hp.insert(tuple)
