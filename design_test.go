@@ -77,6 +77,12 @@ var designRules = []rule{
 			"internal/oracle/x.go\nconst MaxShrinkReplays = 200", "internal/oracle/x.go\nfunc replay(seed uint64, traced bool) {}",
 			"internal/fault/x.go\nfunc (c *Campaign[C, P, R]) shrink() {}", "internal/fault/x.go\ntype PointResult struct{ Flight *obs.FlightDump }",
 			"internal/bench/x.go\ntype FuzzReport struct{}", "internal/bench/x.go\nfunc RunFuzz(r *Runner) error { return nil }"}},
+	{name: "Faults a campaign sweeps", pr: 58,
+		bad: ident("^(ProgramFailOneIn|EraseFailOneIn|TimeoutOneIn|EnduranceCycles|ErrProgramFailed|ErrEraseFailed|ErrWornOut|maybeTimeout)$"),
+		planted: []string{"internal/fault/x.go\ntype Plan struct{ ProgramFailOneIn uint64 }", "internal/fault/x.go\nvar _ = Plan{EraseFailOneIn: 5}",
+			"internal/bench/x.go\nfunc f(plan *fault.Plan) { plan.TimeoutOneIn = 3 }", "internal/nand/x.go\ntype Config struct{ EnduranceCycles int }",
+			"internal/nand/x.go\nvar ErrProgramFailed = errors.New(\"nand: page program failed\")", "internal/ftl/x.go\nvar _ = nand.ErrEraseFailed",
+			"internal/core/x.go\nfunc f(err error) bool { return errors.Is(err, nand.ErrWornOut) }", "internal/device/x.go\nfunc (d *Device) maybeTimeout(p *sim.Proc) {}"}},
 }
 
 type rule struct {

@@ -41,10 +41,10 @@ func TestOptionCountRatchet(t *testing.T) {
 		{core.Config{}, 5},
 		{pcie.Config{}, 2},
 		{device.Profile{}, 10},
-		{nand.Config{}, 10},
+		{nand.Config{}, 9},
 		{ycsb.Config{}, 5},
 		{linkbench.Config{}, 2},
-		{fault.Plan{}, 7},
+		{fault.Plan{}, 4},
 		{oracle.Config{}, 2},
 		{traffic.Spec{}, 10},
 	} {

@@ -12,7 +12,6 @@ import (
 	"twobssd/internal/ftl"
 	"twobssd/internal/integrity"
 	"twobssd/internal/nand"
-	"twobssd/internal/obs"
 	"twobssd/internal/sim"
 )
 
@@ -82,7 +81,7 @@ func TestBootChecksEveryCursor(t *testing.T) {
 // A whole image leaves block 0's cursor ahead of every other dump
 // block's, so power-on reads no candidate without that lead — sound
 // only because PowerOn erases the area when block 0 has fallen behind
-// (a torn dump whose block 0 program failed): the next whole image
+// (a torn dump that programmed nothing on block 0): the next whole image
 // then leads again and is restored.
 func TestBlockZeroBehindIsErased(t *testing.T) {
 	e := sim.NewEnv()
@@ -463,52 +462,5 @@ func TestRestoreDetectsDamagedMeta(t *testing.T) {
 			})
 			e.Run()
 		})
-	}
-}
-
-// A retirement page that fails to program does not fail the restore:
-// it is tried once more at the same cursor, and if that fails too the
-// dump area is erased. Either way the image comes back and is retired.
-func TestRetirementFailureStillRetires(t *testing.T) {
-	retried, erased := 0, 0
-	for seed := uint64(1); seed <= 64; seed++ {
-		e := sim.NewEnv()
-		fault.Install(e, fault.Plan{Seed: seed, ProgramFailOneIn: 2})
-		fails := obs.Of(e).Registry().Counter("fault.program_fails")
-		s := newSSD(e)
-		e.Go("t", func(p *sim.Proc) {
-			if err := s.BAPin(p, 0, 0, 10, 1); err != nil {
-				t.Fatalf("pin: %v", err)
-			}
-			fill(t, p, s, 0, 0xAA)
-			want := s.Entries()
-			if _, err := s.PowerLoss(p); err != nil {
-				return // the dump itself failed a program: not this test's case
-			}
-			before := fails.Value()
-			if err := s.PowerOn(p); err != nil {
-				t.Fatalf("seed %d: power on: %v", seed, err)
-			}
-			if got := s.Entries(); !slices.Equal(got, want) {
-				t.Fatalf("seed %d: restored %+v, want %+v", seed, got, want)
-			}
-			ents, _, err := s.rec.image(p)
-			if err != nil || ents != nil {
-				t.Fatalf("seed %d: image still on media after restore: %+v, %v", seed, ents, err)
-			}
-			switch fails.Value() - before {
-			case 1:
-				retried++
-			case 2:
-				if cs := cursors(s); !slices.Equal(cs, []int{0, 0, 0, 0}) {
-					t.Fatalf("seed %d: both retirement programs failed, cursors %v, want the area erased", seed, cs)
-				}
-				erased++
-			}
-		})
-		e.Run()
-	}
-	if retried == 0 || erased == 0 {
-		t.Fatalf("%d seeds retried, %d erased: the seeds do not cover both paths", retried, erased)
 	}
 }

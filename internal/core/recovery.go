@@ -337,8 +337,6 @@ func (s *TwoBSSD) PowerOn(p *sim.Proc) error {
 
 // restoreImage resets the buffer and the table to the image on NAND:
 // exactly the BA-buffer pages its entries map, every other page zeroed.
-// If the image's retirement page fails to program, the dump area is
-// erased instead: a restore whose reads succeeded never fails on it.
 func (r *recovery) restoreImage(p *sim.Proc) error {
 	s := r.s
 	entries, cursors, err := r.image(p)
@@ -347,17 +345,13 @@ func (r *recovery) restoreImage(p *sim.Proc) error {
 	}
 	s.frames.reset(0)
 	clear(s.table)
-	var retired bool
-	c := restoreCmd{cursors: cursors, pages: mappedPages(entries, s.PageSize()), retired: &retired}
+	c := restoreCmd{cursors: cursors, pages: mappedPages(entries, s.PageSize())}
 	n := r.spanned(len(c.pages))
 	if len(c.pages) > 0 {
 		n++ // the worker that retires the image
 	}
 	if err := r.restores.Run(p, n, c); err != nil {
 		return err
-	}
-	if len(c.pages) > 0 && !retired {
-		r.erases.Run(p, len(r.dumpBlocks), struct{}{})
 	}
 	for _, e := range entries {
 		s.table[e.ID] = e
@@ -408,7 +402,6 @@ func (r *recovery) image(p *sim.Proc) ([]Entry, []int, error) {
 type restoreCmd struct {
 	cursors []int // the cursors the image's metadata page records
 	pages   []int // its data pages
-	retired *bool // the retirement page is programmed
 }
 
 // restoreBlock is dump block b's worker: it reads the block's slice of
@@ -416,16 +409,15 @@ type restoreCmd struct {
 // the metadata page in block 0), into the BA-buffer. The worker past
 // the last slice retires the image: a zero page at the last dump
 // block's cursor breaks the cursor match for good, so no later boot
-// restores it again. A failed program leaves the cursor where it was,
-// so it is tried once more there.
+// restores it again; the room a dump needs includes that page.
 func (r *recovery) restoreBlock(w *sim.Proc, c *restoreCmd, b int) error {
 	s := r.s
 	fl := s.dev.Flash()
 	if b == r.spanned(len(c.pages)) {
 		last := len(r.dumpBlocks) - 1
 		at := r.blockBase(r.dumpBlocks[last]) + nand.PPA(c.cursors[last])
-		for try := 0; try < 2 && !*c.retired; try++ {
-			*c.retired = fl.ProgramPageTagged(w, at, nil, integrity.PaddedCRC(nil, s.PageSize())) == nil
+		if err := fl.ProgramPageTagged(w, at, nil, integrity.PaddedCRC(nil, s.PageSize())); err != nil {
+			return fmt.Errorf("2bssd: retire image: %w", err)
 		}
 		return nil
 	}
@@ -460,12 +452,6 @@ func (r *recovery) eraseBlock(w *sim.Proc, _ *struct{}, b int) error {
 		return nil // already erased
 	}
 	if err := fl.EraseBlock(w, blk); err != nil {
-		// An injected erase failure retires a dump block: a later dump
-		// that programs it tears, or is refused while the block lacks
-		// room. Real config errors still panic.
-		if errors.Is(err, nand.ErrEraseFailed) || errors.Is(err, nand.ErrWornOut) {
-			return nil
-		}
 		panic(fmt.Sprintf("2bssd: dump area erase failed: %v", err))
 	}
 	return nil

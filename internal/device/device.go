@@ -14,7 +14,6 @@ import (
 	"fmt"
 
 	"twobssd/internal/arena"
-	"twobssd/internal/fault"
 	"twobssd/internal/ftl"
 	"twobssd/internal/histo"
 	"twobssd/internal/integrity"
@@ -220,10 +219,9 @@ type Device struct {
 	// apart). Track names are precomputed so the disabled-tracer hot
 	// path performs no string building.
 	o                      *obs.Set
-	inj                    *fault.Injector
 	pcieTrack, bufTrack    string
 	cReadCmds, cWriteCmds  *obs.Counter
-	cFlushCmds, cTimeouts  *obs.Counter
+	cFlushCmds             *obs.Counter
 	cPagesRead, cPagesWrit *obs.Counter
 	cGatedRd, cGatedWr     *obs.Counter
 	hReadCmd, hWriteCmd    *histo.H
@@ -251,7 +249,6 @@ func New(env *sim.Env, p Profile) *Device {
 		ring:         make([]ftl.LBA, p.WriteBufferPages),
 		byLBA:        make(map[ftl.LBA]*lbaBuf),
 		o:            obs.Of(env),
-		inj:          fault.Of(env),
 		pcieTrack:    p.Name + ".pcie",
 		bufTrack:     p.Name + ".wbuf",
 	}
@@ -260,7 +257,6 @@ func New(env *sim.Env, p Profile) *Device {
 	d.cReadCmds = reg.Counter(p.Name + ".read_cmds")
 	d.cWriteCmds = reg.Counter(p.Name + ".write_cmds")
 	d.cFlushCmds = reg.Counter(p.Name + ".flush_cmds")
-	d.cTimeouts = reg.Counter(p.Name + ".cmd_timeouts")
 	d.cPagesRead = reg.Counter(p.Name + ".pages_read")
 	d.cPagesWrit = reg.Counter(p.Name + ".pages_written")
 	d.cGatedRd = reg.Counter(p.Name + ".gated_reads")
@@ -356,19 +352,6 @@ func (d *Device) pcieXfer(p *sim.Proc, bytes int) {
 	d.pcie.Release()
 }
 
-// maybeTimeout models injected transient command timeouts: the host
-// driver's timer expires n times, each retry backing off exponentially
-// from the injector's base delay before the command goes through. With
-// no injector installed this is a nil-receiver no-op costing nothing.
-func (d *Device) maybeTimeout(p *sim.Proc) {
-	n, delay := d.inj.Timeouts()
-	for k := 0; k < n; k++ {
-		d.cTimeouts.Inc()
-		d.o.Tracer().Instant(d.profile.Name+".timeout", "device", "cmd_timeout")
-		p.Sleep(delay << uint(k))
-	}
-}
-
 // ReadPages reads n pages from lba into a new buffer (see ReadPagesInto)
 // that no other read shares, its capacity capped at its length. Only
 // benchmark/adapter.go calls it; revision A deletes it, with readMem.
@@ -412,7 +395,6 @@ func (d *Device) ReadPagesInto(p *sim.Proc, lba ftl.LBA, dst []byte) error {
 	d.cReadCmds.Inc()
 	start := d.env.Now()
 	cmd := d.o.Tracer().BeginProc(p, "device", "read_cmd")
-	d.maybeTimeout(p)
 	p.Sleep(submissionLatency)
 	d.fw.Use(p, d.profile.FwPerCmdCost)
 
@@ -499,7 +481,6 @@ func (d *Device) WritePages(p *sim.Proc, lba ftl.LBA, data []byte) error {
 	d.cWriteCmds.Inc()
 	start := d.env.Now()
 	cmd := d.o.Tracer().BeginProc(p, "device", "write_cmd")
-	d.maybeTimeout(p)
 	p.Sleep(submissionLatency)
 	d.fw.Use(p, d.profile.FwPerCmdCost)
 	for i := 0; i < n; i++ {
@@ -538,7 +519,6 @@ func (d *Device) Flush(p *sim.Proc) error {
 	d.cFlushCmds.Inc()
 	start := d.env.Now()
 	cmd := d.o.Tracer().BeginProc(p, "device", "flush_cmd")
-	d.maybeTimeout(p)
 	p.Sleep(submissionLatency)
 	d.fw.Use(p, d.profile.FwPerCmdCost)
 	p.Sleep(d.profile.CompletionLatency)

@@ -12,7 +12,8 @@ import (
 // TestReadDetectsSilentCorruption is the block path's end-to-end
 // integrity check: a page corrupted on flash after the host wrote it
 // must fail the read with ErrPageCorrupt instead of returning wrong
-// bytes.
+// bytes. The device decorates the error with the command's context, so
+// only errors.Is matches it, never equality.
 func TestReadDetectsSilentCorruption(t *testing.T) {
 	e := sim.NewEnv()
 	d := New(e, small(ULLSSD()))
@@ -36,8 +37,12 @@ func TestReadDetectsSilentCorruption(t *testing.T) {
 			return
 		}
 		got := make([]byte, ps)
-		if err := d.ReadPagesInto(p, 7, got); !errors.Is(err, integrity.ErrPageCorrupt) {
+		err := d.ReadPagesInto(p, 7, got)
+		if !errors.Is(err, integrity.ErrPageCorrupt) {
 			t.Errorf("read of corrupted page: err = %v, want ErrPageCorrupt", err)
+		}
+		if err == integrity.ErrPageCorrupt { //nolint:errorlint // proving the wrap
+			t.Error("error returned unwrapped; context decoration missing")
 		}
 		// A healthy neighbour still reads fine.
 		if err := d.WritePages(p, 8, bytes.Repeat([]byte{0x88}, ps)); err != nil {

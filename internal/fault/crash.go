@@ -80,9 +80,6 @@ var reportSeries = [...]struct{ name, label string }{
 	{"fault.trips", "trips"},
 	{"fault.ecc_retries", "ecc-retries"},
 	{"fault.uncorrectable_reads", "uncorrectable"},
-	{"fault.program_fails", "program-fails"},
-	{"fault.erase_fails", "erase-fails"},
-	{"fault.cmd_timeouts", "timeouts"},
 	{"wal.seg_torn_repairs", "torn-repairs"},
 }
 

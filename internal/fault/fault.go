@@ -2,8 +2,8 @@
 // simulator. A seeded Plan describes *what* goes wrong — a power cut at
 // an exact virtual nanosecond or at the Nth occurrence of a device
 // event, NAND read bit errors drawn from a P/E-cycle- and
-// retention-driven raw-BER model, program/erase failures, transient
-// command timeouts, a capacitor dump that dies partway — and the
+// retention-driven raw-BER model, a capacitor dump that dies partway —
+// the faults the crash and fuzz campaigns sweep — and the
 // Injector installed on a sim.Env answers the cheap questions the
 // datapaths ask ("does this read fail?", "is power gone yet?").
 //
@@ -149,19 +149,6 @@ type Plan struct {
 	// BER enables NAND read bit errors when non-nil.
 	BER *BERModel
 
-	// ProgramFailOneIn makes roughly one in N page programs fail with
-	// nand.ErrProgramFailed (0 disables).
-	ProgramFailOneIn uint64
-	// EraseFailOneIn makes roughly one in N block erases fail with
-	// nand.ErrEraseFailed, retiring the block (0 disables).
-	EraseFailOneIn uint64
-
-	// TimeoutOneIn makes roughly one in N device commands hit
-	// transient timeouts (0 disables); the device retries with
-	// exponential backoff starting at timeoutDelay. A command hits at
-	// most timeoutMaxRetries consecutive timeouts.
-	TimeoutOneIn uint64
-
 	// CutDumpAfterPages kills the capacitor-powered dump after that
 	// many pages have been programmed, leaving a torn image the
 	// recovery manager must detect (0 disables).
@@ -182,9 +169,8 @@ type Injector struct {
 	env  *sim.Env
 	plan Plan
 
-	// Independent streams per fault class so enabling one class never
-	// shifts another's sequence.
-	rngRead, rngProg, rngErase, rngTimeout sim.Rand
+	// The BER model's draws; the other fault classes draw nothing.
+	rngRead sim.Rand
 
 	counts  [numEvents]uint64
 	armed   bool
@@ -192,9 +178,7 @@ type Injector struct {
 	tripAt  sim.Time
 	tripWhy string
 
-	cTrips, cRetries, cUncorr       *obs.Counter
-	cProgFail, cEraseFail, cTimeout *obs.Counter
-	cDumpCut                        *obs.Counter
+	cTrips, cRetries, cUncorr, cDumpCut *obs.Counter
 }
 
 // Install creates an Injector for plan and attaches it to env (in the
@@ -205,16 +189,10 @@ type Injector struct {
 func Install(env *sim.Env, plan Plan) *Injector {
 	in := &Injector{env: env, plan: plan, armed: true}
 	in.rngRead = sim.NewRand(plan.Seed ^ 0xA5A5A5A5A5A5A5A5)
-	in.rngProg = sim.NewRand(plan.Seed ^ 0x0F0F0F0F0F0F0F0F)
-	in.rngErase = sim.NewRand(plan.Seed ^ 0x3C3C3C3C3C3C3C3C)
-	in.rngTimeout = sim.NewRand(plan.Seed ^ 0xC3C3C3C3C3C3C3C3)
 	reg := obs.Of(env).Registry()
 	in.cTrips = reg.Counter("fault.trips")
 	in.cRetries = reg.Counter("fault.ecc_retries")
 	in.cUncorr = reg.Counter("fault.uncorrectable_reads")
-	in.cProgFail = reg.Counter("fault.program_fails")
-	in.cEraseFail = reg.Counter("fault.erase_fails")
-	in.cTimeout = reg.Counter("fault.cmd_timeouts")
 	in.cDumpCut = reg.Counter("fault.dump_cuts")
 	obs.Of(env).SetAux(in)
 	if plan.PowerLoss.At > 0 {
@@ -332,54 +310,6 @@ func (in *Injector) ReadFault(pageBytes, eraseCount int, age sim.Duration) ReadD
 		in.cUncorr.Inc()
 	}
 	return rd
-}
-
-// ProgramFault decides whether this page program fails.
-func (in *Injector) ProgramFault() bool {
-	if in == nil || in.plan.ProgramFailOneIn == 0 {
-		return false
-	}
-	if in.rngProg.Uint64()%in.plan.ProgramFailOneIn != 0 {
-		return false
-	}
-	in.cProgFail.Inc()
-	return true
-}
-
-// EraseFault decides whether this block erase fails (retiring the
-// block, like passing its endurance limit would).
-func (in *Injector) EraseFault() bool {
-	if in == nil || in.plan.EraseFailOneIn == 0 {
-		return false
-	}
-	if in.rngErase.Uint64()%in.plan.EraseFailOneIn != 0 {
-		return false
-	}
-	in.cEraseFail.Inc()
-	return true
-}
-
-// timeoutMaxRetries bounds the injected consecutive timeouts per
-// command, and timeoutDelay is the first backoff step.
-const (
-	timeoutMaxRetries = 2
-	timeoutDelay      = 100 * sim.Microsecond
-)
-
-// Timeouts decides whether this device command hits transient
-// timeouts, returning how many and the base backoff delay. The device
-// retries with exponential backoff; commands always eventually
-// succeed (persistent failures are the program/erase classes).
-func (in *Injector) Timeouts() (n int, delay sim.Duration) {
-	if in == nil || in.plan.TimeoutOneIn == 0 {
-		return 0, 0
-	}
-	if in.rngTimeout.Uint64()%in.plan.TimeoutOneIn != 0 {
-		return 0, 0
-	}
-	n = 1 + int(in.rngTimeout.Uint64()%timeoutMaxRetries)
-	in.cTimeout.Add(uint64(n))
-	return n, timeoutDelay
 }
 
 // DumpCut reports whether the capacitor dump dies before programming

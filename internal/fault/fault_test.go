@@ -18,9 +18,6 @@ func TestNilInjectorHooksAllocateNothing(t *testing.T) {
 		_, _ = in.TripInfo()
 		_ = in.Count(EvWalCommit)
 		_ = in.ReadFault(4096, 100, 3600*sim.Second)
-		_ = in.ProgramFault()
-		_ = in.EraseFault()
-		_, _ = in.Timeouts()
 		_ = in.DumpCut(1)
 		in.Disarm()
 		_ = in.Enabled()
@@ -38,8 +35,6 @@ func BenchmarkDisabledInjectorHooks(b *testing.B) {
 		in.Tick(EvNandProgram)
 		_ = in.Tripped()
 		_ = in.ReadFault(4096, 100, 0)
-		_ = in.ProgramFault()
-		_, _ = in.Timeouts()
 	}
 }
 
@@ -88,31 +83,14 @@ func TestDisarmStopsTripping(t *testing.T) {
 	}
 }
 
-// Same seed, same plan: the probabilistic hooks must produce identical
+// Same seed, same plan: the probabilistic hook must produce identical
 // decision sequences across independent injectors.
 func TestSameSeedSameFaultSequence(t *testing.T) {
 	mk := func() *Injector {
-		return Install(sim.NewEnv(), Plan{
-			Seed:             42,
-			ProgramFailOneIn: 7,
-			EraseFailOneIn:   5,
-			TimeoutOneIn:     3,
-			BER:              DefaultBER(),
-		})
+		return Install(sim.NewEnv(), Plan{Seed: 42, BER: DefaultBER()})
 	}
 	a, b := mk(), mk()
 	for i := 0; i < 500; i++ {
-		if a.ProgramFault() != b.ProgramFault() {
-			t.Fatalf("program-fault sequences diverge at %d", i)
-		}
-		if a.EraseFault() != b.EraseFault() {
-			t.Fatalf("erase-fault sequences diverge at %d", i)
-		}
-		an, ad := a.Timeouts()
-		bn, bd := b.Timeouts()
-		if an != bn || ad != bd {
-			t.Fatalf("timeout sequences diverge at %d", i)
-		}
 		ar := a.ReadFault(4096, 3000, 100*3600*sim.Second)
 		br := b.ReadFault(4096, 3000, 100*3600*sim.Second)
 		if ar != br {

@@ -58,7 +58,7 @@ func TestSupersededPagesHoldNoBytes(t *testing.T) {
 		f.gcLock.Acquire(p)
 		for _, blk := range blocks {
 			src := f.validPages(blk, nil)
-			if err := f.evacuate(p, blk, false, f.cGCReloc, false); err != nil {
+			if err := f.evacuate(p, blk, false, f.cGCReloc); err != nil {
 				t.Fatalf("evacuate: %v", err)
 			}
 			superseded = append(superseded, src...)
@@ -192,7 +192,7 @@ func TestLostRaceCopyHoldsNoBytes(t *testing.T) {
 		})
 		t0 := e.Now()
 		f.gcLock.Acquire(p)
-		err := f.evacuate(p, victim, false, f.cGCReloc, false)
+		err := f.evacuate(p, victim, false, f.cGCReloc)
 		f.gcLock.Release()
 		if err != nil {
 			t.Fatalf("evacuate: %v", err)

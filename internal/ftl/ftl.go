@@ -210,8 +210,8 @@ func (f *FTL) Config() Config { return f.cfg }
 
 // WearStats summarizes erase wear across the usable blocks — the
 // "SSD lifespan" side of the paper's WAF argument (Section IV-A).
-// RetiredBlocks is a scan of blocks the NAND layer marked bad (worn
-// out, erase failures or explicit retirement).
+// RetiredBlocks is a scan of blocks the NAND layer marked bad (the FTL
+// retires a block after an uncorrectable read).
 type WearStats struct {
 	MinErase, MaxErase int
 	TotalErase         uint64
@@ -403,12 +403,7 @@ func (f *FTL) allocRun(p *sim.Proc, die, want int) (base nand.PPA, n int, err er
 		}
 		if f.flash.NextPage(blk) != 0 {
 			if err := f.flash.EraseBlock(p, blk); err != nil {
-				// Worn-out, erase-failed or bad block: drop it
-				// and retry with another.
-				if errors.Is(err, nand.ErrWornOut) || errors.Is(err, nand.ErrEraseFailed) {
-					f.cRetired.Inc()
-				}
-				continue
+				return 0, 0, fmt.Errorf("ftl: erase: %w", err)
 			}
 		}
 		*ob = openBlock{blk: blk, nextPage: 0}
@@ -441,9 +436,6 @@ func (f *FTL) WritePage(p *sim.Proc, lba LBA, data []byte) error {
 // caller where the page crossed the host boundary: the CRC of the page
 // as stored. The tag rides out of band with the page through NAND,
 // garbage collection and block retirement, and ReadPageInto checks it.
-// A program failure (injected grown defect) retires the block —
-// evacuating its valid pages — and retries on another block, so callers
-// above the FTL never see transient NAND program errors.
 func (f *FTL) WritePageTagged(p *sim.Proc, lba LBA, data []byte, tag uint32) error {
 	if err := f.checkLBA(lba); err != nil {
 		return err
@@ -476,18 +468,12 @@ func (f *FTL) WritePageTagged(p *sim.Proc, lba LBA, data []byte, tag uint32) err
 			f.hWrite.Observe(sim.Duration(f.env.Now() - start))
 			return nil
 		}
-		switch {
-		case errors.Is(err, nand.ErrProgramFailed):
-			if rerr := f.retireBlock(p, f.flash.Config().BlockOf(ppa)); rerr != nil {
-				return fmt.Errorf("ftl: retire after program failure: %w", rerr)
-			}
-		case errors.Is(err, nand.ErrBadBlock):
-			// The open block was retired while we waited on the die
-			// lock; drop the stale slot and retry.
-			f.open[die] = openBlock{blk: 0, nextPage: -1}
-		default:
+		if !errors.Is(err, nand.ErrBadBlock) {
 			return fmt.Errorf("ftl: program failed: %w", err)
 		}
+		// The open block was retired while we waited on the die lock;
+		// drop the stale slot and retry.
+		f.open[die] = openBlock{blk: 0, nextPage: -1}
 	}
 }
 
@@ -593,16 +579,11 @@ func (f *FTL) collect(p *sim.Proc) error {
 		f.cGCRuns.Inc()
 		// An uncorrectable victim page is salvaged, not fatal: the block
 		// is about to be erased anyway.
-		if err := f.evacuate(p, victim, false, f.cGCReloc, false); err != nil {
+		if err := f.evacuate(p, victim, false, f.cGCReloc); err != nil {
 			return fmt.Errorf("ftl: gc relocation: %w", err)
 		}
 		if err := f.flash.EraseBlock(p, victim); err != nil {
-			// Worn out or erase-failed: block retired, not returned to
-			// the pool.
-			if errors.Is(err, nand.ErrWornOut) || errors.Is(err, nand.ErrEraseFailed) {
-				f.cRetired.Inc()
-			}
-			continue
+			return fmt.Errorf("ftl: gc erase: %w", err)
 		}
 		f.free = append(f.free, victim)
 	}
@@ -642,19 +623,8 @@ type relocRun struct {
 // evacuate empties blk: every page still valid is moved elsewhere and
 // rebound — the one routine garbage collection and retirement share.
 // salvage reads raw (a condemned block's ECC verdicts are moot); moved
-// counts the pages copied. Called with gcLock held, or — nested — from a
-// run of an evacuation whose owner holds it, when a destination block
-// failed to program and has to be retired in turn. A nested evacuation
-// stays on its proc: the workers are its owner's, and waiting for them
-// from one of them could wait forever.
-func (f *FTL) evacuate(p *sim.Proc, blk nand.BlockID, salvage bool, moved *obs.Counter, nested bool) error {
-	if nested {
-		// The owner's page list, movers and workers are all in use.
-		if src := f.validPages(blk, nil); len(src) > 0 {
-			return f.moveRuns(p, new(mover), src, salvage, moved)
-		}
-		return nil
-	}
+// counts the pages copied. Called with gcLock held.
+func (f *FTL) evacuate(p *sim.Proc, blk nand.BlockID, salvage bool, moved *obs.Counter) error {
 	f.evacSrc = f.validPages(blk, f.evacSrc[:0])
 	src := f.evacSrc
 	switch {
@@ -662,7 +632,7 @@ func (f *FTL) evacuate(p *sim.Proc, blk nand.BlockID, salvage bool, moved *obs.C
 		return nil // nothing to move: no proc woken, no time spent
 	case len(src) <= relocRunPages:
 		// One run: handing it over would buy two process switches.
-		return f.moveRuns(p, &f.movers[0], src, salvage, moved)
+		return f.moveRun(p, &f.movers[0], relocRun{src, salvage, moved})
 	}
 	f.relocQ, f.relocHead, f.relocErr = f.relocQ[:0], 0, nil
 	for per := runLen(len(src)); len(src) > 0; src = src[min(per, len(src)):] {
@@ -677,16 +647,6 @@ func (f *FTL) evacuate(p *sim.Proc, blk nand.BlockID, salvage bool, moved *obs.C
 func runLen(n int) int {
 	runs := (n + relocRunPages - 1) / relocRunPages
 	return (n + runs - 1) / runs
-}
-
-// moveRuns moves src run after run on the calling proc.
-func (f *FTL) moveRuns(p *sim.Proc, m *mover, src []nand.PPA, salvage bool, moved *obs.Counter) error {
-	for per := runLen(len(src)); len(src) > 0; src = src[min(per, len(src)):] {
-		if err := f.moveRun(p, m, relocRun{src[:min(per, len(src))], salvage, moved}); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // relocWorker is relocation worker i of a batch: it moves queued runs,
@@ -738,10 +698,7 @@ func (f *FTL) moveRun(p *sim.Proc, m *mover, run relocRun) error {
 // place host and relocation map updates are arbitrated. slot names the
 // open-block slot to use; slot < 0 takes, run by run, a slot whose die
 // is idle. Bytes and integrity tags move with their pages at the
-// rebind, after the whole run has programmed. A destination block that
-// fails to program is retired in turn (cascade, which terminates because
-// every retirement marks one more of the finitely many blocks bad) and
-// the rest of the run lands elsewhere. Called under gcLock (see
+// rebind, after the whole run has programmed. Called under gcLock (see
 // evacuate).
 func (f *FTL) land(p *sim.Proc, pages []nand.RunPage, slot int, moved *obs.Counter) error {
 	for len(pages) > 0 {
@@ -755,15 +712,17 @@ func (f *FTL) land(p *sim.Proc, pages []nand.RunPage, slot int, moved *obs.Count
 		// block rather than on another die: the free block a relocation
 		// uses up is then taken while the collection that caused it is
 		// still counting, not by a later host write.
-		var base nand.PPA
 		var err error
 		for err == nil && len(pages) > 0 {
-			var n, done int
+			var base nand.PPA
+			var n int
 			if base, n, err = f.allocRun(p, d, len(pages)); err != nil {
 				break
 			}
-			done, err = f.flash.ProgramRun(p, base, n)
-			for i, pg := range pages[:done] {
+			if err = f.flash.ProgramRun(p, base, n); err != nil {
+				break
+			}
+			for i, pg := range pages[:n] {
 				f.cNandWrites.Inc()
 				moved.Inc()
 				// The run yielded since the page was read: rebind only if
@@ -772,21 +731,16 @@ func (f *FTL) land(p *sim.Proc, pages []nand.RunPage, slot int, moved *obs.Count
 				// copy stays unmapped, without bytes.
 				f.rebind(pg.PPA, base+nand.PPA(i))
 			}
-			pages = pages[done:]
+			pages = pages[n:]
 		}
 		f.dieLocks[d].Release()
-		switch {
-		case err == nil:
-		case errors.Is(err, nand.ErrProgramFailed):
-			if rerr := f.retireLocked(p, f.flash.Config().BlockOf(base), true); rerr != nil {
-				return rerr
-			}
-		case errors.Is(err, nand.ErrBadBlock):
-			// The open block was retired underneath this slot (cascade
-			// from another relocation); drop it and retry.
-			f.open[d] = openBlock{blk: 0, nextPage: -1}
-		default:
+		if err != nil && !errors.Is(err, nand.ErrBadBlock) {
 			return err
+		}
+		if err != nil {
+			// The open block was retired underneath this slot; drop it
+			// and retry.
+			f.open[d] = openBlock{blk: 0, nextPage: -1}
 		}
 	}
 	return nil
@@ -846,23 +800,14 @@ func (f *FTL) lockIdleSlot(p *sim.Proc) int {
 	return d
 }
 
-// retireBlock takes the block out of service: its valid pages are
-// evacuated elsewhere and the block is marked bad, never to be
-// allocated again. Public entry point for the write/read paths;
-// relocation (which runs under gcLock already) calls retireLocked.
+// retireBlock takes a block that failed an uncorrectable read out of
+// service, under gcLock: it is marked bad, never to be allocated again,
+// and its valid pages are evacuated elsewhere.
 func (f *FTL) retireBlock(p *sim.Proc, blk nand.BlockID) error {
 	f.gcLock.Acquire(p)
 	defer f.gcLock.Release()
-	return f.retireLocked(p, blk, false)
-}
-
-// retireLocked implements retirement under gcLock (nested: from a
-// relocation run, see evacuate). Marking the block bad happens first so
-// that any cascading retirement (a relocation target failing to
-// program) cannot loop back into this block.
-func (f *FTL) retireLocked(p *sim.Proc, blk nand.BlockID, nested bool) error {
 	if f.flash.IsBad(blk) {
-		return nil // already retired (cascade re-entry)
+		return nil // another reader retired it while this one waited
 	}
 	f.flash.MarkBad(blk)
 	f.cRetired.Inc()
@@ -879,7 +824,7 @@ func (f *FTL) retireLocked(p *sim.Proc, blk nand.BlockID, nested bool) error {
 	}
 	// Evacuate the surviving valid pages with raw reads: the block is
 	// already condemned, so ECC verdicts are moot.
-	if err := f.evacuate(p, blk, true, f.cRetireReloc, nested); err != nil {
+	if err := f.evacuate(p, blk, true, f.cRetireReloc); err != nil {
 		return fmt.Errorf("ftl: retire relocation: %w", err)
 	}
 	return nil

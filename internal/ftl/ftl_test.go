@@ -323,45 +323,6 @@ func TestWearStatsTrackErases(t *testing.T) {
 	}
 }
 
-func TestWornBlocksRetireAndDeviceKeepsWorking(t *testing.T) {
-	e := sim.NewEnv()
-	fl := nand.New(e, nand.Config{
-		Channels: 2, DiesPerChannel: 2, BlocksPerDie: 16, PagesPerBlock: 8,
-		PageSize: 4096, ReadLatency: 3 * sim.Microsecond,
-		ProgramLatency: 50 * sim.Microsecond, EraseLatency: 2 * sim.Millisecond,
-		ChannelMBps: 1200, EnduranceCycles: 6,
-	})
-	f := New(e, fl, Config{OverProvision: 0.3})
-	n := int(f.ExportedPages())
-	rng := rand.New(rand.NewSource(4))
-	e.Go("t", func(p *sim.Proc) {
-		// Churn hard enough to retire some blocks; writes must still
-		// succeed and read back correctly while spares remain.
-		for op := 0; op < 10*n; op++ {
-			lba := LBA(rng.Intn(n / 2))
-			if err := f.WritePage(p, lba, []byte{byte(op)}); err != nil {
-				t.Logf("write stopped at op %d: %v", op, err)
-				return
-			}
-		}
-	})
-	e.Run()
-	w := f.Wear()
-	if w.RetiredBlocks == 0 {
-		t.Fatal("endurance=6 with heavy churn should retire blocks")
-	}
-	// Live data still correct.
-	e.Go("verify", func(p *sim.Proc) {
-		got := make([]byte, f.PageSize())
-		for i := 0; i < n/2; i++ {
-			if err := f.ReadPageInto(p, LBA(i), got); err != nil {
-				t.Fatalf("read %d: %v", i, err)
-			}
-		}
-	})
-	e.Run()
-}
-
 // A relocation (GC, retirement, scrub) copies a page across two yields
 // — the read and the program. A host write of the same LBA that lands
 // in between must win: the relocation may only rebind a mapping that is

@@ -279,68 +279,6 @@ func fullBlocks(t *testing.T, p *sim.Proc, f *FTL) nand.BlockID {
 	return f.open[0].blk
 }
 
-// A program failure at page k of a run: pages before k are rebound to
-// the block that then failed, that block is retired — which moves them
-// again — and the rest of the run lands elsewhere. Every LBA keeps its
-// data, nothing stays mapped into the bad block.
-func TestRunProgramFailureMidRun(t *testing.T) {
-	for seed := uint64(1); seed < 400; seed++ {
-		e := sim.NewEnv()
-		fault.Install(e, fault.Plan{Seed: seed, ProgramFailOneIn: 24})
-		f := newTestFTL(e)
-		fc := f.flash.Config()
-		tried := false
-		e.Go("t", func(p *sim.Proc) {
-			victim := fullBlocks(t, p, f)
-			if counter(t, e, "fault.program_fails") != 0 {
-				return // this seed fails a host write first; try the next
-			}
-			if f.validCount[victim] != fc.PagesPerBlock {
-				t.Fatalf("seed %d: victim holds %d valid pages", seed, f.validCount[victim])
-			}
-			f.gcLock.Acquire(p)
-			err := f.evacuate(p, victim, false, f.cGCReloc, false)
-			f.gcLock.Release()
-			if err != nil {
-				t.Fatalf("seed %d: evacuate: %v", seed, err)
-			}
-			k := int(f.cRetireReloc.Value())
-			if counter(t, e, "fault.program_fails") != 1 || k == 0 {
-				return // no failure, or at the run's first page: nothing rebound before it
-			}
-			tried = true
-			if got := f.cGCReloc.Value(); got != uint64(fc.PagesPerBlock) {
-				t.Errorf("seed %d: %d pages relocated, want %d", seed, got, fc.PagesPerBlock)
-			}
-			if f.cRetired.Value() != 1 || f.Wear().RetiredBlocks != 1 {
-				t.Errorf("seed %d: %d blocks retired, want the failed destination", seed, f.cRetired.Value())
-			}
-			if f.validCount[victim] != 0 {
-				t.Errorf("seed %d: victim still holds %d valid pages", seed, f.validCount[victim])
-			}
-			got := make([]byte, fc.PageSize)
-			for i := 0; i < fc.Dies()*fc.PagesPerBlock; i++ {
-				ppa, _ := f.PPAOf(LBA(i))
-				if f.flash.IsBad(fc.BlockOf(ppa)) {
-					t.Errorf("seed %d: lba %d still maps into the retired block", seed, i)
-				}
-				if err := f.ReadPageInto(p, LBA(i), got); err != nil || got[0] != byte(i+1) {
-					t.Errorf("seed %d: lba %d reads %d, %v", seed, i, got[0], err)
-				}
-			}
-			if err := f.Audit(); err != nil {
-				t.Fatal(err)
-			}
-			t.Logf("seed %d: program failed at page %d of the run", seed, k)
-		})
-		e.Run()
-		if tried {
-			return
-		}
-	}
-	t.Fatal("no seed failed a program in the middle of the run; the test exercises nothing")
-}
-
 // An uncorrectable page inside a GC run is salvaged on its own: one raw
 // re-read, the run's other pages untouched, the block not retired.
 func TestRunUncorrectableReadSalvagesOnePage(t *testing.T) {
@@ -363,7 +301,7 @@ func TestRunUncorrectableReadSalvagesOnePage(t *testing.T) {
 		victim := f.open[0].blk
 		reads := counter(t, e, "nand.page_reads")
 		f.gcLock.Acquire(p)
-		err := f.evacuate(p, victim, false, f.cGCReloc, false)
+		err := f.evacuate(p, victim, false, f.cGCReloc)
 		f.gcLock.Release()
 		if err != nil {
 			t.Fatalf("evacuate: %v", err)
@@ -426,7 +364,7 @@ func TestRelocationPicksSlotsByPhysicalDie(t *testing.T) {
 		p.Sleep(sim.Microsecond)
 		t0 := e.Now()
 		f.gcLock.Acquire(p)
-		err := f.evacuate(p, victim, false, f.cGCReloc, false)
+		err := f.evacuate(p, victim, false, f.cGCReloc)
 		f.gcLock.Release()
 		if err != nil {
 			t.Fatal(err)
@@ -477,7 +415,7 @@ func TestBytesMoveAtRebindNotAtProgram(t *testing.T) {
 			}
 		})
 		f.gcLock.Acquire(p)
-		err := f.evacuate(p, victim, false, f.cGCReloc, false)
+		err := f.evacuate(p, victim, false, f.cGCReloc)
 		f.gcLock.Release()
 		if err != nil {
 			t.Fatalf("evacuate: %v", err)

@@ -1,8 +1,9 @@
 // Package nand models a NAND flash subsystem: channels, dies, blocks
 // and pages with realistic timing (tR, tPROG, tERASE, channel transfer)
 // and the physical constraints that shape every SSD design —
-// erase-before-program, strictly sequential page programming within a
-// block, and limited erase endurance.
+// erase-before-program and strictly sequential page programming within
+// a block. Wear is counted (each block's erase count feeds the BER
+// model's raw error rate), not capped.
 //
 // Pages carry real bytes, so layers above can verify data integrity end
 // to end, and all latency is charged on the sim clock: a die is a
@@ -69,8 +70,6 @@ type Config struct {
 	EraseLatency   sim.Duration // tERASE: whole block
 
 	ChannelMBps int // channel transfer rate, MB/s
-
-	EnduranceCycles int // erases before a block goes bad (0 = unlimited)
 }
 
 // Validate reports a descriptive error for an unusable configuration.
@@ -151,16 +150,12 @@ var (
 	ErrBadBlock     = errors.New("nand: block is bad")
 	ErrNotErased    = errors.New("nand: program to unerased or out-of-order page")
 	ErrOutOfRange   = errors.New("nand: address out of range")
-	ErrWornOut      = errors.New("nand: block exceeded endurance")
 	ErrPageTooLarge = errors.New("nand: data larger than page")
 
-	// Injected-fault errors (internal/fault). ErrUncorrectable means a
-	// read failed ECC even after every retry step — the FTL salvages
-	// the data and retires the block. ErrProgramFailed/ErrEraseFailed
-	// are grown defects: the op charged full latency but did not take.
+	// ErrUncorrectable means a read failed ECC even after every retry
+	// step of the injected BER model (internal/fault) — the FTL
+	// salvages the data and retires the block.
 	ErrUncorrectable = errors.New("nand: uncorrectable read")
-	ErrProgramFailed = errors.New("nand: page program failed")
-	ErrEraseFailed   = errors.New("nand: block erase failed")
 )
 
 type blockState struct {
@@ -462,11 +457,6 @@ func (f *Flash) ProgramPageTagged(p *sim.Proc, ppa PPA, data []byte, tag uint32)
 	p.Sleep(f.cfg.ProgramLatency)
 	sp.End()
 	f.dies[die].Release()
-	if f.inj != nil && f.inj.ProgramFault() {
-		// Grown defect: full latency charged, page not programmed.
-		// The FTL retires the block and retries elsewhere.
-		return fmt.Errorf("%w: block %d page %d", ErrProgramFailed, f.cfg.BlockOf(ppa), page)
-	}
 	stored := noBytes
 	if k := f.storedClass(data); k >= 0 {
 		stored = f.buffer(k, data)
@@ -637,32 +627,31 @@ func (f *Flash) ReadRun(p *sim.Proc, pages []RunPage, salvage bool) error {
 // hold for all the transfers, then one die hold of n·tPROG — the
 // occupancy of as many ProgramPage calls for two kernel events. The
 // pages hold no bytes until Move hands each its source's. The
-// sequential-program rule applies to base. It returns how many pages
-// took; fewer than n comes with the error that stopped the run.
+// sequential-program rule applies to base; a run that fails takes no
+// page.
 //
 // Without a fault injector the pages take together when the die hold
-// ends. With one, the die hold steps page by page: every page draws its
-// own program-failure verdict, is stamped with its own program instant
-// and ticks EvNandProgram on its own, tPROG after the page before it;
-// the first ErrProgramFailed ends the run with the earlier pages
-// programmed.
-func (f *Flash) ProgramRun(p *sim.Proc, base PPA, n int) (int, error) {
+// ends. With one, the die hold steps page by page: every page is
+// stamped with its own program instant and ticks EvNandProgram on its
+// own, tPROG after the page before it, so a power-cut trigger counted
+// in programs lands inside the run.
+func (f *Flash) ProgramRun(p *sim.Proc, base PPA, n int) error {
 	if n <= 0 {
-		return 0, nil
+		return nil
 	}
 	if err := f.checkPPA(base); err != nil {
-		return 0, err
+		return err
 	}
 	die, _, page := f.cfg.Decompose(base)
 	if page+n > f.cfg.PagesPerBlock {
-		return 0, fmt.Errorf("%w: run of %d pages from page %d leaves the block", ErrOutOfRange, n, page)
+		return fmt.Errorf("%w: run of %d pages from page %d leaves the block", ErrOutOfRange, n, page)
 	}
 	blk := &f.blocks[f.cfg.BlockOf(base)]
 	if blk.bad {
-		return 0, ErrBadBlock
+		return ErrBadBlock
 	}
 	if page != blk.nextPage {
-		return 0, fmt.Errorf("%w: block %d page %d (next programmable %d)",
+		return fmt.Errorf("%w: block %d page %d (next programmable %d)",
 			ErrNotErased, f.cfg.BlockOf(base), page, blk.nextPage)
 	}
 	ch := f.cfg.ChannelOf(die)
@@ -677,20 +666,15 @@ func (f *Flash) ProgramRun(p *sim.Proc, base PPA, n int) (int, error) {
 	if f.inj == nil {
 		p.Sleep(sim.Duration(n) * f.cfg.ProgramLatency)
 	}
-	done, err := 0, error(nil)
-	for ; done < n; done++ {
+	for i := 0; i < n; i++ {
 		if f.inj != nil {
 			p.Sleep(f.cfg.ProgramLatency)
-			if f.inj.ProgramFault() {
-				err = fmt.Errorf("%w: block %d page %d", ErrProgramFailed, f.cfg.BlockOf(base), page+done)
-				break
-			}
 		}
-		f.commit(blk, base+PPA(done), nil, 0)
+		f.commit(blk, base+PPA(i), nil, 0)
 	}
 	sp.End()
 	f.dies[die].Release()
-	return done, err
+	return nil
 }
 
 // Move hands src's bytes and out-of-band tag to dst, a page a
@@ -716,8 +700,6 @@ func (f *Flash) Move(src, dst PPA) {
 func (f *Flash) DieIdle(die int) bool { return f.dies[die].InUse() == 0 }
 
 // EraseBlock erases a whole block, making its pages programmable again.
-// When the block's erase count passes the configured endurance the
-// block is retired and ErrWornOut is returned.
 func (f *Flash) EraseBlock(p *sim.Proc, blk BlockID) error {
 	if uint64(blk) >= uint64(f.cfg.Blocks()) {
 		return ErrOutOfRange
@@ -733,12 +715,6 @@ func (f *Flash) EraseBlock(p *sim.Proc, blk BlockID) error {
 	p.Sleep(f.cfg.EraseLatency)
 	sp.End()
 	f.dies[die].Release()
-	if f.inj != nil && f.inj.EraseFault() {
-		// Erase failure is a grown defect: the block is retired on
-		// the spot, its contents and program state untouched.
-		bs.bad = true
-		return fmt.Errorf("%w: block %d", ErrEraseFailed, blk)
-	}
 	bs.eraseCount++
 	bs.nextPage = 0
 	f.cErases.Inc()
@@ -749,10 +725,6 @@ func (f *Flash) EraseBlock(p *sim.Proc, blk BlockID) error {
 		if f.inj != nil {
 			delete(f.progAt, base+PPA(i))
 		}
-	}
-	if f.cfg.EnduranceCycles > 0 && bs.eraseCount >= f.cfg.EnduranceCycles {
-		bs.bad = true
-		return ErrWornOut
 	}
 	return nil
 }
@@ -770,8 +742,8 @@ func (f *Flash) Discard(ppa PPA) {
 	}
 }
 
-// MarkBad retires a block — the FTL calls this after uncorrectable
-// reads or program failures (and tests use it for direct injection).
+// MarkBad retires a block — the FTL calls this after an uncorrectable
+// read (and tests use it for direct injection).
 func (f *Flash) MarkBad(blk BlockID) {
 	f.blocks[blk].bad = true
 }

@@ -178,31 +178,6 @@ func TestEraseResetsBlock(t *testing.T) {
 	}
 }
 
-func TestEnduranceRetiresBlock(t *testing.T) {
-	cfg := testConfig()
-	cfg.EnduranceCycles = 2
-	e := sim.NewEnv()
-	f := New(e, cfg)
-	e.Go("t", func(p *sim.Proc) {
-		if err := f.EraseBlock(p, 0); err != nil {
-			t.Errorf("erase 1: %v", err)
-		}
-		if err := f.EraseBlock(p, 0); !errors.Is(err, ErrWornOut) {
-			t.Errorf("erase 2: err = %v, want ErrWornOut", err)
-		}
-		if err := f.EraseBlock(p, 0); !errors.Is(err, ErrBadBlock) {
-			t.Errorf("erase after retirement: err = %v, want ErrBadBlock", err)
-		}
-		if err := f.ProgramPage(p, 0, nil); !errors.Is(err, ErrBadBlock) {
-			t.Errorf("program bad block: err = %v, want ErrBadBlock", err)
-		}
-	})
-	e.Run()
-	if !f.IsBad(0) {
-		t.Fatal("block not marked bad")
-	}
-}
-
 func TestOutOfRange(t *testing.T) {
 	e := sim.NewEnv()
 	f := New(e, testConfig())
@@ -288,7 +263,10 @@ func TestMarkBadInjection(t *testing.T) {
 	e.Go("t", func(p *sim.Proc) {
 		ppa := PPA(uint64(3) * uint64(f.Config().PagesPerBlock))
 		if err := f.ProgramPage(p, ppa, nil); !errors.Is(err, ErrBadBlock) {
-			t.Errorf("err = %v, want ErrBadBlock", err)
+			t.Errorf("program: err = %v, want ErrBadBlock", err)
+		}
+		if err := f.EraseBlock(p, 3); !errors.Is(err, ErrBadBlock) {
+			t.Errorf("erase: err = %v, want ErrBadBlock", err)
 		}
 	})
 	e.Run()

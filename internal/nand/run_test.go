@@ -44,9 +44,8 @@ func TestRunOccupancyCountersAndTags(t *testing.T) {
 			}
 		}
 		t0, ev0 := e.Now(), e.Events()
-		done, err := f.ProgramRun(p, base, n)
-		if err != nil || done != n {
-			t.Fatalf("ProgramRun = %d, %v", done, err)
+		if err := f.ProgramRun(p, base, n); err != nil {
+			t.Fatalf("ProgramRun: %v", err)
 		}
 		if got, want := sim.Duration(e.Now()-t0), n*(c.TransferTime(c.PageSize)+c.ProgramLatency); got != want {
 			t.Errorf("program run took %v, want %v", got, want)
@@ -117,17 +116,17 @@ func TestRunRules(t *testing.T) {
 	f := New(e, c)
 	base := c.PPAOf(0, 1, 0)
 	e.Go("t", func(p *sim.Proc) {
-		if _, err := f.ProgramRun(p, base+1, 2); !errors.Is(err, ErrNotErased) {
+		if err := f.ProgramRun(p, base+1, 2); !errors.Is(err, ErrNotErased) {
 			t.Errorf("out-of-order run: %v", err)
 		}
-		if _, err := f.ProgramRun(p, base, c.PagesPerBlock+1); !errors.Is(err, ErrOutOfRange) {
+		if err := f.ProgramRun(p, base, c.PagesPerBlock+1); !errors.Is(err, ErrOutOfRange) {
 			t.Errorf("run past the block: %v", err)
 		}
 		if err := f.ReadRun(p, readRun(base, c.PPAOf(0, 2, 0)), false); !errors.Is(err, ErrOutOfRange) {
 			t.Errorf("read run over two blocks: %v", err)
 		}
 		f.MarkBad(c.BlockOf(base))
-		if _, err := f.ProgramRun(p, base, 1); !errors.Is(err, ErrBadBlock) {
+		if err := f.ProgramRun(p, base, 1); !errors.Is(err, ErrBadBlock) {
 			t.Errorf("run on a bad block: %v", err)
 		}
 		if e.Now() != 0 {
@@ -139,9 +138,8 @@ func TestRunRules(t *testing.T) {
 
 // With an injector the program run steps page by page inside its die
 // hold: every page ticks EvNandProgram at its own instant (a trigger
-// on the k-th program trips tPROG after the (k-1)-th), the total time
-// is unchanged, and a program failure at page k leaves pages < k
-// programmed and the block's cursor at k.
+// on the k-th program trips tPROG after the (k-1)-th) and is stamped
+// with it, and the total time is unchanged.
 func TestProgramRunStepsUnderInjector(t *testing.T) {
 	const n = 6
 	c := testConfig()
@@ -150,9 +148,8 @@ func TestProgramRunStepsUnderInjector(t *testing.T) {
 	f := New(e, c)
 	base := c.PPAOf(2, 0, 0)
 	e.Go("t", func(p *sim.Proc) {
-		done, err := f.ProgramRun(p, base, n)
-		if err != nil || done != n {
-			t.Fatalf("ProgramRun = %d, %v", done, err)
+		if err := f.ProgramRun(p, base, n); err != nil {
+			t.Fatalf("ProgramRun: %v", err)
 		}
 		if got, want := sim.Duration(e.Now()), n*(c.TransferTime(c.PageSize)+c.ProgramLatency); got != want {
 			t.Errorf("stepped run took %v, want %v", got, want)
@@ -171,37 +168,6 @@ func TestProgramRunStepsUnderInjector(t *testing.T) {
 			t.Errorf("page %d stamped %d, want %d", i, f.progAt[base+PPA(i)], want)
 		}
 	}
-
-	// One program in three fails: find the first run that stops early.
-	e2 := sim.NewEnv()
-	fault.Install(e2, fault.Plan{Seed: 9, ProgramFailOneIn: 3})
-	f2 := New(e2, c)
-	e2.Go("t", func(p *sim.Proc) {
-		for blk := 0; blk < c.BlocksPerDie; blk++ {
-			b := c.PPAOf(0, blk, 0)
-			done, err := f2.ProgramRun(p, b, n)
-			if err == nil {
-				continue
-			}
-			if !errors.Is(err, ErrProgramFailed) || done >= n {
-				t.Fatalf("ProgramRun = %d, %v", done, err)
-			}
-			if np := f2.NextPage(c.BlockOf(b)); np != done {
-				t.Fatalf("failed at page %d but next programmable page is %d", done, np)
-			}
-			for i := 0; i < n; i++ {
-				if _, stamped := f2.progAt[b+PPA(i)]; stamped != (i < done) {
-					t.Fatalf("page %d of a run that failed at %d: program stamp %v", i, done, stamped)
-				}
-			}
-			if got := counter(t, e2, "nand.page_programs"); got != uint64(blk*n+done) {
-				t.Fatalf("programs counted %d, want %d", got, blk*n+done)
-			}
-			return
-		}
-		t.Fatal("no run failed; the test exercises nothing")
-	})
-	e2.Run()
 }
 
 // With a BER model the read run gives each page its own verdict: a page

@@ -114,7 +114,7 @@ func TestZeroPageKeepsItsTag(t *testing.T) {
 		if gotTag, _, err := f.ReadPageInto(p, src, got); err != nil || gotTag != tag || !bytes.Equal(got, f.zero) {
 			t.Fatalf("all-zero page reads tag %#x, zero %v, %v", gotTag, bytes.Equal(got, f.zero), err)
 		}
-		if _, err := f.ProgramRun(p, dst, 1); err != nil {
+		if err := f.ProgramRun(p, dst, 1); err != nil {
 			t.Fatal(err)
 		}
 		f.Move(src, dst)
