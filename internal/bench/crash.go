@@ -58,16 +58,20 @@ func (s *stack) Crash(p *sim.Proc) (bool, error) {
 	return err == nil, s.ssd.PowerOn(p)
 }
 
-// Audit checks the page map and then the BA mapping table of the
-// stack's 2B-SSD (fault.Auditor) — the one drive of every crash cycle,
-// which its file systems, when it has any, sit on — so a crash point
-// whose recovery leaves the FTL's l2p and p2l out of step, or two pins
-// over one buffer page or one LBA, is a violation.
+// Audit checks the page map, the BA mapping table and the write buffer
+// of the stack's 2B-SSD (fault.Auditor) — the one drive of every crash
+// cycle, which its file systems, when it has any, sit on — so a crash
+// point whose recovery leaves the FTL's l2p and p2l out of step, two
+// pins over one buffer page or one LBA, or a buffer index out of step
+// with its ring, is a violation.
 func (s *stack) Audit() error {
 	if err := s.ssd.Device().FTL().Audit(); err != nil {
 		return err
 	}
-	return s.ssd.Audit()
+	if err := s.ssd.Audit(); err != nil {
+		return err
+	}
+	return s.ssd.Device().Audit()
 }
 
 // tornLogExcused judges a recovery that failed with err. A log refuses
@@ -668,16 +672,6 @@ func campaignNames(exp string, smoke bool) []string {
 // crash is a crash row's sweep of pts points.
 func (c *campaign) crash(pts int) *fault.Crash {
 	return &fault.Crash{Name: c.name, Points: pts, Ops: c.ops, Seed: c.seed, Build: c.build(c.ops), Tweak: c.tweak}
-}
-
-// newCampaign returns the named crash row's sweep of pts points.
-func newCampaign(name string, pts int) (*fault.Crash, error) {
-	for i, c := range campaigns {
-		if c.name == name && c.fuzz == nil {
-			return campaigns[i].crash(pts), nil
-		}
-	}
-	return nil, fmt.Errorf("bench: unknown crash campaign %q", name)
 }
 
 // runCampaigns sweeps pts points — crash points or fuzz seeds — over each

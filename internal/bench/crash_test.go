@@ -4,17 +4,29 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
 
 	"twobssd/internal/core"
 	"twobssd/internal/fault"
+	"twobssd/internal/ftl"
 	"twobssd/internal/integrity"
 	"twobssd/internal/sim"
 	"twobssd/internal/vfs"
 	"twobssd/internal/wal"
 )
+
+// crashRow returns the named crash row's sweep of pts points.
+func crashRow(t *testing.T, name string, pts int) *fault.Crash {
+	t.Helper()
+	i := slices.IndexFunc(campaigns, func(c campaign) bool { return c.name == name && c.fuzz == nil })
+	if i < 0 {
+		t.Fatalf("no crash row %q", name)
+	}
+	return campaigns[i].crash(pts)
+}
 
 // A short sweep over every workload must hold the durability contract.
 func TestCrashCampaignsSmoke(t *testing.T) {
@@ -232,10 +244,7 @@ func TestWalSegExcusedPoints(t *testing.T) {
 		{"jfs-ckpt", 128, 0},
 	} {
 		name, want := tc.name, tc.want
-		c, err := newCampaign(name, tc.points)
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := crashRow(t, name, tc.points)
 		var stacks []*stack // points run one at a time below
 		build := c.Build
 		c.Build = func(env *sim.Env, p *sim.Proc) (fault.Cycle, error) {
@@ -360,35 +369,32 @@ func TestBlkGCCrashProfileCollects(t *testing.T) {
 	}
 }
 
-// overlapAfterRecover is an lsm crash cycle whose recovery leaves two
-// entries over one buffer page in the drive's mapping table — a table no
-// BAPin can build.
-type overlapAfterRecover struct{ *lsmCrash }
+// plantedLSM is an lsm crash cycle whose recovery ends with plant run on
+// its stack: a state no working recovery leaves.
+type plantedLSM struct {
+	*lsmCrash
+	plant func(*stack)
+}
 
-func (c overlapAfterRecover) Recover(p *sim.Proc) ([]string, []string, error) {
+func (c plantedLSM) Recover(p *sim.Proc) ([]string, []string, error) {
 	rec, ph, err := c.lsmCrash.Recover(p)
-	f := reflect.ValueOf(c.ssd).Elem().FieldByName("table")
-	table := *(*[]core.Entry)(unsafe.Pointer(f.UnsafeAddr()))
-	n := len(table)
-	table[n-2] = core.Entry{ID: core.EID(n - 2), Offset: 0, LBA: 1000, Pages: 1}
-	table[n-1] = core.Entry{ID: core.EID(n - 1), Offset: 0, LBA: 2000, Pages: 1}
+	c.plant(c.stack)
 	return rec, ph, err
 }
 
-// A planted overlap in the mapping table fails the crash-smoke lsm row
-// through the stack's audit, at every point, with no record lost.
-func TestPlantedOverlapFailsCrashAudit(t *testing.T) {
-	c, err := newCampaign("lsm", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+// plantedAuditRun sweeps 4 points of the crash-smoke lsm row with plant
+// run after each recovery, and checks that every point violates through
+// the stack's audit alone, with an audit naming want and no record lost.
+func plantedAuditRun(t *testing.T, plant func(*stack), want string) {
+	t.Helper()
+	c := crashRow(t, "lsm", 4)
 	build := c.Build
 	c.Build = func(env *sim.Env, p *sim.Proc) (fault.Cycle, error) {
 		cyc, err := build(env, p)
 		if err != nil {
 			return nil, err
 		}
-		return overlapAfterRecover{cyc.(*lsmCrash)}, nil
+		return plantedLSM{cyc.(*lsmCrash), plant}, nil
 	}
 	rep, err := c.Campaign().Run(runner(Quick).parallelFor)
 	if err != nil {
@@ -398,8 +404,40 @@ func TestPlantedOverlapFailsCrashAudit(t *testing.T) {
 		t.Fatalf("%d of 4 points violated", len(v))
 	}
 	for _, f := range rep.Findings {
-		if pr := f.Result; !strings.Contains(pr.Audit, "overlap in the BA-buffer") || len(pr.Lost) > 0 || pr.Err != "" {
-			t.Errorf("point %d: audit %q, lost %v, err %q; want the overlap alone", f.Point.Index, pr.Audit, pr.Lost, pr.Err)
+		if pr := f.Result; !strings.Contains(pr.Audit, want) || len(pr.Lost) > 0 || pr.Err != "" {
+			t.Errorf("point %d: audit %q, lost %v, err %q; want %q alone", f.Point.Index, pr.Audit, pr.Lost, pr.Err, want)
 		}
 	}
+}
+
+// field is a settable view of s's unexported field name.
+func field(s any, name string) reflect.Value {
+	f := reflect.ValueOf(s).Elem().FieldByName(name)
+	return reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
+}
+
+// A planted overlap in the mapping table — two entries over one buffer
+// page, a table no BAPin can build — fails the crash-smoke lsm row
+// through the stack's audit.
+func TestPlantedOverlapFailsCrashAudit(t *testing.T) {
+	plantedAuditRun(t, func(s *stack) {
+		table := field(s.ssd, "table").Interface().([]core.Entry)
+		n := len(table)
+		table[n-2] = core.Entry{ID: core.EID(n - 2), Offset: 0, LBA: 1000, Pages: 1}
+		table[n-1] = core.Entry{ID: core.EID(n - 1), Offset: 0, LBA: 2000, Pages: 1}
+	}, "overlap in the BA-buffer")
+}
+
+// A write-buffer record left behind after its drain — one holding no
+// copy, queued or in flight — fails the crash-smoke lsm row through the
+// stack's audit.
+func TestPlantedLeftoverBufferRecordFailsCrashAudit(t *testing.T) {
+	plantedAuditRun(t, func(s *stack) {
+		byLBA := field(s.ssd.Device(), "byLBA")
+		lba := reflect.ValueOf(ftl.LBA(s.ssd.Device().Pages() - 1))
+		if byLBA.MapIndex(lba).IsValid() {
+			panic("the planted LBA is buffered")
+		}
+		byLBA.SetMapIndex(lba, reflect.New(byLBA.Type().Elem().Elem()))
+	}, "keeps a buffer record with no copy")
 }

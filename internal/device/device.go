@@ -599,3 +599,37 @@ func (d *Device) drainLoop(p *sim.Proc) {
 
 // BufferedPages reports how many pages currently sit in the write buffer.
 func (d *Device) BufferedPages() int { return d.queued + d.inflight }
+
+// Audit checks the write buffer against its index: every queued ring
+// slot names a record with a queued copy, as many records hold one as
+// the ring has queued slots, the records' in-flight copies not yet
+// landed number inflight, and every record holds a copy, queued or in
+// flight (release drops one that holds neither). The buffer changes
+// without yielding between these updates, so they hold whenever a proc
+// can run. Audit does not yield, writes nothing to the registry and
+// allocates only the error it returns.
+func (d *Device) Audit() error {
+	for i := 0; i < d.queued; i++ {
+		lba := d.ring[(d.ringHead+i)%len(d.ring)]
+		if b := d.byLBA[lba]; b == nil || !b.queued {
+			return fmt.Errorf("%s: ring slot %d names lba %d, which has no queued copy", d.profile.Name, i, lba)
+		}
+	}
+	queued, inflight := 0, 0
+	for lba, b := range d.byLBA {
+		if !b.queued && b.landed == len(b.inflight) {
+			return fmt.Errorf("%s: lba %d keeps a buffer record with no copy, queued or in flight", d.profile.Name, lba)
+		}
+		if b.queued {
+			queued++
+		}
+		inflight += len(b.inflight) - b.landed
+	}
+	if queued != d.queued {
+		return fmt.Errorf("%s: %d records hold a queued copy, the ring %d", d.profile.Name, queued, d.queued)
+	}
+	if inflight != d.inflight {
+		return fmt.Errorf("%s: records hold %d copies in flight, the buffer counts %d", d.profile.Name, inflight, d.inflight)
+	}
+	return nil
+}

@@ -557,6 +557,9 @@ func powerCycle(p *sim.Proc, s *core.TwoBSSD, m *Model) *Divergence {
 	if err := s.Audit(); err != nil {
 		return &Divergence{Detail: fmt.Sprintf("mapping table audit: %v", err)}
 	}
+	if err := s.Device().Audit(); err != nil {
+		return &Divergence{Detail: fmt.Sprintf("write buffer audit: %v", err)}
+	}
 	m.PowerOn()
 	return compareEntries(s, m, "post-recovery")
 }
