@@ -380,8 +380,8 @@ func TestConcurrentWritersIntegrity(t *testing.T) {
 // wraps: with 1 500 slots and one slow drain worker the cursor passes
 // slot 1 024 and then the end of the ring without the buffer ever
 // emptying. In that state a rewrite of a still-queued LBA replaces its
-// copy in its slot, reads return every LBA's newest copy, and
-// BufferedPages matches a recount.
+// copy in its slot, reads return every LBA's newest copy, and the
+// buffer audits clean.
 func TestBufferIndexKeepsItsPosition(t *testing.T) {
 	prof := small(ULLSSD())
 	prof.Nand.BlocksPerDie, prof.Nand.PagesPerBlock = 64, 32
@@ -425,19 +425,6 @@ func TestBufferIndexKeepsItsPosition(t *testing.T) {
 		}
 		return at
 	}
-	recount := func() int {
-		n := 0
-		for lba, b := range d.byLBA {
-			if b.queued {
-				if slotOf(lba) < 0 {
-					t.Fatalf("lba %d is marked queued but holds no ring slot", lba)
-				}
-				n++
-			}
-			n += len(b.inflight) - b.landed
-		}
-		return n
-	}
 	drained := obs.Of(e).Registry().Counter("ftl.host_page_writes")
 	e.Go("t", func(p *sim.Proc) {
 		next, emptied := 0, false
@@ -464,14 +451,14 @@ func TestBufferIndexKeepsItsPosition(t *testing.T) {
 		if d.queued > queued {
 			t.Fatalf("the rewrite took a slot: %d queued, was %d", d.queued, queued)
 		}
-		if got, want := d.BufferedPages(), recount(); got != want {
-			t.Fatalf("BufferedPages %d, recount %d", got, want)
+		if err := d.Audit(); err != nil {
+			t.Fatal(err)
 		}
 		for lba := 0; lba < lbas; lba++ {
 			checkRead(p, lba)
 		}
-		if got, want := d.BufferedPages(), recount(); got != want {
-			t.Fatalf("after the reads: BufferedPages %d, recount %d", got, want)
+		if err := d.Audit(); err != nil {
+			t.Fatalf("after the reads: %v", err)
 		}
 		d.Drain(p)
 		if d.BufferedPages() != 0 || len(d.byLBA) != 0 {

@@ -734,13 +734,13 @@ func (f *FTL) land(p *sim.Proc, pages []nand.RunPage, slot int, moved *obs.Count
 			pages = pages[n:]
 		}
 		f.dieLocks[d].Release()
-		if err != nil && !errors.Is(err, nand.ErrBadBlock) {
-			return err
-		}
-		if err != nil {
+		switch {
+		case errors.Is(err, nand.ErrBadBlock):
 			// The open block was retired underneath this slot; drop it
 			// and retry.
 			f.open[d] = openBlock{blk: 0, nextPage: -1}
+		case err != nil:
+			return err
 		}
 	}
 	return nil
