@@ -83,6 +83,9 @@ var designRules = []rule{
 			"internal/bench/x.go\nfunc f(plan *fault.Plan) { plan.TimeoutOneIn = 3 }", "internal/nand/x.go\ntype Config struct{ EnduranceCycles int }",
 			"internal/nand/x.go\nvar ErrProgramFailed = errors.New(\"nand: page program failed\")", "internal/ftl/x.go\nvar _ = nand.ErrEraseFailed",
 			"internal/core/x.go\nfunc f(err error) bool { return errors.Is(err, nand.ErrWornOut) }", "internal/device/x.go\nfunc (d *Device) maybeTimeout(p *sim.Proc) {}"}},
+	{name: "One copy of an LBA programs at a time", pr: 60, in: dirs("device"), bad: ident("^(inflightDone|landed)$"),
+		planted: []string{"internal/device/x.go\nfunc (d *Device) f(p *sim.Proc) { d.inflightDone.Wait(p) }",
+			"internal/device/x.go\ntype lbaBuf struct{ landed int }"}},
 }
 
 type rule struct {

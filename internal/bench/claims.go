@@ -74,15 +74,17 @@ func CommitOverhead(r *Runner) *Table {
 // repeated partial-log-page NAND writes of block logging. Both sides
 // persist the same stream of small records — enough to fill one whole
 // BA-buffer half — and we count NAND page programs on the log device.
-// Block logging rewrites the containing 4KB page on every commit; the
-// BA-WAL programs each log page exactly once, at BA_FLUSH time.
+// Block logging rewrites the containing 4KB page on every commit whose
+// page is not programming at the time (one that is coalesces in the
+// device's power-loss-protected buffer); the BA-WAL programs each log
+// page exactly once, at BA_FLUSH time.
 func WAFReduction(r *Runner) *Table {
 	t := &Table{
 		ID: "waf", Title: "Log-device NAND writes for a 4MB stream of 256B commits",
 		XLabel: "config", Unit: "pages",
 		Series: []string{"NAND page programs", "records persisted"},
 		Notes: []string{
-			"block WAL: ~1 NAND program per commit (page rewrite);",
+			"block WAL: a page rewrite per commit, but for commits coalesced while their page programs;",
 			"BA-WAL: ~1 program per filled log page (single write, low WAF).",
 		},
 	}

@@ -13,6 +13,8 @@ import (
 	"twobssd/internal/fault"
 	"twobssd/internal/ftl"
 	"twobssd/internal/integrity"
+	"twobssd/internal/nand"
+	"twobssd/internal/obs"
 	"twobssd/internal/sim"
 	"twobssd/internal/vfs"
 	"twobssd/internal/wal"
@@ -382,19 +384,32 @@ func (c plantedLSM) Recover(p *sim.Proc) ([]string, []string, error) {
 	return rec, ph, err
 }
 
-// plantedAuditRun sweeps 4 points of the crash-smoke lsm row with plant
-// run after each recovery, and checks that every point violates through
-// the stack's audit alone, with an audit naming want and no record lost.
-func plantedAuditRun(t *testing.T, plant func(*stack), want string) {
+// plantedWalSeg is a walseg crash cycle whose recovery ends with plant
+// run on the log the cut left.
+type plantedWalSeg struct {
+	*walSegCrash
+	plant func(*wal.Log)
+}
+
+func (c plantedWalSeg) Recover(p *sim.Proc) ([]string, []string, error) {
+	rec, ph, err := c.walSegCrash.Recover(p)
+	c.plant(c.sl)
+	return rec, ph, err
+}
+
+// plantedAuditRun sweeps 4 points of the named crash row with each
+// cycle wrapped by plant, and checks that every point violates through
+// the audit alone, with an audit naming want and no record lost.
+func plantedAuditRun(t *testing.T, row string, plant func(fault.Cycle) fault.Cycle, want string) {
 	t.Helper()
-	c := crashRow(t, "lsm", 4)
+	c := crashRow(t, row, 4)
 	build := c.Build
 	c.Build = func(env *sim.Env, p *sim.Proc) (fault.Cycle, error) {
 		cyc, err := build(env, p)
 		if err != nil {
 			return nil, err
 		}
-		return plantedLSM{cyc.(*lsmCrash), plant}, nil
+		return plant(cyc), nil
 	}
 	rep, err := c.Campaign().Run(runner(Quick).parallelFor)
 	if err != nil {
@@ -410,6 +425,13 @@ func plantedAuditRun(t *testing.T, plant func(*stack), want string) {
 	}
 }
 
+// plantedLSMAuditRun is plantedAuditRun over the crash-smoke lsm row,
+// plant run on the stack after each recovery.
+func plantedLSMAuditRun(t *testing.T, plant func(*stack), want string) {
+	t.Helper()
+	plantedAuditRun(t, "lsm", func(c fault.Cycle) fault.Cycle { return plantedLSM{c.(*lsmCrash), plant} }, want)
+}
+
 // field is a settable view of s's unexported field name.
 func field(s any, name string) reflect.Value {
 	f := reflect.ValueOf(s).Elem().FieldByName(name)
@@ -420,7 +442,7 @@ func field(s any, name string) reflect.Value {
 // page, a table no BAPin can build — fails the crash-smoke lsm row
 // through the stack's audit.
 func TestPlantedOverlapFailsCrashAudit(t *testing.T) {
-	plantedAuditRun(t, func(s *stack) {
+	plantedLSMAuditRun(t, func(s *stack) {
 		table := field(s.ssd, "table").Interface().([]core.Entry)
 		n := len(table)
 		table[n-2] = core.Entry{ID: core.EID(n - 2), Offset: 0, LBA: 1000, Pages: 1}
@@ -432,7 +454,7 @@ func TestPlantedOverlapFailsCrashAudit(t *testing.T) {
 // copy, queued or in flight — fails the crash-smoke lsm row through the
 // stack's audit.
 func TestPlantedLeftoverBufferRecordFailsCrashAudit(t *testing.T) {
-	plantedAuditRun(t, func(s *stack) {
+	plantedLSMAuditRun(t, func(s *stack) {
 		byLBA := field(s.ssd.Device(), "byLBA")
 		lba := reflect.ValueOf(ftl.LBA(s.ssd.Device().Pages() - 1))
 		if byLBA.MapIndex(lba).IsValid() {
@@ -440,4 +462,86 @@ func TestPlantedLeftoverBufferRecordFailsCrashAudit(t *testing.T) {
 		}
 		byLBA.SetMapIndex(lba, reflect.New(byLBA.Type().Elem().Elem()))
 	}, "keeps a buffer record with no copy")
+}
+
+// A record left listed as storing after its store retired — what store
+// leaves when it forgets to remove the record — fails every wal-life-smoke
+// point through the log's audit once the durable frontier has passed
+// it. Planted in the code, that bug never gets this far: the first BA
+// commit waits on the record forever (awaitStores).
+func TestPlantedStaleStoringFailsWalLifeAudit(t *testing.T) {
+	for _, row := range campaignNames("wal-life", true) {
+		t.Run(row, func(t *testing.T) {
+			plantedAuditRun(t, row, func(c fault.Cycle) fault.Cycle {
+				return plantedWalSeg{c.(*walSegCrash), func(l *wal.Log) {
+					storing := field(l, "storing")
+					storing.Set(reflect.Append(storing, reflect.ValueOf(l.DurableOff()-1)))
+				}}
+			}, "storing outside")
+		})
+	}
+}
+
+// A power cut while a collection's erase is in flight. The erase runs
+// on its die's eraser, not on the collecting proc, so it finishes after
+// the cut, as a relocation program in flight does (DESIGN.md §7): the
+// dump persists, the victim is erased back into the pool, every
+// acknowledged write reads back, and the FTL, core and device audits
+// pass. The writer paces its steps so the write buffer stays short and
+// the dump fits the reserve.
+func TestCutDuringGCErase(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Shutdown()
+	reg := obs.Of(env).Registry()
+	// Victims handed to an eraser and not erased yet; no dump-area
+	// erase happens before the cut.
+	pending := func() int64 {
+		return int64(reg.CounterValue("ftl.gc_runs")) - int64(reg.CounterValue("nand.block_erases"))
+	}
+	env.Go("t", func(p *sim.Proc) {
+		cyc, err := buildBlkGCCrash(env, p)
+		if err != nil {
+			t.Fatalf("build: %v", err)
+		}
+		c := cyc.(*blkGCCrash)
+		fl := c.ssd.Device().Flash()
+		fc := fl.Config()
+		reserved := c.ssd.Device().FTL().Config().ReservedPerDie
+		ftlBlock := func(b int) bool { return b%fc.BlocksPerDie < fc.BlocksPerDie-reserved }
+		for i := 0; pending() <= 0; i++ {
+			if i == 2000 {
+				t.Fatal("no collection handed a victim to an eraser in 2000 steps")
+			}
+			if _, err := c.Step(p, i); err != nil {
+				t.Fatalf("step %d: %v", i, err)
+			}
+			p.Sleep(200 * sim.Microsecond)
+		}
+		inFlight := pending()
+		erased := make([]int, fc.Blocks())
+		for b := range erased {
+			erased[b] = fl.EraseCount(nand.BlockID(b))
+		}
+		persisted, err := c.Crash(p)
+		if err != nil || !persisted {
+			t.Fatalf("crash with %d erases in flight: persisted %v, %v", inFlight, persisted, err)
+		}
+		p.Sleep(fc.EraseLatency)
+		after := 0
+		for b := range erased {
+			if ftlBlock(b) && fl.EraseCount(nand.BlockID(b)) > erased[b] {
+				after++
+			}
+		}
+		if after < int(inFlight) {
+			t.Fatalf("%d victims were waiting for their erase at the cut, %d blocks erased after it", inFlight, after)
+		}
+		if err := c.Audit(); err != nil {
+			t.Fatal(err)
+		}
+		if _, phantoms, err := c.Recover(p); err != nil || len(phantoms) > 0 {
+			t.Fatalf("recover: %d pages not at their acknowledged version, %v", len(phantoms), err)
+		}
+	})
+	env.Run()
 }

@@ -42,7 +42,8 @@ func walSegPayload(key string) string {
 type walSegCrash struct {
 	*stack
 	cfg   wal.Config
-	sl    *wal.Log
+	sl    *wal.Log // the log the steps append to
+	rec   *wal.Log // the log Recover opened, once it has
 	model *oracle.WalLifecycle
 	snap  *vfs.File
 	snapN int
@@ -123,6 +124,7 @@ func (c *walSegCrash) Recover(p *sim.Proc) (recovered, phantoms []string, err er
 	if err != nil {
 		return nil, nil, err
 	}
+	c.rec = sl
 	var replayed []oracle.WalRecord
 	seen := map[string]bool{}
 	err = sl.Recover(p, func(lsn wal.LSN, payload []byte) error {
@@ -170,6 +172,18 @@ func (c *walSegCrash) Recover(p *sim.Proc) (recovered, phantoms []string, err er
 		phantoms = append(phantoms, "model: "+ph)
 	}
 	return recovered, phantoms, nil
+}
+
+// Audit checks the stack (stack.Audit), then the frontiers of the log
+// the cut left and of the one recovery opened.
+func (c *walSegCrash) Audit() error {
+	if err := c.stack.Audit(); err != nil {
+		return err
+	}
+	if err := c.sl.Audit(); err != nil {
+		return fmt.Errorf("the log at the cut: %w", err)
+	}
+	return c.rec.Audit()
 }
 
 func (c *walSegCrash) writeSnapshot(p *sim.Proc, ckpt int64) error {

@@ -152,21 +152,17 @@ type bufPage struct {
 	tag  uint32 // integrity.PageCRC(data), stamped at the host boundary
 }
 
-// lbaBuf is everything the write buffer holds for one LBA: the copy
-// waiting in the buffer, if queued, and the copies drain workers popped
-// that are not on NAND yet, oldest first, of which inflight[:landed]
-// have landed. A copy's index in inflight is its drain ticket: it goes
-// to NAND once every copy before it has.
+// lbaBuf is everything the write buffer holds for one LBA: the copy a
+// drain worker is programming, if inflight.data is not nil, and the
+// newer copy waiting behind it, if any — queued in the ring, or parked:
+// popped while the older copy programmed. A waiting copy absorbs
+// rewrites in place, and the worker that lands the older copy programs
+// a parked one next, so one copy of an LBA programs at a time.
 type lbaBuf struct {
-	queued   bool
-	buffered bufPage
-	inflight []bufPage
-	landed   int
+	queued, parked bool
+	buffered       bufPage // the waiting copy
+	inflight       bufPage
 }
-
-// Holds reports whether the copy with drain ticket t is the next to
-// land: the turn a drain worker waits for on inflightDone.
-func (b *lbaBuf) Holds(t int64) bool { return int64(b.landed) == t }
 
 // bufRoom is the device seen as the condition WritePages waits for on
 // bufSpace: a free ring slot.
@@ -185,17 +181,16 @@ type Device struct {
 	pcie *sim.Resource // host link (serialized transfers)
 
 	// Write buffer state. Writes to an LBA already waiting in the
-	// buffer coalesce in place; drains of the same LBA are serialized
-	// in pop order by per-LBA tickets, so NAND always ends with the
-	// newest copy; reads see the newest not-yet-persisted copy.
-	ring         []ftl.LBA   // queued LBAs in arrival order: WriteBufferPages slots
-	ringHead     int         // drain cursor: the oldest queued slot
-	queued       int         // LBAs waiting in the ring
-	bufSpace     *sim.Signal // fired when space frees up
-	bufWork      *sim.Signal // fired (one waiter) per entry buffered
-	inflight     int         // entries popped by drainers, not yet on NAND
-	inflightDone *sim.Signal // fired when an LBA's oldest copy persists
-	bufDrain     *sim.Signal // fired when buffer+inflight reaches empty
+	// buffer coalesce in place; one copy of an LBA programs at a time,
+	// the newest waiting copy next, so NAND always ends with the newest
+	// copy; reads see the newest not-yet-persisted copy.
+	ring     []ftl.LBA   // queued LBAs in arrival order: WriteBufferPages slots
+	ringHead int         // drain cursor: the oldest queued slot
+	queued   int         // LBAs waiting in the ring
+	bufSpace *sim.Signal // fired when space frees up
+	bufWork  *sim.Signal // fired (one waiter) per entry buffered
+	inflight int         // entries popped by drainers, parked or programming
+	bufDrain *sim.Signal // fired when buffer+inflight reaches empty
 	// The buffer's index: one record per LBA with a queued or in-flight
 	// copy, so a read or a write finds its LBA with one lookup. Records
 	// and page buffers are pooled: the drain path allocates nothing in
@@ -236,21 +231,20 @@ func New(env *sim.Env, p Profile) *Device {
 	}
 	fl := nand.New(env, p.Nand)
 	d := &Device{
-		env:          env,
-		profile:      p,
-		flash:        fl,
-		ftl:          ftl.New(env, fl, p.FTL),
-		fw:           env.NewResource(p.Name+".fw", p.FirmwareCores),
-		pcie:         env.NewResource(p.Name+".pcie", 1),
-		bufSpace:     env.NewSignal(p.Name + ".bufspace"),
-		bufWork:      env.NewSignal(p.Name + ".bufwork"),
-		bufDrain:     env.NewSignal(p.Name + ".bufdrain"),
-		inflightDone: env.NewSignal(p.Name + ".inflightdone"),
-		ring:         make([]ftl.LBA, p.WriteBufferPages),
-		byLBA:        make(map[ftl.LBA]*lbaBuf),
-		o:            obs.Of(env),
-		pcieTrack:    p.Name + ".pcie",
-		bufTrack:     p.Name + ".wbuf",
+		env:       env,
+		profile:   p,
+		flash:     fl,
+		ftl:       ftl.New(env, fl, p.FTL),
+		fw:        env.NewResource(p.Name+".fw", p.FirmwareCores),
+		pcie:      env.NewResource(p.Name+".pcie", 1),
+		bufSpace:  env.NewSignal(p.Name + ".bufspace"),
+		bufWork:   env.NewSignal(p.Name + ".bufwork"),
+		bufDrain:  env.NewSignal(p.Name + ".bufdrain"),
+		ring:      make([]ftl.LBA, p.WriteBufferPages),
+		byLBA:     make(map[ftl.LBA]*lbaBuf),
+		o:         obs.Of(env),
+		pcieTrack: p.Name + ".pcie",
+		bufTrack:  p.Name + ".wbuf",
 	}
 	d.reads = sim.NewFan(env, p.Name+".rd", d.readPage)
 	reg := d.o.Registry()
@@ -327,10 +321,10 @@ func (d *Device) lbaBufFor(lba ftl.LBA) *lbaBuf {
 	return b
 }
 
-// release drops lba's record once it holds no copy, queued or in
-// flight, and returns it to the pool.
+// release drops lba's record once it holds no copy, waiting or
+// programming, and returns it to the pool.
 func (d *Device) release(lba ftl.LBA, b *lbaBuf) {
-	if b.queued || len(b.inflight) > 0 {
+	if b.queued || b.parked || b.inflight.data != nil {
 		return
 	}
 	delete(d.byLBA, lba)
@@ -442,18 +436,16 @@ func (d *Device) readPage(w *sim.Proc, c *readCmd, i int) error {
 }
 
 // bufLookup returns the newest not-yet-persisted copy of lba: the
-// queued one, or the newest copy popped by a drain worker that has not
-// reached NAND yet.
+// waiting one, else the one programming.
 func (d *Device) bufLookup(lba ftl.LBA) ([]byte, uint32, bool) {
 	b := d.byLBA[lba]
 	switch {
 	case b == nil:
 		return nil, 0, false
-	case b.queued:
+	case b.queued || b.parked:
 		return b.buffered.data, b.buffered.tag, true
-	case b.landed < len(b.inflight):
-		last := b.inflight[len(b.inflight)-1]
-		return last.data, last.tag, true
+	case b.inflight.data != nil:
+		return b.inflight.data, b.inflight.tag, true
 	}
 	return nil, 0, false
 }
@@ -538,13 +530,14 @@ func (d *Device) Drain(p *sim.Proc) error {
 }
 
 // enqueue buffers pg as lba's newest copy. A copy of lba already
-// waiting in the buffer is replaced in place, keeping one queued entry
-// per LBA (the real write buffer's behaviour — and exactly how repeated
-// partial log-page writes are absorbed); otherwise lba takes the ring's
-// next slot and enqueue reports true. The caller has made room.
+// waiting in the buffer, queued or parked, is replaced in place, keeping
+// one waiting copy per LBA (the real write buffer's behaviour — and
+// exactly how repeated partial log-page writes are absorbed); otherwise
+// lba takes the ring's next slot and enqueue reports true. The caller
+// has made room.
 func (d *Device) enqueue(lba ftl.LBA, pg bufPage) bool {
 	b := d.lbaBufFor(lba)
-	if b.queued {
+	if b.queued || b.parked {
 		d.putPage(b.buffered.data) // no reader holds it across a yield
 		b.buffered = pg
 		return false
@@ -556,8 +549,9 @@ func (d *Device) enqueue(lba ftl.LBA, pg bufPage) bool {
 }
 
 // drainLoop is the background firmware thread moving buffered pages to
-// NAND via the FTL. Per-LBA ordering: if another worker is mid-program
-// on the same LBA, wait, so the newest copy always lands last.
+// NAND via the FTL. A copy popped while an older copy of its LBA
+// programs parks behind it, and the worker landing the older copy
+// programs it next, so NAND ends with the newest copy.
 func (d *Device) drainLoop(p *sim.Proc) {
 	for {
 		for d.queued == 0 {
@@ -567,30 +561,27 @@ func (d *Device) drainLoop(p *sim.Proc) {
 		d.ringHead = (d.ringHead + 1) % len(d.ring)
 		d.queued--
 		b := d.byLBA[lba]
-		ent := b.buffered
-		b.queued, b.buffered = false, bufPage{}
+		b.queued, b.parked = false, true
 		d.inflight++
 		d.bufSpace.Fire()
-		ticket := len(b.inflight)
-		b.inflight = append(b.inflight, ent)
-		d.inflightDone.WaitUntil(p, b, int64(ticket))
-		sp := d.o.Tracer().BeginProc(p, "device", "drain_write")
-		if err := d.ftl.WritePageTagged(p, lba, ent.data, ent.tag); err != nil {
-			// Drain failure means the device is configured too small
-			// for the workload: a fatal modeling error.
-			panic(fmt.Sprintf("%s: drain write failed: %v", d.profile.Name, err))
+		if b.inflight.data != nil {
+			continue
 		}
-		sp.End()
-		b.inflight[ticket] = bufPage{}
-		d.putPage(ent.data) // NAND holds its own copy now
-		if b.landed++; b.landed == len(b.inflight) {
-			// Nothing waits on a ticket: the tickets start over.
-			b.inflight, b.landed = b.inflight[:0], 0
+		for b.parked {
+			b.inflight, b.parked, b.buffered = b.buffered, false, bufPage{}
+			sp := d.o.Tracer().BeginProc(p, "device", "drain_write")
+			if err := d.ftl.WritePageTagged(p, lba, b.inflight.data, b.inflight.tag); err != nil {
+				// Drain failure means the device is configured too small
+				// for the workload: a fatal modeling error.
+				panic(fmt.Sprintf("%s: drain write failed: %v", d.profile.Name, err))
+			}
+			sp.End()
+			d.putPage(b.inflight.data) // NAND holds its own copy now
+			b.inflight = bufPage{}
+			d.inflight--
+			d.o.Tracer().Count(d.bufTrack, "buffered_pages", float64(d.BufferedPages()))
 		}
 		d.release(lba, b)
-		d.inflightDone.Fire()
-		d.inflight--
-		d.o.Tracer().Count(d.bufTrack, "buffered_pages", float64(d.BufferedPages()))
 		if d.queued == 0 && d.inflight == 0 {
 			d.bufDrain.Fire()
 		}
@@ -602,12 +593,13 @@ func (d *Device) BufferedPages() int { return d.queued + d.inflight }
 
 // Audit checks the write buffer against its index: every queued ring
 // slot names a record with a queued copy, as many records hold one as
-// the ring has queued slots, the records' in-flight copies not yet
-// landed number inflight, and every record holds a copy, queued or in
-// flight (release drops one that holds neither). The buffer changes
-// without yielding between these updates, so they hold whenever a proc
-// can run. Audit does not yield, writes nothing to the registry and
-// allocates only the error it returns.
+// the ring has queued slots, the records' parked and programming copies
+// number inflight, a copy parks only behind one programming and never
+// beside a queued one, and every record holds a copy (release drops one
+// that holds none). The buffer changes without yielding between these
+// updates, so they hold whenever a proc can run. Audit does not yield,
+// writes nothing to the registry and allocates only the error it
+// returns.
 func (d *Device) Audit() error {
 	for i := 0; i < d.queued; i++ {
 		lba := d.ring[(d.ringHead+i)%len(d.ring)]
@@ -617,13 +609,22 @@ func (d *Device) Audit() error {
 	}
 	queued, inflight := 0, 0
 	for lba, b := range d.byLBA {
-		if !b.queued && b.landed == len(b.inflight) {
+		programming := b.inflight.data != nil
+		switch {
+		case !b.queued && !b.parked && !programming:
 			return fmt.Errorf("%s: lba %d keeps a buffer record with no copy, queued or in flight", d.profile.Name, lba)
+		case b.parked && (b.queued || !programming):
+			return fmt.Errorf("%s: lba %d parks a copy with queued %v, programming %v", d.profile.Name, lba, b.queued, programming)
 		}
 		if b.queued {
 			queued++
 		}
-		inflight += len(b.inflight) - b.landed
+		if b.parked {
+			inflight++
+		}
+		if programming {
+			inflight++
+		}
 	}
 	if queued != d.queued {
 		return fmt.Errorf("%s: %d records hold a queued copy, the ring %d", d.profile.Name, queued, d.queued)

@@ -158,32 +158,45 @@ func TestDrainEmptiesBuffer(t *testing.T) {
 }
 
 func TestSameLBARewritesLastWriteWins(t *testing.T) {
-	// Spaced-out rewrites of one LBA each reach NAND (this is exactly
-	// the repeated-log-page WAF penalty the paper describes), and the
-	// final read returns the last value.
-	e := sim.NewEnv()
-	d := New(e, small(ULLSSD()))
-	ps := d.PageSize()
-	e.Go("t", func(p *sim.Proc) {
-		for v := byte(1); v <= 5; v++ {
-			d.WritePages(p, 3, bytes.Repeat([]byte{v}, ps))
-		}
-		// Mid-drain read must see the newest copy.
-		got := make([]byte, ps)
-		d.ReadPagesInto(p, 3, got)
-		if got[0] != 5 {
-			t.Errorf("mid-drain read got %d, want 5 (last write wins)", got[0])
-		}
-		d.Drain(p)
-		clear(got)
-		d.ReadPagesInto(p, 3, got)
-		if got[0] != 5 {
-			t.Errorf("post-drain read got %d, want 5", got[0])
-		}
-	})
-	e.Run()
-	if w := counter(t, e, "ftl.host_page_writes"); w != 5 {
-		t.Errorf("FTL writes = %d, want 5 (each rewrite hits NAND)", w)
+	// Rewrites of one LBA spaced more than a program time apart each
+	// reach NAND (this is exactly the repeated-log-page WAF penalty the
+	// paper describes); back-to-back rewrites coalesce behind the copy
+	// programming. Either way the final read returns the last value.
+	for _, tc := range []struct {
+		name   string
+		gap    sim.Duration
+		writes uint64
+	}{
+		{"spaced", 2 * ULLSSD().Nand.ProgramLatency, 5},
+		{"back to back", 0, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := sim.NewEnv()
+			d := New(e, small(ULLSSD()))
+			ps := d.PageSize()
+			e.Go("t", func(p *sim.Proc) {
+				for v := byte(1); v <= 5; v++ {
+					p.Sleep(tc.gap)
+					d.WritePages(p, 3, bytes.Repeat([]byte{v}, ps))
+				}
+				// Mid-drain read must see the newest copy.
+				got := make([]byte, ps)
+				d.ReadPagesInto(p, 3, got)
+				if got[0] != 5 {
+					t.Errorf("mid-drain read got %d, want 5 (last write wins)", got[0])
+				}
+				d.Drain(p)
+				clear(got)
+				d.ReadPagesInto(p, 3, got)
+				if got[0] != 5 {
+					t.Errorf("post-drain read got %d, want 5", got[0])
+				}
+			})
+			e.Run()
+			if w := counter(t, e, "ftl.host_page_writes"); w != tc.writes {
+				t.Errorf("FTL writes = %d, want %d", w, tc.writes)
+			}
+		})
 	}
 }
 
@@ -471,26 +484,33 @@ func TestBufferIndexKeepsItsPosition(t *testing.T) {
 	e.Run()
 }
 
-// TestSameLBAHerdResumesOnlyTheNextTicket rewrites one LBA back to back
-// on a drive with 64 drain workers: the copies queue for NAND behind
-// per-LBA tickets on one signal, and every landing fires it. Only the
-// worker holding the next ticket may be resumed; the kernel re-checks
-// the others' turns in place. The pinned event count moves if any
-// worker is resumed only to park again, and the last write must win.
-func TestSameLBAHerdResumesOnlyTheNextTicket(t *testing.T) {
+// TestSameLBARewritesCoalesceBehindOneProgram rewrites one LBA back to back
+// on a drive with 64 drain workers. One copy of the LBA programs at a
+// time: a copy popped behind a programming one parks and absorbs the
+// rewrites that follow, and the worker that lands the older copy
+// programs it, while the worker that popped it goes back to the ring.
+// After every write at most one drain worker is away from the ring, the
+// buffer audits clean, and the newest copy wins. The FTL write and event
+// counts are pinned: 48 and 504 when every popped copy waited for a
+// ticket and then programmed.
+func TestSameLBARewritesCoalesceBehindOneProgram(t *testing.T) {
 	prof := small(ULLSSD())
 	prof.DrainWorkers = 64
 	e := sim.NewEnv()
 	d := New(e, prof)
 	ps := d.PageSize()
 	const rewrites = 48
-	deepest := 0
 	e.Go("t", func(p *sim.Proc) {
 		for v := 1; v <= rewrites; v++ {
 			if err := d.WritePages(p, 3, bytes.Repeat([]byte{byte(v)}, ps)); err != nil {
 				t.Fatalf("write %d: %v", v, err)
 			}
-			deepest = max(deepest, d.inflightDone.Waiters())
+			if busy := prof.DrainWorkers - d.bufWork.Waiters(); busy > 1 {
+				t.Fatalf("after write %d: %d drain workers hold copies of one LBA", v, busy)
+			}
+			if err := d.Audit(); err != nil {
+				t.Fatalf("after write %d: %v", v, err)
+			}
 		}
 		if err := d.Drain(p); err != nil {
 			t.Fatal(err)
@@ -502,14 +522,47 @@ func TestSameLBAHerdResumesOnlyTheNextTicket(t *testing.T) {
 		}
 	})
 	e.Run()
-	if w := counter(t, e, "ftl.host_page_writes"); w != rewrites {
-		t.Errorf("FTL writes = %d, want %d", w, rewrites)
+	if w, got := counter(t, e, "ftl.host_page_writes"), e.Events(); w != 10 || got != 343 {
+		t.Errorf("FTL writes %d, dispatched events %d; want 10, 343", w, got)
 	}
-	if deepest < 4 {
-		t.Fatalf("at most %d copies waited for their turn: no herd to thin", deepest)
-	}
-	// 1398 when every landing resumed every queued worker.
-	if got := e.Events(); got != 504 {
-		t.Errorf("dispatched %d events, want 504", got)
+}
+
+// A sequential file written page by page, each page rewritten back to
+// back, lands one die apart: a rewrite whose LBA's copy is the last
+// page programmed in a slot's open block stays in that slot, and the
+// round-robin cursor moves only when it places a write. So however
+// often each page's copies coalesced or programmed, the file's 64 pages
+// sit on 64 distinct dies, and a 64-page read-ahead of it runs on all
+// of them.
+func TestSequentialRewritesLandOneDieApart(t *testing.T) {
+	for _, rewrites := range []int{1, 3, 8} {
+		e := sim.NewEnv()
+		d := New(e, ULLSSD())
+		ps, fc := d.PageSize(), d.Flash().Config()
+		e.Go("t", func(p *sim.Proc) {
+			for lba := 0; lba < fc.Dies(); lba++ {
+				for v := 0; v < rewrites; v++ {
+					if err := d.WritePages(p, ftl.LBA(lba), bytes.Repeat([]byte{byte(v + 1)}, ps)); err != nil {
+						t.Fatalf("write %d: %v", lba, err)
+					}
+				}
+			}
+			if err := d.Drain(p); err != nil {
+				t.Fatal(err)
+			}
+		})
+		e.Run()
+		dies := map[int]bool{}
+		for lba := 0; lba < fc.Dies(); lba++ {
+			ppa, ok := d.FTL().PPAOf(ftl.LBA(lba))
+			if !ok {
+				t.Fatalf("%d rewrites: lba %d unmapped after the drain", rewrites, lba)
+			}
+			dies[fc.DieOf(ppa)] = true
+		}
+		if len(dies) != fc.Dies() {
+			t.Errorf("%d rewrites a page: the file's %d pages sit on %d dies, want %d", rewrites, fc.Dies(), len(dies), fc.Dies())
+		}
+		e.Shutdown()
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"twobssd/internal/fault"
@@ -86,6 +87,12 @@ type FTL struct {
 	open       []openBlock // one open block per die, nil blk = -1
 	nextDie    int
 
+	// Victims wait for their die's eraser and join free once erased;
+	// erasing counts them, erased fires per erase.
+	erasers []eraser // by die, made at the first collection
+	erasing int
+	erased  *sim.Signal
+
 	// dieLocks serialize allocate+program per open-block slot so
 	// concurrent writer processes cannot reorder page programs within a
 	// block (the NAND sequential-program rule). gcLock serializes garbage
@@ -95,7 +102,7 @@ type FTL struct {
 	gcLock   *sim.Resource
 
 	// Block evacuation (see evacuate); gcLock's holder owns all of it.
-	skip      []bool              // pickVictim scratch: open and free blocks
+	skip      []bool              // pickVictim marks: open and free blocks, and blocks awaiting erase
 	evacSrc   []nand.PPA          // the victim's valid pages
 	movers    [relocWorkers]mover // worker i's run scratch; [0] also the evacuating proc's
 	relocDie  int                 // round-robin cursor over destination slots
@@ -110,6 +117,13 @@ type FTL struct {
 	cNandWrites, cGCReloc, cGCRuns *obs.Counter
 	cRetired, cRetireReloc         *obs.Counter
 	hWrite, hGCPause               *histo.H
+}
+
+// eraser is one die's victims waiting for their erase, the head
+// erasing, and the signal its daemon waits on for more.
+type eraser struct {
+	queue []nand.BlockID
+	work  *sim.Signal
 }
 
 // dieNameTab memoizes "ftl.die%d" strings process-wide: the names are
@@ -208,44 +222,6 @@ func (f *FTL) reserved(blk nand.BlockID) bool {
 // Config returns the FTL configuration in effect (with defaults filled).
 func (f *FTL) Config() Config { return f.cfg }
 
-// WearStats summarizes erase wear across the usable blocks — the
-// "SSD lifespan" side of the paper's WAF argument (Section IV-A).
-// RetiredBlocks is a scan of blocks the NAND layer marked bad (the FTL
-// retires a block after an uncorrectable read).
-type WearStats struct {
-	MinErase, MaxErase int
-	TotalErase         uint64
-	RetiredBlocks      int
-}
-
-// Wear scans the usable blocks and reports erase-cycle statistics.
-func (f *FTL) Wear() WearStats {
-	fc := f.flash.Config()
-	w := WearStats{MinErase: int(^uint(0) >> 1)}
-	for b := 0; b < fc.Blocks(); b++ {
-		blk := nand.BlockID(b)
-		if f.reserved(blk) {
-			continue
-		}
-		if f.flash.IsBad(blk) {
-			w.RetiredBlocks++
-			continue
-		}
-		ec := f.flash.EraseCount(blk)
-		if ec < w.MinErase {
-			w.MinErase = ec
-		}
-		if ec > w.MaxErase {
-			w.MaxErase = ec
-		}
-		w.TotalErase += uint64(ec)
-	}
-	if w.MinErase == int(^uint(0)>>1) {
-		w.MinErase = 0
-	}
-	return w
-}
-
 // ExportedPages reports the number of host-visible logical pages.
 func (f *FTL) ExportedPages() uint64 { return f.exportedPages }
 
@@ -326,7 +302,9 @@ func (f *FTL) unbind(ppa nand.PPA) bool {
 // Audit checks the invariants of the page map: l2p and p2l are each
 // other's inverse, so no physical page backs two LBAs and none is owned
 // by an LBA that maps elsewhere, and each block's valid count is what a
-// recount of its p2l gives. A write, trim or relocation updates the map
+// recount of its p2l gives; every free block is erased, and a block
+// waiting for its erase holds no valid page and is neither free nor
+// open. A write, trim, relocation or erase updates the map and the pool
 // without yielding, so the invariants hold whenever a proc can run.
 // Audit does not yield, and allocates only the error it returns.
 func (f *FTL) Audit() error {
@@ -362,6 +340,19 @@ func (f *FTL) Audit() error {
 	if mapped != owned {
 		return fmt.Errorf("ftl: l2p maps %d LBAs, p2l %d pages: a page is orphaned", mapped, owned)
 	}
+	for _, b := range f.free {
+		if f.flash.NextPage(b) != 0 {
+			return fmt.Errorf("ftl: free block %d is not erased", b)
+		}
+	}
+	for _, q := range f.erasers {
+		for _, b := range q.queue {
+			open := slices.ContainsFunc(f.open, func(ob openBlock) bool { return ob.nextPage >= 0 && ob.blk == b })
+			if f.validCount[b] != 0 || open || slices.Contains(f.free, b) {
+				return fmt.Errorf("ftl: block %d waits for its erase holding %d valid pages, open %v", b, f.validCount[b], open)
+			}
+		}
+	}
 	return nil
 }
 
@@ -392,19 +383,19 @@ func (f *FTL) popFree(die int) (nand.BlockID, bool) {
 
 // allocRun takes up to want consecutive pages of slot die's open block —
 // as many as the block has left — opening a fresh block (preferably on
-// that die) if it is full. Called with dieLocks[die] held.
+// that die) if it is full. With the pool empty it waits for a pending
+// erase, and only then yields. Called with dieLocks[die] held.
 func (f *FTL) allocRun(p *sim.Proc, die, want int) (base nand.PPA, n int, err error) {
 	fc := f.flash.Config()
 	ob := &f.open[die]
 	for ob.nextPage < 0 || ob.nextPage >= fc.PagesPerBlock {
 		blk, ok := f.popFree(die)
 		if !ok {
-			return 0, 0, ErrNoSpace
-		}
-		if f.flash.NextPage(blk) != 0 {
-			if err := f.flash.EraseBlock(p, blk); err != nil {
-				return 0, 0, fmt.Errorf("ftl: erase: %w", err)
+			if f.erasing == 0 {
+				return 0, 0, ErrNoSpace
 			}
+			f.erased.Wait(p)
+			continue
 		}
 		*ob = openBlock{blk: blk, nextPage: 0}
 	}
@@ -441,40 +432,46 @@ func (f *FTL) WritePageTagged(p *sim.Proc, lba LBA, data []byte, tag uint32) err
 		return err
 	}
 	start := f.env.Now()
-	for {
-		if err := f.maybeGC(p); err != nil {
-			return err
-		}
-		die := f.nextDie
-		f.nextDie = (f.nextDie + 1) % len(f.open)
-		f.dieLocks[die].Acquire(p)
-		ppa, _, err := f.allocRun(p, die, 1)
-		if err != nil {
-			f.dieLocks[die].Release()
-			return err
-		}
-		err = f.flash.ProgramPageTagged(p, ppa, data, tag)
-		f.dieLocks[die].Release()
-		if err == nil {
-			if old, ok := f.lookup(lba); ok {
-				f.invalidate(old)
-			}
-			f.bind(lba, ppa)
-			f.cHostWrites.Inc()
-			f.cNandWrites.Inc()
-			// The histogram includes any inline GC pause — the
-			// tail-latency effect the paper attributes to fsync-heavy
-			// logging.
-			f.hWrite.Observe(sim.Duration(f.env.Now() - start))
-			return nil
-		}
-		if !errors.Is(err, nand.ErrBadBlock) {
-			return fmt.Errorf("ftl: program failed: %w", err)
-		}
-		// The open block was retired while we waited on the die lock;
-		// drop the stale slot and retry.
-		f.open[die] = openBlock{blk: 0, nextPage: -1}
+	if err := f.maybeGC(p); err != nil {
+		return err
 	}
+	die := f.hostSlot(lba)
+	f.dieLocks[die].Acquire(p)
+	ppa, _, err := f.allocRun(p, die, 1)
+	if err == nil {
+		if err = f.flash.ProgramPageTagged(p, ppa, data, tag); err != nil {
+			err = fmt.Errorf("ftl: program failed: %w", err)
+		}
+	}
+	f.dieLocks[die].Release()
+	if err != nil {
+		return err
+	}
+	if old, ok := f.lookup(lba); ok {
+		f.invalidate(old)
+	}
+	f.bind(lba, ppa)
+	f.cHostWrites.Inc()
+	f.cNandWrites.Inc()
+	// The histogram includes any inline GC pause — the tail-latency
+	// effect the paper attributes to fsync-heavy logging.
+	f.hWrite.Observe(sim.Duration(f.env.Now() - start))
+	return nil
+}
+
+// hostSlot picks the slot for a host write of lba: the slot whose open
+// block's last page is lba's copy, so a sequential stream rewritten
+// back to back lands one die apart, else the round-robin cursor's.
+func (f *FTL) hostSlot(lba LBA) int {
+	if ppa, ok := f.lookup(lba); ok {
+		last := openBlock{f.flash.Config().BlockOf(ppa), int(uint64(ppa)%f.piece) + 1}
+		if d := slices.Index(f.open, last); d >= 0 {
+			return d
+		}
+	}
+	d := f.nextDie
+	f.nextDie = (d + 1) % len(f.open)
+	return d
 }
 
 // ReadPage reads one logical page into a fresh buffer (see
@@ -548,12 +545,12 @@ func (f *FTL) Trim(lba LBA) error {
 // the paper attributes to fsync-heavy logging. gcLock serializes
 // collectors; it is always taken before any die lock.
 func (f *FTL) maybeGC(p *sim.Proc) error {
-	if len(f.free) > f.gcFreeTarget {
+	if len(f.free)+f.erasing > f.gcFreeTarget {
 		return nil
 	}
 	f.gcLock.Acquire(p)
 	defer f.gcLock.Release()
-	if len(f.free) > f.gcFreeTarget {
+	if len(f.free)+f.erasing > f.gcFreeTarget {
 		// Another process collected while we waited on the lock.
 		return nil
 	}
@@ -565,13 +562,13 @@ func (f *FTL) maybeGC(p *sim.Proc) error {
 	return err
 }
 
-// collect runs greedy reclamation until the pool is above target.
-// Called with gcLock held.
+// collect runs greedy reclamation until the pool, counting the blocks
+// being erased, is above target. Called with gcLock held.
 func (f *FTL) collect(p *sim.Proc) error {
-	for len(f.free) <= f.gcFreeTarget {
+	for len(f.free)+f.erasing <= f.gcFreeTarget {
 		victim, ok := f.pickVictim()
 		if !ok {
-			if len(f.free) == 0 {
+			if len(f.free)+f.erasing == 0 {
 				return ErrNoSpace
 			}
 			return nil // nothing reclaimable; still have some room
@@ -582,12 +579,44 @@ func (f *FTL) collect(p *sim.Proc) error {
 		if err := f.evacuate(p, victim, false, f.cGCReloc); err != nil {
 			return fmt.Errorf("ftl: gc relocation: %w", err)
 		}
-		if err := f.flash.EraseBlock(p, victim); err != nil {
-			return fmt.Errorf("ftl: gc erase: %w", err)
-		}
-		f.free = append(f.free, victim)
+		f.eraseLater(victim)
 	}
 	return nil
+}
+
+// eraseLater queues an evacuated victim on its die's eraser, a daemon
+// started at the die's first victim: the erase leaves the collector.
+func (f *FTL) eraseLater(blk nand.BlockID) {
+	if f.erasers == nil {
+		f.erasers = make([]eraser, len(f.open))
+		f.erased = f.env.NewSignal("ftl.erased")
+	}
+	q := &f.erasers[int(uint64(blk)/uint64(f.flash.Config().BlocksPerDie))]
+	if q.work == nil {
+		q.work = f.env.NewSignal("ftl.erase")
+		f.env.GoDaemon("ftl.erase", func(p *sim.Proc) { f.eraseLoop(p, q) })
+	}
+	q.queue = append(q.queue, blk)
+	f.skip[blk] = true
+	f.erasing++
+	q.work.Fire()
+}
+
+// eraseLoop is one die's eraser: it erases the queued victims in order
+// into free, but for a block retired meanwhile, which stays out.
+func (f *FTL) eraseLoop(p *sim.Proc, q *eraser) {
+	for {
+		for len(q.queue) == 0 {
+			q.work.Wait(p)
+		}
+		if blk := q.queue[0]; f.flash.EraseBlock(p, blk) == nil && !f.flash.IsBad(blk) {
+			f.free = append(f.free, blk)
+		}
+		f.skip[q.queue[0]] = false
+		q.queue = q.queue[:copy(q.queue, q.queue[1:])]
+		f.erasing--
+		f.erased.Fire()
+	}
 }
 
 // Relocation moves a block's valid pages in runs: up to relocRunPages
@@ -734,12 +763,7 @@ func (f *FTL) land(p *sim.Proc, pages []nand.RunPage, slot int, moved *obs.Count
 			pages = pages[n:]
 		}
 		f.dieLocks[d].Release()
-		switch {
-		case errors.Is(err, nand.ErrBadBlock):
-			// The open block was retired underneath this slot; drop it
-			// and retry.
-			f.open[d] = openBlock{blk: 0, nextPage: -1}
-		case err != nil:
+		if err != nil {
 			return err
 		}
 	}
@@ -831,9 +855,9 @@ func (f *FTL) retireBlock(p *sim.Proc, blk nand.BlockID) error {
 }
 
 // pickVictim selects the closed block with the fewest valid pages
-// (greedy; the lowest block wins a tie). Open and free blocks are
-// excluded, and so is each die's reserved tail, which the scan never
-// enters.
+// (greedy; the lowest block wins a tie). Open and free blocks and those
+// waiting for their erase are excluded, and so is each die's reserved
+// tail, which the scan never enters.
 func (f *FTL) pickVictim() (nand.BlockID, bool) {
 	fc := f.flash.Config()
 	if f.skip == nil {

@@ -295,34 +295,6 @@ func TestPropertyLastWriteWins(t *testing.T) {
 	}
 }
 
-func TestWearStatsTrackErases(t *testing.T) {
-	e := sim.NewEnv()
-	f := newTestFTL(e)
-	if w := f.Wear(); w.TotalErase != 0 || w.MaxErase != 0 {
-		t.Fatalf("fresh wear = %+v", w)
-	}
-	n := int(f.ExportedPages())
-	rng := rand.New(rand.NewSource(3))
-	e.Go("t", func(p *sim.Proc) {
-		for op := 0; op < 6*n; op++ {
-			if err := f.WritePage(p, LBA(rng.Intn(n)), []byte{1}); err != nil {
-				t.Fatalf("write: %v", err)
-			}
-		}
-	})
-	e.Run()
-	w := f.Wear()
-	if w.TotalErase == 0 {
-		t.Fatal("no erases counted despite GC churn")
-	}
-	if w.MaxErase < w.MinErase {
-		t.Fatalf("wear = %+v", w)
-	}
-	if w.RetiredBlocks != 0 {
-		t.Fatalf("unexpected retirements: %+v", w)
-	}
-}
-
 // A relocation (GC, retirement, scrub) copies a page across two yields
 // — the read and the program. A host write of the same LBA that lands
 // in between must win: the relocation may only rebind a mapping that is

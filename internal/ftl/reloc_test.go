@@ -37,11 +37,15 @@ func runFlash(e *sim.Env) *nand.Flash {
 // LBAs, so the last acknowledged state of every LBA is unambiguous. A
 // relocation may never undo any of it: a copy whose source was
 // overwritten or trimmed between the run's read and its rebind loses.
+// With 15 % over-provisioning victims stay full enough that pages a
+// collection moved often sit in the next victim too; at 25 % few did
+// once erases left the collecting proc, and each collection ended
+// sooner.
 func TestRelocationRunsNeverRevertHostWrite(t *testing.T) {
 	const writers = 4
 	const classes = writers + 1 // the last class is the trimmer's
 	e := sim.NewEnv()
-	f := New(e, runFlash(e), Config{OverProvision: 0.25})
+	f := New(e, runFlash(e), Config{OverProvision: 0.15})
 	fc := f.flash.Config()
 	n := int(f.ExportedPages()) / classes * classes
 	stamp := func(lba, ver int) []byte { return []byte(fmt.Sprintf("lba%05d-v%06d|", lba, ver)) }
@@ -175,9 +179,10 @@ func TestRelocationRunsNeverRevertHostWrite(t *testing.T) {
 }
 
 // The path kv-block lives on: a victim with no valid page is reclaimed
-// exactly as before relocation went parallel — same virtual time, same
-// kernel events (measured at the parent commit), no worker started, no
-// signal fired.
+// without the relocation machinery, no worker started. Its erase runs
+// on the die's eraser, so the writer waits for none of the 135: the run
+// took 352 042 368 ns and 3 208 events when each erase ran inline, and
+// the events it adds are the erasers' own.
 func TestZeroValidVictimPathIsUntouched(t *testing.T) {
 	e := sim.NewEnv()
 	f := newTestFTL(e)
@@ -195,8 +200,8 @@ func TestZeroValidVictimPathIsUntouched(t *testing.T) {
 	if runs, relocs := counter(t, e, "ftl.gc_runs"), counter(t, e, "ftl.gc_relocations"); runs != 135 || relocs != 0 {
 		t.Fatalf("gc runs %d, relocations %d; want 135 zero-valid victims", runs, relocs)
 	}
-	if e.Now() != 352042368 || e.Events() != 3208 {
-		t.Fatalf("virtual time %d, events %d; want 352042368, 3208", e.Now(), e.Events())
+	if e.Now() != 169249529 || e.Events() != 3389 {
+		t.Fatalf("virtual time %d, events %d; want 169249529, 3389", e.Now(), e.Events())
 	}
 	if f.relocQ != nil || f.evacSrc != nil {
 		t.Fatal("reclaiming empty victims started the relocation machinery")

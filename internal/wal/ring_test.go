@@ -719,6 +719,9 @@ func TestTailOrderUnderConcurrentAppenders(t *testing.T) {
 		sl.WakeTail()
 	})
 	r.env.Run()
+	if err := sl.Audit(); err != nil {
+		t.Fatal(err)
+	}
 	if len(got) != 32 {
 		t.Fatalf("tail delivered %d records, want 32", len(got))
 	}
@@ -774,6 +777,9 @@ func groupCommitFingerprint(t *testing.T, mode CommitMode) (fp string, commits, 
 		media = crc.Sum32()
 	})
 	r.env.Run()
+	if err := sl.Audit(); err != nil {
+		t.Fatal(err)
+	}
 	commits, groupFlushes = r.count(t, "wal.seg_commits"), r.count(t, "wal.seg_group_flushes")
 	fp = fmt.Sprintf("media=%08x tail=%d durable=%d commits=%d flushes=%d rotations=%d commit_ns=%d",
 		media, sl.AppendOff(), sl.DurableOff(), commits, groupFlushes,
@@ -825,7 +831,7 @@ func TestNoSpuriousWakeUps(t *testing.T) {
 		tailed     bool
 		events     uint64
 	}{
-		{Sync, 8, false, 223},
+		{Sync, 8, false, 221},
 		{BA, 1, true, 31},
 	} {
 		t.Run(leg.mode.String(), func(t *testing.T) {
@@ -973,12 +979,18 @@ func concurrentAppendersPowerLoss(t *testing.T, seed int64, ring int, eids []cor
 		r.powerCycle(t, p)
 	})
 	r.env.Run()
+	if err := sl.Audit(); err != nil {
+		t.Fatalf("seed %d: the log at the cut: %v", seed, err)
+	}
 
 	rl, err := Open(r.env, cfg)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
 	got, lsns := r.recoverAll(t, rl)
+	if err := rl.Audit(); err != nil {
+		t.Fatalf("seed %d: the recovered log: %v", seed, err)
+	}
 	// Only a ring cuts; on a single file the series stays unregistered.
 	if n := obs.Of(r.env).Registry().CounterValue("wal.seg_torn_repairs"); n != 0 {
 		t.Errorf("seed %d: torn tail cut back to %d with every commit acknowledged", seed, rl.AppendOff())

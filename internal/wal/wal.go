@@ -415,6 +415,29 @@ func (l *Log) RetainedLSN() LSN { return LSN(l.firstSeg * l.fileBytes) }
 // Segments returns the live segment range [first, cur].
 func (l *Log) Segments() (first, cur int64) { return l.firstSeg, l.curSeg }
 
+// Audit checks the log's frontiers: the durable frontier is at or
+// below the append frontier, and the records storing lists are in LSN
+// order, each listed once, and between the two — a commit waits for
+// every store below its target, so the durable frontier never passes a
+// record still listed. Offsets move without yielding between these
+// updates, so they hold whenever a proc can run. Audit does not yield,
+// writes nothing to the registry and allocates only the error it
+// returns.
+func (l *Log) Audit() error {
+	if l.durableOff > l.appendOff {
+		return fmt.Errorf("wal: durable frontier %d past the append frontier %d", l.durableOff, l.appendOff)
+	}
+	for i, pos := range l.storing {
+		switch {
+		case i > 0 && pos <= l.storing[i-1]:
+			return fmt.Errorf("wal: storing lists %d after %d", pos, l.storing[i-1])
+		case pos < l.durableOff || pos >= l.appendOff:
+			return fmt.Errorf("wal: record at %d is storing outside [durable %d, append %d)", pos, l.durableOff, l.appendOff)
+		}
+	}
+	return nil
+}
+
 // ringed reports ring geometry (segment headers, meta page, rotation).
 func (l *Log) ringed() bool { return l.meta != nil }
 
