@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"twobssd/internal/nand"
 	"twobssd/internal/sim"
 )
 
@@ -63,6 +64,17 @@ func TestAuditFindsPlantedBugs(t *testing.T) {
 			f.unbind(old)
 			f.set(f.l2p, other, uint32(ppa)+1)
 		}},
+		{"a programmed block in the free pool", func(f *FTL, ppa uint64) {
+			f.free = append(f.free, nand.BlockID(ppa/f.piece))
+		}},
+		{"a block awaiting its erase holds a valid page", func(f *FTL, ppa uint64) {
+			f.erasers[0].queue = append(f.erasers[0].queue, nand.BlockID(ppa/f.piece))
+			f.erasing++
+		}},
+		{"a free block awaiting its erase", func(f *FTL, ppa uint64) {
+			f.erasers[0].queue = append(f.erasers[0].queue, f.free[0])
+			f.erasing++
+		}},
 	} {
 		f := auditedFTL(t)
 		ppa, ok := f.lookup(lba)
@@ -80,11 +92,25 @@ func TestAuditFindsPlantedBugs(t *testing.T) {
 
 func TestAuditDoesNotAllocate(t *testing.T) {
 	f := auditedFTL(t)
-	if n := testing.AllocsPerRun(10, func() {
+	audit := func() {
 		if err := f.Audit(); err != nil {
 			t.Fatal(err)
 		}
-	}); n != 0 {
+	}
+	if n := testing.AllocsPerRun(10, audit); n != 0 {
 		t.Fatalf("Audit allocates %.1f times a run, want 0", n)
 	}
+	// And with victims waiting for their erase, whose pool checks run.
+	n := int(f.ExportedPages())
+	f.env.Go("churn", func(p *sim.Proc) {
+		for i := 0; f.erasing == 0; i++ {
+			if err := f.WritePage(p, LBA(i%n), []byte{2}); err != nil {
+				t.Fatalf("write: %v", err)
+			}
+		}
+		if n := testing.AllocsPerRun(10, audit); n != 0 {
+			t.Fatalf("Audit allocates %.1f times a run with %d blocks awaiting erase, want 0", n, f.erasing)
+		}
+	})
+	f.env.Run()
 }

@@ -348,8 +348,9 @@ func (f *FTL) Audit() error {
 	for _, q := range f.erasers {
 		for _, b := range q.queue {
 			open := slices.ContainsFunc(f.open, func(ob openBlock) bool { return ob.nextPage >= 0 && ob.blk == b })
-			if f.validCount[b] != 0 || open || slices.Contains(f.free, b) {
-				return fmt.Errorf("ftl: block %d waits for its erase holding %d valid pages, open %v", b, f.validCount[b], open)
+			free := slices.Contains(f.free, b)
+			if f.validCount[b] != 0 || open || free {
+				return fmt.Errorf("ftl: block %d waits for its erase holding %d valid pages, open %v, free %v", b, f.validCount[b], open, free)
 			}
 		}
 	}
@@ -603,16 +604,18 @@ func (f *FTL) eraseLater(blk nand.BlockID) {
 }
 
 // eraseLoop is one die's eraser: it erases the queued victims in order
-// into free, but for a block retired meanwhile, which stays out.
+// and returns each to free, but for one retired meanwhile (EraseBlock
+// refuses a block already bad).
 func (f *FTL) eraseLoop(p *sim.Proc, q *eraser) {
 	for {
 		for len(q.queue) == 0 {
 			q.work.Wait(p)
 		}
-		if blk := q.queue[0]; f.flash.EraseBlock(p, blk) == nil && !f.flash.IsBad(blk) {
+		blk := q.queue[0]
+		if f.flash.EraseBlock(p, blk) == nil && !f.flash.IsBad(blk) {
 			f.free = append(f.free, blk)
 		}
-		f.skip[q.queue[0]] = false
+		f.skip[blk] = false
 		q.queue = q.queue[:copy(q.queue, q.queue[1:])]
 		f.erasing--
 		f.erased.Fire()

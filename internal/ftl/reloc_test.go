@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"twobssd/internal/fault"
@@ -206,6 +207,97 @@ func TestZeroValidVictimPathIsUntouched(t *testing.T) {
 	if f.relocQ != nil || f.evacSrc != nil {
 		t.Fatal("reclaiming empty victims started the relocation machinery")
 	}
+}
+
+// A victim retired while it waits for its erase — an uncorrectable read
+// issued before its pages moved can retire it — is erased into nothing:
+// it stays out of the pool, and the pool audits clean.
+func TestRetiredWhileAwaitingEraseStaysOutOfPool(t *testing.T) {
+	e := sim.NewEnv()
+	f := newTestFTL(e)
+	n := int(f.ExportedPages())
+	e.Go("t", func(p *sim.Proc) {
+		for i := 0; f.erasing == 0; i++ {
+			if err := f.WritePage(p, LBA(i%n), []byte{1}); err != nil {
+				t.Fatalf("write %d: %v", i, err)
+			}
+		}
+		var blk nand.BlockID
+		for _, q := range f.erasers {
+			if len(q.queue) > 0 {
+				blk = q.queue[len(q.queue)-1]
+			}
+		}
+		if err := f.retireBlock(p, blk); err != nil {
+			t.Fatal(err)
+		}
+		for f.erasing > 0 {
+			p.Sleep(100 * sim.Microsecond)
+		}
+		if !f.flash.IsBad(blk) || slices.Contains(f.free, blk) {
+			t.Fatalf("block %d: bad %v, free %v; want retired and out of the pool", blk, f.flash.IsBad(blk), slices.Contains(f.free, blk))
+		}
+		if err := f.Audit(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	e.Run()
+}
+
+// Writers faster than the erasers empty the pool while victims are
+// still erasing: a write that needs a fresh block then waits for an
+// erase (allocRun) instead of failing with ErrNoSpace, every write
+// still lands, and the pool audits clean whenever a write returns.
+func TestWritesWaitForPendingErase(t *testing.T) {
+	const writers = 32
+	e := sim.NewEnv()
+	f := newTestFTL(e)
+	n := int(f.ExportedPages()) / writers * writers
+	acked := make([]int, n)
+	waits, done := 0, 0
+	for w := 0; w < writers; w++ {
+		w := w
+		e.Go("writer", func(p *sim.Proc) {
+			defer func() { done++ }()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < 16*n/writers; i++ {
+				lba := rng.Intn(n/writers)*writers + w
+				if err := f.WritePage(p, LBA(lba), []byte(fmt.Sprintf("v%d", acked[lba]+1))); err != nil {
+					t.Errorf("writer %d: %v", w, err)
+					return
+				}
+				acked[lba]++
+				if err := f.Audit(); err != nil {
+					t.Errorf("writer %d: %v", w, err)
+					return
+				}
+			}
+		})
+	}
+	e.Go("watch", func(p *sim.Proc) {
+		for done < writers {
+			if f.erased != nil && f.erased.Waiters() > 0 {
+				waits++
+			}
+			p.Sleep(sim.Microsecond)
+		}
+	})
+	e.Run()
+	if waits == 0 {
+		t.Fatal("no write waited for an erase: the pool never ran dry")
+	}
+	e.Go("verify", func(p *sim.Proc) {
+		got := make([]byte, f.PageSize())
+		for lba, v := range acked {
+			if v == 0 {
+				continue
+			}
+			if err := f.ReadPageInto(p, LBA(lba), got); err != nil || !bytes.HasPrefix(got, []byte(fmt.Sprintf("v%d\x00", v))) {
+				t.Fatalf("lba %d: %q, %v; want version %d", lba, got[:8], err, v)
+			}
+		}
+	})
+	e.Run()
 }
 
 // A drive that never reaches the GC trigger spawns nothing and

@@ -822,7 +822,9 @@ func TestRingGroupCommitDeterminism(t *testing.T) {
 // in place, and a re-check is not an event. The SYNC golden moves if a
 // follower is resumed only to park again (265 when it was). A store
 // that fired the signal with nobody parked on stores would wake the
-// tail reader, a plain waiter, and move the BA golden.
+// tail reader, a plain waiter, and move the BA golden. The SYNC golden
+// was 223 while a drain worker that popped a copy of the log's tail page
+// behind one still programming waited for its ticket.
 func TestNoSpuriousWakeUps(t *testing.T) {
 	const records = 6
 	for _, leg := range []struct {
