@@ -378,7 +378,7 @@ func (f *FTL) popFree(die int) (nand.BlockID, bool) {
 		}
 	}
 	b := f.free[0]
-	f.free = f.free[1:]
+	f.free = append(f.free[:0], f.free[1:]...) // in place: free keeps its capacity
 	return b, true
 }
 
