@@ -17,10 +17,9 @@ import (
 type scrubber struct {
 	cursor ftl.LBA
 
-	cPasses, cScanned   *obs.Counter
-	cRepaired, cSalvage *obs.Counter
-	cCRCErrors          *obs.Counter
-	hPass               *histo.H
+	cPasses, cScanned     *obs.Counter
+	cRepaired, cCRCErrors *obs.Counter
+	hPass                 *histo.H
 }
 
 // scrubPagesPerPass is how many logical pages one ScrubPass patrols.
@@ -32,7 +31,6 @@ func newScrubber(s *TwoBSSD) *scrubber {
 		cPasses:    reg.Counter("scrub.passes"),
 		cScanned:   reg.Counter("scrub.scanned"),
 		cRepaired:  reg.Counter("scrub.repaired"),
-		cSalvage:   reg.Counter("scrub.salvaged"),
 		cCRCErrors: reg.Counter("scrub.crc_errors"),
 		hPass:      reg.Histo("scrub.pass_ns"),
 	}
@@ -64,13 +62,11 @@ func (s *TwoBSSD) ScrubPass(p *sim.Proc) error {
 		}
 		sc.cScanned.Inc()
 		if r.Corrupt {
-			// The stored CRC no longer matches the (post-ECC) contents:
-			// silent corruption below the ECC model. Count it — the read
-			// paths will refuse to serve the page.
+			// The page failed ECC, or its stored CRC no longer matches
+			// the (post-ECC) contents: silent corruption below the ECC
+			// model. Count it — the read paths will refuse to serve the
+			// page.
 			sc.cCRCErrors.Inc()
-		}
-		if r.Salvaged {
-			sc.cSalvage.Inc()
 		}
 		if r.Repaired {
 			sc.cRepaired.Inc()

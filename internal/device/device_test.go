@@ -150,7 +150,7 @@ func TestDrainEmptiesBuffer(t *testing.T) {
 			t.Errorf("buffer not drained: %d pages", d.BufferedPages())
 		}
 		// After the drain the data must be on NAND via the FTL.
-		if !d.FTL().Mapped(0) {
+		if _, ok := d.FTL().PPAOf(0); !ok {
 			t.Error("lba 0 not mapped after drain")
 		}
 	})

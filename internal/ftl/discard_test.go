@@ -2,9 +2,11 @@ package ftl
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"twobssd/internal/fault"
+	"twobssd/internal/integrity"
 	"twobssd/internal/nand"
 	"twobssd/internal/sim"
 )
@@ -58,7 +60,7 @@ func TestSupersededPagesHoldNoBytes(t *testing.T) {
 		f.gcLock.Acquire(p)
 		for _, blk := range blocks {
 			src := f.validPages(blk, nil)
-			if err := f.evacuate(p, blk, false, f.cGCReloc); err != nil {
+			if err := f.evacuate(p, blk); err != nil {
 				t.Fatalf("evacuate: %v", err)
 			}
 			superseded = append(superseded, src...)
@@ -99,10 +101,10 @@ func TestSupersededPagesHoldNoBytes(t *testing.T) {
 
 // racingOverwrite reads an LBA on a drive where every read fails ECC,
 // while a writer overwrites it 5 µs in: the overwrite lands — and drops
-// the page the read is on — during the read's retries, before its
-// salvage. read must return one of the two versions, never the zeroes
-// a discarded page holds.
-func racingOverwrite(t *testing.T, read func(p *sim.Proc, f *FTL, lba LBA) []byte) {
+// the page the read is on — during the read's retries. read must fail
+// with integrity.ErrPageCorrupt or return one of the two versions,
+// never other bytes, such as the zeroes a discarded page holds.
+func racingOverwrite(t *testing.T, read func(p *sim.Proc, f *FTL, lba LBA) ([]byte, error)) {
 	t.Helper()
 	e := sim.NewEnv()
 	fault.Install(e, fault.Plan{Seed: 1, BER: &fault.BERModel{
@@ -113,6 +115,7 @@ func racingOverwrite(t *testing.T, read func(p *sim.Proc, f *FTL, lba LBA) []byt
 	v1 := bytes.Repeat([]byte{0x11}, f.PageSize())
 	v2 := bytes.Repeat([]byte{0x22}, f.PageSize())
 	var got []byte
+	var err error
 	var overwritten, returned sim.Time
 	e.Go("reader", func(p *sim.Proc) {
 		if err := f.WritePage(p, lba, v1); err != nil {
@@ -125,7 +128,7 @@ func racingOverwrite(t *testing.T, read func(p *sim.Proc, f *FTL, lba LBA) []byt
 			}
 			overwritten = e.Now()
 		})
-		got = read(p, f, lba)
+		got, err = read(p, f, lba)
 		returned = e.Now()
 	})
 	e.Run()
@@ -135,28 +138,30 @@ func racingOverwrite(t *testing.T, read func(p *sim.Proc, f *FTL, lba LBA) []byt
 	if overwritten == 0 || overwritten >= returned {
 		t.Fatalf("overwrite at %d, read returned at %d: the race was not exercised", overwritten, returned)
 	}
-	if !bytes.Equal(got, v1) && !bytes.Equal(got, v2) {
+	switch {
+	case err != nil:
+		if !errors.Is(err, integrity.ErrPageCorrupt) {
+			t.Fatalf("read: %v, want integrity.ErrPageCorrupt or a version of the page", err)
+		}
+	case !bytes.Equal(got, v1) && !bytes.Equal(got, v2):
 		t.Fatalf("read returned %x..., neither version of the page", got[:8])
 	}
 }
 
 func TestUncorrectableReadRacingOverwrite(t *testing.T) {
-	racingOverwrite(t, func(p *sim.Proc, f *FTL, lba LBA) []byte {
+	racingOverwrite(t, func(p *sim.Proc, f *FTL, lba LBA) ([]byte, error) {
 		got := make([]byte, f.PageSize())
-		if err := f.ReadPageInto(p, lba, got); err != nil {
-			t.Fatalf("read: %v", err)
-		}
-		return got
+		return got, f.ReadPageInto(p, lba, got)
 	})
 }
 
 func TestUncorrectableScrubRacingOverwrite(t *testing.T) {
-	racingOverwrite(t, func(p *sim.Proc, f *FTL, lba LBA) []byte {
+	racingOverwrite(t, func(p *sim.Proc, f *FTL, lba LBA) ([]byte, error) {
 		r, err := f.ScrubPage(p, lba)
-		if err != nil || !r.Salvaged {
-			t.Fatalf("scrub = %+v, %v; want a salvage", r, err)
+		if err == nil && r.Corrupt {
+			err = integrity.ErrPageCorrupt
 		}
-		return r.Data
+		return r.Data, err
 	})
 }
 
@@ -192,7 +197,7 @@ func TestLostRaceCopyHoldsNoBytes(t *testing.T) {
 		})
 		t0 := e.Now()
 		f.gcLock.Acquire(p)
-		err := f.evacuate(p, victim, false, f.cGCReloc)
+		err := f.evacuate(p, victim)
 		f.gcLock.Release()
 		if err != nil {
 			t.Fatalf("evacuate: %v", err)

@@ -96,17 +96,16 @@ type FTL struct {
 	// dieLocks serialize allocate+program per open-block slot so
 	// concurrent writer processes cannot reorder page programs within a
 	// block (the NAND sequential-program rule). gcLock serializes garbage
-	// collection, retirement and scrub rewrites.
+	// collection and scrub rewrites.
 	// Lock order: gcLock, then one dieLock, then NAND channel/die.
 	dieLocks []sim.Resource // one backing array; elements never copied
 	gcLock   *sim.Resource
 
 	// Block evacuation (see evacuate); gcLock's holder owns all of it.
-	skip      []bool              // pickVictim marks: open and free blocks, and blocks awaiting erase
-	evacSrc   []nand.PPA          // the victim's valid pages
-	movers    [relocWorkers]mover // worker i's run scratch; [0] also the evacuating proc's
-	relocDie  int                 // round-robin cursor over destination slots
-	relocQ    []relocRun          // runs handed to the workers, relocQ[:relocHead] taken
+	skip      []bool       // pickVictim marks: open and free blocks, and blocks awaiting erase
+	evacSrc   []nand.PPA   // the victim's valid pages, cut into the runs
+	relocDie  int          // round-robin cursor over destination slots
+	relocQ    [][]nand.PPA // runs handed to the workers, relocQ[:relocHead] taken
 	relocHead int
 	relocErr  error              // first error of the batch
 	reloc     *sim.Fan[struct{}] // the batch's workers
@@ -115,7 +114,6 @@ type FTL struct {
 	inj                            *fault.Injector
 	cHostWrites, cHostReads        *obs.Counter
 	cNandWrites, cGCReloc, cGCRuns *obs.Counter
-	cRetired, cRetireReloc         *obs.Counter
 	hWrite, hGCPause               *histo.H
 }
 
@@ -202,8 +200,6 @@ func New(env *sim.Env, flash *nand.Flash, cfg Config) *FTL {
 	f.cNandWrites = reg.Counter("ftl.nand_page_writes")
 	f.cGCReloc = reg.Counter("ftl.gc_relocations")
 	f.cGCRuns = reg.Counter("ftl.gc_runs")
-	f.cRetired = reg.Counter("ftl.retired_blocks")
-	f.cRetireReloc = reg.Counter("ftl.retire_relocations")
 	f.hWrite = reg.Histo("ftl.write_ns")
 	f.hGCPause = reg.Histo("ftl.gc_pause_ns")
 	reg.GaugeFunc("ftl.free_blocks", func() float64 { return float64(len(f.free)) })
@@ -227,12 +223,6 @@ func (f *FTL) ExportedPages() uint64 { return f.exportedPages }
 
 // PageSize reports the logical/physical page size in bytes.
 func (f *FTL) PageSize() int { return f.flash.Config().PageSize }
-
-// Mapped reports whether an LBA currently has a physical mapping.
-func (f *FTL) Mapped(lba LBA) bool {
-	_, ok := f.PPAOf(lba)
-	return ok
-}
 
 // PPAOf reports the physical page currently backing an LBA. Intended
 // for fault-injection and integrity tests that need to corrupt or
@@ -489,13 +479,13 @@ func (f *FTL) ReadPage(p *sim.Proc, lba LBA) ([]byte, error) {
 // at least PageSize bytes, so device-level read fan-out lands pages
 // directly in the host buffer with zero copies or allocations on the
 // fault-free path. Unmapped pages return zeroes without touching flash
-// (the controller answers from the map). An uncorrectable read
-// (injected BER beyond the ECC budget) is absorbed here: the firmware
-// salvages the raw page, relocates the block's valid pages elsewhere
-// and retires it via MarkBad — the host sees the data, plus the latency
-// of the rescue. Every mapped page is checked against the integrity tag
-// it was written with, the salvaged one included; a mismatch is an
-// error wrapping integrity.ErrPageCorrupt.
+// (the controller answers from the map). Every mapped page is checked
+// against the integrity tag it was written with; a mismatch is an error
+// wrapping integrity.ErrPageCorrupt. So is an uncorrectable read
+// (injected BER beyond the ECC budget), which wraps nand.ErrUncorrectable
+// too: the page's data is lost, and the read changes no state — there
+// is no bad-block manager to retire the block, and no salvage to hand
+// the host bytes that the ECC could not vouch for.
 func (f *FTL) ReadPageInto(p *sim.Proc, lba LBA, dst []byte) error {
 	if err := f.checkLBA(lba); err != nil {
 		return err
@@ -508,19 +498,11 @@ func (f *FTL) ReadPageInto(p *sim.Proc, lba LBA, dst []byte) error {
 		return nil
 	}
 	tag, _, err := f.flash.ReadPageInto(p, ppa, dst)
+	if errors.Is(err, nand.ErrUncorrectable) {
+		return fmt.Errorf("ftl: lba %d: %w: %w", lba, integrity.ErrPageCorrupt, err)
+	}
 	if err != nil {
-		if !errors.Is(err, nand.ErrUncorrectable) {
-			return err
-		}
-		// dst and tag already hold the page as the read found it: the
-		// LBA may have been overwritten — and the page discarded — while
-		// the retries ran, so the salvage charges its time and no more.
-		if err := f.flash.SalvageRead(p, ppa); err != nil {
-			return err
-		}
-		if rerr := f.retireBlock(p, f.flash.Config().BlockOf(ppa)); rerr != nil {
-			return fmt.Errorf("ftl: retire after uncorrectable read: %w", rerr)
-		}
+		return err
 	}
 	if err := integrity.Check(dst, tag); err != nil {
 		return fmt.Errorf("ftl: lba %d: %w", lba, err)
@@ -575,9 +557,7 @@ func (f *FTL) collect(p *sim.Proc) error {
 			return nil // nothing reclaimable; still have some room
 		}
 		f.cGCRuns.Inc()
-		// An uncorrectable victim page is salvaged, not fatal: the block
-		// is about to be erased anyway.
-		if err := f.evacuate(p, victim, false, f.cGCReloc); err != nil {
+		if err := f.evacuate(p, victim); err != nil {
 			return fmt.Errorf("ftl: gc relocation: %w", err)
 		}
 		f.eraseLater(victim)
@@ -604,15 +584,14 @@ func (f *FTL) eraseLater(blk nand.BlockID) {
 }
 
 // eraseLoop is one die's eraser: it erases the queued victims in order
-// and returns each to free, but for one retired meanwhile (EraseBlock
-// refuses a block already bad).
+// and returns each to free.
 func (f *FTL) eraseLoop(p *sim.Proc, q *eraser) {
 	for {
 		for len(q.queue) == 0 {
 			q.work.Wait(p)
 		}
 		blk := q.queue[0]
-		if f.flash.EraseBlock(p, blk) == nil && !f.flash.IsBad(blk) {
+		if f.flash.EraseBlock(p, blk) == nil {
 			f.free = append(f.free, blk)
 		}
 		f.skip[blk] = false
@@ -640,23 +619,9 @@ const (
 	relocRunPages = 8
 )
 
-// mover is the scratch of one relocating proc: a run's pages.
-type mover struct {
-	pages [relocRunPages]nand.RunPage
-}
-
-// relocRun is one run handed to the workers.
-type relocRun struct {
-	src     []nand.PPA
-	salvage bool
-	moved   *obs.Counter
-}
-
-// evacuate empties blk: every page still valid is moved elsewhere and
-// rebound — the one routine garbage collection and retirement share.
-// salvage reads raw (a condemned block's ECC verdicts are moot); moved
-// counts the pages copied. Called with gcLock held.
-func (f *FTL) evacuate(p *sim.Proc, blk nand.BlockID, salvage bool, moved *obs.Counter) error {
+// evacuate empties a GC victim: every page still valid is moved
+// elsewhere and rebound. Called with gcLock held.
+func (f *FTL) evacuate(p *sim.Proc, blk nand.BlockID) error {
 	f.evacSrc = f.validPages(blk, f.evacSrc[:0])
 	src := f.evacSrc
 	switch {
@@ -664,11 +629,11 @@ func (f *FTL) evacuate(p *sim.Proc, blk nand.BlockID, salvage bool, moved *obs.C
 		return nil // nothing to move: no proc woken, no time spent
 	case len(src) <= relocRunPages:
 		// One run: handing it over would buy two process switches.
-		return f.moveRun(p, &f.movers[0], relocRun{src, salvage, moved})
+		return f.moveRun(p, src)
 	}
 	f.relocQ, f.relocHead, f.relocErr = f.relocQ[:0], 0, nil
 	for per := runLen(len(src)); len(src) > 0; src = src[min(per, len(src)):] {
-		f.relocQ = append(f.relocQ, relocRun{src[:min(per, len(src))], salvage, moved})
+		f.relocQ = append(f.relocQ, src[:min(per, len(src))])
 	}
 	f.reloc.Run(p, min(len(f.relocQ), relocWorkers), struct{}{})
 	return f.relocErr
@@ -685,54 +650,41 @@ func runLen(n int) int {
 // one at a time, until none is left. A failed run does not stop it; the
 // batch reports the first error in time, which is not always the first
 // a worker returns.
-func (f *FTL) relocWorker(w *sim.Proc, _ *struct{}, i int) error {
+func (f *FTL) relocWorker(w *sim.Proc, _ *struct{}, _ int) error {
 	for f.relocHead < len(f.relocQ) {
 		run := f.relocQ[f.relocHead]
 		f.relocHead++
-		if err := f.moveRun(w, &f.movers[i], run); err != nil && f.relocErr == nil {
+		if err := f.moveRun(w, run); err != nil && f.relocErr == nil {
 			f.relocErr = err
 		}
 	}
 	return nil
 }
 
-// moveRun moves one run: read the pages, drop those the host overwrote
-// or trimmed while the read was in flight, land the rest.
-func (f *FTL) moveRun(p *sim.Proc, m *mover, run relocRun) error {
-	pages := m.pages[:len(run.src)]
-	for i, src := range run.src {
-		pages[i] = nand.RunPage{PPA: src}
-	}
-	if err := f.flash.ReadRun(p, pages, run.salvage); err != nil {
+// moveRun moves one run, a slice of evacSrc that it may reorder: read
+// the pages, drop those the host overwrote or trimmed while the read
+// was in flight, land the rest.
+func (f *FTL) moveRun(p *sim.Proc, run []nand.PPA) error {
+	if err := f.flash.ReadRun(p, run); err != nil {
 		return fmt.Errorf("ftl: relocation read: %w", err)
 	}
-	live := pages[:0]
-	for _, pg := range pages {
-		if _, valid := f.owner(pg.PPA); !valid {
-			continue
+	live := run[:0]
+	for _, ppa := range run {
+		if _, valid := f.owner(ppa); valid {
+			live = append(live, ppa)
 		}
-		if pg.Err != nil {
-			// Beyond the ECC budget: recover this page raw, at full
-			// retry latency, and carry on with the run. The page's
-			// bytes are intact; they move at the rebind.
-			if err := f.flash.SalvageRead(p, pg.PPA); err != nil {
-				return fmt.Errorf("ftl: relocation salvage: %w", err)
-			}
-			pg.Err = nil
-		}
-		live = append(live, pg)
 	}
-	return f.land(p, live, -1, run.moved)
+	return f.land(p, live, -1, f.cGCReloc)
 }
 
-// land programs copy-back targets for valid pages (pages[i].PPA is where
+// land programs copy-back targets for valid pages (pages[i] is where
 // each lives now) into open blocks and rebinds their mappings — the one
 // place host and relocation map updates are arbitrated. slot names the
 // open-block slot to use; slot < 0 takes, run by run, a slot whose die
 // is idle. Bytes and integrity tags move with their pages at the
 // rebind, after the whole run has programmed. Called under gcLock (see
 // evacuate).
-func (f *FTL) land(p *sim.Proc, pages []nand.RunPage, slot int, moved *obs.Counter) error {
+func (f *FTL) land(p *sim.Proc, pages []nand.PPA, slot int, moved *obs.Counter) error {
 	for len(pages) > 0 {
 		d := slot
 		if d < 0 {
@@ -754,14 +706,14 @@ func (f *FTL) land(p *sim.Proc, pages []nand.RunPage, slot int, moved *obs.Count
 			if err = f.flash.ProgramRun(p, base, n); err != nil {
 				break
 			}
-			for i, pg := range pages[:n] {
+			for i, src := range pages[:n] {
 				f.cNandWrites.Inc()
 				moved.Inc()
 				// The run yielded since the page was read: rebind only if
 				// the mapping is still the page that was read. A host
 				// write (or trim) that landed meanwhile wins, and the
 				// copy stays unmapped, without bytes.
-				f.rebind(pg.PPA, base+nand.PPA(i))
+				f.rebind(src, base+nand.PPA(i))
 			}
 			pages = pages[n:]
 		}
@@ -827,36 +779,6 @@ func (f *FTL) lockIdleSlot(p *sim.Proc) int {
 	return d
 }
 
-// retireBlock takes a block that failed an uncorrectable read out of
-// service, under gcLock: it is marked bad, never to be allocated again,
-// and its valid pages are evacuated elsewhere.
-func (f *FTL) retireBlock(p *sim.Proc, blk nand.BlockID) error {
-	f.gcLock.Acquire(p)
-	defer f.gcLock.Release()
-	if f.flash.IsBad(blk) {
-		return nil // another reader retired it while this one waited
-	}
-	f.flash.MarkBad(blk)
-	f.cRetired.Inc()
-	for i, b := range f.free {
-		if b == blk {
-			f.free = append(f.free[:i], f.free[i+1:]...)
-			break
-		}
-	}
-	for i := range f.open {
-		if f.open[i].nextPage >= 0 && f.open[i].blk == blk {
-			f.open[i] = openBlock{blk: 0, nextPage: -1}
-		}
-	}
-	// Evacuate the surviving valid pages with raw reads: the block is
-	// already condemned, so ECC verdicts are moot.
-	if err := f.evacuate(p, blk, true, f.cRetireReloc); err != nil {
-		return fmt.Errorf("ftl: retire relocation: %w", err)
-	}
-	return nil
-}
-
 // pickVictim selects the closed block with the fewest valid pages
 // (greedy; the lowest block wins a tie). Open and free blocks and those
 // waiting for their erase are excluded, and so is each die's reserved
@@ -884,7 +806,7 @@ func (f *FTL) pickVictim() (nand.BlockID, bool) {
 	for first := 0; first < fc.Blocks(); first += fc.BlocksPerDie {
 		for b := first; b < first+usable; b++ {
 			blk := nand.BlockID(b)
-			if f.skip[b] || f.flash.IsBad(blk) {
+			if f.skip[b] {
 				continue
 			}
 			if f.flash.NextPage(blk) == 0 {
@@ -908,18 +830,17 @@ func (f *FTL) pickVictim() (nand.BlockID, bool) {
 type ScrubResult struct {
 	Mapped   bool   // LBA had a physical mapping (unmapped pages are skipped)
 	Retries  int    // ECC read-retries the patrol read needed (correctable errors)
-	Salvaged bool   // page was uncorrectable; raw salvage + block retirement ran
 	Repaired bool   // page was rewritten to a fresh location
 	Data     []byte // page contents as read (post-correction)
-	Corrupt  bool   // contents no longer match the page's integrity tag
+	Corrupt  bool   // uncorrectable, or contents no longer match the page's integrity tag
 }
 
 // ScrubPage patrol-reads one logical page on behalf of the background
 // scrubber. A page whose read needed ECC retries (accumulated raw bit
 // errors still within the correction budget) is rewritten to a fresh
-// location so the error count resets before it can grow uncorrectable;
-// an already-uncorrectable page takes the salvage + retire path. The
-// rewrite is guarded against concurrent host writes and GC: it only
+// location so the error count resets before it can grow uncorrectable.
+// An already-uncorrectable page is reported Corrupt and left where it
+// is: its data is lost, and a rewrite would launder it. The rewrite is guarded against concurrent host writes and GC: it only
 // rebinds the mapping if the LBA still points at the physical page the
 // patrol read, and counts as a NAND write, not a host write. A page
 // whose contents fail their integrity check is reported Corrupt.
@@ -938,22 +859,9 @@ func (f *FTL) ScrubPage(p *sim.Proc, lba LBA) (ScrubResult, error) {
 	if err != nil && !errors.Is(err, nand.ErrUncorrectable) {
 		return r, err
 	}
-	r.Data, r.Corrupt = data, integrity.Check(data, tag) != nil
-	if err != nil {
-		// As in ReadPageInto: keep what the read captured.
-		if err := f.flash.SalvageRead(p, ppa); err != nil {
-			return r, err
-		}
-		// retireBlock relocates every surviving valid page — including
-		// this one — off the condemned block.
-		if rerr := f.retireBlock(p, f.flash.Config().BlockOf(ppa)); rerr != nil {
-			return r, fmt.Errorf("ftl: scrub retire: %w", rerr)
-		}
-		r.Salvaged, r.Repaired = true, true
-		return r, nil
-	}
+	r.Data, r.Corrupt = data, err != nil || integrity.Check(data, tag) != nil
 	r.Retries = retries
-	if retries == 0 {
+	if err != nil || retries == 0 {
 		return r, nil
 	}
 	f.gcLock.Acquire(p)
@@ -975,6 +883,6 @@ func (f *FTL) ScrubPage(p *sim.Proc, lba LBA) (ScrubResult, error) {
 // like any relocation. Called with gcLock held.
 func (f *FTL) relocLocked(p *sim.Proc, src nand.PPA) error {
 	fc := f.flash.Config()
-	page := [1]nand.RunPage{{PPA: src}}
+	page := [1]nand.PPA{src}
 	return f.land(p, page[:], (fc.DieOf(src)+1)%fc.Dies(), nil)
 }

@@ -141,13 +141,13 @@ func TestTrim(t *testing.T) {
 	f := newTestFTL(e)
 	e.Go("t", func(p *sim.Proc) {
 		f.WritePage(p, 3, []byte{9})
-		if !f.Mapped(3) {
+		if _, ok := f.PPAOf(3); !ok {
 			t.Error("not mapped after write")
 		}
 		if err := f.Trim(3); err != nil {
 			t.Errorf("trim: %v", err)
 		}
-		if f.Mapped(3) {
+		if _, ok := f.PPAOf(3); ok {
 			t.Error("still mapped after trim")
 		}
 		got := bytes.Repeat([]byte{0xFF}, f.PageSize())

@@ -3,9 +3,13 @@ package ftl
 import (
 	"bytes"
 	"errors"
+	"reflect"
+	"slices"
 	"testing"
 
+	"twobssd/internal/fault"
 	"twobssd/internal/integrity"
+	"twobssd/internal/nand"
 	"twobssd/internal/sim"
 )
 
@@ -152,34 +156,38 @@ func TestScrubPageRewritesOnRetries(t *testing.T) {
 	e.Run()
 }
 
-// TestTagsSurviveRetirement forces a block retirement via ErrUncorrectable
-// salvage and checks the evacuated pages keep their tags.
-func TestTagsSurviveRetirement(t *testing.T) {
+// An uncorrectable host read loses the page: the error wraps both
+// integrity.ErrPageCorrupt and nand.ErrUncorrectable, and the read
+// changes no state — the map, the valid counts and the free pool are
+// as they were, and the FTL audits clean.
+func TestUncorrectableReadLosesThePage(t *testing.T) {
 	e := sim.NewEnv()
+	fault.Install(e, fault.Plan{Seed: 1, BER: &fault.BERModel{
+		Base: 1e-4, RetentionPerHour: 100, ECCBits: 40, RetrySteps: 2, RetryLatency: 60 * sim.Microsecond,
+	}})
 	f := newTestFTL(e)
 	e.Go("t", func(p *sim.Proc) {
-		var lbas []LBA
-		for i := 0; i < 8; i++ {
-			lba := LBA(40 + i)
-			data := bytes.Repeat([]byte{byte(0xC0 + i)}, f.PageSize())
+		for lba := LBA(0); lba < 8; lba++ {
+			data := bytes.Repeat([]byte{byte(0xC0 + lba)}, f.PageSize())
 			if err := f.WritePageTagged(p, lba, data, integrity.PageCRC(data)); err != nil {
 				t.Fatalf("write: %v", err)
 			}
-			lbas = append(lbas, lba)
 		}
-		ppa, _ := f.PPAOf(lbas[0])
-		blk := f.flash.Config().BlockOf(ppa)
-		if err := f.retireBlock(p, blk); err != nil {
-			t.Fatalf("retire: %v", err)
+		p.Sleep(3600 * sim.Second) // past the ECC budget
+		l2p := make([][]uint32, len(f.l2p))
+		for i, piece := range f.l2p {
+			l2p[i] = slices.Clone(piece)
 		}
-		got := make([]byte, f.PageSize())
-		for i, lba := range lbas {
-			if err := f.ReadPageInto(p, lba, got); err != nil {
-				t.Fatalf("read %d: %v", lba, err)
-			}
-			if got[0] != byte(0xC0+i) {
-				t.Fatalf("lba %d content = %x", lba, got[0])
-			}
+		valid, free := slices.Clone(f.validCount), slices.Clone(f.free)
+		err := f.ReadPageInto(p, 3, make([]byte, f.PageSize()))
+		if !errors.Is(err, integrity.ErrPageCorrupt) || !errors.Is(err, nand.ErrUncorrectable) {
+			t.Fatalf("read: %v; want integrity.ErrPageCorrupt and nand.ErrUncorrectable", err)
+		}
+		if !reflect.DeepEqual(f.l2p, l2p) || !slices.Equal(f.validCount, valid) || !slices.Equal(f.free, free) {
+			t.Error("the uncorrectable read changed the map, the valid counts or the free pool")
+		}
+		if err := f.Audit(); err != nil {
+			t.Fatal(err)
 		}
 	})
 	e.Run()

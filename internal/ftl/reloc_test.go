@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"slices"
 	"testing"
 
 	"twobssd/internal/fault"
@@ -209,41 +208,6 @@ func TestZeroValidVictimPathIsUntouched(t *testing.T) {
 	}
 }
 
-// A victim retired while it waits for its erase — an uncorrectable read
-// issued before its pages moved can retire it — is erased into nothing:
-// it stays out of the pool, and the pool audits clean.
-func TestRetiredWhileAwaitingEraseStaysOutOfPool(t *testing.T) {
-	e := sim.NewEnv()
-	f := newTestFTL(e)
-	n := int(f.ExportedPages())
-	e.Go("t", func(p *sim.Proc) {
-		for i := 0; f.erasing == 0; i++ {
-			if err := f.WritePage(p, LBA(i%n), []byte{1}); err != nil {
-				t.Fatalf("write %d: %v", i, err)
-			}
-		}
-		var blk nand.BlockID
-		for _, q := range f.erasers {
-			if len(q.queue) > 0 {
-				blk = q.queue[len(q.queue)-1]
-			}
-		}
-		if err := f.retireBlock(p, blk); err != nil {
-			t.Fatal(err)
-		}
-		for f.erasing > 0 {
-			p.Sleep(100 * sim.Microsecond)
-		}
-		if !f.flash.IsBad(blk) || slices.Contains(f.free, blk) {
-			t.Fatalf("block %d: bad %v, free %v; want retired and out of the pool", blk, f.flash.IsBad(blk), slices.Contains(f.free, blk))
-		}
-		if err := f.Audit(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	e.Run()
-}
-
 // Writers faster than the erasers empty the pool while victims are
 // still erasing: a write that needs a fresh block then waits for an
 // erase (allocRun) instead of failing with ErrNoSpace, every write
@@ -376,9 +340,10 @@ func fullBlocks(t *testing.T, p *sim.Proc, f *FTL) nand.BlockID {
 	return f.open[0].blk
 }
 
-// An uncorrectable page inside a GC run is salvaged on its own: one raw
-// re-read, the run's other pages untouched, the block not retired.
-func TestRunUncorrectableReadSalvagesOnePage(t *testing.T) {
+// A GC run is a copy-back: an uncorrectable page inside it pays its
+// read-retry latency and moves as the array holds it. No page is read
+// twice, and every LBA reads back its own bytes from its copy.
+func TestRunMovesUncorrectablePageAsCopyBack(t *testing.T) {
 	e := sim.NewEnv()
 	fault.Install(e, fault.Plan{Seed: 1, BER: &fault.BERModel{
 		Base: 1e-4, RetentionPerHour: 100, ECCBits: 40, RetrySteps: 2, RetryLatency: 60 * sim.Microsecond,
@@ -398,7 +363,7 @@ func TestRunUncorrectableReadSalvagesOnePage(t *testing.T) {
 		victim := f.open[0].blk
 		reads := counter(t, e, "nand.page_reads")
 		f.gcLock.Acquire(p)
-		err := f.evacuate(p, victim, false, f.cGCReloc)
+		err := f.evacuate(p, victim)
 		f.gcLock.Release()
 		if err != nil {
 			t.Fatalf("evacuate: %v", err)
@@ -406,16 +371,16 @@ func TestRunUncorrectableReadSalvagesOnePage(t *testing.T) {
 		if got := counter(t, e, "fault.uncorrectable_reads"); got != 1 {
 			t.Errorf("%d uncorrectable reads, want the aged page only", got)
 		}
-		if got := counter(t, e, "nand.page_reads") - reads; got != uint64(fc.PagesPerBlock)+1 {
-			t.Errorf("%d page reads, want the run's %d plus one salvage", got, fc.PagesPerBlock)
+		if got := counter(t, e, "nand.page_reads") - reads; got != uint64(fc.PagesPerBlock) {
+			t.Errorf("%d page reads, want the run's %d", got, fc.PagesPerBlock)
 		}
-		if f.cRetired.Value() != 0 || f.validCount[victim] != 0 {
-			t.Errorf("retired %d blocks, victim holds %d valid pages", f.cRetired.Value(), f.validCount[victim])
+		if f.validCount[victim] != 0 {
+			t.Errorf("victim holds %d valid pages", f.validCount[victim])
 		}
+		got := make([]byte, f.PageSize())
 		for i := 0; i < fc.Dies()*fc.PagesPerBlock; i += fc.Dies() {
-			ppa, _ := f.lookup(LBA(i))
-			if got := f.flash.PeekPage(ppa); got[0] != byte(i+1) {
-				t.Errorf("lba %d moved as %d", i, got[0])
+			if err := f.ReadPageInto(p, LBA(i), got); err != nil || got[0] != byte(i+1) {
+				t.Errorf("lba %d reads %d, %v; want %d", i, got[0], err, i+1)
 			}
 		}
 		if err := f.Audit(); err != nil {
@@ -461,7 +426,7 @@ func TestRelocationPicksSlotsByPhysicalDie(t *testing.T) {
 		p.Sleep(sim.Microsecond)
 		t0 := e.Now()
 		f.gcLock.Acquire(p)
-		err := f.evacuate(p, victim, false, f.cGCReloc)
+		err := f.evacuate(p, victim)
 		f.gcLock.Release()
 		if err != nil {
 			t.Fatal(err)
@@ -512,7 +477,7 @@ func TestBytesMoveAtRebindNotAtProgram(t *testing.T) {
 			}
 		})
 		f.gcLock.Acquire(p)
-		err := f.evacuate(p, victim, false, f.cGCReloc)
+		err := f.evacuate(p, victim)
 		f.gcLock.Release()
 		if err != nil {
 			t.Fatalf("evacuate: %v", err)

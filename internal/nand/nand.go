@@ -147,21 +147,19 @@ func (c Config) ChannelOf(die int) int { return die % c.Channels }
 
 // Error values reported by flash operations.
 var (
-	ErrBadBlock     = errors.New("nand: block is bad")
 	ErrNotErased    = errors.New("nand: program to unerased or out-of-order page")
 	ErrOutOfRange   = errors.New("nand: address out of range")
 	ErrPageTooLarge = errors.New("nand: data larger than page")
 
 	// ErrUncorrectable means a read failed ECC even after every retry
-	// step of the injected BER model (internal/fault) — the FTL
-	// salvages the data and retires the block.
+	// step of the injected BER model (internal/fault): the page's data
+	// is lost to the host.
 	ErrUncorrectable = errors.New("nand: uncorrectable read")
 )
 
 type blockState struct {
 	nextPage   int // next programmable page (sequential-program rule)
 	eraseCount int
-	bad        bool
 	held       int    // pages holding bytes (data != nil)
 	pages      []page // by page index; non-nil exactly while held > 0
 }
@@ -319,7 +317,7 @@ func (f *Flash) ReadPage(p *sim.Proc, ppa PPA) ([]byte, error) {
 // retries > 0 means the page holds latent-but-correctable errors — the
 // signal the background scrubber acts on before wear or retention pushes
 // the page past the ECC budget. dst and the tag are filled even when the
-// read fails ECC: they are what SalvageRead recovers.
+// read fails ECC; the caller must not hand them on as the page's data.
 func (f *Flash) ReadPageInto(p *sim.Proc, ppa PPA, dst []byte) (tag uint32, retries int, err error) {
 	if err := f.checkPPA(ppa); err != nil {
 		return 0, 0, err
@@ -349,22 +347,6 @@ func (f *Flash) readFault(p *sim.Proc, ppa PPA) (retries int, err error) {
 		return rd.Retries, fmt.Errorf("%w: ppa %d", ErrUncorrectable, uint64(ppa))
 	}
 	return rd.Retries, nil
-}
-
-// SalvageRead is the FTL's last-resort re-read of a page whose read
-// failed ECC: full array/channel timing, no fault injection. The model
-// keeps page bytes intact, so the bytes and tag the failed read already
-// captured (ReadPageInto) are the page's data — a relocation run
-// moves the page's own bytes (Move) — and salvage hands back nothing
-// new: a re-fetch after the retries could find the page discarded. The
-// realism is in the latency already paid on retries, this re-read's,
-// and the block retirement that follows.
-func (f *Flash) SalvageRead(p *sim.Proc, ppa PPA) error {
-	if err := f.checkPPA(ppa); err != nil {
-		return err
-	}
-	f.readTimed(p, ppa)
-	return nil
 }
 
 // capture copies a page's stored bytes, zero-padded to the page, and
@@ -437,9 +419,6 @@ func (f *Flash) ProgramPageTagged(p *sim.Proc, ppa PPA, data []byte, tag uint32)
 	}
 	die, _, page := f.cfg.Decompose(ppa)
 	blk := &f.blocks[f.cfg.BlockOf(ppa)]
-	if blk.bad {
-		return ErrBadBlock
-	}
 	if page != blk.nextPage {
 		return fmt.Errorf("%w: block %d page %d (next programmable %d)",
 			ErrNotErased, f.cfg.BlockOf(ppa), page, blk.nextPage)
@@ -562,12 +541,6 @@ func (f *Flash) drop(blk *blockState, pg *page) {
 	}
 }
 
-// RunPage is one page of a ReadRun.
-type RunPage struct {
-	PPA PPA   // the page to read
-	Err error // ErrUncorrectable when this page failed ECC (injected)
-}
-
 // ReadRun reads pages of one block — in any order, with gaps — as one
 // background-class operation: one die hold of len(pages)·tR, then one
 // channel hold for all the transfers. That is the occupancy of as many
@@ -577,35 +550,36 @@ type RunPage struct {
 // copy-back: every page's bytes and tag stay in the array for Move. The
 // relocation paths of the FTL move a victim's valid pages with it.
 //
-// With a fault injector installed and salvage false, the die hold steps
-// page by page so each page gets its ECC verdict at its own instant
-// (read-retry latency is spent on the die); a page beyond the budget
-// has Err set and the run goes on. salvage reads raw, as SalvageRead
-// does. The returned error is for the run as a whole (bad addresses).
-func (f *Flash) ReadRun(p *sim.Proc, pages []RunPage, salvage bool) error {
+// With a fault injector installed the die hold steps page by page so
+// each page gets its ECC verdict at its own instant, and its read-retry
+// latency is spent on the die. A copy-back never leaves the array, so a
+// page beyond the ECC budget moves as the array holds it, and the
+// copy's verdicts start from its own program instant (the BER model
+// keeps no error pattern to carry over). The returned error is for the
+// run as a whole (bad addresses).
+func (f *Flash) ReadRun(p *sim.Proc, pages []PPA) error {
 	if len(pages) == 0 {
 		return nil
 	}
-	blk := f.cfg.BlockOf(pages[0].PPA)
-	for i := range pages {
-		if err := f.checkPPA(pages[i].PPA); err != nil {
+	blk := f.cfg.BlockOf(pages[0])
+	for _, ppa := range pages {
+		if err := f.checkPPA(ppa); err != nil {
 			return err
 		}
-		if f.cfg.BlockOf(pages[i].PPA) != blk {
-			return fmt.Errorf("%w: run spans blocks %d and %d", ErrOutOfRange, blk, f.cfg.BlockOf(pages[i].PPA))
+		if f.cfg.BlockOf(ppa) != blk {
+			return fmt.Errorf("%w: run spans blocks %d and %d", ErrOutOfRange, blk, f.cfg.BlockOf(ppa))
 		}
-		pages[i].Err = nil
 	}
-	die := f.cfg.DieOf(pages[0].PPA)
+	die := f.cfg.DieOf(pages[0])
 	ch := f.cfg.ChannelOf(die)
 	n := sim.Duration(len(pages))
 	tr := f.o.Tracer()
 	f.dies[die].Acquire(p)
 	sp := tr.Begin(f.dieTrack[die], "nand", "tR")
-	if f.inj != nil && !salvage {
-		for i := range pages {
+	if f.inj != nil {
+		for _, ppa := range pages {
 			p.Sleep(f.cfg.ReadLatency)
-			_, pages[i].Err = f.readFault(p, pages[i].PPA)
+			f.readFault(p, ppa)
 		}
 	} else {
 		p.Sleep(n * f.cfg.ReadLatency)
@@ -647,9 +621,6 @@ func (f *Flash) ProgramRun(p *sim.Proc, base PPA, n int) error {
 		return fmt.Errorf("%w: run of %d pages from page %d leaves the block", ErrOutOfRange, n, page)
 	}
 	blk := &f.blocks[f.cfg.BlockOf(base)]
-	if blk.bad {
-		return ErrBadBlock
-	}
 	if page != blk.nextPage {
 		return fmt.Errorf("%w: block %d page %d (next programmable %d)",
 			ErrNotErased, f.cfg.BlockOf(base), page, blk.nextPage)
@@ -705,9 +676,6 @@ func (f *Flash) EraseBlock(p *sim.Proc, blk BlockID) error {
 		return ErrOutOfRange
 	}
 	bs := &f.blocks[blk]
-	if bs.bad {
-		return ErrBadBlock
-	}
 	die := int(uint64(blk) / uint64(f.cfg.BlocksPerDie))
 	start := f.env.Now()
 	f.dies[die].Acquire(p)
@@ -741,15 +709,6 @@ func (f *Flash) Discard(ppa PPA) {
 		f.drop(&f.blocks[f.cfg.BlockOf(ppa)], pg)
 	}
 }
-
-// MarkBad retires a block — the FTL calls this after an uncorrectable
-// read (and tests use it for direct injection).
-func (f *Flash) MarkBad(blk BlockID) {
-	f.blocks[blk].bad = true
-}
-
-// IsBad reports whether a block has been retired.
-func (f *Flash) IsBad(blk BlockID) bool { return f.blocks[blk].bad }
 
 // EraseCount reports a block's erase cycles.
 func (f *Flash) EraseCount(blk BlockID) int { return f.blocks[blk].eraseCount }

@@ -256,22 +256,6 @@ func TestDieParallelism(t *testing.T) {
 	}
 }
 
-func TestMarkBadInjection(t *testing.T) {
-	e := sim.NewEnv()
-	f := New(e, testConfig())
-	f.MarkBad(3)
-	e.Go("t", func(p *sim.Proc) {
-		ppa := PPA(uint64(3) * uint64(f.Config().PagesPerBlock))
-		if err := f.ProgramPage(p, ppa, nil); !errors.Is(err, ErrBadBlock) {
-			t.Errorf("program: err = %v, want ErrBadBlock", err)
-		}
-		if err := f.EraseBlock(p, 3); !errors.Is(err, ErrBadBlock) {
-			t.Errorf("erase: err = %v, want ErrBadBlock", err)
-		}
-	})
-	e.Run()
-}
-
 // A read takes its bytes and tag when it is issued: a Discard while it
 // waits on the die leaves it the page as programmed, and only later
 // reads see the zeroes. The discarded buffer backs the next program of

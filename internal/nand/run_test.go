@@ -9,15 +9,6 @@ import (
 	"twobssd/internal/sim"
 )
 
-// readRun builds a read run over the given pages.
-func readRun(ppas ...PPA) []RunPage {
-	pages := make([]RunPage, len(ppas))
-	for i, ppa := range ppas {
-		pages[i].PPA = ppa
-	}
-	return pages
-}
-
 // peekTag is a page's out-of-band tag and whether the page holds bytes.
 func peekTag(f *Flash, ppa PPA) (uint32, bool) {
 	if pg := f.stored(ppa); pg != nil {
@@ -63,9 +54,8 @@ func TestRunOccupancyCountersAndTags(t *testing.T) {
 			f.Move(src+PPA(i), base+PPA(i))
 		}
 		// Read back pages 4, 0, 2: any order, gaps allowed.
-		pages := readRun(base+4, base, base+2)
 		t0, ev0 = e.Now(), e.Events()
-		if err := f.ReadRun(p, pages, false); err != nil {
+		if err := f.ReadRun(p, []PPA{base + 4, base, base + 2}); err != nil {
 			t.Fatalf("ReadRun: %v", err)
 		}
 		if got, want := sim.Duration(e.Now()-t0), 3*(c.ReadLatency+c.TransferTime(c.PageSize)); got != want {
@@ -73,11 +63,6 @@ func TestRunOccupancyCountersAndTags(t *testing.T) {
 		}
 		if ev := e.Events() - ev0; ev != 2 {
 			t.Errorf("read run cost %d events, want 2", ev)
-		}
-		for i := range pages {
-			if pages[i].Err != nil {
-				t.Errorf("page %d: err %v", pages[i].PPA, pages[i].Err)
-			}
 		}
 		for i := 0; i < n; i++ {
 			if got, want := f.PeekPage(base+PPA(i)), fill(i); !bytes.Equal(got[:len(want)], want) || got[len(want)] != 0 {
@@ -109,7 +94,7 @@ func TestRunOccupancyCountersAndTags(t *testing.T) {
 }
 
 // The run operations keep the single-page rules: one block, in program
-// order, inside the block, not on a bad block.
+// order, inside the block.
 func TestRunRules(t *testing.T) {
 	c := testConfig()
 	e := sim.NewEnv()
@@ -122,12 +107,8 @@ func TestRunRules(t *testing.T) {
 		if err := f.ProgramRun(p, base, c.PagesPerBlock+1); !errors.Is(err, ErrOutOfRange) {
 			t.Errorf("run past the block: %v", err)
 		}
-		if err := f.ReadRun(p, readRun(base, c.PPAOf(0, 2, 0)), false); !errors.Is(err, ErrOutOfRange) {
+		if err := f.ReadRun(p, []PPA{base, c.PPAOf(0, 2, 0)}); !errors.Is(err, ErrOutOfRange) {
 			t.Errorf("read run over two blocks: %v", err)
-		}
-		f.MarkBad(c.BlockOf(base))
-		if err := f.ProgramRun(p, base, 1); !errors.Is(err, ErrBadBlock) {
-			t.Errorf("run on a bad block: %v", err)
 		}
 		if e.Now() != 0 {
 			t.Errorf("rejected runs took time: %v", e.Now())
@@ -171,9 +152,9 @@ func TestProgramRunStepsUnderInjector(t *testing.T) {
 }
 
 // With a BER model the read run gives each page its own verdict: a page
-// left to age beyond the ECC budget comes back ErrUncorrectable — its
-// tag taken all the same — its neighbours in the same run read clean,
-// and a salvage run reads all of them raw.
+// left to age beyond the ECC budget spends every retry step and counts
+// as uncorrectable, its neighbours in the same run read clean, and the
+// run goes on — a copy-back moves the page as the array holds it.
 func TestReadRunPerPageVerdicts(t *testing.T) {
 	c := testConfig()
 	e := sim.NewEnv()
@@ -192,24 +173,19 @@ func TestReadRunPerPageVerdicts(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		pages := readRun(base, base+1, base+2)
 		t0 := e.Now()
-		if err := f.ReadRun(p, pages, false); err != nil {
+		if err := f.ReadRun(p, []PPA{base, base + 1, base + 2}); err != nil {
 			t.Fatalf("ReadRun: %v", err)
-		}
-		if !errors.Is(pages[0].Err, ErrUncorrectable) || pages[1].Err != nil || pages[2].Err != nil {
-			t.Fatalf("verdicts: %v, %v, %v", pages[0].Err, pages[1].Err, pages[2].Err)
 		}
 		if got, want := sim.Duration(e.Now()-t0), 3*(c.ReadLatency+c.TransferTime(c.PageSize))+2*60*sim.Microsecond; got != want {
 			t.Errorf("run with two retry steps took %v, want %v", got, want)
 		}
-		t0 = e.Now()
-		if err := f.ReadRun(p, pages, true); err != nil || pages[0].Err != nil {
-			t.Fatalf("salvage run: %v, page 0 err %v", err, pages[0].Err)
-		}
-		if got, want := sim.Duration(e.Now()-t0), 3*(c.ReadLatency+c.TransferTime(c.PageSize)); got != want {
-			t.Errorf("salvage run took %v, want %v", got, want)
-		}
 	})
 	e.Run()
+	if got := counter(t, e, "fault.uncorrectable_reads"); got != 1 {
+		t.Errorf("%d uncorrectable verdicts, want the aged page's", got)
+	}
+	if got := counter(t, e, "fault.ecc_retries"); got != 2 {
+		t.Errorf("%d retry steps, want the aged page's 2", got)
+	}
 }
