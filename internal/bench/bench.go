@@ -60,26 +60,6 @@ func (t *Table) Print(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// Get returns the value at (x, series), for assertions in tests.
-func (t *Table) Get(x, series string) (float64, bool) {
-	si := -1
-	for i, s := range t.Series {
-		if s == series {
-			si = i
-			break
-		}
-	}
-	if si < 0 {
-		return 0, false
-	}
-	for _, r := range t.Rows {
-		if r.X == x && si < len(r.Vals) {
-			return r.Vals[si], true
-		}
-	}
-	return 0, false
-}
-
 // Scale sizes an experiment run.
 type Scale struct {
 	LatReps int   // repetitions per latency point

@@ -328,3 +328,23 @@ func TestAblations(t *testing.T) {
 		t.Errorf("group commit: fsyncs/commit should fall with clients (1:%.2f 16:%.2f)", f1, f16)
 	}
 }
+
+// Get returns the value at (x, series), for assertions in tests.
+func (t *Table) Get(x, series string) (float64, bool) {
+	si := -1
+	for i, s := range t.Series {
+		if s == series {
+			si = i
+			break
+		}
+	}
+	if si < 0 {
+		return 0, false
+	}
+	for _, r := range t.Rows {
+		if r.X == x && si < len(r.Vals) {
+			return r.Vals[si], true
+		}
+	}
+	return 0, false
+}

@@ -44,9 +44,6 @@ type Entry struct {
 	Pages  int     // length in 4 KB pages
 }
 
-// Bytes returns the pinned length in bytes.
-func (e Entry) Bytes(pageSize int) int { return e.Pages * pageSize }
-
 // Errors reported by the 2B-SSD APIs.
 var (
 	ErrBadEID       = errors.New("2bssd: EID out of range")

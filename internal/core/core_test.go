@@ -594,3 +594,6 @@ func TestPropertyDualPathRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Bytes returns the pinned length in bytes.
+func (e Entry) Bytes(pageSize int) int { return e.Pages * pageSize }

@@ -123,19 +123,6 @@ type BERModel struct {
 	RetryLatency     sim.Duration // extra latency per retry step
 }
 
-// DefaultBER returns a mid-life TLC-ish model: reads stay clean on
-// young blocks and short retention, retries appear as either grows.
-func DefaultBER() *BERModel {
-	return &BERModel{
-		Base:             1e-5,
-		PECycleGrowth:    0.002,
-		RetentionPerHour: 0.5,
-		ECCBits:          40,
-		RetrySteps:       4,
-		RetryLatency:     60 * sim.Microsecond,
-	}
-}
-
 // Plan is the full fault scenario for one simulation environment.
 // The zero Plan (plus a Seed) injects nothing.
 type Plan struct {
@@ -215,17 +202,6 @@ func Of(env *sim.Env) *Injector {
 		}
 	}
 	return nil
-}
-
-// Enabled reports whether faults can be injected at all.
-func (in *Injector) Enabled() bool { return in != nil }
-
-// Plan returns the installed plan (zero value on the nil injector).
-func (in *Injector) Plan() Plan {
-	if in == nil {
-		return Plan{}
-	}
-	return in.plan
 }
 
 func (in *Injector) trip(why string) {

@@ -20,8 +20,6 @@ func TestNilInjectorHooksAllocateNothing(t *testing.T) {
 		_ = in.ReadFault(4096, 100, 3600*sim.Second)
 		_ = in.DumpCut(1)
 		in.Disarm()
-		_ = in.Enabled()
-		_ = in.Plan()
 	})
 	if allocs != 0 {
 		t.Fatalf("nil-injector hooks allocated %.1f allocs/op, want 0", allocs)
@@ -149,5 +147,18 @@ func TestOfReturnsInstalledInjector(t *testing.T) {
 	in := Install(env, Plan{Seed: 7})
 	if Of(env) != in {
 		t.Fatal("Of must return the installed injector")
+	}
+}
+
+// DefaultBER returns a mid-life TLC-ish model: reads stay clean on
+// young blocks and short retention, retries appear as either grows.
+func DefaultBER() *BERModel {
+	return &BERModel{
+		Base:             1e-5,
+		PECycleGrowth:    0.002,
+		RetentionPerHour: 0.5,
+		ECCBits:          40,
+		RetrySteps:       4,
+		RetryLatency:     60 * sim.Microsecond,
 	}
 }

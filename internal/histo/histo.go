@@ -243,9 +243,6 @@ func (h *H) WindowSince(prev *H) Window {
 	return w
 }
 
-// Empty reports whether the window saw no samples.
-func (w Window) Empty() bool { return w.N == 0 }
-
 // Mean returns the average sample of the window.
 func (w Window) Mean() sim.Duration {
 	if w.N == 0 {

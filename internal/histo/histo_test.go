@@ -372,3 +372,6 @@ func BenchmarkObserve(b *testing.B) {
 		sinkH.Observe(ds[i&(len(ds)-1)])
 	}
 }
+
+// Empty reports whether the window saw no samples.
+func (w Window) Empty() bool { return w.N == 0 }

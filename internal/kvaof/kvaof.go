@@ -98,12 +98,6 @@ func Open(env *sim.Env, p *sim.Proc, cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// Log exposes the AOF log for commit accounting.
-func (s *Store) Log() *wal.Log { return s.aof }
-
-// Len returns the number of live keys.
-func (s *Store) Len() int { return len(s.dict) }
-
 // Keys returns every live key in sorted order. Crash campaigns use it
 // to enumerate the recovered store when hunting phantom records.
 func (s *Store) Keys() []string {

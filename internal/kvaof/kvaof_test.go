@@ -560,3 +560,6 @@ func TestOpenFailsWhenTheTornTailCutFails(t *testing.T) {
 	})
 	r.env.Run()
 }
+
+// Len returns the number of live keys.
+func (s *Store) Len() int { return len(s.dict) }

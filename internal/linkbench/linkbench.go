@@ -30,15 +30,6 @@ const (
 	GetLinkList
 )
 
-func (k OpKind) String() string {
-	names := []string{"ADD_NODE", "UPDATE_NODE", "DELETE_NODE", "GET_NODE",
-		"ADD_LINK", "DELETE_LINK", "UPDATE_LINK", "COUNT_LINKS", "GET_LINK", "GET_LINK_LIST"}
-	if int(k) < len(names) {
-		return names[k]
-	}
-	return fmt.Sprintf("OpKind(%d)", int(k))
-}
-
 // mix is the published LinkBench operation distribution (percent).
 var mix = []struct {
 	kind OpKind

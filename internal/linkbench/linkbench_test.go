@@ -2,6 +2,7 @@ package linkbench
 
 import (
 	"bytes"
+	"fmt"
 	"sort"
 	"testing"
 
@@ -159,4 +160,13 @@ func TestOpKindStrings(t *testing.T) {
 	if AddNode.String() != "ADD_NODE" || GetLinkList.String() != "GET_LINK_LIST" {
 		t.Fatal("names wrong")
 	}
+}
+
+func (k OpKind) String() string {
+	names := []string{"ADD_NODE", "UPDATE_NODE", "DELETE_NODE", "GET_NODE",
+		"ADD_LINK", "DELETE_LINK", "UPDATE_LINK", "COUNT_LINKS", "GET_LINK", "GET_LINK_LIST"}
+	if int(k) < len(names) {
+		return names[k]
+	}
+	return fmt.Sprintf("OpKind(%d)", int(k))
 }

@@ -102,11 +102,6 @@ func (c Config) Blocks() int { return c.Dies() * c.BlocksPerDie }
 // Pages returns the total page count.
 func (c Config) Pages() int { return c.Blocks() * c.PagesPerBlock }
 
-// CapacityBytes returns the raw capacity.
-func (c Config) CapacityBytes() int64 {
-	return int64(c.Pages()) * int64(c.PageSize)
-}
-
 // TransferTime returns the channel transfer time for n bytes.
 func (c Config) TransferTime(n int) sim.Duration {
 	if n <= 0 {

@@ -347,3 +347,8 @@ func TestPropertyPPABijection(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// CapacityBytes returns the raw capacity.
+func (c Config) CapacityBytes() int64 {
+	return int64(c.Pages()) * int64(c.PageSize)
+}

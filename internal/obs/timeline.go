@@ -109,9 +109,6 @@ func (s *Set) StartSampler() *Sampler {
 // Sampler returns the set's sampler, or nil when sampling is off.
 func (s *Set) Sampler() *Sampler { return s.sampler }
 
-// Dropped reports how many points the ring capacity discarded.
-func (sm *Sampler) Dropped() uint64 { return sm.dropped }
-
 // emit closes a window: computes deltas against the previous cumulative
 // state and appends a point to the ring.
 func (sm *Sampler) emit(window, timeNs int64, final bool) {

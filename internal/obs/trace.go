@@ -45,9 +45,6 @@ func newTracer(env *sim.Env) *Tracer {
 	return &Tracer{env: env, tids: make(map[string]int)}
 }
 
-// Enabled reports whether the tracer records events.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // Events returns the recorded events in chronological order. The
 // slice is borrowed: do not mutate it.
 func (t *Tracer) Events() []Event {
@@ -55,14 +52,6 @@ func (t *Tracer) Events() []Event {
 		return nil
 	}
 	return t.events
-}
-
-// Dropped reports how many events the cap discarded.
-func (t *Tracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.dropped
 }
 
 // Track returns the name of a track ID.

@@ -140,12 +140,6 @@ func NewWindowOn(env *sim.Env, cfg Config, mem Memory) *Window {
 	return w
 }
 
-// Size returns the window length in bytes.
-func (w *Window) Size() int { return w.mem.Len() }
-
-// Config returns the latency model in use.
-func (w *Window) Config() Config { return w.cfg }
-
 func (w *Window) check(off, n int) error {
 	if off < 0 || n < 0 || off+n > w.mem.Len() {
 		return fmt.Errorf("%w: [%d,%d) of %d", ErrOutOfWindow, off, off+n, w.mem.Len())

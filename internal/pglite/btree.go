@@ -35,9 +35,6 @@ func newBTree() *btree {
 	return &btree{root: &btreeNode{leaf: true}}
 }
 
-// Len returns the number of indexed keys.
-func (t *btree) Len() int { return t.size }
-
 // search finds the leaf that should hold key.
 func (t *btree) searchLeaf(key []byte) *btreeNode {
 	n := t.root

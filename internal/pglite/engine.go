@@ -176,9 +176,6 @@ func (e *Engine) newTable(name string, f *vfs.File) *Table {
 	return t
 }
 
-// Log exposes the XLOG for commit-latency accounting in benches.
-func (e *Engine) Log() *wal.Log { return e.xlog }
-
 // CreateTable declares a relation. It is idempotent: a table whose heap
 // file an earlier engine left was opened, and its heap scanned, at Open.
 func (e *Engine) CreateTable(name string) error {

@@ -946,3 +946,9 @@ func TestCutPastHighWaterMarkRevivesNothing(t *testing.T) {
 	})
 	r.env.Run()
 }
+
+// Len returns the number of indexed keys.
+func (t *btree) Len() int { return t.size }
+
+// Log exposes the XLOG for commit-latency accounting in benches.
+func (e *Engine) Log() *wal.Log { return e.xlog }

@@ -276,9 +276,6 @@ type Proc struct {
 // parked process; run recognizes it and the coroutine ends.
 type killedSentinel struct{}
 
-// Env returns the environment this process belongs to.
-func (p *Proc) Env() *Env { return p.env }
-
 // Name returns the process name given to Go.
 func (p *Proc) Name() string { return p.name }
 
@@ -819,9 +816,6 @@ func (r *Resource) Use(p *Proc, d Duration) Duration {
 // InUse reports the number of units currently held.
 func (r *Resource) InUse() int { return r.inUse }
 
-// QueueLen reports the number of processes waiting.
-func (r *Resource) QueueLen() int { return len(r.waiters) - r.whead }
-
 // Busy reports the cumulative time the resource has been non-idle,
 // including a still-open busy period — the numerator of an occupancy
 // gauge sampled mid-run.
@@ -978,9 +972,6 @@ func (s *Signal) FireOne() {
 	}
 	s.env.unblock(w)
 }
-
-// Fires reports how many times the signal fired.
-func (s *Signal) Fires() uint64 { return s.fires }
 
 // Waiters reports the number of parked processes.
 func (s *Signal) Waiters() int { return len(s.waiters) - s.whead }

@@ -619,3 +619,12 @@ func TestSignalFireOneReusesWaiterSlice(t *testing.T) {
 		t.Fatalf("%d allocations over 10000 FireOne/Wait cycles, want none", mallocs)
 	}
 }
+
+// Env returns the environment this process belongs to.
+func (p *Proc) Env() *Env { return p.env }
+
+// QueueLen reports the number of processes waiting.
+func (r *Resource) QueueLen() int { return len(r.waiters) - r.whead }
+
+// Fires reports how many times the signal fired.
+func (s *Signal) Fires() uint64 { return s.fires }

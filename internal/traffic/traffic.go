@@ -12,7 +12,6 @@
 package traffic
 
 import (
-	"fmt"
 	"math"
 
 	"twobssd/internal/sim"
@@ -40,14 +39,12 @@ func expGap(r *sim.Rand, ratePerSec float64) sim.Duration {
 // Arrival is an open-loop arrival process: given the stream RNG and
 // the current virtual time it returns the gap to the next arrival.
 type Arrival interface {
-	Name() string
 	Gap(r *sim.Rand, now sim.Time) sim.Duration
 }
 
 // Poisson is a stationary Poisson process.
 type Poisson struct{ RatePerSec float64 }
 
-func (a Poisson) Name() string { return fmt.Sprintf("poisson(%.0f/s)", a.RatePerSec) }
 func (a Poisson) Gap(r *sim.Rand, now sim.Time) sim.Duration {
 	return expGap(r, a.RatePerSec)
 }
@@ -62,9 +59,6 @@ type Diurnal struct {
 	Period     sim.Duration
 }
 
-func (a Diurnal) Name() string {
-	return fmt.Sprintf("diurnal(%.0f/s±%.0f%%)", a.BasePerSec, a.Amplitude*100)
-}
 func (a Diurnal) Gap(r *sim.Rand, now sim.Time) sim.Duration {
 	period := a.Period
 	if period <= 0 {
@@ -86,9 +80,6 @@ type Bursty struct {
 	BurstLen    sim.Duration
 }
 
-func (a Bursty) Name() string {
-	return fmt.Sprintf("bursty(%.0f/%.0f per s)", a.BasePerSec, a.BurstPerSec)
-}
 func (a Bursty) Gap(r *sim.Rand, now sim.Time) sim.Duration {
 	every := a.BurstEvery
 	if every <= 0 {
@@ -110,9 +101,6 @@ type Ramp struct {
 	Over        sim.Duration
 }
 
-func (a Ramp) Name() string {
-	return fmt.Sprintf("ramp(%.0f→%.0f/s)", a.StartPerSec, a.EndPerSec)
-}
 func (a Ramp) Gap(r *sim.Rand, now sim.Time) sim.Duration {
 	rate := a.EndPerSec
 	if a.Over > 0 && sim.Duration(now) < a.Over {

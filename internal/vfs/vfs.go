@@ -53,15 +53,6 @@ func (fs *FS) Device() *device.Device { return fs.dev }
 // PageSize returns the device page size.
 func (fs *FS) PageSize() int { return fs.dev.PageSize() }
 
-// FreePages reports the total unallocated pages.
-func (fs *FS) FreePages() int {
-	n := 0
-	for _, e := range fs.free {
-		n += e.pages
-	}
-	return n
-}
-
 // Create allocates a contiguous file with the given byte capacity
 // (rounded up to whole pages).
 func (fs *FS) Create(name string, capacity int64) (*File, error) {

@@ -484,3 +484,12 @@ func TestAlignedReadAtDoesNotAllocate(t *testing.T) {
 		t.Fatalf("%.2f allocations per aligned one-page ReadAt, want 0", allocs)
 	}
 }
+
+// FreePages reports the total unallocated pages.
+func (fs *FS) FreePages() int {
+	n := 0
+	for _, e := range fs.free {
+		n += e.pages
+	}
+	return n
+}

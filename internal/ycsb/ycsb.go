@@ -90,17 +90,6 @@ const (
 	OpUpdate
 )
 
-func (k OpKind) String() string {
-	switch k {
-	case OpRead:
-		return "READ"
-	case OpUpdate:
-		return "UPDATE"
-	default:
-		return fmt.Sprintf("OpKind(%d)", int(k))
-	}
-}
-
 // Op is one generated operation.
 type Op struct {
 	Kind  OpKind
