@@ -85,6 +85,9 @@ var designRules = []rule{
 			"internal/core/x.go\nfunc f(err error) bool { return errors.Is(err, nand.ErrWornOut) }", "internal/device/x.go\nfunc (d *Device) maybeTimeout(p *sim.Proc) {}",
 			"internal/nand/x.go\nfunc (f *Flash) MarkBad(blk BlockID) { f.blocks[blk].bad = true }",
 			"internal/ftl/x.go\nfunc (f *FTL) f(p *sim.Proc, ppa nand.PPA) error { return f.flash.SalvageRead(p, ppa) }"}},
+	{name: "A rate ends at its last ack", pr: 61, in: dirs("bench"), bad: callAfter("Now", "Run"),
+		planted: []string{"internal/bench/x.go\nfunc f() float64 { st.env.Run(); return n / sim.Duration(st.env.Now()).Seconds() }",
+			"internal/bench/x.go\nfunc f() { e.Run()\nelapsed := sim.Duration(e.Now() - start)\n_ = elapsed }"}},
 	{name: "One copy of an LBA programs at a time", pr: 60, in: dirs("device"), bad: ident("^(inflightDone|landed)$"),
 		planted: []string{"internal/device/x.go\nfunc (d *Device) f(p *sim.Proc) { d.inflightDone.Wait(p) }",
 			"internal/device/x.go\ntype lbaBuf struct{ landed int }"}},
@@ -166,6 +169,35 @@ func callIn(fn, callee string) matcher {
 			ast.Inspect(d.Body, func(m ast.Node) bool { found = found || calls(m, s); return !found })
 		}
 		return found
+	}
+}
+
+// callAfter matches a block in which a statement calls fn after an
+// earlier statement of the block called run with no arguments: reading
+// an environment's clock once it has run to idle.
+func callAfter(fn, run string) matcher {
+	calls, ran := call("^"+fn+"$", -1), call("^"+run+"$", 0)
+	in := func(stmt ast.Stmt, m matcher, s *source) (found bool) {
+		ast.Inspect(stmt, func(n ast.Node) bool {
+			if _, lit := n.(*ast.FuncLit); lit {
+				return false // a process body runs on its own clock
+			}
+			found = found || m(n, s)
+			return !found
+		})
+		return found
+	}
+	return func(n ast.Node, s *source) bool {
+		b, ok := n.(*ast.BlockStmt)
+		if !ok {
+			return false
+		}
+		for i, stmt := range b.List {
+			if in(stmt, ran, s) {
+				return slices.ContainsFunc(b.List[i+1:], func(later ast.Stmt) bool { return in(later, calls, s) })
+			}
+		}
+		return false
 	}
 }
 

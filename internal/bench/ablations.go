@@ -109,6 +109,7 @@ func AblationGroupCommit(r *Runner) *Table {
 	run := func(clients int) (float64, float64) {
 		st := newStack(LogULL)
 		defer st.env.Shutdown()
+		var win opWindow
 		st.env.Go("setup", func(p *sim.Proc) {
 			f, err := st.logFS.Create("log", 8<<20)
 			if err != nil {
@@ -121,6 +122,7 @@ func AblationGroupCommit(r *Runner) *Table {
 			for c := 0; c < clients; c++ {
 				st.env.Go("client", func(w *sim.Proc) {
 					for i := 0; i < 40; i++ {
+						win.issue(st.env.Now())
 						lsn, err := l.Append(w, make([]byte, 128))
 						if err != nil {
 							panic(err)
@@ -128,6 +130,7 @@ func AblationGroupCommit(r *Runner) *Table {
 						if err := l.Commit(w, lsn); err != nil {
 							panic(err)
 						}
+						win.ack(st.env.Now())
 					}
 				})
 			}
@@ -135,8 +138,7 @@ func AblationGroupCommit(r *Runner) *Table {
 		st.env.Run()
 		reg := obs.Of(st.env).Registry()
 		commits := float64(reg.Counter("wal.commits").Value())
-		elapsed := sim.Duration(st.env.Now())
-		return commits / elapsed.Seconds(),
+		return win.rate(commits),
 			float64(reg.Counter("wal.flushes").Value()) / commits
 	}
 	counts := []int{1, 4, 16}

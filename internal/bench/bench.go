@@ -31,6 +31,32 @@ type Row struct {
 	Vals []float64
 }
 
+// opWindow is what a rate divides by: the span from the first op
+// issued to the last op acknowledged. An environment's clock after
+// Run() is the instant it went idle, which can be long after the last
+// op returned (a write buffer's drain, an erase), so no rate divides
+// by it.
+type opWindow struct {
+	first, last sim.Time
+	started     bool
+}
+
+// issue records an op issued at now.
+func (w *opWindow) issue(now sim.Time) {
+	if !w.started {
+		w.first, w.started = now, true
+	}
+}
+
+// ack records an op acknowledged at now.
+func (w *opWindow) ack(now sim.Time) { w.last = max(w.last, now) }
+
+// span is the window's length.
+func (w *opWindow) span() sim.Duration { return sim.Duration(w.last - w.first) }
+
+// rate is n per second of the window.
+func (w *opWindow) rate(n float64) float64 { return n / w.span().Seconds() }
+
 // AddRow appends a data point.
 func (t *Table) AddRow(x string, vals ...float64) {
 	t.Rows = append(t.Rows, Row{X: x, Vals: vals})

@@ -296,8 +296,8 @@ func TestPMRComparisonShape(t *testing.T) {
 	if pmrHost < 1.2 {
 		t.Errorf("PMR host bytes/log byte = %.2f, want ~2", pmrHost)
 	}
-	baTput := get(t, tab, "2B-SSD (BA-WAL)", "commits/s")
-	pmrTput := get(t, tab, "PMR device", "commits/s")
+	baTput := get(t, tab, "2B-SSD (BA-WAL)", "commits/s+flush")
+	pmrTput := get(t, tab, "PMR device", "commits/s+flush")
 	if pmrTput > baTput {
 		t.Errorf("PMR (%.0f) should not beat 2B-SSD (%.0f)", pmrTput, baTput)
 	}
