@@ -417,7 +417,7 @@ func (f *FTL) WritePage(p *sim.Proc, lba LBA, data []byte) error {
 // WritePageTagged is WritePage with the integrity tag computed by the
 // caller where the page crossed the host boundary: the CRC of the page
 // as stored. The tag rides out of band with the page through NAND,
-// garbage collection and block retirement, and ReadPageInto checks it.
+// garbage collection and scrub rewrites, and ReadPageInto checks it.
 func (f *FTL) WritePageTagged(p *sim.Proc, lba LBA, data []byte, tag uint32) error {
 	if err := f.checkLBA(lba); err != nil {
 		return err

@@ -295,7 +295,7 @@ func TestPropertyLastWriteWins(t *testing.T) {
 	}
 }
 
-// A relocation (GC, retirement, scrub) copies a page across two yields
+// A relocation (GC, scrub) copies a page across two yields
 // — the read and the program. A host write of the same LBA that lands
 // in between must win: the relocation may only rebind a mapping that is
 // still the one it read. Four writers keep the drive in steady GC; each
