@@ -661,7 +661,7 @@ func (f *FTL) relocWorker(w *sim.Proc, _ *struct{}, _ int) error {
 	return nil
 }
 
-// moveRun moves one run, a slice of evacSrc that it may reorder: read
+// moveRun moves one run, a slice of evacSrc that it filters in place: read
 // the pages, drop those the host overwrote or trimmed while the read
 // was in flight, land the rest.
 func (f *FTL) moveRun(p *sim.Proc, run []nand.PPA) error {
