@@ -91,6 +91,10 @@ var designRules = []rule{
 	{name: "One copy of an LBA programs at a time", pr: 60, in: dirs("device"), bad: ident("^(inflightDone|landed)$"),
 		planted: []string{"internal/device/x.go\nfunc (d *Device) f(p *sim.Proc) { d.inflightDone.Wait(p) }",
 			"internal/device/x.go\ntype lbaBuf struct{ landed int }"}},
+	{name: "Housekeeping off the write path", pr: 62, in: dirs("ftl", "device"), bad: callOutside("^(collect|evacuate)$", "collector", "collect"),
+		planted: []string{"internal/ftl/x.go\nfunc (f *FTL) WritePageTagged(p *sim.Proc) { if f.trigger() { f.collect(p) } }",
+			"internal/device/x.go\nfunc (d *Device) drainLoop(p *sim.Proc) { go func() { d.ftl.evacuate(p, 0) }() }",
+			"internal/ftl/x.go\nfunc (f *FTL) hostPage(p *sim.Proc) { f.evacuate(p, f.victim()) }"}},
 }
 
 type rule struct {
@@ -161,11 +165,23 @@ func call(re string, nargs int) matcher {
 
 // callIn matches a function or method named fn whose body calls callee.
 func callIn(fn, callee string) matcher {
-	calls := call("^"+callee+"$", -1)
+	return callsFrom("^"+callee+"$", func(name string) bool { return name == fn })
+}
+
+// callOutside matches a function or method, other than those named
+// fns, whose body calls a function or method whose name matches callee.
+func callOutside(callee string, fns ...string) matcher {
+	return callsFrom(callee, func(name string) bool { return !slices.Contains(fns, name) })
+}
+
+// callsFrom matches a function or method whose name passes in and whose
+// body calls one whose name matches callee.
+func callsFrom(callee string, in func(name string) bool) matcher {
+	calls := call(callee, -1)
 	return func(n ast.Node, s *source) bool {
 		d, ok := n.(*ast.FuncDecl)
 		found := false
-		if ok && d.Name.Name == fn && d.Body != nil {
+		if ok && in(d.Name.Name) && d.Body != nil {
 			ast.Inspect(d.Body, func(m ast.Node) bool { found = found || calls(m, s); return !found })
 		}
 		return found

@@ -223,6 +223,9 @@ func (s *TwoBSSD) PowerLoss(p *sim.Proc) (DumpReport, error) {
 	if err := s.dev.Drain(p); err != nil {
 		return rep, err
 	}
+	// Collection takes no new victim until PowerOn: what is left of the
+	// reserve is the dump's.
+	s.dev.FTL().StopGC()
 	// 2. Firmware dumps the mapped BA-buffer pages and the mapping
 	//    table to erased pages of the reserved area, die-parallel,
 	//    until the reserve runs out.
@@ -326,6 +329,7 @@ func (s *TwoBSSD) PowerOn(p *sim.Proc) error {
 		return errors.New("2bssd: already powered on")
 	}
 	s.powered = true
+	defer s.dev.FTL().StartGC()
 	if err := s.rec.restoreImage(p); err != nil {
 		return err
 	}

@@ -61,13 +61,18 @@ func (s *TwoBSSD) ScrubPass(p *sim.Proc) error {
 			continue
 		}
 		sc.cScanned.Inc()
-		if r.Corrupt {
-			// The page failed ECC, or its stored CRC no longer matches
-			// the (post-ECC) contents: silent corruption below the ECC
-			// model. Count it — the read paths will refuse to serve the
-			// page.
+		switch {
+		case r.Uncorrectable:
+			// The page failed ECC: its data is lost. The series is made
+			// at the first such page, so a run that loses none reports
+			// the series it always did.
+			s.o.Registry().Counter("scrub.uncorrectable").Inc()
+		case r.Corrupt:
+			// Its stored CRC no longer matches the (post-ECC) contents:
+			// silent corruption below the ECC model.
 			sc.cCRCErrors.Inc()
 		}
+		// Either way the read paths will refuse to serve the page.
 		if r.Repaired {
 			sc.cRepaired.Inc()
 		}

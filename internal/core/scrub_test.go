@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"twobssd/internal/fault"
+	"twobssd/internal/ftl"
 	"twobssd/internal/integrity"
 	"twobssd/internal/sim"
 )
@@ -84,5 +85,40 @@ func TestScrubRepairsRetentionErrors(t *testing.T) {
 	}
 	if ctrlLost == 0 {
 		t.Error("control lost no page; retention model too weak for this test")
+	}
+}
+
+// A patrol pass tells a lost page from a corrupted one: a page aged past
+// the ECC budget counts in scrub.uncorrectable, a fresh page whose bytes
+// no longer match their CRC in scrub.crc_errors, and neither in both.
+func TestScrubCountsLossApartFromCRCErrors(t *testing.T) {
+	const hour = 3600 * sim.Second
+	e := sim.NewEnv()
+	fault.Install(e, fault.Plan{Seed: 7, BER: retentionBER()})
+	s := New(e, testConfig())
+	ps := s.PageSize()
+	e.Go("t", func(p *sim.Proc) {
+		write := func(lba int) {
+			if err := s.Device().WritePages(p, ftl.LBA(lba), bytes.Repeat([]byte{byte(lba)}, ps)); err != nil {
+				t.Fatalf("write: %v", err)
+			}
+			if err := s.Device().Drain(p); err != nil {
+				t.Fatalf("drain: %v", err)
+			}
+		}
+		write(3)
+		p.Sleep(60 * hour) // past the ECC budget
+		write(4)
+		ppa, _ := s.Device().FTL().PPAOf(4)
+		if !s.Device().Flash().CorruptPage(ppa, 1) {
+			t.Fatal("lba 4 holds no bytes")
+		}
+		if err := s.ScrubPass(p); err != nil {
+			t.Fatalf("scrub: %v", err)
+		}
+	})
+	e.Run()
+	if lost, crc := counter(t, e, "scrub.uncorrectable"), counter(t, e, "scrub.crc_errors"); lost != 1 || crc != 1 {
+		t.Fatalf("scrub.uncorrectable %d, scrub.crc_errors %d; want 1 each", lost, crc)
 	}
 }

@@ -62,6 +62,11 @@ type openBlock struct {
 	nextPage int
 }
 
+// room reports whether the slot has an open block with a page left.
+func (ob openBlock) room(pagesPerBlock int) bool {
+	return ob.nextPage >= 0 && ob.nextPage < pagesPerBlock
+}
+
 // FTL is a page-mapping translation layer bound to one flash array.
 type FTL struct {
 	env   *sim.Env
@@ -71,6 +76,7 @@ type FTL struct {
 	exportedPages uint64
 	usableBlocks  int
 	gcFreeTarget  int // GC runs when the free-block count drops to this
+	relocSlots    int // the relocation frontier's slots, and its reserve of free blocks
 
 	// The page map, as a controller keeps it: tables indexed by LBA and
 	// by PPA, in pieces of one block's worth of entries, each made at the
@@ -84,27 +90,40 @@ type FTL struct {
 	pieceMem   []uint32   // pieces not handed out yet, carved mapPieces at a time
 	validCount []int      // valid pages per usable block
 	free       []nand.BlockID
-	open       []openBlock // one open block per die, nil blk = -1
+	open       []openBlock // the host frontier: one open block per die, nextPage -1 until opened
 	nextDie    int
+
+	// The relocation frontier: open blocks that only relocation programs,
+	// min(relocWorkers, dies) of them, each behind its own lock. As many
+	// free blocks as it has slots are its reserve (see hostPage). Made at
+	// the first collection or scrub rewrite, with erasers and erased.
+	relocOpen  []openBlock
+	relocLocks []sim.Resource // one backing array; elements never copied
 
 	// Victims wait for their die's eraser and join free once erased;
 	// erasing counts them, erased fires per erase.
-	erasers []eraser // by die, made at the first collection
+	erasers []eraser // by die
 	erasing int
 	erased  *sim.Signal
 
-	// dieLocks serialize allocate+program per open-block slot so
-	// concurrent writer processes cannot reorder page programs within a
-	// block (the NAND sequential-program rule). gcLock serializes garbage
-	// collection and scrub rewrites.
-	// Lock order: gcLock, then one dieLock, then NAND channel/die.
+	// The collector: a daemon started at the first trigger, woken by
+	// gcWork (see maybeGC), that takes no new victim while stopped.
+	gcWork    *sim.Signal
+	gcStopped bool
+
+	// dieLocks serialize allocate+program per host slot, and relocLocks
+	// per relocation slot, so concurrent processes cannot reorder page
+	// programs within a block (the NAND sequential-program rule). gcLock
+	// serializes collection and scrub rewrites.
+	// Lock order: gcLock, then one relocLock, then NAND channel/die; a
+	// host write takes one dieLock, then NAND channel/die.
 	dieLocks []sim.Resource // one backing array; elements never copied
 	gcLock   *sim.Resource
 
 	// Block evacuation (see evacuate); gcLock's holder owns all of it.
 	skip      []bool       // pickVictim marks: open and free blocks, and blocks awaiting erase
 	evacSrc   []nand.PPA   // the victim's valid pages, cut into the runs
-	relocDie  int          // round-robin cursor over destination slots
+	relocSlot int          // round-robin cursor over relocation slots
 	relocQ    [][]nand.PPA // runs handed to the workers, relocQ[:relocHead] taken
 	relocHead int
 	relocErr  error              // first error of the batch
@@ -171,6 +190,7 @@ func New(env *sim.Env, flash *nand.Flash, cfg Config) *FTL {
 		flash:         flash,
 		cfg:           cfg,
 		gcFreeTarget:  gcFreeTarget,
+		relocSlots:    min(relocWorkers, fc.Dies()),
 		exportedPages: exported,
 		usableBlocks:  usable,
 		l2p:           make([][]uint32, (exported+uint64(fc.PagesPerBlock)-1)/uint64(fc.PagesPerBlock)),
@@ -294,9 +314,10 @@ func (f *FTL) unbind(ppa nand.PPA) bool {
 // by an LBA that maps elsewhere, and each block's valid count is what a
 // recount of its p2l gives; every free block is erased, and a block
 // waiting for its erase holds no valid page and is neither free nor
-// open. A write, trim, relocation or erase updates the map and the pool
-// without yielding, so the invariants hold whenever a proc can run.
-// Audit does not yield, and allocates only the error it returns.
+// open on either frontier. A write, trim, relocation or erase updates
+// the map and the pool without yielding, so the invariants hold
+// whenever a proc can run. Audit does not yield, and allocates only the
+// error it returns.
 func (f *FTL) Audit() error {
 	pages := f.flash.Config().Pages()
 	mapped, owned := 0, 0
@@ -337,7 +358,8 @@ func (f *FTL) Audit() error {
 	}
 	for _, q := range f.erasers {
 		for _, b := range q.queue {
-			open := slices.ContainsFunc(f.open, func(ob openBlock) bool { return ob.nextPage >= 0 && ob.blk == b })
+			isOpen := func(ob openBlock) bool { return ob.nextPage >= 0 && ob.blk == b }
+			open := slices.ContainsFunc(f.open, isOpen) || slices.ContainsFunc(f.relocOpen, isOpen)
 			free := slices.Contains(f.free, b)
 			if f.validCount[b] != 0 || open || free {
 				return fmt.Errorf("ftl: block %d waits for its erase holding %d valid pages, open %v, free %v", b, f.validCount[b], open, free)
@@ -354,46 +376,81 @@ func (f *FTL) checkLBA(lba LBA) error {
 	return nil
 }
 
-// popFree removes and returns a free block, preferring one on the given
-// die to preserve program parallelism. Returns false when none remain.
-func (f *FTL) popFree(die int) (nand.BlockID, bool) {
-	if len(f.free) == 0 {
-		return 0, false
-	}
-	fc := f.flash.Config()
+// hostBlock is the index in free of the block host slot die opens
+// next: the first on that die, to keep program parallelism, else the
+// first.
+func (f *FTL) hostBlock(die int) int {
 	for i, b := range f.free {
-		if int(uint64(b)/uint64(fc.BlocksPerDie)) == die {
-			f.free = append(f.free[:i], f.free[i+1:]...)
-			return b, true
+		if f.dieOf(b) == die {
+			return i
 		}
 	}
-	b := f.free[0]
-	f.free = append(f.free[:0], f.free[1:]...) // in place: free keeps its capacity
-	return b, true
+	return 0
 }
 
-// allocRun takes up to want consecutive pages of slot die's open block —
-// as many as the block has left — opening a fresh block (preferably on
-// that die) if it is full. With the pool empty it waits for a pending
-// erase, and only then yields. Called with dieLocks[die] held.
-func (f *FTL) allocRun(p *sim.Proc, die, want int) (base nand.PPA, n int, err error) {
-	fc := f.flash.Config()
-	ob := &f.open[die]
-	for ob.nextPage < 0 || ob.nextPage >= fc.PagesPerBlock {
-		blk, ok := f.popFree(die)
-		if !ok {
-			if f.erasing == 0 {
-				return 0, 0, ErrNoSpace
-			}
-			f.erased.Wait(p)
-			continue
-		}
-		*ob = openBlock{blk: blk, nextPage: 0}
-	}
-	base = nand.PPA(uint64(ob.blk)*uint64(fc.PagesPerBlock) + uint64(ob.nextPage))
-	n = min(want, fc.PagesPerBlock-ob.nextPage)
+// take removes free[i] and returns it; free keeps its capacity.
+func (f *FTL) take(i int) nand.BlockID {
+	b := f.free[i]
+	f.free = append(f.free[:i], f.free[i+1:]...)
+	return b
+}
+
+// dieOf is the die a block lives on.
+func (f *FTL) dieOf(blk nand.BlockID) int {
+	return int(uint64(blk) / uint64(f.flash.Config().BlocksPerDie))
+}
+
+// erasingOn reports whether a victim waits on die's eraser, the head of
+// its queue erasing.
+func (f *FTL) erasingOn(die int) bool {
+	return f.erasers != nil && len(f.erasers[die].queue) > 0
+}
+
+// claim takes up to want consecutive pages of ob, an open block with a
+// page left.
+func (f *FTL) claim(ob *openBlock, want int) (base nand.PPA, n int) {
+	ppb := f.flash.Config().PagesPerBlock
+	base = nand.PPA(uint64(ob.blk)*uint64(ppb) + uint64(ob.nextPage))
+	n = min(want, ppb-ob.nextPage)
 	ob.nextPage += n
-	return base, n, nil
+	return base, n
+}
+
+// hostPage takes the next page of host slot die's open block, opening a
+// fresh block (preferably on that die) if it is full. It never takes
+// the pool down into the relocation frontier's reserve while a victim
+// exists: it wakes the collector, releases the slot's lock and waits
+// for an erase, holding no lock, then tries again. ErrNoSpace means the
+// pool is empty, nothing is erasing and there is no victim (or, while
+// the collector is stopped, none it will take). Called with
+// dieLocks[die] held, and returns with it held.
+func (f *FTL) hostPage(p *sim.Proc, die int) (nand.PPA, error) {
+	ob := &f.open[die]
+	for !ob.room(f.flash.Config().PagesPerBlock) {
+		open := len(f.free) > f.relocSlots
+		if !open {
+			// Down to the reserve: it is the host's only when there is
+			// nothing to relocate — or the collector is stopped — and no
+			// erase to wait for.
+			_, victim := f.pickVictim()
+			if (!victim || f.gcStopped) && f.erasing == 0 {
+				if len(f.free) == 0 {
+					return 0, ErrNoSpace
+				}
+				open = true
+			}
+		}
+		if open {
+			*ob = openBlock{blk: f.take(f.hostBlock(die)), nextPage: 0}
+			break
+		}
+		f.maybeGC()
+		f.dieLocks[die].Release()
+		f.erased.Wait(p)
+		f.dieLocks[die].Acquire(p)
+	}
+	ppa, _ := f.claim(ob, 1)
+	return ppa, nil
 }
 
 // invalidate is where a physical page loses its owner to an overwrite
@@ -418,17 +475,22 @@ func (f *FTL) WritePage(p *sim.Proc, lba LBA, data []byte) error {
 // caller where the page crossed the host boundary: the CRC of the page
 // as stored. The tag rides out of band with the page through NAND,
 // garbage collection and scrub rewrites, and ReadPageInto checks it.
+// The write never collects: it wakes the collector (maybeGC) and waits
+// only for its slot, its program and, with the pool down to the
+// relocation reserve, an erase.
 func (f *FTL) WritePageTagged(p *sim.Proc, lba LBA, data []byte, tag uint32) error {
 	if err := f.checkLBA(lba); err != nil {
 		return err
 	}
 	start := f.env.Now()
-	if err := f.maybeGC(p); err != nil {
-		return err
+	if f.maybeGC() {
+		// Let the collector take its turn at this instant, so an erase
+		// it queues is there before the write picks a die.
+		p.Sleep(0)
 	}
 	die := f.hostSlot(lba)
 	f.dieLocks[die].Acquire(p)
-	ppa, _, err := f.allocRun(p, die, 1)
+	ppa, err := f.hostPage(p, die)
 	if err == nil {
 		if err = f.flash.ProgramPageTagged(p, ppa, data, tag); err != nil {
 			err = fmt.Errorf("ftl: program failed: %w", err)
@@ -444,24 +506,40 @@ func (f *FTL) WritePageTagged(p *sim.Proc, lba LBA, data []byte, tag uint32) err
 	f.bind(lba, ppa)
 	f.cHostWrites.Inc()
 	f.cNandWrites.Inc()
-	// The histogram includes any inline GC pause — the tail-latency
-	// effect the paper attributes to fsync-heavy logging.
 	f.hWrite.Observe(sim.Duration(f.env.Now() - start))
 	return nil
 }
 
 // hostSlot picks the slot for a host write of lba: the slot whose open
 // block's last page is lba's copy, so a sequential stream rewritten
-// back to back lands one die apart, else the round-robin cursor's.
+// back to back lands one die apart, else the first from the round-robin
+// cursor. Either way it passes over a slot whose die has a victim
+// waiting on its eraser — an erase would hold the program for
+// milliseconds — unless every slot's die has one. A slot's die is its
+// open block's, or, with the block full, the die hostBlock prefers.
 func (f *FTL) hostSlot(lba LBA) int {
+	ppb := f.flash.Config().PagesPerBlock
+	slotDie := func(d int) int {
+		if ob := f.open[d]; ob.room(ppb) {
+			return f.dieOf(ob.blk)
+		}
+		return d
+	}
 	if ppa, ok := f.lookup(lba); ok {
 		last := openBlock{f.flash.Config().BlockOf(ppa), int(uint64(ppa)%f.piece) + 1}
-		if d := slices.Index(f.open, last); d >= 0 {
+		if d := slices.Index(f.open, last); d >= 0 && !f.erasingOn(slotDie(d)) {
 			return d
 		}
 	}
+	n := len(f.open)
 	d := f.nextDie
-	f.nextDie = (d + 1) % len(f.open)
+	for i := 0; i < n; i++ {
+		if c := (f.nextDie + i) % n; !f.erasingOn(slotDie(c)) {
+			d = c
+			break
+		}
+	}
+	f.nextDie = (d + 1) % n
 	return d
 }
 
@@ -482,10 +560,11 @@ func (f *FTL) ReadPage(p *sim.Proc, lba LBA) ([]byte, error) {
 // (the controller answers from the map). Every mapped page is checked
 // against the integrity tag it was written with; a mismatch is an error
 // wrapping integrity.ErrPageCorrupt. So is an uncorrectable read
-// (injected BER beyond the ECC budget), which wraps nand.ErrUncorrectable
-// too: the page's data is lost, and the read changes no state — there
-// is no bad-block manager to retire the block, and no salvage to hand
-// the host bytes that the ECC could not vouch for.
+// (injected BER beyond the ECC budget, or the copy of a page relocation
+// found so), which wraps nand.ErrUncorrectable too: the page's data is
+// lost, and the read changes no state — there is no bad-block manager
+// to retire the block, and no salvage to hand the host bytes that the
+// ECC could not vouch for.
 func (f *FTL) ReadPageInto(p *sim.Proc, lba LBA, dst []byte) error {
 	if err := f.checkLBA(lba); err != nil {
 		return err
@@ -522,57 +601,117 @@ func (f *FTL) Trim(lba LBA) error {
 	return nil
 }
 
-// maybeGC runs greedy garbage collection until the free-block pool is
-// back above the target. Inline (foreground) GC: the writing process
-// pays the reclamation cost, which is exactly the tail-latency effect
-// the paper attributes to fsync-heavy logging. gcLock serializes
-// collectors; it is always taken before any die lock.
-func (f *FTL) maybeGC(p *sim.Proc) error {
-	if len(f.free)+f.erasing > f.gcFreeTarget {
-		return nil
+// maybeGC wakes the collector when collection is due, starting it at
+// the first trigger, and reports whether it woke a collector that was
+// parked. It never yields:
+// collection is the collector's, and no host path runs it.
+func (f *FTL) maybeGC() bool {
+	if !f.due() {
+		return false
 	}
+	if f.gcWork == nil {
+		f.housekeeping()
+		f.gcWork = f.env.NewSignal("ftl.gc")
+		f.env.GoDaemon("ftl.gc", f.collector)
+		return true
+	}
+	if f.gcWork.Waiters() == 0 {
+		return false // collecting: it checks the trigger again before it parks
+	}
+	f.gcWork.Fire()
+	return true
+}
+
+// due reports whether collection is due: the pool, counting the blocks
+// being erased, is down to the target, and the collector is not stopped.
+func (f *FTL) due() bool {
+	return !f.gcStopped && len(f.free)+f.erasing <= f.gcFreeTarget
+}
+
+// StopGC keeps the collector from taking another victim until StartGC.
+// The recovery manager stops it for the power-loss dump, which the
+// capacitor reserve must cover: a victim being evacuated then is
+// finished, as an erase in flight is, and no other is started. A write
+// that lands meanwhile may take the relocation reserve.
+func (f *FTL) StopGC() { f.gcStopped = true }
+
+// StartGC lets the collector take victims again and wakes it if the
+// trigger holds.
+func (f *FTL) StartGC() {
+	f.gcStopped = false
+	f.maybeGC()
+}
+
+// relocNames names the relocation slots' locks.
+var relocNames = func() (names [relocWorkers]string) {
+	for i := range names {
+		names[i] = fmt.Sprintf("ftl.reloc%d", i)
+	}
+	return names
+}()
+
+// housekeeping makes what relocation and erasing need, at the first
+// collection or scrub rewrite: the relocation frontier and its locks,
+// the erasers and the erased signal. A drive that never collects makes
+// none of it.
+func (f *FTL) housekeeping() {
+	if f.relocLocks != nil {
+		return
+	}
+	f.relocOpen = make([]openBlock, f.relocSlots)
+	for i := range f.relocOpen {
+		f.relocOpen[i].nextPage = -1
+	}
+	f.relocLocks = f.env.NewResources(relocNames[:f.relocSlots], 1)
+	f.erasers = make([]eraser, len(f.open))
+	f.erased = f.env.NewSignal("ftl.erased")
+}
+
+// collector is the garbage-collection daemon. Woken by maybeGC, it
+// collects while collection is due and a victim exists, and waits for
+// the next wake-up otherwise — never spinning at one instant on a
+// trigger it cannot act on.
+func (f *FTL) collector(p *sim.Proc) {
+	for {
+		if !f.due() || !f.collect(p) {
+			f.gcWork.Wait(p)
+		}
+	}
+}
+
+// collect takes gcLock and runs greedy reclamation while collection is
+// due and a victim is left, and reports whether it reclaimed one. A relocation that fails
+// is a modelling error, as a failed drain write is: the reserve keeps
+// relocation in free blocks.
+func (f *FTL) collect(p *sim.Proc) bool {
 	f.gcLock.Acquire(p)
 	defer f.gcLock.Release()
-	if len(f.free)+f.erasing > f.gcFreeTarget {
-		// Another process collected while we waited on the lock.
-		return nil
+	victim, ok := f.pickVictim()
+	if !ok || !f.due() {
+		return false
 	}
 	start := f.env.Now()
 	sp := f.o.Tracer().Begin("ftl.gc", "ftl", "gc")
-	err := f.collect(p)
-	sp.End()
-	f.hGCPause.Observe(sim.Duration(f.env.Now() - start))
-	return err
-}
-
-// collect runs greedy reclamation until the pool, counting the blocks
-// being erased, is above target. Called with gcLock held.
-func (f *FTL) collect(p *sim.Proc) error {
-	for len(f.free)+f.erasing <= f.gcFreeTarget {
-		victim, ok := f.pickVictim()
-		if !ok {
-			if len(f.free)+f.erasing == 0 {
-				return ErrNoSpace
-			}
-			return nil // nothing reclaimable; still have some room
-		}
+	for ok {
 		f.cGCRuns.Inc()
 		if err := f.evacuate(p, victim); err != nil {
-			return fmt.Errorf("ftl: gc relocation: %w", err)
+			panic(fmt.Sprintf("ftl: gc relocation: %v", err))
 		}
 		f.eraseLater(victim)
+		if !f.due() {
+			break
+		}
+		victim, ok = f.pickVictim()
 	}
-	return nil
+	sp.End()
+	f.hGCPause.Observe(sim.Duration(f.env.Now() - start))
+	return true
 }
 
 // eraseLater queues an evacuated victim on its die's eraser, a daemon
 // started at the die's first victim: the erase leaves the collector.
 func (f *FTL) eraseLater(blk nand.BlockID) {
-	if f.erasers == nil {
-		f.erasers = make([]eraser, len(f.open))
-		f.erased = f.env.NewSignal("ftl.erased")
-	}
-	q := &f.erasers[int(uint64(blk)/uint64(f.flash.Config().BlocksPerDie))]
+	q := &f.erasers[f.dieOf(blk)]
 	if q.work == nil {
 		q.work = f.env.NewSignal("ftl.erase")
 		f.env.GoDaemon("ftl.erase", func(p *sim.Proc) { f.eraseLoop(p, q) })
@@ -674,55 +813,92 @@ func (f *FTL) moveRun(p *sim.Proc, run []nand.PPA) error {
 			live = append(live, ppa)
 		}
 	}
-	return f.land(p, live, -1, f.cGCReloc)
+	return f.land(p, live, f.cGCReloc)
 }
 
 // land programs copy-back targets for valid pages (pages[i] is where
-// each lives now) into open blocks and rebinds their mappings — the one
-// place host and relocation map updates are arbitrated. slot names the
-// open-block slot to use; slot < 0 takes, run by run, a slot whose die
-// is idle. Bytes and integrity tags move with their pages at the
-// rebind, after the whole run has programmed. Called under gcLock (see
-// evacuate).
-func (f *FTL) land(p *sim.Proc, pages []nand.PPA, slot int, moved *obs.Counter) error {
+// each lives now) on the relocation frontier and rebinds their mappings
+// — the one place host and relocation map updates are arbitrated. It
+// takes a relocation slot whose die is idle; a run that outgrows the
+// slot's open block goes on in the slot's next block rather than on
+// another die, so the free block a relocation uses up is taken while
+// the collection that caused it is still counting. Bytes and integrity
+// tags move with their pages at the rebind, after the whole run has
+// programmed. Called under gcLock (see evacuate).
+func (f *FTL) land(p *sim.Proc, pages []nand.PPA, moved *obs.Counter) error {
+	if len(pages) == 0 {
+		return nil
+	}
+	f.housekeeping()
+	s := f.lockIdleSlot(p)
+	defer f.relocLocks[s].Release()
 	for len(pages) > 0 {
-		d := slot
-		if d < 0 {
-			d = f.lockIdleSlot(p)
-		} else {
-			f.dieLocks[d].Acquire(p)
-		}
-		// A run that outgrows the open block goes on in the slot's next
-		// block rather than on another die: the free block a relocation
-		// uses up is then taken while the collection that caused it is
-		// still counting, not by a later host write.
-		var err error
-		for err == nil && len(pages) > 0 {
-			var base nand.PPA
-			var n int
-			if base, n, err = f.allocRun(p, d, len(pages)); err != nil {
-				break
-			}
-			if err = f.flash.ProgramRun(p, base, n); err != nil {
-				break
-			}
-			for i, src := range pages[:n] {
-				f.cNandWrites.Inc()
-				moved.Inc()
-				// The run yielded since the page was read: rebind only if
-				// the mapping is still the page that was read. A host
-				// write (or trim) that landed meanwhile wins, and the
-				// copy stays unmapped, without bytes.
-				f.rebind(src, base+nand.PPA(i))
-			}
-			pages = pages[n:]
-		}
-		f.dieLocks[d].Release()
+		base, n, err := f.relocRun(p, s, len(pages))
 		if err != nil {
 			return err
 		}
+		if err := f.flash.ProgramRun(p, base, n); err != nil {
+			return err
+		}
+		for i, src := range pages[:n] {
+			f.cNandWrites.Inc()
+			moved.Inc()
+			// The run yielded since the page was read: rebind only if
+			// the mapping is still the page that was read. A host
+			// write (or trim) that landed meanwhile wins, and the
+			// copy stays unmapped, without bytes.
+			f.rebind(src, base+nand.PPA(i))
+		}
+		pages = pages[n:]
 	}
 	return nil
+}
+
+// relocRun takes up to want consecutive pages of relocation slot s's
+// open block, opening a fresh block if it is full: one on a die that is
+// idle and has no victim waiting for its erase, and, among those, not
+// one another slot's block is on. With the pool empty it waits for a
+// pending erase, holding the slot's lock, which only relocation takes.
+// Called with relocLocks[s] held.
+func (f *FTL) relocRun(p *sim.Proc, s, want int) (nand.PPA, int, error) {
+	ob := &f.relocOpen[s]
+	for !ob.room(f.flash.Config().PagesPerBlock) {
+		if len(f.free) > 0 {
+			*ob = openBlock{blk: f.take(f.frontierBlock()), nextPage: 0}
+			break
+		}
+		if f.erasing == 0 {
+			return 0, 0, ErrNoSpace
+		}
+		f.erased.Wait(p)
+	}
+	base, n := f.claim(ob, want)
+	return base, n, nil
+}
+
+// frontierBlock is the index in free of the block a relocation slot
+// opens next: the first whose die is idle and erases nothing, better
+// still one no relocation slot's open block is on, else the first.
+func (f *FTL) frontierBlock() int {
+	ppb := f.flash.Config().PagesPerBlock
+	best, bestScore := 0, -1
+	for i, b := range f.free {
+		die := f.dieOf(b)
+		score := 0
+		if f.flash.DieIdle(die) && !f.erasingOn(die) {
+			score = 2
+		}
+		if !slices.ContainsFunc(f.relocOpen, func(ob openBlock) bool { return ob.room(ppb) && f.dieOf(ob.blk) == die }) {
+			score++
+		}
+		if score > bestScore {
+			best, bestScore = i, score
+			if score == 3 {
+				break
+			}
+		}
+	}
+	return best
 }
 
 // rebind moves the mapping of the valid page at src to its copy at dst,
@@ -752,36 +928,32 @@ func (f *FTL) validPages(blk nand.BlockID, dst []nand.PPA) []nand.PPA {
 	return dst
 }
 
-// lockIdleSlot locks an open-block slot for a relocation run: the first
-// from the round-robin cursor whose lock is free and whose NAND die is
-// idle at this instant, so concurrent runs fan out over the array and
-// stay off dies that host reads or other runs are using. The die is the
-// one the slot will program — its open block's, which popFree's
-// fallback can put on another die than the slot's number. With nothing
-// idle it queues on the cursor's slot.
+// lockIdleSlot locks a relocation slot for a run: the first from the
+// round-robin cursor whose lock is free and whose die — its open
+// block's; a slot without room opens a block on an idle die — is idle
+// at this instant, so concurrent runs fan out over the array and stay
+// off dies that host reads or other runs are using. With nothing idle
+// it queues on the cursor's slot.
 func (f *FTL) lockIdleSlot(p *sim.Proc) int {
-	fc := f.flash.Config()
-	n := len(f.open)
+	ppb := f.flash.Config().PagesPerBlock
+	n := len(f.relocOpen)
 	for i := 0; i < n; i++ {
-		d := (f.relocDie + i) % n
-		die := d
-		if ob := f.open[d]; ob.nextPage >= 0 && ob.nextPage < fc.PagesPerBlock {
-			die = int(uint64(ob.blk) / uint64(fc.BlocksPerDie))
-		}
-		if f.flash.DieIdle(die) && f.dieLocks[d].TryAcquire() {
-			f.relocDie = (d + 1) % n
-			return d
+		s := (f.relocSlot + i) % n
+		ob := f.relocOpen[s]
+		if (!ob.room(ppb) || f.flash.DieIdle(f.dieOf(ob.blk))) && f.relocLocks[s].TryAcquire() {
+			f.relocSlot = (s + 1) % n
+			return s
 		}
 	}
-	d := f.relocDie
-	f.relocDie = (d + 1) % n
-	f.dieLocks[d].Acquire(p)
-	return d
+	s := f.relocSlot
+	f.relocSlot = (s + 1) % n
+	f.relocLocks[s].Acquire(p)
+	return s
 }
 
 // pickVictim selects the closed block with the fewest valid pages
-// (greedy; the lowest block wins a tie). Open and free blocks and those
-// waiting for their erase are excluded, and so is each die's reserved
+// (greedy; the lowest block wins a tie). Open blocks of both frontiers,
+// free blocks and those waiting for their erase are excluded, and so is each die's reserved
 // tail, which the scan never enters.
 func (f *FTL) pickVictim() (nand.BlockID, bool) {
 	fc := f.flash.Config()
@@ -790,6 +962,11 @@ func (f *FTL) pickVictim() (nand.BlockID, bool) {
 	}
 	mark := func(v bool) {
 		for _, ob := range f.open {
+			if ob.nextPage >= 0 {
+				f.skip[ob.blk] = v
+			}
+		}
+		for _, ob := range f.relocOpen {
 			if ob.nextPage >= 0 {
 				f.skip[ob.blk] = v
 			}
@@ -828,11 +1005,12 @@ func (f *FTL) pickVictim() (nand.BlockID, bool) {
 
 // ScrubResult reports what one patrol read found and did.
 type ScrubResult struct {
-	Mapped   bool   // LBA had a physical mapping (unmapped pages are skipped)
-	Retries  int    // ECC read-retries the patrol read needed (correctable errors)
-	Repaired bool   // page was rewritten to a fresh location
-	Data     []byte // page contents as read (post-correction)
-	Corrupt  bool   // uncorrectable, or contents no longer match the page's integrity tag
+	Mapped        bool   // LBA had a physical mapping (unmapped pages are skipped)
+	Retries       int    // ECC read-retries the patrol read needed (correctable errors)
+	Repaired      bool   // page was rewritten to a fresh location
+	Data          []byte // page contents as read (post-correction)
+	Corrupt       bool   // uncorrectable, or contents no longer match the page's integrity tag
+	Uncorrectable bool   // the read failed ECC: the page is lost (Corrupt too)
 }
 
 // ScrubPage patrol-reads one logical page on behalf of the background
@@ -859,7 +1037,8 @@ func (f *FTL) ScrubPage(p *sim.Proc, lba LBA) (ScrubResult, error) {
 	if err != nil && !errors.Is(err, nand.ErrUncorrectable) {
 		return r, err
 	}
-	r.Data, r.Corrupt = data, err != nil || integrity.Check(data, tag) != nil
+	r.Data, r.Uncorrectable = data, err != nil
+	r.Corrupt = r.Uncorrectable || integrity.Check(data, tag) != nil
 	r.Retries = retries
 	if err != nil || retries == 0 {
 		return r, nil
@@ -878,11 +1057,10 @@ func (f *FTL) ScrubPage(p *sim.Proc, lba LBA) (ScrubResult, error) {
 	return r, nil
 }
 
-// relocLocked moves one valid page, already read, into the open block
-// of the die after its own — scrub's single-page repair, a copy-back
-// like any relocation. Called with gcLock held.
+// relocLocked moves one valid page, already read, onto the relocation
+// frontier — scrub's single-page repair, a copy-back like any
+// relocation. Called with gcLock held.
 func (f *FTL) relocLocked(p *sim.Proc, src nand.PPA) error {
-	fc := f.flash.Config()
 	page := [1]nand.PPA{src}
-	return f.land(p, page[:], (fc.DieOf(src)+1)%fc.Dies(), nil)
+	return f.land(p, page[:], nil)
 }

@@ -2,12 +2,15 @@ package ftl
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"twobssd/internal/fault"
+	"twobssd/internal/integrity"
 	"twobssd/internal/nand"
 	"twobssd/internal/sim"
 )
@@ -179,10 +182,14 @@ func TestRelocationRunsNeverRevertHostWrite(t *testing.T) {
 }
 
 // The path kv-block lives on: a victim with no valid page is reclaimed
-// without the relocation machinery, no worker started. Its erase runs
-// on the die's eraser, so the writer waits for none of the 135: the run
-// took 352 042 368 ns and 3 208 events when each erase ran inline, and
-// the events it adds are the erasers' own.
+// without the relocation machinery, no worker started and no relocation
+// block opened. Its erase runs on the die's eraser, so the writer waits
+// for none of the 136: the run took 352 042 368 ns and 3 208 events
+// when each erase ran inline, and 169 249 529 ns and 3 389 events when
+// the writer collected. Each write that wakes the collector yields once
+// so the collector queues its erases before the write picks a die;
+// without that yield the writer picks the die an erase is about to
+// take, and the run takes 191 ms.
 func TestZeroValidVictimPathIsUntouched(t *testing.T) {
 	e := sim.NewEnv()
 	f := newTestFTL(e)
@@ -197,21 +204,22 @@ func TestZeroValidVictimPathIsUntouched(t *testing.T) {
 		}
 	})
 	e.Run()
-	if runs, relocs := counter(t, e, "ftl.gc_runs"), counter(t, e, "ftl.gc_relocations"); runs != 135 || relocs != 0 {
-		t.Fatalf("gc runs %d, relocations %d; want 135 zero-valid victims", runs, relocs)
+	if runs, relocs := counter(t, e, "ftl.gc_runs"), counter(t, e, "ftl.gc_relocations"); runs != 136 || relocs != 0 {
+		t.Fatalf("gc runs %d, relocations %d; want 136 zero-valid victims", runs, relocs)
 	}
-	if e.Now() != 169249529 || e.Events() != 3389 {
-		t.Fatalf("virtual time %d, events %d; want 169249529, 3389", e.Now(), e.Events())
+	if e.Now() != 170549339 || e.Events() != 3658 {
+		t.Fatalf("virtual time %d, events %d; want 170549339, 3658", e.Now(), e.Events())
 	}
-	if f.relocQ != nil || f.evacSrc != nil {
+	if f.relocQ != nil || f.evacSrc != nil || slices.ContainsFunc(f.relocOpen, func(ob openBlock) bool { return ob.nextPage >= 0 }) {
 		t.Fatal("reclaiming empty victims started the relocation machinery")
 	}
 }
 
-// Writers faster than the erasers empty the pool while victims are
-// still erasing: a write that needs a fresh block then waits for an
-// erase (allocRun) instead of failing with ErrNoSpace, every write
-// still lands, and the pool audits clean whenever a write returns.
+// Writers faster than the erasers take the pool down to the relocation
+// reserve while victims are still erasing: a write that needs a fresh
+// block then waits for an erase (hostPage) instead of failing with
+// ErrNoSpace, every write still lands, and the pool audits clean
+// whenever a write returns.
 func TestWritesWaitForPendingErase(t *testing.T) {
 	const writers = 32
 	e := sim.NewEnv()
@@ -288,7 +296,9 @@ func TestNoCollectionNoRelocationProcs(t *testing.T) {
 
 // Collections allocate nothing once the workers, their buffers and the
 // scratch slices exist: 200 of them, every one handing runs to the
-// workers, leave MemStats.Mallocs where it was.
+// workers, leave MemStats.Mallocs where it was. The warm-up is 500
+// collections: a relocation lock's wait queue first grows between the
+// 300th and the 500th.
 func TestCollectionsDoNotAllocate(t *testing.T) {
 	e := sim.NewEnv()
 	f := New(e, runFlash(e), Config{OverProvision: 0.25})
@@ -309,11 +319,13 @@ func TestCollectionsDoNotAllocate(t *testing.T) {
 				t.Fatalf("fill: %v", err)
 			}
 		}
-		churn(300) // every block has been through the pool, maps are at size
+		// Every block has been through the pool, the maps are at size,
+		// and every lock's wait queue has been as long as it gets.
+		churn(500)
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		r0 := f.cGCReloc.Value()
-		churn(500)
+		churn(700)
 		runtime.ReadMemStats(&m1)
 		mallocs, relocs = m1.Mallocs-m0.Mallocs, f.cGCReloc.Value()-r0
 	})
@@ -341,8 +353,9 @@ func fullBlocks(t *testing.T, p *sim.Proc, f *FTL) nand.BlockID {
 }
 
 // A GC run is a copy-back: an uncorrectable page inside it pays its
-// read-retry latency and moves as the array holds it. No page is read
-// twice, and every LBA reads back its own bytes from its copy.
+// read-retry latency and moves as the array holds it, lost. No page is
+// read twice; the aged LBA still reads as lost from its copy, whose own
+// program instant is fresh, and every other LBA reads back its bytes.
 func TestRunMovesUncorrectablePageAsCopyBack(t *testing.T) {
 	e := sim.NewEnv()
 	fault.Install(e, fault.Plan{Seed: 1, BER: &fault.BERModel{
@@ -378,7 +391,13 @@ func TestRunMovesUncorrectablePageAsCopyBack(t *testing.T) {
 			t.Errorf("victim holds %d valid pages", f.validCount[victim])
 		}
 		got := make([]byte, f.PageSize())
-		for i := 0; i < fc.Dies()*fc.PagesPerBlock; i += fc.Dies() {
+		if ppa, _ := f.lookup(0); fc.BlockOf(ppa) == victim {
+			t.Fatal("lba 0 was not moved")
+		}
+		if err := f.ReadPageInto(p, 0, got); !errors.Is(err, integrity.ErrPageCorrupt) || !errors.Is(err, nand.ErrUncorrectable) {
+			t.Errorf("lba 0 reads %v after its move; want it lost: integrity.ErrPageCorrupt and nand.ErrUncorrectable", err)
+		}
+		for i := fc.Dies(); i < fc.Dies()*fc.PagesPerBlock; i += fc.Dies() {
 			if err := f.ReadPageInto(p, LBA(i), got); err != nil || got[0] != byte(i+1) {
 				t.Errorf("lba %d reads %d, %v; want %d", i, got[0], err, i+1)
 			}
@@ -390,11 +409,11 @@ func TestRunMovesUncorrectablePageAsCopyBack(t *testing.T) {
 	e.Run()
 }
 
-// dieLocks[d] guards slot d's open block, and popFree's fallback can
-// put that block on another die than d. With die 1 out of free blocks
-// slot 1 opens a block on die 0; while die 0 is busy, relocation must
-// see slot 1 as busy too — by the die its block lives on — and move on
-// to an idle die instead of queueing behind the erase.
+// A relocation slot is judged by the die its open block lives on. Slot
+// 0's block sits on a die that an erase holds; relocation must pass
+// over it to an idle slot instead of queueing behind the erase, and
+// that slot opens its block on a die that is idle and has no victim
+// waiting for its erase.
 func TestRelocationPicksSlotsByPhysicalDie(t *testing.T) {
 	e := sim.NewEnv()
 	f := newTestFTL(e)
@@ -403,41 +422,41 @@ func TestRelocationPicksSlotsByPhysicalDie(t *testing.T) {
 	e.Go("t", func(p *sim.Proc) {
 		fullBlocks(t, p, f)
 		victim := f.open[2].blk // LBAs 2, 6, 10, ...
-		// Die 1 runs out of free blocks; its slot has to open a new one.
-		kept := f.free[:0]
-		for _, b := range f.free {
-			if dieOf(b) != 1 {
-				kept = append(kept, b)
-			}
-		}
-		f.free = kept
 		ppa, _ := f.lookup(0)
-		if err := f.relocLocked(p, ppa); err != nil { // die 0's page goes to slot 1
+		if err := f.relocLocked(p, ppa); err != nil { // opens slot 0's block
 			t.Fatal(err)
 		}
-		if d := dieOf(f.open[1].blk); d != 0 {
-			t.Fatalf("slot 1 opened a block on die %d, want the fallback on die 0", d)
+		busy := dieOf(f.relocOpen[0].blk)
+		var spare nand.BlockID
+		for _, b := range f.free {
+			if dieOf(b) == busy {
+				spare = b
+				break
+			}
 		}
-		spare := f.free[0]
-		if dieOf(spare) != 0 {
-			t.Fatalf("free[0] is on die %d", dieOf(spare))
-		}
-		e.Go("erase", func(q *sim.Proc) { f.flash.EraseBlock(q, spare) }) // die 0 busy for 2 ms
+		e.Go("erase", func(q *sim.Proc) { f.flash.EraseBlock(q, spare) }) // busy for 2 ms
+		// A victim waits on the eraser of the next die, so that die is
+		// no place for a new relocation block either.
+		erasing := (busy + 1) % fc.Dies()
+		f.erasers[erasing].queue = append(f.erasers[erasing].queue, nand.BlockID(erasing*fc.BlocksPerDie+fc.BlocksPerDie-1))
 		p.Sleep(sim.Microsecond)
 		t0 := e.Now()
+		f.relocSlot = 0
 		f.gcLock.Acquire(p)
 		err := f.evacuate(p, victim)
 		f.gcLock.Release()
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The cursor starts at slot 0 (die 0: busy), then slot 1 — idle
-		// by its number, busy by where its block is.
+		f.erasers[erasing].queue = f.erasers[erasing].queue[:0]
 		if took := sim.Duration(e.Now() - t0); took > fc.EraseLatency/2 {
-			t.Errorf("relocation took %v: it queued behind the erase on die 0", took)
+			t.Errorf("relocation took %v: it queued behind the erase on die %d", took, busy)
+		}
+		if d := dieOf(f.relocOpen[1].blk); d == busy || d == erasing {
+			t.Errorf("slot 1 opened its block on die %d (busy %d, erasing %d)", d, busy, erasing)
 		}
 		for i := 2; i < fc.Dies()*fc.PagesPerBlock; i += fc.Dies() {
-			if ppa, _ := f.lookup(LBA(i)); dieOf(fc.BlockOf(ppa)) == 0 {
+			if ppa, _ := f.lookup(LBA(i)); dieOf(fc.BlockOf(ppa)) == busy {
 				t.Errorf("lba %d landed on the busy die", i)
 			}
 		}
@@ -466,8 +485,8 @@ func TestBytesMoveAtRebindNotAtProgram(t *testing.T) {
 			// Past the read run and the run's transfer, two and a half
 			// pages into its program: the copy of page 1 has programmed.
 			q.Sleep(sim.Duration(fc.PagesPerBlock)*(fc.ReadLatency+2*fc.TransferTime(fc.PageSize)) + 5*fc.ProgramLatency/2)
-			np := f.flash.NextPage(f.open[0].blk)
-			midRun = f.open[0].blk != victim && np == 2
+			ob := f.relocOpen[0]
+			midRun = ob.nextPage >= 0 && f.flash.NextPage(ob.blk) == 2
 			if src, _ := f.lookup(lba); fc.BlockOf(src) != victim {
 				t.Errorf("lba %d was rebound before the run finished programming", lba)
 			}

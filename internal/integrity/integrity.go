@@ -22,10 +22,12 @@ import (
 	"hash/crc32"
 )
 
-// ErrPageCorrupt reports a page whose stored CRC tag no longer matches
-// its contents. Wrapped with location context by every verification
-// site; match with errors.Is(err, integrity.ErrPageCorrupt).
-var ErrPageCorrupt = errors.New("integrity: page CRC mismatch")
+// ErrPageCorrupt reports a page whose contents cannot be trusted: its
+// stored CRC tag no longer matches them (Check), or the flash lost the
+// page (the FTL wraps nand.ErrUncorrectable with it). Wrapped with
+// location context by every verification site, which names the cause;
+// match with errors.Is(err, integrity.ErrPageCorrupt).
+var ErrPageCorrupt = errors.New("integrity: page corrupt")
 
 // castagnoli is the CRC-32C polynomial — the checksum real storage
 // stacks (NVMe end-to-end protection, ext4 metadata_csum, Btrfs) use,
@@ -54,7 +56,7 @@ func PaddedCRC(data []byte, size int) uint32 {
 // the host boundary. The returned error wraps ErrPageCorrupt.
 func Check(data []byte, tag uint32) error {
 	if got := PageCRC(data); got != tag {
-		return fmt.Errorf("%w: tag %08x, contents %08x", ErrPageCorrupt, tag, got)
+		return fmt.Errorf("%w: CRC mismatch: tag %08x, contents %08x", ErrPageCorrupt, tag, got)
 	}
 	return nil
 }

@@ -33,7 +33,8 @@
 // programs pages that hold none yet, and Move hands a source page's
 // buffer and tag to its copy when the FTL remaps the LBA. A page's bytes
 // are never copied inside the array, and a copy the FTL does not map
-// never holds any.
+// never holds any. A page a copy-back read found uncorrectable is marked
+// lost, and the mark moves with it: its copy reads as lost too.
 package nand
 
 import (
@@ -168,6 +169,7 @@ type blockState struct {
 type page struct {
 	data []byte
 	tag  uint32
+	lost bool // a copy-back read found it uncorrectable (see ReadRun)
 }
 
 // minClass is the smallest page buffer. The size classes are minClass
@@ -311,16 +313,21 @@ func (f *Flash) ReadPage(p *sim.Proc, ppa PPA) ([]byte, error) {
 // without bytes) and the number of ECC read-retry steps the read needed:
 // retries > 0 means the page holds latent-but-correctable errors — the
 // signal the background scrubber acts on before wear or retention pushes
-// the page past the ECC budget. dst and the tag are filled even when the
-// read fails ECC; the caller must not hand them on as the page's data.
+// the page past the ECC budget. A page marked lost (see ReadRun) fails
+// with ErrUncorrectable whatever its own verdict. dst and the tag are
+// filled even when the read fails ECC; the caller must not hand them on
+// as the page's data.
 func (f *Flash) ReadPageInto(p *sim.Proc, ppa PPA, dst []byte) (tag uint32, retries int, err error) {
 	if err := f.checkPPA(ppa); err != nil {
 		return 0, 0, err
 	}
-	tag = f.capture(ppa, dst)
+	tag, lost := f.capture(ppa, dst)
 	f.readTimed(p, ppa)
 	if f.inj != nil {
 		retries, err = f.readFault(p, ppa)
+	}
+	if lost && err == nil {
+		err = fmt.Errorf("%w: ppa %d, lost before its copy-back", ErrUncorrectable, uint64(ppa))
 	}
 	return tag, retries, err
 }
@@ -346,16 +353,16 @@ func (f *Flash) readFault(p *sim.Proc, ppa PPA) (retries int, err error) {
 
 // capture copies a page's stored bytes, zero-padded to the page, and
 // its out-of-band tag into dst — the data half of a read, taken when the
-// read is issued.
-func (f *Flash) capture(ppa PPA, dst []byte) uint32 {
+// read is issued — and reports whether the page is marked lost.
+func (f *Flash) capture(ppa PPA, dst []byte) (tag uint32, lost bool) {
 	dst = dst[:f.cfg.PageSize]
 	pg := f.stored(ppa)
 	if pg == nil {
 		clear(dst) // pages without bytes read as zeroes
-		return 0
+		return 0, false
 	}
 	clear(dst[copy(dst, pg.data):])
-	return pg.tag
+	return pg.tag, pg.lost
 }
 
 // stored is what a page holds, nil while it holds no bytes.
@@ -548,10 +555,13 @@ func (f *Flash) drop(blk *blockState, pg *page) {
 // With a fault injector installed the die hold steps page by page so
 // each page gets its ECC verdict at its own instant, and its read-retry
 // latency is spent on the die. A copy-back never leaves the array, so a
-// page beyond the ECC budget moves as the array holds it, and the
-// copy's verdicts start from its own program instant (the BER model
-// keeps no error pattern to carry over). The returned error is for the
-// run as a whole (bad addresses).
+// page beyond the ECC budget moves as the array holds it — bit errors
+// and all: the run marks it lost, Move hands the mark to the copy, and
+// every read of the copy fails with ErrUncorrectable whatever its own
+// verdict. The BER model keeps no error pattern, so a page the ECC
+// could correct moves clean and its copy's verdicts start from its own
+// program instant. The returned error is for the run as a whole (bad
+// addresses).
 func (f *Flash) ReadRun(p *sim.Proc, pages []PPA) error {
 	if len(pages) == 0 {
 		return nil
@@ -574,7 +584,11 @@ func (f *Flash) ReadRun(p *sim.Proc, pages []PPA) error {
 	if f.inj != nil {
 		for _, ppa := range pages {
 			p.Sleep(f.cfg.ReadLatency)
-			f.readFault(p, ppa)
+			if _, err := f.readFault(p, ppa); err != nil {
+				if pg := f.stored(ppa); pg != nil {
+					pg.lost = true
+				}
+			}
 		}
 	} else {
 		p.Sleep(n * f.cfg.ReadLatency)
@@ -643,8 +657,8 @@ func (f *Flash) ProgramRun(p *sim.Proc, base PPA, n int) error {
 	return nil
 }
 
-// Move hands src's bytes and out-of-band tag to dst, a page a
-// ProgramRun programmed as a copy-back target that holds none yet: dst
+// Move hands src's bytes, out-of-band tag and lost mark to dst, a page
+// a ProgramRun programmed as a copy-back target that holds none yet: dst
 // then reads as src did, and src holds nothing, as after a Discard. The
 // FTL calls it in the step that remaps the LBA from src to dst, so the
 // bytes of a mapped page are always where the map points.

@@ -189,3 +189,56 @@ func TestReadRunPerPageVerdicts(t *testing.T) {
 		t.Errorf("%d retry steps, want the aged page's 2", got)
 	}
 }
+
+// A page a copy-back read found uncorrectable stays lost in its copy:
+// Move hands the mark on with the bytes, so the copy fails ECC although
+// its own program instant is fresh, while the neighbours moved in the
+// same run read back clean. An erase clears the mark with the page.
+func TestLostMarkMovesWithThePage(t *testing.T) {
+	c := testConfig()
+	e := sim.NewEnv()
+	fault.Install(e, fault.Plan{Seed: 1, BER: &fault.BERModel{
+		Base: 1e-4, RetentionPerHour: 100, ECCBits: 40, RetrySteps: 2, RetryLatency: 60 * sim.Microsecond,
+	}})
+	f := New(e, c)
+	base, dst := c.PPAOf(3, 0, 0), c.PPAOf(2, 0, 0)
+	e.Go("t", func(p *sim.Proc) {
+		if err := f.ProgramPageTagged(p, base, []byte{1}, 1); err != nil {
+			t.Fatal(err)
+		}
+		p.Sleep(3600 * sim.Second) // page 0 ages past the ECC budget
+		for i := 1; i < 3; i++ {
+			if err := f.ProgramPageTagged(p, base+PPA(i), []byte{byte(i + 1)}, uint32(i+1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := f.ReadRun(p, []PPA{base, base + 1, base + 2}); err != nil {
+			t.Fatalf("ReadRun: %v", err)
+		}
+		if err := f.ProgramRun(p, dst, 3); err != nil {
+			t.Fatalf("ProgramRun: %v", err)
+		}
+		for i := PPA(0); i < 3; i++ {
+			f.Move(base+i, dst+i)
+		}
+		got := make([]byte, c.PageSize)
+		if _, _, err := f.ReadPageInto(p, dst, got); !errors.Is(err, ErrUncorrectable) {
+			t.Errorf("the aged page's copy reads %v, want ErrUncorrectable", err)
+		}
+		for i := PPA(1); i < 3; i++ {
+			if tag, _, err := f.ReadPageInto(p, dst+i, got); err != nil || tag != uint32(i+1) || got[0] != byte(i+1) {
+				t.Errorf("copy %d reads tag %d, byte %d, %v", i, tag, got[0], err)
+			}
+		}
+		if err := f.EraseBlock(p, c.BlockOf(dst)); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.ProgramPageTagged(p, dst, []byte{9}, 9); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := f.ReadPageInto(p, dst, got); err != nil || got[0] != 9 {
+			t.Errorf("a fresh program over the erased copy reads %d, %v", got[0], err)
+		}
+	})
+	e.Run()
+}

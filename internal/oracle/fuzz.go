@@ -9,6 +9,7 @@ import (
 	"twobssd/internal/core"
 	"twobssd/internal/fault"
 	"twobssd/internal/ftl"
+	"twobssd/internal/nand"
 	"twobssd/internal/obs"
 	"twobssd/internal/sim"
 )
@@ -485,7 +486,9 @@ func execOp(p *sim.Proc, s *core.TwoBSSD, m *Model, o Op) *Divergence {
 	case OpMmioSync:
 		return wantErr(s.Mmio().Sync(p, o.Off, o.Len), m.MmioSync(o.Off, o.Len))
 	case OpPin:
-		return wantErr(s.BAPin(p, o.EID, o.Off, o.LBA, o.Pages), m.Pin(o.EID, o.Off, o.LBA, o.Pages))
+		err := s.BAPin(p, o.EID, o.Off, o.LBA, o.Pages)
+		learnLoss(p, s, m, err, o.LBA, o.Pages)
+		return wantErr(err, m.Pin(o.EID, o.Off, o.LBA, o.Pages))
 	case OpFlush:
 		return wantErr(s.BAFlush(p, o.EID), m.Flush(o.EID))
 	case OpBlockWrite:
@@ -495,6 +498,7 @@ func execOp(p *sim.Proc, s *core.TwoBSSD, m *Model, o Op) *Divergence {
 	case OpBlockRead:
 		got := make([]byte, o.Pages*s.PageSize())
 		rerr := s.Device().ReadPagesInto(p, o.LBA, got)
+		learnLoss(p, s, m, rerr, o.LBA, o.Pages)
 		want, werr := m.BlockRead(o.LBA, o.Pages)
 		if d := wantErr(rerr, werr); d != nil {
 			return d
@@ -536,6 +540,26 @@ func execOp(p *sim.Proc, s *core.TwoBSSD, m *Model, o Op) *Divergence {
 		return nil
 	}
 	return &Divergence{Detail: "unknown op kind"}
+}
+
+// learnLoss is how the model learns that the stack lost a page: the
+// BER draw that loses one is the fault plan's, which the model does not
+// replay. When an op over [lba, lba+pages) fails uncorrectable, each
+// page of the range not yet lost in the model is read on its own, and
+// those that fail ECC are lost in the model from then on, until written
+// again. The model then predicts the loss at every later read: a lost
+// page that reads clean after a relocation is a divergence.
+func learnLoss(p *sim.Proc, s *core.TwoBSSD, m *Model, err error, lba ftl.LBA, pages int) {
+	if !errors.Is(err, nand.ErrUncorrectable) {
+		return
+	}
+	buf := make([]byte, m.cfg.PageSize)
+	for i := 0; i < pages; i++ {
+		l := lba + ftl.LBA(i)
+		if !m.lost[uint64(l)] && errors.Is(s.Device().ReadPagesInto(p, l, buf), nand.ErrUncorrectable) {
+			m.lost[uint64(l)] = true
+		}
+	}
 }
 
 // powerCycle cuts power and brings the device back, feeding the real

@@ -4,6 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"twobssd/internal/core"
+	"twobssd/internal/fault"
+	"twobssd/internal/obs"
 	"twobssd/internal/sim"
 )
 
@@ -172,4 +175,56 @@ func TestFillPatternMatchesByteLoop(t *testing.T) {
 func run(seed uint64, cfg Config) Result {
 	r, _ := Campaign(cfg, 0).Trial(NewPoint(seed, cfg), false)
 	return r
+}
+
+// The model learns a loss from the stack and then predicts it: a page
+// aged past the ECC budget fails its block read, the oracle learns it
+// page by page, and every later read of it, alone or in a range, fails
+// in both, until a write brings it back in both.
+func TestModelKeepsALostPageLost(t *testing.T) {
+	env := sim.NewEnv()
+	fault.Install(env, fault.Plan{Seed: 1, BER: &fault.BERModel{
+		Base: 1e-4, RetentionPerHour: 100, ECCBits: 40, RetrySteps: 2, RetryLatency: 60 * sim.Microsecond,
+	}})
+	sc := stackConfig(false)
+	s := core.New(env, sc)
+	m := NewModel(ModelConfig{
+		PageSize: s.PageSize(), BufBytes: sc.BABufferBytes, MaxEntries: sc.MaxEntries, Pages: s.Device().Pages(),
+		WCBurstBytes: sc.MMIO.WCBurstBytes, WCBufferBursts: sc.MMIO.WCBufferBursts,
+	})
+	env.Go("t", func(p *sim.Proc) {
+		ops := []Op{
+			{Kind: OpBlockWrite, LBA: 5, Pages: 1, Seed: 7},
+			{Kind: OpDrain},
+		}
+		for _, o := range ops {
+			if d := execOp(p, s, m, o); d != nil {
+				t.Fatalf("%s: %v", o, d)
+			}
+		}
+		p.Sleep(3600 * sim.Second) // LBA 5 ages past the ECC budget
+		for _, o := range []Op{
+			{Kind: OpBlockRead, LBA: 4, Pages: 3}, // learns the loss
+			{Kind: OpBlockRead, LBA: 5, Pages: 1},
+			{Kind: OpBlockRead, LBA: 3, Pages: 4},
+			{Kind: OpPin, EID: 0, Off: 0, LBA: 5, Pages: 1},
+			{Kind: OpBlockWrite, LBA: 5, Pages: 1, Seed: 8},
+			{Kind: OpDrain},
+			{Kind: OpBlockRead, LBA: 4, Pages: 3},
+		} {
+			if d := execOp(p, s, m, o); d != nil {
+				t.Fatalf("%s: %v", o, d)
+			}
+			if o.Kind == OpPin && !m.lost[5] {
+				t.Fatal("the model did not learn the loss of LBA 5")
+			}
+		}
+		if len(m.lost) != 0 {
+			t.Fatalf("the rewrite left %d pages lost in the model", len(m.lost))
+		}
+	})
+	env.Run()
+	if obs.Of(env).Registry().CounterValue("fault.uncorrectable_reads") == 0 {
+		t.Fatal("no read was uncorrectable")
+	}
 }
