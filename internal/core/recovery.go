@@ -223,9 +223,6 @@ func (s *TwoBSSD) PowerLoss(p *sim.Proc) (DumpReport, error) {
 	if err := s.dev.Drain(p); err != nil {
 		return rep, err
 	}
-	// Collection takes no new victim until PowerOn: what is left of the
-	// reserve is the dump's.
-	s.dev.FTL().StopGC()
 	// 2. Firmware dumps the mapped BA-buffer pages and the mapping
 	//    table to erased pages of the reserved area, die-parallel,
 	//    until the reserve runs out.
@@ -233,7 +230,11 @@ func (s *TwoBSSD) PowerLoss(p *sim.Proc) (DumpReport, error) {
 		return rep, errors.New("2bssd: dump area not armed")
 	}
 	end := start + sim.Time(rep.EnergyBudgetJ/dumpPowerW*float64(sim.Second))
+	// Collection takes no new victim while the dump runs: what is left
+	// of the reserve is the dump's.
+	s.dev.FTL().StopGC()
 	err := s.rec.dumpImage(p, end)
+	s.dev.FTL().StartGC()
 	rep.DumpDuration = sim.Duration(s.env.Now() - start)
 	rep.EnergyUsedJ = dumpPowerW * rep.DumpDuration.Seconds()
 	s.gDumpEnergy.Set(rep.EnergyUsedJ)
@@ -329,7 +330,6 @@ func (s *TwoBSSD) PowerOn(p *sim.Proc) error {
 		return errors.New("2bssd: already powered on")
 	}
 	s.powered = true
-	defer s.dev.FTL().StartGC()
 	if err := s.rec.restoreImage(p); err != nil {
 		return err
 	}

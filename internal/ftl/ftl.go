@@ -421,8 +421,7 @@ func (f *FTL) claim(ob *openBlock, want int) (base nand.PPA, n int) {
 // the pool down into the relocation frontier's reserve while a victim
 // exists: it wakes the collector, releases the slot's lock and waits
 // for an erase, holding no lock, then tries again. ErrNoSpace means the
-// pool is empty, nothing is erasing and there is no victim (or, while
-// the collector is stopped, none it will take). Called with
+// pool is empty, nothing is erasing and there is no victim. Called with
 // dieLocks[die] held, and returns with it held.
 func (f *FTL) hostPage(p *sim.Proc, die int) (nand.PPA, error) {
 	ob := &f.open[die]
@@ -430,10 +429,9 @@ func (f *FTL) hostPage(p *sim.Proc, die int) (nand.PPA, error) {
 		open := len(f.free) > f.relocSlots
 		if !open {
 			// Down to the reserve: it is the host's only when there is
-			// nothing to relocate — or the collector is stopped — and no
-			// erase to wait for.
+			// nothing to relocate and no erase to wait for.
 			_, victim := f.pickVictim()
-			if (!victim || f.gcStopped) && f.erasing == 0 {
+			if !victim && f.erasing == 0 {
 				if len(f.free) == 0 {
 					return 0, ErrNoSpace
 				}
@@ -603,14 +601,18 @@ func (f *FTL) Trim(lba LBA) error {
 
 // maybeGC wakes the collector when collection is due, starting it at
 // the first trigger, and reports whether it woke a collector that was
-// parked. It never yields:
-// collection is the collector's, and no host path runs it.
+// parked. It never yields: collection is the collector's, and no host
+// path runs it. The erased signal exists once the trigger has held,
+// stopped collector or not, so a write can wait on it.
 func (f *FTL) maybeGC() bool {
-	if !f.due() {
+	if len(f.free)+f.erasing > f.gcFreeTarget {
+		return false
+	}
+	f.housekeeping()
+	if f.gcStopped {
 		return false
 	}
 	if f.gcWork == nil {
-		f.housekeeping()
 		f.gcWork = f.env.NewSignal("ftl.gc")
 		f.env.GoDaemon("ftl.gc", f.collector)
 		return true
@@ -632,7 +634,8 @@ func (f *FTL) due() bool {
 // The recovery manager stops it for the power-loss dump, which the
 // capacitor reserve must cover: a victim being evacuated then is
 // finished, as an erase in flight is, and no other is started. A write
-// that lands meanwhile may take the relocation reserve.
+// that needs a block at the relocation reserve meanwhile waits for an
+// erase, as it always does.
 func (f *FTL) StopGC() { f.gcStopped = true }
 
 // StartGC lets the collector take victims again and wakes it if the

@@ -262,3 +262,53 @@ func TestHostWriteDoesNotWaitForEvacuation(t *testing.T) {
 		t.Fatalf("the write took %v during an evacuation; want its own transfer and program, %v, plus at most one run's transfer on its channel", took, want)
 	}
 }
+
+// While the collector is stopped for a power-loss dump, a write that
+// needs a block at the relocation reserve, with a victim to reclaim,
+// does not take the reserve: it waits, and lands once StartGC lets the
+// collector reclaim the victim.
+func TestStoppedCollectorKeepsTheReserve(t *testing.T) {
+	e := sim.NewEnv()
+	f := New(e, smallFlash(e, 2), Config{})
+	fc := f.flash.Config()
+	stripe := fc.PagesPerBlock * len(f.open)
+	last := (int(f.ExportedPages())/stripe - 1) * stripe
+	const pause = 5 * sim.Millisecond
+	var started sim.Time
+	e.Go("t", func(p *sim.Proc) {
+		for lba := 0; lba < last; lba++ {
+			if err := f.WritePage(p, LBA(lba), []byte{1}); err != nil {
+				t.Errorf("fill %d: %v", lba, err)
+				return
+			}
+		}
+		for lba := 0; lba < last; lba++ { // block 0 keeps no valid page: a victim
+			if ppa, ok := f.lookup(LBA(lba)); ok && fc.BlockOf(ppa) == 0 {
+				f.Trim(LBA(lba))
+			}
+		}
+		f.free = f.free[:f.relocSlots]
+		f.StopGC()
+		e.Go("power-on", func(q *sim.Proc) {
+			q.Sleep(pause)
+			started = e.Now()
+			f.StartGC()
+		})
+		if err := f.WritePage(p, LBA(last), []byte{2}); err != nil {
+			t.Errorf("write with the collector stopped: %v", err)
+			return
+		}
+		if started == 0 {
+			t.Errorf("the write landed at %v, before the collector started again: it took the reserve", sim.Duration(e.Now()))
+		} else if sim.Duration(e.Now()-started) < fc.EraseLatency {
+			t.Errorf("the write landed %v after the collector started: not behind the victim's erase", sim.Duration(e.Now()-started))
+		}
+		if len(f.free) != f.relocSlots {
+			t.Errorf("%d free blocks after the write, want the reserve's %d", len(f.free), f.relocSlots)
+		}
+	})
+	runBounded(t, e)
+	if err := f.Audit(); err != nil {
+		t.Fatal(err)
+	}
+}
