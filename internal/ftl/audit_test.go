@@ -75,6 +75,18 @@ func TestAuditFindsPlantedBugs(t *testing.T) {
 			f.erasers[0].queue = append(f.erasers[0].queue, f.free[0])
 			f.erasing++
 		}},
+		{"a block free twice", func(f *FTL, ppa uint64) {
+			f.free = append(f.free, f.free[0])
+		}},
+		{"an erased block open and free", func(f *FTL, ppa uint64) {
+			f.open[0] = openBlock{blk: f.free[0], nextPage: 0}
+		}},
+		{"a block open on both frontiers", func(f *FTL, ppa uint64) {
+			f.relocOpen[0] = f.open[0]
+		}},
+		{"a block open in two host slots", func(f *FTL, ppa uint64) {
+			f.open[1] = f.open[0]
+		}},
 	} {
 		f := auditedFTL(t)
 		ppa, ok := f.lookup(lba)

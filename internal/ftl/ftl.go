@@ -312,9 +312,10 @@ func (f *FTL) unbind(ppa nand.PPA) bool {
 // Audit checks the invariants of the page map: l2p and p2l are each
 // other's inverse, so no physical page backs two LBAs and none is owned
 // by an LBA that maps elsewhere, and each block's valid count is what a
-// recount of its p2l gives; every free block is erased, and a block
-// waiting for its erase holds no valid page and is neither free nor
-// open on either frontier. A write, trim, relocation or erase updates
+// recount of its p2l gives; every free block is erased and free once,
+// no block is open in two slots, host or relocation, or both open and
+// free, and a block waiting for its erase holds no valid page and is
+// neither free nor open on either frontier. A write, trim, relocation or erase updates
 // the map and the pool without yielding, so the invariants hold
 // whenever a proc can run. Audit does not yield, and allocates only the
 // error it returns.
@@ -351,9 +352,26 @@ func (f *FTL) Audit() error {
 	if mapped != owned {
 		return fmt.Errorf("ftl: l2p maps %d LBAs, p2l %d pages: a page is orphaned", mapped, owned)
 	}
-	for _, b := range f.free {
+	for i, b := range f.free {
 		if f.flash.NextPage(b) != 0 {
 			return fmt.Errorf("ftl: free block %d is not erased", b)
+		}
+		if slices.Contains(f.free[i+1:], b) {
+			return fmt.Errorf("ftl: block %d is free twice", b)
+		}
+	}
+	for fi, slots := range [2][]openBlock{f.open, f.relocOpen} {
+		for i, ob := range slots {
+			if ob.nextPage < 0 {
+				continue
+			}
+			if slices.Contains(f.free, ob.blk) {
+				return fmt.Errorf("ftl: block %d is open and free", ob.blk)
+			}
+			isOpen := func(o openBlock) bool { return o.nextPage >= 0 && o.blk == ob.blk }
+			if slices.ContainsFunc(slots[i+1:], isOpen) || (fi == 0 && slices.ContainsFunc(f.relocOpen, isOpen)) {
+				return fmt.Errorf("ftl: block %d is open in two slots", ob.blk)
+			}
 		}
 	}
 	for _, q := range f.erasers {

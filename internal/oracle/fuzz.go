@@ -368,6 +368,10 @@ func Generate(seed uint64, cfg Config) []Op {
 	return ops
 }
 
+// auditEvery is how many ops of a trace pass between the stack's
+// self-checks, besides the one at every power-on.
+const auditEvery = 64
+
 // check runs pt's trace on env against a fresh stack and model and
 // returns the first divergence (if any) plus fault and scrub counters.
 func check(env *sim.Env, pt Point, cfg Config) Result {
@@ -395,7 +399,11 @@ func check(env *sim.Env, pt Point, cfg Config) Result {
 		}
 		for i, o := range pt.Choices {
 			res.Ops = i + 1
-			if d := execOp(p, s, m, o); d != nil {
+			d := execOp(p, s, m, o)
+			if d == nil && res.Ops%auditEvery == 0 {
+				d = audit(s)
+			}
+			if d != nil {
 				d.Seed, d.OpIndex, d.Op = seed, i, o.String()
 				res.Divergence = d
 				return
@@ -578,14 +586,26 @@ func powerCycle(p *sim.Proc, s *core.TwoBSSD, m *Model) *Divergence {
 	if err := s.PowerOn(p); err != nil {
 		return &Divergence{Detail: fmt.Sprintf("power on failed: %v", err)}
 	}
+	if d := audit(s); d != nil {
+		return d
+	}
+	m.PowerOn()
+	return compareEntries(s, m, "post-recovery")
+}
+
+// audit runs the stack's three self-checks: the FTL's page map, the BA
+// mapping table and the write buffer.
+func audit(s *core.TwoBSSD) *Divergence {
+	if err := s.Device().FTL().Audit(); err != nil {
+		return &Divergence{Detail: fmt.Sprintf("page map audit: %v", err)}
+	}
 	if err := s.Audit(); err != nil {
 		return &Divergence{Detail: fmt.Sprintf("mapping table audit: %v", err)}
 	}
 	if err := s.Device().Audit(); err != nil {
 		return &Divergence{Detail: fmt.Sprintf("write buffer audit: %v", err)}
 	}
-	m.PowerOn()
-	return compareEntries(s, m, "post-recovery")
+	return nil
 }
 
 // compareEntries checks the live mapping tables agree.

@@ -1,8 +1,10 @@
 package oracle
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"twobssd/internal/core"
 	"twobssd/internal/fault"
@@ -139,6 +141,41 @@ func TestGCActiveProfileCollects(t *testing.T) {
 	if res := run(1, Config{}); res.GCRelocations != 0 {
 		t.Fatalf("default profile relocated %d pages", res.GCRelocations)
 	}
+}
+
+// TestFuzzAuditsThePageMap plants a valid-count drift in the FTL of a
+// drive in steady-state collection, one count too many on a block, as a
+// relocation that failed to debit its source would leave. No read can
+// see it; the audit the fuzzer runs at every power-on and every
+// auditEvery ops must report it.
+func TestFuzzAuditsThePageMap(t *testing.T) {
+	env := sim.NewEnv()
+	sc := stackConfig(true)
+	s := core.New(env, sc)
+	m := NewModel(ModelConfig{
+		PageSize: s.PageSize(), BufBytes: sc.BABufferBytes, MaxEntries: sc.MaxEntries, Pages: s.Device().Pages(),
+		WCBurstBytes: sc.MMIO.WCBurstBytes, WCBufferBursts: sc.MMIO.WCBufferBursts,
+	})
+	var got *Divergence
+	env.Go("t", func(p *sim.Proc) {
+		if d := precondition(p, s, m, 1, Config{GCActive: true}.lbaSpan()); d != nil {
+			t.Errorf("precondition: %v", d)
+			return
+		}
+		if d := audit(s); d != nil {
+			t.Errorf("a clean drive fails the audit: %v", d)
+			return
+		}
+		// validCount is the FTL's own; reach it the way a bug would.
+		vc := reflect.ValueOf(s.Device().FTL()).Elem().FieldByName("validCount").Index(0)
+		*(*int)(unsafe.Pointer(vc.UnsafeAddr()))++
+		got = powerCycle(p, s, m)
+	})
+	env.Run()
+	if got == nil || !strings.HasPrefix(got.Detail, "page map audit") {
+		t.Fatalf("power cycle over a drifted valid count: %v, want a page map audit divergence", got)
+	}
+	t.Log(got)
 }
 
 // TestFillPatternMatchesByteLoop pins fillPattern's word-at-a-time fill
