@@ -315,10 +315,10 @@ func (f *FTL) unbind(ppa nand.PPA) bool {
 // recount of its p2l gives; every free block is erased and free once,
 // no block is open in two slots, host or relocation, or both open and
 // free, and a block waiting for its erase holds no valid page and is
-// neither free nor open on either frontier. A write, trim, relocation or erase updates
-// the map and the pool without yielding, so the invariants hold
-// whenever a proc can run. Audit does not yield, and allocates only the
-// error it returns.
+// neither free nor open on either frontier. A write, trim, relocation
+// or erase updates the map and the pool without yielding, so the
+// invariants hold whenever a proc can run. Audit does not yield, and
+// allocates only the error it returns.
 func (f *FTL) Audit() error {
 	pages := f.flash.Config().Pages()
 	mapped, owned := 0, 0

@@ -175,7 +175,6 @@ func TestFuzzAuditsThePageMap(t *testing.T) {
 	if got == nil || !strings.HasPrefix(got.Detail, "page map audit") {
 		t.Fatalf("power cycle over a drifted valid count: %v, want a page map audit divergence", got)
 	}
-	t.Log(got)
 }
 
 // TestFillPatternMatchesByteLoop pins fillPattern's word-at-a-time fill
