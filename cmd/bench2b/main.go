@@ -8,6 +8,11 @@
 // ids from bench.Experiments(), the one registry — so this comment
 // holds only what they cannot say:
 //
+//   - Every run goes through bench.Run, the one run path: it runs the
+//     selected experiments, streams their output and owns the collector
+//     behind -metrics, -timeline and -trace. This command parses flags,
+//     opens the report files, profiles, runs the steady-state probe and
+//     the -benchgate comparison, and writes what Run returned.
 //   - "all" (the default) selects the paper artifacts. The reliability
 //     artifacts (crash campaigns, oracle fuzzing, fleet scenarios, WAL
 //     lifecycle, and their CI-sized "-smoke" variants) run only when
@@ -30,6 +35,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -40,10 +47,8 @@ import (
 	"runtime/pprof"
 	"slices"
 	"strings"
-	"time"
 
 	"twobssd/internal/bench"
-	"twobssd/internal/obs"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -120,9 +125,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	selected, unknown := selectExperiments(names)
-	if unknown != "" {
-		fmt.Fprintf(stderr, "bench2b: unknown experiment %q\n", unknown)
+	selected, err := bench.Select(table, names...)
+	if err != nil {
+		fmt.Fprintf(stderr, "bench2b: %v\n", err)
 		fs.Usage()
 		return 2
 	}
@@ -133,55 +138,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// selectExperiments resolves ids to registry entries in the order
-// named ("all": every paper artifact), or returns the first unknown id.
-func selectExperiments(names []string) (selected []bench.Experiment, unknown string) {
-	for _, name := range names {
-		n := len(selected)
-		for _, ex := range table {
-			if ex.ID == name || (name == "all" && ex.InAll) {
-				selected = append(selected, ex)
-			}
-		}
-		if len(selected) == n {
-			return nil, name
-		}
-	}
-	return selected, ""
-}
-
-// expReport is one experiment's cost in the -benchjson report. Under
-// -j > 1 experiments overlap, so their wall times can sum past the
-// run's total — and the per-experiment allocation/event attribution
-// is only recorded at -j 1, where the deltas between experiments are
-// unambiguous. The two ratios are for reading; -benchgate compares
-// wall_ns and mallocs.
-type expReport struct {
-	ID             string  `json:"id"`
-	WallNs         int64   `json:"wall_ns"`
-	Mallocs        uint64  `json:"mallocs,omitempty"`
-	Events         uint64  `json:"events,omitempty"`
-	EventsPerSec   float64 `json:"events_per_sec,omitempty"`
-	AllocsPerEvent float64 `json:"allocs_per_event,omitempty"`
-}
-
-// kernelReport is the -benchjson wall-clock performance record.
-type kernelReport struct {
-	Schema         string              `json:"schema"`
-	Scale          string              `json:"scale"`
-	GoVersion      string              `json:"go_version"`
-	NumCPU         int                 `json:"num_cpu"`
-	Jobs           int                 `json:"jobs"`
-	Experiments    []expReport         `json:"experiments"`
-	WallNs         int64               `json:"wall_ns"`
-	Mallocs        uint64              `json:"mallocs"`
-	VirtualNs      int64               `json:"virtual_ns"`
-	Events         uint64              `json:"events"`
-	EventsPerSec   float64             `json:"events_per_sec"`
-	AllocsPerEvent float64             `json:"allocs_per_event"`
-	Steady         *bench.SteadyReport `json:"steady_state,omitempty"`
-}
-
 // gate compares this run against a committed baseline report and
 // returns an error on a host-cost regression. What it gates are totals —
 // wall time and heap allocations, for the run and for each experiment
@@ -190,12 +146,12 @@ type kernelReport struct {
 // raises allocs/event while making every run cheaper. Wall time may
 // grow 25 % plus 50 ms (short experiments are all jitter), allocations
 // 10 % plus 2000.
-func gate(cur kernelReport, basePath string) error {
+func gate(cur *bench.Result, basePath string) error {
 	data, err := os.ReadFile(basePath)
 	if err != nil {
 		return err
 	}
-	var base kernelReport
+	var base bench.Result
 	if err := json.Unmarshal(data, &base); err != nil {
 		return fmt.Errorf("parsing %s: %w", basePath, err)
 	}
@@ -213,7 +169,7 @@ func gate(cur kernelReport, basePath string) error {
 	if err := check("run", cur.WallNs, base.WallNs, cur.Mallocs, base.Mallocs); err != nil {
 		return err
 	}
-	was := make(map[string]expReport, len(base.Experiments))
+	was := make(map[string]bench.ExpResult, len(base.Experiments))
 	for _, er := range base.Experiments {
 		was[er.ID] = er
 	}
@@ -232,15 +188,10 @@ func gate(cur kernelReport, basePath string) error {
 	return nil
 }
 
-// execute runs the selected experiments and writes every requested
-// report. It returns errGate when the run completed but a gate failed.
+// execute runs the selected experiments through bench.Run and writes
+// every requested report. It returns errGate when the run completed but
+// a gate failed.
 func execute(o options, selected []bench.Experiment, stdout, stderr io.Writer) error {
-	scale, scaleName := bench.Quick, "quick"
-	if o.full {
-		scale, scaleName = bench.Full, "full"
-	}
-	r := bench.NewRunner(scale, o.jobs)
-
 	// Open the report files before running anything: a bad path should
 	// fail now, not after minutes of experiments.
 	var cpuFile, memFile, metricsFile, traceFile, benchFile, timelineFile *os.File
@@ -272,76 +223,47 @@ func execute(o options, selected []bench.Experiment, stdout, stderr io.Writer) e
 		defer pprof.StopCPUProfile() // error paths; a second stop is a no-op
 	}
 
-	var col *obs.Collector
-	if metricsFile != nil || traceFile != nil || benchFile != nil || o.benchGate != "" || timelineFile != nil {
-		col = obs.NewCollector(traceFile != nil)
-		if timelineFile != nil {
-			col.EnableSampling()
-		}
-		col.Install()
-		defer col.Uninstall()
-	}
-
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
-	start := time.Now()
-	reports, failures, err := runAll(r, selected, col, stdout)
+	benching := benchFile != nil || o.benchGate != ""
+	res, err := bench.Run(bench.Config{
+		Experiments: selected, Full: o.full, Jobs: o.jobs,
+		Metrics: metricsFile != nil || benching, Timeline: timelineFile != nil, Trace: traceFile != nil,
+	}, stdout)
 	if err != nil {
 		return err
 	}
-	wallTotal := time.Since(start)
-	runtime.ReadMemStats(&ms1)
-
-	if col != nil {
-		col.Uninstall()
-		emitTimeline := col.WriteTimelineJSON
-		if strings.HasSuffix(o.timeline, ".csv") {
-			emitTimeline = col.WriteTimelineCSV
-		}
-		if err := writeReport(metricsFile, col.WriteMetricsJSON); err != nil {
-			return err
-		}
-		if err := writeReport(traceFile, col.WriteTraceJSON); err != nil {
-			return err
-		}
-		if err := writeReport(timelineFile, emitTimeline); err != nil {
-			return err
-		}
+	emitTimeline := res.WriteTimelineJSON // a nil file never calls it
+	if strings.HasSuffix(o.timeline, ".csv") {
+		emitTimeline = res.WriteTimelineCSV
 	}
-	if benchFile != nil || o.benchGate != "" {
-		rep := kernelReport{
-			Schema:      "bench2b/kernel-v3",
-			Scale:       scaleName,
-			GoVersion:   runtime.Version(),
-			NumCPU:      runtime.NumCPU(),
-			Jobs:        r.Jobs(),
-			Experiments: reports,
-			WallNs:      wallTotal.Nanoseconds(),
-			Mallocs:     ms1.Mallocs - ms0.Mallocs,
-			VirtualNs:   int64(col.TotalVirtual()),
-			Events:      col.TotalEvents(),
+	if err := writeReport(metricsFile, res.WriteMetricsJSON); err != nil {
+		return err
+	}
+	if err := writeReport(traceFile, res.WriteTraceJSON); err != nil {
+		return err
+	}
+	if err := writeReport(timelineFile, emitTimeline); err != nil {
+		return err
+	}
+	if benching {
+		// Steady-state allocation probe: a sustained BA-WAL commit stream
+		// on a warmed stack, construction excluded — the long-run rate.
+		scale := bench.Quick
+		if o.full {
+			scale = bench.Full
 		}
-		if rep.Events > 0 {
-			rep.EventsPerSec = float64(rep.Events) / wallTotal.Seconds()
-			rep.AllocsPerEvent = float64(rep.Mallocs) / float64(rep.Events)
-		}
-		// Steady-state allocation probe: a sustained BA-WAL commit
-		// stream on a warmed stack. The aggregate allocs/event above
-		// includes per-experiment construction; this is the long-run
-		// rate the allocation work targets.
-		rep.Steady = bench.SteadyStateAllocs(scale)
+		res.Steady = bench.SteadyStateAllocs(scale)
 		fmt.Fprintf(stdout, "steady-state probe: %d events, %.4f allocs/event\n",
-			rep.Steady.Events, rep.Steady.AllocsPerEvent)
-		if err := writeReport(benchFile, jsonReport(rep)); err != nil {
+			res.Steady.Events, res.Steady.AllocsPerEvent)
+		if err := writeReport(benchFile, jsonReport(res)); err != nil {
 			return err
 		}
 		if o.benchGate != "" {
-			if err := gate(rep, o.benchGate); err != nil {
+			if err := gate(res, o.benchGate); err != nil {
 				fmt.Fprintf(stderr, "bench2b: benchgate: %v\n", err)
-				failures++
+				res.Failures++
 			} else {
 				fmt.Fprintf(stdout, "benchgate: ok (%d ms, %d allocations; %.0f events/sec, %.4f allocs/event; vs %s)\n",
-					rep.WallNs/1e6, rep.Mallocs, rep.EventsPerSec, rep.AllocsPerEvent, o.benchGate)
+					res.WallNs/1e6, res.Mallocs, res.EventsPerSec, res.AllocsPerEvent, o.benchGate)
 			}
 		}
 	}
@@ -360,84 +282,14 @@ func execute(o options, selected []bench.Experiment, stdout, stderr io.Writer) e
 			return err
 		}
 	}
-	if failures > 0 {
+	if res.Failures > 0 {
 		return errGate
 	}
 	return nil
 }
 
-// runAll executes the selected experiments and streams their output to
-// stdout in selection order. At -j 1 everything runs sequentially on
-// this goroutine (the legacy behavior); otherwise experiments run
-// concurrently, each into its own buffer, and buffers are printed as
-// their turn comes — output order never depends on scheduling (the
-// Runner's semaphore, not this fan-out, bounds the environments that
-// execute at once). Returns each experiment's wall time, plus —
-// sequentially only, where the deltas are unambiguous — its simulation
-// events and host allocations, and the number of experiments whose gate
-// failed (each printed as a FAIL line after its report).
-func runAll(r *bench.Runner, selected []bench.Experiment, col *obs.Collector, stdout io.Writer) ([]expReport, int, error) {
-	reports := make([]expReport, len(selected))
-	failed := make([]bool, len(selected))
-	step := func(i int, w io.Writer) {
-		ex := selected[i]
-		t0 := time.Now()
-		if err := ex.Run(r, w); err != nil {
-			fmt.Fprintf(w, "FAIL: %v\n", err)
-			failed[i] = true
-		}
-		reports[i] = expReport{ID: ex.ID, WallNs: time.Since(t0).Nanoseconds()}
-	}
-	if r.Jobs() <= 1 || len(selected) == 1 {
-		var ms0, ms1 runtime.MemStats
-		for i := range selected {
-			var ev0 uint64
-			if col != nil {
-				ev0 = col.TotalEvents()
-			}
-			runtime.ReadMemStats(&ms0)
-			step(i, stdout)
-			runtime.ReadMemStats(&ms1)
-			er := &reports[i]
-			er.Mallocs = ms1.Mallocs - ms0.Mallocs
-			if col != nil && col.TotalEvents() > ev0 {
-				er.Events = col.TotalEvents() - ev0
-				er.EventsPerSec = float64(er.Events) / time.Duration(er.WallNs).Seconds()
-				er.AllocsPerEvent = float64(er.Mallocs) / float64(er.Events)
-			}
-		}
-	} else {
-		type slot struct {
-			buf  bytes.Buffer
-			done chan struct{}
-		}
-		slots := make([]*slot, len(selected))
-		for i := range selected {
-			i := i
-			slots[i] = &slot{done: make(chan struct{})}
-			go func() {
-				defer close(slots[i].done)
-				step(i, &slots[i].buf)
-			}()
-		}
-		for _, s := range slots {
-			<-s.done
-			if _, err := io.Copy(stdout, &s.buf); err != nil {
-				return nil, 0, err
-			}
-		}
-	}
-	failures := 0
-	for _, f := range failed {
-		if f {
-			failures++
-		}
-	}
-	return reports, failures, nil
-}
-
 // jsonReport returns an emitter that writes v as indented JSON.
-func jsonReport(v interface{}) func(io.Writer) error {
+func jsonReport(v any) func(io.Writer) error {
 	return func(w io.Writer) error {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
@@ -455,4 +307,93 @@ func writeReport(f *os.File, emit func(io.Writer) error) error {
 		return fmt.Errorf("writing %s: %w", f.Name(), err)
 	}
 	return f.Close()
+}
+
+// digestIDs are the experiments `bench2b digest` fingerprints: every
+// campaign sweep and its smoke, the fleet scenarios and the paper
+// artifacts. GOLDEN.json holds their digests; a change that means to
+// move no simulated number leaves it untouched.
+var digestIDs = []string{"crash", "crash-smoke", "fuzz", "fuzz-smoke", "wal-life", "wal-life-smoke", "fleet", "fleet-smoke", "all"}
+
+// hostFields are the report fields read off the host's clock and
+// allocator; they differ run to run and are dropped before hashing.
+var hostFields = map[string]bool{"wall_ns": true, "mallocs": true, "events_per_sec": true, "allocs_per_event": true}
+
+// digest runs each of digestIDs through bench.Run at quick scale, as if
+// with -metrics and -timeline, and writes one SHA-256 per artifact — its
+// stdout, its metrics snapshot and its timeline, host fields stripped —
+// as the JSON GOLDEN.json holds. Every artifact is byte-identical at any
+// -j, so the output is too. It returns errGate when an experiment's gate
+// failed; the digests are written regardless.
+func digest(jobs int, stdout io.Writer) error {
+	sums := make(map[string]map[string]string, len(digestIDs))
+	failures := 0
+	for _, id := range digestIDs {
+		selected, err := bench.Select(table, id)
+		if err != nil {
+			return err
+		}
+		var out, metrics, timeline bytes.Buffer
+		res, err := bench.Run(bench.Config{Experiments: selected, Jobs: jobs, Timeline: true}, &out)
+		if err != nil {
+			return err
+		}
+		failures += res.Failures
+		if err := res.WriteMetricsJSON(&metrics); err != nil {
+			return err
+		}
+		if err := res.WriteTimelineJSON(&timeline); err != nil {
+			return err
+		}
+		sums[id] = map[string]string{"stdout": sha(out.Bytes())}
+		for name, art := range map[string][]byte{"metrics": metrics.Bytes(), "timeline": timeline.Bytes()} {
+			stripped, err := stripHostFields(art)
+			if err != nil {
+				return fmt.Errorf("digest %s %s: %w", id, name, err)
+			}
+			sums[id][name] = sha(stripped)
+		}
+	}
+	if err := jsonReport(sums)(stdout); err != nil {
+		return err
+	}
+	if failures > 0 {
+		return errGate
+	}
+	return nil
+}
+
+func sha(b []byte) string {
+	s := sha256.Sum256(b)
+	return hex.EncodeToString(s[:])
+}
+
+// stripHostFields re-encodes a JSON document without the members named
+// in hostFields, at any depth. Numbers keep their literal text.
+func stripHostFields(doc []byte) ([]byte, error) {
+	dec := json.NewDecoder(bytes.NewReader(doc))
+	dec.UseNumber()
+	var v any
+	if err := dec.Decode(&v); err != nil {
+		return nil, err
+	}
+	var strip func(v any)
+	strip = func(v any) {
+		switch v := v.(type) {
+		case map[string]any:
+			for k, x := range v {
+				if hostFields[k] {
+					delete(v, k)
+				} else {
+					strip(x)
+				}
+			}
+		case []any:
+			for _, x := range v {
+				strip(x)
+			}
+		}
+	}
+	strip(v)
+	return json.Marshal(v)
 }

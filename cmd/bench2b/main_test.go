@@ -188,10 +188,10 @@ func TestRunGateFailure(t *testing.T) {
 // its baseline — passes; more wall time or more allocations, for the
 // run or for one experiment, does not.
 func TestGateComparesTotalsNotRatios(t *testing.T) {
-	report := func(wallMs int64, mallocs, events uint64) kernelReport {
-		r := kernelReport{
+	report := func(wallMs int64, mallocs, events uint64) *bench.Result {
+		r := &bench.Result{
 			WallNs: wallMs * 1e6, Mallocs: mallocs, Events: events,
-			Experiments: []expReport{{ID: "fig9", WallNs: wallMs * 1e6 / 2, Mallocs: mallocs / 2, Events: events / 2}},
+			Experiments: []bench.ExpResult{{ID: "fig9", WallNs: wallMs * 1e6 / 2, Mallocs: mallocs / 2, Events: events / 2}},
 		}
 		r.EventsPerSec = float64(events) / (float64(wallMs) / 1e3)
 		r.AllocsPerEvent = float64(mallocs) / float64(events)

@@ -38,7 +38,7 @@ var designRules = []rule{
 	{name: "Procs are coroutines", pr: 35, in: dirs("sim"), bad: syntax("chan", "send", "recv", "go"),
 		planted: []string{"internal/sim/x.go\nvar wake chan struct{}", "internal/sim/x.go\nfunc f() { c <- 1 }",
 			"internal/sim/x.go\nfunc f() { <-c }", "internal/sim/x.go\nfunc f() { go g() }"}},
-	{name: "go only in the runner", pr: 39, exempt: []string{"internal/bench/parallel.go", "cmd/bench2b/main.go"}, bad: syntax("go"),
+	{name: "go only in the runner", pr: 39, exempt: []string{"internal/bench/parallel.go", "internal/bench/run.go"}, bad: syntax("go"),
 		planted: []string{"internal/bench/x.go\nfunc f() { go g() }", "benchmark/x.go\nfunc f() { go g() }"}},
 	{name: "Every mapped page carries its CRC", pr: 39, in: dirs("nand", "ftl", "device", "core"), bad: ident("^(tagged|ReadPageTagged)$|oobTag"),
 		planted: []string{"internal/ftl/x.go\nvar tagged bool", "internal/nand/x.go\nfunc f() { fl.ReadPageTagged(p, 0) }",
@@ -71,7 +71,8 @@ var designRules = []rule{
 		planted: []string{"internal/fault/x.go\nfunc f() { obs.Of(env).EnableFlightRecorder() }", "internal/obs/x.go\nfunc newRingTracer() *Tracer { return nil }",
 			"internal/wal/x.go\ntype RepairReport struct{ Failure string }", "internal/bench/x.go\nvar _ fault.RepairReporter",
 			"internal/fault/x.go\ntype PointResult struct{ Faults FaultCounts }"}},
-	{name: "One campaign engine", pr: 56, in: dirs("fault", "oracle", "bench"),
+	// bench.Run runs artifacts, not campaign points: its file is exempt.
+	{name: "One campaign engine", pr: 56, in: dirs("fault", "oracle", "bench"), exempt: []string{"internal/bench/run.go"},
 		bad: declares(`^(Shrink|ShrinkReport|MaxShrinkReplays|Run|Replay|replay|RunFuzz|runFuzz|FuzzReport|Campaign\.(shrink|replay|runTrial)|(Point)?Result\.Flight)$`),
 		planted: []string{"internal/oracle/x.go\nfunc Shrink(seed uint64, ops []Op) ShrinkReport { return ShrinkReport{} }",
 			"internal/oracle/x.go\nconst MaxShrinkReplays = 200", "internal/oracle/x.go\nfunc replay(seed uint64, traced bool) {}",
@@ -95,6 +96,11 @@ var designRules = []rule{
 		planted: []string{"internal/ftl/x.go\nfunc (f *FTL) WritePageTagged(p *sim.Proc) { if f.trigger() { f.collect(p) } }",
 			"internal/device/x.go\nfunc (d *Device) drainLoop(p *sim.Proc) { go func() { d.ftl.evacuate(p, 0) }() }",
 			"internal/ftl/x.go\nfunc (f *FTL) hostPage(p *sim.Proc) { f.evacuate(p, f.victim()) }"}},
+	{name: "One run path", pr: 64, exempt: []string{"internal/bench/run.go", "benchmark/"},
+		bad: anyOf(pkgCall("twobssd/internal/obs", "NewCollector"), call("^Install$", 0)),
+		planted: []string{"cmd/bench2b/x.go\nimport \"twobssd/internal/obs\"\nvar col = obs.NewCollector(false)",
+			"internal/bench/x.go\nimport o \"twobssd/internal/obs\"\nfunc f() { o.NewCollector(true).Install() }",
+			"internal/bench/x.go\nfunc f(col *obs.Collector) { col.Install(); defer col.Uninstall() }"}},
 }
 
 type rule struct {
@@ -160,6 +166,23 @@ func call(re string, nargs int) matcher {
 		}
 		id, ok := fun.(*ast.Ident)
 		return ok && rx.MatchString(id.Name)
+	}
+}
+
+// pkgCall matches a call of the function name of the package whose
+// import path is path.
+func pkgCall(path, name string) matcher {
+	return func(n ast.Node, s *source) bool {
+		c, ok := n.(*ast.CallExpr)
+		if !ok {
+			return false
+		}
+		sel, ok := c.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return false
+		}
+		pkg, ok := sel.X.(*ast.Ident)
+		return ok && sel.Sel.Name == name && s.imports[pkg.Name] == path
 	}
 }
 

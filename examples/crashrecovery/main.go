@@ -13,6 +13,7 @@ package main
 import (
 	"fmt"
 
+	"twobssd"
 	"twobssd/internal/core"
 	"twobssd/internal/fault"
 	"twobssd/internal/sim"
@@ -42,7 +43,7 @@ func main() {
 			Mode: wal.BA, File: f, SegmentBytes: ssd.Config().BABufferBytes / 2,
 			SSD: ssd, EIDs: []core.EID{0, 1},
 		}
-		log, err := wal.Open(env, cfg)
+		log, err := twobssd.OpenWAL(env, cfg)
 		if err != nil {
 			panic(err)
 		}
@@ -80,7 +81,7 @@ func main() {
 		fmt.Println("power restored; BA-buffer and mapping table recovered from NAND")
 
 		// Recover the log with a fresh handle (as a restarted DB would).
-		log2, err := wal.Open(env, cfg)
+		log2, err := twobssd.OpenWAL(env, cfg)
 		if err != nil {
 			panic(err)
 		}

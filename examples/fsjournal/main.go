@@ -7,9 +7,9 @@ package main
 import (
 	"fmt"
 
+	"twobssd"
 	"twobssd/internal/core"
 	"twobssd/internal/jfs"
-	"twobssd/internal/obs"
 	"twobssd/internal/sim"
 	"twobssd/internal/vfs"
 	"twobssd/internal/wal"
@@ -74,7 +74,7 @@ func main() {
 		// Remount: the journal replays into the pending set. The
 		// jfs.replayed series counts every mount of the environment, so
 		// this mount's replays are its move across Open.
-		replayed := obs.Of(env).Registry().Counter("jfs.replayed")
+		replayed := twobssd.Observe(env).Registry().Counter("jfs.replayed")
 		before := replayed.Value()
 		s2 := open(p)
 		fmt.Printf("remount replayed %d journal transactions\n", replayed.Value()-before)

@@ -7,8 +7,8 @@ package main
 import (
 	"fmt"
 
+	"twobssd"
 	"twobssd/internal/core"
-	"twobssd/internal/device"
 	"twobssd/internal/lsm"
 	"twobssd/internal/sim"
 	"twobssd/internal/vfs"
@@ -23,7 +23,7 @@ const (
 
 func run(mode wal.CommitMode) (opsPerSec float64) {
 	env := sim.NewEnv()
-	dataFS := vfs.New(device.New(env, device.ULLSSD()))
+	dataFS := vfs.New(twobssd.NewDevice(env, twobssd.ULLSSD()))
 
 	cfg := lsm.Config{
 		DataFS:        dataFS,
@@ -38,9 +38,9 @@ func run(mode wal.CommitMode) (opsPerSec float64) {
 		cfg.EIDs = []core.EID{0, 1, 2, 3}
 		cfg.WALBytes = cfg.SSD.Config().BABufferBytes / 4
 	} else {
-		prof := device.ULLSSD()
+		prof := twobssd.ULLSSD()
 		prof.Name = "log-" + prof.Name
-		cfg.LogFS = vfs.New(device.New(env, prof))
+		cfg.LogFS = vfs.New(twobssd.NewDevice(env, prof))
 	}
 
 	var db *lsm.DB

@@ -3,8 +3,6 @@ package bench
 import (
 	"bytes"
 	"testing"
-
-	"twobssd/internal/obs"
 )
 
 // TestExperimentsDeterministic runs every experiment twice and demands
@@ -35,43 +33,41 @@ func TestExperimentsDeterministic(t *testing.T) {
 	}
 }
 
-// TestJobsInvariance runs the whole experiment suite at -j 1 (strictly
-// sequential, the legacy execution order) and at -j 8 and demands
-// byte-identical tables AND an identical merged metrics snapshot AND an
-// identical merged metric timeline. Worker parallelism must be
-// invisible in every result, sampled series included.
+// TestJobsInvariance runs the paper artifacts and the fleet family
+// through Run at -j 1 (strictly sequential) and at -j 8 and demands
+// byte-identical stdout AND an identical merged metrics snapshot AND an
+// identical merged metric timeline, with no gate failing. Worker
+// parallelism must be invisible in every result, sampled series and
+// fleets run side by side included.
 func TestJobsInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep; skipped with -short")
 	}
-	sweep := func(jobs int) (tables, metrics, timeline []byte) {
-		r := NewRunner(Quick, jobs)
-		col := obs.NewCollector(false)
-		col.EnableSampling()
-		col.Install()
-		defer col.Uninstall()
-		var out bytes.Buffer
-		for _, ex := range Experiments() {
-			if !ex.InAll {
-				continue
-			}
-			if err := ex.Run(r, &out); err != nil {
-				t.Fatalf("jobs=%d: %s: %v", jobs, ex.ID, err)
-			}
-		}
-		var m, tl bytes.Buffer
-		if err := col.WriteMetricsJSON(&m); err != nil {
-			t.Fatalf("jobs=%d: metrics snapshot: %v", jobs, err)
-		}
-		if err := col.WriteTimelineJSON(&tl); err != nil {
-			t.Fatalf("jobs=%d: timeline: %v", jobs, err)
-		}
-		return out.Bytes(), m.Bytes(), tl.Bytes()
+	exps, err := Select(Experiments(), "all", "fleet")
+	if err != nil {
+		t.Fatal(err)
 	}
-	t1, m1, tl1 := sweep(1)
-	t8, m8, tl8 := sweep(8)
-	if !bytes.Equal(t1, t8) {
-		t.Errorf("table output differs between -j 1 and -j 8")
+	sweep := func(jobs int) (out, metrics, timeline []byte) {
+		var o, m, tl bytes.Buffer
+		res, err := Run(Config{Experiments: exps, Jobs: jobs, Timeline: true}, &o)
+		if err != nil {
+			t.Fatalf("-j %d: %v", jobs, err)
+		}
+		if res.Failures > 0 {
+			t.Fatalf("-j %d: %d gates failed:\n%s", jobs, res.Failures, o.String())
+		}
+		if err := res.WriteMetricsJSON(&m); err != nil {
+			t.Fatalf("-j %d: metrics snapshot: %v", jobs, err)
+		}
+		if err := res.WriteTimelineJSON(&tl); err != nil {
+			t.Fatalf("-j %d: timeline: %v", jobs, err)
+		}
+		return o.Bytes(), m.Bytes(), tl.Bytes()
+	}
+	o1, m1, tl1 := sweep(1)
+	o8, m8, tl8 := sweep(8)
+	if !bytes.Equal(o1, o8) {
+		t.Errorf("stdout differs between -j 1 and -j 8")
 	}
 	if !bytes.Equal(m1, m8) {
 		t.Errorf("merged metrics snapshot differs between -j 1 and -j 8:\n--- j1 ---\n%s--- j8 ---\n%s", m1, m8)
@@ -81,5 +77,8 @@ func TestJobsInvariance(t *testing.T) {
 	}
 	if len(tl1) < 100 {
 		t.Errorf("merged timeline is empty: %s", tl1)
+	}
+	if !bytes.Contains(m1, []byte("fleet.qos.fairness")) {
+		t.Errorf("merged metrics lack the fleet.qos.fairness gauge")
 	}
 }

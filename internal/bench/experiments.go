@@ -23,8 +23,7 @@ func tables(gens ...func(*Runner) *Table) func(*Runner, io.Writer) error {
 }
 
 // Experiments returns every artifact, in canonical print order: the
-// one table cmd/bench2b, the determinism tests and the docs lint all
-// read. The reliability artifacts after "ablations" run only when
+// one table Select resolves ids against, and the docs lint reads. The reliability artifacts after "ablations" run only when
 // named: a full sweep crash-cycles the simulated device hundreds of
 // times, which is a gate, not a paper figure. Each has a CI-sized
 // "-smoke" variant.

@@ -144,15 +144,14 @@ func TestExperimentsShowGoldenOutput(t *testing.T) {
 		shown[ex.ID] = ex
 	}
 	if *update {
-		r := NewRunner(Quick, runtime.NumCPU())
 		text = block.ReplaceAllFunc(text, func(b []byte) []byte {
 			ex, ok := shown[string(block.FindSubmatch(b)[1])]
 			if !ok {
 				return b
 			}
 			var out bytes.Buffer
-			if err := ex.Run(r, &out); err != nil {
-				t.Errorf("%s: %v", ex.ID, err)
+			if res, err := Run(Config{Experiments: []Experiment{ex}, Jobs: runtime.NumCPU()}, &out); err != nil || res.Failures > 0 {
+				t.Errorf("%s failed (%v):\n%s", ex.ID, err, out.String())
 			}
 			return []byte(fmt.Sprintf("<!-- bench2b %s -->\n```text\n%s```\n", ex.ID, out.Bytes()))
 		})

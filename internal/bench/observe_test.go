@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"twobssd/internal/obs"
-	"twobssd/internal/sim"
 )
 
 // TestProbeStageCoverage runs the probe under a collector (the same
@@ -94,40 +93,33 @@ func TestProbeStageCoverage(t *testing.T) {
 }
 
 // TestObserversDoNotPerturb: the observers only watch. Probe and
-// CommitOverhead run under a bare collector and under full tracing plus
-// the timeline sampler — the observers a campaign's replay of a
-// violating point turns on; the tables, the event count and the virtual
-// time simulated are identical in both runs. Their host cost is
+// CommitOverhead run through Run with a bare collector and with full
+// tracing plus the timeline sampler — the observers a campaign's replay
+// of a violating point turns on; the stdout, the event count and the
+// virtual time simulated are identical in both runs. Their host cost is
 // `bench2b -benchjson` taken with and without the observer.
 func TestObserversDoNotPerturb(t *testing.T) {
-	type run struct {
-		tables  string
-		events  uint64
-		virtual sim.Time
+	exps, err := Select(Experiments(), "probe", "commit")
+	if err != nil {
+		t.Fatal(err)
 	}
-	measure := func(observed bool) run {
-		col := obs.NewCollector(observed)
-		if observed {
-			col.EnableSampling()
-		}
-		col.Install()
-		defer col.Uninstall()
+	measure := func(observed bool) (string, *Result) {
 		var out bytes.Buffer
-		r := NewRunner(Quick, 2)
-		Probe(r).Print(&out)
-		CommitOverhead(r).Print(&out)
-		return run{out.String(), col.TotalEvents(), col.TotalVirtual()}
+		res, err := Run(Config{Experiments: exps, Jobs: 2, Metrics: true, Timeline: observed, Trace: observed}, &out)
+		if err != nil || res.Failures > 0 {
+			t.Fatalf("observed=%v: %v\n%s", observed, err, out.String())
+		}
+		return out.String(), res
 	}
-	bare := measure(false)
-	if bare.events == 0 || bare.virtual == 0 {
-		t.Fatalf("bare run simulated %d events over %d ns", bare.events, int64(bare.virtual))
+	bareOut, bare := measure(false)
+	if bare.Events == 0 || bare.VirtualNs == 0 {
+		t.Fatalf("bare run simulated %d events over %d ns", bare.Events, bare.VirtualNs)
 	}
-	got := measure(true)
-	if got.tables != bare.tables {
-		t.Errorf("tables differ from the bare run:\n--- bare\n%s--- observed\n%s", bare.tables, got.tables)
+	gotOut, got := measure(true)
+	if gotOut != bareOut {
+		t.Errorf("stdout differs from the bare run:\n--- bare\n%s--- observed\n%s", bareOut, gotOut)
 	}
-	if got.events != bare.events || got.virtual != bare.virtual {
-		t.Errorf("%d events over %d ns, bare run %d over %d ns",
-			got.events, int64(got.virtual), bare.events, int64(bare.virtual))
+	if got.Events != bare.Events || got.VirtualNs != bare.VirtualNs {
+		t.Errorf("%d events over %d ns, bare run %d over %d ns", got.Events, got.VirtualNs, bare.Events, bare.VirtualNs)
 	}
 }

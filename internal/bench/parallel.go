@@ -10,12 +10,12 @@ import "sync"
 // untouched by where or when it runs, so tables and merged metrics are
 // bit-identical to a sequential run (see determinism_test.go).
 //
-// One Runner is shared by every experiment of a bench2b invocation and
-// its semaphore gates every simulation environment they build —
-// including single-environment experiments and the experiments
-// cmd/bench2b starts concurrently — so at most Jobs() environments
-// execute at once however the work is nested. Experiment goroutines
-// themselves only coordinate: they block in points and burn no CPU.
+// One Runner is shared by every experiment of a Run and its semaphore
+// gates every simulation environment they build — including
+// single-environment experiments and the experiments Run starts
+// concurrently — so at most -j environments execute at once
+// however the work is nested. Experiment goroutines themselves only
+// coordinate: they block in points and burn no CPU.
 
 // Runner carries what every experiment needs: the run's scale and the
 // one point executor (points).
@@ -35,12 +35,9 @@ func NewRunner(s Scale, jobs int) *Runner {
 	return &Runner{Scale: s, jobs: jobs, sem: make(chan struct{}, jobs)}
 }
 
-// Jobs reports the Runner's parallelism degree.
-func (r *Runner) Jobs() int { return r.jobs }
-
 // points computes fn(0..n-1) and returns the results in index order.
 // Every point holds a slot of the Runner's semaphore while it runs, so
-// a point function must not call points itself. With Jobs() == 1 the
+// a point function must not call points itself. With one job the
 // points run strictly sequentially on the calling goroutine — the exact
 // legacy execution order, which -benchjson's per-experiment attribution
 // relies on. Otherwise each point (even a lone one) runs on its own

@@ -100,8 +100,8 @@ func (c *liveCounter) work() {
 
 // TestRunnerBoundsConcurrency: -j is a bound. Experiments that share a
 // Runner — fanned-out sweeps, lone points and single-environment
-// experiments, started concurrently the way bench2b's runAll starts
-// them — never have more than Jobs() point functions running at once.
+// experiments, started concurrently the way Run starts them — never
+// have more than -j point functions running at once.
 func TestRunnerBoundsConcurrency(t *testing.T) {
 	const jobs = 2
 	r := NewRunner(Quick, jobs)

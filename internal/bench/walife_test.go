@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 )
@@ -25,23 +26,24 @@ func TestWalLifeSmoke(t *testing.T) {
 	}
 }
 
-// TestWalLifeDeterminism: the full wal-life report — feature table,
-// campaign reports, metrics — is byte-identical between -j1 and -j8.
+// TestWalLifeDeterminism: the wal-life report — feature table and
+// campaign reports, 8 points a mode — run through Run is byte-identical
+// across two -j 1 runs and a -j 8 run.
 func TestWalLifeDeterminism(t *testing.T) {
+	exps := []Experiment{{ID: "wal-life-8", Run: func(r *Runner, w io.Writer) error { return runWalLife(r, w, 8) }}}
 	run := func(jobs int) string {
 		var buf bytes.Buffer
-		if err := runWalLife(NewRunner(Quick, jobs), &buf, 8); err != nil {
-			t.Fatalf("runWalLife at -j%d: %v", jobs, err)
+		res, err := Run(Config{Experiments: exps, Jobs: jobs}, &buf)
+		if err != nil || res.Failures > 0 {
+			t.Fatalf("wal-life at -j %d: %v\n%s", jobs, err, buf.String())
 		}
 		return buf.String()
 	}
 	j1 := run(1)
-	j1b := run(1)
-	j8 := run(8)
-	if j1 != j1b {
-		t.Fatalf("wal-life not deterministic across identical -j1 runs")
+	if j1 != run(1) {
+		t.Fatalf("wal-life not deterministic across identical -j 1 runs")
 	}
-	if j1 != j8 {
-		t.Fatalf("wal-life differs between -j1 and -j8")
+	if j1 != run(8) {
+		t.Fatalf("wal-life differs between -j 1 and -j 8")
 	}
 }

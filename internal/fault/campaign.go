@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"strings"
 
 	"twobssd/internal/obs"
 	"twobssd/internal/sim"
@@ -125,12 +126,29 @@ func (c *Campaign[C, P, R]) Trial(pt Point[C, P], traced bool) (R, *obs.FlightDu
 	if traced {
 		set.EnableTracing()
 	}
-	r := c.Check(env, pt)
+	r := c.check(env, pt)
 	if !traced || !r.Violation() {
 		return r, nil
 	}
 	d := set.FlightDump(c.Reason(pt, r))
 	return r, &d
+}
+
+// check runs Check. A simulated process that faults — a stack bug, which
+// the kernel panics out of Run as "sim: process … faulted" — is pt's
+// harness failure naming the fault, so the rest of the sweep runs and
+// the report lists the point. Any other panic is the harness's own.
+func (c *Campaign[C, P, R]) check(env *sim.Env, pt Point[C, P]) (r R) {
+	defer func() {
+		if v := recover(); v != nil {
+			msg, ok := v.(string)
+			if !ok || !strings.Contains(msg, "sim: process ") || !strings.Contains(msg, " faulted: ") {
+				panic(v)
+			}
+			r = r.Broken(msg)
+		}
+	}()
+	return c.Check(env, pt)
 }
 
 // Replay re-runs the violating point pt traced and returns the replay's
@@ -287,10 +305,10 @@ func (r *Report[C, P, R]) WriteText(w io.Writer) error {
 	return dump.WriteText(w)
 }
 
-// describe names a finding's point — its index and each armed trigger —
-// and what its check found.
+// describe names a finding's point — its index, its seed and each armed
+// trigger — and what its check found.
 func (f *Finding[C, P, R]) describe() string {
-	s := fmt.Sprintf("point %d", f.Point.Index)
+	s := fmt.Sprintf("point %d seed %#x", f.Point.Index, f.Point.Seed)
 	for _, t := range triggers(&f.Point.Plan) {
 		if *t != (Trigger{}) {
 			s += " trigger " + t.String()

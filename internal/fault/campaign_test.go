@@ -458,8 +458,68 @@ func TestToyDimensionShrinksAndReplays(t *testing.T) {
 	if err := rep.WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"toy: 3 points\n", "  VIOLATION point 1 trigger t=900000ns: corrupt=[900000]",
-		"  minimal failing point 0 trigger t=400001ns: corrupt=[410000]", "flight recorder: toy point 0"} {
+	for _, want := range []string{"toy: 3 points\n", "  VIOLATION point 1 seed 0x0 trigger t=900000ns: corrupt=[900000]",
+		"  minimal failing point 0 seed 0x0 trigger t=400001ns: corrupt=[410000]", "flight recorder: toy point 0"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("report lacks %q:\n%s", want, buf.String())
+		}
+	}
+}
+
+// faultingCycle commits a key per microsecond and recovers every one.
+// The planted bug: on the point whose plan cuts the dump, its first Step
+// starts a drain process that panics — a stack bug that faults a
+// simulated process.
+type faultingCycle struct {
+	env       *sim.Env
+	committed []string
+}
+
+func (c *faultingCycle) Step(p *sim.Proc, i int) (string, error) {
+	if i == 0 && fault.Of(c.env).DumpCut(1) {
+		c.env.Go("planted.drain", func(*sim.Proc) { panic("gc relocation: planted") })
+	}
+	p.Sleep(sim.Microsecond)
+	c.committed = append(c.committed, fmt.Sprintf("k%d", i))
+	return c.committed[i], nil
+}
+func (c *faultingCycle) Stage(*sim.Proc) (string, error)               { return "", nil }
+func (c *faultingCycle) Crash(*sim.Proc) (bool, error)                 { return true, nil }
+func (c *faultingCycle) Recover(*sim.Proc) ([]string, []string, error) { return c.committed, nil, nil }
+
+// TestProcessFaultIsAViolation: a simulated process that faults at one
+// point of a sweep is that point's violation, naming the fault, with
+// its index, seed and the flight dump of its traced replay in the
+// report — not a panic that ends the sweep. The other points run clean,
+// and the faulted point is not shrunk.
+func TestProcessFaultIsAViolation(t *testing.T) {
+	c := &fault.Crash{
+		Name: "faulting", Points: 4, Ops: 4, Seed: 0x2b55,
+		Build: func(env *sim.Env, _ *sim.Proc) (fault.Cycle, error) { return &faultingCycle{env: env}, nil },
+		Tweak: func(i int, plan *fault.Plan) {
+			if i == 2 {
+				plan.CutDumpAfterPages = 1
+			}
+		},
+	}
+	rep, err := c.Campaign().Run(serial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := rep.Violations()
+	if len(rep.Findings) != 4 || len(v) != 1 || v[0].Point.Index != 2 {
+		t.Fatalf("%d points, violations %+v; want 4 points and point 2 alone violating", len(rep.Findings), v)
+	}
+	const fault = `sim: process "planted.drain" faulted: gc relocation: planted`
+	if !strings.Contains(v[0].Result.Err, fault) || !v[0].Result.Harness() || v[0].Flight == nil || rep.Shrunk != nil {
+		t.Fatalf("point 2: err %q, dump %v, shrunk %v; want the fault named, a dump and no shrink",
+			v[0].Result.Err, v[0].Flight != nil, rep.Shrunk)
+	}
+	var buf bytes.Buffer
+	if err := rep.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"violations: 1\n", fmt.Sprintf("  VIOLATION point 2 seed %#x trigger ", v[0].Point.Seed), "faulted: gc relocation: planted", "flight recorder: "} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("report lacks %q:\n%s", want, buf.String())
 		}

@@ -26,7 +26,7 @@ MODULE = "twobssd/"
 # tool:       bench2b digest / -benchgate / -benchjson / -cpuprofile /
 #             -memprofile, or the benchmark's check / repeat / manifest
 # trace:      reached only with -trace
-# public-api: the public package's surface, until ROADMAP item 11 decides
+# public-api: an obs writer the public package's types expose, no artifact calls
 # test-hook:  called by the tests of another package
 # item-N:     an open ROADMAP item that will reach it
 REASONS = {"reporter", "tool", "trace", "public-api", "test-hook"}

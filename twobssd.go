@@ -68,8 +68,6 @@ type (
 	// Config assembles an SSD (device profile, BA-buffer geometry,
 	// MMIO model, capacitors).
 	Config = core.Config
-	// Spec mirrors Table I of the paper.
-	Spec = core.Spec
 	// EID names a BA-buffer mapping-table entry.
 	EID = core.EID
 	// Entry is one mapping-table row.
@@ -85,9 +83,6 @@ func New(env *Env, cfg Config) *SSD { return core.New(env, cfg) }
 // BA-buffer, 8 entries, ULL-SSD base device, 3x270 µF capacitors).
 func DefaultConfig() Config { return core.DefaultConfig() }
 
-// DefaultSpec returns the paper's Table I values.
-func DefaultSpec() Spec { return core.DefaultSpec() }
-
 // Block devices and the comparison profiles.
 type (
 	// Device is a simulated NVMe block SSD.
@@ -100,9 +95,6 @@ type (
 
 // NewDevice builds a standalone block device from a profile.
 func NewDevice(env *Env, p DeviceProfile) *Device { return device.New(env, p) }
-
-// DCSSD returns the datacenter-class comparison profile (PM963-like).
-func DCSSD() DeviceProfile { return device.DCSSD() }
 
 // ULLSSD returns the ultra-low-latency comparison profile (Z-SSD-like).
 func ULLSSD() DeviceProfile { return device.ULLSSD() }
@@ -164,9 +156,6 @@ type (
 	// Tracer records virtual-time spans and exports Chrome trace-event
 	// JSON (Perfetto). A nil *Tracer is the zero-overhead disabled path.
 	Tracer = obs.Tracer
-	// ObsCollector aggregates metrics, traces and timelines across
-	// environments.
-	ObsCollector = obs.Collector
 	// Sampler snapshots a registry once per virtual millisecond into
 	// ring-buffered, delta-encoded timeline windows (Observe(env).
 	// StartSampler()).
@@ -195,10 +184,3 @@ type (
 //	o.Snapshot().WriteText(os.Stdout)
 //	o.Tracer().WriteJSON(traceFile)
 func Observe(env *Env) *Observability { return obs.Of(env) }
-
-// NewObsCollector returns a collector that, once Install()ed, captures
-// every environment the process subsequently creates — how bench2b's
-// -metrics/-trace/-timeline flags observe experiments that build many
-// environments internally. Call EnableSampling() before Install to
-// also record metric timelines, one window per virtual millisecond.
-func NewObsCollector(tracing bool) *ObsCollector { return obs.NewCollector(tracing) }

@@ -84,27 +84,3 @@ func TestPublicAPIWAL(t *testing.T) {
 	})
 	env.Run()
 }
-
-// TestPublicAPIDevices checks the comparison-device constructors.
-func TestPublicAPIDevices(t *testing.T) {
-	env := twobssd.NewEnv()
-	dc := twobssd.NewDevice(env, twobssd.DCSSD())
-	ull := twobssd.NewDevice(env, twobssd.ULLSSD())
-	var dcLat, ullLat twobssd.Duration
-	env.Go("t", func(p *twobssd.Proc) {
-		buf := make([]byte, dc.PageSize())
-		start := env.Now()
-		dc.WritePages(p, 0, buf)
-		dcLat = twobssd.Duration(env.Now() - start)
-		start = env.Now()
-		ull.WritePages(p, 0, buf)
-		ullLat = twobssd.Duration(env.Now() - start)
-	})
-	env.Run()
-	if ullLat >= dcLat {
-		t.Fatalf("ULL write %v should beat DC %v", ullLat, dcLat)
-	}
-	if twobssd.DefaultSpec().CapacityGB != 800 {
-		t.Fatal("spec wrong")
-	}
-}
