@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"unicode/utf8"
 
 	"twobssd/internal/core"
 	"twobssd/internal/device"
@@ -62,21 +63,30 @@ func (t *Table) AddRow(x string, vals ...float64) {
 	t.Rows = append(t.Rows, Row{X: x, Vals: vals})
 }
 
-// Print renders the table in fixed-width columns.
+// Print renders the table in fixed-width columns: the x column 14 wide
+// and each series 16, or one wider than its header, so no header runs
+// into the one before it.
 func (t *Table) Print(w io.Writer) {
 	fmt.Fprintf(w, "== %s: %s ==\n", strings.ToUpper(t.ID), t.Title)
 	if t.Unit != "" {
 		fmt.Fprintf(w, "   (values in %s)\n", t.Unit)
 	}
-	head := fmt.Sprintf("%-14s", t.XLabel)
-	for _, s := range t.Series {
-		head += fmt.Sprintf("%16s", s)
+	xw := max(14, utf8.RuneCountInString(t.XLabel)+1)
+	width := func(i int) int {
+		if i < len(t.Series) {
+			return max(16, utf8.RuneCountInString(t.Series[i])+1)
+		}
+		return 16
+	}
+	head := fmt.Sprintf("%-*s", xw, t.XLabel)
+	for i, s := range t.Series {
+		head += fmt.Sprintf("%*s", width(i), s)
 	}
 	fmt.Fprintln(w, head)
 	for _, r := range t.Rows {
-		line := fmt.Sprintf("%-14s", r.X)
-		for _, v := range r.Vals {
-			line += fmt.Sprintf("%16.2f", v)
+		line := fmt.Sprintf("%-*s", xw, r.X)
+		for i, v := range r.Vals {
+			line += fmt.Sprintf("%*.2f", width(i), v)
 		}
 		fmt.Fprintln(w, line)
 	}

@@ -52,6 +52,24 @@ func TestSpecTable(t *testing.T) {
 	}
 }
 
+// A series header of 16 characters or more gets a column one wider than
+// itself, so it never runs into the header before it; headers that fit
+// keep the 14/16 layout.
+func TestTablePrintColumnsFitHeaders(t *testing.T) {
+	for _, c := range []struct{ series, head, row string }{
+		{"commits/s|fsyncs", "x                    commits/s          fsyncs", "a                         1.00            2.00"},
+		{"commits/s|fsyncs per commit", "x                    commits/s fsyncs per commit", "a                         1.00              2.00"},
+	} {
+		var sb strings.Builder
+		tab := &Table{ID: "t", Title: "T", XLabel: "x", Series: strings.Split(c.series, "|")}
+		tab.AddRow("a", 1, 2)
+		tab.Print(&sb)
+		if want := "== T: T ==\n" + c.head + "\n" + c.row + "\n\n"; sb.String() != want {
+			t.Errorf("series %q print as\n%swant\n%s", c.series, sb.String(), want)
+		}
+	}
+}
+
 func TestFig7aShape(t *testing.T) {
 	tab := Fig7a(runner(Quick))
 	// Anchor points from the paper.
