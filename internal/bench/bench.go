@@ -72,21 +72,17 @@ func (t *Table) Print(w io.Writer) {
 		fmt.Fprintf(w, "   (values in %s)\n", t.Unit)
 	}
 	xw := max(14, utf8.RuneCountInString(t.XLabel)+1)
-	width := func(i int) int {
-		if i < len(t.Series) {
-			return max(16, utf8.RuneCountInString(t.Series[i])+1)
-		}
-		return 16
-	}
+	ws := make([]int, len(t.Series))
 	head := fmt.Sprintf("%-*s", xw, t.XLabel)
 	for i, s := range t.Series {
-		head += fmt.Sprintf("%*s", width(i), s)
+		ws[i] = max(16, utf8.RuneCountInString(s)+1)
+		head += fmt.Sprintf("%*s", ws[i], s)
 	}
 	fmt.Fprintln(w, head)
 	for _, r := range t.Rows {
 		line := fmt.Sprintf("%-*s", xw, r.X)
 		for i, v := range r.Vals {
-			line += fmt.Sprintf("%*.2f", width(i), v)
+			line += fmt.Sprintf("%*.2f", ws[i], v)
 		}
 		fmt.Fprintln(w, line)
 	}

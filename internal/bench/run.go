@@ -11,10 +11,6 @@ import (
 	"twobssd/internal/obs"
 )
 
-// The one run path: every caller that runs artifacts — cmd/bench2b,
-// its digest and the invariance tests — selects experiments and hands
-// them to Run, which owns the collector and the fan-out.
-
 // Select resolves ids against table in the order named; "all" is every
 // paper artifact. It fails on the first id that selects nothing.
 func Select(table []Experiment, ids ...string) ([]Experiment, error) {
@@ -86,14 +82,15 @@ type Result struct {
 	*obs.Collector `json:"-"`
 }
 
-// Run executes cfg's experiments on one Runner and streams their output
-// to stdout in selection order at any -j. At -j 1, or with one
-// experiment, they run one after another on this goroutine, each
-// attributed its mallocs and events; otherwise each runs on its own
-// goroutine into a buffer printed when its turn comes (the Runner's
-// semaphore, not this fan-out, bounds the environments that execute at
-// once). An experiment whose gate fails does not stop the run. The
-// error is stdout's.
+// Run is the one run path: bench2b, its digest and the tests that
+// compare runs all call it. It installs the collector cfg asks for,
+// runs cfg's experiments on one Runner, streams their output to stdout
+// in selection order at any -j, and removes the collector. At -j 1, or
+// with one experiment, they run one after another on this goroutine,
+// each attributed its mallocs and events; otherwise each runs on its
+// own goroutine into a buffer printed when its turn comes (the Runner's
+// semaphore bounds the environments that execute at once). A failed
+// gate does not stop the run. The error is stdout's.
 func Run(cfg Config, stdout io.Writer) (*Result, error) {
 	scale, scaleName := Quick, "quick"
 	if cfg.Full {
