@@ -289,7 +289,7 @@ func execute(o options, selected []bench.Experiment, stdout, stderr io.Writer) e
 }
 
 // jsonReport returns an emitter that writes v as indented JSON.
-func jsonReport(v any) func(io.Writer) error {
+func jsonReport(v interface{}) func(io.Writer) error {
 	return func(w io.Writer) error {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")

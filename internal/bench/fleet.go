@@ -159,26 +159,14 @@ func fleetTable(sc fleetScenario, res *fleet.Result) *Table {
 }
 
 // RunFleet executes the fleet experiment family (or the CI smoke
-// scenario) and writes the tables to w. It returns an error when any
-// scenario lost or phantomed a record or failed to fail over.
+// scenario) as points and writes their tables to w in order. It returns
+// an error when any scenario lost or phantomed a record or failed to
+// fail over.
 func RunFleet(r *Runner, w io.Writer, smoke bool) error {
 	scens := fleetScenarios(r.Scale)
 	if smoke {
 		scens = []fleetScenario{fleetSmokeScenario()}
 	}
-	violations, err := runFleetScenarios(r, w, scens)
-	if err != nil {
-		return err
-	}
-	if len(violations) > 0 {
-		return fmt.Errorf("fleet gate: %s", strings.Join(violations, "; "))
-	}
-	return nil
-}
-
-// runFleetScenarios runs the scenarios as points, prints their tables
-// in order, and returns every integrity violation they found.
-func runFleetScenarios(r *Runner, w io.Writer, scens []fleetScenario) ([]string, error) {
 	results, err := pointsErr(r, len(scens), func(i int) (*fleet.Result, error) {
 		res, err := fleet.Run(scens[i].cfg)
 		if err != nil {
@@ -187,7 +175,7 @@ func runFleetScenarios(r *Runner, w io.Writer, scens []fleetScenario) ([]string,
 		return res, err
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	var violations []string
 	for i, res := range results {
@@ -196,5 +184,8 @@ func runFleetScenarios(r *Runner, w io.Writer, scens []fleetScenario) ([]string,
 			violations = append(violations, scens[i].id+": "+v)
 		}
 	}
-	return violations, nil
+	if len(violations) > 0 {
+		return fmt.Errorf("fleet gate: %s", strings.Join(violations, "; "))
+	}
+	return nil
 }

@@ -152,11 +152,15 @@ func Run(cfg Config, stdout io.Writer) (*Result, error) {
 				step(i, &bufs[i])
 			}()
 		}
+		var err error
 		for i := range exps {
-			<-done[i]
-			if _, err := io.Copy(stdout, &bufs[i]); err != nil {
-				return nil, err
+			<-done[i] // every experiment finishes before Run returns
+			if err == nil {
+				_, err = io.Copy(stdout, &bufs[i])
 			}
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 	wall := time.Since(start)
