@@ -33,17 +33,25 @@ func TestExperimentsDeterministic(t *testing.T) {
 	}
 }
 
-// TestJobsInvariance runs the paper artifacts and the fleet family
-// through Run at -j 1 (strictly sequential) and at -j 8 and demands
-// byte-identical stdout AND an identical merged metrics snapshot AND an
-// identical merged metric timeline, with no gate failing. Worker
-// parallelism must be invisible in every result, sampled series and
-// fleets run side by side included.
+// TestJobsInvariance runs the paper artifacts through Run at -j 1
+// (strictly sequential) and at -j 8 and demands byte-identical stdout
+// AND an identical merged metrics snapshot AND an identical merged
+// metric timeline, with no gate failing. Worker parallelism must be
+// invisible in every result, sampled series included.
 func TestJobsInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep; skipped with -short")
 	}
-	exps, err := Select(Experiments(), "all", "fleet")
+	jobsInvariant(t, "all")
+}
+
+// jobsInvariant runs the experiments ids selects through Run, with a
+// timeline, at -j 1 and at -j 8, fails the test unless stdout, the
+// merged metrics snapshot and the merged timeline are byte-identical
+// and no gate fails, and returns the -j 1 metrics snapshot.
+func jobsInvariant(t *testing.T, ids ...string) []byte {
+	t.Helper()
+	exps, err := Select(Experiments(), ids...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +86,5 @@ func TestJobsInvariance(t *testing.T) {
 	if len(tl1) < 100 {
 		t.Errorf("merged timeline is empty: %s", tl1)
 	}
-	if !bytes.Contains(m1, []byte("fleet.qos.fairness")) {
-		t.Errorf("merged metrics lack the fleet.qos.fairness gauge")
-	}
+	return m1
 }
