@@ -21,8 +21,11 @@
 // -checkpoint-every at least 0; the records are split as evenly as the
 // clients allow, so exactly -records commits run.
 //
-// In ba mode the log is placed on mapping-table entries 0 and 1 — two
-// entries, so two double-buffered halves of the BA-buffer.
+// walsim is a flag front end over bench.Stream, the commit-stream driver
+// behind the commit, waf, tail and pmr tables: the log device is the
+// one those tables build, beside an idle data drive, and in ba mode the
+// log is placed on mapping-table entries 0 and 1 — two entries, so two
+// double-buffered halves of the BA-buffer.
 package main
 
 import (
@@ -32,19 +35,15 @@ import (
 	"io"
 	"os"
 
-	"twobssd/internal/core"
-	"twobssd/internal/device"
-	"twobssd/internal/histo"
-	"twobssd/internal/obs"
+	"twobssd/internal/bench"
 	"twobssd/internal/sim"
-	"twobssd/internal/vfs"
 	"twobssd/internal/wal"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the whole command: 0 on success, 2 on a usage error or a log
-// configuration wal.Open refuses, 1 when the run itself fails.
+// the device cannot open, 1 when the run itself fails.
 func run(args []string, stdout, stderr io.Writer) int {
 	fl := flag.NewFlagSet("walsim", flag.ContinueOnError)
 	fl.SetOutput(stderr)
@@ -79,114 +78,47 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	var cm wal.CommitMode
-	switch *mode {
-	case "sync":
-		cm = wal.Sync
-	case "async":
-		cm = wal.Async
-	case "ba":
-		cm = wal.BA
-	case "pm":
-		cm = wal.PM
-	default:
+	cm, ok := map[string]wal.CommitMode{"sync": wal.Sync, "async": wal.Async, "ba": wal.BA, "pm": wal.PM}[*mode]
+	if !ok {
 		return usage("unknown mode %q", *mode)
 	}
-
-	env := sim.NewEnv()
-	var fs *vfs.FS
-	var ssd *core.TwoBSSD
-	switch *dev {
-	case "dc":
-		fs = vfs.New(device.New(env, device.DCSSD()))
-	case "ull":
-		fs = vfs.New(device.New(env, device.ULLSSD()))
-	case "2b":
-		ssd = core.New(env, core.DefaultConfig())
-		fs = vfs.New(ssd.Device())
-	default:
+	dv, ok := map[string]bench.LogDevice{"dc": bench.LogDC, "ull": bench.LogULL, "2b": bench.Log2B}[*dev]
+	if !ok {
 		return usage("unknown device %q", *dev)
 	}
-	if cm == wal.BA && ssd == nil {
+	if cm == wal.BA && dv != bench.Log2B {
 		return usage("BA mode requires -device 2b")
 	}
 
-	var l *wal.Log
-	h := &histo.H{}
-	commits := 0
-	// openErr is a configuration wal.Open refuses; runErr the first
-	// failure of the run, after which every client stops.
-	var openErr, runErr error
-	env.Go("setup", func(p *sim.Proc) {
-		cfg := wal.Config{Mode: cm}
-		pin := int64(64 << 20)
-		if *ring > 1 {
-			cfg.FS, cfg.Name, cfg.Ring, cfg.SegmentFileBytes = fs, "walsim.seg", *ring, *segbytes
-			pin = *segbytes
-		} else {
-			f, err := fs.Create("walsim.log", pin)
-			if err != nil {
-				runErr = err
-				return
+	s := bench.Stream{Device: dv, Bytes: 64 << 20, Records: *records, Size: *size, Clients: *clients,
+		Tune: func(c *wal.Config) {
+			c.Mode = cm
+			switch {
+			case cm != wal.BA:
+				c.SegmentBytes = 0 // a block-mode log pads only at a file's end
+			case *ring > 1:
+				c.SegmentBytes = min(c.SegmentBytes, int(*segbytes)) // small -segbytes values pin whole files
 			}
-			cfg.File = f
-		}
-		if cm == wal.BA {
-			// Two entries: double-buffered halves of the BA buffer, each
-			// clamped to the segment file (small -segbytes values pin
-			// whole files).
-			cfg.SSD, cfg.EIDs = ssd, []core.EID{0, 1}
-			cfg.SegmentBytes = int(min(int64(ssd.Config().BABufferBytes/2), pin))
-		}
-		if l, openErr = wal.Open(env, cfg); openErr != nil {
-			return
-		}
-		per, extra := *records / *clients, *records%*clients
-		for c := 0; c < *clients; c++ {
-			n := per
-			if c < extra {
-				n++
-			}
-			env.Go(fmt.Sprintf("client%d", c), func(w *sim.Proc) {
-				payload := make([]byte, *size)
-				for i := 0; i < n && runErr == nil; i++ {
-					start := env.Now()
-					lsn, err := l.Append(w, payload)
-					if err == nil {
-						err = l.Commit(w, lsn)
-					}
-					if err != nil {
-						runErr = err
-						return
-					}
-					h.Observe(sim.Duration(env.Now() - start))
-					commits++
-					if *ring > 1 && *ckptEvery > 0 && commits%*ckptEvery == 0 {
-						if err := l.Checkpoint(w, lsn); err != nil {
-							runErr = err
-							return
-						}
-					}
-				}
-			})
-		}
-	})
-	env.Run()
-	if openErr != nil {
-		fmt.Fprintf(stderr, "walsim: %v\n", openErr)
-		return 2
+		}}
+	if *ring > 1 {
+		s.Bytes, s.Ring, s.CheckpointEvery = *segbytes, *ring, *ckptEvery
 	}
-	if runErr != nil {
-		fmt.Fprintf(stderr, "walsim: %v\n", runErr)
+	res, err := s.Run()
+	if err != nil {
+		fmt.Fprintf(stderr, "walsim: %v\n", err)
+		if res.Log == nil { // a configuration the log device refuses
+			return 2
+		}
 		return 1
 	}
+	l, h, reg := res.Log, res.Commits, res.Reg
 
 	// The log publishes its activity as the env's "wal.*" series (and a
 	// ring its lifecycle as "wal.seg_*").
-	reg := obs.Of(env).Registry()
 	n := func(name string) uint64 { return reg.Counter("wal." + name).Value() }
-	elapsed := sim.Duration(env.Now())
-	// The env holds the log device alone, so the ftl.* series are its.
+	elapsed := sim.Duration(res.Env.Now())
+	// The ftl.* series sum over the stack's two drives; the data drive
+	// takes no write, so they are the log device's.
 	hostPages, nandPages := reg.Counter("ftl.host_page_writes").Value(), reg.Counter("ftl.nand_page_writes").Value()
 	waf := 1.0
 	if hostPages > 0 {

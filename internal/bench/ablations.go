@@ -5,7 +5,6 @@ import (
 
 	"twobssd/internal/core"
 	"twobssd/internal/fio"
-	"twobssd/internal/obs"
 	"twobssd/internal/pcie"
 	"twobssd/internal/sim"
 	"twobssd/internal/wal"
@@ -107,39 +106,10 @@ func AblationGroupCommit(r *Runner) *Table {
 		Series: []string{"commits/s", "fsyncs per commit"},
 	}
 	run := func(clients int) (float64, float64) {
-		st := newStack(LogULL)
-		defer st.env.Shutdown()
-		var win opWindow
-		st.env.Go("setup", func(p *sim.Proc) {
-			f, err := st.logFS.Create("log", 8<<20)
-			if err != nil {
-				panic(err)
-			}
-			l, err := wal.Open(st.env, st.logConfig(f))
-			if err != nil {
-				panic(err)
-			}
-			for c := 0; c < clients; c++ {
-				st.env.Go("client", func(w *sim.Proc) {
-					for i := 0; i < 40; i++ {
-						win.issue(st.env.Now())
-						lsn, err := l.Append(w, make([]byte, 128))
-						if err != nil {
-							panic(err)
-						}
-						if err := l.Commit(w, lsn); err != nil {
-							panic(err)
-						}
-						win.ack(st.env.Now())
-					}
-				})
-			}
-		})
-		st.env.Run()
-		reg := obs.Of(st.env).Registry()
-		commits := float64(reg.Counter("wal.commits").Value())
-		return win.rate(commits),
-			float64(reg.Counter("wal.flushes").Value()) / commits
+		res := Stream{Device: LogULL, Bytes: 8 << 20, Clients: clients, Records: 40 * clients, Size: 128}.must()
+		commits := float64(res.Reg.Counter("wal.commits").Value())
+		return res.win.rate(commits),
+			float64(res.Reg.Counter("wal.flushes").Value()) / commits
 	}
 	counts := []int{1, 4, 16}
 	t.Rows = points(r, len(counts), func(i int) Row {

@@ -20,44 +20,8 @@ func CommitOverhead(r *Runner) *Table {
 		Notes:  []string{"paper claim: up to 26x reduction vs block logging."},
 	}
 	measure := func(cfg LogDevice) sim.Duration {
-		st := newStack(cfg)
-		defer st.env.Shutdown()
-		var avg sim.Duration
-		st.env.Go("t", func(p *sim.Proc) {
-			f, err := st.logFS.Create("commitlog", 8<<20)
-			if err != nil {
-				panic(err)
-			}
-			l, err := wal.Open(st.env, st.logConfig(f, 0, 1))
-			if err != nil {
-				panic(err)
-			}
-			// Warm up: the first append pays the one-time BA_PIN of the
-			// log segment, which is not per-commit cost.
-			if lsn, err := l.Append(p, make([]byte, 128)); err == nil {
-				if err := l.Commit(p, lsn); err != nil {
-					panic(err)
-				}
-			} else {
-				panic(err)
-			}
-			const reps = 50
-			var total sim.Duration
-			for i := 0; i < reps; i++ {
-				start := st.env.Now()
-				lsn, err := l.Append(p, make([]byte, 128))
-				if err != nil {
-					panic(err)
-				}
-				if err := l.Commit(p, lsn); err != nil {
-					panic(err)
-				}
-				total += sim.Duration(st.env.Now() - start)
-			}
-			avg = total / reps
-		})
-		st.env.Run()
-		return avg
+		s := Stream{Device: cfg, Bytes: 8 << 20, Records: 50, Size: 128, WarmUp: true}
+		return s.must().Commits.Mean()
 	}
 	cfgs := []LogDevice{LogDC, LogULL, Log2B}
 	costs := points(r, len(cfgs), func(i int) sim.Duration { return measure(cfgs[i]) })
@@ -91,51 +55,21 @@ func WAFReduction(r *Runner) *Table {
 	const recBytes = 256
 	segBytes := core.DefaultConfig().BABufferBytes / 2 // 4 MB
 	records := segBytes / (recBytes + 16)
-	run := func(cfg LogDevice) (nand uint64, n int) {
-		st := newStack(cfg)
-		defer st.env.Shutdown()
-		st.env.Go("t", func(p *sim.Proc) {
-			f, err := st.logFS.Create("waflog", int64(2*segBytes))
-			if err != nil {
-				panic(err)
-			}
-			wcfg := st.logConfig(f, 0, 1)
-			wcfg.SegmentBytes = segBytes // the block side pads at the same boundary
-			l, err := wal.Open(st.env, wcfg)
-			if err != nil {
-				panic(err)
-			}
-			rec := make([]byte, recBytes) // Append copies; reuse one buffer
-			for i := 0; i < records; i++ {
-				lsn, err := l.Append(p, rec)
-				if err != nil {
-					panic(err)
-				}
-				if err := l.Commit(p, lsn); err != nil {
-					panic(err)
-				}
-			}
-			if err := l.FlushToNAND(p); err != nil {
-				panic(err)
-			}
-			if err := st.logFS.Device().Drain(p); err != nil {
-				panic(err)
-			}
-		})
-		st.env.Run()
+	nandPages := func(cfg LogDevice) uint64 {
+		// The block side pads at the same boundary as the BA-WAL.
+		res := Stream{Device: cfg, Bytes: int64(2 * segBytes), Records: records, Size: recBytes, Flush: true,
+			Tune: func(c *wal.Config) { c.SegmentBytes = segBytes }}.must()
 		// The ftl.* series sum over both drives of the stack: the count
 		// is the log device's only because the data drive took no write.
-		reg := obs.Of(st.env).Registry()
-		data := st.dataFS.Device().Profile().Name + ".pages_written"
-		if n := reg.Counter(data).Value(); n != 0 {
+		data := res.st.dataFS.Device().Profile().Name + ".pages_written"
+		if n := res.Reg.Counter(data).Value(); n != 0 {
 			panic(fmt.Sprintf("bench: waf: the data drive wrote %d pages (%s); the NAND count is not the log device's", n, data))
 		}
-		return reg.Counter("ftl.nand_page_writes").Value(), records
+		return res.Reg.Counter("ftl.nand_page_writes").Value()
 	}
 	cfgs := []LogDevice{LogULL, Log2B}
 	t.Rows = points(r, len(cfgs), func(i int) Row {
-		nand, n := run(cfgs[i])
-		return Row{X: cfgs[i].String(), Vals: []float64{float64(nand), float64(n)}}
+		return Row{X: cfgs[i].String(), Vals: []float64{float64(nandPages(cfgs[i])), float64(records)}}
 	})
 	return t
 }

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"twobssd/internal/core"
 	"twobssd/internal/device"
 	"twobssd/internal/ftl"
 	"twobssd/internal/histo"
@@ -27,45 +28,9 @@ func TailLatency(r *Runner) *Table {
 		},
 	}
 	run := func(cfg LogDevice) *histo.H {
-		st := newStack(cfg)
-		defer st.env.Shutdown() // release the point's grown kernel arrays
-		h := &histo.H{}
-		st.env.Go("setup", func(p *sim.Proc) {
-			f, err := st.logFS.Create("taillog", 32<<20)
-			if err != nil {
-				panic(err)
-			}
-			l, err := wal.Open(st.env, st.logConfig(f, 0, 1))
-			if err != nil {
-				panic(err)
-			}
-			// Warm up: the first append pays the one-time BA_PIN of the
-			// first log segment (not steady-state commit cost).
-			if lsn, err := l.Append(p, make([]byte, 128)); err != nil {
-				panic(err)
-			} else if err := l.Commit(p, lsn); err != nil {
-				panic(err)
-			}
-			per := int(r.AppOps) / r.Clients
-			for c := 0; c < r.Clients; c++ {
-				st.env.Go(fmt.Sprintf("c%d", c), func(w *sim.Proc) {
-					rec := make([]byte, 128) // Append copies; reuse per client
-					for i := 0; i < per; i++ {
-						start := st.env.Now()
-						lsn, err := l.Append(w, rec)
-						if err != nil {
-							panic(err)
-						}
-						if err := l.Commit(w, lsn); err != nil {
-							panic(err)
-						}
-						h.Observe(sim.Duration(st.env.Now() - start))
-					}
-				})
-			}
-		})
-		st.env.Run()
-		return h
+		s := Stream{Device: cfg, Bytes: 32 << 20, WarmUp: true,
+			Clients: r.Clients, Records: int(r.AppOps), Size: 128}
+		return s.must().Commits
 	}
 	cfgs := []LogDevice{LogDC, LogULL, Log2B}
 	t.Rows = points(r, len(cfgs), func(i int) Row {
@@ -166,58 +131,19 @@ func PMRComparison(r *Runner) *Table {
 		},
 	}
 	run := func(mode wal.CommitMode) (float64, float64) {
-		st := newStack(Log2B)
-		defer st.env.Shutdown()
-		var l *wal.Log
-		var appended uint64
-		var win opWindow
-		st.env.Go("setup", func(p *sim.Proc) {
-			seg := st.ssd.Config().BABufferBytes / 2
-			f, err := st.logFS.Create("pmrlog", int64(8*seg))
-			if err != nil {
-				panic(err)
-			}
-			wcfg := st.logConfig(f, 0, 1)
-			wcfg.Mode = mode
-			l, err = wal.Open(st.env, wcfg)
-			if err != nil {
-				panic(err)
-			}
-			for c := 0; c < r.Clients; c++ {
-				st.env.Go(fmt.Sprintf("c%d", c), func(w *sim.Proc) {
-					payload := make([]byte, 1024)
-					for i := int64(0); i < r.AppOps/int64(r.Clients); i++ {
-						win.issue(st.env.Now())
-						lsn, err := l.Append(w, payload)
-						if err != nil {
-							panic(err)
-						}
-						if err := l.Commit(w, lsn); err != nil {
-							panic(err)
-						}
-						win.ack(st.env.Now())
-					}
-				})
-			}
-		})
-		st.env.Run()
-		// The rate includes the drain of the last segment to NAND, the
+		// The rate includes the flush of the last segment to NAND, the
 		// host round trip this table is about: at quick scale the whole
 		// run fits one segment, and the commits alone never flush.
-		st.env.Go("drain", func(p *sim.Proc) {
-			if err := l.FlushToNAND(p); err != nil {
-				panic(err)
-			}
-			win.ack(st.env.Now())
-		})
-		st.env.Run()
-		reg := obs.Of(st.env).Registry()
-		appended = reg.Counter("wal.bytes_appended").Value()
+		res := Stream{Device: Log2B, Bytes: int64(8 * (core.DefaultConfig().BABufferBytes / 2)),
+			Clients: r.Clients, Records: int(r.AppOps), Size: 1024, Flush: true,
+			Tune: func(c *wal.Config) { c.Mode = mode }}.must()
+		reg, ssd := res.Reg, res.st.ssd
+		appended := reg.Counter("wal.bytes_appended").Value()
 		// Host interface traffic caused by log flushing: DMA reads of
 		// the window plus block writes of the same bytes (PMR only).
 		hostBytes := reg.Counter("2bssd.dma_bytes").Value() +
-			reg.Counter(st.ssd.Device().Profile().Name+".pages_written").Value()*uint64(st.ssd.PageSize())
-		return win.rate(float64(reg.Counter("wal.commits").Value())),
+			reg.Counter(ssd.Device().Profile().Name+".pages_written").Value()*uint64(ssd.PageSize())
+		return res.win.rate(float64(reg.Counter("wal.commits").Value())),
 			float64(hostBytes) / float64(appended)
 	}
 	modes := []wal.CommitMode{wal.BA, wal.PMR}

@@ -489,8 +489,8 @@ func (c *faultingCycle) Recover(*sim.Proc) ([]string, []string, error) { return 
 
 // TestProcessFaultIsAViolation: a simulated process that faults at one
 // point of a sweep is that point's violation, naming the fault, with
-// its index, seed and the flight dump of its traced replay in the
-// report — not a panic that ends the sweep. The other points run clean,
+// its index, seed and the flight dump of its traced replay, headed by
+// the harness failure, in the report — not a panic that ends the sweep. The other points run clean,
 // and the faulted point is not shrunk.
 func TestProcessFaultIsAViolation(t *testing.T) {
 	c := &fault.Crash{
@@ -518,6 +518,10 @@ func TestProcessFaultIsAViolation(t *testing.T) {
 	var buf bytes.Buffer
 	if err := rep.WriteText(&buf); err != nil {
 		t.Fatal(err)
+	}
+	// The dump names the harness failure: nothing was lost.
+	if r := v[0].Flight.Reason; !strings.HasSuffix(r, ": harness failure: "+v[0].Result.Err) {
+		t.Errorf("flight dump reason %q; want the harness failure and its error", r)
 	}
 	for _, want := range []string{"violations: 1\n", fmt.Sprintf("  VIOLATION point 2 seed %#x trigger ", v[0].Point.Seed), "faulted: gc relocation: planted", "flight recorder: "} {
 		if !strings.Contains(buf.String(), want) {

@@ -133,8 +133,12 @@ func (c *Crash) Campaign() *Campaign[struct{}, Plan, PointResult] {
 	return &Campaign[struct{}, Plan, PointResult]{
 		Points: c.points,
 		Check:  c.check,
-		Reason: func(pt CrashPoint, _ PointResult) string {
-			return fmt.Sprintf("campaign %s point %d trigger %s: durability violation", c.Name, pt.Index, pt.Plan.PowerLoss)
+		Reason: func(pt CrashPoint, r PointResult) string {
+			why := "durability violation"
+			if r.Harness() {
+				why = "harness failure: " + r.Err
+			}
+			return fmt.Sprintf("campaign %s point %d trigger %s: %s", c.Name, pt.Index, pt.Plan.PowerLoss, why)
 		},
 		Summary: c.summary,
 	}

@@ -253,6 +253,17 @@ func newDBRig() *dbRig {
 	return &dbRig{env: e, ssd: ssd, fs: vfs.New(ssd.Device())}
 }
 
+// audit runs the rig drive's audits — the FTL page map, the BA mapping
+// table and the write buffer — at a quiescent point.
+func (r *dbRig) audit(t *testing.T) {
+	t.Helper()
+	for _, a := range []func() error{r.ssd.Device().FTL().Audit, r.ssd.Audit, r.ssd.Device().Audit} {
+		if err := a(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func (r *dbRig) config(mode wal.CommitMode) Config {
 	cfg := Config{
 		DataFS:        r.fs,
@@ -543,6 +554,7 @@ func TestConcurrentWriters(t *testing.T) {
 	if err := db.Audit(); err != nil {
 		t.Fatal(err)
 	}
+	r.audit(t)
 	r.env.Go("verify", func(p *sim.Proc) {
 		for w := 0; w < 8; w++ {
 			for i := 0; i < 50; i++ {
@@ -787,6 +799,7 @@ func TestFlushesOverlapCompactions(t *testing.T) {
 	if st := db.Stats(); st.Compactions < 4 || st.Flushes < 8 {
 		t.Fatalf("only %d flushes / %d compactions; the test exercises nothing", st.Flushes, st.Compactions)
 	}
+	r.audit(t)
 	r.env.Go("verify", func(p *sim.Proc) {
 		for w := 0; w < writers; w++ {
 			for k := 0; k < keys; k++ {

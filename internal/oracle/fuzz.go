@@ -206,8 +206,13 @@ func Campaign(cfg Config, seeds int) *Sweep {
 			}
 			return pts, nil
 		},
-		Check:   func(env *sim.Env, pt Point) Result { return check(env, pt, cfg) },
-		Reason:  func(_ Point, r Result) string { return "oracle divergence: " + r.Divergence.String() },
+		Check: func(env *sim.Env, pt Point) Result { return check(env, pt, cfg) },
+		Reason: func(_ Point, r Result) string {
+			if r.Harness() {
+				return "harness failure: " + r.Err
+			}
+			return "oracle divergence: " + r.Divergence.String()
+		},
 		Summary: func(w io.Writer, rep *Report) error { return summary(w, rep, cfg) },
 	}
 }

@@ -125,6 +125,21 @@ func TestDivergenceStrings(t *testing.T) {
 	}
 }
 
+// A violating point's flight dump is headed by what failed: a harness
+// failure (a faulted process, a replay that did not reproduce) names
+// itself and its error, not an empty divergence.
+func TestReasonNamesHarnessFailures(t *testing.T) {
+	c := Campaign(Config{}, 0)
+	const fault = `sim: process "drain" faulted: boom`
+	if got := c.Reason(Point{}, Result{Err: fault}); got != "harness failure: "+fault {
+		t.Errorf("harness failure reads %q", got)
+	}
+	d := &Divergence{Seed: 7, OpIndex: 3, Op: "pin eid=1", Detail: "boom"}
+	if got := c.Reason(Point{}, Result{Divergence: d}); got != "oracle divergence: "+d.String() {
+		t.Errorf("divergence reads %q", got)
+	}
+}
+
 // The GCActive profile must put relocation under the trace — victims of
 // several runs, collected while the ops execute — agree with the model;
 // the default profile's drive never collects.

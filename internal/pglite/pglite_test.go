@@ -263,6 +263,17 @@ func newRig() *rig {
 	return &rig{env: e, ssd: ssd, fs: vfs.New(ssd.Device())}
 }
 
+// audit runs the rig drive's audits — the FTL page map, the BA mapping
+// table and the write buffer — at a quiescent point.
+func (r *rig) audit(t *testing.T) {
+	t.Helper()
+	for _, a := range []func() error{r.ssd.Device().FTL().Audit, r.ssd.Audit, r.ssd.Device().Audit} {
+		if err := a(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // config places a 1 MB XLOG the paper's way — two entries double-
 // buffering windows of the BA-buffer, two windows per ring file; the
 // block modes use only the segment sizes.
@@ -561,6 +572,7 @@ func TestConcurrentCommitters(t *testing.T) {
 		}
 	})
 	r.env.Run()
+	r.audit(t)
 	r.env.Go("verify", func(p *sim.Proc) {
 		for c := 0; c < 12; c++ {
 			for i := 0; i < 30; i++ {
