@@ -21,45 +21,46 @@ import (
 // checked against the syntax of every non-test Go file of the repository
 // (benchmark/ read, never written). A rule matches syntax, so a comment
 // or a string never trips one, and a package qualifier resolves through
-// the file's own imports. Every row plants a fixture that must break it.
+// the file's own imports. Every row plants a fixture that must break it,
+// and DESIGN.md states its rule (TestDesignDocs).
 var designRules = []rule{
-	{name: "No log Reset", pr: 22, in: dirs("wal", "pglite", "kvaof", "jfs"), bad: call("^Reset$", 1),
+	{name: "No log Reset", in: dirs("wal", "pglite", "kvaof", "jfs"), bad: call("^Reset$", 1),
 		planted: []string{"internal/jfs/x.go\nfunc f() { j.log.Reset(p) }"}},
-	{name: "One append rule", pr: 24, in: []string{"internal/wal/wal.go"}, bad: callIn("Append", "ringed"),
+	{name: "One append rule", in: []string{"internal/wal/wal.go"}, bad: callIn("Append", "ringed"),
 		planted: []string{"internal/wal/wal.go\nfunc (l *Log) Append() { if l.ringed() {} }"}},
-	{name: "One counter surface", pr: 30, exempt: dirs("lsm"), bad: method("^[A-Za-z]*Stats$"),
+	{name: "One counter surface", exempt: dirs("lsm"), bad: method("^[A-Za-z]*Stats$"),
 		planted: []string{"internal/core/x.go\nfunc (s *S) ScrubStats() {}", "benchmark/x.go\nfunc (d DB) Stats() {}"}},
-	{name: "Artifacts only", pr: 31, exempt: []string{"benchmark/"}, bad: imports("net", "net/http"),
+	{name: "Artifacts only", exempt: []string{"benchmark/"}, bad: imports("net", "net/http"),
 		planted: []string{"cmd/bench2b/x.go\nimport \"net/http\"", "internal/obs/x.go\nimport n \"net\""}},
-	{name: "One thread runs a simulation", pr: 34, in: dirs("sim", "fleet"), bad: imports("sync", "sync/atomic"),
+	{name: "One thread runs a simulation", in: dirs("sim", "fleet"), bad: imports("sync", "sync/atomic"),
 		planted: []string{"internal/fleet/x.go\nimport \"sync/atomic\"", "internal/sim/x.go\nimport s \"sync\"\nvar mu s.Mutex"}},
-	{name: "One event queue", pr: 36, in: dirs("sim"), bad: ident("^(horizon|lookahead|peekNext)$"),
+	{name: "One event queue", in: dirs("sim"), bad: ident("^(horizon|lookahead|peekNext)$"),
 		planted: []string{"internal/sim/x.go\nvar horizon Time", "internal/sim/x.go\nfunc f() { e.k.peekNext() }"}},
-	{name: "Procs are coroutines", pr: 35, in: dirs("sim"), bad: syntax("chan", "send", "recv", "go"),
+	{name: "Procs are coroutines", in: dirs("sim"), bad: syntax("chan", "send", "recv", "go"),
 		planted: []string{"internal/sim/x.go\nvar wake chan struct{}", "internal/sim/x.go\nfunc f() { c <- 1 }",
 			"internal/sim/x.go\nfunc f() { <-c }", "internal/sim/x.go\nfunc f() { go g() }"}},
-	{name: "go only in the runner", pr: 39, exempt: []string{"internal/bench/parallel.go", "internal/bench/run.go"}, bad: syntax("go"),
+	{name: "go only in the runner", exempt: []string{"internal/bench/parallel.go", "internal/bench/run.go"}, bad: syntax("go"),
 		planted: []string{"internal/bench/x.go\nfunc f() { go g() }", "benchmark/x.go\nfunc f() { go g() }"}},
-	{name: "Every mapped page carries its CRC", pr: 39, in: dirs("nand", "ftl", "device", "core"), bad: ident("^(tagged|ReadPageTagged)$|oobTag"),
+	{name: "Every mapped page carries its CRC", in: dirs("nand", "ftl", "device", "core"), bad: ident("^(tagged|ReadPageTagged)$|oobTag"),
 		planted: []string{"internal/ftl/x.go\nvar tagged bool", "internal/nand/x.go\nfunc f() { fl.ReadPageTagged(p, 0) }",
 			"internal/core/x.go\ntype page struct{ oobTagged bool }"}},
-	{name: "One campaign table", pr: 37, bad: anyOf(ident("^(ObsOverhead|NewWalLifeCampaign|RunWalLifeSmoke)$"), firstArg("obsbench")),
+	{name: "One campaign table", bad: anyOf(ident("^(ObsOverhead|NewWalLifeCampaign|RunWalLifeSmoke)$"), firstArg("obsbench")),
 		planted: []string{"cmd/bench2b/x.go\nvar _ = fs.Bool(\"obsbench\", false, \"\")", "benchmark/x.go\nvar _ = bench.RunWalLifeSmoke"}},
-	{name: "One merge", pr: 40, in: dirs("lsm"), bad: ident("^(SliceStable|parseBlock)$"),
+	{name: "One merge", in: dirs("lsm"), bad: ident("^(SliceStable|parseBlock)$"),
 		planted: []string{"internal/lsm/x.go\nfunc f() { sort.SliceStable(es, less) }", "internal/lsm/x.go\nfunc parseBlock() {}"}},
-	{name: "Dense map tables", pr: 38, in: dirs("ftl"), bad: mapKey("LBA", "twobssd/internal/nand.PPA"),
+	{name: "Dense map tables", in: dirs("ftl"), bad: mapKey("LBA", "twobssd/internal/nand.PPA"),
 		planted: []string{"internal/ftl/x.go\nvar l2p map[LBA]uint32", "internal/ftl/x.go\nimport n \"twobssd/internal/nand\"\nvar p2l map[n.PPA]uint32"}},
 	// Revision A of the benchmark deletes the wrappers and this exemption.
-	{name: "One read path", pr: 44, bad: call("^ReadPages?$", -1),
+	{name: "One read path", bad: call("^ReadPages?$", -1),
 		exempt:  []string{"benchmark/", "internal/nand/nand.go", "internal/ftl/ftl.go", "internal/device/device.go"},
 		planted: []string{"internal/vfs/x.go\nfunc f() { d.ReadPages(p, 0, 1) }", "internal/nand/x.go\nfunc f() { fl.ReadPage(p, 0) }"}},
-	{name: "One fork-join", pr: 46, exempt: dirs("sim", "fleet"), bad: call("^(NewWaitGroup|GoIdx)$", -1),
+	{name: "One fork-join", exempt: dirs("sim", "fleet"), bad: call("^(NewWaitGroup|GoIdx)$", -1),
 		planted: []string{"internal/core/x.go\nfunc f() { e.NewWaitGroup(\"dump\") }", "benchmark/x.go\nfunc f() { e.GoIdx(\"w\", 0, g) }"}},
-	{name: "gofmt", pr: 51, tests: true, bad: gofmt,
+	{name: "gofmt", tests: true, bad: gofmt,
 		planted: []string{"internal/sim/x_test.go\nfunc  f() {}", "benchmark/x.go\nvar  n = 1"}},
-	{name: "Power-on reads the media", pr: 52, in: dirs("core"), bad: ident("^(dumpValid|HasDump)$"),
+	{name: "Power-on reads the media", in: dirs("core"), bad: ident("^(dumpValid|HasDump)$"),
 		planted: []string{"internal/core/x.go\ntype recovery struct{ dumpValid bool }", "internal/core/x.go\nfunc f() bool { return s.HasDump() }"}},
-	{name: "Engines serve the traffic they get", pr: 54, in: dirs("lsm", "kvaof", "pglite", "fleet"),
+	{name: "Engines serve the traffic they get", in: dirs("lsm", "kvaof", "pglite", "fleet"),
 		bad: anyOf(ident("^(WriteBatch|recBatch|NewIterator|cmdIncr|cmdAppend|recDelete|cmdDel|tombstone|tombstoneLen|dropTombstones|bottomAfter|Range)$"), declares(`^Txn\.Scan$`)),
 		planted: []string{"internal/lsm/x.go\ntype WriteBatch struct{}", "internal/lsm/x.go\nfunc f() { db.NewIterator(p, nil) }",
 			"internal/lsm/x.go\nconst recBatch = byte(3)", "internal/kvaof/x.go\nconst cmdIncr = byte(3)", "internal/kvaof/x.go\nvar _ = cmdAppend",
@@ -67,18 +68,18 @@ var designRules = []rule{
 			"internal/lsm/x.go\ntype entry struct{ tombstone bool }", "internal/lsm/x.go\nconst tombstoneLen = 0xFFFFFFFF",
 			"internal/lsm/x.go\nfunc (db *DB) mergeTables(dropTombstones bool) {}", "internal/lsm/x.go\nfunc f() bool { return db.bottomAfter(1) }",
 			"internal/pglite/x.go\nfunc (t *Txn) Scan(p *sim.Proc, table string) {}", "internal/fleet/x.go\nfunc f() { cfg.Policy = Range }"}},
-	{name: "A violation is replayed, not recorded", pr: 55, bad: ident("^(EnableFlightRecorder|newRingTracer|RepairReport|RepairReporter|FaultCounts)$"),
+	{name: "A violation is replayed, not recorded", bad: ident("^(EnableFlightRecorder|newRingTracer|RepairReport|RepairReporter|FaultCounts)$"),
 		planted: []string{"internal/fault/x.go\nfunc f() { obs.Of(env).EnableFlightRecorder() }", "internal/obs/x.go\nfunc newRingTracer() *Tracer { return nil }",
 			"internal/wal/x.go\ntype RepairReport struct{ Failure string }", "internal/bench/x.go\nvar _ fault.RepairReporter",
 			"internal/fault/x.go\ntype PointResult struct{ Faults FaultCounts }"}},
 	// bench.Run runs artifacts, not campaign points: its file is exempt.
-	{name: "One campaign engine", pr: 56, in: dirs("fault", "oracle", "bench"), exempt: []string{"internal/bench/run.go"},
+	{name: "One campaign engine", in: dirs("fault", "oracle", "bench"), exempt: []string{"internal/bench/run.go"},
 		bad: declares(`^(Shrink|ShrinkReport|MaxShrinkReplays|Run|Replay|replay|RunFuzz|runFuzz|FuzzReport|Campaign\.(shrink|replay|runTrial)|(Point)?Result\.Flight)$`),
 		planted: []string{"internal/oracle/x.go\nfunc Shrink(seed uint64, ops []Op) ShrinkReport { return ShrinkReport{} }",
 			"internal/oracle/x.go\nconst MaxShrinkReplays = 200", "internal/oracle/x.go\nfunc replay(seed uint64, traced bool) {}",
 			"internal/fault/x.go\nfunc (c *Campaign[C, P, R]) shrink() {}", "internal/fault/x.go\ntype PointResult struct{ Flight *obs.FlightDump }",
 			"internal/bench/x.go\ntype FuzzReport struct{}", "internal/bench/x.go\nfunc RunFuzz(r *Runner) error { return nil }"}},
-	{name: "Faults a campaign sweeps", pr: 58,
+	{name: "Faults a campaign sweeps",
 		bad: ident("^(ProgramFailOneIn|EraseFailOneIn|TimeoutOneIn|EnduranceCycles|ErrProgramFailed|ErrEraseFailed|ErrWornOut|maybeTimeout|retireBlock|SalvageRead|MarkBad|IsBad|ErrBadBlock)$"),
 		planted: []string{"internal/fault/x.go\ntype Plan struct{ ProgramFailOneIn uint64 }", "internal/fault/x.go\nvar _ = Plan{EraseFailOneIn: 5}",
 			"internal/bench/x.go\nfunc f(plan *fault.Plan) { plan.TimeoutOneIn = 3 }", "internal/nand/x.go\ntype Config struct{ EnduranceCycles int }",
@@ -86,17 +87,17 @@ var designRules = []rule{
 			"internal/core/x.go\nfunc f(err error) bool { return errors.Is(err, nand.ErrWornOut) }", "internal/device/x.go\nfunc (d *Device) maybeTimeout(p *sim.Proc) {}",
 			"internal/nand/x.go\nfunc (f *Flash) MarkBad(blk BlockID) { f.blocks[blk].bad = true }",
 			"internal/ftl/x.go\nfunc (f *FTL) f(p *sim.Proc, ppa nand.PPA) error { return f.flash.SalvageRead(p, ppa) }"}},
-	{name: "A rate ends at its last ack", pr: 61, in: dirs("bench"), bad: callAfter("Now", "Run"),
+	{name: "A rate ends at its last ack", in: dirs("bench"), bad: callAfter("Now", "Run"),
 		planted: []string{"internal/bench/x.go\nfunc f() float64 { st.env.Run(); return n / sim.Duration(st.env.Now()).Seconds() }",
 			"internal/bench/x.go\nfunc f() { e.Run()\nelapsed := sim.Duration(e.Now() - start)\n_ = elapsed }"}},
-	{name: "One copy of an LBA programs at a time", pr: 60, in: dirs("device"), bad: ident("^(inflightDone|landed)$"),
+	{name: "One copy of an LBA programs at a time", in: dirs("device"), bad: ident("^(inflightDone|landed)$"),
 		planted: []string{"internal/device/x.go\nfunc (d *Device) f(p *sim.Proc) { d.inflightDone.Wait(p) }",
 			"internal/device/x.go\ntype lbaBuf struct{ landed int }"}},
-	{name: "Housekeeping off the write path", pr: 62, in: dirs("ftl", "device"), bad: callOutside("^(collect|evacuate)$", "collector", "collect"),
+	{name: "Housekeeping off the write path", in: dirs("ftl", "device"), bad: callOutside("^(collect|evacuate)$", "collector", "collect"),
 		planted: []string{"internal/ftl/x.go\nfunc (f *FTL) WritePageTagged(p *sim.Proc) { if f.trigger() { f.collect(p) } }",
 			"internal/device/x.go\nfunc (d *Device) drainLoop(p *sim.Proc) { go func() { d.ftl.evacuate(p, 0) }() }",
 			"internal/ftl/x.go\nfunc (f *FTL) hostPage(p *sim.Proc) { f.evacuate(p, f.victim()) }"}},
-	{name: "One run path", pr: 64, exempt: []string{"internal/bench/run.go", "benchmark/"},
+	{name: "One run path", exempt: []string{"internal/bench/run.go", "benchmark/"},
 		bad: anyOf(pkgCall("twobssd/internal/obs", "NewCollector"), call("^Install$", 0)),
 		planted: []string{"cmd/bench2b/x.go\nimport \"twobssd/internal/obs\"\nvar col = obs.NewCollector(false)",
 			"internal/bench/x.go\nimport o \"twobssd/internal/obs\"\nfunc f() { o.NewCollector(true).Install() }",
@@ -104,8 +105,7 @@ var designRules = []rule{
 }
 
 type rule struct {
-	name    string
-	pr      int      // the PR that made the decision
+	name    string   // as DESIGN.md names it: row "<name>"
 	in      []string // path prefixes the rule covers; none: every file
 	exempt  []string // path prefixes it skips
 	tests   bool     // it covers _test.go files too
@@ -369,9 +369,12 @@ func unquote(lit *ast.BasicLit) string {
 	return s
 }
 
+// A violation is a node that breaks a rule: where, and which rule.
+type violation struct{ at, rule string }
+
 // violations parses one file and lists every node of it that breaks a
-// rule covering its path, as "path:line: rule (PR n)".
-func violations(t *testing.T, path string, text []byte) []string {
+// rule covering its path.
+func violations(t *testing.T, path string, text []byte) []violation {
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, path, text, parser.SkipObjectResolution)
 	if err != nil {
@@ -386,12 +389,12 @@ func violations(t *testing.T, path string, text []byte) []string {
 		}
 		s.imports[name] = p
 	}
-	var out []string
+	var out []violation
 	for i := range designRules {
 		if r := &designRules[i]; r.covers(path) {
 			ast.Inspect(f, func(n ast.Node) bool {
 				if n != nil && r.bad(n, s) {
-					out = append(out, fmt.Sprintf("%s:%d: %s (PR %d)", path, fset.Position(n.Pos()).Line, r.name, r.pr))
+					out = append(out, violation{fmt.Sprintf("%s:%d", path, fset.Position(n.Pos()).Line), r.name})
 				}
 				return true
 			})
@@ -400,8 +403,15 @@ func violations(t *testing.T, path string, text []byte) []string {
 	return out
 }
 
-func TestDesignRules(t *testing.T) {
-	var seen []string
+type goFile struct {
+	path string // slash-separated
+	text []byte
+}
+
+// goFiles reads every Go file of the repository, test files included,
+// in lexical order. It skips hidden directories and testdata.
+func goFiles(t *testing.T) []goFile {
+	var files []goFile
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -413,30 +423,34 @@ func TestDesignRules(t *testing.T) {
 			return nil
 		}
 		text, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		path = filepath.ToSlash(path)
-		seen = append(seen, path)
-		for _, v := range violations(t, path, text) {
-			t.Error(v)
-		}
-		return nil
+		files = append(files, goFile{filepath.ToSlash(path), text})
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return files
+}
+
+func TestDesignRules(t *testing.T) {
+	files := goFiles(t)
+	doc := readDesign(t)
+	for _, f := range files {
+		for _, v := range violations(t, f.path, f.text) {
+			t.Errorf("%s: %s (DESIGN.md %s)", v.at, v.rule, doc.home(v.rule))
+		}
+	}
 	for _, r := range designRules {
 		// A prefix that names nothing would turn its rule off unseen.
 		for _, pre := range append(slices.Clip(r.in), r.exempt...) {
-			if !slices.ContainsFunc(seen, func(p string) bool { return strings.HasPrefix(p, pre) }) {
+			if !slices.ContainsFunc(files, func(f goFile) bool { return strings.HasPrefix(f.path, pre) }) {
 				t.Errorf("%s: %s names no file", r.name, pre)
 			}
 		}
 		for _, fx := range r.planted {
 			path, decls, _ := strings.Cut(fx, "\n")
 			if !slices.ContainsFunc(violations(t, path, []byte("package p\n\n"+decls+"\n")),
-				func(v string) bool { return strings.HasSuffix(v, ": "+r.name+fmt.Sprintf(" (PR %d)", r.pr)) }) {
+				func(v violation) bool { return v.rule == r.name }) {
 				t.Errorf("%s: planted %q passes", r.name, fx)
 			}
 		}
@@ -448,5 +462,118 @@ func TestDesignRules(t *testing.T) {
 		if v := violations(t, path, clean); len(v) > 0 {
 			t.Errorf("a comment or string tripped a rule: %v", v)
 		}
+	}
+}
+
+// design is DESIGN.md as the docs lint reads it: its section numbers
+// ("7", "6.2") and, for every row it names as row "<name>", the
+// sections that name it.
+type design struct {
+	sections []string
+	rows     map[string][]string
+	text     string
+}
+
+var (
+	heading       = regexp.MustCompile(`(?m)^##+ `)
+	sectionNumber = regexp.MustCompile(`^(\d+(?:\.\d+)?)[. ]`)
+	rowName       = regexp.MustCompile(`\b[Rr]ow "([^"]+)"`)
+)
+
+func readDesign(t *testing.T) *design {
+	text, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &design{rows: map[string][]string{}, text: string(text)}
+	// Each part after the preamble runs from one heading to the next. A
+	// row's name may wrap, so it is matched with the whitespace folded.
+	for _, part := range heading.Split(d.text, -1)[1:] {
+		m := sectionNumber.FindStringSubmatch(part)
+		if m == nil {
+			continue
+		}
+		d.sections = append(d.sections, m[1])
+		for _, r := range rowName.FindAllStringSubmatch(strings.Join(strings.Fields(part), " "), -1) {
+			d.rows[r[1]] = append(d.rows[r[1]], m[1])
+		}
+	}
+	return d
+}
+
+// home is the section of DESIGN.md that states the rule row enforces.
+func (d *design) home(row string) string {
+	if s := d.rows[row]; len(s) > 0 {
+		return "§" + s[0]
+	}
+	return "names no section for it"
+}
+
+// TestDesignDocs is the docs lint of the rule book, both ways. Every row
+// of designRules is named in DESIGN.md exactly once, in the section
+// whose rule it enforces, and every row, test, fuzz target or benchmark
+// DESIGN.md names exists. Every "DESIGN.md §N" (or "section N") that a
+// Go file, README.md, EXPERIMENTS.md, the verify skill or CI cites, and
+// every "§N" inside DESIGN.md, is a numbered heading of it. DESIGN.md
+// states what is: it cites no PR. CHANGES.md and ROADMAP.md are history
+// and plan, and are not read.
+func TestDesignDocs(t *testing.T) {
+	doc := readDesign(t)
+	for _, r := range designRules {
+		switch s := doc.rows[r.name]; len(s) {
+		case 0:
+			t.Errorf("DESIGN.md names no row %q", r.name)
+		case 1:
+		default:
+			t.Errorf("DESIGN.md names row %q in §%s: name it once, where its rule is stated", r.name, strings.Join(s, ", §"))
+		}
+	}
+	for name := range doc.rows {
+		if !slices.ContainsFunc(designRules, func(r rule) bool { return r.name == name }) {
+			t.Errorf("DESIGN.md names row %q, which designRules does not have", name)
+		}
+	}
+
+	files := goFiles(t)
+	declared := map[string]bool{}
+	decl := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w+)\(`)
+	for _, f := range files {
+		if strings.HasSuffix(f.path, "_test.go") {
+			for _, m := range decl.FindAllSubmatch(f.text, -1) {
+				declared[string(m[1])] = true
+			}
+		}
+	}
+	for _, m := range regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z]\w*`).FindAllString(doc.text, -1) {
+		if !declared[m] {
+			t.Errorf("DESIGN.md names %s, which no test file declares", m)
+		}
+	}
+	if m := regexp.MustCompile(`\b(?:PRs?|ISSUE) \d+`).FindAllString(doc.text, -1); m != nil {
+		t.Errorf("DESIGN.md cites %q: the history is CHANGES.md's and git's", m)
+	}
+
+	cites := files
+	ci, _ := filepath.Glob(".github/workflows/*.yml")
+	for _, path := range append([]string{"README.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"}, ci...) {
+		text, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cites = append(cites, goFile{path, text})
+	}
+	check := func(path, cited string) {
+		if !slices.Contains(doc.sections, cited) {
+			t.Errorf("%s cites DESIGN.md §%s, which is no heading of it", path, cited)
+		}
+	}
+	external := regexp.MustCompile(`DESIGN\.md,?\s+(?:§\s*|section\s+)(\d+(?:\.\d+)?)`)
+	for _, f := range cites {
+		for _, m := range external.FindAllSubmatch(f.text, -1) {
+			check(f.path, string(m[1]))
+		}
+	}
+	for _, m := range regexp.MustCompile(`§(\d+(?:\.\d+)?)`).FindAllStringSubmatch(doc.text, -1) {
+		check("DESIGN.md", m[1])
 	}
 }

@@ -10,7 +10,7 @@ import (
 	"twobssd/internal/wal"
 )
 
-// AblationWriteCombining quantifies design decision 4 of DESIGN.md:
+// AblationWriteCombining quantifies DESIGN.md §4, item 4 (write combining):
 // the BAR manager maps BAR1 as write-combining memory. The ablation
 // shrinks the WC burst to the raw 8B transaction size (uncombined
 // stores) and re-measures MMIO write latency.

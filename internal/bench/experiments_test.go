@@ -44,15 +44,16 @@ func TestExperimentsTable(t *testing.T) {
 
 // TestDocsNameRegisteredExperiments is the docs lint: every experiment
 // a document tells the reader to run — an inline `bench2b ... <id>`
-// span or a `go run ./cmd/bench2b ... <id>` line — is in the table.
+// span or a `go run ./cmd/bench2b ... <id>` line, which ends at a
+// backtick when it is inline too — is in the table.
 func TestDocsNameRegisteredExperiments(t *testing.T) {
 	ids := map[string]bool{"all": true, "digest": true}
 	for _, ex := range Experiments() {
 		ids[ex.ID] = true
 	}
 	inline := regexp.MustCompile("`bench2b\\s([^`]*)`")
-	cmdline := regexp.MustCompile(`go run \./cmd/bench2b ([^#&\n]*)`)
-	for _, doc := range []string{"README.md", "EXPERIMENTS.md", "DESIGN.md"} {
+	cmdline := regexp.MustCompile("go run \\./cmd/bench2b ([^#&\n`]*)")
+	for _, doc := range []string{"README.md", "EXPERIMENTS.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
 		text, err := os.ReadFile("../../" + doc)
 		if err != nil {
 			t.Fatal(err)

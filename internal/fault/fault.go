@@ -84,7 +84,7 @@ func (e Event) String() string {
 //
 // Tripping does not itself cut power — the sim has no way to kill
 // in-flight procs — it raises a flag the crash harness polls at
-// operation boundaries before calling PowerLoss. See DESIGN.md.
+// operation boundaries before calling PowerLoss. See DESIGN.md §7.
 type Trigger struct {
 	At sim.Time // trip at this exact virtual nanosecond
 	On Event    // trip on the N-th event of this class...

@@ -546,45 +546,52 @@ func TestBAXlogSurvivesPowerLoss(t *testing.T) {
 	r.env.Run()
 }
 
+// TestConcurrentCommitters runs twelve committers on the byte path and
+// on the block path. The block-mode XLOG goes through the device's
+// write buffer, so the quiescent audit checks a buffer that was used.
 func TestConcurrentCommitters(t *testing.T) {
-	r := newRig()
-	var eng *Engine
-	r.env.Go("setup", func(p *sim.Proc) {
-		var err error
-		eng, err = Open(r.env, p, r.config(wal.BA))
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng.CreateTable("tbl")
-		const clients = 12
-		for c := 0; c < clients; c++ {
-			c := c
-			r.env.Go("client", func(p *sim.Proc) {
-				for i := 0; i < 30; i++ {
-					tx := eng.Begin()
-					tx.Upsert("tbl", []byte(fmt.Sprintf("c%d-k%03d", c, i)), []byte("v"))
-					if err := tx.Commit(p); err != nil {
-						t.Errorf("c%d commit: %v", c, err)
-						return
+	for _, mode := range []wal.CommitMode{wal.BA, wal.Sync} {
+		t.Run(mode.String(), func(t *testing.T) {
+			r := newRig()
+			var eng *Engine
+			r.env.Go("setup", func(p *sim.Proc) {
+				var err error
+				eng, err = Open(r.env, p, r.config(mode))
+				if err != nil {
+					t.Fatal(err)
+				}
+				eng.CreateTable("tbl")
+				const clients = 12
+				for c := 0; c < clients; c++ {
+					c := c
+					r.env.Go("client", func(p *sim.Proc) {
+						for i := 0; i < 30; i++ {
+							tx := eng.Begin()
+							tx.Upsert("tbl", []byte(fmt.Sprintf("c%d-k%03d", c, i)), []byte("v"))
+							if err := tx.Commit(p); err != nil {
+								t.Errorf("c%d commit: %v", c, err)
+								return
+							}
+						}
+					})
+				}
+			})
+			r.env.Run()
+			r.audit(t)
+			r.env.Go("verify", func(p *sim.Proc) {
+				for c := 0; c < 12; c++ {
+					for i := 0; i < 30; i++ {
+						k := fmt.Sprintf("c%d-k%03d", c, i)
+						if _, ok, err := eng.Begin().Get(p, "tbl", []byte(k)); !ok || err != nil {
+							t.Errorf("%s missing", k)
+							return
+						}
 					}
 				}
 			})
-		}
-	})
-	r.env.Run()
-	r.audit(t)
-	r.env.Go("verify", func(p *sim.Proc) {
-		for c := 0; c < 12; c++ {
-			for i := 0; i < 30; i++ {
-				k := fmt.Sprintf("c%d-k%03d", c, i)
-				if _, ok, err := eng.Begin().Get(p, "tbl", []byte(k)); !ok || err != nil {
-					t.Errorf("%s missing", k)
-					return
-				}
-			}
-		}
-	})
-	r.env.Run()
+			r.env.Run()
+		})
+	}
 }
 
 // Property: engine equals a map under random upsert/delete, surviving
@@ -707,8 +714,7 @@ func TestDifferentialCommitModes(t *testing.T) {
 
 // TestBACheckpointThenPowerLossAtTheLog: 500 B upserts over 50 keys on a
 // 512 KB XLOG up to the first checkpoint, twelve more commits, power
-// cut. Asserted at the log, on the engine's own placement (a reopened
-// engine cannot serve a checkpointed heap yet, DESIGN.md §11): Recover
+// cut. Asserted at the log, on the engine's own placement: Recover
 // must hand back exactly the twelve batches past the checkpoint, not the
 // hundreds of checkpointed ones still sitting in the ring's files and BA
 // windows.
