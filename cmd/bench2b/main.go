@@ -21,9 +21,9 @@
 //   - -j is the only parallelism knob: at most N simulation
 //     environments execute at once, across however many experiments
 //     were selected. Every environment's virtual clock is its own, so
-//     every artifact — tables, -metrics, -timeline, -trace — is
-//     byte-identical at any -j; -j 1 is strictly sequential and is what
-//     -benchjson's per-experiment attribution needs.
+//     every artifact is byte-identical at any -j; -j 1 is strictly
+//     sequential, as -benchjson's per-experiment attribution and -trace
+//     of one unit (an address, or a paper artifact) need.
 //   - "digest" runs alone: it fingerprints a fixed list of experiments
 //     (their stdout, -metrics and -timeline at quick scale) as the
 //     SHA-256 digests GOLDEN.json holds, so a change that should move
@@ -77,7 +77,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&o.full, "full", false, "run at full scale (slower, closer to the paper's run lengths)")
 	fs.IntVar(&o.jobs, "j", runtime.NumCPU(), "simulation environments allowed to run at once (results identical at any value)")
 	fs.StringVar(&o.metrics, "metrics", "", "write merged metrics snapshot JSON to this file")
-	fs.StringVar(&o.trace, "trace", "", "write Chrome trace-event JSON (Perfetto) to this file")
+	fs.StringVar(&o.trace, "trace", "", "write the Chrome trace-event JSON (Perfetto) of one unit to this file")
 	fs.StringVar(&o.benchJSON, "benchjson", "", "write wall-clock kernel benchmark JSON to this file")
 	fs.StringVar(&o.timeline, "timeline", "", "write the merged metric timeline, one window per virtual millisecond, to this file (.csv extension selects CSV, else JSON)")
 	fs.StringVar(&o.benchGate, "benchgate", "", "compare this run against a baseline kernel benchmark JSON; exit non-zero when wall time (+25%) or allocations (+10%), in total or of one experiment, regressed")
@@ -95,6 +95,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "usage: bench2b [flags] [experiment ...]\n")
 		fmt.Fprintf(stderr, "experiments: %s all (default: all)\n", strings.Join(all, " "))
 		fmt.Fprintf(stderr, "reliability (not in \"all\"): %s\n", strings.Join(named, " "))
+		fmt.Fprintf(stderr, "units (-trace takes one): a paper artifact (probe), a campaign point <exp>/<row>/<point> (crash-smoke/walseg/3), a fleet scenario <exp>/<scenario> (fleet/fleet-failover)\n")
 		fmt.Fprintf(stderr, "digest: SHA-256 of the stdout, -metrics and -timeline of %s at quick scale (GOLDEN.json)\n", strings.Join(digestIDs, " "))
 		fs.PrintDefaults()
 	}
@@ -104,34 +105,33 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
-	if o.jobs < 1 {
-		fmt.Fprintf(stderr, "bench2b: -j %d: want at least 1\n", o.jobs)
-		fs.Usage()
-		return 2
-	}
 	names := fs.Args()
 	if len(names) == 0 {
 		names = []string{"all"}
 	}
-	if slices.Contains(names, "digest") {
-		if len(names) > 1 {
-			fmt.Fprintf(stderr, "bench2b: digest runs alone\n")
-			fs.Usage()
-			return 2
-		}
-		if err := digest(o.jobs, stdout); err != nil {
-			fmt.Fprintf(stderr, "bench2b: %v\n", err)
-			return 1
-		}
-		return 0
-	}
 	selected, err := bench.Select(table, names...)
+	digesting := slices.Equal(names, []string{"digest"})
+	switch {
+	case o.jobs < 1:
+		err = fmt.Errorf("-j %d: want at least 1", o.jobs)
+	case digesting:
+		err = nil
+	case slices.Contains(names, "digest"):
+		err = errors.New("digest runs alone")
+	case err == nil && o.trace != "" && !bench.Unit(selected):
+		err = fmt.Errorf("-trace records one unit, not %s", strings.Join(names, " "))
+	}
 	if err != nil {
 		fmt.Fprintf(stderr, "bench2b: %v\n", err)
 		fs.Usage()
 		return 2
 	}
-	if err := execute(o, selected, stdout, stderr); err != nil {
+	if digesting {
+		err = digest(o.jobs, stdout)
+	} else {
+		err = execute(o, selected, stdout, stderr)
+	}
+	if err != nil {
 		fmt.Fprintf(stderr, "bench2b: %v\n", err)
 		return 1
 	}
@@ -235,14 +235,13 @@ func execute(o options, selected []bench.Experiment, stdout, stderr io.Writer) e
 	if strings.HasSuffix(o.timeline, ".csv") {
 		emitTimeline = res.WriteTimelineCSV
 	}
-	if err := writeReport(metricsFile, res.WriteMetricsJSON); err != nil {
-		return err
-	}
-	if err := writeReport(traceFile, res.WriteTraceJSON); err != nil {
-		return err
-	}
-	if err := writeReport(timelineFile, emitTimeline); err != nil {
-		return err
+	for _, rep := range []struct {
+		f    *os.File
+		emit func(io.Writer) error
+	}{{metricsFile, res.WriteMetricsJSON}, {traceFile, res.WriteTraceJSON}, {timelineFile, emitTimeline}} {
+		if err := writeReport(rep.f, rep.emit); err != nil {
+			return err
+		}
 	}
 	if benching {
 		// Steady-state allocation probe: a sustained BA-WAL commit stream

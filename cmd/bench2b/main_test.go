@@ -29,10 +29,23 @@ func TestRunPrintsTable(t *testing.T) {
 	}
 }
 
-// An unknown id is a usage error, and the usage text is generated: its
-// id lists are exactly the registry (so a deleted experiment cannot
-// linger there).
+// An unknown id or a malformed address is a usage error, and the usage
+// text is generated: its id lists are exactly the registry (so a
+// deleted experiment cannot linger there).
 func TestRunUnknownExperiment(t *testing.T) {
+	for _, bad := range []struct{ id, says string }{
+		{"crash/nosuchrow/3", `sweeps no row "nosuchrow"`},
+		{"crash-smoke/walseg/32", "0 to 31"},
+		{"fuzz-smoke/oracle/seven", "0 to 31"},
+		{"fleet/fleet-nosuch", `no scenario "fleet-nosuch"`},
+		{"fig9/fig9-lsm", "one unit"},
+		{"fig99/x", `unknown experiment "fig99/x"`},
+	} {
+		code, out, errs := drive(bad.id)
+		if code != 2 || out != "" || !strings.Contains(errs, bad.id) || !strings.Contains(errs, bad.says) {
+			t.Errorf("%s: exit %d, stdout %q, stderr %q; want 2, nothing printed and %q", bad.id, code, out, errs, bad.says)
+		}
+	}
 	code, out, errs := drive("fig99")
 	if code != 2 || out != "" {
 		t.Fatalf("exit %d, stdout %q; want 2 and nothing printed", code, out)
@@ -86,6 +99,48 @@ func TestFlagSet(t *testing.T) {
 		code, out, errs := drive(gone...)
 		if code != 2 || out != "" || !strings.Contains(errs, "flag provided but not defined: "+gone[0]) {
 			t.Errorf("%s: exit %d, stdout %q, stderr %q; want a usage error", gone[0], code, out, errs)
+		}
+	}
+}
+
+// -trace records one unit: a paper artifact, a campaign point or a
+// fleet scenario. Anything larger is a usage error whose usage names
+// the three forms, and nothing runs; one unit writes a trace and
+// metrics that parse.
+func TestTraceTakesOneUnit(t *testing.T) {
+	dir := t.TempDir()
+	trace, metrics := filepath.Join(dir, "out.trace.json"), filepath.Join(dir, "m.json")
+	for _, sel := range []struct {
+		ids  []string
+		says string
+	}{
+		{[]string{"all"}, "-trace records one unit, not all"}, {[]string{"crash"}, "-trace records one unit"},
+		{[]string{"crash/walseg"}, "name a point of crash/walseg"}, {[]string{"probe", "commit"}, "not probe commit"},
+		{[]string{"fleet-smoke"}, "-trace records one unit"},
+	} {
+		code, out, errs := drive(append([]string{"-trace", trace}, sel.ids...)...)
+		if code != 2 || out != "" || !strings.Contains(errs, sel.says) ||
+			!strings.Contains(errs, "<exp>/<row>/<point>") || !strings.Contains(errs, "<exp>/<scenario>") {
+			t.Errorf("-trace %v: exit %d, stdout %q, stderr %q; want a usage error saying %q and naming the unit forms", sel.ids, code, out, errs, sel.says)
+		}
+		if _, err := os.Stat(trace); err == nil {
+			t.Fatalf("-trace %v: wrote a trace", sel.ids)
+		}
+	}
+	for _, unit := range []string{"probe", "crash-smoke/walseg/3", "fleet-smoke/fleet-smoke"} {
+		code, out, errs := drive("-metrics", metrics, "-trace", trace, unit)
+		if code != 0 || errs != "" || out == "" {
+			t.Fatalf("%s: exit %d, stderr %q", unit, code, errs)
+		}
+		for _, path := range []string{trace, metrics} {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var v any
+			if err := json.Unmarshal(data, &v); err != nil {
+				t.Errorf("%s: %s does not parse: %v", unit, filepath.Base(path), err)
+			}
 		}
 	}
 }

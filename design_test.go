@@ -97,6 +97,9 @@ var designRules = []rule{
 		planted: []string{"internal/ftl/x.go\nfunc (f *FTL) WritePageTagged(p *sim.Proc) { if f.trigger() { f.collect(p) } }",
 			"internal/device/x.go\nfunc (d *Device) drainLoop(p *sim.Proc) { go func() { d.ftl.evacuate(p, 0) }() }",
 			"internal/ftl/x.go\nfunc (f *FTL) hostPage(p *sim.Proc) { f.evacuate(p, f.victim()) }"}},
+	{name: "A trace is one unit", in: dirs("obs"), bad: ident("^(sortedSets|canonicalJSON)$"),
+		planted: []string{"internal/obs/x.go\nfunc (c *Collector) sortedSets() []*Set { return nil }",
+			"internal/obs/x.go\nfunc f(s *Set) string { return canonicalJSON(s.Snapshot()) }"}},
 	{name: "One run path", exempt: []string{"internal/bench/run.go", "benchmark/"},
 		bad: anyOf(pkgCall("twobssd/internal/obs", "NewCollector"), call("^Install$", 0)),
 		planted: []string{"cmd/bench2b/x.go\nimport \"twobssd/internal/obs\"\nvar col = obs.NewCollector(false)",
@@ -514,9 +517,11 @@ func (d *design) home(row string) string {
 // whose rule it enforces, and every row, test, fuzz target or benchmark
 // DESIGN.md names exists. Every "DESIGN.md §N" (or "section N") that a
 // Go file, README.md, EXPERIMENTS.md, the verify skill or CI cites, and
-// every "§N" inside DESIGN.md, is a numbered heading of it. DESIGN.md
-// states what is: it cites no PR. CHANGES.md and ROADMAP.md are history
-// and plan, and are not read.
+// every "§N" inside DESIGN.md, is a numbered heading of it. Every
+// "ROADMAP item N" that README.md, EXPERIMENTS.md, DESIGN.md or the
+// verify skill cites is an open item of ROADMAP.md. DESIGN.md states
+// what is: it cites no PR. CHANGES.md and ROADMAP.md are history and
+// plan, and are not otherwise read.
 func TestDesignDocs(t *testing.T) {
 	doc := readDesign(t)
 	for _, r := range designRules {
@@ -576,4 +581,50 @@ func TestDesignDocs(t *testing.T) {
 	for _, m := range regexp.MustCompile(`§(\d+(?:\.\d+)?)`).FindAllStringSubmatch(doc.text, -1) {
 		check("DESIGN.md", m[1])
 	}
+
+	// Every "ROADMAP item N" (or "items N, M") the documents cite is an
+	// open item. benchmark/ is read, never written, so its README is not.
+	open := openItems(t)
+	if bad := unknownItems("see ROADMAP item 99 and ROADMAP items 2, 1A and 98", open); !slices.Equal(bad, []string{"99", "98"}) {
+		t.Errorf("planted citations of items 99 and 98 give %v", bad)
+	}
+	for _, path := range []string{"README.md", "EXPERIMENTS.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
+		text, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range unknownItems(string(text), open) {
+			t.Errorf("%s cites ROADMAP item %s, which is no open item of it", path, id)
+		}
+	}
+}
+
+// openItems lists the ids of ROADMAP.md's open items: each "N. **"
+// item of its "## Open items" section and each "**NA." sub-item.
+func openItems(t *testing.T) map[string]bool {
+	text, err := os.ReadFile("ROADMAP.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, items, _ := strings.Cut(string(text), "\n## Open items\n")
+	items, _, _ = strings.Cut(items, "\n## ")
+	ids := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^(\d+)\. \*\*|\*\*(\d+[A-Z])\.`).FindAllStringSubmatch(items, -1) {
+		ids[m[1]+m[2]] = true
+	}
+	return ids
+}
+
+// unknownItems lists, in order, the item ids text cites as "ROADMAP
+// item N" or "ROADMAP items N, M and K" that open does not hold.
+func unknownItems(text string, open map[string]bool) (bad []string) {
+	cite := regexp.MustCompile(`ROADMAP\s+items?\s+(\d+[A-Z]?(?:(?:,\s*|\s+and\s+|\s*[–-]\s*)\d+[A-Z]?)*)`)
+	for _, m := range cite.FindAllStringSubmatch(text, -1) {
+		for _, id := range regexp.MustCompile(`\d+[A-Z]?`).FindAllString(m[1], -1) {
+			if !open[id] {
+				bad = append(bad, id)
+			}
+		}
+	}
+	return bad
 }

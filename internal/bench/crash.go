@@ -674,15 +674,16 @@ func (c *campaign) crash(pts int) *fault.Crash {
 	return &fault.Crash{Name: c.name, Points: pts, Ops: c.ops, Seed: c.seed, Build: c.build(c.ops), Tweak: c.tweak}
 }
 
-// runCampaigns sweeps pts points — crash points or fuzz seeds — over each
-// named row, streams each campaign's report to w, and returns an error
-// when any point violated its contract. Points fan out through the
-// Runner, so -j applies; the reports are byte-identical at any
-// parallelism.
-func runCampaigns(r *Runner, w io.Writer, names []string, pts int) error {
+// runCampaigns sweeps pts points — crash points or fuzz seeds — over
+// each named row of campaign experiment exp, or with point >= 0 runs
+// that point of each alone. It streams each campaign's report, or the
+// point's line, to w and returns an error when any point violated its
+// contract. Points fan out through the Runner, so -j applies; the
+// reports are byte-identical at any parallelism.
+func runCampaigns(r *Runner, w io.Writer, exp string, names []string, pts, point int) error {
 	violations := 0
 	for _, name := range names {
-		n, err := runRow(r, w, name, pts)
+		n, err := runRow(r, w, exp+"/"+name, name, pts, point)
 		if err != nil {
 			return err
 		}
@@ -694,27 +695,40 @@ func runCampaigns(r *Runner, w io.Writer, names []string, pts int) error {
 	return nil
 }
 
-// runRow runs the named row's sweep of pts points, writes its report to
-// w and returns its violation count.
-func runRow(r *Runner, w io.Writer, name string, pts int) (int, error) {
+// runRow runs the named row — its sweep of pts points, or its point
+// alone — at address addr, writes the report to w and returns its
+// violation count.
+func runRow(r *Runner, w io.Writer, addr, name string, pts, point int) (int, error) {
 	for i, c := range campaigns {
 		switch {
 		case c.name != name:
 		case c.fuzz != nil:
-			return sweep(r, w, oracle.Campaign(*c.fuzz, pts))
+			return sweep(r, w, addr, oracle.Campaign(*c.fuzz, pts), point)
 		default:
-			return sweep(r, w, campaigns[i].crash(pts).Campaign())
+			return sweep(r, w, addr, campaigns[i].crash(pts).Campaign(), point)
 		}
 	}
 	return 0, fmt.Errorf("bench: unknown campaign %q", name)
 }
 
-// sweep runs one campaign, writes its report to w and returns its
-// violation count.
-func sweep[C any, P fault.Planner, R fault.Outcome[R]](r *Runner, w io.Writer, c *fault.Campaign[C, P, R]) (int, error) {
+// sweep runs campaign c at address addr — every point, or with point
+// >= 0 that point alone — writes its report or the point's line to w
+// and returns the violation count.
+func sweep[C any, P fault.Planner, R fault.Outcome[R]](r *Runner, w io.Writer, addr string, c *fault.Campaign[C, P, R], point int) (int, error) {
+	if point >= 0 {
+		f, err := c.RunPoint(r.parallelFor, point)
+		if err != nil {
+			return 0, err
+		}
+		n := 0
+		if f.Result.Violation() {
+			n = 1
+		}
+		return n, f.WriteText(w, addr)
+	}
 	rep, err := c.Run(r.parallelFor)
 	if err != nil {
 		return 0, err
 	}
-	return len(rep.Violations()), rep.WriteText(w)
+	return len(rep.Violations()), rep.WriteText(w, addr)
 }

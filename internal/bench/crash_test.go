@@ -33,7 +33,7 @@ func crashRow(t *testing.T, name string, pts int) *fault.Crash {
 // A short sweep over every workload must hold the durability contract.
 func TestCrashCampaignsSmoke(t *testing.T) {
 	var buf bytes.Buffer
-	if err := runCampaigns(runner(Quick), &buf, campaignNames("crash", false), 6); err != nil {
+	if err := runCampaigns(runner(Quick), &buf, "crash", campaignNames("crash", false), 6, -1); err != nil {
 		t.Fatalf("runCampaigns: %v\n%s", err, buf.String())
 	}
 	out := buf.String()
@@ -53,7 +53,7 @@ func TestCrashCampaignsSmoke(t *testing.T) {
 func TestCrashCampaignDeterminism(t *testing.T) {
 	run := func(jobs int) string {
 		var buf bytes.Buffer
-		if err := runCampaigns(NewRunner(Quick, jobs), &buf, []string{"lsm", "kvaof"}, 8); err != nil {
+		if err := runCampaigns(NewRunner(Quick, jobs), &buf, "crash", []string{"lsm", "kvaof"}, 8, -1); err != nil {
 			t.Fatalf("runCampaigns (j=%d): %v\n%s", jobs, err, buf.String())
 		}
 		return buf.String()
@@ -366,7 +366,7 @@ func TestBlkGCCrashProfileCollects(t *testing.T) {
 		t.Fatalf("profile relocated %d pages in %d collections; want a drive in steady GC with victims of several runs", relocs, runs)
 	}
 	var buf bytes.Buffer
-	if err := runCampaigns(runner(Quick), &buf, []string{"blkgc"}, 12); err != nil {
+	if err := runCampaigns(runner(Quick), &buf, "crash", []string{"blkgc"}, 12, -1); err != nil {
 		t.Fatalf("runCampaigns: %v\n%s", err, buf.String())
 	}
 }

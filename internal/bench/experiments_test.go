@@ -45,7 +45,8 @@ func TestExperimentsTable(t *testing.T) {
 // TestDocsNameRegisteredExperiments is the docs lint: every experiment
 // a document tells the reader to run — an inline `bench2b ... <id>`
 // span or a `go run ./cmd/bench2b ... <id>` line, which ends at a
-// backtick when it is inline too — is in the table.
+// backtick when it is inline too — is in the table, or is an address
+// Select resolves.
 func TestDocsNameRegisteredExperiments(t *testing.T) {
 	ids := map[string]bool{"all": true, "digest": true}
 	for _, ex := range Experiments() {
@@ -68,7 +69,9 @@ func TestDocsNameRegisteredExperiments(t *testing.T) {
 			for _, word := range strings.Fields(string(m[1])) {
 				isValue := strings.HasPrefix(prev, "-") && prev != "-full"
 				if !strings.HasPrefix(word, "-") && !isValue && !ids[word] {
-					t.Errorf("%s: %q names %q, not a registered experiment", doc, m[0], word)
+					if _, err := Select(Experiments(), word); err != nil || !strings.Contains(word, "/") {
+						t.Errorf("%s: %q names %q, not a registered experiment or an address", doc, m[0], word)
+					}
 				}
 				prev = word
 			}

@@ -158,19 +158,34 @@ func fleetTable(sc fleetScenario, res *fleet.Result) *Table {
 	return t
 }
 
-// RunFleet executes the fleet experiment family (or the CI smoke
-// scenario) as points and writes their tables to w in order. It returns
-// an error when any scenario lost or phantomed a record or failed to
-// fail over.
-func RunFleet(r *Runner, w io.Writer, smoke bool) error {
-	scens := fleetScenarios(r.Scale)
-	if smoke {
-		scens = []fleetScenario{fleetSmokeScenario()}
+// fleetOf is fleet experiment exp's scenarios at scale s (nil when exp
+// is no fleet experiment).
+func fleetOf(exp string, s Scale) []fleetScenario {
+	switch exp {
+	case "fleet":
+		return fleetScenarios(s)
+	case "fleet-smoke":
+		return []fleetScenario{fleetSmokeScenario()}
+	}
+	return nil
+}
+
+// runFleet runs fleet experiment exp's scenarios — or only the one
+// whose id is only, when set — as points and writes their tables to w
+// in order. It returns an error when any scenario lost or phantomed a
+// record, failed to fail over or failed its audit, naming each by its
+// address, exp/<scenario>.
+func runFleet(r *Runner, w io.Writer, exp, only string) error {
+	var scens []fleetScenario
+	for _, sc := range fleetOf(exp, r.Scale) {
+		if only == "" || sc.id == only {
+			scens = append(scens, sc)
+		}
 	}
 	results, err := pointsErr(r, len(scens), func(i int) (*fleet.Result, error) {
 		res, err := fleet.Run(scens[i].cfg)
 		if err != nil {
-			err = fmt.Errorf("%s: %w", scens[i].id, err)
+			err = fmt.Errorf("%s/%s: %w", exp, scens[i].id, err)
 		}
 		return res, err
 	})
@@ -181,7 +196,7 @@ func RunFleet(r *Runner, w io.Writer, smoke bool) error {
 	for i, res := range results {
 		fleetTable(scens[i], res).Print(w)
 		for _, v := range res.Violations() {
-			violations = append(violations, scens[i].id+": "+v)
+			violations = append(violations, exp+"/"+scens[i].id+": "+v)
 		}
 	}
 	if len(violations) > 0 {

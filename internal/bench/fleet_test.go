@@ -11,7 +11,7 @@ import (
 // gate is TestFleetJobsInvariance's.
 func TestFleetGate(t *testing.T) {
 	var out bytes.Buffer
-	if err := RunFleet(runner(Quick), &out, true); err != nil {
+	if err := runFleet(runner(Quick), &out, "fleet-smoke", ""); err != nil {
 		t.Fatalf("fleet-smoke: %v\n%s", err, out.String())
 	}
 }

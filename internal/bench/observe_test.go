@@ -92,34 +92,38 @@ func TestProbeStageCoverage(t *testing.T) {
 	}
 }
 
-// TestObserversDoNotPerturb: the observers only watch. Probe and
-// CommitOverhead run through Run with a bare collector and with full
-// tracing plus the timeline sampler — the observers a campaign's replay
-// of a violating point turns on; the stdout, the event count and the
-// virtual time simulated are identical in both runs. Their host cost is
-// `bench2b -benchjson` taken with and without the observer.
+// TestObserversDoNotPerturb: the observers only watch. Each unit —
+// two paper artifacts, a crash point and a fleet scenario — runs
+// through Run with a bare collector and with full tracing plus the
+// timeline sampler; the stdout, the event count and the virtual time
+// simulated are identical in both runs. Each trace records every event
+// (no dropped_events), and a unit traced at -j 1 and at -j 8 writes the
+// same bytes. Their host cost is `bench2b -benchjson` taken with and
+// without the observer.
 func TestObserversDoNotPerturb(t *testing.T) {
-	exps, err := Select(Experiments(), "probe", "commit")
-	if err != nil {
-		t.Fatal(err)
-	}
-	measure := func(observed bool) (string, *Result) {
-		var out bytes.Buffer
-		res, err := Run(Config{Experiments: exps, Jobs: 2, Metrics: true, Timeline: observed, Trace: observed}, &out)
-		if err != nil || res.Failures > 0 {
-			t.Fatalf("observed=%v: %v\n%s", observed, err, out.String())
+	for _, id := range []string{"probe", "commit", "crash-smoke/walseg/3", "fleet-smoke/fleet-smoke"} {
+		bareOut, bare := runUnit(t, Config{Jobs: 2, Metrics: true}, id)
+		if bare.Events == 0 || bare.VirtualNs == 0 {
+			t.Fatalf("%s: bare run simulated %d events over %d ns", id, bare.Events, bare.VirtualNs)
 		}
-		return out.String(), res
-	}
-	bareOut, bare := measure(false)
-	if bare.Events == 0 || bare.VirtualNs == 0 {
-		t.Fatalf("bare run simulated %d events over %d ns", bare.Events, bare.VirtualNs)
-	}
-	gotOut, got := measure(true)
-	if gotOut != bareOut {
-		t.Errorf("stdout differs from the bare run:\n--- bare\n%s--- observed\n%s", bareOut, gotOut)
-	}
-	if got.Events != bare.Events || got.VirtualNs != bare.VirtualNs {
-		t.Errorf("%d events over %d ns, bare run %d over %d ns", got.Events, got.VirtualNs, bare.Events, bare.VirtualNs)
+		var traces [2]bytes.Buffer
+		for k, jobs := range []int{1, 8} {
+			gotOut, got := runUnit(t, Config{Jobs: jobs, Metrics: true, Timeline: true, Trace: true}, id)
+			if gotOut != bareOut {
+				t.Errorf("%s -j %d: stdout differs from the bare run:\n--- bare\n%s--- traced\n%s", id, jobs, bareOut, gotOut)
+			}
+			if got.Events != bare.Events || got.VirtualNs != bare.VirtualNs {
+				t.Errorf("%s -j %d: %d events over %d ns, bare run %d over %d ns", id, jobs, got.Events, got.VirtualNs, bare.Events, bare.VirtualNs)
+			}
+			if err := got.WriteTraceJSON(&traces[k]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Contains(traces[0].Bytes(), []byte(`"ph":"X"`)) || bytes.Contains(traces[0].Bytes(), []byte(`"dropped_events"`)) {
+			t.Errorf("%s: trace of %d bytes has no spans or dropped events", id, traces[0].Len())
+		}
+		if !bytes.Equal(traces[0].Bytes(), traces[1].Bytes()) {
+			t.Errorf("%s: the trace at -j 8 differs from the one at -j 1", id)
+		}
 	}
 }

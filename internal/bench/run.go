@@ -5,17 +5,28 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"time"
 
 	"twobssd/internal/obs"
 )
 
-// Select resolves ids against table in the order named; "all" is every
-// paper artifact. It fails on the first id that selects nothing.
+// Select resolves ids against table in the order named: an
+// experiment id, "all" (every paper artifact), or an address — one
+// campaign point, <exp>/<row>/<point>, or one fleet scenario,
+// <exp>/<scenario>. It fails on the first id that selects nothing.
 func Select(table []Experiment, ids ...string) ([]Experiment, error) {
 	var selected []Experiment
 	for _, id := range ids {
+		if strings.Contains(id, "/") {
+			ex, err := address(table, id)
+			if err != nil {
+				return nil, err
+			}
+			selected = append(selected, ex)
+			continue
+		}
 		n := len(selected)
 		for _, ex := range table {
 			if ex.ID == id || (id == "all" && ex.InAll) {
@@ -39,7 +50,7 @@ type Config struct {
 	// with none, no collector is installed.
 	Metrics  bool // -metrics, -benchjson, -benchgate
 	Timeline bool // -timeline: sample one window per virtual millisecond
-	Trace    bool // -trace: span-trace every environment
+	Trace    bool // -trace: span-trace every environment, one at a time
 }
 
 // ExpResult is one experiment's cost. Under -j > 1 experiments overlap,
@@ -89,14 +100,20 @@ type Result struct {
 // with one experiment, they run one after another on this goroutine,
 // each attributed its mallocs and events; otherwise each runs on its
 // own goroutine into a buffer printed when its turn comes (the Runner's
-// semaphore bounds the environments that execute at once). A failed
+// semaphore bounds the environments that execute at once). A traced
+// run is a replay of one unit (bench2b refuses more) at -j 1, so its
+// trace holds one process per environment in creation order. A failed
 // gate does not stop the run. The error is stdout's.
 func Run(cfg Config, stdout io.Writer) (*Result, error) {
 	scale, scaleName := Quick, "quick"
 	if cfg.Full {
 		scale, scaleName = Full, "full"
 	}
-	r := NewRunner(scale, cfg.Jobs)
+	jobs := cfg.Jobs
+	if cfg.Trace {
+		jobs = 1
+	}
+	r := NewRunner(scale, jobs)
 	exps := cfg.Experiments
 	res := &Result{
 		Schema: "bench2b/kernel-v3", Scale: scaleName, GoVersion: runtime.Version(),

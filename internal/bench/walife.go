@@ -224,15 +224,15 @@ func walLifeTable(r *Runner) (*Table, error) {
 	return t, nil
 }
 
-// runWalLife runs the lifecycle evaluation: the feature table, then
-// the wal-life campaign rows with pts crash points each. Returns an
-// error when any point loses a committed record, recovers a phantom, or
-// fails a torn-tail repair.
-func runWalLife(r *Runner, w io.Writer, pts int) error {
+// runWalLife runs lifecycle experiment exp: the feature table, then
+// its campaign rows with pts crash points each. Returns an error when
+// any point loses a committed record, recovers a phantom, or fails a
+// torn-tail repair.
+func runWalLife(r *Runner, w io.Writer, exp string, pts int) error {
 	t, err := walLifeTable(r)
 	if err != nil {
 		return err
 	}
 	t.Print(w)
-	return runCampaigns(r, w, campaignNames("wal-life", false), pts)
+	return runCampaigns(r, w, exp, sweepRows(exp), pts, -1)
 }

@@ -12,7 +12,7 @@ import (
 // violates the durability contract.
 func TestWalLifeSmoke(t *testing.T) {
 	var buf bytes.Buffer
-	if err := runWalLife(runner(Quick), &buf, 8); err != nil {
+	if err := runWalLife(runner(Quick), &buf, "wal-life", 8); err != nil {
 		t.Fatalf("runWalLife: %v\n%s", err, buf.String())
 	}
 	out := buf.String()
@@ -30,7 +30,7 @@ func TestWalLifeSmoke(t *testing.T) {
 // campaign reports, 8 points a mode — run through Run is byte-identical
 // across two -j 1 runs and a -j 8 run.
 func TestWalLifeDeterminism(t *testing.T) {
-	exps := []Experiment{{ID: "wal-life-8", Run: func(r *Runner, w io.Writer) error { return runWalLife(r, w, 8) }}}
+	exps := []Experiment{{ID: "wal-life-8", Run: func(r *Runner, w io.Writer) error { return runWalLife(r, w, "wal-life", 8) }}}
 	run := func(jobs int) string {
 		var buf bytes.Buffer
 		res, err := Run(Config{Experiments: exps, Jobs: jobs}, &buf)

@@ -87,20 +87,12 @@ const maxShrinkReplays = 200
 // in index order, so the report is byte-identical however parallelFor
 // schedules the points.
 func (c *Campaign[C, P, R]) Run(parallelFor func(n int, fn func(i int))) (*Report[C, P, R], error) {
-	var pts []Point[C, P]
-	var err error
-	parallelFor(1, func(int) { pts, err = c.Points() })
+	pts, err := c.generate(parallelFor)
 	if err != nil {
 		return nil, err
 	}
 	rep := &Report[C, P, R]{Findings: make([]Finding[C, P, R], len(pts)), summary: c.Summary}
-	parallelFor(len(pts), func(i int) {
-		f := &rep.Findings[i]
-		f.Point = pts[i]
-		if f.Result, _ = c.Trial(pts[i], false); f.Result.Violation() {
-			f.Result, f.Flight = c.Replay(pts[i], f.Result)
-		}
-	})
+	parallelFor(len(pts), func(i int) { rep.Findings[i] = c.find(pts[i]) })
 	for _, f := range rep.Findings {
 		if f.Result.Violation() && !f.Result.Harness() {
 			parallelFor(1, func(int) {
@@ -113,6 +105,38 @@ func (c *Campaign[C, P, R]) Run(parallelFor func(n int, fn func(i int))) (*Repor
 		}
 	}
 	return rep, nil
+}
+
+// RunPoint generates the points and runs point i alone, as Run runs
+// it: the same finding, flight dump included, that Run's report holds
+// at index i. Every environment it builds runs inside parallelFor.
+func (c *Campaign[C, P, R]) RunPoint(parallelFor func(n int, fn func(i int)), i int) (Finding[C, P, R], error) {
+	var f Finding[C, P, R]
+	pts, err := c.generate(parallelFor)
+	if err == nil && (i < 0 || i >= len(pts)) {
+		err = fmt.Errorf("fault: point %d of a sweep of %d", i, len(pts))
+	}
+	if err != nil {
+		return f, err
+	}
+	parallelFor(1, func(int) { f = c.find(pts[i]) })
+	return f, nil
+}
+
+// generate runs Points in one slot of parallelFor.
+func (c *Campaign[C, P, R]) generate(parallelFor func(n int, fn func(i int))) (pts []Point[C, P], err error) {
+	parallelFor(1, func(int) { pts, err = c.Points() })
+	return pts, err
+}
+
+// find runs pt untraced and, when it violates, replays it traced for
+// its flight dump.
+func (c *Campaign[C, P, R]) find(pt Point[C, P]) Finding[C, P, R] {
+	f := Finding[C, P, R]{Point: pt}
+	if f.Result, _ = c.Trial(pt, false); f.Result.Violation() {
+		f.Result, f.Flight = c.Replay(pt, f.Result)
+	}
+	return f
 }
 
 // Trial runs pt once on a fresh environment. Traced, it records spans,
@@ -277,23 +301,25 @@ func (r *Report[C, P, R]) Violations() []Finding[C, P, R] {
 	return out
 }
 
-// WriteText renders the deterministic report: the kind's summary, one
-// line per violation, then the minimal point with its choices and its
-// flight dump — or, when nothing was shrunk, the first violation's dump.
-func (r *Report[C, P, R]) WriteText(w io.Writer) error {
+// WriteText renders the deterministic report of the sweep at address
+// row ("crash/walseg"): the kind's summary, one line per violation,
+// then the minimal point with its choices and its flight dump — or,
+// when nothing was shrunk, the first violation's dump. A point's
+// address is the row's, a slash and its index.
+func (r *Report[C, P, R]) WriteText(w io.Writer, row string) error {
 	if err := r.summary(w, r); err != nil {
 		return err
 	}
 	viol := r.Violations()
 	for i := range viol {
-		fmt.Fprintf(w, "  VIOLATION %s\n", viol[i].describe())
+		fmt.Fprintf(w, "  VIOLATION %s\n", viol[i].describe(row))
 	}
 	var dump *obs.FlightDump
 	if len(viol) > 0 {
 		dump = viol[0].Flight
 	}
 	if s := r.Shrunk; s != nil {
-		fmt.Fprintf(w, "  minimal failing %s\n", s.describe())
+		fmt.Fprintf(w, "  minimal failing %s\n", s.describe(row))
 		for i, op := range s.Point.Choices {
 			fmt.Fprintf(w, "    op %2d: %v\n", i, op)
 		}
@@ -305,10 +331,19 @@ func (r *Report[C, P, R]) WriteText(w io.Writer) error {
 	return dump.WriteText(w)
 }
 
-// describe names a finding's point — its index, its seed and each armed
-// trigger — and what its check found.
-func (f *Finding[C, P, R]) describe() string {
-	s := fmt.Sprintf("point %d seed %#x", f.Point.Index, f.Point.Seed)
+// WriteText renders the finding as a point run alone prints it: its
+// line, then the flight dump of a violating point.
+func (f *Finding[C, P, R]) WriteText(w io.Writer, row string) error {
+	if _, err := fmt.Fprintln(w, f.describe(row)); err != nil || f.Flight == nil {
+		return err
+	}
+	return f.Flight.WriteText(w)
+}
+
+// describe names a finding's point — its address under row, its seed
+// and each armed trigger — and what its check found.
+func (f *Finding[C, P, R]) describe(row string) string {
+	s := fmt.Sprintf("%s/%d seed %#x", row, f.Point.Index, f.Point.Seed)
 	for _, t := range triggers(&f.Point.Plan) {
 		if *t != (Trigger{}) {
 			s += " trigger " + t.String()

@@ -97,7 +97,7 @@ func TestPlantedViolationProducesFlightDump(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := rep.WriteText(&buf); err != nil {
+	if err := rep.WriteText(&buf, "test/row"); err != nil {
 		t.Fatalf("WriteText: %v", err)
 	}
 	out := buf.String()
@@ -211,7 +211,7 @@ func TestRepairFailureIsViolationWithDump(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := rep.WriteText(&buf); err != nil {
+	if err := rep.WriteText(&buf, "test/row"); err != nil {
 		t.Fatalf("WriteText: %v", err)
 	}
 	if !strings.Contains(buf.String(), `err="recover: wal: cutting the torn tail back to 4096: readback at 4096 not clean"`) {
@@ -356,7 +356,7 @@ func TestSuccessfulRepairsAggregate(t *testing.T) {
 		t.Fatalf("successful repairs misreported as violations: %+v", rep.Violations())
 	}
 	var buf bytes.Buffer
-	if err := rep.WriteText(&buf); err != nil {
+	if err := rep.WriteText(&buf, "test/row"); err != nil {
 		t.Fatalf("WriteText: %v", err)
 	}
 	for _, want := range []string{"torn-repairs=6", "dump energy: 0.30 mJ total"} {
@@ -455,14 +455,42 @@ func TestToyDimensionShrinksAndReplays(t *testing.T) {
 		t.Fatalf("shrunk to %+v, want the bit stuck at 400 µs + 1 ns, dumped", s)
 	}
 	var buf bytes.Buffer
-	if err := rep.WriteText(&buf); err != nil {
+	if err := rep.WriteText(&buf, "test/row"); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"toy: 3 points\n", "  VIOLATION point 1 seed 0x0 trigger t=900000ns: corrupt=[900000]",
-		"  minimal failing point 0 seed 0x0 trigger t=400001ns: corrupt=[410000]", "flight recorder: toy point 0"} {
+	for _, want := range []string{"toy: 3 points\n", "  VIOLATION test/row/1 seed 0x0 trigger t=900000ns: corrupt=[900000]",
+		"  minimal failing test/row/0 seed 0x0 trigger t=400001ns: corrupt=[410000]", "flight recorder: toy point 0"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("report lacks %q:\n%s", want, buf.String())
 		}
+	}
+	// A point run alone is the sweep's finding: its line, and the dump
+	// of a violating point.
+	for i := range rep.Findings {
+		f, err := c.RunPoint(serial, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var alone, swept bytes.Buffer
+		if err := f.WriteText(&alone, "test/row"); err != nil {
+			t.Fatal(err)
+		}
+		if err := rep.Findings[i].WriteText(&swept, "test/row"); err != nil {
+			t.Fatal(err)
+		}
+		if alone.String() != swept.String() || (f.Flight != nil) != (i < 2) {
+			t.Errorf("point %d alone:\n%s\nin the sweep:\n%s", i, alone.String(), swept.String())
+		}
+	}
+	var clean bytes.Buffer
+	if err := rep.Findings[2].WriteText(&clean, "test/row"); err != nil {
+		t.Fatal(err)
+	}
+	if want := "test/row/2 seed 0x0 trigger t=200000ns: corrupt=[] err=\"\"\n"; clean.String() != want {
+		t.Errorf("clean point renders %q, want %q", clean.String(), want)
+	}
+	if _, err := c.RunPoint(serial, 3); err == nil {
+		t.Error("point 3 of a 3-point sweep ran")
 	}
 }
 
@@ -516,14 +544,14 @@ func TestProcessFaultIsAViolation(t *testing.T) {
 			v[0].Result.Err, v[0].Flight != nil, rep.Shrunk)
 	}
 	var buf bytes.Buffer
-	if err := rep.WriteText(&buf); err != nil {
+	if err := rep.WriteText(&buf, "test/row"); err != nil {
 		t.Fatal(err)
 	}
 	// The dump names the harness failure: nothing was lost.
 	if r := v[0].Flight.Reason; !strings.HasSuffix(r, ": harness failure: "+v[0].Result.Err) {
 		t.Errorf("flight dump reason %q; want the harness failure and its error", r)
 	}
-	for _, want := range []string{"violations: 1\n", fmt.Sprintf("  VIOLATION point 2 seed %#x trigger ", v[0].Point.Seed), "faulted: gc relocation: planted", "flight recorder: "} {
+	for _, want := range []string{"violations: 1\n", fmt.Sprintf("  VIOLATION test/row/2 seed %#x trigger ", v[0].Point.Seed), "faulted: gc relocation: planted", "flight recorder: "} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("report lacks %q:\n%s", want, buf.String())
 		}

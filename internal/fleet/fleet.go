@@ -222,9 +222,10 @@ func (s seqCRCs) set(seq int, crc uint32) { s[seq] = 1<<32 | uint64(crc) }
 
 // fleetRT carries run-wide derived values.
 type fleetRT struct {
-	cfg    *Config
-	nodes  []*node
-	router *Router
+	cfg     *Config
+	nodes   []*node
+	router  *Router
+	tenants []*tenantRT
 }
 
 // appendPayload appends tenant name's record for op seq (>= 0) to dst:
@@ -738,10 +739,12 @@ type Result struct {
 	Devices  []DeviceResult
 	Failover *FailoverResult
 	Events   uint64
+	Audit    string // the lease table's failed end-of-run audit ("" = passed)
 }
 
 // Violations lists every broken invariant: lost or phantom records,
-// harness errors, or a configured crash that failed to fail over.
+// harness errors, a configured crash that failed to fail over, or a
+// failed audit.
 func (r *Result) Violations() []string {
 	var v []string
 	for i := range r.Tenants {
@@ -757,6 +760,9 @@ func (r *Result) Violations() []string {
 	if r.Failover != nil && r.Failover.Tenants == 0 {
 		v = append(v, fmt.Sprintf("crash on dev%d triggered no failover", r.Failover.Device))
 	}
+	if r.Audit != "" {
+		v = append(v, r.Audit)
+	}
 	return v
 }
 
@@ -764,11 +770,27 @@ func (r *Result) Violations() []string {
 // configuration/build problems only; correctness violations are in
 // Result.Violations so callers can report them with full context.
 func Run(cfg Config) (*Result, error) {
+	fr, g, err := build(cfg)
+	if err != nil {
+		return nil, err
+	}
+	g.Run()
+	res := buildResult(fr, g.Events())
+	if err := fr.Audit(); err != nil {
+		res.Audit = err.Error()
+	}
+	g.Shutdown()
+	return res, nil
+}
+
+// build checks cfg and builds the fleet on a new group, its tenants'
+// processes spawned.
+func build(cfg Config) (*fleetRT, *sim.Group, error) {
 	if cfg.Devices < 2 {
-		return nil, errors.New("fleet: replication needs at least 2 devices")
+		return nil, nil, errors.New("fleet: replication needs at least 2 devices")
 	}
 	if len(cfg.Tenants) == 0 {
-		return nil, errors.New("fleet: no tenants configured")
+		return nil, nil, errors.New("fleet: no tenants configured")
 	}
 	devCfg := DefaultDeviceConfig()
 	if cfg.Device != nil {
@@ -777,7 +799,7 @@ func Run(cfg Config) (*Result, error) {
 	fr := &fleetRT{cfg: &cfg, router: NewRouter(cfg.Policy, cfg.Devices)}
 	if cfg.Crash != nil {
 		if cfg.Crash.At <= 0 {
-			return nil, errors.New("fleet: crash needs a positive trip time")
+			return nil, nil, errors.New("fleet: crash needs a positive trip time")
 		}
 		if cfg.Crash.Device < 0 {
 			// Default to tenant 0's primary so the crash provokes failover.
@@ -790,7 +812,7 @@ func Run(cfg Config) (*Result, error) {
 			cfg.Crash = &c
 		}
 		if cfg.Crash.Device >= cfg.Devices {
-			return nil, errors.New("fleet: crash device out of range")
+			return nil, nil, errors.New("fleet: crash device out of range")
 		}
 	}
 	g := sim.NewGroup()
@@ -798,31 +820,59 @@ func Run(cfg Config) (*Result, error) {
 	for d := range fr.nodes {
 		fr.nodes[d] = newNode(g, fr, devCfg, d)
 	}
-	tenants := make([]*tenantRT, len(cfg.Tenants))
+	fr.tenants = make([]*tenantRT, len(cfg.Tenants))
 	for i, spec := range cfg.Tenants {
 		t, err := newTenant(g, fr, i, spec)
 		if err != nil {
 			g.Shutdown()
-			return nil, err
+			return nil, nil, err
 		}
-		tenants[i] = t
+		fr.tenants[i] = t
 	}
-	for _, t := range tenants {
+	for _, t := range fr.tenants {
 		t.spawn()
 	}
-	g.Run()
-	res := buildResult(fr, tenants, g.Events())
-	g.Shutdown()
-	return res, nil
+	return fr, g, nil
 }
 
-func buildResult(fr *fleetRT, tenants []*tenantRT, events uint64) *Result {
+// Audit checks the lease table of every up device against the router:
+// each slot's holder is a stream of that device whose lease names that
+// slot; no stream holds two slots, or holds one while it waits; and
+// each tenant's WAL stream lives on the primary router.Place gives it,
+// its redo stream on the follower. It is pure: no yields, no allocation
+// on success, no registry writes. A crashed device's table stopped at
+// the cut and is not read.
+func (fr *fleetRT) Audit() error {
+	for _, n := range fr.nodes {
+		if n.down {
+			continue
+		}
+		if err := n.slots.audit(); err != nil {
+			return fmt.Errorf("fleet audit: dev%d: %w", n.idx, err)
+		}
+	}
+	for _, t := range fr.tenants {
+		place := fr.router.Place(t.idx, t.name, len(fr.tenants))
+		for _, s := range [...]struct {
+			h    *logHandle
+			dev  int
+			role string
+		}{{t.h, place.Primary, "WAL"}, {t.redo, place.Follower, "redo"}} {
+			if n := fr.nodes[s.dev]; !n.down && s.h.mgr != n.slots {
+				return fmt.Errorf("fleet audit: %s's %s stream is not on dev%d, where the router places it", t.name, s.role, s.dev)
+			}
+		}
+	}
+	return nil
+}
+
+func buildResult(fr *fleetRT, events uint64) *Result {
 	res := &Result{Events: events}
 	var fo *FailoverResult
 	if fr.cfg.Crash != nil {
 		fo = &FailoverResult{Device: fr.cfg.Crash.Device, TripAt: fr.cfg.Crash.At}
 	}
-	for _, t := range tenants {
+	for _, t := range fr.tenants {
 		tr := TenantResult{
 			Name: t.name, Primary: t.place.Primary, Follower: t.place.Follower,
 			Ops: len(t.sched), Acked: t.ackedN, Reads: t.reads,

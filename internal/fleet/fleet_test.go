@@ -4,6 +4,7 @@ import (
 	"hash/crc32"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"twobssd/internal/sim"
@@ -320,5 +321,66 @@ func TestMediaCheckMatchesMapReference(t *testing.T) {
 		if lost != c.lost || phantom != c.phantom {
 			t.Errorf("%s: mediaCheck lost %d phantom %d, want %d and %d", c.name, lost, phantom, c.lost, c.phantom)
 		}
+	}
+}
+
+// TestFleetAudit runs a crashed fleet, audits its lease tables clean
+// without allocating, then plants one break of each invariant in turn:
+// the audit names each.
+func TestFleetAudit(t *testing.T) {
+	cfg := testConfig(3, 4, 60)
+	cfg.Crash = &CrashSpec{Device: -1, At: sim.Time(sim.Millisecond)}
+	fr, g, err := build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Run()
+	defer g.Shutdown()
+	if err := fr.Audit(); err != nil {
+		t.Fatalf("clean fleet: %v", err)
+	}
+	if n := testing.AllocsPerRun(10, func() { fr.Audit() }); n != 0 {
+		t.Errorf("a passing audit allocates %.0f times", n)
+	}
+	up := fr.nodes[(fr.cfg.Crash.Device+1)%len(fr.nodes)]
+	if up.down || len(up.slots.streams) == 0 {
+		t.Fatalf("dev%d: down %v, %d streams; want an up device with streams", up.idx, up.down, len(up.slots.streams))
+	}
+	h := up.slots.streams[0]
+	var other *logHandle // a stream of another up device
+	for _, n := range fr.nodes {
+		if n != up && !n.down && len(n.slots.streams) > 0 {
+			other = n.slots.streams[0]
+		}
+	}
+	if other == nil {
+		t.Fatal("no second up device with streams")
+	}
+	for _, plant := range []struct {
+		name, want string
+		do, undo   func()
+	}{
+		{"a stream of another device holds a slot", "a stream of another device",
+			func() { up.slots.slots[0].holder = other }, func() { up.slots.slots[0].holder = nil }},
+		{"a holder's lease names another slot", "whose lease names slot 1",
+			func() { up.slots.slots[0].holder, h.slotIdx = h, 1 }, func() { up.slots.slots[0].holder, h.slotIdx = nil, -1 }},
+		{"a lease names a free slot", "which it does not hold",
+			func() { h.slotIdx = 0 }, func() { h.slotIdx = -1 }},
+		{"a holder waits", "waits for a slot while it holds slot 0",
+			func() { up.slots.slots[0].holder, h.slotIdx, up.slots.waiters = h, 0, []*logHandle{h} },
+			func() { up.slots.slots[0].holder, h.slotIdx, up.slots.waiters = nil, -1, nil }},
+		{"a WAL stream off its primary", "stream is not on dev",
+			func() { fr.tenants[0].h.mgr, fr.tenants[0].redo.mgr = fr.tenants[0].redo.mgr, fr.tenants[0].h.mgr },
+			func() { fr.tenants[0].h.mgr, fr.tenants[0].redo.mgr = fr.tenants[0].redo.mgr, fr.tenants[0].h.mgr }},
+	} {
+		plant.do()
+		err := fr.Audit()
+		plant.undo()
+		if err == nil || !strings.Contains(err.Error(), plant.want) {
+			t.Errorf("%s: audit says %v, want %q", plant.name, err, plant.want)
+		}
+	}
+	if err := fr.Audit(); err != nil {
+		t.Fatalf("after the plants: %v", err)
 	}
 }

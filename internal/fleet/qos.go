@@ -179,6 +179,33 @@ func (m *slotManager) release(si int, h *logHandle, evicted bool) {
 	m.gFairness.Set(m.fairness())
 }
 
+// audit checks the manager's lease table (fleetRT.Audit): each held
+// slot's holder is one of this device's streams and its lease names
+// the slot, which also means no stream holds two; each stream's lease
+// names a slot it holds; and no waiting stream holds one.
+func (m *slotManager) audit() error {
+	for si, s := range m.slots {
+		switch h := s.holder; {
+		case h == nil:
+		case h.mgr != m:
+			return fmt.Errorf("slot %d is held by %s, a stream of another device", si, h.stream)
+		case h.slotIdx != si:
+			return fmt.Errorf("slot %d is held by %s, whose lease names slot %d", si, h.stream, h.slotIdx)
+		}
+	}
+	for _, h := range m.streams {
+		if h.slotIdx >= 0 && (h.slotIdx >= len(m.slots) || m.slots[h.slotIdx].holder != h) {
+			return fmt.Errorf("%s's lease names slot %d, which it does not hold", h.stream, h.slotIdx)
+		}
+	}
+	for _, h := range m.waiters {
+		if h.slotIdx >= 0 {
+			return fmt.Errorf("%s waits for a slot while it holds slot %d", h.stream, h.slotIdx)
+		}
+	}
+	return nil
+}
+
 // logHandle is one log stream under slot management: a BA-mode WAL on
 // a ring of segment files whose pinned window (EID + buffer offset) is
 // whatever slot the stream currently leases. Between leases the log is

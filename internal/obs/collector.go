@@ -2,7 +2,6 @@ package obs
 
 import (
 	"io"
-	"sort"
 	"sync"
 
 	"twobssd/internal/sim"
@@ -13,7 +12,10 @@ import (
 // many environments (one per data point, one per device under
 // comparison); the collector is how `bench2b -metrics/-trace` turns all
 // of them into one metrics report and one Chrome trace in which each
-// environment is a separate trace process.
+// environment is a separate trace process. Counters add, histograms
+// merge and a gauge keeps its largest reading, so the merged metrics
+// and timeline do not depend on the order sets were collected in
+// (TestCollectorFoldIsOrderFree).
 //
 // The mutex guards registration: with the parallel experiment runner
 // (bench2b -j), environments are created concurrently from many worker
@@ -70,43 +72,14 @@ func (c *Collector) Collect(s *Set) {
 	c.mu.Unlock()
 }
 
-// Sets returns the collected sets in collection order. Under the
-// parallel runner that order depends on goroutine scheduling; use
-// sortedSets (via MergedSnapshot / WriteTraceJSON) for deterministic
-// reports.
+// Sets returns the collected sets in collection order. Every fold
+// over them is order-free; a trace's processes come out in this order,
+// which is creation order when the environments run one at a time, as
+// a traced bench.Run runs them.
 func (c *Collector) Sets() []*Set {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append([]*Set(nil), c.sets...)
-}
-
-// sortedSets returns the collected sets in a deterministic order
-// independent of collection (hence goroutine-scheduling) order: sets
-// sort by their canonical snapshot JSON plus, when sampling is on,
-// their timeline JSON. encoding/json emits map keys sorted, so the key
-// is canonical; two sets can tie only when both artifacts are
-// byte-identical, in which case their contributions to any fold are
-// identical too and the tie order cannot matter.
-func (c *Collector) sortedSets() []*Set {
-	sets := c.Sets()
-	keys := make([]string, len(sets))
-	for i, s := range sets {
-		key := canonicalJSON(s.Snapshot())
-		if sm := s.Sampler(); sm != nil {
-			key += "\x00" + canonicalJSON(sm.Timeline())
-		}
-		keys[i] = key
-	}
-	idx := make([]int, len(sets))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
-	out := make([]*Set, len(sets))
-	for i, j := range idx {
-		out[i] = sets[j]
-	}
-	return out
 }
 
 // MergedSnapshot folds every collected registry into one snapshot.
@@ -118,7 +91,7 @@ func (c *Collector) MergedSnapshot() Snapshot {
 	merged := NewRegistry()
 	gauges := make(map[string]float64)
 	var total sim.Time
-	for _, s := range c.sortedSets() {
+	for _, s := range c.Sets() {
 		s.Registry().MergeInto(merged)
 		for name, v := range s.Snapshot().Gauges {
 			maxGauge(gauges, name, v)
@@ -172,7 +145,7 @@ func (c *Collector) WriteMetricsJSON(w io.Writer) error {
 func (c *Collector) MergedTimeline() Timeline {
 	var streams [][]point
 	var dropped uint64
-	for _, s := range c.sortedSets() {
+	for _, s := range c.Sets() {
 		sm := s.Sampler()
 		if sm == nil {
 			continue
@@ -194,11 +167,11 @@ func (c *Collector) WriteTimelineCSV(w io.Writer) error {
 }
 
 // WriteTraceJSON writes one Chrome trace combining every collected
-// environment's tracer (environments without tracing are skipped), in
-// the same deterministic set order as MergedSnapshot.
+// environment's tracer (environments without tracing are skipped), one
+// process per environment in collection order.
 func (c *Collector) WriteTraceJSON(w io.Writer) error {
 	var parts []TracePart
-	for _, s := range c.sortedSets() {
+	for _, s := range c.Sets() {
 		if t := s.Tracer(); t != nil {
 			parts = append(parts, TracePart{Tracer: t})
 		}

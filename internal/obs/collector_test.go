@@ -3,6 +3,7 @@ package obs_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -140,5 +141,54 @@ func TestMergedGaugesKeepTheMax(t *testing.T) {
 	}
 	if n := strings.Count(got, `"g": 0.9`); n != 2 || strings.Contains(got, `"g": 0.1`) {
 		t.Fatalf("merged gauge g does not read 0.9 in the snapshot and the timeline window:\n%s", got)
+	}
+}
+
+// TestCollectorFoldIsOrderFree is why the collector merges in
+// collection order: four environments with different counters, gauges
+// and histograms, over different spans of virtual time, give
+// byte-identical merged -metrics and -timeline artifacts collected
+// forward and in reverse.
+func TestCollectorFoldIsOrderFree(t *testing.T) {
+	gauges := []float64{0.3, 0.9, 0.1, 0.5}
+	artifacts := func(order ...int) (metrics, timeline string) {
+		c := obs.NewCollector(false)
+		c.EnableSampling()
+		for _, i := range order {
+			set := obs.Of(sim.NewEnv())
+			c.Collect(set)
+			reg := set.Registry()
+			set.Env().Go("w", func(p *sim.Proc) {
+				for k := 0; k <= i; k++ {
+					reg.Counter("ops").Inc()
+					reg.Counter(fmt.Sprintf("env%d.ops", i)).Add(uint64(k + 1))
+					reg.Gauge("depth").Set(gauges[i] * float64(k+1))
+					reg.Histo("lat_ns").Observe(sim.Duration(1+i*k) * sim.Microsecond)
+					p.Sleep(sim.Duration(i+1) * 700 * sim.Microsecond)
+				}
+			})
+			set.Env().Run()
+		}
+		var m, tl bytes.Buffer
+		if err := c.WriteMetricsJSON(&m); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.WriteTimelineJSON(&tl); err != nil {
+			t.Fatal(err)
+		}
+		return m.String(), tl.String()
+	}
+	m1, tl1 := artifacts(0, 1, 2, 3)
+	m2, tl2 := artifacts(3, 2, 1, 0)
+	if m1 != m2 {
+		t.Errorf("merged metrics depend on collection order:\n%s\n---\n%s", m1, m2)
+	}
+	if tl1 != tl2 {
+		t.Errorf("merged timeline depends on collection order:\n%s\n---\n%s", tl1, tl2)
+	}
+	for _, want := range []string{`"ops": 10`, `"env3.ops": 10`, `"depth": 2`} {
+		if !strings.Contains(m1, want) {
+			t.Errorf("merged metrics lack %s:\n%s", want, m1)
+		}
 	}
 }

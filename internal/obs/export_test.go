@@ -10,3 +10,8 @@ func (t *Tracer) Dropped() uint64 {
 
 // Enabled reports whether the tracer records events.
 func (t *Tracer) Enabled() bool { return t != nil }
+
+// Timeline exports this sampler's ring alone (one environment).
+func (sm *Sampler) Timeline() Timeline {
+	return mergeTimelines([][]point{sm.points()}, sm.dropped)
+}

@@ -304,9 +304,9 @@ type Set struct {
 }
 
 // OnNewSet, when non-nil, is invoked each time Of lazily creates a Set
-// for an environment. cmd/bench2b installs a Collector hook here so any
-// paper experiment — however many environments it builds internally —
-// emits metrics and trace artifacts. Set it before the environments are
+// for an environment. bench.Run installs a Collector hook here so any
+// experiment — however many environments it builds internally — emits
+// metrics and trace artifacts. Set it before the environments are
 // created; it runs on the goroutine calling Of.
 var OnNewSet func(*Set)
 

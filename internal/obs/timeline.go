@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 	"strconv"
@@ -236,9 +235,8 @@ const TimelineSchema = "twobssd/timeline-v1"
 // timeline, grouping by window index. Environments all start their
 // clocks at zero, so window k of one env is the same virtual interval
 // as window k of another. Per window: counter deltas add, histogram
-// windows merge and a gauge keeps its largest reading. Callers pass the
-// streams in a deterministic order (Collector.sortedSets); the fold
-// itself does not depend on it.
+// windows merge and a gauge keeps its largest reading, so the fold
+// does not depend on the order of the streams.
 func mergeTimelines(streams [][]point, dropped uint64) Timeline {
 	type acc struct {
 		pt   point
@@ -314,11 +312,6 @@ func mergeTimelines(streams [][]point, dropped uint64) Timeline {
 	return tl
 }
 
-// Timeline exports this sampler's ring alone (one environment).
-func (sm *Sampler) Timeline() Timeline {
-	return mergeTimelines([][]point{sm.points()}, sm.dropped)
-}
-
 // WriteJSON writes the timeline as indented JSON. Map keys are emitted
 // sorted, so identical runs produce identical bytes.
 func (tl Timeline) WriteJSON(w io.Writer) error {
@@ -387,14 +380,4 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(ks)
 	return ks
-}
-
-// canonicalJSON is the sort key helper used by the collector: the
-// canonical byte form of a JSON-serializable value.
-func canonicalJSON(v interface{}) string {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Sprintf("!%v", err)
-	}
-	return string(b)
 }

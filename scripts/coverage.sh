@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Artifact coverage gate. Builds every artifact with coverage, runs each
 # one (bench2b all, crash, fuzz, fleet, fleet-smoke and wal-life with
-# -metrics and -timeline, probe with -trace and a CSV timeline, walsim
+# -metrics and -timeline, probe with -trace and a CSV timeline, one
+# crash-smoke point replayed with -trace, walsim
 # in every mode, the five examples, the benchmark's four workloads and
 # its probes), lists the functions no run reached and compares that list
 # with COVERAGE.json (scripts/coverage.py). Run from the repository
@@ -29,6 +30,7 @@ bin=$work/bin
 cd "$work/run"
 "$bin/bench2b" -j 2 -metrics m.json -timeline tl.json all crash fuzz fleet fleet-smoke wal-life > bench2b.txt
 "$bin/bench2b" -trace trace.json -timeline tl.csv probe > /dev/null
+"$bin/bench2b" -trace point.trace.json crash-smoke/walseg/3 > /dev/null
 for m in sync async ba; do
 	"$bin/walsim" -mode "$m" > /dev/null
 	"$bin/walsim" -mode "$m" -ring 4 > /dev/null
