@@ -111,7 +111,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 1
 	}
-	l, h, reg := res.Log, res.Commits, res.Reg
+	l, h, reg := res.Log, res.Lat, res.Reg
 
 	// The log publishes its activity as the env's "wal.*" series (and a
 	// ring its lifecycle as "wal.seg_*").

@@ -90,6 +90,11 @@ var designRules = []rule{
 	{name: "A rate ends at its last ack", in: dirs("bench"), bad: callAfter("Now", "Run"),
 		planted: []string{"internal/bench/x.go\nfunc f() float64 { st.env.Run(); return n / sim.Duration(st.env.Now()).Seconds() }",
 			"internal/bench/x.go\nfunc f() { e.Run()\nelapsed := sim.Duration(e.Now() - start)\n_ = elapsed }"}},
+	{name: "One closed loop", bad: anyOf(imports("twobssd/internal/fio"), pkgRef("twobssd/internal/ycsb", "Run"),
+		pkgRef("twobssd/internal/linkbench", "Run"), ident("^lastDone$")),
+		planted: []string{"internal/bench/x.go\nimport \"twobssd/internal/fio\"", "cmd/walsim/x.go\nimport y \"twobssd/internal/ycsb\"\nvar _ = y.Run",
+			"internal/bench/x.go\nimport \"twobssd/internal/linkbench\"\nfunc f() { linkbench.Run(env, g, cfg, 8, 3000) }",
+			"internal/bench/x.go\nfunc f() { if e.Now() > lastDone { lastDone = e.Now() } }"}},
 	{name: "One copy of an LBA programs at a time", in: dirs("device"), bad: ident("^(inflightDone|landed)$"),
 		planted: []string{"internal/device/x.go\nfunc (d *Device) f(p *sim.Proc) { d.inflightDone.Wait(p) }",
 			"internal/device/x.go\ntype lbaBuf struct{ landed int }"}},
@@ -175,12 +180,18 @@ func call(re string, nargs int) matcher {
 // pkgCall matches a call of the function name of the package whose
 // import path is path.
 func pkgCall(path, name string) matcher {
+	ref := pkgRef(path, name)
 	return func(n ast.Node, s *source) bool {
 		c, ok := n.(*ast.CallExpr)
-		if !ok {
-			return false
-		}
-		sel, ok := c.Fun.(*ast.SelectorExpr)
+		return ok && ref(c.Fun, s)
+	}
+}
+
+// pkgRef matches any use of name, qualified by the package whose import
+// path is path.
+func pkgRef(path, name string) matcher {
+	return func(n ast.Node, s *source) bool {
+		sel, ok := n.(*ast.SelectorExpr)
 		if !ok {
 			return false
 		}

@@ -4,7 +4,6 @@ import (
 	"strconv"
 
 	"twobssd/internal/core"
-	"twobssd/internal/fio"
 	"twobssd/internal/pcie"
 	"twobssd/internal/sim"
 	"twobssd/internal/wal"
@@ -35,7 +34,7 @@ func AblationWriteCombining(r *Runner) *Table {
 		if i%2 == 1 {
 			mk = noWC
 		}
-		return fio.MMIOWriteLatency(mk, sizes[i/2], r.LatReps, false)
+		return mmioWrite(mk, sizes[i/2], r.LatReps, false)
 	})
 	for si, size := range sizes {
 		t.AddRow(sizeLabel(size), cells[2*si].Micros(), cells[2*si+1].Micros())

@@ -47,14 +47,14 @@ func sweptLines(t *testing.T, exp, row string) []string {
 
 func findingLines[C any, P fault.Planner, R fault.Outcome[R]](t *testing.T, addr string, c *fault.Campaign[C, P, R]) []string {
 	t.Helper()
-	rep, err := c.Run(runner(Quick).parallelFor)
+	rep, err := c.Run(runner(Quick).parallelFor, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lines := make([]string, len(rep.Findings))
 	for i := range rep.Findings {
 		var b bytes.Buffer
-		if err := rep.Findings[i].WriteText(&b, addr); err != nil {
+		if err := rep.Findings[i].WriteText(&b); err != nil {
 			t.Fatal(err)
 		}
 		lines[i] = b.String()

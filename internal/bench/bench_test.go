@@ -328,6 +328,15 @@ func TestJournalingShape(t *testing.T) {
 	if ba <= dc {
 		t.Errorf("BA journaling (%.0f) should beat DC (%.0f)", ba, dc)
 	}
+	// Each client is always in a commit, so by Little's law txns/s ×
+	// the mean commit is the client count: "avg commit" is a commit's
+	// latency, not 1 / throughput.
+	for _, cfg := range []string{"DC-SSD", "ULL-SSD", "2B-SSD"} {
+		busy := get(t, tab, cfg, "txns/s") * get(t, tab, cfg, "avg commit (us)") * 1e-6
+		if want := float64(tiny.Clients); busy < 0.95*want || busy > want {
+			t.Errorf("%s: txns/s × avg commit = %.2f commits in flight, want ~%.0f", cfg, busy, want)
+		}
+	}
 }
 
 func TestAblations(t *testing.T) {

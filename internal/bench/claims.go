@@ -21,7 +21,7 @@ func CommitOverhead(r *Runner) *Table {
 	}
 	measure := func(cfg LogDevice) sim.Duration {
 		s := Stream{Device: cfg, Bytes: 8 << 20, Records: 50, Size: 128, WarmUp: true}
-		return s.must().Commits.Mean()
+		return s.must().Lat.Mean()
 	}
 	cfgs := []LogDevice{LogDC, LogULL, Log2B}
 	costs := points(r, len(cfgs), func(i int) sim.Duration { return measure(cfgs[i]) })
@@ -88,17 +88,14 @@ func MixedWorkload(r *Runner) *Table {
 		e := sim.NewEnv()
 		defer e.Shutdown()
 		ssd := SSD2B(e)
-		var lat sim.Duration
-		e.Go("t", func(p *sim.Proc) {
-			if err := ssd.Device().WritePages(p, 0, make([]byte, ssd.PageSize())); err != nil {
-				panic(err)
-			}
-			if err := ssd.Device().Drain(p); err != nil {
-				panic(err)
-			}
-			if withMMIO {
+		page := make([]byte, ssd.PageSize())
+		return Closed{Env: e, Ops: r.LatReps,
+			Setup: func(p *sim.Proc) error {
+				if err := writeDrained(p, ssd.Device(), make([]byte, ssd.PageSize())); err != nil || !withMMIO {
+					return err
+				}
 				if err := ssd.BAPin(p, 0, 0, 1000, 16); err != nil {
-					panic(err)
+					return err
 				}
 				e.Go("logger", func(w *sim.Proc) {
 					for i := 0; i < 200; i++ {
@@ -110,20 +107,9 @@ func MixedWorkload(r *Runner) *Table {
 						}
 					}
 				})
-			}
-			var total sim.Duration
-			page := make([]byte, ssd.PageSize())
-			for i := 0; i < r.LatReps; i++ {
-				start := e.Now()
-				if err := ssd.Device().ReadPagesInto(p, 0, page); err != nil {
-					panic(err)
-				}
-				total += sim.Duration(e.Now() - start)
-			}
-			lat = total / sim.Duration(r.LatReps)
-		})
-		e.Run()
-		return lat
+				return nil
+			},
+			Op: func(p *sim.Proc, _, _ int) error { return ssd.Device().ReadPagesInto(p, 0, page) }}.must().Lat.Mean()
 	}
 	lats := points(r, 2, func(i int) sim.Duration { return run(i == 1) })
 	t.AddRow("block only", lats[0].Micros())

@@ -716,7 +716,7 @@ func runRow(r *Runner, w io.Writer, addr, name string, pts, point int) (int, err
 // and returns the violation count.
 func sweep[C any, P fault.Planner, R fault.Outcome[R]](r *Runner, w io.Writer, addr string, c *fault.Campaign[C, P, R], point int) (int, error) {
 	if point >= 0 {
-		f, err := c.RunPoint(r.parallelFor, point)
+		f, err := c.RunPoint(r.parallelFor, addr, point)
 		if err != nil {
 			return 0, err
 		}
@@ -724,11 +724,11 @@ func sweep[C any, P fault.Planner, R fault.Outcome[R]](r *Runner, w io.Writer, a
 		if f.Result.Violation() {
 			n = 1
 		}
-		return n, f.WriteText(w, addr)
+		return n, f.WriteText(w)
 	}
-	rep, err := c.Run(r.parallelFor)
+	rep, err := c.Run(r.parallelFor, addr)
 	if err != nil {
 		return 0, err
 	}
-	return len(rep.Violations()), rep.WriteText(w, addr)
+	return len(rep.Violations()), rep.WriteText(w)
 }

@@ -267,7 +267,7 @@ func TestWalSegExcusedPoints(t *testing.T) {
 			for i := 0; i < n; i++ {
 				fn(i)
 			}
-		})
+		}, "crash/"+name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -411,7 +411,7 @@ func plantedAuditRun(t *testing.T, row string, plant func(fault.Cycle) fault.Cyc
 		}
 		return plant(cyc), nil
 	}
-	rep, err := c.Campaign().Run(runner(Quick).parallelFor)
+	rep, err := c.Campaign().Run(runner(Quick).parallelFor, "crash/"+row)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"twobssd/internal/ftl"
 	"twobssd/internal/histo"
 	"twobssd/internal/jfs"
-	"twobssd/internal/obs"
 	"twobssd/internal/sim"
 	"twobssd/internal/wal"
 )
@@ -30,7 +29,7 @@ func TailLatency(r *Runner) *Table {
 	run := func(cfg LogDevice) *histo.H {
 		s := Stream{Device: cfg, Bytes: 32 << 20, WarmUp: true,
 			Clients: r.Clients, Records: int(r.AppOps), Size: 128}
-		return s.must().Commits
+		return s.must().Lat
 	}
 	cfgs := []LogDevice{LogDC, LogULL, Log2B}
 	t.Rows = points(r, len(cfgs), func(i int) Row {
@@ -60,56 +59,39 @@ func smallRead(s Scale) *Table {
 	e := sim.NewEnv()
 	defer e.Shutdown()
 	ssd := SSD2B(e)
-	type point struct {
-		size        int
-		block, mmio sim.Duration
-	}
-	sizes := []int{8, 64, 256, 1024}
-	var points []point
-	e.Go("t", func(p *sim.Proc) {
+	const pages = 256
+	page := make([]byte, ssd.PageSize())
+	blockRead := Closed{Env: e, Ops: s.LatReps, Op: func(p *sim.Proc, _, i int) error {
+		return ssd.Device().ReadPagesInto(p, ftl.LBA(i%pages), page)
+	}}
+	e.Go("setup", func(p *sim.Proc) {
 		// Bulk write 1 MB through the block path.
-		const pages = 256
-		if err := ssd.Device().WritePages(p, 0, make([]byte, pages*ssd.PageSize())); err != nil {
+		if err := writeDrained(p, ssd.Device(), make([]byte, pages*ssd.PageSize())); err != nil {
 			panic(err)
 		}
-		if err := ssd.Device().Drain(p); err != nil {
-			panic(err)
-		}
-		page := make([]byte, ssd.PageSize())
-		for _, size := range sizes {
-			var blk sim.Duration
-			for i := 0; i < s.LatReps; i++ {
-				start := e.Now()
-				if err := ssd.Device().ReadPagesInto(p, ftl.LBA(i%pages), page); err != nil {
-					panic(err)
-				}
-				blk += sim.Duration(e.Now() - start)
+		for _, size := range []int{8, 64, 256, 1024} {
+			blk, err := blockRead.On(p)
+			if err != nil {
+				panic(err)
 			}
-			blk /= sim.Duration(s.LatReps)
 			// Preload: pin a slice of the bulk data.
 			if err := ssd.BAPin(p, 0, 0, 0, 64); err != nil {
 				panic(err)
 			}
-			var mm sim.Duration
 			buf := make([]byte, size)
-			for i := 0; i < s.LatReps; i++ {
-				start := e.Now()
-				if err := ssd.Mmio().Read(p, (i%64)*ssd.PageSize(), buf); err != nil {
-					panic(err)
-				}
-				mm += sim.Duration(e.Now() - start)
+			mm, err := Closed{Env: e, Ops: s.LatReps, Op: func(p *sim.Proc, _, i int) error {
+				return ssd.Mmio().Read(p, (i%64)*ssd.PageSize(), buf)
+			}}.On(p)
+			if err != nil {
+				panic(err)
 			}
-			mm /= sim.Duration(s.LatReps)
 			if err := ssd.BAFlush(p, 0); err != nil {
 				panic(err)
 			}
-			points = append(points, point{size: size, block: blk, mmio: mm})
+			t.AddRow(sizeLabel(size), blk.Lat.Mean().Micros(), mm.Lat.Mean().Micros())
 		}
 	})
 	e.Run()
-	for _, pt := range points {
-		t.AddRow(sizeLabel(pt.size), pt.block.Micros(), pt.mmio.Micros())
-	}
 	return t
 }
 
@@ -176,47 +158,32 @@ func Journaling(r *Runner) *Table {
 		st := newStack(cfg)
 		defer st.env.Shutdown()
 		var store *jfs.Store
-		var win opWindow
-		st.env.Go("setup", func(p *sim.Proc) {
-			home, err := st.dataFS.Create("home", 1<<20)
-			if err != nil {
-				panic(err)
-			}
-			// Commit-dominated run: checkpoints are rare (jbd2 defaults
-			// to a 5s commit interval; the 16 MB journal — two ring files
-			// of both BA-buffer halves — holds the whole run).
-			store, err = jfs.Open(st.env, p, jfs.Config{Home: home,
-				Log: st.ringConfig(2, 8<<20, 0, 1), CheckpointEvery: 1 << 20})
-			if err != nil {
-				panic(err)
-			}
-			// Warm up: the first BA commit pays the one-time segment pin.
-			w := store.Begin()
-			w.WriteBlock(255, []byte("warmup"))
-			if err := w.Commit(p); err != nil {
-				panic(err)
-			}
-			per := int(r.AppOps) / r.Clients / 4
-			for c := 0; c < r.Clients; c++ {
-				c := c
-				st.env.Go(fmt.Sprintf("c%d", c), func(w *sim.Proc) {
-					for i := 0; i < per; i++ {
-						win.issue(st.env.Now())
-						tx := store.Begin()
-						tx.WriteBlock(uint32((c*31+i)%200), []byte("inode"))
-						tx.WriteBlock(uint32((c*17+i)%200), []byte("bitmap"))
-						if err := tx.Commit(w); err != nil {
-							panic(err)
-						}
-						win.ack(st.env.Now())
-					}
-				})
-			}
-		})
-		st.env.Run()
-		txns := obs.Of(st.env).Registry().Counter("jfs.txns").Value() - 1
-		return win.rate(float64(txns)),
-			float64(win.span().Micros()) / float64(txns)
+		lp := Closed{Env: st.env, Clients: r.Clients, Ops: int(r.AppOps) / r.Clients / 4 * r.Clients,
+			Setup: func(p *sim.Proc) error {
+				home, err := st.dataFS.Create("home", 1<<20)
+				if err != nil {
+					return err
+				}
+				// Commit-dominated run: checkpoints are rare (jbd2 defaults
+				// to a 5s commit interval; the 16 MB journal — two ring files
+				// of both BA-buffer halves — holds the whole run).
+				store, err = jfs.Open(st.env, p, jfs.Config{Home: home,
+					Log: st.ringConfig(2, 8<<20, 0, 1), CheckpointEvery: 1 << 20})
+				if err != nil {
+					return err
+				}
+				// Warm up: the first BA commit pays the one-time segment pin.
+				w := store.Begin()
+				w.WriteBlock(255, []byte("warmup"))
+				return w.Commit(p)
+			},
+			Op: func(p *sim.Proc, c, i int) error {
+				tx := store.Begin()
+				tx.WriteBlock(uint32((c*31+i)%200), []byte("inode"))
+				tx.WriteBlock(uint32((c*17+i)%200), []byte("bitmap"))
+				return tx.Commit(p)
+			}}.must()
+		return lp.Rate(), lp.Lat.Mean().Micros()
 	}
 	cfgs := []LogDevice{LogDC, LogULL, Log2B}
 	t.Rows = points(r, len(cfgs), func(i int) Row {
@@ -236,41 +203,23 @@ func QueueDepth(r *Runner) *Table {
 		Series: []string{"DC-SSD", "ULL-SSD"},
 		Notes: []string{
 			"beyond the paper's QD-1 methodology: concurrency exposes the",
-			"devices' internal parallelism until firmware cores saturate.",
+			"devices' internal parallelism until a shared stage saturates",
+			"(ULL-SSD: the 3.2 GB/s host link, 781 kIOPS of 4KB reads).",
 		},
 	}
 	run := func(mk func(*sim.Env) *device.Device, qd int) float64 {
 		e := sim.NewEnv()
 		defer e.Shutdown()
 		d := mk(e)
-		const perWorker = 50
-		var lastDone sim.Time
-		e.Go("setup", func(p *sim.Proc) {
-			if err := d.WritePages(p, 0, make([]byte, 256*d.PageSize())); err != nil {
-				panic(err)
-			}
-			if err := d.Drain(p); err != nil {
-				panic(err)
-			}
-			for w := 0; w < qd; w++ {
-				w := w
-				e.Go(fmt.Sprintf("q%d", w), func(pr *sim.Proc) {
-					page := make([]byte, d.PageSize())
-					for i := 0; i < perWorker; i++ {
-						lba := ftl.LBA((w*131 + i*17) % 256)
-						if err := d.ReadPagesInto(pr, lba, page); err != nil {
-							panic(err)
-						}
-					}
-					if e.Now() > lastDone {
-						lastDone = e.Now()
-					}
-				})
-			}
-		})
-		e.Run()
-		total := float64(qd * perWorker)
-		return total / sim.Duration(lastDone).Seconds() / 1e3
+		pages := make([][]byte, qd)
+		for w := range pages {
+			pages[w] = make([]byte, d.PageSize())
+		}
+		return Closed{Env: e, Clients: qd, Ops: 50 * qd,
+			Setup: func(p *sim.Proc) error { return writeDrained(p, d, make([]byte, 256*d.PageSize())) },
+			Op: func(p *sim.Proc, w, i int) error {
+				return d.ReadPagesInto(p, ftl.LBA((w*131+i*17)%256), pages[w])
+			}}.must().Rate() / 1e3
 	}
 	qds := []int{1, 2, 4, 8, 16, 32}
 	// One point per (queue depth, device) cell.

@@ -3,7 +3,10 @@ package bench
 import (
 	"fmt"
 
-	"twobssd/internal/fio"
+	"twobssd/internal/core"
+	"twobssd/internal/device"
+	"twobssd/internal/ftl"
+	"twobssd/internal/sim"
 )
 
 // latency sweep sizes (Fig 7): 8 B … 4 KB.
@@ -37,10 +40,10 @@ func Fig7a(r *Runner) *Table {
 	}
 	t.Rows = points(r, len(latSizes), func(i int) Row {
 		size := latSizes[i]
-		dc := fio.BlockReadLatency(DC, size, r.LatReps)
-		ull := fio.BlockReadLatency(ULL, size, r.LatReps)
-		mmio := fio.MMIOReadLatency(SSD2B, size, r.LatReps, false)
-		dma := fio.MMIOReadLatency(SSD2B, size, r.LatReps, true)
+		dc := blockLatency(DC, size, r.LatReps, false)
+		ull := blockLatency(ULL, size, r.LatReps, false)
+		mmio := mmioRead(SSD2B, size, r.LatReps, false)
+		dma := mmioRead(SSD2B, size, r.LatReps, true)
 		return Row{X: sizeLabel(size), Vals: []float64{dc.Micros(), ull.Micros(), mmio.Micros(), dma.Micros()}}
 	})
 	return t
@@ -60,10 +63,10 @@ func Fig7b(r *Runner) *Table {
 	}
 	t.Rows = points(r, len(latSizes), func(i int) Row {
 		size := latSizes[i]
-		dc := fio.BlockWriteLatency(DC, size, r.LatReps)
-		ull := fio.BlockWriteLatency(ULL, size, r.LatReps)
-		mmio := fio.MMIOWriteLatency(SSD2B, size, r.LatReps, false)
-		pmmio := fio.MMIOWriteLatency(SSD2B, size, r.LatReps, true)
+		dc := blockLatency(DC, size, r.LatReps, true)
+		ull := blockLatency(ULL, size, r.LatReps, true)
+		mmio := mmioWrite(SSD2B, size, r.LatReps, false)
+		pmmio := mmioWrite(SSD2B, size, r.LatReps, true)
 		return Row{X: sizeLabel(size), Vals: []float64{dc.Micros(), ull.Micros(), mmio.Micros(), pmmio.Micros()}}
 	})
 	return t
@@ -83,9 +86,9 @@ func Fig8a(r *Runner) *Table {
 	}
 	t.Rows = points(r, len(bwSizes), func(i int) Row {
 		size := bwSizes[i]
-		dc := fio.BlockBandwidth(DC, size, false)
-		ull := fio.BlockBandwidth(ULL, size, false)
-		internal := fio.InternalBandwidth(SSD2B, size, false)
+		dc := blockBandwidth(DC, size, false)
+		ull := blockBandwidth(ULL, size, false)
+		internal := internalBandwidth(SSD2B, size, false)
 		return Row{X: sizeLabel(size), Vals: []float64{dc, ull, internal}}
 	})
 	return t
@@ -105,10 +108,155 @@ func Fig8b(r *Runner) *Table {
 	}
 	t.Rows = points(r, len(bwSizes), func(i int) Row {
 		size := bwSizes[i]
-		dc := fio.BlockBandwidth(DC, size, true)
-		ull := fio.BlockBandwidth(ULL, size, true)
-		internal := fio.InternalBandwidth(SSD2B, size, true)
+		dc := blockBandwidth(DC, size, true)
+		ull := blockBandwidth(ULL, size, true)
+		internal := internalBandwidth(SSD2B, size, true)
 		return Row{X: sizeLabel(size), Vals: []float64{dc, ull, internal}}
 	})
 	return t
+}
+
+// qd1 is one QD-1 run of the paper's micro-benchmarks (Section V-B) on
+// a fresh drive from mk: setup, then n timed ops on the setup proc.
+func qd1[D any](mk func(*sim.Env) D, n int, setup func(*sim.Proc, D) error, op func(*sim.Proc, D, int) error) *Loop {
+	e := sim.NewEnv()
+	defer e.Shutdown()
+	d := mk(e)
+	return Closed{Env: e, Ops: n,
+		Setup: func(p *sim.Proc) error { return setup(p, d) },
+		Op:    func(p *sim.Proc, _, i int) error { return op(p, d, i) }}.must()
+}
+
+// pagesFor rounds a request size up to whole pages (block I/O is
+// page-granular: a sub-page request still moves one page).
+func pagesFor(bytes, pageSize int) int {
+	return max(1, (bytes+pageSize-1)/pageSize)
+}
+
+// writeDrained writes buf from LBA 0 and waits until it is on NAND: the
+// precondition of a read, or a timed write.
+func writeDrained(p *sim.Proc, d *device.Device, buf []byte) error {
+	if err := d.WritePages(p, 0, buf); err != nil {
+		return err
+	}
+	return d.Drain(p)
+}
+
+// blockLatency is the mean latency of size-byte block reads of LBA 0,
+// preconditioned so they hit NAND, or of writes to successive LBAs.
+func blockLatency(mk func(*sim.Env) *device.Device, size, reps int, write bool) sim.Duration {
+	var n int
+	var buf []byte
+	return qd1(mk, reps, func(p *sim.Proc, d *device.Device) error {
+		n = pagesFor(size, d.PageSize())
+		if buf = make([]byte, n*d.PageSize()); write {
+			return nil
+		}
+		return writeDrained(p, d, buf)
+	}, func(p *sim.Proc, d *device.Device, i int) error {
+		if write {
+			return d.WritePages(p, ftl.LBA(i*n), buf)
+		}
+		return d.ReadPagesInto(p, 0, buf)
+	}).Lat.Mean()
+}
+
+// pinFor pins enough pages of BA-buffer offset 0 for size bytes.
+func pinFor(size int) func(*sim.Proc, *core.TwoBSSD) error {
+	return func(p *sim.Proc, s *core.TwoBSSD) error { return s.BAPin(p, 0, 0, 0, pagesFor(size, s.PageSize())) }
+}
+
+// mmioWrite is the mean latency of a size-byte MMIO store sequence,
+// made durable with BA_SYNC when persistent.
+func mmioWrite(mk func(*sim.Env) *core.TwoBSSD, size, reps int, persistent bool) sim.Duration {
+	buf := make([]byte, size)
+	return qd1(mk, reps, pinFor(size), func(p *sim.Proc, s *core.TwoBSSD, _ int) error {
+		if err := s.Mmio().Write(p, 0, buf); err != nil || !persistent {
+			return err
+		}
+		return s.Mmio().Sync(p, 0, size)
+	}).Lat.Mean()
+}
+
+// mmioRead is the mean latency of a size-byte MMIO load, or of a read
+// DMA of the same bytes.
+func mmioRead(mk func(*sim.Env) *core.TwoBSSD, size, reps int, useDMA bool) sim.Duration {
+	buf := make([]byte, size)
+	return qd1(mk, reps, pinFor(size), func(p *sim.Proc, s *core.TwoBSSD, _ int) error {
+		if useDMA {
+			_, err := s.BAReadDMA(p, 0, buf)
+			return err
+		}
+		return s.Mmio().Read(p, 0, buf)
+	}).Lat.Mean()
+}
+
+// MBps converts (bytes, duration) to MB/s.
+func MBps(bytes int64, d sim.Duration) float64 {
+	if d <= 0 {
+		return 0
+	}
+	return float64(bytes) / d.Seconds() / 1e6
+}
+
+// blockBandwidth is the QD-1 sequential bandwidth of one request of
+// reqBytes: a read of preconditioned pages, or a write timed to its
+// drain.
+func blockBandwidth(mk func(*sim.Env) *device.Device, reqBytes int, write bool) float64 {
+	var buf []byte
+	lp := qd1(mk, 1, func(p *sim.Proc, d *device.Device) error {
+		if buf = make([]byte, pagesFor(reqBytes, d.PageSize())*d.PageSize()); write {
+			return nil
+		}
+		return writeDrained(p, d, buf)
+	}, func(p *sim.Proc, d *device.Device, _ int) error {
+		if write {
+			return writeDrained(p, d, buf)
+		}
+		return d.ReadPagesInto(p, 0, buf)
+	})
+	return MBps(int64(len(buf)), lp.Lat.Sum())
+}
+
+// internalBandwidth measures the 2B-SSD internal datapath: BA_PIN for
+// reads, BA_FLUSH for writes, chunked through the BA-buffer for
+// requests larger than it (the paper measures exactly these calls). It
+// times half of each chunk's pin-and-flush, so it is no closed loop of
+// whole ops.
+func internalBandwidth(mk func(*sim.Env) *core.TwoBSSD, reqBytes int, write bool) float64 {
+	e := sim.NewEnv()
+	defer e.Shutdown()
+	s := mk(e)
+	ps := s.PageSize()
+	bufPages := s.BufferPages()
+	totalPages := pagesFor(reqBytes, ps)
+	var timed sim.Duration
+	e.Go("setup", func(p *sim.Proc) {
+		if !write {
+			// Precondition NAND so pins read real pages.
+			if err := writeDrained(p, s.Device(), make([]byte, totalPages*ps)); err != nil {
+				panic(err)
+			}
+		}
+		for done := 0; done < totalPages; {
+			chunk := min(totalPages-done, bufPages)
+			t0 := e.Now()
+			if err := s.BAPin(p, 0, 0, ftl.LBA(done), chunk); err != nil {
+				panic(err)
+			}
+			if !write {
+				timed += sim.Duration(e.Now() - t0) // BA_PIN = internal read
+			}
+			t1 := e.Now()
+			if err := s.BAFlush(p, 0); err != nil {
+				panic(err)
+			}
+			if write {
+				timed += sim.Duration(e.Now() - t1) // BA_FLUSH = internal write
+			}
+			done += chunk
+		}
+	})
+	e.Run()
+	return MBps(int64(totalPages*ps), timed)
 }

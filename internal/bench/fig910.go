@@ -30,11 +30,14 @@ func runPGLinkbench(cfg LogDevice, s Scale) float64 {
 		}
 	})
 	st.env.Run()
-	res, err := linkbench.Run(st.env, g, linkbench.Config{Nodes: s.Nodes, Seed: 23}, s.Clients, s.AppOps)
-	if err != nil {
-		panic(err)
+	gens := make([]*linkbench.Generator, s.Clients)
+	for c := range gens {
+		gens[c] = linkbench.NewClient(linkbench.Config{Nodes: s.Nodes, Seed: 23}, c)
 	}
-	return res.Throughput()
+	return timedClients(st.env, s, func(p *sim.Proc, c int) error {
+		_, err := gens[c].Step(p, g)
+		return err
+	})
 }
 
 // runYCSB measures one KV engine's throughput under YCSB-A for one
@@ -62,11 +65,19 @@ func runYCSB(engine string, cfg LogDevice, payload int, s Scale) float64 {
 		}
 	})
 	st.env.Run()
-	res, err := ycsb.Run(st.env, kv, ycsb.WorkloadA(s.Records, payload, 31), s.Clients, s.AppOps)
-	if err != nil {
-		panic(err)
+	gens := make([]*ycsb.Generator, s.Clients)
+	for c := range gens {
+		gens[c] = ycsb.NewClient(ycsb.WorkloadA(s.Records, payload, 31), c)
 	}
-	return res.Throughput()
+	return timedClients(st.env, s, func(p *sim.Proc, c int) error { return gens[c].Step(p, kv) })
+}
+
+// timedClients runs s's clients over an engine whose load has gone idle,
+// so that background flush timers the load left do not share the timed
+// window, and returns their ops per second.
+func timedClients(env *sim.Env, s Scale, op func(p *sim.Proc, c int) error) float64 {
+	return Closed{Env: env, Clients: s.Clients, Ops: int(s.AppOps),
+		Op: func(p *sim.Proc, c, _ int) error { return op(p, c) }}.must().Rate()
 }
 
 // Fig9PG reproduces the PostgreSQL/Linkbench panel of Fig 9.

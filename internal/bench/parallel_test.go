@@ -164,7 +164,7 @@ func TestRunnerBoundsCampaignSetup(t *testing.T) {
 	var err error
 	go func() {
 		defer wg.Done()
-		rep, err = c.Campaign().Run(r.parallelFor)
+		rep, err = c.Campaign().Run(r.parallelFor, "crash/bound")
 	}()
 	wg.Wait()
 	if err != nil {

@@ -1,9 +1,6 @@
 package bench
 
 import (
-	"fmt"
-
-	"twobssd/internal/histo"
 	"twobssd/internal/obs"
 	"twobssd/internal/sim"
 	"twobssd/internal/wal"
@@ -42,15 +39,15 @@ type Stream struct {
 	Flush bool
 }
 
-// StreamResult is what a stream measured. The environment is shut
-// down; its clock, its registry and the log stay readable.
+// StreamResult is what a stream measured: its Loop holds every timed
+// append+commit. The environment is shut down; its clock, its registry
+// and the log stay readable.
 type StreamResult struct {
-	Env     *sim.Env
-	Reg     *obs.Registry
-	Log     *wal.Log // nil when the log did not open
-	Commits *histo.H // every timed append+commit
-	win     opWindow // first timed issue to last commit, or to the flush
-	st      *stack
+	Env   *sim.Env
+	Reg   *obs.Registry
+	Log   *wal.Log // nil when the log did not open
+	*Loop          // the window ends at the last commit, or at the flush
+	st    *stack
 }
 
 // Run runs the stream. The error is the first failure: creating or
@@ -58,8 +55,7 @@ type StreamResult struct {
 func (s Stream) Run() (*StreamResult, error) {
 	st := newStack(s.Device)
 	defer st.env.Shutdown()
-	res := &StreamResult{Env: st.env, Reg: obs.Of(st.env).Registry(), Commits: &histo.H{}, st: st}
-	var runErr error
+	res := &StreamResult{Env: st.env, Reg: obs.Of(st.env).Registry(), st: st}
 	commit := func(p *sim.Proc, rec []byte) (wal.LSN, error) {
 		lsn, err := res.Log.Append(p, rec)
 		if err == nil {
@@ -67,61 +63,48 @@ func (s Stream) Run() (*StreamResult, error) {
 		}
 		return lsn, err
 	}
-	client := func(p *sim.Proc, n int) {
-		rec := make([]byte, s.Size) // Append copies; reuse one buffer
-		for i := 0; i < n && runErr == nil; i++ {
-			start := st.env.Now()
-			res.win.issue(start)
-			lsn, err := commit(p, rec)
-			if err == nil {
-				res.win.ack(st.env.Now())
-				res.Commits.Observe(sim.Duration(st.env.Now() - start))
-				if s.CheckpointEvery > 0 && res.Commits.N()%uint64(s.CheckpointEvery) == 0 {
-					err = res.Log.Checkpoint(p, lsn)
+	flush := func(p *sim.Proc, lp *Loop) error {
+		if err := res.Log.FlushToNAND(p); err != nil {
+			return err
+		}
+		lp.win.ack(st.env.Now())
+		return st.logFS.Device().Drain(p)
+	}
+	rec := make([]byte, s.Size) // Append copies: every commit shares it
+	lsns := make([]wal.LSN, max(s.Clients, 1))
+	var err error
+	res.Loop, err = Closed{Env: st.env, Clients: s.Clients, Ops: s.Records,
+		Setup: func(p *sim.Proc) (err error) {
+			if res.Log, err = s.open(st); err != nil || !s.WarmUp {
+				return err
+			}
+			_, err = commit(p, rec)
+			return err
+		},
+		Op: func(p *sim.Proc, c, _ int) (err error) {
+			lsns[c], err = commit(p, rec)
+			return err
+		},
+		Acked: func(p *sim.Proc, lp *Loop, c int) error {
+			n := lp.Lat.N()
+			if s.CheckpointEvery > 0 && n%uint64(s.CheckpointEvery) == 0 {
+				if err := res.Log.Checkpoint(p, lsns[c]); err != nil {
+					return err
 				}
 			}
-			if err != nil && runErr == nil {
-				runErr = err
+			// With no clients the flush runs on the committing proc, at
+			// the last commit's instant.
+			if s.Flush && s.Clients == 0 && n == uint64(s.Records) {
+				return flush(p, lp)
 			}
-		}
-	}
-	flush := func(p *sim.Proc) {
-		if runErr = res.Log.FlushToNAND(p); runErr == nil {
-			res.win.ack(st.env.Now())
-			runErr = st.logFS.Device().Drain(p)
-		}
-	}
-	st.env.Go("setup", func(p *sim.Proc) {
-		if res.Log, runErr = s.open(st); runErr != nil {
-			return
-		}
-		if s.WarmUp {
-			if _, runErr = commit(p, make([]byte, s.Size)); runErr != nil {
-				return
-			}
-		}
-		if s.Clients == 0 {
-			client(p, s.Records)
-			if s.Flush && runErr == nil {
-				flush(p)
-			}
-			return
-		}
-		per, extra := s.Records/s.Clients, s.Records%s.Clients
-		for c := 0; c < s.Clients; c++ {
-			n := per
-			if c < extra {
-				n++
-			}
-			st.env.Go(fmt.Sprintf("c%d", c), func(w *sim.Proc) { client(w, n) })
-		}
-	})
-	st.env.Run()
-	if s.Flush && s.Clients > 0 && runErr == nil {
-		st.env.Go("flush", flush)
+			return nil
+		},
+	}.Run()
+	if s.Flush && s.Clients > 0 && err == nil {
+		st.env.Go("flush", func(p *sim.Proc) { err = flush(p, res.Loop) })
 		st.env.Run()
 	}
-	return res, runErr
+	return res, err
 }
 
 // open creates the log on st's log device.

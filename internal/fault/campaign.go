@@ -52,16 +52,16 @@ type Campaign[C any, P Planner, R Outcome[R]] struct {
 	Points func() ([]Point[C, P], error)
 	// Check runs pt to completion on env, whose injector holds pt's plan.
 	Check func(env *sim.Env, pt Point[C, P]) R
-	// Reason heads the flight dump of a violating point.
-	Reason func(pt Point[C, P], r R) string
 	// Summary writes the kind's own report lines.
 	Summary func(w io.Writer, rep *Report[C, P, R]) error
 }
 
-// A Finding is a point and what its check found; a violating point
-// carries the flight dump of its traced replay.
+// A Finding is a point, its address and what its check found; a
+// violating point carries the flight dump of its traced replay, headed
+// by the finding's line.
 type Finding[C any, P Planner, R Outcome[R]] struct {
 	Point  Point[C, P]
+	Addr   string // <row>/<index>: what replays the point alone
 	Result R
 	Flight *obs.FlightDump
 }
@@ -78,27 +78,27 @@ type Report[C any, P Planner, R Outcome[R]] struct {
 // maxShrinkReplays bounds the shrinker's trials per violation.
 const maxShrinkReplays = 200
 
-// Run generates the points, runs every one, replays each violating
-// point traced and shrinks the first violation that is no harness
-// failure. Every environment — point generation, each point and its
+// Run generates the points of the sweep at address row ("crash/walseg"),
+// runs every one, replays each violating point traced and shrinks the
+// first violation that is no harness failure. Every environment — point generation, each point and its
 // replay, the shrinker's trials — runs inside parallelFor (which must
 // call fn(i) exactly once for each 0 <= i < n, in any order or
 // concurrency), so the caller's fan-out bounds them all. Results land
 // in index order, so the report is byte-identical however parallelFor
 // schedules the points.
-func (c *Campaign[C, P, R]) Run(parallelFor func(n int, fn func(i int))) (*Report[C, P, R], error) {
+func (c *Campaign[C, P, R]) Run(parallelFor func(n int, fn func(i int)), row string) (*Report[C, P, R], error) {
 	pts, err := c.generate(parallelFor)
 	if err != nil {
 		return nil, err
 	}
 	rep := &Report[C, P, R]{Findings: make([]Finding[C, P, R], len(pts)), summary: c.Summary}
-	parallelFor(len(pts), func(i int) { rep.Findings[i] = c.find(pts[i]) })
+	parallelFor(len(pts), func(i int) { rep.Findings[i] = c.find(row, pts[i]) })
 	for _, f := range rep.Findings {
 		if f.Result.Violation() && !f.Result.Harness() {
 			parallelFor(1, func(int) {
-				s := Finding[C, P, R]{}
+				s := Finding[C, P, R]{Addr: f.Addr}
 				s.Point, s.Result = c.Shrink(f.Point, f.Result)
-				s.Result, s.Flight = c.Replay(s.Point, s.Result)
+				s.replay(c)
 				rep.Shrunk = &s
 			})
 			break
@@ -107,10 +107,11 @@ func (c *Campaign[C, P, R]) Run(parallelFor func(n int, fn func(i int))) (*Repor
 	return rep, nil
 }
 
-// RunPoint generates the points and runs point i alone, as Run runs
-// it: the same finding, flight dump included, that Run's report holds
-// at index i. Every environment it builds runs inside parallelFor.
-func (c *Campaign[C, P, R]) RunPoint(parallelFor func(n int, fn func(i int)), i int) (Finding[C, P, R], error) {
+// RunPoint generates the points of the sweep at address row and runs
+// point i alone, as Run runs it: the same finding, flight dump
+// included, that Run's report holds at index i. Every environment it
+// builds runs inside parallelFor.
+func (c *Campaign[C, P, R]) RunPoint(parallelFor func(n int, fn func(i int)), row string, i int) (Finding[C, P, R], error) {
 	var f Finding[C, P, R]
 	pts, err := c.generate(parallelFor)
 	if err == nil && (i < 0 || i >= len(pts)) {
@@ -119,7 +120,7 @@ func (c *Campaign[C, P, R]) RunPoint(parallelFor func(n int, fn func(i int)), i 
 	if err != nil {
 		return f, err
 	}
-	parallelFor(1, func(int) { f = c.find(pts[i]) })
+	parallelFor(1, func(int) { f = c.find(row, pts[i]) })
 	return f, nil
 }
 
@@ -129,19 +130,27 @@ func (c *Campaign[C, P, R]) generate(parallelFor func(n int, fn func(i int))) (p
 	return pts, err
 }
 
-// find runs pt untraced and, when it violates, replays it traced for
-// its flight dump.
-func (c *Campaign[C, P, R]) find(pt Point[C, P]) Finding[C, P, R] {
-	f := Finding[C, P, R]{Point: pt}
+// find runs pt, of the sweep at address row, untraced and, when it
+// violates, replays it traced for its flight dump.
+func (c *Campaign[C, P, R]) find(row string, pt Point[C, P]) Finding[C, P, R] {
+	f := Finding[C, P, R]{Point: pt, Addr: fmt.Sprintf("%s/%d", row, pt.Index)}
 	if f.Result, _ = c.Trial(pt, false); f.Result.Violation() {
-		f.Result, f.Flight = c.Replay(pt, f.Result)
+		f.replay(c)
 	}
 	return f
 }
 
+// replay replays f's violating point traced and heads the flight dump
+// with f's line: the address that replays it, and what it found.
+func (f *Finding[C, P, R]) replay(c *Campaign[C, P, R]) {
+	if f.Result, f.Flight = c.Replay(f.Point, f.Result); f.Flight != nil {
+		f.Flight.Reason = f.describe()
+	}
+}
+
 // Trial runs pt once on a fresh environment. Traced, it records spans,
-// and a violation comes back with the run's flight dump. Safe to call
-// concurrently.
+// and a violation comes back with the run's flight dump, whose header
+// the finding writes. Safe to call concurrently.
 func (c *Campaign[C, P, R]) Trial(pt Point[C, P], traced bool) (R, *obs.FlightDump) {
 	env := sim.NewEnv()
 	defer env.Shutdown() // after the flight dump; parked daemons would pin the drive
@@ -154,7 +163,7 @@ func (c *Campaign[C, P, R]) Trial(pt Point[C, P], traced bool) (R, *obs.FlightDu
 	if !traced || !r.Violation() {
 		return r, nil
 	}
-	d := set.FlightDump(c.Reason(pt, r))
+	d := set.FlightDump("")
 	return r, &d
 }
 
@@ -301,25 +310,24 @@ func (r *Report[C, P, R]) Violations() []Finding[C, P, R] {
 	return out
 }
 
-// WriteText renders the deterministic report of the sweep at address
-// row ("crash/walseg"): the kind's summary, one line per violation,
-// then the minimal point with its choices and its flight dump — or,
-// when nothing was shrunk, the first violation's dump. A point's
-// address is the row's, a slash and its index.
-func (r *Report[C, P, R]) WriteText(w io.Writer, row string) error {
+// WriteText renders the deterministic report of the sweep: the kind's
+// summary, one line per violation, then the minimal point with its
+// choices and its flight dump — or, when nothing was shrunk, the first
+// violation's dump.
+func (r *Report[C, P, R]) WriteText(w io.Writer) error {
 	if err := r.summary(w, r); err != nil {
 		return err
 	}
 	viol := r.Violations()
 	for i := range viol {
-		fmt.Fprintf(w, "  VIOLATION %s\n", viol[i].describe(row))
+		fmt.Fprintf(w, "  VIOLATION %s\n", viol[i].describe())
 	}
 	var dump *obs.FlightDump
 	if len(viol) > 0 {
 		dump = viol[0].Flight
 	}
 	if s := r.Shrunk; s != nil {
-		fmt.Fprintf(w, "  minimal failing %s\n", s.describe(row))
+		fmt.Fprintf(w, "  minimal failing %s\n", s.describe())
 		for i, op := range s.Point.Choices {
 			fmt.Fprintf(w, "    op %2d: %v\n", i, op)
 		}
@@ -333,17 +341,17 @@ func (r *Report[C, P, R]) WriteText(w io.Writer, row string) error {
 
 // WriteText renders the finding as a point run alone prints it: its
 // line, then the flight dump of a violating point.
-func (f *Finding[C, P, R]) WriteText(w io.Writer, row string) error {
-	if _, err := fmt.Fprintln(w, f.describe(row)); err != nil || f.Flight == nil {
+func (f *Finding[C, P, R]) WriteText(w io.Writer) error {
+	if _, err := fmt.Fprintln(w, f.describe()); err != nil || f.Flight == nil {
 		return err
 	}
 	return f.Flight.WriteText(w)
 }
 
-// describe names a finding's point — its address under row, its seed
-// and each armed trigger — and what its check found.
-func (f *Finding[C, P, R]) describe(row string) string {
-	s := fmt.Sprintf("%s/%d seed %#x", row, f.Point.Index, f.Point.Seed)
+// describe names a finding's point — its address, its seed and each
+// armed trigger — and what its check found.
+func (f *Finding[C, P, R]) describe() string {
+	s := fmt.Sprintf("%s seed %#x", f.Addr, f.Point.Seed)
 	for _, t := range triggers(&f.Point.Plan) {
 		if *t != (Trigger{}) {
 			s += " trigger " + t.String()

@@ -58,7 +58,7 @@ func TestPlantedViolationProducesFlightDump(t *testing.T) {
 			return &plantedCycle{env: env}, nil
 		},
 	}
-	rep, err := c.Campaign().Run(serial)
+	rep, err := c.Campaign().Run(serial, "test/row")
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -70,8 +70,10 @@ func TestPlantedViolationProducesFlightDump(t *testing.T) {
 		if f.Flight == nil {
 			t.Fatalf("point %d violated but has no flight dump", f.Point.Index)
 		}
-		if !strings.Contains(f.Flight.Reason, "durability violation") {
-			t.Fatalf("dump reason = %q", f.Flight.Reason)
+		// The dump is headed by the point's line: the address that
+		// replays it, its seed and trigger, and what its check found.
+		if want := fmt.Sprintf("test/row/%d seed %#x trigger %s: %s", f.Point.Index, f.Point.Seed, f.Point.Plan.PowerLoss, f.Result.Verdict()); f.Flight.Reason != want {
+			t.Fatalf("dump reason = %q, want %q", f.Flight.Reason, want)
 		}
 		if len(f.Flight.Events) == 0 {
 			t.Fatalf("point %d flight dump is empty", f.Point.Index)
@@ -97,7 +99,7 @@ func TestPlantedViolationProducesFlightDump(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := rep.WriteText(&buf, "test/row"); err != nil {
+	if err := rep.WriteText(&buf); err != nil {
 		t.Fatalf("WriteText: %v", err)
 	}
 	out := buf.String()
@@ -117,7 +119,7 @@ func TestCleanCampaignHasNoDump(t *testing.T) {
 			return &cleanCycle{env: env}, nil
 		},
 	}
-	rep, err := c.Campaign().Run(serial)
+	rep, err := c.Campaign().Run(serial, "test/row")
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -193,7 +195,7 @@ func TestRepairFailureIsViolationWithDump(t *testing.T) {
 			}, nil
 		},
 	}
-	rep, err := c.Campaign().Run(serial)
+	rep, err := c.Campaign().Run(serial, "test/row")
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -211,7 +213,7 @@ func TestRepairFailureIsViolationWithDump(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := rep.WriteText(&buf, "test/row"); err != nil {
+	if err := rep.WriteText(&buf); err != nil {
 		t.Fatalf("WriteText: %v", err)
 	}
 	if !strings.Contains(buf.String(), `err="recover: wal: cutting the torn tail back to 4096: readback at 4096 not clean"`) {
@@ -244,7 +246,7 @@ func TestAuditFailureIsViolationWithDump(t *testing.T) {
 			return &auditCycle{cleanCycle: cleanCycle{env: env}}, nil
 		},
 	}
-	rep, err := c.Campaign().Run(serial)
+	rep, err := c.Campaign().Run(serial, "test/row")
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -273,7 +275,7 @@ func TestAuditFailureShrinks(t *testing.T) {
 			return &auditCycle{cleanCycle: cleanCycle{env: env}, failAt: k}, nil
 		},
 	}
-	rep, err := c.Campaign().Run(serial)
+	rep, err := c.Campaign().Run(serial, "test/row")
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -318,7 +320,7 @@ func TestNondeterministicReplayIsReported(t *testing.T) {
 			return &flakyCycle{cleanCycle: cleanCycle{env: env}, runs: runs}, nil
 		},
 	}
-	rep, err := c.Campaign().Run(serial)
+	rep, err := c.Campaign().Run(serial, "test/row")
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -348,7 +350,7 @@ func TestSuccessfulRepairsAggregate(t *testing.T) {
 			return &repairCycle{cleanCycle: cleanCycle{env: env}, repairs: 2}, nil
 		},
 	}
-	rep, err := c.Campaign().Run(serial)
+	rep, err := c.Campaign().Run(serial, "test/row")
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -356,7 +358,7 @@ func TestSuccessfulRepairsAggregate(t *testing.T) {
 		t.Fatalf("successful repairs misreported as violations: %+v", rep.Violations())
 	}
 	var buf bytes.Buffer
-	if err := rep.WriteText(&buf, "test/row"); err != nil {
+	if err := rep.WriteText(&buf); err != nil {
 		t.Fatalf("WriteText: %v", err)
 	}
 	for _, want := range []string{"torn-repairs=6", "dump energy: 0.30 mJ total"} {
@@ -436,15 +438,12 @@ func TestToyDimensionShrinksAndReplays(t *testing.T) {
 			return pts, nil
 		},
 		Check: toyCheck,
-		Reason: func(pt fault.Point[struct{}, toyPlan], _ toyResult) string {
-			return fmt.Sprintf("toy point %d", pt.Index)
-		},
 		Summary: func(w io.Writer, rep *fault.Report[struct{}, toyPlan, toyResult]) error {
 			_, err := fmt.Fprintf(w, "toy: %d points\n", len(rep.Findings))
 			return err
 		},
 	}
-	rep, err := c.Run(serial)
+	rep, err := c.Run(serial, "test/row")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,11 +454,11 @@ func TestToyDimensionShrinksAndReplays(t *testing.T) {
 		t.Fatalf("shrunk to %+v, want the bit stuck at 400 µs + 1 ns, dumped", s)
 	}
 	var buf bytes.Buffer
-	if err := rep.WriteText(&buf, "test/row"); err != nil {
+	if err := rep.WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"toy: 3 points\n", "  VIOLATION test/row/1 seed 0x0 trigger t=900000ns: corrupt=[900000]",
-		"  minimal failing test/row/0 seed 0x0 trigger t=400001ns: corrupt=[410000]", "flight recorder: toy point 0"} {
+		"  minimal failing test/row/0 seed 0x0 trigger t=400001ns: corrupt=[410000]", "flight recorder: test/row/0 seed 0x0 trigger t=400001ns: corrupt=[410000] err=\"\" ("} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("report lacks %q:\n%s", want, buf.String())
 		}
@@ -467,15 +466,15 @@ func TestToyDimensionShrinksAndReplays(t *testing.T) {
 	// A point run alone is the sweep's finding: its line, and the dump
 	// of a violating point.
 	for i := range rep.Findings {
-		f, err := c.RunPoint(serial, i)
+		f, err := c.RunPoint(serial, "test/row", i)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var alone, swept bytes.Buffer
-		if err := f.WriteText(&alone, "test/row"); err != nil {
+		if err := f.WriteText(&alone); err != nil {
 			t.Fatal(err)
 		}
-		if err := rep.Findings[i].WriteText(&swept, "test/row"); err != nil {
+		if err := rep.Findings[i].WriteText(&swept); err != nil {
 			t.Fatal(err)
 		}
 		if alone.String() != swept.String() || (f.Flight != nil) != (i < 2) {
@@ -483,13 +482,13 @@ func TestToyDimensionShrinksAndReplays(t *testing.T) {
 		}
 	}
 	var clean bytes.Buffer
-	if err := rep.Findings[2].WriteText(&clean, "test/row"); err != nil {
+	if err := rep.Findings[2].WriteText(&clean); err != nil {
 		t.Fatal(err)
 	}
 	if want := "test/row/2 seed 0x0 trigger t=200000ns: corrupt=[] err=\"\"\n"; clean.String() != want {
 		t.Errorf("clean point renders %q, want %q", clean.String(), want)
 	}
-	if _, err := c.RunPoint(serial, 3); err == nil {
+	if _, err := c.RunPoint(serial, "test/row", 3); err == nil {
 		t.Error("point 3 of a 3-point sweep ran")
 	}
 }
@@ -530,7 +529,7 @@ func TestProcessFaultIsAViolation(t *testing.T) {
 			}
 		},
 	}
-	rep, err := c.Campaign().Run(serial)
+	rep, err := c.Campaign().Run(serial, "test/row")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -544,12 +543,13 @@ func TestProcessFaultIsAViolation(t *testing.T) {
 			v[0].Result.Err, v[0].Flight != nil, rep.Shrunk)
 	}
 	var buf bytes.Buffer
-	if err := rep.WriteText(&buf, "test/row"); err != nil {
+	if err := rep.WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
-	// The dump names the harness failure: nothing was lost.
-	if r := v[0].Flight.Reason; !strings.HasSuffix(r, ": harness failure: "+v[0].Result.Err) {
-		t.Errorf("flight dump reason %q; want the harness failure and its error", r)
+	// The dump is headed by the point's address and the harness
+	// failure: nothing was lost.
+	if r, want := v[0].Flight.Reason, fmt.Sprintf("test/row/2 seed %#x trigger %s: %s", v[0].Point.Seed, v[0].Point.Plan.PowerLoss, v[0].Result.Verdict()); r != want || !strings.HasSuffix(r, fmt.Sprintf("err=%q", v[0].Result.Err)) {
+		t.Errorf("flight dump reason %q; want %q, naming the harness failure", r, want)
 	}
 	for _, want := range []string{"violations: 1\n", fmt.Sprintf("  VIOLATION test/row/2 seed %#x trigger ", v[0].Point.Seed), "faulted: gc relocation: planted", "flight recorder: "} {
 		if !strings.Contains(buf.String(), want) {

@@ -131,15 +131,8 @@ func (pr PointResult) Broken(why string) PointResult {
 // Campaign returns the engine's campaign for the sweep.
 func (c *Crash) Campaign() *Campaign[struct{}, Plan, PointResult] {
 	return &Campaign[struct{}, Plan, PointResult]{
-		Points: c.points,
-		Check:  c.check,
-		Reason: func(pt CrashPoint, r PointResult) string {
-			why := "durability violation"
-			if r.Harness() {
-				why = "harness failure: " + r.Err
-			}
-			return fmt.Sprintf("campaign %s point %d trigger %s: %s", c.Name, pt.Index, pt.Plan.PowerLoss, why)
-		},
+		Points:  c.points,
+		Check:   c.check,
 		Summary: c.summary,
 	}
 }

@@ -6,7 +6,6 @@ package linkbench
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math/rand"
 
 	"twobssd/internal/sim"
@@ -196,71 +195,12 @@ func (g *Generator) Step(p *sim.Proc, gr Graph) (OpKind, error) {
 	}
 }
 
-// Result summarizes a run.
-type Result struct {
-	Ops     int64
-	Writes  int64
-	Reads   int64
-	Elapsed sim.Duration
-	ByKind  map[OpKind]int64
-}
-
-// Throughput returns operations per second of virtual time.
-func (r Result) Throughput() float64 {
-	if r.Elapsed == 0 {
-		return 0
-	}
-	return float64(r.Ops) / r.Elapsed.Seconds()
-}
-
-// IsWrite classifies an operation.
-func (k OpKind) IsWrite() bool {
-	switch k {
-	case AddNode, UpdateNode, DeleteNode, AddLink, DeleteLink, UpdateLink:
-		return true
-	default:
-		return false
-	}
-}
-
-// Run executes ops operations across clients concurrent processes.
-func Run(env *sim.Env, gr Graph, cfg Config, clients int, ops int64) (Result, error) {
-	if clients <= 0 {
-		clients = 1
-	}
-	perClient := ops / int64(clients)
-	res := Result{ByKind: make(map[OpKind]int64)}
-	var firstErr error
-	start := env.Now()
-	var lastDone sim.Time
-	for c := 0; c < clients; c++ {
-		ccfg := cfg
-		ccfg.Seed = cfg.Seed + int64(c)*104729
-		g := NewGenerator(ccfg)
-		g.nextID = uint64(cfg.Nodes) + uint64(c)<<40 // disjoint id space
-		env.Go(fmt.Sprintf("linkbench.c%d", c), func(p *sim.Proc) {
-			for i := int64(0); i < perClient; i++ {
-				kind, err := g.Step(p, gr)
-				if err != nil && firstErr == nil {
-					firstErr = err
-					return
-				}
-				res.Ops++
-				res.ByKind[kind]++
-				if kind.IsWrite() {
-					res.Writes++
-				} else {
-					res.Reads++
-				}
-			}
-			if env.Now() > lastDone {
-				lastDone = env.Now()
-			}
-		})
-	}
-	env.Run()
-	// Elapsed ends at the last client's completion — background flush
-	// timers that fire later must not dilate the measurement.
-	res.Elapsed = sim.Duration(lastDone - start)
-	return res, firstErr
+// NewClient builds the generator of client c of a run whose clients
+// share cfg: each draws its own deterministic stream, and the nodes it
+// adds take ids from a space disjoint from every other client's.
+func NewClient(cfg Config, c int) *Generator {
+	cfg.Seed += int64(c) * 104729
+	g := NewGenerator(cfg)
+	g.nextID = uint64(cfg.Nodes) + uint64(c)<<40
+	return g
 }

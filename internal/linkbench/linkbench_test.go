@@ -118,13 +118,16 @@ func (g *memGraph) CountLinks(p *sim.Proc, id1 uint64, lt uint32) (int, error) {
 	return g.GetLinkList(p, id1, lt, 1<<30)
 }
 
+// The graph loads, and the clients of a run keep the published mix:
+// 25–37 % writes and at least 8 of the 10 op kinds, with the nodes
+// each adds in an id space of its own.
 func TestLoadAndRun(t *testing.T) {
 	env := sim.NewEnv()
 	gr := newMemGraph()
 	g := NewGenerator(Config{Nodes: 100, Seed: 1})
 	env.Go("load", func(p *sim.Proc) {
 		if err := g.Load(p, gr, 3); err != nil {
-			t.Fatalf("load: %v", err)
+			t.Errorf("load: %v", err)
 		}
 	})
 	env.Run()
@@ -134,25 +137,34 @@ func TestLoadAndRun(t *testing.T) {
 	if len(gr.links) == 0 {
 		t.Fatal("no links loaded")
 	}
-	res, err := Run(env, gr, Config{Nodes: 100, Seed: 2}, 4, 2000)
-	if err != nil {
-		t.Fatal(err)
+	byKind := make(map[OpKind]int)
+	writes := 0
+	const clients, ops = 4, 500
+	for c := 0; c < clients; c++ {
+		g := NewClient(Config{Nodes: 100, Seed: 2}, c)
+		if want := uint64(100) + uint64(c)<<40; g.nextID != want {
+			t.Fatalf("client %d adds nodes from id %d, want %d", c, g.nextID, want)
+		}
+		env.Go(fmt.Sprintf("c%d", c), func(p *sim.Proc) {
+			for i := 0; i < ops; i++ {
+				kind, err := g.Step(p, gr)
+				if err != nil {
+					t.Errorf("client %d: %v", c, err)
+					return
+				}
+				byKind[kind]++
+				if kind.IsWrite() {
+					writes++
+				}
+			}
+		})
 	}
-	if res.Ops != 2000 {
-		t.Fatalf("ops = %d", res.Ops)
-	}
-	if res.Writes == 0 || res.Reads == 0 {
-		t.Fatalf("mix: %+v", res)
-	}
-	wf := float64(res.Writes) / float64(res.Ops)
-	if wf < 0.25 || wf > 0.37 {
+	env.Run()
+	if wf := float64(writes) / (clients * ops); wf < 0.25 || wf > 0.37 {
 		t.Fatalf("write fraction = %.3f", wf)
 	}
-	if res.Throughput() <= 0 {
-		t.Fatal("no throughput")
-	}
-	if len(res.ByKind) < 8 {
-		t.Fatalf("op kinds seen = %d", len(res.ByKind))
+	if len(byKind) < 8 {
+		t.Fatalf("op kinds seen = %d", len(byKind))
 	}
 }
 
@@ -169,4 +181,14 @@ func (k OpKind) String() string {
 		return names[k]
 	}
 	return fmt.Sprintf("OpKind(%d)", int(k))
+}
+
+// IsWrite classifies an operation.
+func (k OpKind) IsWrite() bool {
+	switch k {
+	case AddNode, UpdateNode, DeleteNode, AddLink, DeleteLink, UpdateLink:
+		return true
+	default:
+		return false
+	}
 }

@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -125,18 +126,42 @@ func TestDivergenceStrings(t *testing.T) {
 	}
 }
 
-// A violating point's flight dump is headed by what failed: a harness
-// failure (a faulted process, a replay that did not reproduce) names
-// itself and its error, not an empty divergence.
+// A violating point's flight dump is headed by its finding's line: the
+// address that replays it, then what failed. A harness failure (a
+// faulted process, a replay that did not reproduce) names its error,
+// not an empty divergence.
 func TestReasonNamesHarnessFailures(t *testing.T) {
-	c := Campaign(Config{}, 0)
-	const fault = `sim: process "drain" faulted: boom`
-	if got := c.Reason(Point{}, Result{Err: fault}); got != "harness failure: "+fault {
-		t.Errorf("harness failure reads %q", got)
-	}
+	const faulted = `sim: process "drain" faulted: boom`
 	d := &Divergence{Seed: 7, OpIndex: 3, Op: "pin eid=1", Detail: "boom"}
-	if got := c.Reason(Point{}, Result{Divergence: d}); got != "oracle divergence: "+d.String() {
-		t.Errorf("divergence reads %q", got)
+	for _, c := range []struct {
+		r    Result
+		want string
+	}{
+		{Result{Err: faulted}, faulted},
+		{Result{Divergence: d}, d.String()},
+	} {
+		f := fault.Finding[Op, fault.Plan, Result]{Point: Point{Index: 7, Seed: 7}, Addr: "fuzz-smoke/oracle/7", Result: c.r}
+		var b strings.Builder
+		if err := f.WriteText(&b); err != nil {
+			t.Fatal(err)
+		}
+		if want := "fuzz-smoke/oracle/7 seed 0x7: " + c.want + "\n"; b.String() != want {
+			t.Errorf("finding reads %q, want %q", b.String(), want)
+		}
+	}
+	// A real violation's dump carries the same line.
+	rep, err := (&Sweep{Points: func() ([]Point, error) { return []Point{NewPoint(3, Config{})}, nil },
+		Check:   func(env *sim.Env, pt Point) Result { return Result{Err: faulted} },
+		Summary: func(io.Writer, *Report) error { return nil }}).Run(func(n int, fn func(int)) {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+	}, "fuzz-smoke/oracle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := rep.Violations(); len(v) != 1 || v[0].Flight == nil || v[0].Flight.Reason != "fuzz-smoke/oracle/3 seed 0x3: "+faulted {
+		t.Fatalf("violations %+v; want point 3 with its line heading the dump", v)
 	}
 }
 

@@ -5,7 +5,6 @@
 package ycsb
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -175,7 +174,7 @@ func (g *Generator) Next() Op {
 	return Op{Kind: OpUpdate, Key: key, Value: g.val}
 }
 
-// KV is the store interface the runner drives.
+// KV is the store interface a client drives.
 type KV interface {
 	Read(p *sim.Proc, key []byte) error
 	Update(p *sim.Proc, key, value []byte) error
@@ -191,64 +190,18 @@ func (g *Generator) Load(p *sim.Proc, kv KV) error {
 	return nil
 }
 
-// Result summarizes a run.
-type Result struct {
-	Ops     int64
-	Reads   int64
-	Updates int64
-	Elapsed sim.Duration
+// NewClient builds the generator of client c of a run whose clients
+// share cfg: each draws its own deterministic stream.
+func NewClient(cfg Config, c int) *Generator {
+	cfg.Seed += int64(c) * 7919
+	return NewGenerator(cfg)
 }
 
-// Throughput returns operations per second of virtual time.
-func (r Result) Throughput() float64 {
-	if r.Elapsed == 0 {
-		return 0
+// Step draws one operation and runs it against kv.
+func (g *Generator) Step(p *sim.Proc, kv KV) error {
+	op := g.Next()
+	if op.Kind == OpRead {
+		return kv.Read(p, op.Key)
 	}
-	return float64(r.Ops) / r.Elapsed.Seconds()
-}
-
-// Run executes ops operations across `clients` concurrent client
-// processes and reports aggregate throughput. Each client gets an
-// independent deterministic stream.
-func Run(env *sim.Env, kv KV, cfg Config, clients int, ops int64) (Result, error) {
-	if clients <= 0 {
-		clients = 1
-	}
-	perClient := ops / int64(clients)
-	var res Result
-	var firstErr error
-	start := env.Now()
-	var lastDone sim.Time
-	for c := 0; c < clients; c++ {
-		ccfg := cfg
-		ccfg.Seed = cfg.Seed + int64(c)*7919
-		g := NewGenerator(ccfg)
-		env.Go(fmt.Sprintf("ycsb.c%d", c), func(p *sim.Proc) {
-			for i := int64(0); i < perClient; i++ {
-				op := g.Next()
-				var err error
-				switch op.Kind {
-				case OpRead:
-					err = kv.Read(p, op.Key)
-					res.Reads++
-				default:
-					err = kv.Update(p, op.Key, op.Value)
-					res.Updates++
-				}
-				if err != nil && firstErr == nil {
-					firstErr = err
-					return
-				}
-				res.Ops++
-			}
-			if env.Now() > lastDone {
-				lastDone = env.Now()
-			}
-		})
-	}
-	env.Run()
-	// Elapsed ends at the last client's completion — background flush
-	// timers that fire later must not dilate the measurement.
-	res.Elapsed = sim.Duration(lastDone - start)
-	return res, firstErr
+	return kv.Update(p, op.Key, op.Value)
 }

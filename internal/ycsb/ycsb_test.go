@@ -87,43 +87,46 @@ func TestKeysScrambledAndStable(t *testing.T) {
 	}
 }
 
-// memKV is an in-memory KV charging fixed costs, for runner tests.
-type memKV struct {
-	m map[string][]byte
-}
+// countKV counts the operations a client's steps run against it.
+type countKV struct{ reads, updates int }
 
-func (k *memKV) Read(p *sim.Proc, key []byte) error {
-	p.Sleep(1 * sim.Microsecond)
-	_ = k.m[string(key)]
+func (k *countKV) Read(p *sim.Proc, key []byte) error {
+	k.reads++
 	return nil
 }
 
-func (k *memKV) Update(p *sim.Proc, key, value []byte) error {
-	p.Sleep(2 * sim.Microsecond)
-	k.m[string(key)] = value
+func (k *countKV) Update(p *sim.Proc, key, value []byte) error {
+	k.updates++
 	return nil
 }
 
-func TestRunAggregates(t *testing.T) {
-	env := sim.NewEnv()
-	kv := &memKV{m: make(map[string][]byte)}
-	res, err := Run(env, kv, WorkloadA(100, 64, 9), 4, 1000)
-	if err != nil {
-		t.Fatal(err)
+// Each client of a run draws its own stream, client 0 the run's own,
+// and every client's steps keep workload A's read/update mix.
+func TestClientStreams(t *testing.T) {
+	cfg := WorkloadA(1000, 64, 9)
+	if a, b := NewGenerator(cfg), NewClient(cfg, 0); string(a.Next().Key) != string(b.Next().Key) {
+		t.Fatal("client 0 does not draw the run's stream")
 	}
-	if res.Ops != 1000 {
-		t.Fatalf("ops = %d", res.Ops)
-	}
-	if res.Reads == 0 || res.Updates == 0 {
-		t.Fatalf("mix missing: %+v", res)
-	}
-	if res.Throughput() <= 0 {
-		t.Fatal("no throughput")
-	}
-	// 4 clients of 250 ops at 1-2us each, concurrent: elapsed must be
-	// well under the serial sum.
-	if res.Elapsed > 700*sim.Microsecond {
-		t.Fatalf("elapsed %v suggests no concurrency", res.Elapsed)
+	first := make(map[string]int)
+	for c := 0; c < 4; c++ {
+		g := NewClient(cfg, c)
+		var keys string
+		for i := 0; i < 8; i++ {
+			keys += string(g.Next().Key)
+		}
+		if prev, ok := first[keys]; ok {
+			t.Fatalf("clients %d and %d draw the same stream", prev, c)
+		}
+		first[keys] = c
+		kv := &countKV{}
+		for i := 0; i < 10000; i++ {
+			if err := g.Step(nil, kv); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if frac := float64(kv.reads) / 10000; math.Abs(frac-0.5) > 0.02 {
+			t.Fatalf("client %d: read fraction = %.3f (%d reads, %d updates), want ~0.5", c, frac, kv.reads, kv.updates)
+		}
 	}
 }
 
