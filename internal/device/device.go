@@ -157,11 +157,13 @@ type bufPage struct {
 // newer copy waiting behind it, if any — queued in the ring, or parked:
 // popped while the older copy programmed. A waiting copy absorbs
 // rewrites in place, and the worker that lands the older copy programs
-// a parked one next, so one copy of an LBA programs at a time.
+// a parked one next, so one copy of an LBA programs at a time. trim
+// marks a programming copy the host deallocated: the worker trims the
+// LBA as it lands, and no read sees it.
 type lbaBuf struct {
-	queued, parked bool
-	buffered       bufPage // the waiting copy
-	inflight       bufPage
+	queued, parked, trim bool
+	buffered             bufPage // the waiting copy
+	inflight             bufPage
 }
 
 // bufRoom is the device seen as the condition WritePages waits for on
@@ -444,7 +446,7 @@ func (d *Device) bufLookup(lba ftl.LBA) ([]byte, uint32, bool) {
 		return nil, 0, false
 	case b.queued || b.parked:
 		return b.buffered.data, b.buffered.tag, true
-	case b.inflight.data != nil:
+	case b.inflight.data != nil && !b.trim:
 		return b.inflight.data, b.inflight.tag, true
 	}
 	return nil, 0, false
@@ -519,6 +521,60 @@ func (d *Device) Flush(p *sim.Proc) error {
 	return nil
 }
 
+// Deallocate is the NVMe Dataset Management deallocate of n pages from
+// lba: a drive does not program data the host deallocated. Each page's
+// copy waiting in the write buffer, queued or parked, is dropped; a
+// copy a drain worker is programming lands and is trimmed at once, and
+// no read sees it; and the FTL forgets the page, which reads as zeros
+// until it is written again. The LBA checker gates it as it gates a
+// write. It takes no modelled time and never yields.
+func (d *Device) Deallocate(lba ftl.LBA, n int) error {
+	if d.gate != nil {
+		if err := d.gate.Check(lba, n); err != nil {
+			d.cGatedWr.Inc()
+			return err
+		}
+	}
+	if !ftl.Within(lba, n, d.Pages()) {
+		return ftl.ErrLBAOutOfRange
+	}
+	dropped, unparked := false, false
+	for i := 0; i < n; i++ {
+		l := lba + ftl.LBA(i)
+		if b := d.byLBA[l]; b != nil {
+			if b.queued || b.parked {
+				d.putPage(b.buffered.data)
+				dropped = dropped || b.queued
+				if b.parked {
+					d.inflight--
+					unparked = true
+				}
+				b.queued, b.parked, b.buffered = false, false, bufPage{}
+			}
+			b.trim = b.inflight.data != nil
+			d.release(l, b)
+		}
+		_ = d.ftl.Trim(l) // in range: Trim fails only beyond the drive
+	}
+	if dropped {
+		// Close the ring over the dropped slots, in arrival order.
+		kept := 0
+		for i := 0; i < d.queued; i++ {
+			q := d.ring[(d.ringHead+i)%len(d.ring)]
+			if b := d.byLBA[q]; b != nil && b.queued {
+				d.ring[(d.ringHead+kept)%len(d.ring)] = q
+				kept++
+			}
+		}
+		d.queued = kept
+		d.bufSpace.Fire()
+	}
+	if (dropped || unparked) && d.queued == 0 && d.inflight == 0 {
+		d.bufDrain.Fire()
+	}
+	return nil
+}
+
 // Drain blocks until every buffered write has reached NAND. Internal
 // consumers (BA_PIN's internal datapath, the recovery dump, benchmarks
 // that meter NAND bandwidth) need data physically on flash.
@@ -579,6 +635,10 @@ func (d *Device) drainLoop(p *sim.Proc) {
 			d.putPage(b.inflight.data) // NAND holds its own copy now
 			b.inflight = bufPage{}
 			d.inflight--
+			if b.trim {
+				_ = d.ftl.Trim(lba) // deallocated while it programmed
+				b.trim = false
+			}
 			d.o.Tracer().Count(d.bufTrack, "buffered_pages", float64(d.BufferedPages()))
 		}
 		d.release(lba, b)
@@ -595,8 +655,8 @@ func (d *Device) BufferedPages() int { return d.queued + d.inflight }
 // slot names a record with a queued copy, as many records hold one as
 // the ring has queued slots, the records' parked and programming copies
 // number inflight, a copy parks only behind one programming and never
-// beside a queued one, and every record holds a copy (release drops one
-// that holds none). The buffer changes without yielding between these
+// beside a queued one, only a programming copy is marked for trim, and
+// every record holds a copy (release drops one that holds none). The buffer changes without yielding between these
 // updates, so they hold whenever a proc can run. Audit does not yield,
 // writes nothing to the registry and allocates only the error it
 // returns.
@@ -615,6 +675,8 @@ func (d *Device) Audit() error {
 			return fmt.Errorf("%s: lba %d keeps a buffer record with no copy, queued or in flight", d.profile.Name, lba)
 		case b.parked && (b.queued || !programming):
 			return fmt.Errorf("%s: lba %d parks a copy with queued %v, programming %v", d.profile.Name, lba, b.queued, programming)
+		case b.trim && !programming:
+			return fmt.Errorf("%s: lba %d marks a copy for trim with none programming", d.profile.Name, lba)
 		}
 		if b.queued {
 			queued++

@@ -566,3 +566,82 @@ func TestSequentialRewritesLandOneDieApart(t *testing.T) {
 		e.Shutdown()
 	}
 }
+
+// A deallocated page's copies never land: a queued one and a parked one
+// are dropped, one programming lands and is trimmed at once, and no
+// read sees any of them. A write after the deallocate is the page's
+// data, even while the deallocated copy still programs ahead of it.
+// The buffer audits clean after every deallocate.
+func TestDeallocateDropsBufferedCopies(t *testing.T) {
+	p := small(ULLSSD())
+	p.DrainWorkers = 2
+	p.Nand.ProgramLatency = 10 * sim.Millisecond
+	e := sim.NewEnv()
+	d := New(e, p)
+	ps := d.PageSize()
+	page := func(v byte) []byte { return bytes.Repeat([]byte{v}, ps) }
+	read := func(pr *sim.Proc, lba ftl.LBA) byte {
+		got := make([]byte, ps)
+		if err := d.ReadPagesInto(pr, lba, got); err != nil {
+			t.Fatalf("read %d: %v", lba, err)
+		}
+		return got[0]
+	}
+	e.Go("t", func(pr *sim.Proc) {
+		for _, w := range []struct {
+			lba ftl.LBA
+			v   byte
+		}{{9, 1}, {9, 3}, {3, 2}, {5, 4}} {
+			if err := d.WritePages(pr, w.lba, page(w.v)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// lba 9: v1 programming, v3 parked; lba 3: v2 programming; lba 5: v4 queued.
+		if b := d.byLBA[9]; b == nil || !b.parked || d.byLBA[3].inflight.data == nil || !d.byLBA[5].queued {
+			t.Fatal("the buffer is not in the state the test sets up")
+		}
+		for _, lba := range []ftl.LBA{3, 5, 9} {
+			if err := d.Deallocate(lba, 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Audit(); err != nil {
+				t.Fatalf("after deallocating %d: %v", lba, err)
+			}
+			if v := read(pr, lba); v != 0 {
+				t.Errorf("lba %d reads %d after its deallocate, want 0", lba, v)
+			}
+		}
+		if d.BufferedPages() != 2 {
+			t.Errorf("buffer holds %d pages, want the 2 programming", d.BufferedPages())
+		}
+		if err := d.WritePages(pr, 3, page(7)); err != nil {
+			t.Fatal(err)
+		}
+		if v := read(pr, 3); v != 7 {
+			t.Errorf("lba 3 reads %d before the drain, want 7", v)
+		}
+		if err := d.Drain(pr); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Audit(); err != nil {
+			t.Fatal(err)
+		}
+		for lba, want := range map[ftl.LBA]byte{3: 7, 5: 0, 9: 0} {
+			if v := read(pr, lba); v != want {
+				t.Errorf("lba %d reads %d after the drain, want %d", lba, v, want)
+			}
+		}
+		if err := d.Deallocate(ftl.LBA(d.Pages()), 1); !errors.Is(err, ftl.ErrLBAOutOfRange) {
+			t.Errorf("deallocate past the drive: %v", err)
+		}
+		d.SetGate(denyGate{errors.New("pinned")})
+		if err := d.Deallocate(3, 1); err == nil {
+			t.Error("a gated deallocate succeeded")
+		}
+	})
+	e.Run()
+	// v1 and v2 landed before their trims and v7 after; v3 and v4 never.
+	if w := counter(t, e, "ftl.host_page_writes"); w != 3 {
+		t.Errorf("FTL writes = %d, want 3", w)
+	}
+}

@@ -29,6 +29,7 @@ const (
 	OpPowerCycle
 	OpScrub
 	OpDrain
+	OpDeallocate
 )
 
 func (k OpKind) String() string {
@@ -55,6 +56,8 @@ func (k OpKind) String() string {
 		return "scrub"
 	case OpDrain:
 		return "drain"
+	case OpDeallocate:
+		return "deallocate"
 	}
 	return fmt.Sprintf("op_%d", int(k))
 }
@@ -85,8 +88,8 @@ func (o Op) String() string {
 		return fmt.Sprintf("flush eid=%d", o.EID)
 	case OpBlockWrite:
 		return fmt.Sprintf("block_write lba=%d pages=%d seed=%x", o.LBA, o.Pages, o.Seed)
-	case OpBlockRead:
-		return fmt.Sprintf("block_read lba=%d pages=%d", o.LBA, o.Pages)
+	case OpBlockRead, OpDeallocate:
+		return fmt.Sprintf("%s lba=%d pages=%d", o.Kind, o.LBA, o.Pages)
 	case OpReadDMA:
 		return fmt.Sprintf("read_dma eid=%d len=%d", o.EID, o.Len)
 	}
@@ -349,8 +352,10 @@ func Generate(seed uint64, cfg Config) []Op {
 			}
 		case w < 60: // flush
 			o = Op{Kind: OpFlush, EID: core.EID(r.Intn(sc.MaxEntries + 1))}
-		case w < 75: // block write
+		case w < 73: // block write
 			o = Op{Kind: OpBlockWrite, LBA: blockLBA(), Pages: 1 + r.Intn(4), Seed: r.Uint64()}
+		case w < 75: // deallocate: a file layer's remove
+			o = Op{Kind: OpDeallocate, LBA: blockLBA(), Pages: 1 + r.Intn(4)}
 		case w < 87: // block read
 			o = Op{Kind: OpBlockRead, LBA: blockLBA(), Pages: 1 + r.Intn(4)}
 		case w < 92: // read dma
@@ -545,6 +550,11 @@ func execOp(p *sim.Proc, s *core.TwoBSSD, m *Model, o Op) *Divergence {
 			return &Divergence{Detail: fmt.Sprintf("drain failed: %v", err)}
 		}
 		return nil
+	case OpDeallocate:
+		if d := wantErr(s.Device().Deallocate(o.LBA, o.Pages), m.Deallocate(o.LBA, o.Pages)); d != nil {
+			return d
+		}
+		return audit(s) // the write buffer holds its invariants after every deallocate
 	}
 	return &Divergence{Detail: "unknown op kind"}
 }

@@ -12,8 +12,9 @@
 // the range against block I/O; BA_FLUSH moves the committed BA-buffer
 // view back to the block space; the recovery dump is all-or-nothing
 // over the mapped pages (unmapped buffer pages come back zeroed); a
-// page the stack lost to an uncorrectable read stays lost, wherever GC
-// moves it, until it is written again.
+// deallocated page reads as zeros, whatever copy of it the drive still
+// buffered; a page the stack lost to an uncorrectable read stays lost,
+// wherever GC moves it, until it is written or deallocated.
 // Any behavioural difference between the stack and this model is a bug
 // in one of them, and either way worth a minimal reproducer.
 package oracle
@@ -275,6 +276,23 @@ func (m *Model) BlockWrite(lba ftl.LBA, data []byte) error {
 		pg := make([]byte, ps)
 		copy(pg, data[i*ps:(i+1)*ps])
 		m.blocks[uint64(lba)+uint64(i)] = pg
+		delete(m.lost, uint64(lba)+uint64(i))
+	}
+	return nil
+}
+
+// Deallocate mirrors device.Deallocate: gate first, then the range;
+// the pages then read as zeros — a copy the drive still buffered never
+// lands — and a lost one is no longer lost, until written again.
+func (m *Model) Deallocate(lba ftl.LBA, pages int) error {
+	if err := m.gate(lba, pages); err != nil {
+		return err
+	}
+	if !ftl.Within(lba, pages, m.cfg.Pages) {
+		return ftl.ErrLBAOutOfRange
+	}
+	for i := 0; i < pages; i++ {
+		delete(m.blocks, uint64(lba)+uint64(i))
 		delete(m.lost, uint64(lba)+uint64(i))
 	}
 	return nil

@@ -304,3 +304,44 @@ func TestModelKeepsALostPageLost(t *testing.T) {
 		t.Fatal("no read was uncorrectable")
 	}
 }
+
+// Stack and model agree that a deallocated page reads as zeros at once
+// and after the drain, though its copy was still in the write buffer;
+// that a pinned range gates the deallocate; and that a write after it
+// is the page's data again. execOp audits the stack after each one.
+func TestModelDeallocatesBufferedPages(t *testing.T) {
+	env := sim.NewEnv()
+	sc := stackConfig(false)
+	s := core.New(env, sc)
+	m := NewModel(ModelConfig{
+		PageSize: s.PageSize(), BufBytes: sc.BABufferBytes, MaxEntries: sc.MaxEntries, Pages: s.Device().Pages(),
+		WCBurstBytes: sc.MMIO.WCBurstBytes, WCBufferBursts: sc.MMIO.WCBufferBursts,
+	})
+	env.Go("t", func(p *sim.Proc) {
+		for _, o := range []Op{
+			{Kind: OpBlockWrite, LBA: 8, Pages: 4, Seed: 1},
+			{Kind: OpDeallocate, LBA: 9, Pages: 2}, // still buffered
+			{Kind: OpBlockRead, LBA: 8, Pages: 4},
+			{Kind: OpDrain},
+			{Kind: OpBlockRead, LBA: 8, Pages: 4},
+			{Kind: OpPin, EID: 0, Off: 0, LBA: 11, Pages: 1},
+			{Kind: OpDeallocate, LBA: 10, Pages: 2}, // gated by the pin
+			{Kind: OpFlush, EID: 0},
+			{Kind: OpBlockWrite, LBA: 9, Pages: 1, Seed: 2},
+			{Kind: OpDeallocate, LBA: 8, Pages: 1},
+			{Kind: OpBlockRead, LBA: 8, Pages: 4},
+			{Kind: OpDrain},
+			{Kind: OpBlockRead, LBA: 8, Pages: 4},
+		} {
+			if d := execOp(p, s, m, o); d != nil {
+				t.Fatalf("%s: %v", o, d)
+			}
+		}
+		for _, lba := range []uint64{8, 10} {
+			if _, ok := m.blocks[lba]; ok {
+				t.Errorf("the model keeps deallocated lba %d", lba)
+			}
+		}
+	})
+	env.Run()
+}

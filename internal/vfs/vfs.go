@@ -92,19 +92,17 @@ func (fs *FS) Exists(name string) bool {
 	return ok
 }
 
-// Remove deletes a file, trims its pages and returns them to the free
-// pool.
+// Remove deletes a file, deallocates its pages on the device and
+// returns them to the free pool: a copy still in the device's write
+// buffer never lands on an extent a new file may own. It fails, and
+// the file stays, when the LBA checker gates the deallocate.
 func (fs *FS) Remove(name string) error {
 	f, ok := fs.files[name]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
-	for i := 0; i < f.ext.pages; i++ {
-		// Trim fails only on an LBA beyond the device, which no
-		// extent holds. It reaches the FTL alone: a copy of the page
-		// still queued in the device write buffer lands after it, a
-		// known gap (DESIGN.md §11).
-		_ = fs.dev.FTL().Trim(f.ext.start + ftl.LBA(i))
+	if err := fs.dev.Deallocate(f.ext.start, f.ext.pages); err != nil {
+		return err
 	}
 	fs.release(f.ext)
 	delete(fs.files, name)

@@ -493,3 +493,44 @@ func (fs *FS) FreePages() int {
 	}
 	return n
 }
+
+// A removed file's pages still in the device write buffer never land: a
+// file created over the freed extent reads zeros after the drain, not
+// the removed file's bytes.
+func TestRemoveDropsBufferedPages(t *testing.T) {
+	e := sim.NewEnv()
+	fs := newFS(e)
+	e.Go("t", func(p *sim.Proc) {
+		old, err := fs.Create("old", 4*4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := old.WriteAt(p, 0, bytes.Repeat([]byte{0xAB}, 4*4096)); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Remove("old"); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.dev.Audit(); err != nil {
+			t.Fatal(err)
+		}
+		f, err := fs.Create("new", 4*4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.LBA(0) != old.LBA(0) {
+			t.Fatalf("new file at lba %d, not over the removed extent at %d", f.LBA(0), old.LBA(0))
+		}
+		if err := fs.dev.Drain(p); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, 4*4096)
+		if err := f.ReadAt(p, 0, got); err != nil {
+			t.Fatal(err)
+		}
+		if i := bytes.IndexByte(got, 0xAB); i >= 0 {
+			t.Fatalf("the new file reads the removed file's 0xAB at byte %d", i)
+		}
+	})
+	e.Run()
+}
