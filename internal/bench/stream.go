@@ -21,9 +21,9 @@ type Stream struct {
 	// mode other than the device's, another segment size.
 	Tune func(*wal.Config)
 
-	// Records of Size bytes, split among Clients as evenly as they
-	// allow: the first Records%Clients clients take one more. With no
-	// clients the setup proc commits them itself.
+	// Records (at least one) of Size bytes, split among Clients as
+	// evenly as they allow: the first Records%Clients clients take one
+	// more. With no clients the setup proc commits them itself.
 	Records, Size, Clients int
 	// WarmUp commits one untimed record before the stream: the first
 	// append pays the one-time BA_PIN of the log segment, which is not
