@@ -312,7 +312,7 @@ func writeReport(f *os.File, emit func(io.Writer) error) error {
 // campaign sweep and its smoke, the fleet scenarios and the paper
 // artifacts. GOLDEN.json holds their digests; a change that means to
 // move no simulated number leaves it untouched.
-var digestIDs = []string{"crash", "crash-smoke", "fuzz", "fuzz-smoke", "wal-life", "wal-life-smoke", "fleet", "fleet-smoke", "all"}
+var digestIDs = []string{"crash", "crash-smoke", "fuzz", "fuzz-smoke", "fleet", "fleet-smoke", "all"}
 
 // hostFields are the report fields read off the host's clock and
 // allocator; they differ run to run and are dropped before hashing.

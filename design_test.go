@@ -44,8 +44,9 @@ var designRules = []rule{
 	{name: "Every mapped page carries its CRC", in: dirs("nand", "ftl", "device", "core"), bad: ident("^(tagged|ReadPageTagged)$|oobTag"),
 		planted: []string{"internal/ftl/x.go\nvar tagged bool", "internal/nand/x.go\nfunc f() { fl.ReadPageTagged(p, 0) }",
 			"internal/core/x.go\ntype page struct{ oobTagged bool }"}},
-	{name: "One campaign table", bad: anyOf(ident("^(ObsOverhead|NewWalLifeCampaign|RunWalLifeSmoke)$"), firstArg("obsbench")),
-		planted: []string{"cmd/bench2b/x.go\nvar _ = fs.Bool(\"obsbench\", false, \"\")", "benchmark/x.go\nvar _ = bench.RunWalLifeSmoke"}},
+	{name: "One campaign table", bad: anyOf(ident("^(ObsOverhead|NewWalLifeCampaign|RunWalLifeSmoke|runWalLife)$"), firstArg("obsbench")),
+		planted: []string{"cmd/bench2b/x.go\nvar _ = fs.Bool(\"obsbench\", false, \"\")", "benchmark/x.go\nvar _ = bench.RunWalLifeSmoke",
+			"internal/bench/x.go\nfunc runWalLife(r *Runner, w io.Writer, exp string, pts int) error { return nil }"}},
 	{name: "One merge", in: dirs("lsm"), bad: ident("^(SliceStable|parseBlock)$"),
 		planted: []string{"internal/lsm/x.go\nfunc f() { sort.SliceStable(es, less) }", "internal/lsm/x.go\nfunc parseBlock() {}"}},
 	{name: "Dense map tables", in: dirs("ftl"), bad: mapKey("LBA", "twobssd/internal/nand.PPA"),
@@ -635,6 +636,83 @@ func unknownItems(text string, open map[string]bool) (bad []string) {
 			if !open[id] {
 				bad = append(bad, id)
 			}
+		}
+	}
+	return bad
+}
+
+// TestDesignDocsCiteDeclaredNames is the docs lint for cited code: every
+// `pkg.Name` span of README.md, DESIGN.md, EXPERIMENTS.md or the verify
+// skill, pkg one of internal/'s packages, names a declaration of that
+// package — a function, method, type, constant or variable — or a name
+// a design row bans. Spans in fenced blocks and lower-case names
+// (counters such as `wal.seg_commits`) are not read.
+func TestDesignDocsCiteDeclaredNames(t *testing.T) {
+	decls := map[string]map[string]bool{} // package → its top-level names
+	for _, f := range goFiles(t) {
+		pkg, file, _ := strings.Cut(strings.TrimPrefix(f.path, "internal/"), "/")
+		if !strings.HasPrefix(f.path, "internal/") || strings.Contains(file, "/") {
+			continue
+		}
+		af, err := parser.ParseFile(token.NewFileSet(), f.path, f.text, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if decls[pkg] == nil {
+			decls[pkg] = map[string]bool{}
+		}
+		for _, d := range af.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				decls[pkg][d.Name.Name] = true
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						decls[pkg][s.Name.Name] = true
+					case *ast.ValueSpec:
+						for _, id := range s.Names {
+							decls[pkg][id.Name] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	planted := "`oracle.WalModel`, `oracle.WalLifecycle`, `wal.Log.Append`, `ycsb.Run`, `wal.seg_commits`, `fs.Bool`\n" +
+		"```go\nx := `oracle.Nope`\n```\n"
+	if got := strayCitations(t, planted, decls); !slices.Equal(got, []string{"oracle.WalModel"}) {
+		t.Errorf("the planted citations give %v, want [oracle.WalModel]", got)
+	}
+	for _, path := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
+		text, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range strayCitations(t, string(text), decls) {
+			t.Errorf("%s cites `%s`, which its package does not declare and no design row bans", path, c)
+		}
+	}
+}
+
+var (
+	fenced   = regexp.MustCompile("(?s)```.*?```")
+	codeSpan = regexp.MustCompile("`([^`]+)`")
+	pkgName  = regexp.MustCompile(`^([a-z][a-z0-9]*)\.([A-Z]\w*)`)
+)
+
+// strayCitations lists, in order, the `pkg.Name` spans of text whose
+// package decls holds but whose name it does not declare and no design
+// row bans: a ban is tried as a use of the name in its own package.
+func strayCitations(t *testing.T, text string, decls map[string]map[string]bool) (bad []string) {
+	for _, span := range codeSpan.FindAllStringSubmatch(fenced.ReplaceAllString(text, ""), -1) {
+		m := pkgName.FindStringSubmatch(span[1])
+		if m == nil || decls[m[1]] == nil || decls[m[1]][m[2]] {
+			continue
+		}
+		use := fmt.Sprintf("package p\n\nimport %q\n\nvar _ = %s.%s\n", "twobssd/internal/"+m[1], m[1], m[2])
+		if len(violations(t, "internal/"+m[1]+"/x.go", []byte(use))) == 0 {
+			bad = append(bad, m[0])
 		}
 	}
 	return bad

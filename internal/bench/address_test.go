@@ -70,7 +70,7 @@ func findingLines[C any, P fault.Planner, R fault.Outcome[R]](t *testing.T, addr
 // of the full `all` run.
 func TestReplaysMatchTheFullRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, exp := range []string{"crash-smoke", "fuzz-smoke", "wal-life-smoke"} {
+	for _, exp := range []string{"crash-smoke", "fuzz-smoke"} {
 		rows := sweepRows(exp)
 		swept := map[string][]string{}
 		for k := 0; k < 3; k++ {

@@ -578,16 +578,15 @@ func (c *blkGCCrash) Recover(p *sim.Proc) (recovered, phantoms []string, err err
 
 // ---- campaign assembly ---------------------------------------------
 
-// campaign rows are the sweeps of the campaign experiments: each names
-// its experiment and whether that experiment's -smoke variant runs it
-// too. A crash row pins its committed-op count and seed and builds its
-// workload; a fuzz row names an oracle profile. The lsm row
+// campaign rows are the sweeps of the campaign experiments: a row that
+// names an oracle profile is swept by fuzz, any other by crash, and each
+// says whether its experiment's -smoke variant runs it too. A crash row
+// pins its committed-op count and seed and builds its workload. The lsm row
 // is sized so its memtable never rotates (that path has its own
 // experiment); each of pglite, kvaof and jfs has one row whose log holds
 // the whole campaign and one (-ckpt) that overwrites a few keys on a
 // ring so small that the engine checkpoints every few ops.
 type campaign struct {
-	exp   string // "crash", "wal-life" or "fuzz"
 	name  string
 	ops   int
 	seed  uint64
@@ -620,49 +619,47 @@ func walSeg(mode wal.CommitMode) func(int) cycleBuilder {
 }
 
 var campaigns = []campaign{
-	{"crash", "wal", 48, 0x2b55c0de0001, fixed(buildWALCrash), nil, false, nil},
-	{"crash", "lsm", 32, 0x2b55c0de0002, buildLSMCrash, nil, true, nil},
+	{"wal", 48, 0x2b55c0de0001, fixed(buildWALCrash), nil, false, nil},
+	{"lsm", 32, 0x2b55c0de0002, buildLSMCrash, nil, true, nil},
 	// A fresh key per op on a 1 MB XLOG / 2 MB AOF / 1 MB journal.
-	{"crash", "pglite", 32, 0x2b55c0de0003,
+	{"pglite", 32, 0x2b55c0de0003,
 		func(ops int) cycleBuilder { return buildPGCrash(crashRing(2, 128, 64, 0, 1), ops, 48) }, nil, true, nil},
-	{"crash", "kvaof", 40, 0x2b55c0de0004,
+	{"kvaof", 40, 0x2b55c0de0004,
 		func(ops int) cycleBuilder { return buildAOFCrash(crashRing(2, 256, 256, 0), ops, 48) }, nil, false, nil},
-	{"crash", "jfs", 32, 0x2b55c0de0005,
+	{"jfs", 32, 0x2b55c0de0005,
 		func(ops int) cycleBuilder { return buildJFSCrash(crashRing(2, 128, 64, 0, 1), ops, 1<<20) }, nil, false, nil},
 	// The checkpoint path: a few keys overwritten with versioned 1.5 KB
 	// values (whole blocks for jfs) on 32-128 KB rings, so the XLOG
 	// checkpoints, the AOF rewrites and the journal checkpoints every few
 	// ops, the rings lap, and power cuts land on rotations, checkpoints
 	// and truncations — with the dump cut short on a subset of points.
-	{"crash", "pglite-ckpt", 48, 0x2b55c0de0008,
-		fixed(buildPGCrash(crashRing(2, 4, 2, 0, 1), 6, 1500)), walLifeTweak, true, nil},
-	{"crash", "kvaof-ckpt", 48, 0x2b55c0de0009,
-		fixed(buildAOFCrash(crashRing(4, 4, 4, 0), 4, 1500)), walLifeTweak, true, nil},
-	{"crash", "jfs-ckpt", 48, 0x2b55c0de000a,
-		fixed(buildJFSCrash(crashRing(4, 8, 4, 0, 1), 3, 5)), walLifeTweak, true, nil},
+	{"pglite-ckpt", 48, 0x2b55c0de0008,
+		fixed(buildPGCrash(crashRing(2, 4, 2, 0, 1), 6, 1500)), cutEveryFifthDump, true, nil},
+	{"kvaof-ckpt", 48, 0x2b55c0de0009,
+		fixed(buildAOFCrash(crashRing(4, 4, 4, 0), 4, 1500)), cutEveryFifthDump, true, nil},
+	{"jfs-ckpt", 48, 0x2b55c0de000a,
+		fixed(buildJFSCrash(crashRing(4, 8, 4, 0, 1), 3, 5)), cutEveryFifthDump, true, nil},
 	// walseg runs a full segmented-WAL lifecycle (rotation, checkpoint
 	// truncation, snapshot + chain-replay recovery) on the BA path,
 	// with dump cuts on a point subset so torn-tail repair runs too.
-	{"crash", "walseg", 48, 0x2b55c0de0006, walSeg(wal.BA), walLifeTweak, true, nil},
+	{"walseg", 48, 0x2b55c0de0006, walSeg(wal.BA), cutEveryFifthDump, true, nil},
 	// blkgc has no log at all: the raw block path of a drive that is
 	// collecting garbage the whole time, relocation runs in flight.
-	{"crash", "blkgc", 192, 0x2b55c0de0007, fixed(buildBlkGCCrash), nil, true, nil},
-	// The lifecycle sweeps behind wal-life: the same engine as walseg on
-	// the BA byte path and on the block+flush baseline.
-	{"wal-life", "walseg-ba", 48, 0x2b55c0de0106, walSeg(wal.BA), walLifeTweak, true, nil},
-	{"wal-life", "walseg-sync", 48, 0x2b55c0de0107, walSeg(wal.Sync), nil, true, nil},
+	{"blkgc", 192, 0x2b55c0de0007, fixed(buildBlkGCCrash), nil, true, nil},
+	// walseg on the block+flush baseline the BA path is proven against.
+	{"walseg-sync", 48, 0x2b55c0de0107, walSeg(wal.Sync), nil, false, nil},
 	// Randomized dual-path traces against internal/oracle's reference
 	// model: on an empty drive, then on one in steady-state GC.
-	{exp: "fuzz", name: "oracle", smoke: true, fuzz: &oracle.Config{}},
-	{exp: "fuzz", name: "oracle-gc", smoke: true, fuzz: &oracle.Config{GCActive: true}},
+	{name: "oracle", smoke: true, fuzz: &oracle.Config{}},
+	{name: "oracle-gc", smoke: true, fuzz: &oracle.Config{GCActive: true}},
 }
 
-// campaignNames lists, in table order, the rows exp sweeps — only its
-// smoke rows when smoke is set.
-func campaignNames(exp string, smoke bool) []string {
+// campaignNames lists, in table order, the rows experiment kind
+// ("crash" or "fuzz") sweeps — only its smoke rows when smoke is set.
+func campaignNames(kind string, smoke bool) []string {
 	var names []string
 	for _, c := range campaigns {
-		if c.exp == exp && (c.smoke || !smoke) {
+		if (c.fuzz != nil) == (kind == "fuzz") && (c.smoke || !smoke) {
 			names = append(names, c.name)
 		}
 	}

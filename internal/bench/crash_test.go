@@ -465,12 +465,13 @@ func TestPlantedLeftoverBufferRecordFailsCrashAudit(t *testing.T) {
 }
 
 // A record left listed as storing after its store retired — what store
-// leaves when it forgets to remove the record — fails every wal-life-smoke
-// point through the log's audit once the durable frontier has passed
-// it. Planted in the code, that bug never gets this far: the first BA
-// commit waits on the record forever (awaitStores).
-func TestPlantedStaleStoringFailsWalLifeAudit(t *testing.T) {
-	for _, row := range campaignNames("wal-life", true) {
+// leaves when it forgets to remove the record — fails every point of
+// the walseg driver's rows, on both commit paths, through the log's
+// audit once the durable frontier has passed it. Planted in the code,
+// that bug never gets this far: the first BA commit waits on the record
+// forever (awaitStores).
+func TestPlantedStaleStoringFailsWalSegAudit(t *testing.T) {
+	for _, row := range []string{"walseg", "walseg-sync"} {
 		t.Run(row, func(t *testing.T) {
 			plantedAuditRun(t, row, func(c fault.Cycle) fault.Cycle {
 				return plantedWalSeg{c.(*walSegCrash), func(l *wal.Log) {

@@ -14,7 +14,7 @@ import (
 // determinism divergence); the output written so far stays valid.
 type Experiment struct {
 	ID    string
-	InAll bool // part of "bench2b all": the paper tables and ablations
+	InAll bool // part of "bench2b all": the paper tables, ablations and wal-life
 	Run   func(r *Runner, w io.Writer) error
 }
 
@@ -30,7 +30,7 @@ func tables(gens ...func(*Runner) *Table) func(*Runner, io.Writer) error {
 
 // Experiments returns every artifact, in canonical print order: the
 // one table Select resolves ids against, and the docs lint reads. The
-// reliability artifacts after "ablations" run only when named: a full
+// reliability artifacts after "wal-life" run only when named: a full
 // sweep crash-cycles the simulated device hundreds of times, which is a
 // gate, not a paper figure. Each has a CI-sized "-smoke" variant.
 func Experiments() []Experiment {
@@ -53,11 +53,13 @@ func Experiments() []Experiment {
 		{"qd", true, tables(QueueDepth)},
 		{"probe", true, tables(Probe)},
 		{"ablations", true, tables(AblationWriteCombining, AblationDoubleBuffering, AblationGroupCommit)},
+		{"wal-life", true, tables(walLifeTable)},
 
 		// 128 power-loss points per row of the campaign table's crash
 		// sweep — six storage engines, the checkpoint path of three of
-		// them and the raw block path in steady-state GC (1 280 in all);
-		// the smoke is 32 points over the rows marked smoke.
+		// them, the raw block path in steady-state GC and the segmented
+		// WAL on the block+flush baseline (1 408 in all); the smoke is 32
+		// points over the rows marked smoke.
 		{"crash", false, campaignExp("crash")},
 		{"crash-smoke", false, campaignExp("crash-smoke")},
 		// Randomized dual-path workloads against internal/oracle, on an
@@ -69,12 +71,6 @@ func Experiments() []Experiment {
 		// a primary crash and follower takeover.
 		{"fleet", false, func(r *Runner, w io.Writer) error { return runFleet(r, w, "fleet", "") }},
 		{"fleet-smoke", false, func(r *Runner, w io.Writer) error { return runFleet(r, w, "fleet-smoke", "") }},
-		// WAL lifecycle feature table + 128 crash points per commit
-		// mode; the smoke is the same at 32 points.
-		{"wal-life", false, func(r *Runner, w io.Writer) error { return runWalLife(r, w, "wal-life", sweepPoints["wal-life"]) }},
-		{"wal-life-smoke", false, func(r *Runner, w io.Writer) error {
-			return runWalLife(r, w, "wal-life-smoke", sweepPoints["wal-life-smoke"])
-		}},
 	}
 }
 
@@ -82,7 +78,7 @@ func Experiments() []Experiment {
 // points, or fuzz seeds. An experiment sweeps the campaign table's rows
 // of its kind, its id less "-smoke"; a smoke only the rows marked smoke.
 var sweepPoints = map[string]int{
-	"crash": 128, "crash-smoke": 32, "fuzz": 256, "fuzz-smoke": 32, "wal-life": 128, "wal-life-smoke": 32,
+	"crash": 128, "crash-smoke": 32, "fuzz": 256, "fuzz-smoke": 32,
 }
 
 // sweepRows lists, in table order, the campaign rows experiment exp

@@ -16,7 +16,7 @@ import (
 )
 
 // TestExperimentsTable pins the registry: unique ids, "all" selecting
-// exactly the paper artifacts in print order, and the eight
+// exactly the paper artifacts in print order, and the six
 // reliability artifacts selectable by name only.
 func TestExperimentsTable(t *testing.T) {
 	var all, named []string
@@ -32,11 +32,11 @@ func TestExperimentsTable(t *testing.T) {
 			named = append(named, ex.ID)
 		}
 	}
-	const wantAll = "tab1 fig7a fig7b fig8a fig8b fig9 fig10 commit waf mixed recovery tail smallread pmr journal qd probe ablations"
+	const wantAll = "tab1 fig7a fig7b fig8a fig8b fig9 fig10 commit waf mixed recovery tail smallread pmr journal qd probe ablations wal-life"
 	if got := strings.Join(all, " "); got != wantAll {
 		t.Errorf("\"all\" selects\n  %s\nwant\n  %s", got, wantAll)
 	}
-	const wantNamed = "crash crash-smoke fuzz fuzz-smoke fleet fleet-smoke wal-life wal-life-smoke"
+	const wantNamed = "crash crash-smoke fuzz fuzz-smoke fleet fleet-smoke"
 	if got := strings.Join(named, " "); got != wantNamed {
 		t.Errorf("named-only experiments\n  %s\nwant\n  %s", got, wantNamed)
 	}

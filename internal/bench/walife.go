@@ -1,17 +1,14 @@
-// `bench2b wal-life`: the segmented-WAL lifecycle evaluation. Part
-// one is a feature microbenchmark — every lifecycle operation (single
-// and group commit, rotation, checkpoint+truncation, tail streaming,
-// chain recovery) timed on both the paper's BA byte path and the
-// block+flush baseline, one deterministic env per mode. Part two is
-// the fault sweep: the campaign table's wal-life rows (the walseg
-// driver on both modes), with rotation/checkpoint/truncation-instant triggers
-// and torn-tail repair, gating on 0 lost / 0 phantom / 0 repair
-// failures. Reports are byte-identical at any -j.
+// `bench2b wal-life`: the segmented-WAL lifecycle table. Every
+// lifecycle operation (single and group commit, rotation,
+// checkpoint+truncation, tail streaming, chain recovery) is measured on
+// both the paper's BA byte path and the block+flush baseline, one
+// deterministic env per mode, from the log's own "wal.seg_*" series.
+// The crash sweep of the same driver is crash's walseg and walseg-sync
+// rows.
 package bench
 
 import (
 	"fmt"
-	"io"
 
 	"twobssd/internal/obs"
 	"twobssd/internal/sim"
@@ -190,17 +187,14 @@ func walLifeFeatures(mode wal.CommitMode) (walLifeRow, error) {
 
 // walLifeTable renders both modes' feature rows as the BA-vs-baseline
 // comparison table.
-func walLifeTable(r *Runner) (*Table, error) {
-	rows, err := pointsErr(r, 2, func(i int) (walLifeRow, error) {
+func walLifeTable(r *Runner) *Table {
+	rows := points(r, 2, func(i int) walLifeRow {
 		row, err := walLifeFeatures([]wal.CommitMode{wal.BA, wal.Sync}[i])
 		if err != nil {
-			err = fmt.Errorf("wal-life %s: %w", []string{"BA", "sync"}[i], err)
+			panic(fmt.Errorf("wal-life %s: %w", []string{"BA", "sync"}[i], err))
 		}
-		return row, err
+		return row
 	})
-	if err != nil {
-		return nil, err
-	}
 	ba, sync := rows[0], rows[1]
 	t := &Table{
 		ID:     "wal-life",
@@ -221,18 +215,5 @@ func walLifeTable(r *Runner) (*Table, error) {
 	t.Notes = append(t.Notes,
 		"group commit: 8 concurrent committers coalesced per flush burst",
 		"recover: full segment-chain scan + replay from NAND media")
-	return t, nil
-}
-
-// runWalLife runs lifecycle experiment exp: the feature table, then
-// its campaign rows with pts crash points each. Returns an error when
-// any point loses a committed record, recovers a phantom, or fails a
-// torn-tail repair.
-func runWalLife(r *Runner, w io.Writer, exp string, pts int) error {
-	t, err := walLifeTable(r)
-	if err != nil {
-		return err
-	}
-	t.Print(w)
-	return runCampaigns(r, w, exp, sweepRows(exp), pts, -1)
+	return t
 }

@@ -1,49 +1,33 @@
 package bench
 
 import (
-	"bytes"
-	"io"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// TestWalLifeSmoke runs the lifecycle evaluation end to end on a small
-// sweep: the feature table renders for both modes and no crash point
-// violates the durability contract.
-func TestWalLifeSmoke(t *testing.T) {
-	var buf bytes.Buffer
-	if err := runWalLife(runner(Quick), &buf, "wal-life", 8); err != nil {
-		t.Fatalf("runWalLife: %v\n%s", err, buf.String())
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"WAL-LIFE", "commit_1_us", "commits/flush", "recover_us", "recover_read_cmds",
-		"campaign walseg-ba:", "campaign walseg-sync:", "violations: 0",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
+// TestWalLifeShape pins what EXPERIMENTS.md reads off the wal-life
+// table: the BA byte path commits faster, alone and in a group, and a
+// tail reader sees a record sooner; of the timed rows the baseline wins
+// only rotate_us, the cost of sealing a segment out of the capacitor's
+// domain, and recover_us; both paths truncate as often.
+func TestWalLifeShape(t *testing.T) {
+	tab := walLifeTable(runner(tiny))
+	for _, row := range []string{"commit_1_us", "commit_8_us", "tail_lag_us"} {
+		if ba, sync := get(t, tab, row, "ba"), get(t, tab, row, "block+flush"); ba >= sync {
+			t.Errorf("%s: BA %.2f should beat block+flush %.2f", row, ba, sync)
 		}
 	}
-}
-
-// TestWalLifeDeterminism: the wal-life report — feature table and
-// campaign reports, 8 points a mode — run through Run is byte-identical
-// across two -j 1 runs and a -j 8 run.
-func TestWalLifeDeterminism(t *testing.T) {
-	exps := []Experiment{{ID: "wal-life-8", Run: func(r *Runner, w io.Writer) error { return runWalLife(r, w, "wal-life", 8) }}}
-	run := func(jobs int) string {
-		var buf bytes.Buffer
-		res, err := Run(Config{Experiments: exps, Jobs: jobs}, &buf)
-		if err != nil || res.Failures > 0 {
-			t.Fatalf("wal-life at -j %d: %v\n%s", jobs, err, buf.String())
+	for _, r := range tab.Rows {
+		if !strings.HasSuffix(r.X, "_us") {
+			continue
 		}
-		return buf.String()
+		wins := r.Vals[1] < r.Vals[0]
+		if want := slices.Contains([]string{"rotate_us", "recover_us"}, r.X); wins != want {
+			t.Errorf("%s: ba %.2f, block+flush %.2f: the baseline wins is %v, want %v", r.X, r.Vals[0], r.Vals[1], wins, want)
+		}
 	}
-	j1 := run(1)
-	if j1 != run(1) {
-		t.Fatalf("wal-life not deterministic across identical -j 1 runs")
-	}
-	if j1 != run(8) {
-		t.Fatalf("wal-life differs between -j 1 and -j 8")
+	if ba, sync := get(t, tab, "truncations", "ba"), get(t, tab, "truncations", "block+flush"); ba != sync || ba == 0 {
+		t.Errorf("truncations: BA %.0f, block+flush %.0f; want equal and nonzero", ba, sync)
 	}
 }

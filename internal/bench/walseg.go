@@ -1,5 +1,5 @@
-// The segmented-WAL lifecycle crash driver behind the `walseg`,
-// `walseg-ba` and `walseg-sync` campaign rows: a checkpointing engine
+// The segmented-WAL lifecycle crash driver behind the `walseg` and
+// `walseg-sync` campaign rows: a checkpointing engine
 // on a ring-geometry wal.Log that rotates through the segment ring,
 // truncates at every checkpoint, and recovers from snapshot + chain replay — so the
 // fault campaign lands power cuts mid-rotation, mid-checkpoint and
@@ -258,11 +258,11 @@ func parseWalSegSnap(b []byte) (ckpt int64, crcs map[string]uint32, ok bool) {
 	return ckpt, crcs, true
 }
 
-// walLifeTweak cuts the capacitor dump short on a deterministic subset
-// of points, so recovery also faces half-dumped BA buffers on top of
-// the stale-tail states ring recycling produces. Pure in i, as the
-// campaign shrinker requires.
-func walLifeTweak(i int, plan *fault.Plan) {
+// cutEveryFifthDump cuts the capacitor dump short on every fifth point,
+// so recovery also faces half-dumped BA buffers on top of the
+// stale-tail states ring recycling produces. Pure in i, as the campaign
+// shrinker requires.
+func cutEveryFifthDump(i int, plan *fault.Plan) {
 	if i%5 == 3 {
 		plan.CutDumpAfterPages = 1 + i%7
 	}

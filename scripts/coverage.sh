@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Artifact coverage gate. Builds every artifact with coverage, runs each
-# one (bench2b all, crash, fuzz, fleet, fleet-smoke and wal-life with
+# one (bench2b all, crash, fuzz, fleet and fleet-smoke with
 # -metrics and -timeline, probe with -trace and a CSV timeline, one
 # crash-smoke point replayed with -trace, walsim
 # in every mode, the five examples, the benchmark's four workloads and
@@ -28,7 +28,7 @@ go build -cover -coverpkg=twobssd/... -o "$work/bin/" ./cmd/bench2b ./cmd/walsim
 export GOCOVERDIR="$work/data"
 bin=$work/bin
 cd "$work/run"
-"$bin/bench2b" -j 2 -metrics m.json -timeline tl.json all crash fuzz fleet fleet-smoke wal-life > bench2b.txt
+"$bin/bench2b" -j 2 -metrics m.json -timeline tl.json all crash fuzz fleet fleet-smoke > bench2b.txt
 "$bin/bench2b" -trace trace.json -timeline tl.csv probe > /dev/null
 "$bin/bench2b" -trace point.trace.json crash-smoke/walseg/3 > /dev/null
 for m in sync async ba; do
