@@ -75,11 +75,13 @@ var designRules = []rule{
 			"internal/fault/x.go\ntype PointResult struct{ Faults FaultCounts }"}},
 	// bench.Run runs artifacts, not campaign points: its file is exempt.
 	{name: "One campaign engine", in: dirs("fault", "oracle", "bench"), exempt: []string{"internal/bench/run.go"},
-		bad: declares(`^(Shrink|ShrinkReport|MaxShrinkReplays|Run|Replay|replay|RunFuzz|runFuzz|FuzzReport|Campaign\.(shrink|replay|runTrial)|(Point)?Result\.Flight)$`),
+		bad: declares(`^(Shrink|ShrinkReport|MaxShrinkReplays|Run|Replay|replay|RunFuzz|runFuzz|FuzzReport|Campaign\.(shrink|replay|runTrial)|(Point)?Result\.Flight|Planner|Auditor|(\w+\.)?(FaultPlan|Broken))$`),
 		planted: []string{"internal/oracle/x.go\nfunc Shrink(seed uint64, ops []Op) ShrinkReport { return ShrinkReport{} }",
 			"internal/oracle/x.go\nconst MaxShrinkReplays = 200", "internal/oracle/x.go\nfunc replay(seed uint64, traced bool) {}",
-			"internal/fault/x.go\nfunc (c *Campaign[C, P, R]) shrink() {}", "internal/fault/x.go\ntype PointResult struct{ Flight *obs.FlightDump }",
-			"internal/bench/x.go\ntype FuzzReport struct{}", "internal/bench/x.go\nfunc RunFuzz(r *Runner) error { return nil }"}},
+			"internal/fault/x.go\nfunc (c *Campaign[C, R]) shrink() {}", "internal/fault/x.go\ntype PointResult struct{ Flight *obs.FlightDump }",
+			"internal/bench/x.go\ntype FuzzReport struct{}", "internal/bench/x.go\nfunc RunFuzz(r *Runner) error { return nil }",
+			"internal/fault/x.go\ntype Planner interface{ FaultPlan() Plan }", "internal/fault/x.go\nfunc (p Plan) FaultPlan() Plan { return p }",
+			"internal/fault/x.go\ntype Auditor interface{ Audit() error }", "internal/oracle/x.go\nfunc (r Result) Broken(why string) Result { return r }"}},
 	{name: "Faults a campaign sweeps",
 		bad: ident("^(ProgramFailOneIn|EraseFailOneIn|TimeoutOneIn|EnduranceCycles|ErrProgramFailed|ErrEraseFailed|ErrWornOut|maybeTimeout|retireBlock|SalvageRead|MarkBad|IsBad|ErrBadBlock)$"),
 		planted: []string{"internal/fault/x.go\ntype Plan struct{ ProgramFailOneIn uint64 }", "internal/fault/x.go\nvar _ = Plan{EraseFailOneIn: 5}",

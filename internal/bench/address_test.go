@@ -45,7 +45,7 @@ func sweptLines(t *testing.T, exp, row string) []string {
 	return nil
 }
 
-func findingLines[C any, P fault.Planner, R fault.Outcome[R]](t *testing.T, addr string, c *fault.Campaign[C, P, R]) []string {
+func findingLines[C any, R fault.Outcome](t *testing.T, addr string, c *fault.Campaign[C, R]) []string {
 	t.Helper()
 	rep, err := c.Run(runner(Quick).parallelFor, addr)
 	if err != nil {

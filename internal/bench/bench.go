@@ -95,7 +95,7 @@ func SSD2B(e *sim.Env) *core.TwoBSSD { return core.New(e, core.DefaultConfig()) 
 // Spec renders Table I.
 func Spec() *Table {
 	t := &Table{ID: "tab1", Title: "2B-SSD specification (Table I)", XLabel: "Item", Series: []string{"-"}}
-	for _, row := range core.DefaultSpec().Rows() {
+	for _, row := range core.Table1() {
 		t.Rows = append(t.Rows, Row{X: row[0] + ": " + row[1]})
 	}
 	return t

@@ -58,21 +58,13 @@ func (s *stack) Crash(p *sim.Proc) (bool, error) {
 	return err == nil, s.ssd.PowerOn(p)
 }
 
-// Audit checks the page map, the BA mapping table and the write buffer
-// of the stack's 2B-SSD (fault.Auditor) — the one drive of every crash
-// cycle, which its file systems, when it has any, sit on — so a crash
-// point whose recovery leaves the FTL's l2p and p2l out of step, two
-// pins over one buffer page or one LBA, or a buffer index out of step
-// with its ring, is a violation.
-func (s *stack) Audit() error {
-	if err := s.ssd.Device().FTL().Audit(); err != nil {
-		return err
-	}
-	if err := s.ssd.Audit(); err != nil {
-		return err
-	}
-	return s.ssd.Device().Audit()
-}
+// Audit is the Audit half of the fault.Cycle contract: the self-check
+// of the stack's 2B-SSD (core.TwoBSSD.Audit) — the one drive of every
+// crash cycle, which its file systems, when it has any, sit on — so a
+// crash point whose recovery leaves the FTL's l2p and p2l out of step,
+// a buffer index out of step with its ring, or two pins over one buffer
+// page or one LBA, is a violation.
+func (s *stack) Audit() error { return s.ssd.Audit() }
 
 // tornLogExcused judges a recovery that failed with err. A log refuses
 // to come up on a torn page — the loud failure a torn page deserves.
@@ -591,11 +583,11 @@ type campaign struct {
 	ops   int
 	seed  uint64
 	build func(ops int) cycleBuilder
-	// tweak optionally adjusts per-point fault plans (fault.Crash's
-	// Tweak contract: pure in the point index).
-	tweak func(i int, plan *fault.Plan)
-	smoke bool
-	fuzz  *oracle.Config // a fuzz row's oracle profile (nil: a crash row)
+	// cutDumps cuts the capacitor dump short on a subset of points
+	// (fault.Crash.CutDumps).
+	cutDumps bool
+	smoke    bool
+	fuzz     *oracle.Config // a fuzz row's oracle profile (nil: a crash row)
 }
 
 // crashRing places an engine's log on the crash stack: a ring of `ring`
@@ -619,35 +611,35 @@ func walSeg(mode wal.CommitMode) func(int) cycleBuilder {
 }
 
 var campaigns = []campaign{
-	{"wal", 48, 0x2b55c0de0001, fixed(buildWALCrash), nil, false, nil},
-	{"lsm", 32, 0x2b55c0de0002, buildLSMCrash, nil, true, nil},
+	{"wal", 48, 0x2b55c0de0001, fixed(buildWALCrash), false, false, nil},
+	{"lsm", 32, 0x2b55c0de0002, buildLSMCrash, false, true, nil},
 	// A fresh key per op on a 1 MB XLOG / 2 MB AOF / 1 MB journal.
 	{"pglite", 32, 0x2b55c0de0003,
-		func(ops int) cycleBuilder { return buildPGCrash(crashRing(2, 128, 64, 0, 1), ops, 48) }, nil, true, nil},
+		func(ops int) cycleBuilder { return buildPGCrash(crashRing(2, 128, 64, 0, 1), ops, 48) }, false, true, nil},
 	{"kvaof", 40, 0x2b55c0de0004,
-		func(ops int) cycleBuilder { return buildAOFCrash(crashRing(2, 256, 256, 0), ops, 48) }, nil, false, nil},
+		func(ops int) cycleBuilder { return buildAOFCrash(crashRing(2, 256, 256, 0), ops, 48) }, false, false, nil},
 	{"jfs", 32, 0x2b55c0de0005,
-		func(ops int) cycleBuilder { return buildJFSCrash(crashRing(2, 128, 64, 0, 1), ops, 1<<20) }, nil, false, nil},
+		func(ops int) cycleBuilder { return buildJFSCrash(crashRing(2, 128, 64, 0, 1), ops, 1<<20) }, false, false, nil},
 	// The checkpoint path: a few keys overwritten with versioned 1.5 KB
 	// values (whole blocks for jfs) on 32-128 KB rings, so the XLOG
 	// checkpoints, the AOF rewrites and the journal checkpoints every few
 	// ops, the rings lap, and power cuts land on rotations, checkpoints
 	// and truncations — with the dump cut short on a subset of points.
 	{"pglite-ckpt", 48, 0x2b55c0de0008,
-		fixed(buildPGCrash(crashRing(2, 4, 2, 0, 1), 6, 1500)), cutEveryFifthDump, true, nil},
+		fixed(buildPGCrash(crashRing(2, 4, 2, 0, 1), 6, 1500)), true, true, nil},
 	{"kvaof-ckpt", 48, 0x2b55c0de0009,
-		fixed(buildAOFCrash(crashRing(4, 4, 4, 0), 4, 1500)), cutEveryFifthDump, true, nil},
+		fixed(buildAOFCrash(crashRing(4, 4, 4, 0), 4, 1500)), true, true, nil},
 	{"jfs-ckpt", 48, 0x2b55c0de000a,
-		fixed(buildJFSCrash(crashRing(4, 8, 4, 0, 1), 3, 5)), cutEveryFifthDump, true, nil},
+		fixed(buildJFSCrash(crashRing(4, 8, 4, 0, 1), 3, 5)), true, true, nil},
 	// walseg runs a full segmented-WAL lifecycle (rotation, checkpoint
 	// truncation, snapshot + chain-replay recovery) on the BA path,
 	// with dump cuts on a point subset so torn-tail repair runs too.
-	{"walseg", 48, 0x2b55c0de0006, walSeg(wal.BA), cutEveryFifthDump, true, nil},
+	{"walseg", 48, 0x2b55c0de0006, walSeg(wal.BA), true, true, nil},
 	// blkgc has no log at all: the raw block path of a drive that is
 	// collecting garbage the whole time, relocation runs in flight.
-	{"blkgc", 192, 0x2b55c0de0007, fixed(buildBlkGCCrash), nil, true, nil},
+	{"blkgc", 192, 0x2b55c0de0007, fixed(buildBlkGCCrash), false, true, nil},
 	// walseg on the block+flush baseline the BA path is proven against.
-	{"walseg-sync", 48, 0x2b55c0de0107, walSeg(wal.Sync), nil, false, nil},
+	{"walseg-sync", 48, 0x2b55c0de0107, walSeg(wal.Sync), false, false, nil},
 	// Randomized dual-path traces against internal/oracle's reference
 	// model: on an empty drive, then on one in steady-state GC.
 	{name: "oracle", smoke: true, fuzz: &oracle.Config{}},
@@ -668,7 +660,7 @@ func campaignNames(kind string, smoke bool) []string {
 
 // crash is a crash row's sweep of pts points.
 func (c *campaign) crash(pts int) *fault.Crash {
-	return &fault.Crash{Name: c.name, Points: pts, Ops: c.ops, Seed: c.seed, Build: c.build(c.ops), Tweak: c.tweak}
+	return &fault.Crash{Name: c.name, Points: pts, Ops: c.ops, Seed: c.seed, Build: c.build(c.ops), CutDumps: c.cutDumps}
 }
 
 // runCampaigns sweeps pts points — crash points or fuzz seeds — over
@@ -711,14 +703,14 @@ func runRow(r *Runner, w io.Writer, addr, name string, pts, point int) (int, err
 // sweep runs campaign c at address addr — every point, or with point
 // >= 0 that point alone — writes its report or the point's line to w
 // and returns the violation count.
-func sweep[C any, P fault.Planner, R fault.Outcome[R]](r *Runner, w io.Writer, addr string, c *fault.Campaign[C, P, R], point int) (int, error) {
+func sweep[C any, R fault.Outcome](r *Runner, w io.Writer, addr string, c *fault.Campaign[C, R], point int) (int, error) {
 	if point >= 0 {
 		f, err := c.RunPoint(r.parallelFor, addr, point)
 		if err != nil {
 			return 0, err
 		}
 		n := 0
-		if f.Result.Violation() {
+		if f.Violation() {
 			n = 1
 		}
 		return n, f.WriteText(w)

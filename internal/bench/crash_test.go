@@ -419,8 +419,8 @@ func plantedAuditRun(t *testing.T, row string, plant func(fault.Cycle) fault.Cyc
 		t.Fatalf("%d of 4 points violated", len(v))
 	}
 	for _, f := range rep.Findings {
-		if pr := f.Result; !strings.Contains(pr.Audit, want) || len(pr.Lost) > 0 || pr.Err != "" {
-			t.Errorf("point %d: audit %q, lost %v, err %q; want %q alone", f.Point.Index, pr.Audit, pr.Lost, pr.Err, want)
+		if pr := f.Result; !strings.Contains(pr.Audit, want) || len(pr.Lost) > 0 || f.Err != "" {
+			t.Errorf("point %d: audit %q, lost %v, err %q; want %q alone", f.Point.Index, pr.Audit, pr.Lost, f.Err, want)
 		}
 	}
 }

@@ -136,6 +136,7 @@ func (lossyCycle) Step(p *sim.Proc, i int) (string, error) {
 func (lossyCycle) Stage(*sim.Proc) (string, error)               { return "", nil }
 func (lossyCycle) Crash(*sim.Proc) (bool, error)                 { return true, nil }
 func (lossyCycle) Recover(*sim.Proc) ([]string, []string, error) { return nil, nil, nil }
+func (lossyCycle) Audit() error                                  { return nil }
 
 // TestRunnerBoundsCampaignSetup: a fault.Campaign builds environments
 // outside its points too — the fault-free profile run, the replays of

@@ -257,13 +257,3 @@ func parseWalSegSnap(b []byte) (ckpt int64, crcs map[string]uint32, ok bool) {
 	}
 	return ckpt, crcs, true
 }
-
-// cutEveryFifthDump cuts the capacitor dump short on every fifth point,
-// so recovery also faces half-dumped BA buffers on top of the
-// stale-tail states ring recycling produces. Pure in i, as the campaign
-// shrinker requires.
-func cutEveryFifthDump(i int, plan *fault.Plan) {
-	if i%5 == 3 {
-		plan.CutDumpAfterPages = 1 + i%7
-	}
-}

@@ -454,12 +454,19 @@ func (s *TwoBSSD) PMRReadDMA(p *sim.Proc, off int, dst []byte) (int, error) {
 	return n, nil
 }
 
-// Audit checks the mapping table's invariant: no two live entries
+// Audit is the drive's self-check: the FTL's page map, then the write
+// buffer, then the mapping table's invariant that no two live entries
 // overlap in the BA-buffer or in LBA space. BAPin refuses an overlap
 // entry by entry; Audit catches a table that got one another way — a
 // restored dump image is trusted as written. It does not yield, writes
 // nothing to the registry and allocates only the error it returns.
 func (s *TwoBSSD) Audit() error {
+	if err := s.dev.FTL().Audit(); err != nil {
+		return fmt.Errorf("page map audit: %w", err)
+	}
+	if err := s.dev.Audit(); err != nil {
+		return fmt.Errorf("write buffer audit: %w", err)
+	}
 	ps := s.PageSize()
 	for i, a := range s.table {
 		for _, b := range s.table[i+1:] {

@@ -41,14 +41,17 @@ func testConfig() Config {
 
 func newSSD(e *sim.Env) *TwoBSSD { return New(e, testConfig()) }
 
-func TestDefaultSpecTable1(t *testing.T) {
-	s := DefaultSpec()
-	rows := s.Rows()
+// Table I renders DefaultConfig: its eight rows, with the capacitors,
+// the BA-buffer and the mapping entries the configuration holds.
+func TestTable1RendersDefaultConfig(t *testing.T) {
+	rows := Table1()
 	if len(rows) != 8 {
 		t.Fatalf("Table I has %d rows, want 8", len(rows))
 	}
-	if s.BABufferBytes != 8<<20 || s.MaxEntries != 8 || s.CapacityGB != 800 {
-		t.Fatalf("spec = %+v", s)
+	for i, want := range map[int]string{2: "800 GB", 5: "270 uF x 3", 6: "8 MB", 7: "8"} {
+		if rows[i][1] != want {
+			t.Errorf("row %q = %q, want %q", rows[i][0], rows[i][1], want)
+		}
 	}
 }
 

@@ -7,47 +7,21 @@ import (
 	"twobssd/internal/pcie"
 )
 
-// Spec mirrors Table I of the paper: the headline specification of the
-// prototype 2B-SSD.
-type Spec struct {
-	HostInterface string
-	Protocol      string
-	CapacityGB    int
-	Architecture  string
-	Medium        string
-	CapacitorsUF  []float64
-	BABufferBytes int
-	MaxEntries    int
-}
-
-// DefaultSpec returns the Table I values of the prototype. The rows the
-// simulator models come from DefaultConfig, so the table cannot drift
-// from the configuration that produces the results.
-func DefaultSpec() Spec {
+// Table1 renders Table I of the paper, the headline specification of
+// the prototype, as (item, description) pairs in the table's order. The
+// rows the simulator models come from DefaultConfig, so the table
+// cannot drift from the configuration that produces the results.
+func Table1() [][2]string {
 	cfg := DefaultConfig()
-	return Spec{
-		HostInterface: "PCIe Gen.3 x4",
-		Protocol:      "NVMe 1.2",
-		CapacityGB:    800,
-		Architecture:  "Multiple channels/ways/cores",
-		Medium:        "Single-bit NAND flash",
-		CapacitorsUF:  cfg.CapacitorsUF,
-		BABufferBytes: cfg.BABufferBytes,
-		MaxEntries:    cfg.MaxEntries,
-	}
-}
-
-// Rows renders the spec as (item, description) pairs in Table I order.
-func (s Spec) Rows() [][2]string {
 	return [][2]string{
-		{"Host interface", s.HostInterface},
-		{"Protocol", s.Protocol},
-		{"Capacity", fmt.Sprintf("%d GB", s.CapacityGB)},
-		{"SSD architecture", s.Architecture},
-		{"Storage medium", s.Medium},
-		{"Capacitance of electrolytic capacitors", fmt.Sprintf("%.0f uF x %d", s.CapacitorsUF[0], len(s.CapacitorsUF))},
-		{"BA-buffer size", fmt.Sprintf("%d MB", s.BABufferBytes>>20)},
-		{"Max. entries of BA-buffer", fmt.Sprintf("%d", s.MaxEntries)},
+		{"Host interface", "PCIe Gen.3 x4"},
+		{"Protocol", "NVMe 1.2"},
+		{"Capacity", "800 GB"},
+		{"SSD architecture", "Multiple channels/ways/cores"},
+		{"Storage medium", "Single-bit NAND flash"},
+		{"Capacitance of electrolytic capacitors", fmt.Sprintf("%.0f uF x %d", cfg.CapacitorsUF[0], len(cfg.CapacitorsUF))},
+		{"BA-buffer size", fmt.Sprintf("%d MB", cfg.BABufferBytes>>20)},
+		{"Max. entries of BA-buffer", fmt.Sprintf("%d", cfg.MaxEntries)},
 	}
 }
 

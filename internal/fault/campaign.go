@@ -3,7 +3,6 @@ package fault
 import (
 	"fmt"
 	"io"
-	"reflect"
 	"strings"
 
 	"twobssd/internal/obs"
@@ -17,62 +16,59 @@ import (
 // points of every kind of campaign — crash sweeps (Crash) and the
 // oracle's fuzz profiles — through their check, replays, shrinks and
 // reports them.
-type Point[C any, P Planner] struct {
+type Point[C any] struct {
 	Index   int
 	Seed    uint64
 	Choices []C
-	Plan    P
+	Plan    Plan
 }
-
-// A Planner is a point's fault plan: a Plan, or a struct embedding one
-// that adds fault dimensions of its own. Every Trigger field in it, at
-// any depth, is a threshold the shrinker bisects and the report names.
-type Planner interface{ FaultPlan() Plan }
-
-// FaultPlan makes a Plan a Planner: the plan the engine installs.
-func (p Plan) FaultPlan() Plan { return p }
 
 // An Outcome is what a check found at one point (R is its own type).
 // Verdict says it as exactly as a replay of the point must reproduce
-// it; FailedAt is the index of the choice it failed at, or -1. A
-// harness failure is a violation the report lists and the shrinker
-// never chases; Broken returns the outcome failed by its harness.
-type Outcome[R any] interface {
+// it; FailedAt is the index of the choice it failed at, or -1.
+type Outcome interface {
 	Violation() bool
-	Harness() bool
 	Verdict() string
 	FailedAt() int
-	Broken(why string) R
 }
 
 // A Campaign is one sweep of points through a check.
-type Campaign[C any, P Planner, R Outcome[R]] struct {
+type Campaign[C any, R Outcome] struct {
 	// Points generates the sweep. It runs in one slot of the caller's
 	// fan-out, so an environment it builds is bounded like the rest.
-	Points func() ([]Point[C, P], error)
-	// Check runs pt to completion on env, whose injector holds pt's plan.
-	Check func(env *sim.Env, pt Point[C, P]) R
+	Points func() ([]Point[C], error)
+	// Check runs pt to completion on env, whose injector holds pt's
+	// plan. An error is the harness's, not the stack's: the point is a
+	// violation the shrinker never chases.
+	Check func(env *sim.Env, pt Point[C]) (R, error)
 	// Summary writes the kind's own report lines.
-	Summary func(w io.Writer, rep *Report[C, P, R]) error
+	Summary func(w io.Writer, rep *Report[C, R]) error
 }
 
 // A Finding is a point, its address and what its check found; a
 // violating point carries the flight dump of its traced replay, headed
 // by the finding's line.
-type Finding[C any, P Planner, R Outcome[R]] struct {
-	Point  Point[C, P]
+type Finding[C any, R Outcome] struct {
+	Point  Point[C]
 	Addr   string // <row>/<index>: what replays the point alone
 	Result R
+	// Err is a harness failure: an error Check returned, a simulated
+	// process that faulted, or a traced replay that did not reproduce
+	// the run. It makes the point a violation that is never shrunk.
+	Err    string
 	Flight *obs.FlightDump
 }
 
+// Violation reports whether the point broke its check or its harness.
+func (f *Finding[C, R]) Violation() bool { return f.Err != "" || f.Result.Violation() }
+
 // Report is a campaign's byte-stable outcome.
-type Report[C any, P Planner, R Outcome[R]] struct {
-	Findings []Finding[C, P, R] // every point, in index order
+type Report[C any, R Outcome] struct {
+	Findings []Finding[C, R] // every point, in index order
 	// Shrunk is the first violation that is no harness failure, shrunk
 	// to a minimal point (nil when there is none).
-	Shrunk  *Finding[C, P, R]
-	summary func(io.Writer, *Report[C, P, R]) error
+	Shrunk  *Finding[C, R]
+	summary func(io.Writer, *Report[C, R]) error
 }
 
 // maxShrinkReplays bounds the shrinker's trials per violation.
@@ -86,18 +82,18 @@ const maxShrinkReplays = 200
 // concurrency), so the caller's fan-out bounds them all. Results land
 // in index order, so the report is byte-identical however parallelFor
 // schedules the points.
-func (c *Campaign[C, P, R]) Run(parallelFor func(n int, fn func(i int)), row string) (*Report[C, P, R], error) {
+func (c *Campaign[C, R]) Run(parallelFor func(n int, fn func(i int)), row string) (*Report[C, R], error) {
 	pts, err := c.generate(parallelFor)
 	if err != nil {
 		return nil, err
 	}
-	rep := &Report[C, P, R]{Findings: make([]Finding[C, P, R], len(pts)), summary: c.Summary}
+	rep := &Report[C, R]{Findings: make([]Finding[C, R], len(pts)), summary: c.Summary}
 	parallelFor(len(pts), func(i int) { rep.Findings[i] = c.find(row, pts[i]) })
 	for _, f := range rep.Findings {
-		if f.Result.Violation() && !f.Result.Harness() {
+		if f.Violation() && f.Err == "" {
 			parallelFor(1, func(int) {
-				s := Finding[C, P, R]{Addr: f.Addr}
-				s.Point, s.Result = c.Shrink(f.Point, f.Result)
+				s := c.Shrink(f)
+				s.Addr = f.Addr
 				s.replay(c)
 				rep.Shrunk = &s
 			})
@@ -111,8 +107,8 @@ func (c *Campaign[C, P, R]) Run(parallelFor func(n int, fn func(i int)), row str
 // point i alone, as Run runs it: the same finding, flight dump
 // included, that Run's report holds at index i. Every environment it
 // builds runs inside parallelFor.
-func (c *Campaign[C, P, R]) RunPoint(parallelFor func(n int, fn func(i int)), row string, i int) (Finding[C, P, R], error) {
-	var f Finding[C, P, R]
+func (c *Campaign[C, R]) RunPoint(parallelFor func(n int, fn func(i int)), row string, i int) (Finding[C, R], error) {
+	var f Finding[C, R]
 	pts, err := c.generate(parallelFor)
 	if err == nil && (i < 0 || i >= len(pts)) {
 		err = fmt.Errorf("fault: point %d of a sweep of %d", i, len(pts))
@@ -125,115 +121,114 @@ func (c *Campaign[C, P, R]) RunPoint(parallelFor func(n int, fn func(i int)), ro
 }
 
 // generate runs Points in one slot of parallelFor.
-func (c *Campaign[C, P, R]) generate(parallelFor func(n int, fn func(i int))) (pts []Point[C, P], err error) {
+func (c *Campaign[C, R]) generate(parallelFor func(n int, fn func(i int))) (pts []Point[C], err error) {
 	parallelFor(1, func(int) { pts, err = c.Points() })
 	return pts, err
 }
 
 // find runs pt, of the sweep at address row, untraced and, when it
 // violates, replays it traced for its flight dump.
-func (c *Campaign[C, P, R]) find(row string, pt Point[C, P]) Finding[C, P, R] {
-	f := Finding[C, P, R]{Point: pt, Addr: fmt.Sprintf("%s/%d", row, pt.Index)}
-	if f.Result, _ = c.Trial(pt, false); f.Result.Violation() {
+func (c *Campaign[C, R]) find(row string, pt Point[C]) Finding[C, R] {
+	f := c.Trial(pt, false)
+	if f.Addr = fmt.Sprintf("%s/%d", row, pt.Index); f.Violation() {
 		f.replay(c)
 	}
 	return f
 }
 
 // replay replays f's violating point traced and heads the flight dump
-// with f's line: the address that replays it, and what it found.
-func (f *Finding[C, P, R]) replay(c *Campaign[C, P, R]) {
-	if f.Result, f.Flight = c.Replay(f.Point, f.Result); f.Flight != nil {
-		f.Flight.Reason = f.describe()
+// with f's line: the address that replays it, and what it found. The
+// simulator is deterministic, so the replay must reach f's verdict; one
+// that does not is a harness failure, kept without a dump.
+func (f *Finding[C, R]) replay(c *Campaign[C, R]) {
+	again := c.Trial(f.Point, true)
+	if again.verdict() != f.verdict() {
+		f.Err = fmt.Sprintf("nondeterministic: the traced replay gave %s; the first run %s", again.verdict(), f.verdict())
+		return
 	}
+	f.Result, f.Flight = again.Result, again.Flight
+	f.Flight.Reason = f.describe()
 }
 
-// Trial runs pt once on a fresh environment. Traced, it records spans,
-// and a violation comes back with the run's flight dump, whose header
-// the finding writes. Safe to call concurrently.
-func (c *Campaign[C, P, R]) Trial(pt Point[C, P], traced bool) (R, *obs.FlightDump) {
+// Trial runs pt once on a fresh environment and returns its finding,
+// unaddressed. Traced, it records spans, and a violation comes back
+// with the run's flight dump, whose header the finding writes. Safe to
+// call concurrently.
+func (c *Campaign[C, R]) Trial(pt Point[C], traced bool) Finding[C, R] {
 	env := sim.NewEnv()
 	defer env.Shutdown() // after the flight dump; parked daemons would pin the drive
-	Install(env, pt.Plan.FaultPlan())
+	Install(env, pt.Plan)
 	set := obs.Of(env)
 	if traced {
 		set.EnableTracing()
 	}
-	r := c.check(env, pt)
-	if !traced || !r.Violation() {
-		return r, nil
+	f := Finding[C, R]{Point: pt}
+	f.Result, f.Err = c.check(env, pt)
+	if traced && f.Violation() {
+		d := set.FlightDump("")
+		f.Flight = &d
 	}
-	d := set.FlightDump("")
-	return r, &d
+	return f
 }
 
-// check runs Check. A simulated process that faults — a stack bug, which
-// the kernel panics out of Run as "sim: process … faulted" — is pt's
-// harness failure naming the fault, so the rest of the sweep runs and
-// the report lists the point. Any other panic is the harness's own.
-func (c *Campaign[C, P, R]) check(env *sim.Env, pt Point[C, P]) (r R) {
+// check runs Check and returns its outcome and harness failure. A
+// simulated process that faults — a stack bug, which the kernel panics
+// out of Run as "sim: process … faulted" — is pt's harness failure
+// naming the fault, so the rest of the sweep runs and the report lists
+// the point. Any other panic is the harness's own.
+func (c *Campaign[C, R]) check(env *sim.Env, pt Point[C]) (r R, why string) {
 	defer func() {
 		if v := recover(); v != nil {
 			msg, ok := v.(string)
 			if !ok || !strings.Contains(msg, "sim: process ") || !strings.Contains(msg, " faulted: ") {
 				panic(v)
 			}
-			r = r.Broken(msg)
+			why = msg
 		}
 	}()
-	return c.Check(env, pt)
-}
-
-// Replay re-runs the violating point pt traced and returns the replay's
-// outcome with its flight dump. The simulator is deterministic, so the
-// replay must reach first's verdict; one that does not is a harness
-// failure, returned in first's place without a dump.
-func (c *Campaign[C, P, R]) Replay(pt Point[C, P], first R) (R, *obs.FlightDump) {
-	again, dump := c.Trial(pt, true)
-	if again.Verdict() == first.Verdict() {
-		return again, dump
+	r, err := c.Check(env, pt)
+	if err != nil {
+		why = err.Error()
 	}
-	return first.Broken(fmt.Sprintf("nondeterministic: the traced replay gave %s; the first run %s",
-		again.Verdict(), first.Verdict())), nil
+	return r, why
 }
 
-// Shrink reduces the violating point pt (outcome r) to a minimal point
-// that still violates. First it ddmins the choice list: truncate at the
-// failing choice, bisect the shortest failing prefix, then remove ever
-// smaller chunks. Then it bisects each trigger's threshold toward the
-// smallest that still fails. Every probe is an untraced trial of the
-// point with fewer choices or a lower threshold and the rest of its
-// plan as is, so the fault schedule is the same and the search
-// deterministic. After maxShrinkReplays trials it stops and keeps the
-// smallest failing point found, which it returns with its outcome.
-func (c *Campaign[C, P, R]) Shrink(pt Point[C, P], r R) (Point[C, P], R) {
+// Shrink reduces the violating finding f to a minimal point that still
+// violates. First it ddmins the choice list: truncate at the failing
+// choice, bisect the shortest failing prefix, then remove ever smaller
+// chunks. Then it bisects each trigger's threshold toward the smallest
+// that still fails. Every probe is an untraced trial of the point with
+// fewer choices or a lower threshold and the rest of its plan as is, so
+// the fault schedule is the same and the search deterministic; a probe
+// that fails its harness does not count. After maxShrinkReplays trials
+// it stops and returns the finding of the smallest failing point found.
+func (c *Campaign[C, R]) Shrink(f Finding[C, R]) Finding[C, R] {
 	replays := 0
-	fails := func(cand Point[C, P]) bool {
+	fails := func(cand Point[C]) bool {
 		if replays >= maxShrinkReplays {
 			return false
 		}
 		replays++
-		got, _ := c.Trial(cand, false)
-		if got.Violation() && !got.Harness() {
-			pt, r = cand, got
+		if got := c.Trial(cand, false); got.Violation() && got.Err == "" {
+			f = got
 			return true
 		}
 		return false
 	}
 	try := func(choices []C) bool {
-		cand := pt
+		cand := f.Point
 		cand.Choices = choices
 		return fails(cand)
 	}
 	// cut is the failing choice list truncated after the choice it failed
 	// at: the choices after it never ran.
 	cut := func(ops []C) []C {
-		if at := r.FailedAt(); at >= 0 && at+1 < len(ops) {
+		if at := f.Result.FailedAt(); at >= 0 && at+1 < len(ops) {
 			return ops[:at+1]
 		}
 		return ops
 	}
-	ops := cut(pt.Choices)
+	ops := cut(f.Point.Choices)
 	// A shorter prefix can pass even though a longer one fails (the
 	// failure may need earlier state), so keep the best confirmed length.
 	for lo, hi := 1, len(ops); lo < hi; {
@@ -261,12 +256,12 @@ func (c *Campaign[C, P, R]) Shrink(pt Point[C, P], r R) (Point[C, P], R) {
 			chunk = min(chunk, len(ops))
 		}
 	}
-	pt.Choices = ops
-	for k := range triggers(&pt.Plan) {
-		t := *triggers(&pt.Plan)[k]
+	f.Point.Choices = ops
+	for k := range f.Point.Plan.triggers() {
+		t := *f.Point.Plan.triggers()[k]
 		for lo, hi := uint64(1), max(t.N, uint64(t.At)); lo < hi; {
-			mid, cand := lo+(hi-lo)/2, pt
-			if tr := triggers(&cand.Plan)[k]; t.N > 0 {
+			mid, cand := lo+(hi-lo)/2, f.Point
+			if tr := cand.Plan.triggers()[k]; t.N > 0 {
 				tr.N = mid
 			} else {
 				tr.At = sim.Time(mid)
@@ -278,32 +273,14 @@ func (c *Campaign[C, P, R]) Shrink(pt Point[C, P], r R) (Point[C, P], R) {
 			}
 		}
 	}
-	return pt, r
-}
-
-// triggers lists the Trigger fields of *plan, embedded structs included,
-// in field order.
-func triggers[P Planner](plan *P) []*Trigger {
-	var walk func(v reflect.Value) []*Trigger
-	walk = func(v reflect.Value) (out []*Trigger) {
-		for i := 0; i < v.NumField(); i++ {
-			switch f := v.Field(i); {
-			case f.Type() == reflect.TypeFor[Trigger]():
-				out = append(out, f.Addr().Interface().(*Trigger))
-			case f.Kind() == reflect.Struct:
-				out = append(out, walk(f)...)
-			}
-		}
-		return out
-	}
-	return walk(reflect.ValueOf(plan).Elem())
+	return f
 }
 
 // Violations returns the violating findings, in index order.
-func (r *Report[C, P, R]) Violations() []Finding[C, P, R] {
-	var out []Finding[C, P, R]
+func (r *Report[C, R]) Violations() []Finding[C, R] {
+	var out []Finding[C, R]
 	for _, f := range r.Findings {
-		if f.Result.Violation() {
+		if f.Violation() {
 			out = append(out, f)
 		}
 	}
@@ -314,7 +291,7 @@ func (r *Report[C, P, R]) Violations() []Finding[C, P, R] {
 // summary, one line per violation, then the minimal point with its
 // choices and its flight dump — or, when nothing was shrunk, the first
 // violation's dump.
-func (r *Report[C, P, R]) WriteText(w io.Writer) error {
+func (r *Report[C, R]) WriteText(w io.Writer) error {
 	if err := r.summary(w, r); err != nil {
 		return err
 	}
@@ -341,7 +318,7 @@ func (r *Report[C, P, R]) WriteText(w io.Writer) error {
 
 // WriteText renders the finding as a point run alone prints it: its
 // line, then the flight dump of a violating point.
-func (f *Finding[C, P, R]) WriteText(w io.Writer) error {
+func (f *Finding[C, R]) WriteText(w io.Writer) error {
 	if _, err := fmt.Fprintln(w, f.describe()); err != nil || f.Flight == nil {
 		return err
 	}
@@ -350,12 +327,20 @@ func (f *Finding[C, P, R]) WriteText(w io.Writer) error {
 
 // describe names a finding's point — its address, its seed and each
 // armed trigger — and what its check found.
-func (f *Finding[C, P, R]) describe() string {
+func (f *Finding[C, R]) describe() string {
 	s := fmt.Sprintf("%s seed %#x", f.Addr, f.Point.Seed)
-	for _, t := range triggers(&f.Point.Plan) {
+	for _, t := range f.Point.Plan.triggers() {
 		if *t != (Trigger{}) {
 			s += " trigger " + t.String()
 		}
 	}
-	return s + ": " + f.Result.Verdict()
+	return s + ": " + f.verdict()
+}
+
+// verdict is what the finding's check found, then its harness failure.
+func (f *Finding[C, R]) verdict() string {
+	if f.Err == "" {
+		return f.Result.Verdict()
+	}
+	return fmt.Sprintf("%s err=%q", f.Result.Verdict(), f.Err)
 }

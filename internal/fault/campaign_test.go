@@ -47,6 +47,8 @@ func (c *plantedCycle) Recover(p *sim.Proc) ([]string, []string, error) {
 	return c.committed[:len(c.committed)-1], nil, nil // planted loss
 }
 
+func (c *plantedCycle) Audit() error { return nil }
+
 // TestPlantedViolationProducesFlightDump plants a durability violation
 // and checks the campaign hands over the flight dump of its replay,
 // whose span tail leads up to the trigger, both in the result and in
@@ -157,6 +159,8 @@ func (c *cleanCycle) Recover(p *sim.Proc) ([]string, []string, error) {
 	return append([]string(nil), c.committed...), nil, nil
 }
 
+func (c *cleanCycle) Audit() error { return nil }
+
 // repairCycle is a cleanCycle whose recovery cuts torn log tails the
 // way a ring WAL does: each cut counts in wal.seg_torn_repairs, and a
 // cut that cannot be made durable fails Recover.
@@ -183,8 +187,9 @@ func (c *repairCycle) Recover(p *sim.Proc) ([]string, []string, error) {
 
 // TestRepairFailureIsViolationWithDump: a WAL recovery that cannot
 // durably cut its torn tail fails Recover, and the campaign surfaces
-// that error as a violation with a replayed flight dump, even though
-// no committed record was reported lost.
+// that error as a harness failure: a violation with its address, its
+// seed and a replayed flight dump, even though no committed record was
+// reported lost, and never shrunk.
 func TestRepairFailureIsViolationWithDump(t *testing.T) {
 	c := &fault.Crash{
 		Name: "repair-fail", Points: 2, Ops: 4, Seed: 0x2b57,
@@ -204,12 +209,15 @@ func TestRepairFailureIsViolationWithDump(t *testing.T) {
 		t.Fatalf("violations = %d, want every point", len(viol))
 	}
 	for _, f := range viol {
-		if !strings.Contains(f.Result.Err, "recover: wal: cutting the torn tail") ||
-			!strings.Contains(f.Result.Err, "readback at 4096") {
-			t.Fatalf("point %d err = %q, want the cut's failure", f.Point.Index, f.Result.Err)
+		if !strings.Contains(f.Err, "recover: wal: cutting the torn tail") ||
+			!strings.Contains(f.Err, "readback at 4096") {
+			t.Fatalf("point %d err = %q, want the cut's failure", f.Point.Index, f.Err)
 		}
 		if f.Flight == nil || len(f.Flight.Events) == 0 {
 			t.Fatalf("point %d repair violation carries no flight dump", f.Point.Index)
+		}
+		if want := fmt.Sprintf("test/row/%d seed %#x trigger %s: lost=0 [] phantom=0 [] err=%q", f.Point.Index, f.Point.Seed, f.Point.Plan.PowerLoss, f.Err); f.Flight.Reason != want {
+			t.Fatalf("dump reason = %q, want %q", f.Flight.Reason, want)
 		}
 	}
 	var buf bytes.Buffer
@@ -219,11 +227,13 @@ func TestRepairFailureIsViolationWithDump(t *testing.T) {
 	if !strings.Contains(buf.String(), `err="recover: wal: cutting the torn tail back to 4096: readback at 4096 not clean"`) {
 		t.Fatalf("report does not surface the cut's failure:\n%s", buf.String())
 	}
+	if rep.Shrunk != nil {
+		t.Fatalf("a Check error was shrunk: %+v", rep.Shrunk)
+	}
 }
 
 // auditCycle is a cleanCycle whose stack fails its own audit after
-// recovery (fault.Auditor) once the power cut came at or after failAt
-// (0: always).
+// recovery once the power cut came at or after failAt (0: always).
 type auditCycle struct {
 	cleanCycle
 	failAt sim.Time
@@ -255,8 +265,8 @@ func TestAuditFailureIsViolationWithDump(t *testing.T) {
 		t.Fatalf("violations = %d, want every point", len(viol))
 	}
 	for _, f := range viol {
-		if f.Result.Audit != "l2p[3] = 7 but p2l[7] = 4" || f.Result.Err != "" {
-			t.Fatalf("point %d audit = %q err = %q, want the audit failure alone", f.Point.Index, f.Result.Audit, f.Result.Err)
+		if f.Result.Audit != "l2p[3] = 7 but p2l[7] = 4" || f.Err != "" {
+			t.Fatalf("point %d audit = %q err = %q, want the audit failure alone", f.Point.Index, f.Result.Audit, f.Err)
 		}
 		if f.Flight == nil {
 			t.Fatalf("point %d audit violation carries no flight dump", f.Point.Index)
@@ -329,8 +339,8 @@ func TestNondeterministicReplayIsReported(t *testing.T) {
 		t.Fatal("the first run's loss was not reported")
 	}
 	for _, f := range viol {
-		if !strings.HasPrefix(f.Result.Err, "nondeterministic: the traced replay gave lost=0 []") {
-			t.Fatalf("point %d err = %q, want a determinism failure", f.Point.Index, f.Result.Err)
+		if !strings.HasPrefix(f.Err, "nondeterministic: the traced replay gave lost=0 []") {
+			t.Fatalf("point %d err = %q, want a determinism failure", f.Point.Index, f.Err)
 		}
 		if f.Flight != nil {
 			t.Fatalf("point %d dumps a replay that did not fail", f.Point.Index)
@@ -376,37 +386,20 @@ func serial(n int, fn func(i int)) {
 	}
 }
 
-// toyPlan is a fault plan with one dimension more than Plan: a bit that
-// sticks at the first sample taken at or after Stuck. It exists only in
-// this test, which shows that a new fault dimension costs one plan field
-// and one check — the engine bisects, replays and reports it unchanged.
-type toyPlan struct {
-	fault.Plan
-	Stuck fault.Trigger
-}
-
 // toyResult lists the sample instants still corrupt when the run ends.
-type toyResult struct {
-	Corrupt []int64
-	Err     string
-}
+type toyResult struct{ Corrupt []int64 }
 
-func (r toyResult) Violation() bool { return len(r.Corrupt) > 0 || r.Err != "" }
-func (r toyResult) Harness() bool   { return r.Err != "" }
-func (r toyResult) Verdict() string { return fmt.Sprintf("corrupt=%v err=%q", r.Corrupt, r.Err) }
+func (r toyResult) Violation() bool { return len(r.Corrupt) > 0 }
+func (r toyResult) Verdict() string { return fmt.Sprintf("corrupt=%v", r.Corrupt) }
 func (r toyResult) FailedAt() int   { return -1 }
-func (r toyResult) Broken(why string) toyResult {
-	r.Err = why
-	return r
-}
 
-// toyCheck samples every 10 µs for 1 ms. The stuck bit corrupts the
-// first sample at or after the plan's Stuck instant, and a scrub at
+// toyCheck samples every 10 µs for 1 ms. A bit sticks at the first
+// sample taken at or after the plan's power-loss instant, and a scrub at
 // 400 µs repairs what is corrupt by then — so a bit that sticks later
 // than 400 µs is a violation, and the minimal one sticks at 400 µs + 1 ns.
-func toyCheck(env *sim.Env, pt fault.Point[struct{}, toyPlan]) toyResult {
+func toyCheck(env *sim.Env, pt fault.Point[struct{}]) (toyResult, error) {
 	var r toyResult
-	stuck, hit := pt.Plan.Stuck.At, false
+	stuck, hit := pt.Plan.PowerLoss.At, false
 	env.Go("toy", func(p *sim.Proc) {
 		for k := 0; k < 100; k++ {
 			sp := obs.Of(env).Tracer().BeginProc(p, "toy", "sample")
@@ -421,24 +414,24 @@ func toyCheck(env *sim.Env, pt fault.Point[struct{}, toyPlan]) toyResult {
 		}
 	})
 	env.Run()
-	return r
+	return r, nil
 }
 
-// TestToyDimensionShrinksAndReplays: a campaign over the toy dimension
-// needs nothing of the engine but its plan type, its check and its
-// summary. The violating points are replayed with a dump, and the first
-// shrinks to the smallest Stuck instant that still fails.
+// TestToyDimensionShrinksAndReplays: a campaign needs nothing of the
+// engine but its points, its check and its summary. The violating
+// points are replayed with a dump, and the first shrinks to the
+// smallest power-loss instant that still fails.
 func TestToyDimensionShrinksAndReplays(t *testing.T) {
-	c := &fault.Campaign[struct{}, toyPlan, toyResult]{
-		Points: func() ([]fault.Point[struct{}, toyPlan], error) {
-			var pts []fault.Point[struct{}, toyPlan]
+	c := &fault.Campaign[struct{}, toyResult]{
+		Points: func() ([]fault.Point[struct{}], error) {
+			var pts []fault.Point[struct{}]
 			for i, us := range []sim.Time{700, 900, 200} {
-				pts = append(pts, fault.Point[struct{}, toyPlan]{Index: i, Plan: toyPlan{Stuck: fault.Trigger{At: us * sim.Time(sim.Microsecond)}}})
+				pts = append(pts, fault.Point[struct{}]{Index: i, Plan: fault.Plan{PowerLoss: fault.Trigger{At: us * sim.Time(sim.Microsecond)}}})
 			}
 			return pts, nil
 		},
 		Check: toyCheck,
-		Summary: func(w io.Writer, rep *fault.Report[struct{}, toyPlan, toyResult]) error {
+		Summary: func(w io.Writer, rep *fault.Report[struct{}, toyResult]) error {
 			_, err := fmt.Fprintf(w, "toy: %d points\n", len(rep.Findings))
 			return err
 		},
@@ -450,7 +443,7 @@ func TestToyDimensionShrinksAndReplays(t *testing.T) {
 	if v := rep.Violations(); len(v) != 2 || v[0].Point.Index != 0 || v[1].Point.Index != 1 || v[0].Flight == nil {
 		t.Fatalf("violations %+v, want points 0 and 1 with dumps", v)
 	}
-	if s := rep.Shrunk; s == nil || s.Point.Plan.Stuck != (fault.Trigger{At: 400_001}) || s.Flight == nil {
+	if s := rep.Shrunk; s == nil || s.Point.Plan.PowerLoss != (fault.Trigger{At: 400_001}) || s.Flight == nil {
 		t.Fatalf("shrunk to %+v, want the bit stuck at 400 µs + 1 ns, dumped", s)
 	}
 	var buf bytes.Buffer
@@ -458,7 +451,7 @@ func TestToyDimensionShrinksAndReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"toy: 3 points\n", "  VIOLATION test/row/1 seed 0x0 trigger t=900000ns: corrupt=[900000]",
-		"  minimal failing test/row/0 seed 0x0 trigger t=400001ns: corrupt=[410000]", "flight recorder: test/row/0 seed 0x0 trigger t=400001ns: corrupt=[410000] err=\"\" ("} {
+		"  minimal failing test/row/0 seed 0x0 trigger t=400001ns: corrupt=[410000]", "flight recorder: test/row/0 seed 0x0 trigger t=400001ns: corrupt=[410000] ("} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("report lacks %q:\n%s", want, buf.String())
 		}
@@ -485,7 +478,7 @@ func TestToyDimensionShrinksAndReplays(t *testing.T) {
 	if err := rep.Findings[2].WriteText(&clean); err != nil {
 		t.Fatal(err)
 	}
-	if want := "test/row/2 seed 0x0 trigger t=200000ns: corrupt=[] err=\"\"\n"; clean.String() != want {
+	if want := "test/row/2 seed 0x0 trigger t=200000ns: corrupt=[]\n"; clean.String() != want {
 		t.Errorf("clean point renders %q, want %q", clean.String(), want)
 	}
 	if _, err := c.RunPoint(serial, "test/row", 3); err == nil {
@@ -494,16 +487,16 @@ func TestToyDimensionShrinksAndReplays(t *testing.T) {
 }
 
 // faultingCycle commits a key per microsecond and recovers every one.
-// The planted bug: on the point whose plan cuts the dump, its first Step
-// starts a drain process that panics — a stack bug that faults a
-// simulated process.
+// The planted bug: on a point whose plan cuts the dump (after at most 7
+// pages), its first Step starts a drain process that panics — a stack
+// bug that faults a simulated process.
 type faultingCycle struct {
 	env       *sim.Env
 	committed []string
 }
 
 func (c *faultingCycle) Step(p *sim.Proc, i int) (string, error) {
-	if i == 0 && fault.Of(c.env).DumpCut(1) {
+	if i == 0 && fault.Of(c.env).DumpCut(7) {
 		c.env.Go("planted.drain", func(*sim.Proc) { panic("gc relocation: planted") })
 	}
 	p.Sleep(sim.Microsecond)
@@ -513,6 +506,7 @@ func (c *faultingCycle) Step(p *sim.Proc, i int) (string, error) {
 func (c *faultingCycle) Stage(*sim.Proc) (string, error)               { return "", nil }
 func (c *faultingCycle) Crash(*sim.Proc) (bool, error)                 { return true, nil }
 func (c *faultingCycle) Recover(*sim.Proc) ([]string, []string, error) { return c.committed, nil, nil }
+func (c *faultingCycle) Audit() error                                  { return nil }
 
 // TestProcessFaultIsAViolation: a simulated process that faults at one
 // point of a sweep is that point's violation, naming the fault, with
@@ -522,25 +516,21 @@ func (c *faultingCycle) Recover(*sim.Proc) ([]string, []string, error) { return 
 func TestProcessFaultIsAViolation(t *testing.T) {
 	c := &fault.Crash{
 		Name: "faulting", Points: 4, Ops: 4, Seed: 0x2b55,
-		Build: func(env *sim.Env, _ *sim.Proc) (fault.Cycle, error) { return &faultingCycle{env: env}, nil },
-		Tweak: func(i int, plan *fault.Plan) {
-			if i == 2 {
-				plan.CutDumpAfterPages = 1
-			}
-		},
+		Build:    func(env *sim.Env, _ *sim.Proc) (fault.Cycle, error) { return &faultingCycle{env: env}, nil },
+		CutDumps: true, // point 3 alone
 	}
 	rep, err := c.Campaign().Run(serial, "test/row")
 	if err != nil {
 		t.Fatal(err)
 	}
 	v := rep.Violations()
-	if len(rep.Findings) != 4 || len(v) != 1 || v[0].Point.Index != 2 {
-		t.Fatalf("%d points, violations %+v; want 4 points and point 2 alone violating", len(rep.Findings), v)
+	if len(rep.Findings) != 4 || len(v) != 1 || v[0].Point.Index != 3 {
+		t.Fatalf("%d points, violations %+v; want 4 points and point 3 alone violating", len(rep.Findings), v)
 	}
 	const fault = `sim: process "planted.drain" faulted: gc relocation: planted`
-	if !strings.Contains(v[0].Result.Err, fault) || !v[0].Result.Harness() || v[0].Flight == nil || rep.Shrunk != nil {
-		t.Fatalf("point 2: err %q, dump %v, shrunk %v; want the fault named, a dump and no shrink",
-			v[0].Result.Err, v[0].Flight != nil, rep.Shrunk)
+	if !strings.Contains(v[0].Err, fault) || v[0].Flight == nil || rep.Shrunk != nil {
+		t.Fatalf("point 3: err %q, dump %v, shrunk %v; want the fault named, a dump and no shrink",
+			v[0].Err, v[0].Flight != nil, rep.Shrunk)
 	}
 	var buf bytes.Buffer
 	if err := rep.WriteText(&buf); err != nil {
@@ -548,10 +538,10 @@ func TestProcessFaultIsAViolation(t *testing.T) {
 	}
 	// The dump is headed by the point's address and the harness
 	// failure: nothing was lost.
-	if r, want := v[0].Flight.Reason, fmt.Sprintf("test/row/2 seed %#x trigger %s: %s", v[0].Point.Seed, v[0].Point.Plan.PowerLoss, v[0].Result.Verdict()); r != want || !strings.HasSuffix(r, fmt.Sprintf("err=%q", v[0].Result.Err)) {
+	if r, want := v[0].Flight.Reason, fmt.Sprintf("test/row/3 seed %#x trigger %s: lost=0 [] phantom=0 [] err=%q", v[0].Point.Seed, v[0].Point.Plan.PowerLoss, v[0].Err); r != want {
 		t.Errorf("flight dump reason %q; want %q, naming the harness failure", r, want)
 	}
-	for _, want := range []string{"violations: 1\n", fmt.Sprintf("  VIOLATION test/row/2 seed %#x trigger ", v[0].Point.Seed), "faulted: gc relocation: planted", "flight recorder: "} {
+	for _, want := range []string{"violations: 1\n", fmt.Sprintf("  VIOLATION test/row/3 seed %#x trigger ", v[0].Point.Seed), "faulted: gc relocation: planted", "flight recorder: "} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("report lacks %q:\n%s", want, buf.String())
 		}

@@ -34,13 +34,10 @@ type Cycle interface {
 	// that were never appended, or whose content differs from any
 	// appended value.
 	Recover(p *sim.Proc) (recovered, phantoms []string, err error)
-}
-
-// Auditor is an optional Cycle extension for workloads whose stack can
-// check its own invariants (an FTL's page map). After a successful
-// Recover the campaign runs Audit; an error is a campaign violation,
-// shrunk and dumped like any other durability break.
-type Auditor interface {
+	// Audit checks the stack's own invariants (its drive's page map,
+	// write buffer and mapping table) after a successful Recover; an
+	// error is a violation, shrunk and dumped like any other durability
+	// break.
 	Audit() error
 }
 
@@ -60,18 +57,16 @@ type Crash struct {
 	// Build constructs the device stack and workload on env, whose
 	// injector already holds the point's plan.
 	Build func(env *sim.Env, p *sim.Proc) (Cycle, error)
-
-	// Tweak optionally adjusts one point's fault plan as the point is
-	// generated (e.g. cutting the capacitor dump short on a subset of
-	// points so recovery must repair torn tails). The plan arrives with
-	// Seed and the PowerLoss trigger already set.
-	Tweak func(i int, plan *Plan)
+	// CutDumps cuts the capacitor dump short on every fifth point (i%5
+	// == 3, after 1 + i%7 pages), so recovery also faces half-dumped BA
+	// buffers and must repair torn tails.
+	CutDumps bool
 }
 
 // CrashPoint and CrashReport are the engine's types for the crash kind.
 type (
-	CrashPoint  = Point[struct{}, Plan]
-	CrashReport = Report[struct{}, Plan, PointResult]
+	CrashPoint  = Point[struct{}]
+	CrashReport = Report[struct{}, PointResult]
 )
 
 // reportSeries are the registry counters the report totals over every
@@ -93,26 +88,22 @@ type PointResult struct {
 	Persisted      bool
 	DumpEnergyJ    float64
 
-	Lost    []string // committed keys missing after recovery (sorted)
-	Phantom []string // recovered keys never appended / wrong content (sorted)
-	Audit   string   // the stack's failed self-check after recovery ("" = passed)
-	Err     string
+	Lost    []string                  // committed keys missing after recovery (sorted)
+	Phantom []string                  // recovered keys never appended / wrong content (sorted)
+	Audit   string                    // the stack's failed self-check after recovery ("" = passed)
 	Series  [len(reportSeries)]uint64 // the point's reportSeries values
 }
 
 // Violation reports whether the point breaks the durability contract:
 // a committed record lost despite a persisted dump, any phantom
-// record, a failed audit, or a harness error.
+// record, or a failed audit.
 func (pr PointResult) Violation() bool {
-	return (pr.Persisted && len(pr.Lost) > 0) || len(pr.Phantom) > 0 || pr.Audit != "" || pr.Err != ""
+	return (pr.Persisted && len(pr.Lost) > 0) || len(pr.Phantom) > 0 || pr.Audit != ""
 }
 
-// Harness reports a harness error: a violation never shrunk.
-func (pr PointResult) Harness() bool { return pr.Err != "" }
-
-// Verdict lists what recovery lost and revived, and what failed.
+// Verdict lists what recovery lost and revived, and the failed audit.
 func (pr PointResult) Verdict() string {
-	s := fmt.Sprintf("lost=%d %v phantom=%d %v err=%q", len(pr.Lost), pr.Lost, len(pr.Phantom), pr.Phantom, pr.Err)
+	s := fmt.Sprintf("lost=%d %v phantom=%d %v", len(pr.Lost), pr.Lost, len(pr.Phantom), pr.Phantom)
 	if pr.Audit != "" {
 		s += fmt.Sprintf(" audit=%q", pr.Audit)
 	}
@@ -122,15 +113,9 @@ func (pr PointResult) Verdict() string {
 // FailedAt is -1: a crash point makes no choices.
 func (pr PointResult) FailedAt() int { return -1 }
 
-// Broken returns the result with the harness error why.
-func (pr PointResult) Broken(why string) PointResult {
-	pr.Err = why
-	return pr
-}
-
 // Campaign returns the engine's campaign for the sweep.
-func (c *Crash) Campaign() *Campaign[struct{}, Plan, PointResult] {
-	return &Campaign[struct{}, Plan, PointResult]{
+func (c *Crash) Campaign() *Campaign[struct{}, PointResult] {
+	return &Campaign[struct{}, PointResult]{
 		Points:  c.points,
 		Check:   c.check,
 		Summary: c.summary,
@@ -139,7 +124,7 @@ func (c *Crash) Campaign() *Campaign[struct{}, Plan, PointResult] {
 
 // points runs the fault-free profile pass and derives every point's
 // plan: its trigger, its seed (decorrelated from the point order so
-// results do not depend on scheduling) and the Tweak.
+// results do not depend on scheduling) and, with CutDumps, its dump cut.
 func (c *Crash) points() ([]CrashPoint, error) {
 	if c.Points <= 0 || c.Ops <= 0 || c.Build == nil {
 		return nil, fmt.Errorf("fault: campaign %q needs Points, Ops and Build", c.Name)
@@ -194,8 +179,8 @@ func (c *Crash) points() ([]CrashPoint, error) {
 		if cl.time {
 			plan.PowerLoss = Trigger{At: sim.Time(n)}
 		}
-		if c.Tweak != nil {
-			c.Tweak(i, &plan)
+		if c.CutDumps && i%5 == 3 {
+			plan.CutDumpAfterPages = 1 + i%7
 		}
 		pts[i] = CrashPoint{Index: i, Seed: plan.Seed, Plan: plan}
 	}
@@ -203,15 +188,15 @@ func (c *Crash) points() ([]CrashPoint, error) {
 }
 
 // check runs one crash point on env: the workload steps until the
-// injector trips, stages, crashes, recovers and is verified.
-func (c *Crash) check(env *sim.Env, _ CrashPoint) PointResult {
-	var pr PointResult
+// injector trips, stages, crashes, recovers and is verified. An error
+// of the workload's own is the point's harness failure.
+func (c *Crash) check(env *sim.Env, _ CrashPoint) (pr PointResult, perr error) {
 	in := Of(env)
 	reg := obs.Of(env).Registry()
 	env.Go("fault.point", func(p *sim.Proc) {
 		cyc, err := c.Build(env, p)
 		if err != nil {
-			pr.Err = fmt.Sprintf("build: %v", err)
+			perr = fmt.Errorf("build: %w", err)
 			return
 		}
 		var committed []string
@@ -221,7 +206,7 @@ func (c *Crash) check(env *sim.Env, _ CrashPoint) PointResult {
 			}
 			key, err := cyc.Step(p, k)
 			if err != nil {
-				pr.Err = fmt.Sprintf("step %d: %v", k, err)
+				perr = fmt.Errorf("step %d: %w", k, err)
 				return
 			}
 			committed = append(committed, key)
@@ -230,24 +215,22 @@ func (c *Crash) check(env *sim.Env, _ CrashPoint) PointResult {
 		in.Disarm()
 		staged, err := cyc.Stage(p)
 		if err != nil {
-			pr.Err = fmt.Sprintf("stage: %v", err)
+			perr = fmt.Errorf("stage: %w", err)
 			return
 		}
 		persisted, err := cyc.Crash(p)
 		if err != nil {
-			pr.Err = fmt.Sprintf("crash: %v", err)
+			perr = fmt.Errorf("crash: %w", err)
 			return
 		}
 		pr.Persisted, pr.DumpEnergyJ = persisted, reg.Gauge("2bssd.dump_energy_j").Value()
 		recovered, phantoms, err := cyc.Recover(p)
 		if err != nil {
-			pr.Err = fmt.Sprintf("recover: %v", err)
+			perr = fmt.Errorf("recover: %w", err)
 			return
 		}
-		if a, ok := cyc.(Auditor); ok {
-			if err := a.Audit(); err != nil {
-				pr.Audit = err.Error()
-			}
+		if err := cyc.Audit(); err != nil {
+			pr.Audit = err.Error()
 		}
 		rec := make(map[string]bool, len(recovered))
 		for _, k := range recovered {
@@ -268,7 +251,7 @@ func (c *Crash) check(env *sim.Env, _ CrashPoint) PointResult {
 		}
 	})
 	env.Run()
-	return pr
+	return pr, perr
 }
 
 // summary writes the crash report's own lines: the sweep, its trigger

@@ -142,6 +142,11 @@ type Plan struct {
 	CutDumpAfterPages int
 }
 
+// triggers lists the plan's Trigger fields: the thresholds the
+// campaign shrinker bisects and a finding's line names. A new trigger
+// is one more field of Plan and one more entry here.
+func (p *Plan) triggers() []*Trigger { return []*Trigger{&p.PowerLoss} }
+
 // ReadDisturb is the injector's verdict on one NAND page read.
 type ReadDisturb struct {
 	Retries       int          // read-retry steps taken

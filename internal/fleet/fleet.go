@@ -739,7 +739,7 @@ type Result struct {
 	Devices  []DeviceResult
 	Failover *FailoverResult
 	Events   uint64
-	Audit    string // the lease table's failed end-of-run audit ("" = passed)
+	Audit    string // the failed end-of-run audit of the up devices ("" = passed)
 }
 
 // Violations lists every broken invariant: lost or phantom records,
@@ -776,9 +776,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	g.Run()
 	res := buildResult(fr, g.Events())
-	if err := fr.Audit(); err != nil {
-		res.Audit = err.Error()
-	}
 	g.Shutdown()
 	return res, nil
 }
@@ -835,19 +832,23 @@ func build(cfg Config) (*fleetRT, *sim.Group, error) {
 	return fr, g, nil
 }
 
-// Audit checks the lease table of every up device against the router:
+// Audit checks every up device: its lease table against the router —
 // each slot's holder is a stream of that device whose lease names that
-// slot; no stream holds two slots, or holds one while it waits; and
-// each tenant's WAL stream lives on the primary router.Place gives it,
-// its redo stream on the follower. It is pure: no yields, no allocation
-// on success, no registry writes. A crashed device's table stopped at
-// the cut and is not read.
+// slot; no stream holds two slots, or holds one while it waits — then
+// its drive (core.TwoBSSD.Audit); and each tenant's WAL stream lives on
+// the primary router.Place gives it, its redo stream on the follower.
+// It is pure: no yields, no allocation on success, no registry writes.
+// A crashed device stopped at the cut and is not read.
 func (fr *fleetRT) Audit() error {
 	for _, n := range fr.nodes {
 		if n.down {
 			continue
 		}
-		if err := n.slots.audit(); err != nil {
+		err := n.slots.audit()
+		if err == nil {
+			err = n.ssd.Audit()
+		}
+		if err != nil {
 			return fmt.Errorf("fleet audit: dev%d: %w", n.idx, err)
 		}
 	}
@@ -866,6 +867,8 @@ func (fr *fleetRT) Audit() error {
 	return nil
 }
 
+// buildResult gathers the outcome of the run fr made, its audit
+// included.
 func buildResult(fr *fleetRT, events uint64) *Result {
 	res := &Result{Events: events}
 	var fo *FailoverResult
@@ -915,6 +918,9 @@ func buildResult(fr *fleetRT, events uint64) *Result {
 		}
 	}
 	res.Failover = fo
+	if err := fr.Audit(); err != nil {
+		res.Audit = err.Error()
+	}
 	return res
 }
 

@@ -4,9 +4,12 @@ import (
 	"hash/crc32"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
+	"twobssd/internal/ftl"
 	"twobssd/internal/sim"
 	"twobssd/internal/traffic"
 	"twobssd/internal/wal"
@@ -324,9 +327,10 @@ func TestMediaCheckMatchesMapReference(t *testing.T) {
 	}
 }
 
-// TestFleetAudit runs a crashed fleet, audits its lease tables clean
-// without allocating, then plants one break of each invariant in turn:
-// the audit names each.
+// TestFleetAudit runs a crashed fleet, audits its lease tables and
+// drives clean without allocating, then plants one break of each
+// invariant in turn: the audit names each, and a drive fault on an up
+// device is a violation of the run's result.
 func TestFleetAudit(t *testing.T) {
 	cfg := testConfig(3, 4, 60)
 	cfg.Crash = &CrashSpec{Device: -1, At: sim.Time(sim.Millisecond)}
@@ -383,4 +387,37 @@ func TestFleetAudit(t *testing.T) {
 	if err := fr.Audit(); err != nil {
 		t.Fatalf("after the plants: %v", err)
 	}
+	// The drive's own fields, reached the way a bug would.
+	vc := field(up.ssd.Device().FTL(), "validCount").Index(0)
+	byLBA := field(up.ssd.Device(), "byLBA")
+	last := reflect.ValueOf(ftl.LBA(up.ssd.Device().Pages() - 1))
+	if byLBA.MapIndex(last).IsValid() {
+		t.Fatal("the planted LBA is buffered")
+	}
+	for _, plant := range []struct {
+		name, want string
+		do, undo   func()
+	}{
+		{"a block's valid count drifts", "page map audit: ftl: block 0: validCount",
+			func() { vc.SetInt(vc.Int() + 1) }, func() { vc.SetInt(vc.Int() - 1) }},
+		{"a buffer record holds no copy", "write buffer audit: ",
+			func() { byLBA.SetMapIndex(last, reflect.New(byLBA.Type().Elem().Elem())) },
+			func() { byLBA.SetMapIndex(last, reflect.Value{}) }},
+	} {
+		plant.do()
+		v := buildResult(fr, g.Events()).Violations()
+		plant.undo()
+		if !slices.ContainsFunc(v, func(s string) bool { return strings.Contains(s, plant.want) }) {
+			t.Errorf("%s: violations %q, want one naming %q", plant.name, v, plant.want)
+		}
+	}
+	if v := buildResult(fr, g.Events()).Violations(); len(v) != 0 {
+		t.Fatalf("after the drive plants: %q", v)
+	}
+}
+
+// field is a settable view of s's unexported field name.
+func field(s any, name string) reflect.Value {
+	f := reflect.ValueOf(s).Elem().FieldByName(name)
+	return reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
 }

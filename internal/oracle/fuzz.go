@@ -156,24 +156,13 @@ type Result struct {
 	// GCRelocations counts the valid pages garbage collection moved: how
 	// much of the run had relocation under it (0 unless GCActive).
 	GCRelocations uint64
-	// Err is a harness failure: a traced replay that did not reproduce
-	// the run.
-	Err string
 }
 
-// Violation reports a divergence or a harness failure.
-func (r Result) Violation() bool { return r.Divergence != nil || r.Err != "" }
+// Violation reports a divergence.
+func (r Result) Violation() bool { return r.Divergence != nil }
 
-// Harness reports a harness failure.
-func (r Result) Harness() bool { return r.Err != "" }
-
-// Verdict is the divergence, or the harness failure.
-func (r Result) Verdict() string {
-	if r.Err != "" {
-		return r.Err
-	}
-	return r.Divergence.String()
-}
+// Verdict is the divergence.
+func (r Result) Verdict() string { return r.Divergence.String() }
 
 // FailedAt is the diverging op's index, or -1 (no divergence, or one
 // the final-state sweep found).
@@ -184,17 +173,11 @@ func (r Result) FailedAt() int {
 	return r.Divergence.OpIndex
 }
 
-// Broken returns the result with the harness failure why.
-func (r Result) Broken(why string) Result {
-	r.Err = why
-	return r
-}
-
 // Point, Report and Sweep are the engine's types for the fuzz kind.
 type (
-	Point  = fault.Point[Op, fault.Plan]
-	Report = fault.Report[Op, fault.Plan, Result]
-	Sweep  = fault.Campaign[Op, fault.Plan, Result]
+	Point  = fault.Point[Op]
+	Report = fault.Report[Op, Result]
+	Sweep  = fault.Campaign[Op, Result]
 )
 
 // Campaign returns the fuzz campaign of a profile: seeds 0..seeds-1,
@@ -209,7 +192,7 @@ func Campaign(cfg Config, seeds int) *Sweep {
 			}
 			return pts, nil
 		},
-		Check:   func(env *sim.Env, pt Point) Result { return check(env, pt, cfg) },
+		Check:   func(env *sim.Env, pt Point) (Result, error) { return check(env, pt, cfg), nil },
 		Summary: func(w io.Writer, rep *Report) error { return summary(w, rep, cfg) },
 	}
 }
@@ -602,17 +585,10 @@ func powerCycle(p *sim.Proc, s *core.TwoBSSD, m *Model) *Divergence {
 	return compareEntries(s, m, "post-recovery")
 }
 
-// audit runs the stack's three self-checks: the FTL's page map, the BA
-// mapping table and the write buffer.
+// audit runs the drive's self-check (core.TwoBSSD.Audit).
 func audit(s *core.TwoBSSD) *Divergence {
-	if err := s.Device().FTL().Audit(); err != nil {
-		return &Divergence{Detail: fmt.Sprintf("page map audit: %v", err)}
-	}
 	if err := s.Audit(); err != nil {
-		return &Divergence{Detail: fmt.Sprintf("mapping table audit: %v", err)}
-	}
-	if err := s.Device().Audit(); err != nil {
-		return &Divergence{Detail: fmt.Sprintf("write buffer audit: %v", err)}
+		return &Divergence{Detail: err.Error()}
 	}
 	return nil
 }

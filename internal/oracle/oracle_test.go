@@ -1,8 +1,10 @@
 package oracle
 
 import (
+	"errors"
 	"io"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"unsafe"
@@ -74,21 +76,17 @@ func TestFuzzDeterministic(t *testing.T) {
 // op trace — a handful of ops, necessarily containing a pin.
 func TestBuggyCheckerCaughtAndShrunk(t *testing.T) {
 	cfg := Config{BuggyChecker: true}
-	var seed uint64
-	var found *Result
-	for seed = 0; seed < 32; seed++ {
-		res := run(seed, cfg)
-		if res.Divergence != nil {
-			found = &res
-			break
-		}
+	c := Campaign(cfg, 0)
+	var found fault.Finding[Op, Result]
+	for seed := uint64(0); seed < 32 && !found.Violation(); seed++ {
+		found = c.Trial(NewPoint(seed, cfg), false)
 	}
-	if found == nil {
+	if !found.Violation() {
 		t.Fatal("buggy checker never diverged across 32 seeds; oracle is blind")
 	}
-	c := Campaign(cfg, 0)
-	pt, res := c.Shrink(NewPoint(seed, cfg), *found)
-	if res.Divergence == nil {
+	s := c.Shrink(found)
+	pt, res := s.Point, s.Result
+	if res.Divergence == nil || s.Err != "" {
 		t.Fatal("shrink lost the divergence")
 	}
 	if len(pt.Choices) > 5 {
@@ -104,8 +102,8 @@ func TestBuggyCheckerCaughtAndShrunk(t *testing.T) {
 		t.Fatalf("minimal trace %v has no pin; checker bug needs one", pt.Choices)
 	}
 	// The minimal trace must reproduce on the traced replay, which dumps it.
-	if again, dump := c.Replay(pt, res); again.Harness() || dump == nil {
-		t.Fatalf("minimal trace does not reproduce: %v", again.Verdict())
+	if again := c.Trial(pt, true); again.Err != "" || again.Flight == nil || again.Result.Verdict() != res.Verdict() {
+		t.Fatalf("minimal trace does not reproduce: %v", again.Result.Verdict())
 	}
 	t.Logf("shrunk to %d ops: %v (%v)", len(pt.Choices), pt.Choices, res.Divergence)
 }
@@ -127,20 +125,21 @@ func TestDivergenceStrings(t *testing.T) {
 }
 
 // A violating point's flight dump is headed by its finding's line: the
-// address that replays it, then what failed. A harness failure (a
-// faulted process, a replay that did not reproduce) names its error,
-// not an empty divergence.
+// address that replays it, then what failed. A harness failure (a Check
+// error, a faulted process, a replay that did not reproduce) ends the
+// line with its error.
 func TestReasonNamesHarnessFailures(t *testing.T) {
 	const faulted = `sim: process "drain" faulted: boom`
 	d := &Divergence{Seed: 7, OpIndex: 3, Op: "pin eid=1", Detail: "boom"}
 	for _, c := range []struct {
 		r    Result
+		err  string
 		want string
 	}{
-		{Result{Err: faulted}, faulted},
-		{Result{Divergence: d}, d.String()},
+		{Result{}, faulted, `<none> err="sim: process \"drain\" faulted: boom"`},
+		{Result{Divergence: d}, "", d.String()},
 	} {
-		f := fault.Finding[Op, fault.Plan, Result]{Point: Point{Index: 7, Seed: 7}, Addr: "fuzz-smoke/oracle/7", Result: c.r}
+		f := fault.Finding[Op, Result]{Point: Point{Index: 7, Seed: 7}, Addr: "fuzz-smoke/oracle/7", Result: c.r, Err: c.err}
 		var b strings.Builder
 		if err := f.WriteText(&b); err != nil {
 			t.Fatal(err)
@@ -151,7 +150,7 @@ func TestReasonNamesHarnessFailures(t *testing.T) {
 	}
 	// A real violation's dump carries the same line.
 	rep, err := (&Sweep{Points: func() ([]Point, error) { return []Point{NewPoint(3, Config{})}, nil },
-		Check:   func(env *sim.Env, pt Point) Result { return Result{Err: faulted} },
+		Check:   func(*sim.Env, Point) (Result, error) { return Result{}, errors.New(faulted) },
 		Summary: func(io.Writer, *Report) error { return nil }}).Run(func(n int, fn func(int)) {
 		for i := 0; i < n; i++ {
 			fn(i)
@@ -160,7 +159,7 @@ func TestReasonNamesHarnessFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := rep.Violations(); len(v) != 1 || v[0].Flight == nil || v[0].Flight.Reason != "fuzz-smoke/oracle/3 seed 0x3: "+faulted {
+	if v := rep.Violations(); len(v) != 1 || v[0].Flight == nil || v[0].Flight.Reason != "fuzz-smoke/oracle/3 seed 0x3: <none> err="+strconv.Quote(faulted) || rep.Shrunk != nil {
 		t.Fatalf("violations %+v; want point 3 with its line heading the dump", v)
 	}
 }
@@ -249,8 +248,7 @@ func TestFillPatternMatchesByteLoop(t *testing.T) {
 
 // run checks seed's point once, untraced, on a fresh environment.
 func run(seed uint64, cfg Config) Result {
-	r, _ := Campaign(cfg, 0).Trial(NewPoint(seed, cfg), false)
-	return r
+	return Campaign(cfg, 0).Trial(NewPoint(seed, cfg), false).Result
 }
 
 // The model learns a loss from the stack and then predicts it: a page
