@@ -8,5 +8,5 @@ import (
 
 // The example prints exactly the output pinned by its SHA-256.
 func TestOutput(t *testing.T) {
-	golden.Stdout(t, "0fa164a0e19d90f19d936b196351f995a4af2bc5ae2c1466d29a091f4158a3e6", main)
+	golden.Stdout(t, "72ffc2078eb97bb3b8c1d1923d4fd47710f7a47459f8464935de11e8cb475ad8", main)
 }

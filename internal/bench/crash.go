@@ -279,14 +279,15 @@ func (c *lsmCrash) Step(p *sim.Proc, i int) (string, error) {
 // Stage: a Put is commit-or-nothing in the LSM port; no uncommitted path.
 func (c *lsmCrash) Stage(p *sim.Proc) (string, error) { return "", nil }
 
+// Recover reopens the store, keeping the reopened DB for Audit, and
+// probes every planned key.
 func (c *lsmCrash) Recover(p *sim.Proc) (recovered, phantoms []string, err error) {
-	db, err := lsm.Open(c.env, p, c.cfg)
-	if err != nil {
+	if c.db, err = lsm.Open(c.env, p, c.cfg); err != nil {
 		return nil, nil, err
 	}
 	for i := 0; i < c.ops; i++ {
 		key := crashKey("lsm", i)
-		v, found, err := db.Get(p, []byte(key))
+		v, found, err := c.db.Get(p, []byte(key))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -300,6 +301,15 @@ func (c *lsmCrash) Recover(p *sim.Proc) (recovered, phantoms []string, err error
 		}
 	}
 	return recovered, phantoms, nil
+}
+
+// Audit checks the stack (stack.Audit), then the tree of the DB that
+// recovery reopened (lsm.DB.Audit).
+func (c *lsmCrash) Audit() error {
+	if err := c.stack.Audit(); err != nil {
+		return err
+	}
+	return c.db.Audit()
 }
 
 // ---- pglite: PostgreSQL-like engine, XLOG on the BA-buffer ---------

@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
@@ -372,15 +373,16 @@ func TestBlkGCCrashProfileCollects(t *testing.T) {
 }
 
 // plantedLSM is an lsm crash cycle whose recovery ends with plant run on
-// its stack: a state no working recovery leaves.
+// the cycle, its stack and the DB it reopened: a state no working
+// recovery leaves.
 type plantedLSM struct {
 	*lsmCrash
-	plant func(*stack)
+	plant func(*lsmCrash)
 }
 
 func (c plantedLSM) Recover(p *sim.Proc) ([]string, []string, error) {
 	rec, ph, err := c.lsmCrash.Recover(p)
-	c.plant(c.stack)
+	c.plant(c.lsmCrash)
 	return rec, ph, err
 }
 
@@ -426,8 +428,8 @@ func plantedAuditRun(t *testing.T, row string, plant func(fault.Cycle) fault.Cyc
 }
 
 // plantedLSMAuditRun is plantedAuditRun over the crash-smoke lsm row,
-// plant run on the stack after each recovery.
-func plantedLSMAuditRun(t *testing.T, plant func(*stack), want string) {
+// plant run on the cycle after each recovery.
+func plantedLSMAuditRun(t *testing.T, plant func(*lsmCrash), want string) {
 	t.Helper()
 	plantedAuditRun(t, "lsm", func(c fault.Cycle) fault.Cycle { return plantedLSM{c.(*lsmCrash), plant} }, want)
 }
@@ -442,7 +444,7 @@ func field(s any, name string) reflect.Value {
 // page, a table no BAPin can build — fails the crash-smoke lsm row
 // through the stack's audit.
 func TestPlantedOverlapFailsCrashAudit(t *testing.T) {
-	plantedLSMAuditRun(t, func(s *stack) {
+	plantedLSMAuditRun(t, func(s *lsmCrash) {
 		table := field(s.ssd, "table").Interface().([]core.Entry)
 		n := len(table)
 		table[n-2] = core.Entry{ID: core.EID(n - 2), Offset: 0, LBA: 1000, Pages: 1}
@@ -454,7 +456,7 @@ func TestPlantedOverlapFailsCrashAudit(t *testing.T) {
 // copy, queued or in flight — fails the crash-smoke lsm row through the
 // stack's audit.
 func TestPlantedLeftoverBufferRecordFailsCrashAudit(t *testing.T) {
-	plantedLSMAuditRun(t, func(s *stack) {
+	plantedLSMAuditRun(t, func(s *lsmCrash) {
 		byLBA := field(s.ssd.Device(), "byLBA")
 		lba := reflect.ValueOf(ftl.LBA(s.ssd.Device().Pages() - 1))
 		if byLBA.MapIndex(lba).IsValid() {
@@ -462,6 +464,26 @@ func TestPlantedLeftoverBufferRecordFailsCrashAudit(t *testing.T) {
 		}
 		byLBA.SetMapIndex(lba, reflect.New(byLBA.Type().Elem().Elem()))
 	}, "keeps a buffer record with no copy")
+}
+
+// An L1 installed out of key order in the DB recovery reopened — what a
+// compaction that appends its outputs unsorted leaves — fails the
+// crash-smoke lsm row through the engine's audit.
+func TestPlantedOutOfOrderL1FailsCrashAudit(t *testing.T) {
+	plantedLSMAuditRun(t, func(c *lsmCrash) {
+		l1 := field(c.db, "levels").Index(1)
+		for i, keys := range [][2]string{{"lsm-b", "lsm-c"}, {"lsm-a", "lsm-a"}} {
+			f, err := c.dataFS.Create(fmt.Sprintf("planted-%d", i), 1)
+			if err != nil {
+				panic(err)
+			}
+			tb := reflect.New(l1.Type().Elem().Elem())
+			field(tb.Interface(), "file").Set(reflect.ValueOf(f))
+			field(tb.Interface(), "first").Set(reflect.ValueOf([]byte(keys[0])))
+			field(tb.Interface(), "last").Set(reflect.ValueOf([]byte(keys[1])))
+			l1.Set(reflect.Append(l1, tb))
+		}
+	}, "out of key order")
 }
 
 // A record left listed as storing after its store retired — what store

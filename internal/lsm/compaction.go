@@ -116,20 +116,21 @@ func (db *DB) compactLevel(p *sim.Proc, lvl int) error {
 	return db.dropTables(all)
 }
 
-// Audit checks the shape of the tree below L0: each level's tables are
-// sorted by first key, no two of them overlap, and every table's first
-// key is at most its last. A compaction builds a level's new table set
-// before it installs it, without yielding in between, so the invariants
-// hold whenever a proc can run. Audit does not yield, writes nothing to
-// the registry and allocates only the error it returns.
+// Audit checks the shape of the tree: every table's first key is at
+// most its last, and below L0 each level's tables are sorted by first
+// key and no two of them overlap (L0 tables are in age order and may
+// overlap). A compaction builds a level's new table set before it
+// installs it, without yielding in between, so the invariants hold
+// whenever a proc can run. Audit does not yield, writes nothing to the
+// registry and allocates only the error it returns.
 func (db *DB) Audit() error {
-	for lvl := 1; lvl < maxLevels; lvl++ {
+	for lvl := 0; lvl < maxLevels; lvl++ {
 		tables := db.levels[lvl]
 		for i, t := range tables {
 			if bytes.Compare(t.first, t.last) > 0 {
 				return fmt.Errorf("lsm: L%d table %s: first key %q after last %q", lvl, t.file.Name(), t.first, t.last)
 			}
-			if i == 0 {
+			if lvl == 0 || i == 0 {
 				continue
 			}
 			prev := tables[i-1]

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"twobssd/internal/core"
@@ -27,12 +28,18 @@ type Config struct {
 	SSD     *core.TwoBSSD
 	// EIDs/BufferOffset carve WAL slots out of the BA-buffer. Per the
 	// paper each RocksDB log file takes a quarter of the BA-buffer and
-	// at most two live at once; four slots rotate safely.
+	// at most two live at once; four slots rotate safely. Log file n
+	// takes slot n%len(EIDs) and pins that slot's one EID over a window
+	// at the slot's start: MemtableBytes rounded up to whole pages,
+	// capped at WALBytes. A memtable's log stays inside the window
+	// (logWindow), so a BA log pins, flushes and dumps only what a
+	// memtable can hold.
 	EIDs         []core.EID
 	BufferOffset int
 
 	// MemtableBytes triggers rotation; WALBytes sizes each log file
-	// (and each BA-buffer slot). WALBytes must exceed MemtableBytes.
+	// and each BA-buffer slot (the slot stride). WALBytes must exceed
+	// MemtableBytes.
 	MemtableBytes int
 	WALBytes      int
 
@@ -106,10 +113,8 @@ type DB struct {
 	mem      *memtable
 	imm      *memtable
 	walAct   *wal.Log
-	walImm   *wal.Log
 	actFile  *vfs.File
-	immFile  *vfs.File
-	rotation int
+	rotation int // number of the next log file
 	fileSeq  int
 
 	levels [maxLevels][]*table
@@ -154,7 +159,8 @@ func (db *DB) encScratch(n int) []byte {
 }
 
 // Open creates or recovers a DB. Existing WAL files on LogFS are
-// replayed (committed records only) into the new memtable.
+// replayed (committed records only) into the immutable memtable, which
+// a background flush writes out (recoverLogs).
 func Open(env *sim.Env, p *sim.Proc, cfg Config) (*DB, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
@@ -168,11 +174,22 @@ func Open(env *sim.Env, p *sim.Proc, cfg Config) (*DB, error) {
 		compactLock: env.NewResource("lsm.compact", 1),
 	}
 	db.mem = newMemtable(1, &db.memSpares)
-	if err := db.recoverLogs(p); err != nil {
+	// No manifest reopens the SSTs a previous incarnation left on
+	// DataFS, but new tables must not take their names.
+	for _, name := range cfg.DataFS.List() {
+		if n, ok := fileNum(name, sstName); ok {
+			db.fileSeq = max(db.fileSeq, n)
+		}
+	}
+	rec, logs, err := db.recoverLogs(p)
+	if err != nil {
 		return nil, err
 	}
 	if err := db.newWAL(p); err != nil {
 		return nil, err
+	}
+	if logs != nil {
+		db.startFlush(rec, logs)
 	}
 	return db, nil
 }
@@ -207,34 +224,75 @@ func walName(n int) string { return fmt.Sprintf("wal-%06d", n) }
 // sstName formats an SST file name.
 func sstName(n int) string { return fmt.Sprintf("sst-%06d", n) }
 
-// recoverLogs replays any WAL files left by a previous incarnation,
-// flushes the result to an SST and removes the logs.
-func (db *DB) recoverLogs(p *sim.Proc) error {
-	var names []string
-	for _, n := range db.cfg.LogFS.List() {
-		if strings.HasPrefix(n, "wal-") {
-			names = append(names, n)
+// fileNum returns the number n for which name == format(n), if any.
+func fileNum(name string, format func(int) string) (int, bool) {
+	prefix := strings.TrimSuffix(format(0), "000000")
+	n, err := strconv.Atoi(strings.TrimPrefix(name, prefix))
+	return n, err == nil && format(n) == name
+}
+
+// immLog is a log file holding records of the immutable memtable. The
+// flush that writes the memtable's SST retires it.
+type immLog struct {
+	log  *wal.Log
+	file *vfs.File
+}
+
+// logWindow is a BA log's pinned window: MemtableBytes rounded up to
+// whole pages, capped at WALBytes. Put rotates before a memtable's
+// charge (32 B per entry plus key and value) reaches MemtableBytes, and
+// a record costs 21 B of log plus the same key and value, so the log
+// stays 11 B per entry behind the charge: past a memtable's second
+// entry it is inside the window. Only a first or second record nearly
+// MemtableBytes long can pass the end (the first fails with
+// wal.ErrTooLarge, the second crosses into the file's next window).
+func (db *DB) logWindow() int {
+	ps := db.cfg.SSD.PageSize()
+	return min((db.cfg.MemtableBytes+ps-1)/ps*ps, db.cfg.WALBytes)
+}
+
+// walConfig places log file number n, held in f. A BA log takes
+// BA-buffer slot n%len(EIDs): the slot's one EID, pinned over a
+// logWindow at the slot's start.
+func (db *DB) walConfig(f *vfs.File, n int) wal.Config {
+	cfg := wal.Config{Mode: db.cfg.WALMode, File: f}
+	if db.cfg.WALMode == wal.BA {
+		slot := n % len(db.cfg.EIDs)
+		cfg.SSD = db.cfg.SSD
+		cfg.EIDs = db.cfg.EIDs[slot : slot+1]
+		cfg.SegmentBytes = db.logWindow()
+		cfg.BufferOffset = db.cfg.BufferOffset + slot*db.cfg.WALBytes
+	}
+	return cfg
+}
+
+// recoverLogs replays the WAL files a previous incarnation left, oldest
+// first, into one memtable and returns it with those logs, for Open to
+// hand to the background flush as imm: the DB serves the replayed
+// records at once, and the logs stay until their SST lands. New logs
+// are numbered past the highest recovered one.
+func (db *DB) recoverLogs(p *sim.Proc) (*memtable, []immLog, error) {
+	var nums []int
+	for _, name := range db.cfg.LogFS.List() {
+		if n, ok := fileNum(name, walName); ok {
+			nums = append(nums, n)
 		}
 	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		return nil
+	if len(nums) == 0 {
+		return nil, nil, nil
 	}
+	sort.Ints(nums)
 	rec := newMemtable(2, &db.memSpares)
-	for _, name := range names {
+	logs := make([]immLog, 0, len(nums))
+	for _, n := range nums {
+		name := walName(n)
 		f, err := db.cfg.LogFS.Open(name)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
-		cfg := wal.Config{Mode: db.cfg.WALMode, File: f}
-		if db.cfg.WALMode == wal.BA {
-			cfg.SSD = db.cfg.SSD
-			cfg.EIDs = db.cfg.EIDs[:1]
-			cfg.SegmentBytes = db.cfg.WALBytes
-		}
-		l, err := wal.Open(db.env, cfg)
+		l, err := wal.Open(db.env, db.walConfig(f, n))
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 		err = l.Recover(p, func(lsn wal.LSN, payload []byte) error {
 			typ, key, value, err := decodeRecord(payload)
@@ -249,42 +307,21 @@ func (db *DB) recoverLogs(p *sim.Proc) error {
 			return nil
 		})
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
+		logs = append(logs, immLog{l, f})
 	}
-	if rec.len() > 0 {
-		if err := db.writeSST(p, rec, 0); err != nil {
-			return err
-		}
-	}
-	rec.release()
-	for _, name := range names {
-		if err := db.cfg.LogFS.Remove(name); err != nil {
-			return err
-		}
-	}
-	return nil
+	db.rotation = nums[len(nums)-1] + 1
+	return rec, logs, nil
 }
 
 // newWAL opens a fresh log for the active memtable.
 func (db *DB) newWAL(p *sim.Proc) error {
-	name := walName(db.rotation)
-	f, err := db.cfg.LogFS.Create(name, int64(db.cfg.WALBytes))
+	f, err := db.cfg.LogFS.Create(walName(db.rotation), int64(db.cfg.WALBytes))
 	if err != nil {
 		return err
 	}
-	cfg := wal.Config{
-		Mode: db.cfg.WALMode,
-		File: f,
-	}
-	if db.cfg.WALMode == wal.BA {
-		slot := db.rotation % len(db.cfg.EIDs)
-		cfg.SSD = db.cfg.SSD
-		cfg.EIDs = []core.EID{db.cfg.EIDs[slot]}
-		cfg.SegmentBytes = db.cfg.WALBytes
-		cfg.BufferOffset = db.cfg.BufferOffset + slot*db.cfg.WALBytes
-	}
-	l, err := wal.Open(db.env, cfg)
+	l, err := wal.Open(db.env, db.walConfig(f, db.rotation))
 	if err != nil {
 		return err
 	}
@@ -320,7 +357,9 @@ func decodeRecord(payload []byte) (typ byte, key, value []byte, err error) {
 func (db *DB) Put(p *sim.Proc, key, value []byte) error {
 	p.Sleep(db.cfg.WriteCPU)
 	db.wlock.Acquire(p)
-	if db.mem.sizeBytes()+len(key)+len(value) >= db.cfg.MemtableBytes {
+	// Rotating an empty memtable frees nothing: a record that alone
+	// reaches MemtableBytes goes to the fresh log, or fails there.
+	if db.mem.len() > 0 && db.mem.sizeBytes()+len(key)+len(value) >= db.cfg.MemtableBytes {
 		if err := db.rotate(p); err != nil {
 			db.wlock.Release()
 			return err
@@ -349,43 +388,51 @@ func (db *DB) rotate(p *sim.Proc) error {
 		db.immDone.Wait(p)
 	}
 	db.stats.StallTime += sim.Duration(db.env.Now() - start)
-	db.imm = db.mem
-	db.walImm, db.immFile = db.walAct, db.actFile
-	db.mem = newMemtable(int64(db.rotation)+100, &db.memSpares)
+	imm, logs := db.mem, []immLog{{db.walAct, db.actFile}}
+	seed := int64(db.rotation) + 100
 	if err := db.newWAL(p); err != nil {
 		return err
 	}
+	db.mem = newMemtable(seed, &db.memSpares)
 	db.stats.MemtableRotations++
-	imm, immWAL, immFile := db.imm, db.walImm, db.immFile
+	db.startFlush(imm, logs)
+	return nil
+}
+
+// startFlush makes imm the immutable memtable and flushes it in the
+// background (flushImm). rotate and Open, with what recoverLogs
+// replayed, are its callers; logs are the files holding imm's records.
+func (db *DB) startFlush(imm *memtable, logs []immLog) {
+	db.imm = imm
 	db.env.Go("lsm.flush", func(w *sim.Proc) {
-		if err := db.flushImm(w, imm, immWAL, immFile); err != nil {
+		if err := db.flushImm(w, imm, logs); err != nil {
 			// Power died under the background flush (fault injection):
-			// the memtable's WAL survives on disk and recovery replays
-			// it; anything else is a modeling bug.
+			// the memtable's logs survive on disk and recovery replays
+			// them; anything else is a modeling bug.
 			if !errors.Is(err, core.ErrPowerIsOff) {
 				panic(fmt.Sprintf("lsm: flush: %v", err))
 			}
 		}
 	})
-	return nil
 }
 
 // flushImm writes the immutable memtable as an L0 SST, then retires
-// its WAL.
-func (db *DB) flushImm(p *sim.Proc, imm *memtable, l *wal.Log, f *vfs.File) error {
+// the logs holding its records.
+func (db *DB) flushImm(p *sim.Proc, imm *memtable, logs []immLog) error {
 	if err := db.writeSST(p, imm, 0); err != nil {
 		return err
 	}
-	// The SST is durable: the log is obsolete. Unpin (BA) and delete.
-	if err := l.FlushToNAND(p); err != nil {
-		return err
-	}
-	if err := db.cfg.LogFS.Remove(f.Name()); err != nil {
-		return err
+	// The SST is durable: the logs are obsolete. Unpin (BA) and delete.
+	for _, l := range logs {
+		if err := l.log.FlushToNAND(p); err != nil {
+			return err
+		}
+		if err := db.cfg.LogFS.Remove(l.file.Name()); err != nil {
+			return err
+		}
 	}
 	db.imm = nil
 	imm.release()
-	db.walImm, db.immFile = nil, nil
 	db.stats.Flushes++
 	db.immDone.Fire()
 	db.compactLock.Acquire(p)

@@ -372,8 +372,10 @@ func TestCompactionKeepsDataCorrect(t *testing.T) {
 }
 
 // Audit fails a tree whose L1 holds a table installed out of key order,
-// two overlapping tables or a table whose bounds are inverted. A sound
-// L1 passes, and the check allocates nothing.
+// two overlapping tables or a table whose bounds are inverted, and one
+// whose L0 holds a table with inverted bounds. A sound L1 passes, so do
+// overlapping L0 tables, which flushes make, and the check allocates
+// nothing.
 func TestAuditRejectsL1OutOfKeyOrder(t *testing.T) {
 	r := newDBRig()
 	r.env.Go("t", func(p *sim.Proc) {
@@ -397,21 +399,23 @@ func TestAuditRejectsL1OutOfKeyOrder(t *testing.T) {
 		inverted := *hi
 		inverted.first, inverted.last = hi.last, hi.first
 		for _, c := range []struct {
-			name string
-			l1   []*table
-			bad  bool
+			name   string
+			l0, l1 []*table
+			bad    bool
 		}{
-			{"sorted", []*table{ac, df, hi}, false},
-			{"out of key order", []*table{df, ac}, true},
-			{"overlapping", []*table{ac, df, eg}, true},
-			{"inverted bounds", []*table{ac, &inverted}, true},
+			{"sorted", nil, []*table{ac, df, hi}, false},
+			{"out of key order", nil, []*table{df, ac}, true},
+			{"overlapping", nil, []*table{ac, df, eg}, true},
+			{"inverted bounds", nil, []*table{ac, &inverted}, true},
+			{"L0 overlapping", []*table{df, eg}, nil, false},
+			{"L0 inverted bounds", []*table{df, &inverted}, nil, true},
 		} {
-			db.levels[1] = c.l1
+			db.levels[0], db.levels[1] = c.l0, c.l1
 			if err := db.Audit(); (err != nil) != c.bad {
 				t.Errorf("%s: Audit = %v", c.name, err)
 			}
 		}
-		db.levels[1] = []*table{ac, df, hi}
+		db.levels[0], db.levels[1] = []*table{df, eg}, []*table{ac, df, hi}
 		if n := testing.AllocsPerRun(100, func() { _ = db.Audit() }); n != 0 {
 			t.Errorf("Audit of a sound tree allocates %.1f objects", n)
 		}
