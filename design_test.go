@@ -83,13 +83,18 @@ var designRules = []rule{
 			"internal/fault/x.go\ntype Planner interface{ FaultPlan() Plan }", "internal/fault/x.go\nfunc (p Plan) FaultPlan() Plan { return p }",
 			"internal/fault/x.go\ntype Auditor interface{ Audit() error }", "internal/oracle/x.go\nfunc (r Result) Broken(why string) Result { return r }"}},
 	{name: "Faults a campaign sweeps",
-		bad: ident("^(ProgramFailOneIn|EraseFailOneIn|TimeoutOneIn|EnduranceCycles|ErrProgramFailed|ErrEraseFailed|ErrWornOut|maybeTimeout|retireBlock|SalvageRead|MarkBad|IsBad|ErrBadBlock)$"),
+		bad: ident("^(ProgramFailOneIn|EraseFailOneIn|TimeoutOneIn|EnduranceCycles|ErrProgramFailed|ErrEraseFailed|ErrWornOut|maybeTimeout|retireBlock|SalvageRead|MarkBad|IsBad|ErrBadBlock|" +
+			"BERModel|ReadFault|ReadDisturb|ErrUncorrectable|progAt|ScrubPass|ScrubPage|learnLoss)$"),
 		planted: []string{"internal/fault/x.go\ntype Plan struct{ ProgramFailOneIn uint64 }", "internal/fault/x.go\nvar _ = Plan{EraseFailOneIn: 5}",
 			"internal/bench/x.go\nfunc f(plan *fault.Plan) { plan.TimeoutOneIn = 3 }", "internal/nand/x.go\ntype Config struct{ EnduranceCycles int }",
 			"internal/nand/x.go\nvar ErrProgramFailed = errors.New(\"nand: page program failed\")", "internal/ftl/x.go\nvar _ = nand.ErrEraseFailed",
 			"internal/core/x.go\nfunc f(err error) bool { return errors.Is(err, nand.ErrWornOut) }", "internal/device/x.go\nfunc (d *Device) maybeTimeout(p *sim.Proc) {}",
 			"internal/nand/x.go\nfunc (f *Flash) MarkBad(blk BlockID) { f.blocks[blk].bad = true }",
-			"internal/ftl/x.go\nfunc (f *FTL) f(p *sim.Proc, ppa nand.PPA) error { return f.flash.SalvageRead(p, ppa) }"}},
+			"internal/ftl/x.go\nfunc (f *FTL) f(p *sim.Proc, ppa nand.PPA) error { return f.flash.SalvageRead(p, ppa) }",
+			"internal/fault/x.go\ntype Plan struct{ BER *BERModel }", "internal/nand/x.go\nfunc (f *Flash) f() { _ = f.inj.ReadFault(4096, 0, 0) }",
+			"internal/fault/x.go\ntype ReadDisturb struct{ Retries int }", "internal/ftl/x.go\nfunc f(err error) bool { return errors.Is(err, nand.ErrUncorrectable) }",
+			"internal/nand/x.go\ntype Flash struct{ progAt map[PPA]sim.Time }", "internal/oracle/x.go\nfunc f(p *sim.Proc, s *core.TwoBSSD) error { return s.ScrubPass(p) }",
+			"internal/core/x.go\nfunc (s *TwoBSSD) f(p *sim.Proc) { s.dev.FTL().ScrubPage(p, 0) }", "internal/oracle/x.go\nfunc learnLoss(m *Model) {}"}},
 	{name: "A rate ends at its last ack", in: dirs("bench"), bad: callAfter("Now", "Run"),
 		planted: []string{"internal/bench/x.go\nfunc f() float64 { st.env.Run(); return n / sim.Duration(st.env.Now()).Seconds() }",
 			"internal/bench/x.go\nfunc f() { e.Run()\nelapsed := sim.Duration(e.Now() - start)\n_ = elapsed }"}},

@@ -96,7 +96,6 @@ type TwoBSSD struct {
 
 	powered bool
 	rec     *recovery
-	scrub   *scrubber
 
 	// Metrics ("2bssd.*" in the obs registry).
 	o                           *obs.Set
@@ -162,7 +161,6 @@ func New(env *sim.Env, cfg Config) *TwoBSSD {
 	reg.GaugeFunc("2bssd.pinned_entries", func() float64 { return float64(len(s.Entries())) })
 	s.win = pcie.NewWindowOn(env, cfg.MMIO, s.frames)
 	s.rec = newRecovery(s)
-	s.scrub = newScrubber(s)
 	s.dev.SetGate(checker{s})
 	return s
 }
@@ -412,20 +410,7 @@ func (s *TwoBSSD) BAReadDMA(p *sim.Proc, eid EID, dst []byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	n := len(dst)
-	if max := ent.Pages * s.PageSize(); n > max {
-		n = max
-	}
-	start := s.env.Now()
-	sp := s.o.Tracer().BeginProc(p, "2bssd", "ba_read_dma")
-	p.Sleep(dmaBaseCost)
-	p.Sleep(sim.Duration(int64(n) * 1000 / dmaMBps))
-	sp.End()
-	s.frames.ReadAt(dst[:n], ent.Offset)
-	s.cDMAReads.Inc()
-	s.cDMABytes.Add(uint64(n))
-	s.hDMA.Observe(sim.Duration(s.env.Now() - start))
-	return n, nil
+	return s.readDMA(p, "ba_read_dma", dst[:min(len(dst), ent.Pages*s.PageSize())], ent.Offset), nil
 }
 
 // PMRReadDMA copies length bytes from the device DRAM window at off to
@@ -438,12 +423,19 @@ func (s *TwoBSSD) PMRReadDMA(p *sim.Proc, off int, dst []byte) (int, error) {
 	if err := s.checkPower(); err != nil {
 		return 0, err
 	}
-	n := len(dst)
-	if off < 0 || off+n > s.frames.Len() {
-		return 0, fmt.Errorf("%w: [%d,%d)", ErrOutOfBuffer, off, off+n)
+	if off < 0 || off+len(dst) > s.frames.Len() {
+		return 0, fmt.Errorf("%w: [%d,%d)", ErrOutOfBuffer, off, off+len(dst))
 	}
+	return s.readDMA(p, "pmr_read_dma", dst, off), nil
+}
+
+// readDMA is the read DMA engine's one transfer: its setup cost and
+// len(dst) bytes at the engine's rate under the named span, then the
+// copy of the BA-buffer from off into dst, counted. It returns len(dst).
+func (s *TwoBSSD) readDMA(p *sim.Proc, span string, dst []byte, off int) int {
+	n := len(dst)
 	start := s.env.Now()
-	sp := s.o.Tracer().BeginProc(p, "2bssd", "pmr_read_dma")
+	sp := s.o.Tracer().BeginProc(p, "2bssd", span)
 	p.Sleep(dmaBaseCost)
 	p.Sleep(sim.Duration(int64(n) * 1000 / dmaMBps))
 	sp.End()
@@ -451,7 +443,7 @@ func (s *TwoBSSD) PMRReadDMA(p *sim.Proc, off int, dst []byte) (int, error) {
 	s.cDMAReads.Inc()
 	s.cDMABytes.Add(uint64(n))
 	s.hDMA.Observe(sim.Duration(s.env.Now() - start))
-	return n, nil
+	return n
 }
 
 // Audit is the drive's self-check: the FTL's page map, then the write

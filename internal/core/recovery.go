@@ -369,9 +369,8 @@ func (r *recovery) restoreImage(p *sim.Proc) error {
 // torn dump or a spent reserve left there: no image. Tagged as
 // metadata it must decode, and every dump block's cursor must be the
 // one it records, or a later torn dump or the retirement page has
-// passed it: no image. A candidate whose read fails, or whose tag is
-// neither, is a damaged image, and restoring fails as it does on a
-// damaged slice page.
+// passed it: no image. A candidate whose tag is neither is a damaged
+// image, and restoring fails as it does on a damaged slice page.
 func (r *recovery) image(p *sim.Proc) ([]Entry, []int, error) {
 	fl := r.s.dev.Flash()
 	blk0 := r.dumpBlocks[0]
@@ -379,7 +378,7 @@ func (r *recovery) image(p *sim.Proc) ([]Entry, []int, error) {
 		return nil, nil, nil
 	}
 	meta := make([]byte, r.s.PageSize())
-	tag, _, err := fl.ReadPageInto(p, r.blockBase(blk0)+nand.PPA(fl.NextPage(blk0)-1), meta)
+	tag, err := fl.ReadPageInto(p, r.blockBase(blk0)+nand.PPA(fl.NextPage(blk0)-1), meta)
 	if err != nil {
 		return nil, nil, fmt.Errorf("2bssd: restore meta: %w", err)
 	}
@@ -433,7 +432,7 @@ func (r *recovery) restoreBlock(w *sim.Proc, c *restoreCmd, b int) error {
 	for _, i := range c.pages[lo:hi] {
 		dst := s.frames.page(i)
 		s.frames.busy++
-		tag, _, err := fl.ReadPageInto(w, at, dst)
+		tag, err := fl.ReadPageInto(w, at, dst)
 		s.frames.busy--
 		if err != nil {
 			return err

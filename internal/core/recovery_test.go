@@ -258,7 +258,7 @@ func TestSecondCutWithoutEraseRestoresOnlyItsOwnImage(t *testing.T) {
 		if err := cycle(t, p, s); err != nil {
 			t.Fatalf("cut 1: %v", err)
 		}
-		if s.Device().Flash().EraseCount(blk0) != 0 || s.Device().Flash().NextPage(blk0) == 0 {
+		if counter(t, e, "nand.block_erases") != 0 || s.Device().Flash().NextPage(blk0) == 0 {
 			t.Fatal("the dump area was erased after a one-window image")
 		}
 		if err := s.BAFlush(p, 1); err != nil {
@@ -271,7 +271,7 @@ func TestSecondCutWithoutEraseRestoresOnlyItsOwnImage(t *testing.T) {
 		if err := cycle(t, p, s); err != nil {
 			t.Fatalf("cut 2: %v", err)
 		}
-		if s.Device().Flash().EraseCount(blk0) != 0 {
+		if counter(t, e, "nand.block_erases") != 0 {
 			t.Fatal("the dump area was erased between two small images")
 		}
 		ents := s.Entries()
@@ -421,7 +421,6 @@ func TestDumpAreaEraseCadence(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			e := sim.NewEnv()
 			s := newSSD(e)
-			blk0 := s.rec.dumpBlocks[0]
 			e.Go("t", func(p *sim.Proc) {
 				if tc.pages > 0 {
 					if err := s.BAPin(p, 0, 0, 0, tc.pages); err != nil {
@@ -429,14 +428,14 @@ func TestDumpAreaEraseCadence(t *testing.T) {
 					}
 				}
 				for i, want := range tc.erased {
-					before := s.Device().Flash().EraseCount(blk0)
+					before := counter(t, e, "nand.block_erases")
 					if tc.pages > 0 {
 						fill(t, p, s, 0, byte(i+1))
 					}
 					if err := cycle(t, p, s); err != nil {
 						t.Fatalf("cycle %d: %v", i+1, err)
 					}
-					if got := s.Device().Flash().EraseCount(blk0) > before; got != want {
+					if got := counter(t, e, "nand.block_erases") > before; got != want {
 						t.Fatalf("cycle %d: erased = %v, want %v", i+1, got, want)
 					}
 					if tc.pages > 0 {

@@ -73,8 +73,6 @@ type (
 // point, each with its label on the report's faults line.
 var reportSeries = [...]struct{ name, label string }{
 	{"fault.trips", "trips"},
-	{"fault.ecc_retries", "ecc-retries"},
-	{"fault.uncorrectable_reads", "uncorrectable"},
 	{"wal.seg_torn_repairs", "torn-repairs"},
 }
 

@@ -1,20 +1,18 @@
 // Package fault is the deterministic fault-injection layer of the
-// simulator. A seeded Plan describes *what* goes wrong — a power cut at
+// simulator. A Plan describes *what* goes wrong — a power cut at
 // an exact virtual nanosecond or at the Nth occurrence of a device
-// event, NAND read bit errors drawn from a P/E-cycle- and
-// retention-driven raw-BER model, a capacitor dump that dies partway —
-// the faults the crash and fuzz campaigns sweep — and the
-// Injector installed on a sim.Env answers the cheap questions the
-// datapaths ask ("does this read fail?", "is power gone yet?").
+// event, a capacitor dump that dies partway — the faults the crash and
+// fuzz campaigns sweep — and the Injector installed on a sim.Env
+// answers the cheap questions the datapaths ask ("is power gone yet?",
+// "does the dump die here?").
 //
-// Determinism is the contract: every decision is drawn from splitmix64
-// streams seeded by Plan.Seed, and the sim kernel is single-threaded,
-// so one (plan, workload) pair always produces the same faults at the
-// same virtual times. The disabled path is a nil *Injector whose
-// methods are allocation-free no-ops, mirroring the nil *obs.Tracer —
-// a fault-free run's virtual timing cannot be perturbed because the
-// hooks only observe (and the BER bookkeeping is skipped entirely when
-// no injector is installed).
+// Determinism is the contract: a plan's faults are thresholds on
+// virtual time and on event counts, and the sim kernel is
+// single-threaded, so one (plan, workload) pair always produces the
+// same faults at the same virtual times. The disabled path is a nil
+// *Injector whose methods are allocation-free no-ops, mirroring the nil
+// *obs.Tracer — a fault-free run's virtual timing cannot be perturbed
+// because the hooks only observe.
 //
 // The Injector rides in the obs.Set's aux slot rather than competing
 // for the sim.Env's single attachment slot; Install must run before
@@ -102,39 +100,14 @@ func (t Trigger) String() string {
 	return "none"
 }
 
-// BERModel parameterises NAND read bit errors. The raw bit error rate
-// of a page grows with the block's P/E cycles (wear) and with
-// retention (time since the page was programmed):
-//
-//	rawBER = Base * (1 + PECycleGrowth*eraseCount) * (1 + RetentionPerHour*hours)
-//
-// The expected bit-error count of a read is rawBER * pageBits; the
-// ECC engine corrects up to ECCBits of them. Beyond that the
-// controller re-reads with shifted sense thresholds — each retry step
-// costs RetryLatency and halves the surviving error count — and a page
-// still uncorrectable after RetrySteps retries returns
-// nand.ErrUncorrectable for the FTL to handle.
-type BERModel struct {
-	Base             float64      // raw BER of a fresh page (e.g. 1e-5)
-	PECycleGrowth    float64      // BER growth per erase cycle
-	RetentionPerHour float64      // BER growth per hour of retention
-	ECCBits          int          // correctable bits per page codeword
-	RetrySteps       int          // max read-retry attempts
-	RetryLatency     sim.Duration // extra latency per retry step
-}
-
 // Plan is the full fault scenario for one simulation environment.
-// The zero Plan (plus a Seed) injects nothing.
+// The zero Plan injects nothing.
 type Plan struct {
-	// Seed drives every probabilistic decision. Two runs with the
-	// same plan and workload produce identical fault sequences.
+	// Seed identifies the scenario; no fault class draws from it.
 	Seed uint64
 
 	// PowerLoss trips the injector (see Trigger).
 	PowerLoss Trigger
-
-	// BER enables NAND read bit errors when non-nil.
-	BER *BERModel
 
 	// CutDumpAfterPages kills the capacitor-powered dump after that
 	// many pages have been programmed, leaving a torn image the
@@ -147,13 +120,6 @@ type Plan struct {
 // is one more field of Plan and one more entry here.
 func (p *Plan) triggers() []*Trigger { return []*Trigger{&p.PowerLoss} }
 
-// ReadDisturb is the injector's verdict on one NAND page read.
-type ReadDisturb struct {
-	Retries       int          // read-retry steps taken
-	Extra         sim.Duration // added latency (Retries * RetryLatency)
-	Uncorrectable bool         // still failing after all retries
-}
-
 // Injector is the per-environment fault engine. A nil *Injector is the
 // disabled state: every method is a no-op that allocates nothing, so
 // datapaths call hooks unconditionally on their cached pointer.
@@ -161,16 +127,13 @@ type Injector struct {
 	env  *sim.Env
 	plan Plan
 
-	// The BER model's draws; the other fault classes draw nothing.
-	rngRead sim.Rand
-
 	counts  [numEvents]uint64
 	armed   bool
 	tripped bool
 	tripAt  sim.Time
 	tripWhy string
 
-	cTrips, cRetries, cUncorr, cDumpCut *obs.Counter
+	cTrips, cDumpCut *obs.Counter
 }
 
 // Install creates an Injector for plan and attaches it to env (in the
@@ -180,11 +143,8 @@ type Injector struct {
 // afterwards.
 func Install(env *sim.Env, plan Plan) *Injector {
 	in := &Injector{env: env, plan: plan, armed: true}
-	in.rngRead = sim.NewRand(plan.Seed ^ 0xA5A5A5A5A5A5A5A5)
 	reg := obs.Of(env).Registry()
 	in.cTrips = reg.Counter("fault.trips")
-	in.cRetries = reg.Counter("fault.ecc_retries")
-	in.cUncorr = reg.Counter("fault.uncorrectable_reads")
 	in.cDumpCut = reg.Counter("fault.dump_cuts")
 	obs.Of(env).SetAux(in)
 	if plan.PowerLoss.At > 0 {
@@ -259,38 +219,6 @@ func (in *Injector) Disarm() {
 	if in != nil {
 		in.armed = false
 	}
-}
-
-// ReadFault decides the fate of one NAND page read given the block's
-// wear and the page's retention age. Nil injectors and plans without a
-// BER model return the zero verdict.
-func (in *Injector) ReadFault(pageBytes, eraseCount int, age sim.Duration) ReadDisturb {
-	if in == nil || in.plan.BER == nil {
-		return ReadDisturb{}
-	}
-	m := in.plan.BER
-	hours := float64(age) / float64(3600*sim.Second)
-	ber := m.Base * (1 + m.PECycleGrowth*float64(eraseCount)) * (1 + m.RetentionPerHour*hours)
-	lambda := ber * float64(pageBytes) * 8
-	errs := int(lambda)
-	if in.rngRead.Float() < lambda-float64(errs) {
-		errs++
-	}
-	if errs <= m.ECCBits {
-		return ReadDisturb{}
-	}
-	var rd ReadDisturb
-	for errs > m.ECCBits && rd.Retries < m.RetrySteps {
-		rd.Retries++
-		rd.Extra += m.RetryLatency
-		errs /= 2
-	}
-	rd.Uncorrectable = errs > m.ECCBits
-	in.cRetries.Add(uint64(rd.Retries))
-	if rd.Uncorrectable {
-		in.cUncorr.Inc()
-	}
-	return rd
 }
 
 // DumpCut reports whether the capacitor dump dies before programming

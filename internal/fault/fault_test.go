@@ -17,7 +17,6 @@ func TestNilInjectorHooksAllocateNothing(t *testing.T) {
 		_ = in.Tripped()
 		_, _ = in.TripInfo()
 		_ = in.Count(EvWalCommit)
-		_ = in.ReadFault(4096, 100, 3600*sim.Second)
 		_ = in.DumpCut(1)
 		in.Disarm()
 	})
@@ -32,7 +31,7 @@ func BenchmarkDisabledInjectorHooks(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		in.Tick(EvNandProgram)
 		_ = in.Tripped()
-		_ = in.ReadFault(4096, 100, 0)
+		_ = in.DumpCut(1)
 	}
 }
 
@@ -81,61 +80,25 @@ func TestDisarmStopsTripping(t *testing.T) {
 	}
 }
 
-// Same seed, same plan: the probabilistic hook must produce identical
-// decision sequences across independent injectors.
+// Same plan, same faults: two injectors fed the same event stream trip
+// at the same event and cut their dumps at the same page.
 func TestSameSeedSameFaultSequence(t *testing.T) {
 	mk := func() *Injector {
-		return Install(sim.NewEnv(), Plan{Seed: 42, BER: DefaultBER()})
+		return Install(sim.NewEnv(), Plan{Seed: 42, PowerLoss: Trigger{On: EvNandProgram, N: 30}, CutDumpAfterPages: 7})
 	}
 	a, b := mk(), mk()
 	for i := 0; i < 500; i++ {
-		ar := a.ReadFault(4096, 3000, 100*3600*sim.Second)
-		br := b.ReadFault(4096, 3000, 100*3600*sim.Second)
-		if ar != br {
-			t.Fatalf("read-fault sequences diverge at %d: %+v vs %+v", i, ar, br)
+		ev := Event(i % int(numEvents))
+		a.Tick(ev)
+		b.Tick(ev)
+		if a.Tripped() != b.Tripped() || a.DumpCut(i) != b.DumpCut(i) {
+			t.Fatalf("fault sequences diverge at event %d", i)
 		}
 	}
-}
-
-func TestBERModelRetriesAndUncorrectable(t *testing.T) {
-	env := sim.NewEnv()
-	// lambda = 1e-3 * 4096*8 ≈ 32.8 expected bit errors.
-	m := &BERModel{Base: 1e-3, ECCBits: 10, RetrySteps: 2, RetryLatency: 60 * sim.Microsecond}
-	in := Install(env, Plan{Seed: 9, BER: m})
-	rd := in.ReadFault(4096, 0, 0)
-	// 32ish errors halve per retry: 32 -> 16 -> 8 <= 10 after 2 steps.
-	if rd.Retries != 2 || rd.Uncorrectable {
-		t.Fatalf("verdict = %+v, want 2 correcting retries", rd)
-	}
-	if rd.Extra != 2*m.RetryLatency {
-		t.Fatalf("extra latency = %v, want %v", rd.Extra, 2*m.RetryLatency)
-	}
-
-	// With ECC that only corrects 1 bit the same read stays broken.
-	m2 := &BERModel{Base: 1e-3, ECCBits: 1, RetrySteps: 2, RetryLatency: 60 * sim.Microsecond}
-	in2 := Install(sim.NewEnv(), Plan{Seed: 9, BER: m2})
-	if rd := in2.ReadFault(4096, 0, 0); !rd.Uncorrectable {
-		t.Fatalf("verdict = %+v, want uncorrectable", rd)
-	}
-
-	// Fresh pages with a realistic model read clean.
-	in3 := Install(sim.NewEnv(), Plan{Seed: 9, BER: DefaultBER()})
-	if rd := in3.ReadFault(4096, 0, 0); rd != (ReadDisturb{}) {
-		t.Fatalf("fresh page verdict = %+v, want clean", rd)
-	}
-}
-
-// Wear and retention must monotonically raise the modeled raw BER.
-func TestBERModelGrowsWithWearAndRetention(t *testing.T) {
-	m := DefaultBER()
-	ber := func(erase int, hours float64) float64 {
-		return m.Base * (1 + m.PECycleGrowth*float64(erase)) * (1 + m.RetentionPerHour*hours)
-	}
-	if !(ber(1000, 0) > ber(0, 0)) {
-		t.Fatal("BER must grow with P/E cycles")
-	}
-	if !(ber(0, 100) > ber(0, 0)) {
-		t.Fatal("BER must grow with retention")
+	wa, _ := a.TripInfo()
+	wb, _ := b.TripInfo()
+	if !a.Tripped() || wa != wb {
+		t.Fatalf("trips %q and %q, want the same nand_program#30", wa, wb)
 	}
 }
 
@@ -147,18 +110,5 @@ func TestOfReturnsInstalledInjector(t *testing.T) {
 	in := Install(env, Plan{Seed: 7})
 	if Of(env) != in {
 		t.Fatal("Of must return the installed injector")
-	}
-}
-
-// DefaultBER returns a mid-life TLC-ish model: reads stay clean on
-// young blocks and short retention, retries appear as either grows.
-func DefaultBER() *BERModel {
-	return &BERModel{
-		Base:             1e-5,
-		PECycleGrowth:    0.002,
-		RetentionPerHour: 0.5,
-		ECCBits:          40,
-		RetrySteps:       4,
-		RetryLatency:     60 * sim.Microsecond,
 	}
 }

@@ -2,11 +2,8 @@ package ftl
 
 import (
 	"bytes"
-	"errors"
 	"testing"
 
-	"twobssd/internal/fault"
-	"twobssd/internal/integrity"
 	"twobssd/internal/nand"
 	"twobssd/internal/sim"
 )
@@ -97,72 +94,6 @@ func TestSupersededPagesHoldNoBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("%d overwrites, %d trims, %d relocations dropped their pages", overwrites, trims, moves)
-}
-
-// racingOverwrite reads an LBA on a drive where every read fails ECC,
-// while a writer overwrites it 5 µs in: the overwrite lands — and drops
-// the page the read is on — during the read's retries. read must fail
-// with integrity.ErrPageCorrupt or return one of the two versions,
-// never other bytes, such as the zeroes a discarded page holds.
-func racingOverwrite(t *testing.T, read func(p *sim.Proc, f *FTL, lba LBA) ([]byte, error)) {
-	t.Helper()
-	e := sim.NewEnv()
-	fault.Install(e, fault.Plan{Seed: 1, BER: &fault.BERModel{
-		Base: 1e-1, ECCBits: 40, RetrySteps: 2, RetryLatency: 60 * sim.Microsecond,
-	}})
-	f := newTestFTL(e)
-	const lba = 7
-	v1 := bytes.Repeat([]byte{0x11}, f.PageSize())
-	v2 := bytes.Repeat([]byte{0x22}, f.PageSize())
-	var got []byte
-	var err error
-	var overwritten, returned sim.Time
-	e.Go("reader", func(p *sim.Proc) {
-		if err := f.WritePage(p, lba, v1); err != nil {
-			t.Fatal(err)
-		}
-		e.Go("writer", func(q *sim.Proc) {
-			q.Sleep(5 * sim.Microsecond)
-			if err := f.WritePage(q, lba, v2); err != nil {
-				t.Error(err)
-			}
-			overwritten = e.Now()
-		})
-		got, err = read(p, f, lba)
-		returned = e.Now()
-	})
-	e.Run()
-	if counter(t, e, "fault.uncorrectable_reads") == 0 {
-		t.Fatal("the read never failed ECC; the test exercises nothing")
-	}
-	if overwritten == 0 || overwritten >= returned {
-		t.Fatalf("overwrite at %d, read returned at %d: the race was not exercised", overwritten, returned)
-	}
-	switch {
-	case err != nil:
-		if !errors.Is(err, integrity.ErrPageCorrupt) {
-			t.Fatalf("read: %v, want integrity.ErrPageCorrupt or a version of the page", err)
-		}
-	case !bytes.Equal(got, v1) && !bytes.Equal(got, v2):
-		t.Fatalf("read returned %x..., neither version of the page", got[:8])
-	}
-}
-
-func TestUncorrectableReadRacingOverwrite(t *testing.T) {
-	racingOverwrite(t, func(p *sim.Proc, f *FTL, lba LBA) ([]byte, error) {
-		got := make([]byte, f.PageSize())
-		return got, f.ReadPageInto(p, lba, got)
-	})
-}
-
-func TestUncorrectableScrubRacingOverwrite(t *testing.T) {
-	racingOverwrite(t, func(p *sim.Proc, f *FTL, lba LBA) ([]byte, error) {
-		r, err := f.ScrubPage(p, lba)
-		if err == nil && r.Corrupt {
-			err = integrity.ErrPageCorrupt
-		}
-		return r.Data, err
-	})
 }
 
 // A relocation copy that loses its race with a host write holds no

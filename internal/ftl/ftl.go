@@ -96,7 +96,7 @@ type FTL struct {
 	// The relocation frontier: open blocks that only relocation programs,
 	// min(relocWorkers, dies) of them, each behind its own lock. As many
 	// free blocks as it has slots are its reserve (see hostPage). Made at
-	// the first collection or scrub rewrite, with erasers and erased.
+	// the first collection, with erasers and erased.
 	relocOpen  []openBlock
 	relocLocks []sim.Resource // one backing array; elements never copied
 
@@ -114,7 +114,7 @@ type FTL struct {
 	// dieLocks serialize allocate+program per host slot, and relocLocks
 	// per relocation slot, so concurrent processes cannot reorder page
 	// programs within a block (the NAND sequential-program rule). gcLock
-	// serializes collection and scrub rewrites.
+	// serializes collections.
 	// Lock order: gcLock, then one relocLock, then NAND channel/die; a
 	// host write takes one dieLock, then NAND channel/die.
 	dieLocks []sim.Resource // one backing array; elements never copied
@@ -489,8 +489,8 @@ func (f *FTL) WritePage(p *sim.Proc, lba LBA, data []byte) error {
 
 // WritePageTagged is WritePage with the integrity tag computed by the
 // caller where the page crossed the host boundary: the CRC of the page
-// as stored. The tag rides out of band with the page through NAND,
-// garbage collection and scrub rewrites, and ReadPageInto checks it.
+// as stored. The tag rides out of band with the page through NAND and
+// garbage collection, and ReadPageInto checks it.
 // The write never collects: it wakes the collector (maybeGC) and waits
 // only for its slot, its program and, with the pool down to the
 // relocation reserve, an erase.
@@ -575,12 +575,7 @@ func (f *FTL) ReadPage(p *sim.Proc, lba LBA) ([]byte, error) {
 // fault-free path. Unmapped pages return zeroes without touching flash
 // (the controller answers from the map). Every mapped page is checked
 // against the integrity tag it was written with; a mismatch is an error
-// wrapping integrity.ErrPageCorrupt. So is an uncorrectable read
-// (injected BER beyond the ECC budget, or the copy of a page relocation
-// found so), which wraps nand.ErrUncorrectable too: the page's data is
-// lost, and the read changes no state — there is no bad-block manager
-// to retire the block, and no salvage to hand the host bytes that the
-// ECC could not vouch for.
+// wrapping integrity.ErrPageCorrupt.
 func (f *FTL) ReadPageInto(p *sim.Proc, lba LBA, dst []byte) error {
 	if err := f.checkLBA(lba); err != nil {
 		return err
@@ -592,10 +587,7 @@ func (f *FTL) ReadPageInto(p *sim.Proc, lba LBA, dst []byte) error {
 		clear(dst)
 		return nil
 	}
-	tag, _, err := f.flash.ReadPageInto(p, ppa, dst)
-	if errors.Is(err, nand.ErrUncorrectable) {
-		return fmt.Errorf("ftl: lba %d: %w: %w", lba, integrity.ErrPageCorrupt, err)
-	}
+	tag, err := f.flash.ReadPageInto(p, ppa, dst)
 	if err != nil {
 		return err
 	}
@@ -672,7 +664,7 @@ var relocNames = func() (names [relocWorkers]string) {
 }()
 
 // housekeeping makes what relocation and erasing need, at the first
-// collection or scrub rewrite: the relocation frontier and its locks,
+// collection: the relocation frontier and its locks,
 // the erasers and the erased signal. A drive that never collects makes
 // none of it.
 func (f *FTL) housekeeping() {
@@ -834,7 +826,7 @@ func (f *FTL) moveRun(p *sim.Proc, run []nand.PPA) error {
 			live = append(live, ppa)
 		}
 	}
-	return f.land(p, live, f.cGCReloc)
+	return f.land(p, live)
 }
 
 // land programs copy-back targets for valid pages (pages[i] is where
@@ -846,7 +838,7 @@ func (f *FTL) moveRun(p *sim.Proc, run []nand.PPA) error {
 // the collection that caused it is still counting. Bytes and integrity
 // tags move with their pages at the rebind, after the whole run has
 // programmed. Called under gcLock (see evacuate).
-func (f *FTL) land(p *sim.Proc, pages []nand.PPA, moved *obs.Counter) error {
+func (f *FTL) land(p *sim.Proc, pages []nand.PPA) error {
 	if len(pages) == 0 {
 		return nil
 	}
@@ -863,7 +855,7 @@ func (f *FTL) land(p *sim.Proc, pages []nand.PPA, moved *obs.Counter) error {
 		}
 		for i, src := range pages[:n] {
 			f.cNandWrites.Inc()
-			moved.Inc()
+			f.cGCReloc.Inc()
 			// The run yielded since the page was read: rebind only if
 			// the mapping is still the page that was read. A host
 			// write (or trim) that landed meanwhile wins, and the
@@ -1022,66 +1014,4 @@ func (f *FTL) pickVictim() (nand.BlockID, bool) {
 		return 0, false
 	}
 	return best, true
-}
-
-// ScrubResult reports what one patrol read found and did.
-type ScrubResult struct {
-	Mapped        bool   // LBA had a physical mapping (unmapped pages are skipped)
-	Retries       int    // ECC read-retries the patrol read needed (correctable errors)
-	Repaired      bool   // page was rewritten to a fresh location
-	Data          []byte // page contents as read (post-correction)
-	Corrupt       bool   // uncorrectable, or contents no longer match the page's integrity tag
-	Uncorrectable bool   // the read failed ECC: the page is lost (Corrupt too)
-}
-
-// ScrubPage patrol-reads one logical page on behalf of the background
-// scrubber. A page whose read needed ECC retries (accumulated raw bit
-// errors still within the correction budget) is rewritten to a fresh
-// location so the error count resets before it can grow uncorrectable.
-// An already-uncorrectable page is reported Corrupt and left where it
-// is: its data is lost, and a rewrite would launder it. The rewrite is guarded against concurrent host writes and GC: it only
-// rebinds the mapping if the LBA still points at the physical page the
-// patrol read, and counts as a NAND write, not a host write. A page
-// whose contents fail their integrity check is reported Corrupt.
-func (f *FTL) ScrubPage(p *sim.Proc, lba LBA) (ScrubResult, error) {
-	var r ScrubResult
-	if err := f.checkLBA(lba); err != nil {
-		return r, err
-	}
-	ppa, ok := f.lookup(lba)
-	if !ok {
-		return r, nil
-	}
-	r.Mapped = true
-	data := make([]byte, f.PageSize())
-	tag, retries, err := f.flash.ReadPageInto(p, ppa, data)
-	if err != nil && !errors.Is(err, nand.ErrUncorrectable) {
-		return r, err
-	}
-	r.Data, r.Uncorrectable = data, err != nil
-	r.Corrupt = r.Uncorrectable || integrity.Check(data, tag) != nil
-	r.Retries = retries
-	if err != nil || retries == 0 {
-		return r, nil
-	}
-	f.gcLock.Acquire(p)
-	defer f.gcLock.Release()
-	if cur, ok := f.lookup(lba); !ok || cur != ppa {
-		// The host or GC moved the page while we read it; the fresh copy
-		// starts with zero accumulated errors, nothing left to repair.
-		return r, nil
-	}
-	if err := f.relocLocked(p, ppa); err != nil {
-		return r, fmt.Errorf("ftl: scrub rewrite: %w", err)
-	}
-	r.Repaired = true
-	return r, nil
-}
-
-// relocLocked moves one valid page, already read, onto the relocation
-// frontier — scrub's single-page repair, a copy-back like any
-// relocation. Called with gcLock held.
-func (f *FTL) relocLocked(p *sim.Proc, src nand.PPA) error {
-	page := [1]nand.PPA{src}
-	return f.land(p, page[:], nil)
 }

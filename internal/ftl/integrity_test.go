@@ -3,13 +3,9 @@ package ftl
 import (
 	"bytes"
 	"errors"
-	"reflect"
-	"slices"
 	"testing"
 
-	"twobssd/internal/fault"
 	"twobssd/internal/integrity"
-	"twobssd/internal/nand"
 	"twobssd/internal/sim"
 )
 
@@ -94,8 +90,8 @@ func TestWritePageIsChecked(t *testing.T) {
 }
 
 // TestCorruptionBreaksTagMatch flips bits under the FTL's feet and
-// checks that a read and a patrol read both catch it — the detection
-// the upper layers rely on.
+// checks that a read catches it — the detection the upper layers rely
+// on.
 func TestCorruptionBreaksTagMatch(t *testing.T) {
 	e := sim.NewEnv()
 	f := newTestFTL(e)
@@ -114,80 +110,6 @@ func TestCorruptionBreaksTagMatch(t *testing.T) {
 		dst := make([]byte, f.PageSize())
 		if err := f.ReadPageInto(p, 9, dst); !errors.Is(err, integrity.ErrPageCorrupt) {
 			t.Fatalf("read of a corrupted page = %v, want ErrPageCorrupt", err)
-		}
-		if r, err := f.ScrubPage(p, 9); err != nil || !r.Corrupt {
-			t.Fatalf("scrub of a corrupted page = %+v, %v", r, err)
-		}
-	})
-	e.Run()
-}
-
-// TestScrubPageRewritesOnRetries checks the scrub primitive: a clean
-// page is left alone; repair only moves the mapping when the LBA still
-// points at the patrolled physical page.
-func TestScrubPageRewritesOnRetries(t *testing.T) {
-	e := sim.NewEnv()
-	f := newTestFTL(e)
-	e.Go("t", func(p *sim.Proc) {
-		data := bytes.Repeat([]byte{3}, f.PageSize())
-		if err := f.WritePageTagged(p, 4, data, integrity.PageCRC(data)); err != nil {
-			t.Fatalf("write: %v", err)
-		}
-		before, _ := f.PPAOf(4)
-		r, err := f.ScrubPage(p, 4)
-		if err != nil {
-			t.Fatalf("scrub: %v", err)
-		}
-		if !r.Mapped || r.Repaired || r.Retries != 0 || r.Corrupt {
-			t.Fatalf("clean page scrub = %+v", r)
-		}
-		if after, _ := f.PPAOf(4); after != before {
-			t.Fatal("clean scrub moved the page")
-		}
-		// Unmapped LBA: a no-op.
-		r, err = f.ScrubPage(p, 30)
-		if err != nil || r.Mapped {
-			t.Fatalf("unmapped scrub = %+v err=%v", r, err)
-		}
-		if _, err := f.ScrubPage(p, LBA(f.ExportedPages())); err == nil {
-			t.Fatal("out-of-range scrub not rejected")
-		}
-	})
-	e.Run()
-}
-
-// An uncorrectable host read loses the page: the error wraps both
-// integrity.ErrPageCorrupt and nand.ErrUncorrectable, and the read
-// changes no state — the map, the valid counts and the free pool are
-// as they were, and the FTL audits clean.
-func TestUncorrectableReadLosesThePage(t *testing.T) {
-	e := sim.NewEnv()
-	fault.Install(e, fault.Plan{Seed: 1, BER: &fault.BERModel{
-		Base: 1e-4, RetentionPerHour: 100, ECCBits: 40, RetrySteps: 2, RetryLatency: 60 * sim.Microsecond,
-	}})
-	f := newTestFTL(e)
-	e.Go("t", func(p *sim.Proc) {
-		for lba := LBA(0); lba < 8; lba++ {
-			data := bytes.Repeat([]byte{byte(0xC0 + lba)}, f.PageSize())
-			if err := f.WritePageTagged(p, lba, data, integrity.PageCRC(data)); err != nil {
-				t.Fatalf("write: %v", err)
-			}
-		}
-		p.Sleep(3600 * sim.Second) // past the ECC budget
-		l2p := make([][]uint32, len(f.l2p))
-		for i, piece := range f.l2p {
-			l2p[i] = slices.Clone(piece)
-		}
-		valid, free := slices.Clone(f.validCount), slices.Clone(f.free)
-		err := f.ReadPageInto(p, 3, make([]byte, f.PageSize()))
-		if !errors.Is(err, integrity.ErrPageCorrupt) || !errors.Is(err, nand.ErrUncorrectable) {
-			t.Fatalf("read: %v; want integrity.ErrPageCorrupt and nand.ErrUncorrectable", err)
-		}
-		if !reflect.DeepEqual(f.l2p, l2p) || !slices.Equal(f.validCount, valid) || !slices.Equal(f.free, free) {
-			t.Error("the uncorrectable read changed the map, the valid counts or the free pool")
-		}
-		if err := f.Audit(); err != nil {
-			t.Fatal(err)
 		}
 	})
 	e.Run()

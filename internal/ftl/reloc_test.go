@@ -2,7 +2,6 @@ package ftl
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -10,7 +9,6 @@ import (
 	"testing"
 
 	"twobssd/internal/fault"
-	"twobssd/internal/integrity"
 	"twobssd/internal/nand"
 	"twobssd/internal/sim"
 )
@@ -352,63 +350,6 @@ func fullBlocks(t *testing.T, p *sim.Proc, f *FTL) nand.BlockID {
 	return f.open[0].blk
 }
 
-// A GC run is a copy-back: an uncorrectable page inside it pays its
-// read-retry latency and moves as the array holds it, lost. No page is
-// read twice; the aged LBA still reads as lost from its copy, whose own
-// program instant is fresh, and every other LBA reads back its bytes.
-func TestRunMovesUncorrectablePageAsCopyBack(t *testing.T) {
-	e := sim.NewEnv()
-	fault.Install(e, fault.Plan{Seed: 1, BER: &fault.BERModel{
-		Base: 1e-4, RetentionPerHour: 100, ECCBits: 40, RetrySteps: 2, RetryLatency: 60 * sim.Microsecond,
-	}})
-	f := newTestFTL(e)
-	fc := f.flash.Config()
-	e.Go("t", func(p *sim.Proc) {
-		if err := f.WritePage(p, 0, []byte{1}); err != nil { // die 0, page 0
-			t.Fatal(err)
-		}
-		p.Sleep(3600 * sim.Second) // ...which ages past the ECC budget
-		for i := 1; i < fc.Dies()*fc.PagesPerBlock; i++ {
-			if err := f.WritePage(p, LBA(i), []byte{byte(i + 1)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		victim := f.open[0].blk
-		reads := counter(t, e, "nand.page_reads")
-		f.gcLock.Acquire(p)
-		err := f.evacuate(p, victim)
-		f.gcLock.Release()
-		if err != nil {
-			t.Fatalf("evacuate: %v", err)
-		}
-		if got := counter(t, e, "fault.uncorrectable_reads"); got != 1 {
-			t.Errorf("%d uncorrectable reads, want the aged page only", got)
-		}
-		if got := counter(t, e, "nand.page_reads") - reads; got != uint64(fc.PagesPerBlock) {
-			t.Errorf("%d page reads, want the run's %d", got, fc.PagesPerBlock)
-		}
-		if f.validCount[victim] != 0 {
-			t.Errorf("victim holds %d valid pages", f.validCount[victim])
-		}
-		got := make([]byte, f.PageSize())
-		if ppa, _ := f.lookup(0); fc.BlockOf(ppa) == victim {
-			t.Fatal("lba 0 was not moved")
-		}
-		if err := f.ReadPageInto(p, 0, got); !errors.Is(err, integrity.ErrPageCorrupt) || !errors.Is(err, nand.ErrUncorrectable) {
-			t.Errorf("lba 0 reads %v after its move; want it lost: integrity.ErrPageCorrupt and nand.ErrUncorrectable", err)
-		}
-		for i := fc.Dies(); i < fc.Dies()*fc.PagesPerBlock; i += fc.Dies() {
-			if err := f.ReadPageInto(p, LBA(i), got); err != nil || got[0] != byte(i+1) {
-				t.Errorf("lba %d reads %d, %v; want %d", i, got[0], err, i+1)
-			}
-		}
-		if err := f.Audit(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	e.Run()
-}
-
 // A relocation slot is judged by the die its open block lives on. Slot
 // 0's block sits on a die that an erase holds; relocation must pass
 // over it to an idle slot instead of queueing behind the erase, and
@@ -423,7 +364,7 @@ func TestRelocationPicksSlotsByPhysicalDie(t *testing.T) {
 		fullBlocks(t, p, f)
 		victim := f.open[2].blk // LBAs 2, 6, 10, ...
 		ppa, _ := f.lookup(0)
-		if err := f.relocLocked(p, ppa); err != nil { // opens slot 0's block
+		if err := f.land(p, []nand.PPA{ppa}); err != nil { // opens slot 0's block
 			t.Fatal(err)
 		}
 		busy := dieOf(f.relocOpen[0].blk)

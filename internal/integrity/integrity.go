@@ -3,8 +3,8 @@
 // the host boundary (device.WritePages for the block path, BA_FLUSH and
 // the recovery dump for the byte path) and carried out of band through
 // ftl and nand so every read path — block reads, BA_PIN's internal
-// datapath, the post-crash restore and the background scrubber — can
-// verify that no layer in between silently corrupted the page.
+// datapath and the post-crash restore — can verify that no layer in
+// between silently corrupted the page.
 //
 // The tag is opaque to nand, which only carries it next to the page,
 // the way real NAND carries host metadata in the page's spare area.
@@ -23,10 +23,9 @@ import (
 )
 
 // ErrPageCorrupt reports a page whose contents cannot be trusted: its
-// stored CRC tag no longer matches them (Check), or the flash lost the
-// page (the FTL wraps nand.ErrUncorrectable with it). Wrapped with
-// location context by every verification site, which names the cause;
-// match with errors.Is(err, integrity.ErrPageCorrupt).
+// stored CRC tag no longer matches them (Check). Wrapped with location
+// context by every verification site; match with errors.Is(err,
+// integrity.ErrPageCorrupt).
 var ErrPageCorrupt = errors.New("integrity: page corrupt")
 
 // castagnoli is the CRC-32C polynomial — the checksum real storage

@@ -2,8 +2,7 @@
 // and pages with realistic timing (tR, tPROG, tERASE, channel transfer)
 // and the physical constraints that shape every SSD design —
 // erase-before-program and strictly sequential page programming within
-// a block. Wear is counted (each block's erase count feeds the BER
-// model's raw error rate), not capped.
+// a block.
 //
 // Pages carry real bytes, so layers above can verify data integrity end
 // to end, and all latency is charged on the sim clock: a die is a
@@ -33,8 +32,7 @@
 // programs pages that hold none yet, and Move hands a source page's
 // buffer and tag to its copy when the FTL remaps the LBA. A page's bytes
 // are never copied inside the array, and a copy the FTL does not map
-// never holds any. A page a copy-back read found uncorrectable is marked
-// lost, and the mark moves with it: its copy reads as lost too.
+// never holds any.
 package nand
 
 import (
@@ -146,18 +144,12 @@ var (
 	ErrNotErased    = errors.New("nand: program to unerased or out-of-order page")
 	ErrOutOfRange   = errors.New("nand: address out of range")
 	ErrPageTooLarge = errors.New("nand: data larger than page")
-
-	// ErrUncorrectable means a read failed ECC even after every retry
-	// step of the injected BER model (internal/fault): the page's data
-	// is lost to the host.
-	ErrUncorrectable = errors.New("nand: uncorrectable read")
 )
 
 type blockState struct {
-	nextPage   int // next programmable page (sequential-program rule)
-	eraseCount int
-	held       int    // pages holding bytes (data != nil)
-	pages      []page // by page index; non-nil exactly while held > 0
+	nextPage int    // next programmable page (sequential-program rule)
+	held     int    // pages holding bytes (data != nil)
+	pages    []page // by page index; non-nil exactly while held > 0
 }
 
 // page is what a programmed page holds: its bytes up to the last
@@ -169,7 +161,6 @@ type blockState struct {
 type page struct {
 	data []byte
 	tag  uint32
-	lost bool // a copy-back read found it uncorrectable (see ReadRun)
 }
 
 // minClass is the smallest page buffer. The size classes are minClass
@@ -196,14 +187,9 @@ type Flash struct {
 	chTrack  []string // precomputed trace track names (no per-op fmt)
 	dieTrack []string
 
-	// Fault injection (nil = disabled, the common case). progAt
-	// tracks page program times for the retention term of the BER
-	// model and exists only when an injector is installed, so the
-	// fault-free datapath carries no extra bookkeeping. Discard leaves
-	// it alone — only an erase clears it — so a read issued before a
-	// discard gets the ECC verdict of the page it read.
-	inj    *fault.Injector
-	progAt map[PPA]sim.Time
+	// Fault injection (nil = disabled, the common case): programs tick
+	// the power-loss trigger.
+	inj *fault.Injector
 
 	cReads, cPrograms, cErases *obs.Counter
 	cBytesRead, cBytesWritten  *obs.Counter
@@ -244,9 +230,6 @@ func New(env *sim.Env, cfg Config) *Flash {
 		inj:    fault.Of(env),
 	}
 	f.spare = make([][][]byte, f.classOf(cfg.PageSize)+1)
-	if f.inj != nil {
-		f.progAt = make(map[PPA]sim.Time)
-	}
 	chNames, chTracks := nandNames(&nameTab.ch, &nameTab.chT, "nand.ch", cfg.Channels)
 	f.chTrack = chTracks
 	for i := 0; i < cfg.Channels; i++ {
@@ -298,7 +281,7 @@ func (f *Flash) checkPPA(ppa PPA) error {
 // benchmark/adapter.go calls it; the benchmark's revision A deletes it.
 func (f *Flash) ReadPage(p *sim.Proc, ppa PPA) ([]byte, error) {
 	out := make([]byte, f.cfg.PageSize)
-	if _, _, err := f.ReadPageInto(p, ppa, out); err != nil {
+	if _, err := f.ReadPageInto(p, ppa, out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -307,62 +290,29 @@ func (f *Flash) ReadPage(p *sim.Proc, ppa PPA) ([]byte, error) {
 // ReadPageInto performs an array read of one page, transfers it over the
 // die's channel and lands it in dst, at least PageSize bytes the caller
 // owns; never-written and discarded pages read back as zeroes (an erased
-// page). With a fault injector installed the read may take stepped ECC
-// retry latency or fail with ErrUncorrectable (wear- and retention-driven
-// BER model). It also returns the page's out-of-band tag (0 for a page
-// without bytes) and the number of ECC read-retry steps the read needed:
-// retries > 0 means the page holds latent-but-correctable errors — the
-// signal the background scrubber acts on before wear or retention pushes
-// the page past the ECC budget. A page marked lost (see ReadRun) fails
-// with ErrUncorrectable whatever its own verdict. dst and the tag are
-// filled even when the read fails ECC; the caller must not hand them on
-// as the page's data.
-func (f *Flash) ReadPageInto(p *sim.Proc, ppa PPA, dst []byte) (tag uint32, retries int, err error) {
+// page). It also returns the page's out-of-band tag (0 for a page
+// without bytes).
+func (f *Flash) ReadPageInto(p *sim.Proc, ppa PPA, dst []byte) (tag uint32, err error) {
 	if err := f.checkPPA(ppa); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	tag, lost := f.capture(ppa, dst)
+	tag = f.capture(ppa, dst)
 	f.readTimed(p, ppa)
-	if f.inj != nil {
-		retries, err = f.readFault(p, ppa)
-	}
-	if lost && err == nil {
-		err = fmt.Errorf("%w: ppa %d, lost before its copy-back", ErrUncorrectable, uint64(ppa))
-	}
-	return tag, retries, err
-}
-
-// readFault asks the injector for the ECC verdict on a read of ppa at
-// this instant (wear and retention age feed the BER model), charges the
-// read-retry latency to p and reports ErrUncorrectable when the page
-// stays beyond the ECC budget. Called only with an injector installed.
-func (f *Flash) readFault(p *sim.Proc, ppa PPA) (retries int, err error) {
-	var age sim.Duration
-	if t, ok := f.progAt[ppa]; ok {
-		age = sim.Duration(f.env.Now() - t)
-	}
-	rd := f.inj.ReadFault(f.cfg.PageSize, f.blocks[f.cfg.BlockOf(ppa)].eraseCount, age)
-	if rd.Retries > 0 {
-		p.Sleep(rd.Extra)
-	}
-	if rd.Uncorrectable {
-		return rd.Retries, fmt.Errorf("%w: ppa %d", ErrUncorrectable, uint64(ppa))
-	}
-	return rd.Retries, nil
+	return tag, nil
 }
 
 // capture copies a page's stored bytes, zero-padded to the page, and
 // its out-of-band tag into dst — the data half of a read, taken when the
-// read is issued — and reports whether the page is marked lost.
-func (f *Flash) capture(ppa PPA, dst []byte) (tag uint32, lost bool) {
+// read is issued.
+func (f *Flash) capture(ppa PPA, dst []byte) uint32 {
 	dst = dst[:f.cfg.PageSize]
 	pg := f.stored(ppa)
 	if pg == nil {
 		clear(dst) // pages without bytes read as zeroes
-		return 0, false
+		return 0
 	}
 	clear(dst[copy(dst, pg.data):])
-	return pg.tag, pg.lost
+	return pg.tag
 }
 
 // stored is what a page holds, nil while it holds no bytes.
@@ -502,7 +452,7 @@ func (f *Flash) release(b []byte) {
 // commit makes one page program take: the block's program cursor
 // advances, the page holds stored and its tag (nothing for a copy-back
 // target, stored nil, which Move fills), the program is counted and —
-// with an injector — stamped with its instant and ticked.
+// with an injector — ticked.
 func (f *Flash) commit(blk *blockState, ppa PPA, stored []byte, tag uint32) {
 	blk.nextPage++
 	if stored != nil {
@@ -511,7 +461,6 @@ func (f *Flash) commit(blk *blockState, ppa PPA, stored []byte, tag uint32) {
 	f.cPrograms.Inc()
 	f.cBytesWritten.Add(uint64(f.cfg.PageSize))
 	if f.inj != nil {
-		f.progAt[ppa] = f.env.Now()
 		f.inj.Tick(fault.EvNandProgram)
 	}
 }
@@ -550,18 +499,8 @@ func (f *Flash) drop(blk *blockState, pg *page) {
 // the page counters advance per page; the latency histogram is not fed
 // (it describes single-page operations). It is the read half of a
 // copy-back: every page's bytes and tag stay in the array for Move. The
-// relocation paths of the FTL move a victim's valid pages with it.
-//
-// With a fault injector installed the die hold steps page by page so
-// each page gets its ECC verdict at its own instant, and its read-retry
-// latency is spent on the die. A copy-back never leaves the array, so a
-// page beyond the ECC budget moves as the array holds it — bit errors
-// and all: the run marks it lost, Move hands the mark to the copy, and
-// every read of the copy fails with ErrUncorrectable whatever its own
-// verdict. The BER model keeps no error pattern, so a page the ECC
-// could correct moves clean and its copy's verdicts start from its own
-// program instant. The returned error is for the run as a whole (bad
-// addresses).
+// relocation paths of the FTL move a victim's valid pages with it. The
+// returned error is for the run as a whole (bad addresses).
 func (f *Flash) ReadRun(p *sim.Proc, pages []PPA) error {
 	if len(pages) == 0 {
 		return nil
@@ -581,18 +520,7 @@ func (f *Flash) ReadRun(p *sim.Proc, pages []PPA) error {
 	tr := f.o.Tracer()
 	f.dies[die].Acquire(p)
 	sp := tr.Begin(f.dieTrack[die], "nand", "tR")
-	if f.inj != nil {
-		for _, ppa := range pages {
-			p.Sleep(f.cfg.ReadLatency)
-			if _, err := f.readFault(p, ppa); err != nil {
-				if pg := f.stored(ppa); pg != nil {
-					pg.lost = true
-				}
-			}
-		}
-	} else {
-		p.Sleep(n * f.cfg.ReadLatency)
-	}
+	p.Sleep(n * f.cfg.ReadLatency)
 	sp.End()
 	f.dies[die].Release()
 	f.channels[ch].Acquire(p)
@@ -614,10 +542,9 @@ func (f *Flash) ReadRun(p *sim.Proc, pages []PPA) error {
 // page.
 //
 // Without a fault injector the pages take together when the die hold
-// ends. With one, the die hold steps page by page: every page is
-// stamped with its own program instant and ticks EvNandProgram on its
-// own, tPROG after the page before it, so a power-cut trigger counted
-// in programs lands inside the run.
+// ends. With one, the die hold steps page by page: every page ticks
+// EvNandProgram on its own, tPROG after the page before it, so a
+// power-cut trigger counted in programs lands inside the run.
 func (f *Flash) ProgramRun(p *sim.Proc, base PPA, n int) error {
 	if n <= 0 {
 		return nil
@@ -657,7 +584,7 @@ func (f *Flash) ProgramRun(p *sim.Proc, base PPA, n int) error {
 	return nil
 }
 
-// Move hands src's bytes, out-of-band tag and lost mark to dst, a page
+// Move hands src's bytes and out-of-band tag to dst, a page
 // a ProgramRun programmed as a copy-back target that holds none yet: dst
 // then reads as src did, and src holds nothing, as after a Discard. The
 // FTL calls it in the step that remaps the LBA from src to dst, so the
@@ -692,16 +619,12 @@ func (f *Flash) EraseBlock(p *sim.Proc, blk BlockID) error {
 	p.Sleep(f.cfg.EraseLatency)
 	sp.End()
 	f.dies[die].Release()
-	bs.eraseCount++
 	bs.nextPage = 0
 	f.cErases.Inc()
 	f.hErase.Observe(sim.Duration(f.env.Now() - start))
 	base := PPA(uint64(blk) * uint64(f.cfg.PagesPerBlock))
 	for i := 0; i < f.cfg.PagesPerBlock; i++ {
 		f.Discard(base + PPA(i))
-		if f.inj != nil {
-			delete(f.progAt, base+PPA(i))
-		}
 	}
 	return nil
 }
@@ -709,18 +632,14 @@ func (f *Flash) EraseBlock(p *sim.Proc, blk BlockID) error {
 // Discard drops a page's bytes and out-of-band tag and keeps its buffer
 // for the next program — the FTL calls it the moment its mapping table
 // drops the page, which nothing reads again. The page itself stays
-// programmed (its block's cursor and the ECC model's program instant
-// are untouched, only an erase makes it programmable again); it reads
-// back as zeroes.
+// programmed (its block's cursor is untouched, only an erase makes it
+// programmable again); it reads back as zeroes.
 func (f *Flash) Discard(ppa PPA) {
 	if pg := f.stored(ppa); pg != nil {
 		f.release(pg.data)
 		f.drop(&f.blocks[f.cfg.BlockOf(ppa)], pg)
 	}
 }
-
-// EraseCount reports a block's erase cycles.
-func (f *Flash) EraseCount(blk BlockID) int { return f.blocks[blk].eraseCount }
 
 // NextPage reports the next programmable page index of a block.
 func (f *Flash) NextPage(blk BlockID) int { return f.blocks[blk].nextPage }
@@ -738,8 +657,7 @@ func (f *Flash) PeekPage(ppa PPA) []byte {
 // CorruptPage flips the low bit of the first n bytes of a page (at most
 // a page's worth) — the silent-corruption hook the integrity tests use
 // to prove the CRC tags actually detect a page a layer mangled in
-// flight. The BER fault model perturbs *latency* and verdicts while
-// keeping bytes intact; this hook is how tests make bytes lie. When n
+// flight; it is the one way bytes lie. When n
 // runs past the stored bytes, the page first grows to the class that
 // holds n, so every flipped bit is one a read returns. Returns false
 // when the page holds no bytes — never programmed, erased or discarded

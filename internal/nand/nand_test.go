@@ -173,8 +173,8 @@ func TestEraseResetsBlock(t *testing.T) {
 		}
 	})
 	e.Run()
-	if f.EraseCount(0) != 1 {
-		t.Fatalf("erase count = %d", f.EraseCount(0))
+	if n := counter(t, e, "nand.block_erases"); n != 1 {
+		t.Fatalf("%d erases counted, want 1", n)
 	}
 }
 
@@ -182,7 +182,7 @@ func TestOutOfRange(t *testing.T) {
 	e := sim.NewEnv()
 	f := New(e, testConfig())
 	e.Go("t", func(p *sim.Proc) {
-		if _, _, err := f.ReadPageInto(p, PPA(f.Config().Pages()), make([]byte, 4096)); !errors.Is(err, ErrOutOfRange) {
+		if _, err := f.ReadPageInto(p, PPA(f.Config().Pages()), make([]byte, 4096)); !errors.Is(err, ErrOutOfRange) {
 			t.Errorf("read: err = %v", err)
 		}
 		if err := f.ProgramPage(p, PPA(f.Config().Pages()), nil); !errors.Is(err, ErrOutOfRange) {
@@ -212,7 +212,7 @@ func TestReadTiming(t *testing.T) {
 	var took sim.Duration
 	e.Go("t", func(p *sim.Proc) {
 		start := e.Now()
-		if _, _, err := f.ReadPageInto(p, 0, make([]byte, 4096)); err != nil {
+		if _, err := f.ReadPageInto(p, 0, make([]byte, 4096)); err != nil {
 			t.Errorf("read: %v", err)
 		}
 		took = sim.Duration(e.Now() - start)
@@ -274,11 +274,11 @@ func TestReadTakesBytesAtIssue(t *testing.T) {
 			f.Discard(ppa)
 		})
 		got := make([]byte, f.Config().PageSize)
-		tag, _, err := f.ReadPageInto(p, ppa, got)
+		tag, err := f.ReadPageInto(p, ppa, got)
 		if err != nil || got[0] != 7 || got[1] != 7 || tag != 42 {
 			t.Fatalf("read racing a discard = %v %d, %v", got[:2], tag, err)
 		}
-		if tag, _, _ := f.ReadPageInto(p, ppa, got); got[0] != 0 || tag != 0 {
+		if tag, _ := f.ReadPageInto(p, ppa, got); got[0] != 0 || tag != 0 {
 			t.Errorf("a read issued after the discard found bytes or tag %d", tag)
 		}
 		if f.CorruptPage(ppa, 1) {
@@ -319,7 +319,7 @@ func TestPropertyProgramReadIdentity(t *testing.T) {
 				return
 			}
 			got := make([]byte, cfg.PageSize)
-			if _, _, err := fl.ReadPageInto(p, ppa, got); err != nil {
+			if _, err := fl.ReadPageInto(p, ppa, got); err != nil {
 				ok = false
 				return
 			}

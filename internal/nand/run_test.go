@@ -119,8 +119,8 @@ func TestRunRules(t *testing.T) {
 
 // With an injector the program run steps page by page inside its die
 // hold: every page ticks EvNandProgram at its own instant (a trigger
-// on the k-th program trips tPROG after the (k-1)-th) and is stamped
-// with it, and the total time is unchanged.
+// on the k-th program trips tPROG after the (k-1)-th), and the total
+// time is unchanged. A read run ticks nothing and stays one die hold.
 func TestProgramRunStepsUnderInjector(t *testing.T) {
 	const n = 6
 	c := testConfig()
@@ -135,6 +135,16 @@ func TestProgramRunStepsUnderInjector(t *testing.T) {
 		if got, want := sim.Duration(e.Now()), n*(c.TransferTime(c.PageSize)+c.ProgramLatency); got != want {
 			t.Errorf("stepped run took %v, want %v", got, want)
 		}
+		t0, ev0 := e.Now(), e.Events()
+		if err := f.ReadRun(p, []PPA{base, base + 1, base + 2}); err != nil {
+			t.Fatalf("ReadRun: %v", err)
+		}
+		if got, want := sim.Duration(e.Now()-t0), 3*(c.ReadLatency+c.TransferTime(c.PageSize)); got != want {
+			t.Errorf("read run took %v, want %v", got, want)
+		}
+		if ev := e.Events() - ev0; ev != 2 {
+			t.Errorf("read run under an injector cost %d events, want 2", ev)
+		}
 	})
 	e.Run()
 	if got := in.Count(fault.EvNandProgram); got != n {
@@ -144,101 +154,4 @@ func TestProgramRunStepsUnderInjector(t *testing.T) {
 	if want := sim.Time(n*c.TransferTime(c.PageSize) + 4*c.ProgramLatency); !in.Tripped() || at != want {
 		t.Fatalf("trigger on the 4th program tripped at %d (tripped=%v), want %d", at, in.Tripped(), want)
 	}
-	for i := 0; i < n; i++ {
-		if want := sim.Time(n*c.TransferTime(c.PageSize)) + sim.Time((i+1)*int(c.ProgramLatency)); f.progAt[base+PPA(i)] != want {
-			t.Errorf("page %d stamped %d, want %d", i, f.progAt[base+PPA(i)], want)
-		}
-	}
-}
-
-// With a BER model the read run gives each page its own verdict: a page
-// left to age beyond the ECC budget spends every retry step and counts
-// as uncorrectable, its neighbours in the same run read clean, and the
-// run goes on — a copy-back moves the page as the array holds it.
-func TestReadRunPerPageVerdicts(t *testing.T) {
-	c := testConfig()
-	e := sim.NewEnv()
-	fault.Install(e, fault.Plan{Seed: 1, BER: &fault.BERModel{
-		Base: 1e-4, RetentionPerHour: 100, ECCBits: 40, RetrySteps: 2, RetryLatency: 60 * sim.Microsecond,
-	}})
-	f := New(e, c)
-	base := c.PPAOf(3, 0, 0)
-	e.Go("t", func(p *sim.Proc) {
-		if err := f.ProgramPageTagged(p, base, []byte{1}, 1); err != nil {
-			t.Fatal(err)
-		}
-		p.Sleep(3600 * sim.Second) // page 0 ages an hour: ~330 raw bit errors
-		for i := 1; i < 3; i++ {
-			if err := f.ProgramPageTagged(p, base+PPA(i), []byte{byte(i + 1)}, uint32(i+1)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		t0 := e.Now()
-		if err := f.ReadRun(p, []PPA{base, base + 1, base + 2}); err != nil {
-			t.Fatalf("ReadRun: %v", err)
-		}
-		if got, want := sim.Duration(e.Now()-t0), 3*(c.ReadLatency+c.TransferTime(c.PageSize))+2*60*sim.Microsecond; got != want {
-			t.Errorf("run with two retry steps took %v, want %v", got, want)
-		}
-	})
-	e.Run()
-	if got := counter(t, e, "fault.uncorrectable_reads"); got != 1 {
-		t.Errorf("%d uncorrectable verdicts, want the aged page's", got)
-	}
-	if got := counter(t, e, "fault.ecc_retries"); got != 2 {
-		t.Errorf("%d retry steps, want the aged page's 2", got)
-	}
-}
-
-// A page a copy-back read found uncorrectable stays lost in its copy:
-// Move hands the mark on with the bytes, so the copy fails ECC although
-// its own program instant is fresh, while the neighbours moved in the
-// same run read back clean. An erase clears the mark with the page.
-func TestLostMarkMovesWithThePage(t *testing.T) {
-	c := testConfig()
-	e := sim.NewEnv()
-	fault.Install(e, fault.Plan{Seed: 1, BER: &fault.BERModel{
-		Base: 1e-4, RetentionPerHour: 100, ECCBits: 40, RetrySteps: 2, RetryLatency: 60 * sim.Microsecond,
-	}})
-	f := New(e, c)
-	base, dst := c.PPAOf(3, 0, 0), c.PPAOf(2, 0, 0)
-	e.Go("t", func(p *sim.Proc) {
-		if err := f.ProgramPageTagged(p, base, []byte{1}, 1); err != nil {
-			t.Fatal(err)
-		}
-		p.Sleep(3600 * sim.Second) // page 0 ages past the ECC budget
-		for i := 1; i < 3; i++ {
-			if err := f.ProgramPageTagged(p, base+PPA(i), []byte{byte(i + 1)}, uint32(i+1)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := f.ReadRun(p, []PPA{base, base + 1, base + 2}); err != nil {
-			t.Fatalf("ReadRun: %v", err)
-		}
-		if err := f.ProgramRun(p, dst, 3); err != nil {
-			t.Fatalf("ProgramRun: %v", err)
-		}
-		for i := PPA(0); i < 3; i++ {
-			f.Move(base+i, dst+i)
-		}
-		got := make([]byte, c.PageSize)
-		if _, _, err := f.ReadPageInto(p, dst, got); !errors.Is(err, ErrUncorrectable) {
-			t.Errorf("the aged page's copy reads %v, want ErrUncorrectable", err)
-		}
-		for i := PPA(1); i < 3; i++ {
-			if tag, _, err := f.ReadPageInto(p, dst+i, got); err != nil || tag != uint32(i+1) || got[0] != byte(i+1) {
-				t.Errorf("copy %d reads tag %d, byte %d, %v", i, tag, got[0], err)
-			}
-		}
-		if err := f.EraseBlock(p, c.BlockOf(dst)); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.ProgramPageTagged(p, dst, []byte{9}, 9); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := f.ReadPageInto(p, dst, got); err != nil || got[0] != 9 {
-			t.Errorf("a fresh program over the erased copy reads %d, %v", got[0], err)
-		}
-	})
-	e.Run()
 }

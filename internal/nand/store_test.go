@@ -79,7 +79,7 @@ func TestPropertyStoredLengthIsAClass(t *testing.T) {
 				}
 				want := make([]byte, ps)
 				copy(want, data)
-				if gotTag, _, err := f.ReadPageInto(p, ppa, got); err != nil || gotTag != tag || !bytes.Equal(got, want) {
+				if gotTag, err := f.ReadPageInto(p, ppa, got); err != nil || gotTag != tag || !bytes.Equal(got, want) {
 					t.Errorf("page %d reads back tag %d (want %d), equal %v, %v", i, gotTag, tag, bytes.Equal(got, want), err)
 					ok = false
 				}
@@ -111,7 +111,7 @@ func TestZeroPageKeepsItsTag(t *testing.T) {
 			t.Fatalf("an all-zero page stores %v, want an empty non-nil slice", pg)
 		}
 		got := bytes.Repeat([]byte{0xEE}, c.PageSize)
-		if gotTag, _, err := f.ReadPageInto(p, src, got); err != nil || gotTag != tag || !bytes.Equal(got, f.zero) {
+		if gotTag, err := f.ReadPageInto(p, src, got); err != nil || gotTag != tag || !bytes.Equal(got, f.zero) {
 			t.Fatalf("all-zero page reads tag %#x, zero %v, %v", gotTag, bytes.Equal(got, f.zero), err)
 		}
 		if err := f.ProgramRun(p, dst, 1); err != nil {
@@ -122,7 +122,7 @@ func TestZeroPageKeepsItsTag(t *testing.T) {
 			t.Fatalf("moved all-zero page: tag %#x, held %v", gotTag, held)
 		}
 		f.Discard(dst)
-		if gotTag, _, _ := f.ReadPageInto(p, dst, got); gotTag != 0 {
+		if gotTag, _ := f.ReadPageInto(p, dst, got); gotTag != 0 {
 			t.Errorf("a discarded all-zero page reads tag %#x, want 0", gotTag)
 		}
 		for k := range f.spare {

@@ -144,7 +144,7 @@ func TestPropertyPageTableFollowsHeldPages(t *testing.T) {
 					if data == nil {
 						data = f.zero
 					}
-					if tag, _ := f.capture(ppa, got); !bytes.Equal(got, data) || tag != w.tag {
+					if tag := f.capture(ppa, got); !bytes.Equal(got, data) || tag != w.tag {
 						t.Fatalf("seed %d step %d (%s): ppa %d reads tag %#x, want %#x, bytes equal %v",
 							seed, step, op, ppa, tag, w.tag, bytes.Equal(got, data))
 					}

@@ -9,7 +9,6 @@ import (
 	"twobssd/internal/core"
 	"twobssd/internal/fault"
 	"twobssd/internal/ftl"
-	"twobssd/internal/nand"
 	"twobssd/internal/obs"
 	"twobssd/internal/sim"
 )
@@ -27,7 +26,6 @@ const (
 	OpBlockRead
 	OpReadDMA
 	OpPowerCycle
-	OpScrub
 	OpDrain
 	OpDeallocate
 )
@@ -52,8 +50,6 @@ func (k OpKind) String() string {
 		return "read_dma"
 	case OpPowerCycle:
 		return "power_cycle"
-	case OpScrub:
-		return "scrub"
 	case OpDrain:
 		return "drain"
 	case OpDeallocate:
@@ -122,7 +118,7 @@ type Config struct {
 	// steady-state garbage collection before the first op, with three
 	// times the ops (240) and more of them block writes, half on the
 	// first 96 LBAs: same-LBA overwrites through four drain workers
-	// while relocation runs, pins, flushes, scrubs and power cycles go
+	// while relocation runs, pins, flushes and power cycles go
 	// on. Without it the drive never collects.
 	GCActive bool
 }
@@ -149,10 +145,8 @@ func (c Config) lbaSpan() int {
 
 // Result is the outcome of one seed.
 type Result struct {
-	Ops          int // operations executed (including the diverging one)
-	Divergence   *Divergence
-	ScrubRepairs uint64
-	EccRetries   uint64
+	Ops        int // operations executed (including the diverging one)
+	Divergence *Divergence
 	// GCRelocations counts the valid pages garbage collection moved: how
 	// much of the run had relocation under it (0 unless GCActive).
 	GCRelocations uint64
@@ -205,11 +199,9 @@ func NewPoint(seed uint64, cfg Config) Point {
 // summary writes the fuzz report's own lines: one table per profile.
 func summary(w io.Writer, rep *Report, cfg Config) error {
 	var ops int
-	var repairs, retries, relocated uint64
+	var relocated uint64
 	for _, f := range rep.Findings {
 		ops += f.Result.Ops
-		repairs += f.Result.ScrubRepairs
-		retries += f.Result.EccRetries
 		relocated += f.Result.GCRelocations
 	}
 	profile := ""
@@ -219,12 +211,10 @@ func summary(w io.Writer, rep *Report, cfg Config) error {
 	if _, err := fmt.Fprintf(w, "== fuzz: dual-path oracle, %s%d seeds ==\n", profile, len(rep.Findings)); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "%-24s %d\n%-24s %d\n%-24s %d\n%-24s %d\n%-24s %d\n",
+	if _, err := fmt.Fprintf(w, "%-24s %d\n%-24s %d\n%-24s %d\n",
 		"seeds run", len(rep.Findings),
 		"ops executed", ops,
-		"divergences", len(rep.Violations()),
-		"scrub repairs", repairs,
-		"ecc retries", retries); err != nil {
+		"divergences", len(rep.Violations())); err != nil {
 		return err
 	}
 	if cfg.GCActive {
@@ -263,21 +253,11 @@ func stackConfig(gcActive bool) core.Config {
 	return cfg
 }
 
-// fuzzPlan returns the per-seed fault plan: a flat BER high enough
-// that every NAND read needs exactly one correctable ECC retry (the
-// scrubber's repair path runs constantly, uncorrectables never), and
-// on some seeds a capacitor cut that tears every recovery dump — the
-// model must then predict the all-or-nothing empty restore.
+// fuzzPlan returns the per-seed fault plan: on some seeds a capacitor
+// cut that tears every recovery dump — the model must then predict the
+// all-or-nothing empty restore.
 func fuzzPlan(seed uint64) fault.Plan {
-	plan := fault.Plan{
-		Seed: seed ^ 0x2B55D2B55D2B55D,
-		BER: &fault.BERModel{
-			Base:         1.28e-3, // lambda ≈ 42 bits > ECC 40 → 1 retry
-			ECCBits:      40,
-			RetrySteps:   4,
-			RetryLatency: 60 * sim.Microsecond,
-		},
-	}
+	plan := fault.Plan{Seed: seed ^ 0x2B55D2B55D2B55D}
 	if seed%5 == 3 {
 		plan.CutDumpAfterPages = 1 + int(seed%40)
 	}
@@ -345,8 +325,6 @@ func Generate(seed uint64, cfg Config) []Op {
 			o = Op{Kind: OpReadDMA, EID: core.EID(r.Intn(sc.MaxEntries)), Len: 1 + r.Intn(4*ps)}
 		case w < 95:
 			o = Op{Kind: OpPowerCycle}
-		case w < 98:
-			o = Op{Kind: OpScrub}
 		default:
 			o = Op{Kind: OpDrain}
 		}
@@ -360,7 +338,7 @@ func Generate(seed uint64, cfg Config) []Op {
 const auditEvery = 64
 
 // check runs pt's trace on env against a fresh stack and model and
-// returns the first divergence (if any) plus fault and scrub counters.
+// returns the first divergence (if any) and the relocations under it.
 func check(env *sim.Env, pt Point, cfg Config) Result {
 	seed := pt.Seed
 	sc := stackConfig(cfg.GCActive)
@@ -402,10 +380,7 @@ func check(env *sim.Env, pt Point, cfg Config) Result {
 		}
 	})
 	env.Run()
-	reg := obs.Of(env).Registry()
-	res.ScrubRepairs = reg.Counter("scrub.repaired").Value()
-	res.GCRelocations = reg.Counter("ftl.gc_relocations").Value()
-	res.EccRetries = reg.Counter("fault.ecc_retries").Value()
+	res.GCRelocations = obs.Of(env).Registry().Counter("ftl.gc_relocations").Value()
 	return res
 }
 
@@ -481,9 +456,7 @@ func execOp(p *sim.Proc, s *core.TwoBSSD, m *Model, o Op) *Divergence {
 	case OpMmioSync:
 		return wantErr(s.Mmio().Sync(p, o.Off, o.Len), m.MmioSync(o.Off, o.Len))
 	case OpPin:
-		err := s.BAPin(p, o.EID, o.Off, o.LBA, o.Pages)
-		learnLoss(p, s, m, err, o.LBA, o.Pages)
-		return wantErr(err, m.Pin(o.EID, o.Off, o.LBA, o.Pages))
+		return wantErr(s.BAPin(p, o.EID, o.Off, o.LBA, o.Pages), m.Pin(o.EID, o.Off, o.LBA, o.Pages))
 	case OpFlush:
 		return wantErr(s.BAFlush(p, o.EID), m.Flush(o.EID))
 	case OpBlockWrite:
@@ -493,7 +466,6 @@ func execOp(p *sim.Proc, s *core.TwoBSSD, m *Model, o Op) *Divergence {
 	case OpBlockRead:
 		got := make([]byte, o.Pages*s.PageSize())
 		rerr := s.Device().ReadPagesInto(p, o.LBA, got)
-		learnLoss(p, s, m, rerr, o.LBA, o.Pages)
 		want, werr := m.BlockRead(o.LBA, o.Pages)
 		if d := wantErr(rerr, werr); d != nil {
 			return d
@@ -522,12 +494,6 @@ func execOp(p *sim.Proc, s *core.TwoBSSD, m *Model, o Op) *Divergence {
 		return nil
 	case OpPowerCycle:
 		return powerCycle(p, s, m)
-	case OpScrub:
-		// Patrol reads must be content-neutral: the model does nothing.
-		if err := s.ScrubPass(p); err != nil {
-			return &Divergence{Detail: fmt.Sprintf("scrub pass failed: %v", err)}
-		}
-		return nil
 	case OpDrain:
 		if err := s.Device().Drain(p); err != nil {
 			return &Divergence{Detail: fmt.Sprintf("drain failed: %v", err)}
@@ -540,26 +506,6 @@ func execOp(p *sim.Proc, s *core.TwoBSSD, m *Model, o Op) *Divergence {
 		return audit(s) // the write buffer holds its invariants after every deallocate
 	}
 	return &Divergence{Detail: "unknown op kind"}
-}
-
-// learnLoss is how the model learns that the stack lost a page: the
-// BER draw that loses one is the fault plan's, which the model does not
-// replay. When an op over [lba, lba+pages) fails uncorrectable, each
-// page of the range not yet lost in the model is read on its own, and
-// those that fail ECC are lost in the model from then on, until written
-// again. The model then predicts the loss at every later read: a lost
-// page that reads clean after a relocation is a divergence.
-func learnLoss(p *sim.Proc, s *core.TwoBSSD, m *Model, err error, lba ftl.LBA, pages int) {
-	if !errors.Is(err, nand.ErrUncorrectable) {
-		return
-	}
-	buf := make([]byte, m.cfg.PageSize)
-	for i := 0; i < pages; i++ {
-		l := lba + ftl.LBA(i)
-		if !m.lost[uint64(l)] && errors.Is(s.Device().ReadPagesInto(p, l, buf), nand.ErrUncorrectable) {
-			m.lost[uint64(l)] = true
-		}
-	}
 }
 
 // powerCycle cuts power and brings the device back, feeding the real

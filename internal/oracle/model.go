@@ -13,8 +13,7 @@
 // view back to the block space; the recovery dump is all-or-nothing
 // over the mapped pages (unmapped buffer pages come back zeroed); a
 // deallocated page reads as zeros, whatever copy of it the drive still
-// buffered; a page the stack lost to an uncorrectable read stays lost,
-// wherever GC moves it, until it is written or deallocated.
+// buffered.
 // Any behavioural difference between the stack and this model is a bug
 // in one of them, and either way worth a minimal reproducer.
 package oracle
@@ -25,7 +24,6 @@ import (
 
 	"twobssd/internal/core"
 	"twobssd/internal/ftl"
-	"twobssd/internal/integrity"
 	"twobssd/internal/pcie"
 )
 
@@ -60,7 +58,6 @@ type Model struct {
 	pending []mburst // WC-staged bursts, oldest first (volatile)
 	table   []*core.Entry
 	blocks  map[uint64][]byte // committed block content; absent = zeros
-	lost    map[uint64]bool   // pages the stack lost (learnLoss), until written again
 	dump    *mdump            // non-nil = a valid recovery image exists
 
 	// BuggyChecker miswires the LBA-checker overlap comparison by one
@@ -79,20 +76,7 @@ func NewModel(cfg ModelConfig) *Model {
 		babuf:   make([]byte, cfg.BufBytes),
 		table:   make([]*core.Entry, cfg.MaxEntries),
 		blocks:  make(map[uint64][]byte),
-		lost:    make(map[uint64]bool),
 	}
-}
-
-// anyLost reports whether a page of [lba, lba+pages) is lost: its data
-// is gone, and a read of it fails with integrity.ErrPageCorrupt however
-// GC has moved it since.
-func (m *Model) anyLost(lba ftl.LBA, pages int) bool {
-	for i := 0; i < pages && len(m.lost) > 0; i++ {
-		if m.lost[uint64(lba)+uint64(i)] {
-			return true
-		}
-	}
-	return false
 }
 
 func (m *Model) checkWindow(off, n int) error {
@@ -227,11 +211,6 @@ func (m *Model) Pin(eid core.EID, off int, lba ftl.LBA, pages int) error {
 	for i := 0; i < pages; i++ {
 		copy(m.babuf[off+i*ps:off+(i+1)*ps], m.page(lba+ftl.LBA(i)))
 	}
-	if m.anyLost(lba, pages) {
-		// The reads land in the buffer as they are issued; the pin
-		// fails and installs no entry.
-		return integrity.ErrPageCorrupt
-	}
 	m.table[eid] = &core.Entry{ID: eid, Offset: off, LBA: lba, Pages: pages}
 	return nil
 }
@@ -254,7 +233,6 @@ func (m *Model) Flush(eid core.EID) error {
 		pg := make([]byte, ps)
 		copy(pg, m.babuf[e.Offset+i*ps:e.Offset+(i+1)*ps])
 		m.blocks[uint64(e.LBA)+uint64(i)] = pg
-		delete(m.lost, uint64(e.LBA)+uint64(i))
 	}
 	m.table[eid] = nil
 	return nil
@@ -276,14 +254,13 @@ func (m *Model) BlockWrite(lba ftl.LBA, data []byte) error {
 		pg := make([]byte, ps)
 		copy(pg, data[i*ps:(i+1)*ps])
 		m.blocks[uint64(lba)+uint64(i)] = pg
-		delete(m.lost, uint64(lba)+uint64(i))
 	}
 	return nil
 }
 
 // Deallocate mirrors device.Deallocate: gate first, then the range;
 // the pages then read as zeros — a copy the drive still buffered never
-// lands — and a lost one is no longer lost, until written again.
+// lands.
 func (m *Model) Deallocate(lba ftl.LBA, pages int) error {
 	if err := m.gate(lba, pages); err != nil {
 		return err
@@ -293,23 +270,18 @@ func (m *Model) Deallocate(lba ftl.LBA, pages int) error {
 	}
 	for i := 0; i < pages; i++ {
 		delete(m.blocks, uint64(lba)+uint64(i))
-		delete(m.lost, uint64(lba)+uint64(i))
 	}
 	return nil
 }
 
 // BlockRead mirrors device.ReadPagesInto: gate first; out-of-range pages
-// surface the FTL's range error; a lost page fails the read; unwritten
-// pages read as zeros.
+// surface the FTL's range error; unwritten pages read as zeros.
 func (m *Model) BlockRead(lba ftl.LBA, pages int) ([]byte, error) {
 	if err := m.gate(lba, pages); err != nil {
 		return nil, err
 	}
 	if !ftl.Within(lba, pages, m.cfg.Pages) {
 		return nil, ftl.ErrLBAOutOfRange
-	}
-	if m.anyLost(lba, pages) {
-		return nil, integrity.ErrPageCorrupt
 	}
 	out := make([]byte, pages*m.cfg.PageSize)
 	for i := 0; i < pages; i++ {

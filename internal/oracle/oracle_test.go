@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -11,7 +12,7 @@ import (
 
 	"twobssd/internal/core"
 	"twobssd/internal/fault"
-	"twobssd/internal/obs"
+	"twobssd/internal/nand"
 	"twobssd/internal/sim"
 )
 
@@ -24,7 +25,6 @@ func TestFuzzCleanSeeds(t *testing.T) {
 	if testing.Short() {
 		seeds = 8
 	}
-	var repairs, retries uint64
 	for seed := uint64(0); seed < uint64(seeds); seed++ {
 		res := run(seed, Config{})
 		if res.Divergence != nil {
@@ -33,17 +33,6 @@ func TestFuzzCleanSeeds(t *testing.T) {
 		if res.Ops == 0 {
 			t.Fatalf("seed %d executed no ops", seed)
 		}
-		repairs += res.ScrubRepairs
-		retries += res.EccRetries
-	}
-	// The fuzz fault plan pushes the BER just past the ECC budget, so
-	// retries (and hence scrub repair work) must actually occur — a
-	// zero here means the oracle is fuzzing a fault-free stack.
-	if retries == 0 {
-		t.Error("no ECC retries across all seeds; fuzz BER plan not biting")
-	}
-	if repairs == 0 {
-		t.Error("no scrub repairs across all seeds; scrub path not exercised")
 	}
 }
 
@@ -52,7 +41,7 @@ func TestFuzzCleanSeeds(t *testing.T) {
 func TestFuzzDeterministic(t *testing.T) {
 	a := run(3, Config{})
 	b := run(3, Config{})
-	if a.Ops != b.Ops || a.ScrubRepairs != b.ScrubRepairs || a.EccRetries != b.EccRetries {
+	if a.Ops != b.Ops || a.GCRelocations != b.GCRelocations {
 		t.Fatalf("replay not deterministic: %+v vs %+v", a, b)
 	}
 	if (a.Divergence == nil) != (b.Divergence == nil) {
@@ -205,15 +194,77 @@ func TestFuzzAuditsThePageMap(t *testing.T) {
 			t.Errorf("a clean drive fails the audit: %v", d)
 			return
 		}
-		// validCount is the FTL's own; reach it the way a bug would.
-		vc := reflect.ValueOf(s.Device().FTL()).Elem().FieldByName("validCount").Index(0)
-		*(*int)(unsafe.Pointer(vc.UnsafeAddr()))++
+		driftValidCount(s, 0)
 		got = powerCycle(p, s, m)
 	})
 	env.Run()
 	if got == nil || !strings.HasPrefix(got.Detail, "page map audit") {
 		t.Fatalf("power cycle over a drifted valid count: %v, want a page map audit divergence", got)
 	}
+}
+
+// driftValidCount counts one valid page too many on block blk of the
+// drive's FTL. validCount is the FTL's own; reach it the way a bug would.
+func driftValidCount(s *core.TwoBSSD, blk nand.BlockID) {
+	vc := reflect.ValueOf(s.Device().FTL()).Elem().FieldByName("validCount").Index(int(blk))
+	*(*int)(unsafe.Pointer(vc.UnsafeAddr()))++
+}
+
+// The audit after every deallocate sees the page map, not just the write
+// buffer: the first fuzz-smoke GC seed that deallocates replays its
+// trace, and just before that op the block holding its first LBA counts
+// one valid page too many. The divergence is a page map audit at that
+// op, before any power cycle or periodic audit could report it.
+func TestFuzzAuditsThePageMapAtADeallocate(t *testing.T) {
+	cfg := Config{GCActive: true}
+	for seed := uint64(0); seed < 32; seed++ {
+		ops := Generate(seed, cfg)
+		at := slices.IndexFunc(ops, func(o Op) bool { return o.Kind == OpDeallocate })
+		if at < 0 {
+			continue
+		}
+		env := sim.NewEnv()
+		fault.Install(env, fuzzPlan(seed))
+		sc := stackConfig(true)
+		s := core.New(env, sc)
+		m := NewModel(ModelConfig{
+			PageSize: s.PageSize(), BufBytes: sc.BABufferBytes, MaxEntries: sc.MaxEntries, Pages: s.Device().Pages(),
+			WCBurstBytes: sc.MMIO.WCBurstBytes, WCBufferBursts: sc.MMIO.WCBufferBursts,
+		})
+		var got *Divergence
+		failedAt := -1
+		env.Go("t", func(p *sim.Proc) {
+			if d := precondition(p, s, m, seed, cfg.lbaSpan()); d != nil {
+				t.Errorf("precondition: %v", d)
+				return
+			}
+			for i, o := range ops {
+				if i == at {
+					ppa, ok := s.Device().FTL().PPAOf(o.LBA)
+					if !ok {
+						t.Errorf("seed %d: lba %d of %s is not on the flash", seed, o.LBA, o)
+						return
+					}
+					driftValidCount(s, s.Device().Flash().Config().BlockOf(ppa))
+				}
+				d := execOp(p, s, m, o)
+				if d == nil && (i+1)%auditEvery == 0 {
+					d = audit(s)
+				}
+				if d != nil {
+					got, failedAt = d, i
+					return
+				}
+			}
+		})
+		env.Run()
+		if failedAt != at || !strings.HasPrefix(got.Detail, "page map audit") {
+			t.Fatalf("seed %d: divergence %v at op %d; want a page map audit at the deallocate, op %d", seed, got, failedAt, at)
+		}
+		t.Logf("seed %d op %d (%s): %s", seed, at, ops[at], got.Detail)
+		return
+	}
+	t.Fatal("no fuzz-smoke GC seed deallocates")
 }
 
 // TestFillPatternMatchesByteLoop pins fillPattern's word-at-a-time fill
@@ -249,58 +300,6 @@ func TestFillPatternMatchesByteLoop(t *testing.T) {
 // run checks seed's point once, untraced, on a fresh environment.
 func run(seed uint64, cfg Config) Result {
 	return Campaign(cfg, 0).Trial(NewPoint(seed, cfg), false).Result
-}
-
-// The model learns a loss from the stack and then predicts it: a page
-// aged past the ECC budget fails its block read, the oracle learns it
-// page by page, and every later read of it, alone or in a range, fails
-// in both, until a write brings it back in both.
-func TestModelKeepsALostPageLost(t *testing.T) {
-	env := sim.NewEnv()
-	fault.Install(env, fault.Plan{Seed: 1, BER: &fault.BERModel{
-		Base: 1e-4, RetentionPerHour: 100, ECCBits: 40, RetrySteps: 2, RetryLatency: 60 * sim.Microsecond,
-	}})
-	sc := stackConfig(false)
-	s := core.New(env, sc)
-	m := NewModel(ModelConfig{
-		PageSize: s.PageSize(), BufBytes: sc.BABufferBytes, MaxEntries: sc.MaxEntries, Pages: s.Device().Pages(),
-		WCBurstBytes: sc.MMIO.WCBurstBytes, WCBufferBursts: sc.MMIO.WCBufferBursts,
-	})
-	env.Go("t", func(p *sim.Proc) {
-		ops := []Op{
-			{Kind: OpBlockWrite, LBA: 5, Pages: 1, Seed: 7},
-			{Kind: OpDrain},
-		}
-		for _, o := range ops {
-			if d := execOp(p, s, m, o); d != nil {
-				t.Fatalf("%s: %v", o, d)
-			}
-		}
-		p.Sleep(3600 * sim.Second) // LBA 5 ages past the ECC budget
-		for _, o := range []Op{
-			{Kind: OpBlockRead, LBA: 4, Pages: 3}, // learns the loss
-			{Kind: OpBlockRead, LBA: 5, Pages: 1},
-			{Kind: OpBlockRead, LBA: 3, Pages: 4},
-			{Kind: OpPin, EID: 0, Off: 0, LBA: 5, Pages: 1},
-			{Kind: OpBlockWrite, LBA: 5, Pages: 1, Seed: 8},
-			{Kind: OpDrain},
-			{Kind: OpBlockRead, LBA: 4, Pages: 3},
-		} {
-			if d := execOp(p, s, m, o); d != nil {
-				t.Fatalf("%s: %v", o, d)
-			}
-			if o.Kind == OpPin && !m.lost[5] {
-				t.Fatal("the model did not learn the loss of LBA 5")
-			}
-		}
-		if len(m.lost) != 0 {
-			t.Fatalf("the rewrite left %d pages lost in the model", len(m.lost))
-		}
-	})
-	env.Run()
-	if obs.Of(env).Registry().CounterValue("fault.uncorrectable_reads") == 0 {
-		t.Fatal("no read was uncorrectable")
-	}
 }
 
 // Stack and model agree that a deallocated page reads as zeros at once
