@@ -26,7 +26,6 @@ func main() {
 	// Install must precede the stack build: components cache the
 	// injector at construction time.
 	inj := fault.Install(env, fault.Plan{
-		Seed:      1,
 		PowerLoss: fault.Trigger{On: fault.EvWalCommit, N: 10},
 	})
 	ssd := core.New(env, core.DefaultConfig())

@@ -32,11 +32,10 @@ func run(mode wal.CommitMode) (opsPerSec float64) {
 		WALBytes:      2 << 20,
 	}
 	if mode == wal.BA {
-		// Each log file takes one of four quarter-buffer slots.
+		// Two EID pairs: each log file double-buffers across one.
 		cfg.SSD = core.New(env, core.DefaultConfig())
 		cfg.LogFS = vfs.New(cfg.SSD.Device())
 		cfg.EIDs = []core.EID{0, 1, 2, 3}
-		cfg.WALBytes = cfg.SSD.Config().BABufferBytes / 4
 	} else {
 		prof := twobssd.ULLSSD()
 		prof.Name = "log-" + prof.Name

@@ -231,7 +231,8 @@ func newLSMKV(env *sim.Env, p *sim.Proc, st *stack) (*lsmKV, error) {
 	if st.mode == wal.BA {
 		cfg.SSD = st.ssd
 		cfg.EIDs = []core.EID{0, 1, 2, 3}
-		// Each log file = a quarter of the BA-buffer (IV-B).
+		// Each log file is a quarter of the BA-buffer's size (IV-B);
+		// it pins two segments of it at a time.
 		cfg.WALBytes = st.ssd.Config().BABufferBytes / 4
 	} else {
 		cfg.WALBytes = 2 << 20

@@ -75,7 +75,7 @@ func TestEmptyPlanDoesNotPerturbTiming(t *testing.T) {
 	run := func(install bool) sim.Time {
 		env := sim.NewEnv()
 		if install {
-			fault.Install(env, fault.Plan{Seed: 123})
+			fault.Install(env, fault.Plan{})
 		}
 		env.Go("wal", func(p *sim.Proc) {
 			cyc, err := buildWALCrash(env, p)
@@ -174,7 +174,7 @@ func TestCapacitorExhaustionFallsBackToWALReplay(t *testing.T) {
 // a half-written image.
 func TestDumpCutLeavesNoTornImage(t *testing.T) {
 	env := sim.NewEnv()
-	fault.Install(env, fault.Plan{Seed: 5, CutDumpAfterPages: 3})
+	fault.Install(env, fault.Plan{CutDumpAfterPages: 3})
 	env.Go("t", func(p *sim.Proc) {
 		ssd := core.New(env, core.SmallConfig())
 		fs := vfs.New(ssd.Device())

@@ -61,7 +61,6 @@ func fleetBase(s Scale, seed uint64, arrival func(i int) traffic.Arrival) fleet.
 	return fleet.Config{
 		Devices: 4,
 		Policy:  fleet.Hash,
-		Seed:    seed,
 		QoS:     fleet.QoSConfig{Slots: 4, BurstOps: 4, MaxInflight: 8},
 		Tenants: fleetTenants(8, fleetTenantOps(s), seed, arrival),
 	}

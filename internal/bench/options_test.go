@@ -44,7 +44,7 @@ func TestOptionCountRatchet(t *testing.T) {
 		{nand.Config{}, 9},
 		{ycsb.Config{}, 5},
 		{linkbench.Config{}, 2},
-		{fault.Plan{}, 3},
+		{fault.Plan{}, 2},
 		{oracle.Config{}, 2},
 		{traffic.Spec{}, 10},
 	} {

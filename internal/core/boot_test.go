@@ -220,7 +220,7 @@ func TestEmptyImageIsNotRetired(t *testing.T) {
 // comes up empty.
 func TestBufferPageNeverPassesForMetadata(t *testing.T) {
 	e := sim.NewEnv()
-	fault.Install(e, fault.Plan{Seed: 1, CutDumpAfterPages: 1}) // after the data page, before the metadata page
+	fault.Install(e, fault.Plan{CutDumpAfterPages: 1}) // after the data page, before the metadata page
 	s := newSSD(e)
 	e.Go("t", func(p *sim.Proc) {
 		if err := s.BAPin(p, 0, 0, 10, 1); err != nil {
@@ -280,7 +280,7 @@ func TestSeededCutBootCycles(t *testing.T) {
 		cfg.CapacitorsUF = [][]float64{cfg.CapacitorsUF, {45}, {25}}[rng.Intn(3)] // 9.7, 0.54, 0.3 ms
 		e := sim.NewEnv()
 		if rng.Intn(2) == 0 {
-			fault.Install(e, fault.Plan{Seed: seed, CutDumpAfterPages: 1 + rng.Intn(40)})
+			fault.Install(e, fault.Plan{CutDumpAfterPages: 1 + rng.Intn(40)})
 		}
 		s := New(e, cfg)
 		ps, pages := s.PageSize(), s.BufferPages()

@@ -15,7 +15,7 @@ import (
 // match.
 func TestDumpTornErrorWrapping(t *testing.T) {
 	e := sim.NewEnv()
-	fault.Install(e, fault.Plan{Seed: 5, CutDumpAfterPages: 1})
+	fault.Install(e, fault.Plan{CutDumpAfterPages: 1})
 	s := newSSD(e)
 	ps := s.PageSize()
 	e.Go("t", func(p *sim.Proc) {

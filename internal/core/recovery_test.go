@@ -292,7 +292,7 @@ func TestSecondCutWithoutEraseRestoresOnlyItsOwnImage(t *testing.T) {
 // complete image that still sits on the flash in front of it.
 func TestTornSecondDumpNeverRestoresTheFirst(t *testing.T) {
 	e := sim.NewEnv()
-	fault.Install(e, fault.Plan{Seed: 1, CutDumpAfterPages: 3})
+	fault.Install(e, fault.Plan{CutDumpAfterPages: 3})
 	s := newSSD(e)
 	ps := s.PageSize()
 	e.Go("t", func(p *sim.Proc) {

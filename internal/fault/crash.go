@@ -129,7 +129,7 @@ func (c *Crash) points() ([]CrashPoint, error) {
 	}
 	env := sim.NewEnv()
 	defer env.Shutdown() // its parked daemons would pin the drive
-	in := Install(env, Plan{Seed: c.Seed})
+	in := Install(env, Plan{})
 	var perr error
 	env.Go("fault.profile", func(p *sim.Proc) {
 		cyc, err := c.Build(env, p)
@@ -173,14 +173,14 @@ func (c *Crash) points() ([]CrashPoint, error) {
 			frac = 0.999999
 		}
 		n := min(1+uint64(frac*float64(cl.max)), cl.max)
-		plan := Plan{Seed: c.Seed + uint64(i)*0x9E3779B97F4A7C15, PowerLoss: Trigger{On: cl.ev, N: n}}
+		plan := Plan{PowerLoss: Trigger{On: cl.ev, N: n}}
 		if cl.time {
 			plan.PowerLoss = Trigger{At: sim.Time(n)}
 		}
 		if c.CutDumps && i%5 == 3 {
 			plan.CutDumpAfterPages = 1 + i%7
 		}
-		pts[i] = CrashPoint{Index: i, Seed: plan.Seed, Plan: plan}
+		pts[i] = CrashPoint{Index: i, Seed: c.Seed + uint64(i)*0x9E3779B97F4A7C15, Plan: plan}
 	}
 	return pts, nil
 }

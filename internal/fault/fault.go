@@ -103,9 +103,6 @@ func (t Trigger) String() string {
 // Plan is the full fault scenario for one simulation environment.
 // The zero Plan injects nothing.
 type Plan struct {
-	// Seed identifies the scenario; no fault class draws from it.
-	Seed uint64
-
 	// PowerLoss trips the injector (see Trigger).
 	PowerLoss Trigger
 

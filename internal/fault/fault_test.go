@@ -37,7 +37,7 @@ func BenchmarkDisabledInjectorHooks(b *testing.B) {
 
 func TestEventTriggerTripsAtNthEvent(t *testing.T) {
 	env := sim.NewEnv()
-	in := Install(env, Plan{Seed: 1, PowerLoss: Trigger{On: EvWalCommit, N: 3}})
+	in := Install(env, Plan{PowerLoss: Trigger{On: EvWalCommit, N: 3}})
 	for i := 0; i < 2; i++ {
 		in.Tick(EvWalCommit)
 		if in.Tripped() {
@@ -59,7 +59,7 @@ func TestEventTriggerTripsAtNthEvent(t *testing.T) {
 
 func TestTimeTriggerTripsAtVirtualTime(t *testing.T) {
 	env := sim.NewEnv()
-	in := Install(env, Plan{Seed: 1, PowerLoss: Trigger{At: 12345}})
+	in := Install(env, Plan{PowerLoss: Trigger{At: 12345}})
 	env.Go("spin", func(p *sim.Proc) { p.Sleep(1 * sim.Millisecond) })
 	env.Run()
 	if !in.Tripped() {
@@ -72,7 +72,7 @@ func TestTimeTriggerTripsAtVirtualTime(t *testing.T) {
 
 func TestDisarmStopsTripping(t *testing.T) {
 	env := sim.NewEnv()
-	in := Install(env, Plan{Seed: 1, PowerLoss: Trigger{On: EvWCBurst, N: 1}})
+	in := Install(env, Plan{PowerLoss: Trigger{On: EvWCBurst, N: 1}})
 	in.Disarm()
 	in.Tick(EvWCBurst)
 	if in.Tripped() {
@@ -84,7 +84,7 @@ func TestDisarmStopsTripping(t *testing.T) {
 // at the same event and cut their dumps at the same page.
 func TestSameSeedSameFaultSequence(t *testing.T) {
 	mk := func() *Injector {
-		return Install(sim.NewEnv(), Plan{Seed: 42, PowerLoss: Trigger{On: EvNandProgram, N: 30}, CutDumpAfterPages: 7})
+		return Install(sim.NewEnv(), Plan{PowerLoss: Trigger{On: EvNandProgram, N: 30}, CutDumpAfterPages: 7})
 	}
 	a, b := mk(), mk()
 	for i := 0; i < 500; i++ {
@@ -107,7 +107,7 @@ func TestOfReturnsInstalledInjector(t *testing.T) {
 	if Of(env) != nil {
 		t.Fatal("Of on a bare env must be nil")
 	}
-	in := Install(env, Plan{Seed: 7})
+	in := Install(env, Plan{})
 	if Of(env) != in {
 		t.Fatal("Of must return the installed injector")
 	}

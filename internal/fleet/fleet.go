@@ -63,7 +63,9 @@ type Config struct {
 
 	Tenants []traffic.Spec
 	Crash   *CrashSpec
-	Seed    uint64
+	// Deprecated: ignored. No fault class draws from a seed; each
+	// tenant's traffic.Spec carries its own.
+	Seed uint64
 }
 
 const (
@@ -287,10 +289,7 @@ func newNode(g *sim.Group, fr *fleetRT, devCfg core.Config, d int) *node {
 	env := g.NewEnv(fmt.Sprintf("dev%d", d))
 	crash := fr.cfg.Crash
 	if crash != nil && crash.Device == d {
-		fault.Install(env, fault.Plan{
-			Seed:      fr.cfg.Seed ^ (uint64(d)+1)<<32,
-			PowerLoss: fault.Trigger{At: crash.At},
-		})
+		fault.Install(env, fault.Plan{PowerLoss: fault.Trigger{At: crash.At}})
 	}
 	ssd := core.New(env, devCfg)
 	n := &node{

@@ -54,6 +54,7 @@ func TestSupersededPagesHoldNoBytes(t *testing.T) {
 				blocks = append(blocks, f.flash.Config().BlockOf(ppa))
 			}
 		}
+		f.housekeeping() // the relocation frontier, if no collection made it
 		f.gcLock.Acquire(p)
 		for _, blk := range blocks {
 			src := f.validPages(blk, nil)
@@ -127,6 +128,7 @@ func TestLostRaceCopyHoldsNoBytes(t *testing.T) {
 			written = e.Now()
 		})
 		t0 := e.Now()
+		f.housekeeping() // the relocation frontier, if no collection made it
 		f.gcLock.Acquire(p)
 		err := f.evacuate(p, victim)
 		f.gcLock.Release()

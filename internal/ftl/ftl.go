@@ -837,12 +837,12 @@ func (f *FTL) moveRun(p *sim.Proc, run []nand.PPA) error {
 // another die, so the free block a relocation uses up is taken while
 // the collection that caused it is still counting. Bytes and integrity
 // tags move with their pages at the rebind, after the whole run has
-// programmed. Called under gcLock (see evacuate).
+// programmed. Called under gcLock (see evacuate), by the collector,
+// which maybeGC starts only once housekeeping has made the frontier.
 func (f *FTL) land(p *sim.Proc, pages []nand.PPA) error {
 	if len(pages) == 0 {
 		return nil
 	}
-	f.housekeeping()
 	s := f.lockIdleSlot(p)
 	defer f.relocLocks[s].Release()
 	for len(pages) > 0 {

@@ -364,7 +364,9 @@ func TestRelocationPicksSlotsByPhysicalDie(t *testing.T) {
 		fullBlocks(t, p, f)
 		victim := f.open[2].blk // LBAs 2, 6, 10, ...
 		ppa, _ := f.lookup(0)
-		if err := f.land(p, []nand.PPA{ppa}); err != nil { // opens slot 0's block
+		f.housekeeping() // the relocation frontier, if no collection made it
+		// Opens slot 0's block.
+		if err := f.land(p, []nand.PPA{ppa}); err != nil {
 			t.Fatal(err)
 		}
 		busy := dieOf(f.relocOpen[0].blk)
@@ -415,7 +417,7 @@ func TestRelocationPicksSlotsByPhysicalDie(t *testing.T) {
 // bytes, not the zeroes of a source whose bytes already left.
 func TestBytesMoveAtRebindNotAtProgram(t *testing.T) {
 	e := sim.NewEnv()
-	fault.Install(e, fault.Plan{Seed: 1})
+	fault.Install(e, fault.Plan{})
 	f := newTestFTL(e)
 	fc := f.flash.Config()
 	const lba = 4 // page 1 of die 0's block
@@ -436,6 +438,7 @@ func TestBytesMoveAtRebindNotAtProgram(t *testing.T) {
 				t.Errorf("read mid-program: %d, %v; want %d", got[0], err, lba+1)
 			}
 		})
+		f.housekeeping() // the relocation frontier, if no collection made it
 		f.gcLock.Acquire(p)
 		err := f.evacuate(p, victim)
 		f.gcLock.Release()

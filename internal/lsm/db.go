@@ -26,19 +26,19 @@ type Config struct {
 	// WALMode selects the commit protocol; BA needs SSD + EIDs.
 	WALMode wal.CommitMode
 	SSD     *core.TwoBSSD
-	// EIDs/BufferOffset carve WAL slots out of the BA-buffer. Per the
-	// paper each RocksDB log file takes a quarter of the BA-buffer and
-	// at most two live at once; four slots rotate safely. Log file n
-	// takes slot n%len(EIDs) and pins that slot's one EID over a window
-	// at the slot's start: MemtableBytes rounded up to whole pages,
-	// capped at WALBytes. A memtable's log stays inside the window
-	// (logWindow), so a BA log pins, flushes and dumps only what a
-	// memtable can hold.
+	// EIDs/BufferOffset carve WAL slots out of the BA-buffer. The EIDs
+	// come in pairs, one pair per slot; at most two logs pin at once
+	// (the active memtable's and the immutable one's; Recover unpins a
+	// recovered log before the next opens), so two pairs rotate safely. Log file n takes slot n%(len(EIDs)/2) and
+	// double-buffers across its pair in segments of logSegmentPages
+	// pages (walConfig): it pins the segment it reaches and BA_FLUSHes
+	// the one it left in the background, so a BA log pins, flushes and
+	// dumps at most two segments.
 	EIDs         []core.EID
 	BufferOffset int
 
 	// MemtableBytes triggers rotation; WALBytes sizes each log file
-	// and each BA-buffer slot (the slot stride). WALBytes must exceed
+	// (rounded up to whole segments in BA mode). WALBytes must exceed
 	// MemtableBytes.
 	MemtableBytes int
 	WALBytes      int
@@ -86,8 +86,8 @@ func (c *Config) fillDefaults() error {
 		c.WriteCPU = 2 * sim.Microsecond
 	}
 	if c.WALMode == wal.BA {
-		if c.SSD == nil || len(c.EIDs) < 2 {
-			return errors.New("lsm: BA mode needs SSD and >= 2 EIDs")
+		if c.SSD == nil || len(c.EIDs) < 4 || len(c.EIDs)%2 != 0 {
+			return errors.New("lsm: BA mode needs SSD and two or more pairs of EIDs")
 		}
 	}
 	return nil
@@ -238,30 +238,57 @@ type immLog struct {
 	file *vfs.File
 }
 
-// logWindow is a BA log's pinned window: MemtableBytes rounded up to
-// whole pages, capped at WALBytes. Put rotates before a memtable's
-// charge (32 B per entry plus key and value) reaches MemtableBytes, and
-// a record costs 21 B of log plus the same key and value, so the log
-// stays 11 B per entry behind the charge: past a memtable's second
-// entry it is inside the window. Only a first or second record nearly
-// MemtableBytes long can pass the end (the first fails with
-// wal.ErrTooLarge, the second crosses into the file's next window).
-func (db *DB) logWindow() int {
+// logSegmentPages is a BA log's segment: the unit it pins, BA_FLUSHes
+// and dumps. The log pins the next segment in the foreground when it
+// crosses into it and flushes the one it left in the background, so a
+// smaller segment shortens the cut's dump and recovery's unpin, and
+// each crossing starts one flush process. Swept on kv-ba (seed 1,
+// --seconds 15), against 1.117 ms, 56.6 µs and 0.509 allocations per
+// op for one 256-page memtable window:
+//
+//	pages  sim_recovery_ms  sim_op_tail_us  host_allocs_per_op
+//	    4            0.427            30.8               0.519
+//	    8            0.435            33.8               0.514
+//	   16            0.450            40.8               0.512
+//	   32            0.483            47.5               0.511
+//	   64            0.542            52.3               0.510
+//
+// 16 is the smallest whose allocations stay within 1 % of the window's,
+// so this is a constant, not an option.
+const logSegmentPages = 16
+
+// logSegment is a BA log's segment size: logSegmentPages pages, capped
+// at MemtableBytes rounded up to whole pages. A record larger than a
+// segment fails with wal.ErrTooLarge.
+func (db *DB) logSegment() int {
 	ps := db.cfg.SSD.PageSize()
-	return min((db.cfg.MemtableBytes+ps-1)/ps*ps, db.cfg.WALBytes)
+	return min(logSegmentPages, (db.cfg.MemtableBytes+ps-1)/ps) * ps
+}
+
+// logBytes is a log file's capacity: WALBytes, rounded up in BA mode
+// to whole segments, so no pinned segment runs past the file's pages
+// onto a neighbour's.
+func (db *DB) logBytes() int64 {
+	n := db.cfg.WALBytes
+	if db.cfg.WALMode == wal.BA {
+		seg := db.logSegment()
+		n = (n + seg - 1) / seg * seg
+	}
+	return int64(n)
 }
 
 // walConfig places log file number n, held in f. A BA log takes
-// BA-buffer slot n%len(EIDs): the slot's one EID, pinned over a
-// logWindow at the slot's start.
+// BA-buffer slot n%(len(EIDs)/2): the slot's pair of EIDs and two
+// segments of buffer, one per EID.
 func (db *DB) walConfig(f *vfs.File, n int) wal.Config {
 	cfg := wal.Config{Mode: db.cfg.WALMode, File: f}
 	if db.cfg.WALMode == wal.BA {
-		slot := n % len(db.cfg.EIDs)
+		slot := n % (len(db.cfg.EIDs) / 2)
+		seg := db.logSegment()
 		cfg.SSD = db.cfg.SSD
-		cfg.EIDs = db.cfg.EIDs[slot : slot+1]
-		cfg.SegmentBytes = db.logWindow()
-		cfg.BufferOffset = db.cfg.BufferOffset + slot*db.cfg.WALBytes
+		cfg.EIDs = db.cfg.EIDs[2*slot : 2*slot+2]
+		cfg.SegmentBytes = seg
+		cfg.BufferOffset = db.cfg.BufferOffset + slot*2*seg
 	}
 	return cfg
 }
@@ -317,7 +344,7 @@ func (db *DB) recoverLogs(p *sim.Proc) (*memtable, []immLog, error) {
 
 // newWAL opens a fresh log for the active memtable.
 func (db *DB) newWAL(p *sim.Proc) error {
-	f, err := db.cfg.LogFS.Create(walName(db.rotation), int64(db.cfg.WALBytes))
+	f, err := db.cfg.LogFS.Create(walName(db.rotation), db.logBytes())
 	if err != nil {
 		return err
 	}
@@ -367,6 +394,14 @@ func (db *DB) Put(p *sim.Proc, key, value []byte) error {
 	}
 	rec := encodeRecordInto(db.encScratch(1+4+len(key)+len(value)), key, value)
 	lsn, err := db.walAct.Append(p, rec)
+	if errors.Is(err, wal.ErrLogFull) && db.mem.len() > 0 {
+		// A BA log pads to each segment boundary a record would
+		// straddle, so it can fill its file before the memtable's
+		// charge reaches MemtableBytes.
+		if err = db.rotate(p); err == nil {
+			lsn, err = db.walAct.Append(p, rec)
+		}
+	}
 	if err != nil {
 		db.wlock.Release()
 		return err

@@ -7,39 +7,61 @@ import (
 	"slices"
 	"testing"
 
+	"twobssd/internal/core"
+	"twobssd/internal/ftl"
+	"twobssd/internal/obs"
 	"twobssd/internal/sim"
 	"twobssd/internal/wal"
 )
 
-// Property: a BA log never leaves its window. Over seeds, with a
-// memtable size that is not page aligned and values of 1 B to 1 KB,
-// the active log's append frontier stays inside its window after every
-// Put, and every mapping-table entry the logs pin spans
-// ceil(MemtableBytes/page) pages.
-func TestPropertyBALogStaysInItsWindow(t *testing.T) {
+// Property: a BA log pins at most two segments. Over seeds, with a
+// memtable size that is not page aligned (so the segment is sometimes
+// the memtable's page-rounded size, sometimes logSegmentPages), and
+// values of 1 B up to nearly a segment, after every Put each live log
+// file holds at most two mapping-table entries, each exactly one
+// segment inside the file.
+func TestPropertyBALogPinsAtMostTwoSegments(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		r := newDBRig()
 		rng := rand.New(rand.NewSource(seed))
 		cfg := r.config(wal.BA)
-		cfg.MemtableBytes = 8<<10 + rng.Intn(8<<10)
-		ps := r.ssd.PageSize()
-		pages := (cfg.MemtableBytes + ps - 1) / ps
+		cfg.MemtableBytes = 8<<10 + rng.Intn(120<<10)
+		cfg.WALBytes = 0 // twice the memtable
 		r.env.Go("t", func(p *sim.Proc) {
 			db, err := Open(r.env, p, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			ps := r.ssd.PageSize()
+			seg := db.logSegment()
+			if want := min(logSegmentPages*ps, (cfg.MemtableBytes+ps-1)/ps*ps); seg != want {
+				t.Fatalf("seed %d: a %d B memtable's segment is %d B, want %d", seed, cfg.MemtableBytes, seg, want)
+			}
 			for i := 0; i < 400; i++ {
-				v := make([]byte, 1+rng.Intn(1<<10))
-				if err := db.Put(p, []byte(fmt.Sprintf("k%04d", rng.Intn(200))), v); err != nil {
-					t.Fatalf("seed %d put %d: %v", seed, i, err)
+				n := 1 + rng.Intn(1<<10)
+				if rng.Intn(8) == 0 {
+					n = 1 + rng.Intn(seg-32) // up to a whole segment's record
 				}
-				if off := db.walAct.AppendOff(); off > int64(pages*ps) {
-					t.Fatalf("seed %d put %d: log %s appends at %d, past its %d-page window", seed, i, db.actFile.Name(), off, pages)
+				if err := db.Put(p, []byte(fmt.Sprintf("k%04d", rng.Intn(200))), make([]byte, n)); err != nil {
+					t.Fatalf("seed %d put %d (%d B): %v", seed, i, n, err)
 				}
+				pinned := map[string]int{}
 				for _, e := range r.ssd.Entries() {
-					if e.Pages != pages {
-						t.Fatalf("seed %d put %d: entry %d pins %d pages, want %d", seed, i, e.ID, e.Pages, pages)
+					f := db.actFile
+					if e.LBA < f.LBA(0) || e.LBA >= f.LBA(f.Capacity()) {
+						f = nil
+						for _, name := range r.fs.List() {
+							g, _ := r.fs.Open(name)
+							if e.LBA >= g.LBA(0) && e.LBA < g.LBA(g.Capacity()) {
+								f = g
+							}
+						}
+					}
+					if f == nil || e.Pages*ps != seg || e.LBA+ftl.LBA(e.Pages) > f.LBA(f.Capacity()) {
+						t.Fatalf("seed %d put %d: entry %d pins %d pages at LBA %d, not one %d-page segment of a log file", seed, i, e.ID, e.Pages, e.LBA, seg/ps)
+					}
+					if pinned[f.Name()]++; pinned[f.Name()] > 2 {
+						t.Fatalf("seed %d put %d: %s pins more than two segments", seed, i, f.Name())
 					}
 				}
 			}
@@ -51,16 +73,57 @@ func TestPropertyBALogStaysInItsWindow(t *testing.T) {
 	}
 }
 
-// A BA Put whose record does not fit the log's window fails with
-// wal.ErrTooLarge and applies nothing; the DB keeps serving what it
-// holds and takes the next Put. The window is the memtable's size, so
-// such a value is one the memtable could not hold either. The first
-// refusal rotates the memtable it would have overflowed; a retry finds
-// that memtable empty and rotates nothing.
-func TestPutLargerThanTheWindowFails(t *testing.T) {
+// Reopening a BA DB cut mid-log BA_FLUSHes at most two segments: the
+// cut left only the segment pair the log was writing pinned, not the
+// pages of the whole memtable it logged.
+func TestReopenFlushesAtMostTwoSegments(t *testing.T) {
 	r := newDBRig()
 	r.env.Go("t", func(p *sim.Proc) {
 		cfg := r.config(wal.BA)
+		cfg.MemtableBytes = 256 << 10
+		cfg.WALBytes = 512 << 10
+		db, err := Open(r.env, p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 200; i++ {
+			if err := db.Put(p, []byte(fmt.Sprintf("k%03d", i)), make([]byte, 1<<10)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := db.Stats().MemtableRotations; n != 0 {
+			t.Fatalf("%d rotations; the cut must land mid-log", n)
+		}
+		seg := db.logSegment()
+		if off := db.walAct.AppendOff(); off < int64(3*seg) {
+			t.Fatalf("the log is %d B long, less than three %d B segments", off, seg)
+		}
+		powerCycle(t, p, r)
+		before := counter(t, r.env, "2bssd.pages_flushed")
+		db2, err := Open(r.env, p, cfg)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		flushed := counter(t, r.env, "2bssd.pages_flushed") - before
+		if ps := r.ssd.PageSize(); flushed == 0 || flushed > uint64(2*seg/ps) {
+			t.Fatalf("Open BA_FLUSHed %d pages, want 1 to %d (two segments)", flushed, 2*seg/ps)
+		}
+		if n := db2.imm.len(); n != 200 {
+			t.Fatalf("replayed %d records, want 200", n)
+		}
+	})
+	r.env.Run()
+}
+
+// A BA Put whose record does not fit a segment fails with
+// wal.ErrTooLarge, applies nothing and rotates nothing; the DB keeps
+// serving what it holds and takes the next Put.
+func TestPutLargerThanASegmentFails(t *testing.T) {
+	r := newDBRig()
+	r.env.Go("t", func(p *sim.Proc) {
+		cfg := r.config(wal.BA)
+		cfg.MemtableBytes = 256 << 10 // room for the value: the log refuses it, not the memtable
+		cfg.WALBytes = 512 << 10
 		db, err := Open(r.env, p, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -68,14 +131,14 @@ func TestPutLargerThanTheWindowFails(t *testing.T) {
 		if err := db.Put(p, []byte("small"), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
-		big := make([]byte, db.logWindow())
+		big := make([]byte, db.logSegment())
 		for range 2 {
 			if err := db.Put(p, []byte("big"), big); !errors.Is(err, wal.ErrTooLarge) {
-				t.Fatalf("put of a %d B value into a %d B window: %v, want wal.ErrTooLarge", len(big), db.logWindow(), err)
+				t.Fatalf("put of a %d B value into a %d B segment: %v, want wal.ErrTooLarge", len(big), db.logSegment(), err)
 			}
 		}
-		if n := db.Stats().MemtableRotations; n != 1 {
-			t.Fatalf("two refused puts rotated %d memtables, want 1", n)
+		if n := db.Stats().MemtableRotations; n != 0 {
+			t.Fatalf("two refused puts rotated %d memtables, want 0", n)
 		}
 		if _, ok, err := db.Get(p, []byte("big")); ok || err != nil {
 			t.Fatalf("the refused key reads back: ok=%v err=%v", ok, err)
@@ -86,6 +149,57 @@ func TestPutLargerThanTheWindowFails(t *testing.T) {
 		for k, want := range map[string]string{"small": "v", "after": "w"} {
 			if v, ok, err := db.Get(p, []byte(k)); !ok || err != nil || string(v) != want {
 				t.Fatalf("%s = %q ok=%v err=%v, want %q", k, v, ok, err, want)
+			}
+		}
+	})
+	r.env.Run()
+}
+
+// A BA DB takes its EIDs in pairs, two pairs at least: one per log
+// that can pin at once.
+func TestOpenRejectsUnpairedEIDs(t *testing.T) {
+	r := newDBRig()
+	r.env.Go("t", func(p *sim.Proc) {
+		for _, eids := range [][]core.EID{{0, 1}, {0, 1, 2}, {0, 1, 2, 3, 4}} {
+			cfg := r.config(wal.BA)
+			cfg.EIDs = eids
+			if _, err := Open(r.env, p, cfg); err == nil {
+				t.Fatalf("Open with EIDs %v succeeded", eids)
+			}
+		}
+	})
+	r.env.Run()
+}
+
+// A BA log whose padding fills its file before the memtable's charge
+// reaches MemtableBytes rotates instead of failing: a tiny record then
+// one nearly a segment long pads out each segment, so two puts spend
+// two segments of log for one segment of charge.
+func TestPaddedLogRotatesAtItsFileEnd(t *testing.T) {
+	r := newDBRig()
+	r.env.Go("t", func(p *sim.Proc) {
+		cfg := r.config(wal.BA)
+		cfg.MemtableBytes = 256 << 10
+		cfg.WALBytes = 256<<10 + 1 // five 64 KB segments
+		db, err := Open(r.env, p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seg := db.logSegment()
+		for i := 0; i < 8; i++ {
+			if err := db.Put(p, []byte(fmt.Sprintf("t%d", i)), []byte("v")); err != nil {
+				t.Fatalf("tiny put %d: %v", i, err)
+			}
+			if err := db.Put(p, []byte(fmt.Sprintf("b%d", i)), make([]byte, seg-40)); err != nil {
+				t.Fatalf("big put %d: %v", i, err)
+			}
+		}
+		if db.Stats().MemtableRotations == 0 {
+			t.Fatal("the log never filled its file")
+		}
+		for i := 0; i < 8; i++ {
+			if v, ok, err := db.Get(p, []byte(fmt.Sprintf("t%d", i))); !ok || err != nil || string(v) != "v" {
+				t.Fatalf("t%d = %q ok=%v err=%v", i, v, ok, err)
 			}
 		}
 	})
@@ -112,6 +226,16 @@ func wantKeys(t *testing.T, p *sim.Proc, db *DB, n int, want func(i int) string)
 			t.Fatalf("k%02d = %q (ok=%v err=%v), want %q", i, v, ok, err, want(i))
 		}
 	}
+}
+
+// counter reads a registry counter of env.
+func counter(t testing.TB, e *sim.Env, name string) uint64 {
+	t.Helper()
+	v, ok := obs.Of(e).Snapshot().Counters[name]
+	if !ok {
+		t.Fatalf("no counter %q in the registry", name)
+	}
+	return v
 }
 
 // powerCycle cuts the rig drive's power and brings it back.

@@ -125,7 +125,7 @@ func TestProgramRunStepsUnderInjector(t *testing.T) {
 	const n = 6
 	c := testConfig()
 	e := sim.NewEnv()
-	in := fault.Install(e, fault.Plan{Seed: 9, PowerLoss: fault.Trigger{On: fault.EvNandProgram, N: 4}})
+	in := fault.Install(e, fault.Plan{PowerLoss: fault.Trigger{On: fault.EvNandProgram, N: 4}})
 	f := New(e, c)
 	base := c.PPAOf(2, 0, 0)
 	e.Go("t", func(p *sim.Proc) {

@@ -257,7 +257,7 @@ func stackConfig(gcActive bool) core.Config {
 // cut that tears every recovery dump — the model must then predict the
 // all-or-nothing empty restore.
 func fuzzPlan(seed uint64) fault.Plan {
-	plan := fault.Plan{Seed: seed ^ 0x2B55D2B55D2B55D}
+	var plan fault.Plan
 	if seed%5 == 3 {
 		plan.CutDumpAfterPages = 1 + int(seed%40)
 	}

@@ -183,8 +183,9 @@ type Config struct {
 	// BA/PMR-mode placement: the mapping-table entries given decide the
 	// buffer halves used. One entry is a single pinned window (the
 	// append stalls while a full window flushes); two or more double-
-	// buffer across the first two, pinning the next inner segment while
-	// the last one flushes (Section IV-B).
+	// buffer across the first two: the append that reaches the next
+	// inner segment pins it in the foreground, then the segment it left
+	// flushes in the background (Section IV-B).
 	SSD          *core.TwoBSSD
 	EIDs         []core.EID
 	BufferOffset int // base of this log's window in the BA-buffer
