@@ -70,7 +70,7 @@ type Config struct {
 
 const (
 	applyCPU     = 2 * sim.Microsecond // follower per-record redo CPU
-	segmentBytes = 4 * 4096            // slot window bytes
+	segmentBytes = 4096                // one page: a slot half, the unit a log pins and flushes
 	volumeBytes  = 256 << 10           // per-tenant data-volume capacity
 )
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"twobssd/internal/core"
 	"twobssd/internal/ftl"
 	"twobssd/internal/sim"
 	"twobssd/internal/traffic"
@@ -159,27 +160,27 @@ func TestFleetResultGolden(t *testing.T) {
 	res.Events = 0
 	want := &Result{
 		Tenants: []TenantResult{
-			{Name: "ta", Primary: 2, Follower: 3, Ops: 120, Acked: 97, Reads: 8, Takeover: 58, Dropped: 15, Throttled: 133, Retries: 133, Applied: 97,
-				LatP50: 355009, LatP99: 2965820, LatMax: 3180201, RepLagP50: 211090, RepLagMax: 547373, QoSWaitP99: 77935, Evictions: 21,
-				FailedOver: true, Recovery: 972954},
+			{Name: "ta", Primary: 2, Follower: 3, Ops: 120, Acked: 97, Reads: 9, Takeover: 55, Dropped: 14, Applied: 97,
+				LatP50: 27554, LatP99: 155871, LatMax: 176071, RepLagP50: 30048, RepLagMax: 143069, QoSWaitP99: 92681, Evictions: 18,
+				FailedOver: true, Recovery: 373205},
 			{Name: "tb", Primary: 1, Follower: 3, Ops: 120, Acked: 93, Reads: 27, Applied: 93,
-				LatP50: 115097, LatP99: 387141, LatMax: 410152, RepLagP50: 155871, RepLagMax: 404480, QoSWaitP99: 52772, Evictions: 21},
-			{Name: "tc", Primary: 3, Follower: 2, Ops: 120, Acked: 33, Reads: 25, Degraded: 62, Throttled: 12, Retries: 12, Applied: 33,
-				LatP50: 202140, LatP99: 502059, LatMax: 547728, RepLagP50: 9741, RepLagMax: 21914, QoSWaitP99: 84989, Evictions: 22},
+				LatP50: 13193, LatP99: 31378, LatMax: 32368, RepLagP50: 7867, RepLagMax: 19305},
+			{Name: "tc", Primary: 3, Follower: 2, Ops: 120, Acked: 33, Reads: 25, Degraded: 62, Applied: 33,
+				LatP50: 13193, LatP99: 162772, LatMax: 164901, RepLagP50: 9741, RepLagMax: 19880, QoSWaitP99: 77935, Evictions: 20},
 			{Name: "td", Primary: 1, Follower: 3, Ops: 120, Acked: 87, Reads: 33, Applied: 87,
-				LatP50: 38967, LatP99: 273750, LatMax: 290874, RepLagP50: 101070, RepLagMax: 285223, QoSWaitP99: 77935, Evictions: 18},
-			{Name: "te", Primary: 1, Follower: 3, Ops: 120, Acked: 93, Reads: 27, Throttled: 97, Retries: 97, Applied: 93,
-				LatP50: 230195, LatP99: 2493948, LatMax: 2872025, RepLagP50: 262144, RepLagMax: 541100, QoSWaitP99: 101070, Evictions: 22},
+				LatP50: 13193, LatP99: 142935, LatMax: 155450, RepLagP50: 7867, RepLagMax: 149799, QoSWaitP99: 65536, Evictions: 12},
+			{Name: "te", Primary: 1, Follower: 3, Ops: 120, Acked: 93, Reads: 27, Applied: 93,
+				LatP50: 13193, LatP99: 149263, LatMax: 154423, RepLagP50: 7867, RepLagMax: 148751, QoSWaitP99: 105545, Evictions: 10},
 			{Name: "tf", Primary: 1, Follower: 2, Ops: 120, Acked: 32, Reads: 19, Degraded: 69, Applied: 32,
-				LatP50: 789, LatP99: 17866, LatMax: 39646, RepLagP50: 7867, RepLagMax: 20944},
+				LatP50: 789, LatP99: 15024, LatMax: 32246, RepLagP50: 7867, RepLagMax: 17244},
 		},
 		Devices: []DeviceResult{
 			{Fairness: 1},
-			{Fairness: 0.9966487467585775, Leases: 8},
+			{Fairness: 0.9959703104075909, Leases: 8},
 			{Down: true, Fairness: 1, Leases: 3},
-			{Fairness: 0.9965199362151264, Leases: 115, Evictions: 104},
+			{Fairness: 0.9818912536393286, Leases: 71, Evictions: 60},
 		},
-		Failover: &FailoverResult{Device: 2, TripAt: 2000000, Tenants: 1, RecoveryMax: 972954},
+		Failover: &FailoverResult{Device: 2, TripAt: 2000000, Tenants: 1, RecoveryMax: 373205},
 	}
 	if !reflect.DeepEqual(res, want) {
 		t.Fatalf("fleet result moved:\n got %+v\nwant %+v", res, want)
@@ -329,8 +330,9 @@ func TestMediaCheckMatchesMapReference(t *testing.T) {
 
 // TestFleetAudit runs a crashed fleet, audits its lease tables and
 // drives clean without allocating, then plants one break of each
-// invariant in turn: the audit names each, and a drive fault on an up
-// device is a violation of the run's result.
+// invariant in turn: the audit names each, and a log bound off its
+// slot or a drive fault on an up device is a violation of the run's
+// result.
 func TestFleetAudit(t *testing.T) {
 	cfg := testConfig(3, 4, 60)
 	cfg.Crash = &CrashSpec{Device: -1, At: sim.Time(sim.Millisecond)}
@@ -373,6 +375,9 @@ func TestFleetAudit(t *testing.T) {
 		{"a holder waits", "waits for a slot while it holds slot 0",
 			func() { up.slots.slots[0].holder, h.slotIdx, up.slots.waiters = h, 0, []*logHandle{h} },
 			func() { up.slots.slots[0].holder, h.slotIdx, up.slots.waiters = nil, -1, nil }},
+		{"a log bound to no slot", "log is bound to entries [2 3] at buffer offset 0, no slot of this device",
+			func() { rebind(t, h, up.slots.slots[1].eids[:], up.slots.slots[0].bufOff) },
+			func() { rebind(t, h, up.slots.slots[0].eids[:], up.slots.slots[0].bufOff) }},
 		{"a WAL stream off its primary", "stream is not on dev",
 			func() { fr.tenants[0].h.mgr, fr.tenants[0].redo.mgr = fr.tenants[0].redo.mgr, fr.tenants[0].h.mgr },
 			func() { fr.tenants[0].h.mgr, fr.tenants[0].redo.mgr = fr.tenants[0].redo.mgr, fr.tenants[0].h.mgr }},
@@ -386,6 +391,19 @@ func TestFleetAudit(t *testing.T) {
 	}
 	if err := fr.Audit(); err != nil {
 		t.Fatalf("after the plants: %v", err)
+	}
+	// A holder whose log is bound to another slot's entry pair is a
+	// violation of the run's result.
+	s1 := &up.slots.slots[1]
+	rebind(t, h, s1.eids[:], s1.bufOff)
+	up.slots.slots[0].holder, h.slotIdx = h, 0
+	v := buildResult(fr, g.Events()).Violations()
+	up.slots.slots[0].holder, h.slotIdx = nil, -1
+	const want = "slot 0 (entries [0 1], buffer offset 0) is held by "
+	if !slices.ContainsFunc(v, func(s string) bool {
+		return strings.Contains(s, want) && strings.Contains(s, "whose log is bound to entries [2 3] at buffer offset 8192")
+	}) {
+		t.Errorf("a mismatched binding: violations %q, want one naming %q", v, want)
 	}
 	// The drive's own fields, reached the way a bug would.
 	vc := field(up.ssd.Device().FTL(), "validCount").Index(0)
@@ -413,6 +431,14 @@ func TestFleetAudit(t *testing.T) {
 	}
 	if v := buildResult(fr, g.Events()).Violations(); len(v) != 0 {
 		t.Fatalf("after the drive plants: %q", v)
+	}
+}
+
+// rebind binds h's flushed log to the given entries and buffer offset.
+func rebind(t *testing.T, h *logHandle, eids []core.EID, off int) {
+	t.Helper()
+	if err := h.log.Rebind(eids, off); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -1,20 +1,25 @@
 // Per-device QoS for the contended 8-entry BA-buffer mapping table.
 //
-// Every byte-path log on a device needs a pinned BA-buffer window (one
-// mapping-table entry) while it commits. A device hosts more log
-// streams than table entries once tenants multiply, so the slotManager
-// arbitrates: each entry (plus its buffer window) is a *slot* leased to
-// one stream at a time. Acquisition is least-attained-service first —
-// the stream that has held slots for the least total virtual time wins
-// the next free slot — and a holder is evicted (forced to flush its
-// window to NAND and release) once it has run burstOps operations
-// while others wait. Per-stream wait/hold/eviction metrics and a Jain
-// fairness index land in the device's obs registry, so they ride the
-// sampler timelines like every other metric.
+// Every byte-path log on a device needs pinned BA-buffer windows while
+// it commits. It double-buffers, as the paper's BA-WAL does (Section
+// IV-B): a pair of mapping-table entries takes turns, one page each, so
+// the page the log left flushes in the background while the next takes
+// stores. A device hosts more log streams than entry pairs once tenants
+// multiply, so the slotManager arbitrates: each pair (plus its two
+// buffer pages) is a *slot* leased to one stream at a time. Acquisition
+// is least-attained-service first — the stream that has held slots for
+// the least total virtual time wins the next free slot. Two rules take
+// a slot back while others wait: no idle holder keeps one (a waiter
+// evicts an idle holder, flushing on its behalf, and a busy holder
+// yields when its last queued operation ends), and a busy holder yields
+// once it has run burstOps operations. Per-stream wait/hold/eviction
+// metrics and a Jain fairness index land in the device's obs registry,
+// so they ride the sampler timelines like every other metric.
 package fleet
 
 import (
 	"fmt"
+	"slices"
 
 	"twobssd/internal/core"
 	"twobssd/internal/histo"
@@ -26,13 +31,14 @@ import (
 
 // QoSConfig tunes the mapping-table arbitration.
 type QoSConfig struct {
-	// Slots is how many mapping-table entries the manager hands out
-	// (<= the device's MaxEntries; 0 means all of them). Fewer slots
-	// than log streams is what creates contention.
+	// Slots is how many mapping-table entry pairs the manager hands
+	// out (<= half the device's MaxEntries; 0 means all of them). Fewer
+	// slots than log streams is what creates contention.
 	Slots int
 
-	// BurstOps is how many appends a holder may run before it must
-	// yield its slot when others are waiting (0 = 8).
+	// BurstOps is how many appends a holder with more queued behind
+	// them may run before it must yield its slot when others are
+	// waiting (0 = 8). A holder with none queued yields at once.
 	BurstOps int
 
 	// MaxInflight is the per-tenant admission limit: ops beyond this
@@ -55,9 +61,10 @@ func (c QoSConfig) maxInflight() int {
 	return c.MaxInflight
 }
 
-// slot is one leasable mapping-table entry + BA-buffer window.
+// slot is one leasable pair of mapping-table entries and the two
+// BA-buffer pages, from bufOff, that its log's halves pin.
 type slot struct {
-	eid    core.EID
+	eids   [2]core.EID
 	bufOff int
 	holder *logHandle // nil when free
 }
@@ -80,12 +87,15 @@ type slotManager struct {
 
 func newSlotManager(env *sim.Env, cfg QoSConfig, maxEntries, segBytes int) *slotManager {
 	n := cfg.Slots
-	if n <= 0 || n > maxEntries {
-		n = maxEntries
+	if n <= 0 || n > maxEntries/2 {
+		n = maxEntries / 2
 	}
 	m := &slotManager{env: env, cfg: cfg, segBytes: segBytes}
 	for i := 0; i < n; i++ {
-		m.slots = append(m.slots, slot{eid: core.EID(i), bufOff: i * segBytes})
+		m.slots = append(m.slots, slot{
+			eids:   [2]core.EID{core.EID(2 * i), core.EID(2*i + 1)},
+			bufOff: 2 * i * segBytes,
+		})
 	}
 	reg := obs.Of(env).Registry()
 	m.gFairness = reg.Gauge("fleet.qos.fairness")
@@ -117,25 +127,33 @@ func (m *slotManager) fairness() float64 {
 	return sum * sum / (float64(n) * sq)
 }
 
-// acquire leases a slot for h, blocking until one frees up. The wait
-// order is least-attained-service first (ties by arrival).
-func (m *slotManager) acquire(p *sim.Proc, h *logHandle) int {
+// acquire leases a slot for h: a free one, else an idle holder's,
+// which it evicts, else it waits until a holder hands one over. The
+// wait order is least-attained-service first (ties by arrival). The
+// error is the evicted holder's flush's; the slot is h's all the same.
+func (m *slotManager) acquire(p *sim.Proc, h *logHandle) (int, error) {
 	t0 := m.env.Now()
 	if h.seq == 0 {
 		m.seq++
 		h.seq = m.seq
 		m.streams = append(m.streams, h)
 	}
-	si := -1
+	si, victim := -1, -1
 	for i := range m.slots {
-		if m.slots[i].holder == nil {
+		if v := m.slots[i].holder; v == nil {
 			si = i
 			break
+		} else if victim < 0 && v.busy == 0 {
+			victim = i
 		}
 	}
-	if si >= 0 {
+	var err error
+	switch {
+	case si >= 0:
 		m.slots[si].holder = h
-	} else {
+	case victim >= 0:
+		si, err = victim, m.evict(p, victim, h)
+	default:
 		m.waiters = append(m.waiters, h)
 		h.granted = -1
 		for h.granted < 0 {
@@ -148,18 +166,31 @@ func (m *slotManager) acquire(p *sim.Proc, h *logHandle) int {
 	h.leaseStart = m.env.Now()
 	m.cLeases.Inc()
 	h.hWait.Observe(sim.Duration(m.env.Now() - t0))
-	return si
+	return si, err
+}
+
+// evict takes slot si from its idle holder for h, flushing the
+// holder's log on its behalf under the holder's lock. The lock is free
+// (an idle stream neither holds nor queues on it), and the eviction
+// counts as the holder's release in progress, so no other waiter picks
+// the same holder while the flush runs.
+func (m *slotManager) evict(p *sim.Proc, si int, h *logHandle) error {
+	v := m.slots[si].holder
+	v.busy++
+	v.mu.Acquire(p)
+	err := v.log.FlushToNAND(p)
+	m.endLease(v, true)
+	v.slotIdx = -1
+	m.slots[si].holder = h
+	v.mu.Release()
+	v.busy--
+	return err
 }
 
 // release returns slot si held by h, passing it to the queued stream
 // with the least attained service if any.
 func (m *slotManager) release(si int, h *logHandle, evicted bool) {
-	h.attained += sim.Duration(m.env.Now() - h.leaseStart)
-	h.cHold.Add(uint64(m.env.Now() - h.leaseStart))
-	if evicted {
-		m.cEvict.Inc()
-		h.cEvict.Inc()
-	}
+	m.endLease(h, evicted)
 	if len(m.waiters) > 0 {
 		best := 0
 		for i := 1; i < len(m.waiters); i++ {
@@ -176,13 +207,25 @@ func (m *slotManager) release(si int, h *logHandle, evicted bool) {
 	} else {
 		m.slots[si].holder = nil
 	}
+}
+
+// endLease books the end of h's lease.
+func (m *slotManager) endLease(h *logHandle, evicted bool) {
+	h.attained += sim.Duration(m.env.Now() - h.leaseStart)
+	h.cHold.Add(uint64(m.env.Now() - h.leaseStart))
+	if evicted {
+		m.cEvict.Inc()
+		h.cEvict.Inc()
+	}
 	m.gFairness.Set(m.fairness())
 }
 
 // audit checks the manager's lease table (fleetRT.Audit): each held
 // slot's holder is one of this device's streams and its lease names
 // the slot, which also means no stream holds two; each stream's lease
-// names a slot it holds; and no waiting stream holds one.
+// names a slot it holds; no waiting stream holds one; and each
+// stream's log is bound to the entry pair and buffer pages of a slot of
+// this device, a holder's to those of the slot it holds.
 func (m *slotManager) audit() error {
 	for si, s := range m.slots {
 		switch h := s.holder; {
@@ -203,14 +246,33 @@ func (m *slotManager) audit() error {
 			return fmt.Errorf("%s waits for a slot while it holds slot %d", h.stream, h.slotIdx)
 		}
 	}
+	for _, h := range m.streams {
+		eids, off := h.log.Binding()
+		bound := -1
+		for si, s := range m.slots {
+			if off == s.bufOff && slices.Equal(eids, s.eids[:]) {
+				bound = si
+				break
+			}
+		}
+		switch si := h.slotIdx; {
+		case si >= 0 && bound != si:
+			s := m.slots[si]
+			return fmt.Errorf("slot %d (entries %v, buffer offset %d) is held by %s, whose log is bound to entries %v at buffer offset %d",
+				si, s.eids, s.bufOff, h.stream, eids, off)
+		case bound < 0:
+			return fmt.Errorf("%s's log is bound to entries %v at buffer offset %d, no slot of this device", h.stream, eids, off)
+		}
+	}
 	return nil
 }
 
 // logHandle is one log stream under slot management: a BA-mode WAL on
-// a ring of segment files whose pinned window (EID + buffer offset) is
-// whatever slot the stream currently leases. Between leases the log is
-// flushed to NAND (so it owns no mapping-table entry) and Rebind moves
-// it onto the next leased slot; append offsets carry across leases.
+// a ring of segment files that double-buffers one-page halves over
+// whatever entry pair the stream currently leases. Between leases the
+// log is flushed to NAND (so it owns no mapping-table entry) and Rebind
+// moves it onto the next leased slot; append offsets carry across
+// leases.
 type logHandle struct {
 	mgr    *slotManager
 	stream string
@@ -220,6 +282,11 @@ type logHandle struct {
 
 	log     *wal.Log
 	slotIdx int // leased slot, -1 between leases
+
+	// busy counts the stream's appends, releases and recoveries that
+	// have begun and not ended, running or queued on mu (and an
+	// eviction run on its behalf): the stream is idle at 0.
+	busy int
 
 	// Arbitration state owned by the manager.
 	seq        uint64
@@ -234,9 +301,9 @@ type logHandle struct {
 	cEvict *obs.Counter
 }
 
-// newLogHandle opens the stream's log: Ring files of
-// logBytes/4 each (so total ring capacity matches the configured log
-// size), with the slot window size as the inner BA pin unit.
+// newLogHandle opens the stream's log: Ring files of logBytes/4 each
+// (so total ring capacity matches the configured log size), in
+// segments of the slot's one-page halves.
 func newLogHandle(mgr *slotManager, ssd *core.TwoBSSD, fs *vfs.FS, name, stream string, logBytes int64) (*logHandle, error) {
 	segFile := logBytes / 4 / int64(mgr.segBytes) * int64(mgr.segBytes)
 	if segFile < int64(mgr.segBytes) {
@@ -250,7 +317,7 @@ func newLogHandle(mgr *slotManager, ssd *core.TwoBSSD, fs *vfs.FS, name, stream 
 		Ring:             4,
 		SegmentBytes:     mgr.segBytes,
 		SSD:              ssd,
-		EIDs:             []core.EID{0}, // placeholder; Rebind sets the leased entry
+		EIDs:             []core.EID{0, 1}, // placeholder; Rebind sets the leased pair
 	})
 	if err != nil {
 		return nil, err
@@ -267,13 +334,39 @@ func newLogHandle(mgr *slotManager, ssd *core.TwoBSSD, fs *vfs.FS, name, stream 
 	}, nil
 }
 
-// ensure leases a slot and rebinds the log onto it. Callers hold h.mu.
+// begin starts one of the stream's operations: it counts the stream
+// busy, then takes its lock.
+func (h *logHandle) begin(p *sim.Proc) {
+	h.busy++
+	h.mu.Acquire(p)
+}
+
+// end finishes the operation begin started and returns its error. A
+// holder whose last operation this is yields its slot if a stream
+// waits: no idle holder keeps a slot while any stream waits.
+func (h *logHandle) end(p *sim.Proc, err error) error {
+	if h.busy == 1 && h.slotIdx >= 0 && h.mgr.contended() {
+		if rerr := h.releaseLocked(p, true); err == nil {
+			err = rerr
+		}
+	}
+	h.mu.Release()
+	h.busy--
+	return err
+}
+
+// ensure leases a slot and rebinds the log onto its entry pair. Callers
+// hold h.mu.
 func (h *logHandle) ensure(p *sim.Proc) error {
 	if h.slotIdx >= 0 {
 		return nil
 	}
-	si := h.mgr.acquire(p, h)
-	if err := h.log.Rebind([]core.EID{h.mgr.slots[si].eid}, h.mgr.slots[si].bufOff); err != nil {
+	si, err := h.mgr.acquire(p, h)
+	if err == nil {
+		s := &h.mgr.slots[si]
+		err = h.log.Rebind(s.eids[:], s.bufOff)
+	}
+	if err != nil {
 		h.mgr.release(si, h, false)
 		return err
 	}
@@ -282,12 +375,16 @@ func (h *logHandle) ensure(p *sim.Proc) error {
 	return nil
 }
 
-// append commits one record through the leased window, yielding the
-// slot afterwards if the device is contended and the burst quota is
-// spent (the eviction policy).
+// append commits one record through the leased slot.
 func (h *logHandle) append(p *sim.Proc, payload []byte) error {
-	h.mu.Acquire(p)
-	defer h.mu.Release()
+	h.begin(p)
+	return h.end(p, h.appendLocked(p, payload))
+}
+
+// appendLocked is append under h.mu. A holder with more appends queued
+// behind this one yields the slot once the device is contended and the
+// burst quota is spent (the eviction policy).
+func (h *logHandle) appendLocked(p *sim.Proc, payload []byte) error {
 	if err := h.ensure(p); err != nil {
 		return err
 	}
@@ -305,9 +402,9 @@ func (h *logHandle) append(p *sim.Proc, payload []byte) error {
 	return nil
 }
 
-// releaseLocked flushes the window to NAND and returns the slot.
-// Callers hold h.mu. Flush errors (e.g. power loss mid-release) still
-// free the slot so waiters never hang on a dead holder.
+// releaseLocked flushes the log's pinned pages to NAND and returns the
+// slot. Callers hold h.mu. Flush errors (e.g. power loss mid-release)
+// still free the slot so waiters never hang on a dead holder.
 func (h *logHandle) releaseLocked(p *sim.Proc, evicted bool) error {
 	if h.slotIdx < 0 {
 		return nil
@@ -320,19 +417,21 @@ func (h *logHandle) releaseLocked(p *sim.Proc, evicted bool) error {
 
 // release is releaseLocked for external callers.
 func (h *logHandle) release(p *sim.Proc) error {
-	h.mu.Acquire(p)
-	defer h.mu.Release()
-	return h.releaseLocked(p, false)
+	h.begin(p)
+	return h.end(p, h.releaseLocked(p, false))
 }
 
 // recover flushes everything to NAND and replays the segment chain
 // from media into fn — the end-to-end integrity read used by the
 // failover verifier and the end-of-run oracle check. The log stays
 // leased and positioned after the last durable record, ready for more
-// appends.
+// appends, unless a stream waits for its slot.
 func (h *logHandle) recover(p *sim.Proc, fn func(lsn wal.LSN, payload []byte) error) error {
-	h.mu.Acquire(p)
-	defer h.mu.Release()
+	h.begin(p)
+	return h.end(p, h.recoverLocked(p, fn))
+}
+
+func (h *logHandle) recoverLocked(p *sim.Proc, fn func(lsn wal.LSN, payload []byte) error) error {
 	if err := h.releaseLocked(p, false); err != nil {
 		return err
 	}

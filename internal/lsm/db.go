@@ -241,20 +241,24 @@ type immLog struct {
 // logSegmentPages is a BA log's segment: the unit it pins, BA_FLUSHes
 // and dumps. The log pins the next segment in the foreground when it
 // crosses into it and flushes the one it left in the background, so a
-// smaller segment shortens the cut's dump and recovery's unpin, and
-// each crossing starts one flush process. Swept on kv-ba (seed 1,
-// --seconds 15), against 1.117 ms, 56.6 µs and 0.509 allocations per
-// op for one 256-page memtable window:
+// smaller segment shortens the cut's dump and recovery's unpin. Each
+// crossing spawns the background flush with a body bound once per
+// half, so allocations do not grow with the crossing count. Swept on
+// kv-ba (seed 1, --seconds 15), against 1.117 ms and 56.6 µs for one
+// 256-page memtable window:
 //
 //	pages  sim_recovery_ms  sim_op_tail_us  host_allocs_per_op
-//	    4            0.427            30.8               0.519
-//	    8            0.435            33.8               0.514
-//	   16            0.450            40.8               0.512
-//	   32            0.483            47.5               0.511
-//	   64            0.542            52.3               0.510
+//	    4            0.427            30.8              0.5102
+//	    8            0.435            33.8              0.5102
+//	   16            0.450            40.8              0.5102
+//	   32            0.483            47.5              0.5102
+//	   64            0.542            52.3              0.5102
 //
-// 16 is the smallest whose allocations stay within 1 % of the window's,
-// so this is a constant, not an option.
+// Allocations are flat across the sweep, so they no longer pick the
+// size. It stays 16, where the sweep that introduced segments put it
+// when each crossing still allocated its flush's closure: a smaller
+// segment moves kv-ba's simulated figures, a change of its own. It is a
+// constant, not an option.
 const logSegmentPages = 16
 
 // logSegment is a BA log's segment size: logSegmentPages pages, capped

@@ -12,6 +12,7 @@ import (
 
 	"twobssd/internal/core"
 	"twobssd/internal/fault"
+	"twobssd/internal/ftl"
 	"twobssd/internal/nand"
 	"twobssd/internal/sim"
 )
@@ -265,6 +266,76 @@ func TestFuzzAuditsThePageMapAtADeallocate(t *testing.T) {
 		return
 	}
 	t.Fatal("no fuzz-smoke GC seed deallocates")
+}
+
+// The audits see a write-buffer record its drain left behind: the first
+// fuzz-smoke seed whose trace drains after a block write replays it,
+// and just after that drain the record of the write's first LBA is put
+// back holding no copy, as a release that forgot to drop it would leave.
+// No read can see it (a record with no copy serves nothing, so no data
+// check ever diverges); the divergence is a write buffer audit at the
+// first op after the drain that audits: a deallocate, a power cycle or
+// every auditEvery-th op.
+func TestFuzzAuditsABufferRecordLeftByItsDrain(t *testing.T) {
+	var cfg Config
+	for seed := uint64(0); seed < 32; seed++ {
+		ops := Generate(seed, cfg)
+		at := slices.IndexFunc(ops, func(o Op) bool { return o.Kind == OpDrain })
+		write := -1
+		if at > 0 {
+			write = slices.IndexFunc(ops[:at], func(o Op) bool { return o.Kind == OpBlockWrite })
+		}
+		if write < 0 {
+			continue
+		}
+		want := at + 1
+		for ; want < len(ops); want++ {
+			if k := ops[want].Kind; k == OpDeallocate || k == OpPowerCycle || (want+1)%auditEvery == 0 {
+				break
+			}
+		}
+		env := sim.NewEnv()
+		fault.Install(env, fuzzPlan(seed))
+		sc := stackConfig(false)
+		s := core.New(env, sc)
+		m := NewModel(ModelConfig{
+			PageSize: s.PageSize(), BufBytes: sc.BABufferBytes, MaxEntries: sc.MaxEntries, Pages: s.Device().Pages(),
+			WCBurstBytes: sc.MMIO.WCBurstBytes, WCBufferBursts: sc.MMIO.WCBufferBursts,
+		})
+		var got *Divergence
+		failedAt := -1
+		env.Go("t", func(p *sim.Proc) {
+			for i, o := range ops {
+				d := execOp(p, s, m, o)
+				if d == nil && i == at {
+					leaveBufferRecord(s, ops[write].LBA)
+				}
+				if d == nil && (i+1)%auditEvery == 0 {
+					d = audit(s)
+				}
+				if d != nil {
+					got, failedAt = d, i
+					return
+				}
+			}
+		})
+		env.Run()
+		if failedAt != want || !strings.HasPrefix(got.Detail, "write buffer audit") {
+			t.Fatalf("seed %d: divergence %v at op %d; want a write buffer audit at op %d, the first audit after the drain at op %d", seed, got, failedAt, want, at)
+		}
+		t.Logf("seed %d: drain at op %d, op %d (%s): %s", seed, at, want, ops[want], got.Detail)
+		return
+	}
+	t.Fatal("no fuzz-smoke seed drains after a block write")
+}
+
+// leaveBufferRecord puts a record holding no copy into the drive's
+// write-buffer index for lba. byLBA is the device's own; reach it the
+// way a bug would.
+func leaveBufferRecord(s *core.TwoBSSD, lba ftl.LBA) {
+	f := reflect.ValueOf(s.Device()).Elem().FieldByName("byLBA")
+	byLBA := reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
+	byLBA.SetMapIndex(reflect.ValueOf(lba), reflect.New(f.Type().Elem().Elem()))
 }
 
 // TestFillPatternMatchesByteLoop pins fillPattern's word-at-a-time fill

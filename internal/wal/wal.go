@@ -205,6 +205,7 @@ type half struct {
 	seg    int64 // inner segment (LSN / SegmentBytes) currently pinned, -1 if none
 	ready  bool  // not mid-flush
 	sig    *sim.Signal
+	flush  func(*sim.Proc) // this half's background flush, bound at its first (pinFor)
 }
 
 // Log is one write-ahead log.
@@ -739,21 +740,30 @@ func (l *Log) pinFor(p *sim.Proc, pos int64) (*half, error) {
 		}
 		if other.seg >= 0 && other.ready && other.seg < seg {
 			other.ready = false
-			l.env.Go("wal.baflush", func(w *sim.Proc) {
-				if err := l.flushHalf(w, other); err != nil {
-					// Power died under the background flush (fault
-					// injection): the half stays unflushed; recovery
-					// replays it from the dumped BA-buffer image.
-					if !errors.Is(err, core.ErrPowerIsOff) {
-						panic(fmt.Sprintf("wal: background BA flush: %v", err))
-					}
-				}
-				other.ready = true
-				other.sig.Fire()
-			})
+			if other.flush == nil {
+				// Bound once per half, not per crossing, and not at Open:
+				// a log that never crosses allocates none.
+				other.flush = func(w *sim.Proc) { l.backgroundFlush(w, other) }
+			}
+			l.env.Go("wal.baflush", other.flush)
 		}
 	}
 	return h, nil
+}
+
+// backgroundFlush is the body of h's background flush (half.flush), so
+// a crossing spawns it without allocating a closure.
+func (l *Log) backgroundFlush(p *sim.Proc, h *half) {
+	if err := l.flushHalf(p, h); err != nil {
+		// Power died under the background flush (fault injection): the
+		// half stays unflushed; recovery replays it from the dumped
+		// BA-buffer image.
+		if !errors.Is(err, core.ErrPowerIsOff) {
+			panic(fmt.Sprintf("wal: background BA flush: %v", err))
+		}
+	}
+	h.ready = true
+	h.sig.Fire()
 }
 
 // flushHalf persists and releases one half, once no store is still
@@ -1074,6 +1084,13 @@ func (l *Log) readMeta(p *sim.Proc) (int64, error) {
 		return 0, nil
 	}
 	return int64(binary.LittleEndian.Uint64(page[4:])), nil
+}
+
+// Binding returns the mapping-table entries and the BA-buffer offset
+// the log's halves use. The slice is the log's own: callers must not
+// modify it.
+func (l *Log) Binding() (eids []core.EID, bufferOffset int) {
+	return l.cfg.EIDs, l.cfg.BufferOffset
 }
 
 // Rebind moves a fully-flushed BA/PMR log onto a different set of

@@ -471,6 +471,49 @@ func TestBAWALDoubleBufferingParallelism(t *testing.T) {
 	}
 }
 
+// A double-buffered BA log crosses into its next segment without a heap
+// allocation: the background flush of the half it left is spawned with
+// the body bound for that half at its first flush, on a pooled process.
+func TestSegmentCrossingDoesNotAllocate(t *testing.T) {
+	r := newRig()
+	defer r.env.Shutdown()
+	ps := r.fs.PageSize()
+	f, err := r.fs.Create("log", int64(160*ps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := Open(r.env, Config{Mode: BA, File: f, SegmentBytes: ps, SSD: r.ssd, EIDs: []core.EID{0, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := make([]byte, ps/2-headerBytes) // two records fill a segment
+	crossing := func(p *sim.Proc) {
+		for range 2 {
+			lsn, err := l.Append(p, rec)
+			if err == nil {
+				err = l.Commit(p, lsn)
+			}
+			if err != nil {
+				t.Fatalf("append: %v", err)
+			}
+		}
+	}
+	var allocs float64
+	r.env.Go("t", func(p *sim.Proc) {
+		for range 16 { // warm-up: the process pool and the record buffers
+			crossing(p)
+		}
+		allocs = testing.AllocsPerRun(64, func() { crossing(p) })
+	})
+	r.env.Run()
+	if got := r.count(t, "wal.flushes"); got < 64 {
+		t.Fatalf("%d half flushes, want one per crossing (>= 64)", got)
+	}
+	if allocs != 0 {
+		t.Fatalf("%.2f allocations per segment crossing, want 0", allocs)
+	}
+}
+
 func TestStatsAccounting(t *testing.T) {
 	r := newRig()
 	l := r.openLog(t, "log", Sync)
