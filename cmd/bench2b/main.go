@@ -79,7 +79,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.metrics, "metrics", "", "write merged metrics snapshot JSON to this file")
 	fs.StringVar(&o.trace, "trace", "", "write the Chrome trace-event JSON (Perfetto) of one unit to this file")
 	fs.StringVar(&o.benchJSON, "benchjson", "", "write wall-clock kernel benchmark JSON to this file")
-	fs.StringVar(&o.timeline, "timeline", "", "write the merged metric timeline, one window per virtual millisecond, to this file (.csv extension selects CSV, else JSON)")
+	fs.StringVar(&o.timeline, "timeline", "", "write the merged metric timeline JSON, one window per virtual millisecond, to this file")
 	fs.StringVar(&o.benchGate, "benchgate", "", "compare this run against a baseline kernel benchmark JSON; exit non-zero when wall time (+25%) or allocations (+10%), in total or of one experiment, regressed")
 	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a host CPU profile (pprof) of the run to this file")
 	fs.StringVar(&o.memProfile, "memprofile", "", "write a host allocation profile (pprof, alloc_space) to this file after the run")
@@ -231,14 +231,10 @@ func execute(o options, selected []bench.Experiment, stdout, stderr io.Writer) e
 	if err != nil {
 		return err
 	}
-	emitTimeline := res.WriteTimelineJSON // a nil file never calls it
-	if strings.HasSuffix(o.timeline, ".csv") {
-		emitTimeline = res.WriteTimelineCSV
-	}
 	for _, rep := range []struct {
 		f    *os.File
 		emit func(io.Writer) error
-	}{{metricsFile, res.WriteMetricsJSON}, {traceFile, res.WriteTraceJSON}, {timelineFile, emitTimeline}} {
+	}{{metricsFile, res.WriteMetricsJSON}, {traceFile, res.WriteTraceJSON}, {timelineFile, res.WriteTimelineJSON}} {
 		if err := writeReport(rep.f, rep.emit); err != nil {
 			return err
 		}
@@ -314,15 +310,11 @@ func writeReport(f *os.File, emit func(io.Writer) error) error {
 // move no simulated number leaves it untouched.
 var digestIDs = []string{"crash", "crash-smoke", "fuzz", "fuzz-smoke", "fleet", "fleet-smoke", "all"}
 
-// hostFields are the report fields read off the host's clock and
-// allocator; they differ run to run and are dropped before hashing.
-var hostFields = map[string]bool{"wall_ns": true, "mallocs": true, "events_per_sec": true, "allocs_per_event": true}
-
 // digest runs each of digestIDs through bench.Run at quick scale, as if
 // with -metrics and -timeline, and writes one SHA-256 per artifact — its
-// stdout, its metrics snapshot and its timeline, host fields stripped —
-// as the JSON GOLDEN.json holds. Every artifact is byte-identical at any
-// -j, so the output is too. It returns errGate when an experiment's gate
+// stdout, its metrics snapshot and its timeline, each the bytes those
+// flags write — as the JSON GOLDEN.json holds. Every artifact is
+// byte-identical at any -j, so the output is too. It returns errGate when an experiment's gate
 // failed; the digests are written regardless.
 func digest(jobs int, stdout io.Writer) error {
 	sums := make(map[string]map[string]string, len(digestIDs))
@@ -344,13 +336,8 @@ func digest(jobs int, stdout io.Writer) error {
 		if err := res.WriteTimelineJSON(&timeline); err != nil {
 			return err
 		}
-		sums[id] = map[string]string{"stdout": sha(out.Bytes())}
-		for name, art := range map[string][]byte{"metrics": metrics.Bytes(), "timeline": timeline.Bytes()} {
-			stripped, err := stripHostFields(art)
-			if err != nil {
-				return fmt.Errorf("digest %s %s: %w", id, name, err)
-			}
-			sums[id][name] = sha(stripped)
+		sums[id] = map[string]string{
+			"stdout": sha(out.Bytes()), "metrics": sha(metrics.Bytes()), "timeline": sha(timeline.Bytes()),
 		}
 	}
 	if err := jsonReport(sums)(stdout); err != nil {
@@ -365,34 +352,4 @@ func digest(jobs int, stdout io.Writer) error {
 func sha(b []byte) string {
 	s := sha256.Sum256(b)
 	return hex.EncodeToString(s[:])
-}
-
-// stripHostFields re-encodes a JSON document without the members named
-// in hostFields, at any depth. Numbers keep their literal text.
-func stripHostFields(doc []byte) ([]byte, error) {
-	dec := json.NewDecoder(bytes.NewReader(doc))
-	dec.UseNumber()
-	var v any
-	if err := dec.Decode(&v); err != nil {
-		return nil, err
-	}
-	var strip func(v any)
-	strip = func(v any) {
-		switch v := v.(type) {
-		case map[string]any:
-			for k, x := range v {
-				if hostFields[k] {
-					delete(v, k)
-				} else {
-					strip(x)
-				}
-			}
-		case []any:
-			for _, x := range v {
-				strip(x)
-			}
-		}
-	}
-	strip(v)
-	return json.Marshal(v)
 }

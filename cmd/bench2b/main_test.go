@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -159,44 +160,35 @@ func TestRunRejectsJobsBelowOne(t *testing.T) {
 	}
 }
 
-// -timeline writes the merged timeline after the run, as JSON or (by
-// extension) CSV, and the file's bytes do not depend on -j.
+// -timeline writes the merged timeline as JSON after the run, and the
+// file's bytes do not depend on -j.
 func TestRunWritesTimeline(t *testing.T) {
 	dir := t.TempDir()
-	for _, ext := range []string{"json", "csv"} {
-		var first []byte
-		for _, jobs := range []string{"1", "2"} {
-			path := filepath.Join(dir, "t-j"+jobs+"."+ext)
-			if code, _, errs := drive("-j", jobs, "-timeline", path, "probe"); code != 0 {
-				t.Fatalf("-j %s -timeline %s: exit %d, stderr %q", jobs, filepath.Base(path), code, errs)
-			}
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if first == nil {
-				first = data
-			} else if !bytes.Equal(data, first) {
-				t.Errorf("-timeline %s: -j %s wrote different bytes than -j 1", ext, jobs)
-			}
+	var first []byte
+	for _, jobs := range []string{"1", "2"} {
+		path := filepath.Join(dir, "t-j"+jobs+".json")
+		if code, _, errs := drive("-j", jobs, "-timeline", path, "probe"); code != 0 {
+			t.Fatalf("-j %s -timeline %s: exit %d, stderr %q", jobs, filepath.Base(path), code, errs)
 		}
-		switch ext {
-		case "json":
-			var tl struct {
-				Schema string            `json:"schema"`
-				Points []json.RawMessage `json:"points"`
-			}
-			if err := json.Unmarshal(first, &tl); err != nil {
-				t.Fatal(err)
-			}
-			if tl.Schema != "twobssd/timeline-v1" || len(tl.Points) == 0 {
-				t.Errorf("timeline JSON: schema %q, %d points; want twobssd/timeline-v1 and some points", tl.Schema, len(tl.Points))
-			}
-		case "csv":
-			if !bytes.HasPrefix(first, []byte("window,time_ns,")) {
-				t.Errorf("timeline CSV does not start with the header: %.60q", first)
-			}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if first == nil {
+			first = data
+		} else if !bytes.Equal(data, first) {
+			t.Errorf("-timeline: -j %s wrote different bytes than -j 1", jobs)
+		}
+	}
+	var tl struct {
+		Schema string            `json:"schema"`
+		Points []json.RawMessage `json:"points"`
+	}
+	if err := json.Unmarshal(first, &tl); err != nil {
+		t.Fatal(err)
+	}
+	if tl.Schema != "twobssd/timeline-v1" || len(tl.Points) == 0 {
+		t.Errorf("timeline JSON: schema %q, %d points; want twobssd/timeline-v1 and some points", tl.Schema, len(tl.Points))
 	}
 }
 
@@ -285,15 +277,34 @@ func TestDigestRunsAlone(t *testing.T) {
 	}
 }
 
-// The digest hashes what the simulation decides, never what the host's
-// clock or allocator measured: those members go at any depth, and the
-// rest keeps its literal numbers.
-func TestStripHostFields(t *testing.T) {
-	got, err := stripHostFields([]byte(`{"wall_ns": 12, "experiments": [{"id": "fig9", "mallocs": 3, "events": 1.50}], "virtual_ns": 7}`))
-	if err != nil {
+// The digest hashes the stdout, -metrics and -timeline files exactly as
+// a run with those flags writes them.
+func TestDigestHashesTheFilesAsWritten(t *testing.T) {
+	defer func(old []string) { digestIDs = old }(digestIDs)
+	digestIDs = []string{"probe"}
+	dir := t.TempDir()
+	m, tl := filepath.Join(dir, "m.json"), filepath.Join(dir, "tl.json")
+	code, out, errs := drive("-metrics", m, "-timeline", tl, "probe")
+	if code != 0 {
+		t.Fatalf("probe: exit %d, stderr %q", code, errs)
+	}
+	want := map[string]string{"stdout": sha([]byte(out))}
+	for name, path := range map[string]string{"metrics": m, "timeline": tl} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[name] = sha(data)
+	}
+	code, out, errs = drive("digest")
+	if code != 0 {
+		t.Fatalf("digest: exit %d, stderr %q", code, errs)
+	}
+	var got map[string]map[string]string
+	if err := json.Unmarshal([]byte(out), &got); err != nil {
 		t.Fatal(err)
 	}
-	if want := `{"experiments":[{"events":1.50,"id":"fig9"}],"virtual_ns":7}`; string(got) != want {
-		t.Errorf("stripped to %s, want %s", got, want)
+	if !maps.Equal(got["probe"], want) {
+		t.Errorf("digest = %v, want the files' digests %v", got["probe"], want)
 	}
 }

@@ -62,13 +62,21 @@ var designRules = []rule{
 	{name: "Power-on reads the media", in: dirs("core"), bad: ident("^(dumpValid|HasDump)$"),
 		planted: []string{"internal/core/x.go\ntype recovery struct{ dumpValid bool }", "internal/core/x.go\nfunc f() bool { return s.HasDump() }"}},
 	{name: "Engines serve the traffic they get", in: dirs("lsm", "kvaof", "pglite", "fleet"),
-		bad: anyOf(ident("^(WriteBatch|recBatch|NewIterator|cmdIncr|cmdAppend|recDelete|cmdDel|tombstone|tombstoneLen|dropTombstones|bottomAfter|Range)$"), declares(`^Txn\.Scan$`)),
+		bad: anyOf(ident("^(WriteBatch|recBatch|NewIterator|cmdIncr|cmdAppend|recDelete|cmdDel|tombstone|tombstoneLen|dropTombstones|bottomAfter|Range)$"), declares(`^Txn\.Scan$`),
+			within("internal/pglite/", ident("^(BufferPoolPages|evicts|touch)$"))),
 		planted: []string{"internal/lsm/x.go\ntype WriteBatch struct{}", "internal/lsm/x.go\nfunc f() { db.NewIterator(p, nil) }",
 			"internal/lsm/x.go\nconst recBatch = byte(3)", "internal/kvaof/x.go\nconst cmdIncr = byte(3)", "internal/kvaof/x.go\nvar _ = cmdAppend",
 			"internal/lsm/x.go\nconst recDelete = byte(2)", "internal/kvaof/x.go\nfunc f() []byte { return []byte{cmdDel} }",
 			"internal/lsm/x.go\ntype entry struct{ tombstone bool }", "internal/lsm/x.go\nconst tombstoneLen = 0xFFFFFFFF",
 			"internal/lsm/x.go\nfunc (db *DB) mergeTables(dropTombstones bool) {}", "internal/lsm/x.go\nfunc f() bool { return db.bottomAfter(1) }",
-			"internal/pglite/x.go\nfunc (t *Txn) Scan(p *sim.Proc, table string) {}", "internal/fleet/x.go\nfunc f() { cfg.Policy = Range }"}},
+			"internal/pglite/x.go\nfunc (t *Txn) Scan(p *sim.Proc, table string) {}", "internal/fleet/x.go\nfunc f() { cfg.Policy = Range }",
+			"internal/pglite/x.go\ntype Config struct{ BufferPoolPages int }", "internal/pglite/x.go\ntype bufferPool struct{ evicts uint64 }",
+			"internal/pglite/x.go\nfunc f(id int32) { bp.touch(id) }"}},
+	{name: "Artifacts are JSON, hashed as written", in: []string{"internal/obs/", "cmd/"},
+		bad: ident("^(WriteCSV|WriteTimelineCSV|stripHostFields|hostFields)$"),
+		planted: []string{"internal/obs/x.go\nfunc (tl Timeline) WriteCSV(w io.Writer) error { return nil }",
+			"cmd/bench2b/x.go\nfunc f(res *bench.Result) { _ = res.WriteTimelineCSV }",
+			"cmd/bench2b/x.go\nfunc f(b []byte) { stripHostFields(b) }", "cmd/bench2b/x.go\nvar hostFields = map[string]bool{}"}},
 	{name: "A violation is replayed, not recorded", bad: ident("^(EnableFlightRecorder|newRingTracer|RepairReport|RepairReporter|FaultCounts)$"),
 		planted: []string{"internal/fault/x.go\nfunc f() { obs.Of(env).EnableFlightRecorder() }", "internal/obs/x.go\nfunc newRingTracer() *Tracer { return nil }",
 			"internal/wal/x.go\ntype RepairReport struct{ Failure string }", "internal/bench/x.go\nvar _ fault.RepairReporter",
@@ -143,8 +151,10 @@ func (r *rule) covers(path string) bool {
 	return (r.tests || !strings.HasSuffix(path, "_test.go")) && (len(r.in) == 0 || under(r.in)) && !under(r.exempt)
 }
 
-// A source is a file's text and the package each import name refers to.
+// A source is a file's path and text and the package each import name
+// refers to.
 type source struct {
+	path    string
 	text    []byte
 	imports map[string]string
 }
@@ -371,6 +381,11 @@ func firstArg(lit string) matcher {
 	}
 }
 
+// within matches what m matches in the files under prefix alone.
+func within(prefix string, m matcher) matcher {
+	return func(n ast.Node, s *source) bool { return strings.HasPrefix(s.path, prefix) && m(n, s) }
+}
+
 func anyOf(ms ...matcher) matcher {
 	return func(n ast.Node, s *source) bool {
 		return slices.ContainsFunc(ms, func(m matcher) bool { return m(n, s) })
@@ -402,7 +417,7 @@ func violations(t *testing.T, path string, text []byte) []violation {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &source{text: text, imports: map[string]string{}}
+	s := &source{path: path, text: text, imports: map[string]string{}}
 	for _, spec := range f.Imports {
 		p := unquote(spec.Path)
 		name := p[strings.LastIndex(p, "/")+1:]

@@ -138,11 +138,10 @@ func newPGGraph(env *sim.Env, p *sim.Proc, st *stack) (*pgGraph, error) {
 		DataFS: st.dataFS,
 		// A 16 MB XLOG: two ring files, each the two double-buffered
 		// halves of the BA-buffer (IV-B).
-		Log:           st.ringConfig(2, 8<<20, 0, 1),
+		Log: st.ringConfig(2, 8<<20, 0, 1),
+		// Paper setup: user data fits in memory (the pool holds the
+		// whole heap), so only the log device sees traffic.
 		HeapFileBytes: 64 << 20,
-		// Paper setup: user data fits in memory; size the pool to the
-		// whole heap so only the log device sees traffic.
-		BufferPoolPages: 16384,
 	}
 	eng, err := pglite.Open(env, p, cfg)
 	if err != nil {

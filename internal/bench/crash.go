@@ -60,11 +60,18 @@ func (s *stack) Crash(p *sim.Proc) (bool, error) {
 
 // Audit is the Audit half of the fault.Cycle contract: the self-check
 // of the stack's 2B-SSD (core.TwoBSSD.Audit) — the one drive of every
-// crash cycle, which its file systems, when it has any, sit on — so a
-// crash point whose recovery leaves the FTL's l2p and p2l out of step,
-// a buffer index out of step with its ring, or two pins over one buffer
-// page or one LBA, is a violation.
-func (s *stack) Audit() error { return s.ssd.Audit() }
+// crash cycle — then, when the cycle has one (blkgc drives the block
+// path bare), of the file system on it (vfs.FS.Audit). So a crash
+// point whose recovery leaves the FTL's l2p and p2l out of step, a
+// buffer index out of step with its ring, two pins over one buffer
+// page or one LBA, or a file extent that overlaps another or leaks, is
+// a violation.
+func (s *stack) Audit() error {
+	if err := s.ssd.Audit(); err != nil || s.dataFS == nil {
+		return err
+	}
+	return s.dataFS.Audit()
+}
 
 // tornLogExcused judges a recovery that failed with err. A log refuses
 // to come up on a torn page — the loud failure a torn page deserves.
@@ -330,10 +337,9 @@ func buildPGCrash(log func(*stack) wal.Config, keys, size int) cycleBuilder {
 	return func(env *sim.Env, p *sim.Proc) (fault.Cycle, error) {
 		s := newCrashStack(env)
 		cfg := pglite.Config{
-			DataFS:          s.dataFS,
-			Log:             log(s),
-			HeapFileBytes:   1 << 20,
-			BufferPoolPages: 256,
+			DataFS:        s.dataFS,
+			Log:           log(s),
+			HeapFileBytes: 1 << 20,
 		}
 		eng, err := pglite.Open(env, p, cfg)
 		if err != nil {

@@ -465,6 +465,19 @@ func TestPlantedLeftoverBufferRecordFailsCrashAudit(t *testing.T) {
 	}, "keeps a buffer record with no copy")
 }
 
+// A file dropped from the namespace with its extent never returned to
+// the free list — what a Remove that forgets to release leaves — fails
+// the crash-smoke lsm row through the file system's audit.
+func TestPlantedLeakedExtentFailsCrashAudit(t *testing.T) {
+	plantedLSMAuditRun(t, func(c *lsmCrash) {
+		names := c.dataFS.List()
+		if len(names) == 0 {
+			panic("the recovered stack holds no file")
+		}
+		field(c.dataFS, "files").SetMapIndex(reflect.ValueOf(names[0]), reflect.Value{})
+	}, "vfs audit: files and free extents cover")
+}
+
 // An L1 installed out of key order in the DB recovery reopened — what a
 // compaction that appends its outputs unsorted leaves — fails the
 // crash-smoke lsm row through the engine's audit.

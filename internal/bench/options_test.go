@@ -33,7 +33,7 @@ func TestOptionCountRatchet(t *testing.T) {
 	}{
 		{wal.Config{}, 10},
 		{lsm.Config{}, 12},
-		{pglite.Config{}, 4},
+		{pglite.Config{}, 3},
 		{kvaof.Config{}, 3},
 		{jfs.Config{}, 3},
 		{fleet.Config{}, 10},

@@ -88,7 +88,7 @@ type Result struct {
 	// FAIL line after its output.
 	Failures int `json:"-"`
 	// The run's collector, uninstalled (nil when Config asked for no
-	// collection): its WriteMetricsJSON, WriteTimelineJSON/CSV and
+	// collection): its WriteMetricsJSON, WriteTimelineJSON and
 	// WriteTraceJSON emit the merged artifacts.
 	*obs.Collector `json:"-"`
 }

@@ -834,7 +834,8 @@ func build(cfg Config) (*fleetRT, *sim.Group, error) {
 // Audit checks every up device: its lease table against the router —
 // each slot's holder is a stream of that device whose lease names that
 // slot; no stream holds two slots, or holds one while it waits — then
-// its drive (core.TwoBSSD.Audit); and each tenant's WAL stream lives on
+// its drive (core.TwoBSSD.Audit) and its file system's allocator
+// (vfs.FS.Audit); and each tenant's WAL stream lives on
 // the primary router.Place gives it, its redo stream on the follower.
 // It is pure: no yields, no allocation on success, no registry writes.
 // A crashed device stopped at the cut and is not read.
@@ -846,6 +847,9 @@ func (fr *fleetRT) Audit() error {
 		err := n.slots.audit()
 		if err == nil {
 			err = n.ssd.Audit()
+		}
+		if err == nil {
+			err = n.fs.Audit()
 		}
 		if err != nil {
 			return fmt.Errorf("fleet audit: dev%d: %w", n.idx, err)

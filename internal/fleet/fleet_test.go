@@ -328,11 +328,11 @@ func TestMediaCheckMatchesMapReference(t *testing.T) {
 	}
 }
 
-// TestFleetAudit runs a crashed fleet, audits its lease tables and
-// drives clean without allocating, then plants one break of each
-// invariant in turn: the audit names each, and a log bound off its
-// slot or a drive fault on an up device is a violation of the run's
-// result.
+// TestFleetAudit runs a crashed fleet, audits its lease tables, drives
+// and file systems clean without allocating, then plants one break of
+// each invariant in turn: the audit names each, and a log bound off its
+// slot or a drive or file-system fault on an up device is a violation
+// of the run's result.
 func TestFleetAudit(t *testing.T) {
 	cfg := testConfig(3, 4, 60)
 	cfg.Crash = &CrashSpec{Device: -1, At: sim.Time(sim.Millisecond)}
@@ -405,13 +405,17 @@ func TestFleetAudit(t *testing.T) {
 	}) {
 		t.Errorf("a mismatched binding: violations %q, want one naming %q", v, want)
 	}
-	// The drive's own fields, reached the way a bug would.
+	// The drive's and the file system's own fields, reached the way a
+	// bug would.
 	vc := field(up.ssd.Device().FTL(), "validCount").Index(0)
 	byLBA := field(up.ssd.Device(), "byLBA")
 	last := reflect.ValueOf(ftl.LBA(up.ssd.Device().Pages() - 1))
 	if byLBA.MapIndex(last).IsValid() {
 		t.Fatal("the planted LBA is buffered")
 	}
+	files := field(up.fs, "files")
+	name := reflect.ValueOf(up.fs.List()[0])
+	file := files.MapIndex(name)
 	for _, plant := range []struct {
 		name, want string
 		do, undo   func()
@@ -421,6 +425,8 @@ func TestFleetAudit(t *testing.T) {
 		{"a buffer record holds no copy", "write buffer audit: ",
 			func() { byLBA.SetMapIndex(last, reflect.New(byLBA.Type().Elem().Elem())) },
 			func() { byLBA.SetMapIndex(last, reflect.Value{}) }},
+		{"a removed file's extent leaks", "vfs audit: files and free extents cover",
+			func() { files.SetMapIndex(name, reflect.Value{}) }, func() { files.SetMapIndex(name, file) }},
 	} {
 		plant.do()
 		v := buildResult(fr, g.Events()).Violations()

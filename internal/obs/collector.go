@@ -161,11 +161,6 @@ func (c *Collector) WriteTimelineJSON(w io.Writer) error {
 	return c.MergedTimeline().WriteJSON(w)
 }
 
-// WriteTimelineCSV writes the merged timeline in long-form CSV.
-func (c *Collector) WriteTimelineCSV(w io.Writer) error {
-	return c.MergedTimeline().WriteCSV(w)
-}
-
 // WriteTraceJSON writes one Chrome trace combining every collected
 // environment's tracer (environments without tracing are skipped), one
 // process per environment in collection order.

@@ -74,9 +74,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestTimelineEndpoint checks the -timeline artifact in both formats:
-// the JSON decodes to the collector's merged timeline, and the CSV has
-// the long-form header.
+// TestTimelineEndpoint checks the -timeline artifact: the JSON decodes
+// to the collector's merged timeline.
 func TestTimelineEndpoint(t *testing.T) {
 	c := collectedRun(t)
 	var buf bytes.Buffer
@@ -92,14 +91,6 @@ func TestTimelineEndpoint(t *testing.T) {
 	}
 	if want := c.MergedTimeline(); len(tl.Points) != len(want.Points) {
 		t.Fatalf("artifact has %d points, collector has %d", len(tl.Points), len(want.Points))
-	}
-
-	var csv bytes.Buffer
-	if err := c.WriteTimelineCSV(&csv); err != nil {
-		t.Fatalf("WriteTimelineCSV: %v", err)
-	}
-	if !strings.HasPrefix(csv.String(), "window,time_ns,span_ns,kind,name") {
-		t.Fatalf("csv header = %q", strings.SplitN(csv.String(), "\n", 2)[0])
 	}
 }
 

@@ -1,11 +1,9 @@
 package obs
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"io"
 	"sort"
-	"strconv"
 
 	"twobssd/internal/histo"
 	"twobssd/internal/sim"
@@ -318,58 +316,6 @@ func (tl Timeline) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(tl)
-}
-
-// WriteCSV writes the timeline in long form, one row per (window,
-// metric): kind is counter | gauge | histo. Counter rows carry the
-// per-window delta and a derived per-second rate; histogram rows carry
-// the window percentiles. Rows are sorted, so output is deterministic.
-func (tl Timeline) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
-		"window", "time_ns", "span_ns", "kind", "name",
-		"value", "rate_per_s", "n", "sum_ns", "mean_ns", "p50_ns", "p95_ns", "p99_ns",
-	}); err != nil {
-		return err
-	}
-	f := strconv.FormatInt
-	u := func(v uint64) string { return strconv.FormatUint(v, 10) }
-	for _, pt := range tl.Points {
-		base := []string{f(pt.Window, 10), f(pt.TimeNs, 10), f(pt.SpanNs, 10)}
-		row := func(kind, name string, rest ...string) error {
-			rec := append(append(append([]string{}, base...), kind, name), rest...)
-			for len(rec) < 13 {
-				rec = append(rec, "")
-			}
-			return cw.Write(rec)
-		}
-		for _, name := range sortedKeys(pt.Counters) {
-			d := pt.Counters[name]
-			rate := ""
-			if pt.SpanNs > 0 {
-				rate = strconv.FormatFloat(float64(d)*1e9/float64(pt.SpanNs), 'g', -1, 64)
-			}
-			if err := row("counter", name, u(d), rate); err != nil {
-				return err
-			}
-		}
-		for _, name := range sortedKeys(pt.Gauges) {
-			v := strconv.FormatFloat(pt.Gauges[name], 'g', -1, 64)
-			if err := row("gauge", name, v, ""); err != nil {
-				return err
-			}
-		}
-		for _, name := range sortedKeys(pt.Histos) {
-			h := pt.Histos[name]
-			if err := row("histo", name, "", "",
-				u(h.N), f(h.SumNs, 10), f(h.MeanNs, 10),
-				f(h.P50Ns, 10), f(h.P95Ns, 10), f(h.P99Ns, 10)); err != nil {
-				return err
-			}
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // sortedKeys returns a map's keys in sorted order.

@@ -115,8 +115,8 @@ func TestSamplerRingDrop(t *testing.T) {
 }
 
 // sampledDeviceRun drives the standard small block workload with
-// sampling on and returns timeline JSON and CSV bytes.
-func sampledDeviceRun(t *testing.T) ([]byte, []byte) {
+// sampling on and returns the timeline JSON bytes.
+func sampledDeviceRun(t *testing.T) []byte {
 	t.Helper()
 	env := sim.NewEnv()
 	sm := obs.Of(env).StartSampler()
@@ -141,26 +141,19 @@ func sampledDeviceRun(t *testing.T) ([]byte, []byte) {
 		}
 	})
 	env.Run()
-	var js, cs bytes.Buffer
+	var js bytes.Buffer
 	if err := sm.Timeline().WriteJSON(&js); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
 	}
-	if err := sm.Timeline().WriteCSV(&cs); err != nil {
-		t.Fatalf("WriteCSV: %v", err)
-	}
-	return js.Bytes(), cs.Bytes()
+	return js.Bytes()
 }
 
 // TestTimelineDeterministic checks that identical runs export
-// byte-identical timeline JSON and CSV.
+// byte-identical timeline JSON.
 func TestTimelineDeterministic(t *testing.T) {
-	j1, c1 := sampledDeviceRun(t)
-	j2, c2 := sampledDeviceRun(t)
+	j1, j2 := sampledDeviceRun(t), sampledDeviceRun(t)
 	if !bytes.Equal(j1, j2) {
 		t.Fatalf("identical runs produced different timeline JSON:\n%s\n---\n%s", j1, j2)
-	}
-	if !bytes.Equal(c1, c2) {
-		t.Fatalf("identical runs produced different timeline CSV:\n%s\n---\n%s", c1, c2)
 	}
 	if len(j1) == 0 || !bytes.Contains(j1, []byte(obs.TimelineSchema)) {
 		t.Fatalf("timeline JSON carries no schema: %s", j1)

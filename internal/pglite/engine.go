@@ -25,8 +25,9 @@ type Config struct {
 	// The engine supplies the name.
 	Log wal.Config
 
-	HeapFileBytes   int64 // per-table heap capacity
-	BufferPoolPages int
+	// HeapFileBytes is each table's heap capacity. The buffer pool
+	// holds the whole heap: pages reach the media only at a checkpoint.
+	HeapFileBytes int64
 }
 
 const (
@@ -48,9 +49,6 @@ func (c *Config) fillDefaults() error {
 	c.Log.Name = LogName
 	if c.HeapFileBytes <= 0 {
 		c.HeapFileBytes = 8 << 20
-	}
-	if c.BufferPoolPages <= 0 {
-		c.BufferPoolPages = 512
 	}
 	return nil
 }
@@ -169,7 +167,7 @@ func (e *Engine) openTable(p *sim.Proc, name string) error {
 func (e *Engine) newTable(name string, f *vfs.File) *Table {
 	t := &Table{
 		name: name,
-		heap: newHeapStore(f, e.cfg.BufferPoolPages, 300*sim.Nanosecond, obs.Of(e.env).Registry()),
+		heap: newHeapStore(f, 300*sim.Nanosecond, obs.Of(e.env).Registry()),
 		idx:  newBTree(),
 	}
 	e.tables[name] = t

@@ -183,7 +183,7 @@ func TestHeapScanKeepsOneVersionPerKey(t *testing.T) {
 		if err := f.WriteAt(p, 7*heapPageBytes, mark); err != nil {
 			t.Fatal(err)
 		}
-		h := newHeapStore(f, 4, 0, obs.Of(r.env).Registry())
+		h := newHeapStore(f, 0, obs.Of(r.env).Registry())
 		idx := newBTree()
 		if err := h.scan(p, idx); err != nil {
 			t.Fatal(err)
@@ -215,7 +215,7 @@ func TestFreshHeapPageReadsNothing(t *testing.T) {
 		}
 		reads := r.ssd.Device().Profile().Name + ".read_cmds"
 		before := counter(t, r.env, reads)
-		h := newHeapStore(f, 4, 0, obs.Of(r.env).Registry())
+		h := newHeapStore(f, 0, obs.Of(r.env).Registry())
 		tuple := encodeTuple([]byte("k"), bytes.Repeat([]byte{'v'}, 1000))
 		var rids []rid
 		for len(rids) == 0 || rids[len(rids)-1].page < 1 {
@@ -416,12 +416,13 @@ func TestScanRange(t *testing.T) {
 	r.env.Run()
 }
 
-func TestManyRowsForcePoolEviction(t *testing.T) {
+// The pool holds the whole heap: rows spread over many pages all read
+// back, and the pool misses each page once, when the heap first uses
+// it, and never reads one back.
+func TestPoolHoldsTheWholeHeap(t *testing.T) {
 	r := newRig()
 	r.env.Go("t", func(p *sim.Proc) {
-		cfg := r.config(wal.Sync)
-		cfg.BufferPoolPages = 8 // tiny pool: force evictions
-		eng, err := Open(r.env, p, cfg)
+		eng, err := Open(r.env, p, r.config(wal.Sync))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -434,15 +435,15 @@ func TestManyRowsForcePoolEviction(t *testing.T) {
 				t.Fatalf("commit %d: %v", i, err)
 			}
 		}
-		// All rows readable back through the pool.
 		for i := 0; i < 400; i += 37 {
 			v, ok, err := eng.Begin().Get(p, "tbl", []byte(fmt.Sprintf("k%05d", i)))
 			if err != nil || !ok || !bytes.Equal(v, val) {
 				t.Fatalf("row %d: ok=%v err=%v", i, ok, err)
 			}
 		}
-		if eng.tables["tbl"].heap.pool.evicts == 0 {
-			t.Error("expected pool evictions")
+		pages := eng.tables["tbl"].heap.pages
+		if misses := counter(t, r.env, "pglite.pool_misses"); pages < 16 || misses != uint64(pages) {
+			t.Errorf("%d misses over a heap of %d pages; want one per page", misses, pages)
 		}
 	})
 	r.env.Run()
@@ -773,10 +774,9 @@ func TestBACheckpointThenPowerLossAtTheLog(t *testing.T) {
 // A checkpoint flushes the heap and frees the XLOG below it, so a
 // reopened engine serves the keys written before it from the heap and
 // the ones after it from the replay: every committed key reads back at
-// its last committed value. A tiny pool writes pages back between
-// checkpoints, so the heap also holds keys live in two tuples. Two
-// runs end at the same virtual time: a checkpoint writes its pages in
-// an order that does not depend on map iteration.
+// its last committed value. Two runs end at the same virtual time: a
+// checkpoint writes its pages in an order that does not depend on map
+// iteration.
 func TestReopenAfterCheckpointServesHeap(t *testing.T) {
 	if a, b := reopenAfterCheckpoint(t), reopenAfterCheckpoint(t); a != b {
 		t.Fatalf("two identical runs ended at %v and %v", a, b)
@@ -787,7 +787,6 @@ func reopenAfterCheckpoint(t *testing.T) sim.Time {
 	r := newRig()
 	r.env.Go("t", func(p *sim.Proc) {
 		cfg := r.sized(wal.BA, 128<<10)
-		cfg.BufferPoolPages = 4 // evictions write pages between checkpoints
 		eng, err := Open(r.env, p, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -873,9 +872,9 @@ func TestReplayRejectsUnknownOp(t *testing.T) {
 	r.env.Run()
 }
 
-// A power cut between a heap extension and the next checkpoint: the
-// pages past the checkpoint's high-water mark were written back by
-// evictions, so they hold this life's rows on media. The reopen serves
+// A power cut between a checkpoint's write-back and its mark write: the
+// pages past the last mark hold this life's rows on media, and the mark
+// does not cover them. The reopen serves
 // every acked key from the heap under the mark and the XLOG replay. The
 // next life deletes those rows, extends the heap over the same pages and
 // checkpoints; the reopen after that must not find the first life's
@@ -884,7 +883,6 @@ func TestCutPastHighWaterMarkRevivesNothing(t *testing.T) {
 	r := newRig()
 	r.env.Go("t", func(p *sim.Proc) {
 		cfg := r.config(wal.BA)
-		cfg.BufferPoolPages = 4 // evictions write pages between checkpoints
 		val := func(k string) []byte { return append([]byte(k+"|"), bytes.Repeat([]byte{'v'}, 480)...) }
 		commit := func(eng *Engine, upsert, del []string) {
 			tx := eng.Begin()
@@ -945,10 +943,21 @@ func TestCutPastHighWaterMarkRevivesNothing(t *testing.T) {
 		for _, k := range late {
 			commit(eng, []string{k}, nil)
 		}
-		if h := eng.tables["tbl"].heap; h.pages < mark+4 || h.pool.evicts == 0 {
-			t.Fatalf("heap at %d pages (mark %d), %d evictions: the rows never went past the mark to media", h.pages, mark, h.pool.evicts)
+		// The checkpoint's write-back, cut before its mark write.
+		h := eng.tables["tbl"].heap
+		if err := h.pool.flushAll(p); err != nil {
+			t.Fatal(err)
 		}
+		pages := h.pages
 		eng = reopen()
+		page := make([]byte, heapPageBytes)
+		if err := eng.tables["tbl"].heap.pool.file.ReadAt(p, int64(mark)*heapPageBytes, page); err != nil {
+			t.Fatal(err)
+		}
+		if past := loadHeapPage(page); pages < mark+4 || past.slotCount() == 0 {
+			t.Fatalf("heap at %d pages (mark %d), %d tuples past the mark after the cut: the rows never went past the mark to media",
+				pages, mark, past.slotCount())
+		}
 		expect(eng, append(early, late...), nil)
 		commit(eng, nil, late)
 		for _, k := range fill {

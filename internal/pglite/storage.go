@@ -84,47 +84,32 @@ func (hp *heapPage) kill(slot int16) {
 	hp.dirty = true
 }
 
-// bufferPool caches heap pages of one file with LRU write-back.
+// bufferPool holds every heap page of one file it has touched, and
+// writes the dirty ones back only at a checkpoint: it never evicts, as
+// in the paper's Fig 9 setup, where user data stays in DRAM and only the
+// log reaches the device under test.
 type bufferPool struct {
 	file   *vfs.File
-	cap    int
 	frames map[int32]*heapPage
-	order  []int32
 	hitCPU sim.Duration
 	hits   *obs.Counter
 	misses *obs.Counter
-	evicts uint64
 }
 
-func newBufferPool(f *vfs.File, capacity int, hitCPU sim.Duration, reg *obs.Registry) *bufferPool {
-	if capacity < 4 {
-		capacity = 4
-	}
+func newBufferPool(f *vfs.File, hitCPU sim.Duration, reg *obs.Registry) *bufferPool {
 	return &bufferPool{
-		file: f, cap: capacity, frames: make(map[int32]*heapPage), hitCPU: hitCPU,
+		file: f, frames: make(map[int32]*heapPage), hitCPU: hitCPU,
 		hits: reg.Counter("pglite.pool_hits"), misses: reg.Counter("pglite.pool_misses"),
 	}
 }
 
-func (bp *bufferPool) touch(id int32) {
-	for i, v := range bp.order {
-		if v == id {
-			bp.order = append(bp.order[:i], bp.order[i+1:]...)
-			break
-		}
-	}
-	bp.order = append(bp.order, id)
-}
-
-// fetch returns the frame for a page, reading it on a miss and
-// evicting (write-back) when over capacity.
+// fetch returns the frame for a page, reading it on a miss.
 func (bp *bufferPool) fetch(p *sim.Proc, id int32) (*heapPage, error) {
 	if hp, ok := bp.frames[id]; ok {
 		bp.hits.Inc()
 		if bp.hitCPU > 0 {
 			p.Sleep(bp.hitCPU)
 		}
-		bp.touch(id)
 		return hp, nil
 	}
 	bp.misses.Inc()
@@ -133,35 +118,18 @@ func (bp *bufferPool) fetch(p *sim.Proc, id int32) (*heapPage, error) {
 		return nil, err
 	}
 	hp := loadHeapPage(raw)
-	return hp, bp.install(p, id, hp)
+	bp.frames[id] = hp
+	return hp, nil
 }
 
 // fresh returns an empty frame for a page the heap has never used,
 // without reading it: whatever the media holds there is not this
 // heap's. It counts as a miss, a frame the pool did not hold.
-func (bp *bufferPool) fresh(p *sim.Proc, id int32) (*heapPage, error) {
+func (bp *bufferPool) fresh(id int32) *heapPage {
 	bp.misses.Inc()
 	hp := loadHeapPage(make([]byte, heapPageBytes))
-	return hp, bp.install(p, id, hp)
-}
-
-// install adds a frame and evicts (write-back) while over capacity.
-func (bp *bufferPool) install(p *sim.Proc, id int32, hp *heapPage) error {
 	bp.frames[id] = hp
-	bp.order = append(bp.order, id)
-	for len(bp.frames) > bp.cap {
-		victim := bp.order[0]
-		bp.order = bp.order[1:]
-		v := bp.frames[victim]
-		delete(bp.frames, victim)
-		bp.evicts++
-		if v.dirty {
-			if err := bp.file.WriteAt(p, int64(victim)*heapPageBytes, v.data); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return hp
 }
 
 // flushAll writes every dirty frame back, in page order: the order
@@ -187,8 +155,9 @@ func (bp *bufferPool) flushAll(p *sim.Proc) error {
 // heapStore is one table's heap: pages in a file behind a pool. The
 // file's last page holds the high-water mark: the pages allocated at the
 // last checkpoint, all of them durable then. A page past the mark may
-// hold bytes of an earlier life written back by an eviction; a reopen
-// never reads it, and its first use starts it empty.
+// hold bytes of an earlier life, written back by a checkpoint the cut
+// stopped before its mark write; a reopen never reads it, and its first
+// use starts it empty.
 type heapStore struct {
 	pool     *bufferPool
 	pages    int32 // allocated pages
@@ -201,8 +170,8 @@ var (
 	errDeadTuple = errors.New("pglite: dead tuple")
 )
 
-func newHeapStore(f *vfs.File, poolPages int, hitCPU sim.Duration, reg *obs.Registry) *heapStore {
-	return &heapStore{pool: newBufferPool(f, poolPages, hitCPU, reg)}
+func newHeapStore(f *vfs.File, hitCPU sim.Duration, reg *obs.Registry) *heapStore {
+	return &heapStore{pool: newBufferPool(f, hitCPU, reg)}
 }
 
 // maxPages is the heap file's capacity in pages, less the mark page.
@@ -288,22 +257,18 @@ func (h *heapStore) insert(p *sim.Proc, tuple []byte) (rid, error) {
 	}
 	for try := 0; try < 2; try++ {
 		pg := h.lastFree
-		fresh := pg >= h.pages
-		if fresh {
+		var hp *heapPage
+		if pg >= h.pages {
 			if h.pages >= h.maxPages() {
 				return rid{}, errHeapFull
 			}
 			h.pages++
-		}
-		var hp *heapPage
-		var err error
-		if fresh {
-			hp, err = h.pool.fresh(p, pg)
+			hp = h.pool.fresh(pg)
 		} else {
-			hp, err = h.pool.fetch(p, pg)
-		}
-		if err != nil {
-			return rid{}, err
+			var err error
+			if hp, err = h.pool.fetch(p, pg); err != nil {
+				return rid{}, err
+			}
 		}
 		if hp.freeBytes() >= len(tuple) {
 			slot := hp.insert(tuple)

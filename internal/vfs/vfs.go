@@ -31,6 +31,10 @@ type extent struct {
 	pages int
 }
 
+func (e extent) end() ftl.LBA { return e.start + ftl.LBA(e.pages) }
+
+func (e extent) overlaps(o extent) bool { return e.start < o.end() && o.start < e.end() }
+
 // FS is a flat namespace of contiguous files on one device.
 type FS struct {
 	dev   *device.Device
@@ -150,6 +154,66 @@ func (fs *FS) release(ext extent) {
 		}
 	}
 	fs.free = out
+}
+
+// Audit checks the allocator: the free list is sorted, coalesced and
+// inside the device; every file's extent is inside the device and
+// overlaps no free extent and no other file's; and the files and the
+// free extents together cover every page, so they tile the device. A
+// failure names the first offending file by name. It is pure: no
+// yield, no allocation on success, no registry write.
+func (fs *FS) Audit() error {
+	end := ftl.LBA(fs.dev.Pages())
+	covered := 0
+	for i, e := range fs.free {
+		if e.pages <= 0 || e.end() > end {
+			return fmt.Errorf("vfs audit: free extent %d (lba %d, %d pages) is not inside the device's %d pages", i, e.start, e.pages, end)
+		}
+		if i > 0 && fs.free[i-1].end() >= e.start {
+			return fmt.Errorf("vfs audit: free extent %d (lba %d) is out of order or not coalesced with the one before, which ends at lba %d",
+				i, e.start, fs.free[i-1].end())
+		}
+		covered += e.pages
+	}
+	var bad *File
+	for _, f := range fs.files {
+		if (bad == nil || f.name < bad.name) && fs.misplaced(f) != nil {
+			bad = f
+		}
+		covered += f.ext.pages
+	}
+	if bad != nil {
+		return fs.misplaced(bad)
+	}
+	if covered != int(end) {
+		return fmt.Errorf("vfs audit: files and free extents cover %d of the device's %d pages", covered, end)
+	}
+	return nil
+}
+
+// misplaced reports what is wrong with f's extent: it lies outside the
+// device, or over a free extent, or over another file (the first by
+// name).
+func (fs *FS) misplaced(f *File) error {
+	e := f.ext
+	if e.pages <= 0 || e.end() > ftl.LBA(fs.dev.Pages()) {
+		return fmt.Errorf("vfs audit: %s (lba %d, %d pages) is not inside the device's %d pages", f.name, e.start, e.pages, fs.dev.Pages())
+	}
+	for _, fr := range fs.free {
+		if e.overlaps(fr) {
+			return fmt.Errorf("vfs audit: %s (lba %d, %d pages) overlaps the free extent at lba %d", f.name, e.start, e.pages, fr.start)
+		}
+	}
+	var other *File
+	for _, g := range fs.files {
+		if g != f && e.overlaps(g.ext) && (other == nil || g.name < other.name) {
+			other = g
+		}
+	}
+	if other != nil {
+		return fmt.Errorf("vfs audit: %s (lba %d, %d pages) overlaps %s (lba %d, %d pages)", f.name, e.start, e.pages, other.name, other.ext.start, other.ext.pages)
+	}
+	return nil
 }
 
 // File is one contiguous file.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -533,4 +534,75 @@ func TestRemoveDropsBufferedPages(t *testing.T) {
 		}
 	})
 	e.Run()
+}
+
+// auditedFS is a file system with three files and two free extents
+// between and after them: a, a hole, c, and the tail.
+func auditedFS(t *testing.T) *FS {
+	t.Helper()
+	fs := newFS(sim.NewEnv())
+	ps := int64(fs.PageSize())
+	for _, name := range []string{"a", "b", "c"} {
+		if _, err := fs.Create(name, 4*ps); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fs.Remove("b"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Audit(); err != nil {
+		t.Fatalf("a sound file system fails its audit: %v", err)
+	}
+	return fs
+}
+
+// The audit holds over creates and removes in any order, and costs no
+// allocation.
+func TestAuditHoldsWithoutAllocating(t *testing.T) {
+	fs := auditedFS(t)
+	ps := int64(fs.PageSize())
+	for i, name := range []string{"d", "e", "f", "g"} {
+		if _, err := fs.Create(name, int64(i+1)*ps); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{"e", "a", "g"} {
+		if err := fs.Remove(name); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Audit(); err != nil {
+			t.Fatalf("after removing %s: %v", name, err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = fs.Audit() }); n != 0 {
+		t.Errorf("Audit allocated %.0f times", n)
+	}
+}
+
+// Each planted allocator bug fails the audit, naming what it broke.
+func TestAuditFindsPlantedBugs(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		plant func(fs *FS)
+		want  string
+	}{
+		// A Remove that never returns its extent.
+		{"leak", func(fs *FS) { delete(fs.files, "c") }, "cover"},
+		{"file over free", func(fs *FS) { fs.files["c"].ext.start -= 2 }, "c (lba 6, 4 pages) overlaps the free extent at lba 4"},
+		{"two files", func(fs *FS) { fs.free = fs.free[1:]; fs.files["c"].ext.start = 2 }, "a (lba 0, 4 pages) overlaps c"},
+		{"outside", func(fs *FS) { fs.files["a"].ext.pages = 1 << 20 }, "a (lba 0, 1048576 pages) is not inside"},
+		{"uncoalesced", func(fs *FS) {
+			fs.free = append(fs.free[:1], extent{fs.free[1].start, 1}, extent{fs.free[1].start + 1, fs.free[1].pages - 1})
+		}, "not coalesced"},
+		{"unsorted", func(fs *FS) { fs.free[0], fs.free[1] = fs.free[1], fs.free[0] }, "out of order"},
+		{"free outside", func(fs *FS) { fs.free[1].pages++ }, "free extent 1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := auditedFS(t)
+			tc.plant(fs)
+			if err := fs.Audit(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("audit = %v, want an error naming %q", err, tc.want)
+			}
+		})
+	}
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Artifact coverage gate. Builds every artifact with coverage, runs each
 # one (bench2b all, crash, fuzz, fleet and fleet-smoke with
-# -metrics and -timeline, probe with -trace and a CSV timeline, one
+# -metrics and -timeline, probe with -trace, one
 # crash-smoke point replayed with -trace, walsim
 # in every mode, the five examples, the benchmark's four workloads and
 # its probes), lists the functions no run reached and compares that list
@@ -11,8 +11,9 @@
 #   bash scripts/coverage.sh [work dir]
 #
 # The work dir (a fresh temporary directory by default) receives the
-# binaries, the coverage counters and the run outputs; nothing is
-# written in the checkout. Exits non-zero when a function that
+# binaries, the coverage counters, the run outputs, the per-function
+# report (func.txt) and the statement profile (cover.txt, one line per
+# block with its hit count); nothing is written in the checkout. Exits non-zero when a function that
 # COVERAGE.json does not list reads 0 %, or a listed one is reached or
 # gone.
 set -euo pipefail
@@ -29,7 +30,7 @@ export GOCOVERDIR="$work/data"
 bin=$work/bin
 cd "$work/run"
 "$bin/bench2b" -j 2 -metrics m.json -timeline tl.json all crash fuzz fleet fleet-smoke > bench2b.txt
-"$bin/bench2b" -trace trace.json -timeline tl.csv probe > /dev/null
+"$bin/bench2b" -trace trace.json probe > /dev/null
 "$bin/bench2b" -trace point.trace.json crash-smoke/walseg/3 > /dev/null
 for m in sync async ba; do
 	"$bin/walsim" -mode "$m" > /dev/null
@@ -43,5 +44,6 @@ for w in kv-ba kv-block blk-mixed fleet-failover; do
 done
 "$bin/benchmark" probes > /dev/null
 go tool covdata func -i="$work/data" > "$work/func.txt"
+go tool covdata textfmt -i="$work/data" -o "$work/cover.txt"
 cd "$root"
 python3 scripts/coverage.py COVERAGE.json "$work/func.txt"
