@@ -179,6 +179,10 @@ func (s *TwoBSSD) Mmio() *pcie.Window { return s.win }
 // PageSize returns the device page size in bytes.
 func (s *TwoBSSD) PageSize() int { return s.dev.PageSize() }
 
+// Powered reports whether the drive is on: false from the end of a
+// PowerLoss's dump until PowerOn.
+func (s *TwoBSSD) Powered() bool { return s.powered }
+
 // BufferPages returns the BA-buffer capacity in pages.
 func (s *TwoBSSD) BufferPages() int { return len(s.frames.pages) }
 

@@ -128,18 +128,19 @@ type node struct {
 }
 
 // crash cuts the node's power exactly once and notifies the follower
-// of every tenant primaried here. Insufficient capacitor energy or a
-// torn dump are legitimate modeled outcomes, not harness errors.
+// of every tenant primaried here. The notice leaves at the trip, before
+// the capacitor dump: the dump is the dead drive's own work (Section
+// III-A4), so the follower's verify runs beside it, and every takeover
+// record an op reroutes during the dump reaches the follower behind
+// the marker. Send never yields, so no process runs between the trip
+// and the cut. Insufficient capacitor energy or a torn dump are
+// legitimate modeled outcomes, not harness errors.
 func (n *node) crash(p *sim.Proc) {
 	if n.down {
 		return
 	}
 	n.down = true
 	n.downAt = n.env.Now()
-	if _, err := n.ssd.PowerLoss(p); err != nil &&
-		!errors.Is(err, core.ErrInsufficient) && !errors.Is(err, core.ErrDumpTorn) {
-		n.errs = append(n.errs, fmt.Sprintf("dev%d power loss: %v", n.idx, err))
-	}
 	for _, t := range n.primaries {
 		if !t.dataClosed {
 			t.data.Send(p, repMsg{fail: true, tripAt: n.downAt})
@@ -147,6 +148,10 @@ func (n *node) crash(p *sim.Proc) {
 		// Wake a shipper parked on the tail signal so it observes the
 		// cut and exits instead of waiting for records that never come.
 		t.h.log.WakeTail()
+	}
+	if _, err := n.ssd.PowerLoss(p); err != nil &&
+		!errors.Is(err, core.ErrInsufficient) && !errors.Is(err, core.ErrDumpTorn) {
+		n.errs = append(n.errs, fmt.Sprintf("dev%d power loss: %v", n.idx, err))
 	}
 }
 
@@ -602,6 +607,11 @@ func (t *tenantRT) runFollower(p *sim.Proc) {
 		if m.fail {
 			t.verifyFailover(p, m.tripAt)
 			continue
+		}
+		if !m.local && !t.failedOver {
+			// A takeover record is an op served by the new primary,
+			// which serves only once its verify has ended.
+			t.errsF = append(t.errsF, fmt.Sprintf("%s: takeover seq %d applied before the failover verify", t.name, m.seq))
 		}
 		p.Sleep(applyCPU)
 		if err := t.redo.append(p, m.payload); err != nil {

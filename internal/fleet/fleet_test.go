@@ -161,26 +161,26 @@ func TestFleetResultGolden(t *testing.T) {
 	want := &Result{
 		Tenants: []TenantResult{
 			{Name: "ta", Primary: 2, Follower: 3, Ops: 120, Acked: 97, Reads: 9, Takeover: 55, Dropped: 14, Applied: 97,
-				LatP50: 27554, LatP99: 155871, LatMax: 176071, RepLagP50: 30048, RepLagMax: 143069, QoSWaitP99: 92681, Evictions: 18,
-				FailedOver: true, Recovery: 373205},
+				LatP50: 35733, LatP99: 177504, LatMax: 190101, RepLagP50: 30048, RepLagMax: 143069, QoSWaitP99: 88752, Evictions: 20,
+				FailedOver: true, Recovery: 238376},
 			{Name: "tb", Primary: 1, Follower: 3, Ops: 120, Acked: 93, Reads: 27, Applied: 93,
 				LatP50: 13193, LatP99: 31378, LatMax: 32368, RepLagP50: 7867, RepLagMax: 19305},
 			{Name: "tc", Primary: 3, Follower: 2, Ops: 120, Acked: 33, Reads: 25, Degraded: 62, Applied: 33,
-				LatP50: 13193, LatP99: 162772, LatMax: 164901, RepLagP50: 9741, RepLagMax: 19880, QoSWaitP99: 77935, Evictions: 20},
+				LatP50: 6596, LatP99: 162772, LatMax: 164901, RepLagP50: 9741, RepLagMax: 19880, QoSWaitP99: 65536, Evictions: 9},
 			{Name: "td", Primary: 1, Follower: 3, Ops: 120, Acked: 87, Reads: 33, Applied: 87,
-				LatP50: 13193, LatP99: 142935, LatMax: 155450, RepLagP50: 7867, RepLagMax: 149799, QoSWaitP99: 65536, Evictions: 12},
+				LatP50: 13193, LatP99: 149263, LatMax: 155450, RepLagP50: 7867, RepLagMax: 149799, QoSWaitP99: 71467, Evictions: 14},
 			{Name: "te", Primary: 1, Follower: 3, Ops: 120, Acked: 93, Reads: 27, Applied: 93,
-				LatP50: 13193, LatP99: 149263, LatMax: 154423, RepLagP50: 7867, RepLagMax: 148751, QoSWaitP99: 105545, Evictions: 10},
+				LatP50: 13777, LatP99: 142935, LatMax: 154423, RepLagP50: 28774, RepLagMax: 148751, QoSWaitP99: 105545, Evictions: 20},
 			{Name: "tf", Primary: 1, Follower: 2, Ops: 120, Acked: 32, Reads: 19, Degraded: 69, Applied: 32,
 				LatP50: 789, LatP99: 15024, LatMax: 32246, RepLagP50: 7867, RepLagMax: 17244},
 		},
 		Devices: []DeviceResult{
 			{Fairness: 1},
-			{Fairness: 0.9959703104075909, Leases: 8},
+			{Fairness: 0.9959418769355535, Leases: 4},
 			{Down: true, Fairness: 1, Leases: 3},
-			{Fairness: 0.9818912536393286, Leases: 71, Evictions: 60},
+			{Fairness: 0.9818880306769614, Leases: 68, Evictions: 63},
 		},
-		Failover: &FailoverResult{Device: 2, TripAt: 2000000, Tenants: 1, RecoveryMax: 373205},
+		Failover: &FailoverResult{Device: 2, TripAt: 2000000, Tenants: 1, RecoveryMax: 238376},
 	}
 	if !reflect.DeepEqual(res, want) {
 		t.Fatalf("fleet result moved:\n got %+v\nwant %+v", res, want)
@@ -204,9 +204,13 @@ func TestFleetConfigValidation(t *testing.T) {
 
 // A fleet op allocates almost nothing: the heap objects a run makes grow
 // with its op count by well under one per op. Comparing two sizes of one
-// fleet cancels what building and tearing it down costs.
+// fleet cancels what building and tearing it down costs. The difference
+// is signed: the coroutines a run creates follow the high-water mark of
+// its process pool, not its op count, so the end-of-run recoveries,
+// whose probe workers and unpins run at once, can leave the smaller run
+// with more of them and so with more objects than the larger one.
 func TestFleetOpAllocations(t *testing.T) {
-	mallocs := func(ops int) uint64 {
+	mallocs := func(ops int) int64 {
 		cfg := testConfig(3, 4, ops)
 		runtime.GC()
 		var m0, m1 runtime.MemStats
@@ -219,7 +223,7 @@ func TestFleetOpAllocations(t *testing.T) {
 		if v := res.Violations(); len(v) != 0 {
 			t.Fatalf("violations: %v", v)
 		}
-		return m1.Mallocs - m0.Mallocs
+		return int64(m1.Mallocs) - int64(m0.Mallocs)
 	}
 	const small, large = 200, 800
 	perOp := float64(mallocs(large)-mallocs(small)) / float64(4*(large-small))

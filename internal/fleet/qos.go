@@ -421,22 +421,14 @@ func (h *logHandle) release(p *sim.Proc) error {
 	return h.end(p, h.releaseLocked(p, false))
 }
 
-// recover flushes everything to NAND and replays the segment chain
-// from media into fn — the end-to-end integrity read used by the
-// failover verifier and the end-of-run oracle check. The log stays
-// leased and positioned after the last durable record, ready for more
-// appends, unless a stream waits for its slot.
+// recover replays the segment chain from media into fn — the
+// end-to-end integrity read used by the failover verifier and the
+// end-of-run oracle check. The log keeps whatever lease it holds:
+// Recover flushes the pinned halves under its scan, so nothing is
+// released or re-leased first. It stays positioned after the last
+// durable record, ready for more appends, unless a stream waits for its
+// slot.
 func (h *logHandle) recover(p *sim.Proc, fn func(lsn wal.LSN, payload []byte) error) error {
 	h.begin(p)
-	return h.end(p, h.recoverLocked(p, fn))
-}
-
-func (h *logHandle) recoverLocked(p *sim.Proc, fn func(lsn wal.LSN, payload []byte) error) error {
-	if err := h.releaseLocked(p, false); err != nil {
-		return err
-	}
-	if err := h.ensure(p); err != nil {
-		return err
-	}
-	return h.log.Recover(p, fn)
+	return h.end(p, h.log.Recover(p, fn))
 }

@@ -201,6 +201,70 @@ func TestHeapScanKeepsOneVersionPerKey(t *testing.T) {
 	r.env.Run()
 }
 
+// A reopen reads no page past the high-water mark. An interrupted
+// checkpoint writes this life's pages back past the mark and is cut
+// before its mark write; the next life's heap grows over only the
+// first of them and completes its checkpoint, which sets the mark
+// below the rest. Those pages still hold live tuples of keys no log
+// covers any more (their XLOG records went with that checkpoint), and
+// the reopen after it must not index them.
+func TestHeapScanStopsAtTheMark(t *testing.T) {
+	r := newRig()
+	r.env.Go("t", func(p *sim.Proc) {
+		f, err := r.fs.Create("heap-t", 16*heapPageBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.Of(r.env).Registry()
+		val := bytes.Repeat([]byte{'v'}, 1500) // two tuples a page
+		insert := func(h *heapStore, prefix string, n int) {
+			for i := 0; i < n; i++ {
+				if _, err := h.insert(p, encodeTuple([]byte(fmt.Sprintf("%s%02d", prefix, i)), val)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		reopen := func() (*heapStore, *btree) {
+			h, idx := newHeapStore(f, 0, reg), newBTree()
+			if err := h.scan(p, idx); err != nil {
+				t.Fatal(err)
+			}
+			return h, idx
+		}
+		h, _ := reopen()
+		insert(h, "early", 4)
+		if err := h.checkpoint(p); err != nil {
+			t.Fatal(err)
+		}
+		insert(h, "late", 8)
+		if err := h.pool.flushAll(p); err != nil { // the write-back, cut before the mark
+			t.Fatal(err)
+		}
+		stale := h.pages
+		h, idx := reopen()
+		if h.pages != h.mark || idx.Len() != 4 {
+			t.Fatalf("the reopen after the cut counts %d pages and %d keys, want the mark's %d and early's 4", h.pages, idx.Len(), h.mark)
+		}
+		insert(h, "next", 2)
+		if err := h.checkpoint(p); err != nil {
+			t.Fatal(err)
+		}
+		if h.mark >= stale {
+			t.Fatalf("mark %d, not below the %d pages the cut left", h.mark, stale)
+		}
+		h, idx = reopen()
+		if h.pages != h.mark || idx.Len() != 6 {
+			t.Fatalf("reopen counts %d pages and %d keys, want the mark's %d and early+next's 6", h.pages, idx.Len(), h.mark)
+		}
+		for i := 0; i < 8; i++ {
+			if rd, ok := idx.Get([]byte(fmt.Sprintf("late%02d", i))); ok {
+				t.Fatalf("late%02d revived at %v, past the mark %d", i, rd, h.mark)
+			}
+		}
+	})
+	r.env.Run()
+}
+
 // A page the heap has never used starts empty in the pool without a
 // device read, whatever bytes an earlier life left on the media.
 func TestFreshHeapPageReadsNothing(t *testing.T) {

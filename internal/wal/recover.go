@@ -6,7 +6,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
+	"twobssd/internal/core"
 	"twobssd/internal/ftl"
 	"twobssd/internal/sim"
 	"twobssd/internal/vfs"
@@ -36,9 +38,18 @@ type segReader struct {
 
 func (l *Log) reader(p *sim.Proc, f *vfs.File) *segReader {
 	return &segReader{
-		fetch: func(dst []byte, first int64) error { return f.ReadAt(p, first*int64(l.ps), dst) },
+		fetch: func(dst []byte, first int64) error { return l.readAt(p, f, first*int64(l.ps), dst) },
 		ps:    int64(l.ps), run: readAheadPages, pages: int64(f.Pages()),
 	}
+}
+
+// readAt is f.ReadAt once Recover's unpin has flushed every entry
+// pinned over the range: before, the LBA checker gates the read.
+func (l *Log) readAt(p *sim.Proc, f *vfs.File, off int64, buf []byte) error {
+	if err := l.awaitUnpin(p, f, off, int64(len(buf))); err != nil {
+		return err
+	}
+	return f.ReadAt(p, off, buf)
 }
 
 // load returns run i, fetching it on first use. Read-ahead must never
@@ -183,18 +194,21 @@ func probeSlot(hdr []byte, i, ring int, fileBytes int64) int64 {
 // quiesced live log end to end), invoking fn for every intact record
 // past the checkpoint, and positions the log to continue appending
 // after the last one. In BA mode any of this log's segments still
-// pinned from before a crash are flushed to NAND first (the mapping
-// table survived the power cycle via the recovery manager), so a
-// block-read scan sees everything.
+// pinned from before a crash (the mapping table survived the power
+// cycle via the recovery manager) are flushed to NAND by a background
+// unpin that runs under the scan: a read or write of a pinned page
+// waits until its entry lands, and Recover returns only once the whole
+// unpin has, with the unpin's error if it failed.
 //
-// A ring reads the checkpoint meta page, probes every slot's segment
-// header, and walks the segment chain from the checkpoint segment
-// forward; a torn or stale tail is durably cut back to the last intact
-// record. Only a ring cuts: its recycled slots leave stale generations
-// past the tail. A cut counts in wal.seg_torn_repairs; one that cannot
-// be made durable fails Recover. The caller must quiesce
-// appenders/committers first. A payload handed to fn is read-only: on
-// a tailed log it is the very bytes the tail cache serves.
+// A ring reads the checkpoint meta page and probes every slot's
+// segment header, all at once, then walks the segment chain from the
+// checkpoint segment forward; a torn or stale tail is durably cut back
+// to the last intact record. Only a ring cuts: its recycled slots leave
+// stale generations past the tail. A cut counts in
+// wal.seg_torn_repairs; one that cannot be made durable fails Recover.
+// The caller must quiesce appenders/committers first. A payload handed
+// to fn is read-only: on a tailed log it is the very bytes the tail
+// cache serves.
 func (l *Log) Recover(p *sim.Proc, fn func(lsn LSN, payload []byte) error) error {
 	t0 := l.env.Now()
 	sp := l.o.Tracer().BeginProc(p, "wal", "recover")
@@ -205,25 +219,27 @@ func (l *Log) Recover(p *sim.Proc, fn func(lsn LSN, payload []byte) error) error
 	if err := l.unpin(p); err != nil {
 		return err
 	}
+	err := l.replay(p, fn)
+	for l.unpinning {
+		l.moved.Wait(p)
+	}
+	if l.unpinErr != nil {
+		return l.unpinErr
+	}
+	if err == nil && l.ringed() {
+		l.hRecover.Observe(sim.Duration(l.env.Now() - t0))
+	}
+	return err
+}
 
-	ring := int64(len(l.files))
+// replay is Recover's scan: it probes a ring, walks the segment chain,
+// cuts a torn tail and re-points the writer at the tail.
+func (l *Log) replay(p *sim.Proc, fn func(lsn LSN, payload []byte) error) error {
 	var ckpt int64
-	slotSeq := []int64{0} // a ring of one is always segment 0
 	if l.ringed() {
 		var err error
-		if ckpt, err = l.readMeta(p); err != nil {
+		if ckpt, err = l.probe(p); err != nil {
 			return err
-		}
-		slotSeq = make([]int64, ring)
-		hdr := make([]byte, l.ps) // each slot's first page, the one command a probe costs
-		for i, f := range l.files {
-			// A read error must fail Recover, never pass for a free slot:
-			// that would end the chain walk early and let the next appends
-			// overwrite live records.
-			if err := f.ReadAt(p, 0, hdr); err != nil {
-				return fmt.Errorf("wal: probing ring slot %d: %w", i, err)
-			}
-			slotSeq[i] = probeSlot(hdr, i, len(l.files), l.fileBytes)
 		}
 	}
 
@@ -235,7 +251,7 @@ func (l *Log) Recover(p *sim.Proc, fn func(lsn LSN, payload []byte) error) error
 		base := seg * l.fileBytes
 		f := l.file(seg)
 		rd = l.reader(p, f)
-		if slotSeq[seg%ring] != seg {
+		if !l.holds(seg) {
 			// The chain ends before seg ever persisted a header: seg is
 			// the (empty) active segment.
 			tail = max(base, ckpt)
@@ -261,14 +277,18 @@ func (l *Log) Recover(p *sim.Proc, fn func(lsn LSN, payload []byte) error) error
 		if err != nil {
 			return err
 		}
-		if how == scanReached && l.ringed() && slotSeq[(seg+1)%ring] == seg+1 {
+		if how == scanReached && l.ringed() && l.holds(seg+1) {
 			seg++ // sealed segment: the chain continues in the next slot
 			continue
 		}
 		tail = base + end
 		l.hdrPending = false
 		if how == scanTorn && l.ringed() {
-			if err := repairTail(p, f, end); err != nil {
+			err := l.awaitUnpin(p, f, end, 4)
+			if err == nil {
+				err = repairTail(p, f, end)
+			}
+			if err != nil {
 				return fmt.Errorf("wal: cutting the torn tail back to %d: %w", tail, err)
 			}
 			l.cRepairs.Inc()
@@ -294,7 +314,6 @@ func (l *Log) Recover(p *sim.Proc, fn func(lsn LSN, payload []byte) error) error
 	l.appendOff, l.durableOff, l.flushedOff = tail, tail, tail
 	if l.ringed() {
 		l.gLive.Set(float64(l.curSeg - l.firstSeg + 1))
-		l.hRecover.Observe(sim.Duration(l.env.Now() - t0))
 	}
 	if l.retained != nil {
 		l.retainFrom = 0 // the scan re-cached everything past the checkpoint
@@ -303,38 +322,142 @@ func (l *Log) Recover(p *sim.Proc, fn func(lsn LSN, payload []byte) error) error
 	return nil
 }
 
-// unpin flushes any BA-buffer entries pinned over this log's files and
-// frees the halves. PMR mode has no entries; its halves flush through
-// the block stack.
+// probe reads a ring's meta page and every slot's header page at once,
+// one command each, into probeBuf, and returns the checkpoint LSN the
+// meta page records. A read error must fail Recover, never pass for a
+// free slot: that would end the chain walk early and let the next
+// appends overwrite live records.
+func (l *Log) probe(p *sim.Proc) (int64, error) {
+	if l.probes == nil {
+		l.probes = sim.NewFan(l.env, "wal.probe", probePage)
+		l.probeBuf = make([]byte, (len(l.files)+1)*l.ps)
+	}
+	if err := l.probes.Run(p, len(l.files)+1, l); err != nil {
+		return 0, err
+	}
+	return l.metaCkpt, nil
+}
+
+// probePage is worker i of probe: worker 0 reads the meta page, worker
+// i > 0 slot i-1's header page.
+func probePage(w *sim.Proc, lp **Log, i int) error {
+	l := *lp
+	page := l.probeBuf[i*l.ps : (i+1)*l.ps]
+	if i == 0 {
+		ckpt, err := l.readMeta(w, page)
+		l.metaCkpt = ckpt
+		return err
+	}
+	if err := l.readAt(w, l.files[i-1], 0, page); err != nil {
+		return fmt.Errorf("wal: probing ring slot %d: %w", i-1, err)
+	}
+	return nil
+}
+
+// holds reports whether segment seq persisted its header: on a ring,
+// whether the header page probe read from seq's slot names seq; a ring
+// of one is always segment 0.
+func (l *Log) holds(seq int64) bool {
+	if !l.ringed() {
+		return seq == 0
+	}
+	i := int(seq % int64(len(l.files)))
+	return probeSlot(l.probeBuf[(i+1)*l.ps:], i, len(l.files), l.fileBytes) == seq
+}
+
+// unpin frees the halves once none is mid-flush. In BA mode it lists
+// the mapping-table entries pinned over this log's files and, when
+// there are any, starts the background unpin that flushes them; PMR
+// mode has no entries, and its halves flush through the block stack
+// here.
 func (l *Log) unpin(p *sim.Proc) error {
+	for _, h := range l.halves {
+		for !h.ready {
+			h.sig.Wait(p)
+		}
+	}
 	if l.cfg.Mode == PMR {
 		for _, h := range l.halves {
 			if err := l.flushHalf(p, h); err != nil {
 				return err
 			}
-			h.ready = true
 		}
 		return nil
 	}
 	if l.cfg.Mode != BA {
 		return nil
 	}
+	for _, h := range l.halves {
+		h.seg = -1
+	}
+	l.unpinErr = nil
+	ents := l.cfg.SSD.Entries()
 	for _, f := range l.files {
 		lo := f.LBA(0)
 		hi := lo + ftl.LBA(f.Pages())
-		for _, ent := range l.cfg.SSD.Entries() {
+		for _, ent := range ents {
 			if ent.LBA >= lo && ent.LBA < hi {
-				if err := l.cfg.SSD.BAFlush(p, ent.ID); err != nil {
-					return err
-				}
+				l.pinned = append(l.pinned, ent)
 			}
 		}
 	}
-	for _, h := range l.halves {
-		h.seg = -1
-		h.ready = true
+	if len(l.pinned) == 0 {
+		return nil
 	}
+	if l.unpinFn == nil {
+		// Bound once per log, as a half's flush is: a log that never
+		// recovers a pinned entry allocates none.
+		l.unpinFn = l.backgroundUnpin
+	}
+	l.unpinning = true
+	l.env.Go("wal.unpin", l.unpinFn)
 	return nil
+}
+
+// backgroundUnpin is the body of Recover's unpin (unpinFn): it flushes
+// the listed entries in order, dropping each as it lands, and stops at
+// the first error. A flush that returns on a drive the power left
+// straddled the cut: the drive never completed it, and its pages may
+// be torn.
+func (l *Log) backgroundUnpin(p *sim.Proc) {
+	for len(l.pinned) > 0 {
+		err := l.cfg.SSD.BAFlush(p, l.pinned[0].ID)
+		if err == nil && !l.cfg.SSD.Powered() {
+			err = core.ErrPowerIsOff
+		}
+		if err != nil {
+			l.unpinErr = err
+			break
+		}
+		l.pinned = slices.Delete(l.pinned, 0, 1)
+		l.moved.Fire()
+	}
+	l.pinned = l.pinned[:0]
+	l.unpinning = false
+	l.moved.Fire()
+}
+
+// awaitUnpin parks until no entry the unpin has still to flush covers
+// a page of f's [off, off+n), and returns the unpin's error if it
+// failed: a read under a pinned entry comes back gated, and a write
+// would be overwritten when the entry lands.
+func (l *Log) awaitUnpin(p *sim.Proc, f *vfs.File, off, n int64) error {
+	lo, hi := f.LBA(off), f.LBA(off+n-1)+1
+	for l.unpinErr == nil && l.pinnedOver(lo, hi) {
+		l.moved.Wait(p)
+	}
+	return l.unpinErr
+}
+
+// pinnedOver reports whether an entry the unpin has still to flush
+// overlaps the LBAs [lo, hi).
+func (l *Log) pinnedOver(lo, hi ftl.LBA) bool {
+	for _, e := range l.pinned {
+		if e.LBA < hi && lo < e.LBA+ftl.LBA(e.Pages) {
+			return true
+		}
+	}
+	return false
 }
 
 // repairTail durably cuts the log back to localEnd by writing a zero

@@ -232,9 +232,9 @@ type Log struct {
 	mu *sim.Resource // serializes offset reservation, rotation and checkpoints — never a store
 
 	// moved fires when a flush leader finishes, when a store lands that
-	// someone is parked on and, once the log is tailed, whenever the
-	// durable frontier or the retention floor moves; every waiter
-	// re-checks its own condition.
+	// someone is parked on, as Recover's unpin lands each entry and,
+	// once the log is tailed, whenever the durable frontier or the
+	// retention floor moves; every waiter re-checks its own condition.
 	moved *sim.Signal
 
 	// storing holds the start offsets of records that are reserved but
@@ -257,6 +257,22 @@ type Log struct {
 
 	// BA-mode state.
 	halves []*half
+
+	// Recover's background unpin (recover.go): the mapping-table entries
+	// over this log's files it has still to flush, in flush order, and
+	// the error that stopped it. moved fires as each entry lands and
+	// when the unpin ends.
+	pinned    []core.Entry
+	unpinning bool
+	unpinErr  error
+	unpinFn   func(*sim.Proc) // l.backgroundUnpin, bound at the first unpin with work
+
+	// Recover's ring probe (recover.go): one fork-join over the meta
+	// page and every slot's header page, the pages it reads into (the
+	// meta page first, then slot by slot), and the checkpoint it found.
+	probes   *sim.Fan[*Log]
+	probeBuf []byte
+	metaCkpt int64
 
 	// recPool recycles Append's record-encoding buffers. A freelist
 	// rather than a single scratch because l.mu is released before the
@@ -353,6 +369,7 @@ func Open(env *sim.Env, cfg Config) (*Log, error) {
 	l.cPadBytes = reg.Counter("wal.pad_bytes")
 	l.hCommit = reg.Histo("wal.commit_ns")
 	if cfg.FS != nil {
+		l.files = make([]*vfs.File, 0, cfg.Ring)
 		for i := 0; i < cfg.Ring; i++ {
 			f, err := openOrCreate(cfg.FS, fmt.Sprintf("%s.%d", cfg.Name, i), l.fileBytes)
 			if err != nil {
@@ -380,6 +397,7 @@ func Open(env *sim.Env, cfg Config) (*Log, error) {
 		l.gLive.Set(1)
 	}
 	if nHalves > 0 {
+		l.halves = make([]*half, 0, nHalves)
 		for i := 0; i < nHalves; i++ {
 			l.halves = append(l.halves, &half{
 				eid:    cfg.EIDs[i],
@@ -1070,10 +1088,10 @@ func (l *Log) writeMeta(p *sim.Proc, ckpt int64) error {
 	return l.meta.Sync(p)
 }
 
-// readMeta returns the durably recorded checkpoint LSN, or 0 when the
-// meta page is fresh or fails its integrity tag.
-func (l *Log) readMeta(p *sim.Proc) (int64, error) {
-	page := make([]byte, l.ps)
+// readMeta reads the meta page into page and returns the durably
+// recorded checkpoint LSN, or 0 when the page is fresh or fails its
+// integrity tag.
+func (l *Log) readMeta(p *sim.Proc, page []byte) (int64, error) {
 	if err := l.meta.ReadAt(p, 0, page); err != nil {
 		return 0, err
 	}
