@@ -108,8 +108,12 @@ type FTL struct {
 
 	// The collector: a daemon started at the first trigger, woken by
 	// gcWork (see maybeGC), that takes no new victim while stopped.
+	// handed is the victim maybeGC decided for it at the wake-up, until
+	// the collector takes it under gcLock or parks without it.
 	gcWork    *sim.Signal
 	gcStopped bool
+	handed    nand.BlockID
+	handedOK  bool
 
 	// dieLocks serialize allocate+program per host slot, and relocLocks
 	// per relocation slot, so concurrent processes cannot reorder page
@@ -499,11 +503,7 @@ func (f *FTL) WritePageTagged(p *sim.Proc, lba LBA, data []byte, tag uint32) err
 		return err
 	}
 	start := f.env.Now()
-	if f.maybeGC() {
-		// Let the collector take its turn at this instant, so an erase
-		// it queues is there before the write picks a die.
-		p.Sleep(0)
-	}
+	f.maybeGC()
 	die := f.hostSlot(lba)
 	f.dieLocks[die].Acquire(p)
 	ppa, err := f.hostPage(p, die)
@@ -529,34 +529,61 @@ func (f *FTL) WritePageTagged(p *sim.Proc, lba LBA, data []byte, tag uint32) err
 // hostSlot picks the slot for a host write of lba: the slot whose open
 // block's last page is lba's copy, so a sequential stream rewritten
 // back to back lands one die apart, else the first from the round-robin
-// cursor. Either way it passes over a slot whose die has a victim
-// waiting on its eraser — an erase would hold the program for
-// milliseconds — unless every slot's die has one. A slot's die is its
-// open block's, or, with the block full, the die hostBlock prefers.
+// cursor. Either way it passes over a slot whose die housekeeping holds
+// (see held): the first slot from the cursor whose die is held least
+// wins, the cursor's when every die erases.
 func (f *FTL) hostSlot(lba LBA) int {
-	ppb := f.flash.Config().PagesPerBlock
-	slotDie := func(d int) int {
-		if ob := f.open[d]; ob.room(ppb) {
-			return f.dieOf(ob.blk)
-		}
-		return d
-	}
 	if ppa, ok := f.lookup(lba); ok {
 		last := openBlock{f.flash.Config().BlockOf(ppa), int(uint64(ppa)%f.piece) + 1}
-		if d := slices.Index(f.open, last); d >= 0 && !f.erasingOn(slotDie(d)) {
+		if d := slices.Index(f.open, last); d >= 0 && f.held(f.slotDie(d)) == 0 {
 			return d
 		}
 	}
 	n := len(f.open)
-	d := f.nextDie
-	for i := 0; i < n; i++ {
-		if c := (f.nextDie + i) % n; !f.erasingOn(slotDie(c)) {
-			d = c
-			break
+	d, least := f.nextDie, heldErase+1
+	for i := 0; i < n && least > 0; i++ {
+		c := (f.nextDie + i) % n
+		if h := f.held(f.slotDie(c)); h < least {
+			d, least = c, h
 		}
 	}
 	f.nextDie = (d + 1) % n
 	return d
+}
+
+// slotDie is the die host slot d programs next: its open block's, or,
+// with the block full, the die hostBlock prefers.
+func (f *FTL) slotDie(d int) int {
+	if ob := f.open[d]; ob.room(f.flash.Config().PagesPerBlock) {
+		return f.dieOf(ob.blk)
+	}
+	return d
+}
+
+// How long housekeeping holds a die for a host program, in the order
+// hostSlot avoids them: a relocation run holds it for up to
+// relocRunPages programs, an erase for milliseconds.
+const (
+	heldRun = 1 + iota
+	heldErase
+)
+
+// held reports what holds die for a host program: heldErase while a
+// victim waits on its eraser or is the one handed to the collector,
+// heldRun while a relocation run programs on it — a relocation slot's
+// lock is taken, its open block is on die, and the die is busy — else 0.
+func (f *FTL) held(die int) int {
+	if f.erasingOn(die) || f.handedOK && f.dieOf(f.handed) == die {
+		return heldErase
+	}
+	if !f.flash.DieIdle(die) {
+		for s, ob := range f.relocOpen {
+			if ob.nextPage >= 0 && f.dieOf(ob.blk) == die && f.relocLocks[s].InUse() > 0 {
+				return heldRun
+			}
+		}
+	}
+	return 0
 }
 
 // ReadPage reads one logical page into a fresh buffer (see
@@ -610,28 +637,30 @@ func (f *FTL) Trim(lba LBA) error {
 }
 
 // maybeGC wakes the collector when collection is due, starting it at
-// the first trigger, and reports whether it woke a collector that was
-// parked. It never yields: collection is the collector's, and no host
-// path runs it. The erased signal exists once the trigger has held,
-// stopped collector or not, so a write can wait on it.
-func (f *FTL) maybeGC() bool {
+// the first trigger, and hands it the victim it takes first, so the
+// victim's die is decided before the write that woke it picks one (see
+// held), whichever proc runs first at the instant. It never yields:
+// collection is the collector's, and no host path runs it. The erased
+// signal exists once the trigger has held, stopped collector or not, so
+// a write can wait on it.
+func (f *FTL) maybeGC() {
 	if len(f.free)+f.erasing > f.gcFreeTarget {
-		return false
+		return
 	}
 	f.housekeeping()
 	if f.gcStopped {
-		return false
+		return
 	}
-	if f.gcWork == nil {
+	switch {
+	case f.gcWork == nil:
 		f.gcWork = f.env.NewSignal("ftl.gc")
 		f.env.GoDaemon("ftl.gc", f.collector)
-		return true
+	case f.gcWork.Waiters() == 0:
+		return // collecting: it checks the trigger again before it parks
+	default:
+		f.gcWork.Fire()
 	}
-	if f.gcWork.Waiters() == 0 {
-		return false // collecting: it checks the trigger again before it parks
-	}
-	f.gcWork.Fire()
-	return true
+	f.handed, f.handedOK = f.pickVictim()
 }
 
 // due reports whether collection is due: the pool, counting the blocks
@@ -687,19 +716,25 @@ func (f *FTL) housekeeping() {
 func (f *FTL) collector(p *sim.Proc) {
 	for {
 		if !f.due() || !f.collect(p) {
+			f.handedOK = false
 			f.gcWork.Wait(p)
 		}
 	}
 }
 
-// collect takes gcLock and runs greedy reclamation while collection is
-// due and a victim is left, and reports whether it reclaimed one. A relocation that fails
-// is a modelling error, as a failed drain write is: the reserve keeps
-// relocation in free blocks.
+// collect takes gcLock and runs greedy reclamation, the handed victim
+// first, while collection is due and a victim is left, and reports
+// whether it reclaimed one. A relocation that fails is a modelling
+// error, as a failed drain write is: the reserve keeps relocation in
+// free blocks.
 func (f *FTL) collect(p *sim.Proc) bool {
 	f.gcLock.Acquire(p)
 	defer f.gcLock.Release()
-	victim, ok := f.pickVictim()
+	victim, ok := f.handed, f.handedOK
+	f.handedOK = false
+	if !ok {
+		victim, ok = f.pickVictim()
+	}
 	if !ok || !f.due() {
 		return false
 	}

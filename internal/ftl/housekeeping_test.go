@@ -312,3 +312,113 @@ func TestStoppedCollectorKeepsTheReserve(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// runOn starts the relocation of victim, a full block, on its own proc
+// and returns at the first instant its run programs: relocation slot
+// 0's lock is taken, its open block is on the run's die, and that die
+// is busy. It reports the die, or -1 if that instant never came.
+func runOn(t *testing.T, p *sim.Proc, f *FTL, victim nand.BlockID) int {
+	t.Helper()
+	f.housekeeping() // the relocation frontier, if no collection made it
+	f.env.Go("relocation", func(q *sim.Proc) {
+		f.gcLock.Acquire(q)
+		defer f.gcLock.Release()
+		if err := f.evacuate(q, victim); err != nil {
+			t.Errorf("evacuate: %v", err)
+		}
+	})
+	for i := 0; i < 1000; i++ {
+		p.Sleep(sim.Microsecond)
+		if ob := f.relocOpen[0]; f.relocLocks[0].InUse() > 0 && ob.nextPage >= 0 && !f.flash.DieIdle(f.dieOf(ob.blk)) {
+			return f.dieOf(ob.blk)
+		}
+	}
+	t.Error("the relocation run never held its die")
+	return -1
+}
+
+// A host write passes over a die that a relocation run programs. With
+// the run's die at the cursor, the write lands on another die in its
+// own transfer and tPROG; queued behind the run it waited for up to
+// 8 × tPROG.
+func TestHostWritePassesOverARelocationRun(t *testing.T) {
+	e := sim.NewEnv()
+	f := newTestFTL(e)
+	fc := f.flash.Config()
+	const lba = 100 // unmapped: no back-to-back slot
+	e.Go("t", func(p *sim.Proc) {
+		die := runOn(t, p, f, fullBlocks(t, p, f))
+		if die < 0 {
+			return
+		}
+		f.nextDie = die // every slot's block is full: slot d opens its next one on die d
+		t0 := e.Now()
+		if err := f.WritePage(p, lba, []byte{1}); err != nil {
+			t.Errorf("write: %v", err)
+			return
+		}
+		took := sim.Duration(e.Now() - t0)
+		ppa, _ := f.lookup(lba)
+		if landed := fc.DieOf(ppa); landed == die {
+			t.Errorf("the write landed on die %d, which the relocation run holds", die)
+		}
+		if want := fc.TransferTime(fc.PageSize) + fc.ProgramLatency; took != want {
+			t.Errorf("the write took %v; want its own transfer and program, %v", took, want)
+		}
+	})
+	runBounded(t, e)
+	if err := f.Audit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// With every die held by housekeeping a host write still lands: it
+// falls back first to the die that only a relocation run holds, and
+// waits for the run there, and with every die erasing to the cursor's.
+func TestHostWriteLandsWithEveryDieHeld(t *testing.T) {
+	e := sim.NewEnv()
+	f := newTestFTL(e)
+	fc := f.flash.Config()
+	queue := func(die int) { // a victim waits on die's eraser
+		f.erasers[die].queue = append(f.erasers[die].queue, nand.BlockID(die*fc.BlocksPerDie+fc.BlocksPerDie-1))
+	}
+	e.Go("t", func(p *sim.Proc) {
+		runDie := runOn(t, p, f, fullBlocks(t, p, f))
+		if runDie < 0 {
+			return
+		}
+		for die := 0; die < fc.Dies(); die++ {
+			if die != runDie {
+				queue(die)
+			}
+		}
+		f.nextDie = (runDie + 1) % fc.Dies()
+		t0 := e.Now()
+		if err := f.WritePage(p, 100, []byte{1}); err != nil {
+			t.Errorf("write with every die held: %v", err)
+			return
+		}
+		if ppa, _ := f.lookup(100); fc.DieOf(ppa) != runDie {
+			t.Errorf("the write landed on erasing die %d, want the relocating die %d", fc.DieOf(ppa), runDie)
+		}
+		if took := sim.Duration(e.Now() - t0); took <= fc.TransferTime(fc.PageSize)+fc.ProgramLatency {
+			t.Errorf("the write took %v: it did not wait for the run", took)
+		}
+		queue(runDie)
+		cursor := f.nextDie
+		if err := f.WritePage(p, 101, []byte{1}); err != nil {
+			t.Errorf("write with every die erasing: %v", err)
+			return
+		}
+		if ppa, _ := f.lookup(101); fc.DieOf(ppa) != f.slotDie(cursor) {
+			t.Errorf("with every die erasing the write landed on die %d, want the cursor's %d", fc.DieOf(ppa), f.slotDie(cursor))
+		}
+		for die := range f.erasers {
+			f.erasers[die].queue = f.erasers[die].queue[:0]
+		}
+	})
+	runBounded(t, e)
+	if err := f.Audit(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -244,21 +244,26 @@ type immLog struct {
 // smaller segment shortens the cut's dump and recovery's unpin. Each
 // crossing spawns the background flush with a body bound once per
 // half, so allocations do not grow with the crossing count. Swept on
-// kv-ba (seed 1, --seconds 15), against 1.117 ms and 56.6 µs for one
-// 256-page memtable window:
+// kv-ba (seed 1, --seconds 15; one 256-page memtable window read
+// 1.117 ms and 56.6 µs) and on fig9's lsm 1 KB 2B-SSD cell (quick
+// scale, ops/s; ASYNC reads 643 k):
 //
-//	pages  sim_recovery_ms  sim_op_tail_us  host_allocs_per_op
-//	    4            0.427            30.8              0.5102
-//	    8            0.435            33.8              0.5102
-//	   16            0.450            40.8              0.5102
-//	   32            0.483            47.5              0.5102
-//	   64            0.542            52.3              0.5102
+//	pages  sim_recovery_ms  sim_op_tail_us  host_allocs_per_op  fig9 1 KB
+//	    1            0.404            34.8              0.5103       79 k
+//	    2            0.3615           30.9              0.5101      182 k
+//	    4            0.3615           30.8              0.5101      348 k
+//	    8            0.3615           33.8              0.5101      519 k
+//	   16            0.3615           40.8              0.5101      537 k
+//	   32            0.389            47.5              0.5101      536 k
+//	   64            0.448            52.3              0.5101      532 k
 //
-// Allocations are flat across the sweep, so they no longer pick the
-// size. It stays 16, where the sweep that introduced segments put it
-// when each crossing still allocated its flush's closure: a smaller
-// segment moves kv-ba's simulated figures, a change of its own. It is a
-// constant, not an option.
+// Recovery and allocations are flat from 2 to 16 pages, so the tail
+// and fig9 pick the size. Below 16 pages a 1 KB commit stream wraps
+// onto a half whose background flush has not landed and waits for it:
+// 21 times in fig9's cell at 8 pages, 99 times at 4, where the cell
+// falls to 0.54 of ASYNC and TestFig9Shapes fails. So it stays 16,
+// trading kv-ba's tail for the 1 KB throughput. It is a constant, not
+// an option.
 const logSegmentPages = 16
 
 // logSegment is a BA log's segment size: logSegmentPages pages, capped

@@ -35,11 +35,11 @@ func TestFanPooledJoinForgetsItsError(t *testing.T) {
 	if errs[0] != boom || errs[1] != nil || errs[2] != boom {
 		t.Fatalf("Run errors %v; want boom, nil, boom", errs)
 	}
-	if len(f.free) != 1 {
-		t.Fatalf("%d pooled join records after sequential Runs, want 1", len(f.free))
+	if len(f.free) != 0 {
+		t.Fatalf("%d pooled join records after sequential Runs, want 0: each takes the Fan's own", len(f.free))
 	}
-	if j := f.free[0]; j.a != (fanArg{}) || j.err != nil || j.caller != nil {
-		t.Fatal("a pooled join record kept its argument, error or caller")
+	if j := f.first; j.a != (fanArg{}) || j.err != nil || j.caller != nil {
+		t.Fatal("the Fan's join record kept its argument, error or caller")
 	}
 }
 
@@ -80,8 +80,8 @@ func TestFanConcurrentRunsAreSeparate(t *testing.T) {
 	if done != [2]Time{3, 3} {
 		t.Fatalf("Runs returned at %v; want both at 3 (their slowest worker)", done)
 	}
-	if len(f.free) != 2 {
-		t.Fatalf("%d pooled join records after two concurrent Runs, want 2", len(f.free))
+	if len(f.free) != 1 || f.first.caller != nil {
+		t.Fatalf("%d pooled join records after two concurrent Runs, want the Fan's own and 1", len(f.free))
 	}
 }
 
@@ -104,6 +104,35 @@ func TestFanWarmRunDoesNotAllocate(t *testing.T) {
 	e.Run()
 	if allocs != 0 {
 		t.Fatalf("a warm 8-worker Run allocates %.1f times, want 0", allocs)
+	}
+}
+
+// A Fan's first Run allocates nothing once the process pool is warm:
+// it takes the join record and bound worker NewFan made. Every crash
+// point builds its drive's Fans afresh and runs most of them once.
+func TestFanFirstRunDoesNotAllocate(t *testing.T) {
+	e := NewEnv()
+	defer e.Shutdown()
+	body := func(w *Proc, a *fanArg, i int) error {
+		w.Sleep(Duration(i))
+		return nil
+	}
+	fans := make([]*Fan[fanArg], 101) // AllocsPerRun's warm-up call and 100 runs
+	for i := range fans {
+		fans[i] = NewFan(e, "w", body)
+	}
+	var allocs float64
+	e.Go("caller", func(p *Proc) {
+		NewFan(e, "warm", body).Run(p, 8, fanArg{}) // the process pool
+		next := 0
+		allocs = testing.AllocsPerRun(100, func() {
+			fans[next].Run(p, 8, fanArg{tag: 1})
+			next++
+		})
+	})
+	e.Run()
+	if allocs != 0 {
+		t.Fatalf("a fresh Fan's first 8-worker Run allocates %.1f times, want 0", allocs)
 	}
 }
 
